@@ -186,8 +186,9 @@ mod tests {
         // exchange epochs, (b) record zero dynamic races, and (c) finish
         // bit-identical to the single-device reference — checksum, raw
         // amplitude words, and classical bits. Debug-build budget: the
-        // ≤13-qubit workloads; the release-mode remap-bench CI gate runs
-        // the identity check over the full suite.
+        // ≤13-qubit workloads; the ignored full-suite test in
+        // `tests/proc_backend.rs` (a release-mode CI leg) runs the
+        // identity check over every workload.
         use svsim_core::Simulator;
         let seed = 0xC0FFEE;
         for spec in medium_suite().into_iter().chain(large_suite()) {

@@ -13,8 +13,8 @@
 //! [`PlanSegment`] per checkpoint-grid segment, each holding the lowered
 //! step stream, the flat compiled-kernel queue, the measurement random
 //! budget, and (for remapped scale-out) the relabeling schedule — into a
-//! standalone value that [`crate::Simulator::run_plan`] /
-//! [`crate::Simulator::resume_plan`] execute without recompiling.
+//! standalone value that [`crate::Simulator::run_from`] executes without
+//! recompiling.
 //! Execution from a plan is **bit-identical** to [`crate::Simulator::run`]:
 //! the plan stores exactly the data the executor would have rebuilt.
 
@@ -84,7 +84,7 @@ pub(crate) fn build_segment(
 ///
 /// Build one with [`CompiledPlan::compile`], hand it around freely
 /// (`Clone` is deep but execution never mutates it), and execute it with
-/// [`crate::Simulator::run_plan`]. A plan is only valid for the
+/// [`crate::Simulator::run_from`]. A plan is only valid for the
 /// circuit/config shape it was compiled against; [`CompiledPlan::matches`]
 /// is the compatibility check callers gate on before reusing a cached
 /// plan.

@@ -203,6 +203,15 @@ impl SimConfig {
     }
 }
 
+/// Where [`Simulator::run_from`] starts executing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunStart {
+    /// Op 0, against the state as it stands.
+    Fresh,
+    /// The last good checkpoint, restored (and verified) first.
+    LastCheckpoint,
+}
+
 /// Outcome summary of one circuit execution.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
@@ -263,21 +272,7 @@ impl Simulator {
     /// Invalid register width or worker configuration.
     pub fn new(n_qubits: u32, config: SimConfig) -> SvResult<Self> {
         let state = StateVector::zero_state(n_qubits)?;
-        match config.backend {
-            BackendKind::ScaleUp { n_devices: w } | BackendKind::ScaleOut { n_pes: w } => {
-                if w == 0 || !w.is_power_of_two() {
-                    return Err(SvError::InvalidConfig(format!(
-                        "worker count {w} must be a nonzero power of two"
-                    )));
-                }
-                if (w as u64) > (1u64 << n_qubits) {
-                    return Err(SvError::InvalidConfig(format!(
-                        "worker count {w} exceeds 2^{n_qubits} amplitudes"
-                    )));
-                }
-            }
-            BackendKind::SingleDevice => {}
-        }
+        check_workers(n_qubits, &config)?;
         Ok(Self {
             state,
             rng: SvRng::seed_from_u64(config.seed),
@@ -322,32 +317,59 @@ impl Simulator {
     /// With `checkpoint_every > 0` the circuit runs in segments of that
     /// many ops, capturing a [`Checkpoint`] after each; a failed segment
     /// (e.g. an injected PE death) leaves the state untouched at its
-    /// pre-segment contents so [`Self::resume`] can pick up bit-identically
-    /// from the last good checkpoint.
+    /// pre-segment contents so [`Self::run_from`] at
+    /// [`RunStart::LastCheckpoint`] can pick up bit-identically from the
+    /// last good checkpoint.
     ///
     /// # Errors
     /// Width mismatch, classical-register overflow, numeric failures, or a
     /// PE failure on the scale-out backend.
     pub fn run(&mut self, circuit: &Circuit) -> SvResult<RunSummary> {
-        self.validate(circuit)?;
-        self.run_segments(circuit, 0, 0, None)
+        self.run_from(circuit, None, RunStart::Fresh)
     }
 
-    /// Execute a circuit from a precompiled [`CompiledPlan`], skipping the
-    /// per-run lowering (circuit elaboration, kernel specialization, remap
-    /// planning). Results are bit-identical to [`Self::run`] on the same
-    /// circuit; a plan whose shape does not [`CompiledPlan::matches`] this
-    /// simulator/config is ignored and the run falls back to on-the-fly
-    /// lowering — correctness never depends on the cache.
+    /// Execute `circuit` from `start`, optionally driven by a precompiled
+    /// [`CompiledPlan`] that skips the per-run lowering (circuit
+    /// elaboration, kernel specialization, remap planning).
+    ///
+    /// Results are bit-identical with and without a plan; a plan whose
+    /// shape does not [`CompiledPlan::matches`] this simulator/config is
+    /// ignored and the run falls back to on-the-fly lowering —
+    /// correctness never depends on the cache. Plan segmentation follows
+    /// the same fixed checkpoint grid as execution, so a resumed run
+    /// resolves its remaining segments directly from the plan.
+    ///
+    /// From [`RunStart::LastCheckpoint`] the caller must pass the same
+    /// circuit the interrupted run was given; the completed run is
+    /// bit-identical to an uninterrupted one.
     ///
     /// # Errors
-    /// As [`Self::run`].
-    pub fn run_plan(&mut self, circuit: &Circuit, plan: &CompiledPlan) -> SvResult<RunSummary> {
+    /// As [`Self::run`]; from a checkpoint also as [`Self::restore`], and
+    /// when the checkpoint lies beyond the circuit's end (it belongs to a
+    /// different circuit).
+    pub fn run_from(
+        &mut self,
+        circuit: &Circuit,
+        plan: Option<&CompiledPlan>,
+        start: RunStart,
+    ) -> SvResult<RunSummary> {
         self.validate(circuit)?;
-        let plan = plan
-            .matches(circuit, self.state.n_qubits(), &self.config)
-            .then_some(plan);
-        self.run_segments(circuit, 0, 0, plan)
+        let (start_op, cbits) = match start {
+            RunStart::Fresh => (0, 0),
+            RunStart::LastCheckpoint => {
+                let start_op = self.restore()?;
+                if start_op > circuit.ops().len() {
+                    return Err(SvError::InvalidConfig(format!(
+                        "checkpoint at op {} lies beyond the {}-op circuit",
+                        start_op,
+                        circuit.ops().len()
+                    )));
+                }
+                (start_op, self.cbits)
+            }
+        };
+        let plan = plan.filter(|p| p.matches(circuit, self.state.n_qubits(), &self.config));
+        self.run_segments(circuit, start_op, cbits, plan)
     }
 
     /// One backend dispatch over an op slice. The third tuple element is
@@ -530,55 +552,9 @@ impl Simulator {
         outcome.map(|()| op_index)
     }
 
-    /// Restore from the last good checkpoint and finish executing
-    /// `circuit` from there. The caller must pass the same circuit the
-    /// interrupted [`Self::run`] was given; the completed run is
-    /// bit-identical to an uninterrupted one.
-    ///
-    /// # Errors
-    /// As [`Self::restore`] and [`Self::run`]; also when the checkpoint
-    /// lies beyond the circuit's end (it belongs to a different circuit).
-    pub fn resume(&mut self, circuit: &Circuit) -> SvResult<RunSummary> {
-        self.validate(circuit)?;
-        let start_op = self.restore()?;
-        if start_op > circuit.ops().len() {
-            return Err(SvError::InvalidConfig(format!(
-                "checkpoint at op {} lies beyond the {}-op circuit",
-                start_op,
-                circuit.ops().len()
-            )));
-        }
-        let cbits = self.cbits;
-        self.run_segments(circuit, start_op, cbits, None)
-    }
-
-    /// [`Self::resume`] driven by a precompiled [`CompiledPlan`]. Because
-    /// plan segmentation follows the same fixed checkpoint grid as
-    /// execution, the remaining segments resolve directly from the plan; a
-    /// mismatched plan falls back to on-the-fly lowering, bit-identically.
-    ///
-    /// # Errors
-    /// As [`Self::resume`].
-    pub fn resume_plan(&mut self, circuit: &Circuit, plan: &CompiledPlan) -> SvResult<RunSummary> {
-        self.validate(circuit)?;
-        let start_op = self.restore()?;
-        if start_op > circuit.ops().len() {
-            return Err(SvError::InvalidConfig(format!(
-                "checkpoint at op {} lies beyond the {}-op circuit",
-                start_op,
-                circuit.ops().len()
-            )));
-        }
-        let cbits = self.cbits;
-        let plan = plan
-            .matches(circuit, self.state.n_qubits(), &self.config)
-            .then_some(plan);
-        self.run_segments(circuit, start_op, cbits, plan)
-    }
-
     /// Compile `circuit` into a [`CompiledPlan`] for this simulator's
-    /// shape and configuration, executable later via [`Self::run_plan`] /
-    /// [`Self::resume_plan`] (and cacheable across runs).
+    /// shape and configuration, executable later via [`Self::run_from`]
+    /// (and cacheable across runs).
     #[must_use]
     pub fn compile_plan(&self, circuit: &Circuit) -> CompiledPlan {
         CompiledPlan::compile(circuit, self.state.n_qubits(), &self.config)
@@ -627,9 +603,8 @@ impl Simulator {
 
     /// Full reinit-in-place: `|0...0>`, cleared classical register, and the
     /// RNG rewound to the configured seed. A reset simulator is
-    /// indistinguishable from `Simulator::new` with the same config — the
-    /// reuse contract the engine's instance pool depends on — but keeps its
-    /// state-vector allocation.
+    /// indistinguishable from `Simulator::new` with the same config but
+    /// keeps its state-vector allocation.
     pub fn reset(&mut self) {
         self.state.reset_zero();
         self.cbits = 0;
@@ -637,6 +612,23 @@ impl Simulator {
         self.checkpoint = None;
         self.fault_plan = None;
         self.store = None;
+    }
+
+    /// Replace the configuration whole and [`Self::reset`]: afterwards the
+    /// simulator is indistinguishable from `Simulator::new(n_qubits,
+    /// config)` — only the register width (the allocation) is kept. This
+    /// is the reuse contract the engine's instance pool depends on: every
+    /// field of the next job's config is adopted, none can leak from the
+    /// previous tenant.
+    ///
+    /// # Errors
+    /// Invalid worker configuration for this width, as [`Self::new`]; the
+    /// simulator is left unchanged.
+    pub fn reconfigure(&mut self, config: SimConfig) -> SvResult<()> {
+        check_workers(self.state.n_qubits(), &config)?;
+        self.config = config;
+        self.reset();
+        Ok(())
     }
 
     /// Attach (or clear) an injected-fault schedule; threaded into every
@@ -649,12 +641,6 @@ impl Simulator {
     #[must_use]
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.fault_plan.as_ref()
-    }
-
-    /// Adjust the checkpoint cadence (0 disables). Pooled instances keep
-    /// their creation-time config, so the engine sets this per job.
-    pub fn set_checkpoint_every(&mut self, k: u32) {
-        self.config.checkpoint_every = k;
     }
 
     /// The last good checkpoint, if one exists.
@@ -732,27 +718,6 @@ impl Simulator {
         }
     }
 
-    /// Adjust the in-place respawn budget for the process backend (see
-    /// [`SimConfig::respawn_max`]). Pooled instances keep their
-    /// creation-time config, so the engine sets this per job.
-    pub fn set_respawn(&mut self, max: u32) {
-        self.config.respawn_max = max;
-    }
-
-    /// Adjust the supervisor's hang deadline in milliseconds (see
-    /// [`SimConfig::hang_deadline_ms`]).
-    pub fn set_hang_deadline_ms(&mut self, ms: u32) {
-        self.config.hang_deadline_ms = ms;
-    }
-
-    /// Adopt the SHMEM world substrate (see [`SimConfig::shmem_backend`]).
-    /// Like the other pooled knobs this is per-job, not part of the pool
-    /// key; the substrate is chosen fresh at each launch, so nothing else
-    /// needs resetting.
-    pub fn set_shmem_backend(&mut self, backend: ShmemBackend) {
-        self.config.shmem_backend = backend;
-    }
-
     /// FNV-1a digest of the current amplitudes (bit-identity fingerprint).
     #[must_use]
     pub fn state_checksum(&self) -> u64 {
@@ -762,22 +727,6 @@ impl Simulator {
     /// Re-seed the RNG.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = SvRng::seed_from_u64(seed);
-    }
-
-    /// Adopt `seed` into the configuration and rewind the RNG to it, so a
-    /// later [`Self::reset`] replays the same stream. Used by pooled
-    /// instances that serve jobs with per-job seeds.
-    pub fn set_seed(&mut self, seed: u64) {
-        self.config.seed = seed;
-        self.rng = SvRng::seed_from_u64(seed);
-    }
-
-    /// Adopt `remap` into the configuration (see [`SimConfig::remap`]).
-    /// Pooled instances serve remapped and naive jobs interchangeably; the
-    /// qubit permutation itself is run-local state — planned fresh per
-    /// launch and un-permuted at readback — so nothing else needs resetting.
-    pub fn set_remap(&mut self, remap: bool) {
-        self.config.remap = remap;
     }
 
     /// Current state vector.
@@ -846,6 +795,27 @@ impl Simulator {
     pub fn set_state(&mut self, amps: &[Complex64]) -> SvResult<()> {
         self.state.set_complex(amps)
     }
+}
+
+/// A distributed backend's worker count must be a nonzero power of two no
+/// larger than the amplitude count.
+fn check_workers(n_qubits: u32, config: &SimConfig) -> SvResult<()> {
+    match config.backend {
+        BackendKind::ScaleUp { n_devices: w } | BackendKind::ScaleOut { n_pes: w } => {
+            if w == 0 || !w.is_power_of_two() {
+                return Err(SvError::InvalidConfig(format!(
+                    "worker count {w} must be a nonzero power of two"
+                )));
+            }
+            if (w as u64) > (1u64 << n_qubits) {
+                return Err(SvError::InvalidConfig(format!(
+                    "worker count {w} exceeds 2^{n_qubits} amplitudes"
+                )));
+            }
+        }
+        BackendKind::SingleDevice => {}
+    }
+    Ok(())
 }
 
 /// Merge one segment's per-worker traffic into the run accumulator
@@ -1119,7 +1089,7 @@ mod tests {
         assert_eq!(sim.state().im(), &want_im[..]);
         assert_eq!(sim.state_checksum(), checksum);
         // Resuming from the end is a no-op run.
-        let summary = sim.resume(&c).unwrap();
+        let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
         assert_eq!(sim.state_checksum(), checksum);
         assert_eq!(summary.gates, c.gates().count());
     }
@@ -1172,7 +1142,7 @@ mod tests {
             );
             assert_eq!(plan.armed_remaining(), 0, "fault fired exactly once");
             // One-shot faults: resume with the same plan attached.
-            let summary = sim.resume(&c).unwrap();
+            let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
             assert_eq!(summary.cbits, ref_summary.cbits);
             assert_eq!(
                 sim.state_checksum(),
@@ -1380,8 +1350,9 @@ mod tests {
         let mut sim = Simulator::new(4, SimConfig::scale_out(4)).unwrap();
         for round in 0..4 {
             let remap = round % 2 == 0;
-            sim.set_remap(remap);
-            sim.reset();
+            let mut config = SimConfig::scale_out(4);
+            config.remap = remap;
+            sim.reconfigure(config).unwrap();
             let summary = sim.run(&c).unwrap();
             assert_eq!(summary.remap_swaps > 0, remap, "round {round}");
             assert_eq!(
@@ -1440,7 +1411,7 @@ mod tests {
 
             let mut planned = Simulator::new(4, config).unwrap();
             let plan = planned.compile_plan(&c);
-            let summary = planned.run_plan(&c, &plan).unwrap();
+            let summary = planned.run_from(&c, Some(&plan), RunStart::Fresh).unwrap();
             assert_eq!(summary.cbits, direct_summary.cbits, "{config:?}");
             assert_eq!(
                 summary.remap_swaps, direct_summary.remap_swaps,
@@ -1452,7 +1423,7 @@ mod tests {
             // Re-running the same plan from reset replays bit-identically
             // (the engine's compile-cache reuse pattern).
             planned.reset();
-            planned.run_plan(&c, &plan).unwrap();
+            planned.run_from(&c, Some(&plan), RunStart::Fresh).unwrap();
             assert_eq!(
                 planned.state().re(),
                 direct.state().re(),
@@ -1470,7 +1441,7 @@ mod tests {
         // Plan compiled for a different shape: silently ignored.
         let stale = CompiledPlan::compile(&c, 4, &SimConfig::scale_out(2).with_remap());
         let mut sim = Simulator::new(4, config).unwrap();
-        sim.run_plan(&c, &stale).unwrap();
+        sim.run_from(&c, Some(&stale), RunStart::Fresh).unwrap();
         assert_eq!(sim.state().re(), direct.state().re());
         assert_eq!(sim.state().im(), direct.state().im());
     }
@@ -1499,8 +1470,10 @@ mod tests {
             9,
             FaultAction::Kill,
         ))));
-        sim.run_plan(&c, &plan).unwrap_err();
-        let summary = sim.resume_plan(&c, &plan).unwrap();
+        sim.run_from(&c, Some(&plan), RunStart::Fresh).unwrap_err();
+        let summary = sim
+            .run_from(&c, Some(&plan), RunStart::LastCheckpoint)
+            .unwrap();
         assert_eq!(summary.cbits, reference.cbits());
         assert_eq!(sim.state().re(), reference.state().re());
         assert_eq!(sim.state().im(), reference.state().im());

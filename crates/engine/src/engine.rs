@@ -1,53 +1,44 @@
-//! The engine facade: job admission, the execution substrate behind it
-//! (staged pipeline or legacy worker pool), and the shared execution
-//! machinery both substrates run on — retry, degradation ladders,
-//! checkpoint recovery, quarantine.
+//! The engine facade: job admission, the staged pipeline behind it, and
+//! the execution machinery its execute and readback stages run — retry,
+//! degradation ladders, checkpoint recovery, quarantine.
 
 use crate::job::{
     JobCell, JobError, JobHandle, JobId, JobOutput, JobRequest, JobSpec, SweepReturn,
 };
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
-use crate::pipeline::{AllocMode, ExecutionModel, JobPacket, Pipeline, SchedMode};
+use crate::pipeline::{AllocMode, JobPacket, Pipeline, QueuedJob, SchedMode, SubmitError};
 use crate::pool::InstancePool;
-use crate::queue::{JobQueue, QueuedJob, SubmitError};
 use crate::retry::{retryable, DegradePolicy};
 use crate::templates::{TemplateId, TemplateInfo, TemplateRegistry, WorkerTemplates};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
-use svsim_core::{measure, Fnv1a, ParamCircuit, RunSummary, Simulator};
+use svsim_core::{measure, Fnv1a, ParamCircuit, RunStart, RunSummary, Simulator};
 use svsim_shmem::FaultAction;
 use svsim_types::{PeOp, SvError, SvResult};
 
 /// Engine sizing knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads executing jobs (the pipeline's execute stage, or the
-    /// whole legacy pool).
+    /// Worker threads of the pipeline's execute stage.
     pub workers: usize,
-    /// Queue capacity; submissions beyond it are rejected, not blocked.
+    /// Capacity of each pipeline stage queue; submissions beyond the admit
+    /// queue's are rejected, not blocked.
     pub queue_capacity: usize,
     /// Most sweep jobs coalesced into one batched execution.
     pub max_batch: usize,
-    /// Idle instances retained per pool key.
+    /// Idle instances retained per pool key (the register width).
     pub pool_max_per_key: usize,
     /// Consecutive final failures of one job shape before further
     /// submissions of it are refused with [`SubmitError::Quarantined`]
     /// (0 disables quarantining).
     pub quarantine_threshold: u32,
-    /// Which execution substrate to run (staged pipeline by default).
-    pub model: ExecutionModel,
-    /// Capacity of each pipeline stage queue; 0 (the default) inherits
-    /// `queue_capacity`. Ignored by the legacy model.
-    pub stage_capacity: usize,
     /// Dequeue order within a priority lane of the admit and execute
-    /// stages. Ignored by the legacy model.
+    /// stages.
     pub sched: SchedMode,
-    /// In-flight allocation budget enforced at admission. Ignored by the
-    /// legacy model.
+    /// In-flight allocation budget enforced at admission.
     pub alloc: AllocMode,
 }
 
@@ -62,8 +53,6 @@ impl Default for EngineConfig {
             max_batch: 16,
             pool_max_per_key: workers,
             quarantine_threshold: 3,
-            model: ExecutionModel::default(),
-            stage_capacity: 0,
             sched: SchedMode::default(),
             alloc: AllocMode::default(),
         }
@@ -99,20 +88,6 @@ impl EngineConfig {
         self
     }
 
-    /// Pick the execution substrate.
-    #[must_use]
-    pub fn with_model(mut self, model: ExecutionModel) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Override the per-stage queue capacity (0 inherits `queue_capacity`).
-    #[must_use]
-    pub fn with_stage_capacity(mut self, capacity: usize) -> Self {
-        self.stage_capacity = capacity;
-        self
-    }
-
     /// Pick the within-lane scheduling mode for pipeline stages.
     #[must_use]
     pub fn with_sched(mut self, sched: SchedMode) -> Self {
@@ -128,10 +103,9 @@ impl EngineConfig {
     }
 }
 
-/// State shared between the engine handle and its stage/worker threads.
+/// State shared between the engine handle and its stage threads.
 #[derive(Debug)]
 pub(crate) struct Shared {
-    pub(crate) queue: JobQueue,
     pub(crate) metrics: EngineMetrics,
     pub(crate) registry: TemplateRegistry,
     pub(crate) pool: InstancePool,
@@ -212,56 +186,31 @@ pub(crate) fn fingerprint(spec: &JobSpec) -> u64 {
     h.finish()
 }
 
-/// The execution substrate actually running behind the [`Engine`] facade.
-#[derive(Debug)]
-enum Backend {
-    /// The original single-queue worker pool.
-    Legacy { workers: Vec<JoinHandle<()>> },
-    /// The staged dataflow pipeline.
-    Pipeline(Pipeline),
-}
-
 /// A running engine. Submit jobs with [`Engine::submit`]; stop it with
 /// [`Engine::shutdown`] (drains) or [`Engine::shutdown_now`] (drops queued
 /// jobs). Dropping a running engine behaves like `shutdown_now`.
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<Shared>,
-    backend: Backend,
+    pipeline: Pipeline,
     next_id: AtomicU64,
 }
 
 impl Engine {
-    /// Start the execution substrate selected by [`EngineConfig::model`].
+    /// Start the pipeline's stage threads.
     #[must_use]
     pub fn start(config: EngineConfig) -> Self {
         let shared = Arc::new(Shared {
-            queue: JobQueue::new(config.queue_capacity),
             metrics: EngineMetrics::default(),
             registry: TemplateRegistry::default(),
             pool: InstancePool::new(config.pool_max_per_key),
             quarantine: Mutex::new(HashMap::new()),
             quarantine_threshold: config.quarantine_threshold,
         });
-        let backend = match config.model {
-            ExecutionModel::Pipeline => Backend::Pipeline(Pipeline::start(&shared, &config)),
-            ExecutionModel::Legacy => {
-                let workers = (0..config.workers.max(1))
-                    .map(|i| {
-                        let shared = Arc::clone(&shared);
-                        let max_batch = config.max_batch.max(1);
-                        std::thread::Builder::new()
-                            .name(format!("svsim-engine-{i}"))
-                            .spawn(move || worker_loop(&shared, max_batch, i))
-                            .expect("spawn engine worker")
-                    })
-                    .collect();
-                Backend::Legacy { workers }
-            }
-        };
+        let pipeline = Pipeline::start(&shared, &config);
         Self {
             shared,
-            backend,
+            pipeline,
             next_id: AtomicU64::new(0),
         }
     }
@@ -337,11 +286,7 @@ impl Engine {
             cell: Arc::clone(&cell),
             enqueued_at: Instant::now(),
         };
-        let admitted = match &self.backend {
-            Backend::Legacy { .. } => self.shared.queue.push(queued).map_err(|(e, _dropped)| e),
-            Backend::Pipeline(p) => p.admit(&self.shared, queued, fp),
-        };
-        match admitted {
+        match self.pipeline.admit(&self.shared, queued, fp) {
             Ok(()) => {
                 self.shared
                     .metrics
@@ -356,13 +301,10 @@ impl Engine {
         }
     }
 
-    /// Jobs waiting at queue/stage boundaries right now (not executing).
+    /// Jobs waiting at stage boundaries right now (not executing).
     #[must_use]
     pub fn queued(&self) -> usize {
-        match &self.backend {
-            Backend::Legacy { .. } => self.shared.queue.len(),
-            Backend::Pipeline(p) => p.depth(),
-        }
+        self.pipeline.depth()
     }
 
     /// Job shapes currently quarantined (failure streak at or above the
@@ -387,12 +329,10 @@ impl Engine {
         let mut s = self.shared.metrics.snapshot();
         s.pool_created = self.shared.pool.created.load(Ordering::Relaxed);
         s.pool_reused = self.shared.pool.reused.load(Ordering::Relaxed);
-        if let Backend::Pipeline(p) = &self.backend {
-            s.stages = p.stage_snapshots();
-            s.mem_in_flight_bytes = p.budget.in_flight_bytes();
-            s.mem_high_water_bytes = p.budget.high_water_bytes();
-            s.mem_limit_bytes = p.budget.limit_bytes();
-        }
+        s.stages = self.pipeline.stage_snapshots();
+        s.mem_in_flight_bytes = self.pipeline.budget.in_flight_bytes();
+        s.mem_high_water_bytes = self.pipeline.budget.high_water_bytes();
+        s.mem_limit_bytes = self.pipeline.budget.limit_bytes();
         s
     }
 
@@ -401,7 +341,7 @@ impl Engine {
     /// final metrics.
     #[must_use = "final metrics summarize the engine's whole life"]
     pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.stop_backend(true);
+        self.pipeline.stop(&self.shared, true);
         self.metrics()
     }
 
@@ -409,79 +349,16 @@ impl Engine {
     /// jobs already executing run to completion and still publish.
     #[must_use = "final metrics summarize the engine's whole life"]
     pub fn shutdown_now(mut self) -> MetricsSnapshot {
-        self.stop_backend(false);
+        self.pipeline.stop(&self.shared, false);
         self.metrics()
-    }
-
-    /// Tear the substrate down (idempotent — `Drop` runs it again after an
-    /// explicit shutdown and finds nothing left to do).
-    fn stop_backend(&mut self, drain: bool) {
-        match &mut self.backend {
-            Backend::Legacy { workers } => {
-                for job in self.shared.queue.close(drain) {
-                    self.shared
-                        .metrics
-                        .shutdown_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    job.cell.finish(Err(JobError::Shutdown));
-                }
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
-            Backend::Pipeline(p) => p.stop(&self.shared, drain),
-        }
     }
 }
 
 impl Drop for Engine {
+    /// `Pipeline::stop` is idempotent: after an explicit shutdown this
+    /// finds nothing left to do.
     fn drop(&mut self) {
-        self.stop_backend(false);
-    }
-}
-
-/// One legacy worker: pop (possibly coalesced) work until the queue
-/// closes, doing every pipeline stage itself. `worker` is this thread's
-/// index — the "PE" rank that `Exec`-level injected faults key off.
-fn worker_loop(shared: &Shared, max_batch: usize, worker: usize) {
-    let mut templates = WorkerTemplates::default();
-    while let Some(batch) = shared.queue.pop_batch(max_batch) {
-        let dequeued = Instant::now();
-        let mut live = Vec::with_capacity(batch.len());
-        for job in batch {
-            shared
-                .metrics
-                .queue_wait
-                .record(dequeued.saturating_duration_since(job.enqueued_at));
-            if job.cell.cancelled.load(Ordering::Acquire) {
-                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                job.cell.finish(Err(JobError::Cancelled));
-            } else if job.request.deadline.is_some_and(|d| dequeued > d) {
-                shared.metrics.expired.fetch_add(1, Ordering::Relaxed);
-                job.cell.finish(Err(JobError::Expired));
-            } else {
-                live.push(job);
-            }
-        }
-        let Some(head) = live.first() else { continue };
-        match head.request.spec {
-            // One-shots never coalesce, so `live` holds at most one.
-            JobSpec::OneShot { .. } => {
-                for job in live {
-                    run_one_shot(shared, JobPacket::bare(job), worker);
-                }
-            }
-            JobSpec::Sweep { .. } => {
-                let pkts = live.into_iter().map(JobPacket::bare).collect();
-                run_sweep_batch(
-                    shared,
-                    &mut templates,
-                    pkts,
-                    worker,
-                    &mut |pkt, started, result| publish(shared, &pkt.job, started, result),
-                );
-            }
-        }
+        self.pipeline.stop(&self.shared, false);
     }
 }
 
@@ -572,11 +449,8 @@ pub(crate) fn execute_one_shot(shared: &Shared, pkt: &JobPacket, worker: usize) 
     else {
         unreachable!("dispatched as one-shot");
     };
-    let fp = if shared.quarantine_threshold > 0 {
-        pkt.fp.unwrap_or_else(|| fingerprint(&pkt.job.request.spec))
-    } else {
-        0
-    };
+    // `None` only when quarantining is off, where the key is never read.
+    let fp = pkt.fp.unwrap_or(0);
     let plan = pkt.plan.as_deref();
     let policy = pkt.job.request.retry;
     let degrade = pkt.job.request.degrade;
@@ -632,12 +506,12 @@ pub(crate) fn execute_one_shot(shared: &Shared, pkt: &JobPacket, worker: usize) 
         s.set_fault_plan(pkt.job.request.fault_plan.clone());
         let ran = catch_unwind(AssertUnwindSafe(|| {
             exec_fault_point(&pkt.job, worker)?;
-            match (resumable, plan) {
-                (true, Some(p)) => s.resume_plan(circuit, p),
-                (true, None) => s.resume(circuit),
-                (false, Some(p)) => s.run_plan(circuit, p),
-                (false, None) => s.run(circuit),
-            }
+            let start = if resumable {
+                RunStart::LastCheckpoint
+            } else {
+                RunStart::Fresh
+            };
+            s.run_from(circuit, plan, start)
         }));
         let outcome = match ran {
             Ok(r) => r.map_err(|e| (retryable(&e), JobError::Failed(e))),
@@ -792,23 +666,10 @@ pub(crate) fn readback_one_shot(
     }
 }
 
-/// Execute and publish a one-shot job in place — the legacy path, where
-/// one worker runs every stage itself.
-fn run_one_shot(shared: &Shared, pkt: JobPacket, worker: usize) {
-    let started = Instant::now();
-    match execute_one_shot(shared, &pkt, worker) {
-        ExecOutcome::Done { sim, summary } => {
-            let output = readback_one_shot(shared, &pkt.job, sim, summary);
-            publish(shared, &pkt.job, started, Ok(output));
-        }
-        ExecOutcome::Fail(e) => publish(shared, &pkt.job, started, Err(e)),
-    }
-}
-
 /// Execute a coalesced group of sweep jobs — all for the same template —
 /// against one worker-local template clone and one pooled state buffer,
-/// handing each finished member to `sink` (the pipeline forwards to the
-/// readback stage; the legacy path publishes directly).
+/// handing each finished member to `sink` (which forwards it to the
+/// readback stage).
 ///
 /// Deadlines and cancellation are re-checked *per member* right before its
 /// execution, so a long batch cannot carry an already-dead job to a result
@@ -874,11 +735,7 @@ pub(crate) fn run_sweep_batch(
         else {
             unreachable!("coalesced batches are sweep-only");
         };
-        let fp = if shared.quarantine_threshold > 0 {
-            pkt.fp.unwrap_or_else(|| fingerprint(&pkt.job.request.spec))
-        } else {
-            0
-        };
+        let fp = pkt.fp.unwrap_or(0);
         let policy = pkt.job.request.retry;
         let mut attempt: u32 = 1;
         let mut first_failure: Option<Instant> = None;

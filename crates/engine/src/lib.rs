@@ -7,18 +7,17 @@
 //! optimizer, plus interactive one-shot requests. This crate adds the
 //! serving layer that makes those streams cheap:
 //!
-//! - a **typed dataflow pipeline** (the default [`ExecutionModel`]): jobs
-//!   flow as memory-accounted packets through bounded admit → compile →
-//!   execute → readback stages, each with its own queue, [`SchedMode`],
-//!   and occupancy metrics, with an [`AllocMode`] budget capping total
-//!   in-flight state-vector bytes at admission;
-//! - a **bounded, priority-aware queue** with reject-on-full admission
-//!   (backpressure is explicit, never a silent stall);
-//! - a **worker pool** of persistent threads so simulator setup cost is
-//!   paid once, not per request;
+//! - a **typed dataflow pipeline**: jobs flow as memory-accounted packets
+//!   through bounded admit → compile → execute → readback stages, each
+//!   with its own priority-aware queue, [`SchedMode`], and occupancy
+//!   metrics, with an [`AllocMode`] budget capping total in-flight
+//!   state-vector bytes at admission; admission is reject-on-full
+//!   (backpressure is explicit, never a silent stall) and the stage
+//!   threads persist, so simulator setup cost is paid once, not per
+//!   request;
 //! - an **instance pool** reusing `2^n`-amplitude state vectors across
-//!   jobs, keyed by (width, backend, dispatch, specialization), built on
-//!   [`svsim_core::Simulator::reset`]'s bit-identical reinit contract;
+//!   jobs, keyed by register width, built on
+//!   [`svsim_core::Simulator::reconfigure`]'s bit-identical reinit contract;
 //! - **micro-batching**: queued sweep jobs sharing a compiled
 //!   [`svsim_core::CompiledTemplate`] are coalesced into one
 //!   patch-and-execute loop over a single reused buffer;
@@ -66,14 +65,12 @@ mod job;
 mod metrics;
 mod pipeline;
 mod pool;
-mod queue;
 mod retry;
 mod templates;
 
 pub use engine::{Engine, EngineConfig};
 pub use job::{JobError, JobHandle, JobId, JobOutput, JobRequest, JobSpec, Priority, SweepReturn};
 pub use metrics::{EngineMetrics, LatencyHistogram, LatencySnapshot, MetricsSnapshot};
-pub use pipeline::{AllocMode, ExecutionModel, SchedMode, StageSnapshot};
-pub use queue::SubmitError;
+pub use pipeline::{AllocMode, SchedMode, StageSnapshot, SubmitError};
 pub use retry::{retryable, DegradePolicy, RetryPolicy};
 pub use templates::{TemplateId, TemplateInfo, TemplateRegistry};

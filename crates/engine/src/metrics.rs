@@ -278,13 +278,11 @@ pub struct MetricsSnapshot {
     pub recovery: LatencySnapshot,
     /// Aggregated SHMEM traffic over all distributed jobs.
     pub traffic: TrafficSnapshot,
-    /// Per-stage occupancy of the pipeline, in pipeline order (empty when
-    /// the engine runs the legacy worker pool).
+    /// Per-stage occupancy of the pipeline, in pipeline order.
     pub stages: Vec<StageSnapshot>,
-    /// State-vector bytes pinned by in-flight packets right now
-    /// (pipeline model only).
+    /// State-vector bytes pinned by in-flight packets right now.
     pub mem_in_flight_bytes: u64,
-    /// Highest in-flight byte total ever reached (pipeline model only).
+    /// Highest in-flight byte total ever reached.
     pub mem_high_water_bytes: u64,
     /// The in-flight byte cap, when running under
     /// [`crate::AllocMode::LimitMemory`].

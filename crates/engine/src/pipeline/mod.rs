@@ -15,9 +15,8 @@
 //!   the hop, and attaches a cached [`svsim_core::CompiledPlan`] to
 //!   one-shot jobs so repeated circuits skip op→kernel lowering entirely.
 //! - **execute** is the worker pool: template-coalesced batching, retry,
-//!   degradation ladders, and quarantine marking — the same machinery as
-//!   the legacy engine, now fed from a bounded stage queue with one more
-//!   cancel/deadline re-check at the hop.
+//!   degradation ladders, and quarantine marking, fed from a bounded
+//!   stage queue with one more cancel/deadline re-check at the hop.
 //! - **readback** samples, clones requested state, checks the simulator
 //!   back into the instance pool, and publishes — off the execute workers,
 //!   so a large job's measurement readout no longer blocks the next job's
@@ -31,10 +30,10 @@
 mod packet;
 mod stage;
 
-pub use packet::AllocMode;
+pub use packet::{AllocMode, SubmitError};
 pub use stage::{SchedMode, StageSnapshot};
 
-pub(crate) use packet::{packet_bytes, JobPacket, MemoryBudget, Readback};
+pub(crate) use packet::{packet_bytes, JobPacket, MemoryBudget, QueuedJob, Readback};
 pub(crate) use stage::StageQueue;
 
 use crate::engine::{
@@ -42,7 +41,6 @@ use crate::engine::{
     Shared,
 };
 use crate::job::{JobError, JobSpec};
-use crate::queue::QueuedJob;
 use crate::templates::WorkerTemplates;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -50,18 +48,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use svsim_core::{CompiledPlan, SimConfig};
 use svsim_ir::Circuit;
-
-/// Which execution substrate the engine runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionModel {
-    /// The staged dataflow pipeline (the default): compile/execute/readback
-    /// overlap, bounded stage queues, per-stage backpressure.
-    #[default]
-    Pipeline,
-    /// The original single-queue worker pool, kept as an honest baseline
-    /// for `serve-bench --model legacy` comparisons.
-    Legacy,
-}
 
 /// Compiled plans cached by the compile stage, keyed by a structural
 /// circuit fingerprint.
@@ -137,16 +123,11 @@ pub(crate) struct Pipeline {
 
 impl Pipeline {
     pub(crate) fn start(shared: &Arc<Shared>, config: &EngineConfig) -> Self {
-        let cap = if config.stage_capacity == 0 {
-            config.queue_capacity
-        } else {
-            config.stage_capacity
-        }
-        .max(1);
+        let cap = config.queue_capacity.max(1);
         let admit_q = Arc::new(StageQueue::new("admit", cap, config.sched));
         let exec_q = Arc::new(StageQueue::new("execute", cap, config.sched));
         // Readback publishes in completion order — always FIFO — and its
-        // queue is deliberately *shallow* regardless of `stage_capacity`:
+        // queue is deliberately *shallow* regardless of `queue_capacity`:
         // every parked item pins a checked-out simulator (and its budget
         // lease), so deep buffering here only starves the instance pool
         // and bloats in-flight memory. A few slots per worker absorb
@@ -203,14 +184,14 @@ impl Pipeline {
         shared: &Shared,
         job: QueuedJob,
         fp: Option<u64>,
-    ) -> Result<(), crate::queue::SubmitError> {
+    ) -> Result<(), SubmitError> {
         let needed = packet_bytes(&job.request.spec, &shared.registry);
         let lease = self.budget.try_admit(needed)?;
         let pkt = JobPacket {
             job,
             fp,
             plan: None,
-            lease: Some(lease),
+            lease,
         };
         self.admit_q.try_push(pkt).map_err(|(e, _pkt)| e)
     }

@@ -7,8 +7,7 @@
 //! (published, cancelled, expired, dropped at shutdown), dropping the
 //! packet releases its budget, so the accounting cannot leak.
 
-use crate::job::{JobError, JobOutput, JobSpec, Priority};
-use crate::queue::{QueuedJob, SubmitError};
+use crate::job::{JobCell, JobError, JobOutput, JobRequest, JobSpec, Priority};
 use crate::templates::{TemplateId, TemplateRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,6 +15,85 @@ use std::time::Instant;
 use svsim_core::{CompiledPlan, RunSummary, Simulator};
 
 use super::stage::StageItem;
+
+/// Why a submission was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The queue is at capacity; try again later.
+    QueueFull,
+    /// The engine is shutting down and accepts no new work.
+    ShuttingDown,
+    /// A sweep job referenced a template id the engine does not know.
+    UnknownTemplate(TemplateId),
+    /// A sweep job supplied fewer parameters than its template requires.
+    BadParamCount {
+        /// Parameters the template requires.
+        expected: usize,
+        /// Parameters the job supplied.
+        got: usize,
+    },
+    /// An identical job has already failed repeatedly; the engine refuses
+    /// it until the quarantine is lifted (degradation instead of burning
+    /// workers on a poison job).
+    Quarantined {
+        /// Consecutive final failures recorded for this job shape.
+        failures: u32,
+    },
+    /// Admitting this job would push the engine's in-flight state-vector
+    /// bytes over the [`crate::AllocMode::LimitMemory`] cap; try again
+    /// once in-flight work drains.
+    MemoryExceeded {
+        /// Bytes this job would pin while in flight.
+        needed: u64,
+        /// The configured in-flight byte cap.
+        limit: u64,
+    },
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::QueueFull => write!(f, "queue full, job rejected"),
+            Self::ShuttingDown => write!(f, "engine shutting down, job rejected"),
+            Self::UnknownTemplate(id) => write!(f, "unknown template {id}"),
+            Self::BadParamCount { expected, got } => {
+                write!(
+                    f,
+                    "template needs {expected} parameters, job supplied {got}"
+                )
+            }
+            Self::Quarantined { failures } => {
+                write!(f, "job quarantined after {failures} repeated failures")
+            }
+            Self::MemoryExceeded { needed, limit } => {
+                write!(
+                    f,
+                    "job needs {needed} in-flight bytes, over the {limit}-byte cap"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
+
+/// A submitted job: the request, its result cell, and when it was admitted.
+#[derive(Debug)]
+pub(crate) struct QueuedJob {
+    pub(crate) request: JobRequest,
+    pub(crate) cell: Arc<JobCell>,
+    pub(crate) enqueued_at: Instant,
+}
+
+impl QueuedJob {
+    /// The template id if this is a sweep job (the coalescing key).
+    pub(crate) fn template(&self) -> Option<TemplateId> {
+        match &self.request.spec {
+            JobSpec::Sweep { template, .. } => Some(*template),
+            JobSpec::OneShot { .. } => None,
+        }
+    }
+}
 
 /// How the engine bounds in-flight work (admitted but not yet published).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +228,7 @@ pub(crate) struct JobPacket {
     /// The job itself (request, result cell, enqueue instant).
     pub(crate) job: QueuedJob,
     /// Fingerprint computed once at admission (quarantine key); `None`
-    /// when quarantining is off or on the legacy path.
+    /// when quarantining is off.
     pub(crate) fp: Option<u64>,
     /// The compile stage's artifact for one-shot jobs; execution falls
     /// back to on-the-fly lowering when absent (bit-identical either way).
@@ -158,20 +236,7 @@ pub(crate) struct JobPacket {
     /// In-flight budget reservation; never read, held only so dropping
     /// the packet releases it.
     #[allow(dead_code)]
-    pub(crate) lease: Option<BudgetLease>,
-}
-
-impl JobPacket {
-    /// Wrap a queued job with no precomputed stage artifacts — the legacy
-    /// worker-pool path, where one worker does every stage itself.
-    pub(crate) fn bare(job: QueuedJob) -> Self {
-        Self {
-            job,
-            fp: None,
-            plan: None,
-            lease: None,
-        }
-    }
+    pub(crate) lease: BudgetLease,
 }
 
 impl StageItem for JobPacket {

@@ -9,7 +9,7 @@
 //! queue keeps its own occupancy statistics so operators can see where
 //! packets pile up.
 
-use crate::queue::SubmitError;
+use super::packet::SubmitError;
 use crate::templates::TemplateId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,9 +208,9 @@ impl<T: StageItem> StageQueue<T> {
     /// a later pop), but a keyless item is a **barrier**: a one-shot
     /// queued ahead of later sweep points is never leapfrogged, so its
     /// latency can't be inflated by batches assembled from work submitted
-    /// after it. (The earlier any-position scan did exactly that, and it
-    /// showed up as small-job p99 tail inflation in `serve-bench
-    /// --compare`.)
+    /// after it — an any-position scan does exactly that, and shows up as
+    /// small-job tail inflation (`small_ms_p95` on the benchmark's
+    /// `serve_mixed` workload).
     pub(crate) fn pop_batch(&self, max_batch: usize) -> Option<Vec<T>> {
         let mut inner = self.inner.lock().expect("stage queue lock");
         loop {

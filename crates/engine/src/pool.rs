@@ -2,46 +2,25 @@
 //! jobs.
 //!
 //! Allocating a `2^n`-amplitude state vector dominates the cost of small
-//! jobs, so the engine keeps finished instances keyed by everything that
-//! affects their construction — width, backend, dispatch mode, kernel
-//! specialization — and hands them back out after an in-place
-//! [`Simulator::reset`]. The reset contract (bit-identical to a fresh
-//! simulator, verified in `crates/core/src/sim.rs` tests) is what makes
-//! reuse invisible to clients.
+//! jobs, so the engine keeps finished instances keyed by the one thing
+//! baked in at construction — the register width — and hands them back
+//! out after an in-place [`Simulator::reconfigure`] to the next job's
+//! config. The reconfigure contract (indistinguishable from a fresh
+//! simulator) is what makes reuse invisible to clients.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use svsim_core::{BackendKind, DispatchMode, SimConfig, Simulator, StateVector};
+use svsim_core::{SimConfig, Simulator, StateVector};
 use svsim_types::SvResult;
 
-/// Everything that distinguishes one pooled simulator from another.
-/// The seed is deliberately absent: pooled instances are re-seeded per job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PoolKey {
-    n_qubits: u32,
-    backend: BackendKind,
-    dispatch: DispatchMode,
-    specialized: bool,
-}
-
-impl PoolKey {
-    fn of(n_qubits: u32, config: &SimConfig) -> Self {
-        Self {
-            n_qubits,
-            backend: config.backend,
-            dispatch: config.dispatch,
-            specialized: config.specialized,
-        }
-    }
-}
-
-/// Shared pool of reusable simulators and sweep state buffers.
+/// Shared pool of reusable simulators and sweep state buffers, each keyed
+/// by register width.
 #[derive(Debug)]
 pub(crate) struct InstancePool {
-    sims: Mutex<HashMap<PoolKey, Vec<Simulator>>>,
+    sims: Mutex<HashMap<u32, Vec<Simulator>>>,
     buffers: Mutex<HashMap<u32, Vec<StateVector>>>,
-    /// Retained instances per key; excess check-ins are dropped.
+    /// Retained instances per width; excess check-ins are dropped.
     max_per_key: usize,
     pub(crate) created: AtomicU64,
     pub(crate) reused: AtomicU64,
@@ -58,46 +37,34 @@ impl InstancePool {
         }
     }
 
-    /// A simulator matching `config` at `n_qubits`, reset and re-seeded to
-    /// `config.seed`. Pulled from the pool when possible, constructed
+    /// A simulator at `n_qubits` configured exactly as `config`, in
+    /// `|0...0>`. Pulled from the pool when possible, constructed
     /// otherwise.
     pub(crate) fn checkout_sim(&self, n_qubits: u32, config: &SimConfig) -> SvResult<Simulator> {
-        let key = PoolKey::of(n_qubits, config);
         let pooled = self
             .sims
             .lock()
             .expect("sim pool lock")
-            .get_mut(&key)
+            .get_mut(&n_qubits)
             .and_then(Vec::pop);
         if let Some(mut sim) = pooled {
+            if let Err(e) = sim.reconfigure(*config) {
+                // A refused config leaves the instance as it was: reshelve it.
+                self.checkin_sim(sim);
+                return Err(e);
+            }
             self.reused.fetch_add(1, Ordering::Relaxed);
-            sim.set_seed(config.seed);
-            // Cadence is not part of the pool key, so a pooled instance
-            // still carries its previous job's setting — adopt this job's.
-            sim.set_checkpoint_every(config.checkpoint_every);
-            // Remapping is likewise per-job, not part of the key: the same
-            // shelved instance serves remapped and naive jobs in turn, and
-            // must not leak the previous job's setting into this one.
-            sim.set_remap(config.remap);
-            // Supervision knobs are per-job too: the world substrate,
-            // respawn budget and hang deadline must reflect this job, not
-            // the previous tenant's.
-            sim.set_shmem_backend(config.shmem_backend);
-            sim.set_respawn(config.respawn_max);
-            sim.set_hang_deadline_ms(config.hang_deadline_ms);
-            sim.reset();
             return Ok(sim);
         }
         self.created.fetch_add(1, Ordering::Relaxed);
         Simulator::new(n_qubits, *config)
     }
 
-    /// Return a simulator for future reuse. Dropped if the key's shelf is
-    /// already full.
+    /// Return a simulator for future reuse. Dropped if the width's shelf
+    /// is already full.
     pub(crate) fn checkin_sim(&self, sim: Simulator) {
-        let key = PoolKey::of(sim.n_qubits(), sim.config());
         let mut sims = self.sims.lock().expect("sim pool lock");
-        let shelf = sims.entry(key).or_default();
+        let shelf = sims.entry(sim.n_qubits()).or_default();
         if shelf.len() < self.max_per_key {
             shelf.push(sim);
         }
@@ -169,7 +136,7 @@ mod tests {
         pool.checkin_sim(sim);
         assert_eq!(pool.idle(), 1);
 
-        // Same key: must reuse, and must come back pristine.
+        // Same width: must reuse, and must come back pristine.
         let sim2 = pool.checkout_sim(3, &config).unwrap();
         assert_eq!(pool.reused.load(Ordering::Relaxed), 1);
         assert_eq!(sim2.state().re()[0], 1.0);
@@ -183,10 +150,9 @@ mod tests {
 
     #[test]
     fn pooled_instance_alternates_remapped_and_naive_jobs_cleanly() {
-        // The satellite audit: remap is adopted at checkout (not part of
-        // the pool key), so ONE shelved instance must serve remapped and
-        // naive jobs in strict alternation with no stale permutation,
-        // exchange buffer, or counter leaking across jobs.
+        // Remap is adopted at checkout, so ONE shelved instance must serve
+        // remapped and naive jobs in strict alternation with no stale
+        // permutation, exchange buffer, or counter leaking across jobs.
         let mut c = Circuit::new(4);
         for q in 0..4 {
             c.apply(GateKind::H, &[q], &[]).unwrap();
@@ -228,6 +194,51 @@ mod tests {
             "one instance must have served every job"
         );
         assert_eq!(pool.reused.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn pooled_instance_adopts_every_field_of_the_next_jobs_config() {
+        // One shelved instance, checked out under configs that differ in
+        // every non-width field: nothing of the previous tenant may
+        // survive, or a `fuse` job silently runs unfused (its cached plan
+        // fails `CompiledPlan::matches`) and a `detect_races` job reports
+        // zero races because the detector never ran.
+        use svsim_core::{BackendKind, DispatchMode, ShmemBackend};
+        let first = SimConfig::single_device();
+        let second = SimConfig {
+            backend: BackendKind::ScaleOut { n_pes: 2 },
+            dispatch: DispatchMode::RuntimeParse,
+            specialized: false,
+            seed: 99,
+            checkpoint_every: 3,
+            detect_races: true,
+            remap: true,
+            shmem_backend: ShmemBackend::Process,
+            respawn_max: 2,
+            hang_deadline_ms: 1234,
+            fuse: 3,
+        };
+        // Back to the defaults on the same backend shape: the step where
+        // a per-field hand-off that forgets a field shows the leak.
+        let third = SimConfig {
+            backend: second.backend,
+            dispatch: second.dispatch,
+            specialized: second.specialized,
+            ..first
+        };
+        let pool = InstancePool::new(1);
+        for requested in [first, second, third, first] {
+            let sim = pool.checkout_sim(3, &requested).unwrap();
+            assert_eq!(sim.config(), &requested);
+            pool.checkin_sim(sim);
+        }
+        assert_eq!(pool.created.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.reused.load(Ordering::Relaxed), 3);
+
+        // A config the width cannot host is refused without losing the
+        // shelved instance.
+        assert!(pool.checkout_sim(3, &SimConfig::scale_out(16)).is_err());
+        assert_eq!(pool.idle(), 1);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Pipeline-model integration tests: topological drain, stage-boundary
 //! cancellation/deadline re-checks, bounded-stage backpressure, the
-//! in-flight memory budget, legacy-model parity, and LIFO scheduling.
+//! in-flight memory budget, and LIFO scheduling.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use svsim_core::{ParamCircuit, ParamValue, SimConfig, Simulator};
+use svsim_core::SimConfig;
 use svsim_engine::{
-    AllocMode, Engine, EngineConfig, ExecutionModel, JobError, JobOutput, JobRequest, JobSpec,
-    MetricsSnapshot, SchedMode, SubmitError, SweepReturn,
+    AllocMode, Engine, EngineConfig, JobError, JobRequest, JobSpec, MetricsSnapshot, SchedMode,
+    SubmitError,
 };
 use svsim_ir::{Circuit, GateKind};
 
@@ -20,24 +20,6 @@ fn ghz_with_measure(n: u32) -> Circuit {
     c.measure(0, 0).unwrap();
     c.measure(n - 1, 1).unwrap();
     c
-}
-
-fn ansatz(n: u32, layers: u32) -> ParamCircuit {
-    let mut t = ParamCircuit::new(n);
-    let mut var = 0usize;
-    for q in 0..n {
-        t.push_fixed(GateKind::H, &[q], &[]).unwrap();
-    }
-    for _ in 0..layers {
-        for q in 0..n {
-            t.push(GateKind::RY, &[q], &[ParamValue::Var(var)]).unwrap();
-            var += 1;
-        }
-        for q in 0..n {
-            t.push_fixed(GateKind::CX, &[q, (q + 1) % n], &[]).unwrap();
-        }
-    }
-    t
 }
 
 /// A wide, deep circuit whose execution parks the single executor for
@@ -109,7 +91,7 @@ fn drain_flushes_jobs_parked_at_every_stage() {
         EngineConfig::default()
             .with_workers(1)
             .with_max_batch(1)
-            .with_stage_capacity(2),
+            .with_queue_capacity(2),
     );
     let slow = Arc::new(deep_blocker());
     let fast = Arc::new(ghz_with_measure(4));
@@ -175,7 +157,7 @@ fn cancellation_and_deadline_are_rechecked_at_stage_hops() {
         EngineConfig::default()
             .with_workers(1)
             .with_max_batch(1)
-            .with_stage_capacity(1),
+            .with_queue_capacity(1),
     );
     let slow = Arc::new(deep_blocker());
     let fast = Arc::new(ghz_with_measure(4));
@@ -226,7 +208,7 @@ fn saturated_execute_stage_rejects_at_admission() {
         EngineConfig::default()
             .with_workers(1)
             .with_max_batch(1)
-            .with_stage_capacity(2),
+            .with_queue_capacity(2),
     );
     let slow = Arc::new(ghz_with_measure(16));
     let config = SimConfig::single_device();
@@ -333,77 +315,6 @@ fn limit_memory_caps_in_flight_bytes() {
     assert!(metrics.mem_high_water_bytes <= CAP);
     assert_eq!(metrics.mem_limit_bytes, Some(CAP));
     assert!(metrics.to_string().contains("memory: in_flight_bytes=0"));
-}
-
-/// The legacy worker pool and the pipeline must produce bit-identical
-/// results for the same jobs — the pipeline is a scheduling change, never
-/// a numerical one.
-#[test]
-fn legacy_model_matches_pipeline_bit_for_bit() {
-    let circuit = Arc::new(ghz_with_measure(6));
-    let template = ansatz(5, 2);
-    let configs = [
-        SimConfig::single_device().with_seed(11),
-        SimConfig::scale_up(2).with_seed(22),
-        SimConfig::scale_out(4).with_seed(33),
-    ];
-    let run_model = |model: ExecutionModel| {
-        let engine = Engine::start(EngineConfig::default().with_workers(2).with_model(model));
-        let id = engine.register_template("ansatz", &template).unwrap();
-        let mut states = Vec::new();
-        for config in configs {
-            let h = engine
-                .submit(JobRequest::new(JobSpec::OneShot {
-                    circuit: Arc::clone(&circuit),
-                    config,
-                    shots: 32,
-                    return_state: true,
-                }))
-                .unwrap();
-            let JobOutput::OneShot {
-                summary,
-                state,
-                samples,
-            } = h.wait().unwrap()
-            else {
-                panic!("one-shot output expected");
-            };
-            states.push((summary.cbits, state.unwrap(), samples.unwrap()));
-        }
-        let mut sweeps = Vec::new();
-        for i in 0..8 {
-            let h = engine
-                .submit(JobRequest::new(JobSpec::Sweep {
-                    template: id,
-                    params: vec![0.1 * i as f64; template.n_vars()],
-                    returning: SweepReturn::State,
-                }))
-                .unwrap();
-            let JobOutput::Sweep { state, .. } = h.wait().unwrap() else {
-                panic!("sweep output expected");
-            };
-            sweeps.push(state.unwrap());
-        }
-        let _ = engine.shutdown();
-        (states, sweeps)
-    };
-    let (p_states, p_sweeps) = run_model(ExecutionModel::Pipeline);
-    let (l_states, l_sweeps) = run_model(ExecutionModel::Legacy);
-    for (i, ((pc, ps, ph), (lc, ls, lh))) in p_states.iter().zip(&l_states).enumerate() {
-        assert_eq!(pc, lc, "config {i}: classical bits");
-        assert_eq!(ps.re(), ls.re(), "config {i}: re");
-        assert_eq!(ps.im(), ls.im(), "config {i}: im");
-        assert_eq!(ph, lh, "config {i}: sample histogram");
-    }
-    for (i, (p, l)) in p_sweeps.iter().zip(&l_sweeps).enumerate() {
-        assert_eq!(p.re(), l.re(), "sweep {i}: re");
-        assert_eq!(p.im(), l.im(), "sweep {i}: im");
-    }
-    // And both match a directly driven simulator.
-    let mut direct = Simulator::new(6, configs[0]).unwrap();
-    let direct_summary = direct.run(&circuit).unwrap();
-    assert_eq!(p_states[0].0, direct_summary.cbits);
-    assert_eq!(p_states[0].1.re(), direct.state().re());
 }
 
 /// Under `SchedMode::Lifo`, the freshest same-priority submission runs

@@ -370,7 +370,7 @@ fn mid_sweep_deadline_and_cancellation_are_honored() {
 }
 
 /// The robustness counters surface through `Display` so operators see them
-/// in `sv-sim serve-bench` / `fault-bench` output.
+/// in `sv-sim fault-bench` output.
 #[test]
 fn metrics_display_includes_robustness_line() {
     let engine = Engine::start(EngineConfig::default().with_workers(1));

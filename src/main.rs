@@ -1,119 +1,176 @@
-//! `sv-sim` — command-line front door to the simulator.
-//!
-//! ```text
-//! sv-sim run <file.qasm> [--backend single|up:N|out:N] [--pe-mode thread|process]
-//!                        [--shots N] [--seed S] [--generic] [--runtime-parse]
-//!                        [--optimize] [--remap] [--fuse W] [--amplitudes K] [--traffic]
-//! sv-sim stats <file.qasm>
-//! sv-sim estimate <file.qasm> --platform <name> [--workers N]
-//! sv-sim platforms
-//! sv-sim serve-bench [--workers N] [--sweeps N] [--one-shots N]
-//!                    [--batch N] [--seed S] [--reps N]
-//!                    [--model pipeline|legacy] [--stage-capacity N]
-//!                    [--sched fifo|lifo] [--limit-memory-mb N]
-//!                    [--fuse W]
-//!                    [--compare [--smalls N] [--shots N] [--out FILE]
-//!                               [--assert-min-ratio R] [--assert-max-p99-ratio R]]
-//! sv-sim fuse-bench [--window W] [--seed S] [--reps N] [--min-gates G]
-//!                   [--max-qubits M] [--out FILE] [--assert-min-gates-per-pass R]
-//! sv-sim fault-bench [--fault kill-pe|drop-put|poison-barrier|hang-pe|torn-checkpoint|exec]
-//!                    [--chaos] [--recovery retry|respawn|degrade] [--hang-ms MS]
-//!                    [--pes N] [--pe-mode thread|process] [--every K]
-//!                    [--seed S] [--one-shots N] [--sweeps N] [--attempts N]
-//! sv-sim analyze <file.qasm>|--suite [--pes N] [--detect]
-//!                [--merge-epochs I] [--max-qubits M] [--seed S]
-//! sv-sim verify [--max-states N]
-//! sv-sim lint [--root DIR] [--deny-warnings]
-//! ```
+//! `sv-sim` — command-line front door to the simulator; run it with no
+//! arguments for each command's usage ([`COMMANDS`]). Speed numbers come
+//! from `benchmark/` (the one command in `BENCHMARK.json`), not from here.
 
 use std::process::ExitCode;
 use sv_sim::core::{measure, BackendKind, DispatchMode, SimConfig, Simulator};
 use sv_sim::perfmodel::{compile_for_estimate, devices, interconnects, scale_up, single_device};
 use sv_sim::qasm::parse_circuit;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  sv-sim run <file.qasm> [--backend single|up:N|out:N] \
-         [--pe-mode thread|process] [--shots N] \
-         [--seed S] [--generic] [--runtime-parse] [--optimize] [--remap] [--fuse W] \
-         [--amplitudes K] [--traffic]\n  \
-         sv-sim stats <file.qasm>\n  \
-         sv-sim estimate <file.qasm> --platform <name> [--workers N]\n  \
-         sv-sim platforms\n  \
-         sv-sim serve-bench [--workers N] [--sweeps N] [--one-shots N] [--batch N] [--seed S] [--reps N] \
-         [--model pipeline|legacy] [--stage-capacity N] [--sched fifo|lifo] [--limit-memory-mb N] \
-         [--fuse W] [--compare [--smalls N] [--shots N] [--out FILE] [--assert-min-ratio R] \
-         [--assert-max-p99-ratio R]]\n  \
-         sv-sim fuse-bench [--window W] [--seed S] [--reps N] [--min-gates G] [--max-qubits M] \
-         [--out FILE] [--assert-min-gates-per-pass R]\n  \
-         sv-sim fault-bench [--fault kill-pe|drop-put|poison-barrier|hang-pe|torn-checkpoint|exec] \
-         [--chaos] [--recovery retry|respawn|degrade] [--hang-ms MS] [--pes N] \
-         [--pe-mode thread|process] [--every K] \
-         [--seed S] [--one-shots N] [--sweeps N] [--attempts N]\n  \
-         sv-sim analyze <file.qasm>|--suite [--pes N] [--detect] [--remap] [--merge-epochs I] \
-         [--max-qubits M] [--seed S]\n  \
-         sv-sim remap-bench [--pes N] [--seed S] [--max-qubits M] [--min-gates G] \
-         [--out FILE] [--assert-max-ratio R]\n  \
-         sv-sim verify [--max-states N]\n  \
-         sv-sim lint [--root DIR] [--deny-warnings]"
-    );
-    ExitCode::from(2)
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+/// One subcommand. Its usage line is also the declaration of what it
+/// accepts: `[--flag]` is a switch, `--flag X` (bracketed or not) takes a
+/// value, `<file.qasm>` is a positional file.
+struct Command {
+    name: &'static str,
+    usage: &'static str,
+    run: fn(&Flags) -> CmdResult,
 }
 
-fn platform_by_name(name: &str) -> Option<&'static sv_sim::perfmodel::DeviceSpec> {
-    match name.to_ascii_lowercase().as_str() {
-        "epyc" | "epyc7742" => Some(&devices::EPYC_7742),
-        "p8276" | "intel" => Some(&devices::INTEL_P8276),
-        "p8276-avx512" | "intel-avx512" => Some(&devices::INTEL_P8276_AVX512),
-        "power9" | "p9" => Some(&devices::POWER9),
-        "phi" | "phi7230" => Some(&devices::PHI_7230),
-        "phi-avx512" => Some(&devices::PHI_7230_AVX512),
-        "v100" => Some(&devices::V100),
-        "a100" => Some(&devices::A100),
-        "mi100" => Some(&devices::MI100),
-        _ => None,
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        usage: "<file.qasm> [--backend single|up:N|out:N] [--pe-mode thread|process] \
+                [--shots N] [--seed S] [--generic] [--runtime-parse] [--optimize] [--remap] \
+                [--fuse W] [--amplitudes K] [--traffic]",
+        run: cmd_run,
+    },
+    Command {
+        name: "stats",
+        usage: "<file.qasm>",
+        run: cmd_stats,
+    },
+    Command {
+        name: "estimate",
+        usage: "<file.qasm> --platform <name> [--workers N]",
+        run: cmd_estimate,
+    },
+    Command {
+        name: "platforms",
+        usage: "",
+        run: cmd_platforms,
+    },
+    Command {
+        name: "fault-bench",
+        usage: "[--fault kill-pe|drop-put|poison-barrier|hang-pe|torn-checkpoint|exec] \
+                [--chaos] [--recovery retry|respawn|degrade] [--hang-ms MS] [--pes N] \
+                [--pe-mode thread|process] [--every K] [--seed S] [--one-shots N] \
+                [--sweeps N] [--attempts N]",
+        run: cmd_fault_bench,
+    },
+    Command {
+        name: "analyze",
+        usage: "[<file.qasm>] [--suite] [--pes N] [--detect] [--remap] [--fuse W] \
+                [--merge-epochs I] [--max-qubits M] [--seed S]",
+        run: cmd_analyze,
+    },
+    Command {
+        name: "verify",
+        usage: "[--max-states N]",
+        run: cmd_verify,
+    },
+    Command {
+        name: "lint",
+        usage: "[--root DIR] [--deny-warnings]",
+        run: cmd_lint,
+    },
+];
+
+impl Command {
+    /// Whether the usage line declares `flag`, and if so whether a value
+    /// follows it (`--flag]` closes its bracket at once: a switch).
+    fn takes_value(&self, flag: &str) -> Option<bool> {
+        self.usage
+            .split_whitespace()
+            .map(|word| word.trim_start_matches('['))
+            .find(|word| word.trim_end_matches(']') == flag)
+            .map(|word| !word.ends_with(']'))
     }
 }
 
+fn usage() -> ExitCode {
+    eprintln!("usage:");
+    for cmd in COMMANDS {
+        eprintln!("  sv-sim {} {}", cmd.name, cmd.usage);
+    }
+    ExitCode::from(2)
+}
+
+/// A command's arguments, checked against what its usage line declares.
+struct Flags<'a> {
+    file: Option<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    /// Sort `args` into the command's declared flags.
+    ///
+    /// # Errors
+    /// A flag the command does not take, a value flag with no value after
+    /// it, or a positional argument the command has no use for — each
+    /// named in the message.
+    fn parse(args: &'a [String], cmd: &Command) -> Result<Self, String> {
+        let mut flags = Self {
+            file: None,
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if arg.starts_with("--") {
+                match cmd.takes_value(arg) {
+                    None => return Err(format!("unknown flag {arg} for `{}`", cmd.name)),
+                    Some(false) => flags.switches.push(arg),
+                    Some(true) => match it.next().filter(|v| !v.starts_with("--")) {
+                        Some(value) => flags.values.push((arg, value)),
+                        None => return Err(format!("{arg} needs a value")),
+                    },
+                }
+            } else if flags.file.is_none() && cmd.usage.contains("<file.qasm>") {
+                flags.file = Some(arg);
+            } else {
+                return Err(format!("unexpected argument `{arg}` for `{}`", cmd.name));
+            }
+        }
+        Ok(flags)
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+}
+
+/// The modeled platforms, each with the names `--platform` accepts for it.
+const PLATFORMS: &[(&[&str], &sv_sim::perfmodel::DeviceSpec)] = &[
+    (&["epyc", "epyc7742"], &devices::EPYC_7742),
+    (&["p8276", "intel"], &devices::INTEL_P8276),
+    (
+        &["p8276-avx512", "intel-avx512"],
+        &devices::INTEL_P8276_AVX512,
+    ),
+    (&["power9", "p9"], &devices::POWER9),
+    (&["phi", "phi7230"], &devices::PHI_7230),
+    (&["phi-avx512"], &devices::PHI_7230_AVX512),
+    (&["v100"], &devices::V100),
+    (&["a100"], &devices::A100),
+    (&["mi100"], &devices::MI100),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some(cmd) = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name))
+    else {
         return usage();
     };
-    let result = match command.as_str() {
-        "run" => cmd_run(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "estimate" => cmd_estimate(&args[1..]),
-        "serve-bench" => cmd_serve_bench(&args[1..]),
-        "fault-bench" => cmd_fault_bench(&args[1..]),
-        "analyze" => cmd_analyze(&args[1..]),
-        "remap-bench" => cmd_remap_bench(&args[1..]),
-        "fuse-bench" => cmd_fuse_bench(&args[1..]),
-        "verify" => cmd_verify(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "platforms" => {
-            println!("modeled platforms (see svsim-perfmodel):");
-            for d in [
-                &devices::EPYC_7742,
-                &devices::INTEL_P8276,
-                &devices::INTEL_P8276_AVX512,
-                &devices::POWER9,
-                &devices::PHI_7230,
-                &devices::PHI_7230_AVX512,
-                &devices::V100,
-                &devices::A100,
-                &devices::MI100,
-            ] {
-                println!(
-                    "  {:<22} {:>6.1} GB/s effective, {:>7.0} GF/s, {:.2} us/gate floor",
-                    d.name, d.mem_bw_gbps, d.flops_gflops, d.gate_overhead_us
-                );
-            }
-            Ok(())
+    let flags = match Flags::parse(&args[1..], cmd) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
         }
-        _ => return usage(),
     };
-    match result {
+    match (cmd.run)(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -122,22 +179,26 @@ fn main() -> ExitCode {
     }
 }
 
+fn cmd_platforms(_flags: &Flags) -> CmdResult {
+    println!("modeled platforms (see svsim-perfmodel):");
+    for (_, d) in PLATFORMS {
+        println!(
+            "  {:<22} {:>6.1} GB/s effective, {:>7.0} GF/s, {:.2} us/gate floor",
+            d.name, d.mem_bw_gbps, d.flops_gflops, d.gate_overhead_us
+        );
+    }
+    Ok(())
+}
+
 fn load(path: &str) -> Result<sv_sim::ir::Circuit, Box<dyn std::error::Error>> {
     let src = std::fs::read_to_string(path)?;
     Ok(parse_circuit(&src)?)
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let path = args.first().ok_or("missing <file.qasm>")?;
+fn cmd_run(flags: &Flags) -> CmdResult {
+    let path = flags.file.ok_or("missing <file.qasm>")?;
     let circuit = load(path)?;
-    let backend = match flag_value(args, "--backend") {
+    let backend = match flags.value("--backend") {
         None | Some("single") => BackendKind::SingleDevice,
         Some(spec) => {
             let (kind, count) = spec
@@ -153,19 +214,19 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut config = SimConfig::single_device();
     config.backend = backend;
-    if args.iter().any(|a| a == "--generic") {
+    if flags.has("--generic") {
         config.specialized = false;
     }
-    if args.iter().any(|a| a == "--runtime-parse") {
+    if flags.has("--runtime-parse") {
         config.dispatch = DispatchMode::RuntimeParse;
     }
-    if args.iter().any(|a| a == "--remap") {
+    if flags.has("--remap") {
         if !matches!(backend, BackendKind::ScaleOut { .. }) {
             return Err("--remap applies to the scale-out backend (--backend out:N)".into());
         }
         config.remap = true;
     }
-    match flag_value(args, "--pe-mode") {
+    match flags.value("--pe-mode") {
         None | Some("thread") => {}
         Some("process") => {
             if !matches!(backend, BackendKind::ScaleOut { .. }) {
@@ -177,15 +238,15 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         Some(other) => return Err(format!("unknown PE mode `{other}` (thread|process)").into()),
     }
-    if let Some(seed) = flag_value(args, "--seed") {
+    if let Some(seed) = flags.value("--seed") {
         config.seed = seed.parse()?;
     }
-    if let Some(window) = flag_value(args, "--fuse") {
+    if let Some(window) = flags.value("--fuse") {
         config = config.with_fusion(window.parse()?);
     }
-    let shots: usize = flag_value(args, "--shots").map_or(Ok(1024), str::parse)?;
+    let shots: usize = flags.value("--shots").map_or(Ok(1024), str::parse)?;
 
-    let circuit = if args.iter().any(|a| a == "--optimize") {
+    let circuit = if flags.has("--optimize") {
         let (optimized, stats) = sv_sim::ir::optimize(&circuit);
         println!(
             "optimizer: {} -> {} gates ({} cancelled, {} fused, {} dropped)",
@@ -224,7 +285,7 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             width = circuit.n_cbits() as usize
         );
     }
-    if args.iter().any(|a| a == "--traffic") {
+    if flags.has("--traffic") {
         let t = summary.total_traffic();
         println!(
             "traffic: {} one-sided ops ({} remote, {} bytes over the fabric), {} barriers",
@@ -237,7 +298,7 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             println!("remap: {} relabeling slab exchanges", summary.remap_swaps);
         }
     }
-    if let Some(k) = flag_value(args, "--amplitudes") {
+    if let Some(k) = flags.value("--amplitudes") {
         let k: usize = k.parse()?;
         let amps = sim.amplitudes();
         let mut indexed: Vec<(usize, f64)> = amps
@@ -275,8 +336,8 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let path = args.first().ok_or("missing <file.qasm>")?;
+fn cmd_stats(flags: &Flags) -> CmdResult {
+    let path = flags.file.ok_or("missing <file.qasm>")?;
     let circuit = load(path)?;
     let s = circuit.stats();
     println!("qubits:     {}", s.qubits);
@@ -292,13 +353,16 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_estimate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let path = args.first().ok_or("missing <file.qasm>")?;
+fn cmd_estimate(flags: &Flags) -> CmdResult {
+    let path = flags.file.ok_or("missing <file.qasm>")?;
     let circuit = load(path)?;
-    let name = flag_value(args, "--platform").ok_or("missing --platform")?;
-    let dev = platform_by_name(name).ok_or_else(|| format!("unknown platform `{name}`"))?;
+    let name = flags.value("--platform").ok_or("missing --platform")?;
+    let (_, dev) = PLATFORMS
+        .iter()
+        .find(|(names, _)| names.iter().any(|n| n.eq_ignore_ascii_case(name)))
+        .ok_or_else(|| format!("unknown platform `{name}`"))?;
     let compiled = compile_for_estimate(&circuit);
-    let workers: u64 = flag_value(args, "--workers").map_or(Ok(1), str::parse)?;
+    let workers: u64 = flags.value("--workers").map_or(Ok(1), str::parse)?;
     let breakdown = if workers <= 1 {
         single_device(dev, &compiled, circuit.n_qubits())
     } else {
@@ -321,721 +385,11 @@ fn cmd_estimate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Parse `--model pipeline|legacy` (pipeline — the engine default — when
-/// absent).
-fn parse_model(args: &[String]) -> Result<sv_sim::engine::ExecutionModel, String> {
-    use sv_sim::engine::ExecutionModel;
-    match flag_value(args, "--model") {
-        None | Some("pipeline") => Ok(ExecutionModel::Pipeline),
-        Some("legacy") => Ok(ExecutionModel::Legacy),
-        Some(other) => Err(format!("unknown --model {other} (pipeline|legacy)")),
-    }
-}
-
-/// Parse `--sched fifo|lifo` (FIFO when absent).
-fn parse_sched(args: &[String]) -> Result<sv_sim::engine::SchedMode, String> {
-    use sv_sim::engine::SchedMode;
-    match flag_value(args, "--sched") {
-        None | Some("fifo") => Ok(SchedMode::Fifo),
-        Some("lifo") => Ok(SchedMode::Lifo),
-        Some(other) => Err(format!("unknown --sched {other} (fifo|lifo)")),
-    }
-}
-
-/// Parse `--limit-memory-mb N` into the engine's allocation mode
-/// (unbounded packet count when absent).
-fn parse_alloc(args: &[String]) -> Result<sv_sim::engine::AllocMode, Box<dyn std::error::Error>> {
-    use sv_sim::engine::AllocMode;
-    Ok(match flag_value(args, "--limit-memory-mb") {
-        Some(mb) => AllocMode::LimitMemory(mb.parse::<u64>()?.saturating_mul(1024 * 1024)),
-        None => AllocMode::default(),
-    })
-}
-
-/// Submit treating backpressure as flow control: a rejected submission
-/// (`QueueFull`, or `MemoryExceeded` under `AllocMode::LimitMemory`) is
-/// the engine saying "later", so the bench client parks briefly and
-/// resubmits — exactly what a real front-end does with a 429. Any other
-/// refusal is a real error, and sustained rejection (~5 s) gives up.
-fn submit_flow_controlled(
-    engine: &sv_sim::engine::Engine,
-    request: &sv_sim::engine::JobRequest,
-) -> Result<sv_sim::engine::JobHandle, String> {
-    use sv_sim::engine::SubmitError;
-    for _ in 0..25_000 {
-        match engine.submit(request.clone()) {
-            Ok(handle) => return Ok(handle),
-            Err(SubmitError::QueueFull | SubmitError::MemoryExceeded { .. }) => {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    Err("engine kept rejecting submissions for ~5s".into())
-}
-
-/// `p`-th percentile of an ascending-sorted latency sample (nearest-rank).
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
-/// Drive the serving engine with a synthetic request mix — Table 4 medium
-/// circuits arriving as OpenQASM one-shots plus QAOA/QNN parameter sweeps —
-/// then replay the identical work naively (fresh simulator, re-synthesized
-/// circuit per request) and compare wall-clock. With `--compare`, instead
-/// race the legacy worker pool against the staged pipeline on one mixed
-/// stream (see [`serve_compare`]).
-fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use std::sync::Arc;
-    use std::time::Instant;
-    use sv_sim::engine::{Engine, EngineConfig, JobRequest, JobSpec, Priority, SweepReturn};
-    use sv_sim::types::SvRng;
-    use sv_sim::vqa::{qaoa_params, qaoa_template, qnn_params, qnn_template};
-    use sv_sim::workloads::qaoa::Graph;
-    use sv_sim::workloads::qnn::qnn_n_weights;
-
-    if args.iter().any(|a| a == "--compare") {
-        return serve_compare(args);
-    }
-
-    // Default worker count follows EngineConfig::default() (available
-    // parallelism): on a single-CPU host extra workers only add context
-    // switching, while on multicore hosts they scale the sweep throughput.
-    let default_workers = EngineConfig::default().workers;
-    let workers: usize = flag_value(args, "--workers").map_or(Ok(default_workers), str::parse)?;
-    let sweeps: usize = flag_value(args, "--sweeps").map_or(Ok(240), str::parse)?;
-    let one_shots: usize = flag_value(args, "--one-shots").map_or(Ok(12), str::parse)?;
-    let max_batch: usize = flag_value(args, "--batch").map_or(Ok(16), str::parse)?;
-    let seed: u64 = flag_value(args, "--seed").map_or(Ok(0x5EBE), str::parse)?;
-    let reps: usize = flag_value(args, "--reps").map_or(Ok(3), str::parse)?.max(1);
-    let model = parse_model(args)?;
-    let stage_capacity: usize = flag_value(args, "--stage-capacity").map_or(Ok(0), str::parse)?;
-    let sched = parse_sched(args)?;
-    let alloc = parse_alloc(args)?;
-
-    // --- Synthetic mix ----------------------------------------------------
-    // One-shots cross the service boundary as OpenQASM text; parsing is
-    // client work and happens identically on both paths. The circuits are
-    // wide-and-shallow state-prep / sampling requests — the one-shot shape
-    // a service actually sees in volume, and the one where the `2^n`
-    // allocation is a large share of the job (so instance pooling matters).
-    use sv_sim::workloads::{algos::cat_state, states::w_state};
-    let qasm_sources = [
-        ("cat_n16", sv_sim::qasm::to_qasm(&cat_state(16)?)?),
-        ("w_n16", sv_sim::qasm::to_qasm(&w_state(16)?)?),
-        ("cat_n17", sv_sim::qasm::to_qasm(&cat_state(17)?)?),
-        ("w_n17", sv_sim::qasm::to_qasm(&w_state(17)?)?),
-    ];
-
-    let graph = Graph::random(8, 0.4, seed);
-    let qaoa = qaoa_template(&graph, 2)?;
-    let qnn = qnn_template(7, 2)?;
-    let n_weights = qnn_n_weights(7, 2);
-    let qnn_readout_mask = 1u64 << 7;
-    let qaoa_mask = (1u64 << 8) - 1;
-
-    let mut rng = SvRng::seed_from_u64(seed);
-    let qaoa_points: Vec<Vec<f64>> = (0..sweeps.div_ceil(2))
-        .map(|_| {
-            let gammas = [rng.range_f64(-2.0, 2.0), rng.range_f64(-2.0, 2.0)];
-            let betas = [rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)];
-            qaoa_params(&gammas, &betas)
-        })
-        .collect();
-    let qnn_points: Vec<Vec<f64>> = (0..sweeps / 2)
-        .map(|_| {
-            let features: Vec<f64> = (0..7).map(|_| rng.range_f64(0.0, 1.0)).collect();
-            let weights: Vec<f64> = (0..n_weights).map(|_| rng.range_f64(-1.5, 1.5)).collect();
-            qnn_params(&features, &weights)
-        })
-        .collect();
-
-    println!(
-        "serve-bench [{model:?}]: {} one-shots + {} sweep points ({} QAOA, {} QNN), {} workers, batch {}, best of {} reps",
-        one_shots,
-        qaoa_points.len() + qnn_points.len(),
-        qaoa_points.len(),
-        qnn_points.len(),
-        workers,
-        max_batch,
-        reps,
-    );
-
-    // --- Engine-served path -----------------------------------------------
-    // The engine persists across repetitions, as a real service would: the
-    // templates stay registered and the instance pool stays warm. Each rep
-    // replays the identical request stream; report the best rep (this is a
-    // 1-CPU container, so the OS scheduler adds multi-ms run-to-run noise).
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(workers)
-            .with_max_batch(max_batch)
-            .with_model(model)
-            .with_stage_capacity(stage_capacity)
-            .with_sched(sched)
-            .with_alloc(alloc),
-    );
-    let qaoa_id = engine.register_template("qaoa_maxcut_n8", &qaoa)?;
-    let qnn_id = engine.register_template("qnn_grid_n8", &qnn)?;
-
-    let mut engine_elapsed = std::time::Duration::MAX;
-    let mut engine_checksum = 0.0f64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut handles = Vec::new();
-        for (i, (_, src)) in qasm_sources.iter().cycle().take(one_shots).enumerate() {
-            let circuit = Arc::new(parse_circuit(src)?);
-            let mut config = SimConfig::single_device();
-            config.seed = seed ^ i as u64;
-            let request = JobRequest::new(JobSpec::OneShot {
-                circuit,
-                config,
-                shots: 0,
-                return_state: false,
-            })
-            .with_priority(if i % 4 == 0 {
-                Priority::High
-            } else {
-                Priority::Normal
-            });
-            handles.push(submit_flow_controlled(&engine, &request)?);
-        }
-        // Interleave the two sweep families so coalescing has to pick same-
-        // template neighbors out of a mixed queue.
-        let mut qa = qaoa_points.iter();
-        let mut qn = qnn_points.iter();
-        loop {
-            let a = qa.next();
-            let b = qn.next();
-            if a.is_none() && b.is_none() {
-                break;
-            }
-            if let Some(p) = a {
-                let request = JobRequest::new(JobSpec::Sweep {
-                    template: qaoa_id,
-                    params: p.clone(),
-                    returning: SweepReturn::ExpZ(qaoa_mask),
-                })
-                .with_priority(Priority::Low);
-                handles.push(submit_flow_controlled(&engine, &request)?);
-            }
-            if let Some(p) = b {
-                let request = JobRequest::new(JobSpec::Sweep {
-                    template: qnn_id,
-                    params: p.clone(),
-                    returning: SweepReturn::ExpZ(qnn_readout_mask),
-                })
-                .with_priority(Priority::Low);
-                handles.push(submit_flow_controlled(&engine, &request)?);
-            }
-        }
-        // Wait newest-first: one blocking wait covers most of the backlog and
-        // the remaining results are already published when reached.
-        let mut checksum = 0.0f64;
-        for h in handles.iter().rev() {
-            match h.wait().map_err(|e| e.to_string())? {
-                sv_sim::engine::JobOutput::Sweep { value, .. } => {
-                    checksum += value.unwrap_or(0.0);
-                }
-                sv_sim::engine::JobOutput::OneShot { summary, .. } => {
-                    checksum += summary.gates as f64;
-                }
-            }
-        }
-        engine_elapsed = engine_elapsed.min(t0.elapsed());
-        engine_checksum = checksum;
-    }
-    let metrics = engine.shutdown();
-
-    // --- Naive sequential path --------------------------------------------
-    // The same logical work the way a library client does it: re-parse /
-    // re-synthesize every circuit, construct a fresh simulator per request.
-    let mut naive_elapsed = std::time::Duration::MAX;
-    let mut naive_checksum = 0.0f64;
-    for _ in 0..reps {
-        let t1 = Instant::now();
-        let mut checksum = 0.0f64;
-        for (i, (_, src)) in qasm_sources.iter().cycle().take(one_shots).enumerate() {
-            let circuit = parse_circuit(src)?;
-            let mut config = SimConfig::single_device();
-            config.seed = seed ^ i as u64;
-            let mut sim = Simulator::new(circuit.n_qubits(), config)?;
-            checksum += sim.run(&circuit)?.gates as f64;
-        }
-        for p in &qaoa_points {
-            let circuit = qaoa.bind(p)?;
-            let mut sim = Simulator::new(8, SimConfig::single_device())?;
-            sim.run(&circuit)?;
-            checksum += measure::expval_z_mask(sim.state(), qaoa_mask);
-        }
-        for p in &qnn_points {
-            let circuit = qnn.bind(p)?;
-            let mut sim = Simulator::new(8, SimConfig::single_device())?;
-            sim.run(&circuit)?;
-            checksum += measure::expval_z_mask(sim.state(), qnn_readout_mask);
-        }
-        naive_elapsed = naive_elapsed.min(t1.elapsed());
-        naive_checksum = checksum;
-    }
-
-    // --- Report ------------------------------------------------------------
-    println!();
-    println!("{metrics}");
-    println!();
-    println!(
-        "engine-served: {:>9.3} ms  (checksum {engine_checksum:+.9})",
-        engine_elapsed.as_secs_f64() * 1e3
-    );
-    println!(
-        "naive serial:  {:>9.3} ms  (checksum {naive_checksum:+.9})",
-        naive_elapsed.as_secs_f64() * 1e3
-    );
-    println!(
-        "speedup: {:.2}x",
-        naive_elapsed.as_secs_f64() / engine_elapsed.as_secs_f64()
-    );
-    if metrics.races_detected > 0 {
-        return Err(format!("{} SHMEM protocol races detected", metrics.races_detected).into());
-    }
-    if (engine_checksum - naive_checksum).abs() > 1e-6 {
-        return Err(format!(
-            "checksum mismatch: engine {engine_checksum} vs naive {naive_checksum}"
-        )
-        .into());
-    }
-    Ok(())
-}
-
-/// Race the legacy worker pool against the staged pipeline on one mixed
-/// request stream and write `BENCH_8.json`.
-///
-/// The stream is the head-of-line-blocking shape the pipeline exists for:
-/// latency-sensitive small one-shots interleaved behind wide one-shots
-/// that owe thousands of post-run samples (readback work the pipeline
-/// moves off the execute worker), over a background of QAOA/QNN sweep
-/// points. Both models receive the *same* `Arc<Circuit>`s — a front-end
-/// parse cache — so repeated submissions exercise the compile stage's
-/// plan cache. Gates: results must be bit-identical across models
-/// (checksums compared exactly), zero SHMEM races, and with
-/// `--assert-min-ratio R` the pipeline/legacy throughput ratio becomes a
-/// hard floor.
-fn serve_compare(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use std::fmt::Write as _;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use sv_sim::engine::{
-        Engine, EngineConfig, ExecutionModel, JobOutput, JobRequest, JobSpec, MetricsSnapshot,
-        Priority, SweepReturn,
-    };
-    use sv_sim::types::SvRng;
-    use sv_sim::vqa::{qaoa_params, qaoa_template, qnn_params, qnn_template};
-    use sv_sim::workloads::qaoa::Graph;
-    use sv_sim::workloads::qnn::qnn_n_weights;
-    use sv_sim::workloads::{algos::cat_state, states::w_state};
-
-    let default_workers = EngineConfig::default().workers;
-    let workers: usize = flag_value(args, "--workers").map_or(Ok(default_workers), str::parse)?;
-    let max_batch: usize = flag_value(args, "--batch").map_or(Ok(16), str::parse)?;
-    let seed: u64 = flag_value(args, "--seed").map_or(Ok(0x5EBE), str::parse)?;
-    let reps: usize = flag_value(args, "--reps").map_or(Ok(3), str::parse)?.max(1);
-    let smalls: usize = flag_value(args, "--smalls").map_or(Ok(48), str::parse)?;
-    let larges: usize = flag_value(args, "--one-shots").map_or(Ok(12), str::parse)?;
-    let sweeps: usize = flag_value(args, "--sweeps").map_or(Ok(64), str::parse)?;
-    let shots: usize = flag_value(args, "--shots").map_or(Ok(2048), str::parse)?;
-    let stage_capacity: usize = flag_value(args, "--stage-capacity").map_or(Ok(0), str::parse)?;
-    let sched = parse_sched(args)?;
-    let alloc = parse_alloc(args)?;
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_8.json");
-    let assert_min_ratio: Option<f64> = flag_value(args, "--assert-min-ratio")
-        .map(str::parse)
-        .transpose()?;
-    let assert_max_p99_ratio: Option<f64> = flag_value(args, "--assert-max-p99-ratio")
-        .map(str::parse)
-        .transpose()?;
-    let fuse: u8 = flag_value(args, "--fuse").map_or(Ok(0), str::parse)?;
-
-    // One-shots cross the service boundary as OpenQASM text. Each source is
-    // parsed once and the `Arc<Circuit>` shared across requests — a service
-    // front-end holding a parse cache — so repeated submissions of one
-    // circuit are exactly the shape the compile stage's plan cache serves.
-    // Both models receive the identical `Arc`s. The small circuit is
-    // narrow but deep (a hardware-efficient ansatz shape): cheap on
-    // amplitudes, expensive to lower, so the cached plan is a real share
-    // of its cost.
-    const SMALL_QUBITS: u32 = 10;
-    const SMALL_LAYERS: u32 = 20;
-    const LARGE_QUBITS: u32 = 17;
-    let small_circuit = {
-        let mut c = sv_sim::ir::Circuit::with_cbits(SMALL_QUBITS, 0);
-        for q in 0..SMALL_QUBITS {
-            c.apply(sv_sim::ir::GateKind::H, &[q], &[])?;
-        }
-        for layer in 0..SMALL_LAYERS {
-            for q in 0..SMALL_QUBITS {
-                let theta = 0.1 * f64::from(layer + 1) + 0.01 * f64::from(q);
-                c.apply(sv_sim::ir::GateKind::RY, &[q], &[theta])?;
-            }
-            for q in 0..SMALL_QUBITS {
-                c.apply(sv_sim::ir::GateKind::CX, &[q, (q + 1) % SMALL_QUBITS], &[])?;
-            }
-        }
-        Arc::new(parse_circuit(&sv_sim::qasm::to_qasm(&c)?)?)
-    };
-    let large_circuits = [
-        Arc::new(parse_circuit(&sv_sim::qasm::to_qasm(&cat_state(
-            LARGE_QUBITS,
-        )?)?)?),
-        Arc::new(parse_circuit(&sv_sim::qasm::to_qasm(&w_state(
-            LARGE_QUBITS,
-        )?)?)?),
-    ];
-
-    let graph = Graph::random(8, 0.4, seed);
-    let qaoa = qaoa_template(&graph, 2)?;
-    let qnn = qnn_template(7, 2)?;
-    let n_weights = qnn_n_weights(7, 2);
-    let qnn_readout_mask = 1u64 << 7;
-    let qaoa_mask = (1u64 << 8) - 1;
-    let mut rng = SvRng::seed_from_u64(seed);
-    let qaoa_points: Vec<Vec<f64>> = (0..sweeps.div_ceil(2))
-        .map(|_| {
-            let gammas = [rng.range_f64(-2.0, 2.0), rng.range_f64(-2.0, 2.0)];
-            let betas = [rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)];
-            qaoa_params(&gammas, &betas)
-        })
-        .collect();
-    let qnn_points: Vec<Vec<f64>> = (0..sweeps / 2)
-        .map(|_| {
-            let features: Vec<f64> = (0..7).map(|_| rng.range_f64(0.0, 1.0)).collect();
-            let weights: Vec<f64> = (0..n_weights).map(|_| rng.range_f64(-1.5, 1.5)).collect();
-            qnn_params(&features, &weights)
-        })
-        .collect();
-
-    // Arrival order: each wide sampled one-shot immediately followed by a
-    // burst of small ones, so under FIFO the smalls queue *behind* the
-    // large job — the co-scheduling pattern whose tail latency the
-    // pipeline is supposed to fix by offloading the large job's sampling
-    // to the readback stage.
-    enum Shot {
-        Small(usize),
-        Large(usize),
-    }
-    let stride = (smalls / larges.max(1)).max(1);
-    let mut order: Vec<Shot> = Vec::with_capacity(smalls + larges);
-    {
-        let mut s = 0;
-        for l in 0..larges {
-            order.push(Shot::Large(l));
-            for _ in 0..stride {
-                if s < smalls {
-                    order.push(Shot::Small(s));
-                    s += 1;
-                }
-            }
-        }
-        while s < smalls {
-            order.push(Shot::Small(s));
-            s += 1;
-        }
-    }
-
-    fn output_checksum(out: &JobOutput) -> f64 {
-        match out {
-            JobOutput::OneShot {
-                summary, samples, ..
-            } => {
-                let mut c = summary.gates as f64;
-                if let Some(hist) = samples {
-                    for (&bits, &count) in hist {
-                        c += bits as f64 * count as f64;
-                    }
-                }
-                c
-            }
-            JobOutput::Sweep { value, .. } => value.unwrap_or(0.0),
-        }
-    }
-
-    struct ModelOutcome {
-        wall: Duration,
-        small_lat_ms: Vec<f64>,
-        checksum: f64,
-        metrics: MetricsSnapshot,
-    }
-
-    let start_engine = |model: ExecutionModel| -> Result<
-        (
-            Engine,
-            sv_sim::engine::TemplateId,
-            sv_sim::engine::TemplateId,
-        ),
-        Box<dyn std::error::Error>,
-    > {
-        let engine = Engine::start(
-            EngineConfig::default()
-                .with_workers(workers)
-                .with_max_batch(max_batch)
-                .with_model(model)
-                .with_stage_capacity(stage_capacity)
-                .with_sched(sched)
-                .with_alloc(alloc),
-        );
-        let qaoa_id = engine.register_template_fused("qaoa_maxcut_n8", &qaoa, fuse)?;
-        let qnn_id = engine.register_template_fused("qnn_grid_n8", &qnn, fuse)?;
-        Ok((engine, qaoa_id, qnn_id))
-    };
-
-    // One replay of the request stream against a running engine; returns
-    // (wall, per-small latencies in submission order, checksum).
-    let run_rep = |engine: &Engine,
-                   qaoa_id: sv_sim::engine::TemplateId,
-                   qnn_id: sv_sim::engine::TemplateId|
-     -> Result<(Duration, Vec<f64>, f64), Box<dyn std::error::Error>> {
-        {
-            let t0 = Instant::now();
-            let mut handles = Vec::with_capacity(order.len() + sweeps);
-            for shot in &order {
-                let (circuit, i, small) = match shot {
-                    Shot::Small(i) => (Arc::clone(&small_circuit), *i, true),
-                    Shot::Large(i) => (
-                        Arc::clone(&large_circuits[*i % large_circuits.len()]),
-                        *i,
-                        false,
-                    ),
-                };
-                let mut config = SimConfig::single_device().with_fusion(fuse);
-                config.seed = seed ^ ((i as u64) << 1) ^ u64::from(small);
-                let request = JobRequest::new(JobSpec::OneShot {
-                    circuit,
-                    config,
-                    shots: if small { 0 } else { shots },
-                    return_state: false,
-                });
-                let handle = submit_flow_controlled(engine, &request)?;
-                handles.push((Instant::now(), handle, small));
-            }
-            let mut qa = qaoa_points.iter();
-            let mut qn = qnn_points.iter();
-            loop {
-                let a = qa.next();
-                let b = qn.next();
-                if a.is_none() && b.is_none() {
-                    break;
-                }
-                if let Some(p) = a {
-                    let request = JobRequest::new(JobSpec::Sweep {
-                        template: qaoa_id,
-                        params: p.clone(),
-                        returning: SweepReturn::ExpZ(qaoa_mask),
-                    })
-                    .with_priority(Priority::Low);
-                    let handle = submit_flow_controlled(engine, &request)?;
-                    handles.push((Instant::now(), handle, false));
-                }
-                if let Some(p) = b {
-                    let request = JobRequest::new(JobSpec::Sweep {
-                        template: qnn_id,
-                        params: p.clone(),
-                        returning: SweepReturn::ExpZ(qnn_readout_mask),
-                    })
-                    .with_priority(Priority::Low);
-                    let handle = submit_flow_controlled(engine, &request)?;
-                    handles.push((Instant::now(), handle, false));
-                }
-            }
-            // Collect the smalls first (their completion is what's timed;
-            // blocking on a not-yet-done small never delays the engine),
-            // then the rest; checksum in submission order so the f64 sum
-            // is order-stable across models.
-            let mut outputs: Vec<Option<JobOutput>> = Vec::with_capacity(handles.len());
-            outputs.resize_with(handles.len(), || None);
-            let mut lats = Vec::with_capacity(smalls);
-            for (i, (submitted, handle, small)) in handles.iter().enumerate() {
-                if *small {
-                    outputs[i] = Some(handle.wait().map_err(|e| e.to_string())?);
-                    lats.push(submitted.elapsed().as_secs_f64() * 1e3);
-                }
-            }
-            for (i, (_, handle, small)) in handles.iter().enumerate() {
-                if !*small {
-                    outputs[i] = Some(handle.wait().map_err(|e| e.to_string())?);
-                }
-            }
-            let wall = t0.elapsed();
-            let checksum = outputs.iter().flatten().map(output_checksum).sum();
-            Ok((wall, lats, checksum))
-        }
-    };
-
-    let total_jobs = smalls + larges + qaoa_points.len() + qnn_points.len();
-    println!(
-        "serve-bench --compare: {smalls} small (n={SMALL_QUBITS}) + {larges} large (n={LARGE_QUBITS}, {shots} shots) one-shots + {} sweep points, {workers} workers, best of {reps} reps",
-        qaoa_points.len() + qnn_points.len(),
-    );
-
-    // Interleave repetitions legacy/pipeline/legacy/pipeline so host noise
-    // (this may be a shared single-CPU container) lands on both models
-    // evenly rather than biasing whichever ran last; keep each model's
-    // best repetition.
-    let (legacy_engine, lqaoa, lqnn) = start_engine(ExecutionModel::Legacy)?;
-    let (pipeline_engine, pqaoa, pqnn) = start_engine(ExecutionModel::Pipeline)?;
-    let mut best = [
-        (Duration::MAX, Vec::new(), 0.0f64),
-        (Duration::MAX, Vec::new(), 0.0f64),
-    ];
-    for _ in 0..reps {
-        for (slot, rep) in [
-            run_rep(&legacy_engine, lqaoa, lqnn)?,
-            run_rep(&pipeline_engine, pqaoa, pqnn)?,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            best[slot].2 = rep.2;
-            if rep.0 < best[slot].0 {
-                best[slot] = rep;
-            }
-        }
-    }
-    let outcome = |(wall, mut lat, checksum): (Duration, Vec<f64>, f64),
-                   metrics: MetricsSnapshot| {
-        lat.sort_by(f64::total_cmp);
-        ModelOutcome {
-            wall,
-            small_lat_ms: lat,
-            checksum,
-            metrics,
-        }
-    };
-    let [legacy_best, pipeline_best] = best;
-    let legacy = outcome(legacy_best, legacy_engine.shutdown());
-    let pipeline = outcome(pipeline_best, pipeline_engine.shutdown());
-
-    let jobs_per_s = |o: &ModelOutcome| total_jobs as f64 / o.wall.as_secs_f64();
-    let ratio = jobs_per_s(&pipeline) / jobs_per_s(&legacy);
-    let p50 = |o: &ModelOutcome| percentile(&o.small_lat_ms, 0.50);
-    let p99 = |o: &ModelOutcome| percentile(&o.small_lat_ms, 0.99);
-    let p99_ratio = p99(&pipeline) / p99(&legacy).max(f64::MIN_POSITIVE);
-    println!();
-    for (name, o) in [("legacy", &legacy), ("pipeline", &pipeline)] {
-        println!(
-            "{name:>9}: {:>9.3} ms wall  {:>8.1} jobs/s  small p50 {:>8.3} ms  p99 {:>8.3} ms  (checksum {:+.9})",
-            o.wall.as_secs_f64() * 1e3,
-            jobs_per_s(o),
-            p50(o),
-            p99(o),
-            o.checksum,
-        );
-    }
-    println!("throughput ratio (pipeline/legacy): {ratio:.3}x   small p99 ratio: {p99_ratio:.3}x");
-    if args.iter().any(|a| a == "--verbose") {
-        for (name, o) in [("legacy", &legacy), ("pipeline", &pipeline)] {
-            println!("\n-- {name} engine metrics --\n{}", o.metrics);
-        }
-    }
-
-    let mut json = String::new();
-    writeln!(json, "{{")?;
-    writeln!(json, "  \"bench\": \"pipeline_serve\",")?;
-    writeln!(json, "  \"seed\": {seed},")?;
-    writeln!(json, "  \"workers\": {workers},")?;
-    writeln!(json, "  \"reps\": {reps},")?;
-    writeln!(
-        json,
-        "  \"mix\": {{\"small_one_shots\": {smalls}, \"small_qubits\": {SMALL_QUBITS}, \
-         \"large_one_shots\": {larges}, \"large_qubits\": {LARGE_QUBITS}, \
-         \"large_shots\": {shots}, \"sweep_points\": {}}},",
-        qaoa_points.len() + qnn_points.len(),
-    )?;
-    for (name, o) in [("legacy", &legacy), ("pipeline", &pipeline)] {
-        writeln!(
-            json,
-            "  \"{name}\": {{\"wall_ms\": {:.3}, \"jobs_per_s\": {:.1}, \
-             \"small_p50_ms\": {:.3}, \"small_p99_ms\": {:.3}, \"checksum\": {:.9},",
-            o.wall.as_secs_f64() * 1e3,
-            jobs_per_s(o),
-            p50(o),
-            p99(o),
-            o.checksum,
-        )?;
-        writeln!(
-            json,
-            "    \"mem_high_water_bytes\": {},",
-            o.metrics.mem_high_water_bytes
-        )?;
-        writeln!(json, "    \"stages\": [")?;
-        for (i, s) in o.metrics.stages.iter().enumerate() {
-            writeln!(
-                json,
-                "      {{\"name\": \"{}\", \"high_water\": {}, \"pushed\": {}, \
-                 \"popped\": {}, \"rejected\": {}, \"blocked\": {}}}{}",
-                s.name,
-                s.high_water,
-                s.pushed,
-                s.popped,
-                s.rejected,
-                s.blocked,
-                if i + 1 < o.metrics.stages.len() {
-                    ","
-                } else {
-                    ""
-                },
-            )?;
-        }
-        writeln!(json, "    ]")?;
-        writeln!(json, "  }},")?;
-    }
-    writeln!(json, "  \"throughput_ratio\": {ratio:.3},")?;
-    writeln!(json, "  \"small_p99_ratio\": {p99_ratio:.3},")?;
-    writeln!(
-        json,
-        "  \"checksums_match\": {}",
-        legacy.checksum.to_bits() == pipeline.checksum.to_bits(),
-    )?;
-    writeln!(json, "}}")?;
-    std::fs::write(out_path, &json)?;
-    println!("wrote {out_path}");
-
-    let races = legacy.metrics.races_detected + pipeline.metrics.races_detected;
-    if races > 0 {
-        return Err(format!("{races} SHMEM protocol races detected").into());
-    }
-    if legacy.checksum.to_bits() != pipeline.checksum.to_bits() {
-        return Err(format!(
-            "checksum mismatch: legacy {:?} vs pipeline {:?}",
-            legacy.checksum, pipeline.checksum
-        )
-        .into());
-    }
-    if let Some(min_ratio) = assert_min_ratio {
-        if ratio < min_ratio {
-            return Err(format!(
-                "pipeline throughput ratio {ratio:.3} below required minimum {min_ratio}"
-            )
-            .into());
-        }
-    }
-    if let Some(max_p99) = assert_max_p99_ratio {
-        if p99_ratio > max_p99 {
-            return Err(format!(
-                "small-job p99 ratio {p99_ratio:.3} above required maximum {max_p99}"
-            )
-            .into());
-        }
-    }
-    Ok(())
-}
-
-/// Run a serve-bench-style mix under a seeded fault schedule and prove
+/// Run a mixed one-shot + sweep stream under a seeded fault schedule and prove
 /// recovery: every job killed by an injected fault must be retried (from
 /// its last checkpoint where one exists) and finish **bit-identical** to a
 /// fault-free reference run. Exits nonzero on any checksum mismatch.
-fn cmd_fault_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fault_bench(flags: &Flags) -> CmdResult {
     use std::sync::Arc;
     use std::time::Duration;
     use sv_sim::core::state_checksum;
@@ -1048,21 +402,21 @@ fn cmd_fault_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use sv_sim::vqa::{qaoa_params, qaoa_template};
     use sv_sim::workloads::{algos::cat_state, states::w_state};
 
-    let fault_kind = flag_value(args, "--fault").unwrap_or("kill-pe");
-    let pes: usize = flag_value(args, "--pes").map_or(Ok(4), str::parse)?;
-    let every: u32 = flag_value(args, "--every").map_or(Ok(2), str::parse)?;
-    let seed: u64 = flag_value(args, "--seed").map_or(Ok(0xFA17), str::parse)?;
-    let one_shots: usize = flag_value(args, "--one-shots").map_or(Ok(4), str::parse)?;
-    let sweeps: usize = flag_value(args, "--sweeps").map_or(Ok(8), str::parse)?;
-    let attempts: u32 = flag_value(args, "--attempts").map_or(Ok(4), str::parse)?;
-    let process_pes = match flag_value(args, "--pe-mode") {
+    let fault_kind = flags.value("--fault").unwrap_or("kill-pe");
+    let pes: usize = flags.value("--pes").map_or(Ok(4), str::parse)?;
+    let every: u32 = flags.value("--every").map_or(Ok(2), str::parse)?;
+    let seed: u64 = flags.value("--seed").map_or(Ok(0xFA17), str::parse)?;
+    let one_shots: usize = flags.value("--one-shots").map_or(Ok(4), str::parse)?;
+    let sweeps: usize = flags.value("--sweeps").map_or(Ok(8), str::parse)?;
+    let attempts: u32 = flags.value("--attempts").map_or(Ok(4), str::parse)?;
+    let process_pes = match flags.value("--pe-mode") {
         None | Some("thread") => false,
         Some("process") => true,
         Some(other) => return Err(format!("unknown PE mode `{other}` (thread|process)").into()),
     };
-    let chaos = args.iter().any(|a| a == "--chaos");
-    let recovery = flag_value(args, "--recovery").unwrap_or("retry");
-    let hang_ms: u32 = flag_value(args, "--hang-ms").map_or(Ok(1500), str::parse)?;
+    let chaos = flags.has("--chaos");
+    let recovery = flags.value("--recovery").unwrap_or("retry");
+    let hang_ms: u32 = flags.value("--hang-ms").map_or(Ok(1500), str::parse)?;
     let degrade = match recovery {
         "retry" => DegradePolicy::None,
         "respawn" => DegradePolicy::Respawn { max_respawns: 2 },
@@ -1309,390 +663,29 @@ fn cmd_fault_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// race detector and cross-checks the verdicts; `--merge-epochs I`
 /// deliberately removes the barrier after epoch `I` to demonstrate conflict
 /// detection. Exits nonzero on any conflict, dynamic race, or disagreement.
-/// Benchmark naive vs remapped scale-out over the Table 4 suite: per
-/// workload, run both paths, verify each is bit-identical to the
-/// single-device reference, and emit machine-readable results (predicted
-/// remote amplitude ops, measured remote bytes, wall time) as JSON.
-/// `--assert-max-ratio R` turns the report into a CI gate: every deep
-/// circuit (>= `--min-gates` gates, default 100) whose naive plan moves
-/// remote data must see its remapped remote bytes at most `R` times naive.
-fn cmd_remap_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let pes: usize = flag_value(args, "--pes").map_or(Ok(8), str::parse)?;
-    let seed: u64 = flag_value(args, "--seed").map_or(Ok(0xC0FFEE), str::parse)?;
-    let max_qubits: u32 = flag_value(args, "--max-qubits").map_or(Ok(u32::MAX), str::parse)?;
-    let min_gates: usize = flag_value(args, "--min-gates").map_or(Ok(100), str::parse)?;
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_5.json");
-    let assert_ratio: Option<f64> = flag_value(args, "--assert-max-ratio")
-        .map(str::parse)
-        .transpose()?;
-
-    struct PathResult {
-        remote_amp_ops: u64,
-        remote_bytes: u64,
-        wall_ms: f64,
-    }
-    struct Row {
-        name: String,
-        n_qubits: u32,
-        gates: usize,
-        swaps: usize,
-        bit_identical: bool,
-        naive: PathResult,
-        remapped: PathResult,
-    }
-    struct PathRun {
-        result: PathResult,
-        checksum: u64,
-        cbits: u64,
-        gates: usize,
-        swaps: usize,
-    }
-
-    let run_path = |circuit: &sv_sim::ir::Circuit,
-                    config: SimConfig|
-     -> Result<PathRun, Box<dyn std::error::Error>> {
-        let mut sim = Simulator::new(circuit.n_qubits(), config)?;
-        let predicted = sim.predict_traffic(circuit);
-        let t0 = Instant::now();
-        let summary = sim.run(circuit)?;
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let total = summary.total_traffic();
-        Ok(PathRun {
-            result: PathResult {
-                remote_amp_ops: predicted.remote_amp_ops,
-                remote_bytes: total.remote_get_bytes + total.remote_put_bytes,
-                wall_ms,
-            },
-            checksum: sim.state_checksum(),
-            cbits: summary.cbits,
-            gates: summary.gates,
-            swaps: summary.remap_swaps,
-        })
-    };
-
-    let mut rows: Vec<Row> = Vec::new();
-    for spec in sv_sim::workloads::medium_suite()
-        .into_iter()
-        .chain(sv_sim::workloads::large_suite())
-    {
-        let circuit = spec.circuit()?;
-        if circuit.n_qubits() > max_qubits {
-            continue;
-        }
-        let mut reference = Simulator::new(
-            circuit.n_qubits(),
-            SimConfig::single_device().with_seed(seed),
-        )?;
-        let ref_summary = reference.run(&circuit)?;
-        let ref_checksum = reference.state_checksum();
-
-        let base = SimConfig::scale_out(pes).with_seed(seed);
-        let nv = run_path(&circuit, base)?;
-        let rm = run_path(&circuit, base.with_remap())?;
-        let (naive, naive_sum, naive_cbits, gates) = (nv.result, nv.checksum, nv.cbits, nv.gates);
-        let (remapped, remap_sum, remap_cbits, swaps) =
-            (rm.result, rm.checksum, rm.cbits, rm.swaps);
-        let bit_identical = naive_sum == ref_checksum
-            && remap_sum == ref_checksum
-            && naive_cbits == ref_summary.cbits
-            && remap_cbits == ref_summary.cbits;
-        let verdict = if bit_identical {
-            "ok".to_string()
-        } else {
-            // Name the failing comparisons so a divergence is actionable.
-            let mut parts = Vec::new();
-            if naive_sum != ref_checksum {
-                parts.push("naive-state");
-            }
-            if remap_sum != ref_checksum {
-                parts.push("remap-state");
-            }
-            if naive_cbits != ref_summary.cbits {
-                parts.push("naive-cbits");
-            }
-            if remap_cbits != ref_summary.cbits {
-                parts.push("remap-cbits");
-            }
-            format!("DIVERGED [{}]", parts.join(" "))
-        };
-        println!(
-            "{:<16} n={:<2} gates={:<5} swaps={:<4} remote_bytes {:>12} -> {:>10} ({:})  {}",
-            spec.name,
-            circuit.n_qubits(),
-            gates,
-            swaps,
-            naive.remote_bytes,
-            remapped.remote_bytes,
-            if naive.remote_bytes > 0 {
-                format!(
-                    "{:.1}%",
-                    100.0 * remapped.remote_bytes as f64 / naive.remote_bytes as f64
-                )
-            } else {
-                "all-local".to_string()
-            },
-            verdict,
-        );
-        rows.push(Row {
-            name: spec.name.to_string(),
-            n_qubits: circuit.n_qubits(),
-            gates,
-            swaps,
-            bit_identical,
-            naive,
-            remapped,
-        });
-    }
-
-    let mut json = String::new();
-    writeln!(json, "{{")?;
-    writeln!(json, "  \"bench\": \"remap\",")?;
-    writeln!(json, "  \"pes\": {pes},")?;
-    writeln!(json, "  \"seed\": {seed},")?;
-    writeln!(json, "  \"min_gates_deep\": {min_gates},")?;
-    writeln!(json, "  \"workloads\": [")?;
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"n_qubits\": {}, \"gates\": {}, \"deep\": {}, \
-             \"bit_identical\": {}, \"remap_swaps\": {}, \
-             \"naive\": {{\"remote_amp_ops\": {}, \"remote_bytes\": {}, \"wall_ms\": {:.3}}}, \
-             \"remapped\": {{\"remote_amp_ops\": {}, \"remote_bytes\": {}, \"wall_ms\": {:.3}}}}}{comma}",
-            r.name,
-            r.n_qubits,
-            r.gates,
-            r.gates >= min_gates,
-            r.bit_identical,
-            r.swaps,
-            r.naive.remote_amp_ops,
-            r.naive.remote_bytes,
-            r.naive.wall_ms,
-            r.remapped.remote_amp_ops,
-            r.remapped.remote_bytes,
-            r.remapped.wall_ms,
-        )?;
-    }
-    writeln!(json, "  ]")?;
-    writeln!(json, "}}")?;
-    std::fs::write(out_path, &json)?;
-    println!("wrote {out_path} ({} workloads at {pes} PEs)", rows.len());
-
-    if let Some(diverged) = rows.iter().find(|r| !r.bit_identical) {
-        return Err(format!(
-            "{} diverged from the single-device reference",
-            diverged.name
-        )
-        .into());
-    }
-    if let Some(max_ratio) = assert_ratio {
-        let mut offenders = Vec::new();
-        for r in &rows {
-            if r.gates < min_gates || r.naive.remote_bytes == 0 {
-                continue;
-            }
-            let ratio = r.remapped.remote_bytes as f64 / r.naive.remote_bytes as f64;
-            if ratio > max_ratio {
-                offenders.push(format!("{} ({ratio:.2} > {max_ratio})", r.name));
-            }
-        }
-        if !offenders.is_empty() {
-            return Err(format!(
-                "remapped remote traffic exceeds {max_ratio}x naive on deep circuits: {}",
-                offenders.join(", ")
-            )
-            .into());
-        }
-        println!("OK: remapped remote traffic <= {max_ratio}x naive on every deep circuit");
-    }
-    Ok(())
-}
-
-/// `fuse-bench`: gate-fusion efficacy over the deep Table 4 workloads.
-///
-/// For every suite circuit deep enough to be bandwidth-bound
-/// (`--min-gates`), compiles an unfused and a fused plan, reports the
-/// collapse in amplitude passes (gates-per-pass) and wall-clock, and
-/// checks the fused run bit-identical to the unfused one. With
-/// `--assert-min-gates-per-pass R` the mean gates-per-pass over the deep
-/// set becomes a hard floor (unfused plans are exactly 1.0 by
-/// construction, so R = 2 asserts a >=2x pass collapse).
-fn cmd_fuse_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-    use sv_sim::core::CompiledPlan;
-
-    let window: u8 = flag_value(args, "--window").map_or(Ok(3), str::parse)?;
-    let seed: u64 = flag_value(args, "--seed").map_or(Ok(0xF05E), str::parse)?;
-    let reps: usize = flag_value(args, "--reps").map_or(Ok(3), str::parse)?.max(1);
-    let min_gates: usize = flag_value(args, "--min-gates").map_or(Ok(300), str::parse)?;
-    let max_qubits: u32 = flag_value(args, "--max-qubits").map_or(Ok(u32::MAX), str::parse)?;
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_10.json");
-    let assert_gpp: Option<f64> = flag_value(args, "--assert-min-gates-per-pass")
-        .map(str::parse)
-        .transpose()?;
-    if window == 0 {
-        return Err("--window must be 1..=3".into());
-    }
-
-    struct Row {
-        name: String,
-        n_qubits: u32,
-        source_kernels: usize,
-        passes_unfused: usize,
-        passes_fused: usize,
-        gates_per_pass: f64,
-        wall_unfused_ms: f64,
-        wall_fused_ms: f64,
-        bit_identical: bool,
-    }
-
-    // Best-of-reps wall clock: fusion's win is fewer passes over the
-    // state, so the minimum is the least-noisy estimator on shared hosts.
-    let timed_run = |circuit: &sv_sim::ir::Circuit,
-                     config: SimConfig|
-     -> Result<(f64, u64, u64), Box<dyn std::error::Error>> {
-        let mut best = f64::MAX;
-        let mut checksum = 0u64;
-        let mut cbits = 0u64;
-        for _ in 0..reps {
-            let mut sim = Simulator::new(circuit.n_qubits(), config)?;
-            let t0 = Instant::now();
-            let summary = sim.run(circuit)?;
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            checksum = sim.state_checksum();
-            cbits = summary.cbits;
-        }
-        Ok((best, checksum, cbits))
-    };
-
-    let mut rows: Vec<Row> = Vec::new();
-    for spec in sv_sim::workloads::medium_suite()
-        .into_iter()
-        .chain(sv_sim::workloads::large_suite())
-    {
-        let circuit = spec.circuit()?;
-        if circuit.n_qubits() > max_qubits || circuit.stats().gates < min_gates {
-            continue;
-        }
-        let n = circuit.n_qubits();
-        let base = SimConfig::single_device().with_seed(seed);
-        let fused_cfg = base.with_fusion(window);
-        let unfused_plan = CompiledPlan::compile(&circuit, n, &base);
-        let fused_plan = CompiledPlan::compile(&circuit, n, &fused_cfg);
-        let (wall_unfused_ms, ref_sum, ref_cbits) = timed_run(&circuit, base)?;
-        let (wall_fused_ms, fused_sum, fused_cbits) = timed_run(&circuit, fused_cfg)?;
-        let gates_per_pass =
-            fused_plan.n_source_kernels() as f64 / fused_plan.n_kernels().max(1) as f64;
-        let bit_identical = fused_sum == ref_sum && fused_cbits == ref_cbits;
-        println!(
-            "{:<16} n={:<2} kernels={:<5} passes {:>5} -> {:<5} ({gates_per_pass:.2} gates/pass)  \
-             wall {wall_unfused_ms:>8.3} -> {wall_fused_ms:>8.3} ms  {}",
-            spec.name,
-            n,
-            fused_plan.n_source_kernels(),
-            unfused_plan.n_kernels(),
-            fused_plan.n_kernels(),
-            if bit_identical { "ok" } else { "DIVERGED" },
-        );
-        rows.push(Row {
-            name: spec.name.to_string(),
-            n_qubits: n,
-            source_kernels: fused_plan.n_source_kernels(),
-            passes_unfused: unfused_plan.n_kernels(),
-            passes_fused: fused_plan.n_kernels(),
-            gates_per_pass,
-            wall_unfused_ms,
-            wall_fused_ms,
-            bit_identical,
-        });
-    }
-    if rows.is_empty() {
-        return Err("no workload passed the --min-gates/--max-qubits filters".into());
-    }
-    let mean_gpp = rows.iter().map(|r| r.gates_per_pass).sum::<f64>() / rows.len() as f64;
-
-    let mut json = String::new();
-    writeln!(json, "{{")?;
-    writeln!(json, "  \"bench\": \"fuse\",")?;
-    writeln!(json, "  \"window\": {window},")?;
-    writeln!(json, "  \"seed\": {seed},")?;
-    writeln!(json, "  \"reps\": {reps},")?;
-    writeln!(json, "  \"min_gates\": {min_gates},")?;
-    writeln!(json, "  \"mean_gates_per_pass\": {mean_gpp:.3},")?;
-    writeln!(json, "  \"workloads\": [")?;
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"n_qubits\": {}, \"source_kernels\": {}, \
-             \"passes_unfused\": {}, \"passes_fused\": {}, \"gates_per_pass\": {:.3}, \
-             \"wall_unfused_ms\": {:.3}, \"wall_fused_ms\": {:.3}, \
-             \"bit_identical\": {}}}{comma}",
-            r.name,
-            r.n_qubits,
-            r.source_kernels,
-            r.passes_unfused,
-            r.passes_fused,
-            r.gates_per_pass,
-            r.wall_unfused_ms,
-            r.wall_fused_ms,
-            r.bit_identical,
-        )?;
-    }
-    writeln!(json, "  ]")?;
-    writeln!(json, "}}")?;
-    std::fs::write(out_path, &json)?;
-    println!(
-        "wrote {out_path} ({} deep workloads, window {window}, mean {mean_gpp:.2} gates/pass)",
-        rows.len()
-    );
-
-    if let Some(diverged) = rows.iter().find(|r| !r.bit_identical) {
-        return Err(format!(
-            "{} fused run diverged from the unfused reference",
-            diverged.name
-        )
-        .into());
-    }
-    if let Some(min_gpp) = assert_gpp {
-        if mean_gpp < min_gpp {
-            return Err(format!(
-                "mean gates-per-pass {mean_gpp:.3} below required minimum {min_gpp}"
-            )
-            .into());
-        }
-        println!("OK: mean gates-per-pass {mean_gpp:.2} >= {min_gpp}");
-    }
-    Ok(())
-}
-
-fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_analyze(flags: &Flags) -> CmdResult {
     use sv_sim::analyzer::{
         analyze_circuit, analyze_circuit_remapped, check_plan, cross_validate,
         cross_validate_remapped, CommPlan, Verdict,
     };
 
-    let pes: u64 = flag_value(args, "--pes").map_or(Ok(8), str::parse)?;
-    let detect = args.iter().any(|a| a == "--detect");
-    let remap = args.iter().any(|a| a == "--remap");
-    let fuse: u8 = flag_value(args, "--fuse").map_or(Ok(0), str::parse)?;
+    let pes: u64 = flags.value("--pes").map_or(Ok(8), str::parse)?;
+    let detect = flags.has("--detect");
+    let remap = flags.has("--remap");
+    let fuse: u8 = flags.value("--fuse").map_or(Ok(0), str::parse)?;
     if fuse > 0 && (remap || detect) {
         return Err("--fuse models the fused kernel schedule statically; \
                     combine it with neither --remap nor --detect"
             .into());
     }
-    let seed: u64 = flag_value(args, "--seed").map_or(Ok(0xACE5), str::parse)?;
-    let merge: Option<usize> = flag_value(args, "--merge-epochs")
-        .map(str::parse)
-        .transpose()?;
-    let max_qubits: u32 = flag_value(args, "--max-qubits").map_or(Ok(u32::MAX), str::parse)?;
+    let seed: u64 = flags.value("--seed").map_or(Ok(0xACE5), str::parse)?;
+    let merge: Option<usize> = flags.value("--merge-epochs").map(str::parse).transpose()?;
+    let max_qubits: u32 = flags
+        .value("--max-qubits")
+        .map_or(Ok(u32::MAX), str::parse)?;
 
     let mut targets: Vec<(String, sv_sim::ir::Circuit)> = Vec::new();
-    if args.iter().any(|a| a == "--suite") {
+    if flags.has("--suite") {
         for spec in sv_sim::workloads::medium_suite()
             .into_iter()
             .chain(sv_sim::workloads::large_suite())
@@ -1703,11 +696,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     } else {
-        let path = args
-            .first()
-            .filter(|a| !a.starts_with("--"))
-            .ok_or("analyze needs <file.qasm> or --suite")?;
-        targets.push((path.clone(), load(path)?));
+        let path = flags.file.ok_or("analyze needs <file.qasm> or --suite")?;
+        targets.push((path.to_string(), load(path)?));
     }
 
     let mut bad = 0usize;
@@ -1770,8 +760,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let max_states: usize = flag_value(args, "--max-states").map_or(Ok(2_000_000), str::parse)?;
+fn cmd_verify(flags: &Flags) -> CmdResult {
+    let max_states: usize = flags
+        .value("--max-states")
+        .map_or(Ok(2_000_000), str::parse)?;
 
     println!("exhaustive protocol check (state cap {max_states}):");
     match sv_sim::verify::check_all(max_states) {
@@ -1786,9 +778,9 @@ fn cmd_verify(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    let root = flag_value(args, "--root").unwrap_or(".");
+fn cmd_lint(flags: &Flags) -> CmdResult {
+    let deny_warnings = flags.has("--deny-warnings");
+    let root = flags.value("--root").unwrap_or(".");
     let report = sv_sim::verify::lint::run(std::path::Path::new(root))?;
     for f in &report.findings {
         println!("{f}");

@@ -58,12 +58,20 @@ fn medium_suite_fused_is_bit_identical_everywhere() {
 
 /// Fusion must actually collapse amplitude passes on gate-dense workloads,
 /// while never growing the queue on any workload (traffic monotonicity).
+/// On the deep workloads (>= 300 gates, <= 18 qubits) the collapse must
+/// average at least 2 source kernels per amplitude pass at window 3 —
+/// compile-only, so the whole suite fits a debug-build test.
 #[test]
 fn fusion_collapses_passes_without_inflating_any_workload() {
     let mut collapsed = 0usize;
-    for spec in medium_suite() {
+    let mut deep_kernels_per_pass = Vec::new();
+    let n_medium = medium_suite().len();
+    for (i, spec) in medium_suite().into_iter().chain(large_suite()).enumerate() {
         let circuit = spec.circuit().unwrap();
         let n = circuit.n_qubits();
+        if n > 18 {
+            continue;
+        }
         let unfused = CompiledPlan::compile(&circuit, n, &SimConfig::single_device());
         let fused = CompiledPlan::compile(&circuit, n, &SimConfig::single_device().with_fusion(3));
         assert_eq!(
@@ -79,13 +87,27 @@ fn fusion_collapses_passes_without_inflating_any_workload() {
             unfused.n_kernels(),
             fused.n_kernels()
         );
-        if fused.n_kernels() < unfused.n_kernels() {
+        if i < n_medium && fused.n_kernels() < unfused.n_kernels() {
             collapsed += 1;
+        }
+        if circuit.stats().gates >= 300 {
+            deep_kernels_per_pass
+                .push(fused.n_source_kernels() as f64 / fused.n_kernels().max(1) as f64);
         }
     }
     assert!(
         collapsed >= 6,
         "fusion collapsed passes on only {collapsed}/8 medium workloads"
+    );
+    assert!(
+        !deep_kernels_per_pass.is_empty(),
+        "the suite has deep workloads"
+    );
+    let mean = deep_kernels_per_pass.iter().sum::<f64>() / deep_kernels_per_pass.len() as f64;
+    assert!(
+        mean >= 2.0,
+        "mean source kernels per fused pass {mean:.2} < 2.0 over {} deep workloads",
+        deep_kernels_per_pass.len()
     );
 }
 

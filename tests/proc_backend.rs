@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use sv_sim::core::{state_checksum, CheckpointStore, ShmemBackend, SimConfig, Simulator};
+use sv_sim::core::{state_checksum, CheckpointStore, RunStart, ShmemBackend, SimConfig, Simulator};
 use sv_sim::engine::{
     DegradePolicy, Engine, EngineConfig, JobError, JobOutput, JobRequest, JobSpec, RetryPolicy,
     SubmitError,
@@ -300,7 +300,9 @@ fn torn_checkpoint_recovers_from_previous_generation_on_both_backends() {
             sim.recover_checkpoint_from_store().unwrap(),
             "the previous good generation must load ({backend:?})"
         );
-        let summary = sim.resume(&circuit).unwrap();
+        let summary = sim
+            .run_from(&circuit, None, RunStart::LastCheckpoint)
+            .unwrap();
         assert_eq!(
             state_checksum(sim.state()),
             ref_checksum,
@@ -451,7 +453,11 @@ fn degradation_ladder_halves_pes_and_stays_bit_identical() {
 
 /// The full Table 4 gate: every medium + large workload, thread vs process
 /// at 2/4/8 PEs, compared by amplitude checksum and classical bits against
-/// the single-device reference. Release-mode CI leg (`scripts/ci.sh`).
+/// the single-device reference. The 8-PE thread leg also runs remapped and
+/// carries the communication-avoiding gate: on every deep circuit (>= 100
+/// gates) whose naive schedule moves remote data, the remapped schedule's
+/// measured remote bytes are at most half of naive. Release-mode CI leg
+/// (`scripts/ci.sh`).
 #[test]
 #[ignore = "release-mode CI leg: runs via scripts/ci.sh (cargo test --release -- --ignored)"]
 fn full_suite_bit_identity_thread_vs_process() {
@@ -468,20 +474,39 @@ fn full_suite_bit_identity_thread_vs_process() {
         let ref_checksum = state_checksum(reference.state());
         for n_pes in [2usize, 4, 8] {
             for backend in [ShmemBackend::Thread, ShmemBackend::Process] {
-                let config = SimConfig::scale_out(n_pes).with_shmem_backend(backend);
-                let mut sim = Simulator::new(n, config).unwrap();
-                let summary = sim.run(&circuit).unwrap();
-                assert_eq!(
-                    state_checksum(sim.state()),
-                    ref_checksum,
-                    "{} diverged ({backend:?}, {n_pes} PEs)",
-                    spec.name
-                );
-                assert_eq!(
-                    summary.cbits, ref_summary.cbits,
-                    "{} cbits diverged ({backend:?}, {n_pes} PEs)",
-                    spec.name
-                );
+                let remaps: &[bool] = if n_pes == 8 && backend == ShmemBackend::Thread {
+                    &[false, true]
+                } else {
+                    &[false]
+                };
+                let mut remote_bytes = Vec::new();
+                for &remap in remaps {
+                    let mut config = SimConfig::scale_out(n_pes).with_shmem_backend(backend);
+                    config.remap = remap;
+                    let mut sim = Simulator::new(n, config).unwrap();
+                    let summary = sim.run(&circuit).unwrap();
+                    assert_eq!(
+                        state_checksum(sim.state()),
+                        ref_checksum,
+                        "{} diverged ({backend:?}, {n_pes} PEs, remap {remap})",
+                        spec.name
+                    );
+                    assert_eq!(
+                        summary.cbits, ref_summary.cbits,
+                        "{} cbits diverged ({backend:?}, {n_pes} PEs, remap {remap})",
+                        spec.name
+                    );
+                    remote_bytes.push(summary.total_traffic().remote_bytes());
+                }
+                if let [naive, remapped] = remote_bytes[..] {
+                    if ref_summary.gates >= 100 && naive > 0 {
+                        assert!(
+                            remapped * 2 <= naive,
+                            "{}: remapped remote bytes {remapped} exceed 0.5x naive {naive}",
+                            spec.name
+                        );
+                    }
+                }
             }
         }
     }

@@ -147,3 +147,51 @@ h q[0]; cx q[0], q[1]; t q[2]; cx q[2], q[3]; h q[3];
         "re-parsed QASM must hit; the one-gate edit must miss"
     );
 }
+
+/// The built binary refuses what it cannot act on instead of ignoring it: a
+/// misspelt flag, a value flag with nothing after it, and the removed bench
+/// commands are all usage errors (exit 2) that name the offender.
+#[test]
+fn cli_rejects_unknown_and_valueless_flags() {
+    let path = std::env::temp_dir().join(format!("svsim-cli-{}.qasm", std::process::id()));
+    std::fs::write(
+        &path,
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    let sv_sim = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sv-sim"))
+            .args(args)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+
+    let (code, stdout, _) = sv_sim(&["run", file, "--shots", "100", "--seed", "3"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("sampled 100 shots"), "{stdout}");
+
+    let (code, stdout, stderr) = sv_sim(&["run", file, "--shot", "100"]);
+    assert_eq!(code, Some(2), "misspelt flag must not run: {stdout}");
+    assert!(stderr.contains("--shot "), "names the flag: {stderr}");
+
+    let (code, _, stderr) = sv_sim(&["run", file, "--seed"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("--seed needs a value"), "{stderr}");
+
+    let (code, _, stderr) = sv_sim(&["fault-bench", "--pes"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("--pes needs a value"), "{stderr}");
+
+    for removed in ["serve-bench", "remap-bench", "fuse-bench"] {
+        let (code, _, stderr) = sv_sim(&[removed]);
+        assert_eq!(code, Some(2), "{removed}");
+        assert!(stderr.starts_with("usage:"), "{removed}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
