@@ -141,6 +141,8 @@ pub struct AnalysisReport {
     pub n_qubits: u32,
     /// Partition count analyzed.
     pub n_pes: u64,
+    /// Fusion window of the schedule analyzed ([`CommPlan::fuse`]).
+    pub fuse: u8,
     /// Per-epoch outcomes, in schedule order.
     pub epochs: Vec<EpochSummary>,
     /// Every recorded conflict (capped per epoch; the verdict is exact).
@@ -175,9 +177,10 @@ impl fmt::Display for AnalysisReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "plan: {} qubits at {} PEs, {} epochs ({} proven-safe, {} unknown, {} conflicting) => {}",
+            "plan: {} qubits at {} PEs, fuse window {}, {} epochs ({} proven-safe, {} unknown, {} conflicting) => {}",
             self.n_qubits,
             self.n_pes,
+            self.fuse,
             self.epochs.len(),
             self.count(Verdict::ProvenSafe),
             self.count(Verdict::Unknown),
@@ -309,6 +312,22 @@ fn check_gate_pair(
     verdict
 }
 
+/// A PE count must be a nonzero power of two no larger than the state
+/// dimension.
+pub(crate) fn check_pes(n_qubits: u32, n_pes: u64) -> SvResult<()> {
+    if n_pes == 0 || !n_pes.is_power_of_two() {
+        return Err(SvError::InvalidConfig(format!(
+            "PE count must be a nonzero power of two, got {n_pes}"
+        )));
+    }
+    if n_qubits >= 64 || n_pes > (1u64 << n_qubits) {
+        return Err(SvError::InvalidConfig(format!(
+            "{n_pes} PEs cannot partition a {n_qubits}-qubit state"
+        )));
+    }
+    Ok(())
+}
+
 /// Check a plan with the default pair budget.
 ///
 /// # Errors
@@ -329,17 +348,7 @@ pub fn check_plan_with_budget(
     n_pes: u64,
     budget: u64,
 ) -> SvResult<AnalysisReport> {
-    if n_pes == 0 || !n_pes.is_power_of_two() {
-        return Err(SvError::InvalidConfig(format!(
-            "PE count must be a nonzero power of two, got {n_pes}"
-        )));
-    }
-    if plan.n_qubits >= 64 || n_pes > (1u64 << plan.n_qubits) {
-        return Err(SvError::InvalidConfig(format!(
-            "{n_pes} PEs cannot partition a {}-qubit state",
-            plan.n_qubits
-        )));
-    }
+    check_pes(plan.n_qubits, n_pes)?;
     let mut pairs_spent = 0u64;
     let mut epochs = Vec::with_capacity(plan.epochs.len());
     let mut conflicts = Vec::new();
@@ -394,6 +403,7 @@ pub fn check_plan_with_budget(
     Ok(AnalysisReport {
         n_qubits: plan.n_qubits,
         n_pes,
+        fuse: plan.fuse,
         epochs,
         conflicts,
     })
@@ -403,6 +413,7 @@ pub fn check_plan_with_budget(
 mod tests {
     use super::*;
     use crate::plan::CommPlan;
+    use svsim_core::{CompiledPlan, SimConfig};
     use svsim_ir::{Circuit, GateKind};
 
     fn plan_of(n: u32, gates: &[(GateKind, &[u32], &[f64])]) -> CommPlan {
@@ -410,7 +421,7 @@ mod tests {
         for (k, q, p) in gates {
             c.apply(*k, q, p).unwrap();
         }
-        CommPlan::from_circuit(&c)
+        CommPlan::from_plan(&CompiledPlan::compile(&c, n, &SimConfig::single_device()))
     }
 
     /// Membership oracle: does `(gate, pe)` touch `idx`? Walks the PE's

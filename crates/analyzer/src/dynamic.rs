@@ -18,7 +18,7 @@
 //! verdict covers the `memfd`-arena world too.
 
 use crate::check::Verdict;
-use svsim_core::{SimConfig, Simulator};
+use svsim_core::{RunStart, SimConfig, Simulator};
 use svsim_ir::Circuit;
 use svsim_shmem::RaceReport;
 use svsim_types::SvResult;
@@ -47,70 +47,39 @@ impl CrossValidation {
     }
 }
 
-/// Statically analyze `circuit` at `n_pes`, then execute it on the
-/// scale-out backend with the race detector on, and return both outcomes.
+/// Statically analyze the plan `config` lowers `circuit` to, then execute
+/// that plan with the race detector armed on top of `config` (a scale-out
+/// configuration), and return both outcomes.
 ///
 /// # Errors
 /// Analysis errors (bad PE count) or simulation errors.
 pub fn cross_validate(
     name: &str,
     circuit: &Circuit,
-    n_pes: usize,
-    seed: u64,
+    config: SimConfig,
 ) -> SvResult<CrossValidation> {
-    let report = crate::analyze_circuit(circuit, n_pes as u64)?;
-    let config = SimConfig::scale_out(n_pes)
-        .with_seed(seed)
-        .with_race_detection();
+    let config = config.with_race_detection();
     let mut sim = Simulator::new(circuit.n_qubits(), config)?;
-    let summary = sim.run(circuit)?;
+    let plan = sim.compile_plan(circuit);
+    let report = crate::prove(&plan, &config)?;
+    let summary = sim.run_from(circuit, Some(&plan), RunStart::Fresh)?;
     Ok(CrossValidation {
         name: name.to_string(),
         n_qubits: circuit.n_qubits(),
-        n_pes,
+        n_pes: config.backend.n_workers(),
         static_verdict: report.verdict(),
         races: summary.races,
     })
 }
 
-/// Like [`cross_validate`], but for the communication-avoiding *remapped*
-/// executor: statically check the remapped epoch schedule (relabeling
-/// exchanges included), then execute with remapping and the race detector
-/// both armed.
-///
-/// # Errors
-/// Analysis errors (bad PE count) or simulation errors.
-pub fn cross_validate_remapped(
-    name: &str,
-    circuit: &Circuit,
-    n_pes: usize,
-    seed: u64,
-) -> SvResult<CrossValidation> {
-    let report = crate::analyze_circuit_remapped(circuit, n_pes as u64)?;
-    let config = SimConfig::scale_out(n_pes)
-        .with_seed(seed)
-        .with_race_detection()
-        .with_remap();
-    let mut sim = Simulator::new(circuit.n_qubits(), config)?;
-    let summary = sim.run(circuit)?;
-    Ok(CrossValidation {
-        name: name.to_string(),
-        n_qubits: circuit.n_qubits(),
-        n_pes,
-        static_verdict: report.verdict(),
-        races: summary.races,
-    })
-}
-
-/// Cross-validate every Table 4 workload of width at most `max_qubits` at
-/// each PE count in `pe_counts`.
+/// Cross-validate every Table 4 workload of width at most `max_qubits`
+/// under each configuration in `configs`.
 ///
 /// # Errors
 /// Propagates workload-generator, analysis, and simulation errors.
 pub fn cross_validate_suite(
     max_qubits: u32,
-    pe_counts: &[usize],
-    seed: u64,
+    configs: &[SimConfig],
 ) -> SvResult<Vec<CrossValidation>> {
     let mut out = Vec::new();
     for spec in medium_suite().into_iter().chain(large_suite()) {
@@ -118,8 +87,8 @@ pub fn cross_validate_suite(
         if circuit.n_qubits() > max_qubits {
             continue;
         }
-        for &p in pe_counts {
-            out.push(cross_validate(spec.name, &circuit, p, seed)?);
+        for &config in configs {
+            out.push(cross_validate(spec.name, &circuit, config)?);
         }
     }
     Ok(out)
@@ -156,8 +125,17 @@ mod tests {
     #[test]
     fn every_small_workload_agrees_with_the_static_verdict() {
         // Debug-build budget: the ≤13-qubit Table 4 workloads at 2/4/8
-        // PEs. Release-mode CI covers the larger ones.
-        let results = cross_validate_suite(13, &[2, 4, 8], 0xC0FFEE).unwrap();
+        // PEs, plus the fused (window 3) schedule with and without
+        // remapping. Release-mode CI covers the larger ones.
+        let base = |pes: usize| SimConfig::scale_out(pes).with_seed(0xC0FFEE);
+        let configs = [
+            base(2),
+            base(4),
+            base(8),
+            base(4).with_fusion(3),
+            base(4).with_fusion(3).with_remap(),
+        ];
+        let results = cross_validate_suite(13, &configs).unwrap();
         assert!(!results.is_empty());
         for r in &results {
             assert_eq!(
@@ -203,17 +181,17 @@ mod tests {
             .unwrap();
             let ref_summary = reference.run(&circuit).unwrap();
             for n_pes in [2usize, 4, 8] {
-                let report = crate::analyze_circuit_remapped(&circuit, n_pes as u64).unwrap();
+                let config = SimConfig::scale_out(n_pes)
+                    .with_seed(seed)
+                    .with_race_detection()
+                    .with_remap();
+                let report = crate::analyze(&circuit, &config).unwrap();
                 assert_eq!(
                     report.verdict(),
                     Verdict::ProvenSafe,
                     "{} remapped at {n_pes} PEs must be statically safe",
                     spec.name
                 );
-                let config = SimConfig::scale_out(n_pes)
-                    .with_seed(seed)
-                    .with_race_detection()
-                    .with_remap();
                 let mut sim = Simulator::new(circuit.n_qubits(), config).unwrap();
                 let summary = sim.run(&circuit).unwrap();
                 assert!(
@@ -250,7 +228,7 @@ mod tests {
             .unwrap();
         c.reset(2).unwrap();
         c.apply(GateKind::H, &[4], &[]).unwrap();
-        let r = cross_validate("teleport-ish", &c, 4, 7).unwrap();
+        let r = cross_validate("teleport-ish", &c, SimConfig::scale_out(4).with_seed(7)).unwrap();
         assert_eq!(r.static_verdict, Verdict::ProvenSafe);
         assert!(r.races.is_empty() && r.agrees());
     }

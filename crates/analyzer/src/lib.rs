@@ -14,9 +14,12 @@
 //!   vector-clock [`svsim_shmem::RaceDetector`] and check the observed
 //!   behaviour agrees with the proof (proven-safe ⇒ zero races).
 //!
-//! [`analyze_circuit`] is the one-call static entry point;
-//! [`checked_run`] gates a simulation on the proof, refusing to execute a
-//! plan the checker cannot certify.
+//! [`analyze`] is the one-call static entry point; [`checked_run`] gates a
+//! simulation on the proof, refusing to execute a plan the checker cannot
+//! certify. Both take the [`SimConfig`] the run would use and prove the
+//! [`CompiledPlan`] that config lowers to — fusion, remapping,
+//! specialization and checkpoint segmentation included — so the proof is
+//! always of the schedule that runs.
 
 pub mod check;
 pub mod dynamic;
@@ -25,57 +28,53 @@ pub mod plan;
 pub use check::{
     check_plan, check_plan_with_budget, AnalysisReport, Conflict, EpochSummary, Verdict,
 };
-pub use dynamic::{cross_validate, cross_validate_remapped, cross_validate_suite, CrossValidation};
+pub use dynamic::{cross_validate, cross_validate_suite, CrossValidation};
 pub use plan::{CommPlan, Epoch, EpochKind, PlanGate};
 
-use svsim_core::{BackendKind, RunSummary, SimConfig, Simulator};
+use svsim_core::{CompiledPlan, RunStart, RunSummary, SimConfig, Simulator};
 use svsim_ir::Circuit;
 use svsim_types::{SvError, SvResult};
 
-/// Build the communication plan of `circuit` and statically check it at
-/// `n_pes` partitions.
+/// Statically check the schedule `circuit` lowers to under `config`, at the
+/// configured partitioning (one PE on a single device — trivially safe).
+///
+/// The plan proven is `CompiledPlan::compile(circuit, _, config)`, the one
+/// a simulator with this config executes. Under runtime-parse dispatch that
+/// is the unfused schedule whatever `config.fuse` says; the report's
+/// [`AnalysisReport::fuse`] names the window actually proven.
 ///
 /// # Errors
-/// [`SvError::InvalidConfig`] on an invalid PE count.
-pub fn analyze_circuit(circuit: &Circuit, n_pes: u64) -> SvResult<AnalysisReport> {
-    let plan = CommPlan::from_circuit(circuit);
-    check_plan(&plan, n_pes)
+/// [`SvError::InvalidConfig`] on a worker count that cannot partition the
+/// state.
+pub fn analyze(circuit: &Circuit, config: &SimConfig) -> SvResult<AnalysisReport> {
+    // Before lowering: the remap planner asserts what this rejects.
+    check::check_pes(circuit.n_qubits(), config.backend.n_workers() as u64)?;
+    prove(
+        &CompiledPlan::compile(circuit, circuit.n_qubits(), config),
+        config,
+    )
 }
 
-/// Build the *remapped* communication plan of `circuit` (the schedule the
-/// communication-avoiding executor follows, including relabeling exchange
-/// epochs) and statically check it at `n_pes` partitions.
-///
-/// # Errors
-/// [`SvError::InvalidConfig`] on an invalid PE count.
-pub fn analyze_circuit_remapped(circuit: &Circuit, n_pes: u64) -> SvResult<AnalysisReport> {
-    if n_pes == 0 || !n_pes.is_power_of_two() || n_pes > (1u64 << circuit.n_qubits().min(63)) {
-        return Err(SvError::InvalidConfig(format!(
-            "PE count {n_pes} cannot partition a {}-qubit state",
-            circuit.n_qubits()
-        )));
-    }
-    let plan = CommPlan::from_circuit_remapped(circuit, n_pes);
-    check_plan(&plan, n_pes)
+/// Statically check `plan` at `config`'s partitioning.
+fn prove(plan: &CompiledPlan, config: &SimConfig) -> SvResult<AnalysisReport> {
+    check_plan(
+        &CommPlan::from_plan(plan),
+        config.backend.n_workers() as u64,
+    )
 }
 
-/// Require a conflict-free proof before executing: analyze the circuit's
-/// plan at the configured partitioning, refuse to run if any epoch is
-/// conflicting, then simulate and return both the proof and the run.
-///
-/// Non-scale-out backends have a single worker per amplitude partition and
-/// are analyzed at one PE (trivially safe); the gate matters on
-/// [`BackendKind::ScaleOut`].
+/// Require a conflict-free proof before executing: compile the plan
+/// `config` lowers `circuit` to, analyze it at the configured partitioning,
+/// refuse to run if any epoch is conflicting, then execute *that plan* and
+/// return both the proof and the run.
 ///
 /// # Errors
 /// [`SvError::InvalidConfig`] naming the first conflict when the plan is
 /// rejected; otherwise simulation errors.
 pub fn checked_run(circuit: &Circuit, config: SimConfig) -> SvResult<(AnalysisReport, RunSummary)> {
-    let n_pes = match config.backend {
-        BackendKind::ScaleOut { n_pes } => n_pes as u64,
-        _ => 1,
-    };
-    let report = analyze_circuit(circuit, n_pes)?;
+    let mut sim = Simulator::new(circuit.n_qubits(), config)?;
+    let plan = sim.compile_plan(circuit);
+    let report = prove(&plan, &config)?;
     if report.verdict() == Verdict::Conflicting {
         let first = report
             .conflicts
@@ -85,8 +84,7 @@ pub fn checked_run(circuit: &Circuit, config: SimConfig) -> SvResult<(AnalysisRe
             "communication plan rejected by the static checker: {first}"
         )));
     }
-    let mut sim = Simulator::new(circuit.n_qubits(), config)?;
-    let summary = sim.run(circuit)?;
+    let summary = sim.run_from(circuit, Some(&plan), RunStart::Fresh)?;
     Ok((report, summary))
 }
 
@@ -115,6 +113,100 @@ mod tests {
     }
 
     #[test]
+    fn the_proof_is_of_the_schedule_that_runs() {
+        // Compound gates are where hand-made mirrors of the lowering
+        // drifted: rccx/rc3x lower to kernel sequences that step fusion
+        // keeps or collapses whole, and ccx is one kernel specialized but
+        // many generic. Around them: a barrier and a SWAP (both vanish from
+        // the remapped stream, so its indices are not `Circuit::ops()`
+        // indices), gates on the partition-index qubit (relabeling), a
+        // measure, a reset and a conditional.
+        use svsim_ir::{Gate, Op};
+        for (kind, qubits) in [
+            (GateKind::RCCX, &[0u32, 1, 2][..]),
+            (GateKind::RC3X, &[0, 1, 2, 3][..]),
+            (GateKind::CCX, &[0, 1, 2][..]),
+        ] {
+            let mut c = Circuit::with_cbits(6, 1);
+            c.apply(GateKind::H, &[0], &[]).unwrap();
+            c.barrier(&[]);
+            c.apply(GateKind::SWAP, &[3, 4], &[]).unwrap();
+            c.apply(kind, qubits, &[]).unwrap();
+            for _ in 0..3 {
+                c.apply(GateKind::H, &[5], &[]).unwrap();
+                c.apply(GateKind::T, &[5], &[]).unwrap();
+            }
+            c.measure(5, 0).unwrap();
+            c.reset(4).unwrap();
+            c.if_eq(0, 1, 1, Gate::new(GateKind::X, &[5], &[]).unwrap())
+                .unwrap();
+            let collapses = 2;
+            let mut relabeled = false;
+            for fuse in [0u8, 2, 3] {
+                for remap in [false, true] {
+                    for specialized in [true, false] {
+                        for pes in [2usize, 4] {
+                            let mut config =
+                                SimConfig::scale_out(pes).with_seed(3).with_fusion(fuse);
+                            config.remap = remap;
+                            config.specialized = specialized;
+                            let what = format!("{kind:?} {config:?}");
+
+                            let plan = CompiledPlan::compile(&c, 6, &config);
+                            let comm = CommPlan::from_plan(&plan);
+                            assert_eq!(comm.gates.len(), plan.n_kernels(), "{what}");
+                            let count =
+                                |k: EpochKind| comm.epochs.iter().filter(|e| e.kind == k).count();
+                            assert_eq!(count(EpochKind::Kernel), plan.n_kernels(), "{what}");
+                            assert_eq!(count(EpochKind::Collapse), collapses, "{what}");
+                            for g in &comm.gates {
+                                let from = &c.ops()[g.source_op];
+                                assert_eq!(
+                                    g.conditional,
+                                    matches!(from, Op::IfEq { .. } | Op::Reset { .. }),
+                                    "{what}: kernel attributed to op #{} = {from:?}",
+                                    g.source_op
+                                );
+                                assert!(!matches!(from, Op::Barrier(_) | Op::Measure { .. }));
+                            }
+
+                            // The run executes the plan that was proven.
+                            let (report, summary) = checked_run(&c, config).unwrap();
+                            assert!(report.is_proven_safe(), "{what}: {report}");
+                            assert_eq!(report.epochs.len(), comm.epochs.len(), "{what}");
+                            assert_eq!(report.fuse, fuse, "{what}");
+                            assert_eq!(
+                                count(EpochKind::Exchange),
+                                2 * summary.remap_swaps,
+                                "{what}"
+                            );
+                            relabeled |= summary.remap_swaps > 0;
+                        }
+                    }
+                }
+            }
+            assert!(relabeled, "{kind:?}: some remapped cell must relabel");
+        }
+    }
+
+    #[test]
+    fn runtime_parse_is_proven_unfused() {
+        // Runtime parsing re-parses gate by gate: it runs the unfused
+        // schedule, so that is the one analyzed — and the report says so.
+        let mut c = Circuit::new(4);
+        for _ in 0..4 {
+            c.apply(GateKind::H, &[0], &[]).unwrap();
+            c.apply(GateKind::T, &[0], &[]).unwrap();
+        }
+        let fused = SimConfig::scale_out(2).with_fusion(3);
+        let parsed = fused.with_dispatch(svsim_core::DispatchMode::RuntimeParse);
+        let (fused, parsed) = (analyze(&c, &fused).unwrap(), analyze(&c, &parsed).unwrap());
+        assert_eq!((fused.fuse, fused.epochs.len()), (3, 1));
+        assert_eq!((parsed.fuse, parsed.epochs.len()), (0, 8));
+        assert!(parsed.to_string().contains("fuse window 0"));
+    }
+
+    #[test]
     fn the_whole_suite_is_statically_safe_at_scale() {
         // Every Table 4 workload — including the 20- and 23-qubit ones —
         // must be proven conflict-free at 2 and 8 PEs, fast: the checker
@@ -125,8 +217,8 @@ mod tests {
             .chain(svsim_workloads::large_suite())
         {
             let c = spec.circuit().unwrap();
-            for pes in [2u64, 8] {
-                let rep = analyze_circuit(&c, pes).unwrap();
+            for pes in [2usize, 8] {
+                let rep = analyze(&c, &SimConfig::scale_out(pes)).unwrap();
                 assert!(rep.is_proven_safe(), "{} at {pes} PEs: {rep}", spec.name);
             }
         }

@@ -2,10 +2,16 @@
 //!
 //! The scale-out executor (`svsim_core::exec::walk_steps`) interleaves
 //! compiled kernels with barriers in a fixed, data-independent order: every
-//! compiled kernel is followed by a `sync()`, and measurement/reset collapse
-//! is likewise fenced before classical bits update. A [`CommPlan`] is the
-//! static image of that schedule — one [`Epoch`] per barrier-to-barrier
-//! window, each holding the gate kernels that run inside it.
+//! compiled kernel is followed by a `sync()`, measurement/reset collapse is
+//! likewise fenced before classical bits update, and a relabeling exchange
+//! is two barrier-fenced stages. A [`CommPlan`] is the static image of that
+//! schedule — one [`Epoch`] per barrier-to-barrier window, each holding the
+//! gate kernels that run inside it — and it is read, never re-derived:
+//! [`CommPlan::from_plan`] maps the schedule of the very
+//! [`CompiledPlan`] the executor runs
+//! ([`CompiledPlan::schedule`]) entry by entry, so whatever the lowering
+//! does with fusion, remapping, specialization or checkpoint segmentation
+//! is what gets proven.
 //!
 //! The plan is what the static checker ([`crate::check`]) consumes: it never
 //! looks at amplitudes, only at which kernels share an epoch. Because the
@@ -14,8 +20,8 @@
 //! removes a barrier so tests (and the CLI's `--merge-epochs` flag) can
 //! exercise the checker against a mis-scheduled plan.
 
-use svsim_core::compile::{compile_gate, CompiledGate, KernelId};
-use svsim_ir::{Circuit, Gate, GateKind, Op};
+use svsim_core::compile::{CompiledGate, KernelId};
+use svsim_core::{CompiledPlan, Scheduled};
 use svsim_types::{SvError, SvResult};
 
 /// Why an epoch exists — which kind of synchronized step it covers.
@@ -41,7 +47,7 @@ pub enum EpochKind {
 /// the source circuit.
 #[derive(Debug, Clone)]
 pub struct PlanGate {
-    /// Index of the originating op in [`Circuit::ops`].
+    /// Index of the originating op in `Circuit::ops()`.
     pub source_op: usize,
     /// Which specialized kernel runs.
     pub kernel: KernelId,
@@ -68,225 +74,56 @@ pub struct Epoch {
 pub struct CommPlan {
     /// Circuit width.
     pub n_qubits: u32,
+    /// Fusion window of the lowering this plan images (0 = the unfused
+    /// schedule, which is also what runtime-parse dispatch executes
+    /// whatever `SimConfig::fuse` says).
+    pub fuse: u8,
     /// Every scheduled gate kernel, in execution order.
     pub gates: Vec<PlanGate>,
     /// The epochs, in execution order.
     pub epochs: Vec<Epoch>,
 }
 
-fn push_gate_epochs(
-    gates: &mut Vec<PlanGate>,
-    epochs: &mut Vec<Epoch>,
-    g: &Gate,
-    n_qubits: u32,
-    source_op: usize,
-    conditional: bool,
-) {
-    let mut compiled = Vec::new();
-    compile_gate(g, n_qubits, true, &mut compiled);
-    for cg in compiled {
-        let gi = gates.len();
-        gates.push(PlanGate {
-            source_op,
-            kernel: cg.id,
-            qubits: cg.args.sorted().to_vec(),
-            conditional,
-            cg,
-        });
-        epochs.push(Epoch {
-            kind: EpochKind::Kernel,
-            gates: vec![gi],
-        });
-    }
-}
-
 impl CommPlan {
-    /// Derive the plan the scale-out executor would follow for `c`,
-    /// mirroring its step lowering: one epoch per compiled kernel (the
-    /// executor syncs after every kernel), one collapse epoch per
-    /// measurement or reset, plus the conditional distributed X a reset may
-    /// issue. Conditional gates are planned as if they execute — the
+    /// The epoch structure of `plan`, entry for entry: one kernel epoch
+    /// per compiled kernel (the executor syncs after every kernel — a fused
+    /// sweep is one kernel, claiming its full window through
+    /// `kernel_access_patterns`), one collapse epoch per measurement or
+    /// reset, and two [`EpochKind::Exchange`] epochs (pack, unpack — the
+    /// two barriers of `ShmemView::exchange_pair`) per relabeling swap.
+    /// Conditional kernels are planned as if they execute — the
     /// conservative choice for safety analysis.
     #[must_use]
-    pub fn from_circuit(c: &Circuit) -> Self {
-        let n = c.n_qubits();
+    pub fn from_plan(plan: &CompiledPlan) -> Self {
         let mut gates = Vec::new();
         let mut epochs = Vec::new();
-        for (i, op) in c.ops().iter().enumerate() {
-            match op {
-                Op::Gate(g) => push_gate_epochs(&mut gates, &mut epochs, g, n, i, false),
-                Op::IfEq { gate, .. } => {
-                    push_gate_epochs(&mut gates, &mut epochs, gate, n, i, true);
+        let mut epoch = |kind: EpochKind, gates: Vec<usize>| epochs.push(Epoch { kind, gates });
+        for item in plan.schedule() {
+            match item {
+                Scheduled::Exchange { .. } => {
+                    epoch(EpochKind::Exchange, vec![]);
+                    epoch(EpochKind::Exchange, vec![]);
                 }
-                Op::Measure { .. } => epochs.push(Epoch {
-                    kind: EpochKind::Collapse,
-                    gates: vec![],
-                }),
-                Op::Reset { qubit } => {
-                    epochs.push(Epoch {
-                        kind: EpochKind::Collapse,
-                        gates: vec![],
-                    });
-                    let x = Gate::new(GateKind::X, &[*qubit], &[]).expect("X gate is valid");
-                    push_gate_epochs(&mut gates, &mut epochs, &x, n, i, true);
-                }
-                Op::Barrier(_) => {} // scheduling hint; epochs already fence every kernel
-            }
-        }
-        Self {
-            n_qubits: n,
-            gates,
-            epochs,
-        }
-    }
-
-    /// Derive the plan the scale-out executor would follow for `c` when
-    /// the lowering fuses adjacent gates into ≤`window`-qubit dense sweeps
-    /// (`SimConfig::with_fusion`). Mirrors the plan lowering's break
-    /// rules: runs flush at measurement/reset collapses and at `IfEq`
-    /// steps, and the same greedy pass (`svsim_core::fuse_compiled`,
-    /// including its traffic-monotone `worth_fusing` cutoff) decides which
-    /// runs actually merge — so the checker and the perfmodel see exactly
-    /// the kernel stream the executor runs. A fused kernel's epoch claims
-    /// the full window (every bit combination over its sorted qubits) via
-    /// `kernel_access_patterns`, which keeps the per-epoch disjointness
-    /// argument unchanged: one kernel per epoch, injective item bits.
-    /// `window == 0` is exactly [`CommPlan::from_circuit`].
-    #[must_use]
-    pub fn from_circuit_fused(c: &Circuit, window: u8) -> Self {
-        if window == 0 {
-            return Self::from_circuit(c);
-        }
-        let n = c.n_qubits();
-        let mut gates = Vec::new();
-        let mut epochs = Vec::new();
-        // Pending unconditional kernel run: the compiled queue plus the
-        // source op of each entry, flushed through the fusion pass.
-        let mut run: Vec<CompiledGate> = Vec::new();
-        let mut run_ops: Vec<usize> = Vec::new();
-        fn flush(
-            run: &mut Vec<CompiledGate>,
-            run_ops: &mut Vec<usize>,
-            n: u32,
-            window: u8,
-            gates: &mut Vec<PlanGate>,
-            epochs: &mut Vec<Epoch>,
-        ) {
-            if run.is_empty() {
-                return;
-            }
-            let (fused, origin) = svsim_core::fuse_compiled(run, n, window);
-            for (cg, covers) in fused.into_iter().zip(origin) {
-                let gi = gates.len();
-                gates.push(PlanGate {
-                    source_op: run_ops[covers.start],
-                    kernel: cg.id,
-                    qubits: cg.args.sorted().to_vec(),
-                    conditional: false,
+                Scheduled::Collapse => epoch(EpochKind::Collapse, vec![]),
+                Scheduled::Kernel {
                     cg,
-                });
-                epochs.push(Epoch {
-                    kind: EpochKind::Kernel,
-                    gates: vec![gi],
-                });
-            }
-            run.clear();
-            run_ops.clear();
-        }
-        for (i, op) in c.ops().iter().enumerate() {
-            match op {
-                Op::Gate(g) => {
-                    let mut compiled = Vec::new();
-                    compile_gate(g, n, true, &mut compiled);
-                    for cg in compiled {
-                        run.push(cg);
-                        run_ops.push(i);
-                    }
-                }
-                Op::IfEq { gate, .. } => {
-                    flush(&mut run, &mut run_ops, n, window, &mut gates, &mut epochs);
-                    push_gate_epochs(&mut gates, &mut epochs, gate, n, i, true);
-                }
-                Op::Measure { .. } => {
-                    flush(&mut run, &mut run_ops, n, window, &mut gates, &mut epochs);
-                    epochs.push(Epoch {
-                        kind: EpochKind::Collapse,
-                        gates: vec![],
+                    source_op,
+                    conditional,
+                } => {
+                    epoch(EpochKind::Kernel, vec![gates.len()]);
+                    gates.push(PlanGate {
+                        source_op,
+                        kernel: cg.id,
+                        qubits: cg.args.sorted().to_vec(),
+                        conditional,
+                        cg: cg.clone(),
                     });
                 }
-                Op::Reset { qubit } => {
-                    flush(&mut run, &mut run_ops, n, window, &mut gates, &mut epochs);
-                    epochs.push(Epoch {
-                        kind: EpochKind::Collapse,
-                        gates: vec![],
-                    });
-                    let x = Gate::new(GateKind::X, &[*qubit], &[]).expect("X gate is valid");
-                    push_gate_epochs(&mut gates, &mut epochs, &x, n, i, true);
-                }
-                Op::Barrier(_) => {}
-            }
-        }
-        flush(&mut run, &mut run_ops, n, window, &mut gates, &mut epochs);
-        Self {
-            n_qubits: n,
-            gates,
-            epochs,
-        }
-    }
-
-    /// Derive the plan the *remapped* scale-out executor would follow for
-    /// `c` at `n_pes` partitions. The schedule comes from the same planner
-    /// the executor and the traffic model use
-    /// ([`svsim_core::remap::plan_remap`]) — `CommPlan` stays the single
-    /// source of truth for the epoch structure, and the planner stays the
-    /// single source of truth for the relabeling policy. Each relabeling
-    /// swap contributes two [`EpochKind::Exchange`] epochs (pack, unpack)
-    /// mirroring the two barriers of `ShmemView::exchange_pair`; gates are
-    /// planned at their *physical* positions, which is exactly what the
-    /// executor's kernels index with.
-    ///
-    /// # Panics
-    /// If `n_pes` is not a power of two or exceeds the state dimension
-    /// (propagated from the planner).
-    #[must_use]
-    pub fn from_circuit_remapped(c: &Circuit, n_pes: u64) -> Self {
-        let n = c.n_qubits();
-        let plan = svsim_core::remap::plan_remap(c.ops(), n, n_pes);
-        let mut gates = Vec::new();
-        let mut epochs = Vec::new();
-        for (i, (op, swaps)) in plan.ops.iter().zip(&plan.pre_swaps).enumerate() {
-            for _ in swaps {
-                epochs.push(Epoch {
-                    kind: EpochKind::Exchange,
-                    gates: vec![],
-                });
-                epochs.push(Epoch {
-                    kind: EpochKind::Exchange,
-                    gates: vec![],
-                });
-            }
-            match op {
-                Op::Gate(g) => push_gate_epochs(&mut gates, &mut epochs, g, n, i, false),
-                Op::IfEq { gate, .. } => {
-                    push_gate_epochs(&mut gates, &mut epochs, gate, n, i, true);
-                }
-                Op::Measure { .. } => epochs.push(Epoch {
-                    kind: EpochKind::Collapse,
-                    gates: vec![],
-                }),
-                Op::Reset { qubit } => {
-                    epochs.push(Epoch {
-                        kind: EpochKind::Collapse,
-                        gates: vec![],
-                    });
-                    let x = Gate::new(GateKind::X, &[*qubit], &[]).expect("X gate is valid");
-                    push_gate_epochs(&mut gates, &mut epochs, &x, n, i, true);
-                }
-                Op::Barrier(_) => unreachable!("the remap planner drops barriers"),
             }
         }
         Self {
-            n_qubits: n,
+            n_qubits: plan.n_qubits(),
+            fuse: plan.fuse_window(),
             gates,
             epochs,
         }
@@ -321,6 +158,12 @@ impl CommPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use svsim_core::SimConfig;
+    use svsim_ir::{Circuit, GateKind};
+
+    fn plan_of(c: &Circuit, config: SimConfig) -> CommPlan {
+        CommPlan::from_plan(&CompiledPlan::compile(c, c.n_qubits(), &config))
+    }
 
     #[test]
     fn one_epoch_per_compiled_kernel() {
@@ -328,7 +171,7 @@ mod tests {
         c.apply(GateKind::H, &[0], &[]).unwrap();
         c.apply(GateKind::CX, &[0, 1], &[]).unwrap();
         c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
-        let plan = CommPlan::from_circuit(&c);
+        let plan = plan_of(&c, SimConfig::single_device());
         assert_eq!(plan.gates.len(), 3);
         assert_eq!(plan.epochs.len(), 3);
         assert!(plan
@@ -341,7 +184,7 @@ mod tests {
     fn compound_gates_expand_to_their_own_epochs() {
         let mut c = Circuit::new(3);
         c.apply(GateKind::RCCX, &[0, 1, 2], &[]).unwrap();
-        let plan = CommPlan::from_circuit(&c);
+        let plan = plan_of(&c, SimConfig::single_device());
         assert!(plan.epochs.len() > 5, "RCCX lowers to a kernel sequence");
         assert!(plan.gates.iter().all(|g| g.source_op == 0));
     }
@@ -352,7 +195,7 @@ mod tests {
         c.apply(GateKind::H, &[0], &[]).unwrap();
         c.measure(0, 0).unwrap();
         c.reset(1).unwrap();
-        let plan = CommPlan::from_circuit(&c);
+        let plan = plan_of(&c, SimConfig::single_device());
         let kinds: Vec<EpochKind> = plan.epochs.iter().map(|e| e.kind).collect();
         // H kernel, measure collapse, reset collapse, conditional X kernel.
         assert_eq!(
@@ -374,7 +217,7 @@ mod tests {
         // planned at the swapped-in LOW physical position.
         let mut c = Circuit::new(4);
         c.apply(GateKind::H, &[3], &[]).unwrap();
-        let plan = CommPlan::from_circuit_remapped(&c, 4);
+        let plan = plan_of(&c, SimConfig::scale_out(4).with_remap());
         let kinds: Vec<EpochKind> = plan.epochs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -387,19 +230,8 @@ mod tests {
     fn remapped_exchange_epochs_cannot_merge() {
         let mut c = Circuit::new(4);
         c.apply(GateKind::H, &[3], &[]).unwrap();
-        let mut plan = CommPlan::from_circuit_remapped(&c, 4);
+        let mut plan = plan_of(&c, SimConfig::scale_out(4).with_remap());
         assert!(plan.merge_epochs(0).is_err(), "exchange epochs never merge");
-    }
-
-    #[test]
-    fn remapped_plan_at_one_pe_is_the_plain_plan() {
-        let mut c = Circuit::new(3);
-        c.apply(GateKind::H, &[2], &[]).unwrap();
-        c.apply(GateKind::CX, &[0, 2], &[]).unwrap();
-        let plain = CommPlan::from_circuit(&c);
-        let remapped = CommPlan::from_circuit_remapped(&c, 1);
-        assert_eq!(remapped.epochs.len(), plain.epochs.len());
-        assert!(remapped.epochs.iter().all(|e| e.kind == EpochKind::Kernel));
     }
 
     #[test]
@@ -418,8 +250,8 @@ mod tests {
             c.apply(GateKind::CX, &[0, 1], &[]).unwrap();
             c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
         }
-        let plain = CommPlan::from_circuit(&c);
-        let fused = CommPlan::from_circuit_fused(&c, 3);
+        let plain = plan_of(&c, SimConfig::single_device());
+        let fused = plan_of(&c, SimConfig::single_device().with_fusion(3));
         assert!(
             fused.epochs.len() < plain.epochs.len() / 2,
             "fusion must collapse the ladder: {} vs {}",
@@ -449,7 +281,7 @@ mod tests {
             c.apply(GateKind::H, &[1], &[]).unwrap();
         }
         c.reset(2).unwrap();
-        let fused = CommPlan::from_circuit_fused(&c, 2);
+        let fused = plan_of(&c, SimConfig::single_device().with_fusion(2));
         let kinds: Vec<EpochKind> = fused.epochs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -467,29 +299,18 @@ mod tests {
     }
 
     #[test]
-    fn fused_plan_at_window_zero_is_the_plain_plan() {
-        let mut c = Circuit::new(3);
-        c.apply(GateKind::H, &[0], &[]).unwrap();
-        c.apply(GateKind::CX, &[0, 1], &[]).unwrap();
-        let plain = CommPlan::from_circuit(&c);
-        let fused = CommPlan::from_circuit_fused(&c, 0);
-        assert_eq!(fused.epochs.len(), plain.epochs.len());
-        assert_eq!(fused.gates.len(), plain.gates.len());
-    }
-
-    #[test]
     fn merge_validates_its_arguments() {
         let mut c = Circuit::with_cbits(2, 1);
         c.apply(GateKind::H, &[0], &[]).unwrap();
         c.measure(0, 0).unwrap();
-        let mut plan = CommPlan::from_circuit(&c);
+        let mut plan = plan_of(&c, SimConfig::single_device());
         assert!(plan.merge_epochs(5).is_err(), "out of range");
         assert!(plan.merge_epochs(0).is_err(), "kernel + collapse");
 
         let mut c2 = Circuit::new(2);
         c2.apply(GateKind::H, &[0], &[]).unwrap();
         c2.apply(GateKind::H, &[1], &[]).unwrap();
-        let mut plan2 = CommPlan::from_circuit(&c2);
+        let mut plan2 = plan_of(&c2, SimConfig::single_device());
         plan2.merge_epochs(0).unwrap();
         assert_eq!(plan2.epochs.len(), 1);
         assert_eq!(plan2.epochs[0].gates, vec![0, 1]);

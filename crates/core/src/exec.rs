@@ -9,13 +9,16 @@
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
-use crate::kernels::worker_range;
+use crate::kernels::{worker_range, GateArgs};
 use crate::measure;
-use crate::plan::{build_segment, PlanSegment};
+use crate::plan::PlanSegment;
+use crate::remap::QubitLayout;
+use crate::sim::{BackendKind, SimConfig};
 use crate::state::StateVector;
 use crate::view::{LocalView, PeerView, ShmemView, StateView};
+use std::ops::Range;
 use std::sync::Arc;
-use svsim_ir::{Gate, GateKind, Op};
+use svsim_ir::Gate;
 use svsim_shmem::{
     FaultPlan, MetricsTable, ProcOptions, RaceDetector, RaceReport, SenseBarrier, SharedF64Vec,
     ShmemBackend, TrafficSnapshot,
@@ -30,99 +33,88 @@ pub enum DispatchMode {
     #[default]
     PreloadedFnPointer,
     /// Parse and branch per gate at every execution (the HIP/MI100
-    /// fallback, §3.2.1).
+    /// fallback, §3.2.1). Re-parsing is gate by gate, so the lowering never
+    /// fuses under this mode ([`crate::plan`]).
     RuntimeParse,
 }
 
-/// One executable step derived from a circuit op. Compiled kernels live in
-/// one flat contiguous queue (the paper's device-resident circuit buffer);
-/// steps reference ranges of it.
+/// One executable step of a lowered segment, in execution order. Compiled
+/// kernels live in one flat contiguous queue (the paper's device-resident
+/// circuit buffer); steps reference ranges of it. `op` is the index in
+/// `Circuit::ops()` of the op the step's kernels came from.
 #[derive(Debug, Clone)]
 pub(crate) enum Step {
     /// Unitary gate (raw form kept for the runtime-parse mode).
     Gate {
+        op: usize,
         raw: Gate,
-        compiled: std::ops::Range<usize>,
+        compiled: Range<usize>,
     },
-    /// Projective measurement using pre-drawn random `r_idx`.
-    Measure { qubit: u32, cbit: u32, r_idx: usize },
-    /// Reset using pre-drawn random `r_idx`.
-    Reset { qubit: u32, r_idx: usize },
+    /// Projective measurement using pre-drawn random `r_idx`. Under a
+    /// remapped schedule `layout` is the planner's block-preserving
+    /// snapshot and `qubit` is LOGICAL; the collapse targets its physical
+    /// position.
+    Measure {
+        qubit: u32,
+        cbit: u32,
+        r_idx: usize,
+        layout: Option<QubitLayout>,
+    },
+    /// Reset using pre-drawn random `r_idx` (`qubit`/`layout` as for
+    /// `Measure`); `x` is the one queue entry holding the X that restores
+    /// `|0>` when the outcome is 1, compiled at the physical position.
+    Reset {
+        op: usize,
+        qubit: u32,
+        r_idx: usize,
+        layout: Option<QubitLayout>,
+        x: Range<usize>,
+    },
     /// Conditioned gate.
     IfEq {
+        op: usize,
         creg_lo: u32,
         creg_len: u32,
         value: u64,
         raw: Gate,
-        compiled: std::ops::Range<usize>,
+        compiled: Range<usize>,
     },
     /// A fused run of adjacent gates ([`crate::fuse`]): `compiled` is one
-    /// window-sweep kernel; `raws` keeps every constituent gate so the
-    /// runtime-parse mode can replay them gate-by-gate (bit-identical —
-    /// windows are disjoint, so per-window replay commutes with the
-    /// global order).
-    Fused {
-        raws: Vec<Gate>,
-        compiled: std::ops::Range<usize>,
-    },
+    /// window-sweep kernel, `op` the first constituent's source op.
+    Fused { op: usize, compiled: Range<usize> },
+    /// One relabeling slab exchange of physical positions `(lo, hi)`
+    /// (remapped scale-out only). Unconditional even next to conditional
+    /// steps — it is pure data movement, and all workers must reach the
+    /// exchange barriers together.
+    Exchange { lo: u32, hi: u32 },
 }
 
-/// Lower an op slice (a whole circuit or one checkpoint segment of it)
-/// into steps plus the flat compiled-kernel queue; returns the number of
-/// random draws measurement/reset will consume.
-pub(crate) fn build_steps(
-    ops: &[Op],
-    n_qubits: u32,
-    specialized: bool,
-) -> (Vec<Step>, Vec<CompiledGate>, usize) {
-    let mut steps = Vec::with_capacity(ops.len());
-    let mut queue: Vec<CompiledGate> = Vec::new();
-    let mut n_rand = 0usize;
-    for op in ops {
-        match op {
-            Op::Gate(g) => {
-                let start = queue.len();
-                compile_gate(g, n_qubits, specialized, &mut queue);
-                steps.push(Step::Gate {
-                    raw: *g,
-                    compiled: start..queue.len(),
-                });
-            }
-            Op::Measure { qubit, cbit } => {
-                steps.push(Step::Measure {
-                    qubit: *qubit,
-                    cbit: *cbit,
-                    r_idx: n_rand,
-                });
-                n_rand += 1;
-            }
-            Op::Reset { qubit } => {
-                steps.push(Step::Reset {
-                    qubit: *qubit,
-                    r_idx: n_rand,
-                });
-                n_rand += 1;
-            }
-            Op::Barrier(_) => {} // scheduling hint only
-            Op::IfEq {
-                creg_lo,
-                creg_len,
-                value,
-                gate,
-            } => {
-                let start = queue.len();
-                compile_gate(gate, n_qubits, specialized, &mut queue);
-                steps.push(Step::IfEq {
-                    creg_lo: *creg_lo,
-                    creg_len: *creg_len,
-                    value: *value,
-                    raw: *gate,
-                    compiled: start..queue.len(),
-                });
-            }
+impl Step {
+    /// Source op and queue range of the kernels this step may run (`None`
+    /// for steps that run none).
+    pub(crate) fn kernels(&self) -> Option<(usize, &Range<usize>)> {
+        match self {
+            Self::Gate { op, compiled, .. }
+            | Self::IfEq { op, compiled, .. }
+            | Self::Fused { op, compiled }
+            | Self::Reset {
+                op, x: compiled, ..
+            } => Some((*op, compiled)),
+            Self::Measure { .. } | Self::Exchange { .. } => None,
         }
     }
-    (steps, queue, n_rand)
+
+    /// The queue range of [`Self::kernels`], for rebasing onto a rewritten
+    /// queue.
+    pub(crate) fn kernels_mut(&mut self) -> Option<&mut Range<usize>> {
+        match self {
+            Self::Gate { compiled, .. }
+            | Self::IfEq { compiled, .. }
+            | Self::Fused { compiled, .. }
+            | Self::Reset { x: compiled, .. } => Some(compiled),
+            Self::Measure { .. } | Self::Exchange { .. } => None,
+        }
+    }
 }
 
 #[inline]
@@ -135,48 +127,95 @@ fn cond_holds(cbits: u64, lo: u32, len: u32, value: u64) -> bool {
     ((cbits >> lo) & mask) == value
 }
 
-/// Run on a single device (sequential, full ranges). `initial_cbits`
-/// carries the classical register across checkpoint segments (0 for a
-/// whole-circuit run). `seg` supplies a precompiled lowering of `ops`
-/// (from a [`crate::CompiledPlan`]); `None` lowers on the fly.
-#[allow(clippy::too_many_arguments)]
+/// A segment's kernels bound for one walker: the preloaded pointer table,
+/// or the raw gates re-parsed at every execution.
+struct Kernels<'a, V: StateView> {
+    queue: &'a [CompiledGate],
+    /// The fn-pointer path binds every kernel pointer once, up front — the
+    /// analog of preloading the device-function symbols; one flat pointer
+    /// table parallel to the flat compiled queue, nothing copied per gate.
+    /// Empty under [`DispatchMode::RuntimeParse`].
+    uploaded: Vec<KernelFn<V>>,
+    config: &'a SimConfig,
+    n_qubits: u32,
+    scratch: Vec<CompiledGate>,
+}
+
+impl<'a, V: StateView> Kernels<'a, V> {
+    fn new(seg: &'a PlanSegment, config: &'a SimConfig, n_qubits: u32) -> Self {
+        let uploaded = match config.dispatch {
+            DispatchMode::PreloadedFnPointer => {
+                seg.queue.iter().map(|c| resolve::<V>(c.id)).collect()
+            }
+            DispatchMode::RuntimeParse => Vec::new(),
+        };
+        Self {
+            queue: &seg.queue,
+            uploaded,
+            config,
+            n_qubits,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Hand `apply` each kernel of one step, in order: `queue[compiled]`
+    /// through the preloaded table, or — under runtime parsing, for a step
+    /// that kept its `raw` gate — whatever re-parsing `raw` yields now.
+    #[inline]
+    fn each(
+        &mut self,
+        raw: Option<&Gate>,
+        compiled: &Range<usize>,
+        mut apply: impl FnMut(KernelFn<V>, &GateArgs),
+    ) {
+        match raw.filter(|_| self.config.dispatch == DispatchMode::RuntimeParse) {
+            Some(raw) => {
+                self.scratch.clear();
+                compile_gate(
+                    raw,
+                    self.n_qubits,
+                    self.config.specialized,
+                    &mut self.scratch,
+                );
+                for cg in &self.scratch {
+                    apply(resolve::<V>(cg.id), &cg.args);
+                }
+            }
+            None => {
+                for k in compiled.clone() {
+                    let cg = &self.queue[k];
+                    let kernel = match self.uploaded.get(k) {
+                        Some(f) => *f,
+                        None => resolve::<V>(cg.id),
+                    };
+                    apply(kernel, &cg.args);
+                }
+            }
+        }
+    }
+}
+
+/// Run one lowered segment on a single device (sequential, full ranges).
+/// `initial_cbits` carries the classical register across checkpoint
+/// segments (0 for a whole-circuit run).
 pub(crate) fn run_single(
     state: &mut StateVector,
-    ops: &[Op],
-    specialized: bool,
-    dispatch: DispatchMode,
+    seg: &PlanSegment,
+    config: &SimConfig,
     rng: &mut SvRng,
     initial_cbits: u64,
-    fuse: u8,
-    seg: Option<&PlanSegment>,
 ) -> SvResult<u64> {
     let n = state.n_qubits();
     let half = (1u64 << n) / 2;
-    let owned;
-    let seg = match seg {
-        Some(s) => s,
-        None => {
-            owned = build_segment(ops, 0, ops.len(), n, specialized, 0, fuse);
-            &owned
-        }
-    };
-    let (steps, queue) = (&seg.steps, &seg.queue);
     let mut cbits = initial_cbits;
     let (re, im) = state.parts_mut();
     let view = LocalView::new(re, im);
-    // The fn-pointer path binds every kernel pointer once, up front — the
-    // analog of preloading the device-function symbols; one flat pointer
-    // table parallel to the flat compiled queue, nothing copied per gate.
-    let uploaded: Vec<KernelFn<LocalView>> = if dispatch == DispatchMode::PreloadedFnPointer {
-        queue.iter().map(|c| resolve::<LocalView>(c.id)).collect()
-    } else {
-        Vec::new()
-    };
-    let mut scratch: Vec<CompiledGate> = Vec::new();
-    let measure_into = |view: &LocalView, qubit: u32, r: f64| -> SvResult<u8> {
+    let mut kernels = Kernels::new(seg, config, n);
+    let full = |kernel: KernelFn<_>, args: &GateArgs| kernel(&view, args, 0..args.work);
+    let collapse = |qubit: u32, r: f64| -> SvResult<u8> {
         // Canonical-tree sum (svsim_types::numeric): bit-identical to the
         // partitioned backends' partial + pairwise reduce at any PE count.
-        let p1 = measure::prob_one_view(view, qubit, 1u64 << n);
+        let p1 = measure::prob_one_view(&view, qubit, 1u64 << n);
         let outcome = u8::from(r < p1);
         let p = if outcome == 1 { p1 } else { 1.0 - p1 };
         if p < 1e-300 {
@@ -184,75 +223,35 @@ pub(crate) fn run_single(
                 "collapse of qubit {qubit} with probability ~0"
             )));
         }
-        crate::kernels::collapse_pairs(view, qubit, outcome, 1.0 / p.sqrt(), 0..half);
+        crate::kernels::collapse_pairs(&view, qubit, outcome, 1.0 / p.sqrt(), 0..half);
         Ok(outcome)
     };
-    for step in steps {
+    for step in &seg.steps {
         match step {
-            Step::Gate { raw, compiled } | Step::IfEq { raw, compiled, .. } => {
-                if let Step::IfEq {
-                    creg_lo,
-                    creg_len,
-                    value,
-                    ..
-                } = step
-                {
-                    if !cond_holds(cbits, *creg_lo, *creg_len, *value) {
-                        continue;
-                    }
-                }
-                match dispatch {
-                    DispatchMode::PreloadedFnPointer => {
-                        for k in compiled.clone() {
-                            let cg = &queue[k];
-                            uploaded[k](&view, &cg.args, 0..cg.args.work);
-                        }
-                    }
-                    DispatchMode::RuntimeParse => {
-                        scratch.clear();
-                        compile_gate(raw, n, specialized, &mut scratch);
-                        for cg in &scratch {
-                            resolve::<LocalView>(cg.id)(&view, &cg.args, 0..cg.args.work);
-                        }
-                    }
+            Step::Gate { raw, compiled, .. } => kernels.each(Some(raw), compiled, full),
+            Step::IfEq {
+                creg_lo,
+                creg_len,
+                value,
+                raw,
+                compiled,
+                ..
+            } => {
+                if cond_holds(cbits, *creg_lo, *creg_len, *value) {
+                    kernels.each(Some(raw), compiled, full);
                 }
             }
-            Step::Fused { raws, compiled } => match dispatch {
-                DispatchMode::PreloadedFnPointer => {
-                    for k in compiled.clone() {
-                        let cg = &queue[k];
-                        uploaded[k](&view, &cg.args, 0..cg.args.work);
-                    }
-                }
-                DispatchMode::RuntimeParse => {
-                    for raw in raws {
-                        scratch.clear();
-                        compile_gate(raw, n, specialized, &mut scratch);
-                        for cg in &scratch {
-                            resolve::<LocalView>(cg.id)(&view, &cg.args, 0..cg.args.work);
-                        }
-                    }
-                }
-            },
+            Step::Fused { compiled, .. } => kernels.each(None, compiled, full),
             Step::Measure { qubit, cbit, .. } => {
-                let r = rng.next_f64();
-                let outcome = measure_into(&view, *qubit, r)?;
+                let outcome = collapse(*qubit, rng.next_f64())?;
                 cbits = (cbits & !(1u64 << cbit)) | (u64::from(outcome) << cbit);
             }
-            Step::Reset { qubit, .. } => {
-                let r = rng.next_f64();
-                let outcome = measure_into(&view, *qubit, r)?;
-                if outcome == 1 {
-                    let mut xg = Vec::new();
-                    compile_gate(
-                        &Gate::new(GateKind::X, &[*qubit], &[]).expect("x"),
-                        n,
-                        true,
-                        &mut xg,
-                    );
-                    resolve::<LocalView>(xg[0].id)(&view, &xg[0].args, 0..xg[0].args.work);
+            Step::Reset { qubit, x, .. } => {
+                if collapse(*qubit, rng.next_f64())? == 1 {
+                    kernels.each(None, x, full);
                 }
             }
+            Step::Exchange { .. } => unreachable!("no relabeling on a single device"),
         }
     }
     Ok(cbits)
@@ -273,212 +272,137 @@ fn check_workers(n_workers: usize, n_qubits: u32, what: &str) -> SvResult<()> {
     Ok(())
 }
 
-/// Per-partition measurement partial plus the reduce slot and physical
-/// qubit for the collapse. Under a block-preserving snapshot layout
-/// (`lay`) the partition holds the logical subcube whose top value indexes
-/// the reduce slot, and the partial walks it in logical order so the
-/// probability tree is the single-device logical tree bit-for-bit; without
-/// a snapshot the layout is identity and the slot is the worker rank.
-#[allow(clippy::too_many_arguments)]
-fn measure_partial(
-    lay: Option<&crate::remap::QubitLayout>,
-    my_re: &SharedF64Vec,
-    my_im: &SharedF64Vec,
-    my_base: u64,
-    worker: u64,
-    n_workers: u64,
+/// One worker of a partitioned backend: its rank and the partition of the
+/// state it owns.
+struct Worker<'a> {
     n_qubits: u32,
-    qubit: u32,
-) -> (f64, usize, u32) {
-    match lay {
-        Some(lay) => {
-            let boundary = n_qubits - n_workers.trailing_zeros();
-            let mut slot = 0usize;
-            for j in 0..(n_qubits - boundary) {
-                slot |= (((worker >> (lay.phys(boundary + j) - boundary)) & 1) as usize) << j;
+    rank: u64,
+    n_workers: u64,
+    re: &'a SharedF64Vec,
+    im: &'a SharedF64Vec,
+    /// Global index of the partition's first amplitude.
+    base: u64,
+}
+
+impl Worker<'_> {
+    /// Per-partition measurement partial plus the reduce slot and physical
+    /// qubit for the collapse. Under a block-preserving snapshot layout
+    /// (`lay`) the partition holds the logical subcube whose top value
+    /// indexes the reduce slot, and the partial walks it in logical order
+    /// so the probability tree is the single-device logical tree
+    /// bit-for-bit; without a snapshot the layout is identity and the slot
+    /// is the worker rank.
+    fn measure_partial(&self, lay: Option<&QubitLayout>, qubit: u32) -> (f64, usize, u32) {
+        match lay {
+            Some(lay) => {
+                let boundary = self.n_qubits - self.n_workers.trailing_zeros();
+                let mut slot = 0usize;
+                for j in 0..(self.n_qubits - boundary) {
+                    slot |=
+                        (((self.rank >> (lay.phys(boundary + j) - boundary)) & 1) as usize) << j;
+                }
+                let logical_base = (slot as u64) << boundary;
+                let low_pos: Vec<u32> = (0..boundary).map(|k| lay.phys(k)).collect();
+                let partial = measure::partial_prob_one_mapped(
+                    self.re,
+                    self.im,
+                    logical_base,
+                    &low_pos,
+                    qubit,
+                );
+                (partial, slot, lay.phys(qubit))
             }
-            let logical_base = (slot as u64) << boundary;
-            let low_pos: Vec<u32> = (0..boundary).map(|k| lay.phys(k)).collect();
-            let partial =
-                measure::partial_prob_one_mapped(my_re, my_im, logical_base, &low_pos, qubit);
-            (partial, slot, lay.phys(qubit))
+            None => (
+                measure::partial_prob_one_partition(self.re, self.im, self.base, qubit),
+                self.rank as usize,
+                qubit,
+            ),
         }
-        None => (
-            measure::partial_prob_one_partition(my_re, my_im, my_base, qubit),
-            worker as usize,
-            qubit,
-        ),
     }
 }
 
-/// Shared gate/step walker for the partitioned backends. `sync` is called
-/// between dependent kernels; `reduce` turns a local probability
-/// contribution (deposited at a caller-chosen scratch slot) into the
-/// global one.
-///
-/// `pre_swaps` (aligned 1:1 with `steps`; empty for a naive schedule)
-/// lists the relabeling slab exchanges to run *before* each step, realized
-/// collectively through `exchange`. Relabeling is unconditional even for
-/// conditional steps — it is pure data movement, and all workers must
-/// reach the exchange barriers together.
-///
-/// `measure_layouts` (aligned 1:1 with `steps` when non-empty) carries the
-/// planner's block-preserving layout snapshot at each Measure/Reset, whose
-/// `qubit` is then LOGICAL; collapse targets its physical position.
-#[allow(clippy::too_many_arguments)]
+/// What a partitioned backend's fabric provides between kernels: `sync`
+/// is called after every kernel; `reduce` turns a local probability
+/// contribution (deposited at a caller-chosen scratch slot) into the global
+/// one; `exchange` realizes one relabeling slab exchange collectively.
+struct Collectives<'a> {
+    exchange: &'a dyn Fn(u32, u32),
+    sync: &'a dyn Fn(),
+    reduce: &'a dyn Fn(usize, f64) -> f64,
+}
+
+/// Shared segment walker for the partitioned backends.
 fn walk_steps<V: StateView>(
-    steps: &[Step],
-    queue: &[CompiledGate],
+    seg: &PlanSegment,
+    config: &SimConfig,
     view: &V,
-    n_qubits: u32,
-    specialized: bool,
-    dispatch: DispatchMode,
-    worker: u64,
-    n_workers: u64,
+    me: &Worker<'_>,
     randoms: &[f64],
-    my_re: &SharedF64Vec,
-    my_im: &SharedF64Vec,
-    my_base: u64,
     initial_cbits: u64,
-    pre_swaps: &[Vec<(u32, u32)>],
-    measure_layouts: &[Option<crate::remap::QubitLayout>],
-    exchange: &dyn Fn(u32, u32),
-    sync: &dyn Fn(),
-    reduce: &dyn Fn(usize, f64) -> f64,
+    fabric: &Collectives<'_>,
 ) -> SvResult<u64> {
     let mut cbits = initial_cbits;
-    let mut scratch: Vec<CompiledGate> = Vec::new();
-    let uploaded: Vec<KernelFn<V>> = if dispatch == DispatchMode::PreloadedFnPointer {
-        queue.iter().map(|c| resolve::<V>(c.id)).collect()
-    } else {
-        Vec::new()
+    let mut kernels = Kernels::<V>::new(seg, config, me.n_qubits);
+    // One barrier per kernel — a fused kernel's whole run included. Safe:
+    // windows are disjoint and each worker owns a disjoint window
+    // sub-range, so no cross-worker dataflow exists inside the sweep (same
+    // argument as any two-qubit kernel).
+    let mine = |kernel: KernelFn<V>, args: &GateArgs| {
+        kernel(view, args, worker_range(args.work, me.n_workers, me.rank));
+        (fabric.sync)();
     };
-    for (si, step) in steps.iter().enumerate() {
-        if let Some(swaps) = pre_swaps.get(si) {
-            for &(a, b) in swaps {
-                exchange(a, b);
-            }
+    let collapse = |qubit: u32, lay: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
+        let (partial, slot, phys_q) = me.measure_partial(lay, qubit);
+        let p1 = (fabric.reduce)(slot, partial);
+        let outcome = u8::from(r < p1);
+        let p = if outcome == 1 { p1 } else { 1.0 - p1 };
+        if p < 1e-300 {
+            return Err(SvError::Numeric(format!(
+                "collapse of qubit {qubit} with probability ~0"
+            )));
         }
+        measure::collapse_partition(me.re, me.im, me.base, phys_q, outcome, 1.0 / p.sqrt());
+        (fabric.sync)();
+        Ok(outcome)
+    };
+    for step in &seg.steps {
         match step {
-            Step::Gate { raw, compiled } | Step::IfEq { raw, compiled, .. } => {
-                if let Step::IfEq {
-                    creg_lo,
-                    creg_len,
-                    value,
-                    ..
-                } = step
-                {
-                    // All workers hold identical cbits, so they branch
-                    // identically — no divergence across the barrier.
-                    if !cond_holds(cbits, *creg_lo, *creg_len, *value) {
-                        continue;
-                    }
-                }
-                match dispatch {
-                    DispatchMode::PreloadedFnPointer => {
-                        for k in compiled.clone() {
-                            let cg = &queue[k];
-                            uploaded[k](
-                                view,
-                                &cg.args,
-                                worker_range(cg.args.work, n_workers, worker),
-                            );
-                            sync();
-                        }
-                    }
-                    DispatchMode::RuntimeParse => {
-                        scratch.clear();
-                        compile_gate(raw, n_qubits, specialized, &mut scratch);
-                        for cg in &scratch {
-                            resolve::<V>(cg.id)(
-                                view,
-                                &cg.args,
-                                worker_range(cg.args.work, n_workers, worker),
-                            );
-                            sync();
-                        }
-                    }
+            Step::Exchange { lo, hi } => (fabric.exchange)(*lo, *hi),
+            Step::Gate { raw, compiled, .. } => kernels.each(Some(raw), compiled, mine),
+            Step::IfEq {
+                creg_lo,
+                creg_len,
+                value,
+                raw,
+                compiled,
+                ..
+            } => {
+                // All workers hold identical cbits, so they branch
+                // identically — no divergence across the barrier.
+                if cond_holds(cbits, *creg_lo, *creg_len, *value) {
+                    kernels.each(Some(raw), compiled, mine);
                 }
             }
-            Step::Fused { raws, compiled } => match dispatch {
-                // One fused kernel ⇒ one barrier for the whole run. Safe:
-                // windows are disjoint and each worker owns a disjoint
-                // window sub-range, so no cross-worker dataflow exists
-                // inside the sweep (same argument as any two-qubit kernel).
-                DispatchMode::PreloadedFnPointer => {
-                    for k in compiled.clone() {
-                        let cg = &queue[k];
-                        uploaded[k](
-                            view,
-                            &cg.args,
-                            worker_range(cg.args.work, n_workers, worker),
-                        );
-                        sync();
-                    }
-                }
-                DispatchMode::RuntimeParse => {
-                    for raw in raws {
-                        scratch.clear();
-                        compile_gate(raw, n_qubits, specialized, &mut scratch);
-                        for cg in &scratch {
-                            resolve::<V>(cg.id)(
-                                view,
-                                &cg.args,
-                                worker_range(cg.args.work, n_workers, worker),
-                            );
-                            sync();
-                        }
-                    }
-                }
-            },
-            Step::Measure { qubit, cbit, r_idx } => {
-                let lay = measure_layouts.get(si).and_then(|o| o.as_ref());
-                let (partial, slot, phys_q) = measure_partial(
-                    lay, my_re, my_im, my_base, worker, n_workers, n_qubits, *qubit,
-                );
-                let p1 = reduce(slot, partial);
-                let outcome = u8::from(randoms[*r_idx] < p1);
-                let p = if outcome == 1 { p1 } else { 1.0 - p1 };
-                if p < 1e-300 {
-                    return Err(SvError::Numeric(format!(
-                        "collapse of qubit {qubit} with probability ~0"
-                    )));
-                }
-                measure::collapse_partition(my_re, my_im, my_base, phys_q, outcome, 1.0 / p.sqrt());
-                sync();
+            Step::Fused { compiled, .. } => kernels.each(None, compiled, mine),
+            Step::Measure {
+                qubit,
+                cbit,
+                r_idx,
+                layout,
+            } => {
+                let outcome = collapse(*qubit, layout.as_ref(), randoms[*r_idx])?;
                 cbits = (cbits & !(1u64 << cbit)) | (u64::from(outcome) << cbit);
             }
-            Step::Reset { qubit, r_idx } => {
-                let lay = measure_layouts.get(si).and_then(|o| o.as_ref());
-                let (partial, slot, phys_q) = measure_partial(
-                    lay, my_re, my_im, my_base, worker, n_workers, n_qubits, *qubit,
-                );
-                let p1 = reduce(slot, partial);
-                let outcome = u8::from(randoms[*r_idx] < p1);
-                let p = if outcome == 1 { p1 } else { 1.0 - p1 };
-                if p < 1e-300 {
-                    return Err(SvError::Numeric(format!(
-                        "reset of qubit {qubit} with probability ~0"
-                    )));
-                }
-                measure::collapse_partition(my_re, my_im, my_base, phys_q, outcome, 1.0 / p.sqrt());
-                sync();
-                if outcome == 1 {
-                    // Distributed X to restore |0>.
-                    let mut xg = Vec::new();
-                    compile_gate(
-                        &Gate::new(GateKind::X, &[phys_q], &[]).expect("x"),
-                        n_qubits,
-                        true,
-                        &mut xg,
-                    );
-                    let cg = &xg[0];
-                    resolve::<V>(cg.id)(
-                        view,
-                        &cg.args,
-                        worker_range(cg.args.work, n_workers, worker),
-                    );
-                    sync();
+            Step::Reset {
+                qubit,
+                r_idx,
+                layout,
+                x,
+                ..
+            } => {
+                // Distributed X to restore |0>.
+                if collapse(*qubit, layout.as_ref(), randoms[*r_idx])? == 1 {
+                    kernels.each(None, x, mine);
                 }
             }
         }
@@ -486,34 +410,24 @@ fn walk_steps<V: StateView>(
     Ok(cbits)
 }
 
-/// Scale-up execution: the state vector partitioned across `n_dev` device
-/// partitions in one process, accessed via the peer pointer table
-/// (§3.2.2). Returns the classical bits and the peer traffic profile.
-#[allow(clippy::too_many_arguments)]
+/// Scale-up execution of one lowered segment: the state vector partitioned
+/// across the configured device partitions in one process, accessed via the
+/// peer pointer table (§3.2.2). Returns the classical bits and the peer
+/// traffic profile.
 pub(crate) fn run_scaleup(
     state: &mut StateVector,
-    ops: &[Op],
-    n_dev: usize,
-    specialized: bool,
-    dispatch: DispatchMode,
+    seg: &PlanSegment,
+    config: &SimConfig,
     rng: &mut SvRng,
     initial_cbits: u64,
-    fuse: u8,
-    seg: Option<&PlanSegment>,
 ) -> SvResult<(u64, Vec<TrafficSnapshot>)> {
+    let BackendKind::ScaleUp { n_devices: n_dev } = config.backend else {
+        unreachable!("run_scaleup is dispatched on the scale-up backend");
+    };
     let n = state.n_qubits();
     check_workers(n_dev, n, "device")?;
     let dim = state.dim();
     let per_dev = dim / n_dev;
-    let owned;
-    let seg = match seg {
-        Some(s) => s,
-        None => {
-            owned = build_segment(ops, 0, ops.len(), n, specialized, 0, fuse);
-            &owned
-        }
-    };
-    let (steps, queue) = (&seg.steps, &seg.queue);
     let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
 
     // Partition the state (the host-to-devices transfer).
@@ -537,8 +451,6 @@ pub(crate) fn run_scaleup(
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_dev)
             .map(|d| {
-                let steps = &steps;
-                let queue = &queue;
                 let re_parts = &re_parts;
                 let im_parts = &im_parts;
                 let metrics = &metrics;
@@ -565,24 +477,24 @@ pub(crate) fn run_scaleup(
                         total
                     };
                     walk_steps(
-                        steps,
-                        queue,
+                        seg,
+                        config,
                         &view,
-                        n,
-                        specialized,
-                        dispatch,
-                        d as u64,
-                        n_dev as u64,
+                        &Worker {
+                            n_qubits: n,
+                            rank: d as u64,
+                            n_workers: n_dev as u64,
+                            re: &re_parts[d],
+                            im: &im_parts[d],
+                            base: (d * per_dev) as u64,
+                        },
                         randoms,
-                        &re_parts[d],
-                        &im_parts[d],
-                        (d * per_dev) as u64,
                         initial_cbits,
-                        &[],
-                        &[],
-                        &|_, _| unreachable!("no relabeling on the scale-up path"),
-                        &sync,
-                        &reduce,
+                        &Collectives {
+                            exchange: &|_, _| unreachable!("no relabeling on the scale-up path"),
+                            sync: &sync,
+                            reduce: &reduce,
+                        },
                     )
                 })
             })
@@ -617,63 +529,52 @@ pub(crate) fn run_scaleup(
     Ok((cbits_out, metrics.snapshot_all()))
 }
 
-/// Scale-out execution: SPMD over SHMEM PEs, each owning one partition of
-/// the symmetric-heap state vector (§3.2.3). An optional [`FaultPlan`] is
-/// threaded into the SHMEM world; if any PE dies (injected or real), the
-/// whole segment fails with a typed error and `state` is left untouched at
-/// its pre-segment contents — exactly what checkpoint/restart needs.
-///
-/// With `detect` set, the launch runs under a fresh [`RaceDetector`]: every
-/// one-sided access is recorded against epoch-scoped shadow state, and any
-/// access-protocol violations come back as the third tuple element without
-/// failing the run.
-///
-/// With `remap` set, the op stream first passes through the
-/// communication-avoiding planner ([`crate::remap::plan_remap`]): gates
-/// touching partition-index qubit positions are preceded by bulk slab
-/// exchanges that relabel those positions below the boundary, so the gates
-/// themselves run entirely PE-local. Readback un-permutes the state, so
-/// results are indistinguishable from the naive schedule. The fourth tuple
-/// element counts the relabeling swaps executed (0 when off).
-///
-/// `backend` chooses the SHMEM substrate: thread-backed PEs (default) or
-/// process-backed PEs forked over a shared `memfd` symmetric heap. The
-/// same SPMD body runs on both; results are bit-identical. The dynamic
-/// race detector records accesses through in-process `Arc` shadow state,
-/// so `detect` requires the thread backend.
-///
-/// `respawn_max` and `hang_deadline_ms` configure the process backend's
-/// supervisor (in-place respawn budget and watchdog deadline); ignored on
-/// the thread backend. The fifth tuple element counts in-place respawns
-/// the supervisor performed (0 elsewhere). The body closure captures the
-/// segment-initial amplitudes, so a respawned (or re-run) PE reproduces
-/// its partition bit-identically.
 /// What one backend dispatch hands back: classical bits, per-PE traffic
 /// snapshots, dynamic race reports, relabeling-exchange count, and
 /// in-place respawn count.
 pub(crate) type LaunchOutput = (u64, Vec<TrafficSnapshot>, Vec<RaceReport>, usize, usize);
 
-#[allow(clippy::too_many_arguments)]
+/// Scale-out execution of one lowered segment: SPMD over SHMEM PEs, each
+/// owning one partition of the symmetric-heap state vector (§3.2.3). An
+/// optional [`FaultPlan`] is threaded into the SHMEM world; if any PE dies
+/// (injected or real), the whole segment fails with a typed error and
+/// `state` is left untouched at its pre-segment contents — exactly what
+/// checkpoint/restart needs.
+///
+/// With [`SimConfig::detect_races`] the launch runs under a fresh
+/// [`RaceDetector`]: every one-sided access is recorded against
+/// epoch-scoped shadow state, and any access-protocol violations come back
+/// in the output without failing the run. The detector records accesses
+/// through in-process `Arc` shadow state, so it requires the thread
+/// backend.
+///
+/// A segment lowered with [`SimConfig::remap`] carries
+/// [`Step::Exchange`] steps — bulk slab exchanges that relabel
+/// partition-index qubit positions below the boundary so the gates
+/// themselves run PE-local — and its final layout; readback un-permutes the
+/// state, so results are indistinguishable from the naive schedule.
+///
+/// [`SimConfig::shmem_backend`] chooses the substrate: thread-backed PEs or
+/// process-backed PEs forked over a shared `memfd` symmetric heap. The same
+/// SPMD body runs on both; results are bit-identical.
+/// [`SimConfig::respawn_max`] and [`SimConfig::hang_deadline_ms`] configure
+/// the process backend's supervisor. The body closure captures the
+/// segment-initial amplitudes, so a respawned (or re-run) PE reproduces its
+/// partition bit-identically.
 pub(crate) fn run_scaleout(
     state: &mut StateVector,
-    ops: &[Op],
-    n_pes: usize,
-    specialized: bool,
-    dispatch: DispatchMode,
+    seg: &PlanSegment,
+    config: &SimConfig,
     rng: &mut SvRng,
     initial_cbits: u64,
     faults: Option<Arc<FaultPlan>>,
-    detect: bool,
-    remap: bool,
-    backend: ShmemBackend,
-    respawn_max: u32,
-    hang_deadline_ms: u32,
-    fuse: u8,
-    seg: Option<&PlanSegment>,
 ) -> SvResult<LaunchOutput> {
+    let BackendKind::ScaleOut { n_pes } = config.backend else {
+        unreachable!("run_scaleout is dispatched on the scale-out backend");
+    };
     let n = state.n_qubits();
     check_workers(n_pes, n, "PE")?;
-    if detect && backend == ShmemBackend::Process {
+    if config.detect_races && config.shmem_backend == ShmemBackend::Process {
         return Err(SvError::InvalidConfig(
             "race detection requires the thread backend: the detector's shadow \
              state is in-process and cannot observe forked PEs"
@@ -682,26 +583,11 @@ pub(crate) fn run_scaleout(
     }
     let dim = state.dim();
     let per_pe = dim / n_pes;
-    let owned;
-    let seg = match seg {
-        Some(s) => s,
-        None => {
-            let remap_pes = if remap && n_pes > 1 { n_pes as u64 } else { 0 };
-            owned = build_segment(ops, 0, ops.len(), n, specialized, remap_pes, fuse);
-            &owned
-        }
-    };
-    let plan = seg.remap.as_ref();
-    let (steps, queue) = (&seg.steps, &seg.queue);
-    let pre_swaps: &[Vec<(u32, u32)>] = plan.map_or(&[], |p| &p.pre_swaps);
-    let measure_layouts: &[Option<crate::remap::QubitLayout>] =
-        plan.map_or(&[], |p| &p.measure_layouts);
-    let n_swaps = plan.map_or(0, |p| p.n_swaps);
     let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
     let init_re = state.re().to_vec();
     let init_im = state.im().to_vec();
 
-    let detector = if detect {
+    let detector = if config.detect_races {
         Some(RaceDetector::new(n_pes)?)
     } else {
         None
@@ -710,9 +596,10 @@ pub(crate) fn run_scaleout(
         let pe = ctx.my_pe();
         let sym_re = ctx.malloc_f64(per_pe)?;
         let sym_im = ctx.malloc_f64(per_pe)?;
-        // Exchange staging buffers, only if the plan has relabeling swaps
-        // (collective allocation: the plan is identical on every PE).
-        let xch = if n_swaps > 0 {
+        // Exchange staging buffers, only if the segment has relabeling
+        // swaps (collective allocation: the segment is identical on every
+        // PE).
+        let xch = if seg.n_swaps > 0 {
             Some((ctx.malloc_f64(per_pe / 2)?, ctx.malloc_f64(per_pe / 2)?))
         } else {
             None
@@ -727,31 +614,28 @@ pub(crate) fn run_scaleout(
         ctx.try_barrier_all()?;
 
         let view = ShmemView::new(ctx, &sym_re, &sym_im);
-        let exchange = |a: u32, b: u32| {
-            let (xr, xi) = xch.as_ref().expect("staging buffers allocated");
-            view.exchange_pair(a, b, xr, xi);
-        };
-        let sync = || ctx.barrier_all();
-        let reduce = |slot: usize, x: f64| ctx.sum_reduce_f64_at(slot, x);
         let cbits = walk_steps(
-            steps,
-            queue,
+            seg,
+            config,
             &view,
-            n,
-            specialized,
-            dispatch,
-            pe as u64,
-            n_pes as u64,
+            &Worker {
+                n_qubits: n,
+                rank: pe as u64,
+                n_workers: n_pes as u64,
+                re: sym_re.partition(pe),
+                im: sym_im.partition(pe),
+                base: (pe * per_pe) as u64,
+            },
             &randoms,
-            sym_re.partition(pe),
-            sym_im.partition(pe),
-            (pe * per_pe) as u64,
             initial_cbits,
-            pre_swaps,
-            measure_layouts,
-            &exchange,
-            &sync,
-            &reduce,
+            &Collectives {
+                exchange: &|a, b| {
+                    let (xr, xi) = xch.as_ref().expect("staging buffers allocated");
+                    view.exchange_pair(a, b, xr, xi);
+                },
+                sync: &|| ctx.barrier_all(),
+                reduce: &|slot, x| ctx.sum_reduce_f64_at(slot, x),
+            },
         )?;
         ctx.try_barrier_all()?;
         Ok((
@@ -760,14 +644,14 @@ pub(crate) fn run_scaleout(
             sym_im.partition(pe).to_vec(),
         ))
     };
-    let out = match backend {
+    let out = match config.shmem_backend {
         ShmemBackend::Process => {
             // Symmetric heap: re + im (per_pe each) plus the optional pair
             // of half-partition exchange staging buffers; result slot: the
             // two returned partition vectors plus cbits/tag overhead.
             let opts = ProcOptions {
-                respawn_max,
-                hang_deadline_ms: u64::from(hang_deadline_ms),
+                respawn_max: config.respawn_max,
+                hang_deadline_ms: u64::from(config.hang_deadline_ms),
                 ..ProcOptions::sized_for(3 * per_pe + 64, 2 * per_pe + 64)
             };
             svsim_shmem::launch_process(n_pes, &opts, faults, body)?
@@ -815,10 +699,10 @@ pub(crate) fn run_scaleout(
         }
         // The remapped run left the state in the final physical layout;
         // restore logical order host-side (no fabric traffic).
-        if let Some(p) = plan {
-            crate::remap::unpermute_state(&p.final_layout, re, im);
+        if let Some(layout) = &seg.final_layout {
+            crate::remap::unpermute_state(layout, re, im);
         }
     }
     let races = detector.map_or_else(Vec::new, |d| d.take_reports());
-    Ok((cbits_out, out.traffic, races, n_swaps, n_respawns))
+    Ok((cbits_out, out.traffic, races, seg.n_swaps, n_respawns))
 }

@@ -29,7 +29,6 @@
 use crate::compile::{CompiledGate, KernelId};
 use crate::exec::Step;
 use crate::kernels::GateArgs;
-use crate::remap::RemapPlan;
 use svsim_types::Complex64;
 
 /// Maximum fusion window the kernels support (an 8-amplitude gather).
@@ -161,8 +160,8 @@ fn worth_fusing(window: &[u32], parts: &[CompiledGate], n_qubits: u32) -> bool {
     unfused >= fused_amps
 }
 
-/// Fuse a flat kernel run (no steps, no measurements — e.g. a compiled
-/// sweep template's queue, or a whole-circuit gate stream for pricing).
+/// Fuse a flat kernel run (no steps, no measurements — a compiled sweep
+/// template's queue).
 /// Greedy: extend the current window while the union stays within
 /// `window` qubits; flush when it would grow past it, emitting a fused
 /// kernel when [`worth_fusing`] holds and the original kernels otherwise.
@@ -243,18 +242,13 @@ pub fn source_kernels(queue: &[CompiledGate]) -> usize {
 
 /// Fuse a lowered segment in place: runs of adjacent [`Step::Gate`] steps
 /// whose combined footprint fits the window collapse into [`Step::Fused`]
-/// steps backed by one fused kernel each. Runs break at `Measure`/`Reset`
-/// (they consume randomness and collapse state), at `IfEq` (its execution
-/// depends on runtime classical bits), and — when a [`RemapPlan`] is
-/// present — at any step carrying relabeling `pre_swaps` (such a step may
-/// *start* a run but never merge into an earlier one, since its exchanges
-/// must run between the neighbouring kernels). The plan's
-/// `pre_swaps`/`measure_layouts` are compacted in lockstep so they stay
-/// aligned 1:1 with the (now shorter) step stream.
+/// steps backed by one fused kernel each. Every other step breaks a run:
+/// `Measure`/`Reset` (they consume randomness and collapse state), `IfEq`
+/// (its execution depends on runtime classical bits) and `Exchange` (the
+/// relabeling must run between the neighbouring kernels).
 pub(crate) fn fuse_segment(
     steps: &mut Vec<Step>,
     queue: &mut Vec<CompiledGate>,
-    remap: &mut Option<RemapPlan>,
     n_qubits: u32,
     window: u8,
 ) {
@@ -262,214 +256,72 @@ pub(crate) fn fuse_segment(
     if window == 0 || steps.is_empty() {
         return;
     }
-    let empty: Vec<(u32, u32)> = Vec::new();
-    let mut new_steps: Vec<Step> = Vec::with_capacity(steps.len());
-    let mut new_queue: Vec<CompiledGate> = Vec::with_capacity(queue.len());
-    let mut new_pre: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut new_lay: Vec<Option<crate::remap::QubitLayout>> = Vec::new();
-
-    // Pending run of fusable gate steps: (step index, window so far).
-    let mut pend: Vec<usize> = Vec::new();
-    let mut win: Vec<u32> = Vec::new();
-
-    let step_gates = |si: usize, steps: &[Step]| -> std::ops::Range<usize> {
-        match &steps[si] {
-            Step::Gate { compiled, .. } => compiled.clone(),
-            _ => unreachable!("pending runs hold gate steps only"),
+    let old_steps = std::mem::take(steps);
+    let old_queue = std::mem::take(queue);
+    let kernels_of = |step: &Step| -> &[CompiledGate] {
+        step.kernels().map_or(&[], |(_, r)| &old_queue[r.clone()])
+    };
+    // Emit one original step, rebasing its kernel range onto the new queue.
+    let emit = |mut step: Step, steps: &mut Vec<Step>, queue: &mut Vec<CompiledGate>| {
+        let first = queue.len();
+        queue.extend_from_slice(kernels_of(&step));
+        if let Some(r) = step.kernels_mut() {
+            *r = first..queue.len();
         }
+        steps.push(step);
     };
-    let pre_of = |si: usize, remap: &Option<RemapPlan>| -> Vec<(u32, u32)> {
-        remap
-            .as_ref()
-            .map_or(&empty, |p| p.pre_swaps.get(si).unwrap_or(&empty))
-            .clone()
-    };
-    let lay_of = |si: usize, remap: &Option<RemapPlan>| -> Option<crate::remap::QubitLayout> {
-        remap
-            .as_ref()
-            .and_then(|p| p.measure_layouts.get(si).cloned().flatten())
-    };
-
-    // Emit one original step, rebasing its compiled range onto new_queue.
-    let emit_single = |si: usize,
-                       steps: &[Step],
-                       queue: &[CompiledGate],
-                       remap: &Option<RemapPlan>,
-                       new_steps: &mut Vec<Step>,
-                       new_queue: &mut Vec<CompiledGate>,
-                       new_pre: &mut Vec<Vec<(u32, u32)>>,
-                       new_lay: &mut Vec<Option<crate::remap::QubitLayout>>| {
-        let rebase = |compiled: &std::ops::Range<usize>, new_queue: &mut Vec<CompiledGate>| {
-            let start = new_queue.len();
-            new_queue.extend(queue[compiled.clone()].iter().cloned());
-            start..new_queue.len()
-        };
-        let step = match &steps[si] {
-            Step::Gate { raw, compiled } => Step::Gate {
-                raw: *raw,
-                compiled: rebase(compiled, new_queue),
-            },
-            Step::IfEq {
-                creg_lo,
-                creg_len,
-                value,
-                raw,
-                compiled,
-            } => Step::IfEq {
-                creg_lo: *creg_lo,
-                creg_len: *creg_len,
-                value: *value,
-                raw: *raw,
-                compiled: rebase(compiled, new_queue),
-            },
-            other => other.clone(),
-        };
-        new_steps.push(step);
-        new_pre.push(pre_of(si, remap));
-        new_lay.push(lay_of(si, remap));
-    };
-
-    let flush = |pend: &mut Vec<usize>,
+    // Emit the pending run of gate steps: as one fused step if worthwhile,
+    // unchanged otherwise.
+    let flush = |pend: &mut Vec<Step>,
                  win: &mut Vec<u32>,
-                 steps: &[Step],
-                 queue: &[CompiledGate],
-                 remap: &Option<RemapPlan>,
-                 new_steps: &mut Vec<Step>,
-                 new_queue: &mut Vec<CompiledGate>,
-                 new_pre: &mut Vec<Vec<(u32, u32)>>,
-                 new_lay: &mut Vec<Option<crate::remap::QubitLayout>>| {
-        let parts: Vec<CompiledGate> = pend
-            .iter()
-            .flat_map(|&si| queue[step_gates(si, steps)].iter().cloned())
-            .collect();
+                 steps: &mut Vec<Step>,
+                 queue: &mut Vec<CompiledGate>| {
+        let parts: Vec<CompiledGate> = pend.iter().flat_map(kernels_of).cloned().collect();
         if worth_fusing(win, &parts, n_qubits) {
-            let raws: Vec<svsim_ir::Gate> = pend
-                .iter()
-                .map(|&si| match &steps[si] {
-                    Step::Gate { raw, .. } => *raw,
-                    _ => unreachable!("pending runs hold gate steps only"),
-                })
-                .collect();
-            let start = new_queue.len();
-            new_queue.push(fused_gate(win, &parts, n_qubits));
-            new_steps.push(Step::Fused {
-                raws,
-                compiled: start..new_queue.len(),
+            let (op, _) = pend[0].kernels().expect("pending runs hold gate steps");
+            queue.push(fused_gate(win, &parts, n_qubits));
+            steps.push(Step::Fused {
+                op,
+                compiled: queue.len() - 1..queue.len(),
             });
-            // Later run members carry no pre-swaps (the break rule), so
-            // the merged step inherits the first member's entries.
-            new_pre.push(pre_of(pend[0], remap));
-            new_lay.push(lay_of(pend[0], remap));
+            pend.clear();
         } else {
-            for &si in pend.iter() {
-                emit_single(
-                    si, steps, queue, remap, new_steps, new_queue, new_pre, new_lay,
-                );
+            for step in pend.drain(..) {
+                emit(step, steps, queue);
             }
         }
-        pend.clear();
         win.clear();
     };
 
-    for si in 0..steps.len() {
-        let gate_window = match &steps[si] {
-            Step::Gate { compiled, .. } => {
-                let gates = &queue[compiled.clone()];
-                if gates.iter().all(|cg| fusable(cg, window)) {
-                    let mut w: Vec<u32> = Vec::new();
-                    for cg in gates {
-                        w = union_sorted(&w, cg.args.sorted());
-                    }
-                    (w.len() <= window as usize && !w.is_empty()).then_some(w)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+    let mut pend: Vec<Step> = Vec::new();
+    let mut win: Vec<u32> = Vec::new();
+    for step in old_steps {
+        // The step's own window, if it is a gate step that fits one.
+        let own = Some(kernels_of(&step))
+            .filter(|gates| {
+                matches!(step, Step::Gate { .. }) && gates.iter().all(|cg| fusable(cg, window))
+            })
+            .map(|gates| {
+                gates
+                    .iter()
+                    .fold(Vec::new(), |w, cg| union_sorted(&w, cg.args.sorted()))
+            })
+            .filter(|w| !w.is_empty() && w.len() <= window as usize);
+        let Some(own) = own else {
+            flush(&mut pend, &mut win, steps, queue);
+            emit(step, steps, queue);
+            continue;
         };
-        // A step carrying relabeling exchanges may start a run but never
-        // merge into one: its swaps must execute before its kernels.
-        let blocked = !pend.is_empty() && !pre_of(si, remap).is_empty();
-        match gate_window {
-            Some(w) if !blocked => {
-                let merged = union_sorted(&win, &w);
-                if merged.len() <= window as usize {
-                    win = merged;
-                    pend.push(si);
-                } else {
-                    flush(
-                        &mut pend,
-                        &mut win,
-                        steps,
-                        queue,
-                        remap,
-                        &mut new_steps,
-                        &mut new_queue,
-                        &mut new_pre,
-                        &mut new_lay,
-                    );
-                    win = w;
-                    pend.push(si);
-                }
-            }
-            Some(w) => {
-                flush(
-                    &mut pend,
-                    &mut win,
-                    steps,
-                    queue,
-                    remap,
-                    &mut new_steps,
-                    &mut new_queue,
-                    &mut new_pre,
-                    &mut new_lay,
-                );
-                win = w;
-                pend.push(si);
-            }
-            None => {
-                flush(
-                    &mut pend,
-                    &mut win,
-                    steps,
-                    queue,
-                    remap,
-                    &mut new_steps,
-                    &mut new_queue,
-                    &mut new_pre,
-                    &mut new_lay,
-                );
-                emit_single(
-                    si,
-                    steps,
-                    queue,
-                    remap,
-                    &mut new_steps,
-                    &mut new_queue,
-                    &mut new_pre,
-                    &mut new_lay,
-                );
-            }
+        let merged = union_sorted(&win, &own);
+        if merged.len() <= window as usize {
+            win = merged;
+        } else {
+            flush(&mut pend, &mut win, steps, queue);
+            win = own;
         }
+        pend.push(step);
     }
-    flush(
-        &mut pend,
-        &mut win,
-        steps,
-        queue,
-        remap,
-        &mut new_steps,
-        &mut new_queue,
-        &mut new_pre,
-        &mut new_lay,
-    );
-
-    *steps = new_steps;
-    *queue = new_queue;
-    if let Some(p) = remap.as_mut() {
-        p.pre_swaps = new_pre;
-        p.measure_layouts = new_lay;
-    }
+    flush(&mut pend, &mut win, steps, queue);
 }
 
 #[cfg(test)]

@@ -39,8 +39,8 @@ pub use compile::{CompiledGate, KernelId};
 pub use exec::DispatchMode;
 pub use fuse::{fuse_compiled, source_kernels};
 pub use noise::{sample_noisy_circuit, trajectory_average, NoiseModel};
-pub use plan::CompiledPlan;
-pub use remap::{plan_remap, plan_remap_fused, QubitLayout, RemapPlan};
+pub use plan::{CompiledPlan, Scheduled};
+pub use remap::{plan_remap, QubitLayout, RemapPlan};
 pub use sim::{BackendKind, RunStart, RunSummary, SimConfig, Simulator};
 pub use state::StateVector;
 pub use svsim_shmem::ShmemBackend;

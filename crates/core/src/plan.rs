@@ -1,28 +1,35 @@
-//! Ahead-of-time circuit compilation: the [`CompiledPlan`] artifact.
+//! The one lowering: a circuit compiled, once, into the [`CompiledPlan`]
+//! that is executed and that every static reader consults.
 //!
-//! Historically every executor call re-lowered its op slice on the spot —
-//! [`crate::exec::build_steps`] inside `run_single`/`run_scaleup`/
-//! `run_scaleout`, plus a fresh communication-avoiding
-//! [`crate::remap::plan_remap`] pass per scale-out segment. That couples
-//! circuit elaboration (op → step lowering), kernel specialization
-//! (gate → [`CompiledGate`] resolution), and remap planning to execution,
-//! so a serving layer cannot overlap "compile job B" with "execute job A",
-//! and repeated submissions of one circuit pay the compile cost each time.
+//! The paper lowers a circuit once into a device-resident buffer of gate
+//! objects and walks that one buffer on every backend (PAPER.md §3.2).
+//! Here that buffer is the [`PlanSegment`]: the ordered step stream — gate
+//! kernels, fused sweeps, measurements, and (for remapped scale-out) the
+//! relabeling slab exchanges, each at the position it runs — over one flat
+//! compiled-kernel queue, one segment per checkpoint-grid interval.
+//! [`build_segment`] is the only code that produces one (remap planning,
+//! then step/kernel lowering, then gate fusion, all driven by the
+//! [`SimConfig`]), and a segment is the only thing the executors
+//! ([`crate::exec`]) accept.
 //!
-//! [`CompiledPlan`] splits that work out: it precompiles a circuit — one
-//! [`PlanSegment`] per checkpoint-grid segment, each holding the lowered
-//! step stream, the flat compiled-kernel queue, the measurement random
-//! budget, and (for remapped scale-out) the relabeling schedule — into a
-//! standalone value that [`crate::Simulator::run_from`] executes without
-//! recompiling.
-//! Execution from a plan is **bit-identical** to [`crate::Simulator::run`]:
-//! the plan stores exactly the data the executor would have rebuilt.
+//! Nothing else re-derives the schedule. [`CompiledPlan::schedule`] yields
+//! a plan's exchanges, kernels and collapses in execution order, and the
+//! traffic model ([`crate::Simulator::predict_traffic`]), the performance
+//! model (`svsim-perfmodel`) and the static race analyzer
+//! (`svsim-analyzer`) are folds over that one sequence — so what they
+//! price and prove is, by construction, what runs.
+//!
+//! A plan is a standalone value: [`crate::Simulator::run_from`] executes a
+//! precompiled one without recompiling (the serving layer caches them and
+//! overlaps "compile job B" with "execute job A"), and a run without one
+//! lowers each segment right before executing it — through the same
+//! [`build_segment`], so the two are bit-identical.
 
-use crate::compile::CompiledGate;
-use crate::exec::{build_steps, Step};
-use crate::remap::{plan_remap_fused, RemapPlan};
+use crate::compile::{compile_gate, CompiledGate};
+use crate::exec::{DispatchMode, Step};
+use crate::remap::{plan_remap_fused, QubitLayout};
 use crate::sim::{BackendKind, SimConfig};
-use svsim_ir::{Circuit, Op};
+use svsim_ir::{Circuit, Gate, GateKind, Op};
 
 /// One checkpoint-grid segment lowered to executable form.
 #[derive(Debug, Clone)]
@@ -31,56 +38,161 @@ pub(crate) struct PlanSegment {
     pub(crate) start: usize,
     /// One past the last op of the segment.
     pub(crate) end: usize,
-    /// Lowered step stream (built from the remapped op stream when
-    /// `remap` is set, the raw slice otherwise).
+    /// Everything the segment executes, in order.
     pub(crate) steps: Vec<Step>,
     /// Flat compiled-kernel queue the steps index into.
     pub(crate) queue: Vec<CompiledGate>,
     /// Random draws the segment's measurements/resets will consume.
     pub(crate) n_rand: usize,
-    /// Communication-avoiding relabeling schedule (scale-out with
-    /// remapping armed only).
-    pub(crate) remap: Option<RemapPlan>,
+    /// Relabeling exchanges among the steps.
+    pub(crate) n_swaps: usize,
+    /// Physical layout the segment leaves the state in — the readback
+    /// un-permutation (remapped scale-out only).
+    pub(crate) final_layout: Option<QubitLayout>,
 }
 
-/// Lower `ops[start..end]` into a segment: remap planning first (when
-/// `remap_pes > 1`, fusion-aware via [`plan_remap_fused`]), then
-/// step/kernel lowering over the stream the executor will actually walk,
-/// then the gate-fusion pass ([`crate::fuse::fuse_segment`], `fuse > 0`
-/// only). This is the single compile entry point — executors call it as
-/// their fallback when no precompiled segment is supplied, so plan-driven
-/// and plan-free execution share one lowering.
+/// The two settings the lowering derives from a [`SimConfig`]:
+/// `(remap_pes, fuse)`. Remapping applies to multi-PE scale-out only
+/// (`remap_pes` is 0 elsewhere). Runtime parsing re-parses gate by gate, so
+/// it runs — and is lowered to — the unfused schedule whatever
+/// [`SimConfig::fuse`] says.
+fn lowering_shape(config: &SimConfig) -> (u64, u8) {
+    let remap_pes = match config.backend {
+        BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
+        _ => 0,
+    };
+    let fuse = match config.dispatch {
+        DispatchMode::PreloadedFnPointer => config.fuse,
+        DispatchMode::RuntimeParse => 0,
+    };
+    (remap_pes, fuse)
+}
+
+/// Lower `ops[start..end]` into a segment: remap planning first (remapped
+/// scale-out only, fusion-aware), then step/kernel lowering over the
+/// stream the executor will actually walk, then the gate-fusion pass
+/// ([`crate::fuse::fuse_segment`]). This is the single compile entry point
+/// — [`CompiledPlan::compile`] ahead of time, [`crate::Simulator`] for a
+/// segment no plan supplies.
 pub(crate) fn build_segment(
     ops: &[Op],
     start: usize,
     end: usize,
     n_qubits: u32,
-    specialized: bool,
-    remap_pes: u64,
-    fuse: u8,
+    config: &SimConfig,
 ) -> PlanSegment {
     let slice = &ops[start..end];
+    let (remap_pes, fuse) = lowering_shape(config);
     let remap = (remap_pes > 1).then(|| plan_remap_fused(slice, n_qubits, remap_pes, fuse));
-    let (mut steps, mut queue, n_rand) = match &remap {
-        Some(p) => build_steps(&p.ops, n_qubits, specialized),
-        None => build_steps(slice, n_qubits, specialized),
-    };
-    let mut remap = remap;
-    if fuse > 0 {
-        crate::fuse::fuse_segment(&mut steps, &mut queue, &mut remap, n_qubits, fuse);
+    let planned = remap.as_ref();
+    // The stream to lower: the planner's rewritten ops (gates at physical
+    // positions, barriers and absorbed SWAPs gone) or the slice itself.
+    let lowered = planned.map_or(slice, |p| &p.ops);
+    let mut steps = Vec::with_capacity(lowered.len());
+    let mut queue: Vec<CompiledGate> = Vec::new();
+    let mut n_rand = 0usize;
+    for (i, lowered_op) in lowered.iter().enumerate() {
+        let op = start + planned.map_or(i, |p| p.source_ops[i]);
+        let layout = planned.and_then(|p| p.measure_layouts[i].clone());
+        if let Some(p) = planned {
+            steps.extend(
+                p.pre_swaps[i]
+                    .iter()
+                    .map(|&(lo, hi)| Step::Exchange { lo, hi }),
+            );
+        }
+        let mut compile = |g: &Gate, specialized: bool| {
+            let first = queue.len();
+            compile_gate(g, n_qubits, specialized, &mut queue);
+            first..queue.len()
+        };
+        match lowered_op {
+            Op::Gate(g) => steps.push(Step::Gate {
+                op,
+                raw: *g,
+                compiled: compile(g, config.specialized),
+            }),
+            Op::IfEq {
+                creg_lo,
+                creg_len,
+                value,
+                gate,
+            } => steps.push(Step::IfEq {
+                op,
+                creg_lo: *creg_lo,
+                creg_len: *creg_len,
+                value: *value,
+                raw: *gate,
+                compiled: compile(gate, config.specialized),
+            }),
+            Op::Measure { qubit, cbit } => {
+                steps.push(Step::Measure {
+                    qubit: *qubit,
+                    cbit: *cbit,
+                    r_idx: n_rand,
+                    layout,
+                });
+                n_rand += 1;
+            }
+            Op::Reset { qubit } => {
+                let phys = layout.as_ref().map_or(*qubit, |l| l.phys(*qubit));
+                let x = Gate::new(GateKind::X, &[phys], &[]).expect("X on a valid qubit");
+                steps.push(Step::Reset {
+                    op,
+                    qubit: *qubit,
+                    r_idx: n_rand,
+                    layout,
+                    x: compile(&x, true),
+                });
+                n_rand += 1;
+            }
+            Op::Barrier(_) => {} // scheduling hint only
+        }
     }
+    crate::fuse::fuse_segment(&mut steps, &mut queue, n_qubits, fuse);
     PlanSegment {
         start,
         end,
         steps,
         queue,
         n_rand,
-        remap,
+        n_swaps: planned.map_or(0, |p| p.n_swaps),
+        final_layout: remap.map(|p| p.final_layout),
     }
 }
 
+/// One entry of a plan's schedule ([`CompiledPlan::schedule`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Scheduled<'a> {
+    /// One relabeling slab exchange of physical qubit positions `lo`
+    /// (below the partition boundary) and `hi` (at or above it):
+    /// [`crate::view::ShmemView::exchange_pair`], two barriers.
+    Exchange {
+        /// The PE-local position.
+        lo: u32,
+        /// The partition-index position.
+        hi: u32,
+    },
+    /// One compiled kernel followed by one barrier. A fused sweep is the
+    /// one kernel it is.
+    Kernel {
+        /// The kernel and its arguments, at physical qubit positions.
+        cg: &'a CompiledGate,
+        /// Index in [`Circuit::ops`] of the op it was lowered from (the
+        /// first one, for a fused kernel).
+        source_op: usize,
+        /// True when it only runs if classical bits say so: an `IfEq`
+        /// payload, or the X restoring `|0>` after a reset that read 1.
+        conditional: bool,
+    },
+    /// One measure/reset collapse: each worker rescales its own partition
+    /// around an internally synchronized probability reduction.
+    Collapse,
+}
+
 /// A circuit compiled ahead of execution for a specific simulator shape
-/// (width, specialization, checkpoint cadence, and remap partitioning).
+/// (width, specialization, checkpoint cadence, remap partitioning, fusion
+/// window).
 ///
 /// Build one with [`CompiledPlan::compile`], hand it around freely
 /// (`Clone` is deep but execution never mutates it), and execute it with
@@ -95,7 +207,7 @@ pub struct CompiledPlan {
     checkpoint_every: u32,
     remap_pes: u64,
     n_ops: usize,
-    /// Fusion window the plan was compiled with (0 = unfused).
+    /// Fusion window the plan was lowered with (0 = unfused).
     fuse: u8,
     /// Source kernels before fusion, across all segments — the numerator
     /// of the gates-per-amplitude-pass metric (`n_kernels()` is the
@@ -112,50 +224,31 @@ impl CompiledPlan {
     #[must_use]
     pub fn compile(circuit: &Circuit, n_qubits: u32, config: &SimConfig) -> Self {
         let ops = circuit.ops();
-        let remap_pes = match config.backend {
-            BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
-            _ => 0,
-        };
         let k = config.checkpoint_every as usize;
         let mut segments = Vec::new();
-        if k == 0 {
-            segments.push(build_segment(
-                ops,
-                0,
-                ops.len(),
-                n_qubits,
-                config.specialized,
-                remap_pes,
-                config.fuse,
-            ));
-        } else {
-            let mut pos = 0usize;
-            while pos < ops.len() {
+        let mut pos = 0usize;
+        while pos < ops.len() || (k == 0 && segments.is_empty()) {
+            let end = if k == 0 {
+                ops.len()
+            } else {
                 // The smallest checkpoint-grid multiple strictly past `pos`.
-                let end = usize::min(ops.len(), (pos + 1).next_multiple_of(k));
-                segments.push(build_segment(
-                    ops,
-                    pos,
-                    end,
-                    n_qubits,
-                    config.specialized,
-                    remap_pes,
-                    config.fuse,
-                ));
-                pos = end;
-            }
+                usize::min(ops.len(), (pos + 1).next_multiple_of(k))
+            };
+            segments.push(build_segment(ops, pos, end, n_qubits, config));
+            pos = end;
         }
         let n_source_kernels = segments
             .iter()
             .map(|s| crate::fuse::source_kernels(&s.queue))
             .sum();
+        let (remap_pes, fuse) = lowering_shape(config);
         Self {
             n_qubits,
             specialized: config.specialized,
             checkpoint_every: config.checkpoint_every,
             remap_pes,
             n_ops: ops.len(),
-            fuse: config.fuse,
+            fuse,
             n_source_kernels,
             segments,
         }
@@ -164,20 +257,49 @@ impl CompiledPlan {
     /// Whether this plan was compiled for exactly this simulator shape and
     /// an identically-shaped circuit. The op count is a cheap structural
     /// sanity check; supplying a *different* circuit with the same length
-    /// is a caller contract violation, same as [`crate::Simulator::resume`]
-    /// with the wrong circuit.
+    /// is a caller contract violation, same as resuming
+    /// [`crate::Simulator::run_from`] with the wrong circuit.
     #[must_use]
     pub fn matches(&self, circuit: &Circuit, n_qubits: u32, config: &SimConfig) -> bool {
-        let remap_pes = match config.backend {
-            BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
-            _ => 0,
-        };
         self.n_qubits == n_qubits
             && self.specialized == config.specialized
             && self.checkpoint_every == config.checkpoint_every
-            && self.remap_pes == remap_pes
-            && self.fuse == config.fuse
+            && (self.remap_pes, self.fuse) == lowering_shape(config)
             && self.n_ops == circuit.ops().len()
+    }
+
+    /// Everything the plan executes, in exactly the order the executor
+    /// walks it: every relabeling exchange, every compiled kernel (the X
+    /// after a reset included, at its physical position) and every
+    /// measure/reset collapse, segment after segment. This is the one
+    /// description of the schedule — the traffic model, the performance
+    /// model and the static analyzer all read it instead of lowering the
+    /// circuit again.
+    pub fn schedule(&self) -> impl Iterator<Item = Scheduled<'_>> + '_ {
+        self.segments.iter().flat_map(|seg| {
+            seg.steps.iter().flat_map(move |step| {
+                let lead = match step {
+                    Step::Exchange { lo, hi } => Some(Scheduled::Exchange { lo: *lo, hi: *hi }),
+                    Step::Measure { .. } | Step::Reset { .. } => Some(Scheduled::Collapse),
+                    Step::Gate { .. } | Step::IfEq { .. } | Step::Fused { .. } => None,
+                };
+                let conditional = matches!(step, Step::IfEq { .. } | Step::Reset { .. });
+                let (source_op, range) =
+                    step.kernels().map_or((0, 0..0), |(op, r)| (op, r.clone()));
+                lead.into_iter()
+                    .chain(range.map(move |k| Scheduled::Kernel {
+                        cg: &seg.queue[k],
+                        source_op,
+                        conditional,
+                    }))
+            })
+        })
+    }
+
+    /// Register width the plan was compiled for.
+    #[must_use]
+    pub fn n_qubits(&self) -> u32 {
+        self.n_qubits
     }
 
     /// Segments in the plan (one when checkpointing is off).
@@ -202,15 +324,15 @@ impl CompiledPlan {
         self.n_source_kernels
     }
 
-    /// The fusion window the plan was compiled with (0 = unfused).
+    /// The fusion window the plan was lowered with: [`SimConfig::fuse`],
+    /// or 0 (unfused) under [`DispatchMode::RuntimeParse`].
     #[must_use]
     pub fn fuse_window(&self) -> u8 {
         self.fuse
     }
 
     /// The precompiled segment covering exactly `ops[start..end]`, if the
-    /// plan holds one (segment lookups that miss fall back to on-the-fly
-    /// lowering in the executor).
+    /// plan holds one.
     pub(crate) fn segment(&self, start: usize, end: usize) -> Option<&PlanSegment> {
         let idx = if self.checkpoint_every == 0 {
             0
@@ -277,7 +399,10 @@ mod tests {
             "checkpoint grid differs"
         );
         let seg = plan.segment(0, c.ops().len()).unwrap();
-        assert!(seg.remap.is_some(), "remapped plan carries the schedule");
+        assert!(
+            seg.final_layout.is_some(),
+            "remapped plan carries the schedule"
+        );
         assert_eq!(seg.n_rand, 1, "one measurement draw");
     }
 }

@@ -15,10 +15,11 @@
 //! on every gate.
 //!
 //! This module is the *planner*: it is pure (no SHMEM), deterministic, and
-//! shared verbatim by the executor ([`crate::exec`]), the analytic traffic
-//! model ([`crate::traffic::remapped_circuit_traffic`]), and the static
-//! analyzer (`svsim-analyzer` mirrors the plan into its epoch schedule),
-//! keeping all three views of the schedule in lockstep.
+//! run exactly once per segment, by the lowering
+//! ([`crate::plan`]): the executor, the traffic model, the performance
+//! model and the static analyzer all read the relabeling exchanges out of
+//! the lowered [`crate::CompiledPlan`], never from a planner run of their
+//! own.
 //!
 //! The policy is communication-cost-driven rather than purely positional:
 //!
@@ -128,6 +129,9 @@ pub struct RemapPlan {
     /// *logical* qubit — the executor translates through the layout
     /// snapshot in `measure_layouts`.
     pub ops: Vec<Op>,
+    /// Aligned 1:1 with `ops`: the index in the planner's *input* stream of
+    /// the op each entry came from (barriers and absorbed SWAPs leave gaps).
+    pub source_ops: Vec<usize>,
     /// Relabeling swaps `(low, high)` of physical positions to run before
     /// each op (empty for most).
     pub pre_swaps: Vec<Vec<(u32, u32)>>,
@@ -346,16 +350,11 @@ pub fn plan_remap(ops: &[Op], n_qubits: u32, n_pes: u64) -> RemapPlan {
 }
 
 /// [`plan_remap`] with a fusion-aware cost model: `fuse` is the gate-fusion
-/// window the downstream lowering will apply ([`crate::fuse`]), so the
+/// window the lowering will apply next ([`crate::fuse`]), so the
 /// amortization scan prices post-fusion traffic — gates riding an already
-/// fused window add no remote bytes of their own. `fuse == 0` is exactly
-/// [`plan_remap`]. Planning only; the emitted schedule is valid for fused
-/// and unfused execution alike.
-///
-/// # Panics
-/// As [`plan_remap`].
-#[must_use]
-pub fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> RemapPlan {
+/// fused window add no remote bytes of their own. Planning only; the
+/// emitted schedule is valid for fused and unfused execution alike.
+pub(crate) fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> RemapPlan {
     assert!(n_pes.is_power_of_two(), "PE count must be a power of two");
     let k = n_pes.trailing_zeros();
     assert!(k <= n_qubits);
@@ -388,6 +387,7 @@ pub fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> Rema
 
     let mut layout = QubitLayout::identity(n_qubits);
     let mut out_ops: Vec<Op> = Vec::with_capacity(ops.len());
+    let mut source_ops: Vec<usize> = Vec::with_capacity(ops.len());
     let mut pre_swaps: Vec<Vec<(u32, u32)>> = Vec::with_capacity(ops.len());
     let mut measure_layouts: Vec<Option<QubitLayout>> = Vec::with_capacity(ops.len());
     let mut scratch: Vec<CompiledGate> = Vec::new();
@@ -424,6 +424,7 @@ pub fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> Rema
                     fuse,
                     &mut scratch,
                 );
+                source_ops.push(i);
                 out_ops.push(Op::Gate(map_gate(g, &layout)));
                 pre_swaps.push(swaps);
                 measure_layouts.push(None);
@@ -451,6 +452,7 @@ pub fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> Rema
                     fuse,
                     &mut scratch,
                 );
+                source_ops.push(i);
                 out_ops.push(Op::IfEq {
                     creg_lo: *creg_lo,
                     creg_len: *creg_len,
@@ -462,6 +464,7 @@ pub fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> Rema
             }
             Op::Measure { qubit, cbit } => {
                 let swaps = restore_home(&mut layout, boundary);
+                source_ops.push(i);
                 out_ops.push(Op::Measure {
                     qubit: *qubit, // logical; the executor maps via the snapshot
                     cbit: *cbit,
@@ -471,6 +474,7 @@ pub fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> Rema
             }
             Op::Reset { qubit } => {
                 let swaps = restore_home(&mut layout, boundary);
+                source_ops.push(i);
                 out_ops.push(Op::Reset { qubit: *qubit });
                 pre_swaps.push(swaps);
                 measure_layouts.push(Some(layout.clone()));
@@ -480,6 +484,7 @@ pub fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> Rema
     let n_swaps = pre_swaps.iter().map(Vec::len).sum();
     RemapPlan {
         ops: out_ops,
+        source_ops,
         pre_swaps,
         measure_layouts,
         final_layout: layout,

@@ -3,9 +3,9 @@
 use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::exec::{run_scaleout, run_scaleup, run_single, DispatchMode, LaunchOutput};
 use crate::measure;
-use crate::plan::{CompiledPlan, PlanSegment};
+use crate::plan::{build_segment, CompiledPlan, Scheduled};
 use crate::state::StateVector;
-use crate::traffic::{circuit_traffic, GateTraffic};
+use crate::traffic::{exchange_traffic, gate_traffic, GateTraffic};
 use std::sync::Arc;
 use svsim_ir::{Circuit, Op, PauliString};
 use svsim_shmem::{FaultAction, FaultPlan, RaceReport, ShmemBackend, TrafficSnapshot};
@@ -26,6 +26,17 @@ pub enum BackendKind {
         /// Number of PEs (power of two).
         n_pes: usize,
     },
+}
+
+impl BackendKind {
+    /// Workers the state is partitioned across (1 on a single device).
+    #[must_use]
+    pub fn n_workers(&self) -> usize {
+        match *self {
+            Self::SingleDevice => 1,
+            Self::ScaleUp { n_devices: w } | Self::ScaleOut { n_pes: w } => w,
+        }
+    }
 }
 
 /// Simulator configuration.
@@ -76,7 +87,9 @@ pub struct SimConfig {
     /// [`crate::fuse::MAX_WINDOW`]). Runs of adjacent gates whose combined
     /// footprint fits the window execute as one sweep over the amplitudes
     /// ([`crate::fuse`]); results stay bit-identical to the unfused
-    /// schedule on every backend and dispatch mode.
+    /// schedule on every backend and dispatch mode
+    /// ([`DispatchMode::RuntimeParse`] re-parses gate by gate, so under it
+    /// the lowering is the unfused one).
     pub fuse: u8,
 }
 
@@ -334,7 +347,7 @@ impl Simulator {
     ///
     /// Results are bit-identical with and without a plan; a plan whose
     /// shape does not [`CompiledPlan::matches`] this simulator/config is
-    /// ignored and the run falls back to on-the-fly lowering —
+    /// ignored and each segment is lowered right before it executes —
     /// correctness never depends on the cache. Plan segmentation follows
     /// the same fixed checkpoint grid as execution, so a resumed run
     /// resolves its remaining segments directly from the plan.
@@ -372,62 +385,36 @@ impl Simulator {
         self.run_segments(circuit, start_op, cbits, plan)
     }
 
-    /// One backend dispatch over an op slice. The third tuple element is
-    /// the dynamic race reports (scale-out with detection armed only); the
-    /// fourth is the count of relabeling exchanges performed; the fifth
-    /// counts in-place PE respawns (process backend only). `seg` supplies
-    /// the precompiled lowering of exactly this slice, when available.
-    fn exec_ops(
+    /// Execute `ops[range]` as one backend dispatch. This is the one place
+    /// a segment is resolved: the plan's precompiled lowering of exactly
+    /// this range, or [`build_segment`] right here.
+    fn exec_segment(
         &mut self,
         ops: &[Op],
+        range: std::ops::Range<usize>,
         initial_cbits: u64,
-        seg: Option<&PlanSegment>,
+        plan: Option<&CompiledPlan>,
     ) -> SvResult<LaunchOutput> {
-        match self.config.backend {
-            BackendKind::SingleDevice => {
-                let cb = run_single(
-                    &mut self.state,
-                    ops,
-                    self.config.specialized,
-                    self.config.dispatch,
-                    &mut self.rng,
-                    initial_cbits,
-                    self.config.fuse,
-                    seg,
-                )?;
-                Ok((cb, Vec::new(), Vec::new(), 0, 0))
+        let config = self.config;
+        let owned;
+        let seg = match plan.and_then(|p| p.segment(range.start, range.end)) {
+            Some(seg) => seg,
+            None => {
+                let n = self.state.n_qubits();
+                owned = build_segment(ops, range.start, range.end, n, &config);
+                &owned
             }
-            BackendKind::ScaleUp { n_devices } => {
-                let (cb, traffic) = run_scaleup(
-                    &mut self.state,
-                    ops,
-                    n_devices,
-                    self.config.specialized,
-                    self.config.dispatch,
-                    &mut self.rng,
-                    initial_cbits,
-                    self.config.fuse,
-                    seg,
-                )?;
-                Ok((cb, traffic, Vec::new(), 0, 0))
+        };
+        let (state, rng) = (&mut self.state, &mut self.rng);
+        match config.backend {
+            BackendKind::SingleDevice => run_single(state, seg, &config, rng, initial_cbits)
+                .map(|cbits| (cbits, Vec::new(), Vec::new(), 0, 0)),
+            BackendKind::ScaleUp { .. } => run_scaleup(state, seg, &config, rng, initial_cbits)
+                .map(|(cbits, traffic)| (cbits, traffic, Vec::new(), 0, 0)),
+            BackendKind::ScaleOut { .. } => {
+                let faults = self.fault_plan.clone();
+                run_scaleout(state, seg, &config, rng, initial_cbits, faults)
             }
-            BackendKind::ScaleOut { n_pes } => run_scaleout(
-                &mut self.state,
-                ops,
-                n_pes,
-                self.config.specialized,
-                self.config.dispatch,
-                &mut self.rng,
-                initial_cbits,
-                self.fault_plan.clone(),
-                self.config.detect_races,
-                self.config.remap,
-                self.config.shmem_backend,
-                self.config.respawn_max,
-                self.config.hang_deadline_ms,
-                self.config.fuse,
-                seg,
-            ),
         }
     }
 
@@ -448,9 +435,8 @@ impl Simulator {
         let k = self.config.checkpoint_every as usize;
         if k == 0 {
             self.checkpoint = None;
-            let seg = plan.and_then(|p| p.segment(start_op, ops.len()));
             let (cbits, traffic, races, remap_swaps, respawns) =
-                self.exec_ops(&ops[start_op..], initial_cbits, seg)?;
+                self.exec_segment(ops, start_op..ops.len(), initial_cbits, plan)?;
             self.cbits = cbits;
             return Ok(RunSummary {
                 gates,
@@ -477,9 +463,8 @@ impl Simulator {
             // Align the segment end to the global checkpoint grid so resume
             // and uninterrupted runs segment identically.
             let end = usize::min(ops.len(), (pos / k + 1) * k);
-            let seg = plan.and_then(|p| p.segment(pos, end));
             let (cb, seg_traffic, seg_races, seg_swaps, seg_respawns) =
-                self.exec_ops(&ops[pos..end], cbits, seg)?;
+                self.exec_segment(ops, pos..end, cbits, plan)?;
             cbits = cb;
             merge_worker_traffic(&mut traffic, seg_traffic);
             races.extend(seg_races);
@@ -560,36 +545,25 @@ impl Simulator {
         CompiledPlan::compile(circuit, self.state.n_qubits(), &self.config)
     }
 
-    /// Predict the communication traffic of a circuit at this backend's
-    /// partitioning without running it. When [`SimConfig::remap`] is armed
-    /// on a multi-PE scale-out backend this prices the *remapped* plan —
-    /// relabeling exchange epochs plus the localized gates — so prediction
-    /// and measurement stay cross-checkable on both paths.
+    /// Predict the communication traffic of a circuit under this
+    /// simulator's configuration without running it: a fold over the
+    /// schedule of the plan [`Self::run`] would execute
+    /// ([`CompiledPlan::schedule`]) — every kernel at its physical
+    /// position, fused sweeps as the one kernel they are, every relabeling
+    /// exchange. Conditional kernels are priced as executed, so prediction
+    /// and measured counters agree exactly on any run whose conditions all
+    /// fire.
     #[must_use]
     pub fn predict_traffic(&self, circuit: &Circuit) -> GateTraffic {
-        let n_pes = match self.config.backend {
-            BackendKind::SingleDevice => 1,
-            BackendKind::ScaleUp { n_devices } => n_devices as u64,
-            BackendKind::ScaleOut { n_pes } => n_pes as u64,
-        };
-        if self.config.remap
-            && n_pes > 1
-            && matches!(self.config.backend, BackendKind::ScaleOut { .. })
-        {
-            return crate::traffic::remapped_circuit_traffic(
-                circuit.ops(),
-                self.state.n_qubits(),
-                n_pes,
-                self.config.specialized,
-            );
-        }
-        let gates: Vec<svsim_ir::Gate> = circuit.gates().copied().collect();
-        let compiled = crate::compile::compile_gates(
-            gates.iter(),
-            self.state.n_qubits(),
-            self.config.specialized,
-        );
-        circuit_traffic(&compiled, self.state.n_qubits(), n_pes)
+        let n = self.state.n_qubits();
+        let n_pes = self.config.backend.n_workers() as u64;
+        self.compile_plan(circuit)
+            .schedule()
+            .fold(GateTraffic::default(), |total, item| match item {
+                Scheduled::Kernel { cg, .. } => total.merged(&gate_traffic(cg, n, n_pes)),
+                Scheduled::Exchange { .. } => total.merged(&exchange_traffic(n, n_pes)),
+                Scheduled::Collapse => total,
+            })
     }
 
     /// Reset to `|0...0>` and clear classical bits. Reinitializes the
@@ -800,20 +774,16 @@ impl Simulator {
 /// A distributed backend's worker count must be a nonzero power of two no
 /// larger than the amplitude count.
 fn check_workers(n_qubits: u32, config: &SimConfig) -> SvResult<()> {
-    match config.backend {
-        BackendKind::ScaleUp { n_devices: w } | BackendKind::ScaleOut { n_pes: w } => {
-            if w == 0 || !w.is_power_of_two() {
-                return Err(SvError::InvalidConfig(format!(
-                    "worker count {w} must be a nonzero power of two"
-                )));
-            }
-            if (w as u64) > (1u64 << n_qubits) {
-                return Err(SvError::InvalidConfig(format!(
-                    "worker count {w} exceeds 2^{n_qubits} amplitudes"
-                )));
-            }
-        }
-        BackendKind::SingleDevice => {}
+    let w = config.backend.n_workers();
+    if w == 0 || !w.is_power_of_two() {
+        return Err(SvError::InvalidConfig(format!(
+            "worker count {w} must be a nonzero power of two"
+        )));
+    }
+    if (w as u64) > (1u64 << n_qubits) {
+        return Err(SvError::InvalidConfig(format!(
+            "worker count {w} exceeds 2^{n_qubits} amplitudes"
+        )));
     }
     Ok(())
 }
@@ -1174,19 +1144,22 @@ mod tests {
     #[test]
     fn traffic_reported_for_distributed_backends() {
         let c = ghz(4);
-        let mut sim = Simulator::new(4, SimConfig::scale_out(4)).unwrap();
-        let summary = sim.run(&c).unwrap();
-        assert_eq!(summary.traffic.len(), 4);
-        let total = summary.total_traffic();
-        assert!(total.remote_ops() > 0, "GHZ chain crosses partitions");
-        // Prediction matches measurement: ShmemView does one get+put of
-        // re and im per amplitude access (2 f64 ops per amplitude op).
-        let predicted = sim.predict_traffic(&c);
-        assert_eq!(
-            total.remote_gets + total.remote_puts,
-            2 * predicted.remote_amp_ops,
-            "analytic model must match measured traffic"
-        );
+        for fuse in [0u8, 3] {
+            let config = SimConfig::scale_out(4).with_fusion(fuse);
+            let mut sim = Simulator::new(4, config).unwrap();
+            let summary = sim.run(&c).unwrap();
+            assert_eq!(summary.traffic.len(), 4);
+            let total = summary.total_traffic();
+            assert!(total.remote_ops() > 0, "GHZ chain crosses partitions");
+            // Prediction matches measurement: ShmemView does one get+put of
+            // re and im per amplitude access (2 f64 ops per amplitude op).
+            let predicted = sim.predict_traffic(&c);
+            assert_eq!(
+                total.remote_gets + total.remote_puts,
+                2 * predicted.remote_amp_ops,
+                "fuse {fuse}: analytic model must match measured traffic"
+            );
+        }
     }
 
     #[test]
@@ -1281,20 +1254,37 @@ mod tests {
 
     #[test]
     fn remapped_traffic_matches_prediction_in_bytes() {
-        // Unitary circuit: the measured remote byte counters must equal the
-        // analytic model's `remote_bytes` for the remapped plan exactly.
-        let c = deep_cross_circuit(5);
+        // The measured remote byte counters must equal the analytic model's
+        // `remote_bytes` exactly, whatever the lowering did: remapped or
+        // not, fused or not. The conditional fires on every run (the
+        // register is never written), so "priced as executed" is exact too.
+        let mut c = Circuit::with_cbits(5, 1);
+        c.extend(&deep_cross_circuit(5)).unwrap();
+        c.if_eq(
+            0,
+            1,
+            0,
+            svsim_ir::Gate::new(GateKind::H, &[4], &[]).unwrap(),
+        )
+        .unwrap();
+        c.extend(&deep_cross_circuit(5)).unwrap();
         for n_pes in [2usize, 4, 8] {
-            let config = SimConfig::scale_out(n_pes).with_remap();
-            let mut sim = Simulator::new(5, config).unwrap();
-            let summary = sim.run(&c).unwrap();
-            let total = summary.total_traffic();
-            let predicted = sim.predict_traffic(&c);
-            assert_eq!(
-                total.remote_get_bytes + total.remote_put_bytes,
-                predicted.remote_bytes,
-                "{n_pes} PEs: analytic model must match measured remapped traffic"
-            );
+            for remap in [false, true] {
+                for fuse in [0u8, 3] {
+                    let mut config = SimConfig::scale_out(n_pes).with_fusion(fuse);
+                    config.remap = remap;
+                    let mut sim = Simulator::new(5, config).unwrap();
+                    let summary = sim.run(&c).unwrap();
+                    let total = summary.total_traffic();
+                    let predicted = sim.predict_traffic(&c);
+                    assert_eq!(
+                        total.remote_get_bytes + total.remote_put_bytes,
+                        predicted.remote_bytes,
+                        "{n_pes} PEs, remap {remap}, fuse {fuse}: analytic model must match \
+                         measured traffic"
+                    );
+                }
+            }
         }
     }
 

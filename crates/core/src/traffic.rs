@@ -218,40 +218,6 @@ pub fn exchange_traffic(n_qubits: u32, n_pes: u64) -> GateTraffic {
     }
 }
 
-/// Exact traffic prediction for the *remapped* scale-out schedule of an op
-/// stream: plan the relabeling with [`crate::remap::plan_remap`] (the same
-/// planner the executor runs), then price every exchange epoch plus every
-/// remapped compiled gate. Localized gates contribute zero remote traffic;
-/// gates too wide to fit below the partition boundary keep their
-/// word-at-a-time remote cost.
-///
-/// Exact for unitary streams; conditional gates are priced as-if executed
-/// (same convention as the naive predictor).
-#[must_use]
-pub fn remapped_circuit_traffic(
-    ops: &[svsim_ir::Op],
-    n_qubits: u32,
-    n_pes: u64,
-    specialized: bool,
-) -> GateTraffic {
-    let plan = crate::remap::plan_remap(ops, n_qubits, n_pes);
-    let mut total = GateTraffic::default();
-    let mut queue: Vec<CompiledGate> = Vec::new();
-    for (op, swaps) in plan.ops.iter().zip(&plan.pre_swaps) {
-        for _ in swaps {
-            total = total.merged(&exchange_traffic(n_qubits, n_pes));
-        }
-        if let svsim_ir::Op::Gate(g) | svsim_ir::Op::IfEq { gate: g, .. } = op {
-            queue.clear();
-            crate::compile::compile_gate(g, n_qubits, specialized, &mut queue);
-            for cg in &queue {
-                total = total.merged(&gate_traffic(cg, n_qubits, n_pes));
-            }
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

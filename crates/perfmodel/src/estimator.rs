@@ -15,6 +15,7 @@
 use crate::platform::{DeviceSpec, InterconnectSpec};
 use svsim_core::compile::{compile_gates, CompiledGate};
 use svsim_core::traffic::gate_traffic;
+use svsim_core::{CompiledPlan, Scheduled, SimConfig};
 use svsim_ir::Circuit;
 
 /// Estimated latency breakdown, in seconds.
@@ -41,21 +42,6 @@ impl LatencyBreakdown {
 pub fn compile_for_estimate(circuit: &Circuit) -> Vec<CompiledGate> {
     let gates: Vec<svsim_ir::Gate> = circuit.gates().copied().collect();
     compile_gates(gates.iter(), circuit.n_qubits(), true)
-}
-
-/// Compile a circuit for estimation with the lowering's gate-fusion pass
-/// applied (`SimConfig::with_fusion(window)`): runs of adjacent gates whose
-/// combined footprint fits a ≤`window`-qubit window collapse into dense
-/// fused sweeps, exactly as `CompiledPlan::compile` would emit them. Every
-/// estimator path prices the result unchanged — `gate_traffic` knows the
-/// fused access patterns (one full-window gather/scatter per item, with
-/// the constituent micro-ops' flops replayed) — so a fused plan's roofline
-/// reflects its reduced amplitude-pass count. `window == 0` is exactly
-/// [`compile_for_estimate`].
-#[must_use]
-pub fn compile_for_estimate_fused(circuit: &Circuit, window: u8) -> Vec<CompiledGate> {
-    let queue = compile_for_estimate(circuit);
-    svsim_core::fuse_compiled(&queue, circuit.n_qubits(), window).0
 }
 
 /// Single-device latency (Fig. 6).
@@ -233,10 +219,11 @@ pub fn scale_out(
 }
 
 /// Scale-out latency with communication-avoiding qubit relabeling: price
-/// the remapped schedule (`svsim_core::remap::plan_remap`) — bulk slab
-/// exchanges where the planner relabels, localized kernels everywhere
-/// else. Compare against [`scale_out`] on the same circuit to see the
-/// communication-avoidance payoff at Summit scale.
+/// the schedule of the plan a `remap = true` scale-out run at `n_pes`
+/// executes (`CompiledPlan::schedule`) — bulk slab exchanges where the
+/// lowering relabels, localized kernels everywhere else. Compare against
+/// [`scale_out`] on the same circuit to see the communication-avoidance
+/// payoff at Summit scale.
 #[must_use]
 pub fn scale_out_remapped(
     dev: &DeviceSpec,
@@ -248,19 +235,13 @@ pub fn scale_out_remapped(
 ) -> LatencyBreakdown {
     let n_qubits = circuit.n_qubits();
     let env = ScaleOutEnv::new(dev, ic, n_qubits, n_pes, pes_per_node, intra_bw_gbps);
-    let plan = svsim_core::remap::plan_remap(circuit.ops(), n_qubits, n_pes);
+    let config = SimConfig::scale_out(n_pes as usize).with_remap();
     let mut out = LatencyBreakdown::default();
-    let mut queue = Vec::new();
-    for (op, swaps) in plan.ops.iter().zip(&plan.pre_swaps) {
-        for &(lo, hi) in swaps {
-            env.price_exchange(lo, hi, &mut out);
-        }
-        if let svsim_ir::Op::Gate(g) | svsim_ir::Op::IfEq { gate: g, .. } = op {
-            queue.clear();
-            svsim_core::compile::compile_gate(g, n_qubits, true, &mut queue);
-            for cg in &queue {
-                env.price_gate(cg, &mut out);
-            }
+    for item in CompiledPlan::compile(circuit, n_qubits, &config).schedule() {
+        match item {
+            Scheduled::Exchange { lo, hi } => env.price_exchange(lo, hi, &mut out),
+            Scheduled::Kernel { cg, .. } => env.price_gate(cg, &mut out),
+            Scheduled::Collapse => {}
         }
     }
     out
@@ -633,7 +614,14 @@ mod tests {
             c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
         }
         let plain = compile_for_estimate(&c);
-        let fused = compile_for_estimate_fused(&c, 3);
+        let plan = CompiledPlan::compile(&c, n, &SimConfig::single_device().with_fusion(3));
+        let fused: Vec<CompiledGate> = plan
+            .schedule()
+            .filter_map(|item| match item {
+                Scheduled::Kernel { cg, .. } => Some(cg.clone()),
+                _ => None,
+            })
+            .collect();
         assert!(fused.len() < plain.len() / 2, "the ladder must collapse");
         assert_eq!(svsim_core::source_kernels(&fused), plain.len());
         let t_plain = single_device(&devices::V100, &plain, n);

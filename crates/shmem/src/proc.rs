@@ -67,7 +67,7 @@ use crate::proto::{self, MemOrder, ProtoMem};
 use crate::shared::{SharedF64Vec, SharedU64Vec};
 use crate::world::{ShmemCtx, SpmdOutput, World};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svsim_types::{PeOp, SvError, SvResult};
@@ -1521,6 +1521,7 @@ where
     if n_pes == 0 {
         return Err(SvError::InvalidConfig("n_pes must be >= 1".into()));
     }
+    silence_child_panics();
     let pw = ProcWorld::new(n_pes, opts)?;
     if let Some(plan) = &faults {
         pw.seed_faults(plan)?;
@@ -1813,6 +1814,32 @@ fn pe_death(world: &World, pe: usize, signal: i32, code: i32) -> SvError {
     }
 }
 
+/// True only in a forked PE (the store happens after the fork, in the
+/// child's copy of the flag).
+static FORKED_CHILD: AtomicBool = AtomicBool::new(false);
+
+/// Keep panics in forked PEs silent and cheap: children share the parent's
+/// stderr, expected failures (injected faults, poisoned barriers) are
+/// panics by design, and a backtrace would stall the PE's heartbeat past a
+/// short watchdog deadline. Installed once, by the *parent*, as a wrapper
+/// that defers to the hook it found unless [`FORKED_CHILD`] is set. The
+/// child itself must not call `panic::set_hook`: that takes std's
+/// process-global hook lock for writing, and a fork taken while another
+/// parent thread is mid-panic inherits the lock read-held by a thread that
+/// does not exist in the child — it would deadlock before its first
+/// heartbeat. Reading the flag takes no lock at all.
+fn silence_child_panics() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let parent_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !FORKED_CHILD.load(Ordering::Relaxed) {
+                parent_hook(info);
+            }
+        }));
+    });
+}
+
 /// The child side of a fork: run the body, convert panics into the same
 /// typed errors the thread backend produces, publish the encoded result,
 /// and `_exit` without unwinding into the inherited parent state.
@@ -1828,10 +1855,7 @@ where
     T: Wire + Send,
     F: Fn(&ShmemCtx<'_>) -> T + Sync,
 {
-    // Children share the parent's stderr: silence the default panic hook
-    // so expected failures (injected faults, poisoned barriers) do not
-    // spam it. Process-local — the parent's hook is untouched.
-    std::panic::set_hook(Box::new(|_| {}));
+    FORKED_CHILD.store(true, Ordering::Relaxed);
     let pw = world.proc().expect("child of a process world");
     pw.heartbeat(pe);
     let mut parked_round = pw.round();

@@ -44,8 +44,10 @@ echo "== access-protocol analysis (static, full suite) =="
 cargo run --release --quiet -- analyze --suite --pes 8
 cargo run --release --quiet -- analyze --suite --pes 8 --remap
 # The fused kernel schedule must prove conflict-free too: same per-epoch
-# disjointness argument, one (now denser) kernel per epoch.
+# disjointness argument, one (now denser) kernel per epoch — on its own
+# and on top of the remapped schedule (one SimConfig, one compiled plan).
 cargo run --release --quiet -- analyze --suite --pes 8 --fuse 3
+cargo run --release --quiet -- analyze --suite --pes 8 --remap --fuse 3
 
 echo "== access-protocol analysis (dynamic cross-validation) =="
 # Execute the smaller workloads under the runtime race detector and check
@@ -53,6 +55,7 @@ echo "== access-protocol analysis (dynamic cross-validation) =="
 cargo run --release --quiet -- analyze --suite --pes 2 --detect --max-qubits 14
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --remap
+cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --fuse 3
 
 echo "== gate fusion gate =="
 # Fused plans must stay bit-identical to unfused ones and collapse the

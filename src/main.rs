@@ -658,28 +658,30 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
 }
 
 /// Static (and optionally dynamic) race analysis of the one-sided SHMEM
-/// access protocol. `--suite` analyzes every Table 4 workload instead of a
-/// QASM file; `--detect` additionally executes each plan under the runtime
-/// race detector and cross-checks the verdicts; `--merge-epochs I`
-/// deliberately removes the barrier after epoch `I` to demonstrate conflict
-/// detection. Exits nonzero on any conflict, dynamic race, or disagreement.
+/// access protocol. `--pes`, `--remap` and `--fuse` make up the scale-out
+/// configuration whose compiled plan is analyzed — the schedule a `run`
+/// with the same flags executes. `--suite` analyzes every Table 4 workload
+/// instead of a QASM file; `--detect` additionally executes each plan under
+/// the runtime race detector and cross-checks the verdicts;
+/// `--merge-epochs I` deliberately removes the barrier after epoch `I` to
+/// demonstrate conflict detection. Exits nonzero on any conflict, dynamic
+/// race, or disagreement.
 fn cmd_analyze(flags: &Flags) -> CmdResult {
-    use sv_sim::analyzer::{
-        analyze_circuit, analyze_circuit_remapped, check_plan, cross_validate,
-        cross_validate_remapped, CommPlan, Verdict,
-    };
+    use sv_sim::analyzer::{analyze, check_plan, cross_validate, CommPlan, Verdict};
+    use sv_sim::core::CompiledPlan;
 
-    let pes: u64 = flags.value("--pes").map_or(Ok(8), str::parse)?;
+    let pes: usize = flags.value("--pes").map_or(Ok(8), str::parse)?;
     let detect = flags.has("--detect");
-    let remap = flags.has("--remap");
-    let fuse: u8 = flags.value("--fuse").map_or(Ok(0), str::parse)?;
-    if fuse > 0 && (remap || detect) {
-        return Err("--fuse models the fused kernel schedule statically; \
+    let mut config = SimConfig::scale_out(pes)
+        .with_seed(flags.value("--seed").map_or(Ok(0xACE5), str::parse)?)
+        .with_fusion(flags.value("--fuse").map_or(Ok(0), str::parse)?);
+    config.remap = flags.has("--remap");
+    let merge: Option<usize> = flags.value("--merge-epochs").map(str::parse).transpose()?;
+    if merge.is_some() && (detect || config.remap) {
+        return Err("--merge-epochs edits the plain schedule statically; \
                     combine it with neither --remap nor --detect"
             .into());
     }
-    let seed: u64 = flags.value("--seed").map_or(Ok(0xACE5), str::parse)?;
-    let merge: Option<usize> = flags.value("--merge-epochs").map(str::parse).transpose()?;
     let max_qubits: u32 = flags
         .value("--max-qubits")
         .map_or(Ok(u32::MAX), str::parse)?;
@@ -702,35 +704,21 @@ fn cmd_analyze(flags: &Flags) -> CmdResult {
 
     let mut bad = 0usize;
     for (name, circuit) in &targets {
-        let report = if let Some(i) = merge {
-            if remap {
-                return Err("--merge-epochs and --remap are mutually exclusive".into());
+        let report = match merge {
+            None => analyze(circuit, &config)?,
+            Some(i) => {
+                let plan = CompiledPlan::compile(circuit, circuit.n_qubits(), &config);
+                let mut plan = CommPlan::from_plan(&plan);
+                plan.merge_epochs(i)?;
+                check_plan(&plan, pes as u64)?
             }
-            let mut plan = CommPlan::from_circuit(circuit);
-            plan.merge_epochs(i)?;
-            check_plan(&plan, pes)?
-        } else if remap {
-            analyze_circuit_remapped(circuit, pes)?
-        } else if fuse > 0 {
-            check_plan(&CommPlan::from_circuit_fused(circuit, fuse), pes)?
-        } else {
-            analyze_circuit(circuit, pes)?
         };
         print!("{name}: {report}");
         if report.verdict() != Verdict::ProvenSafe {
             bad += 1;
         }
         if detect {
-            if merge.is_some() {
-                return Err("--detect cross-validates the executor's own schedule; \
-                            it cannot execute a --merge-epochs plan"
-                    .into());
-            }
-            let cv = if remap {
-                cross_validate_remapped(name, circuit, usize::try_from(pes)?, seed)?
-            } else {
-                cross_validate(name, circuit, usize::try_from(pes)?, seed)?
-            };
+            let cv = cross_validate(name, circuit, config)?;
             println!(
                 "  dynamic: {} races at {} PEs, verdicts {}",
                 cv.races.len(),
