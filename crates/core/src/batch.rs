@@ -173,7 +173,6 @@ impl ParamCircuit {
                 );
                 patches.push(Patch {
                     gate_idx: start,
-                    micro: None,
                     kind: g.kind,
                     params: g.params.clone(),
                 });
@@ -188,14 +187,10 @@ impl ParamCircuit {
     }
 }
 
-/// A pending parameter substitution. `micro` addresses the constituent
-/// kernel inside a fused window sweep (`None` for a bare kernel): fused
-/// templates keep **symbolic angle slots** — only the micro-op's payload
-/// is rewritten between trials, never the fusion structure.
+/// A pending parameter substitution into the payload of `queue[gate_idx]`.
 #[derive(Debug, Clone)]
 struct Patch {
     gate_idx: usize,
-    micro: Option<usize>,
     kind: GateKind,
     params: Vec<ParamValue>,
 }
@@ -224,42 +219,6 @@ impl CompiledTemplate {
         self.n_qubits
     }
 
-    /// Fuse the compiled queue in place (see [`crate::fuse`]): runs of
-    /// adjacent kernels sharing a ≤`window`-qubit footprint collapse into
-    /// one window sweep, and every parameter patch is re-addressed to its
-    /// micro-op inside the fused gate. Trials still only substitute
-    /// payloads — no re-fusion per batch member — and results stay
-    /// bit-identical to the unfused template.
-    pub fn fuse(&mut self, window: u8) {
-        if window == 0 {
-            return;
-        }
-        let (fused, origin) = crate::fuse::fuse_compiled(&self.queue, self.n_qubits, window);
-        for patch in &mut self.patches {
-            let j = origin
-                .iter()
-                .position(|r| r.contains(&patch.gate_idx))
-                .expect("every source kernel survives fusion");
-            patch.micro =
-                (!fused[j].args.fused.is_empty()).then(|| patch.gate_idx - origin[j].start);
-            patch.gate_idx = j;
-        }
-        self.queue = fused;
-    }
-
-    /// Amplitude passes one trial performs (the compiled queue length).
-    #[must_use]
-    pub fn n_passes(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Source kernels behind those passes (equal to [`Self::n_passes`]
-    /// until [`Self::fuse`] merges some).
-    #[must_use]
-    pub fn n_source_kernels(&self) -> usize {
-        crate::fuse::source_kernels(&self.queue)
-    }
-
     /// Patch the queue payloads for `values`.
     fn apply_patches(&mut self, values: &[f64]) {
         for patch in &self.patches {
@@ -271,10 +230,7 @@ impl CompiledTemplate {
                     ParamValue::Var(i) => values[*i],
                 })
                 .collect();
-            let args = match patch.micro {
-                Some(m) => &mut self.queue[patch.gate_idx].args.fused[m].args,
-                None => &mut self.queue[patch.gate_idx].args,
-            };
+            let args = &mut self.queue[patch.gate_idx].args;
             match patch.kind {
                 GateKind::U1 | GateKind::CU1 => {
                     args.s0 = resolved[0].cos();
@@ -412,35 +368,6 @@ mod tests {
                 fast.max_diff(sim.state()) < 1e-12,
                 "template diverged from rebuild"
             );
-        }
-    }
-
-    #[test]
-    fn fused_template_is_bit_identical_and_collapses_passes() {
-        let t = template();
-        let mut plain = t.compile().unwrap();
-        for window in 1..=3u8 {
-            let mut fused = t.compile().unwrap();
-            fused.fuse(window);
-            assert_eq!(
-                fused.n_source_kernels(),
-                plain.n_passes(),
-                "window {window}: fusion must preserve every source kernel"
-            );
-            if window >= 2 {
-                assert!(
-                    fused.n_passes() < plain.n_passes(),
-                    "window {window}: a dense ansatz must fuse"
-                );
-            }
-            let mut rng = SvRng::seed_from_u64(17);
-            for trial in 0..6 {
-                let values: Vec<f64> = (0..t.n_vars()).map(|_| rng.range_f64(-3.0, 3.0)).collect();
-                let a = plain.run(&values).unwrap();
-                let b = fused.run(&values).unwrap();
-                assert_eq!(a.re(), b.re(), "window {window} trial {trial}");
-                assert_eq!(a.im(), b.im(), "window {window} trial {trial}");
-            }
         }
     }
 

@@ -7,17 +7,17 @@
 //! one kernel with no JIT. The HIP/MI100 fallback must instead parse and
 //! branch per gate at runtime (§3.2.1, §4.1 obs. v).
 //!
-//! Both paths exist here and are benchmarked against each other:
-//! - [`upload`] resolves every compiled gate to a monomorphized kernel
-//!   pointer once ("copy the device symbol into the gate object").
-//! - [`exec_parsed`] re-derives the kernel arguments from the raw [`Gate`]
-//!   and branches on the kind at every execution.
+//! Both paths exist and are benchmarked against each other: [`upload`]
+//! here resolves every compiled gate to a monomorphized kernel pointer once
+//! ("copy the device symbol into the gate object"); under
+//! [`crate::DispatchMode::RuntimeParse`] the executors instead re-derive
+//! the kernel arguments from the raw gate and [`resolve`] on the kind at
+//! every execution.
 
-use crate::compile::{compile_gate, CompiledGate, KernelId};
+use crate::compile::{CompiledGate, KernelId};
 use crate::kernels::{self, GateArgs};
 use crate::view::StateView;
 use std::ops::Range;
-use svsim_ir::Gate;
 
 /// The unified kernel signature (the paper's `func_t`).
 pub type KernelFn<V> = fn(&V, &GateArgs, Range<u64>);
@@ -78,27 +78,6 @@ pub fn upload<V: StateView>(compiled: &[CompiledGate]) -> Vec<UploadedGate<V>> {
         .collect()
 }
 
-/// Runtime-parse execution: derive the kernel invocation from the raw gate
-/// *now*, then branch to the kernel — the per-gate overhead the paper's
-/// fn-pointer design avoids. `scratch` is reused across calls to keep the
-/// comparison about parsing, not allocation.
-pub fn exec_parsed<V: StateView>(
-    g: &Gate,
-    n_qubits: u32,
-    specialized: bool,
-    view: &V,
-    worker: u64,
-    n_workers: u64,
-    scratch: &mut Vec<CompiledGate>,
-) {
-    scratch.clear();
-    compile_gate(g, n_qubits, specialized, scratch);
-    for c in scratch.iter() {
-        let r = kernels::worker_range(c.args.work, n_workers, worker);
-        resolve::<V>(c.id)(view, &c.args, r);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,44 +85,26 @@ mod tests {
     use crate::view::LocalView;
     use svsim_ir::{Circuit, GateKind};
 
-    fn ghz_gates() -> Vec<Gate> {
+    #[test]
+    fn uploaded_gates_prepare_ghz() {
         let mut c = Circuit::new(3);
         c.apply(GateKind::H, &[0], &[]).unwrap();
         c.apply(GateKind::CX, &[0, 1], &[]).unwrap();
         c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
-        c.gates().copied().collect()
-    }
-
-    #[test]
-    fn uploaded_and_parsed_agree() {
-        let gates = ghz_gates();
-        // fn-pointer path
-        let mut re1 = vec![0.0; 8];
-        let mut im1 = vec![0.0; 8];
-        re1[0] = 1.0;
+        let mut re = vec![0.0; 8];
+        let mut im = vec![0.0; 8];
+        re[0] = 1.0;
         {
-            let v = LocalView::new(&mut re1, &mut im1);
-            let compiled = compile_gates(gates.iter(), 3, true);
+            let v = LocalView::new(&mut re, &mut im);
+            let compiled = compile_gates(c.gates(), 3, true);
             for ug in upload::<LocalView>(&compiled) {
                 ug.exe_op(&v, 0..ug.args.work);
             }
         }
-        // runtime-parse path
-        let mut re2 = vec![0.0; 8];
-        let mut im2 = vec![0.0; 8];
-        re2[0] = 1.0;
-        {
-            let v = LocalView::new(&mut re2, &mut im2);
-            let mut scratch = Vec::new();
-            for g in &gates {
-                exec_parsed(g, 3, true, &v, 0, 1, &mut scratch);
-            }
-        }
-        assert_eq!(re1, re2);
-        assert_eq!(im1, im2);
         // GHZ: only |000> and |111> populated.
-        assert!((re1[0] - svsim_types::S2I).abs() < 1e-12);
-        assert!((re1[7] - svsim_types::S2I).abs() < 1e-12);
+        assert!((re[0] - svsim_types::S2I).abs() < 1e-12);
+        assert!((re[7] - svsim_types::S2I).abs() < 1e-12);
+        assert!(re[1..7].iter().chain(&im).all(|&x| x == 0.0));
     }
 
     #[test]

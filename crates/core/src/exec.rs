@@ -1,11 +1,12 @@
-//! Circuit executors: single-device, scale-up, and scale-out.
+//! Circuit executors: single-device, and one partitioned runner for
+//! scale-up and scale-out.
 //!
-//! All three walk the same step stream with the same kernels; they differ
-//! only in the memory fabric ([`crate::view`]) and the synchronization
-//! between gates — none for a single device, a shared-memory barrier across
-//! device threads for scale-up (the cooperative multi-grid sync of
-//! Listing 4), and `shmem_barrier_all` across PEs for scale-out
-//! (Listing 5).
+//! All three backends walk the same step stream with the same kernels; they
+//! differ only in the memory fabric ([`crate::view`]) and the
+//! synchronization between gates — none for a single device, and the SHMEM
+//! world's barrier across workers for the partitioned backends (the
+//! cooperative multi-grid sync of Listing 4 and the `shmem_barrier_all` of
+//! Listing 5 are the same call here).
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -13,16 +14,13 @@ use crate::kernels::{worker_range, GateArgs};
 use crate::measure;
 use crate::plan::PlanSegment;
 use crate::remap::QubitLayout;
-use crate::sim::{BackendKind, SimConfig};
+use crate::sim::{BackendKind, RunSummary, SimConfig};
 use crate::state::StateVector;
 use crate::view::{LocalView, PeerView, ShmemView, StateView};
 use std::ops::Range;
 use std::sync::Arc;
 use svsim_ir::Gate;
-use svsim_shmem::{
-    FaultPlan, MetricsTable, ProcOptions, RaceDetector, RaceReport, SenseBarrier, SharedF64Vec,
-    ShmemBackend, TrafficSnapshot,
-};
+use svsim_shmem::{FaultPlan, ProcOptions, RaceDetector, SharedF64Vec, ShmemBackend, ShmemCtx};
 use svsim_types::{SvError, SvResult, SvRng};
 
 /// How gates are bound to kernels at execution time.
@@ -257,27 +255,11 @@ pub(crate) fn run_single(
     Ok(cbits)
 }
 
-/// Validate a worker count for a given register width.
-fn check_workers(n_workers: usize, n_qubits: u32, what: &str) -> SvResult<()> {
-    if n_workers == 0 || !n_workers.is_power_of_two() {
-        return Err(SvError::InvalidConfig(format!(
-            "{what} count {n_workers} must be a nonzero power of two"
-        )));
-    }
-    if (n_workers as u64) > (1u64 << n_qubits) {
-        return Err(SvError::InvalidConfig(format!(
-            "{what} count {n_workers} exceeds the state dimension"
-        )));
-    }
-    Ok(())
-}
-
-/// One worker of a partitioned backend: its rank and the partition of the
-/// state it owns.
+/// One worker of a partitioned backend: its SHMEM context (rank, world
+/// size, barrier, reduce) and the partition of the state it owns.
 struct Worker<'a> {
+    ctx: &'a ShmemCtx<'a>,
     n_qubits: u32,
-    rank: u64,
-    n_workers: u64,
     re: &'a SharedF64Vec,
     im: &'a SharedF64Vec,
     /// Global index of the partition's first amplitude.
@@ -293,13 +275,13 @@ impl Worker<'_> {
     /// bit-for-bit; without a snapshot the layout is identity and the slot
     /// is the worker rank.
     fn measure_partial(&self, lay: Option<&QubitLayout>, qubit: u32) -> (f64, usize, u32) {
+        let rank = self.ctx.my_pe();
         match lay {
             Some(lay) => {
-                let boundary = self.n_qubits - self.n_workers.trailing_zeros();
+                let boundary = self.n_qubits - self.ctx.n_pes().trailing_zeros();
                 let mut slot = 0usize;
                 for j in 0..(self.n_qubits - boundary) {
-                    slot |=
-                        (((self.rank >> (lay.phys(boundary + j) - boundary)) & 1) as usize) << j;
+                    slot |= ((rank >> (lay.phys(boundary + j) - boundary)) & 1) << j;
                 }
                 let logical_base = (slot as u64) << boundary;
                 let low_pos: Vec<u32> = (0..boundary).map(|k| lay.phys(k)).collect();
@@ -314,24 +296,17 @@ impl Worker<'_> {
             }
             None => (
                 measure::partial_prob_one_partition(self.re, self.im, self.base, qubit),
-                self.rank as usize,
+                rank,
                 qubit,
             ),
         }
     }
 }
 
-/// What a partitioned backend's fabric provides between kernels: `sync`
-/// is called after every kernel; `reduce` turns a local probability
-/// contribution (deposited at a caller-chosen scratch slot) into the global
-/// one; `exchange` realizes one relabeling slab exchange collectively.
-struct Collectives<'a> {
-    exchange: &'a dyn Fn(u32, u32),
-    sync: &'a dyn Fn(),
-    reduce: &'a dyn Fn(usize, f64) -> f64,
-}
-
-/// Shared segment walker for the partitioned backends.
+/// Shared segment walker for the partitioned backends: every worker runs
+/// its share of each kernel through `view`, then `shmem_barrier_all`
+/// (Listings 4 and 5 differ only in how `view` reaches `sv[i]`).
+/// `exchange` realizes one relabeling slab exchange collectively.
 fn walk_steps<V: StateView>(
     seg: &PlanSegment,
     config: &SimConfig,
@@ -339,8 +314,10 @@ fn walk_steps<V: StateView>(
     me: &Worker<'_>,
     randoms: &[f64],
     initial_cbits: u64,
-    fabric: &Collectives<'_>,
+    exchange: impl Fn(u32, u32),
 ) -> SvResult<u64> {
+    let ctx = me.ctx;
+    let (rank, n_workers) = (ctx.my_pe() as u64, ctx.n_pes() as u64);
     let mut cbits = initial_cbits;
     let mut kernels = Kernels::<V>::new(seg, config, me.n_qubits);
     // One barrier per kernel — a fused kernel's whole run included. Safe:
@@ -348,12 +325,15 @@ fn walk_steps<V: StateView>(
     // sub-range, so no cross-worker dataflow exists inside the sweep (same
     // argument as any two-qubit kernel).
     let mine = |kernel: KernelFn<V>, args: &GateArgs| {
-        kernel(view, args, worker_range(args.work, me.n_workers, me.rank));
-        (fabric.sync)();
+        kernel(view, args, worker_range(args.work, n_workers, rank));
+        ctx.barrier_all();
     };
     let collapse = |qubit: u32, lay: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
         let (partial, slot, phys_q) = me.measure_partial(lay, qubit);
-        let p1 = (fabric.reduce)(slot, partial);
+        // Pairwise combine: each partial is a subtree node of the canonical
+        // probability tree (see svsim_types::numeric), so this matches
+        // prob_one bit-for-bit.
+        let p1 = ctx.sum_reduce_f64_at(slot, partial);
         let outcome = u8::from(r < p1);
         let p = if outcome == 1 { p1 } else { 1.0 - p1 };
         if p < 1e-300 {
@@ -362,12 +342,12 @@ fn walk_steps<V: StateView>(
             )));
         }
         measure::collapse_partition(me.re, me.im, me.base, phys_q, outcome, 1.0 / p.sqrt());
-        (fabric.sync)();
+        ctx.barrier_all();
         Ok(outcome)
     };
     for step in &seg.steps {
         match step {
-            Step::Exchange { lo, hi } => (fabric.exchange)(*lo, *hi),
+            Step::Exchange { lo, hi } => exchange(*lo, *hi),
             Step::Gate { raw, compiled, .. } => kernels.each(Some(raw), compiled, mine),
             Step::IfEq {
                 creg_lo,
@@ -410,141 +390,31 @@ fn walk_steps<V: StateView>(
     Ok(cbits)
 }
 
-/// Scale-up execution of one lowered segment: the state vector partitioned
-/// across the configured device partitions in one process, accessed via the
-/// peer pointer table (§3.2.2). Returns the classical bits and the peer
-/// traffic profile.
-pub(crate) fn run_scaleup(
-    state: &mut StateVector,
-    seg: &PlanSegment,
-    config: &SimConfig,
-    rng: &mut SvRng,
-    initial_cbits: u64,
-) -> SvResult<(u64, Vec<TrafficSnapshot>)> {
-    let BackendKind::ScaleUp { n_devices: n_dev } = config.backend else {
-        unreachable!("run_scaleup is dispatched on the scale-up backend");
-    };
-    let n = state.n_qubits();
-    check_workers(n_dev, n, "device")?;
-    let dim = state.dim();
-    let per_dev = dim / n_dev;
-    let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
-
-    // Partition the state (the host-to-devices transfer).
-    let re_parts: Vec<SharedF64Vec> = (0..n_dev)
-        .map(|_| SharedF64Vec::new(per_dev, 0.0))
-        .collect();
-    let im_parts: Vec<SharedF64Vec> = (0..n_dev)
-        .map(|_| SharedF64Vec::new(per_dev, 0.0))
-        .collect();
-    for d in 0..n_dev {
-        re_parts[d].store_slice(0, &state.re()[d * per_dev..(d + 1) * per_dev]);
-        im_parts[d].store_slice(0, &state.im()[d * per_dev..(d + 1) * per_dev]);
-    }
-
-    let metrics = MetricsTable::new(n_dev);
-    let barrier = SenseBarrier::new(n_dev);
-    let coll = SharedF64Vec::new(n_dev, 0.0);
-
-    let mut cbits_out = 0u64;
-    let mut err: Option<SvError> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_dev)
-            .map(|d| {
-                let re_parts = &re_parts;
-                let im_parts = &im_parts;
-                let metrics = &metrics;
-                let barrier = &barrier;
-                let coll = &coll;
-                let randoms = &randoms;
-                scope.spawn(move || -> SvResult<u64> {
-                    let view = PeerView::new(re_parts, im_parts, d, Some(metrics.pe(d)));
-                    let token = std::cell::Cell::new(svsim_shmem::BarrierToken::default());
-                    let sync = || {
-                        let mut t = token.take();
-                        barrier.wait(&mut t);
-                        token.set(t);
-                    };
-                    let reduce = |slot: usize, x: f64| {
-                        coll.store(slot, x);
-                        sync();
-                        let partials: Vec<f64> = (0..n_dev).map(|p| coll.load(p)).collect();
-                        // Pairwise combine: each partial is a subtree node of
-                        // the canonical probability tree (see svsim_types::
-                        // numeric), so this matches prob_one bit-for-bit.
-                        let total = svsim_types::numeric::pairwise_sum(&partials);
-                        sync();
-                        total
-                    };
-                    walk_steps(
-                        seg,
-                        config,
-                        &view,
-                        &Worker {
-                            n_qubits: n,
-                            rank: d as u64,
-                            n_workers: n_dev as u64,
-                            re: &re_parts[d],
-                            im: &im_parts[d],
-                            base: (d * per_dev) as u64,
-                        },
-                        randoms,
-                        initial_cbits,
-                        &Collectives {
-                            exchange: &|_, _| unreachable!("no relabeling on the scale-up path"),
-                            sync: &sync,
-                            reduce: &reduce,
-                        },
-                    )
-                })
-            })
-            .collect();
-        for (d, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(Ok(cb)) => {
-                    if d == 0 {
-                        cbits_out = cb;
-                    }
-                }
-                Ok(Err(e)) => err = Some(e),
-                Err(_) => err = Some(SvError::Shmem("scale-up worker panicked".into())),
-            }
-        }
-    });
-    if let Some(e) = err {
-        return Err(e);
-    }
-
-    // Devices-to-host readback.
-    {
-        let (re, im) = state.parts_mut();
-        for d in 0..n_dev {
-            let mut buf = vec![0.0f64; per_dev];
-            re_parts[d].load_slice(0, &mut buf);
-            re[d * per_dev..(d + 1) * per_dev].copy_from_slice(&buf);
-            im_parts[d].load_slice(0, &mut buf);
-            im[d * per_dev..(d + 1) * per_dev].copy_from_slice(&buf);
-        }
-    }
-    Ok((cbits_out, metrics.snapshot_all()))
-}
-
-/// What one backend dispatch hands back: classical bits, per-PE traffic
-/// snapshots, dynamic race reports, relabeling-exchange count, and
-/// in-place respawn count.
-pub(crate) type LaunchOutput = (u64, Vec<TrafficSnapshot>, Vec<RaceReport>, usize, usize);
-
-/// Scale-out execution of one lowered segment: SPMD over SHMEM PEs, each
-/// owning one partition of the symmetric-heap state vector (§3.2.3). An
-/// optional [`FaultPlan`] is threaded into the SHMEM world; if any PE dies
-/// (injected or real), the whole segment fails with a typed error and
-/// `state` is left untouched at its pre-segment contents — exactly what
-/// checkpoint/restart needs.
+/// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
+/// owning one partition of the symmetric-heap state vector. Both
+/// distributed backends run this one body and differ only in how a kernel
+/// reaches `sv[i]`:
 ///
-/// With [`SimConfig::detect_races`] the launch runs under a fresh
+/// - **scale-up** (§3.2.2): a [`PeerView`] over the symmetric arrays'
+///   partitions — the peer pointer table, plain loads and stores. Always
+///   thread PEs (devices of one process).
+/// - **scale-out** (§3.2.3): a [`ShmemView`] — one-sided `get`/`put`
+///   through the ctx — plus the relabeling exchange hook.
+///
+/// The segment's classical bits, per-worker traffic, race reports,
+/// exchange count and respawn count accumulate into `summary`
+/// (`summary.cbits` is also the segment's initial classical register).
+///
+/// `faults` is threaded into the SHMEM world on either backend; if any
+/// worker dies (injected or real), the barrier is poisoned, the whole
+/// segment fails with a typed error and `state` is left untouched at its
+/// pre-segment contents — exactly what checkpoint/restart needs.
+///
+/// The remaining knobs are scale-out only. With
+/// [`SimConfig::detect_races`] the launch runs under a fresh
 /// [`RaceDetector`]: every one-sided access is recorded against
 /// epoch-scoped shadow state, and any access-protocol violations come back
-/// in the output without failing the run. The detector records accesses
+/// in the summary without failing the run. The detector records accesses
 /// through in-process `Arc` shadow state, so it requires the thread
 /// backend.
 ///
@@ -558,41 +428,39 @@ pub(crate) type LaunchOutput = (u64, Vec<TrafficSnapshot>, Vec<RaceReport>, usiz
 /// process-backed PEs forked over a shared `memfd` symmetric heap. The same
 /// SPMD body runs on both; results are bit-identical.
 /// [`SimConfig::respawn_max`] and [`SimConfig::hang_deadline_ms`] configure
-/// the process backend's supervisor. The body closure captures the
+/// the process backend's supervisor. The body scatters from the
 /// segment-initial amplitudes, so a respawned (or re-run) PE reproduces its
 /// partition bit-identically.
-pub(crate) fn run_scaleout(
+pub(crate) fn run_partitioned(
     state: &mut StateVector,
     seg: &PlanSegment,
     config: &SimConfig,
     rng: &mut SvRng,
-    initial_cbits: u64,
     faults: Option<Arc<FaultPlan>>,
-) -> SvResult<LaunchOutput> {
-    let BackendKind::ScaleOut { n_pes } = config.backend else {
-        unreachable!("run_scaleout is dispatched on the scale-out backend");
-    };
-    let n = state.n_qubits();
-    check_workers(n_pes, n, "PE")?;
-    if config.detect_races && config.shmem_backend == ShmemBackend::Process {
+    summary: &mut RunSummary,
+) -> SvResult<()> {
+    let scale_out = matches!(config.backend, BackendKind::ScaleOut { .. });
+    let process = scale_out && config.shmem_backend == ShmemBackend::Process;
+    if config.detect_races && process {
         return Err(SvError::InvalidConfig(
             "race detection requires the thread backend: the detector's shadow \
              state is in-process and cannot observe forked PEs"
                 .into(),
         ));
     }
-    let dim = state.dim();
-    let per_pe = dim / n_pes;
+    let n = state.n_qubits();
+    let n_pes = config.backend.n_workers();
+    let per_pe = state.dim() / n_pes;
     let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
-    let init_re = state.re().to_vec();
-    let init_im = state.im().to_vec();
+    let initial_cbits = summary.cbits;
+    let (init_re, init_im) = (state.re(), state.im());
 
-    let detector = if config.detect_races {
+    let detector = if scale_out && config.detect_races {
         Some(RaceDetector::new(n_pes)?)
     } else {
         None
     };
-    let body = |ctx: &svsim_shmem::ShmemCtx<'_>| -> SvResult<(u64, Vec<f64>, Vec<f64>)> {
+    let body = |ctx: &ShmemCtx<'_>| -> SvResult<(u64, Vec<f64>, Vec<f64>)> {
         let pe = ctx.my_pe();
         let sym_re = ctx.malloc_f64(per_pe)?;
         let sym_im = ctx.malloc_f64(per_pe)?;
@@ -613,30 +481,30 @@ pub(crate) fn run_scaleout(
             .store_slice(0, &init_im[pe * per_pe..(pe + 1) * per_pe]);
         ctx.try_barrier_all()?;
 
-        let view = ShmemView::new(ctx, &sym_re, &sym_im);
-        let cbits = walk_steps(
-            seg,
-            config,
-            &view,
-            &Worker {
-                n_qubits: n,
-                rank: pe as u64,
-                n_workers: n_pes as u64,
-                re: sym_re.partition(pe),
-                im: sym_im.partition(pe),
-                base: (pe * per_pe) as u64,
-            },
-            &randoms,
-            initial_cbits,
-            &Collectives {
-                exchange: &|a, b| {
-                    let (xr, xi) = xch.as_ref().expect("staging buffers allocated");
-                    view.exchange_pair(a, b, xr, xi);
-                },
-                sync: &|| ctx.barrier_all(),
-                reduce: &|slot, x| ctx.sum_reduce_f64_at(slot, x),
-            },
-        )?;
+        let me = Worker {
+            ctx,
+            n_qubits: n,
+            re: sym_re.partition(pe),
+            im: sym_im.partition(pe),
+            base: (pe * per_pe) as u64,
+        };
+        let cbits = if scale_out {
+            let view = ShmemView::new(ctx, &sym_re, &sym_im);
+            walk_steps(seg, config, &view, &me, &randoms, initial_cbits, |a, b| {
+                let (xr, xi) = xch.as_ref().expect("staging buffers allocated");
+                view.exchange_pair(a, b, xr, xi);
+            })
+        } else {
+            let view = PeerView::new(
+                sym_re.partitions(),
+                sym_im.partitions(),
+                pe,
+                Some(ctx.counters()),
+            );
+            walk_steps(seg, config, &view, &me, &randoms, initial_cbits, |_, _| {
+                unreachable!("no relabeling on the scale-up path")
+            })
+        }?;
         ctx.try_barrier_all()?;
         Ok((
             cbits,
@@ -644,65 +512,46 @@ pub(crate) fn run_scaleout(
             sym_im.partition(pe).to_vec(),
         ))
     };
-    let out = match config.shmem_backend {
-        ShmemBackend::Process => {
-            // Symmetric heap: re + im (per_pe each) plus the optional pair
-            // of half-partition exchange staging buffers; result slot: the
-            // two returned partition vectors plus cbits/tag overhead.
-            let opts = ProcOptions {
-                respawn_max: config.respawn_max,
-                hang_deadline_ms: u64::from(config.hang_deadline_ms),
-                ..ProcOptions::sized_for(3 * per_pe + 64, 2 * per_pe + 64)
-            };
-            svsim_shmem::launch_process(n_pes, &opts, faults, body)?
-        }
-        ShmemBackend::Thread => match &detector {
-            Some(det) => svsim_shmem::launch_detected(n_pes, faults, Arc::clone(det), body)?,
-            None => svsim_shmem::launch_with_faults(n_pes, faults, body)?,
-        },
+    let out = if process {
+        // Symmetric heap: re + im (per_pe each) plus the optional pair of
+        // half-partition exchange staging buffers; result slot: the two
+        // returned partition vectors plus cbits/tag overhead.
+        let opts = ProcOptions {
+            respawn_max: config.respawn_max,
+            hang_deadline_ms: u64::from(config.hang_deadline_ms),
+            ..ProcOptions::sized_for(3 * per_pe + 64, 2 * per_pe + 64)
+        };
+        svsim_shmem::launch_process(n_pes, &opts, faults, body)?
+    } else if let Some(det) = &detector {
+        svsim_shmem::launch_detected(n_pes, faults, Arc::clone(det), body)?
+    } else {
+        svsim_shmem::launch_with_faults(n_pes, faults, body)?
     };
 
     // A PE death aborts the segment before any readback: the caller's
-    // state vector still holds the pre-segment amplitudes. Failures can be
-    // outer (the PE panicked / was killed) or inner (the body returned an
-    // error, e.g. a fault during a collective allocation); prefer the
-    // typed root cause over secondary "peer poisoned the barrier" reports.
-    let root = out
-        .results
-        .iter()
-        .filter_map(|r| match r {
-            Err(e) | Ok(Err(e)) => Some(e),
-            Ok(Ok(_)) => None,
-        })
-        .min_by_key(|e| match e {
-            SvError::PeFailed { .. } | SvError::PeHung { .. } => 0u8,
-            SvError::Shmem(msg) if msg.contains("poisoned") => 2,
-            SvError::BarrierTimeout { .. } => 2,
-            _ => 1,
-        });
-    if let Some(e) = root {
-        return Err(e.clone());
-    }
-    let n_respawns = out.respawns.len();
-    let mut cbits_out = 0u64;
-    {
-        let (re, im) = state.parts_mut();
-        for (pe, r) in out.results.into_iter().enumerate() {
-            let (cb, pre, pim) = r
-                .expect("failures handled above")
-                .expect("failures handled above");
-            if pe == 0 {
-                cbits_out = cb;
-            }
-            re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
-            im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);
+    // state vector still holds the pre-segment amplitudes. `into_result`
+    // picks the typed root cause over secondary "peer poisoned the
+    // barrier" reports, whether the PE died or its body returned the error.
+    let respawns = out.respawns.len();
+    let out = out.flatten().into_result()?;
+    let (re, im) = state.parts_mut();
+    for (pe, (cbits, pre, pim)) in out.results.into_iter().enumerate() {
+        if pe == 0 {
+            summary.cbits = cbits;
         }
-        // The remapped run left the state in the final physical layout;
-        // restore logical order host-side (no fabric traffic).
-        if let Some(layout) = &seg.final_layout {
-            crate::remap::unpermute_state(layout, re, im);
-        }
+        re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
+        im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);
     }
-    let races = detector.map_or_else(Vec::new, |d| d.take_reports());
-    Ok((cbits_out, out.traffic, races, seg.n_swaps, n_respawns))
+    // The remapped run left the state in the final physical layout;
+    // restore logical order host-side (no fabric traffic).
+    if let Some(layout) = &seg.final_layout {
+        crate::remap::unpermute_state(layout, re, im);
+    }
+    summary.absorb_traffic(out.traffic);
+    if let Some(det) = detector {
+        summary.races.extend(det.take_reports());
+    }
+    summary.remap_swaps += seg.n_swaps;
+    summary.respawns += respawns;
+    Ok(())
 }

@@ -15,10 +15,7 @@
 //! `2^k × 2^k` matrix — is what keeps fusion **bit-identical**: every
 //! amplitude goes through the exact floating-point expressions the unfused
 //! schedule would have evaluated, in the same order (windows are disjoint,
-//! so per-window replay commutes with the global gate-by-gate order). It
-//! also gives batched parameter sweeps symbolic angle slots for free: a
-//! template patch rewrites the micro-op's `s0`/`s1`/`m` payload inside the
-//! fused gate, with no re-fusion per sweep member.
+//! so per-window replay commutes with the global gate-by-gate order).
 //!
 //! Fusion is traffic-monotone by construction: a run is only fused when
 //! the amplitudes the fused sweep touches (`2^n`, always) do not exceed
@@ -160,15 +157,13 @@ fn worth_fusing(window: &[u32], parts: &[CompiledGate], n_qubits: u32) -> bool {
     unfused >= fused_amps
 }
 
-/// Fuse a flat kernel run (no steps, no measurements — a compiled sweep
-/// template's queue).
+/// Fuse a flat kernel run (no steps, no measurements).
 /// Greedy: extend the current window while the union stays within
 /// `window` qubits; flush when it would grow past it, emitting a fused
-/// kernel when [`worth_fusing`] holds and the original kernels otherwise.
+/// kernel when `worth_fusing` holds and the original kernels otherwise.
 ///
 /// Returns the fused queue together with `micro_origin`: for each output
-/// gate, the range of input-queue indices it covers (used by the template
-/// patcher to re-address parameter slots).
+/// gate, the range of input-queue indices it covers.
 #[must_use]
 pub fn fuse_compiled(
     queue: &[CompiledGate],

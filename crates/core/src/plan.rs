@@ -3,11 +3,11 @@
 //!
 //! The paper lowers a circuit once into a device-resident buffer of gate
 //! objects and walks that one buffer on every backend (PAPER.md §3.2).
-//! Here that buffer is the [`PlanSegment`]: the ordered step stream — gate
+//! Here that buffer is the `PlanSegment`: the ordered step stream — gate
 //! kernels, fused sweeps, measurements, and (for remapped scale-out) the
 //! relabeling slab exchanges, each at the position it runs — over one flat
 //! compiled-kernel queue, one segment per checkpoint-grid interval.
-//! [`build_segment`] is the only code that produces one (remap planning,
+//! `build_segment` is the only code that produces one (remap planning,
 //! then step/kernel lowering, then gate fusion, all driven by the
 //! [`SimConfig`]), and a segment is the only thing the executors
 //! ([`crate::exec`]) accept.
@@ -23,7 +23,7 @@
 //! precompiled one without recompiling (the serving layer caches them and
 //! overlaps "compile job B" with "execute job A"), and a run without one
 //! lowers each segment right before executing it — through the same
-//! [`build_segment`], so the two are bit-identical.
+//! `build_segment`, so the two are bit-identical.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::exec::{DispatchMode, Step};

@@ -43,7 +43,7 @@
 //!   long as the layout is *block-preserving* — low logical qubits at low
 //!   physical positions and high at high, in any order within each side.
 //!   So `Measure`/`Reset` are preceded only by the exchanges homing
-//!   *straddling* qubits (see [`restore_home`]); same-side scrambles cost
+//!   *straddling* qubits (see `restore_home`); same-side scrambles cost
 //!   nothing. The plan snapshots the layout at each collapse so the
 //!   executor can walk its partition in logical order and deposit its
 //!   partial into the logically-indexed reduction slot.

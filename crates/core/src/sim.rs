@@ -1,7 +1,7 @@
 //! The unified `Simulator` facade over all backends.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::exec::{run_scaleout, run_scaleup, run_single, DispatchMode, LaunchOutput};
+use crate::exec::{run_partitioned, run_single, DispatchMode};
 use crate::measure;
 use crate::plan::{build_segment, CompiledPlan, Scheduled};
 use crate::state::StateVector;
@@ -258,6 +258,19 @@ impl RunSummary {
             .iter()
             .fold(TrafficSnapshot::default(), |acc, t| acc.merged(t))
     }
+
+    /// Merge one segment's per-worker traffic into the run's (element-wise
+    /// by worker rank; a distributed backend reports the same worker count
+    /// every segment).
+    pub(crate) fn absorb_traffic(&mut self, segment: Vec<TrafficSnapshot>) {
+        if self.traffic.is_empty() {
+            self.traffic = segment;
+        } else {
+            for (a, s) in self.traffic.iter_mut().zip(segment) {
+                *a = a.merged(&s);
+            }
+        }
+    }
 }
 
 /// The SV-Sim simulator: a state vector plus an execution backend.
@@ -267,7 +280,7 @@ pub struct Simulator {
     config: SimConfig,
     rng: SvRng,
     cbits: u64,
-    /// Injected-fault schedule threaded into scale-out launches.
+    /// Injected-fault schedule threaded into every partitioned launch.
     fault_plan: Option<Arc<FaultPlan>>,
     /// Last good checkpoint of the current/most recent run.
     checkpoint: Option<Checkpoint>,
@@ -336,7 +349,7 @@ impl Simulator {
     ///
     /// # Errors
     /// Width mismatch, classical-register overflow, numeric failures, or a
-    /// PE failure on the scale-out backend.
+    /// worker failure on a partitioned backend.
     pub fn run(&mut self, circuit: &Circuit) -> SvResult<RunSummary> {
         self.run_from(circuit, None, RunStart::Fresh)
     }
@@ -385,16 +398,18 @@ impl Simulator {
         self.run_segments(circuit, start_op, cbits, plan)
     }
 
-    /// Execute `ops[range]` as one backend dispatch. This is the one place
-    /// a segment is resolved: the plan's precompiled lowering of exactly
-    /// this range, or [`build_segment`] right here.
+    /// Execute `ops[range]` as one backend dispatch, accumulating into
+    /// `summary` (whose `cbits` is the segment's initial classical
+    /// register). This is the one place a segment is resolved: the plan's
+    /// precompiled lowering of exactly this range, or [`build_segment`]
+    /// right here.
     fn exec_segment(
         &mut self,
         ops: &[Op],
         range: std::ops::Range<usize>,
-        initial_cbits: u64,
         plan: Option<&CompiledPlan>,
-    ) -> SvResult<LaunchOutput> {
+        summary: &mut RunSummary,
+    ) -> SvResult<()> {
         let config = self.config;
         let owned;
         let seg = match plan.and_then(|p| p.segment(range.start, range.end)) {
@@ -407,22 +422,22 @@ impl Simulator {
         };
         let (state, rng) = (&mut self.state, &mut self.rng);
         match config.backend {
-            BackendKind::SingleDevice => run_single(state, seg, &config, rng, initial_cbits)
-                .map(|cbits| (cbits, Vec::new(), Vec::new(), 0, 0)),
-            BackendKind::ScaleUp { .. } => run_scaleup(state, seg, &config, rng, initial_cbits)
-                .map(|(cbits, traffic)| (cbits, traffic, Vec::new(), 0, 0)),
-            BackendKind::ScaleOut { .. } => {
+            BackendKind::SingleDevice => {
+                summary.cbits = run_single(state, seg, &config, rng, summary.cbits)?;
+            }
+            BackendKind::ScaleUp { .. } | BackendKind::ScaleOut { .. } => {
                 let faults = self.fault_plan.clone();
-                run_scaleout(state, seg, &config, rng, initial_cbits, faults)
+                run_partitioned(state, seg, &config, rng, faults, summary)?;
             }
         }
+        Ok(())
     }
 
     /// Execute `circuit.ops()[start_op..]`, segmenting at checkpoint
-    /// boundaries when enabled. Segment boundaries are fixed multiples of
-    /// `checkpoint_every` from op 0, so a resumed run re-executes exactly
-    /// the segments the uninterrupted run would have — the basis of the
-    /// bit-identical recovery guarantee.
+    /// boundaries when enabled (one segment otherwise). Segment boundaries
+    /// are fixed multiples of `checkpoint_every` from op 0, so a resumed
+    /// run re-executes exactly the segments the uninterrupted run would
+    /// have — the basis of the bit-identical recovery guarantee.
     fn run_segments(
         &mut self,
         circuit: &Circuit,
@@ -430,62 +445,48 @@ impl Simulator {
         initial_cbits: u64,
         plan: Option<&CompiledPlan>,
     ) -> SvResult<RunSummary> {
-        let gates = circuit.gates().count();
         let ops = circuit.ops();
         let k = self.config.checkpoint_every as usize;
+        let mut summary = RunSummary {
+            gates: circuit.gates().count(),
+            cbits: initial_cbits,
+            traffic: Vec::new(),
+            checkpoint_bytes: 0,
+            races: Vec::new(),
+            remap_swaps: 0,
+            respawns: 0,
+        };
         if k == 0 {
             self.checkpoint = None;
-            let (cbits, traffic, races, remap_swaps, respawns) =
-                self.exec_segment(ops, start_op..ops.len(), initial_cbits, plan)?;
-            self.cbits = cbits;
-            return Ok(RunSummary {
-                gates,
-                cbits,
-                traffic,
-                checkpoint_bytes: 0,
-                races,
-                remap_swaps,
-                respawns,
-            });
+        } else {
+            self.capture_checkpoint(start_op, &mut summary)?;
         }
-        let mut cbits = initial_cbits;
-        let mut traffic: Vec<TrafficSnapshot> = Vec::new();
-        let mut races: Vec<RaceReport> = Vec::new();
-        let mut remap_swaps = 0usize;
-        let mut respawns = 0usize;
-        let mut checkpoint_bytes = 0u64;
-        let cp = Checkpoint::capture(start_op, cbits, &self.rng, &self.state);
-        checkpoint_bytes += cp.bytes();
-        self.persist_checkpoint(&cp)?;
-        self.checkpoint = Some(cp);
         let mut pos = start_op;
         while pos < ops.len() {
             // Align the segment end to the global checkpoint grid so resume
-            // and uninterrupted runs segment identically.
-            let end = usize::min(ops.len(), (pos / k + 1) * k);
-            let (cb, seg_traffic, seg_races, seg_swaps, seg_respawns) =
-                self.exec_segment(ops, pos..end, cbits, plan)?;
-            cbits = cb;
-            merge_worker_traffic(&mut traffic, seg_traffic);
-            races.extend(seg_races);
-            remap_swaps += seg_swaps;
-            respawns += seg_respawns;
-            let cp = Checkpoint::capture(end, cbits, &self.rng, &self.state);
-            checkpoint_bytes += cp.bytes();
-            self.persist_checkpoint(&cp)?;
-            self.checkpoint = Some(cp);
+            // and uninterrupted runs segment identically (no grid, `k == 0`:
+            // one segment to the end).
+            let end = pos
+                .checked_div(k)
+                .map_or(ops.len(), |cell| usize::min(ops.len(), (cell + 1) * k));
+            self.exec_segment(ops, pos..end, plan, &mut summary)?;
+            if k > 0 {
+                self.capture_checkpoint(end, &mut summary)?;
+            }
             pos = end;
         }
-        self.cbits = cbits;
-        Ok(RunSummary {
-            gates,
-            cbits,
-            traffic,
-            checkpoint_bytes,
-            races,
-            remap_swaps,
-            respawns,
-        })
+        self.cbits = summary.cbits;
+        Ok(summary)
+    }
+
+    /// Capture the state at `op_index` as the last good checkpoint,
+    /// persisting it first when a store is attached.
+    fn capture_checkpoint(&mut self, op_index: usize, summary: &mut RunSummary) -> SvResult<()> {
+        let cp = Checkpoint::capture(op_index, summary.cbits, &self.rng, &self.state);
+        summary.checkpoint_bytes += cp.bytes();
+        self.persist_checkpoint(&cp)?;
+        self.checkpoint = Some(cp);
+        Ok(())
     }
 
     /// Persist one captured checkpoint into the attached store (no-op when
@@ -606,7 +607,7 @@ impl Simulator {
     }
 
     /// Attach (or clear) an injected-fault schedule; threaded into every
-    /// scale-out launch this simulator performs.
+    /// scale-up and scale-out launch this simulator performs.
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.fault_plan = plan;
     }
@@ -786,19 +787,6 @@ fn check_workers(n_qubits: u32, config: &SimConfig) -> SvResult<()> {
         )));
     }
     Ok(())
-}
-
-/// Merge one segment's per-worker traffic into the run accumulator
-/// (element-wise by worker rank; distributed backends report the same
-/// worker count every segment).
-fn merge_worker_traffic(acc: &mut Vec<TrafficSnapshot>, segment: Vec<TrafficSnapshot>) {
-    if acc.is_empty() {
-        *acc = segment;
-    } else {
-        for (a, s) in acc.iter_mut().zip(segment) {
-            *a = a.merged(&s);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1122,6 +1110,51 @@ mod tests {
             assert_eq!(sim.state().re(), reference.state().re());
             assert_eq!(sim.state().im(), reference.state().im());
         }
+    }
+
+    #[test]
+    fn scale_up_pe_failure_is_typed_and_resumes_bit_identically() {
+        use svsim_shmem::{FaultAction, FaultPlan};
+        use svsim_types::PeOp;
+
+        let mut c = Circuit::with_cbits(4, 4);
+        c.extend(&ghz(4)).unwrap();
+        for q in 0..4 {
+            c.measure(q, q).unwrap();
+        }
+        let config = SimConfig::scale_up(4)
+            .with_seed(11)
+            .with_checkpoint_every(2);
+        let mut reference = Simulator::new(4, config).unwrap();
+        let ref_summary = reference.run(&c).unwrap();
+
+        // Device 1's 9th barrier falls inside the second segment (the first
+        // passes 6: two allocations, the scatter, two kernels, the gather).
+        let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, 9, FaultAction::Kill));
+        let mut sim = Simulator::new(4, config).unwrap();
+        sim.set_fault_plan(Some(plan.clone()));
+        let err = sim.run(&c).unwrap_err();
+        assert_eq!(
+            err,
+            SvError::PeFailed {
+                pe: 1,
+                op: PeOp::Barrier
+            }
+        );
+        assert_eq!(plan.armed_remaining(), 0, "fault fired exactly once");
+        let cp = sim.checkpoint().expect("the first segment committed");
+        assert_eq!(cp.op_index(), 2);
+        let now = Checkpoint::capture(2, cp.cbits(), &SvRng::seed_from_u64(0), sim.state());
+        assert_eq!(
+            now.checksum(),
+            cp.checksum(),
+            "a failed segment leaves the state at its pre-segment contents"
+        );
+
+        let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
+        assert_eq!(summary.cbits, ref_summary.cbits);
+        assert_eq!(sim.state().re(), reference.state().re());
+        assert_eq!(sim.state().im(), reference.state().im());
     }
 
     #[test]

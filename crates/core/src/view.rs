@@ -8,7 +8,8 @@
 //! - [`PeerView`]: a partitioned pointer array — the scale-up path over
 //!   GPUDirect-style peer access (§3.2.2, Listing 4): the global index is
 //!   split into `(partition, offset)` and dereferenced through the peer
-//!   table.
+//!   table — the partitions of the SHMEM world's symmetric arrays
+//!   ([`SymF64::partitions`]), reached as plain memory.
 //! - [`ShmemView`]: one-sided `get`/`put` through the SHMEM runtime — the
 //!   scale-out path (§3.2.3, Listing 5), with traffic accounting.
 

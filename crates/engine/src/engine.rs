@@ -223,21 +223,6 @@ impl Engine {
         self.shared.registry.register(name, circuit)
     }
 
-    /// Compile, pre-fuse (dense `window`-qubit sweep kernels, symbolic
-    /// angle slots preserved), and register a template for sweep jobs.
-    /// `window == 0` is identical to [`Engine::register_template`].
-    ///
-    /// # Errors
-    /// Propagates template compilation errors.
-    pub fn register_template_fused(
-        &self,
-        name: &str,
-        circuit: &ParamCircuit,
-        window: u8,
-    ) -> SvResult<TemplateId> {
-        self.shared.registry.register_fused(name, circuit, window)
-    }
-
     /// Metadata for a registered template.
     #[must_use]
     pub fn template_info(&self, id: TemplateId) -> Option<TemplateInfo> {
@@ -539,29 +524,23 @@ pub(crate) fn execute_one_shot(shared: &Shared, pkt: &JobPacket, worker: usize) 
                     .metrics
                     .respawned
                     .fetch_add(summary.respawns as u64, Ordering::Relaxed);
-                // Credit the communication the remap avoided: the analytic
-                // naive-plan cost minus what the remapped run measured.
-                if config.remap {
-                    if let svsim_core::BackendKind::ScaleOut { n_pes } = config.backend {
-                        if n_pes > 1 {
-                            let gates: Vec<svsim_ir::Gate> = circuit.gates().copied().collect();
-                            let compiled = svsim_core::compile::compile_gates(
-                                gates.iter(),
-                                circuit.n_qubits(),
-                                config.specialized,
-                            );
-                            let naive = svsim_core::traffic::circuit_traffic(
-                                &compiled,
-                                circuit.n_qubits(),
-                                n_pes as u64,
-                            );
-                            let t = summary.total_traffic();
-                            let measured = t.remote_get_bytes + t.remote_put_bytes;
-                            shared.metrics.remote_bytes_saved.fetch_add(
-                                naive.remote_bytes.saturating_sub(measured),
-                                Ordering::Relaxed,
-                            );
-                        }
+                // Credit the communication the remap avoided: what the
+                // same config without remap is predicted to move, minus what
+                // the remapped run measured. A run that exchanged nothing
+                // ran the naive schedule.
+                if summary.remap_swaps > 0 {
+                    let naive = svsim_core::SimConfig {
+                        remap: false,
+                        ..*config
+                    };
+                    if let Ok(naive) = Simulator::new(circuit.n_qubits(), naive) {
+                        shared.metrics.remote_bytes_saved.fetch_add(
+                            naive
+                                .predict_traffic(circuit)
+                                .remote_bytes
+                                .saturating_sub(summary.total_traffic().remote_bytes()),
+                            Ordering::Relaxed,
+                        );
                     }
                 }
                 shared.quarantine_clear(fp);
@@ -717,16 +696,9 @@ pub(crate) fn run_sweep_batch(
         // Mid-sweep admission re-check: earlier members of this batch may
         // have run for a while — a job cancelled or expired since dequeue
         // must not execute.
-        if pkt.job.cell.cancelled.load(Ordering::Acquire) {
-            shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            pkt.job.cell.finish(Err(JobError::Cancelled));
+        let Some(pkt) = pkt.still_wanted(shared, started) else {
             continue;
-        }
-        if pkt.job.request.deadline.is_some_and(|d| started > d) {
-            shared.metrics.expired.fetch_add(1, Ordering::Relaxed);
-            pkt.job.cell.finish(Err(JobError::Expired));
-            continue;
-        }
+        };
         let JobSpec::Sweep {
             ref params,
             returning,

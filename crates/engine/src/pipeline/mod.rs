@@ -251,22 +251,15 @@ impl Pipeline {
 /// a (cached) compiled plan to one-shots, and forward with backpressure.
 fn compile_loop(shared: &Shared, admit_q: &StageQueue<JobPacket>, exec_q: &StageQueue<JobPacket>) {
     let mut cache = PlanCache::default();
-    while let Some(mut pkt) = admit_q.pop() {
+    while let Some(pkt) = admit_q.pop() {
         let now = Instant::now();
         shared
             .metrics
             .queue_wait
             .record(now.saturating_duration_since(pkt.job.enqueued_at));
-        if pkt.job.cell.cancelled.load(Ordering::Acquire) {
-            shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            pkt.job.cell.finish(Err(JobError::Cancelled));
+        let Some(mut pkt) = pkt.still_wanted(shared, now) else {
             continue;
-        }
-        if pkt.job.request.deadline.is_some_and(|d| now > d) {
-            shared.metrics.expired.fetch_add(1, Ordering::Relaxed);
-            pkt.job.cell.finish(Err(JobError::Expired));
-            continue;
-        }
+        };
         if let JobSpec::OneShot {
             ref circuit,
             ref config,
@@ -299,18 +292,10 @@ fn execute_loop(
     let mut templates = WorkerTemplates::default();
     while let Some(batch) = exec_q.pop_batch(max_batch) {
         let dequeued = Instant::now();
-        let mut live = Vec::with_capacity(batch.len());
-        for pkt in batch {
-            if pkt.job.cell.cancelled.load(Ordering::Acquire) {
-                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                pkt.job.cell.finish(Err(JobError::Cancelled));
-            } else if pkt.job.request.deadline.is_some_and(|d| dequeued > d) {
-                shared.metrics.expired.fetch_add(1, Ordering::Relaxed);
-                pkt.job.cell.finish(Err(JobError::Expired));
-            } else {
-                live.push(pkt);
-            }
-        }
+        let live: Vec<JobPacket> = batch
+            .into_iter()
+            .filter_map(|pkt| pkt.still_wanted(shared, dequeued))
+            .collect();
         let Some(head) = live.first() else { continue };
         match head.job.request.spec {
             // One-shots never coalesce, so `live` holds at most one.

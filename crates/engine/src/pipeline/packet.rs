@@ -7,6 +7,7 @@
 //! (published, cancelled, expired, dropped at shutdown), dropping the
 //! packet releases its budget, so the accounting cannot leak.
 
+use crate::engine::Shared;
 use crate::job::{JobCell, JobError, JobOutput, JobRequest, JobSpec, Priority};
 use crate::templates::{TemplateId, TemplateRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -237,6 +238,24 @@ pub(crate) struct JobPacket {
     /// the packet releases it.
     #[allow(dead_code)]
     pub(crate) lease: BudgetLease,
+}
+
+impl JobPacket {
+    /// The cancel/deadline re-check every stage hop makes: a job cancelled,
+    /// or past its deadline at `now`, is finished here with the typed error
+    /// (and counted) instead of travelling on; a live one is handed back.
+    pub(crate) fn still_wanted(self, shared: &Shared, now: Instant) -> Option<Self> {
+        let (counter, err) = if self.job.cell.cancelled.load(Ordering::Acquire) {
+            (&shared.metrics.cancelled, JobError::Cancelled)
+        } else if self.job.request.deadline.is_some_and(|d| now > d) {
+            (&shared.metrics.expired, JobError::Expired)
+        } else {
+            return Some(self);
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.job.cell.finish(Err(err));
+        None
+    }
 }
 
 impl StageItem for JobPacket {

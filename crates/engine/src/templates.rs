@@ -51,25 +51,7 @@ impl TemplateRegistry {
     /// # Errors
     /// Propagates compilation errors from the template structure.
     pub fn register(&self, name: &str, circuit: &ParamCircuit) -> SvResult<TemplateId> {
-        self.register_fused(name, circuit, 0)
-    }
-
-    /// Compile, pre-fuse, and register a template: runs of adjacent
-    /// kernels sharing a `window`-qubit support collapse into dense fused
-    /// sweeps *once*, in the master — every sweep member then re-patches
-    /// symbolic angle slots inside the fused micro-ops and pays the
-    /// collapsed pass count. `window == 0` registers unfused.
-    ///
-    /// # Errors
-    /// Propagates compilation errors from the template structure.
-    pub fn register_fused(
-        &self,
-        name: &str,
-        circuit: &ParamCircuit,
-        window: u8,
-    ) -> SvResult<TemplateId> {
-        let mut master = circuit.compile()?;
-        master.fuse(window);
+        let master = circuit.compile()?;
         let info = TemplateInfo {
             name: name.to_string(),
             n_qubits: master.n_qubits(),

@@ -140,57 +140,6 @@ fn sweep_results_match_direct_template() {
     );
 }
 
-/// A pre-fused template serves sweeps bit-identically to the unfused
-/// master while collapsing amplitude passes — the fused micro-ops keep
-/// their symbolic angle slots, so only payloads differ between members.
-#[test]
-fn fused_template_sweeps_are_bit_identical_to_unfused() {
-    let template = ansatz(5, 3);
-    let n_vars = template.n_vars();
-    let engine = Engine::start(EngineConfig::default().with_workers(2).with_max_batch(4));
-    let plain_id = engine.register_template("ansatz", &template).unwrap();
-    let fused_id = engine
-        .register_template_fused("ansatz_fused", &template, 3)
-        .unwrap();
-
-    let mut fused_master = template.compile().unwrap();
-    fused_master.fuse(3);
-    assert!(
-        fused_master.n_passes() < fused_master.n_source_kernels(),
-        "the ansatz must actually fuse"
-    );
-
-    let mut rng = SvRng::seed_from_u64(41);
-    let points: Vec<Vec<f64>> = (0..8)
-        .map(|_| (0..n_vars).map(|_| rng.range_f64(-2.0, 2.0)).collect())
-        .collect();
-    let submit = |id, p: &Vec<f64>| {
-        engine
-            .submit(JobRequest::new(JobSpec::Sweep {
-                template: id,
-                params: p.clone(),
-                returning: SweepReturn::State,
-            }))
-            .unwrap()
-    };
-    let plain: Vec<_> = points.iter().map(|p| submit(plain_id, p)).collect();
-    let fused: Vec<_> = points.iter().map(|p| submit(fused_id, p)).collect();
-    for (hp, hf) in plain.into_iter().zip(fused) {
-        let JobOutput::Sweep { state: sp, .. } = hp.wait().unwrap() else {
-            panic!("sweep output expected");
-        };
-        let JobOutput::Sweep { state: sf, .. } = hf.wait().unwrap() else {
-            panic!("sweep output expected");
-        };
-        let (sp, sf) = (sp.unwrap(), sf.unwrap());
-        assert_eq!(sp.re(), sf.re(), "fused sweep must be bit-identical");
-        assert_eq!(sp.im(), sf.im());
-    }
-    let metrics = engine.shutdown();
-    assert_eq!(metrics.completed, 16);
-    assert_eq!(metrics.failed, 0);
-}
-
 /// ExpZ sweep returns must equal computing the expectation on the returned
 /// state directly.
 #[test]

@@ -30,8 +30,8 @@
 //! Two interchangeable backends run the same SPMD body:
 //!
 //! - **Thread-backed** (the default, [`world::launch`] family): PEs are
-//!   threads of this process. Supports the dynamic race detector and
-//!   `collective_publish`.
+//!   threads of this process. Supports the dynamic race detector
+//!   ([`world::launch_detected`]).
 //! - **Process-backed** ([`proc::launch_process`]): PEs are forked OS
 //!   processes over a `memfd_create` + `mmap(MAP_SHARED)` symmetric heap.
 //!   True crash isolation — a PE can be `kill -9`-ed mid-epoch and the
@@ -45,7 +45,6 @@
 //!   and re-runs the round on the surviving processes ([`RespawnEvent`]).
 
 pub mod barrier;
-pub mod checked;
 pub mod fault;
 pub mod metrics;
 pub mod proc;
@@ -56,7 +55,6 @@ pub mod signal;
 pub mod world;
 
 pub use barrier::{BarrierPoisoned, BarrierToken, SenseBarrier};
-pub use checked::{malloc_checked, malloc_checked_reporting, CheckedSym};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, PeFailure};
 pub use metrics::{MetricsTable, PeCounters, TrafficSnapshot};
 pub use proc::{launch_process, ProcOptions, RespawnEvent, ShmemBackend, Wire};

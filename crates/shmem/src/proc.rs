@@ -50,9 +50,9 @@
 //!   bit-identical). Fired fault counters stay disarmed across rounds, so
 //!   a one-shot fault cannot re-kill the respawned PE.
 //!
-//! Not supported here (thread-backend only, rejected with typed errors):
-//! the vector-clock race detector and `collective_publish` — both are
-//! inherently single-address-space (`Arc`s cannot cross a `fork`).
+//! Not supported here (thread-backend only, rejected with a typed error):
+//! the vector-clock race detector — its shadow state is inherently
+//! single-address-space (`Arc`s cannot cross a `fork`).
 
 // The process backend is the one place in the workspace that must talk to
 // the OS directly (memfd/mmap/fork/waitpid have no std equivalents and the
@@ -76,7 +76,7 @@ use svsim_types::{PeOp, SvError, SvResult};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ShmemBackend {
     /// PEs are threads of this process sharing a heap-allocated symmetric
-    /// heap (the default; supports race detection and `CheckedSym`).
+    /// heap (the default; supports race detection).
     #[default]
     Thread,
     /// PEs are forked OS processes sharing a `memfd` arena (true crash
@@ -98,13 +98,6 @@ pub struct ProcOptions {
     /// longer than this poisons the barrier and fails typed, so a lost
     /// peer can never hang the world even if the reaper is delayed.
     pub barrier_timeout_ms: u64,
-    /// Optional per-PE CPU pinning: PE `i` is pinned to
-    /// `cpu_affinity[i % len]` right after the fork. Best effort: a pin
-    /// failure is recorded as a launch warning
-    /// ([`SpmdOutput::warnings`]) instead of aborting the launch
-    /// (affinity is unavailable on many constrained runners). `None`
-    /// leaves scheduling to the OS.
-    pub cpu_affinity: Option<Vec<usize>>,
     /// Watchdog deadline: a PE whose heartbeat words stall for longer than
     /// this is killed by the parent supervisor and reported as the typed
     /// `SvError::PeHung`. Heartbeats bump at every barrier epoch and
@@ -125,7 +118,6 @@ impl Default for ProcOptions {
             heap_words_per_pe: 1 << 16,
             result_bytes_per_pe: 1 << 16,
             barrier_timeout_ms: 30_000,
-            cpu_affinity: None,
             hang_deadline_ms: 30_000,
             respawn_max: 0,
         }
@@ -176,7 +168,6 @@ mod sys {
         fn kill(pid: Pid, sig: i32) -> i32;
         fn getpid() -> Pid;
         fn _exit(code: i32) -> !;
-        fn sched_setaffinity(pid: Pid, cpusetsize: usize, mask: *const u64) -> i32;
         fn __errno_location() -> *mut i32;
     }
 
@@ -298,24 +289,6 @@ mod sys {
         // SAFETY: plain _exit.
         unsafe { _exit(code) }
     }
-
-    /// Best-effort pin of the calling process to one CPU. `Err(errno)` on
-    /// failure (including a cpu index beyond the 1024-CPU mask, reported
-    /// as `EINVAL` just as the kernel would).
-    pub fn pin_to_cpu(cpu: usize) -> Result<(), i32> {
-        const EINVAL: i32 = 22;
-        let mut mask = [0u64; 16]; // 1024-CPU cpu_set_t
-        if cpu >= 1024 {
-            return Err(EINVAL);
-        }
-        mask[cpu / 64] |= 1 << (cpu % 64);
-        // SAFETY: mask is a live 128-byte buffer, the cpu_set_t size.
-        if unsafe { sched_setaffinity(0, 128, mask.as_ptr()) } == 0 {
-            Ok(())
-        } else {
-            Err(errno())
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -399,7 +372,6 @@ struct ArenaLayout {
     w_epochs: usize,
     w_status: usize,
     w_heartbeats: usize,
-    w_warn: usize,
     w_round: usize,
     w_abort: usize,
     w_round_ack: usize,
@@ -436,7 +408,6 @@ impl ArenaLayout {
         let w_epochs = take(&mut w, n_pes);
         let w_status = take(&mut w, n_pes * 2);
         let w_heartbeats = take(&mut w, n_pes);
-        let w_warn = take(&mut w, n_pes);
         let w_round = take(&mut w, 1);
         let w_abort = take(&mut w, 1);
         let w_round_ack = take(&mut w, n_pes);
@@ -462,7 +433,6 @@ impl ArenaLayout {
             w_epochs,
             w_status,
             w_heartbeats,
-            w_warn,
             w_round,
             w_abort,
             w_round_ack,
@@ -809,19 +779,6 @@ impl ProcWorld {
             .load(Ordering::Relaxed)
     }
 
-    /// Record a non-fatal per-PE launch warning (an errno; `0` = none).
-    fn set_warn(&self, pe: usize, errno: i32) {
-        self.arena
-            .word(self.layout.w_warn + pe)
-            .store(errno as u64, Ordering::Release);
-    }
-
-    fn read_warn(&self, pe: usize) -> u64 {
-        self.arena
-            .word(self.layout.w_warn + pe)
-            .load(Ordering::Acquire)
-    }
-
     fn barrier_poisoned(&self) -> bool {
         proto::bar::is_poisoned(&ArenaWords {
             arena: &self.arena,
@@ -873,7 +830,7 @@ impl ProcWorld {
     /// barrier words are *not* reset here — that is the release
     /// machine's job ([`proto::round::Release`]), which orders them
     /// before the round bump that publishes everything to survivors.
-    /// Heartbeats, traffic counters, warnings, and fault mirrors are
+    /// Heartbeats, traffic counters, and fault mirrors are
     /// deliberately *not* reset — they are monotonic across rounds (fired
     /// faults stay disarmed, so a one-shot fault cannot re-fire).
     ///
@@ -1502,7 +1459,7 @@ pub struct RespawnEvent {
 ///
 /// The body's return type crosses a process boundary, so it must implement
 /// [`Wire`] (every production body returns word/vector data). Race
-/// detection and `collective_publish` are not available on this backend.
+/// detection is not available on this backend.
 ///
 /// # Errors
 /// [`SvError::InvalidConfig`] when `n_pes == 0`; [`SvError::Shmem`] when
@@ -1528,21 +1485,13 @@ where
     }
     let world = World::new_process(n_pes, pw, faults.as_deref());
     let pw = world.proc().expect("process world");
-    let affinity = opts.cpu_affinity.as_deref().unwrap_or(&[]);
     let respawn_enabled = opts.respawn_max > 0;
 
     // Fork one child for rank `pe`; the child never returns from this call.
     let fork_pe = |pe: usize| -> Result<sys::Pid, String> {
         match sys::spawn() {
             Ok(0) => {
-                // CHILD: pin if asked (best effort — a pin failure is
-                // recorded as a launch warning, never fatal), run the SPMD
-                // body, publish, _exit.
-                if !affinity.is_empty() {
-                    if let Err(errno) = sys::pin_to_cpu(affinity[pe % affinity.len()]) {
-                        pw.set_warn(pe, errno);
-                    }
-                }
+                // CHILD: run the SPMD body, publish, _exit.
                 child_run::<T, F>(&world, pe, &body, respawn_enabled);
             }
             Ok(pid) => Ok(pid),
@@ -1782,21 +1731,12 @@ where
     if let Some(plan) = &faults {
         pw.absorb_faults(plan);
     }
-    let warnings: Vec<String> = (0..n_pes)
-        .filter_map(|pe| {
-            let errno = pw.read_warn(pe);
-            (errno != 0).then(|| {
-                format!("PE {pe}: cpu affinity pin failed (errno {errno}); continuing unpinned")
-            })
-        })
-        .collect();
     let traffic = world.snapshot_traffic();
     Ok(SpmdOutput {
         results,
         traffic,
         pids: pid_of,
         respawns,
-        warnings,
     })
 }
 
@@ -1918,7 +1858,6 @@ mod tests {
             heap_words_per_pe: 1 << 12,
             result_bytes_per_pe: 1 << 12,
             barrier_timeout_ms: 20_000,
-            cpu_affinity: None,
             hang_deadline_ms: 30_000,
             respawn_max: 0,
         }
@@ -1997,11 +1936,10 @@ mod tests {
         let heap_end = (l.w_heap + 8 * 100) * 8;
         assert!(l.w_bar_count > l.w_bump);
         assert!(l.w_f64_table > l.w_bar_poison);
-        // Supervision words: heartbeats, warnings, round/abort/ack sit
-        // strictly between the status slots and the fault mirror.
+        // Supervision words: heartbeats, round/abort/ack sit strictly
+        // between the status slots and the fault mirror.
         assert!(l.w_heartbeats >= l.w_status + 8 * 2);
-        assert!(l.w_warn >= l.w_heartbeats + 8);
-        assert!(l.w_round >= l.w_warn + 8);
+        assert!(l.w_round >= l.w_heartbeats + 8);
         assert_eq!(l.w_abort, l.w_round + 1);
         assert!(l.w_round_ack > l.w_abort);
         assert!(l.w_faults >= l.w_round_ack + 8);
@@ -2433,21 +2371,6 @@ mod tests {
     }
 
     #[test]
-    fn affinity_failure_is_a_warning_not_fatal() {
-        // cpu 4096 is beyond any mask this runner has: the pin fails, the
-        // launch proceeds, and the failure lands in SpmdOutput::warnings.
-        let o = ProcOptions {
-            cpu_affinity: Some(vec![4096]),
-            ..opts()
-        };
-        let out = launch_process(2, &o, None, |ctx| ctx.my_pe()).unwrap();
-        assert_eq!(out.warnings.len(), 2, "{:?}", out.warnings);
-        assert!(out.warnings[0].contains("affinity"), "{:?}", out.warnings);
-        let vals = out.into_result().unwrap();
-        assert_eq!(vals.results, vec![0, 1]);
-    }
-
-    #[test]
     fn fault_counts_accumulate_across_process_launches() {
         // A kill at the 5th barrier, run as two launches of 3 barriers
         // each (a checkpointed run's segments): the fault must fire in the
@@ -2472,21 +2395,6 @@ mod tests {
             other => panic!("expected PE 0 barrier fault in launch 2, got {other:?}"),
         }
         assert_eq!(plan.armed_remaining(), 0);
-    }
-
-    #[test]
-    fn collective_publish_is_rejected_on_processes() {
-        let out = launch_process(2, &opts(), None, |ctx| {
-            let r: SvResult<Arc<Vec<u64>>> = ctx.collective_publish(|| Ok(Arc::new(vec![1])));
-            match r {
-                Err(SvError::Shmem(msg)) => msg.contains("thread backend"),
-                _ => false,
-            }
-        })
-        .unwrap()
-        .into_result()
-        .unwrap();
-        assert_eq!(out.results, vec![true, true]);
     }
 
     #[test]

@@ -149,12 +149,12 @@ impl<const K: usize> ProtoMem for AtomicWords<K> {
 // Sense-reversing barrier.
 // ---------------------------------------------------------------------------
 
-/// The barrier protocol's state machine. Slot layout: [`BAR_COUNT`],
-/// [`BAR_SENSE`], [`BAR_POISON`].
+/// The barrier protocol's state machine. Slot layout: [`bar::BAR_COUNT`],
+/// [`bar::BAR_SENSE`], [`bar::BAR_POISON`].
 ///
-/// The sense word carries *both* the epoch sense ([`SENSE_BIT`]) and the
-/// poison flag ([`POISON_BIT`]). Keeping them in one atomic word totally
-/// orders every release against every poison: a release is a
+/// The sense word carries *both* the epoch sense ([`bar::SENSE_BIT`]) and
+/// the poison flag ([`bar::POISON_BIT`]). Keeping them in one atomic word
+/// totally orders every release against every poison: a release is a
 /// compare-exchange that fails if poison landed first, a poison is a
 /// fetch-or that a released epoch survives, and a waiter's single load
 /// decides released-vs-poisoned with no window in between. The checker
@@ -409,9 +409,10 @@ pub mod bar {
 
 /// The respawn round protocol: parked survivors acknowledge a wrecked
 /// round and wait for the supervisor to either release the next round
-/// (re-run) or abort (publish as-is). Slot layout: [`ROUND`], [`ABORT`],
-/// then one ack slot per PE at [`ACK_BASE`]` + pe`; the barrier words the
-/// supervisor resets live at [`RB_COUNT`]/[`RB_SENSE`]/[`RB_POISON`].
+/// (re-run) or abort (publish as-is). Slot layout: [`round::ROUND`],
+/// [`round::ABORT`], then one ack slot per PE at [`round::ACK_BASE`]` + pe`;
+/// the barrier words the supervisor resets live at [`round::RB_COUNT`] /
+/// [`round::RB_SENSE`] / [`round::RB_POISON`].
 pub mod round {
     use super::{MemOrder, ProtoMem};
 
@@ -673,7 +674,8 @@ pub mod round {
 
 /// The heap-lock protocol: PE 0 bump-allocates and publishes an
 /// allocation table entry; peers resolve it after the collective barrier.
-/// Slot layout: [`BUMP`], [`LEN`], [`OFF`], [`READY`].
+/// Slot layout: [`alloc::BUMP`], [`alloc::LEN`], [`alloc::OFF`],
+/// [`alloc::READY`].
 pub mod alloc {
     use super::{MemOrder, ProtoMem};
 
@@ -876,7 +878,7 @@ pub mod alloc {
 /// The fault-injection counter protocol: every PE counts a matching op
 /// against the same shared words; the `at`-th hit races a one-shot CAS
 /// disarm so a wildcard fault fires exactly once world-wide. Slot
-/// layout: [`SEEN`], [`ARMED`].
+/// layout: [`fault::SEEN`], [`fault::ARMED`].
 pub mod fault {
     use super::{MemOrder, ProtoMem};
 

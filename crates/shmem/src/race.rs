@@ -18,10 +18,9 @@
 //! read/write, or atomic-mixed ([`ConflictKind`]). Atomic-vs-atomic
 //! accesses are always allowed (that is what the atomics are for).
 //!
-//! Unlike the original `CheckedSym` prototype, the detector *accumulates*
-//! [`RaceReport`]s instead of panicking, so fault-injected runs can
-//! distinguish injected faults (typed `PeFailed` errors) from genuine
-//! protocol violations (non-empty race reports).
+//! The detector *accumulates* [`RaceReport`]s instead of panicking, so
+//! fault-injected runs can distinguish injected faults (typed `PeFailed`
+//! errors) from genuine protocol violations (non-empty race reports).
 
 use crate::shared::SharedU64Vec;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -61,8 +60,8 @@ pub fn encode_stamp(epoch: u64, pe: usize) -> u64 {
 ///
 /// Returns `None` for the reserved untouched stamp (0) and for any stamp
 /// whose PE field is 0 — the encoding a rank of `PE_STRIDE - 1` would
-/// alias into. The original `CheckedSym::decode` underflowed
-/// (`stamp % PE_STRIDE - 1`) on exactly these stamps.
+/// alias into; a bare `stamp % PE_STRIDE - 1` would underflow on exactly
+/// these stamps.
 #[inline]
 #[must_use]
 pub fn decode_stamp(stamp: u64) -> Option<(u64, usize)> {
@@ -381,8 +380,7 @@ impl ShadowArray {
 
 /// The dynamic race detector: a factory for per-allocation shadow state
 /// plus the shared report sink. One detector instruments one SPMD world
-/// (see `launch_detected`); `CheckedSym` also creates standalone detectors
-/// for opt-in per-array checking.
+/// (see `launch_detected`).
 #[derive(Debug)]
 pub struct RaceDetector {
     n_pes: usize,
@@ -436,7 +434,7 @@ impl RaceDetector {
         self.sink.total.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the accumulated reports (first [`MAX_REPORTS`] kept).
+    /// Snapshot of the accumulated reports (first `MAX_REPORTS` kept).
     #[must_use]
     pub fn reports(&self) -> Vec<RaceReport> {
         self.sink

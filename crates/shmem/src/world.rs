@@ -12,7 +12,6 @@ use crate::metrics::{MetricsTable, PeCounters, TrafficSnapshot};
 use crate::proc::{ArenaFaults, ProcBarrier, ProcWorld, RespawnEvent};
 use crate::race::{RaceDetector, ShadowArray};
 use crate::shared::{SharedF64Vec, SharedU64Vec};
-use std::any::Any;
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use svsim_types::{PeOp, SvError, SvResult};
@@ -42,10 +41,12 @@ impl SymF64 {
         &self.bufs[pe]
     }
 
-    /// Number of partitions (PEs).
+    /// Every PE's partition, indexed by rank — the peer pointer table a
+    /// scale-up `PeerView` dereferences directly (Listing 4's
+    /// `sv_real_ptr[gid]`).
     #[must_use]
-    pub fn n_partitions(&self) -> usize {
-        self.bufs.len()
+    pub fn partitions(&self) -> &[SharedF64Vec] {
+        &self.bufs
     }
 }
 
@@ -130,9 +131,6 @@ pub struct World {
     /// allocation sequence number.
     heap_f64: Mutex<Vec<SymF64>>,
     heap_u64: Mutex<Vec<SymU64>>,
-    /// Published shared objects of arbitrary type (see
-    /// [`ShmemCtx::collective_publish`]).
-    heap_misc: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
     /// Scratch slots for collectives (one word per PE).
     coll: SharedF64Vec,
     coll_u: SharedU64Vec,
@@ -158,7 +156,6 @@ impl World {
             metrics: MetricsTable::new(n_pes),
             heap_f64: Mutex::new(Vec::new()),
             heap_u64: Mutex::new(Vec::new()),
-            heap_misc: Mutex::new(Vec::new()),
             coll: SharedF64Vec::new(n_pes, 0.0),
             coll_u: SharedU64Vec::new(n_pes, 0),
             faults: faults.map(FaultSource::Plan),
@@ -180,7 +177,6 @@ impl World {
             metrics: pw.metrics_table(),
             heap_f64: Mutex::new(Vec::new()),
             heap_u64: Mutex::new(Vec::new()),
-            heap_misc: Mutex::new(Vec::new()),
             coll: pw.coll_f64(),
             coll_u: pw.coll_u64(),
             faults: plan.map(|p| FaultSource::Arena(pw.arena_faults(p))),
@@ -214,7 +210,6 @@ impl World {
             epoch: Cell::new(0),
             alloc_seq_f64: Cell::new(0),
             alloc_seq_u64: Cell::new(0),
-            alloc_seq_misc: Cell::new(0),
             pending_drop: Cell::new(false),
         }
     }
@@ -237,7 +232,6 @@ pub struct ShmemCtx<'w> {
     /// pair each PE's `malloc` call with the published handle.
     alloc_seq_f64: Cell<usize>,
     alloc_seq_u64: Cell<usize>,
-    alloc_seq_misc: Cell<usize>,
     /// An injected [`FaultAction::Drop`] lost a transfer; detection is
     /// deferred to this PE's next barrier (the synchronization point where
     /// a real fabric's delivery acknowledgment would surface it).
@@ -257,7 +251,11 @@ impl<'w> ShmemCtx<'w> {
         self.world.n_pes
     }
 
-    fn counters(&self) -> &PeCounters {
+    /// This PE's traffic counters: what every one-sided accessor credits,
+    /// and what a view that dereferences partitions directly (scale-up's
+    /// `PeerView`) credits itself.
+    #[must_use]
+    pub fn counters(&self) -> &PeCounters {
         self.world.metrics.pe(self.pe)
     }
 
@@ -492,7 +490,7 @@ impl<'w> ShmemCtx<'w> {
     }
 
     /// Number of barriers this PE has passed — the synchronization epoch
-    /// used by [`crate::checked`] for race detection. Identical across PEs
+    /// the race detector scopes its shadow state by. Identical across PEs
     /// at any synchronized point.
     #[must_use]
     pub fn barrier_epoch(&self) -> u64 {
@@ -644,69 +642,6 @@ impl<'w> ShmemCtx<'w> {
             )));
         }
         Ok(handle)
-    }
-
-    /// Collectively publish a shared object: PE 0 builds it with `make`,
-    /// every PE (PE 0 included) receives the same `Arc`. Like
-    /// [`malloc_f64`](Self::malloc_f64) this is a collective call — all PEs
-    /// must call it in the same order with the same type `T`. Used by
-    /// [`crate::checked`] to share per-array race-detection state.
-    ///
-    /// # Errors
-    /// [`SvError::Shmem`] when the heap lock or barrier was poisoned, when
-    /// the publication order was violated (missing slot or type mismatch),
-    /// when `make` failed on PE 0 (peers then see a missing slot), or on
-    /// the process backend (an `Arc` handle cannot cross a `fork`, so
-    /// publication is inherently single-address-space).
-    pub fn collective_publish<T, F>(&self, make: F) -> SvResult<Arc<T>>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> SvResult<Arc<T>>,
-    {
-        if self.world.proc.is_some() {
-            return Err(SvError::Shmem(format!(
-                "PE {}: collective_publish requires the thread backend \
-                 (Arc handles cannot cross process boundaries)",
-                self.pe
-            )));
-        }
-        let seq = self.alloc_seq_misc.get();
-        self.alloc_seq_misc.set(seq + 1);
-        let mut made = Ok(());
-        if self.pe == 0 {
-            match make() {
-                Ok(obj) => self
-                    .world
-                    .heap_misc
-                    .lock()
-                    .map_err(|_| self.heap_poisoned())?
-                    .push(obj),
-                // Still reach the barrier so peers do not deadlock; they
-                // fail on the missing slot below.
-                Err(e) => made = Err(e),
-            }
-        }
-        self.try_barrier_all()?;
-        made?;
-        let obj = self
-            .world
-            .heap_misc
-            .lock()
-            .map_err(|_| self.heap_poisoned())?
-            .get(seq)
-            .cloned()
-            .ok_or_else(|| {
-                SvError::Shmem(format!(
-                    "PE {}: publication #{seq} was never published (collective call order violated)",
-                    self.pe
-                ))
-            })?;
-        obj.downcast::<T>().map_err(|_| {
-            SvError::Shmem(format!(
-                "PE {}: publication #{seq} has a mismatched type (collective call order violated)",
-                self.pe
-            ))
-        })
     }
 
     /// One-sided load of one word from `src_pe`'s partition
@@ -916,9 +851,6 @@ pub struct SpmdOutput<T> {
     /// In-place respawns the supervisor performed, in order. Empty on the
     /// thread backend or when respawn is disabled.
     pub respawns: Vec<RespawnEvent>,
-    /// Non-fatal launch warnings (e.g. a failed CPU-affinity pin), one
-    /// human-readable line each.
-    pub warnings: Vec<String>,
 }
 
 /// How informative an error is when picking the root cause of a job
@@ -972,6 +904,28 @@ impl<T> SpmdOutput<T> {
         self.traffic
             .iter()
             .fold(TrafficSnapshot::default(), |acc, s| acc.merged(s))
+    }
+}
+
+impl<T> SpmdOutput<SvResult<T>> {
+    /// Fold each PE's body-returned error into its outcome, so a fallible
+    /// SPMD body's failures — outer (the PE panicked or was killed) and
+    /// inner (the body returned `Err`, e.g. a poisoned barrier observed
+    /// through [`ShmemCtx::try_barrier_all`]) — rank together in
+    /// [`first_failure`](Self::first_failure) /
+    /// [`into_result`](Self::into_result).
+    #[must_use]
+    pub fn flatten(self) -> SpmdOutput<T> {
+        SpmdOutput {
+            results: self
+                .results
+                .into_iter()
+                .map(|r| r.and_then(|b| b))
+                .collect(),
+            traffic: self.traffic,
+            pids: self.pids,
+            respawns: self.respawns,
+        }
     }
 }
 
@@ -1117,7 +1071,6 @@ where
         traffic,
         pids: Vec::new(),
         respawns: Vec::new(),
-        warnings: Vec::new(),
     })
 }
 
@@ -1596,42 +1549,5 @@ mod tests {
         use crate::race::RaceDetector;
         let det = RaceDetector::new(2).unwrap();
         assert!(launch_detected(4, None, det, |_| ()).is_err());
-    }
-
-    #[test]
-    fn collective_publish_shares_one_object() {
-        let out = launch(4, |ctx| {
-            let shared: Arc<Vec<u64>> = ctx
-                .collective_publish(|| Ok(Arc::new(vec![ctx.my_pe() as u64 * 10 + 7])))
-                .expect("publish");
-            shared[0]
-        })
-        .unwrap();
-        // Every PE sees PE 0's object, not its own closure's value.
-        assert_eq!(out.results, vec![7, 7, 7, 7]);
-    }
-
-    #[test]
-    fn collective_publish_type_mismatch_is_an_error() {
-        let out = launch_with_faults(2, None, |ctx| {
-            if ctx.my_pe() == 0 {
-                let r: SvResult<Arc<Vec<u64>>> =
-                    ctx.collective_publish(|| Ok(Arc::new(vec![1u64])));
-                r.map(|_| ())
-            } else {
-                // Wrong type for publication #0: must error, not alias.
-                let r: SvResult<Arc<String>> =
-                    ctx.collective_publish(|| Ok(Arc::new(String::new())));
-                match r {
-                    Err(SvError::Shmem(msg)) => {
-                        assert!(msg.contains("mismatched type"), "{msg}");
-                        Ok(())
-                    }
-                    other => panic!("expected type-mismatch error, got {other:?}"),
-                }
-            }
-        })
-        .unwrap();
-        assert!(out.results.iter().all(|r| matches!(r, Ok(Ok(())))));
     }
 }

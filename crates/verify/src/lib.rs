@@ -9,7 +9,7 @@
 //! shared-memory operation at a time and injects kills, reaps, and
 //! timeouts before any step.
 //!
-//! The explorer ([`explore`]) checks three kinds of property:
+//! The explorer ([`mod@explore`]) checks three kinds of property:
 //!
 //! - **Safety**: an invariant evaluated at every reachable state;
 //! - **Terminal shape**: a state with no successors must be accepting;

@@ -1,6 +1,6 @@
 //! Parameterized-circuit templates for the serving engine.
 //!
-//! The optimizer loops in this crate synthesize a fresh [`Circuit`] per
+//! The optimizer loops in this crate synthesize a fresh [`svsim_ir::Circuit`] per
 //! trial. For engine-served sweeps that is the wrong shape: the structure
 //! never changes, only the angles. These builders express the QAOA and QNN
 //! ansätze as [`ParamCircuit`] templates so the engine can compile once and

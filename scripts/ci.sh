@@ -16,6 +16,11 @@ cargo fmt --all --check
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# Every intra-doc link must resolve to an item the reader can reach, so a
+# deletion can never leave a dangling reference in the API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== protocol model check (exhaustive, bounded) =="
 # Prove the control-plane protocols — sense-reversing barrier (with
 # kill + timeout injected before any step), respawn round handshake,

@@ -108,29 +108,61 @@ fn norm_is_preserved() {
     }
 }
 
-/// Measurement outcomes agree across backends for the same seed — the
-/// pre-drawn random stream makes collapse deterministic everywhere.
+/// Measurement outcomes, final amplitudes and samples agree bit for bit
+/// across backends for the same seed — the pre-drawn random stream makes
+/// collapse deterministic everywhere, through mid-circuit measurement,
+/// reset and classically conditioned gates, whatever the device count,
+/// fusion window, checkpoint segmentation or dispatch mode.
 #[test]
 fn measurement_streams_are_identical() {
-    use sv_sim::ir::GateKind;
-    let mut circuit = Circuit::with_cbits(4, 4);
-    for q in 0..4 {
+    use sv_sim::ir::{Gate, GateKind};
+    let n = 5u32;
+    let mut circuit = Circuit::with_cbits(n, n);
+    for q in 0..n {
         circuit.apply(GateKind::H, &[q], &[]).unwrap();
     }
-    for q in 0..4 {
+    circuit.apply(GateKind::CX, &[0, 4], &[]).unwrap();
+    circuit.measure(4, 0).unwrap();
+    let flip = Gate::new(GateKind::X, &[3], &[]).unwrap();
+    circuit.if_eq(0, 1, 1, flip).unwrap();
+    circuit.apply(GateKind::RY, &[3], &[0.7]).unwrap();
+    circuit.apply(GateKind::CX, &[3, 1], &[]).unwrap();
+    circuit.reset(3).unwrap();
+    circuit.apply(GateKind::CU1, &[1, 4], &[0.3]).unwrap();
+    circuit.apply(GateKind::H, &[4], &[]).unwrap();
+    for q in 0..n {
         circuit.measure(q, q).unwrap();
     }
-    for seed in 0..10u64 {
-        let mut outcomes = Vec::new();
-        for config in [
-            SimConfig::single_device(),
-            SimConfig::scale_up(4),
-            SimConfig::scale_out(2),
-        ] {
-            let mut sim = Simulator::new(4, config.with_seed(seed)).unwrap();
-            outcomes.push(sim.run(&circuit).unwrap().cbits);
+
+    let mut configs = vec![SimConfig::scale_out(2)];
+    for n_devices in [2, 4, 8] {
+        for fuse in [0, 3] {
+            for checkpoint_every in [0, 3] {
+                for dispatch in [DispatchMode::PreloadedFnPointer, DispatchMode::RuntimeParse] {
+                    configs.push(SimConfig {
+                        fuse,
+                        checkpoint_every,
+                        dispatch,
+                        ..SimConfig::scale_up(n_devices)
+                    });
+                }
+            }
         }
-        assert_eq!(outcomes[0], outcomes[1], "seed {seed}");
-        assert_eq!(outcomes[1], outcomes[2], "seed {seed}");
+    }
+    for seed in 0..10u64 {
+        let observe = |config: SimConfig| {
+            let mut sim = Simulator::new(n, SimConfig { seed, ..config }).unwrap();
+            let cbits = sim.run(&circuit).unwrap().cbits;
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (re, im) = (bits(sim.state().re()), bits(sim.state().im()));
+            (cbits, re, im, sim.sample(64))
+        };
+        let reference = observe(SimConfig::single_device());
+        for config in &configs {
+            assert!(
+                observe(*config) == reference,
+                "seed {seed}: {config:?} diverged from single-device"
+            );
+        }
     }
 }
