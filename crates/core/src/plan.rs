@@ -14,7 +14,7 @@
 //!
 //! Nothing else re-derives the schedule. [`CompiledPlan::schedule`] yields
 //! a plan's exchanges, kernels and collapses in execution order, and the
-//! traffic model ([`crate::Simulator::predict_traffic`]), the performance
+//! traffic model ([`CompiledPlan::predict_traffic`]), the performance
 //! model (`svsim-perfmodel`) and the static race analyzer
 //! (`svsim-analyzer`) are folds over that one sequence — so what they
 //! price and prove is, by construction, what runs.
@@ -29,6 +29,7 @@ use crate::compile::{compile_gate, CompiledGate};
 use crate::exec::{DispatchMode, Step};
 use crate::remap::{plan_remap_fused, QubitLayout};
 use crate::sim::{BackendKind, SimConfig};
+use crate::traffic::{exchange_traffic, gate_traffic, GateTraffic};
 use svsim_ir::{Circuit, Gate, GateKind, Op};
 
 /// One checkpoint-grid segment lowered to executable form.
@@ -294,6 +295,24 @@ impl CompiledPlan {
                     }))
             })
         })
+    }
+
+    /// Predict the communication traffic of executing this plan on
+    /// `n_workers` devices / PEs without running it: a fold over
+    /// [`Self::schedule`] — every kernel at its physical position, fused
+    /// sweeps as the one kernel they are, every relabeling exchange.
+    /// Conditional kernels are priced as executed, so prediction and
+    /// measured counters agree exactly on any run whose conditions all
+    /// fire.
+    #[must_use]
+    pub fn predict_traffic(&self, n_workers: u64) -> GateTraffic {
+        let n = self.n_qubits;
+        self.schedule()
+            .fold(GateTraffic::default(), |total, item| match item {
+                Scheduled::Kernel { cg, .. } => total.merged(&gate_traffic(cg, n, n_workers)),
+                Scheduled::Exchange { .. } => total.merged(&exchange_traffic(n, n_workers)),
+                Scheduled::Collapse => total,
+            })
     }
 
     /// Register width the plan was compiled for.

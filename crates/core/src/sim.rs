@@ -3,9 +3,9 @@
 use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::exec::{run_partitioned, run_single, DispatchMode};
 use crate::measure;
-use crate::plan::{build_segment, CompiledPlan, Scheduled};
+use crate::plan::{build_segment, CompiledPlan};
 use crate::state::StateVector;
-use crate::traffic::{exchange_traffic, gate_traffic, GateTraffic};
+use crate::traffic::GateTraffic;
 use std::sync::Arc;
 use svsim_ir::{Circuit, Op, PauliString};
 use svsim_shmem::{FaultAction, FaultPlan, RaceReport, ShmemBackend, TrafficSnapshot};
@@ -547,24 +547,13 @@ impl Simulator {
     }
 
     /// Predict the communication traffic of a circuit under this
-    /// simulator's configuration without running it: a fold over the
-    /// schedule of the plan [`Self::run`] would execute
-    /// ([`CompiledPlan::schedule`]) — every kernel at its physical
-    /// position, fused sweeps as the one kernel they are, every relabeling
-    /// exchange. Conditional kernels are priced as executed, so prediction
-    /// and measured counters agree exactly on any run whose conditions all
-    /// fire.
+    /// simulator's configuration without running it: the plan
+    /// [`Self::run`] would execute, priced by
+    /// [`CompiledPlan::predict_traffic`].
     #[must_use]
     pub fn predict_traffic(&self, circuit: &Circuit) -> GateTraffic {
-        let n = self.state.n_qubits();
-        let n_pes = self.config.backend.n_workers() as u64;
         self.compile_plan(circuit)
-            .schedule()
-            .fold(GateTraffic::default(), |total, item| match item {
-                Scheduled::Kernel { cg, .. } => total.merged(&gate_traffic(cg, n, n_pes)),
-                Scheduled::Exchange { .. } => total.merged(&exchange_traffic(n, n_pes)),
-                Scheduled::Collapse => total,
-            })
+            .predict_traffic(self.config.backend.n_workers() as u64)
     }
 
     /// Reset to `|0...0>` and clear classical bits. Reinitializes the
@@ -1243,6 +1232,26 @@ mod tests {
             }
         }
         c
+    }
+
+    #[test]
+    fn plan_and_simulator_price_traffic_identically() {
+        // The engine prices the naive schedule from a plan alone; that
+        // must be the number a simulator of the same shape reports.
+        let c = deep_cross_circuit(6);
+        let mut remote_bytes = Vec::new();
+        for remap in [false, true] {
+            let mut config = SimConfig::scale_out(4);
+            config.remap = remap;
+            let from_plan = CompiledPlan::compile(&c, 6, &config).predict_traffic(4);
+            let sim = Simulator::new(6, config).unwrap();
+            assert_eq!(from_plan, sim.predict_traffic(&c), "remap {remap}");
+            remote_bytes.push(from_plan.remote_bytes);
+        }
+        assert!(
+            remote_bytes[1] < remote_bytes[0],
+            "remap must cut the predicted bytes on a deep circuit: {remote_bytes:?}"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use svsim_core::{measure, Fnv1a, ParamCircuit, RunStart, RunSummary, Simulator};
+use svsim_core::{measure, CompiledPlan, Fnv1a, ParamCircuit, RunStart, RunSummary, Simulator};
 use svsim_shmem::FaultAction;
 use svsim_types::{PeOp, SvError, SvResult};
 
@@ -533,15 +533,14 @@ pub(crate) fn execute_one_shot(shared: &Shared, pkt: &JobPacket, worker: usize) 
                         remap: false,
                         ..*config
                     };
-                    if let Ok(naive) = Simulator::new(circuit.n_qubits(), naive) {
-                        shared.metrics.remote_bytes_saved.fetch_add(
-                            naive
-                                .predict_traffic(circuit)
-                                .remote_bytes
-                                .saturating_sub(summary.total_traffic().remote_bytes()),
-                            Ordering::Relaxed,
-                        );
-                    }
+                    let predicted = CompiledPlan::compile(circuit, circuit.n_qubits(), &naive)
+                        .predict_traffic(naive.backend.n_workers() as u64);
+                    shared.metrics.remote_bytes_saved.fetch_add(
+                        predicted
+                            .remote_bytes
+                            .saturating_sub(summary.total_traffic().remote_bytes()),
+                        Ordering::Relaxed,
+                    );
                 }
                 shared.quarantine_clear(fp);
                 let s = sim.take().expect("simulator ran");

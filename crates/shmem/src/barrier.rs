@@ -6,13 +6,18 @@
 //! a panicking PE release the others instead of deadlocking the barrier.
 //!
 //! The protocol itself lives in [`crate::proto::bar`] as a pure state
-//! machine — the same code the process backend drives over arena words
-//! and the `svsim-verify` model checker drives over a model memory. This
-//! type supplies the thread backend's storage (three process-local
-//! atomic words) and waiting policy (spin then yield).
+//! machine — the same code the `svsim-verify` model checker drives over a
+//! model memory. Production drives it from exactly one wait loop,
+//! `wait_epoch`, over whichever words the substrate owns:
+//! [`SenseBarrier`] supplies the thread backend's storage (three
+//! process-local atomic words) and asks for no timeout and no heartbeat;
+//! the process backend passes arena words, its bounded-wait timeout and
+//! the PE's heartbeat word.
 
 use crate::proto::bar::{Actor, BarrierSm, Step};
-use crate::proto::AtomicWords;
+use crate::proto::{AtomicWords, ProtoMem};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Sense-reversing barrier over a fixed number of participants.
 #[derive(Debug)]
@@ -25,20 +30,6 @@ pub struct SenseBarrier {
 #[derive(Debug, Default)]
 pub struct BarrierToken {
     sense: bool,
-}
-
-impl BarrierToken {
-    /// Current sense — shared with the process-backed barrier
-    /// ([`crate::proc`]), which reproduces the same sense-reversing
-    /// protocol over arena words.
-    pub(crate) fn sense(&self) -> bool {
-        self.sense
-    }
-
-    /// Flip to `next` after completing an epoch.
-    pub(crate) fn set_sense(&mut self, next: bool) {
-        self.sense = next;
-    }
 }
 
 /// The barrier was poisoned by a failed peer (error of
@@ -55,8 +46,8 @@ impl std::fmt::Display for BarrierPoisoned {
 impl std::error::Error for BarrierPoisoned {}
 
 /// Why a barrier wait failed — distinguishes a peer-poisoned barrier from
-/// a bounded wait expiring with no poison observed (process backend only;
-/// the thread backend's [`SenseBarrier`] never times out).
+/// a bounded wait expiring with no poison observed (only a wait that was
+/// given a timeout can expire; the thread backend gives none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BarrierWaitError {
     /// A peer poisoned the barrier (it failed, or its launcher reaped it).
@@ -67,6 +58,77 @@ pub(crate) enum BarrierWaitError {
         /// How long the waiter waited before giving up.
         waited: std::time::Duration,
     },
+}
+
+/// The one production driver of [`BarrierSm::step`]: run `token`'s next
+/// epoch over `mem` to release, poison or expiry.
+///
+/// The waiting policy between `Pending` steps is spin, then yield
+/// (oversubscribed cores must yield or the releasing PE never runs).
+/// `heartbeat`, when given, is bumped on entry and on every yield, so a
+/// watchdog reading it only ever flags a PE that is truly wedged, never
+/// one legitimately blocked on a slow peer. `timeout`, when given, bounds
+/// the wait: the clock starts at the first yield and its expiry is the
+/// machine's one decisive compare-exchange, so a wait that loses its race
+/// against the release reports the release. With `None` the loop never
+/// reads a clock and never times out.
+///
+/// On error the token is left un-flipped, so the epoch at which the
+/// failure was observed is well defined.
+pub(crate) fn wait_epoch(
+    sm: &BarrierSm,
+    mem: &impl ProtoMem,
+    token: &mut BarrierToken,
+    timeout: Option<Duration>,
+    heartbeat: Option<&AtomicU64>,
+) -> Result<(), BarrierWaitError> {
+    let beat = || {
+        if let Some(hb) = heartbeat {
+            hb.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    beat();
+    let mut actor = Actor::new(token.sense);
+    let mut spins = 0u32;
+    let mut clock: Option<(Instant, Instant)> = None; // (started, deadline)
+    loop {
+        match sm.step(&mut actor, mem) {
+            Step::Released => {
+                token.sense = actor.sense();
+                return Ok(());
+            }
+            Step::Poisoned => return Err(BarrierWaitError::Poisoned),
+            // A peer is gone and nobody told us. The machine poisoned the
+            // barrier so the whole world fails typed, us included — and the
+            // expiry is reported as a *timeout*, not a peer death.
+            Step::TimedOut => {
+                return Err(BarrierWaitError::TimedOut {
+                    waited: clock.map_or(Duration::ZERO, |(started, _)| started.elapsed()),
+                })
+            }
+            Step::Pending => {
+                if !actor.is_waiting() {
+                    continue;
+                }
+                spins += 1;
+                if spins < 64 {
+                    std::hint::spin_loop();
+                    continue;
+                }
+                std::thread::yield_now();
+                beat();
+                if let Some(timeout) = timeout {
+                    let (_, deadline) = *clock.get_or_insert_with(|| {
+                        let now = Instant::now();
+                        (now, now + timeout)
+                    });
+                    if Instant::now() > deadline {
+                        sm.request_timeout(&mut actor);
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl SenseBarrier {
@@ -112,31 +174,8 @@ impl SenseBarrier {
     /// observes the poison in the same epoch: the first one that can no
     /// longer complete.
     pub fn try_wait(&self, token: &mut BarrierToken) -> Result<(), BarrierPoisoned> {
-        let mut actor = Actor::new(token.sense);
-        let mut spins = 0u32;
-        loop {
-            match self.sm.step(&mut actor, &self.words) {
-                Step::Released => {
-                    token.sense = actor.sense();
-                    return Ok(());
-                }
-                Step::Poisoned => return Err(BarrierPoisoned),
-                Step::TimedOut => unreachable!("thread barrier never requests a timeout"),
-                Step::Pending => {
-                    if actor.is_waiting() {
-                        spins += 1;
-                        if spins < 64 {
-                            std::hint::spin_loop();
-                        } else {
-                            // Oversubscribed cores (PEs > hardware
-                            // threads) must yield or the releasing PE
-                            // never runs.
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-        }
+        // No timeout was requested, so poison is the only failure.
+        wait_epoch(&self.sm, &self.words, token, None, None).map_err(|_| BarrierPoisoned)
     }
 
     /// Mark the barrier poisoned, releasing spinning waiters into a panic.

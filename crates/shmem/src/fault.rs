@@ -42,7 +42,8 @@
 //!   checkpoint store, which simulates a crash mid-write by leaving a
 //!   truncated generation file behind.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::proto::fault::{Check, Step, ARMED, SEEN};
+use crate::proto::{AtomicWords, MemOrder, ProtoMem};
 use svsim_types::{PeOp, SvRng};
 
 /// What an armed fault does when its trigger point is reached.
@@ -81,57 +82,68 @@ pub struct FaultSpec {
     pub at: u64,
     /// What happens at the trigger point.
     pub action: FaultAction,
-    /// Matching operations observed so far (accumulates across launches).
-    seen: AtomicU64,
-    /// One-shot arming: cleared when the fault fires.
-    armed: AtomicBool,
+    /// The [`crate::proto::fault`] word pair: matching operations observed
+    /// so far (accumulates across launches) and the one-shot arming flag,
+    /// cleared when the fault fires. Thread PEs count against these words
+    /// directly; the process backend seeds its arena mirror from them and
+    /// absorbs the mirror back after reaping.
+    words: AtomicWords<2>,
 }
 
 impl FaultSpec {
-    /// Count one operation against this spec; fires (once) when the
-    /// trigger count is reached.
-    fn observe(&self, pe: usize, op: PeOp) -> Option<FaultAction> {
+    /// Count one operation against this spec's counters in `mem`; returns
+    /// the action when this call fires it (once). The whole load-armed /
+    /// count / disarm sequence is the model-checked
+    /// [`crate::proto::fault::Check`], stepped to completion.
+    pub(crate) fn observe(&self, pe: usize, op: PeOp, mem: &impl ProtoMem) -> Option<FaultAction> {
         if self.op != op || self.pe.is_some_and(|p| p != pe) {
             return None;
         }
-        if !self.armed.load(Ordering::Acquire) {
-            return None;
+        let mut check = Check::new(self.at);
+        loop {
+            match check.step(mem) {
+                Step::Pending => {}
+                Step::Fired => return Some(self.action),
+                Step::Skip | Step::Counted | Step::Lost => return None,
+            }
         }
-        let n = self.seen.fetch_add(1, Ordering::AcqRel) + 1;
-        if n >= self.at
-            && self
-                .armed
-                .compare_exchange(true, false, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            return Some(self.action);
-        }
-        None
     }
 
     /// Matching operations observed so far.
     #[must_use]
     pub fn progress(&self) -> u64 {
-        self.seen.load(Ordering::Relaxed)
+        self.words.load(SEEN, MemOrder::Relaxed)
     }
 
-    /// Snapshot `(seen, armed)` — used by the process backend to seed the
-    /// shared-arena mirror of this spec before forking the PEs.
-    pub(crate) fn state(&self) -> (u64, bool) {
-        (
-            self.seen.load(Ordering::Acquire),
-            self.armed.load(Ordering::Acquire),
-        )
+    fn is_armed(&self) -> bool {
+        self.words.load(ARMED, MemOrder::Acquire) != 0
     }
 
-    /// Overwrite `(seen, armed)` — used by the process backend to absorb
-    /// the arena mirror back into the plan after the PEs are reaped, so
-    /// counts keep accumulating across launches (checkpoint segments) and
-    /// one-shot disarming survives exactly as in the thread-backed world.
-    pub(crate) fn set_state(&self, seen: u64, armed: bool) {
-        self.seen.store(seen, Ordering::Release);
-        self.armed.store(armed, Ordering::Release);
+    /// This spec's own word pair. The process backend copies it into the
+    /// shared arena before forking the PEs and back after reaping them
+    /// ([`copy_words`]), so counts keep accumulating across launches
+    /// (checkpoint segments) and one-shot disarming survives exactly as in
+    /// the thread-backed world.
+    pub(crate) fn words(&self) -> &AtomicWords<2> {
+        &self.words
     }
+
+    /// (Re)arm with a rewound count.
+    fn arm(&self) {
+        self.words.store(SEEN, 0, MemOrder::Relaxed);
+        self.words.store(ARMED, 1, MemOrder::Release);
+    }
+}
+
+/// Copy one spec's `(seen, armed)` pair from `from` to `to`; the release
+/// store of the arming flag publishes the count with it.
+pub(crate) fn copy_words(from: &impl ProtoMem, to: &impl ProtoMem) {
+    to.store(SEEN, from.load(SEEN, MemOrder::Acquire), MemOrder::Relaxed);
+    to.store(
+        ARMED,
+        from.load(ARMED, MemOrder::Acquire),
+        MemOrder::Release,
+    );
 }
 
 /// A deterministic, replayable schedule of injected faults.
@@ -160,14 +172,15 @@ impl FaultPlan {
         at: u64,
         action: FaultAction,
     ) -> Self {
-        self.specs.push(FaultSpec {
+        let spec = FaultSpec {
             pe: pe.into(),
             op,
             at,
             action,
-            seen: AtomicU64::new(0),
-            armed: AtomicBool::new(true),
-        });
+            words: AtomicWords::default(),
+        };
+        spec.arm();
+        self.specs.push(spec);
         self
     }
 
@@ -198,18 +211,14 @@ impl FaultPlan {
     /// Number of faults still armed (not yet fired).
     #[must_use]
     pub fn armed_remaining(&self) -> usize {
-        self.specs
-            .iter()
-            .filter(|s| s.armed.load(Ordering::Relaxed))
-            .count()
+        self.specs.iter().filter(|s| s.is_armed()).count()
     }
 
     /// Re-arm every spec and rewind its operation count (e.g. to replay
     /// the same schedule in a new run).
     pub fn rearm(&self) {
         for s in &self.specs {
-            s.seen.store(0, Ordering::Relaxed);
-            s.armed.store(true, Ordering::Relaxed);
+            s.arm();
         }
     }
 
@@ -225,13 +234,10 @@ impl FaultPlan {
     /// is reached, disarming it (one-shot).
     #[must_use]
     pub fn check(&self, pe: usize, op: PeOp) -> Option<FaultAction> {
-        let mut fired = None;
-        for s in &self.specs {
-            if let Some(action) = s.observe(pe, op) {
-                fired.get_or_insert(action);
-            }
-        }
-        fired
+        self.specs
+            .iter()
+            .filter_map(|s| s.observe(pe, op, &s.words))
+            .reduce(|first, _| first)
     }
 }
 

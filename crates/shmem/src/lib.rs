@@ -5,16 +5,16 @@
 //! partitions the state vector across the symmetric heap, and exchanges
 //! amplitudes with fine-grained one-sided `put`/`get` initiated from inside
 //! the compute kernel. No SHMEM fabric (NVSHMEM, OpenSHMEM, ROC_SHMEM) is
-//! available in this environment, so this crate rebuilds the model with
-//! threads as PEs:
+//! available in this environment, so this crate rebuilds the model in
+//! process — exactly the surface Listing 5 uses, and no more:
 //!
 //! - [`world::launch`] starts an SPMD job; each PE receives a
 //!   [`world::ShmemCtx`].
 //! - [`world::ShmemCtx::malloc_f64`] is the collective symmetric allocation
 //!   (`nvshmem_malloc`).
 //! - `get_f64`/`put_f64` are `nvshmem_double_g`/`nvshmem_double_p`;
-//!   slice variants model `shmem_getmem`/`putmem`; atomics and
-//!   reductions/broadcasts complete the API surface the simulator needs.
+//!   slice variants model `shmem_getmem`/`putmem`; `sum_reduce_f64_at` is
+//!   the one collective the simulator's measurements need.
 //! - [`world::ShmemCtx::barrier_all`] is `shmem_barrier_all`, built on a
 //!   sense-reversing atomic barrier ([`barrier`]).
 //! - Every access is classified local/remote and counted ([`metrics`]);
@@ -27,7 +27,12 @@
 //!   `SvError::PeFailed` while peers observe the poisoned barrier and shut
 //!   down cleanly.
 //!
-//! Two interchangeable backends run the same SPMD body:
+//! Two interchangeable substrates run the same SPMD body. The choice is
+//! one value the world owns, made at launch; [`world::ShmemCtx`] is one
+//! non-generic type that never asks which it is on, and both substrates
+//! drive the same model-checked [`proto`] machines — one barrier wait
+//! loop ([`barrier`]), one fault-check routine ([`fault`]) — over their
+//! own words:
 //!
 //! - **Thread-backed** (the default, [`world::launch`] family): PEs are
 //!   threads of this process. Supports the dynamic race detector
@@ -51,7 +56,6 @@ pub mod proc;
 pub mod proto;
 pub mod race;
 pub mod shared;
-pub mod signal;
 pub mod world;
 
 pub use barrier::{BarrierPoisoned, BarrierToken, SenseBarrier};
@@ -60,8 +64,7 @@ pub use metrics::{MetricsTable, PeCounters, TrafficSnapshot};
 pub use proc::{launch_process, ProcOptions, RespawnEvent, ShmemBackend, Wire};
 pub use proto::{AtomicWords, MemOrder, ProtoMem};
 pub use race::{ConflictKind, RaceAccess, RaceDetector, RaceReport, MAX_TRACKED_PES};
-pub use shared::{SharedF64Vec, SharedU64Vec};
-pub use signal::{signal, signal_add, wait_until, WaitCmp};
+pub use shared::SharedF64Vec;
 pub use world::{
-    launch, launch_detected, launch_with_faults, JobOutput, ShmemCtx, SpmdOutput, SymF64, SymU64,
+    launch, launch_detected, launch_with_faults, JobOutput, ShmemCtx, SpmdOutput, SymF64,
 };

@@ -54,7 +54,6 @@ pub struct PeCounters {
     remote_puts: AtomicU64,
     remote_get_bytes: AtomicU64,
     remote_put_bytes: AtomicU64,
-    atomics: AtomicU64,
     barriers: AtomicU64,
 }
 
@@ -81,12 +80,6 @@ impl PeCounters {
         }
     }
 
-    /// Count one remote atomic operation.
-    #[inline]
-    pub fn count_atomic(&self) {
-        self.atomics.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Count one barrier crossing.
     #[inline]
     pub fn count_barrier(&self) {
@@ -103,7 +96,6 @@ impl PeCounters {
             remote_puts: self.remote_puts.load(Ordering::Relaxed),
             remote_get_bytes: self.remote_get_bytes.load(Ordering::Relaxed),
             remote_put_bytes: self.remote_put_bytes.load(Ordering::Relaxed),
-            atomics: self.atomics.load(Ordering::Relaxed),
             barriers: self.barriers.load(Ordering::Relaxed),
         }
     }
@@ -124,8 +116,6 @@ pub struct TrafficSnapshot {
     pub remote_get_bytes: u64,
     /// Bytes moved by remote puts.
     pub remote_put_bytes: u64,
-    /// Atomic operations issued.
-    pub atomics: u64,
     /// `barrier_all` calls.
     pub barriers: u64,
 }
@@ -170,7 +160,6 @@ impl TrafficSnapshot {
             remote_puts: self.remote_puts + other.remote_puts,
             remote_get_bytes: self.remote_get_bytes + other.remote_get_bytes,
             remote_put_bytes: self.remote_put_bytes + other.remote_put_bytes,
-            atomics: self.atomics + other.atomics,
             barriers: self.barriers + other.barriers,
         }
     }

@@ -14,7 +14,7 @@
 //!
 //! - **Symmetric heap** — one `memfd_create` + `mmap(MAP_SHARED)` arena,
 //!   laid out as a fixed header (barrier words, per-PE epoch/status slots,
-//!   traffic counter blocks, collective scratch, an allocation table) plus
+//!   traffic counter blocks, reduction scratch, an allocation table) plus
 //!   a bump-allocated heap of per-PE partitions. Every PE maps the region
 //!   at the same address (inherited across `fork`), so the one-sided
 //!   accessors are the *same code* as the thread backend — only the words
@@ -25,13 +25,15 @@
 //!   abnormal exit (signal, nonzero code) to a typed
 //!   [`SvError::PeFailed`] carrying the signal number and the barrier
 //!   epoch the child had reached when it died.
-//! - **Barrier** — the same sense-reversing protocol as
-//!   [`crate::barrier::SenseBarrier`], rebuilt on arena atomics with a
-//!   spin→yield waiter and a bounded-wait timeout, so surviving PEs of a
-//!   killed peer fail typed instead of hanging even if the reaper is slow.
-//! - **Fault injection** — a [`FaultPlan`]'s one-shot counters are
-//!   mirrored into the arena before forking and absorbed back after
-//!   reaping, so cross-launch accumulation (checkpoint segments) and
+//! - **Barrier** — the same wait loop as the thread world
+//!   ([`crate::barrier`]'s `wait_epoch`) over arena words, given a
+//!   bounded-wait timeout and the PE's heartbeat word, so surviving PEs of
+//!   a killed peer fail typed instead of hanging even if the reaper is
+//!   slow.
+//! - **Fault injection** — the same per-spec check routine as the thread
+//!   world, over arena mirrors of a [`FaultPlan`]'s one-shot words: seeded
+//!   from the plan's own words before forking and absorbed back into them
+//!   after reaping, so cross-launch accumulation (checkpoint segments) and
 //!   global one-shot disarming behave exactly as in the thread world. An
 //!   injected [`FaultAction::Kill`] raises a *real* `SIGKILL` on the
 //!   child; a [`FaultAction::Hang`] wedges it without dying.
@@ -60,12 +62,12 @@
 // and the raw-window constructors it calls in `shared`/`metrics`.
 #![allow(unsafe_code)]
 
-use crate::barrier::{BarrierToken, BarrierWaitError};
-use crate::fault::{FaultAction, FaultPlan};
+use crate::barrier::{wait_epoch, BarrierToken, BarrierWaitError};
+use crate::fault::{copy_words, FaultAction, FaultPlan};
 use crate::metrics::MetricsTable;
 use crate::proto::{self, MemOrder, ProtoMem};
-use crate::shared::{SharedF64Vec, SharedU64Vec};
-use crate::world::{ShmemCtx, SpmdOutput, World};
+use crate::shared::SharedF64Vec;
+use crate::world::{call_order_violated, ShmemCtx, SpmdOutput, World};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,7 +128,7 @@ impl Default for ProcOptions {
 
 impl ProcOptions {
     /// Options sized for an SPMD body that allocates about
-    /// `words_per_pe` symmetric f64/u64 words and returns about
+    /// `words_per_pe` symmetric f64 words and returns about
     /// `result_words_per_pe` words of data per PE (both padded with slack
     /// for headers and alignment).
     #[must_use]
@@ -295,7 +297,7 @@ mod sys {
 // Arena: the memfd-backed symmetric heap and its fixed header.
 // ---------------------------------------------------------------------------
 
-/// Max collective allocations per element kind per launch.
+/// Max collective allocations per launch.
 const MAX_ALLOCS: usize = 64;
 /// Max fault specs mirrored into the arena.
 const MAX_FAULT_SPECS: usize = 64;
@@ -367,8 +369,7 @@ struct ArenaLayout {
     w_bar_count: usize,
     w_bar_sense: usize,
     w_bar_poison: usize,
-    w_f64_table: usize,
-    w_u64_table: usize,
+    w_alloc_table: usize,
     w_epochs: usize,
     w_status: usize,
     w_heartbeats: usize,
@@ -377,7 +378,6 @@ struct ArenaLayout {
     w_round_ack: usize,
     w_faults: usize,
     w_coll_f64: usize,
-    w_coll_u64: usize,
     w_counters: usize,
     w_heap: usize,
     b_results: usize,
@@ -403,8 +403,7 @@ impl ArenaLayout {
         let w_bar_sense = take(&mut w, 1);
         let w_bar_poison = take(&mut w, 1);
         w = round_up(w, BLOCK_WORDS);
-        let w_f64_table = take(&mut w, MAX_ALLOCS * 3);
-        let w_u64_table = take(&mut w, MAX_ALLOCS * 3);
+        let w_alloc_table = take(&mut w, MAX_ALLOCS * 3);
         let w_epochs = take(&mut w, n_pes);
         let w_status = take(&mut w, n_pes * 2);
         let w_heartbeats = take(&mut w, n_pes);
@@ -413,7 +412,6 @@ impl ArenaLayout {
         let w_round_ack = take(&mut w, n_pes);
         let w_faults = take(&mut w, MAX_FAULT_SPECS * 2);
         let w_coll_f64 = take(&mut w, n_pes);
-        let w_coll_u64 = take(&mut w, n_pes);
         w = round_up(w, BLOCK_WORDS);
         let w_counters = take(&mut w, n_pes * BLOCK_WORDS);
         w = round_up(w, BLOCK_WORDS);
@@ -428,8 +426,7 @@ impl ArenaLayout {
             w_bar_count,
             w_bar_sense,
             w_bar_poison,
-            w_f64_table,
-            w_u64_table,
+            w_alloc_table,
             w_epochs,
             w_status,
             w_heartbeats,
@@ -438,7 +435,6 @@ impl ArenaLayout {
             w_round_ack,
             w_faults,
             w_coll_f64,
-            w_coll_u64,
             w_counters,
             w_heap,
             b_results,
@@ -452,9 +448,10 @@ impl ArenaLayout {
 // ---------------------------------------------------------------------------
 
 /// A [`ProtoMem`] window over the arena: logical protocol slot `i` maps
-/// to arena word `map[i]`. This is how the production process backend
-/// instantiates the pure state machines of [`crate::proto`] — the model
-/// checker instantiates the *same machines* over a model vector instead.
+/// to arena word `map[i]`. This is how the process substrate hands its
+/// words to the drivers of the pure state machines of [`crate::proto`]
+/// (the thread substrate hands them [`crate::proto::AtomicWords`]; the
+/// model checker instantiates the *same machines* over a model vector).
 #[derive(Debug)]
 struct ArenaWords<'a, const K: usize> {
     arena: &'a ShmArena,
@@ -512,160 +509,14 @@ impl_arena_protomem!({const K: usize} ArenaWords<'_, K>);
 impl_arena_protomem!(ArenaVecWords<'_>);
 
 // ---------------------------------------------------------------------------
-// Barrier over arena words.
-// ---------------------------------------------------------------------------
-
-/// Sense-reversing barrier on shared-arena atomics, with a spin→yield
-/// waiter and a bounded-wait timeout. Reproduces
-/// [`crate::barrier::SenseBarrier::try_wait`]'s exact epoch semantics —
-/// including the released-epoch rule: an epoch that fully released before
-/// a poison landed still completes, so every PE observes a failure in the
-/// *same* epoch (the first one that can no longer finish).
-#[derive(Debug)]
-pub(crate) struct ProcBarrier {
-    arena: Arc<ShmArena>,
-    w_count: usize,
-    w_sense: usize,
-    w_poison: usize,
-    w_heartbeats: usize,
-    n: u64,
-    timeout: Duration,
-}
-
-impl ProcBarrier {
-    pub(crate) fn try_wait(
-        &self,
-        token: &mut BarrierToken,
-        pe: usize,
-    ) -> Result<(), BarrierWaitError> {
-        let heartbeat = self.arena.word(self.w_heartbeats + pe);
-        heartbeat.fetch_add(1, Ordering::Relaxed);
-        let mem = ArenaWords {
-            arena: &self.arena,
-            map: [self.w_count, self.w_sense, self.w_poison],
-        };
-        // timeout_recheck: the expiry is one decisive compare-exchange,
-        // so a bounded wait that loses its race against the release
-        // reports the release — the model checker proved the old blind
-        // poison could fail an epoch a peer had already completed.
-        let sm = proto::bar::BarrierSm {
-            n: self.n,
-            timeout_recheck: true,
-        };
-        let mut actor = proto::bar::Actor::new(token.sense());
-        let mut spins = 0u32;
-        let mut wait: Option<(Instant, Instant)> = None;
-        loop {
-            match sm.step(&mut actor, &mem) {
-                proto::bar::Step::Released => {
-                    token.set_sense(actor.sense());
-                    return Ok(());
-                }
-                proto::bar::Step::Poisoned => return Err(BarrierWaitError::Poisoned),
-                proto::bar::Step::TimedOut => {
-                    // Bounded wait: a peer is gone and nobody told us. The
-                    // machine poisoned the barrier so the whole world fails
-                    // typed, us included, instead of hanging — and the
-                    // expiry is reported as a *timeout*, not a peer death.
-                    let (started, _) = wait.unwrap_or_else(|| {
-                        let now = Instant::now();
-                        (now, now)
-                    });
-                    return Err(BarrierWaitError::TimedOut {
-                        waited: started.elapsed(),
-                    });
-                }
-                proto::bar::Step::Pending => {
-                    if !actor.is_waiting() {
-                        continue;
-                    }
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else {
-                        // One core may host every PE process: yield or the
-                        // releasing PE never runs. Waiting here is progress —
-                        // keep the heartbeat alive so the parent watchdog
-                        // only ever flags a PE that is truly wedged, never
-                        // one legitimately blocked on a slow peer.
-                        std::thread::yield_now();
-                        heartbeat.fetch_add(1, Ordering::Relaxed);
-                        let (_, d) = *wait.get_or_insert_with(|| {
-                            let now = Instant::now();
-                            (now, now + self.timeout)
-                        });
-                        if Instant::now() > d {
-                            sm.request_timeout(&mut actor);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    pub(crate) fn poison(&self) {
-        proto::bar::post_poison(&ArenaWords {
-            arena: &self.arena,
-            map: [self.w_count, self.w_sense, self.w_poison],
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Arena-mirrored fault plan.
-// ---------------------------------------------------------------------------
-
-/// A [`FaultPlan`] view whose one-shot counters live in the arena, so all
-/// PE processes count against the *same* words (a process-private copy
-/// would let every child fire its own copy of a wildcard fault).
-#[derive(Debug)]
-pub(crate) struct ArenaFaults {
-    arena: Arc<ShmArena>,
-    base: usize,
-    specs: Vec<(Option<usize>, PeOp, u64, FaultAction)>,
-}
-
-impl ArenaFaults {
-    /// Mirror of [`FaultPlan::check`] against the arena counters, driving
-    /// the shared [`proto::fault`] machine per matching spec (the CAS
-    /// disarm is what makes a wildcard one-shot fire exactly once
-    /// world-wide; the model checker proves it under every interleaving).
-    pub(crate) fn check(&self, pe: usize, op: PeOp) -> Option<FaultAction> {
-        let mut fired = None;
-        for (i, &(spec_pe, spec_op, at, action)) in self.specs.iter().enumerate() {
-            if spec_op != op || spec_pe.is_some_and(|p| p != pe) {
-                continue;
-            }
-            let mem = ArenaWords {
-                arena: &self.arena,
-                map: [self.base + 2 * i, self.base + 2 * i + 1],
-            };
-            let mut check = proto::fault::Check::new(at);
-            loop {
-                match check.step(&mem) {
-                    proto::fault::Step::Pending => {}
-                    proto::fault::Step::Fired => {
-                        fired.get_or_insert(action);
-                        break;
-                    }
-                    proto::fault::Step::Skip
-                    | proto::fault::Step::Counted
-                    | proto::fault::Step::Lost => break,
-                }
-            }
-        }
-        fired
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ProcWorld: everything world.rs needs to run over the arena.
 // ---------------------------------------------------------------------------
 
-/// The process-backed world state: arena handle + layout. Lives inside
-/// [`World`] and is inherited by every forked PE (same mapping, same
-/// addresses).
-#[derive(Debug)]
+/// The process-backed world state: arena handle + layout. The process arm
+/// of [`World`]'s substrate (the launcher keeps a second handle for
+/// supervision), inherited by every forked PE — same mapping, same
+/// addresses.
+#[derive(Debug, Clone)]
 pub(crate) struct ProcWorld {
     arena: Arc<ShmArena>,
     layout: ArenaLayout,
@@ -691,16 +542,43 @@ impl ProcWorld {
         Arc::clone(&self.arena) as Arc<dyn Any + Send + Sync>
     }
 
-    pub(crate) fn barrier(&self) -> ProcBarrier {
-        ProcBarrier {
-            arena: Arc::clone(&self.arena),
-            w_count: self.layout.w_bar_count,
-            w_sense: self.layout.w_bar_sense,
-            w_poison: self.layout.w_bar_poison,
-            w_heartbeats: self.layout.w_heartbeats,
-            n: self.layout.n_pes as u64,
-            timeout: self.timeout,
+    /// The [`ProtoMem`] window of the barrier triple, in the slot order
+    /// [`proto::bar`] expects.
+    fn bar_mem(&self) -> ArenaWords<'_, 3> {
+        ArenaWords {
+            arena: &self.arena,
+            map: [
+                self.layout.w_bar_count,
+                self.layout.w_bar_sense,
+                self.layout.w_bar_poison,
+            ],
         }
+    }
+
+    /// One barrier epoch for `pe` over the arena words: the shared wait
+    /// loop with this world's bounded-wait timeout (surviving PEs of a
+    /// killed peer fail typed instead of hanging even if the reaper is
+    /// slow) and the PE's heartbeat word.
+    pub(crate) fn barrier_wait(
+        &self,
+        token: &mut BarrierToken,
+        pe: usize,
+    ) -> Result<(), BarrierWaitError> {
+        let sm = proto::bar::BarrierSm {
+            n: self.layout.n_pes as u64,
+            timeout_recheck: true,
+        };
+        wait_epoch(
+            &sm,
+            &self.bar_mem(),
+            token,
+            Some(self.timeout),
+            Some(self.arena.word(self.layout.w_heartbeats + pe)),
+        )
+    }
+
+    pub(crate) fn poison_barrier(&self) {
+        proto::bar::post_poison(&self.bar_mem());
     }
 
     pub(crate) fn metrics_table(&self) -> MetricsTable {
@@ -723,17 +601,6 @@ impl ProcWorld {
         unsafe {
             SharedF64Vec::from_raw(
                 self.arena.word_ptr(self.layout.w_coll_f64),
-                self.layout.n_pes,
-                self.keepalive(),
-            )
-        }
-    }
-
-    pub(crate) fn coll_u64(&self) -> SharedU64Vec {
-        // SAFETY: as coll_f64.
-        unsafe {
-            SharedU64Vec::from_raw(
-                self.arena.word_ptr(self.layout.w_coll_u64),
                 self.layout.n_pes,
                 self.keepalive(),
             )
@@ -780,14 +647,7 @@ impl ProcWorld {
     }
 
     fn barrier_poisoned(&self) -> bool {
-        proto::bar::is_poisoned(&ArenaWords {
-            arena: &self.arena,
-            map: [
-                self.layout.w_bar_count,
-                self.layout.w_bar_sense,
-                self.layout.w_bar_poison,
-            ],
-        })
+        proto::bar::is_poisoned(&self.bar_mem())
     }
 
     /// The [`ProtoMem`] window of the respawn round handshake: round and
@@ -824,7 +684,7 @@ impl ProcWorld {
     }
 
     /// Reset the per-round arena state for an in-place respawn: the heap
-    /// bump pointer, both allocation tables, epochs and result slots all
+    /// bump pointer, the allocation table, epochs and result slots all
     /// go back to launch-initial values so the re-run of the SPMD body
     /// allocates and synchronizes exactly as the first run did. The
     /// barrier words are *not* reset here — that is the release
@@ -839,10 +699,10 @@ impl ProcWorld {
     fn reset_tables_for_round(&self) {
         let l = &self.layout;
         self.arena.word(l.w_bump).store(0, Ordering::Relaxed);
-        for t in [l.w_f64_table, l.w_u64_table] {
-            for i in 0..MAX_ALLOCS * 3 {
-                self.arena.word(t + i).store(0, Ordering::Relaxed);
-            }
+        for i in 0..MAX_ALLOCS * 3 {
+            self.arena
+                .word(l.w_alloc_table + i)
+                .store(0, Ordering::Relaxed);
         }
         for pe in 0..l.n_pes {
             self.arena.word(l.w_epochs + pe).store(0, Ordering::Relaxed);
@@ -854,26 +714,15 @@ impl ProcWorld {
                 .store(0, Ordering::Relaxed);
             self.arena
                 .word(l.w_coll_f64 + pe)
-                .store(0, Ordering::Relaxed);
-            self.arena
-                .word(l.w_coll_u64 + pe)
                 .store(0, Ordering::Release);
-        }
-    }
-
-    fn table_base(&self, is_f64: bool) -> usize {
-        if is_f64 {
-            self.layout.w_f64_table
-        } else {
-            self.layout.w_u64_table
         }
     }
 
     /// The [`ProtoMem`] window of allocation entry `seq`: the shared bump
     /// pointer plus the entry's `{len, off, ready}` table triple, in the
     /// slot order [`proto::alloc`] expects.
-    fn alloc_mem(&self, is_f64: bool, seq: usize) -> ArenaWords<'_, 4> {
-        let entry = self.table_base(is_f64) + seq * 3;
+    fn alloc_mem(&self, seq: usize) -> ArenaWords<'_, 4> {
+        let entry = self.layout.w_alloc_table + seq * 3;
         ArenaWords {
             arena: &self.arena,
             map: [self.layout.w_bump, entry, entry + 1, entry + 2],
@@ -885,12 +734,7 @@ impl ProcWorld {
     /// table, driving the shared [`proto::alloc::Publish`] machine (the
     /// ready flag's release store is what makes a concurrent observer
     /// see the entry fully published or not at all).
-    pub(crate) fn publish_alloc(
-        &self,
-        is_f64: bool,
-        seq: usize,
-        len_per_pe: usize,
-    ) -> SvResult<()> {
+    pub(crate) fn publish_alloc(&self, seq: usize, len_per_pe: usize) -> SvResult<()> {
         if seq >= MAX_ALLOCS {
             return Err(SvError::Shmem(format!(
                 "process world: more than {MAX_ALLOCS} collective allocations"
@@ -898,7 +742,7 @@ impl ProcWorld {
         }
         let need = len_per_pe * self.layout.n_pes;
         let cap = self.layout.n_pes * self.layout.heap_words_per_pe;
-        let mem = self.alloc_mem(is_f64, seq);
+        let mem = self.alloc_mem(seq);
         let mut publish = proto::alloc::Publish::new(
             need as u64,
             cap as u64,
@@ -919,45 +763,41 @@ impl ProcWorld {
     }
 
     /// Every PE resolves allocation `seq` after the collective barrier,
-    /// driving the shared [`proto::alloc::Lookup`] machine.
+    /// driving the shared [`proto::alloc::Lookup`] machine, and gets the
+    /// per-PE partition windows of the published region.
     pub(crate) fn lookup_alloc(
         &self,
         pe: usize,
-        is_f64: bool,
         seq: usize,
         len_per_pe: usize,
-    ) -> SvResult<usize> {
+    ) -> SvResult<Vec<SharedF64Vec>> {
         if seq >= MAX_ALLOCS {
             return Err(SvError::Shmem(format!(
                 "process world: more than {MAX_ALLOCS} collective allocations"
             )));
         }
-        let mem = self.alloc_mem(is_f64, seq);
+        let mem = self.alloc_mem(seq);
         let mut lookup = proto::alloc::Lookup::new(len_per_pe as u64);
         loop {
             match lookup.step(&mem) {
                 proto::alloc::LookupStep::Pending => {}
                 #[allow(clippy::cast_possible_truncation)]
-                proto::alloc::LookupStep::Resolved(off) => return Ok(off as usize),
+                proto::alloc::LookupStep::Resolved(off) => {
+                    return Ok(self.f64_partitions(off as usize, len_per_pe))
+                }
                 proto::alloc::LookupStep::NotPublished => {
-                    return Err(SvError::Shmem(format!(
-                        "PE {pe}: allocation #{seq} was never published \
-                         (collective call order violated)"
-                    )));
+                    return Err(call_order_violated(pe, seq, "was never published"));
                 }
                 proto::alloc::LookupStep::Mismatch { .. } => {
-                    return Err(SvError::Shmem(format!(
-                        "PE {pe}: collective allocation #{seq} size mismatch \
-                         (collective call order violated)"
-                    )));
+                    return Err(call_order_violated(pe, seq, "size mismatch"));
                 }
             }
         }
     }
 
     /// Per-PE partition windows of an allocation resolved by
-    /// [`lookup_alloc`].
-    pub(crate) fn f64_partitions(&self, off_words: usize, len_per_pe: usize) -> Vec<SharedF64Vec> {
+    /// [`lookup_alloc`](Self::lookup_alloc).
+    fn f64_partitions(&self, off_words: usize, len_per_pe: usize) -> Vec<SharedF64Vec> {
         (0..self.layout.n_pes)
             .map(|p| {
                 // SAFETY: the window was bump-allocated inside the heap
@@ -965,22 +805,6 @@ impl ProcWorld {
                 // pinned by the keepalive.
                 unsafe {
                     SharedF64Vec::from_raw(
-                        self.arena.word_ptr(off_words + p * len_per_pe),
-                        len_per_pe,
-                        self.keepalive(),
-                    )
-                }
-            })
-            .collect()
-    }
-
-    /// As [`f64_partitions`](Self::f64_partitions), for `u64` words.
-    pub(crate) fn u64_partitions(&self, off_words: usize, len_per_pe: usize) -> Vec<SharedU64Vec> {
-        (0..self.layout.n_pes)
-            .map(|p| {
-                // SAFETY: as f64_partitions.
-                unsafe {
-                    SharedU64Vec::from_raw(
                         self.arena.word_ptr(off_words + p * len_per_pe),
                         len_per_pe,
                         self.keepalive(),
@@ -1047,42 +871,42 @@ impl ProcWorld {
             )));
         }
         for (i, s) in plan.specs().iter().enumerate() {
-            let (seen, armed) = s.state();
-            self.arena
-                .word(self.layout.w_faults + 2 * i)
-                .store(seen, Ordering::Relaxed);
-            self.arena
-                .word(self.layout.w_faults + 2 * i + 1)
-                .store(u64::from(armed), Ordering::Release);
+            copy_words(s.words(), &self.fault_mem(i));
         }
         Ok(())
     }
 
     fn absorb_faults(&self, plan: &FaultPlan) {
         for (i, s) in plan.specs().iter().enumerate() {
-            let seen = self
-                .arena
-                .word(self.layout.w_faults + 2 * i)
-                .load(Ordering::Acquire);
-            let armed = self
-                .arena
-                .word(self.layout.w_faults + 2 * i + 1)
-                .load(Ordering::Acquire)
-                != 0;
-            s.set_state(seen, armed);
+            copy_words(&self.fault_mem(i), s.words());
         }
     }
 
-    pub(crate) fn arena_faults(&self, plan: &FaultPlan) -> ArenaFaults {
-        ArenaFaults {
-            arena: Arc::clone(&self.arena),
-            base: self.layout.w_faults,
-            specs: plan
-                .specs()
-                .iter()
-                .map(|s| (s.pe, s.op, s.at, s.action))
-                .collect(),
+    /// The [`ProtoMem`] window of spec `i`'s arena mirror, in the slot
+    /// order [`proto::fault`] expects. All PE processes count against
+    /// these words — a process-private copy of the plan's own would let
+    /// every child fire its own copy of a wildcard fault.
+    fn fault_mem(&self, i: usize) -> ArenaWords<'_, 2> {
+        let at = self.layout.w_faults + 2 * i;
+        ArenaWords {
+            arena: &self.arena,
+            map: [at, at + 1],
         }
+    }
+
+    /// [`FaultPlan::check`] against the arena mirrors instead of the
+    /// plan's own words (same per-spec routine, same first-fired rule).
+    pub(crate) fn check_faults(
+        &self,
+        plan: &FaultPlan,
+        pe: usize,
+        op: PeOp,
+    ) -> Option<FaultAction> {
+        plan.specs()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.observe(pe, op, &self.fault_mem(i)))
+            .reduce(|first, _| first)
     }
 }
 
@@ -1479,12 +1303,11 @@ where
         return Err(SvError::InvalidConfig("n_pes must be >= 1".into()));
     }
     silence_child_panics();
-    let pw = ProcWorld::new(n_pes, opts)?;
+    let pw = &ProcWorld::new(n_pes, opts)?;
     if let Some(plan) = &faults {
         pw.seed_faults(plan)?;
     }
-    let world = World::new_process(n_pes, pw, faults.as_deref());
-    let pw = world.proc().expect("process world");
+    let world = World::new_process(n_pes, pw.clone(), faults.clone());
     let respawn_enabled = opts.respawn_max > 0;
 
     // Fork one child for rank `pe`; the child never returns from this call.
@@ -1492,7 +1315,7 @@ where
         match sys::spawn() {
             Ok(0) => {
                 // CHILD: run the SPMD body, publish, _exit.
-                child_run::<T, F>(&world, pe, &body, respawn_enabled);
+                child_run::<T, F>(&world, pw, pe, &body, respawn_enabled);
             }
             Ok(pid) => Ok(pid),
             Err(e) => Err(e),
@@ -1509,7 +1332,7 @@ where
             }
             Err(e) => {
                 // Fork failed mid-flight: tear down what exists.
-                world.poison_barrier();
+                pw.poison_barrier();
                 for &p in &pids[..pe] {
                     sys::kill_process(p, sys::SIGKILL);
                 }
@@ -1568,15 +1391,15 @@ where
                     exited_ok[pe] = true;
                 }
                 sys::Wait::Exited(code) => {
-                    world.poison_barrier();
+                    pw.poison_barrier();
                     if deaths[pe].is_none() {
-                        deaths[pe] = Some(pe_death(&world, pe, 0, code));
+                        deaths[pe] = Some(pe_death(pw, pe, 0, code));
                     }
                 }
                 sys::Wait::Signaled(signal) => {
-                    world.poison_barrier();
+                    pw.poison_barrier();
                     if deaths[pe].is_none() {
-                        deaths[pe] = Some(pe_death(&world, pe, signal, 0));
+                        deaths[pe] = Some(pe_death(pw, pe, signal, 0));
                     }
                 }
                 sys::Wait::Failed(errno) => {
@@ -1605,7 +1428,7 @@ where
                     epoch: pw.epoch(pe),
                     stalled_ms,
                 });
-                world.poison_barrier();
+                pw.poison_barrier();
                 sys::kill_process(pids[pe], sys::SIGKILL);
                 progressed = true;
             }
@@ -1685,7 +1508,7 @@ where
                         }
                     }
                     if fork_failed {
-                        world.poison_barrier();
+                        pw.poison_barrier();
                         respawn_active = false;
                         pw.set_abort();
                     }
@@ -1742,14 +1565,13 @@ where
 
 /// Typed record of an abnormal child death, stamped with the barrier epoch
 /// the PE had completed (read from its arena epoch word).
-fn pe_death(world: &World, pe: usize, signal: i32, code: i32) -> SvError {
-    let epoch = world.proc().map_or(0, |pw| pw.epoch(pe));
+fn pe_death(pw: &ProcWorld, pe: usize, signal: i32, code: i32) -> SvError {
     SvError::PeFailed {
         pe,
         op: PeOp::Term {
             signal,
             code,
-            epoch,
+            epoch: pw.epoch(pe),
         },
     }
 }
@@ -1790,13 +1612,12 @@ fn silence_child_panics() {
 /// releases the next round (re-run the body against the reset arena) or
 /// aborts (publish this round's result as-is). The body closure captures
 /// its segment-initial inputs, so a re-run reproduces the segment exactly.
-fn child_run<T, F>(world: &World, pe: usize, body: &F, respawn: bool) -> !
+fn child_run<T, F>(world: &World, pw: &ProcWorld, pe: usize, body: &F, respawn: bool) -> !
 where
     T: Wire + Send,
     F: Fn(&ShmemCtx<'_>) -> T + Sync,
 {
     FORKED_CHILD.store(true, Ordering::Relaxed);
-    let pw = world.proc().expect("child of a process world");
     pw.heartbeat(pe);
     let mut parked_round = pw.round();
     let res: SvResult<T> = loop {
@@ -1806,7 +1627,7 @@ where
             Ok(v) => Ok(v),
             Err(payload) => {
                 // Poison first so peers spinning in the barrier fail fast.
-                world.poison_barrier();
+                pw.poison_barrier();
                 Err(crate::world::classify_panic(pe, payload.as_ref()))
             }
         };
@@ -1935,7 +1756,7 @@ mod tests {
         let l = ArenaLayout::new(8, &o);
         let heap_end = (l.w_heap + 8 * 100) * 8;
         assert!(l.w_bar_count > l.w_bump);
-        assert!(l.w_f64_table > l.w_bar_poison);
+        assert!(l.w_alloc_table > l.w_bar_poison);
         // Supervision words: heartbeats, round/abort/ack sit strictly
         // between the status slots and the fault mirror.
         assert!(l.w_heartbeats >= l.w_status + 8 * 2);
@@ -1947,71 +1768,6 @@ mod tests {
         assert!(l.b_results >= heap_end);
         assert!(l.total_bytes >= l.b_results + 8 * 256);
         assert_eq!(l.total_bytes % 4096, 0);
-    }
-
-    #[test]
-    fn process_ranks_and_ring_exchange() {
-        // The thread-backend ring-exchange smoke, verbatim, on processes.
-        let out = launch_process(4, &opts(), None, |ctx| {
-            let sym = ctx.malloc_f64(1).expect("alloc");
-            let right = (ctx.my_pe() + 1) % ctx.n_pes();
-            ctx.put_f64(&sym, right, 0, ctx.my_pe() as f64);
-            ctx.barrier_all();
-            ctx.get_f64(&sym, ctx.my_pe(), 0)
-        })
-        .unwrap()
-        .into_result()
-        .unwrap();
-        assert_eq!(out.results, vec![3.0, 0.0, 1.0, 2.0]);
-        // Traffic counters live in the arena and survive the children.
-        assert_eq!(out.total_traffic().remote_puts, 4);
-    }
-
-    #[test]
-    fn process_collectives_and_atomics() {
-        let out = launch_process(4, &opts(), None, |ctx| {
-            let sum = ctx.sum_reduce_f64(ctx.my_pe() as f64 + 1.0);
-            let max = ctx.max_reduce_f64(ctx.my_pe() as f64);
-            let b = ctx.broadcast_f64(2, if ctx.my_pe() == 2 { 42.0 } else { 0.0 });
-            let cnt = ctx.malloc_u64(1).expect("alloc");
-            ctx.atomic_fetch_add_u64(&cnt, 0, 0, 1);
-            ctx.barrier_all();
-            (sum, max, (b, ctx.get_u64(&cnt, 0, 0)))
-        })
-        .unwrap()
-        .into_result()
-        .unwrap();
-        for &(sum, max, (b, cnt)) in &out.results {
-            assert_eq!(sum, 10.0);
-            assert_eq!(max, 3.0);
-            assert_eq!(b, 42.0);
-            assert_eq!(cnt, 4);
-        }
-    }
-
-    #[test]
-    fn process_multiple_allocations_slices_and_order() {
-        let out = launch_process(2, &opts(), None, |ctx| {
-            let a = ctx.malloc_f64(2).expect("alloc");
-            let b = ctx.malloc_f64(8).expect("alloc");
-            let f = ctx.malloc_u64(1).expect("alloc");
-            if ctx.my_pe() == 0 {
-                ctx.put_slice_f64(&b, 1, 2, &[5.0, 6.0, 7.0]);
-            }
-            ctx.put_f64(&a, ctx.my_pe(), 0, 1.0);
-            ctx.atomic_fetch_add_u64(&f, 0, 0, 1);
-            ctx.barrier_all();
-            let mut buf = vec![0.0; 3];
-            ctx.get_slice_f64(&b, 1, 2, &mut buf);
-            (buf, (a.len_per_pe(), ctx.get_u64(&f, 0, 0)))
-        })
-        .unwrap()
-        .into_result()
-        .unwrap();
-        for (buf, (len_a, cnt)) in &out.results {
-            assert_eq!(buf, &[5.0, 6.0, 7.0]);
-            assert_eq!((*len_a, *cnt), (2, 2));
-        }
     }
 
     #[test]
@@ -2073,49 +1829,31 @@ mod tests {
     }
 
     #[test]
-    fn epoch_agreement_under_injected_barrier_faults() {
-        // The thread-backend epoch-agreement property on processes: a
-        // Poison at the victim's 10th barrier is observed by every PE in
-        // epoch 9.
-        const AT: u64 = 10;
-        let plan = Arc::new(FaultPlan::new().with(2, PeOp::Barrier, AT, FaultAction::Poison));
-        let out = launch_process(4, &opts(), Some(plan), |ctx| {
-            for _ in 0..32 {
-                if ctx.try_barrier_all().is_err() {
-                    return ctx.barrier_epoch();
-                }
-            }
-            u64::MAX
-        })
-        .unwrap();
-        for pe in 0..4 {
-            match &out.results[pe] {
-                Ok(e) => assert_eq!(*e, AT - 1, "PE {pe} epoch"),
-                Err(SvError::PeFailed { pe: 2, .. }) => {}
-                other => panic!("PE {pe}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn barrier_contention_2_4_8_pes_1k_barriers() {
         // 1k barriers per PE count with randomized per-PE stalls: phases
-        // must stay separated (each PE adds its rank+1 to a shared word
-        // every epoch; after the barrier the total must be exact).
+        // must stay separated (each PE stores round * (rank+1) into its
+        // slot of PE 0's partition every epoch; after the barrier the sum
+        // over the slots must be exact).
         for n_pes in [2usize, 4, 8] {
             const ROUNDS: u64 = 1000;
             let out = launch_process(n_pes, &opts(), None, move |ctx| {
-                let acc = ctx.malloc_f64(1).expect("alloc");
+                let acc = ctx.malloc_f64(ctx.n_pes()).expect("alloc");
                 let mut rng = SvRng::seed_from_u64(0xba44 ^ ctx.my_pe() as u64);
                 let mut clean = 0u64;
                 for round in 1..=ROUNDS {
                     if rng.next_f64() < 0.02 {
                         std::thread::sleep(Duration::from_micros((rng.next_f64() * 200.0) as u64));
                     }
-                    ctx.atomic_fetch_add_f64(&acc, 0, 0, (ctx.my_pe() + 1) as f64);
+                    ctx.put_f64(
+                        &acc,
+                        0,
+                        ctx.my_pe(),
+                        (round * (ctx.my_pe() as u64 + 1)) as f64,
+                    );
                     ctx.barrier_all();
                     let expect = (round * (ctx.n_pes() * (ctx.n_pes() + 1) / 2) as u64) as f64;
-                    if ctx.get_f64(&acc, 0, 0) == expect {
+                    let total: f64 = (0..ctx.n_pes()).map(|p| ctx.get_f64(&acc, 0, p)).sum();
+                    if total == expect {
                         clean += 1;
                     }
                     ctx.barrier_all();
@@ -2368,33 +2106,6 @@ mod tests {
                 &pe
             );
         }
-    }
-
-    #[test]
-    fn fault_counts_accumulate_across_process_launches() {
-        // A kill at the 5th barrier, run as two launches of 3 barriers
-        // each (a checkpointed run's segments): the fault must fire in the
-        // second launch, at the 2nd barrier (global count 5).
-        let plan = Arc::new(FaultPlan::new().with(0, PeOp::Barrier, 5, FaultAction::Poison));
-        let first = launch_process(2, &opts(), Some(Arc::clone(&plan)), |ctx| {
-            for _ in 0..3 {
-                ctx.barrier_all();
-            }
-        })
-        .unwrap();
-        assert!(first.first_failure().is_none(), "{first:?}");
-        assert_eq!(plan.armed_remaining(), 1);
-        let second = launch_process(2, &opts(), Some(Arc::clone(&plan)), |ctx| {
-            for _ in 0..3 {
-                ctx.barrier_all();
-            }
-        })
-        .unwrap();
-        match second.first_failure() {
-            Some(SvError::PeFailed { pe: 0, .. }) => {}
-            other => panic!("expected PE 0 barrier fault in launch 2, got {other:?}"),
-        }
-        assert_eq!(plan.armed_remaining(), 0);
     }
 
     #[test]

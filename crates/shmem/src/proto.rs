@@ -7,8 +7,10 @@
 //! different hosts:
 //!
 //! - **Production**: over real atomics (struct fields for the thread
-//!   backend, `memfd` arena words for the process backend), driven by
-//!   spin/yield/timeout loops.
+//!   backend — the barrier's three words and every fault spec's word pair
+//!   are [`AtomicWords`] banks — and `memfd` arena words for the process
+//!   backend), driven by one spin/yield/timeout loop per protocol that
+//!   both backends share.
 //! - **The model checker** (`crates/verify`): over a plain `Vec<u64>`
 //!   model memory, driven by an exhaustive DFS scheduler that interleaves
 //!   actors one shared-memory operation at a time and injects kills.

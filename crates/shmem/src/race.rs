@@ -14,15 +14,13 @@
 //! number of barriers it has passed ([`crate::world::ShmemCtx::barrier_epoch`]).
 //! Two accesses to the same word are concurrent exactly when they carry the
 //! same epoch and different PEs; the shadow cells therefore store
-//! epoch-tagged PE sets and conflicts are classified as write/write,
-//! read/write, or atomic-mixed ([`ConflictKind`]). Atomic-vs-atomic
-//! accesses are always allowed (that is what the atomics are for).
+//! epoch-tagged PE sets and conflicts are classified as write/write or
+//! read/write ([`ConflictKind`]).
 //!
 //! The detector *accumulates* [`RaceReport`]s instead of panicking, so
 //! fault-injected runs can distinguish injected faults (typed `PeFailed`
 //! errors) from genuine protocol violations (non-empty race reports).
 
-use crate::shared::SharedU64Vec;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use svsim_types::{SvError, SvResult};
@@ -31,8 +29,8 @@ use svsim_types::{SvError, SvResult};
 /// PE_STRIDE + pe + 1`, with 0 reserved for "untouched".
 pub const PE_STRIDE: u64 = 1 << 16;
 
-/// Largest PE count the reader-set shadow cells can track exactly (two
-/// 20-bit PE masks plus a 24-bit epoch tag share one `u64`).
+/// Largest PE count the reader-set shadow cells can track exactly (a
+/// 20-bit PE mask below a 24-bit epoch tag in one `u64`).
 pub const MAX_TRACKED_PES: usize = 20;
 
 /// Reports kept verbatim per detector; beyond this only the total count
@@ -79,9 +77,6 @@ pub enum ConflictKind {
     WriteWrite,
     /// A plain write and a plain read from different PEs (either order).
     ReadWrite,
-    /// An atomic access and a plain access from different PEs: the atomic
-    /// side is ordered, the plain side is not, so the pair is still racy.
-    AtomicMixed,
 }
 
 impl std::fmt::Display for ConflictKind {
@@ -89,7 +84,6 @@ impl std::fmt::Display for ConflictKind {
         f.write_str(match self {
             Self::WriteWrite => "write/write",
             Self::ReadWrite => "read/write",
-            Self::AtomicMixed => "atomic-mixed",
         })
     }
 }
@@ -101,25 +95,21 @@ pub struct RaceAccess {
     pub pe: usize,
     /// Whether the access wrote the word.
     pub is_write: bool,
-    /// Whether the access was atomic.
-    pub atomic: bool,
 }
 
 impl std::fmt::Display for RaceAccess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "PE {} {}{}",
+            "PE {} {}",
             self.pe,
-            if self.atomic { "atomic " } else { "" },
             if self.is_write { "write" } else { "read" }
         )
     }
 }
 
 /// One detected protocol violation: two same-epoch accesses to the same
-/// symmetric-heap word from different PEs, at least one of them a
-/// non-atomic write (or an atomic mixed with a plain access).
+/// symmetric-heap word from different PEs, at least one of them a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaceReport {
     /// Conflict classification.
@@ -182,15 +172,14 @@ const READER_MASK: u64 = (1 << MAX_TRACKED_PES) - 1;
 /// Per-allocation shadow state: one writer cell and one reader-set cell
 /// per symmetric word, across all partitions.
 ///
-/// Writer cell: `encode_stamp(epoch, pe) << 1 | atomic_flag`, 0 untouched.
-/// Reader cell: bits 0..20 plain-reader PE mask, bits 20..40 atomic-reader
-/// PE mask, bits 40..64 epoch tag.
+/// Writer cell: `encode_stamp(epoch, pe)`, 0 untouched.
+/// Reader cell: bits 0..20 reader PE mask, bits 40..64 epoch tag.
 #[derive(Debug)]
 pub struct ShadowArray {
     array: u32,
     len_per_pe: usize,
-    writes: SharedU64Vec,
-    reads: SharedU64Vec,
+    writes: Box<[AtomicU64]>,
+    reads: Box<[AtomicU64]>,
     sink: Arc<ReportSink>,
 }
 
@@ -232,81 +221,39 @@ impl ShadowArray {
         epoch: u64,
         owner_pe: usize,
         idx: usize,
-        atomic: bool,
     ) -> Option<RaceReport> {
         let w = self.word(owner_pe, idx);
         let mine = RaceAccess {
             pe: me,
             is_write: true,
-            atomic,
         };
-        let cell = encode_stamp(epoch, me) << 1 | u64::from(atomic);
-        let prev = self.writes.swap(w, cell);
+        let prev = self.writes[w].swap(encode_stamp(epoch, me), Ordering::AcqRel);
         let mut hit = None;
-        if let Some((pepoch, ppe)) = decode_stamp(prev >> 1) {
-            let patomic = prev & 1 != 0;
-            if pepoch == epoch && ppe != me && !(patomic && atomic) {
-                let kind = if patomic != atomic {
-                    ConflictKind::AtomicMixed
-                } else {
-                    ConflictKind::WriteWrite
-                };
+        if let Some((pepoch, ppe)) = decode_stamp(prev) {
+            if pepoch == epoch && ppe != me {
                 let first = RaceAccess {
                     pe: ppe,
                     is_write: true,
-                    atomic: patomic,
                 };
-                hit = Some(self.report(kind, owner_pe, idx, epoch, first, mine));
+                hit =
+                    Some(self.report(ConflictKind::WriteWrite, owner_pe, idx, epoch, first, mine));
             }
         }
         // A write also conflicts with every same-epoch reader on another
         // PE (full reader set — not the old single-reader approximation).
-        let readers = self.reads.load(w);
+        let readers = self.reads[w].load(Ordering::Relaxed);
         if readers >> 40 == epoch_tag(epoch) {
-            let me_bit = 1u64 << me;
-            let plain = readers & READER_MASK & !me_bit;
-            let at = (readers >> MAX_TRACKED_PES) & READER_MASK & !me_bit;
-            hit = self
-                .flag_readers(plain, false, atomic, owner_pe, idx, epoch, mine)
-                .or(hit);
-            hit = self
-                .flag_readers(at, true, atomic, owner_pe, idx, epoch, mine)
-                .or(hit);
-        }
-        hit
-    }
-
-    /// Report conflicts between the write `mine` and each reader in `mask`.
-    #[allow(clippy::too_many_arguments)]
-    fn flag_readers(
-        &self,
-        mut mask: u64,
-        readers_atomic: bool,
-        write_atomic: bool,
-        owner_pe: usize,
-        idx: usize,
-        epoch: u64,
-        mine: RaceAccess,
-    ) -> Option<RaceReport> {
-        if readers_atomic && write_atomic {
-            return None; // atomic-vs-atomic is always allowed
-        }
-        let kind = if readers_atomic != write_atomic {
-            ConflictKind::AtomicMixed
-        } else {
-            ConflictKind::ReadWrite
-        };
-        let mut hit = None;
-        while mask != 0 {
-            let pe = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let first = RaceAccess {
-                pe,
-                is_write: false,
-                atomic: readers_atomic,
-            };
-            let r = self.report(kind, owner_pe, idx, epoch, first, mine);
-            hit.get_or_insert(r);
+            let mut mask = readers & READER_MASK & !(1u64 << me);
+            while mask != 0 {
+                let pe = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let first = RaceAccess {
+                    pe,
+                    is_write: false,
+                };
+                let r = self.report(ConflictKind::ReadWrite, owner_pe, idx, epoch, first, mine);
+                hit.get_or_insert(r);
+            }
         }
         hit
     }
@@ -318,14 +265,13 @@ impl ShadowArray {
         epoch: u64,
         owner_pe: usize,
         idx: usize,
-        atomic: bool,
     ) -> Option<RaceReport> {
         let w = self.word(owner_pe, idx);
         let tag = epoch_tag(epoch);
-        let my_bit = 1u64 << (me + if atomic { MAX_TRACKED_PES } else { 0 });
+        let my_bit = 1u64 << me;
         // Join the epoch's reader set (CAS loop: readers from many PEs
         // accumulate; a stale epoch's set is replaced wholesale).
-        let cell = &self.reads.words()[w];
+        let cell = &self.reads[w];
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
             let new = if cur >> 40 == tag {
@@ -339,42 +285,19 @@ impl ShadowArray {
             }
         }
         // Check against the epoch's last writer.
-        let wr = self.writes.load(w);
-        if let Some((wepoch, wpe)) = decode_stamp(wr >> 1) {
-            let watomic = wr & 1 != 0;
-            if wepoch == epoch && wpe != me && !(watomic && atomic) {
-                let kind = if watomic != atomic {
-                    ConflictKind::AtomicMixed
-                } else {
-                    ConflictKind::ReadWrite
-                };
-                let first = RaceAccess {
-                    pe: wpe,
-                    is_write: true,
-                    atomic: watomic,
-                };
-                let mine = RaceAccess {
-                    pe: me,
-                    is_write: false,
-                    atomic,
-                };
-                return Some(self.report(kind, owner_pe, idx, epoch, first, mine));
-            }
+        let (wepoch, wpe) = decode_stamp(self.writes[w].load(Ordering::Relaxed))?;
+        if wepoch != epoch || wpe == me {
+            return None;
         }
-        None
-    }
-
-    /// Record an atomic read-modify-write (fetch-add, swap, CAS).
-    pub fn record_atomic(
-        &self,
-        me: usize,
-        epoch: u64,
-        owner_pe: usize,
-        idx: usize,
-    ) -> Option<RaceReport> {
-        let w = self.record_write(me, epoch, owner_pe, idx, true);
-        let r = self.record_read(me, epoch, owner_pe, idx, true);
-        w.or(r)
+        let first = RaceAccess {
+            pe: wpe,
+            is_write: true,
+        };
+        let mine = RaceAccess {
+            pe: me,
+            is_write: false,
+        };
+        Some(self.report(ConflictKind::ReadWrite, owner_pe, idx, epoch, first, mine))
     }
 }
 
@@ -422,8 +345,8 @@ impl RaceDetector {
         Arc::new(ShadowArray {
             array: self.next_array.fetch_add(1, Ordering::Relaxed),
             len_per_pe,
-            writes: SharedU64Vec::new(total, 0),
-            reads: SharedU64Vec::new(total, 0),
+            writes: (0..total).map(|_| AtomicU64::new(0)).collect(),
+            reads: (0..total).map(|_| AtomicU64::new(0)).collect(),
             sink: Arc::clone(&self.sink),
         })
     }
@@ -495,19 +418,19 @@ mod tests {
     #[test]
     fn disjoint_and_cross_epoch_accesses_are_clean() {
         let (d, s) = det2();
-        assert!(s.record_write(0, 0, 0, 0, false).is_none());
-        assert!(s.record_write(1, 0, 0, 1, false).is_none()); // other word
-        assert!(s.record_write(1, 1, 0, 0, false).is_none()); // other epoch
-        assert!(s.record_read(2, 2, 0, 0, false).is_none()); // after barrier
-        assert!(s.record_read(3, 2, 0, 0, false).is_none()); // read/read ok
+        assert!(s.record_write(0, 0, 0, 0).is_none());
+        assert!(s.record_write(1, 0, 0, 1).is_none()); // other word
+        assert!(s.record_write(1, 1, 0, 0).is_none()); // other epoch
+        assert!(s.record_read(2, 2, 0, 0).is_none()); // after barrier
+        assert!(s.record_read(3, 2, 0, 0).is_none()); // read/read ok
         assert_eq!(d.race_count(), 0);
     }
 
     #[test]
     fn write_write_same_epoch_is_flagged() {
         let (d, s) = det2();
-        assert!(s.record_write(0, 3, 1, 5, false).is_none());
-        let r = s.record_write(2, 3, 1, 5, false).expect("conflict");
+        assert!(s.record_write(0, 3, 1, 5).is_none());
+        let r = s.record_write(2, 3, 1, 5).expect("conflict");
         assert_eq!(r.kind, ConflictKind::WriteWrite);
         assert_eq!((r.first.pe, r.second.pe), (0, 2));
         assert_eq!((r.owner_pe, r.index, r.epoch), (1, 5, 3));
@@ -519,16 +442,15 @@ mod tests {
         // The old single-reader shadow lost reader A once reader B (== the
         // later writer) overwrote the cell. The set-based cells keep both.
         let (d, s) = det2();
-        assert!(s.record_read(0, 1, 0, 2, false).is_none()); // reader A
-        assert!(s.record_read(1, 1, 0, 2, false).is_none()); // reader B
-        let r = s.record_write(1, 1, 0, 2, false).expect("A vs B's write");
+        assert!(s.record_read(0, 1, 0, 2).is_none()); // reader A
+        assert!(s.record_read(1, 1, 0, 2).is_none()); // reader B
+        let r = s.record_write(1, 1, 0, 2).expect("A vs B's write");
         assert_eq!(r.kind, ConflictKind::ReadWrite);
         assert_eq!(
             r.first,
             RaceAccess {
                 pe: 0,
-                is_write: false,
-                atomic: false
+                is_write: false
             }
         );
         assert_eq!(r.second.pe, 1);
@@ -538,39 +460,23 @@ mod tests {
     #[test]
     fn read_after_write_and_write_after_read_are_flagged() {
         let (_, s) = det2();
-        s.record_write(0, 0, 0, 0, false);
-        let r = s.record_read(1, 0, 0, 0, false).expect("r after w");
+        s.record_write(0, 0, 0, 0);
+        let r = s.record_read(1, 0, 0, 0).expect("r after w");
         assert_eq!(r.kind, ConflictKind::ReadWrite);
         assert!(r.first.is_write && !r.second.is_write);
 
-        s.record_read(2, 1, 3, 4, false);
-        let r = s.record_write(3, 1, 3, 4, false).expect("w after r");
+        s.record_read(2, 1, 3, 4);
+        let r = s.record_write(3, 1, 3, 4).expect("w after r");
         assert_eq!(r.kind, ConflictKind::ReadWrite);
         assert_eq!((r.first.pe, r.second.pe), (2, 3));
     }
 
     #[test]
-    fn atomic_vs_atomic_allowed_atomic_vs_plain_mixed() {
-        let (d, s) = det2();
-        assert!(s.record_atomic(0, 0, 0, 0).is_none());
-        assert!(s.record_atomic(1, 0, 0, 0).is_none(), "atomic pair is fine");
-        assert_eq!(d.race_count(), 0);
-        let r = s.record_write(2, 0, 0, 0, false).expect("plain vs atomic");
-        assert_eq!(r.kind, ConflictKind::AtomicMixed);
-        // Fresh word: a plain read against an epoch's atomic writer.
-        assert!(s.record_atomic(0, 0, 0, 1).is_none());
-        let r = s
-            .record_read(3, 0, 0, 1, false)
-            .expect("plain read vs atomic");
-        assert_eq!(r.kind, ConflictKind::AtomicMixed);
-    }
-
-    #[test]
     fn same_pe_rmw_never_conflicts_with_itself() {
         let (d, s) = det2();
-        s.record_read(1, 0, 0, 0, false);
-        assert!(s.record_write(1, 0, 0, 0, false).is_none());
-        assert!(s.record_read(1, 0, 0, 0, false).is_none());
+        s.record_read(1, 0, 0, 0);
+        assert!(s.record_write(1, 0, 0, 0).is_none());
+        assert!(s.record_read(1, 0, 0, 0).is_none());
         assert_eq!(d.race_count(), 0);
     }
 
@@ -578,8 +484,8 @@ mod tests {
     fn reports_accumulate_and_drain() {
         let (d, s) = det2();
         for i in 0..3 {
-            s.record_write(0, 0, 0, i, false);
-            s.record_write(1, 0, 0, i, false);
+            s.record_write(0, 0, 0, i);
+            s.record_write(1, 0, 0, i);
         }
         assert_eq!(d.race_count(), 3);
         let all = d.reports();

@@ -135,19 +135,6 @@ impl SharedF64Vec {
         self.cells()[idx].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Atomic fetch-add via CAS loop (`shmem_double_atomic_fetch_add`).
-    pub fn fetch_add(&self, idx: usize, delta: f64) -> f64 {
-        let cell = &self.cells()[idx];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + delta).to_bits();
-            match cell.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return f64::from_bits(cur),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
     /// Copy `dst.len()` words starting at `src_start` into `dst`.
     pub fn load_slice(&self, src_start: usize, dst: &mut [f64]) {
         for (i, d) in dst.iter_mut().enumerate() {
@@ -166,100 +153,6 @@ impl SharedF64Vec {
     #[must_use]
     pub fn to_vec(&self) -> Vec<f64> {
         (0..self.len()).map(|i| self.load(i)).collect()
-    }
-}
-
-/// A fixed-length shared buffer of `u64` words with one-sided and atomic
-/// access (flags, counters, classical bits).
-#[derive(Debug)]
-pub struct SharedU64Vec {
-    storage: Storage,
-}
-
-impl SharedU64Vec {
-    /// Allocate, initialized to `init`.
-    #[must_use]
-    pub fn new(len: usize, init: u64) -> Self {
-        Self {
-            storage: Storage::Owned((0..len).map(|_| AtomicU64::new(init)).collect()),
-        }
-    }
-
-    /// Wrap `len` words of an OS-shared mapping; see
-    /// [`SharedF64Vec::from_raw`] for the contract.
-    ///
-    /// # Safety
-    /// Same contract as [`SharedF64Vec::from_raw`].
-    #[allow(unsafe_code)]
-    pub(crate) unsafe fn from_raw(
-        ptr: *const AtomicU64,
-        len: usize,
-        keep: Arc<dyn Any + Send + Sync>,
-    ) -> Self {
-        Self {
-            storage: Storage::Mapped {
-                ptr,
-                len,
-                _keep: keep,
-            },
-        }
-    }
-
-    /// Length in words.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.words().len()
-    }
-
-    /// True if empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words().is_empty()
-    }
-
-    /// One-sided load (relaxed).
-    #[inline]
-    #[must_use]
-    pub fn load(&self, idx: usize) -> u64 {
-        self.words()[idx].load(Ordering::Relaxed)
-    }
-
-    /// One-sided store (relaxed).
-    #[inline]
-    pub fn store(&self, idx: usize, v: u64) {
-        self.words()[idx].store(v, Ordering::Relaxed);
-    }
-
-    /// Atomic fetch-add (`shmem_uint64_atomic_fetch_add`).
-    #[inline]
-    pub fn fetch_add(&self, idx: usize, delta: u64) -> u64 {
-        self.words()[idx].fetch_add(delta, Ordering::AcqRel)
-    }
-
-    /// Raw word access for ordering-specific operations (see
-    /// [`crate::signal`]).
-    #[inline]
-    pub(crate) fn words(&self) -> &[AtomicU64] {
-        self.storage.cells()
-    }
-
-    /// Atomic unconditional swap; returns the previous value.
-    #[inline]
-    pub fn swap(&self, idx: usize, value: u64) -> u64 {
-        self.words()[idx].swap(value, Ordering::AcqRel)
-    }
-
-    /// Atomic compare-and-swap; returns the previous value.
-    #[inline]
-    pub fn compare_swap(&self, idx: usize, expected: u64, desired: u64) -> u64 {
-        match self.words()[idx].compare_exchange(
-            expected,
-            desired,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(prev) | Err(prev) => prev,
-        }
     }
 }
 
@@ -286,34 +179,6 @@ mod tests {
         v.load_slice(2, &mut out);
         assert_eq!(out, [1.0, 2.0, 3.0]);
         assert_eq!(v.to_vec()[..2], [0.0, 0.0]);
-    }
-
-    #[test]
-    fn f64_fetch_add_concurrent() {
-        let v = Arc::new(SharedF64Vec::new(1, 0.0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let v = Arc::clone(&v);
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        v.fetch_add(0, 1.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(v.load(0), 4000.0);
-    }
-
-    #[test]
-    fn u64_atomics() {
-        let v = SharedU64Vec::new(2, 7);
-        assert_eq!(v.fetch_add(0, 3), 7);
-        assert_eq!(v.load(0), 10);
-        assert_eq!(v.compare_swap(1, 7, 99), 7);
-        assert_eq!(v.load(1), 99);
-        // Failed CAS returns the current value and leaves it unchanged.
-        assert_eq!(v.compare_swap(1, 7, 1), 99);
-        assert_eq!(v.load(1), 99);
     }
 
     #[test]
@@ -344,11 +209,9 @@ mod tests {
         assert_eq!(v.len(), 8);
         v.store(3, 2.5);
         assert_eq!(v.load(3), 2.5);
-        assert_eq!(v.fetch_add(3, 1.0), 2.5);
-        assert_eq!(v.load(3), 3.5);
         v.store_slice(0, &[1.0, 2.0]);
         assert_eq!(v.to_vec()[..2], [1.0, 2.0]);
         // The mapped view writes through to the backing words.
-        assert_eq!(f64::from_bits(backing[3].load(Ordering::Relaxed)), 3.5);
+        assert_eq!(f64::from_bits(backing[3].load(Ordering::Relaxed)), 2.5);
     }
 }

@@ -1,17 +1,22 @@
 //! The SPMD world: PE launch, symmetric heap, one-sided access, collectives.
 //!
 //! This is the in-process stand-in for OpenSHMEM/NVSHMEM (see DESIGN.md):
-//! each processing element (PE) is a thread executing the same program, the
-//! symmetric heap is allocated collectively (same sizes, same order on every
-//! PE), and remote partitions are reached with one-sided `put`/`get` exactly
-//! as in the paper's Listing 5.
+//! each processing element (PE) executes the same program, the symmetric
+//! heap is allocated collectively (same sizes, same order on every PE),
+//! and remote partitions are reached with one-sided `put`/`get` exactly as
+//! in the paper's Listing 5.
+//!
+//! PEs run on one of two substrates — threads of this process, or forked
+//! OS processes over a shared arena ([`crate::proc`]). The choice is made
+//! once, at launch, as the world's `Substrate`; [`ShmemCtx`] never asks
+//! which one it is on.
 
 use crate::barrier::{BarrierToken, BarrierWaitError, SenseBarrier};
 use crate::fault::{FaultAction, FaultPlan, PeFailure};
 use crate::metrics::{MetricsTable, PeCounters, TrafficSnapshot};
-use crate::proc::{ArenaFaults, ProcBarrier, ProcWorld, RespawnEvent};
+use crate::proc::{ProcWorld, RespawnEvent};
 use crate::race::{RaceDetector, ShadowArray};
-use crate::shared::{SharedF64Vec, SharedU64Vec};
+use crate::shared::SharedF64Vec;
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use svsim_types::{PeOp, SvError, SvResult};
@@ -50,73 +55,171 @@ impl SymF64 {
     }
 }
 
-/// Handle to a symmetric `u64` array.
-#[derive(Debug, Clone)]
-pub struct SymU64 {
-    bufs: Arc<Vec<SharedU64Vec>>,
-    len_per_pe: usize,
-    /// Shadow state in a race-detected world; see [`SymF64`].
-    shadow: Option<Arc<ShadowArray>>,
-}
-
-impl SymU64 {
-    /// Words per PE.
-    #[must_use]
-    pub fn len_per_pe(&self) -> usize {
-        self.len_per_pe
-    }
-
-    /// Direct reference to one PE's partition.
-    #[must_use]
-    pub fn partition(&self, pe: usize) -> &SharedU64Vec {
-        &self.bufs[pe]
-    }
-}
-
-/// Which barrier implementation synchronizes this world's PEs: in-process
-/// atomics (thread-backed) or `MAP_SHARED` arena words (process-backed).
-/// Both run the same sense-reversing protocol with identical epoch and
-/// poison semantics, so `ShmemCtx` stays one non-generic type.
+/// What the PEs of a world run on, decided once at launch. Everything
+/// that differs between thread PEs and process PEs is a method of this
+/// enum: where a collective allocation's partitions and its publication
+/// record live, which words the barrier runs over and how a wait is
+/// bounded, where progress is stamped for a supervisor, which words a
+/// fault spec counts against, and what it means for a PE to be killed or
+/// wedged. Both arms drive the same [`crate::proto`] machines.
 #[derive(Debug)]
-enum WorldBarrier {
-    Sense(SenseBarrier),
-    Proc(ProcBarrier),
+enum Substrate {
+    /// PEs are threads of this process: barrier words are process-local,
+    /// allocations are heap buffers published through a log, fault specs
+    /// count against the plan's own words, and nobody supervises.
+    Thread {
+        barrier: SenseBarrier,
+        /// Symmetric-heap allocation log: handles published by PE 0,
+        /// indexed by allocation sequence number.
+        heap: Mutex<Vec<SymF64>>,
+        /// Dynamic race detector: when present, every symmetric
+        /// allocation gets shadow state and every one-sided access is
+        /// recorded against it. Shadow state is single-address-space, so
+        /// only this arm can carry one.
+        detector: Option<Arc<RaceDetector>>,
+    },
+    /// PEs are forked OS processes: all of the above lives in the
+    /// `MAP_SHARED` arena, and the parent supervises.
+    Process(ProcWorld),
 }
 
-impl WorldBarrier {
-    fn try_wait(&self, token: &mut BarrierToken, pe: usize) -> Result<(), BarrierWaitError> {
+/// A symmetric-heap mutex was poisoned: a peer PE panicked while publishing
+/// an allocation. Healthy PEs get an error, not a panic, so one failed PE
+/// cannot cascade a lock-poison abort through the world.
+fn heap_poisoned(pe: usize) -> SvError {
+    SvError::Shmem(format!(
+        "PE {pe}: symmetric heap lock poisoned by a failed peer"
+    ))
+}
+
+/// Collective allocation `seq` did not resolve on `pe` to what that PE
+/// asked for: the PEs did not all call `malloc` with the same sizes in the
+/// same order. One wording for both substrates.
+pub(crate) fn call_order_violated(pe: usize, seq: usize, what: &str) -> SvError {
+    SvError::Shmem(format!(
+        "PE {pe}: allocation #{seq} {what} (collective call order violated)"
+    ))
+}
+
+impl Substrate {
+    /// PE 0's half of collective allocation `seq`: create `n_pes`
+    /// partitions of `len_per_pe` words and publish them. The caller's
+    /// barrier orders this before every PE's [`Self::lookup_alloc`].
+    fn publish_alloc(&self, seq: usize, len_per_pe: usize, n_pes: usize) -> SvResult<()> {
         match self {
-            // The thread barrier never times out (threads cannot vanish
-            // without unwinding, which poisons), so its only failure maps
-            // to the poisoned release.
-            Self::Sense(b) => b.try_wait(token).map_err(|_| BarrierWaitError::Poisoned),
-            Self::Proc(b) => b.try_wait(token, pe),
+            Self::Thread { heap, detector, .. } => {
+                let handle = SymF64 {
+                    bufs: Arc::new(
+                        (0..n_pes)
+                            .map(|_| SharedF64Vec::new(len_per_pe, 0.0))
+                            .collect(),
+                    ),
+                    len_per_pe,
+                    shadow: detector.as_ref().map(|d| d.shadow(len_per_pe)),
+                };
+                heap.lock().map_err(|_| heap_poisoned(0))?.push(handle);
+                Ok(())
+            }
+            // Bump-allocated inside the shared arena, `{len, offset}`
+            // published in its allocation table.
+            Self::Process(pw) => pw.publish_alloc(seq, len_per_pe),
         }
     }
 
-    fn poison(&self) {
+    /// Every PE's half of collective allocation `seq`, after the barrier:
+    /// resolve the published record into a handle.
+    fn lookup_alloc(&self, pe: usize, seq: usize, len_per_pe: usize) -> SvResult<SymF64> {
         match self {
-            Self::Sense(b) => b.poison(),
-            Self::Proc(b) => b.poison(),
+            Self::Thread { heap, .. } => {
+                let handle = heap
+                    .lock()
+                    .map_err(|_| heap_poisoned(pe))?
+                    .get(seq)
+                    .cloned()
+                    .ok_or_else(|| call_order_violated(pe, seq, "was never published"))?;
+                if handle.len_per_pe != len_per_pe {
+                    return Err(call_order_violated(pe, seq, "size mismatch"));
+                }
+                Ok(handle)
+            }
+            Self::Process(pw) => Ok(SymF64 {
+                bufs: Arc::new(pw.lookup_alloc(pe, seq, len_per_pe)?),
+                len_per_pe,
+                shadow: None,
+            }),
         }
     }
-}
 
-/// Where a world's injected-fault counters live: in the plan itself
-/// (thread-backed — every PE shares one `Arc`) or mirrored into the shared
-/// arena (process-backed — a forked child's plan copy would diverge from
-/// its siblings', so the one-shot words must be OS-shared).
-#[derive(Debug)]
-enum FaultSource {
-    Plan(Arc<FaultPlan>),
-    Arena(ArenaFaults),
-}
-
-impl FaultSource {
-    fn check(&self, pe: usize, op: PeOp) -> Option<FaultAction> {
+    /// One barrier epoch. Threads cannot vanish without unwinding (which
+    /// poisons), so their wait is unbounded and poison is its only
+    /// failure; a process wait is bounded and keeps `pe`'s heartbeat
+    /// alive while it blocks.
+    fn barrier_wait(&self, token: &mut BarrierToken, pe: usize) -> Result<(), BarrierWaitError> {
         match self {
-            Self::Plan(p) => p.check(pe, op),
-            Self::Arena(a) => a.check(pe, op),
+            Self::Thread { barrier, .. } => barrier
+                .try_wait(token)
+                .map_err(|_| BarrierWaitError::Poisoned),
+            Self::Process(pw) => pw.barrier_wait(token, pe),
+        }
+    }
+
+    fn poison_barrier(&self) {
+        match self {
+            Self::Thread { barrier, .. } => barrier.poison(),
+            Self::Process(pw) => pw.poison_barrier(),
+        }
+    }
+
+    /// Progress signal for a supervising parent's watchdog. Entering a
+    /// barrier is a liveness event even if the wait then blocks for a
+    /// while (the wait loop keeps bumping on its own). Threads have no
+    /// supervisor.
+    fn heartbeat(&self, pe: usize) {
+        if let Self::Process(pw) = self {
+            pw.heartbeat(pe);
+        }
+    }
+
+    /// Publish that `pe` completed barrier epoch `epoch`, so a reaper can
+    /// stamp epoch-at-death on an abnormal exit. Threads are never reaped.
+    fn set_epoch(&self, pe: usize, epoch: u64) {
+        if let Self::Process(pw) = self {
+            pw.set_epoch(pe, epoch);
+        }
+    }
+
+    /// Consult `plan` at a trigger point, counting against the words
+    /// every PE of this world shares: the plan's own for threads (one
+    /// `Arc`), the arena mirror for processes (a forked child's copy of
+    /// the plan would diverge from its siblings').
+    fn check_fault(&self, plan: &FaultPlan, pe: usize, op: PeOp) -> Option<FaultAction> {
+        match self {
+            Self::Thread { .. } => plan.check(pe, op),
+            Self::Process(pw) => pw.check_faults(plan, pe, op),
+        }
+    }
+
+    /// An injected [`FaultAction::Kill`], after the barrier is poisoned.
+    /// On processes "killed" is literal: the PE raises `SIGKILL` on itself
+    /// and the launcher reaps a signal death ([`PeOp::Term`]). A thread
+    /// cannot be killed from outside; this returns and the caller fails
+    /// the PE with a typed error or panic payload.
+    fn kill_self(&self) {
+        if let Self::Process(_) = self {
+            crate::proc::die_by_sigkill();
+        }
+    }
+
+    /// An injected [`FaultAction::Hang`]: wedge without dying. A process
+    /// PE stops bumping its heartbeat and sleeps forever — only the
+    /// parent's watchdog can end it (`SIGKILL` → [`SvError::PeHung`]). No
+    /// supervisor can kill a thread, so there this returns and Hang
+    /// degrades to Poison semantics.
+    fn hang(&self) {
+        if let Self::Process(_) = self {
+            loop {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
         }
     }
 }
@@ -125,23 +228,12 @@ impl FaultSource {
 #[derive(Debug)]
 pub struct World {
     n_pes: usize,
-    barrier: WorldBarrier,
+    substrate: Substrate,
     metrics: MetricsTable,
-    /// Symmetric-heap allocation log: handles published by PE 0, indexed by
-    /// allocation sequence number.
-    heap_f64: Mutex<Vec<SymF64>>,
-    heap_u64: Mutex<Vec<SymU64>>,
     /// Scratch slots for collectives (one word per PE).
     coll: SharedF64Vec,
-    coll_u: SharedU64Vec,
     /// Injected-fault schedule, if this world runs under fault injection.
-    faults: Option<FaultSource>,
-    /// Dynamic race detector: when present, every symmetric allocation gets
-    /// shadow state and every one-sided access is recorded against it.
-    detector: Option<Arc<RaceDetector>>,
-    /// Process-backed state (arena handle + layout) when the PEs are forked
-    /// OS processes; `None` in the thread-backed world.
-    proc: Option<ProcWorld>,
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl World {
@@ -152,48 +244,30 @@ impl World {
     ) -> Self {
         Self {
             n_pes,
-            barrier: WorldBarrier::Sense(SenseBarrier::new(n_pes)),
+            substrate: Substrate::Thread {
+                barrier: SenseBarrier::new(n_pes),
+                heap: Mutex::new(Vec::new()),
+                detector,
+            },
             metrics: MetricsTable::new(n_pes),
-            heap_f64: Mutex::new(Vec::new()),
-            heap_u64: Mutex::new(Vec::new()),
             coll: SharedF64Vec::new(n_pes, 0.0),
-            coll_u: SharedU64Vec::new(n_pes, 0),
-            faults: faults.map(FaultSource::Plan),
-            detector,
-            proc: None,
+            faults,
         }
     }
 
     /// World over a `MAP_SHARED` arena for the process backend: barrier,
-    /// metrics, collective scratch, and fault counters all live in the
-    /// arena; the heap mutexes stay empty (allocation goes through the
-    /// arena's table). Built by [`crate::proc::launch_process`] *before*
-    /// forking, so every child inherits the same world at the same
-    /// addresses.
-    pub(crate) fn new_process(n_pes: usize, pw: ProcWorld, plan: Option<&FaultPlan>) -> Self {
+    /// metrics, collective scratch, allocation table and fault counters
+    /// all live in the arena. Built by [`crate::proc::launch_process`]
+    /// *before* forking, so every child inherits the same world at the
+    /// same addresses.
+    pub(crate) fn new_process(n_pes: usize, pw: ProcWorld, faults: Option<Arc<FaultPlan>>) -> Self {
         Self {
             n_pes,
-            barrier: WorldBarrier::Proc(pw.barrier()),
             metrics: pw.metrics_table(),
-            heap_f64: Mutex::new(Vec::new()),
-            heap_u64: Mutex::new(Vec::new()),
             coll: pw.coll_f64(),
-            coll_u: pw.coll_u64(),
-            faults: plan.map(|p| FaultSource::Arena(pw.arena_faults(p))),
-            detector: None,
-            proc: Some(pw),
+            substrate: Substrate::Process(pw),
+            faults,
         }
-    }
-
-    /// The process-backed state, when this world runs on forked PEs.
-    pub(crate) fn proc(&self) -> Option<&ProcWorld> {
-        self.proc.as_ref()
-    }
-
-    /// Poison the world's barrier (whichever backend), releasing spinning
-    /// PEs into typed failures.
-    pub(crate) fn poison_barrier(&self) {
-        self.barrier.poison();
     }
 
     /// Per-PE traffic snapshots.
@@ -208,8 +282,7 @@ impl World {
             world: self,
             token: Cell::new(BarrierToken::default()),
             epoch: Cell::new(0),
-            alloc_seq_f64: Cell::new(0),
-            alloc_seq_u64: Cell::new(0),
+            alloc_seq: Cell::new(0),
             pending_drop: Cell::new(false),
         }
     }
@@ -230,8 +303,7 @@ pub struct ShmemCtx<'w> {
     epoch: Cell<u64>,
     /// Count of symmetric allocations this PE has participated in; used to
     /// pair each PE's `malloc` call with the published handle.
-    alloc_seq_f64: Cell<usize>,
-    alloc_seq_u64: Cell<usize>,
+    alloc_seq: Cell<usize>,
     /// An injected [`FaultAction::Drop`] lost a transfer; detection is
     /// deferred to this PE's next barrier (the synchronization point where
     /// a real fabric's delivery acknowledgment would surface it).
@@ -290,28 +362,20 @@ impl<'w> ShmemCtx<'w> {
     /// [`SvError::BarrierTimeout`] when the process backend's bounded wait
     /// expired with no poison observed (the barrier simply never released).
     pub fn try_barrier_all(&self) -> SvResult<()> {
+        let substrate = &self.world.substrate;
         self.counters().count_barrier();
-        if let Some(pw) = &self.world.proc {
-            // Progress signal for the parent's watchdog: entering a barrier
-            // is a liveness event even if the wait then blocks for a while
-            // (the wait loop keeps bumping on its own).
-            pw.heartbeat(self.pe);
-        }
-        if self.world.faults.is_some() {
-            self.barrier_fault_points()?;
+        substrate.heartbeat(self.pe);
+        if let Some(plan) = &self.world.faults {
+            self.barrier_fault_points(plan)?;
         }
         let mut tok = self.token.take();
-        let r = self.world.barrier.try_wait(&mut tok, self.pe);
+        let r = substrate.barrier_wait(&mut tok, self.pe);
         self.token.set(tok);
         match r {
             Ok(()) => {
                 let epoch = self.epoch.get() + 1;
                 self.epoch.set(epoch);
-                if let Some(pw) = &self.world.proc {
-                    // Publish progress so the reaper can stamp
-                    // epoch-at-death on an abnormal exit.
-                    pw.set_epoch(self.pe, epoch);
-                }
+                substrate.set_epoch(self.pe, epoch);
                 Ok(())
             }
             Err(BarrierWaitError::Poisoned) => Err(SvError::Shmem(format!(
@@ -329,62 +393,38 @@ impl<'w> ShmemCtx<'w> {
     /// Injection hooks that run at barrier entry: surface a previously
     /// dropped transfer, then consult the plan for barrier-triggered faults.
     #[cold]
-    fn barrier_fault_points(&self) -> SvResult<()> {
-        let faults = self.world.faults.as_ref().expect("checked by caller");
+    fn barrier_fault_points(&self, plan: &FaultPlan) -> SvResult<()> {
+        let substrate = &self.world.substrate;
+        let failed = |op| Err(SvError::PeFailed { pe: self.pe, op });
         if self.pending_drop.get() {
             // A lost transfer is detected when delivery is acknowledged at
             // the synchronization point: fail the PE so the epoch whose
             // data is incomplete is discarded, never committed.
             self.pending_drop.set(false);
-            self.world.barrier.poison();
-            return Err(SvError::PeFailed {
-                pe: self.pe,
-                op: PeOp::Put,
-            });
+            substrate.poison_barrier();
+            return failed(PeOp::Put);
         }
-        match faults.check(self.pe, PeOp::Barrier) {
+        match substrate.check_fault(plan, self.pe, PeOp::Barrier) {
             None | Some(FaultAction::Drop) | Some(FaultAction::TornCheckpoint) => Ok(()),
             Some(FaultAction::Delay(iters)) => {
                 stall(iters);
                 Ok(())
             }
-            // Wedge without dying. On the process backend the PE stops
-            // bumping its heartbeat and sleeps forever: only the parent's
-            // watchdog can end it (SIGKILL → `SvError::PeHung`). The thread
-            // backend has no supervisor to kill a thread, so Hang degrades
-            // to Poison semantics there.
             Some(FaultAction::Hang) => {
-                if self.world.proc.is_some() {
-                    loop {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                    }
-                }
-                self.world.barrier.poison();
-                Err(SvError::PeFailed {
-                    pe: self.pe,
-                    op: PeOp::Barrier,
-                })
+                substrate.hang();
+                substrate.poison_barrier();
+                failed(PeOp::Barrier)
             }
             // A PE killed at a barrier never arrives, so it must poison on
-            // the way out or its peers would spin forever. On the process
-            // backend "killed" is literal: the PE raises SIGKILL on itself
-            // and the launcher reaps a signal death (`PeOp::Term`).
+            // the way out or its peers would spin forever.
             Some(FaultAction::Kill) => {
-                self.world.barrier.poison();
-                if self.world.proc.is_some() {
-                    crate::proc::die_by_sigkill();
-                }
-                Err(SvError::PeFailed {
-                    pe: self.pe,
-                    op: PeOp::Barrier,
-                })
+                substrate.poison_barrier();
+                substrate.kill_self();
+                failed(PeOp::Barrier)
             }
             Some(FaultAction::Poison) => {
-                self.world.barrier.poison();
-                Err(SvError::PeFailed {
-                    pe: self.pe,
-                    op: PeOp::Barrier,
-                })
+                substrate.poison_barrier();
+                failed(PeOp::Barrier)
             }
         }
     }
@@ -395,48 +435,37 @@ impl<'w> ShmemCtx<'w> {
     fn transfer_fault(&self, op: PeOp) -> bool {
         match &self.world.faults {
             None => false,
-            Some(faults) => self.transfer_fault_slow(faults, op),
+            Some(plan) => self.transfer_fault_slow(plan, op),
         }
     }
 
     #[cold]
-    fn transfer_fault_slow(&self, faults: &FaultSource, op: PeOp) -> bool {
-        match faults.check(self.pe, op) {
+    fn transfer_fault_slow(&self, plan: &FaultPlan, op: PeOp) -> bool {
+        let substrate = &self.world.substrate;
+        match substrate.check_fault(plan, self.pe, op) {
             None | Some(FaultAction::TornCheckpoint) => false,
             Some(FaultAction::Delay(iters)) => {
                 stall(iters);
                 false
             }
-            // See `barrier_fault_points`: wedge forever on the process
-            // backend (the watchdog kills us), degrade to Poison on the
-            // thread backend.
             Some(FaultAction::Hang) => {
-                if self.world.proc.is_some() {
-                    loop {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                    }
-                }
-                self.world.barrier.poison();
+                substrate.hang();
+                substrate.poison_barrier();
                 std::panic::panic_any(PeFailure { pe: self.pe, op });
             }
             Some(FaultAction::Drop) => {
                 self.pending_drop.set(true);
                 true
             }
+            // Poison first so peers release promptly rather than waiting
+            // out a reaper (or the launcher's catch of this unwind).
             Some(FaultAction::Kill) => {
-                // Process backend: die for real (the launcher reaps the
-                // SIGKILL); poison first so peers release promptly rather
-                // than waiting out the reaper.
-                if self.world.proc.is_some() {
-                    self.world.barrier.poison();
-                    crate::proc::die_by_sigkill();
-                }
-                // Thread backend: `launch` poisons the barrier when it
-                // catches the panic.
+                substrate.poison_barrier();
+                substrate.kill_self();
                 std::panic::panic_any(PeFailure { pe: self.pe, op });
             }
             Some(FaultAction::Poison) => {
-                self.world.barrier.poison();
+                substrate.poison_barrier();
                 std::panic::panic_any(PeFailure { pe: self.pe, op });
             }
         }
@@ -456,7 +485,7 @@ impl<'w> ShmemCtx<'w> {
     fn trace_read_slow(&self, sh: &ShadowArray, owner_pe: usize, start: usize, n: usize) {
         let epoch = self.epoch.get();
         for idx in start..start + n {
-            let _ = sh.record_read(self.pe, epoch, owner_pe, idx, false);
+            let _ = sh.record_read(self.pe, epoch, owner_pe, idx);
         }
     }
 
@@ -472,21 +501,8 @@ impl<'w> ShmemCtx<'w> {
     fn trace_write_slow(&self, sh: &ShadowArray, owner_pe: usize, start: usize, n: usize) {
         let epoch = self.epoch.get();
         for idx in start..start + n {
-            let _ = sh.record_write(self.pe, epoch, owner_pe, idx, false);
+            let _ = sh.record_write(self.pe, epoch, owner_pe, idx);
         }
-    }
-
-    /// Race-detection hook for an atomic read-modify-write.
-    #[inline]
-    fn trace_atomic(&self, shadow: &Option<Arc<ShadowArray>>, owner_pe: usize, idx: usize) {
-        if let Some(sh) = shadow {
-            self.trace_atomic_slow(sh, owner_pe, idx);
-        }
-    }
-
-    #[cold]
-    fn trace_atomic_slow(&self, sh: &ShadowArray, owner_pe: usize, idx: usize) {
-        let _ = sh.record_atomic(self.pe, self.epoch.get(), owner_pe, idx);
     }
 
     /// Number of barriers this PE has passed — the synchronization epoch
@@ -497,151 +513,27 @@ impl<'w> ShmemCtx<'w> {
         self.epoch.get()
     }
 
-    /// Atomic unconditional swap on a `u64` word; returns the previous
-    /// value.
-    pub fn atomic_swap_u64(&self, sym: &SymU64, pe: usize, idx: usize, value: u64) -> u64 {
-        self.trace_atomic(&sym.shadow, pe, idx);
-        self.counters().count_atomic();
-        sym.bufs[pe].swap(idx, value)
-    }
-
-    /// A symmetric-heap mutex was poisoned: a peer PE panicked while
-    /// publishing an allocation. Healthy PEs get an error, not a panic, so
-    /// one failed PE cannot cascade a lock-poison abort through the world.
-    fn heap_poisoned(&self) -> SvError {
-        SvError::Shmem(format!(
-            "PE {}: symmetric heap lock poisoned by a failed peer",
-            self.pe
-        ))
-    }
-
     /// Collective symmetric allocation of `len_per_pe` f64 words per PE
     /// (`nvshmem_malloc`). Must be called by **all** PEs in the same order.
+    /// PE 0 creates and publishes the partitions, the barrier orders the
+    /// publication before every PE's lookup.
     ///
     /// # Errors
-    /// [`SvError::Shmem`] when the heap lock or barrier was poisoned by a
-    /// failed peer, or when PEs disagree on size/order (collective call
-    /// order violated).
+    /// [`SvError::Shmem`] when the heap (its lock, or the process arena's
+    /// capacity) or the barrier failed, or when PEs disagree on size/order
+    /// (collective call order violated).
     pub fn malloc_f64(&self, len_per_pe: usize) -> SvResult<SymF64> {
-        let seq = self.alloc_seq_f64.get();
-        self.alloc_seq_f64.set(seq + 1);
-        if let Some(pw) = &self.world.proc {
-            // Process backend: PE 0 bump-allocates inside the shared arena
-            // and publishes {len, offset} in the allocation table; the
-            // barrier orders publication before every PE's lookup, exactly
-            // mirroring the thread path below.
-            let made = if self.pe == 0 {
-                pw.publish_alloc(true, seq, len_per_pe)
-            } else {
-                Ok(())
-            };
-            self.try_barrier_all()?;
-            made?;
-            let off = pw.lookup_alloc(self.pe, true, seq, len_per_pe)?;
-            return Ok(SymF64 {
-                bufs: Arc::new(pw.f64_partitions(off, len_per_pe)),
-                len_per_pe,
-                shadow: None,
-            });
-        }
-        if self.pe == 0 {
-            let handle = SymF64 {
-                bufs: Arc::new(
-                    (0..self.world.n_pes)
-                        .map(|_| SharedF64Vec::new(len_per_pe, 0.0))
-                        .collect(),
-                ),
-                len_per_pe,
-                shadow: self.world.detector.as_ref().map(|d| d.shadow(len_per_pe)),
-            };
-            self.world
-                .heap_f64
-                .lock()
-                .map_err(|_| self.heap_poisoned())?
-                .push(handle);
-        }
+        let substrate = &self.world.substrate;
+        let seq = self.alloc_seq.get();
+        self.alloc_seq.set(seq + 1);
+        let made = if self.pe == 0 {
+            substrate.publish_alloc(seq, len_per_pe, self.world.n_pes)
+        } else {
+            Ok(())
+        };
         self.try_barrier_all()?;
-        let handle = self
-            .world
-            .heap_f64
-            .lock()
-            .map_err(|_| self.heap_poisoned())?
-            .get(seq)
-            .cloned()
-            .ok_or_else(|| {
-                SvError::Shmem(format!(
-                    "PE {}: allocation #{seq} was never published (collective call order violated)",
-                    self.pe
-                ))
-            })?;
-        if handle.len_per_pe != len_per_pe {
-            return Err(SvError::Shmem(format!(
-                "PE {} called malloc_f64 with a mismatched size (collective call order violated)",
-                self.pe
-            )));
-        }
-        Ok(handle)
-    }
-
-    /// Collective symmetric allocation of `u64` words.
-    ///
-    /// # Errors
-    /// Same contract as [`malloc_f64`](Self::malloc_f64).
-    pub fn malloc_u64(&self, len_per_pe: usize) -> SvResult<SymU64> {
-        let seq = self.alloc_seq_u64.get();
-        self.alloc_seq_u64.set(seq + 1);
-        if let Some(pw) = &self.world.proc {
-            let made = if self.pe == 0 {
-                pw.publish_alloc(false, seq, len_per_pe)
-            } else {
-                Ok(())
-            };
-            self.try_barrier_all()?;
-            made?;
-            let off = pw.lookup_alloc(self.pe, false, seq, len_per_pe)?;
-            return Ok(SymU64 {
-                bufs: Arc::new(pw.u64_partitions(off, len_per_pe)),
-                len_per_pe,
-                shadow: None,
-            });
-        }
-        if self.pe == 0 {
-            let handle = SymU64 {
-                bufs: Arc::new(
-                    (0..self.world.n_pes)
-                        .map(|_| SharedU64Vec::new(len_per_pe, 0))
-                        .collect(),
-                ),
-                len_per_pe,
-                shadow: self.world.detector.as_ref().map(|d| d.shadow(len_per_pe)),
-            };
-            self.world
-                .heap_u64
-                .lock()
-                .map_err(|_| self.heap_poisoned())?
-                .push(handle);
-        }
-        self.try_barrier_all()?;
-        let handle = self
-            .world
-            .heap_u64
-            .lock()
-            .map_err(|_| self.heap_poisoned())?
-            .get(seq)
-            .cloned()
-            .ok_or_else(|| {
-                SvError::Shmem(format!(
-                    "PE {}: allocation #{seq} was never published (collective call order violated)",
-                    self.pe
-                ))
-            })?;
-        if handle.len_per_pe != len_per_pe {
-            return Err(SvError::Shmem(format!(
-                "PE {}: collective call order violated",
-                self.pe
-            )));
-        }
-        Ok(handle)
+        made?;
+        substrate.lookup_alloc(self.pe, seq, len_per_pe)
     }
 
     /// One-sided load of one word from `src_pe`'s partition
@@ -697,73 +589,17 @@ impl<'w> ShmemCtx<'w> {
         sym.bufs[dst_pe].store_slice(start, src);
     }
 
-    /// Atomic fetch-add on a remote f64 word.
-    pub fn atomic_fetch_add_f64(&self, sym: &SymF64, pe: usize, idx: usize, delta: f64) -> f64 {
-        self.trace_atomic(&sym.shadow, pe, idx);
-        self.counters().count_atomic();
-        sym.bufs[pe].fetch_add(idx, delta)
-    }
-
-    /// One-sided `u64` load.
-    #[inline]
-    #[must_use]
-    pub fn get_u64(&self, sym: &SymU64, src_pe: usize, idx: usize) -> u64 {
-        if self.transfer_fault(PeOp::Get) {
-            return 0;
-        }
-        self.trace_read(&sym.shadow, src_pe, idx);
-        self.counters().count_get(src_pe != self.pe, 8);
-        sym.bufs[src_pe].load(idx)
-    }
-
-    /// One-sided `u64` store.
-    #[inline]
-    pub fn put_u64(&self, sym: &SymU64, dst_pe: usize, idx: usize, v: u64) {
-        if self.transfer_fault(PeOp::Put) {
-            return;
-        }
-        self.trace_write(&sym.shadow, dst_pe, idx);
-        self.counters().count_put(dst_pe != self.pe, 8);
-        sym.bufs[dst_pe].store(idx, v);
-    }
-
-    /// Atomic fetch-add on a `u64` word.
-    pub fn atomic_fetch_add_u64(&self, sym: &SymU64, pe: usize, idx: usize, delta: u64) -> u64 {
-        self.trace_atomic(&sym.shadow, pe, idx);
-        self.counters().count_atomic();
-        sym.bufs[pe].fetch_add(idx, delta)
-    }
-
-    /// Atomic compare-and-swap on a `u64` word; returns the previous value.
-    pub fn atomic_compare_swap_u64(
-        &self,
-        sym: &SymU64,
-        pe: usize,
-        idx: usize,
-        expected: u64,
-        desired: u64,
-    ) -> u64 {
-        self.trace_atomic(&sym.shadow, pe, idx);
-        self.counters().count_atomic();
-        sym.bufs[pe].compare_swap(idx, expected, desired)
-    }
-
     /// All-reduce sum over one f64 contribution per PE
-    /// (`shmem_double_sum_to_all`). Collective.
+    /// (`shmem_double_sum_to_all`), each PE depositing its partial in an
+    /// explicit scratch slot. Collective.
     ///
     /// Partials combine with the canonical pairwise-tree association of
     /// [`svsim_types::numeric::pairwise_sum`], so a sum over per-partition
     /// contributions is bit-identical to the same sum evaluated on one PE.
-    pub fn sum_reduce_f64(&self, x: f64) -> f64 {
-        self.sum_reduce_f64_at(self.pe, x)
-    }
-
-    /// [`Self::sum_reduce_f64`] with an explicit scratch slot per PE.
-    ///
     /// Under a remapped layout a PE's partial belongs at the slot of the
     /// logical subcube it holds, not at its own rank; callers must supply a
     /// permutation of `0..n_pes` (one distinct slot per PE) so the pairwise
-    /// combine runs over logically ordered partials. Collective.
+    /// combine runs over logically ordered partials.
     pub fn sum_reduce_f64_at(&self, slot: usize, x: f64) -> f64 {
         self.world.coll.store(slot, x);
         self.barrier_all();
@@ -773,45 +609,6 @@ impl<'w> ShmemCtx<'w> {
         let total = svsim_types::numeric::pairwise_sum(&partials);
         self.barrier_all(); // protect the scratch slots from the next collective
         total
-    }
-
-    /// All-reduce max. Collective.
-    pub fn max_reduce_f64(&self, x: f64) -> f64 {
-        self.world.coll.store(self.pe, x);
-        self.barrier_all();
-        let m = (0..self.world.n_pes)
-            .map(|p| self.world.coll.load(p))
-            .fold(f64::NEG_INFINITY, f64::max);
-        self.barrier_all();
-        m
-    }
-
-    /// Broadcast a f64 from `root` to all PEs. Collective.
-    pub fn broadcast_f64(&self, root: usize, x: f64) -> f64 {
-        if self.pe == root {
-            self.world.coll.store(0, x);
-        }
-        self.barrier_all();
-        let v = self.world.coll.load(0);
-        self.barrier_all();
-        v
-    }
-
-    /// Broadcast a u64 from `root`. Collective.
-    pub fn broadcast_u64(&self, root: usize, x: u64) -> u64 {
-        if self.pe == root {
-            self.world.coll_u.store(0, x);
-        }
-        self.barrier_all();
-        let v = self.world.coll_u.load(0);
-        self.barrier_all();
-        v
-    }
-
-    /// This PE's traffic snapshot so far.
-    #[must_use]
-    pub fn my_traffic(&self) -> TrafficSnapshot {
-        self.counters().snapshot()
     }
 }
 
@@ -991,7 +788,7 @@ where
 
 /// [`launch_with_faults`] with the dynamic race detector armed: every
 /// symmetric allocation in this world gets shadow state, every one-sided
-/// access (put/get/slice/atomics) is recorded, and protocol violations
+/// access (scalar and slice put/get) is recorded, and protocol violations
 /// accumulate in `detector` as [`crate::race::RaceReport`]s instead of
 /// failing the job — read them with [`RaceDetector::take_reports`] after
 /// the launch returns. Composes with fault injection, which is the point:
@@ -1050,7 +847,7 @@ where
                         Err(payload) => {
                             // Poison first so peers spinning in a barrier
                             // fail fast instead of deadlocking.
-                            world.barrier.poison();
+                            world.substrate.poison_barrier();
                             Err(classify_panic(pe, payload.as_ref()))
                         }
                     });
@@ -1078,12 +875,55 @@ where
 mod tests {
     use super::*;
 
+    use crate::proc::{launch_process, ProcOptions, Wire};
+
+    /// The substrates a shared scenario runs on: the same SPMD body, the
+    /// same fault plan, the same assertions.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum On {
+        Threads,
+        Processes,
+    }
+
+    const BOTH: [On; 2] = [On::Threads, On::Processes];
+
+    impl On {
+        fn launch<T, F>(
+            self,
+            n_pes: usize,
+            faults: Option<Arc<FaultPlan>>,
+            body: F,
+        ) -> SpmdOutput<T>
+        where
+            T: Wire + Send,
+            F: Fn(&ShmemCtx<'_>) -> T + Sync,
+        {
+            match self {
+                On::Threads => launch_with_faults(n_pes, faults, body),
+                On::Processes => {
+                    let opts = ProcOptions {
+                        heap_words_per_pe: 1 << 12,
+                        result_bytes_per_pe: 1 << 12,
+                        barrier_timeout_ms: 20_000,
+                        ..ProcOptions::default()
+                    };
+                    launch_process(n_pes, &opts, faults, body)
+                }
+            }
+            .expect("launch")
+        }
+    }
+
     #[test]
     fn ranks_and_world_size() {
-        let out = launch(4, |ctx| (ctx.my_pe(), ctx.n_pes())).unwrap();
-        for (pe, &(rank, n)) in out.results.iter().enumerate() {
-            assert_eq!(rank, pe);
-            assert_eq!(n, 4);
+        for on in BOTH {
+            let out = on
+                .launch(4, None, |ctx| (ctx.my_pe(), ctx.n_pes()))
+                .into_result()
+                .unwrap();
+            for (pe, &(rank, n)) in out.results.iter().enumerate() {
+                assert_eq!((rank, n), (pe, 4), "{on:?}");
+            }
         }
     }
 
@@ -1093,18 +933,24 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_heap_put_get() {
-        // Ring exchange: each PE writes its rank into its right neighbor's
-        // partition, then reads its own slot.
-        let out = launch(4, |ctx| {
-            let sym = ctx.malloc_f64(1).expect("alloc");
-            let right = (ctx.my_pe() + 1) % ctx.n_pes();
-            ctx.put_f64(&sym, right, 0, ctx.my_pe() as f64);
-            ctx.barrier_all();
-            ctx.get_f64(&sym, ctx.my_pe(), 0)
-        })
-        .unwrap();
-        assert_eq!(out.results, vec![3.0, 0.0, 1.0, 2.0]);
+    fn symmetric_heap_ring_exchange() {
+        // Each PE writes its rank into its right neighbor's partition, then
+        // reads its own slot.
+        for on in BOTH {
+            let out = on
+                .launch(4, None, |ctx| {
+                    let sym = ctx.malloc_f64(1).expect("alloc");
+                    let right = (ctx.my_pe() + 1) % ctx.n_pes();
+                    ctx.put_f64(&sym, right, 0, ctx.my_pe() as f64);
+                    ctx.barrier_all();
+                    ctx.get_f64(&sym, ctx.my_pe(), 0)
+                })
+                .into_result()
+                .unwrap();
+            assert_eq!(out.results, vec![3.0, 0.0, 1.0, 2.0], "{on:?}");
+            // The counters outlive the PEs on either substrate.
+            assert_eq!(out.total_traffic().remote_puts, 4, "{on:?}");
+        }
     }
 
     #[test]
@@ -1127,84 +973,94 @@ mod tests {
     }
 
     #[test]
-    fn slice_transfers() {
-        let out = launch(2, |ctx| {
-            let sym = ctx.malloc_f64(8).expect("alloc");
-            if ctx.my_pe() == 0 {
-                ctx.put_slice_f64(&sym, 1, 2, &[5.0, 6.0, 7.0]);
+    fn multiple_allocations_slices_and_order() {
+        for on in BOTH {
+            let out = on
+                .launch(2, None, |ctx| {
+                    let a = ctx.malloc_f64(2).expect("alloc");
+                    let b = ctx.malloc_f64(8).expect("alloc");
+                    if ctx.my_pe() == 0 {
+                        ctx.put_slice_f64(&b, 1, 2, &[5.0, 6.0, 7.0]);
+                    }
+                    ctx.put_f64(&a, ctx.my_pe(), 0, 1.0 + ctx.my_pe() as f64);
+                    ctx.barrier_all();
+                    let mut buf = vec![0.0; 3];
+                    ctx.get_slice_f64(&b, 1, 2, &mut buf);
+                    // `a` and `b` are distinct storage: b's slice did not
+                    // land in a, and a's word did not land in b.
+                    let a0 = ctx.get_f64(&a, ctx.my_pe(), 0);
+                    (
+                        buf,
+                        (a.len_per_pe(), b.len_per_pe()),
+                        (a0, ctx.get_f64(&b, 1, 0)),
+                    )
+                })
+                .into_result()
+                .unwrap();
+            for (pe, (buf, lens, (a0, b0))) in out.results.iter().enumerate() {
+                assert_eq!(buf, &[5.0, 6.0, 7.0], "{on:?}");
+                assert_eq!(*lens, (2, 8), "{on:?}");
+                assert_eq!((*a0, *b0), (1.0 + pe as f64, 0.0), "{on:?}");
             }
-            ctx.barrier_all();
-            let mut buf = [0.0; 3];
-            ctx.get_slice_f64(&sym, 1, 2, &mut buf);
-            buf
-        })
-        .unwrap();
-        assert_eq!(out.results[0], [5.0, 6.0, 7.0]);
-        assert_eq!(out.results[1], [5.0, 6.0, 7.0]);
-        // Slice ops count as one message each.
-        assert_eq!(out.total_traffic().remote_puts, 1);
-    }
-
-    #[test]
-    fn reductions_and_broadcast() {
-        let out = launch(4, |ctx| {
-            let sum = ctx.sum_reduce_f64(ctx.my_pe() as f64 + 1.0);
-            let max = ctx.max_reduce_f64(ctx.my_pe() as f64);
-            let b = ctx.broadcast_f64(2, if ctx.my_pe() == 2 { 42.0 } else { 0.0 });
-            let bu = ctx.broadcast_u64(1, if ctx.my_pe() == 1 { 7 } else { 0 });
-            (sum, max, b, bu)
-        })
-        .unwrap();
-        for &(sum, max, b, bu) in &out.results {
-            assert_eq!(sum, 10.0);
-            assert_eq!(max, 3.0);
-            assert_eq!(b, 42.0);
-            assert_eq!(bu, 7);
+            // Slice ops count as one message each.
+            assert_eq!(out.total_traffic().remote_puts, 1, "{on:?}");
         }
     }
 
     #[test]
-    fn back_to_back_collectives_do_not_interfere() {
-        let out = launch(3, |ctx| {
-            let a = ctx.sum_reduce_f64(1.0);
-            let b = ctx.sum_reduce_f64(2.0);
-            let c = ctx.max_reduce_f64(ctx.my_pe() as f64);
-            (a, b, c)
-        })
-        .unwrap();
-        for &(a, b, c) in &out.results {
-            assert_eq!((a, b, c), (3.0, 6.0, 2.0));
+    fn back_to_back_reductions_do_not_interfere() {
+        for on in BOTH {
+            let out = on
+                .launch(4, None, |ctx| {
+                    let pe = ctx.my_pe();
+                    let a = ctx.sum_reduce_f64_at(pe, pe as f64 + 1.0);
+                    let b = ctx.sum_reduce_f64_at(pe, 2.0);
+                    // Any permutation of the slots reduces to the same set
+                    // of partials.
+                    let c = ctx.sum_reduce_f64_at((pe + 1) % ctx.n_pes(), pe as f64);
+                    (a, b, c)
+                })
+                .into_result()
+                .unwrap();
+            for &sums in &out.results {
+                assert_eq!(sums, (10.0, 8.0, 6.0), "{on:?}");
+            }
         }
     }
 
+    /// Collective call order violated two ways: PEs disagree on an
+    /// allocation's size, and a PE looks up an allocation PE 0 never made.
+    /// Both are typed errors on the offending PEs, never a hang or a panic.
     #[test]
-    fn multiple_allocations_in_order() {
-        let out = launch(2, |ctx| {
-            let a = ctx.malloc_f64(2).expect("alloc");
-            let b = ctx.malloc_f64(3).expect("alloc");
-            let f = ctx.malloc_u64(1).expect("alloc");
-            ctx.put_f64(&a, ctx.my_pe(), 0, 1.0);
-            ctx.put_f64(&b, ctx.my_pe(), 2, 2.0);
-            ctx.atomic_fetch_add_u64(&f, 0, 0, 1);
-            ctx.barrier_all();
-            (a.len_per_pe(), b.len_per_pe(), ctx.get_u64(&f, 0, 0))
-        })
-        .unwrap();
-        assert_eq!(out.results[0], (2, 3, 2));
-    }
-
-    #[test]
-    fn atomic_fetch_add_f64_across_pes() {
-        let out = launch(4, |ctx| {
-            let sym = ctx.malloc_f64(1).expect("alloc");
-            ctx.barrier_all();
-            // Everyone adds into PE 0's slot.
-            ctx.atomic_fetch_add_f64(&sym, 0, 0, 1.5);
-            ctx.barrier_all();
-            ctx.get_f64(&sym, 0, 0)
-        })
-        .unwrap();
-        assert_eq!(out.results[1], 6.0);
+    fn allocation_protocol_violations_are_typed_errors() {
+        for on in BOTH {
+            let out = on
+                .launch(3, None, |ctx| {
+                    let root = ctx.my_pe() == 0;
+                    let first = ctx.malloc_f64(if root { 4 } else { 8 });
+                    // PE 0 only synchronizes; its peers' second allocation
+                    // pairs with that barrier and finds nothing published.
+                    let second = if root {
+                        ctx.try_barrier_all().map(|()| 0)
+                    } else {
+                        ctx.malloc_f64(4).map(|sym| sym.len_per_pe())
+                    };
+                    let msg = |e: SvError| e.to_string();
+                    (
+                        first.map(|sym| sym.len_per_pe()).map_err(msg),
+                        second.map_err(msg),
+                    )
+                })
+                .into_result()
+                .unwrap();
+            assert_eq!(out.results[0], (Ok(4), Ok(0)), "{on:?}");
+            for (first, second) in &out.results[1..] {
+                let first = first.as_ref().unwrap_err();
+                assert!(first.contains("size mismatch"), "{on:?}: {first}");
+                let second = second.as_ref().unwrap_err();
+                assert!(second.contains("never published"), "{on:?}: {second}");
+            }
+        }
     }
 
     #[test]
@@ -1228,8 +1084,6 @@ mod tests {
 
     #[test]
     fn per_pe_results_separate_victim_from_witnesses() {
-        use crate::fault::{FaultAction, FaultPlan};
-        use svsim_types::PeOp;
         // Kill PE 2 at its 3rd put; every other PE must report the
         // poisoned barrier as an error, not hang or panic.
         let plan = Arc::new(FaultPlan::new().with(2, PeOp::Put, 3, FaultAction::Kill));
@@ -1265,31 +1119,36 @@ mod tests {
     /// PE — victim included — still holds epoch N-1 when it sees the error.
     #[test]
     fn poisoning_is_observed_in_the_same_epoch_by_all_pes() {
-        use crate::fault::{FaultAction, FaultPlan};
-        use svsim_types::PeOp;
         const N: usize = 4;
         const AT: u64 = 10;
-        for action in [FaultAction::Kill, FaultAction::Poison] {
-            let plan = Arc::new(FaultPlan::new().with(2, PeOp::Barrier, AT, action));
-            let out = launch_with_faults(N, Some(plan), |ctx| {
-                for _ in 0..32 {
-                    if ctx.try_barrier_all().is_err() {
-                        return ctx.barrier_epoch();
+        for on in BOTH {
+            for action in [FaultAction::Kill, FaultAction::Poison] {
+                let plan = Arc::new(FaultPlan::new().with(2, PeOp::Barrier, AT, action));
+                let out = on.launch(N, Some(plan), |ctx| {
+                    for _ in 0..32 {
+                        if ctx.try_barrier_all().is_err() {
+                            return ctx.barrier_epoch();
+                        }
+                    }
+                    u64::MAX // fault never observed — fails the assertion below
+                });
+                // A killed process PE is really dead and reports nothing; on
+                // every other path `try_barrier_all` keeps the PE alive.
+                let victim_dies = on == On::Processes && action == FaultAction::Kill;
+                for (pe, r) in out.results.iter().enumerate() {
+                    match r {
+                        Ok(epoch) => assert_eq!(
+                            *epoch,
+                            AT - 1,
+                            "{on:?} {action:?}: PE {pe} must stop at the epoch before the \
+                             poisoned barrier"
+                        ),
+                        Err(SvError::PeFailed { pe: 2, .. }) if pe == 2 && victim_dies => {}
+                        other => panic!("{on:?} {action:?}: PE {pe}: {other:?}"),
                     }
                 }
-                u64::MAX // fault never observed — fails the assertion below
-            })
-            .unwrap();
-            let epochs: Vec<u64> = out
-                .results
-                .iter()
-                .map(|r| *r.as_ref().expect("try_barrier_all keeps PEs alive"))
-                .collect();
-            assert_eq!(
-                epochs,
-                vec![AT - 1; N],
-                "{action:?}: every PE must stop at the epoch before the poisoned barrier"
-            );
+                assert_eq!(out.results[2].is_err(), victim_dies, "{on:?} {action:?}");
+            }
         }
     }
 
@@ -1299,8 +1158,6 @@ mod tests {
     /// deadlock even though the victim never reaches its own poison report.
     #[test]
     fn killed_pe_and_survivors_agree_on_the_poisoned_epoch() {
-        use crate::fault::{FaultAction, FaultPlan};
-        use svsim_types::PeOp;
         const AT: u64 = 5;
         let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, AT, FaultAction::Kill));
         let out = launch_with_faults(3, Some(plan), |ctx| {
@@ -1335,8 +1192,6 @@ mod tests {
     /// barrier).
     #[test]
     fn poisoned_worlds_do_not_contaminate_later_launches() {
-        use crate::fault::{FaultAction, FaultPlan};
-        use svsim_types::PeOp;
         for round in 0..8u64 {
             let plan = Arc::new(FaultPlan::new().with(
                 (round % 3) as usize,
@@ -1375,6 +1230,64 @@ mod tests {
             })
             .unwrap();
             assert_eq!(clean.results, vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn fault_counts_accumulate_across_launches() {
+        // A fault at the 5th barrier, run as two launches of 3 barriers
+        // each (a checkpointed run's segments): it must fire in the second
+        // launch, at the 2nd barrier (global count 5).
+        for on in BOTH {
+            let plan = Arc::new(FaultPlan::new().with(0, PeOp::Barrier, 5, FaultAction::Poison));
+            let three_barriers = |ctx: &ShmemCtx<'_>| {
+                for _ in 0..3 {
+                    ctx.barrier_all();
+                }
+            };
+            let first = on.launch(2, Some(Arc::clone(&plan)), three_barriers);
+            assert!(first.first_failure().is_none(), "{on:?}: {first:?}");
+            assert_eq!(plan.armed_remaining(), 1, "{on:?}");
+            let second = on.launch(2, Some(Arc::clone(&plan)), three_barriers);
+            match second.first_failure() {
+                Some(SvError::PeFailed { pe: 0, .. }) => {}
+                other => panic!("{on:?}: expected PE 0 barrier fault in launch 2, got {other:?}"),
+            }
+            assert_eq!(plan.armed_remaining(), 0, "{on:?}");
+        }
+    }
+
+    /// The property the model checker proves for `proto::fault::Check`,
+    /// exercised through the routine both substrates share: a wildcard
+    /// one-shot that every PE races to trigger fires on exactly one of
+    /// them, and stays disarmed in the next launch of the same plan.
+    #[test]
+    fn wildcard_one_shot_fires_exactly_once_on_both_substrates() {
+        const N: usize = 8;
+        const PUTS: usize = 64;
+        let hammer = |ctx: &ShmemCtx<'_>| {
+            let sym = ctx.malloc_f64(PUTS)?;
+            let right = (ctx.my_pe() + 1) % ctx.n_pes();
+            for i in 0..PUTS {
+                ctx.put_f64(&sym, right, i, 1.0);
+            }
+            // A dropped put surfaces here, on the PE that lost it.
+            ctx.try_barrier_all()
+        };
+        for on in BOTH {
+            for at in [1, 100, (N * PUTS) as u64] {
+                let plan = Arc::new(FaultPlan::new().with(None, PeOp::Put, at, FaultAction::Drop));
+                let out = on.launch(N, Some(Arc::clone(&plan)), hammer);
+                let fired = out
+                    .results
+                    .iter()
+                    .filter(|r| matches!(r, Ok(Err(SvError::PeFailed { op: PeOp::Put, .. }))))
+                    .count();
+                assert_eq!(fired, 1, "{on:?} at {at}: {:?}", out.results);
+                assert_eq!(plan.armed_remaining(), 0, "{on:?} at {at}");
+                let again = on.launch(N, Some(Arc::clone(&plan)), hammer).flatten();
+                assert!(again.first_failure().is_none(), "{on:?} at {at}: {again:?}");
+            }
         }
     }
 
@@ -1428,10 +1341,10 @@ mod tests {
         let det = RaceDetector::new(2).unwrap();
         launch_detected(2, None, Arc::clone(&det), |ctx| {
             let a = ctx.malloc_f64(2).expect("alloc");
-            let b = ctx.malloc_u64(2).expect("alloc");
+            let b = ctx.malloc_f64(2).expect("alloc");
             // Same word of *different* arrays in the same epoch: no race.
             ctx.put_f64(&a, 0, ctx.my_pe(), 1.0);
-            ctx.put_u64(&b, 0, ctx.my_pe(), 1);
+            ctx.put_f64(&b, 0, 1 - ctx.my_pe(), 1.0);
             ctx.barrier_all();
             // Same word of the same array in *different* epochs: no race.
             ctx.put_f64(&a, 0, 0, f64::from(ctx.my_pe() as u32));
@@ -1445,103 +1358,6 @@ mod tests {
         let reports = det.take_reports();
         assert_eq!(reports.len(), 1, "{reports:?}");
         assert_eq!(reports[0].index, 0);
-    }
-
-    /// Satellite coverage: every atomic op racing a plain `put`/`get` in
-    /// the same epoch is an atomic-mixed conflict; atomic-vs-atomic is
-    /// allowed. Sleeps order the accesses deterministically enough for the
-    /// shadow cells (same-word atomics are coherent).
-    #[test]
-    fn atomics_vs_plain_accesses_under_the_detector() {
-        use crate::race::{ConflictKind, RaceDetector};
-        type AtomicOp = fn(&ShmemCtx<'_>, &SymU64);
-        let u64_ops: [(&str, AtomicOp); 3] = [
-            ("fetch_add_u64", |ctx, sym| {
-                ctx.atomic_fetch_add_u64(sym, 0, 0, 1);
-            }),
-            ("swap_u64", |ctx, sym| {
-                ctx.atomic_swap_u64(sym, 0, 0, 7);
-            }),
-            ("compare_swap_u64", |ctx, sym| {
-                ctx.atomic_compare_swap_u64(sym, 0, 0, 0, 9);
-            }),
-        ];
-        for (name, op) in u64_ops {
-            for plain_is_write in [true, false] {
-                let det = RaceDetector::new(2).unwrap();
-                launch_detected(2, None, Arc::clone(&det), |ctx| {
-                    let sym = ctx.malloc_u64(1).expect("alloc");
-                    if ctx.my_pe() == 0 {
-                        op(ctx, &sym);
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    } else {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                        if plain_is_write {
-                            ctx.put_u64(&sym, 0, 0, 3);
-                        } else {
-                            let _ = ctx.get_u64(&sym, 0, 0);
-                        }
-                    }
-                    ctx.barrier_all();
-                })
-                .unwrap()
-                .into_result()
-                .unwrap();
-                let reports = det.take_reports();
-                assert!(
-                    !reports.is_empty(),
-                    "{name} vs plain {} must conflict",
-                    if plain_is_write { "put" } else { "get" }
-                );
-                assert!(
-                    reports.iter().all(|r| r.kind == ConflictKind::AtomicMixed),
-                    "{name}: expected atomic-mixed, got {reports:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn atomic_fetch_add_f64_vs_plain_put_is_atomic_mixed() {
-        use crate::race::{ConflictKind, RaceDetector};
-        let det = RaceDetector::new(2).unwrap();
-        launch_detected(2, None, Arc::clone(&det), |ctx| {
-            let sym = ctx.malloc_f64(1).expect("alloc");
-            if ctx.my_pe() == 0 {
-                ctx.atomic_fetch_add_f64(&sym, 0, 0, 1.0);
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                ctx.put_f64(&sym, 0, 0, 3.0);
-            }
-            ctx.barrier_all();
-        })
-        .unwrap()
-        .into_result()
-        .unwrap();
-        let reports = det.take_reports();
-        assert!(!reports.is_empty());
-        assert!(reports.iter().all(|r| r.kind == ConflictKind::AtomicMixed));
-    }
-
-    #[test]
-    fn concurrent_atomics_are_not_races() {
-        use crate::race::RaceDetector;
-        let det = RaceDetector::new(4).unwrap();
-        let out = launch_detected(4, None, Arc::clone(&det), |ctx| {
-            let acc = ctx.malloc_f64(1).expect("alloc");
-            let cnt = ctx.malloc_u64(1).expect("alloc");
-            // All four PEs hammer the same words with atomics, same epoch.
-            ctx.atomic_fetch_add_f64(&acc, 0, 0, 0.5);
-            ctx.atomic_fetch_add_u64(&cnt, 0, 0, 1);
-            ctx.barrier_all();
-            (ctx.get_f64(&acc, 0, 0), ctx.get_u64(&cnt, 0, 0))
-        })
-        .unwrap()
-        .into_result()
-        .unwrap();
-        assert_eq!(out.results[0], (2.0, 4));
-        assert_eq!(det.race_count(), 0, "{:?}", det.reports());
     }
 
     #[test]

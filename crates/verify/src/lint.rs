@@ -17,8 +17,8 @@
 //!   the handful of syscalls it needs itself).
 //! - **R4 `accessor-manifest`** — every one-sided `ShmemCtx` data-plane
 //!   accessor is instrumented: a fault injection point
-//!   (`transfer_fault`) where the op is droppable, the race-detector
-//!   hook (`trace_*`), and the traffic counter (`count_*`), checked
+//!   (`transfer_fault`), the race-detector hook (`trace_*`), and the
+//!   traffic counter (`count_*`), checked
 //!   against the manifest below. Any function touching partition
 //!   buffers (`.bufs`) that is *not* in the manifest is flagged, so an
 //!   uninstrumented accessor cannot be added silently.
@@ -124,9 +124,8 @@ const ALLOW_FFI: &[&str] = &["crates/shmem/src/proc.rs"];
 
 /// The `ShmemCtx` accessor instrumentation manifest (R4): every
 /// one-sided data-plane accessor and the instrumentation calls its body
-/// must contain. Droppable transfers additionally need the fault point;
-/// atomics are never dropped (they model network atomics with a
-/// completion reply), so they carry trace + counter only.
+/// must contain: the fault point (a transfer can be dropped), the race
+/// trace and the traffic counter.
 const ACCESSOR_MANIFEST: &[(&str, &[&str])] = &[
     ("get_f64", &["transfer_fault", "trace_read", "count_get"]),
     ("put_f64", &["transfer_fault", "trace_write", "count_put"]),
@@ -138,12 +137,6 @@ const ACCESSOR_MANIFEST: &[(&str, &[&str])] = &[
         "put_slice_f64",
         &["transfer_fault", "trace_write_slow", "count_put"],
     ),
-    ("get_u64", &["transfer_fault", "trace_read", "count_get"]),
-    ("put_u64", &["transfer_fault", "trace_write", "count_put"]),
-    ("atomic_fetch_add_f64", &["trace_atomic", "count_atomic"]),
-    ("atomic_fetch_add_u64", &["trace_atomic", "count_atomic"]),
-    ("atomic_compare_swap_u64", &["trace_atomic", "count_atomic"]),
-    ("atomic_swap_u64", &["trace_atomic", "count_atomic"]),
 ];
 
 /// Functions allowed to touch partition buffers *without*

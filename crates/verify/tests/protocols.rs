@@ -27,9 +27,9 @@ fn barrier_survives_kill_and_timeout_anywhere() {
 }
 
 /// The checker's first finding: with the historical blind timeout
-/// (`timeout_recheck: false`, what `ProcBarrier` shipped), a bounded
-/// wait that expires while the releasing PE is mid-release poisons an
-/// epoch the peer already completed — a split-epoch failure.
+/// (`timeout_recheck: false`, what the process barrier first shipped), a
+/// bounded wait that expires while the releasing PE is mid-release
+/// poisons an epoch the peer already completed — a split-epoch failure.
 #[test]
 fn finds_blind_timeout_split_epoch() {
     let model = barrier::BarrierModel {
