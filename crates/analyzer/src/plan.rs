@@ -1,6 +1,6 @@
 //! Communication plans: the barrier-epoch structure of a compiled circuit.
 //!
-//! The scale-out executor (`svsim_core::exec::walk_steps`) interleaves
+//! The scale-out executor (`svsim_core::exec`'s step interpreter) interleaves
 //! compiled kernels with barriers in a fixed, data-independent order: every
 //! compiled kernel is followed by a `sync()`, measurement/reset collapse is
 //! likewise fenced before classical bits update, and a relabeling exchange

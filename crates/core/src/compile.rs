@@ -86,21 +86,45 @@ fn set_sorted(args: &mut GateArgs, qubits: &[u32]) {
     args.n_sorted = s.len() as u8;
 }
 
-fn m2_into(args: &mut GateArgs, m: &Mat) {
-    debug_assert_eq!(m.dim(), 2);
-    args.m[..4].copy_from_slice(m.data());
+fn matrix_into(args: &mut GateArgs, m: &Mat) {
+    args.m[..m.data().len()].copy_from_slice(m.data());
 }
 
-fn m4_into(args: &mut GateArgs, m: &Mat) {
-    debug_assert_eq!(m.dim(), 4);
-    args.m[..16].copy_from_slice(m.data());
-}
-
-fn one_qubit(id: KernelId, t: u32, dim: u64) -> (KernelId, GateArgs) {
-    let mut a = base_args(dim / 2);
-    set_sorted(&mut a, &[t]);
-    a.target = t;
-    (id, a)
+/// Write a gate's payload — the scalars or matrix its kernel applies — into
+/// its argument block: the one table from gate kind and angles `p` to
+/// payload. [`compile_gate`] calls it on every block it builds and the
+/// template patcher ([`crate::batch`]) calls it again per trial on those
+/// same blocks, so a patched template and a freshly compiled circuit hold
+/// bit-identical payloads. Everything else in a block (kernel, qubits,
+/// masks, work) is angle-independent.
+pub(crate) fn write_payload(kind: GateKind, p: &[f64], args: &mut GateArgs) {
+    use std::f64::consts::{FRAC_PI_4, PI};
+    use GateKind::*;
+    // The phase kernels carry `e^{i angle}` (the RZ family rotates by half
+    // its parameter), the dense kernels the (controlled) matrix.
+    let phase = |args: &mut GateArgs, angle: f64| {
+        args.s0 = angle.cos();
+        args.s1 = angle.sin();
+    };
+    match kind {
+        S => phase(args, PI / 2.0),
+        SDG => phase(args, -PI / 2.0),
+        T => phase(args, FRAC_PI_4),
+        TDG => phase(args, -FRAC_PI_4),
+        CZ => phase(args, PI),
+        U1 | CU1 => phase(args, p[0]),
+        RZ | CRZ | RZZ => phase(args, p[0] / 2.0),
+        RX | RY | U2 | U3 => matrix_into(args, &matrices::single_qubit(kind, p)),
+        CRX => matrix_into(args, &matrices::rx(p[0])),
+        CRY => matrix_into(args, &matrices::ry(p[0])),
+        CU3 => matrix_into(args, &matrices::u3(p[0], p[1], p[2])),
+        RXX => matrix_into(args, &matrices::rxx(p[0])),
+        CY => matrix_into(args, &matrices::single_qubit(Y, &[])),
+        CH => matrix_into(args, &matrices::single_qubit(H, &[])),
+        C3SQRTX => matrix_into(args, &matrices::sqrt_x()),
+        CCX | C3X | C4X => matrix_into(args, &matrices::single_qubit(X, &[])),
+        _ => {}
+    }
 }
 
 /// Compile one gate into kernel invocations, appending to `out`.
@@ -118,126 +142,44 @@ pub fn compile_gate(g: &Gate, n_qubits: u32, specialized: bool, out: &mut Vec<Co
         }
         return;
     }
-    use std::f64::consts::{FRAC_PI_4, PI};
     use GateKind::*;
     let q = g.qubits();
-    let p = g.params();
-    let push = |out: &mut Vec<CompiledGate>, (id, args): (KernelId, GateArgs)| {
-        out.push(CompiledGate { id, args });
-    };
-    match g.kind() {
-        ID => {} // identity: the specialized backend skips it entirely
-        X => push(out, one_qubit(KernelId::X, q[0], dim)),
-        Y => push(out, one_qubit(KernelId::Y, q[0], dim)),
-        Z => push(out, one_qubit(KernelId::Z, q[0], dim)),
-        H => push(out, one_qubit(KernelId::H, q[0], dim)),
-        S | SDG | T | TDG | U1 => {
-            let lambda = match g.kind() {
-                S => PI / 2.0,
-                SDG => -PI / 2.0,
-                T => FRAC_PI_4,
-                TDG => -FRAC_PI_4,
-                _ => p[0],
-            };
-            let (id, mut a) = one_qubit(KernelId::Phase, q[0], dim);
-            a.s0 = lambda.cos();
-            a.s1 = lambda.sin();
-            push(out, (id, a));
-        }
-        RZ => {
-            let (id, mut a) = one_qubit(KernelId::Rz, q[0], dim);
-            a.s0 = (p[0] / 2.0).cos();
-            a.s1 = (p[0] / 2.0).sin();
-            push(out, (id, a));
-        }
-        RX | RY | U2 | U3 => {
-            let (id, mut a) = one_qubit(KernelId::OneQ, q[0], dim);
-            m2_into(&mut a, &matrices::single_qubit(g.kind(), p));
-            push(out, (id, a));
-        }
-        CX => {
-            let mut a = base_args(dim / 4);
-            set_sorted(&mut a, q);
-            a.target = q[1];
-            a.ctrl_mask = 1 << q[0];
-            push(out, (KernelId::Cx, a));
-        }
-        CZ | CU1 => {
-            let lambda = if g.kind() == CZ { PI } else { p[0] };
-            let mut a = base_args(dim / 4);
-            set_sorted(&mut a, q);
-            a.ctrl_mask = mask_of(q);
-            a.s0 = lambda.cos();
-            a.s1 = lambda.sin();
-            push(out, (KernelId::CPhase, a));
-        }
-        CRZ => {
-            let mut a = base_args(dim / 4);
-            set_sorted(&mut a, q);
-            a.target = q[1];
-            a.ctrl_mask = 1 << q[0];
-            a.s0 = (p[0] / 2.0).cos();
-            a.s1 = (p[0] / 2.0).sin();
-            push(out, (KernelId::Crz, a));
-        }
+    // The angle-independent part of the argument block.
+    let (id, target, aux, ctrl_mask) = match g.kind() {
+        ID => return, // identity: the specialized backend skips it entirely
+        X => (KernelId::X, q[0], 0, 0),
+        Y => (KernelId::Y, q[0], 0, 0),
+        Z => (KernelId::Z, q[0], 0, 0),
+        H => (KernelId::H, q[0], 0, 0),
+        S | SDG | T | TDG | U1 => (KernelId::Phase, q[0], 0, 0),
+        RZ => (KernelId::Rz, q[0], 0, 0),
+        RX | RY | U2 | U3 => (KernelId::OneQ, q[0], 0, 0),
+        CX => (KernelId::Cx, q[1], 0, 1 << q[0]),
+        CRZ => (KernelId::Crz, q[1], 0, 1 << q[0]),
+        CZ | CU1 => (KernelId::CPhase, 0, 0, mask_of(q)),
         CY | CH | CRX | CRY | CU3 | CCX | C3X | C4X | C3SQRTX => {
-            let payload = match g.kind() {
-                CY => matrices::single_qubit(Y, &[]),
-                CH => matrices::single_qubit(H, &[]),
-                CRX => matrices::rx(p[0]),
-                CRY => matrices::ry(p[0]),
-                CU3 => matrices::u3(p[0], p[1], p[2]),
-                C3SQRTX => matrices::sqrt_x(),
-                _ => matrices::single_qubit(X, &[]),
-            };
             let nc = q.len() - 1;
-            let mut a = base_args(dim >> (nc + 1));
-            set_sorted(&mut a, q);
-            a.target = q[nc];
-            a.ctrl_mask = mask_of(&q[..nc]);
-            m2_into(&mut a, &payload);
-            push(out, (KernelId::ControlledOneQ, a));
+            (KernelId::ControlledOneQ, q[nc], 0, mask_of(&q[..nc]))
         }
-        SWAP => {
-            let mut a = base_args(dim / 4);
-            set_sorted(&mut a, q);
-            a.target = q[0];
-            a.aux = q[1];
-            push(out, (KernelId::Swap, a));
-        }
-        CSWAP => {
-            let mut a = base_args(dim / 8);
-            set_sorted(&mut a, q);
-            a.ctrl_mask = 1 << q[0];
-            a.target = q[1];
-            a.aux = q[2];
-            push(out, (KernelId::CSwap, a));
-        }
-        RZZ => {
-            let mut a = base_args(dim / 4);
-            set_sorted(&mut a, q);
-            a.target = q[0];
-            a.aux = q[1];
-            a.s0 = (p[0] / 2.0).cos();
-            a.s1 = (p[0] / 2.0).sin();
-            push(out, (KernelId::Rzz, a));
-        }
-        RXX => {
-            let mut a = base_args(dim / 4);
-            set_sorted(&mut a, q);
-            a.target = q[0];
-            a.aux = q[1];
-            m4_into(&mut a, &matrices::rxx(p[0]));
-            push(out, (KernelId::TwoQ, a));
-        }
+        SWAP => (KernelId::Swap, q[0], q[1], 0),
+        RZZ => (KernelId::Rzz, q[0], q[1], 0),
+        RXX => (KernelId::TwoQ, q[0], q[1], 0),
+        CSWAP => (KernelId::CSwap, q[1], q[2], 1 << q[0]),
         // Relative-phase Toffolis: realized by composing basic/standard
         // gates (the paper's compound-gate strategy).
         RCCX | RC3X => {
             for lg in decompose::lower_gate(g) {
                 compile_gate(&lg, n_qubits, true, out);
             }
+            return;
         }
-    }
+    };
+    // One work item per setting of the uninvolved qubits.
+    let mut args = base_args(dim >> q.len());
+    (args.target, args.aux, args.ctrl_mask) = (target, aux, ctrl_mask);
+    set_sorted(&mut args, q);
+    write_payload(g.kind(), g.params(), &mut args);
+    out.push(CompiledGate { id, args });
 }
 
 /// Generic-mode compilation: only dense 2×2 / 4×4 applications, like the
@@ -249,7 +191,7 @@ fn compile_generic(g: &Gate, dim: u64, out: &mut Vec<CompiledGate>) {
             let mut a = base_args(dim / 2);
             set_sorted(&mut a, q);
             a.target = q[0];
-            m2_into(&mut a, &matrices::single_qubit(g.kind(), g.params()));
+            matrix_into(&mut a, &matrices::single_qubit(g.kind(), g.params()));
             out.push(CompiledGate {
                 id: KernelId::OneQ,
                 args: a,
@@ -261,7 +203,7 @@ fn compile_generic(g: &Gate, dim: u64, out: &mut Vec<CompiledGate>) {
             set_sorted(&mut a, q);
             a.target = q[0];
             a.aux = q[1];
-            m4_into(&mut a, &matrices::gate_matrix(g));
+            matrix_into(&mut a, &matrices::gate_matrix(g));
             out.push(CompiledGate {
                 id: KernelId::TwoQ,
                 args: a,

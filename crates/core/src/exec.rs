@@ -1,12 +1,17 @@
-//! Circuit executors: single-device, and one partitioned runner for
-//! scale-up and scale-out.
+//! The step interpreter: the one loop that executes a lowered segment.
 //!
-//! All three backends walk the same step stream with the same kernels; they
-//! differ only in the memory fabric ([`crate::view`]) and the
-//! synchronization between gates — none for a single device, and the SHMEM
-//! world's barrier across workers for the partitioned backends (the
-//! cooperative multi-grid sync of Listing 4 and the `shmem_barrier_all` of
-//! Listing 5 are the same call here).
+//! The paper's framework is `for t in circuit { circuit[t].exe_op(sv);
+//! sync }` (Listings 3-5), and that is `interpret` here: every backend, and
+//! every trial of a sweep template ([`crate::batch`]), walks the same
+//! `PlanSegment` step stream through it with the same kernels. What the
+//! backends differ in sits behind the private `Fabric` trait — a worker's
+//! share of a kernel's work items, the sync after a kernel, the
+//! measure/reset collapse and the relabeling exchange — with two
+//! instances: `Solo` (a single device: full ranges over a
+//! [`crate::view::LocalView`], no sync) and `Worker` (one PE of the SHMEM
+//! world, for scale-up and scale-out alike: its slice of every kernel, then
+//! the world barrier — the cooperative multi-grid sync of Listing 4 and the
+//! `shmem_barrier_all` of Listing 5 are the same call here).
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -20,8 +25,10 @@ use crate::view::{LocalView, PeerView, ShmemView, StateView};
 use std::ops::Range;
 use std::sync::Arc;
 use svsim_ir::Gate;
-use svsim_shmem::{FaultPlan, ProcOptions, RaceDetector, SharedF64Vec, ShmemBackend, ShmemCtx};
-use svsim_types::{SvError, SvResult, SvRng};
+use svsim_shmem::{
+    FaultPlan, ProcOptions, RaceDetector, SharedF64Vec, ShmemBackend, ShmemCtx, SymF64,
+};
+use svsim_types::{SvError, SvResult};
 
 /// How gates are bound to kernels at execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -42,10 +49,14 @@ pub enum DispatchMode {
 /// `Circuit::ops()` of the op the step's kernels came from.
 #[derive(Debug, Clone)]
 pub(crate) enum Step {
-    /// Unitary gate (raw form kept for the runtime-parse mode).
+    /// Unitary kernels run unconditionally: one source gate (`raw` kept
+    /// for the runtime-parse mode), or — `raw: None` — a fused run of
+    /// adjacent gates ([`crate::fuse`]) whose `compiled` is one
+    /// window-sweep kernel and whose `op` is the first constituent's
+    /// source op.
     Gate {
         op: usize,
-        raw: Gate,
+        raw: Option<Gate>,
         compiled: Range<usize>,
     },
     /// Projective measurement using pre-drawn random `r_idx`. Under a
@@ -77,9 +88,6 @@ pub(crate) enum Step {
         raw: Gate,
         compiled: Range<usize>,
     },
-    /// A fused run of adjacent gates ([`crate::fuse`]): `compiled` is one
-    /// window-sweep kernel, `op` the first constituent's source op.
-    Fused { op: usize, compiled: Range<usize> },
     /// One relabeling slab exchange of physical positions `(lo, hi)`
     /// (remapped scale-out only). Unconditional even next to conditional
     /// steps — it is pure data movement, and all workers must reach the
@@ -94,7 +102,6 @@ impl Step {
         match self {
             Self::Gate { op, compiled, .. }
             | Self::IfEq { op, compiled, .. }
-            | Self::Fused { op, compiled }
             | Self::Reset {
                 op, x: compiled, ..
             } => Some((*op, compiled)),
@@ -108,7 +115,6 @@ impl Step {
         match self {
             Self::Gate { compiled, .. }
             | Self::IfEq { compiled, .. }
-            | Self::Fused { compiled, .. }
             | Self::Reset { x: compiled, .. } => Some(compiled),
             Self::Measure { .. } | Self::Exchange { .. } => None,
         }
@@ -193,147 +199,159 @@ impl<'a, V: StateView> Kernels<'a, V> {
     }
 }
 
-/// Run one lowered segment on a single device (sequential, full ranges).
-/// `initial_cbits` carries the classical register across checkpoint
-/// segments (0 for a whole-circuit run).
-pub(crate) fn run_single(
-    state: &mut StateVector,
-    seg: &PlanSegment,
-    config: &SimConfig,
-    rng: &mut SvRng,
-    initial_cbits: u64,
-) -> SvResult<u64> {
-    let n = state.n_qubits();
-    let half = (1u64 << n) / 2;
-    let mut cbits = initial_cbits;
-    let (re, im) = state.parts_mut();
-    let view = LocalView::new(re, im);
-    let mut kernels = Kernels::new(seg, config, n);
-    let full = |kernel: KernelFn<_>, args: &GateArgs| kernel(&view, args, 0..args.work);
-    let collapse = |qubit: u32, r: f64| -> SvResult<u8> {
-        // Canonical-tree sum (svsim_types::numeric): bit-identical to the
-        // partitioned backends' partial + pairwise reduce at any PE count.
-        let p1 = measure::prob_one_view(&view, qubit, 1u64 << n);
-        let outcome = u8::from(r < p1);
-        let p = if outcome == 1 { p1 } else { 1.0 - p1 };
-        if p < 1e-300 {
-            return Err(SvError::Numeric(format!(
-                "collapse of qubit {qubit} with probability ~0"
-            )));
-        }
-        crate::kernels::collapse_pairs(&view, qubit, outcome, 1.0 / p.sqrt(), 0..half);
-        Ok(outcome)
-    };
-    for step in &seg.steps {
-        match step {
-            Step::Gate { raw, compiled, .. } => kernels.each(Some(raw), compiled, full),
-            Step::IfEq {
-                creg_lo,
-                creg_len,
-                value,
-                raw,
-                compiled,
-                ..
-            } => {
-                if cond_holds(cbits, *creg_lo, *creg_len, *value) {
-                    kernels.each(Some(raw), compiled, full);
-                }
-            }
-            Step::Fused { compiled, .. } => kernels.each(None, compiled, full),
-            Step::Measure { qubit, cbit, .. } => {
-                let outcome = collapse(*qubit, rng.next_f64())?;
-                cbits = (cbits & !(1u64 << cbit)) | (u64::from(outcome) << cbit);
-            }
-            Step::Reset { qubit, x, .. } => {
-                if collapse(*qubit, rng.next_f64())? == 1 {
-                    kernels.each(None, x, full);
-                }
-            }
-            Step::Exchange { .. } => unreachable!("no relabeling on a single device"),
-        }
+/// What differs between the backends while they walk a segment; everything
+/// else is [`interpret`]. Monomorphized per instance, so the per-kernel path
+/// stays one direct call through a [`KernelFn`].
+trait Fabric {
+    /// How a kernel reaches `sv[i]`.
+    type View: StateView;
+    fn view(&self) -> &Self::View;
+    /// This worker's share of a kernel's `work` items.
+    fn share(&self, work: u64) -> Range<u64>;
+    /// The sync after a kernel or a collapse.
+    fn sync(&self);
+    /// Probability that `qubit` reads 1, summed on the canonical tree of
+    /// [`svsim_types::numeric`] so every fabric agrees bit-for-bit.
+    /// `layout` is the step's snapshot, if it has one (`Step::Measure`).
+    fn prob_one(&self, qubit: u32, layout: Option<&QubitLayout>) -> f64;
+    /// Project `qubit` onto `outcome` and rescale by `inv_sqrt_p`.
+    fn rescale(&self, qubit: u32, layout: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64);
+    /// One relabeling slab exchange of physical positions `(lo, hi)`.
+    fn exchange(&self, lo: u32, hi: u32);
+}
+
+/// A single device: full ranges, nothing to synchronize or relabel.
+struct Solo<'a>(LocalView<'a>);
+
+impl<'a> Fabric for Solo<'a> {
+    type View = LocalView<'a>;
+    fn view(&self) -> &Self::View {
+        &self.0
     }
-    Ok(cbits)
+    fn share(&self, work: u64) -> Range<u64> {
+        0..work
+    }
+    fn sync(&self) {}
+    fn prob_one(&self, qubit: u32, _: Option<&QubitLayout>) -> f64 {
+        measure::prob_one_view(&self.0, qubit, self.0.dim())
+    }
+    fn rescale(&self, qubit: u32, _: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64) {
+        crate::kernels::collapse_pairs(&self.0, qubit, outcome, inv_sqrt_p, 0..self.0.dim() / 2);
+    }
+    fn exchange(&self, _: u32, _: u32) {
+        unreachable!("no relabeling on a single device")
+    }
 }
 
-/// One worker of a partitioned backend: its SHMEM context (rank, world
-/// size, barrier, reduce) and the partition of the state it owns.
-struct Worker<'a> {
+/// One PE of a partitioned backend: its SHMEM context (rank, world size,
+/// barrier, reduce), the symmetric arrays it owns a partition of, and the
+/// staging buffers of a segment that relabels.
+struct Pe<'a> {
     ctx: &'a ShmemCtx<'a>,
-    n_qubits: u32,
-    re: &'a SharedF64Vec,
-    im: &'a SharedF64Vec,
-    /// Global index of the partition's first amplitude.
-    base: u64,
+    re: &'a SymF64,
+    im: &'a SymF64,
+    xch: Option<&'a (SymF64, SymF64)>,
 }
 
-impl Worker<'_> {
-    /// Per-partition measurement partial plus the reduce slot and physical
-    /// qubit for the collapse. Under a block-preserving snapshot layout
-    /// (`lay`) the partition holds the logical subcube whose top value
-    /// indexes the reduce slot, and the partial walks it in logical order
-    /// so the probability tree is the single-device logical tree
-    /// bit-for-bit; without a snapshot the layout is identity and the slot
-    /// is the worker rank.
-    fn measure_partial(&self, lay: Option<&QubitLayout>, qubit: u32) -> (f64, usize, u32) {
-        let rank = self.ctx.my_pe();
-        match lay {
+impl Pe<'_> {
+    /// This PE's partition and the global index of its first amplitude.
+    fn partition(&self) -> (&SharedF64Vec, &SharedF64Vec, u64) {
+        let pe = self.ctx.my_pe();
+        let (re, im) = (self.re.partition(pe), self.im.partition(pe));
+        (re, im, (pe * re.len()) as u64)
+    }
+}
+
+/// A PE walking a segment, its kernels reaching the state through `view` —
+/// all that scale-up and scale-out differ in.
+struct Worker<'a, V> {
+    me: &'a Pe<'a>,
+    view: &'a V,
+}
+
+impl<V: StateView> Fabric for Worker<'_, V> {
+    type View = V;
+    fn view(&self) -> &V {
+        self.view
+    }
+    fn share(&self, work: u64) -> Range<u64> {
+        let ctx = self.me.ctx;
+        worker_range(work, ctx.n_pes() as u64, ctx.my_pe() as u64)
+    }
+    /// One barrier per kernel — a fused kernel's whole run included. Safe:
+    /// windows are disjoint and each worker owns a disjoint window
+    /// sub-range, so no cross-worker dataflow exists inside the sweep (same
+    /// argument as any two-qubit kernel).
+    fn sync(&self) {
+        self.me.ctx.barrier_all();
+    }
+    /// The partition's partial, combined pairwise across workers: each
+    /// partial is a subtree node of the canonical probability tree, so the
+    /// sum matches the single-device one bit-for-bit. Under a
+    /// block-preserving snapshot layout the partition holds the logical
+    /// subcube whose top value indexes the reduce slot, and the partial
+    /// walks it in logical order so the tree is the single-device logical
+    /// tree; without a snapshot the layout is identity and the slot is the
+    /// worker rank.
+    fn prob_one(&self, qubit: u32, layout: Option<&QubitLayout>) -> f64 {
+        let ctx = self.me.ctx;
+        let (re, im, base) = self.me.partition();
+        let rank = ctx.my_pe();
+        let (partial, slot) = match layout {
             Some(lay) => {
-                let boundary = self.n_qubits - self.ctx.n_pes().trailing_zeros();
+                let n_qubits = self.view.dim().trailing_zeros();
+                let boundary = n_qubits - ctx.n_pes().trailing_zeros();
                 let mut slot = 0usize;
-                for j in 0..(self.n_qubits - boundary) {
+                for j in 0..(n_qubits - boundary) {
                     slot |= ((rank >> (lay.phys(boundary + j) - boundary)) & 1) << j;
                 }
                 let logical_base = (slot as u64) << boundary;
                 let low_pos: Vec<u32> = (0..boundary).map(|k| lay.phys(k)).collect();
-                let partial = measure::partial_prob_one_mapped(
-                    self.re,
-                    self.im,
-                    logical_base,
-                    &low_pos,
-                    qubit,
-                );
-                (partial, slot, lay.phys(qubit))
+                let partial =
+                    measure::partial_prob_one_mapped(re, im, logical_base, &low_pos, qubit);
+                (partial, slot)
             }
             None => (
-                measure::partial_prob_one_partition(self.re, self.im, self.base, qubit),
+                measure::partial_prob_one_partition(re, im, base, qubit),
                 rank,
-                qubit,
             ),
-        }
+        };
+        ctx.sum_reduce_f64_at(slot, partial)
+    }
+    fn rescale(&self, qubit: u32, layout: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64) {
+        let (re, im, base) = self.me.partition();
+        let phys = layout.map_or(qubit, |lay| lay.phys(qubit));
+        measure::collapse_partition(re, im, base, phys, outcome, inv_sqrt_p);
+    }
+    fn exchange(&self, lo: u32, hi: u32) {
+        let Pe { ctx, re, im, xch } = self.me;
+        let (xr, xi) = xch.expect("a segment that relabels has staging buffers");
+        ShmemView::new(ctx, re, im).exchange_pair(lo, hi, xr, xi);
     }
 }
 
-/// Shared segment walker for the partitioned backends: every worker runs
-/// its share of each kernel through `view`, then `shmem_barrier_all`
-/// (Listings 4 and 5 differ only in how `view` reaches `sv[i]`).
-/// `exchange` realizes one relabeling slab exchange collectively.
-fn walk_steps<V: StateView>(
+/// Execute one lowered segment on `fabric`: every kernel of every step over
+/// this worker's share, then the fabric's sync. `randoms` are the segment's
+/// pre-drawn measurement draws (`seg.n_rand` of them, taken up front in
+/// step order so every backend consumes the RNG identically) and
+/// `initial_cbits` carries the classical register across checkpoint
+/// segments; returns the register afterwards.
+fn interpret<F: Fabric>(
+    fabric: &F,
     seg: &PlanSegment,
     config: &SimConfig,
-    view: &V,
-    me: &Worker<'_>,
     randoms: &[f64],
     initial_cbits: u64,
-    exchange: impl Fn(u32, u32),
 ) -> SvResult<u64> {
-    let ctx = me.ctx;
-    let (rank, n_workers) = (ctx.my_pe() as u64, ctx.n_pes() as u64);
     let mut cbits = initial_cbits;
-    let mut kernels = Kernels::<V>::new(seg, config, me.n_qubits);
-    // One barrier per kernel — a fused kernel's whole run included. Safe:
-    // windows are disjoint and each worker owns a disjoint window
-    // sub-range, so no cross-worker dataflow exists inside the sweep (same
-    // argument as any two-qubit kernel).
-    let mine = |kernel: KernelFn<V>, args: &GateArgs| {
-        kernel(view, args, worker_range(args.work, n_workers, rank));
-        ctx.barrier_all();
+    let n_qubits = fabric.view().dim().trailing_zeros();
+    let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits);
+    let run = |kernel: KernelFn<F::View>, args: &GateArgs| {
+        kernel(fabric.view(), args, fabric.share(args.work));
+        fabric.sync();
     };
-    let collapse = |qubit: u32, lay: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
-        let (partial, slot, phys_q) = me.measure_partial(lay, qubit);
-        // Pairwise combine: each partial is a subtree node of the canonical
-        // probability tree (see svsim_types::numeric), so this matches
-        // prob_one bit-for-bit.
-        let p1 = ctx.sum_reduce_f64_at(slot, partial);
+    let collapse = |qubit: u32, layout: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
+        let p1 = fabric.prob_one(qubit, layout);
         let outcome = u8::from(r < p1);
         let p = if outcome == 1 { p1 } else { 1.0 - p1 };
         if p < 1e-300 {
@@ -341,14 +359,14 @@ fn walk_steps<V: StateView>(
                 "collapse of qubit {qubit} with probability ~0"
             )));
         }
-        measure::collapse_partition(me.re, me.im, me.base, phys_q, outcome, 1.0 / p.sqrt());
-        ctx.barrier_all();
+        fabric.rescale(qubit, layout, outcome, 1.0 / p.sqrt());
+        fabric.sync();
         Ok(outcome)
     };
     for step in &seg.steps {
         match step {
-            Step::Exchange { lo, hi } => exchange(*lo, *hi),
-            Step::Gate { raw, compiled, .. } => kernels.each(Some(raw), compiled, mine),
+            Step::Exchange { lo, hi } => fabric.exchange(*lo, *hi),
+            Step::Gate { raw, compiled, .. } => kernels.each(raw.as_ref(), compiled, run),
             Step::IfEq {
                 creg_lo,
                 creg_len,
@@ -360,10 +378,9 @@ fn walk_steps<V: StateView>(
                 // All workers hold identical cbits, so they branch
                 // identically — no divergence across the barrier.
                 if cond_holds(cbits, *creg_lo, *creg_len, *value) {
-                    kernels.each(Some(raw), compiled, mine);
+                    kernels.each(Some(raw), compiled, run);
                 }
             }
-            Step::Fused { compiled, .. } => kernels.each(None, compiled, mine),
             Step::Measure {
                 qubit,
                 cbit,
@@ -380,14 +397,28 @@ fn walk_steps<V: StateView>(
                 x,
                 ..
             } => {
-                // Distributed X to restore |0>.
+                // The X restoring |0>.
                 if collapse(*qubit, layout.as_ref(), randoms[*r_idx])? == 1 {
-                    kernels.each(None, x, mine);
+                    kernels.each(None, x, run);
                 }
             }
         }
     }
     Ok(cbits)
+}
+
+/// Run one lowered segment on a single device — also how a sweep template
+/// runs a trial ([`crate::batch`]).
+pub(crate) fn run_solo(
+    state: &mut StateVector,
+    seg: &PlanSegment,
+    config: &SimConfig,
+    randoms: &[f64],
+    initial_cbits: u64,
+) -> SvResult<u64> {
+    let (re, im) = state.parts_mut();
+    let solo = Solo(LocalView::new(re, im));
+    interpret(&solo, seg, config, randoms, initial_cbits)
 }
 
 /// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
@@ -399,7 +430,8 @@ fn walk_steps<V: StateView>(
 ///   partitions — the peer pointer table, plain loads and stores. Always
 ///   thread PEs (devices of one process).
 /// - **scale-out** (§3.2.3): a [`ShmemView`] — one-sided `get`/`put`
-///   through the ctx — plus the relabeling exchange hook.
+///   through the ctx. Only a scale-out segment relabels (`Step::Exchange`),
+///   so only it allocates the exchange staging buffers.
 ///
 /// The segment's classical bits, per-worker traffic, race reports,
 /// exchange count and respawn count accumulate into `summary`
@@ -435,7 +467,7 @@ pub(crate) fn run_partitioned(
     state: &mut StateVector,
     seg: &PlanSegment,
     config: &SimConfig,
-    rng: &mut SvRng,
+    randoms: &[f64],
     faults: Option<Arc<FaultPlan>>,
     summary: &mut RunSummary,
 ) -> SvResult<()> {
@@ -448,10 +480,8 @@ pub(crate) fn run_partitioned(
                 .into(),
         ));
     }
-    let n = state.n_qubits();
     let n_pes = config.backend.n_workers();
     let per_pe = state.dim() / n_pes;
-    let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
     let initial_cbits = summary.cbits;
     let (init_re, init_im) = (state.re(), state.im());
 
@@ -481,29 +511,15 @@ pub(crate) fn run_partitioned(
             .store_slice(0, &init_im[pe * per_pe..(pe + 1) * per_pe]);
         ctx.try_barrier_all()?;
 
-        let me = Worker {
-            ctx,
-            n_qubits: n,
-            re: sym_re.partition(pe),
-            im: sym_im.partition(pe),
-            base: (pe * per_pe) as u64,
-        };
+        let (re, im, xch) = (&sym_re, &sym_im, xch.as_ref());
+        let me = &Pe { ctx, re, im, xch };
         let cbits = if scale_out {
-            let view = ShmemView::new(ctx, &sym_re, &sym_im);
-            walk_steps(seg, config, &view, &me, &randoms, initial_cbits, |a, b| {
-                let (xr, xi) = xch.as_ref().expect("staging buffers allocated");
-                view.exchange_pair(a, b, xr, xi);
-            })
+            let view = &ShmemView::new(ctx, re, im);
+            interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
         } else {
-            let view = PeerView::new(
-                sym_re.partitions(),
-                sym_im.partitions(),
-                pe,
-                Some(ctx.counters()),
-            );
-            walk_steps(seg, config, &view, &me, &randoms, initial_cbits, |_, _| {
-                unreachable!("no relabeling on the scale-up path")
-            })
+            let counters = Some(ctx.counters());
+            let view = &PeerView::new(re.partitions(), im.partitions(), pe, counters);
+            interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
         }?;
         ctx.try_barrier_all()?;
         Ok((

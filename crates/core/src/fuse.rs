@@ -26,6 +26,7 @@
 use crate::compile::{CompiledGate, KernelId};
 use crate::exec::Step;
 use crate::kernels::GateArgs;
+use std::ops::Range;
 use svsim_types::Complex64;
 
 /// Maximum fusion window the kernels support (an 8-amplitude gather).
@@ -57,23 +58,28 @@ fn amps_touched(cg: &CompiledGate) -> u64 {
     cg.args.work.saturating_mul(amps_per_item(cg.id))
 }
 
-/// Whether this kernel can participate in a fused window of size `window`.
-fn fusable(cg: &CompiledGate, window: u8) -> bool {
-    !matches!(
-        cg.id,
-        KernelId::Fused1 | KernelId::Fused2 | KernelId::Fused3
-    ) && cg.args.n_sorted <= window
-}
-
-/// Ascending union of two sorted qubit lists.
-fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = a.to_vec();
-    for &q in b {
-        if let Err(pos) = out.binary_search(&q) {
-            out.insert(pos, q);
+/// The greedy window rule, in one place: a window is the ascending union
+/// of the qubits of the gates riding it, at most `cap` of them. Extend it by
+/// a gate's `qubits` (any order): `None` means the union fits and the window
+/// grew to it — the gate rides; `Some(previous)` means it would overflow, so
+/// the window restarted at `qubits` alone and the one it replaced is handed
+/// back. The fuser below groups kernels with it and the remap planner's cost
+/// scan ([`crate::remap`]) asks it which upcoming gates ride an already
+/// paid-for sweep, so the two cannot disagree on where a window ends.
+pub(crate) fn extend_window(window: &mut Vec<u32>, qubits: &[u32], cap: u8) -> Option<Vec<u32>> {
+    let mut merged = window.clone();
+    for &q in qubits {
+        if let Err(pos) = merged.binary_search(&q) {
+            merged.insert(pos, q);
         }
     }
-    out
+    if merged.len() > usize::from(cap) {
+        merged = qubits.to_vec();
+        merged.sort_unstable();
+        return Some(std::mem::replace(window, merged));
+    }
+    *window = merged;
+    None
 }
 
 /// Rewrite a compiled gate into window-local coordinates: qubit `q`
@@ -157,10 +163,66 @@ fn worth_fusing(window: &[u32], parts: &[CompiledGate], n_qubits: u32) -> bool {
     unfused >= fused_amps
 }
 
-/// Fuse a flat kernel run (no steps, no measurements).
-/// Greedy: extend the current window while the union stays within
-/// `window` qubits; flush when it would grow past it, emitting a fused
-/// kernel when `worth_fusing` holds and the original kernels otherwise.
+/// One output of [`fuse_runs`]: the input items it covers and, when they
+/// fused, the sweep kernel replacing them (`None`: one item, left as it is).
+type Run = (Range<usize>, Option<CompiledGate>);
+
+/// The one greedy scan. Each item is the kernels of one indivisible unit (a
+/// flat queue's kernel, a segment's gate step), or `None` for a unit that
+/// must stay as it is and break any run around it. Extend the current
+/// window while the union stays within `window` qubits; flush when it would
+/// grow past it, emitting one fused kernel when `worth_fusing` holds and the
+/// items unchanged otherwise. The runs cover the items in order.
+fn fuse_runs<'a>(
+    items: impl Iterator<Item = Option<&'a [CompiledGate]>>,
+    n_qubits: u32,
+    window: u8,
+) -> Vec<Run> {
+    let window = window.min(MAX_WINDOW);
+    let mut runs: Vec<Run> = Vec::new();
+    let mut win: Vec<u32> = Vec::new();
+    // The pending run: the kernels riding `win`, from item `start` on.
+    let mut pend: Vec<CompiledGate> = Vec::new();
+    let mut start = 0;
+    // The trailing `None` closes the last run.
+    for (i, item) in items.map(Some).chain([None]).enumerate() {
+        // The item's kernels and own window, if all of it fits one (a
+        // kernel that is already a sweep rides none).
+        let own = item.flatten().and_then(|gates| {
+            let mut own = Vec::new();
+            let fits = gates.iter().all(|cg| {
+                cg.args.fused.is_empty()
+                    && extend_window(&mut own, cg.args.sorted(), window).is_none()
+            });
+            (fits && !own.is_empty()).then_some((gates, own))
+        });
+        let closed = match &own {
+            Some((_, own)) => extend_window(&mut win, own, window),
+            None => Some(std::mem::take(&mut win)),
+        };
+        if let Some(closed) = closed {
+            if worth_fusing(&closed, &pend, n_qubits) {
+                runs.push((start..i, Some(fused_gate(&closed, &pend, n_qubits))));
+            } else {
+                runs.extend((start..i).map(|j| (j..j + 1, None)));
+            }
+            pend.clear();
+            start = i;
+        }
+        match own {
+            Some((gates, _)) => pend.extend_from_slice(gates),
+            None if item.is_some() => {
+                runs.push((i..i + 1, None));
+                start = i + 1;
+            }
+            None => {}
+        }
+    }
+    runs
+}
+
+/// Fuse a flat kernel run (no steps, no measurements) with the greedy scan
+/// of this module, every kernel its own unit.
 ///
 /// Returns the fused queue together with `micro_origin`: for each output
 /// gate, the range of input-queue indices it covers.
@@ -169,53 +231,18 @@ pub fn fuse_compiled(
     queue: &[CompiledGate],
     n_qubits: u32,
     window: u8,
-) -> (Vec<CompiledGate>, Vec<std::ops::Range<usize>>) {
-    let window = window.min(MAX_WINDOW);
-    let mut out = Vec::with_capacity(queue.len());
-    let mut origin: Vec<std::ops::Range<usize>> = Vec::with_capacity(queue.len());
-    let mut pend: Vec<CompiledGate> = Vec::new();
-    let mut pend_start = 0usize;
-    let mut win: Vec<u32> = Vec::new();
-    let flush = |pend: &mut Vec<CompiledGate>,
-                 win: &mut Vec<u32>,
-                 pend_start: usize,
-                 out: &mut Vec<CompiledGate>,
-                 origin: &mut Vec<std::ops::Range<usize>>| {
-        if worth_fusing(win, pend, n_qubits) {
-            out.push(fused_gate(win, pend, n_qubits));
-            origin.push(pend_start..pend_start + pend.len());
-        } else {
-            for (j, cg) in pend.drain(..).enumerate() {
-                out.push(cg);
-                origin.push(pend_start + j..pend_start + j + 1);
-            }
-        }
-        pend.clear();
-        win.clear();
-    };
-    for (i, cg) in queue.iter().enumerate() {
-        if window == 0 || !fusable(cg, window) {
-            flush(&mut pend, &mut win, pend_start, &mut out, &mut origin);
-            out.push(cg.clone());
-            origin.push(i..i + 1);
-            continue;
-        }
-        let merged = union_sorted(&win, cg.args.sorted());
-        if merged.len() <= window as usize {
-            if pend.is_empty() {
-                pend_start = i;
-            }
-            win = merged;
-            pend.push(cg.clone());
-        } else {
-            flush(&mut pend, &mut win, pend_start, &mut out, &mut origin);
-            pend_start = i;
-            win = cg.args.sorted().to_vec();
-            pend.push(cg.clone());
-        }
-    }
-    flush(&mut pend, &mut win, pend_start, &mut out, &mut origin);
-    (out, origin)
+) -> (Vec<CompiledGate>, Vec<Range<usize>>) {
+    fuse_runs(
+        queue.iter().map(|cg| Some(std::slice::from_ref(cg))),
+        n_qubits,
+        window,
+    )
+    .into_iter()
+    .map(|(items, fused)| {
+        let cg = fused.unwrap_or_else(|| queue[items.start].clone());
+        (cg, items)
+    })
+    .unzip()
 }
 
 /// Count the source (pre-fusion) kernels a queue represents: fused gates
@@ -236,87 +263,57 @@ pub fn source_kernels(queue: &[CompiledGate]) -> usize {
 }
 
 /// Fuse a lowered segment in place: runs of adjacent [`Step::Gate`] steps
-/// whose combined footprint fits the window collapse into [`Step::Fused`]
-/// steps backed by one fused kernel each. Every other step breaks a run:
-/// `Measure`/`Reset` (they consume randomness and collapse state), `IfEq`
-/// (its execution depends on runtime classical bits) and `Exchange` (the
-/// relabeling must run between the neighbouring kernels).
+/// whose combined footprint fits the window collapse into one `Step::Gate`
+/// with no raw gate, backed by one fused kernel. A gate step is one unit of
+/// the scan (a compound gate's kernels fuse together or not at all). Every
+/// other step breaks a run: `Measure`/`Reset` (they consume randomness and
+/// collapse state), `IfEq` (its execution depends on runtime classical
+/// bits) and `Exchange` (the relabeling must run between the neighbouring
+/// kernels).
 pub(crate) fn fuse_segment(
     steps: &mut Vec<Step>,
     queue: &mut Vec<CompiledGate>,
     n_qubits: u32,
     window: u8,
 ) {
-    let window = window.min(MAX_WINDOW);
     if window == 0 || steps.is_empty() {
         return;
     }
     let old_steps = std::mem::take(steps);
     let old_queue = std::mem::take(queue);
-    let kernels_of = |step: &Step| -> &[CompiledGate] {
-        step.kernels().map_or(&[], |(_, r)| &old_queue[r.clone()])
-    };
-    // Emit one original step, rebasing its kernel range onto the new queue.
-    let emit = |mut step: Step, steps: &mut Vec<Step>, queue: &mut Vec<CompiledGate>| {
+    let runs = fuse_runs(
+        old_steps.iter().map(|step| match step {
+            Step::Gate { compiled, .. } => Some(&old_queue[compiled.clone()]),
+            _ => None,
+        }),
+        n_qubits,
+        window,
+    );
+    let mut old_steps = old_steps.into_iter();
+    for (items, fused) in runs {
+        let mut step = old_steps.next().expect("runs cover the steps in order");
         let first = queue.len();
-        queue.extend_from_slice(kernels_of(&step));
-        if let Some(r) = step.kernels_mut() {
-            *r = first..queue.len();
-        }
-        steps.push(step);
-    };
-    // Emit the pending run of gate steps: as one fused step if worthwhile,
-    // unchanged otherwise.
-    let flush = |pend: &mut Vec<Step>,
-                 win: &mut Vec<u32>,
-                 steps: &mut Vec<Step>,
-                 queue: &mut Vec<CompiledGate>| {
-        let parts: Vec<CompiledGate> = pend.iter().flat_map(kernels_of).cloned().collect();
-        if worth_fusing(win, &parts, n_qubits) {
-            let (op, _) = pend[0].kernels().expect("pending runs hold gate steps");
-            queue.push(fused_gate(win, &parts, n_qubits));
-            steps.push(Step::Fused {
-                op,
-                compiled: queue.len() - 1..queue.len(),
-            });
-            pend.clear();
-        } else {
-            for step in pend.drain(..) {
-                emit(step, steps, queue);
+        match fused {
+            Some(cg) => {
+                let (op, _) = step.kernels().expect("fused runs hold gate steps");
+                queue.push(cg);
+                step = Step::Gate {
+                    op,
+                    raw: None,
+                    compiled: first..queue.len(),
+                };
+                old_steps.by_ref().take(items.len() - 1).for_each(drop);
+            }
+            // An unfused step keeps its kernels, rebased onto the new queue.
+            None => {
+                if let Some(r) = step.kernels_mut() {
+                    queue.extend_from_slice(&old_queue[r.clone()]);
+                    *r = first..queue.len();
+                }
             }
         }
-        win.clear();
-    };
-
-    let mut pend: Vec<Step> = Vec::new();
-    let mut win: Vec<u32> = Vec::new();
-    for step in old_steps {
-        // The step's own window, if it is a gate step that fits one.
-        let own = Some(kernels_of(&step))
-            .filter(|gates| {
-                matches!(step, Step::Gate { .. }) && gates.iter().all(|cg| fusable(cg, window))
-            })
-            .map(|gates| {
-                gates
-                    .iter()
-                    .fold(Vec::new(), |w, cg| union_sorted(&w, cg.args.sorted()))
-            })
-            .filter(|w| !w.is_empty() && w.len() <= window as usize);
-        let Some(own) = own else {
-            flush(&mut pend, &mut win, steps, queue);
-            emit(step, steps, queue);
-            continue;
-        };
-        let merged = union_sorted(&win, &own);
-        if merged.len() <= window as usize {
-            win = merged;
-        } else {
-            flush(&mut pend, &mut win, steps, queue);
-            win = own;
-        }
-        pend.push(step);
+        steps.push(step);
     }
-    flush(&mut pend, &mut win, steps, queue);
 }
 
 #[cfg(test)]

@@ -406,22 +406,6 @@ pub fn k_fused3<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     k_fused_body::<V, 8>(v, a, r);
 }
 
-/// Partial sum of `|amp|^2` over amplitudes in `r` with bit `q` set
-/// (work-item space: `dim/2`), accumulated sequentially. The executors'
-/// measurement paths use the canonical-tree sums in `crate::measure`
-/// instead — a sequential association is not reproducible across
-/// partition counts; this kernel remains for range-sliced diagnostics.
-#[must_use]
-pub fn prob_one_partial<V: StateView>(v: &V, q: u32, r: Range<u64>) -> f64 {
-    let mut p = 0.0;
-    for i in r {
-        let i1 = insert_zero_bit(i, q) | (1 << q);
-        let (re, im) = v.get(i1);
-        p += re * re + im * im;
-    }
-    p
-}
-
 /// Collapse after measuring qubit `q` as `outcome`: zero the losing half,
 /// scale the surviving half by `1/sqrt(p)`. Work-item space: `dim/2`
 /// (each item handles one pair — all accesses are pair-local).
@@ -603,14 +587,12 @@ mod tests {
     }
 
     #[test]
-    fn prob_and_collapse() {
+    fn collapse_keeps_and_rescales_one_branch() {
         // |+> on qubit 0 of 2 qubits.
         let mut re = vec![svsim_types::S2I, svsim_types::S2I, 0.0, 0.0];
         let mut im = vec![0.0; 4];
         {
             let v = LocalView::new(&mut re, &mut im);
-            let p1 = prob_one_partial(&v, 0, 0..2);
-            assert!((p1 - 0.5).abs() < 1e-15);
             collapse_pairs(&v, 0, 1, (1.0f64 / 0.5).sqrt(), 0..2);
         }
         assert_eq!(re[0], 0.0);

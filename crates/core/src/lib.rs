@@ -8,12 +8,18 @@
 //! - [`kernels`]: specialized gate kernels (§3.2.1).
 //! - [`compile`]: gate → kernel resolution, the "upload" step.
 //! - [`dispatch`]: preloaded fn-pointers vs. runtime parsing (Listing 1).
-//! - [`exec`]: the three backends (Listings 3-5).
-//! - [`measure`]: measurement, collapse, sampling, expectations.
+//! - [`plan`]: the one lowering, circuit → `CompiledPlan` of segments.
+//! - [`exec`]: the one step interpreter every backend runs a segment
+//!   through (Listings 3-5), and the partitioned SPMD launch.
+//! - [`batch`]: sweep templates — a lowered segment plus patch sites (§7).
+//! - [`measure`]: probabilities, partition collapse, sampling,
+//!   expectations.
 //! - [`traffic`]: exact analytic communication model.
 //! - [`fuse`]: gate fusion into dense window sweeps.
 //! - [`remap`]: communication-avoiding qubit relabeling for scale-out.
-//! - [`plan`]: ahead-of-time compilation into a reusable `CompiledPlan`.
+//! - [`checkpoint`]: checksummed state capture and the on-disk store.
+//! - [`noise`]: Pauli-noise trajectories over the same simulator.
+//! - [`par`]: fork-join helpers for the diagonal reductions.
 //! - [`sim`]: the `Simulator` facade.
 
 pub mod batch;

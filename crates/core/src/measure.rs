@@ -20,7 +20,7 @@ use crate::state::StateVector;
 use svsim_ir::{Pauli, PauliString};
 use svsim_shmem::SharedF64Vec;
 use svsim_types::bits::{bit, masked_parity};
-use svsim_types::{SvError, SvResult, SvRng};
+use svsim_types::SvRng;
 
 /// States at or above this size use fork-join threads for the diagonal
 /// reductions (probabilities, expectations); below it the spawn overhead
@@ -107,64 +107,6 @@ pub fn prob_one(state: &StateVector, q: u32) -> f64 {
         return svsim_types::numeric::pairwise_sum(&partials);
     }
     prob_tree(&term, 0, 0, len, q)
-}
-
-/// Collapse qubit `q` to `outcome` with pre-computed branch probability `p`.
-///
-/// # Errors
-/// [`SvError::Numeric`] when collapsing onto a ~zero-probability branch.
-pub fn collapse(state: &mut StateVector, q: u32, outcome: u8, p: f64) -> SvResult<()> {
-    if p < 1e-300 {
-        return Err(SvError::Numeric(format!(
-            "collapse of qubit {q} onto outcome {outcome} with probability ~0"
-        )));
-    }
-    let scale = 1.0 / p.sqrt();
-    let (re, im) = state.parts_mut();
-    for i in 0..re.len() {
-        if bit(i as u64, q) == u64::from(outcome) {
-            re[i] *= scale;
-            im[i] *= scale;
-        } else {
-            re[i] = 0.0;
-            im[i] = 0.0;
-        }
-    }
-    Ok(())
-}
-
-/// Measure qubit `q`: draw the outcome from `r in [0,1)`, collapse, return
-/// the outcome. (`r` is supplied by the caller so distributed executors can
-/// share one pre-drawn random stream.)
-///
-/// # Errors
-/// Propagates [`collapse`] failures.
-pub fn measure_with(state: &mut StateVector, q: u32, r: f64) -> SvResult<u8> {
-    let p1 = prob_one(state, q);
-    let outcome = u8::from(r < p1);
-    let p = if outcome == 1 { p1 } else { 1.0 - p1 };
-    collapse(state, q, outcome, p)?;
-    Ok(outcome)
-}
-
-/// Reset qubit `q` to `|0>`: measure, then flip if it came out 1.
-///
-/// # Errors
-/// Propagates collapse failures.
-pub fn reset_with(state: &mut StateVector, q: u32, r: f64) -> SvResult<()> {
-    let outcome = measure_with(state, q, r)?;
-    if outcome == 1 {
-        // Deterministic X on the collapsed state.
-        let (re, im) = state.parts_mut();
-        let half = re.len() / 2;
-        for i in 0..half {
-            let i0 = svsim_types::bits::pair_base_1q(i as u64, q) as usize;
-            let i1 = i0 | (1usize << q);
-            re.swap(i0, i1);
-            im.swap(i0, i1);
-        }
-    }
-    Ok(())
 }
 
 /// Partition-local partial probability of qubit `q` being 1, for a
@@ -351,34 +293,6 @@ mod tests {
         let s = StateVector::zero_state(3).unwrap();
         assert_eq!(prob_one(&s, 0), 0.0);
         assert!((prob_one(&plus_state(), 0) - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn measure_collapses_and_normalizes() {
-        let mut s = plus_state();
-        let outcome = measure_with(&mut s, 0, 0.3).unwrap(); // 0.3 < 0.5 -> 1
-        assert_eq!(outcome, 1);
-        assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
-        assert_eq!(prob_one(&s, 0), 1.0);
-
-        let mut s = plus_state();
-        let outcome = measure_with(&mut s, 0, 0.9).unwrap(); // 0.9 >= 0.5 -> 0
-        assert_eq!(outcome, 0);
-        assert_eq!(prob_one(&s, 0), 0.0);
-    }
-
-    #[test]
-    fn collapse_zero_probability_errors() {
-        let mut s = StateVector::zero_state(1).unwrap();
-        assert!(collapse(&mut s, 0, 1, 0.0).is_err());
-    }
-
-    #[test]
-    fn reset_restores_zero() {
-        let mut s = plus_state();
-        reset_with(&mut s, 0, 0.1).unwrap(); // collapses to 1, then X
-        assert_eq!(prob_one(&s, 0), 0.0);
-        assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -54,16 +54,18 @@ pub(crate) struct PlanSegment {
 
 /// The two settings the lowering derives from a [`SimConfig`]:
 /// `(remap_pes, fuse)`. Remapping applies to multi-PE scale-out only
-/// (`remap_pes` is 0 elsewhere). Runtime parsing re-parses gate by gate, so
-/// it runs — and is lowered to — the unfused schedule whatever
-/// [`SimConfig::fuse`] says.
+/// (`remap_pes` is 0 elsewhere). The fusion window is clamped here, once, so
+/// the remap cost scan, the fuser and [`CompiledPlan::matches`] all see the
+/// window that is built. Runtime parsing re-parses gate by gate, so it runs
+/// — and is lowered to — the unfused schedule whatever [`SimConfig::fuse`]
+/// says.
 fn lowering_shape(config: &SimConfig) -> (u64, u8) {
     let remap_pes = match config.backend {
         BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
         _ => 0,
     };
     let fuse = match config.dispatch {
-        DispatchMode::PreloadedFnPointer => config.fuse,
+        DispatchMode::PreloadedFnPointer => config.fuse.min(crate::fuse::MAX_WINDOW),
         DispatchMode::RuntimeParse => 0,
     };
     (remap_pes, fuse)
@@ -110,7 +112,7 @@ pub(crate) fn build_segment(
         match lowered_op {
             Op::Gate(g) => steps.push(Step::Gate {
                 op,
-                raw: *g,
+                raw: Some(*g),
                 compiled: compile(g, config.specialized),
             }),
             Op::IfEq {
@@ -160,6 +162,27 @@ pub(crate) fn build_segment(
         n_swaps: planned.map_or(0, |p| p.n_swaps),
         final_layout: remap.map(|p| p.final_layout),
     }
+}
+
+/// The checkpoint grid over `ops[from..n_ops]`: consecutive segments, each
+/// ending at the next multiple of `every` from op 0 (one segment to the end
+/// when `every` is 0). Compiling walks it from op 0 and running from
+/// wherever the run starts — on the grid or not — so a resumed execution
+/// re-enters the segments the uninterrupted one ran: the basis of the
+/// bit-identical recovery guarantee.
+pub(crate) fn checkpoint_grid(
+    from: usize,
+    n_ops: usize,
+    every: u32,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let segment_at = move |pos: usize| {
+        let end = match every as usize {
+            0 => n_ops,
+            k => n_ops.min((pos + 1).next_multiple_of(k)),
+        };
+        (pos < n_ops).then_some(pos..end)
+    };
+    std::iter::successors(segment_at(from), move |prev| segment_at(prev.end))
 }
 
 /// One entry of a plan's schedule ([`CompiledPlan::schedule`]).
@@ -219,25 +242,15 @@ pub struct CompiledPlan {
 
 impl CompiledPlan {
     /// Compile `circuit` for a simulator of `n_qubits` qubits running
-    /// under `config`. Segmentation follows the same fixed checkpoint grid
-    /// as [`crate::Simulator::run`] (multiples of `checkpoint_every` from
-    /// op 0), so resumed executions reuse the same segments.
+    /// under `config`, one segment per `checkpoint_grid` interval — the
+    /// grid [`crate::Simulator::run`] executes on, so resumed executions
+    /// reuse the same segments.
     #[must_use]
     pub fn compile(circuit: &Circuit, n_qubits: u32, config: &SimConfig) -> Self {
         let ops = circuit.ops();
-        let k = config.checkpoint_every as usize;
-        let mut segments = Vec::new();
-        let mut pos = 0usize;
-        while pos < ops.len() || (k == 0 && segments.is_empty()) {
-            let end = if k == 0 {
-                ops.len()
-            } else {
-                // The smallest checkpoint-grid multiple strictly past `pos`.
-                usize::min(ops.len(), (pos + 1).next_multiple_of(k))
-            };
-            segments.push(build_segment(ops, pos, end, n_qubits, config));
-            pos = end;
-        }
+        let segments: Vec<PlanSegment> = checkpoint_grid(0, ops.len(), config.checkpoint_every)
+            .map(|r| build_segment(ops, r.start, r.end, n_qubits, config))
+            .collect();
         let n_source_kernels = segments
             .iter()
             .map(|s| crate::fuse::source_kernels(&s.queue))
@@ -282,7 +295,7 @@ impl CompiledPlan {
                 let lead = match step {
                     Step::Exchange { lo, hi } => Some(Scheduled::Exchange { lo: *lo, hi: *hi }),
                     Step::Measure { .. } | Step::Reset { .. } => Some(Scheduled::Collapse),
-                    Step::Gate { .. } | Step::IfEq { .. } | Step::Fused { .. } => None,
+                    Step::Gate { .. } | Step::IfEq { .. } => None,
                 };
                 let conditional = matches!(step, Step::IfEq { .. } | Step::Reset { .. });
                 let (source_op, range) =
@@ -321,7 +334,8 @@ impl CompiledPlan {
         self.n_qubits
     }
 
-    /// Segments in the plan (one when checkpointing is off).
+    /// Segments in the plan (one when checkpointing is off and the circuit
+    /// has any op).
     #[must_use]
     pub fn n_segments(&self) -> usize {
         self.segments.len()
@@ -343,8 +357,9 @@ impl CompiledPlan {
         self.n_source_kernels
     }
 
-    /// The fusion window the plan was lowered with: [`SimConfig::fuse`],
-    /// or 0 (unfused) under [`DispatchMode::RuntimeParse`].
+    /// The fusion window the plan was lowered with: [`SimConfig::fuse`]
+    /// clamped to [`crate::fuse::MAX_WINDOW`], or 0 (unfused) under
+    /// [`DispatchMode::RuntimeParse`].
     #[must_use]
     pub fn fuse_window(&self) -> u8 {
         self.fuse
@@ -353,14 +368,11 @@ impl CompiledPlan {
     /// The precompiled segment covering exactly `ops[start..end]`, if the
     /// plan holds one.
     pub(crate) fn segment(&self, start: usize, end: usize) -> Option<&PlanSegment> {
-        let idx = if self.checkpoint_every == 0 {
-            0
-        } else {
-            start / self.checkpoint_every as usize
-        };
-        self.segments
-            .get(idx)
-            .filter(|s| s.start == start && s.end == end)
+        let idx = self
+            .segments
+            .binary_search_by_key(&start, |s| s.start)
+            .ok()?;
+        Some(&self.segments[idx]).filter(|s| s.end == end)
     }
 }
 
@@ -423,5 +435,100 @@ mod tests {
             "remapped plan carries the schedule"
         );
         assert_eq!(seg.n_rand, 1, "one measurement draw");
+    }
+
+    #[test]
+    fn schedule_of_a_fused_remapped_measured_plan_is_pinned() {
+        // What the analyzer, the traffic model and the perfmodel read,
+        // recorded from the lowering as it stood when a fused run was a
+        // step variant of its own: folding it into the gate step must not
+        // move, drop or relabel an entry.
+        use GateKind::{C4X, CX, CZ, H, RCCX, T, X};
+        let mut c = circuit(); // H on 0..5, CX(0,1), T(4), measure 0 -> c0
+        c.if_eq(0, 1, 1, Gate::new(X, &[3], &[]).unwrap()).unwrap();
+        for (kind, qubits) in [
+            (RCCX, &[2, 3, 4][..]),
+            (CZ, &[3, 4]),
+            (C4X, &[0, 1, 2, 3, 4]),
+        ] {
+            c.apply(kind, qubits, &[]).unwrap();
+        }
+        c.reset(4).unwrap();
+        for (kind, qubits) in [(H, &[4][..]), (T, &[4]), (CX, &[4, 0])] {
+            c.apply(kind, qubits, &[]).unwrap();
+        }
+        let cfg = SimConfig::scale_out(4)
+            .with_remap()
+            .with_fusion(3)
+            .with_checkpoint_every(10);
+        let got: Vec<String> = CompiledPlan::compile(&c, 5, &cfg)
+            .schedule()
+            .map(|item| match item {
+                Scheduled::Exchange { lo, hi } => format!("exchange {lo} {hi}"),
+                Scheduled::Collapse => "collapse".into(),
+                Scheduled::Kernel {
+                    cg,
+                    source_op,
+                    conditional,
+                } => format!("{:?} op {source_op} cond {conditional}", cg.id),
+            })
+            .collect();
+        let want = [
+            "Fused3 op 0 cond false",
+            "exchange 2 3",
+            "H op 3 cond false",
+            "exchange 2 4",
+            "Fused3 op 4 cond false",
+            "exchange 2 3",
+            "collapse",
+            "exchange 1 4",
+            "X op 8 cond true",
+            "exchange 0 3",
+            "Fused3 op 9 cond false",
+            "exchange 2 4",
+            "CPhase op 10 cond false",
+            "ControlledOneQ op 11 cond false",
+            "exchange 2 4",
+            "collapse",
+            "X op 12 cond true",
+            "exchange 2 4",
+            "Fused2 op 13 cond false",
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn fusion_window_is_clamped_in_the_lowering() {
+        // `fuse` set through the public field, past what the kernels
+        // support: the lowering — remap cost scan included — must be the
+        // window-3 one, and the two configs must share a cached plan.
+        let mut c = Circuit::new(8);
+        for layer in 0..6 {
+            for q in 4..8 {
+                c.apply(GateKind::RX, &[q], &[0.3 + 0.1 * f64::from(layer)])
+                    .unwrap();
+                c.apply(GateKind::CX, &[q, q - 1], &[]).unwrap();
+            }
+        }
+        let at = |fuse: u8| SimConfig {
+            fuse,
+            remap: true,
+            ..SimConfig::scale_out(4)
+        };
+        let exchanges = |p: &CompiledPlan| {
+            p.schedule()
+                .filter(|s| matches!(s, Scheduled::Exchange { .. }))
+                .count()
+        };
+        let three = CompiledPlan::compile(&c, 8, &at(3));
+        let huge = CompiledPlan::compile(&c, 8, &at(200));
+        assert!(
+            exchanges(&three) > 0,
+            "a deep cross-partition circuit relabels"
+        );
+        assert_eq!(huge.n_kernels(), three.n_kernels());
+        assert_eq!(exchanges(&huge), exchanges(&three));
+        assert_eq!(huge.fuse_window(), 3);
+        assert!(huge.matches(&c, 8, &at(3)) && three.matches(&c, 8, &at(200)));
     }
 }

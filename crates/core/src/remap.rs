@@ -49,6 +49,7 @@
 //!   partial into the logically-indexed reduction slot.
 
 use crate::compile::CompiledGate;
+use crate::fuse::extend_window;
 use svsim_ir::{Gate, GateKind, Op};
 
 /// A logical→physical qubit permutation.
@@ -176,28 +177,6 @@ fn mapped_remote_bytes(
         .fold(0u64, u64::saturating_add)
 }
 
-/// Ascending union of a sorted qubit list with a gate's qubits; `true`
-/// when the union still fits a `fuse`-qubit window.
-fn window_extend(win: &mut Vec<u32>, qubits: &[u32], fuse: u8) -> bool {
-    let mut merged = win.clone();
-    for &q in qubits {
-        if let Err(pos) = merged.binary_search(&q) {
-            merged.insert(pos, q);
-        }
-    }
-    if merged.len() <= fuse as usize {
-        *win = merged;
-        true
-    } else {
-        *win = {
-            let mut w = qubits.to_vec();
-            w.sort_unstable();
-            w
-        };
-        false
-    }
-}
-
 /// Localize `g`'s partition-index qubits when amortization favors it;
 /// returns the exchanges emitted (and applied to `layout`). With `fuse`
 /// set, the forward benefit scan is fusion-aware: a scanned gate that
@@ -240,13 +219,10 @@ fn localize(
         let mut benefit = mapped_remote_bytes(g, layout, n_qubits, n_pes, scratch);
         if benefit < swap_cost {
             let mut gap = 0usize;
-            // Current fused window of the scanned stream (logical qubits,
-            // ascending); starts at the gate being localized.
-            let mut fwin: Vec<u32> = {
-                let mut w = g.qubits().to_vec();
-                w.sort_unstable();
-                w
-            };
+            // Current fused window of the scanned stream (logical
+            // qubits); starts at the gate being localized.
+            let mut fwin = Vec::new();
+            extend_window(&mut fwin, g.qubits(), fuse);
             for op in ops.iter().skip(at + 1).take(SCAN_WINDOW) {
                 let fg = match op {
                     Op::Gate(fg) if fg.kind() != GateKind::SWAP => Some(fg),
@@ -256,7 +232,8 @@ fn localize(
                 };
                 match fg {
                     Some(fg) => {
-                        let rides = fuse > 0 && window_extend(&mut fwin, fg.qubits(), fuse);
+                        let rides =
+                            fuse > 0 && extend_window(&mut fwin, fg.qubits(), fuse).is_none();
                         if fg.qubits().contains(&q) {
                             gap = 0;
                             if !rides {

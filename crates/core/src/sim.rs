@@ -1,9 +1,9 @@
 //! The unified `Simulator` facade over all backends.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::exec::{run_partitioned, run_single, DispatchMode};
+use crate::exec::{run_partitioned, run_solo, DispatchMode};
 use crate::measure;
-use crate::plan::{build_segment, CompiledPlan};
+use crate::plan::{build_segment, checkpoint_grid, CompiledPlan};
 use crate::state::StateVector;
 use crate::traffic::GateTraffic;
 use std::sync::Arc;
@@ -96,7 +96,7 @@ pub struct SimConfig {
 impl SimConfig {
     /// Single device, fn-pointer dispatch, specialized kernels.
     #[must_use]
-    pub fn single_device() -> Self {
+    pub const fn single_device() -> Self {
         Self {
             backend: BackendKind::SingleDevice,
             dispatch: DispatchMode::PreloadedFnPointer,
@@ -420,24 +420,25 @@ impl Simulator {
                 &owned
             }
         };
-        let (state, rng) = (&mut self.state, &mut self.rng);
+        // The segment's measurement draws, taken up front in step order so
+        // every backend consumes the RNG identically.
+        let randoms: Vec<f64> = (0..seg.n_rand).map(|_| self.rng.next_f64()).collect();
+        let state = &mut self.state;
         match config.backend {
             BackendKind::SingleDevice => {
-                summary.cbits = run_single(state, seg, &config, rng, summary.cbits)?;
+                summary.cbits = run_solo(state, seg, &config, &randoms, summary.cbits)?;
             }
             BackendKind::ScaleUp { .. } | BackendKind::ScaleOut { .. } => {
                 let faults = self.fault_plan.clone();
-                run_partitioned(state, seg, &config, rng, faults, summary)?;
+                run_partitioned(state, seg, &config, &randoms, faults, summary)?;
             }
         }
         Ok(())
     }
 
-    /// Execute `circuit.ops()[start_op..]`, segmenting at checkpoint
-    /// boundaries when enabled (one segment otherwise). Segment boundaries
-    /// are fixed multiples of `checkpoint_every` from op 0, so a resumed
-    /// run re-executes exactly the segments the uninterrupted run would
-    /// have — the basis of the bit-identical recovery guarantee.
+    /// Execute `circuit.ops()[start_op..]` segment by segment along the
+    /// [`checkpoint_grid`] (one segment when checkpointing is off),
+    /// capturing a checkpoint after each.
     fn run_segments(
         &mut self,
         circuit: &Circuit,
@@ -446,7 +447,7 @@ impl Simulator {
         plan: Option<&CompiledPlan>,
     ) -> SvResult<RunSummary> {
         let ops = circuit.ops();
-        let k = self.config.checkpoint_every as usize;
+        let k = self.config.checkpoint_every;
         let mut summary = RunSummary {
             gates: circuit.gates().count(),
             cbits: initial_cbits,
@@ -461,19 +462,12 @@ impl Simulator {
         } else {
             self.capture_checkpoint(start_op, &mut summary)?;
         }
-        let mut pos = start_op;
-        while pos < ops.len() {
-            // Align the segment end to the global checkpoint grid so resume
-            // and uninterrupted runs segment identically (no grid, `k == 0`:
-            // one segment to the end).
-            let end = pos
-                .checked_div(k)
-                .map_or(ops.len(), |cell| usize::min(ops.len(), (cell + 1) * k));
-            self.exec_segment(ops, pos..end, plan, &mut summary)?;
+        for segment in checkpoint_grid(start_op, ops.len(), k) {
+            let end = segment.end;
+            self.exec_segment(ops, segment, plan, &mut summary)?;
             if k > 0 {
                 self.capture_checkpoint(end, &mut summary)?;
             }
-            pos = end;
         }
         self.cbits = summary.cbits;
         Ok(summary)
@@ -1099,6 +1093,45 @@ mod tests {
             assert_eq!(sim.state().re(), reference.state().re());
             assert_eq!(sim.state().im(), reference.state().im());
         }
+    }
+
+    #[test]
+    fn off_grid_resume_is_bit_identical() {
+        use svsim_shmem::{FaultAction, FaultPlan};
+        use svsim_types::PeOp;
+
+        // A checkpoint taken on a 3-op grid, finished on a 4-op grid: the
+        // resume starts from an op that is not on the current grid, so the
+        // first segment is the stub up to the next grid line.
+        let mut c = Circuit::with_cbits(4, 4);
+        c.extend(&ghz(4)).unwrap();
+        for q in 0..4 {
+            c.measure(q, q).unwrap();
+        }
+        let base = SimConfig::scale_out(2).with_seed(11);
+        let mut reference = Simulator::new(4, base).unwrap();
+        let ref_summary = reference.run(&c).unwrap();
+        let ref_samples = reference.sample(64);
+
+        let mut faulted = Simulator::new(4, base.with_checkpoint_every(3)).unwrap();
+        faulted.set_fault_plan(Some(Arc::new(FaultPlan::new().with(
+            1,
+            PeOp::Barrier,
+            9,
+            FaultAction::Kill,
+        ))));
+        faulted.run(&c).unwrap_err();
+        let cp = faulted
+            .take_checkpoint()
+            .expect("the first segment committed");
+        assert_eq!(cp.op_index(), 3);
+
+        let mut sim = Simulator::new(4, base.with_checkpoint_every(4)).unwrap();
+        sim.adopt_checkpoint(cp).unwrap();
+        let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
+        assert_eq!(summary.cbits, ref_summary.cbits);
+        assert_eq!(sim.state_checksum(), reference.state_checksum());
+        assert_eq!(sim.sample(64), ref_samples);
     }
 
     #[test]

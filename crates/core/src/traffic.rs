@@ -184,15 +184,6 @@ pub fn gate_traffic(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> GateTraffic
     }
 }
 
-/// Aggregate traffic of a compiled gate stream.
-#[must_use]
-pub fn circuit_traffic(compiled: &[CompiledGate], n_qubits: u32, n_pes: u64) -> GateTraffic {
-    compiled
-        .iter()
-        .map(|cg| gate_traffic(cg, n_qubits, n_pes))
-        .fold(GateTraffic::default(), |acc, t| acc.merged(&t))
-}
-
 /// Predicted traffic of one relabeling slab exchange
 /// ([`crate::view::ShmemView::exchange_pair`]): half the state moves
 /// across the fabric once (each PE ships `per_pe / 2` amplitudes to its
@@ -221,7 +212,6 @@ pub fn exchange_traffic(n_qubits: u32, n_pes: u64) -> GateTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_gates;
     use svsim_ir::{Gate, GateKind};
 
     fn compiled_one(kind: GateKind, q: &[u32], p: &[f64], n: u32) -> CompiledGate {
@@ -340,17 +330,5 @@ mod tests {
         let sum = t.merged(&t);
         assert_eq!(sum.bytes_touched, u64::MAX);
         assert_eq!(sum.items, 1u64 << 63);
-    }
-
-    #[test]
-    fn circuit_aggregation() {
-        let mut c = svsim_ir::Circuit::new(6);
-        c.apply(GateKind::H, &[0], &[]).unwrap();
-        c.apply(GateKind::CX, &[0, 5], &[]).unwrap();
-        let gates: Vec<Gate> = c.gates().copied().collect();
-        let compiled = compile_gates(gates.iter(), 6, true);
-        let agg = circuit_traffic(&compiled, 6, 2);
-        assert_eq!(agg.items, 32 + 16);
-        assert!(agg.remote_amp_ops > 0, "CX crossing the boundary");
     }
 }

@@ -90,13 +90,22 @@ impl PlanCache {
         config: &SimConfig,
         metrics: &crate::metrics::EngineMetrics,
     ) -> Arc<CompiledPlan> {
-        let fp = circuit_fingerprint(circuit);
-        if let Some((_, _, plan)) = self.entries.iter().find(|(efp, c, p)| {
-            (Arc::ptr_eq(c, circuit) || (*efp == fp && c.as_ref() == circuit.as_ref()))
-                && p.matches(circuit, circuit.n_qubits(), config)
-        }) {
+        let fits = |p: &CompiledPlan| p.matches(circuit, circuit.n_qubits(), config);
+        let hit = |plan: &Arc<CompiledPlan>| {
             metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(plan);
+            Arc::clone(plan)
+        };
+        // Pointer identity first: a resubmitted allocation never pays for
+        // the fingerprint.
+        let mut entries = self.entries.iter();
+        if let Some((_, _, plan)) = entries.find(|(_, c, p)| Arc::ptr_eq(c, circuit) && fits(p)) {
+            return hit(plan);
+        }
+        let fp = circuit_fingerprint(circuit);
+        let mut entries = self.entries.iter();
+        let same = |c: &Circuit| c == circuit.as_ref();
+        if let Some((_, _, plan)) = entries.find(|(efp, c, p)| *efp == fp && same(c) && fits(p)) {
+            return hit(plan);
         }
         metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(CompiledPlan::compile(circuit, circuit.n_qubits(), config));
