@@ -123,6 +123,35 @@ mod tests {
     }
 
     #[test]
+    fn detector_on_observes_every_word_of_a_suite_circuit() {
+        // Arming the detector takes the PEs' slabs away, so every access of
+        // every kernel is still issued — and recorded — one word at a time.
+        // On that path each recorded access is also one counted op, so the
+        // op total is the observed-access total: `seca_n11` at 4 PEs read
+        // 169_984 at the commit before partition-local kernels moved to
+        // the slab, and must read the same now.
+        let spec = medium_suite()
+            .into_iter()
+            .find(|s| s.name == "seca_n11")
+            .expect("seca_n11 is a Table 4 workload");
+        let circuit = spec.circuit().unwrap();
+        let base = SimConfig::scale_out(4).with_seed(0xC0FFEE);
+        let run = |config: SimConfig| {
+            Simulator::new(circuit.n_qubits(), config)
+                .unwrap()
+                .run(&circuit)
+                .unwrap()
+        };
+        let detected = run(base.with_race_detection());
+        assert!(detected.races.is_empty());
+        assert_eq!(detected.slab_kernels, 0, "detector on: per-word path only");
+        assert_eq!(detected.total_traffic().total_ops(), 169_984);
+        let plain = run(base);
+        assert!(plain.slab_kernels > 0);
+        assert_eq!(plain.traffic, detected.traffic);
+    }
+
+    #[test]
     fn every_small_workload_agrees_with_the_static_verdict() {
         // Debug-build budget: the ≤13-qubit Table 4 workloads at 2/4/8
         // PEs, plus the fused (window 3) schedule with and without

@@ -12,6 +12,17 @@
 //! world, for scale-up and scale-out alike: its slice of every kernel, then
 //! the world barrier — the cooperative multi-grid sync of Listing 4 and the
 //! `shmem_barrier_all` of Listing 5 are the same call here).
+//!
+//! A `Worker` reaches `sv[i]` three ways. A kernel that touches a qubit at
+//! or above the partition boundary goes through the backend's own view,
+//! access by access: the peer table ([`PeerView`], scale-up) or one-sided
+//! words ([`ShmemView`], scale-out). A **partition-local** kernel
+//! ([`crate::traffic::partition_local`]) — the large majority on any circuit
+//! wider than the PE count — runs on the PE's own slab as plain memory
+//! ([`SlabView`]), and the PE's counters are credited once for the whole
+//! kernel with exactly what the view would have counted; the barrier after
+//! it is the same barrier. Which of the two a kernel takes is decided by
+//! index arithmetic when the walker binds the segment, never by an option.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -21,12 +32,14 @@ use crate::plan::PlanSegment;
 use crate::remap::QubitLayout;
 use crate::sim::{BackendKind, RunSummary, SimConfig};
 use crate::state::StateVector;
-use crate::view::{LocalView, PeerView, ShmemView, StateView};
+use crate::traffic::{kernel_access_patterns, partition_local};
+use crate::view::{LocalView, PeerView, ShmemView, SlabView, StateView};
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 use svsim_ir::Gate;
 use svsim_shmem::{
-    FaultPlan, ProcOptions, RaceDetector, SharedF64Vec, ShmemBackend, ShmemCtx, SymF64,
+    FaultPlan, PeCounters, ProcOptions, RaceDetector, SharedF64Vec, ShmemBackend, ShmemCtx, SymF64,
 };
 use svsim_types::{SvError, SvResult};
 
@@ -131,6 +144,27 @@ fn cond_holds(cbits: u64, lo: u32, len: u32, value: u64) -> bool {
     ((cbits >> lo) & mask) == value
 }
 
+/// A kernel on a PE's own slab: the [`SlabView`] instance of the kernel and
+/// the amplitude accesses one PE's share of it makes (`items x patterns`,
+/// each one load and one store) — what [`Slab::run`] credits in bulk.
+type OnSlab<'s> = (KernelFn<SlabView<'s>>, u64);
+
+/// One kernel bound for a walker: through the fabric's view and, if the
+/// fabric's workers own a slab each and the kernel is partition-local, on
+/// the slab.
+type Bound<'s, V> = (KernelFn<V>, Option<OnSlab<'s>>);
+
+fn bind<'s, V: StateView>(cg: &CompiledGate, n_qubits: u32, slab_pes: Option<u64>) -> Bound<'s, V> {
+    let on_slab = slab_pes
+        .filter(|&n_pes| partition_local(cg, n_qubits, n_pes))
+        .map(|n_pes| {
+            let patterns = kernel_access_patterns(cg).0.len() as u64;
+            let accesses = cg.args.work / n_pes * patterns;
+            (resolve::<SlabView>(cg.id), accesses)
+        });
+    (resolve::<V>(cg.id), on_slab)
+}
+
 /// A segment's kernels bound for one walker: the preloaded pointer table,
 /// or the raw gates re-parsed at every execution.
 struct Kernels<'a, V: StateView> {
@@ -139,18 +173,28 @@ struct Kernels<'a, V: StateView> {
     /// analog of preloading the device-function symbols; one flat pointer
     /// table parallel to the flat compiled queue, nothing copied per gate.
     /// Empty under [`DispatchMode::RuntimeParse`].
-    uploaded: Vec<KernelFn<V>>,
+    uploaded: Vec<Bound<'a, V>>,
     config: &'a SimConfig,
     n_qubits: u32,
+    /// How many workers own a slab each ([`Fabric::slab`]), if any: what
+    /// decides which kernels are also bound for the slab.
+    slab_pes: Option<u64>,
     scratch: Vec<CompiledGate>,
 }
 
 impl<'a, V: StateView> Kernels<'a, V> {
-    fn new(seg: &'a PlanSegment, config: &'a SimConfig, n_qubits: u32) -> Self {
+    fn new(
+        seg: &'a PlanSegment,
+        config: &'a SimConfig,
+        n_qubits: u32,
+        slab_pes: Option<u64>,
+    ) -> Self {
         let uploaded = match config.dispatch {
-            DispatchMode::PreloadedFnPointer => {
-                seg.queue.iter().map(|c| resolve::<V>(c.id)).collect()
-            }
+            DispatchMode::PreloadedFnPointer => seg
+                .queue
+                .iter()
+                .map(|c| bind(c, n_qubits, slab_pes))
+                .collect(),
             DispatchMode::RuntimeParse => Vec::new(),
         };
         Self {
@@ -158,6 +202,7 @@ impl<'a, V: StateView> Kernels<'a, V> {
             uploaded,
             config,
             n_qubits,
+            slab_pes,
             scratch: Vec::new(),
         }
     }
@@ -170,7 +215,7 @@ impl<'a, V: StateView> Kernels<'a, V> {
         &mut self,
         raw: Option<&Gate>,
         compiled: &Range<usize>,
-        mut apply: impl FnMut(KernelFn<V>, &GateArgs),
+        mut apply: impl FnMut(Bound<'a, V>, &GateArgs),
     ) {
         match raw.filter(|_| self.config.dispatch == DispatchMode::RuntimeParse) {
             Some(raw) => {
@@ -182,17 +227,17 @@ impl<'a, V: StateView> Kernels<'a, V> {
                     &mut self.scratch,
                 );
                 for cg in &self.scratch {
-                    apply(resolve::<V>(cg.id), &cg.args);
+                    apply(bind(cg, self.n_qubits, self.slab_pes), &cg.args);
                 }
             }
             None => {
                 for k in compiled.clone() {
                     let cg = &self.queue[k];
-                    let kernel = match self.uploaded.get(k) {
-                        Some(f) => *f,
-                        None => resolve::<V>(cg.id),
+                    let bound = match self.uploaded.get(k) {
+                        Some(b) => *b,
+                        None => bind(cg, self.n_qubits, self.slab_pes),
                     };
-                    apply(kernel, &cg.args);
+                    apply(bound, &cg.args);
                 }
             }
         }
@@ -218,6 +263,12 @@ trait Fabric {
     fn rescale(&self, qubit: u32, layout: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64);
     /// One relabeling slab exchange of physical positions `(lo, hi)`.
     fn exchange(&self, lo: u32, hi: u32);
+    /// This worker's own slab, if it runs partition-local kernels there
+    /// instead of through [`Self::view`]. A single device has none: its
+    /// view already is plain memory.
+    fn slab(&self) -> Option<&Slab<'_>> {
+        None
+    }
 }
 
 /// A single device: full ranges, nothing to synchronize or relabel.
@@ -243,14 +294,42 @@ impl<'a> Fabric for Solo<'a> {
     }
 }
 
+/// A PE's own partition as plain memory, and the bookkeeping that keeps a
+/// kernel run there indistinguishable from one issued access by access.
+struct Slab<'a> {
+    view: SlabView<'a>,
+    n_pes: u64,
+    counters: &'a PeCounters,
+    /// Counter ops the issuing view spends on one amplitude access: a
+    /// [`ShmemView`] moves two 8-byte words (re, im), a counted
+    /// [`PeerView`] counts the amplitude once.
+    ops_per_access: u64,
+    /// Kernels run here so far ([`RunSummary::slab_kernels`]).
+    kernels: Cell<usize>,
+}
+
+impl<'a> Slab<'a> {
+    /// Run this PE's share of a partition-local kernel: items
+    /// `0..work / n_pes` at slab-local indices are the words
+    /// `worker_range(work, n_pes, pe)` reaches through the global view
+    /// ([`partition_local`]). Then credit what that view would have counted.
+    fn run(&self, (kernel, accesses): OnSlab<'a>, args: &GateArgs) {
+        kernel(&self.view, args, 0..args.work / self.n_pes);
+        self.counters.credit_local(accesses * self.ops_per_access);
+        self.kernels.set(self.kernels.get() + 1);
+    }
+}
+
 /// One PE of a partitioned backend: its SHMEM context (rank, world size,
-/// barrier, reduce), the symmetric arrays it owns a partition of, and the
-/// staging buffers of a segment that relabels.
+/// barrier, reduce), the symmetric arrays it owns a partition of, the
+/// staging buffers of a segment that relabels, and its slab — unless the
+/// launch observes individual words ([`run_partitioned`]).
 struct Pe<'a> {
     ctx: &'a ShmemCtx<'a>,
     re: &'a SymF64,
     im: &'a SymF64,
     xch: Option<&'a (SymF64, SymF64)>,
+    slab: Option<Slab<'a>>,
 }
 
 impl Pe<'_> {
@@ -324,9 +403,14 @@ impl<V: StateView> Fabric for Worker<'_, V> {
         measure::collapse_partition(re, im, base, phys, outcome, inv_sqrt_p);
     }
     fn exchange(&self, lo: u32, hi: u32) {
-        let Pe { ctx, re, im, xch } = self.me;
+        let Pe {
+            ctx, re, im, xch, ..
+        } = self.me;
         let (xr, xi) = xch.expect("a segment that relabels has staging buffers");
         ShmemView::new(ctx, re, im).exchange_pair(lo, hi, xr, xi);
+    }
+    fn slab(&self) -> Option<&Slab<'_>> {
+        self.me.slab.as_ref()
     }
 }
 
@@ -336,18 +420,22 @@ impl<V: StateView> Fabric for Worker<'_, V> {
 /// step order so every backend consumes the RNG identically) and
 /// `initial_cbits` carries the classical register across checkpoint
 /// segments; returns the register afterwards.
-fn interpret<F: Fabric>(
-    fabric: &F,
-    seg: &PlanSegment,
-    config: &SimConfig,
+fn interpret<'a, F: Fabric>(
+    fabric: &'a F,
+    seg: &'a PlanSegment,
+    config: &'a SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
 ) -> SvResult<u64> {
     let mut cbits = initial_cbits;
     let n_qubits = fabric.view().dim().trailing_zeros();
-    let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits);
-    let run = |kernel: KernelFn<F::View>, args: &GateArgs| {
-        kernel(fabric.view(), args, fabric.share(args.work));
+    let slab = fabric.slab();
+    let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits, slab.map(|s| s.n_pes));
+    let run = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| {
+        match (slab, on_slab) {
+            (Some(slab), Some(local)) => slab.run(local, args),
+            _ => kernel(fabric.view(), args, fabric.share(args.work)),
+        }
         fabric.sync();
     };
     let collapse = |qubit: u32, layout: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
@@ -421,6 +509,11 @@ pub(crate) fn run_solo(
     interpret(&solo, seg, config, randoms, initial_cbits)
 }
 
+/// What a PE hands back from [`run_partitioned`]'s body: the classical
+/// register and how many kernels it ran on its slab, then its partition's
+/// real and imaginary planes.
+type PeResult = ((u64, usize), Vec<f64>, Vec<f64>);
+
 /// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
 /// owning one partition of the symmetric-heap state vector. Both
 /// distributed backends run this one body and differ only in how a kernel
@@ -433,9 +526,17 @@ pub(crate) fn run_solo(
 ///   through the ctx. Only a scale-out segment relabels (`Step::Exchange`),
 ///   so only it allocates the exchange staging buffers.
 ///
+/// On both, a partition-local kernel runs on the PE's own slab instead
+/// ([`SlabView`]; module docs) and the view's counts are credited per
+/// kernel — unless the launch *observes individual words*: under the race
+/// detector, or a fault plan holding a `Put` / `Get` spec
+/// ([`FaultPlan::observes_transfers`]), every access of every kernel is
+/// issued through the view so it can be recorded, counted or dropped.
+///
 /// The segment's classical bits, per-worker traffic, race reports,
-/// exchange count and respawn count accumulate into `summary`
-/// (`summary.cbits` is also the segment's initial classical register).
+/// exchange count, respawn count and PE 0's slab-kernel count accumulate
+/// into `summary` (`summary.cbits` is also the segment's initial classical
+/// register).
 ///
 /// `faults` is threaded into the SHMEM world on either backend; if any
 /// worker dies (injected or real), the barrier is poisoned, the whole
@@ -490,7 +591,8 @@ pub(crate) fn run_partitioned(
     } else {
         None
     };
-    let body = |ctx: &ShmemCtx<'_>| -> SvResult<(u64, Vec<f64>, Vec<f64>)> {
+    let per_word = detector.is_some() || faults.as_ref().is_some_and(|p| p.observes_transfers());
+    let body = |ctx: &ShmemCtx<'_>| -> SvResult<PeResult> {
         let pe = ctx.my_pe();
         let sym_re = ctx.malloc_f64(per_pe)?;
         let sym_im = ctx.malloc_f64(per_pe)?;
@@ -512,7 +614,20 @@ pub(crate) fn run_partitioned(
         ctx.try_barrier_all()?;
 
         let (re, im, xch) = (&sym_re, &sym_im, xch.as_ref());
-        let me = &Pe { ctx, re, im, xch };
+        let slab = (!per_word).then(|| Slab {
+            view: SlabView::new(re.partition(pe), im.partition(pe)),
+            n_pes: n_pes as u64,
+            counters: ctx.counters(),
+            ops_per_access: if scale_out { 2 } else { 1 },
+            kernels: Cell::new(0),
+        });
+        let me = &Pe {
+            ctx,
+            re,
+            im,
+            xch,
+            slab,
+        };
         let cbits = if scale_out {
             let view = &ShmemView::new(ctx, re, im);
             interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
@@ -522,8 +637,9 @@ pub(crate) fn run_partitioned(
             interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
         }?;
         ctx.try_barrier_all()?;
+        let slab_kernels = me.slab.as_ref().map_or(0, |s| s.kernels.get());
         Ok((
-            cbits,
+            (cbits, slab_kernels),
             sym_re.partition(pe).to_vec(),
             sym_im.partition(pe).to_vec(),
         ))
@@ -551,9 +667,10 @@ pub(crate) fn run_partitioned(
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
     let (re, im) = state.parts_mut();
-    for (pe, (cbits, pre, pim)) in out.results.into_iter().enumerate() {
+    for (pe, ((cbits, slab_kernels), pre, pim)) in out.results.into_iter().enumerate() {
         if pe == 0 {
             summary.cbits = cbits;
+            summary.slab_kernels += slab_kernels;
         }
         re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
         im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);

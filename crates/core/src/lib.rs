@@ -51,4 +51,4 @@ pub use sim::{BackendKind, RunStart, RunSummary, SimConfig, Simulator};
 pub use state::StateVector;
 pub use svsim_shmem::ShmemBackend;
 pub use traffic::GateTraffic;
-pub use view::{LocalView, PeerView, ShmemView, StateView};
+pub use view::{LocalView, PeerView, ShmemView, SlabView, StateView};

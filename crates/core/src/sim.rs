@@ -248,6 +248,12 @@ pub struct RunSummary {
     /// during this run (0 elsewhere or when [`SimConfig::respawn_max`] is
     /// 0).
     pub respawns: usize,
+    /// Kernels PE 0 ran on its own slab as plain memory rather than access
+    /// by access through the backend's view (every PE decides alike, so
+    /// PE 0 speaks for all), summed over segments. 0 on a single device,
+    /// and on a launch that observes individual words — the race detector,
+    /// or a fault plan holding a `Put` / `Get` spec.
+    pub slab_kernels: usize,
 }
 
 impl RunSummary {
@@ -456,6 +462,7 @@ impl Simulator {
             races: Vec::new(),
             remap_swaps: 0,
             respawns: 0,
+            slab_kernels: 0,
         };
         if k == 0 {
             self.checkpoint = None;

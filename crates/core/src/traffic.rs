@@ -120,6 +120,24 @@ pub fn kernel_access_patterns(cg: &CompiledGate) -> (Vec<u64>, u64) {
     }
 }
 
+/// True when `cg` is **partition-local** at `n_pes` PEs (a power of two):
+/// every qubit position it involves lies below the partition boundary
+/// `n_qubits - log2(n_pes)`. Zero-bit insertion then leaves the top
+/// `log2(n_pes)` bits of a work item — the PE rank under
+/// [`crate::kernels::worker_range`]'s contiguous split — at the top of every
+/// index, so PE `pe`'s share touches exactly `pe << shift | i` for the
+/// indices `i` the same [`crate::kernels::GateArgs`] yield over items
+/// `0..work / n_pes`: the kernel can run on the PE's own partition alone
+/// ([`crate::view::SlabView`]), same words, same order, same arithmetic. Pure
+/// and independent of the PE, so every PE of a launch decides alike;
+/// [`gate_traffic`] agrees with it (true ⇒ `remote_amp_ops == 0`).
+#[must_use]
+pub fn partition_local(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> bool {
+    debug_assert!(n_pes.is_power_of_two() && n_pes <= 1u64 << n_qubits);
+    let boundary = n_qubits - n_pes.trailing_zeros();
+    cg.args.sorted().iter().all(|&q| q < boundary)
+}
+
 /// Predict the traffic of one compiled gate over `n_qubits`, partitioned
 /// across `n_pes` PEs (must be a power of two).
 ///
@@ -291,6 +309,148 @@ mod tests {
                 assert_eq!(model.remote_amp_ops, brute, "{:?} at {} PEs", cg.id, n_pes);
             }
         }
+    }
+
+    /// Logs the index of every access a kernel makes, in order.
+    struct Recorder {
+        dim: u64,
+        log: std::cell::RefCell<Vec<u64>>,
+    }
+
+    impl crate::view::StateView for Recorder {
+        fn dim(&self) -> u64 {
+            self.dim
+        }
+        fn get(&self, idx: u64) -> (f64, f64) {
+            assert!(idx < self.dim);
+            self.log.borrow_mut().push(idx);
+            (0.0, 0.0)
+        }
+        fn set(&self, idx: u64, _: f64, _: f64) {
+            assert!(idx < self.dim);
+            self.log.borrow_mut().push(idx);
+        }
+    }
+
+    fn accesses(cg: &CompiledGate, dim: u64, items: std::ops::Range<u64>) -> Vec<u64> {
+        let rec = Recorder {
+            dim,
+            log: Vec::new().into(),
+        };
+        crate::dispatch::resolve::<Recorder>(cg.id)(&rec, &cg.args, items);
+        rec.log.into_inner()
+    }
+
+    /// Every kernel, its qubits placed below, across and above each
+    /// boundary of an 8-qubit state at 2/4/8 PEs (boundaries 7/6/5).
+    fn every_kernel_straddling_the_boundary(n: u32) -> Vec<CompiledGate> {
+        use GateKind::*;
+        let kinds: [(GateKind, &[f64]); 16] = [
+            (X, &[]),
+            (Y, &[]),
+            (Z, &[]),
+            (H, &[]),
+            (T, &[]),
+            (RZ, &[0.3]),
+            (U3, &[0.1, 0.2, 0.3]),
+            (CX, &[]),
+            (CZ, &[]),
+            (CRZ, &[0.3]),
+            (CCX, &[]),
+            (C4X, &[]),
+            (SWAP, &[]),
+            (CSWAP, &[]),
+            (RZZ, &[0.3]),
+            (RXX, &[0.3]),
+        ];
+        let positions = [0u32, 3, 4, 5, 6, 7];
+        let mut cases = Vec::new();
+        for (kind, params) in kinds {
+            let arity = kind.n_qubits();
+            for subset in 0u32..1 << positions.len() {
+                if subset.count_ones() as usize != arity {
+                    continue;
+                }
+                let up: Vec<u32> = (0..positions.len())
+                    .filter(|b| subset & (1 << b) != 0)
+                    .map(|b| positions[b])
+                    .collect();
+                let down: Vec<u32> = up.iter().rev().copied().collect();
+                for q in [up, down] {
+                    cases.push(compiled_one(kind, &q, params, n));
+                }
+            }
+        }
+        // Fused windows over 1, 2 and 3 of the same positions.
+        for w in positions.windows(3) {
+            let (a, b, c) = (w[0], w[1], w[2]);
+            let queue = [
+                compiled_one(H, &[a], &[], n),
+                compiled_one(T, &[a], &[], n),
+                compiled_one(CX, &[a, b], &[], n),
+                compiled_one(CX, &[b, c], &[], n),
+            ];
+            cases.extend(crate::fuse::fuse_compiled(&queue[..2], n, 1).0);
+            cases.extend(crate::fuse::fuse_compiled(&queue[..3], n, 2).0);
+            cases.extend(crate::fuse::fuse_compiled(&queue, n, 3).0);
+        }
+        cases
+    }
+
+    #[test]
+    fn partition_local_kernels_touch_only_their_pes_slab_at_local_indices() {
+        let n = 8u32;
+        let cases = every_kernel_straddling_the_boundary(n);
+        let ids: std::collections::HashSet<KernelId> = cases.iter().map(|c| c.id).collect();
+        assert_eq!(ids.len(), 18, "every KernelId is covered: {ids:?}");
+        let (mut local, mut crossing) = (0, 0);
+        for n_pes in [2u64, 4, 8] {
+            let shift = n - n_pes.trailing_zeros();
+            for cg in &cases {
+                let below = cg.args.sorted().iter().all(|&q| q < shift);
+                assert_eq!(
+                    partition_local(cg, n, n_pes),
+                    below,
+                    "{:?} on {:?} at {n_pes} PEs",
+                    cg.id,
+                    cg.args.sorted()
+                );
+                if !below {
+                    crossing += 1;
+                    continue;
+                }
+                local += 1;
+                assert_eq!(gate_traffic(cg, n, n_pes).remote_amp_ops, 0);
+                let work = cg.args.work;
+                assert_eq!(work % n_pes, 0);
+                // The slab run: the same arguments over the first
+                // `work / n_pes` items of a partition-sized view.
+                let on_slab = accesses(cg, 1 << shift, 0..work / n_pes);
+                let patterns = kernel_access_patterns(cg).0.len() as u64;
+                assert_eq!(
+                    on_slab.len() as u64,
+                    2 * (work / n_pes) * patterns,
+                    "{:?}: one load and one store per item and pattern",
+                    cg.id
+                );
+                for pe in 0..n_pes {
+                    let share = crate::kernels::worker_range(work, n_pes, pe);
+                    let global = accesses(cg, 1 << n, share);
+                    let lifted: Vec<u64> = on_slab.iter().map(|i| pe << shift | i).collect();
+                    assert_eq!(
+                        global,
+                        lifted,
+                        "{:?} on {:?}, PE {pe} of {n_pes}: same words, same order",
+                        cg.id,
+                        cg.args.sorted()
+                    );
+                }
+            }
+        }
+        assert!(
+            local > 100 && crossing > 100,
+            "{local} local, {crossing} crossing"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `StateView` memory-fabric abstraction.
 //!
 //! Every gate kernel in [`crate::kernels`] is written once, generic over a
-//! [`StateView`]. Monomorphization then produces three fused backends, the
+//! [`StateView`]. Monomorphization then produces the fused backends, the
 //! exact structure of the paper's unified framework:
 //!
 //! - [`LocalView`]: a plain slice — the single-device path (§3.2.1).
@@ -12,9 +12,18 @@
 //!   ([`SymF64::partitions`]), reached as plain memory.
 //! - [`ShmemView`]: one-sided `get`/`put` through the SHMEM runtime — the
 //!   scale-out path (§3.2.3, Listing 5), with traffic accounting.
+//!
+//! On a PE of either partitioned backend a kernel therefore reaches `sv[i]`
+//! one of three ways: through the peer table, through one-sided words, or —
+//! when index arithmetic says every access of the PE's share stays in its
+//! own partition ([`crate::traffic::partition_local`]) — through a
+//! [`SlabView`] of that partition alone, a pointer dereference with no
+//! partition arithmetic and no per-access accounting (the paper's
+//! local-versus-remote split, Listings 4-5).
 
 use std::cell::Cell;
-use svsim_shmem::{ShmemCtx, SymF64};
+use std::sync::atomic::{AtomicU64, Ordering};
+use svsim_shmem::{SharedF64Vec, ShmemCtx, SymF64};
 
 /// Read/write access to the distributed (or local) state vector.
 ///
@@ -70,14 +79,61 @@ impl StateView for LocalView<'_> {
     }
 }
 
+/// One PE's own partition of a symmetric-heap state vector as plain memory:
+/// indices are partition-local (`0..dim()` is the slab, not the state), every
+/// access is one relaxed load or store of the partition's own words, and
+/// nothing is counted, traced or fault-checked per access — whoever runs a
+/// kernel on it credits the PE's counters once for the whole kernel. Only a
+/// kernel whose share of the work never leaves the partition may run on it;
+/// the words stay relaxed atomics, so even a misuse is a wrong answer, never
+/// undefined behaviour.
+pub struct SlabView<'a> {
+    re: &'a [AtomicU64],
+    im: &'a [AtomicU64],
+}
+
+impl<'a> SlabView<'a> {
+    /// View one PE's partitions of the real and imaginary planes
+    /// ([`SymF64::partition`]).
+    #[must_use]
+    pub fn new(re: &'a SharedF64Vec, im: &'a SharedF64Vec) -> Self {
+        assert_eq!(re.len(), im.len());
+        Self {
+            re: re.words(),
+            im: im.words(),
+        }
+    }
+}
+
+impl StateView for SlabView<'_> {
+    #[inline]
+    fn dim(&self) -> u64 {
+        self.re.len() as u64
+    }
+
+    #[inline]
+    fn get(&self, idx: u64) -> (f64, f64) {
+        (
+            f64::from_bits(self.re[idx as usize].load(Ordering::Relaxed)),
+            f64::from_bits(self.im[idx as usize].load(Ordering::Relaxed)),
+        )
+    }
+
+    #[inline]
+    fn set(&self, idx: u64, re: f64, im: f64) {
+        self.re[idx as usize].store(re.to_bits(), Ordering::Relaxed);
+        self.im[idx as usize].store(im.to_bits(), Ordering::Relaxed);
+    }
+}
+
 /// Scale-up view: the state vector partitioned evenly across `n_dev`
 /// device partitions, addressed through a shared pointer table.
 ///
 /// This is the Rust analog of Listing 4's `sv_real_ptr[pos_gid][pos]`:
 /// `partition = idx >> log2(per_dev)`, `offset = idx & (per_dev - 1)`.
 pub struct PeerView<'a> {
-    re_parts: &'a [svsim_shmem::SharedF64Vec],
-    im_parts: &'a [svsim_shmem::SharedF64Vec],
+    re_parts: &'a [SharedF64Vec],
+    im_parts: &'a [SharedF64Vec],
     /// log2 of the per-device amplitude count.
     shift: u32,
     mask: u64,
@@ -92,8 +148,8 @@ impl<'a> PeerView<'a> {
     /// Build over per-device partitions (all equal power-of-two length).
     #[must_use]
     pub fn new(
-        re_parts: &'a [svsim_shmem::SharedF64Vec],
-        im_parts: &'a [svsim_shmem::SharedF64Vec],
+        re_parts: &'a [SharedF64Vec],
+        im_parts: &'a [SharedF64Vec],
         my_dev: usize,
         counters: Option<&'a svsim_shmem::PeCounters>,
     ) -> Self {
@@ -256,7 +312,6 @@ impl StateView for ShmemView<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svsim_shmem::SharedF64Vec;
 
     #[test]
     fn local_view_roundtrip() {
@@ -268,6 +323,18 @@ mod tests {
         assert_eq!(v.get(3), (0.5, -0.5));
         assert_eq!(re[3], 0.5);
         assert_eq!(im[3], -0.5);
+    }
+
+    #[test]
+    fn slab_view_is_the_partition_at_local_indices() {
+        let re = SharedF64Vec::new(4, 0.0);
+        let im = SharedF64Vec::new(4, 0.0);
+        let v = SlabView::new(&re, &im);
+        assert_eq!(v.dim(), 4);
+        v.set(3, 0.5, -0.0);
+        assert_eq!(v.get(3), (0.5, 0.0));
+        assert_eq!(re.load(3), 0.5);
+        assert!(im.load(3).is_sign_negative(), "bits stored as they are");
     }
 
     #[test]

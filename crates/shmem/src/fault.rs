@@ -214,6 +214,17 @@ impl FaultPlan {
         self.specs.iter().filter(|s| s.is_armed()).count()
     }
 
+    /// True when some spec triggers on a one-sided transfer ([`PeOp::Put`]
+    /// or [`PeOp::Get`]), fired or not. Such a plan counts individual
+    /// transfers in a PE's program order, so a launch under it has to issue
+    /// every one of them through the instrumented accessors.
+    #[must_use]
+    pub fn observes_transfers(&self) -> bool {
+        self.specs
+            .iter()
+            .any(|s| matches!(s.op, PeOp::Put | PeOp::Get))
+    }
+
     /// Re-arm every spec and rewind its operation count (e.g. to replay
     /// the same schedule in a new run).
     pub fn rearm(&self) {
@@ -301,6 +312,10 @@ mod tests {
         let plan = FaultPlan::new()
             .with(0, PeOp::Put, 2, FaultAction::Hang)
             .with(None, PeOp::Checkpoint, 1, FaultAction::TornCheckpoint);
+        assert!(plan.observes_transfers());
+        assert!(!FaultPlan::new()
+            .with(0, PeOp::Barrier, 1, FaultAction::Kill)
+            .observes_transfers());
         assert_eq!(plan.check(0, PeOp::Put), None);
         assert_eq!(plan.check(0, PeOp::Put), Some(FaultAction::Hang));
         assert_eq!(

@@ -41,6 +41,14 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 
 /// Mutable per-PE counters (cache-padded to avoid false sharing between PEs).
 ///
+/// **One writer per block.** Only the PE that owns a block bumps it — its
+/// own [`crate::ShmemCtx`] accessors and barrier, or a view crediting
+/// [`crate::ShmemCtx::counters`] itself — so a bump is a relaxed load and a
+/// relaxed store, not a locked read-modify-write on the per-word hot path.
+/// Anyone may [`snapshot`](Self::snapshot) concurrently and reads each word
+/// whole; two writers on one block would lose counts, so never hand one
+/// block to two threads.
+///
 /// `repr(C)` with a fixed field order so a zero-initialized block of a
 /// `MAP_SHARED` arena can host a counter block directly (the process-backed
 /// world of [`crate::proc`] places one per PE in the shared mapping; an
@@ -57,15 +65,24 @@ pub struct PeCounters {
     barriers: AtomicU64,
 }
 
+/// The single writer's bump (see [`PeCounters`]); wraps like `fetch_add`.
+#[inline]
+fn bump(word: &AtomicU64, by: u64) {
+    word.store(
+        word.load(Ordering::Relaxed).wrapping_add(by),
+        Ordering::Relaxed,
+    );
+}
+
 impl PeCounters {
     /// Count one get; remote gets also accumulate transferred bytes.
     #[inline]
     pub fn count_get(&self, remote: bool, bytes: u64) {
         if remote {
-            self.remote_gets.fetch_add(1, Ordering::Relaxed);
-            self.remote_get_bytes.fetch_add(bytes, Ordering::Relaxed);
+            bump(&self.remote_gets, 1);
+            bump(&self.remote_get_bytes, bytes);
         } else {
-            self.local_gets.fetch_add(1, Ordering::Relaxed);
+            bump(&self.local_gets, 1);
         }
     }
 
@@ -73,17 +90,26 @@ impl PeCounters {
     #[inline]
     pub fn count_put(&self, remote: bool, bytes: u64) {
         if remote {
-            self.remote_puts.fetch_add(1, Ordering::Relaxed);
-            self.remote_put_bytes.fetch_add(bytes, Ordering::Relaxed);
+            bump(&self.remote_puts, 1);
+            bump(&self.remote_put_bytes, bytes);
         } else {
-            self.local_puts.fetch_add(1, Ordering::Relaxed);
+            bump(&self.local_puts, 1);
         }
+    }
+
+    /// Credit `ops` local gets and as many local puts at once: what a kernel
+    /// that ran on the PE's own partition as plain memory would have counted
+    /// access by access.
+    #[inline]
+    pub fn credit_local(&self, ops: u64) {
+        bump(&self.local_gets, ops);
+        bump(&self.local_puts, ops);
     }
 
     /// Count one barrier crossing.
     #[inline]
     pub fn count_barrier(&self) {
-        self.barriers.fetch_add(1, Ordering::Relaxed);
+        bump(&self.barriers, 1);
     }
 
     /// Immutable snapshot.
@@ -274,12 +300,15 @@ mod tests {
         t.pe(0).count_get(true, 8);
         t.pe(1).count_put(true, 8);
         t.pe(1).count_barrier();
+        t.pe(1).credit_local(5);
+        assert_eq!(t.pe(1).snapshot().local_gets, 5);
+        assert_eq!(t.pe(1).snapshot().local_puts, 5);
         let s0 = t.pe(0).snapshot();
         assert_eq!(s0.local_gets, 1);
         assert_eq!(s0.remote_gets, 1);
         assert_eq!(s0.remote_get_bytes, 8);
         let agg = t.aggregate();
-        assert_eq!(agg.total_ops(), 3);
+        assert_eq!(agg.total_ops(), 13);
         assert_eq!(agg.remote_ops(), 2);
         assert_eq!(agg.remote_bytes(), 16);
         assert_eq!(agg.barriers, 1);

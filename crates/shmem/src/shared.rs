@@ -135,17 +135,29 @@ impl SharedF64Vec {
         self.cells()[idx].store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// The buffer's words, for a hot loop over a PE's own partition: where
+    /// they live is resolved here once instead of on every access. The same
+    /// relaxed-atomic words [`load`](Self::load) and [`store`](Self::store)
+    /// reach (an `f64`'s bits each).
+    #[inline]
+    #[must_use]
+    pub fn words(&self) -> &[AtomicU64] {
+        self.cells()
+    }
+
     /// Copy `dst.len()` words starting at `src_start` into `dst`.
     pub fn load_slice(&self, src_start: usize, dst: &mut [f64]) {
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = self.load(src_start + i);
+        let src = &self.cells()[src_start..src_start + dst.len()];
+        for (d, w) in dst.iter_mut().zip(src) {
+            *d = f64::from_bits(w.load(Ordering::Relaxed));
         }
     }
 
     /// Copy `src` into the buffer starting at `dst_start`.
     pub fn store_slice(&self, dst_start: usize, src: &[f64]) {
-        for (i, &v) in src.iter().enumerate() {
-            self.store(dst_start + i, v);
+        let dst = &self.cells()[dst_start..dst_start + src.len()];
+        for (w, &v) in dst.iter().zip(src) {
+            w.store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -211,6 +223,7 @@ mod tests {
         assert_eq!(v.load(3), 2.5);
         v.store_slice(0, &[1.0, 2.0]);
         assert_eq!(v.to_vec()[..2], [1.0, 2.0]);
+        assert_eq!(f64::from_bits(v.words()[1].load(Ordering::Relaxed)), 2.0);
         // The mapped view writes through to the backing words.
         assert_eq!(f64::from_bits(backing[3].load(Ordering::Relaxed)), 2.5);
     }

@@ -142,11 +142,15 @@ const ACCESSOR_MANIFEST: &[(&str, &[&str])] = &[
 /// Functions allowed to touch partition buffers *without*
 /// instrumentation (R4): the `shmem_ptr` analog. `partition` hands out a
 /// direct reference to one PE's partition for local hot-loop access,
-/// where per-element counting would swamp the gate kernel; `partitions`
-/// hands out the whole peer pointer table to scale-up's `PeerView`, which
-/// is plain memory by design (§3.2.2) and credits the PE's counters
-/// itself. Scale-out's remote traffic must go through the manifested
-/// accessors above.
+/// where per-element counting would swamp the gate kernel: its hot-loop
+/// user is `svsim_core`'s `SlabView`, which runs a PE's partition-local
+/// kernels over that PE's own partition and has the executor credit the
+/// PE's counters once per kernel; `partitions` hands out the whole peer
+/// pointer table to scale-up's `PeerView`, which is plain memory by design
+/// (§3.2.2) and credits the PE's counters itself. Every access that can
+/// leave the caller's partition on scale-out must go through the
+/// manifested accessors above, and a launch that observes individual
+/// words (race detector, put/get fault specs) uses nothing else.
 const LOCAL_ACCESS_ALLOW: &[&str] = &["partition", "partitions"];
 
 /// Run every applicable rule over the `.rs` files under `root`.

@@ -294,6 +294,20 @@ fn cmd_run(flags: &Flags) -> CmdResult {
             t.remote_bytes(),
             t.barriers
         );
+        if !summary.traffic.is_empty() {
+            // Compiled kernels: a conditioned kernel that did not fire is
+            // in the second number.
+            let compiled = sim.compile_plan(&circuit).n_kernels();
+            println!(
+                "kernels: {} on the local slab, {} {}",
+                summary.slab_kernels,
+                compiled.saturating_sub(summary.slab_kernels),
+                match backend {
+                    BackendKind::ScaleOut { .. } => "one-sided",
+                    _ => "through the peer table",
+                }
+            );
+        }
         if summary.remap_swaps > 0 {
             println!("remap: {} relabeling slab exchanges", summary.remap_swaps);
         }

@@ -166,3 +166,139 @@ fn measurement_streams_are_identical() {
         }
     }
 }
+
+/// Every kernel class on the qubits `q`, in an order that keeps neighbours
+/// fusable.
+fn every_kernel_on(c: &mut Circuit, q: [u32; 5]) {
+    use sv_sim::ir::GateKind::*;
+    let [a, b, d, e, f] = q;
+    let gates: [(sv_sim::ir::GateKind, &[u32], &[f64]); 17] = [
+        (X, &[a], &[]),
+        (Y, &[b], &[]),
+        (Z, &[d], &[]),
+        (H, &[a], &[]),
+        (T, &[a], &[]),
+        (RZ, &[b], &[0.3]),
+        (U3, &[d], &[0.1, 0.2, 0.3]),
+        (CX, &[a, b], &[]),
+        (CZ, &[b, d], &[]),
+        (CRZ, &[d, a], &[0.7]),
+        (CCX, &[a, b, d], &[]),
+        (C4X, &[a, b, d, e, f], &[]),
+        (SWAP, &[a, d], &[]),
+        (CSWAP, &[b, a, d], &[]),
+        (RZZ, &[a, b], &[0.4]),
+        (RXX, &[b, d], &[0.9]),
+        (H, &[e], &[]),
+    ];
+    for (kind, qubits, params) in gates {
+        c.apply(kind, qubits, params).unwrap();
+    }
+}
+
+/// The fast path against the path it replaces. A partitioned run sends its
+/// partition-local kernels to the PE's own slab and credits the counters per
+/// kernel; a launch that observes individual words — a fault plan holding a
+/// `Get` spec (here one that never fires), or the race detector — issues
+/// every access through the view as before. Same amplitudes bit for bit,
+/// same classical bits, the same counters on every PE field by field: an
+/// off-by-one-word credit on any kernel class shows as a traffic mismatch.
+#[test]
+fn slab_path_is_indistinguishable_from_the_observed_per_word_path() {
+    use std::sync::Arc;
+    use sv_sim::ir::{Gate, GateKind};
+    use sv_sim::shmem::{FaultAction, FaultPlan};
+    use sv_sim::types::PeOp;
+
+    // 7 qubits: the partition boundary is 6 at 2 PEs and 5 at 4. Every
+    // kernel class wholly below both, then straddling both; a measured
+    // partition-index qubit steering conditioned gates on either side; a
+    // reset (and its restoring X) on either side.
+    let n = 7u32;
+    let mut circuit = Circuit::with_cbits(n, 3);
+    for q in 0..n {
+        circuit.apply(GateKind::H, &[q], &[]).unwrap();
+    }
+    every_kernel_on(&mut circuit, [0, 1, 2, 3, 4]);
+    every_kernel_on(&mut circuit, [6, 2, 5, 0, 4]);
+    circuit.measure(6, 0).unwrap();
+    for value in [0, 1] {
+        let low = Gate::new(GateKind::RY, &[1], &[0.7]).unwrap();
+        let high = Gate::new(GateKind::RY, &[5 + value as u32], &[0.7]).unwrap();
+        circuit.if_eq(0, 1, value, low).unwrap();
+        circuit.if_eq(0, 1, value, high).unwrap();
+    }
+    circuit.reset(2).unwrap();
+    circuit.reset(5).unwrap();
+    every_kernel_on(&mut circuit, [5, 6, 3, 1, 0]);
+    circuit.measure(0, 1).unwrap();
+    circuit.measure(5, 2).unwrap();
+
+    let observe = |config: SimConfig, plan: Option<FaultPlan>| {
+        let mut sim = Simulator::new(n, config).unwrap();
+        sim.set_fault_plan(plan.map(Arc::new));
+        let summary = sim.run(&circuit).unwrap();
+        assert!(summary.races.is_empty());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let state = (bits(sim.state().re()), bits(sim.state().im()));
+        (
+            (state, summary.cbits, summary.traffic),
+            summary.slab_kernels,
+        )
+    };
+    let never = |op| FaultPlan::new().with(0, op, u64::MAX, FaultAction::Delay(0));
+
+    let mut configs = Vec::new();
+    for fuse in [0, 3] {
+        for dispatch in [DispatchMode::PreloadedFnPointer, DispatchMode::RuntimeParse] {
+            for seed in [1, 2] {
+                let with = |base: SimConfig| SimConfig {
+                    fuse,
+                    dispatch,
+                    seed,
+                    ..base
+                };
+                configs.push(with(SimConfig::scale_up(2)));
+                for n_pes in [2, 4] {
+                    configs.push(with(SimConfig::scale_out(n_pes)));
+                    configs.push(with(SimConfig::scale_out(n_pes).with_remap()));
+                }
+            }
+        }
+    }
+    for config in configs {
+        let (plain, on_slab) = observe(config, None);
+        assert!(on_slab > 0, "{config:?}: no kernel took the slab");
+
+        let (by_word, none) = observe(config, Some(never(PeOp::Get)));
+        assert_eq!(none, 0, "{config:?}: a Get spec must see every get");
+        assert!(
+            plain == by_word,
+            "{config:?}: slab and per-word runs differ"
+        );
+
+        // A plan that only watches barriers observes no words: the slab
+        // stays, and every barrier it counts is still there.
+        let (at_barriers, kept) = observe(config, Some(never(PeOp::Barrier)));
+        assert_eq!(kept, on_slab, "{config:?}");
+        assert!(plain == at_barriers, "{config:?}");
+
+        if matches!(config.backend, sv_sim::core::BackendKind::ScaleOut { .. }) {
+            let (detected, none) = observe(config.with_race_detection(), None);
+            assert_eq!(none, 0, "{config:?}: the detector must see every word");
+            assert!(
+                plain == detected,
+                "{config:?}: slab and detected runs differ"
+            );
+        }
+
+        let single = SimConfig {
+            backend: sv_sim::core::BackendKind::SingleDevice,
+            remap: false,
+            ..config
+        };
+        let ((state, cbits, _), none) = observe(single, None);
+        assert_eq!(none, 0, "a single device has no slab to speak of");
+        assert!((&state, cbits) == (&plain.0, plain.1), "{config:?}");
+    }
+}

@@ -86,6 +86,40 @@ fn measurement_streams_agree_across_backends() {
     }
 }
 
+/// Forked PEs run their partition-local kernels on their own slab of the
+/// arena like thread PEs do, and credit the arena's counter blocks per
+/// kernel: state, classical bits and every PE's traffic equal the per-word
+/// run (forced by a fault plan whose `Get` spec never fires) and the thread
+/// world's.
+#[test]
+fn slab_path_matches_the_per_word_path_on_process_pes() {
+    let mut circuit = Circuit::with_cbits(6, 2);
+    circuit.extend(&random_circuit(6, 60, 5)).unwrap();
+    circuit.extend(&ghz_with_measure(6)).unwrap();
+    let observe = |config: SimConfig, plan: Option<FaultPlan>| {
+        let mut sim = Simulator::new(6, config).unwrap();
+        sim.set_fault_plan(plan.map(Arc::new));
+        let summary = sim.run(&circuit).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let state = (bits(sim.state().re()), bits(sim.state().im()));
+        (
+            (state, summary.cbits, summary.traffic),
+            summary.slab_kernels,
+        )
+    };
+    let threads = SimConfig::scale_out(2).with_seed(5);
+    let never = FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0));
+    let (plain, on_slab) = observe(threads.with_process_backend(), None);
+    let (by_word, none) = observe(threads.with_process_backend(), Some(never));
+    assert!(on_slab > 0, "no kernel took the slab");
+    assert_eq!(none, 0, "a Get spec must see every get");
+    assert!(plain == by_word, "slab and per-word runs differ");
+    assert!(
+        (plain, on_slab) == observe(threads, None),
+        "substrates differ"
+    );
+}
+
 /// The communication-avoiding remap planner runs unchanged on forked PEs —
 /// the relabeling slab exchanges go through the shared arena.
 #[test]
