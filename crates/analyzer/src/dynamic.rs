@@ -58,7 +58,10 @@ pub fn cross_validate(
     circuit: &Circuit,
     config: SimConfig,
 ) -> SvResult<CrossValidation> {
-    let config = config.with_race_detection();
+    let config = SimConfig {
+        detect_races: true,
+        ..config
+    };
     let mut sim = Simulator::new(circuit.n_qubits(), config)?;
     let plan = sim.compile_plan(circuit);
     let report = crate::prove(&plan, &config)?;
@@ -110,9 +113,11 @@ mod tests {
             "scale_out defaults to the thread world"
         );
         let circuit = svsim_workloads::algos::cat_state(4).unwrap();
-        let config = SimConfig::scale_out(2)
-            .with_race_detection()
-            .with_process_backend();
+        let config = SimConfig {
+            detect_races: true,
+            shmem_backend: svsim_shmem::ShmemBackend::Process,
+            ..SimConfig::scale_out(2)
+        };
         let mut sim = Simulator::new(4, config).unwrap();
         match sim.run(&circuit) {
             Err(svsim_types::SvError::InvalidConfig(msg)) => {
@@ -135,14 +140,20 @@ mod tests {
             .find(|s| s.name == "seca_n11")
             .expect("seca_n11 is a Table 4 workload");
         let circuit = spec.circuit().unwrap();
-        let base = SimConfig::scale_out(4).with_seed(0xC0FFEE);
+        let base = SimConfig {
+            seed: 0xC0FFEE,
+            ..SimConfig::scale_out(4)
+        };
         let run = |config: SimConfig| {
             Simulator::new(circuit.n_qubits(), config)
                 .unwrap()
                 .run(&circuit)
                 .unwrap()
         };
-        let detected = run(base.with_race_detection());
+        let detected = run(SimConfig {
+            detect_races: true,
+            ..base
+        });
         assert!(detected.races.is_empty());
         assert_eq!(detected.slab_kernels, 0, "detector on: per-word path only");
         assert_eq!(detected.total_traffic().total_ops(), 169_984);
@@ -156,13 +167,20 @@ mod tests {
         // Debug-build budget: the ≤13-qubit Table 4 workloads at 2/4/8
         // PEs, plus the fused (window 3) schedule with and without
         // remapping. Release-mode CI covers the larger ones.
-        let base = |pes: usize| SimConfig::scale_out(pes).with_seed(0xC0FFEE);
+        let base = |pes: usize| SimConfig {
+            seed: 0xC0FFEE,
+            ..SimConfig::scale_out(pes)
+        };
         let configs = [
             base(2),
             base(4),
             base(8),
-            base(4).with_fusion(3),
-            base(4).with_fusion(3).with_remap(),
+            SimConfig { fuse: 3, ..base(4) },
+            SimConfig {
+                fuse: 3,
+                remap: true,
+                ..base(4)
+            },
         ];
         let results = cross_validate_suite(13, &configs).unwrap();
         assert!(!results.is_empty());
@@ -205,15 +223,20 @@ mod tests {
             }
             let mut reference = Simulator::new(
                 circuit.n_qubits(),
-                SimConfig::single_device().with_seed(seed),
+                SimConfig {
+                    seed,
+                    ..SimConfig::single_device()
+                },
             )
             .unwrap();
             let ref_summary = reference.run(&circuit).unwrap();
             for n_pes in [2usize, 4, 8] {
-                let config = SimConfig::scale_out(n_pes)
-                    .with_seed(seed)
-                    .with_race_detection()
-                    .with_remap();
+                let config = SimConfig {
+                    seed,
+                    detect_races: true,
+                    remap: true,
+                    ..SimConfig::scale_out(n_pes)
+                };
                 let report = crate::analyze(&circuit, &config).unwrap();
                 assert_eq!(
                     report.verdict(),
@@ -257,7 +280,15 @@ mod tests {
             .unwrap();
         c.reset(2).unwrap();
         c.apply(GateKind::H, &[4], &[]).unwrap();
-        let r = cross_validate("teleport-ish", &c, SimConfig::scale_out(4).with_seed(7)).unwrap();
+        let r = cross_validate(
+            "teleport-ish",
+            &c,
+            SimConfig {
+                seed: 7,
+                ..SimConfig::scale_out(4)
+            },
+        )
+        .unwrap();
         assert_eq!(r.static_verdict, Verdict::ProvenSafe);
         assert!(r.races.is_empty() && r.agrees());
     }

@@ -98,7 +98,14 @@ mod tests {
         let mut c = Circuit::new(4);
         c.apply(GateKind::H, &[0], &[]).unwrap();
         c.apply(GateKind::CX, &[0, 3], &[]).unwrap();
-        let (report, summary) = checked_run(&c, SimConfig::scale_out(2).with_seed(1)).unwrap();
+        let (report, summary) = checked_run(
+            &c,
+            SimConfig {
+                seed: 1,
+                ..SimConfig::scale_out(2)
+            },
+        )
+        .unwrap();
         assert!(report.is_proven_safe());
         assert!(summary.races.is_empty());
     }
@@ -146,10 +153,13 @@ mod tests {
                 for remap in [false, true] {
                     for specialized in [true, false] {
                         for pes in [2usize, 4] {
-                            let mut config =
-                                SimConfig::scale_out(pes).with_seed(3).with_fusion(fuse);
-                            config.remap = remap;
-                            config.specialized = specialized;
+                            let config = SimConfig {
+                                specialized,
+                                seed: 3,
+                                remap,
+                                fuse,
+                                ..SimConfig::scale_out(pes)
+                            };
                             let what = format!("{kind:?} {config:?}");
 
                             let plan = CompiledPlan::compile(&c, 6, &config);
@@ -198,8 +208,14 @@ mod tests {
             c.apply(GateKind::H, &[0], &[]).unwrap();
             c.apply(GateKind::T, &[0], &[]).unwrap();
         }
-        let fused = SimConfig::scale_out(2).with_fusion(3);
-        let parsed = fused.with_dispatch(svsim_core::DispatchMode::RuntimeParse);
+        let fused = SimConfig {
+            fuse: 3,
+            ..SimConfig::scale_out(2)
+        };
+        let parsed = SimConfig {
+            dispatch: svsim_core::DispatchMode::RuntimeParse,
+            ..fused
+        };
         let (fused, parsed) = (analyze(&c, &fused).unwrap(), analyze(&c, &parsed).unwrap());
         assert_eq!((fused.fuse, fused.epochs.len()), (3, 1));
         assert_eq!((parsed.fuse, parsed.epochs.len()), (0, 8));

@@ -217,7 +217,13 @@ mod tests {
         // planned at the swapped-in LOW physical position.
         let mut c = Circuit::new(4);
         c.apply(GateKind::H, &[3], &[]).unwrap();
-        let plan = plan_of(&c, SimConfig::scale_out(4).with_remap());
+        let plan = plan_of(
+            &c,
+            SimConfig {
+                remap: true,
+                ..SimConfig::scale_out(4)
+            },
+        );
         let kinds: Vec<EpochKind> = plan.epochs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -230,7 +236,13 @@ mod tests {
     fn remapped_exchange_epochs_cannot_merge() {
         let mut c = Circuit::new(4);
         c.apply(GateKind::H, &[3], &[]).unwrap();
-        let mut plan = plan_of(&c, SimConfig::scale_out(4).with_remap());
+        let mut plan = plan_of(
+            &c,
+            SimConfig {
+                remap: true,
+                ..SimConfig::scale_out(4)
+            },
+        );
         assert!(plan.merge_epochs(0).is_err(), "exchange epochs never merge");
     }
 
@@ -251,7 +263,13 @@ mod tests {
             c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
         }
         let plain = plan_of(&c, SimConfig::single_device());
-        let fused = plan_of(&c, SimConfig::single_device().with_fusion(3));
+        let fused = plan_of(
+            &c,
+            SimConfig {
+                fuse: 3,
+                ..SimConfig::single_device()
+            },
+        );
         assert!(
             fused.epochs.len() < plain.epochs.len() / 2,
             "fusion must collapse the ladder: {} vs {}",
@@ -281,7 +299,13 @@ mod tests {
             c.apply(GateKind::H, &[1], &[]).unwrap();
         }
         c.reset(2).unwrap();
-        let fused = plan_of(&c, SimConfig::single_device().with_fusion(2));
+        let fused = plan_of(
+            &c,
+            SimConfig {
+                fuse: 2,
+                ..SimConfig::single_device()
+            },
+        );
         let kinds: Vec<EpochKind> = fused.epochs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,

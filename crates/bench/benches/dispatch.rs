@@ -22,7 +22,10 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = Simulator::new(
                 10,
-                SimConfig::single_device().with_dispatch(DispatchMode::RuntimeParse),
+                SimConfig {
+                    dispatch: DispatchMode::RuntimeParse,
+                    ..SimConfig::single_device()
+                },
             )
             .unwrap();
             sim.run(&circuit).unwrap();

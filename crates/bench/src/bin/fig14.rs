@@ -42,7 +42,10 @@ fn main() {
         let t_parse = time_median(reps, || {
             let mut sim = Simulator::new(
                 n,
-                SimConfig::single_device().with_dispatch(DispatchMode::RuntimeParse),
+                SimConfig {
+                    dispatch: DispatchMode::RuntimeParse,
+                    ..SimConfig::single_device()
+                },
             )
             .unwrap();
             sim.run(&c).unwrap();

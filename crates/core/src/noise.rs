@@ -112,7 +112,13 @@ pub fn trajectory_average(
     let mut acc = 0.0;
     for t in 0..trajectories {
         let noisy = sample_noisy_circuit(circuit, model, &mut rng)?;
-        let mut sim = Simulator::new(circuit.n_qubits(), config.with_seed(seed ^ t as u64))?;
+        let mut sim = Simulator::new(
+            circuit.n_qubits(),
+            SimConfig {
+                seed: seed ^ t as u64,
+                ..config
+            },
+        )?;
         let _: RunSummary = sim.run(&noisy)?;
         acc += observable(&sim);
     }

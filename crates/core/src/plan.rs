@@ -395,7 +395,10 @@ mod tests {
     #[test]
     fn segments_follow_the_checkpoint_grid() {
         let c = circuit();
-        let cfg = SimConfig::single_device().with_checkpoint_every(3);
+        let cfg = SimConfig {
+            checkpoint_every: 3,
+            ..SimConfig::single_device()
+        };
         let plan = CompiledPlan::compile(&c, 5, &cfg);
         assert_eq!(plan.n_segments(), c.ops().len().div_ceil(3));
         // Every grid segment resolves; a misaligned range does not.
@@ -417,16 +420,33 @@ mod tests {
     #[test]
     fn matches_is_shape_exact() {
         let c = circuit();
-        let cfg = SimConfig::scale_out(4).with_remap();
+        let cfg = SimConfig {
+            remap: true,
+            ..SimConfig::scale_out(4)
+        };
         let plan = CompiledPlan::compile(&c, 5, &cfg);
         assert!(plan.matches(&c, 5, &cfg));
         assert!(!plan.matches(&c, 6, &cfg), "width differs");
         assert!(
-            !plan.matches(&c, 5, &SimConfig::scale_out(2).with_remap()),
+            !plan.matches(
+                &c,
+                5,
+                &SimConfig {
+                    remap: true,
+                    ..SimConfig::scale_out(2)
+                }
+            ),
             "remap partitioning differs"
         );
         assert!(
-            !plan.matches(&c, 5, &cfg.with_checkpoint_every(2)),
+            !plan.matches(
+                &c,
+                5,
+                &SimConfig {
+                    checkpoint_every: 2,
+                    ..cfg
+                }
+            ),
             "checkpoint grid differs"
         );
         let seg = plan.segment(0, c.ops().len()).unwrap();
@@ -457,10 +477,12 @@ mod tests {
         for (kind, qubits) in [(H, &[4][..]), (T, &[4]), (CX, &[4, 0])] {
             c.apply(kind, qubits, &[]).unwrap();
         }
-        let cfg = SimConfig::scale_out(4)
-            .with_remap()
-            .with_fusion(3)
-            .with_checkpoint_every(10);
+        let cfg = SimConfig {
+            remap: true,
+            fuse: 3,
+            checkpoint_every: 10,
+            ..SimConfig::scale_out(4)
+        };
         let got: Vec<String> = CompiledPlan::compile(&c, 5, &cfg)
             .schedule()
             .map(|item| match item {

@@ -83,11 +83,11 @@ pub struct SimConfig {
     /// heartbeat words stall this long is killed and reported as
     /// `SvError::PeHung`. No effect on the thread backend.
     pub hang_deadline_ms: u32,
-    /// Gate-fusion window in qubits (0 disables, the default; clamped to
-    /// [`crate::fuse::MAX_WINDOW`]). Runs of adjacent gates whose combined
-    /// footprint fits the window execute as one sweep over the amplitudes
-    /// ([`crate::fuse`]); results stay bit-identical to the unfused
-    /// schedule on every backend and dispatch mode
+    /// Gate-fusion window in qubits (0 disables, the default; lowering
+    /// clamps it to [`crate::fuse::MAX_WINDOW`]). Runs of adjacent gates
+    /// whose combined footprint fits the window execute as one sweep over
+    /// the amplitudes ([`crate::fuse`]); results stay bit-identical to the
+    /// unfused schedule on every backend and dispatch mode
     /// ([`DispatchMode::RuntimeParse`] re-parses gate by gate, so under it
     /// the lowering is the unfused one).
     pub fuse: u8,
@@ -130,89 +130,25 @@ impl SimConfig {
         }
     }
 
-    /// Override the dispatch mode.
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// Disable gate specialization (generalized dense kernels).
-    #[must_use]
-    pub fn with_generic_gates(mut self) -> Self {
-        self.specialized = false;
-        self
-    }
-
-    /// Override the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Checkpoint every `k` circuit ops (0 disables checkpointing).
-    #[must_use]
-    pub fn with_checkpoint_every(mut self, k: u32) -> Self {
-        self.checkpoint_every = k;
-        self
-    }
-
-    /// Arm the dynamic race detector for scale-out launches (see
-    /// [`SimConfig::detect_races`]).
-    #[must_use]
-    pub fn with_race_detection(mut self) -> Self {
-        self.detect_races = true;
-        self
-    }
-
-    /// Enable communication-avoiding qubit remapping for scale-out (see
-    /// [`SimConfig::remap`]).
-    #[must_use]
-    pub fn with_remap(mut self) -> Self {
-        self.remap = true;
-        self
-    }
-
-    /// Select the SHMEM world substrate for scale-out (see
-    /// [`SimConfig::shmem_backend`]).
-    #[must_use]
-    pub fn with_shmem_backend(mut self, backend: ShmemBackend) -> Self {
-        self.shmem_backend = backend;
-        self
-    }
-
-    /// Run scale-out PEs as forked OS processes over a shared `memfd`
-    /// symmetric heap (shorthand for
-    /// `with_shmem_backend(ShmemBackend::Process)`).
-    #[must_use]
-    pub fn with_process_backend(mut self) -> Self {
-        self.shmem_backend = ShmemBackend::Process;
-        self
-    }
-
-    /// Set the process-backend in-place respawn budget (see
-    /// [`SimConfig::respawn_max`]).
-    #[must_use]
-    pub fn with_respawn(mut self, max: u32) -> Self {
-        self.respawn_max = max;
-        self
-    }
-
-    /// Set the process-backend watchdog deadline (see
-    /// [`SimConfig::hang_deadline_ms`]).
-    #[must_use]
-    pub fn with_hang_deadline_ms(mut self, ms: u32) -> Self {
-        self.hang_deadline_ms = ms;
-        self
-    }
-
-    /// Set the gate-fusion window in qubits (see [`SimConfig::fuse`];
-    /// 0 disables, values past [`crate::fuse::MAX_WINDOW`] are clamped).
-    #[must_use]
-    pub fn with_fusion(mut self, window: u8) -> Self {
-        self.fuse = window.min(crate::fuse::MAX_WINDOW);
-        self
+    /// Whether an `n_qubits` register can run under this configuration: a
+    /// distributed backend's worker count must be a nonzero power of two
+    /// no larger than the amplitude count.
+    ///
+    /// # Errors
+    /// [`SvError::InvalidConfig`] naming the offending worker count.
+    pub fn check_width(&self, n_qubits: u32) -> SvResult<()> {
+        let w = self.backend.n_workers();
+        if w == 0 || !w.is_power_of_two() {
+            return Err(SvError::InvalidConfig(format!(
+                "worker count {w} must be a nonzero power of two"
+            )));
+        }
+        if (w as u64) > (1u64 << n_qubits) {
+            return Err(SvError::InvalidConfig(format!(
+                "worker count {w} exceeds 2^{n_qubits} amplitudes"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -303,8 +239,19 @@ impl Simulator {
     /// # Errors
     /// Invalid register width or worker configuration.
     pub fn new(n_qubits: u32, config: SimConfig) -> SvResult<Self> {
-        let state = StateVector::zero_state(n_qubits)?;
-        check_workers(n_qubits, &config)?;
+        Self::from_state(StateVector::zero_state(n_qubits)?, config)
+    }
+
+    /// A simulator around an existing state buffer — the allocation is the
+    /// only thing a simulator can inherit. Given a `|0...0>` buffer the
+    /// result is indistinguishable from [`Self::new`] at the buffer's
+    /// width; [`Self::into_state`] hands the buffer back.
+    ///
+    /// # Errors
+    /// Invalid worker configuration for the buffer's width
+    /// ([`SimConfig::check_width`]); the buffer is dropped.
+    pub fn from_state(state: StateVector, config: SimConfig) -> SvResult<Self> {
+        config.check_width(state.n_qubits())?;
         Ok(Self {
             state,
             rng: SvRng::seed_from_u64(config.seed),
@@ -314,6 +261,13 @@ impl Simulator {
             checkpoint: None,
             store: None,
         })
+    }
+
+    /// Give up the simulator for its state buffer; the configuration, RNG,
+    /// classical register, fault plan, checkpoint and store die here.
+    #[must_use]
+    pub fn into_state(self) -> StateVector {
+        self.state
     }
 
     /// Register width.
@@ -579,33 +533,10 @@ impl Simulator {
         self.store = None;
     }
 
-    /// Replace the configuration whole and [`Self::reset`]: afterwards the
-    /// simulator is indistinguishable from `Simulator::new(n_qubits,
-    /// config)` — only the register width (the allocation) is kept. This
-    /// is the reuse contract the engine's instance pool depends on: every
-    /// field of the next job's config is adopted, none can leak from the
-    /// previous tenant.
-    ///
-    /// # Errors
-    /// Invalid worker configuration for this width, as [`Self::new`]; the
-    /// simulator is left unchanged.
-    pub fn reconfigure(&mut self, config: SimConfig) -> SvResult<()> {
-        check_workers(self.state.n_qubits(), &config)?;
-        self.config = config;
-        self.reset();
-        Ok(())
-    }
-
     /// Attach (or clear) an injected-fault schedule; threaded into every
     /// scale-up and scale-out launch this simulator performs.
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.fault_plan = plan;
-    }
-
-    /// The attached fault schedule, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.fault_plan.as_ref()
     }
 
     /// The last good checkpoint, if one exists.
@@ -689,11 +620,6 @@ impl Simulator {
         crate::checkpoint::state_checksum(&self.state)
     }
 
-    /// Re-seed the RNG.
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = SvRng::seed_from_u64(seed);
-    }
-
     /// Current state vector.
     #[must_use]
     pub fn state(&self) -> &StateVector {
@@ -762,23 +688,6 @@ impl Simulator {
     }
 }
 
-/// A distributed backend's worker count must be a nonzero power of two no
-/// larger than the amplitude count.
-fn check_workers(n_qubits: u32, config: &SimConfig) -> SvResult<()> {
-    let w = config.backend.n_workers();
-    if w == 0 || !w.is_power_of_two() {
-        return Err(SvError::InvalidConfig(format!(
-            "worker count {w} must be a nonzero power of two"
-        )));
-    }
-    if (w as u64) > (1u64 << n_qubits) {
-        return Err(SvError::InvalidConfig(format!(
-            "worker count {w} exceeds 2^{n_qubits} amplitudes"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -819,8 +728,14 @@ mod tests {
         for config in [
             SimConfig::scale_up(4),
             SimConfig::scale_out(8),
-            SimConfig::single_device().with_dispatch(DispatchMode::RuntimeParse),
-            SimConfig::single_device().with_generic_gates(),
+            SimConfig {
+                dispatch: DispatchMode::RuntimeParse,
+                ..SimConfig::single_device()
+            },
+            SimConfig {
+                specialized: false,
+                ..SimConfig::single_device()
+            },
         ] {
             let mut sim = Simulator::new(5, config).unwrap();
             sim.run(&c).unwrap();
@@ -858,7 +773,7 @@ mod tests {
             SimConfig::scale_up(2),
             SimConfig::scale_out(4),
         ] {
-            let mut sim = Simulator::new(3, config.with_seed(7)).unwrap();
+            let mut sim = Simulator::new(3, SimConfig { seed: 7, ..config }).unwrap();
             let summary = sim.run(&c).unwrap();
             // GHZ measurement is perfectly correlated: all zeros or all ones.
             assert!(
@@ -885,7 +800,7 @@ mod tests {
             SimConfig::scale_up(2),
             SimConfig::scale_out(2),
         ] {
-            let mut sim = Simulator::new(2, config.with_seed(99)).unwrap();
+            let mut sim = Simulator::new(2, SimConfig { seed: 99, ..config }).unwrap();
             outcomes.push(sim.run(&c).unwrap().cbits);
         }
         assert_eq!(outcomes[0], outcomes[1]);
@@ -925,7 +840,7 @@ mod tests {
             SimConfig::scale_out(2),
         ] {
             for seed in 0..6 {
-                let mut sim = Simulator::new(3, config.with_seed(seed)).unwrap();
+                let mut sim = Simulator::new(3, SimConfig { seed, ..config }).unwrap();
                 sim.run(&c).unwrap();
                 // q2 must now be |1> regardless of the measured syndrome.
                 let p1 = crate::measure::prob_one(sim.state(), 2);
@@ -944,9 +859,18 @@ mod tests {
             c.measure(q, q).unwrap();
         }
         for config in [
-            SimConfig::single_device().with_seed(11),
-            SimConfig::scale_up(2).with_seed(11),
-            SimConfig::scale_out(4).with_seed(11),
+            SimConfig {
+                seed: 11,
+                ..SimConfig::single_device()
+            },
+            SimConfig {
+                seed: 11,
+                ..SimConfig::scale_up(2)
+            },
+            SimConfig {
+                seed: 11,
+                ..SimConfig::scale_out(4)
+            },
         ] {
             let mut fresh = Simulator::new(4, config).unwrap();
             let fresh_summary = fresh.run(&c).unwrap();
@@ -982,16 +906,32 @@ mod tests {
             c.measure(q, q).unwrap();
         }
         for base in [
-            SimConfig::single_device().with_seed(23),
-            SimConfig::scale_up(2).with_seed(23),
-            SimConfig::scale_out(2).with_seed(23),
+            SimConfig {
+                seed: 23,
+                ..SimConfig::single_device()
+            },
+            SimConfig {
+                seed: 23,
+                ..SimConfig::scale_up(2)
+            },
+            SimConfig {
+                seed: 23,
+                ..SimConfig::scale_out(2)
+            },
         ] {
             let mut plain = Simulator::new(4, base).unwrap();
             let plain_summary = plain.run(&c).unwrap();
             assert_eq!(plain_summary.checkpoint_bytes, 0);
             assert!(plain.checkpoint().is_none());
             for k in [1, 2, 3, 64] {
-                let mut seg = Simulator::new(4, base.with_checkpoint_every(k)).unwrap();
+                let mut seg = Simulator::new(
+                    4,
+                    SimConfig {
+                        checkpoint_every: k,
+                        ..base
+                    },
+                )
+                .unwrap();
                 let summary = seg.run(&c).unwrap();
                 assert_eq!(summary.cbits, plain_summary.cbits, "{base:?} k={k}");
                 assert_eq!(seg.state().re(), plain.state().re(), "{base:?} k={k}");
@@ -1012,7 +952,10 @@ mod tests {
     #[test]
     fn restore_rewinds_to_last_checkpoint() {
         let c = ghz(3);
-        let config = SimConfig::single_device().with_checkpoint_every(2);
+        let config = SimConfig {
+            checkpoint_every: 2,
+            ..SimConfig::single_device()
+        };
         let mut sim = Simulator::new(3, config).unwrap();
         sim.run(&c).unwrap();
         let want_re = sim.state().re().to_vec();
@@ -1062,9 +1005,11 @@ mod tests {
         for q in 0..4 {
             c.measure(q, q).unwrap();
         }
-        let config = SimConfig::scale_out(2)
-            .with_seed(11)
-            .with_checkpoint_every(2);
+        let config = SimConfig {
+            seed: 11,
+            checkpoint_every: 2,
+            ..SimConfig::scale_out(2)
+        };
 
         let mut reference = Simulator::new(4, config).unwrap();
         let ref_summary = reference.run(&c).unwrap();
@@ -1115,12 +1060,22 @@ mod tests {
         for q in 0..4 {
             c.measure(q, q).unwrap();
         }
-        let base = SimConfig::scale_out(2).with_seed(11);
+        let base = SimConfig {
+            seed: 11,
+            ..SimConfig::scale_out(2)
+        };
         let mut reference = Simulator::new(4, base).unwrap();
         let ref_summary = reference.run(&c).unwrap();
         let ref_samples = reference.sample(64);
 
-        let mut faulted = Simulator::new(4, base.with_checkpoint_every(3)).unwrap();
+        let mut faulted = Simulator::new(
+            4,
+            SimConfig {
+                checkpoint_every: 3,
+                ..base
+            },
+        )
+        .unwrap();
         faulted.set_fault_plan(Some(Arc::new(FaultPlan::new().with(
             1,
             PeOp::Barrier,
@@ -1133,7 +1088,14 @@ mod tests {
             .expect("the first segment committed");
         assert_eq!(cp.op_index(), 3);
 
-        let mut sim = Simulator::new(4, base.with_checkpoint_every(4)).unwrap();
+        let mut sim = Simulator::new(
+            4,
+            SimConfig {
+                checkpoint_every: 4,
+                ..base
+            },
+        )
+        .unwrap();
         sim.adopt_checkpoint(cp).unwrap();
         let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
         assert_eq!(summary.cbits, ref_summary.cbits);
@@ -1151,9 +1113,11 @@ mod tests {
         for q in 0..4 {
             c.measure(q, q).unwrap();
         }
-        let config = SimConfig::scale_up(4)
-            .with_seed(11)
-            .with_checkpoint_every(2);
+        let config = SimConfig {
+            seed: 11,
+            checkpoint_every: 2,
+            ..SimConfig::scale_up(4)
+        };
         let mut reference = Simulator::new(4, config).unwrap();
         let ref_summary = reference.run(&c).unwrap();
 
@@ -1192,7 +1156,10 @@ mod tests {
         use svsim_types::PeOp;
 
         let c = ghz(4);
-        let config = SimConfig::scale_out(2).with_seed(3);
+        let config = SimConfig {
+            seed: 3,
+            ..SimConfig::scale_out(2)
+        };
         let mut reference = Simulator::new(4, config).unwrap();
         reference.run(&c).unwrap();
 
@@ -1207,7 +1174,10 @@ mod tests {
     fn traffic_reported_for_distributed_backends() {
         let c = ghz(4);
         for fuse in [0u8, 3] {
-            let config = SimConfig::scale_out(4).with_fusion(fuse);
+            let config = SimConfig {
+                fuse,
+                ..SimConfig::scale_out(4)
+            };
             let mut sim = Simulator::new(4, config).unwrap();
             let summary = sim.run(&c).unwrap();
             assert_eq!(summary.traffic.len(), 4);
@@ -1234,14 +1204,23 @@ mod tests {
         c.apply(GateKind::RZZ, &[0, 3], &[0.3]).unwrap();
         c.measure(0, 0).unwrap();
         let reference = {
-            let mut sim = Simulator::new(4, SimConfig::scale_out(4).with_seed(9)).unwrap();
+            let mut sim = Simulator::new(
+                4,
+                SimConfig {
+                    seed: 9,
+                    ..SimConfig::scale_out(4)
+                },
+            )
+            .unwrap();
             sim.run(&c).unwrap();
             sim.state_checksum()
         };
         for n_pes in [2usize, 4] {
-            let config = SimConfig::scale_out(n_pes)
-                .with_seed(9)
-                .with_race_detection();
+            let config = SimConfig {
+                seed: 9,
+                detect_races: true,
+                ..SimConfig::scale_out(n_pes)
+            };
             let mut sim = Simulator::new(4, config).unwrap();
             let summary = sim.run(&c).unwrap();
             assert!(
@@ -1252,7 +1231,14 @@ mod tests {
             assert_eq!(sim.state_checksum(), reference, "{n_pes} PEs");
         }
         // Detection off keeps the field empty by construction.
-        let mut sim = Simulator::new(4, SimConfig::scale_out(2).with_seed(9)).unwrap();
+        let mut sim = Simulator::new(
+            4,
+            SimConfig {
+                seed: 9,
+                ..SimConfig::scale_out(2)
+            },
+        )
+        .unwrap();
         assert!(sim.run(&c).unwrap().races.is_empty());
     }
 
@@ -1304,7 +1290,10 @@ mod tests {
             let naive_summary = naive.run(&c).unwrap();
             assert_eq!(naive_summary.remap_swaps, 0);
 
-            let config = SimConfig::scale_out(n_pes).with_remap();
+            let config = SimConfig {
+                remap: true,
+                ..SimConfig::scale_out(n_pes)
+            };
             let mut sim = Simulator::new(5, config).unwrap();
             let summary = sim.run(&c).unwrap();
             assert_eq!(
@@ -1353,7 +1342,10 @@ mod tests {
         for n_pes in [2usize, 4, 8] {
             for remap in [false, true] {
                 for fuse in [0u8, 3] {
-                    let mut config = SimConfig::scale_out(n_pes).with_fusion(fuse);
+                    let mut config = SimConfig {
+                        fuse,
+                        ..SimConfig::scale_out(n_pes)
+                    };
                     config.remap = remap;
                     let mut sim = Simulator::new(5, config).unwrap();
                     let summary = sim.run(&c).unwrap();
@@ -1386,9 +1378,20 @@ mod tests {
         .unwrap();
         c.measure(2, 1).unwrap();
         for seed in [1u64, 7, 23] {
-            let mut naive = Simulator::new(4, SimConfig::scale_out(4).with_seed(seed)).unwrap();
+            let mut naive = Simulator::new(
+                4,
+                SimConfig {
+                    seed,
+                    ..SimConfig::scale_out(4)
+                },
+            )
+            .unwrap();
             let naive_summary = naive.run(&c).unwrap();
-            let config = SimConfig::scale_out(4).with_seed(seed).with_remap();
+            let config = SimConfig {
+                seed,
+                remap: true,
+                ..SimConfig::scale_out(4)
+            };
             let mut sim = Simulator::new(4, config).unwrap();
             let summary = sim.run(&c).unwrap();
             assert_eq!(summary.cbits, naive_summary.cbits, "seed {seed}");
@@ -1400,7 +1403,11 @@ mod tests {
     #[test]
     fn remapped_run_under_race_detector_is_clean() {
         let c = deep_cross_circuit(4);
-        let config = SimConfig::scale_out(4).with_remap().with_race_detection();
+        let config = SimConfig {
+            remap: true,
+            detect_races: true,
+            ..SimConfig::scale_out(4)
+        };
         let mut sim = Simulator::new(4, config).unwrap();
         let summary = sim.run(&c).unwrap();
         assert!(summary.remap_swaps > 0);
@@ -1413,18 +1420,21 @@ mod tests {
 
     #[test]
     fn reset_clears_remap_state_between_naive_and_remapped_runs() {
-        // Alternate remapped and naive runs on ONE simulator: no stale
+        // Alternate remapped and naive runs on ONE state buffer: no stale
         // permutation, exchange buffer, or counter may leak across runs.
         let c = deep_cross_circuit(4);
         let mut reference = Simulator::new(4, SimConfig::single_device()).unwrap();
         reference.run(&c).unwrap();
 
-        let mut sim = Simulator::new(4, SimConfig::scale_out(4)).unwrap();
+        let mut state = StateVector::zero_state(4).unwrap();
         for round in 0..4 {
             let remap = round % 2 == 0;
-            let mut config = SimConfig::scale_out(4);
-            config.remap = remap;
-            sim.reconfigure(config).unwrap();
+            let config = SimConfig {
+                remap,
+                ..SimConfig::scale_out(4)
+            };
+            state.reset_zero();
+            let mut sim = Simulator::from_state(state, config).unwrap();
             let summary = sim.run(&c).unwrap();
             assert_eq!(summary.remap_swaps > 0, remap, "round {round}");
             assert_eq!(
@@ -1437,6 +1447,7 @@ mod tests {
                 reference.state().im(),
                 "round {round} (remap={remap})"
             );
+            state = sim.into_state();
         }
     }
 
@@ -1445,11 +1456,21 @@ mod tests {
         // Each segment plans independently from the identity layout, so
         // checkpoint boundaries must not perturb results.
         let c = deep_cross_circuit(4);
-        let base = SimConfig::scale_out(4).with_remap();
+        let base = SimConfig {
+            remap: true,
+            ..SimConfig::scale_out(4)
+        };
         let mut plain = Simulator::new(4, base).unwrap();
         plain.run(&c).unwrap();
         for k in [1u32, 3, 64] {
-            let mut seg = Simulator::new(4, base.with_checkpoint_every(k)).unwrap();
+            let mut seg = Simulator::new(
+                4,
+                SimConfig {
+                    checkpoint_every: k,
+                    ..base
+                },
+            )
+            .unwrap();
             seg.run(&c).unwrap();
             assert_eq!(seg.state().re(), plain.state().re(), "k={k}");
             assert_eq!(seg.state().im(), plain.state().im(), "k={k}");
@@ -1466,17 +1487,34 @@ mod tests {
             c.measure(q, q).unwrap();
         }
         for config in [
-            SimConfig::single_device().with_seed(31),
-            SimConfig::single_device()
-                .with_seed(31)
-                .with_checkpoint_every(3),
-            SimConfig::scale_up(2).with_seed(31),
-            SimConfig::scale_out(4).with_seed(31),
-            SimConfig::scale_out(4).with_seed(31).with_remap(),
-            SimConfig::scale_out(4)
-                .with_seed(31)
-                .with_remap()
-                .with_checkpoint_every(2),
+            SimConfig {
+                seed: 31,
+                ..SimConfig::single_device()
+            },
+            SimConfig {
+                seed: 31,
+                checkpoint_every: 3,
+                ..SimConfig::single_device()
+            },
+            SimConfig {
+                seed: 31,
+                ..SimConfig::scale_up(2)
+            },
+            SimConfig {
+                seed: 31,
+                ..SimConfig::scale_out(4)
+            },
+            SimConfig {
+                seed: 31,
+                remap: true,
+                ..SimConfig::scale_out(4)
+            },
+            SimConfig {
+                seed: 31,
+                remap: true,
+                checkpoint_every: 2,
+                ..SimConfig::scale_out(4)
+            },
         ] {
             let mut direct = Simulator::new(4, config).unwrap();
             let direct_summary = direct.run(&c).unwrap();
@@ -1507,11 +1545,21 @@ mod tests {
     #[test]
     fn mismatched_plan_falls_back_bit_identically() {
         let c = ghz(4);
-        let config = SimConfig::scale_out(2).with_seed(5);
+        let config = SimConfig {
+            seed: 5,
+            ..SimConfig::scale_out(2)
+        };
         let mut direct = Simulator::new(4, config).unwrap();
         direct.run(&c).unwrap();
         // Plan compiled for a different shape: silently ignored.
-        let stale = CompiledPlan::compile(&c, 4, &SimConfig::scale_out(2).with_remap());
+        let stale = CompiledPlan::compile(
+            &c,
+            4,
+            &SimConfig {
+                remap: true,
+                ..SimConfig::scale_out(2)
+            },
+        );
         let mut sim = Simulator::new(4, config).unwrap();
         sim.run_from(&c, Some(&stale), RunStart::Fresh).unwrap();
         assert_eq!(sim.state().re(), direct.state().re());
@@ -1528,9 +1576,11 @@ mod tests {
         for q in 0..4 {
             c.measure(q, q).unwrap();
         }
-        let config = SimConfig::scale_out(2)
-            .with_seed(11)
-            .with_checkpoint_every(2);
+        let config = SimConfig {
+            seed: 11,
+            checkpoint_every: 2,
+            ..SimConfig::scale_out(2)
+        };
         let mut reference = Simulator::new(4, config).unwrap();
         reference.run(&c).unwrap();
 
@@ -1553,7 +1603,14 @@ mod tests {
 
     #[test]
     fn sampling_from_simulator() {
-        let mut sim = Simulator::new(3, SimConfig::single_device().with_seed(5)).unwrap();
+        let mut sim = Simulator::new(
+            3,
+            SimConfig {
+                seed: 5,
+                ..SimConfig::single_device()
+            },
+        )
+        .unwrap();
         sim.run(&ghz(3)).unwrap();
         let samples = sim.sample(4000);
         let h = measure::histogram(&samples);

@@ -9,13 +9,16 @@ use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::pipeline::{AllocMode, JobPacket, Pipeline, QueuedJob, SchedMode, SubmitError};
 use crate::pool::InstancePool;
 use crate::retry::{retryable, DegradePolicy};
-use crate::templates::{TemplateId, TemplateInfo, TemplateRegistry, WorkerTemplates};
+use crate::templates::{TemplateId, TemplateRegistry, WorkerTemplates};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use svsim_core::{measure, CompiledPlan, Fnv1a, ParamCircuit, RunStart, RunSummary, Simulator};
+use svsim_core::{
+    measure, BackendKind, Checkpoint, CheckpointStore, CompiledPlan, Fnv1a, ParamCircuit, RunStart,
+    RunSummary, SimConfig, Simulator,
+};
 use svsim_shmem::FaultAction;
 use svsim_types::{PeOp, SvError, SvResult};
 
@@ -56,50 +59,6 @@ impl Default for EngineConfig {
             sched: SchedMode::default(),
             alloc: AllocMode::default(),
         }
-    }
-}
-
-impl EngineConfig {
-    /// Override the worker count.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Override the queue capacity.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Override the micro-batch ceiling.
-    #[must_use]
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Override the quarantine threshold (0 disables quarantining).
-    #[must_use]
-    pub fn with_quarantine_threshold(mut self, threshold: u32) -> Self {
-        self.quarantine_threshold = threshold;
-        self
-    }
-
-    /// Pick the within-lane scheduling mode for pipeline stages.
-    #[must_use]
-    pub fn with_sched(mut self, sched: SchedMode) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Pick the in-flight allocation budget enforced at admission.
-    #[must_use]
-    pub fn with_alloc(mut self, alloc: AllocMode) -> Self {
-        self.alloc = alloc;
-        self
     }
 }
 
@@ -221,12 +180,6 @@ impl Engine {
     /// Propagates template compilation errors.
     pub fn register_template(&self, name: &str, circuit: &ParamCircuit) -> SvResult<TemplateId> {
         self.shared.registry.register(name, circuit)
-    }
-
-    /// Metadata for a registered template.
-    #[must_use]
-    pub fn template_info(&self, id: TemplateId) -> Option<TemplateInfo> {
-        self.shared.registry.info(id)
     }
 
     /// Submit a job. Never blocks: a full admit queue, an exhausted
@@ -397,18 +350,72 @@ pub(crate) fn publish(
     job.cell.finish(result);
 }
 
-/// What the execute stage produced for a one-shot job.
-pub(crate) enum ExecOutcome {
-    /// Execution succeeded; readback still owes sampling, the optional
-    /// state clone, and returning the simulator to the pool.
-    Done {
-        /// The simulator holding the final state.
-        sim: Box<Simulator>,
-        /// The run summary execution produced.
-        summary: RunSummary,
-    },
-    /// Execution failed past every retry.
-    Fail(JobError),
+/// The one retry loop: run `attempt` (told its 1-based number) until it
+/// succeeds, fails deterministically, or exhausts the job's
+/// [`crate::RetryPolicy`]. A transient failure — an [`SvError`] that is
+/// [`retryable`], an injected executor fault, or a panic inside the
+/// attempt — backs off deterministically and goes again, with
+/// `between_attempts` run first so a caller can change what the next
+/// attempt runs on; `state` is what the two closures share. A success
+/// clears the job shape's quarantine streak, a final failure extends it.
+fn run_with_retries<S, T>(
+    shared: &Shared,
+    pkt: &JobPacket,
+    worker: usize,
+    state: &mut S,
+    mut attempt: impl FnMut(&mut S, u32) -> SvResult<T>,
+    mut between_attempts: impl FnMut(&mut S),
+) -> Result<T, JobError> {
+    // `None` only when quarantining is off, where the key is never read.
+    let fp = pkt.fp.unwrap_or(0);
+    let policy = pkt.job.request.retry;
+    let mut n: u32 = 1;
+    let mut first_failure: Option<Instant> = None;
+    loop {
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            exec_fault_point(&pkt.job, worker)?;
+            attempt(state, n)
+        }));
+        let (transient, err) = match ran {
+            Ok(Ok(output)) => {
+                if let Some(t) = first_failure {
+                    shared.metrics.recovery.record(t.elapsed());
+                }
+                shared.quarantine_clear(fp);
+                return Ok(output);
+            }
+            Ok(Err(e)) => (retryable(&e), JobError::Failed(e)),
+            Err(_) => (true, panic_error()),
+        };
+        if matches!(&err, JobError::Failed(SvError::PeHung { .. })) {
+            shared.metrics.hung.fetch_add(1, Ordering::Relaxed);
+        }
+        if !transient || n >= policy.max_attempts {
+            shared.quarantine_mark_failure(fp);
+            return Err(err);
+        }
+        first_failure.get_or_insert_with(Instant::now);
+        shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
+        between_attempts(state);
+        std::thread::sleep(policy.backoff(n));
+        n += 1;
+    }
+}
+
+/// What a one-shot job's attempts share: the simulator (and with it the
+/// last good checkpoint) and where on the degradation ladder the job
+/// stands.
+struct OneShotRun {
+    /// The width/supervision the job is *currently* running at; the
+    /// degradation ladder narrows it without touching the submitted spec.
+    effective: SimConfig,
+    rung_failures: u32,
+    /// Checkpoint carried across a degradation step into the next
+    /// (half-width) simulator.
+    carried: Option<Checkpoint>,
+    /// `None` before the first attempt, after a degradation step, and
+    /// after an attempt that did not return normally.
+    sim: Option<Simulator>,
 }
 
 /// Execute a one-shot job with retry-in-place and the self-healing
@@ -424,194 +431,160 @@ pub(crate) enum ExecOutcome {
 /// A compiled plan carried by the packet drives execution when its shape
 /// still matches; degradation or remapping that invalidates it falls back
 /// to on-the-fly lowering, bit-identically.
-pub(crate) fn execute_one_shot(shared: &Shared, pkt: &JobPacket, worker: usize) -> ExecOutcome {
+///
+/// On success the simulator comes back holding the final state: readback
+/// still owes sampling, the optional state clone, and returning the state
+/// buffer to the pool.
+pub(crate) fn execute_one_shot(
+    shared: &Shared,
+    pkt: &JobPacket,
+    worker: usize,
+) -> Result<(Box<Simulator>, RunSummary), JobError> {
+    let request = &pkt.job.request;
     let JobSpec::OneShot {
         ref circuit,
         ref config,
         shots,
         return_state,
-    } = pkt.job.request.spec
+    } = request.spec
     else {
         unreachable!("dispatched as one-shot");
     };
-    // `None` only when quarantining is off, where the key is never read.
-    let fp = pkt.fp.unwrap_or(0);
-    let plan = pkt.plan.as_deref();
-    let policy = pkt.job.request.retry;
-    let degrade = pkt.job.request.degrade;
-    // The width/supervision the job is *currently* running at; the
-    // degradation ladder narrows it without touching the submitted spec.
-    let mut effective = *config;
-    if let DegradePolicy::Respawn { max_respawns } = degrade {
-        effective.respawn_max = effective.respawn_max.max(max_respawns);
+    let mut run = OneShotRun {
+        effective: *config,
+        rung_failures: 0,
+        carried: None,
+        sim: None,
+    };
+    if let DegradePolicy::Respawn { max_respawns } = request.degrade {
+        run.effective.respawn_max = run.effective.respawn_max.max(max_respawns);
     }
-    let mut attempt: u32 = 1;
-    let mut first_failure: Option<Instant> = None;
-    let mut rung_failures: u32 = 0;
-    // Checkpoint carried across a degradation step into the next
-    // (half-width) simulator.
-    let mut carried: Option<svsim_core::Checkpoint> = None;
-    let mut sim = None;
-    loop {
-        if sim.is_none() {
-            match shared.pool.checkout_sim(circuit.n_qubits(), &effective) {
-                Ok(s) => sim = Some(s),
-                Err(e) => return ExecOutcome::Fail(JobError::Failed(e)),
-            }
-        }
-        let s = sim.as_mut().expect("checked out above");
+    let attempt = |run: &mut OneShotRun, n: u32| {
+        // The job's simulator lives in this frame while it runs, so an
+        // attempt that panics or bails out drops it — it may be
+        // mid-mutation and is never reused — and the next builds afresh.
+        let mut s = match run.sim.take() {
+            Some(s) => s,
+            None => shared.pool.simulator(circuit.n_qubits(), run.effective)?,
+        };
         // Rewind a retry that has nothing to resume from; a verified
         // checkpoint instead resumes mid-circuit.
-        let mut resumable = attempt > 1 && s.checkpoint().is_some_and(|cp| cp.verify().is_ok());
-        if let Some(cp) = carried.take() {
+        let mut resumable = n > 1 && s.checkpoint().is_some_and(|cp| cp.verify().is_ok());
+        if let Some(cp) = run.carried.take() {
             // Checkpoints are full global state (PE-count independent), so
             // the degraded world adopts the wider world's progress as-is.
-            match s.adopt_checkpoint(cp) {
-                Ok(()) => resumable = true,
-                Err(e) => return ExecOutcome::Fail(JobError::Failed(e)),
-            }
+            s.adopt_checkpoint(cp)?;
+            resumable = true;
         }
-        if attempt > 1 && !resumable {
+        if n > 1 && !resumable {
             s.reset();
         }
-        if let Some(dir) = &pkt.job.request.checkpoint_dir {
+        if let Some(dir) = &request.checkpoint_dir {
             // (Re)open the store every attempt: `reset` detaches it, and
             // `open` resumes the generation counter from the directory.
-            match svsim_core::CheckpointStore::open(dir.clone()) {
-                Ok(store) => s.set_checkpoint_store(Some(store)),
-                Err(e) => return ExecOutcome::Fail(JobError::Failed(e)),
-            }
-            if attempt > 1 && !resumable {
+            s.set_checkpoint_store(Some(CheckpointStore::open(dir.clone())?));
+            if n > 1 && !resumable {
                 // The in-memory checkpoint is gone (torn write, panic,
                 // degradation): fall back to the newest loadable on-disk
                 // generation. An unrecoverable store reruns from scratch.
                 resumable = s.recover_checkpoint_from_store().unwrap_or(false);
             }
         }
-        s.set_fault_plan(pkt.job.request.fault_plan.clone());
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            exec_fault_point(&pkt.job, worker)?;
-            let start = if resumable {
-                RunStart::LastCheckpoint
-            } else {
-                RunStart::Fresh
-            };
-            s.run_from(circuit, plan, start)
-        }));
-        let outcome = match ran {
-            Ok(r) => r.map_err(|e| (retryable(&e), JobError::Failed(e))),
-            Err(_) => {
-                // The simulator may be mid-mutation; never reuse it.
-                sim = None;
-                Err((true, panic_error()))
-            }
+        s.set_fault_plan(request.fault_plan.clone());
+        let start = if resumable {
+            RunStart::LastCheckpoint
+        } else {
+            RunStart::Fresh
         };
-        match outcome {
-            Ok(summary) => {
-                if let Some(t) = first_failure {
-                    shared.metrics.recovery.record(t.elapsed());
-                }
-                shared
-                    .metrics
-                    .checkpoint_bytes
-                    .fetch_add(summary.checkpoint_bytes, Ordering::Relaxed);
-                shared.metrics.add_traffic(&summary.total_traffic());
-                shared
-                    .metrics
-                    .races_detected
-                    .fetch_add(summary.races.len() as u64, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .respawned
-                    .fetch_add(summary.respawns as u64, Ordering::Relaxed);
-                // Credit the communication the remap avoided: what the
-                // same config without remap is predicted to move, minus what
-                // the remapped run measured. A run that exchanged nothing
-                // ran the naive schedule.
-                if summary.remap_swaps > 0 {
-                    let naive = svsim_core::SimConfig {
-                        remap: false,
-                        ..*config
-                    };
-                    let predicted = CompiledPlan::compile(circuit, circuit.n_qubits(), &naive)
-                        .predict_traffic(naive.backend.n_workers() as u64);
-                    shared.metrics.remote_bytes_saved.fetch_add(
-                        predicted
-                            .remote_bytes
-                            .saturating_sub(summary.total_traffic().remote_bytes()),
-                        Ordering::Relaxed,
-                    );
-                }
-                shared.quarantine_clear(fp);
-                let s = sim.take().expect("simulator ran");
-                return ExecOutcome::Done {
-                    sim: Box::new(s),
-                    summary,
-                };
-            }
-            Err((transient, err)) => {
-                if matches!(&err, JobError::Failed(SvError::PeHung { .. })) {
-                    shared.metrics.hung.fetch_add(1, Ordering::Relaxed);
-                }
-                if transient && attempt < policy.max_attempts {
-                    first_failure.get_or_insert_with(Instant::now);
-                    shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                    // The degradation ladder: enough failures at this
-                    // width step the job down to half the PEs, carrying
-                    // its last good checkpoint into the narrower world
-                    // (8 → 4 → 2 → 1, floored at `min_pes`).
-                    if let DegradePolicy::HalvePes {
-                        failures_per_rung,
-                        min_pes,
-                    } = degrade
-                    {
-                        rung_failures += 1;
-                        if rung_failures >= failures_per_rung.max(1) {
-                            if let svsim_core::BackendKind::ScaleOut { n_pes } = effective.backend {
-                                let next = n_pes / 2;
-                                if next >= min_pes.max(1) {
-                                    carried = sim
-                                        .as_mut()
-                                        .and_then(svsim_core::Simulator::take_checkpoint)
-                                        .filter(|cp| cp.verify().is_ok());
-                                    effective.backend =
-                                        svsim_core::BackendKind::ScaleOut { n_pes: next };
-                                    sim = None;
-                                    rung_failures = 0;
-                                    shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                    std::thread::sleep(policy.backoff(attempt));
-                    attempt += 1;
-                    continue;
-                }
-                // Final failure: drop the simulator (its state reflects
-                // the failed run) and extend the shape's failure streak —
-                // recording the degraded shape too when the ladder was
-                // descended, so the narrowed fingerprint carries the
-                // strike as well.
-                drop(sim);
-                shared.quarantine_mark_failure(fp);
-                if effective.backend != config.backend {
-                    shared.quarantine_mark_failure(fingerprint(&JobSpec::OneShot {
-                        circuit: Arc::clone(circuit),
-                        config: effective,
-                        shots,
-                        return_state,
-                    }));
-                }
-                return ExecOutcome::Fail(err);
-            }
+        let ran = s.run_from(circuit, pkt.plan.as_deref(), start);
+        run.sim = Some(s);
+        ran
+    };
+    // The degradation ladder: enough failures at this width step the job
+    // down to half the PEs, carrying its last good checkpoint into the
+    // narrower world (8 → 4 → 2 → 1, floored at `min_pes`).
+    let step_down = |run: &mut OneShotRun| {
+        let DegradePolicy::HalvePes {
+            failures_per_rung,
+            min_pes,
+        } = request.degrade
+        else {
+            return;
+        };
+        run.rung_failures += 1;
+        if run.rung_failures < failures_per_rung.max(1) {
+            return;
         }
+        let BackendKind::ScaleOut { n_pes } = run.effective.backend else {
+            return;
+        };
+        if n_pes / 2 < min_pes.max(1) {
+            return;
+        }
+        run.carried = run
+            .sim
+            .take()
+            .and_then(|mut sim| sim.take_checkpoint())
+            .filter(|cp| cp.verify().is_ok());
+        run.effective.backend = BackendKind::ScaleOut { n_pes: n_pes / 2 };
+        run.rung_failures = 0;
+        shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+    };
+    let summary = match run_with_retries(shared, pkt, worker, &mut run, attempt, step_down) {
+        Ok(summary) => summary,
+        Err(err) => {
+            // The simulator drops with `run` (its state reflects the
+            // failed run). When the ladder was descended the degraded
+            // shape takes the strike as well as the submitted one.
+            if run.effective.backend != config.backend {
+                shared.quarantine_mark_failure(fingerprint(&JobSpec::OneShot {
+                    circuit: Arc::clone(circuit),
+                    config: run.effective,
+                    shots,
+                    return_state,
+                }));
+            }
+            return Err(err);
+        }
+    };
+    shared
+        .metrics
+        .checkpoint_bytes
+        .fetch_add(summary.checkpoint_bytes, Ordering::Relaxed);
+    shared.metrics.add_traffic(&summary.total_traffic());
+    shared
+        .metrics
+        .races_detected
+        .fetch_add(summary.races.len() as u64, Ordering::Relaxed);
+    shared
+        .metrics
+        .respawned
+        .fetch_add(summary.respawns as u64, Ordering::Relaxed);
+    // Credit the communication the remap avoided: what the same config
+    // without remap is predicted to move, minus what the remapped run
+    // measured. A run that exchanged nothing ran the naive schedule.
+    if summary.remap_swaps > 0 {
+        let naive = SimConfig {
+            remap: false,
+            ..*config
+        };
+        let predicted = CompiledPlan::compile(circuit, circuit.n_qubits(), &naive)
+            .predict_traffic(naive.backend.n_workers() as u64);
+        shared.metrics.remote_bytes_saved.fetch_add(
+            predicted
+                .remote_bytes
+                .saturating_sub(summary.total_traffic().remote_bytes()),
+            Ordering::Relaxed,
+        );
     }
+    let sim = run.sim.expect("the successful attempt put it back");
+    Ok((Box::new(sim), summary))
 }
 
 /// The readback stage body for a successful one-shot: sample, clone the
-/// requested state, detach the job's fault plan and checkpoint store, and
-/// return the simulator to the pool — *before* the caller publishes, so a
-/// submit-wait-submit client always finds the instance available.
+/// requested state, and return the state buffer to the pool — *before*
+/// the caller publishes, so a submit-wait-submit client always finds it
+/// available. Everything else the job attached dies with its simulator.
 pub(crate) fn readback_one_shot(
     shared: &Shared,
     job: &QueuedJob,
@@ -634,9 +607,7 @@ pub(crate) fn readback_one_shot(
         hist
     });
     let state = return_state.then(|| sim.state().clone());
-    sim.set_fault_plan(None);
-    sim.set_checkpoint_store(None);
-    shared.pool.checkin_sim(*sim);
+    shared.pool.checkin(sim.into_state());
     JobOutput::OneShot {
         summary,
         state,
@@ -682,7 +653,7 @@ pub(crate) fn run_sweep_batch(
         );
         return;
     };
-    let mut buf = match shared.pool.checkout_buffer(tpl.n_qubits()) {
+    let mut buf = match shared.pool.checkout(tpl.n_qubits()) {
         Ok(buf) => buf,
         Err(e) => {
             fail_all(jobs, e);
@@ -706,51 +677,21 @@ pub(crate) fn run_sweep_batch(
         else {
             unreachable!("coalesced batches are sweep-only");
         };
-        let fp = pkt.fp.unwrap_or(0);
-        let policy = pkt.job.request.retry;
-        let mut attempt: u32 = 1;
-        let mut first_failure: Option<Instant> = None;
-        let result = loop {
-            let ran = catch_unwind(AssertUnwindSafe(|| -> SvResult<JobOutput> {
-                exec_fault_point(&pkt.job, worker)?;
-                tpl.run_into(params, &mut buf)?;
-                Ok(match returning {
-                    SweepReturn::State => JobOutput::Sweep {
-                        state: Some(buf.clone()),
-                        value: None,
-                    },
-                    SweepReturn::ExpZ(mask) => JobOutput::Sweep {
-                        state: None,
-                        value: Some(measure::expval_z_mask(&buf, mask)),
-                    },
-                })
-            }));
-            let outcome = match ran {
-                Ok(r) => r.map_err(|e| (retryable(&e), JobError::Failed(e))),
-                Err(_) => Err((true, panic_error())),
-            };
-            match outcome {
-                Ok(output) => {
-                    if let Some(t) = first_failure {
-                        shared.metrics.recovery.record(t.elapsed());
-                    }
-                    shared.quarantine_clear(fp);
-                    break Ok(output);
-                }
-                Err((transient, err)) => {
-                    if transient && attempt < policy.max_attempts {
-                        first_failure.get_or_insert_with(Instant::now);
-                        shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(policy.backoff(attempt));
-                        attempt += 1;
-                        continue;
-                    }
-                    shared.quarantine_mark_failure(fp);
-                    break Err(err);
-                }
-            }
+        let trial = |_: &mut (), _| {
+            tpl.run_into(params, &mut buf)?;
+            Ok(match returning {
+                SweepReturn::State => JobOutput::Sweep {
+                    state: Some(buf.clone()),
+                    value: None,
+                },
+                SweepReturn::ExpZ(mask) => JobOutput::Sweep {
+                    state: None,
+                    value: Some(measure::expval_z_mask(&buf, mask)),
+                },
+            })
         };
+        let result = run_with_retries(shared, &pkt, worker, &mut (), trial, |()| {});
         sink(pkt, started, result);
     }
-    shared.pool.checkin_buffer(buf);
+    shared.pool.checkin(buf);
 }

@@ -120,49 +120,6 @@ impl JobRequest {
             checkpoint_dir: None,
         }
     }
-
-    /// Override the scheduling class.
-    #[must_use]
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Expire the job unless it starts within `d` of now.
-    #[must_use]
-    pub fn with_deadline_in(mut self, d: Duration) -> Self {
-        self.deadline = Some(Instant::now() + d);
-        self
-    }
-
-    /// Retry transient failures under `policy`.
-    #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Attach an injected-fault schedule.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Select a recovery path beyond retry-in-place (see [`DegradePolicy`]).
-    #[must_use]
-    pub fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    /// Persist checkpoints into (and recover them from) a crash-consistent
-    /// store rooted at `dir`.
-    #[must_use]
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
 }
 
 /// Successful job result.

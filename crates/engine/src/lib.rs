@@ -16,8 +16,10 @@
 //!   threads persist, so simulator setup cost is paid once, not per
 //!   request;
 //! - an **instance pool** reusing `2^n`-amplitude state vectors across
-//!   jobs, keyed by register width, built on
-//!   [`svsim_core::Simulator::reconfigure`]'s bit-identical reinit contract;
+//!   jobs, keyed by register width: a shelf holds allocations, never
+//!   tenants — each job's simulator is built around a checked-out buffer
+//!   ([`svsim_core::Simulator::from_state`]) and consumed for it at
+//!   readback, so nothing a job configured or attached outlives it;
 //! - **micro-batching**: queued sweep jobs sharing a compiled
 //!   [`svsim_core::CompiledTemplate`] are coalesced into one
 //!   patch-and-execute loop over a single reused buffer;
@@ -41,7 +43,10 @@
 //! use svsim_ir::{Circuit, GateKind};
 //! use std::sync::Arc;
 //!
-//! let engine = Engine::start(EngineConfig::default().with_workers(2));
+//! let engine = Engine::start(EngineConfig {
+//!     workers: 2,
+//!     ..EngineConfig::default()
+//! });
 //! let mut bell = Circuit::new(2);
 //! bell.apply(GateKind::H, &[0], &[]).unwrap();
 //! bell.apply(GateKind::CX, &[0, 1], &[]).unwrap();

@@ -138,7 +138,7 @@ pub struct EngineMetrics {
     pub(crate) batches: AtomicU64,
     /// Sweep jobs served through those batches.
     pub(crate) batched_jobs: AtomicU64,
-    /// Pooled simulator/buffer instances constructed.
+    /// Pooled state buffers allocated.
     pub(crate) pool_created: AtomicU64,
     /// Checkouts satisfied by reuse instead of construction.
     pub(crate) pool_reused: AtomicU64,

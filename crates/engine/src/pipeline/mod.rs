@@ -37,8 +37,7 @@ pub(crate) use packet::{packet_bytes, JobPacket, MemoryBudget, QueuedJob, Readba
 pub(crate) use stage::StageQueue;
 
 use crate::engine::{
-    execute_one_shot, publish, readback_one_shot, run_sweep_batch, EngineConfig, ExecOutcome,
-    Shared,
+    execute_one_shot, publish, readback_one_shot, run_sweep_batch, EngineConfig, Shared,
 };
 use crate::job::{JobError, JobSpec};
 use crate::templates::WorkerTemplates;
@@ -312,13 +311,13 @@ fn execute_loop(
                 for pkt in live {
                     let started = Instant::now();
                     let item = match execute_one_shot(shared, &pkt, worker) {
-                        ExecOutcome::Done { sim, summary } => Readback::OneShot {
+                        Ok((sim, summary)) => Readback::OneShot {
                             pkt,
                             started,
                             sim,
                             summary,
                         },
-                        ExecOutcome::Fail(e) => Readback::Ready {
+                        Err(e) => Readback::Ready {
                             pkt,
                             started,
                             result: Err(e),
@@ -359,7 +358,7 @@ fn forward(shared: &Shared, read_q: &StageQueue<Readback>, item: Readback) {
 }
 
 /// Readback stage body: sample, clone requested state, check the
-/// simulator back into the pool, then publish.
+/// simulator's buffer back into the pool, then publish.
 fn complete(shared: &Shared, item: Readback) {
     match item {
         Readback::OneShot {
@@ -446,14 +445,28 @@ mod tests {
         let metrics = EngineMetrics::default();
         let a = Arc::new(sample_circuit());
         let plain = cache.plan_for(&a, &SimConfig::single_device(), &metrics);
-        let fused = cache.plan_for(&a, &SimConfig::single_device().with_fusion(2), &metrics);
+        let fused = cache.plan_for(
+            &a,
+            &SimConfig {
+                fuse: 2,
+                ..SimConfig::single_device()
+            },
+            &metrics,
+        );
         assert!(
             !Arc::ptr_eq(&plain, &fused),
             "a fusion-window change must recompile"
         );
         assert_eq!(counts(&metrics), (0, 2));
         // And the fused plan is itself cached for the fused config.
-        let again = cache.plan_for(&a, &SimConfig::single_device().with_fusion(2), &metrics);
+        let again = cache.plan_for(
+            &a,
+            &SimConfig {
+                fuse: 2,
+                ..SimConfig::single_device()
+            },
+            &metrics,
+        );
         assert!(Arc::ptr_eq(&fused, &again));
         assert_eq!(counts(&metrics), (1, 2));
     }

@@ -276,7 +276,7 @@ impl StageItem for JobPacket {
 #[derive(Debug)]
 pub(crate) enum Readback {
     /// A successful one-shot: readback still owes sampling, the optional
-    /// state clone, and checking the simulator back into the pool.
+    /// state clone, and checking the simulator's buffer back into the pool.
     OneShot {
         /// The packet (carries the result cell and budget lease).
         pkt: JobPacket,

@@ -12,7 +12,7 @@ use svsim_types::{SvError, SvRng};
 /// How (and whether) a failed job is retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total execution attempts (1 = no retries).
+    /// Total execution attempts (0 and 1 both mean no retries).
     pub max_attempts: u32,
     /// Backoff before the first retry; doubles per subsequent retry.
     pub base_backoff: Duration,
@@ -40,30 +40,9 @@ impl RetryPolicy {
     #[must_use]
     pub fn attempts(max_attempts: u32) -> Self {
         Self {
-            max_attempts: max_attempts.max(1),
+            max_attempts,
             ..Self::default()
         }
-    }
-
-    /// Override the initial backoff.
-    #[must_use]
-    pub fn with_base_backoff(mut self, d: Duration) -> Self {
-        self.base_backoff = d;
-        self
-    }
-
-    /// Override the backoff ceiling.
-    #[must_use]
-    pub fn with_max_backoff(mut self, d: Duration) -> Self {
-        self.max_backoff = d;
-        self
-    }
-
-    /// Override the jitter seed.
-    #[must_use]
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
     }
 
     /// Backoff to sleep before retrying after failed attempt `attempt`
@@ -145,24 +124,31 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
-        let p = RetryPolicy::attempts(5)
-            .with_base_backoff(Duration::from_millis(2))
-            .with_max_backoff(Duration::from_millis(10));
+        let p = RetryPolicy {
+            base_backoff: Duration::from_millis(2),
+            max_backoff: Duration::from_millis(10),
+            ..RetryPolicy::attempts(5)
+        };
         for attempt in 1..=4 {
             assert_eq!(p.backoff(attempt), p.backoff(attempt), "replayable");
             assert!(p.backoff(attempt) <= Duration::from_millis(10));
             assert!(p.backoff(attempt) >= Duration::from_millis(1), "≥ base/2");
         }
         // Different jitter seeds give different (but still bounded) delays.
-        let q = p.with_jitter_seed(99);
+        let q = RetryPolicy {
+            jitter_seed: 99,
+            ..p
+        };
         assert_ne!(p.backoff(1), q.backoff(1));
     }
 
     #[test]
     fn exponential_growth_until_cap() {
-        let p = RetryPolicy::attempts(8)
-            .with_base_backoff(Duration::from_millis(1))
-            .with_max_backoff(Duration::from_millis(8));
+        let p = RetryPolicy {
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(8),
+            ..RetryPolicy::attempts(8)
+        };
         // Pre-jitter envelope doubles: jittered values stay within
         // [cap/2, cap] once the cap is reached.
         let late = p.backoff(7);

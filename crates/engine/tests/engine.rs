@@ -3,7 +3,7 @@
 //! must be orderly with work in flight.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use svsim_core::{measure, ParamCircuit, ParamValue, SimConfig, Simulator};
 use svsim_engine::{
     Engine, EngineConfig, JobError, JobOutput, JobRequest, JobSpec, Priority, SubmitError,
@@ -47,12 +47,24 @@ fn ansatz(n: u32, layers: u32) -> ParamCircuit {
 /// and reused between jobs.
 #[test]
 fn one_shot_results_match_direct_simulator() {
-    let engine = Engine::start(EngineConfig::default().with_workers(2));
+    let engine = Engine::start(EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    });
     let circuit = Arc::new(ghz_with_measure(5));
     let configs = [
-        SimConfig::single_device().with_seed(101),
-        SimConfig::scale_up(2).with_seed(202),
-        SimConfig::scale_out(4).with_seed(303),
+        SimConfig {
+            seed: 101,
+            ..SimConfig::single_device()
+        },
+        SimConfig {
+            seed: 202,
+            ..SimConfig::scale_up(2)
+        },
+        SimConfig {
+            seed: 303,
+            ..SimConfig::scale_out(4)
+        },
     ];
     // Two rounds so the second round exercises pooled (reused) instances.
     for round in 0..2 {
@@ -102,7 +114,11 @@ fn one_shot_results_match_direct_simulator() {
 fn sweep_results_match_direct_template() {
     let template = ansatz(5, 3);
     let n_vars = template.n_vars();
-    let engine = Engine::start(EngineConfig::default().with_workers(2).with_max_batch(4));
+    let engine = Engine::start(EngineConfig {
+        workers: 2,
+        max_batch: 4,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("ansatz", &template).unwrap();
 
     let mut rng = SvRng::seed_from_u64(77);
@@ -145,7 +161,10 @@ fn sweep_results_match_direct_template() {
 #[test]
 fn expz_return_matches_state_return() {
     let template = ansatz(4, 2);
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("ansatz", &template).unwrap();
     let params: Vec<f64> = (0..template.n_vars()).map(|i| 0.1 * i as f64).collect();
     let mask = 0b1010u64;
@@ -184,11 +203,11 @@ fn expz_return_matches_state_return() {
 #[test]
 fn full_queue_rejects_submissions() {
     // One worker, capacity 2: park the worker on a slow-ish job, then fill.
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(2),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        queue_capacity: 2,
+        ..EngineConfig::default()
+    });
     let slow = Arc::new(ghz_with_measure(16));
     let fast = Arc::new(ghz_with_measure(3));
     let config = SimConfig::single_device();
@@ -232,7 +251,11 @@ fn full_queue_rejects_submissions() {
 #[test]
 fn drain_shutdown_completes_in_flight_jobs() {
     let template = ansatz(6, 4);
-    let engine = Engine::start(EngineConfig::default().with_workers(2).with_max_batch(8));
+    let engine = Engine::start(EngineConfig {
+        workers: 2,
+        max_batch: 8,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("ansatz", &template).unwrap();
     let handles: Vec<_> = (0..40)
         .map(|i| {
@@ -254,17 +277,54 @@ fn drain_shutdown_completes_in_flight_jobs() {
     }
 }
 
+/// The sizing fields are taken as written and clamped where they are used:
+/// an all-zero sizing still runs with one worker, one queue slot and
+/// batches of one, and a buffer the sweep released serves the one-shot of
+/// the same width.
+#[test]
+fn zero_sizing_is_clamped_at_the_use_site() {
+    let template = ansatz(5, 1);
+    let engine = Engine::start(EngineConfig {
+        workers: 0,
+        queue_capacity: 0,
+        max_batch: 0,
+        pool_max_per_key: 0,
+        ..EngineConfig::default()
+    });
+    let id = engine.register_template("ansatz", &template).unwrap();
+    let sweep = engine
+        .submit(JobRequest::new(JobSpec::Sweep {
+            template: id,
+            params: vec![0.25; template.n_vars()],
+            returning: SweepReturn::ExpZ(1),
+        }))
+        .unwrap();
+    assert!(sweep.wait().is_ok());
+    let one_shot = engine
+        .submit(JobRequest::new(JobSpec::OneShot {
+            circuit: Arc::new(ghz_with_measure(5)),
+            config: SimConfig::single_device(),
+            shots: 0,
+            return_state: false,
+        }))
+        .unwrap();
+    assert!(one_shot.wait().is_ok());
+    let metrics = engine.shutdown();
+    assert_eq!((metrics.completed, metrics.failed), (2, 0));
+    assert_eq!((metrics.pool_created, metrics.pool_reused), (1, 1));
+}
+
 /// Hard shutdown must fail queued jobs with `Shutdown` and still publish a
 /// result on every handle (no waiter left hanging).
 #[test]
 fn hard_shutdown_fails_queued_jobs() {
     let template = ansatz(6, 4);
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_queue_capacity(256),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 1,
+        queue_capacity: 256,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("ansatz", &template).unwrap();
     let handles: Vec<_> = (0..60)
         .map(|i| {
@@ -296,11 +356,11 @@ fn hard_shutdown_fails_queued_jobs() {
 /// Cancellation through the handle drops queued jobs before execution.
 #[test]
 fn cancelled_jobs_are_dropped_at_dequeue() {
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(64),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        queue_capacity: 64,
+        ..EngineConfig::default()
+    });
     let slow = Arc::new(ghz_with_measure(16));
     let config = SimConfig::single_device();
     // Occupy the worker, then queue a victim and cancel it.
@@ -329,15 +389,20 @@ fn cancelled_jobs_are_dropped_at_dequeue() {
 /// An already-expired deadline fails the job with `Expired`.
 #[test]
 fn expired_deadline_fails_job() {
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let circuit = Arc::new(ghz_with_measure(3));
-    let request = JobRequest::new(JobSpec::OneShot {
-        circuit,
-        config: SimConfig::single_device(),
-        shots: 0,
-        return_state: false,
-    })
-    .with_deadline_in(Duration::ZERO);
+    let request = JobRequest {
+        deadline: Some(Instant::now()),
+        ..JobRequest::new(JobSpec::OneShot {
+            circuit,
+            config: SimConfig::single_device(),
+            shots: 0,
+            return_state: false,
+        })
+    };
     // Give the deadline a moment to lapse before the worker reaches it.
     std::thread::sleep(Duration::from_millis(5));
     let handle = engine.submit(request).unwrap();
@@ -357,7 +422,10 @@ fn expired_deadline_fails_job() {
 #[test]
 fn sweep_admission_validates_template_and_params() {
     let template = ansatz(4, 1);
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("ansatz", &template).unwrap();
 
     let bogus = svsim_engine::TemplateId(999);
@@ -385,12 +453,12 @@ fn sweep_admission_validates_template_and_params() {
 #[test]
 fn priority_orders_the_backlog() {
     let template = ansatz(4, 1);
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_queue_capacity(256),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 1,
+        queue_capacity: 256,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("ansatz", &template).unwrap();
     let slow = Arc::new(ghz_with_measure(16));
     // Park the worker so the backlog builds in the queue.
@@ -402,13 +470,13 @@ fn priority_orders_the_backlog() {
             return_state: false,
         }))
         .unwrap();
-    let sweep = |prio: Priority| {
-        JobRequest::new(JobSpec::Sweep {
+    let sweep = |prio: Priority| JobRequest {
+        priority: prio,
+        ..JobRequest::new(JobSpec::Sweep {
             template: id,
             params: vec![0.1; template.n_vars()],
             returning: SweepReturn::ExpZ(1),
         })
-        .with_priority(prio)
     };
     let low = engine.submit(sweep(Priority::Low)).unwrap();
     let high = engine.submit(sweep(Priority::High)).unwrap();
@@ -427,7 +495,11 @@ fn priority_orders_the_backlog() {
 #[test]
 fn metrics_account_for_all_jobs() {
     let template = ansatz(5, 2);
-    let engine = Engine::start(EngineConfig::default().with_workers(2).with_max_batch(8));
+    let engine = Engine::start(EngineConfig {
+        workers: 2,
+        max_batch: 8,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("ansatz", &template).unwrap();
     let handles: Vec<_> = (0..24)
         .map(|i| {
@@ -459,7 +531,10 @@ fn metrics_account_for_all_jobs() {
 /// Scale-out one-shots must surface SHMEM traffic in the engine metrics.
 #[test]
 fn distributed_jobs_aggregate_traffic() {
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let circuit = Arc::new(ghz_with_measure(6));
     let h = engine
         .submit(JobRequest::new(JobSpec::OneShot {
@@ -482,7 +557,10 @@ fn distributed_jobs_aggregate_traffic() {
 /// config, and the engine must credit the communication the remap avoided.
 #[test]
 fn remapped_jobs_share_pooled_instances_and_credit_savings() {
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     // Deep enough on the partition-index qubits that one relabeling (plus
     // the identity restore before the measure) beats word-level traffic.
     let circuit = {
@@ -498,8 +576,14 @@ fn remapped_jobs_share_pooled_instances_and_credit_savings() {
         c.measure(0, 0).unwrap();
         Arc::new(c)
     };
-    let naive = SimConfig::scale_out(4).with_seed(9);
-    let remapped = naive.with_remap();
+    let naive = SimConfig {
+        seed: 9,
+        ..SimConfig::scale_out(4)
+    };
+    let remapped = SimConfig {
+        remap: true,
+        ..naive
+    };
     for (round, config) in [naive, remapped, naive, remapped].into_iter().enumerate() {
         let handle = engine
             .submit(JobRequest::new(JobSpec::OneShot {

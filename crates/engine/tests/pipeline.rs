@@ -87,12 +87,12 @@ fn one_shot(circuit: &Arc<Circuit>, config: SimConfig) -> JobRequest {
 fn drain_flushes_jobs_parked_at_every_stage() {
     // Tiny stages + one worker on a slow blocker: accepted jobs pile up
     // across admit (2) + compile-in-hand (1) + execute (2) + executor (1).
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_queue_capacity(2),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 1,
+        queue_capacity: 2,
+        ..EngineConfig::default()
+    });
     let slow = Arc::new(deep_blocker());
     let fast = Arc::new(ghz_with_measure(4));
     let config = SimConfig::single_device();
@@ -153,12 +153,12 @@ fn drain_flushes_jobs_parked_at_every_stage() {
 fn cancellation_and_deadline_are_rechecked_at_stage_hops() {
     // Capacity-1 stages pin each victim to a known boundary: v1 in the
     // execute queue, v2 in the compile stage's blocked push, v3 in admit.
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_queue_capacity(1),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 1,
+        queue_capacity: 1,
+        ..EngineConfig::default()
+    });
     let slow = Arc::new(deep_blocker());
     let fast = Arc::new(ghz_with_measure(4));
     let config = SimConfig::single_device();
@@ -175,7 +175,10 @@ fn cancellation_and_deadline_are_rechecked_at_stage_hops() {
         depth(m, "execute") == 1
     });
     let v2 = engine
-        .submit(one_shot(&fast, config).with_deadline_in(Duration::from_millis(1)))
+        .submit(JobRequest {
+            deadline: Some(Instant::now() + Duration::from_millis(1)),
+            ..one_shot(&fast, config)
+        })
         .unwrap();
     wait_for(&engine, "the mover to take v2 in hand", |m| {
         popped(m, "admit") == 3
@@ -204,12 +207,12 @@ fn cancellation_and_deadline_are_rechecked_at_stage_hops() {
 /// per-stage metrics reflect both the rejection and the occupancy.
 #[test]
 fn saturated_execute_stage_rejects_at_admission() {
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_queue_capacity(2),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 1,
+        queue_capacity: 2,
+        ..EngineConfig::default()
+    });
     let slow = Arc::new(ghz_with_measure(16));
     let config = SimConfig::single_device();
     let mut accepted = Vec::new();
@@ -263,11 +266,11 @@ fn saturated_execute_stage_rejects_at_admission() {
 #[test]
 fn limit_memory_caps_in_flight_bytes() {
     const CAP: u64 = 64 * 1024; // exactly one 12-qubit register
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_alloc(AllocMode::LimitMemory(CAP)),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 2,
+        alloc: AllocMode::LimitMemory(CAP),
+        ..EngineConfig::default()
+    });
     let config = SimConfig::single_device();
     let circuits: Vec<Arc<Circuit>> = (6..=12).map(|n| Arc::new(ghz_with_measure(n))).collect();
     let mut handles = Vec::new();
@@ -321,12 +324,12 @@ fn limit_memory_caps_in_flight_bytes() {
 /// first once a worker frees up.
 #[test]
 fn lifo_runs_freshest_submission_first() {
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_sched(SchedMode::Lifo),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 1,
+        sched: SchedMode::Lifo,
+        ..EngineConfig::default()
+    });
     let slow = Arc::new(deep_blocker());
     let fast = Arc::new(ghz_with_measure(4));
     let config = SimConfig::single_device();

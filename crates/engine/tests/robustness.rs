@@ -7,7 +7,7 @@
 //! fault-free run.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use svsim_core::{state_checksum, ParamCircuit, ParamValue, SimConfig, Simulator};
 use svsim_engine::{
     Engine, EngineConfig, JobError, JobOutput, JobRequest, JobSpec, RetryPolicy, SubmitError,
@@ -65,9 +65,11 @@ fn one_shot(circuit: &Arc<Circuit>, config: SimConfig) -> JobRequest {
 #[test]
 fn one_shot_pe_kill_recovers_bit_identically() {
     let circuit = Arc::new(ghz_with_measure(6));
-    let config = SimConfig::scale_out(4)
-        .with_seed(11)
-        .with_checkpoint_every(2);
+    let config = SimConfig {
+        seed: 11,
+        checkpoint_every: 2,
+        ..SimConfig::scale_out(4)
+    };
 
     // Fault-free reference.
     let mut reference = Simulator::new(6, config).unwrap();
@@ -75,14 +77,20 @@ fn one_shot_pe_kill_recovers_bit_identically() {
     let ref_samples: Vec<u64> = reference.sample(32);
     let ref_checksum = state_checksum(reference.state());
 
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, 9, FaultAction::Kill));
     let handle = engine
-        .submit(
-            one_shot(&circuit, config)
-                .with_retry(RetryPolicy::attempts(3).with_base_backoff(Duration::from_millis(1)))
-                .with_fault_plan(Arc::clone(&plan)),
-        )
+        .submit(JobRequest {
+            retry: RetryPolicy {
+                base_backoff: Duration::from_millis(1),
+                ..RetryPolicy::attempts(3)
+            },
+            fault_plan: Some(Arc::clone(&plan)),
+            ..one_shot(&circuit, config)
+        })
         .unwrap();
     let JobOutput::OneShot {
         summary,
@@ -121,14 +129,19 @@ fn one_shot_pe_kill_recovers_bit_identically() {
 #[test]
 fn one_shot_drop_and_poison_recover() {
     let circuit = Arc::new(ghz_with_measure(6));
-    let config = SimConfig::scale_out(2)
-        .with_seed(23)
-        .with_checkpoint_every(3);
+    let config = SimConfig {
+        seed: 23,
+        checkpoint_every: 3,
+        ..SimConfig::scale_out(2)
+    };
     let mut reference = Simulator::new(6, config).unwrap();
     reference.run(&circuit).unwrap();
     let ref_checksum = state_checksum(reference.state());
 
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let plans = [
         FaultPlan::new().with(None, PeOp::Put, 3, FaultAction::Drop),
         FaultPlan::new().with(0, PeOp::Barrier, 7, FaultAction::Poison),
@@ -136,13 +149,14 @@ fn one_shot_drop_and_poison_recover() {
     for plan in plans {
         let plan = Arc::new(plan);
         let handle = engine
-            .submit(
-                one_shot(&circuit, config)
-                    .with_retry(
-                        RetryPolicy::attempts(4).with_base_backoff(Duration::from_millis(1)),
-                    )
-                    .with_fault_plan(Arc::clone(&plan)),
-            )
+            .submit(JobRequest {
+                retry: RetryPolicy {
+                    base_backoff: Duration::from_millis(1),
+                    ..RetryPolicy::attempts(4)
+                },
+                fault_plan: Some(Arc::clone(&plan)),
+                ..one_shot(&circuit, config)
+            })
             .unwrap();
         let JobOutput::OneShot { state, .. } = handle.wait().expect("recovery") else {
             panic!("one-shot output expected");
@@ -167,19 +181,25 @@ fn sweep_exec_fault_recovers_bit_identically() {
     let reference = compiled.run(&params).unwrap();
 
     // One worker so the Exec fault's PE rank (0) is this job's executor.
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("qaoa", &template).unwrap();
     let plan = Arc::new(FaultPlan::new().with(0, PeOp::Exec, 1, FaultAction::Kill));
     let handle = engine
-        .submit(
-            JobRequest::new(JobSpec::Sweep {
+        .submit(JobRequest {
+            retry: RetryPolicy {
+                base_backoff: Duration::from_millis(1),
+                ..RetryPolicy::attempts(2)
+            },
+            fault_plan: Some(Arc::clone(&plan)),
+            ..JobRequest::new(JobSpec::Sweep {
                 template: id,
                 params,
                 returning: SweepReturn::State,
             })
-            .with_retry(RetryPolicy::attempts(2).with_base_backoff(Duration::from_millis(1)))
-            .with_fault_plan(Arc::clone(&plan)),
-        )
+        })
         .unwrap();
     let JobOutput::Sweep { state, .. } = handle.wait().expect("retry must recover") else {
         panic!("sweep output expected");
@@ -200,11 +220,20 @@ fn sweep_exec_fault_recovers_bit_identically() {
 #[test]
 fn fault_without_retry_surfaces_typed_error() {
     let circuit = Arc::new(ghz_with_measure(6));
-    let config = SimConfig::scale_out(2).with_seed(5);
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let config = SimConfig {
+        seed: 5,
+        ..SimConfig::scale_out(2)
+    };
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, 2, FaultAction::Kill));
     let handle = engine
-        .submit(one_shot(&circuit, config).with_fault_plan(plan))
+        .submit(JobRequest {
+            fault_plan: Some(plan),
+            ..one_shot(&circuit, config)
+        })
         .unwrap();
     match handle.wait() {
         Err(JobError::Failed(svsim_types::SvError::PeFailed { pe: 1, .. })) => {}
@@ -220,21 +249,25 @@ fn fault_without_retry_surfaces_typed_error() {
 #[test]
 fn repeated_failures_quarantine_the_job_shape() {
     let circuit = Arc::new(ghz_with_measure(4));
-    let config = SimConfig::scale_out(2).with_seed(7);
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_quarantine_threshold(2),
-    );
+    let config = SimConfig {
+        seed: 7,
+        ..SimConfig::scale_out(2)
+    };
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        quarantine_threshold: 2,
+        ..EngineConfig::default()
+    });
     // Each submission carries a fresh single-shot fault plan, so the same
     // job *shape* fails finally (no retries) every time.
-    let faulty = || {
-        one_shot(&circuit, config).with_fault_plan(Arc::new(FaultPlan::new().with(
+    let faulty = || JobRequest {
+        fault_plan: Some(Arc::new(FaultPlan::new().with(
             0,
             PeOp::Barrier,
             1,
             FaultAction::Kill,
-        )))
+        ))),
+        ..one_shot(&circuit, config)
     };
     for _ in 0..2 {
         let h = engine.submit(faulty()).unwrap();
@@ -249,7 +282,7 @@ fn repeated_failures_quarantine_the_job_shape() {
 
     // A *different* shape (different seed) is unaffected and succeeds —
     // clearing is per-shape, and its success keeps its own streak empty.
-    let other = one_shot(&circuit, config.with_seed(8));
+    let other = one_shot(&circuit, SimConfig { seed: 8, ..config });
     let h = engine.submit(other).unwrap();
     assert!(h.wait().is_ok());
 
@@ -263,19 +296,23 @@ fn repeated_failures_quarantine_the_job_shape() {
 #[test]
 fn success_clears_the_failure_streak() {
     let circuit = Arc::new(ghz_with_measure(4));
-    let config = SimConfig::scale_out(2).with_seed(9);
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_quarantine_threshold(2),
-    );
-    let faulty = || {
-        one_shot(&circuit, config).with_fault_plan(Arc::new(FaultPlan::new().with(
+    let config = SimConfig {
+        seed: 9,
+        ..SimConfig::scale_out(2)
+    };
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        quarantine_threshold: 2,
+        ..EngineConfig::default()
+    });
+    let faulty = || JobRequest {
+        fault_plan: Some(Arc::new(FaultPlan::new().with(
             0,
             PeOp::Barrier,
             1,
             FaultAction::Kill,
-        )))
+        ))),
+        ..one_shot(&circuit, config)
     };
     // fail, succeed (same shape, no fault), fail: streak never reaches 2.
     assert!(engine.submit(faulty()).unwrap().wait().is_err());
@@ -300,12 +337,12 @@ fn success_clears_the_failure_streak() {
 fn mid_sweep_deadline_and_cancellation_are_honored() {
     let template = qaoa_like(4, 1);
     let n_vars = template.n_vars();
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_max_batch(8)
-            .with_queue_capacity(64),
-    );
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 8,
+        queue_capacity: 64,
+        ..EngineConfig::default()
+    });
     let id = engine.register_template("qaoa", &template).unwrap();
 
     // Stalls are built from retry backoff (wall-clock `thread::sleep`, so
@@ -314,9 +351,11 @@ fn mid_sweep_deadline_and_cancellation_are_honored() {
     let stall = |ms: u64| {
         (
             Arc::new(FaultPlan::new().with(0, PeOp::Exec, 1, FaultAction::Kill)),
-            RetryPolicy::attempts(2)
-                .with_base_backoff(Duration::from_millis(ms))
-                .with_max_backoff(Duration::from_millis(ms)),
+            RetryPolicy {
+                base_backoff: Duration::from_millis(ms),
+                max_backoff: Duration::from_millis(ms),
+                ..RetryPolicy::attempts(2)
+            },
         )
     };
 
@@ -325,11 +364,11 @@ fn mid_sweep_deadline_and_cancellation_are_honored() {
     let (plan, policy) = stall(50);
     let blocker_circuit = Arc::new(ghz_with_measure(4));
     let blocker = engine
-        .submit(
-            one_shot(&blocker_circuit, SimConfig::single_device())
-                .with_fault_plan(plan)
-                .with_retry(policy),
-        )
+        .submit(JobRequest {
+            fault_plan: Some(plan),
+            retry: policy,
+            ..one_shot(&blocker_circuit, SimConfig::single_device())
+        })
         .unwrap();
 
     // First batch member stalls 200-400ms mid-sweep; while it sleeps, the
@@ -343,14 +382,21 @@ fn mid_sweep_deadline_and_cancellation_are_honored() {
     };
     let (plan, policy) = stall(400);
     let slow_first = engine
-        .submit(sweep(1).with_fault_plan(plan).with_retry(policy))
+        .submit(JobRequest {
+            fault_plan: Some(plan),
+            retry: policy,
+            ..sweep(1)
+        })
         .unwrap();
     let healthy = engine.submit(sweep(2)).unwrap();
     let cancellee = engine.submit(sweep(3)).unwrap();
     // The deadline (150ms) sits strictly between the batch dequeue (~50ms)
     // and the victim's turn (≥ 200ms behind `slow_first`'s backoff).
     let victim = engine
-        .submit(sweep(4).with_deadline_in(Duration::from_millis(150)))
+        .submit(JobRequest {
+            deadline: Some(Instant::now() + Duration::from_millis(150)),
+            ..sweep(4)
+        })
         .unwrap();
 
     std::thread::sleep(Duration::from_millis(100));
@@ -373,7 +419,10 @@ fn mid_sweep_deadline_and_cancellation_are_honored() {
 /// in `sv-sim fault-bench` output.
 #[test]
 fn metrics_display_includes_robustness_line() {
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let metrics = engine.shutdown();
     let text = format!("{metrics}");
     assert!(text.contains("retries="), "robustness line present: {text}");

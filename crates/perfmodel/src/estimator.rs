@@ -235,7 +235,10 @@ pub fn scale_out_remapped(
 ) -> LatencyBreakdown {
     let n_qubits = circuit.n_qubits();
     let env = ScaleOutEnv::new(dev, ic, n_qubits, n_pes, pes_per_node, intra_bw_gbps);
-    let config = SimConfig::scale_out(n_pes as usize).with_remap();
+    let config = SimConfig {
+        remap: true,
+        ..SimConfig::scale_out(n_pes as usize)
+    };
     let mut out = LatencyBreakdown::default();
     for item in CompiledPlan::compile(circuit, n_qubits, &config).schedule() {
         match item {
@@ -614,7 +617,14 @@ mod tests {
             c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
         }
         let plain = compile_for_estimate(&c);
-        let plan = CompiledPlan::compile(&c, n, &SimConfig::single_device().with_fusion(3));
+        let plan = CompiledPlan::compile(
+            &c,
+            n,
+            &SimConfig {
+                fuse: 3,
+                ..SimConfig::single_device()
+            },
+        );
         let fused: Vec<CompiledGate> = plan
             .schedule()
             .filter_map(|item| match item {

@@ -179,7 +179,14 @@ mod tests {
     fn bv_recovers_secret() {
         for secret in [0b101101u64, 0, 0b11111] {
             let c = bv(7, secret).unwrap();
-            let mut sim = Simulator::new(7, SimConfig::single_device().with_seed(1)).unwrap();
+            let mut sim = Simulator::new(
+                7,
+                SimConfig {
+                    seed: 1,
+                    ..SimConfig::single_device()
+                },
+            )
+            .unwrap();
             let summary = sim.run(&c).unwrap();
             assert_eq!(summary.cbits, secret, "BV must output the secret");
         }
@@ -253,7 +260,14 @@ mod tests {
     fn qf21_peaks_at_multiples_of_one_sixth() {
         // Small instance: 6 counting bits + 1 work qubit.
         let c = qf21(7).unwrap();
-        let mut sim = Simulator::new(7, SimConfig::single_device().with_seed(2)).unwrap();
+        let mut sim = Simulator::new(
+            7,
+            SimConfig {
+                seed: 2,
+                ..SimConfig::single_device()
+            },
+        )
+        .unwrap();
         // Strip the measurements so we can look at the counting register
         // distribution directly.
         let mut unmeasured = Circuit::new(7);
@@ -382,7 +396,14 @@ mod factor_tests {
         // fractions, factor extraction — over several shots at least one
         // must yield the factors (s coprime to 6).
         let c = qf21(11).unwrap(); // 10 counting bits + work
-        let mut sim = Simulator::new(11, SimConfig::single_device().with_seed(21)).unwrap();
+        let mut sim = Simulator::new(
+            11,
+            SimConfig {
+                seed: 21,
+                ..SimConfig::single_device()
+            },
+        )
+        .unwrap();
         let hist = sim.run_shots(&c, 24).unwrap();
         let mut factored = false;
         for &k in hist.keys() {
@@ -438,7 +459,14 @@ mod dj_tests {
     #[test]
     fn constant_oracle_reads_all_zero() {
         let c = deutsch_jozsa(6, 0).unwrap();
-        let mut sim = Simulator::new(6, SimConfig::single_device().with_seed(1)).unwrap();
+        let mut sim = Simulator::new(
+            6,
+            SimConfig {
+                seed: 1,
+                ..SimConfig::single_device()
+            },
+        )
+        .unwrap();
         assert_eq!(sim.run(&c).unwrap().cbits, 0);
     }
 
@@ -446,7 +474,14 @@ mod dj_tests {
     fn balanced_oracle_reads_nonzero() {
         for mask in [0b1u64, 0b101, 0b11111] {
             let c = deutsch_jozsa(6, mask).unwrap();
-            let mut sim = Simulator::new(6, SimConfig::single_device().with_seed(1)).unwrap();
+            let mut sim = Simulator::new(
+                6,
+                SimConfig {
+                    seed: 1,
+                    ..SimConfig::single_device()
+                },
+            )
+            .unwrap();
             // For the parity oracle, the data register reads exactly `mask`.
             assert_eq!(sim.run(&c).unwrap().cbits, mask);
         }

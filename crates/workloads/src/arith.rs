@@ -182,8 +182,14 @@ mod tests {
     use svsim_core::{SimConfig, Simulator};
 
     fn run_cbits(c: &Circuit) -> u64 {
-        let mut sim =
-            Simulator::new(c.n_qubits(), SimConfig::single_device().with_seed(1)).unwrap();
+        let mut sim = Simulator::new(
+            c.n_qubits(),
+            SimConfig {
+                seed: 1,
+                ..SimConfig::single_device()
+            },
+        )
+        .unwrap();
         sim.run(c).unwrap().cbits
     }
 

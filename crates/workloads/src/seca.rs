@@ -111,7 +111,14 @@ mod tests {
     /// injected: <Z_10> = cos(theta).
     fn check_recovered(theta: f64, error: InjectedError) {
         let c = seca(theta, error).unwrap();
-        let mut sim = Simulator::new(11, SimConfig::single_device().with_seed(3)).unwrap();
+        let mut sim = Simulator::new(
+            11,
+            SimConfig {
+                seed: 3,
+                ..SimConfig::single_device()
+            },
+        )
+        .unwrap();
         sim.run(&c).unwrap();
         let z10 = PauliString::new(&[(svsim_ir::Pauli::Z, 10)]).unwrap();
         let expect = theta.cos();

@@ -304,8 +304,14 @@ mod tests {
         use svsim_core::{SimConfig, Simulator};
         for spec in medium_suite() {
             let c = spec.circuit().unwrap();
-            let mut sim =
-                Simulator::new(c.n_qubits(), SimConfig::single_device().with_seed(11)).unwrap();
+            let mut sim = Simulator::new(
+                c.n_qubits(),
+                SimConfig {
+                    seed: 11,
+                    ..SimConfig::single_device()
+                },
+            )
+            .unwrap();
             sim.run(&c).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert!(
                 (sim.state().norm_sqr() - 1.0).abs() < 1e-9,

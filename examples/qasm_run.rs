@@ -62,7 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for shot in 0..shots {
         let mut sim = Simulator::new(
             circuit.n_qubits(),
-            SimConfig::single_device().with_seed(1000 + shot),
+            SimConfig {
+                seed: 1000 + shot,
+                ..SimConfig::single_device()
+            },
         )?;
         let summary = sim.run(&circuit)?;
         *histogram.entry(summary.cbits).or_insert(0usize) += 1;

@@ -18,7 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("circuit:\n{circuit}");
 
     // Run on the single-device backend.
-    let mut sim = Simulator::new(n, SimConfig::single_device().with_seed(7))?;
+    let mut sim = Simulator::new(
+        n,
+        SimConfig {
+            seed: 7,
+            ..SimConfig::single_device()
+        },
+    )?;
     let summary = sim.run(&circuit)?;
     println!("executed {} gates", summary.gates);
     let probs = sim.probabilities();
@@ -40,7 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("sampled histogram: {hist:?}");
 
     // The same circuit through the PGAS scale-out backend (4 SHMEM PEs).
-    let mut shmem_sim = Simulator::new(n, SimConfig::scale_out(4).with_seed(7))?;
+    let mut shmem_sim = Simulator::new(
+        n,
+        SimConfig {
+            seed: 7,
+            ..SimConfig::scale_out(4)
+        },
+    )?;
     let summary = shmem_sim.run(&circuit)?;
     let traffic = summary.total_traffic();
     println!(

@@ -50,3 +50,9 @@ pub use svsim_types as types;
 pub use svsim_verify as verify;
 pub use svsim_vqa as vqa;
 pub use svsim_workloads as workloads;
+
+/// Compiles and runs the README's Rust fences under `cargo test`, so its
+/// snippets cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

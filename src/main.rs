@@ -3,7 +3,7 @@
 //! from `benchmark/` (the one command in `BENCHMARK.json`), not from here.
 
 use std::process::ExitCode;
-use sv_sim::core::{measure, BackendKind, DispatchMode, SimConfig, Simulator};
+use sv_sim::core::{measure, BackendKind, DispatchMode, ShmemBackend, SimConfig, Simulator};
 use sv_sim::perfmodel::{compile_for_estimate, devices, interconnects, scale_up, single_device};
 use sv_sim::qasm::parse_circuit;
 
@@ -234,7 +234,7 @@ fn cmd_run(flags: &Flags) -> CmdResult {
                             (--backend out:N)"
                     .into());
             }
-            config.shmem_backend = sv_sim::core::ShmemBackend::Process;
+            config.shmem_backend = ShmemBackend::Process;
         }
         Some(other) => return Err(format!("unknown PE mode `{other}` (thread|process)").into()),
     }
@@ -242,7 +242,7 @@ fn cmd_run(flags: &Flags) -> CmdResult {
         config.seed = seed.parse()?;
     }
     if let Some(window) = flags.value("--fuse") {
-        config = config.with_fusion(window.parse()?);
+        config.fuse = window.parse()?;
     }
     let shots: usize = flags.value("--shots").map_or(Ok(1024), str::parse)?;
 
@@ -484,10 +484,12 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
         let at = 1 + (rng.next_f64() * 8.0) as u64;
         Arc::new(FaultPlan::new().with(None, op, at, action))
     };
-    let retry = RetryPolicy::attempts(attempts.max(2))
-        .with_base_backoff(Duration::from_millis(1))
-        .with_max_backoff(Duration::from_millis(8))
-        .with_jitter_seed(seed);
+    let retry = RetryPolicy {
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(8),
+        jitter_seed: seed,
+        ..RetryPolicy::attempts(attempts.max(2))
+    };
 
     // --- The mix ------------------------------------------------------------
     // One-shots arrive as OpenQASM text and execute scale-out with periodic
@@ -496,22 +498,25 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
         sv_sim::qasm::to_qasm(&cat_state(8)?)?,
         sv_sim::qasm::to_qasm(&w_state(8)?)?,
     ];
-    let one_shot_jobs: Vec<(sv_sim::ir::Circuit, sv_sim::core::SimConfig)> = (0..one_shots)
+    let one_shot_jobs: Vec<(sv_sim::ir::Circuit, SimConfig)> = (0..one_shots)
         .map(|i| {
             let circuit = parse_circuit(&qasm_sources[i % qasm_sources.len()])?;
             // Thread PEs run under the race detector: recovery must be both
             // bit-identical AND protocol-clean (races_detected fails the
             // bench below). Process PEs cannot host the in-process detector;
             // they instead prove recovery across real fork/SIGKILL deaths.
-            let mut config = sv_sim::core::SimConfig::scale_out(pes)
-                .with_seed(seed ^ i as u64)
-                .with_checkpoint_every(every)
-                .with_hang_deadline_ms(hang_ms);
-            if process_pes {
-                config = config.with_process_backend();
-            } else {
-                config = config.with_race_detection();
-            }
+            let config = SimConfig {
+                seed: seed ^ i as u64,
+                checkpoint_every: every,
+                hang_deadline_ms: hang_ms,
+                detect_races: !process_pes,
+                shmem_backend: if process_pes {
+                    ShmemBackend::Process
+                } else {
+                    ShmemBackend::Thread
+                },
+                ..SimConfig::scale_out(pes)
+            };
             Ok::<_, Box<dyn std::error::Error>>((circuit, config))
         })
         .collect::<Result<_, _>>()?;
@@ -559,7 +564,10 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
         }
     }));
     // One worker: execution order (and the Exec fault's PE rank) is fixed.
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let qaoa_id = engine.register_template("qaoa_maxcut_n8", &qaoa)?;
     let mut plans = Vec::new();
 
@@ -581,18 +589,18 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
             );
             plans.push(Arc::clone(&plan));
             engine
-                .submit(
-                    JobRequest::new(JobSpec::OneShot {
+                .submit(JobRequest {
+                    retry,
+                    degrade,
+                    checkpoint_dir: Some(ckpt_root.join(format!("job-{i}"))),
+                    fault_plan: Some(plan),
+                    ..JobRequest::new(JobSpec::OneShot {
                         circuit: Arc::new(circuit.clone()),
                         config: *config,
                         shots: 0,
                         return_state: true,
                     })
-                    .with_retry(retry)
-                    .with_degrade(degrade)
-                    .with_checkpoint_dir(ckpt_root.join(format!("job-{i}")))
-                    .with_fault_plan(plan),
-                )
+                })
                 .map_err(|e| e.to_string())
         })
         .collect::<Result<_, _>>()?;
@@ -600,18 +608,20 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let mut request = JobRequest::new(JobSpec::Sweep {
-                template: qaoa_id,
-                params: p.clone(),
-                returning: SweepReturn::ExpZ(qaoa_mask),
-            })
-            .with_retry(retry);
+            let mut request = JobRequest {
+                retry,
+                ..JobRequest::new(JobSpec::Sweep {
+                    template: qaoa_id,
+                    params: p.clone(),
+                    returning: SweepReturn::ExpZ(qaoa_mask),
+                })
+            };
             // SHMEM-level faults have no trigger inside a single-device
             // template sweep; Exec faults target every other sweep point.
             if !chaos && op == PeOp::Exec && i % 2 == 0 {
                 let plan = make_plan(seed ^ (i as u64) << 7, op, action);
                 plans.push(Arc::clone(&plan));
-                request = request.with_fault_plan(plan);
+                request.fault_plan = Some(plan);
             }
             engine.submit(request).map_err(|e| e.to_string())
         })
@@ -686,10 +696,12 @@ fn cmd_analyze(flags: &Flags) -> CmdResult {
 
     let pes: usize = flags.value("--pes").map_or(Ok(8), str::parse)?;
     let detect = flags.has("--detect");
-    let mut config = SimConfig::scale_out(pes)
-        .with_seed(flags.value("--seed").map_or(Ok(0xACE5), str::parse)?)
-        .with_fusion(flags.value("--fuse").map_or(Ok(0), str::parse)?);
-    config.remap = flags.has("--remap");
+    let config = SimConfig {
+        seed: flags.value("--seed").map_or(Ok(0xACE5), str::parse)?,
+        remap: flags.has("--remap"),
+        fuse: flags.value("--fuse").map_or(Ok(0), str::parse)?,
+        ..SimConfig::scale_out(pes)
+    };
     let merge: Option<usize> = flags.value("--merge-epochs").map(str::parse).transpose()?;
     if merge.is_some() && (detect || config.remap) {
         return Err("--merge-epochs edits the plain schedule statically; \

@@ -34,13 +34,25 @@ fn all_execution_paths_agree() {
         let circuit = random_circuit(n, n_gates, seed);
         let reference = run_state(&circuit, SimConfig::single_device());
         let configs = [
-            SimConfig::single_device().with_dispatch(DispatchMode::RuntimeParse),
-            SimConfig::single_device().with_generic_gates(),
+            SimConfig {
+                dispatch: DispatchMode::RuntimeParse,
+                ..SimConfig::single_device()
+            },
+            SimConfig {
+                specialized: false,
+                ..SimConfig::single_device()
+            },
             SimConfig::scale_up(2),
             SimConfig::scale_up(8),
-            SimConfig::scale_up(4).with_dispatch(DispatchMode::RuntimeParse),
+            SimConfig {
+                dispatch: DispatchMode::RuntimeParse,
+                ..SimConfig::scale_up(4)
+            },
             SimConfig::scale_out(2),
-            SimConfig::scale_out(4).with_generic_gates(),
+            SimConfig {
+                specialized: false,
+                ..SimConfig::scale_out(4)
+            },
             SimConfig::scale_out(8),
         ];
         for config in configs {
@@ -261,7 +273,10 @@ fn slab_path_is_indistinguishable_from_the_observed_per_word_path() {
                 configs.push(with(SimConfig::scale_up(2)));
                 for n_pes in [2, 4] {
                     configs.push(with(SimConfig::scale_out(n_pes)));
-                    configs.push(with(SimConfig::scale_out(n_pes).with_remap()));
+                    configs.push(with(SimConfig {
+                        remap: true,
+                        ..SimConfig::scale_out(n_pes)
+                    }));
                 }
             }
         }
@@ -284,7 +299,13 @@ fn slab_path_is_indistinguishable_from_the_observed_per_word_path() {
         assert!(plain == at_barriers, "{config:?}");
 
         if matches!(config.backend, sv_sim::core::BackendKind::ScaleOut { .. }) {
-            let (detected, none) = observe(config.with_race_detection(), None);
+            let (detected, none) = observe(
+                SimConfig {
+                    detect_races: true,
+                    ..config
+                },
+                None,
+            );
             assert_eq!(none, 0, "{config:?}: the detector must see every word");
             assert!(
                 plain == detected,

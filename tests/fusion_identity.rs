@@ -24,20 +24,42 @@ fn checksum_run(circuit: &sv_sim::ir::Circuit, config: SimConfig) -> (u64, u64) 
 fn medium_suite_fused_is_bit_identical_everywhere() {
     for spec in medium_suite() {
         let circuit = spec.circuit().unwrap();
-        let (ref_sum, ref_cbits) = checksum_run(&circuit, SimConfig::single_device().with_seed(7));
+        let (ref_sum, ref_cbits) = checksum_run(
+            &circuit,
+            SimConfig {
+                seed: 7,
+                ..SimConfig::single_device()
+            },
+        );
         for window in 1..=3u8 {
             let configs = [
-                SimConfig::single_device().with_seed(7).with_fusion(window),
-                SimConfig::single_device()
-                    .with_seed(7)
-                    .with_dispatch(DispatchMode::RuntimeParse)
-                    .with_fusion(window),
-                SimConfig::scale_up(4).with_seed(7).with_fusion(window),
-                SimConfig::scale_out(4).with_seed(7).with_fusion(window),
-                SimConfig::scale_out(4)
-                    .with_seed(7)
-                    .with_remap()
-                    .with_fusion(window),
+                SimConfig {
+                    seed: 7,
+                    fuse: window,
+                    ..SimConfig::single_device()
+                },
+                SimConfig {
+                    seed: 7,
+                    dispatch: DispatchMode::RuntimeParse,
+                    fuse: window,
+                    ..SimConfig::single_device()
+                },
+                SimConfig {
+                    seed: 7,
+                    fuse: window,
+                    ..SimConfig::scale_up(4)
+                },
+                SimConfig {
+                    seed: 7,
+                    fuse: window,
+                    ..SimConfig::scale_out(4)
+                },
+                SimConfig {
+                    seed: 7,
+                    remap: true,
+                    fuse: window,
+                    ..SimConfig::scale_out(4)
+                },
             ];
             for config in configs {
                 let (sum, cbits) = checksum_run(&circuit, config);
@@ -73,7 +95,14 @@ fn fusion_collapses_passes_without_inflating_any_workload() {
             continue;
         }
         let unfused = CompiledPlan::compile(&circuit, n, &SimConfig::single_device());
-        let fused = CompiledPlan::compile(&circuit, n, &SimConfig::single_device().with_fusion(3));
+        let fused = CompiledPlan::compile(
+            &circuit,
+            n,
+            &SimConfig {
+                fuse: 3,
+                ..SimConfig::single_device()
+            },
+        );
         assert_eq!(
             fused.n_source_kernels(),
             unfused.n_kernels(),
@@ -122,16 +151,22 @@ fn full_suite_fused_bit_identity_thread_vs_process() {
     assert_eq!(suite.len(), 16, "the full Table 4 suite");
     for spec in suite {
         let circuit = spec.circuit().unwrap();
-        let (ref_sum, ref_cbits) = checksum_run(&circuit, SimConfig::single_device().with_seed(11));
+        let (ref_sum, ref_cbits) = checksum_run(
+            &circuit,
+            SimConfig {
+                seed: 11,
+                ..SimConfig::single_device()
+            },
+        );
         for backend in [ShmemBackend::Thread, ShmemBackend::Process] {
             for remap in [false, true] {
-                let mut config = SimConfig::scale_out(4)
-                    .with_seed(11)
-                    .with_shmem_backend(backend)
-                    .with_fusion(3);
-                if remap {
-                    config = config.with_remap();
-                }
+                let config = SimConfig {
+                    seed: 11,
+                    remap,
+                    shmem_backend: backend,
+                    fuse: 3,
+                    ..SimConfig::scale_out(4)
+                };
                 let (sum, cbits) = checksum_run(&circuit, config);
                 assert_eq!(
                     sum, ref_sum,

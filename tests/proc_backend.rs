@@ -62,9 +62,18 @@ fn thread_and_process_pes_are_bit_identical() {
         let n = 6u32;
         let circuit = random_circuit(n, 5 + (seed as usize * 9) % 40, seed);
         for n_pes in [2usize, 4, 8] {
-            let base = SimConfig::scale_out(n_pes).with_seed(seed);
+            let base = SimConfig {
+                seed,
+                ..SimConfig::scale_out(n_pes)
+            };
             let (tc, tre, tim) = run_state(&circuit, base);
-            let (pc, pre, pim) = run_state(&circuit, base.with_process_backend());
+            let (pc, pre, pim) = run_state(
+                &circuit,
+                SimConfig {
+                    shmem_backend: ShmemBackend::Process,
+                    ..base
+                },
+            );
             assert_eq!(tc, pc, "cbits diverged (seed {seed}, {n_pes} PEs)");
             assert_eq!(tre, pre, "re diverged (seed {seed}, {n_pes} PEs)");
             assert_eq!(tim, pim, "im diverged (seed {seed}, {n_pes} PEs)");
@@ -78,9 +87,18 @@ fn thread_and_process_pes_are_bit_identical() {
 fn measurement_streams_agree_across_backends() {
     let circuit = ghz_with_measure(5);
     for seed in 0..8u64 {
-        let base = SimConfig::scale_out(4).with_seed(seed);
+        let base = SimConfig {
+            seed,
+            ..SimConfig::scale_out(4)
+        };
         let (tc, tre, tim) = run_state(&circuit, base);
-        let (pc, pre, pim) = run_state(&circuit, base.with_process_backend());
+        let (pc, pre, pim) = run_state(
+            &circuit,
+            SimConfig {
+                shmem_backend: ShmemBackend::Process,
+                ..base
+            },
+        );
         assert_eq!(tc, pc, "seed {seed}");
         assert_eq!((tre, tim), (pre, pim), "collapsed state, seed {seed}");
     }
@@ -107,10 +125,25 @@ fn slab_path_matches_the_per_word_path_on_process_pes() {
             summary.slab_kernels,
         )
     };
-    let threads = SimConfig::scale_out(2).with_seed(5);
+    let threads = SimConfig {
+        seed: 5,
+        ..SimConfig::scale_out(2)
+    };
     let never = FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0));
-    let (plain, on_slab) = observe(threads.with_process_backend(), None);
-    let (by_word, none) = observe(threads.with_process_backend(), Some(never));
+    let (plain, on_slab) = observe(
+        SimConfig {
+            shmem_backend: ShmemBackend::Process,
+            ..threads
+        },
+        None,
+    );
+    let (by_word, none) = observe(
+        SimConfig {
+            shmem_backend: ShmemBackend::Process,
+            ..threads
+        },
+        Some(never),
+    );
     assert!(on_slab > 0, "no kernel took the slab");
     assert_eq!(none, 0, "a Get spec must see every get");
     assert!(plain == by_word, "slab and per-word runs differ");
@@ -126,12 +159,20 @@ fn slab_path_matches_the_per_word_path_on_process_pes() {
 fn remap_is_bit_identical_on_process_pes() {
     for seed in [3u64, 17] {
         let circuit = random_circuit(6, 48, seed);
-        let reference = run_state(&circuit, SimConfig::single_device().with_seed(seed));
+        let reference = run_state(
+            &circuit,
+            SimConfig {
+                seed,
+                ..SimConfig::single_device()
+            },
+        );
         for n_pes in [4usize, 8] {
-            let config = SimConfig::scale_out(n_pes)
-                .with_seed(seed)
-                .with_remap()
-                .with_process_backend();
+            let config = SimConfig {
+                seed,
+                remap: true,
+                shmem_backend: ShmemBackend::Process,
+                ..SimConfig::scale_out(n_pes)
+            };
             assert_eq!(
                 run_state(&circuit, config),
                 reference,
@@ -147,9 +188,11 @@ fn remap_is_bit_identical_on_process_pes() {
 #[test]
 fn race_detection_on_process_pes_is_a_typed_config_error() {
     let circuit = random_circuit(5, 10, 1);
-    let config = SimConfig::scale_out(2)
-        .with_race_detection()
-        .with_process_backend();
+    let config = SimConfig {
+        detect_races: true,
+        shmem_backend: ShmemBackend::Process,
+        ..SimConfig::scale_out(2)
+    };
     let mut sim = Simulator::new(5, config).unwrap();
     match sim.run(&circuit) {
         Err(SvError::InvalidConfig(msg)) => {
@@ -164,7 +207,10 @@ fn race_detection_on_process_pes_is_a_typed_config_error() {
 #[test]
 fn repeated_launches_leak_no_memfds() {
     let circuit = random_circuit(5, 12, 7);
-    let config = SimConfig::scale_out(4).with_process_backend();
+    let config = SimConfig {
+        shmem_backend: ShmemBackend::Process,
+        ..SimConfig::scale_out(4)
+    };
     for _ in 0..20 {
         let mut sim = Simulator::new(5, config).unwrap();
         sim.run(&circuit).unwrap();
@@ -190,28 +236,36 @@ fn repeated_launches_leak_no_memfds() {
 #[test]
 fn engine_recovers_from_a_real_sigkill_bit_identically() {
     let circuit = Arc::new(ghz_with_measure(6));
-    let config = SimConfig::scale_out(4)
-        .with_seed(11)
-        .with_checkpoint_every(2)
-        .with_process_backend();
+    let config = SimConfig {
+        seed: 11,
+        checkpoint_every: 2,
+        shmem_backend: ShmemBackend::Process,
+        ..SimConfig::scale_out(4)
+    };
 
     let mut reference = Simulator::new(6, config).unwrap();
     let ref_summary = reference.run(&circuit).unwrap();
     let ref_checksum = state_checksum(reference.state());
 
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, 9, FaultAction::Kill));
     let handle = engine
-        .submit(
-            JobRequest::new(JobSpec::OneShot {
+        .submit(JobRequest {
+            retry: RetryPolicy {
+                base_backoff: Duration::from_millis(1),
+                ..RetryPolicy::attempts(3)
+            },
+            fault_plan: Some(Arc::clone(&plan)),
+            ..JobRequest::new(JobSpec::OneShot {
                 circuit: Arc::clone(&circuit),
                 config,
                 shots: 0,
                 return_state: true,
             })
-            .with_retry(RetryPolicy::attempts(3).with_base_backoff(Duration::from_millis(1)))
-            .with_fault_plan(Arc::clone(&plan)),
-        )
+        })
         .unwrap();
     let JobOutput::OneShot { summary, state, .. } =
         handle.wait().expect("retry must recover the job")
@@ -236,25 +290,29 @@ fn engine_recovers_from_a_real_sigkill_bit_identically() {
 #[test]
 fn repeated_sigkills_quarantine_the_job_shape() {
     let circuit = Arc::new(ghz_with_measure(4));
-    let config = SimConfig::scale_out(2).with_seed(7).with_process_backend();
-    let engine = Engine::start(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_quarantine_threshold(2),
-    );
-    let faulty = || {
-        JobRequest::new(JobSpec::OneShot {
+    let config = SimConfig {
+        seed: 7,
+        shmem_backend: ShmemBackend::Process,
+        ..SimConfig::scale_out(2)
+    };
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        quarantine_threshold: 2,
+        ..EngineConfig::default()
+    });
+    let faulty = || JobRequest {
+        fault_plan: Some(Arc::new(FaultPlan::new().with(
+            0,
+            PeOp::Barrier,
+            2,
+            FaultAction::Kill,
+        ))),
+        ..JobRequest::new(JobSpec::OneShot {
             circuit: Arc::clone(&circuit),
             config,
             shots: 0,
             return_state: false,
         })
-        .with_fault_plan(Arc::new(FaultPlan::new().with(
-            0,
-            PeOp::Barrier,
-            2,
-            FaultAction::Kill,
-        )))
     };
     for _ in 0..2 {
         match engine.submit(faulty()).unwrap().wait() {
@@ -278,7 +336,10 @@ fn repeated_sigkills_quarantine_the_job_shape() {
     // admitted normally.
     let thread_job = JobRequest::new(JobSpec::OneShot {
         circuit: Arc::clone(&circuit),
-        config: config.with_shmem_backend(ShmemBackend::Thread),
+        config: SimConfig {
+            shmem_backend: ShmemBackend::Thread,
+            ..config
+        },
         shots: 0,
         return_state: false,
     });
@@ -299,10 +360,12 @@ fn torn_checkpoint_recovers_from_previous_generation_on_both_backends() {
     use sv_sim::workloads::random::random_circuit;
     let circuit = random_circuit(5, 24, 21);
     for backend in [ShmemBackend::Thread, ShmemBackend::Process] {
-        let config = SimConfig::scale_out(2)
-            .with_seed(5)
-            .with_checkpoint_every(2)
-            .with_shmem_backend(backend);
+        let config = SimConfig {
+            seed: 5,
+            checkpoint_every: 2,
+            shmem_backend: backend,
+            ..SimConfig::scale_out(2)
+        };
         let mut reference = Simulator::new(5, config).unwrap();
         let ref_summary = reference.run(&circuit).unwrap();
         let ref_checksum = state_checksum(reference.state());
@@ -354,27 +417,32 @@ fn torn_checkpoint_recovers_from_previous_generation_on_both_backends() {
 #[test]
 fn respawn_heals_a_sigkill_without_an_engine_retry() {
     let circuit = Arc::new(ghz_with_measure(6));
-    let config = SimConfig::scale_out(4)
-        .with_seed(11)
-        .with_checkpoint_every(2)
-        .with_process_backend();
+    let config = SimConfig {
+        seed: 11,
+        checkpoint_every: 2,
+        shmem_backend: ShmemBackend::Process,
+        ..SimConfig::scale_out(4)
+    };
     let mut reference = Simulator::new(6, config).unwrap();
     reference.run(&circuit).unwrap();
     let ref_checksum = state_checksum(reference.state());
 
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, 9, FaultAction::Kill));
     let handle = engine
-        .submit(
-            JobRequest::new(JobSpec::OneShot {
+        .submit(JobRequest {
+            degrade: DegradePolicy::Respawn { max_respawns: 2 },
+            fault_plan: Some(Arc::clone(&plan)),
+            ..JobRequest::new(JobSpec::OneShot {
                 circuit: Arc::clone(&circuit),
                 config,
                 shots: 0,
                 return_state: true,
             })
-            .with_degrade(DegradePolicy::Respawn { max_respawns: 2 })
-            .with_fault_plan(Arc::clone(&plan)),
-        )
+        })
         .unwrap();
     let JobOutput::OneShot { summary, state, .. } =
         handle.wait().expect("respawn must heal the launch")
@@ -400,27 +468,32 @@ fn respawn_heals_a_sigkill_without_an_engine_retry() {
 #[test]
 fn hung_pe_surfaces_as_typed_pe_hung_through_the_engine() {
     let circuit = Arc::new(ghz_with_measure(5));
-    let config = SimConfig::scale_out(2)
-        .with_seed(3)
-        .with_process_backend()
-        .with_hang_deadline_ms(400);
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let config = SimConfig {
+        seed: 3,
+        shmem_backend: ShmemBackend::Process,
+        hang_deadline_ms: 400,
+        ..SimConfig::scale_out(2)
+    };
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let started = std::time::Instant::now();
     let handle = engine
-        .submit(
-            JobRequest::new(JobSpec::OneShot {
-                circuit,
-                config,
-                shots: 0,
-                return_state: false,
-            })
-            .with_fault_plan(Arc::new(FaultPlan::new().with(
+        .submit(JobRequest {
+            fault_plan: Some(Arc::new(FaultPlan::new().with(
                 1,
                 PeOp::Put,
                 2,
                 FaultAction::Hang,
             ))),
-        )
+            ..JobRequest::new(JobSpec::OneShot {
+                circuit,
+                config,
+                shots: 0,
+                return_state: false,
+            })
+        })
         .unwrap();
     match handle.wait() {
         Err(JobError::Failed(SvError::PeHung { pe, stalled_ms, .. })) => {
@@ -443,30 +516,38 @@ fn hung_pe_surfaces_as_typed_pe_hung_through_the_engine() {
 #[test]
 fn degradation_ladder_halves_pes_and_stays_bit_identical() {
     let circuit = Arc::new(ghz_with_measure(6));
-    let config = SimConfig::scale_out(4)
-        .with_seed(19)
-        .with_checkpoint_every(2);
+    let config = SimConfig {
+        seed: 19,
+        checkpoint_every: 2,
+        ..SimConfig::scale_out(4)
+    };
     let mut reference = Simulator::new(6, config).unwrap();
     reference.run(&circuit).unwrap();
     let ref_checksum = state_checksum(reference.state());
 
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
     let plan = Arc::new(FaultPlan::new().with(None, PeOp::Put, 3, FaultAction::Kill));
     let handle = engine
-        .submit(
-            JobRequest::new(JobSpec::OneShot {
+        .submit(JobRequest {
+            retry: RetryPolicy {
+                base_backoff: Duration::from_millis(1),
+                ..RetryPolicy::attempts(4)
+            },
+            degrade: DegradePolicy::HalvePes {
+                failures_per_rung: 1,
+                min_pes: 1,
+            },
+            fault_plan: Some(Arc::clone(&plan)),
+            ..JobRequest::new(JobSpec::OneShot {
                 circuit: Arc::clone(&circuit),
                 config,
                 shots: 0,
                 return_state: true,
             })
-            .with_retry(RetryPolicy::attempts(4).with_base_backoff(Duration::from_millis(1)))
-            .with_degrade(DegradePolicy::HalvePes {
-                failures_per_rung: 1,
-                min_pes: 1,
-            })
-            .with_fault_plan(Arc::clone(&plan)),
-        )
+        })
         .unwrap();
     let JobOutput::OneShot { state, .. } = handle.wait().expect("degraded job must complete")
     else {
@@ -515,8 +596,11 @@ fn full_suite_bit_identity_thread_vs_process() {
                 };
                 let mut remote_bytes = Vec::new();
                 for &remap in remaps {
-                    let mut config = SimConfig::scale_out(n_pes).with_shmem_backend(backend);
-                    config.remap = remap;
+                    let config = SimConfig {
+                        remap,
+                        shmem_backend: backend,
+                        ..SimConfig::scale_out(n_pes)
+                    };
                     let mut sim = Simulator::new(n, config).unwrap();
                     let summary = sim.run(&circuit).unwrap();
                     assert_eq!(

@@ -22,7 +22,14 @@ measure q[1] -> c[1];
 measure q[2] -> c[2];
 "#;
     let circuit = parse_circuit(src).unwrap();
-    let mut sim = Simulator::new(4, SimConfig::single_device().with_seed(3)).unwrap();
+    let mut sim = Simulator::new(
+        4,
+        SimConfig {
+            seed: 3,
+            ..SimConfig::single_device()
+        },
+    )
+    .unwrap();
     let summary = sim.run(&circuit).unwrap();
     assert_eq!(summary.cbits, 0b101);
 }
@@ -64,7 +71,14 @@ if (c == 1) x q[2];
 "#;
     let circuit = parse_circuit(src).unwrap();
     for seed in 0..8u64 {
-        let mut sim = Simulator::new(3, SimConfig::scale_out(4).with_seed(seed)).unwrap();
+        let mut sim = Simulator::new(
+            3,
+            SimConfig {
+                seed,
+                ..SimConfig::scale_out(4)
+            },
+        )
+        .unwrap();
         let summary = sim.run(&circuit).unwrap();
         // q[2] must track the measured bit exactly.
         let p2 = sv_sim::core::measure::prob_one(sim.state(), 2);
@@ -116,8 +130,14 @@ include "qelib1.inc";
 qreg q[4];
 h q[0]; cx q[0], q[1]; t q[2]; cx q[2], q[3]; h q[3];
 "#;
-    let engine = Engine::start(EngineConfig::default().with_workers(1));
-    let config = SimConfig::single_device().with_seed(5);
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    let config = SimConfig {
+        seed: 5,
+        ..SimConfig::single_device()
+    };
     let run = |source: &str| {
         let circuit = Arc::new(parse_circuit(source).unwrap());
         let handle = engine
@@ -148,29 +168,37 @@ h q[0]; cx q[0], q[1]; t q[2]; cx q[2], q[3]; h q[3];
     );
 }
 
-/// The built binary refuses what it cannot act on instead of ignoring it: a
-/// misspelt flag, a value flag with nothing after it, and the removed bench
-/// commands are all usage errors (exit 2) that name the offender.
-#[test]
-fn cli_rejects_unknown_and_valueless_flags() {
-    let path = std::env::temp_dir().join(format!("svsim-cli-{}.qasm", std::process::id()));
+/// Run the built `sv-sim` binary: exit code, stdout, stderr.
+fn sv_sim(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sv-sim"))
+        .args(args)
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A two-qubit Bell circuit on disk for the CLI tests (one file per test).
+fn bell_qasm_file(tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("svsim-cli-{tag}-{}.qasm", std::process::id()));
     std::fs::write(
         &path,
         "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n",
     )
     .unwrap();
+    path
+}
+
+/// The built binary refuses what it cannot act on instead of ignoring it: a
+/// misspelt flag, a value flag with nothing after it, and the removed bench
+/// commands are all usage errors (exit 2) that name the offender.
+#[test]
+fn cli_rejects_unknown_and_valueless_flags() {
+    let path = bell_qasm_file("flags");
     let file = path.to_str().unwrap();
-    let sv_sim = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sv-sim"))
-            .args(args)
-            .output()
-            .unwrap();
-        (
-            out.status.code(),
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    };
 
     let (code, stdout, _) = sv_sim(&["run", file, "--shots", "100", "--seed", "3"]);
     assert_eq!(code, Some(0));
@@ -193,5 +221,22 @@ fn cli_rejects_unknown_and_valueless_flags() {
         assert_eq!(code, Some(2), "{removed}");
         assert!(stderr.starts_with("usage:"), "{removed}: {stderr}");
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `--fuse W` goes into `SimConfig::fuse` as typed; the window is clamped
+/// where the plan is lowered, and both commands report that plan's window.
+#[test]
+fn cli_reports_the_fusion_window_the_plan_was_lowered_with() {
+    let path = bell_qasm_file("fuse");
+    let file = path.to_str().unwrap();
+
+    let (code, stdout, stderr) = sv_sim(&["run", file, "--shots", "0", "--fuse", "9"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("fusion: window 3 collapsed"), "{stdout}");
+
+    let (code, stdout, stderr) = sv_sim(&["analyze", file, "--pes", "2", "--fuse", "9"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("fuse window 3,"), "{stdout}");
     let _ = std::fs::remove_file(&path);
 }
