@@ -129,8 +129,9 @@ mod tests {
 
     #[test]
     fn detector_on_observes_every_word_of_a_suite_circuit() {
-        // Arming the detector takes the PEs' slabs away, so every access of
-        // every kernel is still issued — and recorded — one word at a time.
+        // Arming the detector stops the PEs borrowing partitions as plain
+        // memory, so every access of every kernel is still issued — and
+        // recorded — one word at a time.
         // On that path each recorded access is also one counted op, so the
         // op total is the observed-access total: `seca_n11` at 4 PEs read
         // 169_984 at the commit before partition-local kernels moved to
@@ -158,7 +159,8 @@ mod tests {
         assert_eq!(detected.slab_kernels, 0, "detector on: per-word path only");
         assert_eq!(detected.total_traffic().total_ops(), 169_984);
         let plain = run(base);
-        assert!(plain.slab_kernels > 0);
+        assert!(plain.slab_kernels > 0 && plain.word_kernels == 0);
+        assert!(detected.word_kernels > plain.slab_kernels, "every kernel");
         assert_eq!(plain.traffic, detected.traffic);
     }
 

@@ -67,17 +67,39 @@ impl Fnv1a {
     }
 }
 
-/// FNV-1a digest of a state vector's amplitude bits — the "final state
-/// checksum" that fault-bench compares between faulted and fault-free
-/// runs. Bit-identical states ⇔ equal checksums.
+/// Digest of a state vector's amplitude bits — the "final state checksum"
+/// that fault-bench compares between faulted and fault-free runs.
+/// Bit-identical states ⇔ equal checksums.
+///
+/// Four independent FNV-style lanes each absorb every fourth amplitude a
+/// whole 64-bit word per step: xor, multiply by the FNV prime, fold the high
+/// half into the low. Each step is a bijection of the lane for any word, so
+/// one differing word always changes its lane; the fold carries a difference
+/// in a word's top bits (a flipped sign, `-0.0` for `0.0`) down where the
+/// next multiply spreads it, so two of them cannot cancel. An [`Fnv1a`] over
+/// the four lanes combines them. The multiplies of different lanes overlap,
+/// where byte-wise FNV-1a is one serial multiply chain eight steps per word
+/// long.
 #[must_use]
 pub fn state_checksum(state: &StateVector) -> u64 {
-    let mut h = Fnv1a::new();
-    for &v in state.re() {
-        h.write_f64(v);
+    let mut lanes = [0u64, 1, 2, 3].map(|lane| FNV_OFFSET ^ lane);
+    let absorb = |lane: &mut u64, v: &f64| {
+        let x = (*lane ^ v.to_bits()).wrapping_mul(FNV_PRIME);
+        *lane = x ^ (x >> 32);
+    };
+    for plane in [state.re(), state.im()] {
+        let mut quads = plane.chunks_exact(4);
+        for quad in &mut quads {
+            lanes.iter_mut().zip(quad).for_each(|(l, v)| absorb(l, v));
+        }
+        lanes
+            .iter_mut()
+            .zip(quads.remainder())
+            .for_each(|(l, v)| absorb(l, v));
     }
-    for &v in state.im() {
-        h.write_f64(v);
+    let mut h = Fnv1a::new();
+    for lane in lanes {
+        h.write_u64(lane);
     }
     h.finish()
 }
@@ -528,6 +550,44 @@ mod tests {
         one ^= 0x61;
         one = one.wrapping_mul(FNV_PRIME);
         assert_eq!(one, 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn state_checksum_tells_bit_patterns_apart() {
+        // 1 qubit (no full quad of words) up to several quads per plane.
+        for n in [1u32, 2, 5] {
+            let mut state = StateVector::zero_state(n).unwrap();
+            let clean = state_checksum(&state);
+            let dim = state.dim();
+            let mut seen = std::collections::HashSet::from([clean]);
+            // One sign of zero anywhere, in either plane.
+            for i in 0..2 * dim {
+                let (re, im) = state.parts_mut();
+                let word = if i < dim {
+                    &mut re[i]
+                } else {
+                    &mut im[i - dim]
+                };
+                let was = std::mem::replace(word, if *word == 0.0 { -0.0 } else { -1.0 });
+                assert!(seen.insert(state_checksum(&state)), "n {n} word {i}");
+                let (re, im) = state.parts_mut();
+                *(if i < dim {
+                    &mut re[i]
+                } else {
+                    &mut im[i - dim]
+                }) = was;
+            }
+            assert_eq!(state_checksum(&state), clean);
+            // Two sign flips in one lane do not cancel; nor does a swap.
+            if dim >= 8 {
+                let (_, im) = state.parts_mut();
+                (im[1], im[5]) = (-0.0, -0.0);
+                assert!(seen.insert(state_checksum(&state)));
+                let (re, _) = state.parts_mut();
+                re.swap(0, 4);
+                assert!(seen.insert(state_checksum(&state)));
+            }
+        }
     }
 
     #[test]

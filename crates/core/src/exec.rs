@@ -13,16 +13,21 @@
 //! the world barrier — the cooperative multi-grid sync of Listing 4 and the
 //! `shmem_barrier_all` of Listing 5 are the same call here).
 //!
-//! A `Worker` reaches `sv[i]` three ways. A kernel that touches a qubit at
-//! or above the partition boundary goes through the backend's own view,
-//! access by access: the peer table ([`PeerView`], scale-up) or one-sided
-//! words ([`ShmemView`], scale-out). A **partition-local** kernel
+//! A `Worker` reaches `sv[i]` as plain memory unless the launch observes
+//! individual words (`run_partitioned`). A **partition-local** kernel
 //! ([`crate::traffic::partition_local`]) — the large majority on any circuit
-//! wider than the PE count — runs on the PE's own slab as plain memory
-//! ([`SlabView`]), and the PE's counters are credited once for the whole
-//! kernel with exactly what the view would have counted; the barrier after
-//! it is the same barrier. Which of the two a kernel takes is decided by
-//! index arithmetic when the walker binds the segment, never by an option.
+//! wider than the PE count — runs on the PE's own slab, a [`LocalView`] of
+//! its partition, and the PE's counters are credited once for the whole
+//! kernel with exactly what the backend's view would have counted. A kernel
+//! that touches a qubit at or above the partition boundary goes through that
+//! view — the peer table ([`PeerView`], scale-up) or the symmetric arrays
+//! ([`ShmemView`], scale-out) — which lends each contiguous run of the
+//! kernel's share from whichever partition owns it and credits the counters
+//! per run. The barrier after either is the same barrier, and which of the
+//! two a kernel takes is decided by index arithmetic when the walker binds
+//! the segment, never by an option. An observed launch has no slab and its
+//! views lend nothing: every access of every kernel is one counted, traced,
+//! fault-checked word.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -33,7 +38,7 @@ use crate::remap::QubitLayout;
 use crate::sim::{BackendKind, RunSummary, SimConfig};
 use crate::state::StateVector;
 use crate::traffic::{kernel_access_patterns, partition_local};
-use crate::view::{LocalView, PeerView, ShmemView, SlabView, StateView};
+use crate::view::{LocalView, PeerView, Plane, ShmemView, StateView};
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -144,10 +149,13 @@ fn cond_holds(cbits: u64, lo: u32, len: u32, value: u64) -> bool {
     ((cbits >> lo) & mask) == value
 }
 
-/// A kernel on a PE's own slab: the [`SlabView`] instance of the kernel and
+/// A kernel on a PE's own slab: the [`LocalView`] instance of the kernel and
 /// the amplitude accesses one PE's share of it makes (`items x patterns`,
 /// each one load and one store) — what [`Slab::run`] credits in bulk.
-type OnSlab<'s> = (KernelFn<SlabView<'s>>, u64);
+type OnSlab<'s> = (KernelFn<LocalView<'s>>, u64);
+
+/// Kernels a walker ran on its slab, and through its fabric's view.
+type KernelsRun = (usize, usize);
 
 /// One kernel bound for a walker: through the fabric's view and, if the
 /// fabric's workers own a slab each and the kernel is partition-local, on
@@ -160,7 +168,7 @@ fn bind<'s, V: StateView>(cg: &CompiledGate, n_qubits: u32, slab_pes: Option<u64
         .map(|n_pes| {
             let patterns = kernel_access_patterns(cg).0.len() as u64;
             let accesses = cg.args.work / n_pes * patterns;
-            (resolve::<SlabView>(cg.id), accesses)
+            (resolve::<LocalView>(cg.id), accesses)
         });
     (resolve::<V>(cg.id), on_slab)
 }
@@ -297,15 +305,13 @@ impl<'a> Fabric for Solo<'a> {
 /// A PE's own partition as plain memory, and the bookkeeping that keeps a
 /// kernel run there indistinguishable from one issued access by access.
 struct Slab<'a> {
-    view: SlabView<'a>,
+    view: LocalView<'a>,
     n_pes: u64,
     counters: &'a PeCounters,
     /// Counter ops the issuing view spends on one amplitude access: a
     /// [`ShmemView`] moves two 8-byte words (re, im), a counted
     /// [`PeerView`] counts the amplitude once.
     ops_per_access: u64,
-    /// Kernels run here so far ([`RunSummary::slab_kernels`]).
-    kernels: Cell<usize>,
 }
 
 impl<'a> Slab<'a> {
@@ -315,8 +321,8 @@ impl<'a> Slab<'a> {
     /// ([`partition_local`]). Then credit what that view would have counted.
     fn run(&self, (kernel, accesses): OnSlab<'a>, args: &GateArgs) {
         kernel(&self.view, args, 0..args.work / self.n_pes);
-        self.counters.credit_local(accesses * self.ops_per_access);
-        self.kernels.set(self.kernels.get() + 1);
+        self.counters
+            .credit(false, accesses * self.ops_per_access, 0);
     }
 }
 
@@ -419,22 +425,31 @@ impl<V: StateView> Fabric for Worker<'_, V> {
 /// pre-drawn measurement draws (`seg.n_rand` of them, taken up front in
 /// step order so every backend consumes the RNG identically) and
 /// `initial_cbits` carries the classical register across checkpoint
-/// segments; returns the register afterwards.
+/// segments; returns the register afterwards and how many kernels ran where
+/// ([`KernelsRun`]).
 fn interpret<'a, F: Fabric>(
     fabric: &'a F,
     seg: &'a PlanSegment,
     config: &'a SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-) -> SvResult<u64> {
+) -> SvResult<(u64, KernelsRun)> {
     let mut cbits = initial_cbits;
+    let (on_slab_runs, view_runs) = (Cell::new(0usize), Cell::new(0usize));
+    let bump = |count: &Cell<usize>| count.set(count.get() + 1);
     let n_qubits = fabric.view().dim().trailing_zeros();
     let slab = fabric.slab();
     let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits, slab.map(|s| s.n_pes));
     let run = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| {
         match (slab, on_slab) {
-            (Some(slab), Some(local)) => slab.run(local, args),
-            _ => kernel(fabric.view(), args, fabric.share(args.work)),
+            (Some(slab), Some(local)) => {
+                slab.run(local, args);
+                bump(&on_slab_runs);
+            }
+            _ => {
+                kernel(fabric.view(), args, fabric.share(args.work));
+                bump(&view_runs);
+            }
         }
         fabric.sync();
     };
@@ -492,7 +507,7 @@ fn interpret<'a, F: Fabric>(
             }
         }
     }
-    Ok(cbits)
+    Ok((cbits, (on_slab_runs.get(), view_runs.get())))
 }
 
 /// Run one lowered segment on a single device — also how a sweep template
@@ -506,13 +521,13 @@ pub(crate) fn run_solo(
 ) -> SvResult<u64> {
     let (re, im) = state.parts_mut();
     let solo = Solo(LocalView::new(re, im));
-    interpret(&solo, seg, config, randoms, initial_cbits)
+    Ok(interpret(&solo, seg, config, randoms, initial_cbits)?.0)
 }
 
 /// What a PE hands back from [`run_partitioned`]'s body: the classical
-/// register and how many kernels it ran on its slab, then its partition's
-/// real and imaginary planes.
-type PeResult = ((u64, usize), Vec<f64>, Vec<f64>);
+/// register and its kernel counts, then its partition's real and imaginary
+/// planes.
+type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
 
 /// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
 /// owning one partition of the symmetric-heap state vector. Both
@@ -526,17 +541,20 @@ type PeResult = ((u64, usize), Vec<f64>, Vec<f64>);
 ///   through the ctx. Only a scale-out segment relabels (`Step::Exchange`),
 ///   so only it allocates the exchange staging buffers.
 ///
-/// On both, a partition-local kernel runs on the PE's own slab instead
-/// ([`SlabView`]; module docs) and the view's counts are credited per
-/// kernel — unless the launch *observes individual words*: under the race
-/// detector, or a fault plan holding a `Put` / `Get` spec
-/// ([`FaultPlan::observes_transfers`]), every access of every kernel is
-/// issued through the view so it can be recorded, counted or dropped.
+/// On both, every partition is plain memory for the walk (`shmem_ptr`,
+/// [`SharedF64Vec::as_cells`]): a partition-local kernel runs on the PE's own
+/// slab and the view's counts are credited per kernel, any other kernel
+/// borrows its runs from the owning partitions through the view, credited
+/// per run (module docs) — unless the launch *observes individual words*:
+/// under the race detector, or a fault plan holding a `Put` / `Get` spec
+/// ([`FaultPlan::observes_transfers`]), nothing is lent and every access of
+/// every kernel is issued through the view's instrumented accessors so it
+/// can be recorded, counted or dropped.
 ///
 /// The segment's classical bits, per-worker traffic, race reports,
-/// exchange count, respawn count and PE 0's slab-kernel count accumulate
-/// into `summary` (`summary.cbits` is also the segment's initial classical
-/// register).
+/// exchange count, respawn count and PE 0's slab-kernel and word-kernel
+/// counts accumulate into `summary` (`summary.cbits` is also the segment's
+/// initial classical register).
 ///
 /// `faults` is threaded into the SHMEM world on either backend; if any
 /// worker dies (injected or real), the barrier is poisoned, the whole
@@ -614,12 +632,40 @@ pub(crate) fn run_partitioned(
         ctx.try_barrier_all()?;
 
         let (re, im, xch) = (&sym_re, &sym_im, xch.as_ref());
-        let slab = (!per_word).then(|| Slab {
-            view: SlabView::new(re.partition(pe), im.partition(pe)),
+        // `shmem_ptr`: unless the launch observes words, every partition is
+        // plain memory for the length of the walk, and the state vector is
+        // reached no other way. The walk keeps one owner per amplitude per
+        // barrier epoch: a kernel's share under `worker_range` touches
+        // amplitudes no other PE's share does (`traffic::partition_local`
+        // for the slab; for a boundary kernel the index sets the analyzer
+        // proves disjoint, its `ProvenSafe` verdict), a collapse touches the
+        // PE's own partition, an exchange the PE's own words and staging
+        // words written for it alone, and `interpret` passes the world
+        // barrier after every kernel, collapse and exchange epoch. That
+        // barrier is an acquire-release arrival by every PE and then, by
+        // each, an acquire of the last arriver's release (`BarrierSm`,
+        // driven by `barrier::wait_epoch`), so each plain access of one
+        // epoch happens-before every access of the next, by whichever PE
+        // and through whichever accessor; the scatter above and the gather
+        // below are fenced by `try_barrier_all` the same way.
+        // SAFETY: `as_cells` asks that no word be accessed through the cells
+        // while another thread or process writes it without a happens-before
+        // edge in between. One owner per amplitude per epoch and the
+        // barrier's release/acquire edge between epochs (above) are that;
+        // the cells never leave this PE's walk.
+        #[allow(unsafe_code)]
+        let lent: Option<Vec<Plane<'_>>> = (!per_word).then(|| {
+            let parts = re.partitions().iter().zip(im.partitions());
+            parts
+                .map(|(re, im)| unsafe { (re.as_cells(), im.as_cells()) })
+                .collect()
+        });
+        let lent = lent.as_deref();
+        let slab = lent.map(|lent| Slab {
+            view: LocalView::over(lent[pe]),
             n_pes: n_pes as u64,
             counters: ctx.counters(),
             ops_per_access: if scale_out { 2 } else { 1 },
-            kernels: Cell::new(0),
         });
         let me = &Pe {
             ctx,
@@ -628,18 +674,18 @@ pub(crate) fn run_partitioned(
             xch,
             slab,
         };
-        let cbits = if scale_out {
-            let view = &ShmemView::new(ctx, re, im);
+        let (cbits, (on_slab, through_view)) = if scale_out {
+            let view = &ShmemView::new(ctx, re, im).lending(lent);
             interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
         } else {
             let counters = Some(ctx.counters());
-            let view = &PeerView::new(re.partitions(), im.partitions(), pe, counters);
+            let view = &PeerView::new(re.partitions(), im.partitions(), pe, counters).lending(lent);
             interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
         }?;
         ctx.try_barrier_all()?;
-        let slab_kernels = me.slab.as_ref().map_or(0, |s| s.kernels.get());
+        let by_word = if per_word { through_view } else { 0 };
         Ok((
-            (cbits, slab_kernels),
+            (cbits, (on_slab, by_word)),
             sym_re.partition(pe).to_vec(),
             sym_im.partition(pe).to_vec(),
         ))
@@ -667,10 +713,11 @@ pub(crate) fn run_partitioned(
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
     let (re, im) = state.parts_mut();
-    for (pe, ((cbits, slab_kernels), pre, pim)) in out.results.into_iter().enumerate() {
+    for (pe, ((cbits, (on_slab, by_word)), pre, pim)) in out.results.into_iter().enumerate() {
         if pe == 0 {
             summary.cbits = cbits;
-            summary.slab_kernels += slab_kernels;
+            summary.slab_kernels += on_slab;
+            summary.word_kernels += by_word;
         }
         re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
         im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);

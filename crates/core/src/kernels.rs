@@ -16,9 +16,9 @@
 
 use crate::compile::CompiledGate;
 use crate::dispatch::KernelFn;
-use crate::view::{LocalView, StateView};
+use crate::view::{LocalView, Plane, StateView};
 use std::ops::Range;
-use svsim_types::bits::{insert_zero_bit, insert_zero_bits};
+use svsim_types::bits::insert_zero_bits;
 use svsim_types::Complex64;
 
 /// Uniform argument block for every kernel (the analog of the paper's
@@ -78,263 +78,235 @@ pub fn worker_range(work: u64, n_workers: u64, worker: u64) -> Range<u64> {
     split(worker)..split(worker + 1)
 }
 
-/// Pauli-X: swap the amplitude pair.
-pub fn k_x<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    for i in r {
-        let i0 = insert_zero_bit(i, t);
-        let i1 = i0 | (1 << t);
-        let (r0, m0) = v.get(i0);
-        let (r1, m1) = v.get(i1);
-        v.set(i0, r1, m1);
-        v.set(i1, r0, m0);
+/// One amplitude as `(re, im)`.
+type Amp = (f64, f64);
+
+/// Shortest run worth borrowing: below it (targets 0-2, and the ragged ends
+/// of a range) the per-item loop is as fast and asks the view nothing.
+const MIN_RUN: u64 = 8;
+
+/// Ask `v` for the `want` amplitudes starting at each index of `at` as plain
+/// memory, every plane cut to the length all of them could lend. `None` when
+/// the view lends nothing.
+#[inline(always)]
+fn borrow<V: StateView, const N: usize>(v: &V, at: [u64; N], want: u64) -> Option<[Plane<'_>; N]> {
+    let mut planes: [Plane<'_>; N] = [(&[], &[]); N];
+    let mut n = want as usize;
+    for j in 0..N {
+        planes[j] = v.run(at[j], want)?;
+        // Every index of `at` has the same bits below the lowest involved
+        // qubit, so every lender clips at the same place.
+        debug_assert!(j == 0 || planes[j].0.len() == n);
+        n = n.min(planes[j].0.len()).min(planes[j].1.len());
     }
+    (n > 0).then(|| planes.map(|(re, im)| (&re[..n], &im[..n])))
+}
+
+/// The sweep every gate kernel is an instance of: each work item of `r`
+/// reads the `N` amplitudes at `insert_zero_bits(item, sorted) | offs[j]`,
+/// applies `f` to them and writes the `N` results back in place. `N` is 1
+/// for the diagonal single-amplitude kernels, 2 for the pair kernels and 4
+/// for the two-qubit ones; `f` is the gate's arithmetic and appears nowhere
+/// else.
+///
+/// Item bits below the lowest involved qubit `qmin = sorted[0]` stay where
+/// they are, so consecutive items up to the next multiple of `2^qmin` reach
+/// consecutive amplitudes at every offset. The range is walked as such
+/// **runs**: the view is asked for each run as plain memory
+/// ([`StateView::run`]) and `f` is applied down the borrowed planes — bounds
+/// checked once per run, no index arithmetic per amplitude. A view that
+/// lends nothing, a run shorter than `MIN_RUN` and every kernel with
+/// `qmin < 3` take the per-item `get`/`set` loop instead; both ways evaluate
+/// the same `f` on the same words, so they agree bit for bit.
+#[inline(always)]
+fn sweep<V: StateView, const N: usize>(
+    v: &V,
+    sorted: &[u32],
+    r: Range<u64>,
+    offs: [u64; N],
+    f: impl Fn([Amp; N]) -> [Amp; N],
+) {
+    let item = |at: [u64; N]| {
+        let out = f(at.map(|i| v.get(i)));
+        for j in 0..N {
+            v.set(at[j], out[j].0, out[j].1);
+        }
+    };
+    let run_len = 1u64 << sorted[0];
+    if run_len < MIN_RUN {
+        // With the involved positions filled with ones, a carry out of the
+        // item bits below a position ripples through it into the item bits
+        // above: adding one steps to the next item's base index.
+        let holes = sorted.iter().fold(0u64, |m, &q| m | 1 << q);
+        let mut base = insert_zero_bits(r.start, sorted);
+        for _ in r {
+            item(offs.map(|o| base | o));
+            base = ((base | holes) + 1) & !holes;
+        }
+        return;
+    }
+    let mut i = r.start;
+    while i < r.end {
+        let want = (run_len - (i & (run_len - 1))).min(r.end - i);
+        let base = insert_zero_bits(i, sorted);
+        let at = offs.map(|o| base | o);
+        let lent = if want < MIN_RUN {
+            None
+        } else {
+            borrow(v, at, want)
+        };
+        match lent {
+            Some(planes) => {
+                let n = planes[0].0.len();
+                for k in 0..n {
+                    let out = f(planes.map(|(re, im)| (re[k].get(), im[k].get())));
+                    for (&(re, im), (x, y)) in planes.iter().zip(out) {
+                        re[k].set(x);
+                        im[k].set(y);
+                    }
+                }
+                i += n as u64;
+            }
+            None => {
+                for k in 0..want {
+                    item(at.map(|x| x + k));
+                }
+                i += want;
+            }
+        }
+    }
+}
+
+/// The two amplitudes of a (controlled) one-qubit kernel: target clear and
+/// set, controls set.
+#[inline(always)]
+fn target_pair(a: &GateArgs) -> [u64; 2] {
+    [a.ctrl_mask, a.ctrl_mask | (1 << a.target)]
+}
+
+/// The four amplitudes of a two-qubit kernel, `target` as local bit 0.
+#[inline(always)]
+fn operand_quad(a: &GateArgs) -> [u64; 4] {
+    let (p, q) = (1u64 << a.target, 1u64 << a.aux);
+    [0, p, q, p | q]
+}
+
+/// `(c + i s) * amp`.
+#[inline(always)]
+fn phased(c: f64, s: f64, (re, im): Amp) -> Amp {
+    (c * re - s * im, c * im + s * re)
+}
+
+/// Pauli-X and CNOT: swap the amplitude pair (CX permutes only the quarter
+/// with the control set).
+pub fn k_x<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+    sweep(v, a.sorted(), r, target_pair(a), |[a0, a1]| [a1, a0]);
 }
 
 /// Pauli-Y: swap with `±i` phases.
 pub fn k_y<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    for i in r {
-        let i0 = insert_zero_bit(i, t);
-        let i1 = i0 | (1 << t);
-        let (r0, m0) = v.get(i0);
-        let (r1, m1) = v.get(i1);
-        // |0> component <- -i * amp1 ; |1> component <- i * amp0
-        v.set(i0, m1, -r1);
-        v.set(i1, -m0, r0);
-    }
+    // |0> component <- -i * amp1 ; |1> component <- i * amp0
+    sweep(v, a.sorted(), r, target_pair(a), |[(r0, m0), (r1, m1)]| {
+        [(m1, -r1), (-m0, r0)]
+    });
 }
 
 /// Pauli-Z: negate the `|1>` half only (half the traffic of a generic 1q
 /// gate — the paper's T-gate argument).
 pub fn k_z<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    for i in r {
-        let i1 = insert_zero_bit(i, t) | (1 << t);
-        let (re, im) = v.get(i1);
-        v.set(i1, -re, -im);
-    }
+    sweep(v, a.sorted(), r, [1 << a.target], |[(re, im)]| [(-re, -im)]);
 }
 
 /// Hadamard.
 pub fn k_h<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     const S2I: f64 = svsim_types::S2I;
-    let t = a.target;
-    for i in r {
-        let i0 = insert_zero_bit(i, t);
-        let i1 = i0 | (1 << t);
-        let (r0, m0) = v.get(i0);
-        let (r1, m1) = v.get(i1);
-        v.set(i0, S2I * (r0 + r1), S2I * (m0 + m1));
-        v.set(i1, S2I * (r0 - r1), S2I * (m0 - m1));
-    }
+    sweep(v, a.sorted(), r, target_pair(a), |[(r0, m0), (r1, m1)]| {
+        [
+            (S2I * (r0 + r1), S2I * (m0 + m1)),
+            (S2I * (r0 - r1), S2I * (m0 - m1)),
+        ]
+    });
 }
 
 /// Phase gate `diag(1, s0 + i s1)`: S, SDG, T, TDG, U1. Touches only the
 /// `|1>` half.
 pub fn k_phase<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    let (c, s) = (a.s0, a.s1);
-    for i in r {
-        let i1 = insert_zero_bit(i, t) | (1 << t);
-        let (re, im) = v.get(i1);
-        v.set(i1, c * re - s * im, c * im + s * re);
-    }
-}
-
-/// `RZ = diag(e^{-i th/2}, e^{i th/2})` with `s0 + i s1 = e^{i th/2}`.
-pub fn k_rz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    let (c, s) = (a.s0, a.s1);
-    for i in r {
-        let i0 = insert_zero_bit(i, t);
-        let i1 = i0 | (1 << t);
-        let (r0, m0) = v.get(i0);
-        v.set(i0, c * r0 + s * m0, c * m0 - s * r0); // conj(ph) * amp0
-        let (r1, m1) = v.get(i1);
-        v.set(i1, c * r1 - s * m1, c * m1 + s * r1); // ph * amp1
-    }
-}
-
-/// Generic dense 2×2 gate (`U3`, `U2`, `RX`, `RY`, and the non-specialized
-/// fallback).
-pub fn k_oneq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    let m = &a.m;
-    for i in r {
-        let i0 = insert_zero_bit(i, t);
-        let i1 = i0 | (1 << t);
-        let (r0, m0) = v.get(i0);
-        let (r1, m1) = v.get(i1);
-        v.set(
-            i0,
-            m[0].re * r0 - m[0].im * m0 + m[1].re * r1 - m[1].im * m1,
-            m[0].re * m0 + m[0].im * r0 + m[1].re * m1 + m[1].im * r1,
-        );
-        v.set(
-            i1,
-            m[2].re * r0 - m[2].im * m0 + m[3].re * r1 - m[3].im * m1,
-            m[2].re * m0 + m[2].im * r0 + m[3].re * m1 + m[3].im * r1,
-        );
-    }
-}
-
-/// CNOT: permutes the quarter of amplitudes with the control set.
-pub fn k_cx<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    let cm = a.ctrl_mask;
-    let sorted = a.sorted();
-    for i in r {
-        let i0 = insert_zero_bits(i, sorted) | cm;
-        let i1 = i0 | (1 << t);
-        let (r0, m0) = v.get(i0);
-        let (r1, m1) = v.get(i1);
-        v.set(i0, r1, m1);
-        v.set(i1, r0, m0);
-    }
+    sweep(v, a.sorted(), r, [1 << a.target], |[x]| {
+        [phased(a.s0, a.s1, x)]
+    });
 }
 
 /// Diagonal controlled phase on the all-ones subspace of the involved
 /// qubits: CZ, CU1 (and exact multi-controlled phases). Touches
 /// `2^{n-k}` amplitudes only.
 pub fn k_cphase<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let (c, s) = (a.s0, a.s1);
-    let mask = a.ctrl_mask;
-    let sorted = a.sorted();
-    for i in r {
-        let idx = insert_zero_bits(i, sorted) | mask;
-        let (re, im) = v.get(idx);
-        v.set(idx, c * re - s * im, c * im + s * re);
-    }
+    sweep(v, a.sorted(), r, [a.ctrl_mask], |[x]| {
+        [phased(a.s0, a.s1, x)]
+    });
 }
 
-/// Controlled-RZ: both target halves rotate under the control.
-pub fn k_crz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    let cm = a.ctrl_mask;
+/// `RZ = diag(e^{-i th/2}, e^{i th/2})` with `s0 + i s1 = e^{i th/2}`, and
+/// controlled-RZ: both target halves rotate (under the control).
+pub fn k_rz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     let (c, s) = (a.s0, a.s1);
-    let sorted = a.sorted();
-    for i in r {
-        let i0 = insert_zero_bits(i, sorted) | cm;
-        let i1 = i0 | (1 << t);
-        let (r0, m0) = v.get(i0);
-        v.set(i0, c * r0 + s * m0, c * m0 - s * r0);
-        let (r1, m1) = v.get(i1);
-        v.set(i1, c * r1 - s * m1, c * m1 + s * r1);
-    }
+    sweep(v, a.sorted(), r, target_pair(a), |[(r0, m0), a1]| {
+        [(c * r0 + s * m0, c * m0 - s * r0), phased(c, s, a1)] // conj(ph) * amp0, ph * amp1
+    });
 }
 
-/// Generic (multi-)controlled dense 2×2: CY, CH, CRX, CRY, CU3, CCX, C3X,
-/// C4X, C3SQRTX.
-pub fn k_controlled_oneq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let t = a.target;
-    let cm = a.ctrl_mask;
+/// Dense 2×2 gate, plain (`U3`, `U2`, `RX`, `RY`, and the non-specialized
+/// fallback) or (multi-)controlled (CY, CH, CRX, CRY, CU3, CCX, C3X, C4X,
+/// C3SQRTX).
+pub fn k_oneq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     let m = &a.m;
-    let sorted = a.sorted();
-    for i in r {
-        let i0 = insert_zero_bits(i, sorted) | cm;
-        let i1 = i0 | (1 << t);
-        let (r0, m0) = v.get(i0);
-        let (r1, m1) = v.get(i1);
-        v.set(
-            i0,
-            m[0].re * r0 - m[0].im * m0 + m[1].re * r1 - m[1].im * m1,
-            m[0].re * m0 + m[0].im * r0 + m[1].re * m1 + m[1].im * r1,
-        );
-        v.set(
-            i1,
-            m[2].re * r0 - m[2].im * m0 + m[3].re * r1 - m[3].im * m1,
-            m[2].re * m0 + m[2].im * r0 + m[3].re * m1 + m[3].im * r1,
-        );
-    }
+    sweep(v, a.sorted(), r, target_pair(a), |[(r0, m0), (r1, m1)]| {
+        [
+            (
+                m[0].re * r0 - m[0].im * m0 + m[1].re * r1 - m[1].im * m1,
+                m[0].re * m0 + m[0].im * r0 + m[1].re * m1 + m[1].im * r1,
+            ),
+            (
+                m[2].re * r0 - m[2].im * m0 + m[3].re * r1 - m[3].im * m1,
+                m[2].re * m0 + m[2].im * r0 + m[3].re * m1 + m[3].im * r1,
+            ),
+        ]
+    });
 }
 
-/// SWAP: exchanges the `|01>` and `|10>` amplitudes (quarter of the vector).
+/// SWAP and Fredkin: exchange the `|01>` and `|10>` amplitudes (a quarter of
+/// the vector; under the control, an eighth).
 pub fn k_swap<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let (p, q) = (a.target, a.aux);
-    let sorted = a.sorted();
-    for i in r {
-        let base = insert_zero_bits(i, sorted);
-        let ia = base | (1 << p);
-        let ib = base | (1 << q);
-        let (ra, ma) = v.get(ia);
-        let (rb, mb) = v.get(ib);
-        v.set(ia, rb, mb);
-        v.set(ib, ra, ma);
-    }
-}
-
-/// Fredkin (controlled SWAP).
-pub fn k_cswap<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let (p, q) = (a.target, a.aux);
-    let cm = a.ctrl_mask;
-    let sorted = a.sorted();
-    for i in r {
-        let base = insert_zero_bits(i, sorted) | cm;
-        let ia = base | (1 << p);
-        let ib = base | (1 << q);
-        let (ra, ma) = v.get(ia);
-        let (rb, mb) = v.get(ib);
-        v.set(ia, rb, mb);
-        v.set(ib, ra, ma);
-    }
+    let offs = [a.target, a.aux].map(|q| a.ctrl_mask | (1 << q));
+    sweep(v, a.sorted(), r, offs, |[a0, a1]| [a1, a0]);
 }
 
 /// `RZZ`: pure diagonal two-qubit rotation — phases by bit parity, no
 /// mixing, no data exchange between amplitudes.
 pub fn k_rzz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let (p, q) = (a.target, a.aux);
     let (c, s) = (a.s0, a.s1); // e^{i th/2} = c + i s
-    let sorted = a.sorted();
-    for i in r {
-        let base = insert_zero_bits(i, sorted);
+    sweep(v, a.sorted(), r, operand_quad(a), |amps| {
         // Even parity (00, 11): e^{-i th/2}; odd parity (01, 10): e^{+i th/2}.
-        for (idx, sign) in [
-            (base, -1.0),
-            (base | (1 << p), 1.0),
-            (base | (1 << q), 1.0),
-            (base | (1 << p) | (1 << q), -1.0),
-        ] {
-            let (re, im) = v.get(idx);
-            let ss = s * sign;
-            v.set(idx, c * re - ss * im, c * im + ss * re);
-        }
-    }
+        let signs = [-1.0, 1.0, 1.0, -1.0];
+        std::array::from_fn(|k| phased(c, s * signs[k], amps[k]))
+    });
 }
 
 /// Generic dense 4×4 two-qubit gate (`RXX`, and the non-specialized CX
 /// fallback). Local bit 0 of the matrix is `target` (first operand), local
 /// bit 1 is `aux`.
 pub fn k_twoq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let (q0, q1) = (a.target, a.aux);
     let m = &a.m;
-    let sorted = a.sorted();
-    for i in r {
-        let base = insert_zero_bits(i, sorted);
-        let idx = [
-            base,
-            base | (1 << q0),
-            base | (1 << q1),
-            base | (1 << q0) | (1 << q1),
-        ];
-        let mut re = [0.0f64; 4];
-        let mut im = [0.0f64; 4];
-        for (k, &ix) in idx.iter().enumerate() {
-            let (r_, i_) = v.get(ix);
-            re[k] = r_;
-            im[k] = i_;
-        }
-        for (row, &ix) in idx.iter().enumerate() {
-            let mut ar = 0.0;
-            let mut ai = 0.0;
-            for col in 0..4 {
+    sweep(v, a.sorted(), r, operand_quad(a), |amps| {
+        std::array::from_fn(|row| {
+            let (mut ar, mut ai) = (0.0, 0.0);
+            for (col, &(re, im)) in amps.iter().enumerate() {
                 let c = m[row * 4 + col];
-                ar += c.re * re[col] - c.im * im[col];
-                ai += c.re * im[col] + c.im * re[col];
+                ar += c.re * re - c.im * im;
+                ai += c.re * im + c.im * re;
             }
-            v.set(ix, ar, ai);
-        }
-    }
+            (ar, ai)
+        })
+    });
 }
 
 /// Shared body of the fused window kernels: one pass over the `2^{n-k}`
@@ -410,20 +382,20 @@ pub fn k_fused3<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
 /// scale the surviving half by `1/sqrt(p)`. Work-item space: `dim/2`
 /// (each item handles one pair — all accesses are pair-local).
 pub fn collapse_pairs<V: StateView>(v: &V, q: u32, outcome: u8, inv_sqrt_p: f64, r: Range<u64>) {
-    for i in r {
-        let i0 = insert_zero_bit(i, q);
-        let i1 = i0 | (1 << q);
-        let (keep, kill) = if outcome == 1 { (i1, i0) } else { (i0, i1) };
-        let (re, im) = v.get(keep);
-        v.set(keep, re * inv_sqrt_p, im * inv_sqrt_p);
-        v.set(kill, 0.0, 0.0);
-    }
+    let (keep, kill) = if outcome == 1 {
+        (1 << q, 0)
+    } else {
+        (0, 1 << q)
+    };
+    sweep(v, &[q], r, [keep, kill], |[(re, im), _]| {
+        [(re * inv_sqrt_p, im * inv_sqrt_p), (0.0, 0.0)]
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::LocalView;
+    use std::cell::Cell;
 
     fn zero_state(n: u32) -> (Vec<f64>, Vec<f64>) {
         let dim = 1usize << n;
@@ -555,7 +527,7 @@ mod tests {
                 work: 1,
                 fused: Vec::new(),
             };
-            k_cx(&v, &a, 0..1);
+            k_x(&v, &a, 0..1);
         }
         assert_eq!(re[0b11], 1.0);
         assert_eq!(re[0b01], 0.0);
@@ -597,5 +569,181 @@ mod tests {
         }
         assert_eq!(re[0], 0.0);
         assert!((re[1] - 1.0).abs() < 1e-12);
+    }
+
+    /// A [`LocalView`] that keeps its memory to itself: every kernel takes
+    /// the per-item loop on it.
+    struct NoLend<'a>(LocalView<'a>);
+
+    impl StateView for NoLend<'_> {
+        fn dim(&self) -> u64 {
+            self.0.dim()
+        }
+        fn get(&self, idx: u64) -> (f64, f64) {
+            self.0.get(idx)
+        }
+        fn set(&self, idx: u64, re: f64, im: f64) {
+            self.0.set(idx, re, im);
+        }
+    }
+
+    /// A [`LocalView`] that adds up how many amplitudes it lent.
+    struct Lending<'a>(LocalView<'a>, Cell<u64>);
+
+    impl StateView for Lending<'_> {
+        fn dim(&self) -> u64 {
+            self.0.dim()
+        }
+        fn get(&self, idx: u64) -> (f64, f64) {
+            self.0.get(idx)
+        }
+        fn set(&self, idx: u64, re: f64, im: f64) {
+            self.0.set(idx, re, im);
+        }
+        fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
+            let lent = self.0.run(start, max)?;
+            self.1.set(self.1.get() + lent.0.len() as u64);
+            Some(lent)
+        }
+    }
+
+    /// Every kernel, its lowest qubit at `qmin` and the others above it in
+    /// both operand orders (control below the target and above it), plus a
+    /// fused window of each width anchored there. Gates that do not fit
+    /// below `n` are left out.
+    fn kernels_anchored_at(qmin: u32, n: u32) -> Vec<CompiledGate> {
+        use svsim_ir::{Gate, GateKind::*};
+        type Spec = (svsim_ir::GateKind, Vec<u32>, &'static [f64]);
+        let up = |k: u32| qmin + k;
+        let (a, b, c) = (qmin, up(1), up(2));
+        let far = n - 1;
+        let gates: Vec<Spec> = vec![
+            (X, vec![a], &[]),
+            (Y, vec![a], &[]),
+            (Z, vec![a], &[]),
+            (H, vec![a], &[]),
+            (T, vec![a], &[]),
+            (RZ, vec![a], &[0.3]),
+            (U3, vec![a], &[0.1, 0.2, 0.3]),
+            (CX, vec![a, far], &[]),
+            (CX, vec![far, a], &[]),
+            (CU1, vec![a, b], &[0.37]),
+            (CRZ, vec![a, far], &[0.7]),
+            (CRZ, vec![b, a], &[0.7]),
+            (CRY, vec![far, a], &[0.9]),
+            (CCX, vec![a, far, b], &[]),
+            (CCX, vec![c, b, a], &[]),
+            (C4X, vec![up(4), a, up(3), b, c], &[]),
+            (SWAP, vec![a, far], &[]),
+            (CSWAP, vec![b, a, c], &[]),
+            (CSWAP, vec![a, c, b], &[]),
+            (RZZ, vec![a, far], &[0.4]),
+            (RXX, vec![b, a], &[0.9]),
+        ];
+        let compile = |gates: &[Spec]| {
+            let mut queue = Vec::new();
+            for (kind, qubits, params) in gates {
+                let distinct = (1..qubits.len()).all(|i| !qubits[..i].contains(&qubits[i]));
+                if distinct && qubits.iter().all(|&q| q < n) {
+                    let gate = Gate::new(*kind, qubits, params).unwrap();
+                    crate::compile::compile_gate(&gate, n, true, &mut queue);
+                }
+            }
+            queue
+        };
+        let mut queue = compile(&gates);
+        let windows: [&[Spec]; 3] = [
+            &[(H, vec![a], &[]), (T, vec![a], &[]), (RY, vec![a], &[0.2])],
+            &[
+                (H, vec![b], &[]),
+                (CX, vec![b, a], &[]),
+                (RZ, vec![a], &[0.3]),
+            ],
+            &[
+                (H, vec![a], &[]),
+                (CX, vec![a, b], &[]),
+                (RZ, vec![b], &[0.37]),
+                (CX, vec![b, c], &[]),
+                (H, vec![c], &[]),
+            ],
+        ];
+        for window in windows {
+            let plain = compile(window);
+            if plain.len() == window.len() {
+                queue.extend(crate::fuse::fuse_compiled(&plain, n, 3).0);
+            }
+        }
+        queue
+    }
+
+    /// The run path against the per-item path: any kernel over any share of
+    /// its work items leaves the same bits whether the view lends its memory
+    /// or not — and where runs exist, the lending view really was swept as
+    /// runs.
+    #[test]
+    fn run_path_is_bit_identical_to_the_per_item_path() {
+        use crate::compile::KernelId;
+        let n = 9u32;
+        let dim = 1usize << n;
+        let mut rng = svsim_types::SvRng::seed_from_u64(21);
+        let mut amps = || -> Vec<f64> {
+            let mut v: Vec<f64> = (0..dim).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+            (v[1], v[8], v[dim - 1]) = (-0.0, 5e-324, -f64::MIN_POSITIVE / 4.0);
+            v
+        };
+        let (re0, im0) = (amps(), amps());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut seen = std::collections::HashSet::new();
+        for qmin in [0, 1, 2, 3, 5, n - 2] {
+            for cg in kernels_anchored_at(qmin, n) {
+                assert_eq!(cg.args.sorted()[0], qmin);
+                seen.insert(cg.id);
+                let work = cg.args.work;
+                let mut splits: Vec<Vec<Range<u64>>> = [1, 2, 3, 4, 8]
+                    .iter()
+                    .map(|&k| (0..k).map(|w| worker_range(work, k, w)).collect())
+                    .collect();
+                if work > 12 {
+                    // Starts and ends off every run boundary.
+                    splits.push(vec![3..7, 7..work - 5]);
+                    splits.push(vec![work / 2 - 1..work / 2 + 2, 0..1]);
+                }
+                for split in splits {
+                    let (mut re_a, mut im_a) = (re0.clone(), im0.clone());
+                    let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
+                    let lending = Lending(LocalView::new(&mut re_a, &mut im_a), Cell::new(0));
+                    let silent = NoLend(LocalView::new(&mut re_b, &mut im_b));
+                    for r in &split {
+                        crate::dispatch::resolve::<Lending>(cg.id)(&lending, &cg.args, r.clone());
+                        crate::dispatch::resolve::<NoLend>(cg.id)(&silent, &cg.args, r.clone());
+                    }
+                    let fused = !cg.args.fused.is_empty();
+                    if qmin >= 3 && !fused && split.len() == 1 && split[0] == (0..work) {
+                        let touched = crate::traffic::kernel_access_patterns(&cg).0.len() as u64;
+                        assert_eq!(lending.1.get(), work * touched, "{:?} lent in runs", cg.id);
+                    }
+                    if qmin < 3 || fused {
+                        assert_eq!(lending.1.get(), 0, "{:?} has no runs to lend", cg.id);
+                    }
+                    let what = format!("{:?} at qmin {qmin} over {split:?}", cg.id);
+                    assert_eq!(bits(&re_a), bits(&re_b), "re: {what}");
+                    assert_eq!(bits(&im_a), bits(&im_b), "im: {what}");
+                }
+            }
+        }
+        for (qmin, outcome) in [(0, 1), (3, 0), (5, 1), (n - 1, 0)] {
+            let (mut re_a, mut im_a) = (re0.clone(), im0.clone());
+            let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
+            let lending = LocalView::new(&mut re_a, &mut im_a);
+            let silent = NoLend(LocalView::new(&mut re_b, &mut im_b));
+            for r in [0..77, 77..dim as u64 / 2] {
+                collapse_pairs(&lending, qmin, outcome, 1.25, r.clone());
+                collapse_pairs(&silent, qmin, outcome, 1.25, r);
+            }
+            assert_eq!(bits(&re_a), bits(&re_b), "collapse of {qmin} to {outcome}");
+            assert_eq!(bits(&im_a), bits(&im_b), "collapse of {qmin} to {outcome}");
+        }
+        assert_eq!(seen.len(), 18, "every KernelId swept: {seen:?}");
+        assert!(seen.contains(&KernelId::Fused3) && seen.contains(&KernelId::CSwap));
     }
 }

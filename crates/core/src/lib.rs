@@ -19,7 +19,6 @@
 //! - [`remap`]: communication-avoiding qubit relabeling for scale-out.
 //! - [`checkpoint`]: checksummed state capture and the on-disk store.
 //! - [`noise`]: Pauli-noise trajectories over the same simulator.
-//! - [`par`]: fork-join helpers for the diagonal reductions.
 //! - [`sim`]: the `Simulator` facade.
 
 pub mod batch;
@@ -31,7 +30,6 @@ pub mod fuse;
 pub mod kernels;
 pub mod measure;
 pub mod noise;
-pub mod par;
 pub mod plan;
 pub mod remap;
 pub mod sim;
@@ -51,4 +49,4 @@ pub use sim::{BackendKind, RunStart, RunSummary, SimConfig, Simulator};
 pub use state::StateVector;
 pub use svsim_shmem::ShmemBackend;
 pub use traffic::GateTraffic;
-pub use view::{LocalView, PeerView, ShmemView, SlabView, StateView};
+pub use view::{LocalView, PeerView, Plane, ShmemView, StateView};

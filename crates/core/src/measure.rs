@@ -15,22 +15,30 @@
 //! differ in the last ULPs, and the `1/sqrt(p)` collapse rescale would leak
 //! that ULP into every amplitude, breaking cross-backend bit-identity.
 
-use crate::par::parallel_sum;
 use crate::state::StateVector;
+use std::ops::Range;
 use svsim_ir::{Pauli, PauliString};
 use svsim_shmem::SharedF64Vec;
 use svsim_types::bits::{bit, masked_parity};
 use svsim_types::SvRng;
 
-/// States at or above this size use fork-join threads for the diagonal
-/// reductions (probabilities, expectations); below it the spawn overhead
-/// loses.
-const PAR_THRESHOLD: usize = 1 << 16;
+/// States at or above this size sum their diagonal expectation in
+/// [`SUM_CHUNKS`] chunks, smaller ones front to back.
+const CHUNKED_FROM: usize = 1 << 16;
 
-/// Number of aligned subtrees evaluated in parallel by [`prob_one`] on
-/// large states. Must be a power of two so each chunk is a node of the
-/// canonical tree; 32 matches `par::MAX_CHUNKS`.
-const PROB_CHUNKS: usize = 32;
+/// Chunks of [`chunked_sum`]. Fixed (never derived from the machine), so the
+/// floating-point association — and with it every bit of the sum — is the
+/// same everywhere.
+const SUM_CHUNKS: usize = 32;
+
+/// Sum `f` over `0..len` as [`SUM_CHUNKS`] equal subranges: `f` returns a
+/// subrange's partial sum and the partials are added in chunk order.
+fn chunked_sum(len: usize, f: impl Fn(Range<usize>) -> f64) -> f64 {
+    let chunk = len.div_ceil(SUM_CHUNKS).max(1);
+    (0..len.div_ceil(chunk))
+        .map(|c| f(c * chunk..len.min((c + 1) * chunk)))
+        .sum()
+}
 
 /// Value of the canonical probability tree node covering the aligned block
 /// `[base + start, base + start + len)` (global indices; `len` and the
@@ -88,25 +96,8 @@ pub(crate) fn prob_one_view<V: crate::view::StateView>(v: &V, q: u32, dim: u64) 
 #[must_use]
 pub fn prob_one(state: &StateVector, q: u32) -> f64 {
     let (re, im) = (state.re(), state.im());
-    let len = re.len();
     let term = |i: usize| re[i] * re[i] + im[i] * im[i];
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if len >= PAR_THRESHOLD && workers > 1 {
-        // Evaluate aligned subtrees in parallel and combine them pairwise:
-        // identical association to the sequential tree below.
-        let chunk = len / PROB_CHUNKS;
-        let mut partials = vec![0.0f64; PROB_CHUNKS];
-        std::thread::scope(|scope| {
-            for (c, slot) in partials.iter_mut().enumerate() {
-                let term = &term;
-                scope.spawn(move || {
-                    *slot = prob_tree(term, 0, c * chunk, chunk, q);
-                });
-            }
-        });
-        return svsim_types::numeric::pairwise_sum(&partials);
-    }
-    prob_tree(&term, 0, 0, len, q)
+    prob_tree(&term, 0, 0, re.len(), q)
 }
 
 /// Partition-local partial probability of qubit `q` being 1, for a
@@ -215,8 +206,8 @@ pub fn expval_z_mask(state: &StateVector, mask: u64) -> f64 {
             p
         }
     };
-    if re.len() >= PAR_THRESHOLD {
-        return parallel_sum(re.len(), |range| {
+    if re.len() >= CHUNKED_FROM {
+        return chunked_sum(re.len(), |range| {
             let mut e = 0.0;
             for i in range {
                 e += term(i, re[i], im[i]);
@@ -278,6 +269,33 @@ pub fn expval_pauli(state: &StateVector, string: &PauliString) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chunked_sum_covers_the_range_once() {
+        for len in [0usize, 1, 5, 1000, 65_537] {
+            let chunked = chunked_sum(len, |r| r.map(|i| i as f64).sum());
+            let seq: f64 = (0..len).map(|i| i as f64).sum();
+            assert_eq!(chunked, seq, "len {len}");
+        }
+    }
+
+    #[test]
+    fn chunked_sum_is_the_fixed_32_way_association() {
+        let term = |i: usize| 1.0 / (i as f64 + 1.0);
+        let len = 100_000usize;
+        let chunk = len.div_ceil(32);
+        let mut by_hand = 0.0;
+        for c in 0..32 {
+            let mut partial = 0.0;
+            for i in c * chunk..len.min((c + 1) * chunk) {
+                partial += term(i);
+            }
+            by_hand += partial;
+        }
+        let got = chunked_sum(len, |r| r.fold(0.0, |acc, i| acc + term(i)));
+        assert_eq!(got.to_bits(), f64::to_bits(by_hand));
+    }
+
     use svsim_types::Complex64;
 
     fn plus_state() -> StateVector {

@@ -479,20 +479,33 @@ fn map_gate(g: &Gate, layout: &QubitLayout) -> Gate {
 ///
 /// `re`/`im` hold the amplitudes in `layout`'s physical order; afterwards
 /// index `b` holds the amplitude of logical basis state `b`.
+///
+/// [`QubitLayout::physical_index`] moves every bit of `b` on its own, so it
+/// is the OR of its values on the low and the high half of `b`'s bits: two
+/// tables of `2^(n/2)` entries replace a loop over all `n` qubits per
+/// amplitude, and each plane is permuted through one scratch plane.
 pub fn unpermute_state(layout: &QubitLayout, re: &mut [f64], im: &mut [f64]) {
     if layout.is_identity() {
         return;
     }
-    let dim = re.len() as u64;
-    let mut new_re = vec![0.0f64; re.len()];
-    let mut new_im = vec![0.0f64; im.len()];
-    for b in 0..dim {
-        let p = layout.physical_index(b) as usize;
-        new_re[b as usize] = re[p];
-        new_im[b as usize] = im[p];
+    let n = layout.n_qubits();
+    debug_assert_eq!(re.len() as u64, 1 << n);
+    let half = n / 2;
+    let table = |bits: u32, shift: u32| -> Vec<usize> {
+        (0..1u64 << bits)
+            .map(|b| layout.physical_index(b << shift) as usize)
+            .collect()
+    };
+    let (lo, hi) = (table(half, 0), table(n - half, half));
+    let mut logical = vec![0.0f64; re.len()];
+    for plane in [re, im] {
+        for (block, &h) in logical.chunks_exact_mut(lo.len()).zip(&hi) {
+            for (dst, &l) in block.iter_mut().zip(&lo) {
+                *dst = plane[h | l];
+            }
+        }
+        plane.copy_from_slice(&logical);
     }
-    re.copy_from_slice(&new_re);
-    im.copy_from_slice(&new_im);
 }
 
 #[cfg(test)]
@@ -705,5 +718,23 @@ mod tests {
         unpermute_state(&l, &mut re, &mut im);
         assert_eq!(re[0b001], 0.25);
         assert_eq!(im[0b100], 0.5);
+    }
+
+    #[test]
+    fn unpermute_matches_physical_index_on_a_scrambled_layout() {
+        // Odd width, so the two lookup tables differ in size.
+        let n = 7u32;
+        let mut l = QubitLayout::identity(n);
+        for (a, b) in [(0, 6), (2, 3), (5, 1), (6, 4)] {
+            l.swap_phys(a, b);
+        }
+        let phys_re: Vec<f64> = (0..1u32 << n).map(f64::from).collect();
+        let phys_im: Vec<f64> = phys_re.iter().map(|x| -x).collect();
+        let (mut re, mut im) = (phys_re.clone(), phys_im.clone());
+        unpermute_state(&l, &mut re, &mut im);
+        for b in 0..1u64 << n {
+            let p = l.physical_index(b) as usize;
+            assert_eq!((re[b as usize], im[b as usize]), (phys_re[p], phys_im[p]));
+        }
     }
 }

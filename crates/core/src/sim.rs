@@ -184,12 +184,18 @@ pub struct RunSummary {
     /// during this run (0 elsewhere or when [`SimConfig::respawn_max`] is
     /// 0).
     pub respawns: usize,
-    /// Kernels PE 0 ran on its own slab as plain memory rather than access
-    /// by access through the backend's view (every PE decides alike, so
-    /// PE 0 speaks for all), summed over segments. 0 on a single device,
-    /// and on a launch that observes individual words — the race detector,
-    /// or a fault plan holding a `Put` / `Get` spec.
+    /// Kernels PE 0 ran on its own slab as plain memory rather than through
+    /// the backend's view (every PE decides alike, so PE 0 speaks for all),
+    /// summed over segments. 0 on a single device, and on a launch that
+    /// observes individual words — the race detector, or a fault plan
+    /// holding a `Put` / `Get` spec.
     pub slab_kernels: usize,
+    /// Kernels PE 0 issued word by word through the backend's view, each
+    /// access counted, traced and fault-checked on its own: every kernel of
+    /// a launch that observes individual words, none of any other launch —
+    /// there the kernels that are not in `slab_kernels` borrowed their runs
+    /// from the owning partitions as plain memory.
+    pub word_kernels: usize,
 }
 
 impl RunSummary {
@@ -417,6 +423,7 @@ impl Simulator {
             remap_swaps: 0,
             respawns: 0,
             slab_kernels: 0,
+            word_kernels: 0,
         };
         if k == 0 {
             self.checkpoint = None;

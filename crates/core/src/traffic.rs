@@ -128,7 +128,8 @@ pub fn kernel_access_patterns(cg: &CompiledGate) -> (Vec<u64>, u64) {
 /// index, so PE `pe`'s share touches exactly `pe << shift | i` for the
 /// indices `i` the same [`crate::kernels::GateArgs`] yield over items
 /// `0..work / n_pes`: the kernel can run on the PE's own partition alone
-/// ([`crate::view::SlabView`]), same words, same order, same arithmetic. Pure
+/// (a [`crate::view::LocalView`] of it), same words, same order, same
+/// arithmetic. Pure
 /// and independent of the PE, so every PE of a launch decides alike;
 /// [`gate_traffic`] agrees with it (true ⇒ `remote_amp_ops == 0`).
 #[must_use]

@@ -13,17 +13,21 @@
 //! - [`ShmemView`]: one-sided `get`/`put` through the SHMEM runtime — the
 //!   scale-out path (§3.2.3, Listing 5), with traffic accounting.
 //!
-//! On a PE of either partitioned backend a kernel therefore reaches `sv[i]`
-//! one of three ways: through the peer table, through one-sided words, or —
-//! when index arithmetic says every access of the PE's share stays in its
-//! own partition ([`crate::traffic::partition_local`]) — through a
-//! [`SlabView`] of that partition alone, a pointer dereference with no
-//! partition arithmetic and no per-access accounting (the paper's
-//! local-versus-remote split, Listings 4-5).
+//! A kernel walks its work items as contiguous runs and asks the view for
+//! each run as plain memory ([`StateView::run`]): a `LocalView` lends
+//! sub-slices of itself. The partitioned views built by `new` lend nothing —
+//! every access is one `get` or `set`, counted (and on scale-out traced and
+//! fault-checked) word by word — while the ones the executor builds for a
+//! launch that observes no individual word lend each run from the partition
+//! that owns it (`shmem_ptr`; [`Plane`]) and credit the counters in bulk. A
+//! PE's own partition is then simply a `LocalView` over its lent planes.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use svsim_shmem::{SharedF64Vec, ShmemCtx, SymF64};
+use svsim_shmem::{PeCounters, SharedF64Vec, ShmemCtx, SymF64};
+
+/// One partition's real and imaginary words lent as plain memory
+/// ([`SharedF64Vec::as_cells`]).
+pub type Plane<'a> = (&'a [Cell<f64>], &'a [Cell<f64>]);
 
 /// Read/write access to the distributed (or local) state vector.
 ///
@@ -38,6 +42,27 @@ pub trait StateView {
     fn get(&self, idx: u64) -> (f64, f64);
     /// Store amplitude `idx`.
     fn set(&self, idx: u64, re: f64, im: f64);
+    /// Lend the amplitudes from `start` on as plain memory — real words,
+    /// imaginary words, equally long: up to `max` of them, fewer where the
+    /// lender's contiguous memory ends first. The borrower loads and stores
+    /// every lent amplitude exactly once, which is what a lender that counts
+    /// accesses credits. `None`: this view lends nothing and every access
+    /// goes through [`get`](Self::get) / [`set`](Self::set).
+    #[inline]
+    fn run(&self, _start: u64, _max: u64) -> Option<Plane<'_>> {
+        None
+    }
+}
+
+/// The part of partition `start >> shift` of `parts` that begins at `start`
+/// and holds at most `max` amplitudes, and that partition's rank.
+#[inline]
+fn lend<'a>(parts: &[Plane<'a>], shift: u32, start: u64, max: u64) -> (usize, Plane<'a>) {
+    let owner = (start >> shift) as usize;
+    let off = (start & ((1 << shift) - 1)) as usize;
+    let (re, im) = parts[owner];
+    let end = re.len().min(off + max as usize);
+    (owner, (&re[off..end], &im[off..end]))
 }
 
 /// Single-device view over two local slices (SoA).
@@ -53,11 +78,17 @@ impl<'a> LocalView<'a> {
     /// Wrap mutable slices.
     #[must_use]
     pub fn new(re: &'a mut [f64], im: &'a mut [f64]) -> Self {
+        Self::over((
+            Cell::from_mut(re).as_slice_of_cells(),
+            Cell::from_mut(im).as_slice_of_cells(),
+        ))
+    }
+
+    /// View memory that is already shared cells: a PE's own partition.
+    #[must_use]
+    pub fn over((re, im): Plane<'a>) -> Self {
         assert_eq!(re.len(), im.len());
-        Self {
-            re: Cell::from_mut(re).as_slice_of_cells(),
-            im: Cell::from_mut(im).as_slice_of_cells(),
-        }
+        Self { re, im }
     }
 }
 
@@ -77,52 +108,12 @@ impl StateView for LocalView<'_> {
         self.re[idx as usize].set(re);
         self.im[idx as usize].set(im);
     }
-}
-
-/// One PE's own partition of a symmetric-heap state vector as plain memory:
-/// indices are partition-local (`0..dim()` is the slab, not the state), every
-/// access is one relaxed load or store of the partition's own words, and
-/// nothing is counted, traced or fault-checked per access — whoever runs a
-/// kernel on it credits the PE's counters once for the whole kernel. Only a
-/// kernel whose share of the work never leaves the partition may run on it;
-/// the words stay relaxed atomics, so even a misuse is a wrong answer, never
-/// undefined behaviour.
-pub struct SlabView<'a> {
-    re: &'a [AtomicU64],
-    im: &'a [AtomicU64],
-}
-
-impl<'a> SlabView<'a> {
-    /// View one PE's partitions of the real and imaginary planes
-    /// ([`SymF64::partition`]).
-    #[must_use]
-    pub fn new(re: &'a SharedF64Vec, im: &'a SharedF64Vec) -> Self {
-        assert_eq!(re.len(), im.len());
-        Self {
-            re: re.words(),
-            im: im.words(),
-        }
-    }
-}
-
-impl StateView for SlabView<'_> {
-    #[inline]
-    fn dim(&self) -> u64 {
-        self.re.len() as u64
-    }
 
     #[inline]
-    fn get(&self, idx: u64) -> (f64, f64) {
-        (
-            f64::from_bits(self.re[idx as usize].load(Ordering::Relaxed)),
-            f64::from_bits(self.im[idx as usize].load(Ordering::Relaxed)),
-        )
-    }
-
-    #[inline]
-    fn set(&self, idx: u64, re: f64, im: f64) {
-        self.re[idx as usize].store(re.to_bits(), Ordering::Relaxed);
-        self.im[idx as usize].store(im.to_bits(), Ordering::Relaxed);
+    fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
+        let start = start as usize;
+        let end = self.re.len().min(start + max as usize);
+        Some((&self.re[start..end], &self.im[start..end]))
     }
 }
 
@@ -141,17 +132,20 @@ pub struct PeerView<'a> {
     /// Which partition this executor thread is pinned to (for traffic
     /// classification); access to any other partition is "remote".
     my_dev: usize,
-    counters: Option<&'a svsim_shmem::PeCounters>,
+    counters: Option<&'a PeCounters>,
+    /// Every partition as plain memory, when this view lends runs.
+    lent: Option<&'a [Plane<'a>]>,
 }
 
 impl<'a> PeerView<'a> {
     /// Build over per-device partitions (all equal power-of-two length).
+    /// Every access is one counted `get` or `set`; nothing is lent.
     #[must_use]
     pub fn new(
         re_parts: &'a [SharedF64Vec],
         im_parts: &'a [SharedF64Vec],
         my_dev: usize,
-        counters: Option<&'a svsim_shmem::PeCounters>,
+        counters: Option<&'a PeCounters>,
     ) -> Self {
         assert_eq!(re_parts.len(), im_parts.len());
         assert!(!re_parts.is_empty());
@@ -166,7 +160,16 @@ impl<'a> PeerView<'a> {
             dim: per_dev * re_parts.len() as u64,
             my_dev,
             counters,
+            lent: None,
         }
+    }
+
+    /// Given `lent`, the same partitions as plain memory, also lend runs out
+    /// of them, crediting one get and one put of 16 bytes per lent amplitude.
+    #[must_use]
+    pub(crate) fn lending(self, lent: Option<&'a [Plane<'a>]>) -> Self {
+        assert!(lent.is_none_or(|lent| lent.len() == self.re_parts.len()));
+        Self { lent, ..self }
     }
 }
 
@@ -196,6 +199,15 @@ impl StateView for PeerView<'_> {
         self.re_parts[dev].store(off, re);
         self.im_parts[dev].store(off, im);
     }
+
+    #[inline]
+    fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
+        let (dev, (re, im)) = lend(self.lent?, self.shift, start, max);
+        if let Some(c) = self.counters {
+            c.credit(dev != self.my_dev, re.len() as u64, 16);
+        }
+        Some((re, im))
+    }
 }
 
 /// Scale-out view: one-sided SHMEM access to a symmetric-heap state vector.
@@ -206,10 +218,13 @@ pub struct ShmemView<'a, 'w> {
     shift: u32,
     mask: u64,
     dim: u64,
+    /// Every PE's partition as plain memory, when this view lends runs.
+    lent: Option<&'a [Plane<'a>]>,
 }
 
 impl<'a, 'w> ShmemView<'a, 'w> {
-    /// Build over symmetric arrays (power-of-two words per PE).
+    /// Build over symmetric arrays (power-of-two words per PE). Every
+    /// access is two one-sided words through the ctx; nothing is lent.
     #[must_use]
     pub fn new(ctx: &'a ShmemCtx<'w>, re: &'a SymF64, im: &'a SymF64) -> Self {
         let per_pe = re.len_per_pe() as u64;
@@ -222,7 +237,27 @@ impl<'a, 'w> ShmemView<'a, 'w> {
             shift: per_pe.trailing_zeros(),
             mask: per_pe - 1,
             dim: per_pe * ctx.n_pes() as u64,
+            lent: None,
         }
+    }
+
+    /// Given `lent`, the same partitions as plain memory, reach every
+    /// amplitude through them instead of the ctx's instrumented accessors —
+    /// runs lent whole, single amplitudes dereferenced — crediting the PE's
+    /// counters with the two 8-byte words per amplitude and direction the
+    /// ctx would have counted. For a launch that observes no individual word.
+    #[must_use]
+    pub(crate) fn lending(self, lent: Option<&'a [Plane<'a>]>) -> Self {
+        assert!(lent.is_none_or(|lent| lent.len() == self.ctx.n_pes()));
+        Self { lent, ..self }
+    }
+
+    /// The partition holding `idx`, the offset in it, and whether it is
+    /// another PE's.
+    #[inline]
+    fn locate(&self, idx: u64) -> (usize, usize, bool) {
+        let pe = (idx >> self.shift) as usize;
+        (pe, (idx & self.mask) as usize, pe != self.ctx.my_pe())
     }
 }
 
@@ -292,20 +327,45 @@ impl StateView for ShmemView<'_, '_> {
 
     #[inline]
     fn get(&self, idx: u64) -> (f64, f64) {
-        let pe = (idx >> self.shift) as usize;
-        let off = (idx & self.mask) as usize;
-        (
-            self.ctx.get_f64(self.re, pe, off),
-            self.ctx.get_f64(self.im, pe, off),
-        )
+        let (pe, off, remote) = self.locate(idx);
+        match self.lent {
+            Some(lent) => {
+                let counters = self.ctx.counters();
+                counters.count_get(remote, 8);
+                counters.count_get(remote, 8);
+                (lent[pe].0[off].get(), lent[pe].1[off].get())
+            }
+            None => (
+                self.ctx.get_f64(self.re, pe, off),
+                self.ctx.get_f64(self.im, pe, off),
+            ),
+        }
     }
 
     #[inline]
     fn set(&self, idx: u64, re: f64, im: f64) {
-        let pe = (idx >> self.shift) as usize;
-        let off = (idx & self.mask) as usize;
-        self.ctx.put_f64(self.re, pe, off, re);
-        self.ctx.put_f64(self.im, pe, off, im);
+        let (pe, off, remote) = self.locate(idx);
+        match self.lent {
+            Some(lent) => {
+                let counters = self.ctx.counters();
+                counters.count_put(remote, 8);
+                counters.count_put(remote, 8);
+                lent[pe].0[off].set(re);
+                lent[pe].1[off].set(im);
+            }
+            None => {
+                self.ctx.put_f64(self.re, pe, off, re);
+                self.ctx.put_f64(self.im, pe, off, im);
+            }
+        }
+    }
+
+    #[inline]
+    fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
+        let (pe, (re, im)) = lend(self.lent?, self.shift, start, max);
+        let counters = self.ctx.counters();
+        counters.credit(pe != self.ctx.my_pe(), 2 * re.len() as u64, 8);
+        Some((re, im))
     }
 }
 
@@ -326,15 +386,102 @@ mod tests {
     }
 
     #[test]
-    fn slab_view_is_the_partition_at_local_indices() {
-        let re = SharedF64Vec::new(4, 0.0);
-        let im = SharedF64Vec::new(4, 0.0);
-        let v = SlabView::new(&re, &im);
-        assert_eq!(v.dim(), 4);
-        v.set(3, 0.5, -0.0);
-        assert_eq!(v.get(3), (0.5, 0.0));
-        assert_eq!(re.load(3), 0.5);
-        assert!(im.load(3).is_sign_negative(), "bits stored as they are");
+    fn local_view_lends_what_it_has() {
+        let mut re: Vec<f64> = (0..8).map(f64::from).collect();
+        let mut im = vec![0.0; 8];
+        let v = LocalView::new(&mut re, &mut im);
+        let (r, i) = v.run(2, 3).unwrap();
+        assert_eq!((r.len(), i.len()), (3, 3));
+        assert_eq!(r[0].get(), 2.0);
+        r[2].set(-0.0);
+        assert!(
+            v.get(4).0.is_sign_negative(),
+            "the lent cells are the state"
+        );
+        assert_eq!(v.run(6, 5).unwrap().0.len(), 2, "clipped at the end");
+    }
+
+    /// `n` partitions of `per` amplitudes holding their global index, negated
+    /// in the imaginary plane.
+    fn numbered(n: usize, per: usize) -> [Vec<Vec<f64>>; 2] {
+        [1.0, -1.0].map(|sign| {
+            (0..n)
+                .map(|p| (0..per).map(|o| sign * (p * per + o) as f64).collect())
+                .collect()
+        })
+    }
+
+    fn shared(parts: &[Vec<f64>]) -> Vec<SharedF64Vec> {
+        let part = |vals: &Vec<f64>| {
+            let part = SharedF64Vec::new(vals.len(), 0.0);
+            part.store_slice(0, vals);
+            part
+        };
+        parts.iter().map(part).collect()
+    }
+
+    #[test]
+    fn a_lent_run_clips_where_the_owning_partition_ends() {
+        // 5 qubits over 4 partitions of 8. A Hadamard on the top qubit pairs
+        // index i with i + 16; one worker walking all 16 items asks for runs
+        // of 16 and is lent 8 at a time, from partitions (0, 2) then (1, 3).
+        let [mut re, mut im] = numbered(4, 8);
+        let (parts_re, parts_im) = (shared(&re), shared(&im));
+        fn cells(part: &mut [f64]) -> &[Cell<f64>] {
+            Cell::from_mut(part).as_slice_of_cells()
+        }
+        let lent: Vec<Plane<'_>> = re
+            .iter_mut()
+            .zip(&mut im)
+            .map(|(re, im)| (cells(re), cells(im)))
+            .collect();
+        let counters = PeCounters::default();
+        let v = PeerView::new(&parts_re, &parts_im, 1, Some(&counters)).lending(Some(&lent));
+        let (r, i) = v.run(4, 16).unwrap();
+        assert_eq!((r.len(), i.len()), (4, 4), "partition 0 ends at 8");
+        assert_eq!((r[0].get(), i[3].get()), (4.0, -7.0));
+        let (r, _) = v.run(8, 16).unwrap();
+        assert_eq!(r.len(), 8, "all of partition 1, not into partition 2");
+        // Credited as the per-word path would have counted: 4 remote and 8
+        // local amplitudes, one get and one put of 16 bytes each.
+        let t = counters.snapshot();
+        assert_eq!((t.remote_gets, t.remote_puts), (4, 4));
+        assert_eq!((t.remote_get_bytes, t.remote_put_bytes), (64, 64));
+        assert_eq!((t.local_gets, t.local_puts), (8, 8));
+
+        // The kernel on top of it: the amplitudes and the counts of the
+        // view that lends nothing.
+        let gate = svsim_ir::Gate::new(svsim_ir::GateKind::H, &[4], &[]).unwrap();
+        let mut queue = Vec::new();
+        crate::compile::compile_gate(&gate, 5, true, &mut queue);
+        let (kernel, args) = (
+            crate::dispatch::resolve::<PeerView>(queue[0].id),
+            &queue[0].args,
+        );
+        let (by_word, bulk) = (PeCounters::default(), PeCounters::default());
+        kernel(
+            &PeerView::new(&parts_re, &parts_im, 1, Some(&by_word)),
+            args,
+            0..args.work,
+        );
+        kernel(
+            &PeerView::new(&parts_re, &parts_im, 1, Some(&bulk)).lending(Some(&lent)),
+            args,
+            0..args.work,
+        );
+        assert_eq!(bulk.snapshot(), by_word.snapshot());
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for p in 0..4 {
+            let (lent_re, lent_im) = lent[p];
+            assert_eq!(
+                bits(lent_re.iter().map(Cell::get).collect()),
+                bits(parts_re[p].to_vec())
+            );
+            assert_eq!(
+                bits(lent_im.iter().map(Cell::get).collect()),
+                bits(parts_im[p].to_vec())
+            );
+        }
     }
 
     #[test]

@@ -243,7 +243,7 @@ mod tests {
         ))));
         a.set_checkpoint_store(Some(CheckpointStore::open(dir.clone()).unwrap()));
         let ran_a = a.run(&c).unwrap();
-        assert!(ran_a.checkpoint_bytes > 0 && ran_a.slab_kernels == 0);
+        assert!(ran_a.checkpoint_bytes > 0 && ran_a.slab_kernels == 0 && ran_a.word_kernels > 0);
         let generations = CheckpointStore::open(dir.clone())
             .unwrap()
             .generations()
@@ -264,6 +264,7 @@ mod tests {
         assert_eq!(ran_b.checkpoint_bytes, 0);
         assert!(ran_b.races.is_empty());
         assert!(ran_b.slab_kernels > 0 && ran_b.slab_kernels == ran_fresh.slab_kernels);
+        assert_eq!(ran_b.word_kernels, 0);
         assert!(b.checkpoint().is_none() && b.checkpoint_store().is_none());
         assert_eq!(
             CheckpointStore::open(dir.clone())

@@ -97,13 +97,20 @@ impl PeCounters {
         }
     }
 
-    /// Credit `ops` local gets and as many local puts at once: what a kernel
-    /// that ran on the PE's own partition as plain memory would have counted
-    /// access by access.
+    /// Credit `ops` gets and as many puts of `bytes` each at once: what a
+    /// kernel that reached a partition as plain memory — its own, or one it
+    /// borrowed a run of — would have counted access by access.
     #[inline]
-    pub fn credit_local(&self, ops: u64) {
-        bump(&self.local_gets, ops);
-        bump(&self.local_puts, ops);
+    pub fn credit(&self, remote: bool, ops: u64, bytes: u64) {
+        if remote {
+            bump(&self.remote_gets, ops);
+            bump(&self.remote_puts, ops);
+            bump(&self.remote_get_bytes, ops * bytes);
+            bump(&self.remote_put_bytes, ops * bytes);
+        } else {
+            bump(&self.local_gets, ops);
+            bump(&self.local_puts, ops);
+        }
     }
 
     /// Count one barrier crossing.
@@ -300,7 +307,7 @@ mod tests {
         t.pe(0).count_get(true, 8);
         t.pe(1).count_put(true, 8);
         t.pe(1).count_barrier();
-        t.pe(1).credit_local(5);
+        t.pe(1).credit(false, 5, 8);
         assert_eq!(t.pe(1).snapshot().local_gets, 5);
         assert_eq!(t.pe(1).snapshot().local_puts, 5);
         let s0 = t.pe(0).snapshot();
@@ -312,6 +319,20 @@ mod tests {
         assert_eq!(agg.remote_ops(), 2);
         assert_eq!(agg.remote_bytes(), 16);
         assert_eq!(agg.barriers, 1);
+    }
+
+    #[test]
+    fn bulk_credit_equals_counting_one_by_one() {
+        let (bulk, single) = (PeCounters::default(), PeCounters::default());
+        for remote in [false, true] {
+            bulk.credit(remote, 3, 16);
+            for _ in 0..3 {
+                single.count_get(remote, 16);
+                single.count_put(remote, 16);
+            }
+        }
+        assert_eq!(bulk.snapshot(), single.snapshot());
+        assert_eq!(bulk.snapshot().remote_bytes(), 96);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! SPMD body run on either backend.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -135,14 +136,32 @@ impl SharedF64Vec {
         self.cells()[idx].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// The buffer's words, for a hot loop over a PE's own partition: where
-    /// they live is resolved here once instead of on every access. The same
-    /// relaxed-atomic words [`load`](Self::load) and [`store`](Self::store)
-    /// reach (an `f64`'s bits each).
+    /// The buffer's words as plain memory (the `shmem_ptr` analog): the same
+    /// words [`load`](Self::load) and [`store`](Self::store) reach, an
+    /// `f64` each, for kernels to sweep without an atomic access — which the
+    /// compiler will not vectorize — per word.
+    ///
+    /// Accesses through the returned cells are ordinary, non-atomic loads
+    /// and stores; keeping them free of data races is the caller's part.
+    ///
+    /// # Safety
+    /// While a thread or process reads or writes a word through these cells,
+    /// no other may write it (nor read it, if this one writes) by any means
+    /// — these cells, the atomic accessors, another mapping of the memory —
+    /// without a happens-before edge in between, such as a world barrier's
+    /// release/acquire pair. The SHMEM contract, one owner per word per
+    /// barrier epoch, is exactly that.
     #[inline]
     #[must_use]
-    pub fn words(&self) -> &[AtomicU64] {
-        self.cells()
+    #[allow(unsafe_code)]
+    pub unsafe fn as_cells(&self) -> &[Cell<f64>] {
+        let words = self.cells();
+        // SAFETY: `AtomicU64` has the size and bit validity of `u64` and at
+        // least its alignment, `Cell<f64>` those of `f64`, and every 64-bit
+        // pattern is a valid `f64`; both permit mutation through a shared
+        // reference, and the slice covers exactly the words `cells` borrows
+        // for `&self`'s lifetime. The caller answers for data races.
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<Cell<f64>>(), words.len()) }
     }
 
     /// Copy `dst.len()` words starting at `src_start` into `dst`.
@@ -223,7 +242,12 @@ mod tests {
         assert_eq!(v.load(3), 2.5);
         v.store_slice(0, &[1.0, 2.0]);
         assert_eq!(v.to_vec()[..2], [1.0, 2.0]);
-        assert_eq!(f64::from_bits(v.words()[1].load(Ordering::Relaxed)), 2.0);
+        // SAFETY: this thread is the only one touching `v`.
+        #[allow(unsafe_code)]
+        let cells = unsafe { v.as_cells() };
+        assert_eq!(cells[1].get(), 2.0);
+        cells[1].set(-0.0);
+        assert!(v.load(1).is_sign_negative(), "bits stored as they are");
         // The mapped view writes through to the backing words.
         assert_eq!(f64::from_bits(backing[3].load(Ordering::Relaxed)), 2.5);
     }

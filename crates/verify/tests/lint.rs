@@ -58,6 +58,26 @@ fn seeded_fixture_violations_are_caught() {
         rules.contains(&"ffi-confined"),
         "fixture extern \"C\" not flagged: {rules:?}"
     );
+    // The `shmem_ptr` accessor may be called from the partitioned executor
+    // and from nowhere else in the core crate.
+    let flagged = |file: &str| {
+        report
+            .findings
+            .iter()
+            .any(|f| f.file == file && f.rule == "unsafe-confined")
+    };
+    assert!(
+        flagged("crates/core/src/view.rs"),
+        "`as_cells` outside exec.rs not flagged: {:?}",
+        report.findings
+    );
+    assert!(
+        !report
+            .findings
+            .iter()
+            .any(|f| f.file == "crates/core/src/exec.rs"),
+        "the allowlisted call site must pass"
+    );
     assert!(
         report
             .findings

@@ -62,6 +62,13 @@ cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --remap
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --fuse 3
 
+echo "== kernel run path (release) =="
+# Every kernel's run path (contiguous runs of lent plain memory, the code
+# the optimizer vectorizes) against its per-item path, bit for bit, in the
+# build that ships: every KernelId and fused window x lowest qubit x range
+# split. Tier-1 runs the same test unoptimized.
+cargo test --release -p svsim-core --lib run_path_is_bit_identical_to_the_per_item_path
+
 echo "== gate fusion gate =="
 # Fused plans must stay bit-identical to unfused ones and collapse the
 # deep workloads' amplitude passes by >= 2x (mean source kernels per

@@ -298,12 +298,12 @@ fn cmd_run(flags: &Flags) -> CmdResult {
             // Compiled kernels: a conditioned kernel that did not fire is
             // in the second number.
             let compiled = sim.compile_plan(&circuit).n_kernels();
+            let (slab, by_word) = (summary.slab_kernels, summary.word_kernels);
             println!(
-                "kernels: {} on the local slab, {} {}",
-                summary.slab_kernels,
-                compiled.saturating_sub(summary.slab_kernels),
+                "kernels: {slab} on the local slab, {} on partitions lent {}, {by_word} word by word",
+                compiled.saturating_sub(slab + by_word),
                 match backend {
-                    BackendKind::ScaleOut { .. } => "one-sided",
+                    BackendKind::ScaleOut { .. } => "by the owning PEs",
                     _ => "through the peer table",
                 }
             );

@@ -208,43 +208,54 @@ fn every_kernel_on(c: &mut Circuit, q: [u32; 5]) {
     }
 }
 
-/// The fast path against the path it replaces. A partitioned run sends its
-/// partition-local kernels to the PE's own slab and credits the counters per
-/// kernel; a launch that observes individual words — a fault plan holding a
-/// `Get` spec (here one that never fires), or the race detector — issues
-/// every access through the view as before. Same amplitudes bit for bit,
-/// same classical bits, the same counters on every PE field by field: an
-/// off-by-one-word credit on any kernel class shows as a traffic mismatch.
+/// The fast paths against the path they replace. A partitioned run reaches
+/// the state as plain memory: partition-local kernels on the PE's own slab,
+/// credited per kernel; boundary kernels as runs lent by whichever partition
+/// owns them, credited per run (or, where the lowest involved qubit leaves no
+/// run of 8, amplitude by amplitude out of the same lent memory). A launch
+/// that observes individual words — a fault plan holding a `Get` spec (here
+/// one that never fires), or the race detector — lends nothing and issues
+/// every access through the view's instrumented accessors as before. Same
+/// amplitudes bit for bit, same classical bits, the same counters on every PE
+/// field by field: an off-by-one-word credit on any kernel class, driver or
+/// partition count shows as a traffic mismatch.
 #[test]
-fn slab_path_is_indistinguishable_from_the_observed_per_word_path() {
+fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
     use std::sync::Arc;
     use sv_sim::ir::{Gate, GateKind};
     use sv_sim::shmem::{FaultAction, FaultPlan};
     use sv_sim::types::PeOp;
 
-    // 7 qubits: the partition boundary is 6 at 2 PEs and 5 at 4. Every
-    // kernel class wholly below both, then straddling both; a measured
-    // partition-index qubit steering conditioned gates on either side; a
-    // reset (and its restoring X) on either side.
-    let n = 7u32;
+    // 10 qubits: the partition boundary is 9 at 2 PEs, 8 at 4, 7 at 8. Every
+    // kernel class wholly below all three, then straddling them with its
+    // lowest qubit at 3 or above (runs of 8 to 512 lent across the
+    // boundary: one-qubit kernels on the top qubit, cx / cz / crz / ccx /
+    // c4x / swap / cswap / rzz / rxx with operands on both sides), then
+    // straddling with its lowest qubit at 0 (no runs: lent amplitude by
+    // amplitude); a measured partition-index qubit steering conditioned
+    // gates on either side; a reset (and its restoring X) on either side.
+    let n = 10u32;
+    let top = n - 1;
     let mut circuit = Circuit::with_cbits(n, 3);
     for q in 0..n {
         circuit.apply(GateKind::H, &[q], &[]).unwrap();
     }
     every_kernel_on(&mut circuit, [0, 1, 2, 3, 4]);
-    every_kernel_on(&mut circuit, [6, 2, 5, 0, 4]);
-    circuit.measure(6, 0).unwrap();
+    every_kernel_on(&mut circuit, [top, 5, top - 1, 3, top - 2]);
+    every_kernel_on(&mut circuit, [top - 2, top, top - 3, top - 1, 4]);
+    every_kernel_on(&mut circuit, [top, 0, top - 1, 1, 2]);
+    circuit.measure(top, 0).unwrap();
     for value in [0, 1] {
         let low = Gate::new(GateKind::RY, &[1], &[0.7]).unwrap();
-        let high = Gate::new(GateKind::RY, &[5 + value as u32], &[0.7]).unwrap();
+        let high = Gate::new(GateKind::RY, &[top - 1 + value as u32], &[0.7]).unwrap();
         circuit.if_eq(0, 1, value, low).unwrap();
         circuit.if_eq(0, 1, value, high).unwrap();
     }
     circuit.reset(2).unwrap();
-    circuit.reset(5).unwrap();
-    every_kernel_on(&mut circuit, [5, 6, 3, 1, 0]);
+    circuit.reset(top - 1).unwrap();
+    every_kernel_on(&mut circuit, [top - 1, top, 3, 1, 0]);
     circuit.measure(0, 1).unwrap();
-    circuit.measure(5, 2).unwrap();
+    circuit.measure(top - 1, 2).unwrap();
 
     let observe = |config: SimConfig, plan: Option<FaultPlan>| {
         let mut sim = Simulator::new(n, config).unwrap();
@@ -255,7 +266,7 @@ fn slab_path_is_indistinguishable_from_the_observed_per_word_path() {
         let state = (bits(sim.state().re()), bits(sim.state().im()));
         (
             (state, summary.cbits, summary.traffic),
-            summary.slab_kernels,
+            (summary.slab_kernels, summary.word_kernels),
         )
     };
     let never = |op| FaultPlan::new().with(0, op, u64::MAX, FaultAction::Delay(0));
@@ -271,7 +282,7 @@ fn slab_path_is_indistinguishable_from_the_observed_per_word_path() {
                     ..base
                 };
                 configs.push(with(SimConfig::scale_up(2)));
-                for n_pes in [2, 4] {
+                for n_pes in [2, 4, 8] {
                     configs.push(with(SimConfig::scale_out(n_pes)));
                     configs.push(with(SimConfig {
                         remap: true,
@@ -282,34 +293,43 @@ fn slab_path_is_indistinguishable_from_the_observed_per_word_path() {
         }
     }
     for config in configs {
-        let (plain, on_slab) = observe(config, None);
+        let (plain, (on_slab, by_word)) = observe(config, None);
         assert!(on_slab > 0, "{config:?}: no kernel took the slab");
+        assert_eq!(by_word, 0, "{config:?}: nobody observes, nothing by word");
 
-        let (by_word, none) = observe(config, Some(never(PeOp::Get)));
+        let (observed, (none, all)) = observe(config, Some(never(PeOp::Get)));
         assert_eq!(none, 0, "{config:?}: a Get spec must see every get");
+        // Every kernel goes word by word: the slab's and the boundary ones
+        // (which a remapped schedule may have none of).
         assert!(
-            plain == by_word,
-            "{config:?}: slab and per-word runs differ"
+            all >= on_slab && (config.remap || all > on_slab),
+            "{config:?}: {all} kernels by word, {on_slab} on the slab"
+        );
+        assert!(
+            plain == observed,
+            "{config:?}: plain and per-word runs differ"
         );
 
-        // A plan that only watches barriers observes no words: the slab
-        // stays, and every barrier it counts is still there.
+        // A plan that only watches barriers observes no words: the plain
+        // paths stay, and every barrier it counts is still there.
         let (at_barriers, kept) = observe(config, Some(never(PeOp::Barrier)));
-        assert_eq!(kept, on_slab, "{config:?}");
+        assert_eq!(kept, (on_slab, 0), "{config:?}");
         assert!(plain == at_barriers, "{config:?}");
 
         if matches!(config.backend, sv_sim::core::BackendKind::ScaleOut { .. }) {
-            let (detected, none) = observe(
+            // Each recorded access is also one counted op, so equal counters
+            // say the detector still saw every word of every kernel.
+            let (detected, counts) = observe(
                 SimConfig {
                     detect_races: true,
                     ..config
                 },
                 None,
             );
-            assert_eq!(none, 0, "{config:?}: the detector must see every word");
+            assert_eq!(counts, (0, all), "{config:?}: the detector sees every word");
             assert!(
                 plain == detected,
-                "{config:?}: slab and detected runs differ"
+                "{config:?}: plain and detected runs differ"
             );
         }
 
@@ -319,7 +339,7 @@ fn slab_path_is_indistinguishable_from_the_observed_per_word_path() {
             ..config
         };
         let ((state, cbits, _), none) = observe(single, None);
-        assert_eq!(none, 0, "a single device has no slab to speak of");
+        assert_eq!(none, (0, 0), "a single device has no partition to speak of");
         assert!((&state, cbits) == (&plain.0, plain.1), "{config:?}");
     }
 }

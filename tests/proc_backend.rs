@@ -104,51 +104,64 @@ fn measurement_streams_agree_across_backends() {
     }
 }
 
-/// Forked PEs run their partition-local kernels on their own slab of the
-/// arena like thread PEs do, and credit the arena's counter blocks per
-/// kernel: state, classical bits and every PE's traffic equal the per-word
-/// run (forced by a fault plan whose `Get` spec never fires) and the thread
+/// Forked PEs reach the arena as plain memory like thread PEs do — their own
+/// slab for partition-local kernels, runs lent out of the other PE's mapping
+/// for boundary kernels — and credit the arena's counter blocks in bulk:
+/// state, classical bits and every PE's traffic equal the per-word run
+/// (forced by a fault plan whose `Get` spec never fires) and the thread
 /// world's.
 #[test]
-fn slab_path_matches_the_per_word_path_on_process_pes() {
-    let mut circuit = Circuit::with_cbits(6, 2);
-    circuit.extend(&random_circuit(6, 60, 5)).unwrap();
-    circuit.extend(&ghz_with_measure(6)).unwrap();
+fn plain_memory_paths_match_the_per_word_path_on_process_pes() {
+    use sv_sim::ir::GateKind::*;
+    // 8 qubits at 2 PEs: the boundary is qubit 7. A kernel of every driver
+    // across it with runs to lend (lowest qubit 3 to 7), and one without.
+    let n = 8u32;
+    let mut circuit = Circuit::with_cbits(n, 2);
+    circuit.extend(&random_circuit(n, 60, 5)).unwrap();
+    let across: [(sv_sim::ir::GateKind, &[u32], &[f64]); 9] = [
+        (H, &[7], &[]),
+        (T, &[7], &[]),
+        (CX, &[4, 7], &[]),
+        (CU1, &[3, 7], &[0.37]),
+        (SWAP, &[5, 7], &[]),
+        (RXX, &[6, 7], &[0.9]),
+        (CCX, &[3, 7, 5], &[]),
+        (RZZ, &[7, 4], &[0.4]),
+        (CX, &[7, 0], &[]),
+    ];
+    for (kind, qubits, params) in across {
+        circuit.apply(kind, qubits, params).unwrap();
+    }
+    circuit.extend(&ghz_with_measure(n)).unwrap();
     let observe = |config: SimConfig, plan: Option<FaultPlan>| {
-        let mut sim = Simulator::new(6, config).unwrap();
+        let mut sim = Simulator::new(n, config).unwrap();
         sim.set_fault_plan(plan.map(Arc::new));
         let summary = sim.run(&circuit).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let state = (bits(sim.state().re()), bits(sim.state().im()));
         (
             (state, summary.cbits, summary.traffic),
-            summary.slab_kernels,
+            (summary.slab_kernels, summary.word_kernels),
         )
     };
     let threads = SimConfig {
         seed: 5,
         ..SimConfig::scale_out(2)
     };
+    let processes = SimConfig {
+        shmem_backend: ShmemBackend::Process,
+        ..threads
+    };
     let never = FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0));
-    let (plain, on_slab) = observe(
-        SimConfig {
-            shmem_backend: ShmemBackend::Process,
-            ..threads
-        },
-        None,
-    );
-    let (by_word, none) = observe(
-        SimConfig {
-            shmem_backend: ShmemBackend::Process,
-            ..threads
-        },
-        Some(never),
-    );
+    let (plain, (on_slab, by_word)) = observe(processes, None);
+    let (observed, (none, all)) = observe(processes, Some(never));
     assert!(on_slab > 0, "no kernel took the slab");
+    assert_eq!(by_word, 0, "nobody observes, nothing goes by word");
     assert_eq!(none, 0, "a Get spec must see every get");
-    assert!(plain == by_word, "slab and per-word runs differ");
+    assert!(all >= on_slab + 9, "every kernel goes word by word");
+    assert!(plain == observed, "plain and per-word runs differ");
     assert!(
-        (plain, on_slab) == observe(threads, None),
+        (plain, (on_slab, 0)) == observe(threads, None),
         "substrates differ"
     );
 }
