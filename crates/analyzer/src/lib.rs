@@ -244,4 +244,80 @@ mod tests {
             t0.elapsed()
         );
     }
+
+    /// Remove from `plan` the barriers a tiled PE no longer passes: merge the
+    /// epochs of every tile run — consecutive unconditional kernels that are
+    /// tile-local, by the rule the executor binds with — and say how many
+    /// barriers went. Nothing merges when a PE's slab is one tile or less.
+    fn merge_tile_runs(plan: &mut CommPlan, n_pes: u64) -> usize {
+        use svsim_core::traffic::{tile_local, TILE_QUBITS};
+        let n = plan.n_qubits;
+        if n - n_pes.trailing_zeros() <= TILE_QUBITS {
+            return 0;
+        }
+        let joins = |plan: &CommPlan, e: usize| {
+            let epoch = &plan.epochs[e];
+            let tile_local = |g: &usize| {
+                let gate = &plan.gates[*g];
+                !gate.conditional && tile_local(&gate.cg, n, TILE_QUBITS)
+            };
+            epoch.kind == EpochKind::Kernel && epoch.gates.iter().all(tile_local)
+        };
+        let before = plan.epochs.len();
+        let mut e = 0;
+        while e + 1 < plan.epochs.len() {
+            if joins(plan, e) && joins(plan, e + 1) {
+                plan.merge_epochs(e).unwrap();
+            } else {
+                e += 1;
+            }
+        }
+        before - plan.epochs.len()
+    }
+
+    #[test]
+    fn the_epochs_a_tiled_pe_runs_are_still_proven_safe() {
+        // `CommPlan` images one epoch per kernel; a PE whose slab is wider
+        // than a tile passes one barrier per tile run instead. Every kernel
+        // of a run stays inside the PE's own partition, so the coarser
+        // schedule must prove as clean: the 20- to 23-qubit Table 4 plans at
+        // 8 PEs (slabs of 2^17 to 2^20), the 17- and 18-qubit ones at 2.
+        let mut merged = Vec::new();
+        for spec in svsim_workloads::large_suite() {
+            let c = spec.circuit().unwrap();
+            let n_pes = match c.n_qubits() {
+                17 | 18 => 2,
+                20.. => 8,
+                _ => continue,
+            };
+            for remap in [false, true] {
+                let config = SimConfig {
+                    remap,
+                    ..SimConfig::scale_out(n_pes)
+                };
+                let compiled = CompiledPlan::compile(&c, c.n_qubits(), &config);
+                let mut plan = CommPlan::from_plan(&compiled);
+                let barriers = merge_tile_runs(&mut plan, n_pes as u64);
+                let rep = check_plan(&plan, n_pes as u64).unwrap();
+                assert!(
+                    rep.is_proven_safe(),
+                    "{} at {n_pes} PEs, remap {remap}, {barriers} barriers merged away: {rep}",
+                    spec.name
+                );
+                merged.push((spec.name, remap, barriers));
+            }
+        }
+        let fewest = |name: &str| {
+            let of = merged.iter().filter(|m| m.0 == name);
+            of.map(|m| m.2).min().unwrap()
+        };
+        assert!(fewest("square_root_n18") > 3000, "{merged:?}");
+        assert!(fewest("qft_n20") > 100, "{merged:?}");
+        assert_eq!(merged.len(), 2 * 6, "{merged:?}");
+
+        // 16 qubits at 2 PEs: a slab is one tile and the plan is untouched.
+        let dnn = svsim_workloads::qnn::dnn_layers(16, 2, 1).unwrap();
+        let compiled = CompiledPlan::compile(&dnn, 16, &SimConfig::scale_out(2));
+        assert_eq!(merge_tile_runs(&mut CommPlan::from_plan(&compiled), 2), 0);
+    }
 }

@@ -21,6 +21,7 @@ use crate::exec::{run_solo, Step};
 use crate::plan::{build_segment, PlanSegment};
 use crate::sim::SimConfig;
 use crate::state::StateVector;
+use crate::traffic::TILE_QUBITS;
 use svsim_ir::{Circuit, Gate, GateKind};
 use svsim_types::{SvError, SvResult};
 
@@ -255,7 +256,7 @@ impl CompiledTemplate {
             );
         }
         state.reset_zero();
-        run_solo(state, &self.seg, &TEMPLATE_CONFIG, &[], 0)?;
+        run_solo(state, &self.seg, &TEMPLATE_CONFIG, &[], 0, TILE_QUBITS)?;
         Ok(())
     }
 }
@@ -315,6 +316,16 @@ mod tests {
                 sim.state().im(),
                 "template diverged from rebuild"
             );
+            // The trial just patched in, walked tile-major in tiles of four
+            // amplitudes (the shipped width tiles no 4-qubit state).
+            let mut tiled = StateVector::zero_state(4).unwrap();
+            let (_, (tile_runs, _)) =
+                run_solo(&mut tiled, &compiled.seg, &TEMPLATE_CONFIG, &[], 0, 2).unwrap();
+            assert!(tile_runs > 0);
+            let bits = |s: &StateVector| -> Vec<u64> {
+                s.re().iter().chain(s.im()).map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&tiled), bits(&fast), "tile-major template trial");
         }
     }
 

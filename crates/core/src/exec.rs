@@ -27,7 +27,24 @@
 //! two a kernel takes is decided by index arithmetic when the walker binds
 //! the segment, never by an option. An observed launch has no slab and its
 //! views lend nothing: every access of every kernel is one counted, traced,
-//! fault-checked word.
+//! fault-checked word. A single device's slab is its whole state.
+//!
+//! **Tile-major execution** is the same argument one level down. A tile is
+//! `2^TILE_QUBITS` aligned amplitudes ([`crate::traffic::TILE_QUBITS`]: 512
+//! KiB, a quarter of L2) and a kernel all of whose qubits lie below the tile
+//! boundary is **tile-local** ([`crate::traffic::tile_local`]): it pairs
+//! amplitudes inside one tile only, as a partition-local kernel pairs them
+//! inside one partition. So a run of consecutive tile-local kernels need not
+//! sweep the slab once per kernel: `interpret` holds such kernels back and
+//! runs each maximal run of two or more tile by tile — every kernel of the
+//! run over tile 0 while it sits in cache, then over tile 1 — which gives
+//! every amplitude the same kernels in the same order with the same operands,
+//! so the bits cannot differ. A PE passes one barrier per run instead of one
+//! per kernel (no kernel of the run leaves its partition), and the counters
+//! are credited per kernel as before. A kernel that is not tile-local, a
+//! measure, reset, conditional gate or exchange, and the segment's end each
+//! close the run; runtime parsing, an observed launch and a slab no wider
+//! than one tile never open one.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -37,7 +54,7 @@ use crate::plan::PlanSegment;
 use crate::remap::QubitLayout;
 use crate::sim::{BackendKind, RunSummary, SimConfig};
 use crate::state::StateVector;
-use crate::traffic::{kernel_access_patterns, partition_local};
+use crate::traffic::{kernel_access_patterns, partition_local, tile_local};
 use crate::view::{LocalView, PeerView, Plane, ShmemView, StateView};
 use std::cell::Cell;
 use std::ops::Range;
@@ -149,29 +166,30 @@ fn cond_holds(cbits: u64, lo: u32, len: u32, value: u64) -> bool {
     ((cbits >> lo) & mask) == value
 }
 
-/// A kernel on a PE's own slab: the [`LocalView`] instance of the kernel and
-/// the amplitude accesses one PE's share of it makes (`items x patterns`,
-/// each one load and one store) — what [`Slab::run`] credits in bulk.
-type OnSlab<'s> = (KernelFn<LocalView<'s>>, u64);
+/// A kernel on a walker's own slab.
+#[derive(Clone, Copy)]
+struct OnSlab<'s> {
+    /// The [`LocalView`] instance of the kernel.
+    kernel: KernelFn<LocalView<'s>>,
+    /// The amplitude accesses one walker's share of it makes (`items x
+    /// patterns`, each one load and one store) — what a slab that counts
+    /// credits in bulk; 0 on one that does not.
+    accesses: u64,
+    /// Whether it may wait in a tile run ([`tile_local`]); never, for a
+    /// walker that does not tile.
+    tile_local: bool,
+}
 
 /// Kernels a walker ran on its slab, and through its fabric's view.
 type KernelsRun = (usize, usize);
+
+/// Tile runs a walker executed tile-major, and the kernels in them.
+pub(crate) type TilesRun = (usize, usize);
 
 /// One kernel bound for a walker: through the fabric's view and, if the
 /// fabric's workers own a slab each and the kernel is partition-local, on
 /// the slab.
 type Bound<'s, V> = (KernelFn<V>, Option<OnSlab<'s>>);
-
-fn bind<'s, V: StateView>(cg: &CompiledGate, n_qubits: u32, slab_pes: Option<u64>) -> Bound<'s, V> {
-    let on_slab = slab_pes
-        .filter(|&n_pes| partition_local(cg, n_qubits, n_pes))
-        .map(|n_pes| {
-            let patterns = kernel_access_patterns(cg).0.len() as u64;
-            let accesses = cg.args.work / n_pes * patterns;
-            (resolve::<LocalView>(cg.id), accesses)
-        });
-    (resolve::<V>(cg.id), on_slab)
-}
 
 /// A segment's kernels bound for one walker: the preloaded pointer table,
 /// or the raw gates re-parsed at every execution.
@@ -184,9 +202,11 @@ struct Kernels<'a, V: StateView> {
     uploaded: Vec<Bound<'a, V>>,
     config: &'a SimConfig,
     n_qubits: u32,
-    /// How many workers own a slab each ([`Fabric::slab`]), if any: what
-    /// decides which kernels are also bound for the slab.
-    slab_pes: Option<u64>,
+    /// The walker's slab ([`Fabric::slab`]), if any: what decides which
+    /// kernels are also bound for it.
+    slab: Option<&'a Slab<'a>>,
+    /// The tile width, if the walker gathers tile runs ([`interpret`]).
+    tile_qubits: Option<u32>,
     scratch: Vec<CompiledGate>,
 }
 
@@ -195,29 +215,59 @@ impl<'a, V: StateView> Kernels<'a, V> {
         seg: &'a PlanSegment,
         config: &'a SimConfig,
         n_qubits: u32,
-        slab_pes: Option<u64>,
+        slab: Option<&'a Slab<'a>>,
+        tile_qubits: Option<u32>,
     ) -> Self {
-        let uploaded = match config.dispatch {
-            DispatchMode::PreloadedFnPointer => seg
-                .queue
-                .iter()
-                .map(|c| bind(c, n_qubits, slab_pes))
-                .collect(),
-            DispatchMode::RuntimeParse => Vec::new(),
-        };
-        Self {
+        let mut kernels = Self {
             queue: &seg.queue,
-            uploaded,
+            uploaded: Vec::new(),
             config,
             n_qubits,
-            slab_pes,
+            slab,
+            tile_qubits,
             scratch: Vec::new(),
+        };
+        if config.dispatch == DispatchMode::PreloadedFnPointer {
+            kernels.uploaded = seg.queue.iter().map(|cg| kernels.bind(cg)).collect();
         }
+        kernels
+    }
+
+    /// Bind `cg` for this walker: on its slab too if it has one and `cg` is
+    /// partition-local, marked for tile runs if the walker gathers them.
+    fn bind(&self, cg: &CompiledGate) -> Bound<'a, V> {
+        let n_qubits = self.n_qubits;
+        let on_slab = self
+            .slab
+            .filter(|slab| partition_local(cg, n_qubits, slab.n_pes))
+            .map(|slab| OnSlab {
+                kernel: resolve::<LocalView>(cg.id),
+                accesses: slab.counters.map_or(0, |_| {
+                    cg.args.work / slab.n_pes * kernel_access_patterns(cg).0.len() as u64
+                }),
+                tile_local: self
+                    .tile_qubits
+                    .is_some_and(|t| tile_local(cg, n_qubits, t)),
+            });
+        (resolve::<V>(cg.id), on_slab)
+    }
+
+    /// Kernel `k` of the segment's queue — through the preloaded table, if
+    /// there is one — and its arguments, which outlive the walk.
+    #[inline]
+    fn queued(&self, k: usize) -> (Bound<'a, V>, &'a GateArgs) {
+        let queue = self.queue;
+        let cg = &queue[k];
+        let bound = match self.uploaded.get(k) {
+            Some(b) => *b,
+            None => self.bind(cg),
+        };
+        (bound, &cg.args)
     }
 
     /// Hand `apply` each kernel of one step, in order: `queue[compiled]`
-    /// through the preloaded table, or — under runtime parsing, for a step
-    /// that kept its `raw` gate — whatever re-parsing `raw` yields now.
+    /// ([`Self::queued`]), or — under runtime parsing, for a step that kept
+    /// its `raw` gate — whatever re-parsing `raw` yields now.
     #[inline]
     fn each(
         &mut self,
@@ -235,17 +285,13 @@ impl<'a, V: StateView> Kernels<'a, V> {
                     &mut self.scratch,
                 );
                 for cg in &self.scratch {
-                    apply(bind(cg, self.n_qubits, self.slab_pes), &cg.args);
+                    apply(self.bind(cg), &cg.args);
                 }
             }
             None => {
                 for k in compiled.clone() {
-                    let cg = &self.queue[k];
-                    let bound = match self.uploaded.get(k) {
-                        Some(b) => *b,
-                        None => bind(cg, self.n_qubits, self.slab_pes),
-                    };
-                    apply(bound, &cg.args);
+                    let (bound, args) = self.queued(k);
+                    apply(bound, args);
                 }
             }
         }
@@ -271,58 +317,87 @@ trait Fabric {
     fn rescale(&self, qubit: u32, layout: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64);
     /// One relabeling slab exchange of physical positions `(lo, hi)`.
     fn exchange(&self, lo: u32, hi: u32);
-    /// This worker's own slab, if it runs partition-local kernels there
-    /// instead of through [`Self::view`]. A single device has none: its
-    /// view already is plain memory.
-    fn slab(&self) -> Option<&Slab<'_>> {
-        None
-    }
+    /// This walker's own plain memory, where it runs partition-local
+    /// kernels instead of through [`Self::view`] — unless the launch
+    /// observes individual words ([`run_partitioned`]).
+    fn slab(&self) -> Option<&Slab<'_>>;
 }
 
-/// A single device: full ranges, nothing to synchronize or relabel.
-struct Solo<'a>(LocalView<'a>);
+/// A single device: full ranges, nothing to synchronize or relabel. The
+/// whole state is its slab — the one partition of one, nothing counted.
+struct Solo<'a>(Slab<'a>);
 
 impl<'a> Fabric for Solo<'a> {
     type View = LocalView<'a>;
     fn view(&self) -> &Self::View {
-        &self.0
+        &self.0.view
     }
     fn share(&self, work: u64) -> Range<u64> {
         0..work
     }
     fn sync(&self) {}
     fn prob_one(&self, qubit: u32, _: Option<&QubitLayout>) -> f64 {
-        measure::prob_one_view(&self.0, qubit, self.0.dim())
+        measure::prob_one_view(self.view(), qubit, self.view().dim())
     }
     fn rescale(&self, qubit: u32, _: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64) {
-        crate::kernels::collapse_pairs(&self.0, qubit, outcome, inv_sqrt_p, 0..self.0.dim() / 2);
+        let view = self.view();
+        crate::kernels::collapse_pairs(view, qubit, outcome, inv_sqrt_p, 0..view.dim() / 2);
     }
     fn exchange(&self, _: u32, _: u32) {
         unreachable!("no relabeling on a single device")
     }
+    fn slab(&self) -> Option<&Slab<'_>> {
+        Some(&self.0)
+    }
 }
 
-/// A PE's own partition as plain memory, and the bookkeeping that keeps a
-/// kernel run there indistinguishable from one issued access by access.
+/// A walker's own memory as plain memory — a PE's partition, or all of a
+/// single device's state — and the bookkeeping that keeps a kernel run there
+/// indistinguishable from one issued access by access.
 struct Slab<'a> {
     view: LocalView<'a>,
+    /// How many such slabs make up the state.
     n_pes: u64,
-    counters: &'a PeCounters,
-    /// Counter ops the issuing view spends on one amplitude access: a
-    /// [`ShmemView`] moves two 8-byte words (re, im), a counted
-    /// [`PeerView`] counts the amplitude once.
-    ops_per_access: u64,
+    /// The PE's counters and the counter ops the issuing view spends on one
+    /// amplitude access: a [`ShmemView`] moves two 8-byte words (re, im), a
+    /// counted [`PeerView`] counts the amplitude once. `None` on a single
+    /// device, whose view counts nothing.
+    counters: Option<(&'a PeCounters, u64)>,
 }
 
 impl<'a> Slab<'a> {
-    /// Run this PE's share of a partition-local kernel: items
+    /// Run this walker's share of a partition-local kernel: items
     /// `0..work / n_pes` at slab-local indices are the words
     /// `worker_range(work, n_pes, pe)` reaches through the global view
     /// ([`partition_local`]). Then credit what that view would have counted.
-    fn run(&self, (kernel, accesses): OnSlab<'a>, args: &GateArgs) {
-        kernel(&self.view, args, 0..args.work / self.n_pes);
-        self.counters
-            .credit(false, accesses * self.ops_per_access, 0);
+    fn run(&self, on: OnSlab<'a>, args: &GateArgs) {
+        (on.kernel)(&self.view, args, 0..args.work / self.n_pes);
+        self.credit(on);
+    }
+
+    /// Run a **tile run** — kernels that are all [`tile_local`] — tile-major:
+    /// every kernel of the run over one tile of `2^tile_qubits` amplitudes
+    /// (items `0..work / n_tiles` at tile-local indices, [`Self::run`]'s
+    /// argument one level down), then over the next tile, so the slab is
+    /// swept once for the run instead of once per kernel. Every amplitude
+    /// meets the same kernels in the same order with the same operands as
+    /// kernel-major; the counters are credited per kernel exactly as there.
+    fn run_tiles(&self, run: &[(OnSlab<'a>, &GateArgs)], n_qubits: u32, tile_qubits: u32) {
+        for tile in 0..self.view.dim() >> tile_qubits {
+            let view = self.view.tile(tile, tile_qubits);
+            for (on, args) in run {
+                (on.kernel)(&view, args, 0..args.work >> (n_qubits - tile_qubits));
+            }
+        }
+        for &(on, _) in run {
+            self.credit(on);
+        }
+    }
+
+    fn credit(&self, on: OnSlab<'a>) {
+        if let Some((counters, ops_per_access)) = self.counters {
+            counters.credit(false, on.accesses * ops_per_access, 0);
+        }
     }
 }
 
@@ -425,33 +500,72 @@ impl<V: StateView> Fabric for Worker<'_, V> {
 /// pre-drawn measurement draws (`seg.n_rand` of them, taken up front in
 /// step order so every backend consumes the RNG identically) and
 /// `initial_cbits` carries the classical register across checkpoint
-/// segments; returns the register afterwards and how many kernels ran where
-/// ([`KernelsRun`]).
+/// segments; returns the register afterwards, how many kernels ran where
+/// ([`KernelsRun`]) and how many of them in how many tile runs
+/// ([`TilesRun`]).
+///
+/// **Tile-major execution.** A walker whose slab is wider than one tile of
+/// `2^tile_qubits` amplitudes (production passes
+/// [`crate::traffic::TILE_QUBITS`]) and whose kernels are preloaded holds
+/// back consecutive unconditional gate kernels
+/// that are [`tile_local`], and runs each maximal run of two or more of them
+/// tile by tile ([`Slab::run_tiles`]) followed by one sync — a PE's kernels
+/// of such a run touch its own partition only, so no other PE waits on the
+/// barriers left out. Anything else ends the run first: a kernel that is not
+/// tile-local, a measure, reset, conditional gate or exchange, the segment's
+/// end. Runtime parsing re-parses gate by gate and a launch that observes
+/// words has no slab, so neither tiles.
 fn interpret<'a, F: Fabric>(
     fabric: &'a F,
     seg: &'a PlanSegment,
     config: &'a SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-) -> SvResult<(u64, KernelsRun)> {
+    tile_qubits: u32,
+) -> SvResult<(u64, KernelsRun, TilesRun)> {
     let mut cbits = initial_cbits;
     let (on_slab_runs, view_runs) = (Cell::new(0usize), Cell::new(0usize));
-    let bump = |count: &Cell<usize>| count.set(count.get() + 1);
+    let (tile_runs, tiled_kernels) = (Cell::new(0usize), Cell::new(0usize));
+    let add = |count: &Cell<usize>, n: usize| count.set(count.get() + n);
     let n_qubits = fabric.view().dim().trailing_zeros();
     let slab = fabric.slab();
-    let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits, slab.map(|s| s.n_pes));
+    // The slab to sweep tile-major, if this walk tiles.
+    let tiled = slab.filter(|slab| {
+        config.dispatch == DispatchMode::PreloadedFnPointer && slab.view.dim() > 1 << tile_qubits
+    });
+    let mut kernels =
+        Kernels::<F::View>::new(seg, config, n_qubits, slab, tiled.map(|_| tile_qubits));
     let run = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| {
         match (slab, on_slab) {
             (Some(slab), Some(local)) => {
                 slab.run(local, args);
-                bump(&on_slab_runs);
+                add(&on_slab_runs, 1);
             }
             _ => {
                 kernel(fabric.view(), args, fabric.share(args.work));
-                bump(&view_runs);
+                add(&view_runs, 1);
             }
         }
         fabric.sync();
+    };
+    // The tile run being gathered, and what ends it.
+    let mut held: Vec<(OnSlab<'a>, &'a GateArgs)> = Vec::new();
+    let flush = |held: &mut Vec<(OnSlab<'a>, &'a GateArgs)>| {
+        let Some(slab) = tiled.filter(|_| !held.is_empty()) else {
+            return;
+        };
+        match held[..] {
+            // Nothing to interleave with: the kernel-major sweep.
+            [(local, args)] => slab.run(local, args),
+            _ => {
+                slab.run_tiles(held, n_qubits, tile_qubits);
+                add(&tile_runs, 1);
+                add(&tiled_kernels, held.len());
+            }
+        }
+        add(&on_slab_runs, held.len());
+        fabric.sync();
+        held.clear();
     };
     let collapse = |qubit: u32, layout: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
         let p1 = fabric.prob_one(qubit, layout);
@@ -467,9 +581,26 @@ fn interpret<'a, F: Fabric>(
         Ok(outcome)
     };
     for step in &seg.steps {
+        if !matches!(step, Step::Gate { .. }) {
+            flush(&mut held);
+        }
         match step {
             Step::Exchange { lo, hi } => fabric.exchange(*lo, *hi),
-            Step::Gate { raw, compiled, .. } => kernels.each(raw.as_ref(), compiled, run),
+            Step::Gate { raw, compiled, .. } if tiled.is_none() => {
+                kernels.each(raw.as_ref(), compiled, run);
+            }
+            Step::Gate { compiled, .. } => {
+                for k in compiled.clone() {
+                    let (bound, args) = kernels.queued(k);
+                    match bound.1.filter(|local| local.tile_local) {
+                        Some(local) => held.push((local, args)),
+                        None => {
+                            flush(&mut held);
+                            run(bound, args);
+                        }
+                    }
+                }
+            }
             Step::IfEq {
                 creg_lo,
                 creg_len,
@@ -507,27 +638,40 @@ fn interpret<'a, F: Fabric>(
             }
         }
     }
-    Ok((cbits, (on_slab_runs.get(), view_runs.get())))
+    flush(&mut held);
+    Ok((
+        cbits,
+        (on_slab_runs.get(), view_runs.get()),
+        (tile_runs.get(), tiled_kernels.get()),
+    ))
 }
 
 /// Run one lowered segment on a single device — also how a sweep template
-/// runs a trial ([`crate::batch`]).
+/// runs a trial ([`crate::batch`]). Returns the classical register and the
+/// tile runs executed ([`interpret`]; production passes
+/// [`crate::traffic::TILE_QUBITS`]).
 pub(crate) fn run_solo(
     state: &mut StateVector,
     seg: &PlanSegment,
     config: &SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-) -> SvResult<u64> {
+    tile_qubits: u32,
+) -> SvResult<(u64, TilesRun)> {
     let (re, im) = state.parts_mut();
-    let solo = Solo(LocalView::new(re, im));
-    Ok(interpret(&solo, seg, config, randoms, initial_cbits)?.0)
+    let solo = Solo(Slab {
+        view: LocalView::new(re, im),
+        n_pes: 1,
+        counters: None,
+    });
+    let (cbits, _, tiles) = interpret(&solo, seg, config, randoms, initial_cbits, tile_qubits)?;
+    Ok((cbits, tiles))
 }
 
 /// What a PE hands back from [`run_partitioned`]'s body: the classical
-/// register and its kernel counts, then its partition's real and imaginary
-/// planes.
-type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
+/// register with its kernel and tile-run counts, then its partition's real
+/// and imaginary planes.
+type PeResult = ((u64, KernelsRun, TilesRun), Vec<f64>, Vec<f64>);
 
 /// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
 /// owning one partition of the symmetric-heap state vector. Both
@@ -545,15 +689,18 @@ type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
 /// [`SharedF64Vec::as_cells`]): a partition-local kernel runs on the PE's own
 /// slab and the view's counts are credited per kernel, any other kernel
 /// borrows its runs from the owning partitions through the view, credited
-/// per run (module docs) — unless the launch *observes individual words*:
+/// per run (module docs), and a slab wider than one tile of `2^tile_qubits`
+/// amplitudes (production passes [`crate::traffic::TILE_QUBITS`]) is swept
+/// tile-major over each run of tile-local kernels, one barrier per run
+/// ([`interpret`]) — unless the launch *observes individual words*:
 /// under the race detector, or a fault plan holding a `Put` / `Get` spec
 /// ([`FaultPlan::observes_transfers`]), nothing is lent and every access of
 /// every kernel is issued through the view's instrumented accessors so it
 /// can be recorded, counted or dropped.
 ///
 /// The segment's classical bits, per-worker traffic, race reports,
-/// exchange count, respawn count and PE 0's slab-kernel and word-kernel
-/// counts accumulate into `summary` (`summary.cbits` is also the segment's
+/// exchange count, respawn count and PE 0's slab-kernel, word-kernel and
+/// tile-run counts accumulate into `summary` (`summary.cbits` is also the segment's
 /// initial classical register).
 ///
 /// `faults` is threaded into the SHMEM world on either backend; if any
@@ -589,6 +736,7 @@ pub(crate) fn run_partitioned(
     randoms: &[f64],
     faults: Option<Arc<FaultPlan>>,
     summary: &mut RunSummary,
+    tile_qubits: u32,
 ) -> SvResult<()> {
     let scale_out = matches!(config.backend, BackendKind::ScaleOut { .. });
     let process = scale_out && config.shmem_backend == ShmemBackend::Process;
@@ -664,8 +812,7 @@ pub(crate) fn run_partitioned(
         let slab = lent.map(|lent| Slab {
             view: LocalView::over(lent[pe]),
             n_pes: n_pes as u64,
-            counters: ctx.counters(),
-            ops_per_access: if scale_out { 2 } else { 1 },
+            counters: Some((ctx.counters(), if scale_out { 2 } else { 1 })),
         });
         let me = &Pe {
             ctx,
@@ -674,18 +821,20 @@ pub(crate) fn run_partitioned(
             xch,
             slab,
         };
-        let (cbits, (on_slab, through_view)) = if scale_out {
+        let (cbits, (on_slab, through_view), tiles) = if scale_out {
             let view = &ShmemView::new(ctx, re, im).lending(lent);
-            interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
+            let worker = Worker { me, view };
+            interpret(&worker, seg, config, randoms, initial_cbits, tile_qubits)
         } else {
             let counters = Some(ctx.counters());
             let view = &PeerView::new(re.partitions(), im.partitions(), pe, counters).lending(lent);
-            interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
+            let worker = Worker { me, view };
+            interpret(&worker, seg, config, randoms, initial_cbits, tile_qubits)
         }?;
         ctx.try_barrier_all()?;
         let by_word = if per_word { through_view } else { 0 };
         Ok((
-            (cbits, (on_slab, by_word)),
+            (cbits, (on_slab, by_word), tiles),
             sym_re.partition(pe).to_vec(),
             sym_im.partition(pe).to_vec(),
         ))
@@ -713,11 +862,13 @@ pub(crate) fn run_partitioned(
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
     let (re, im) = state.parts_mut();
-    for (pe, ((cbits, (on_slab, by_word)), pre, pim)) in out.results.into_iter().enumerate() {
+    for (pe, ((cbits, (on_slab, by_word), tiles), pre, pim)) in out.results.into_iter().enumerate()
+    {
         if pe == 0 {
             summary.cbits = cbits;
             summary.slab_kernels += on_slab;
             summary.word_kernels += by_word;
+            summary.absorb_tiles(tiles);
         }
         re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
         im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);
@@ -734,4 +885,217 @@ pub(crate) fn run_partitioned(
     summary.remap_swaps += seg.n_swaps;
     summary.respawns += respawns;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile::KernelId;
+    use crate::plan::{build_segment, checkpoint_grid};
+    use crate::sim::Simulator;
+    use std::collections::HashSet;
+    use svsim_ir::{Circuit, GateKind};
+    use svsim_shmem::TrafficSnapshot;
+    use svsim_types::SvRng;
+
+    /// Every gate family at every lowest qubit of interest around a tile
+    /// boundary at `tile` — 0, 2, 3 (the run path starts there), `tile - 1`,
+    /// `tile`, `n - 1` — in both operand orders, between layers that leave
+    /// no amplitude zero or symmetric; then the steps that end a tile run
+    /// with tile-local gates either side of each: a measure, a conditional
+    /// gate that fires and one that does not, a reset.
+    fn circuit_around_tiles(n: u32, tile: u32) -> Circuit {
+        use GateKind::*;
+        let mut c = Circuit::with_cbits(n, 2);
+        let mut rng = SvRng::seed_from_u64(u64::from(n * 100 + tile));
+        let mut angle = move || rng.next_f64() * 6.0 - 3.0;
+        for q in 0..n {
+            c.apply(U3, &[q], &[angle(), angle(), angle()]).unwrap();
+        }
+        let kinds = [
+            X, Y, Z, H, T, RZ, U3, CX, CZ, CRZ, CCX, C4X, SWAP, CSWAP, RZZ, RXX,
+        ];
+        for kind in kinds {
+            for lowest in [0, 2, 3, tile - 1, tile, n - 1] {
+                let up: Vec<u32> = (lowest..n).take(kind.n_qubits()).collect();
+                if up.len() < kind.n_qubits() {
+                    continue;
+                }
+                let params: Vec<f64> = (0..kind.n_params()).map(|_| angle()).collect();
+                let down: Vec<u32> = up.iter().rev().copied().collect();
+                c.apply(kind, &up, &params).unwrap();
+                c.apply(kind, &down, &params).unwrap();
+            }
+        }
+        let low_layer = |c: &mut Circuit| {
+            for q in 0..tile {
+                c.apply(H, &[q], &[]).unwrap();
+                c.apply(T, &[q], &[]).unwrap();
+            }
+        };
+        low_layer(&mut c);
+        c.measure(1, 0).unwrap();
+        low_layer(&mut c);
+        for value in [0, 1] {
+            let x = Gate::new(X, &[0], &[]).unwrap();
+            c.if_eq(0, 1, value, x).unwrap();
+            low_layer(&mut c);
+        }
+        c.reset(2).unwrap();
+        low_layer(&mut c);
+        c.measure(n - 1, 1).unwrap();
+        c
+    }
+
+    /// What one walk leaves behind.
+    struct Walked {
+        state: Vec<u64>,
+        summary: RunSummary,
+        /// Kernel ids of the lowered segments.
+        ids: HashSet<KernelId>,
+    }
+
+    /// Walk `circuit` under `config` with tiles of `2^tile_qubits`
+    /// amplitudes, segment by segment along the checkpoint grid, as
+    /// `Simulator::run` does at [`crate::traffic::TILE_QUBITS`].
+    fn walk(circuit: &Circuit, config: &SimConfig, tile_qubits: u32) -> Walked {
+        let n = circuit.n_qubits();
+        let ops = circuit.ops();
+        let mut state = StateVector::zero_state(n).unwrap();
+        let mut rng = SvRng::seed_from_u64(config.seed);
+        let mut summary = RunSummary::new(0, 0);
+        let mut ids = HashSet::new();
+        for range in checkpoint_grid(0, ops.len(), config.checkpoint_every) {
+            let seg = build_segment(ops, range.start, range.end, n, config);
+            ids.extend(seg.queue.iter().map(|cg| cg.id));
+            let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
+            let state = &mut state;
+            if config.backend == BackendKind::SingleDevice {
+                let (cbits, tiles) =
+                    run_solo(state, &seg, config, &randoms, summary.cbits, tile_qubits).unwrap();
+                summary.cbits = cbits;
+                summary.absorb_tiles(tiles);
+            } else {
+                run_partitioned(
+                    state,
+                    &seg,
+                    config,
+                    &randoms,
+                    None,
+                    &mut summary,
+                    tile_qubits,
+                )
+                .unwrap();
+            }
+        }
+        let bits = |plane: &[f64]| plane.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        Walked {
+            state: [bits(state.re()), bits(state.im())].concat(),
+            summary,
+            ids,
+        }
+    }
+
+    /// The backends, PE counts and remap settings of the identity matrix.
+    fn backends() -> Vec<SimConfig> {
+        let mut out = vec![SimConfig::single_device()];
+        for n_pes in [2, 4] {
+            out.push(SimConfig::scale_up(n_pes));
+            for remap in [false, true] {
+                out.push(SimConfig {
+                    remap,
+                    ..SimConfig::scale_out(n_pes)
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn tile_major_walks_are_bit_identical_to_kernel_major_ones() {
+        let mut ids = HashSet::new();
+        let (mut runs, mut exchanges_between_runs) = (0, 0);
+        for (n, tile) in [(8u32, 3u32), (9, 4), (10, 5)] {
+            let circuit = circuit_around_tiles(n, tile);
+            for backend in backends() {
+                for (checkpoint_every, fuse) in [(0, 0), (0, 3), (3, 0), (3, 3)] {
+                    let config = SimConfig {
+                        checkpoint_every,
+                        fuse,
+                        ..backend
+                    };
+                    let what = format!("{n} qubits, tiles of 2^{tile}, {config:?}");
+                    // Tiles as wide as the state: the kernel-major walk.
+                    let plain = walk(&circuit, &config, n);
+                    let tiled = walk(&circuit, &config, tile);
+                    assert_eq!(plain.summary.tile_runs, 0, "{what}");
+                    // The harness walks what the simulator walks (no state
+                    // this small tiles at the shipped width).
+                    let mut sim = Simulator::new(n, config).unwrap();
+                    let shipped = sim.run(&circuit).unwrap();
+                    assert_eq!(shipped.cbits, plain.summary.cbits, "{what}");
+                    assert_eq!(shipped.traffic, plain.summary.traffic, "{what}");
+                    assert_eq!(shipped.tile_runs, 0, "{what}");
+
+                    assert_eq!(tiled.state, plain.state, "{what}: amplitudes");
+                    assert_eq!(tiled.summary.cbits, plain.summary.cbits, "{what}");
+                    let (t, p) = (&tiled.summary, &plain.summary);
+                    assert_eq!(t.remap_swaps, p.remap_swaps, "{what}");
+                    assert_eq!(t.slab_kernels, p.slab_kernels, "{what}");
+                    assert_eq!(t.word_kernels, 0, "{what}");
+                    // Whole-circuit segments hold long runs; three-op ones
+                    // still pair up their tile-local kernels.
+                    assert!(t.tile_runs > 0, "{what}");
+                    assert!(t.tiled_kernels >= 2 * t.tile_runs, "{what}");
+                    let saved = (t.tiled_kernels - t.tile_runs) as u64;
+                    assert_eq!(t.traffic.len(), p.traffic.len(), "{what}");
+                    for (pe, (t, p)) in t.traffic.iter().zip(&p.traffic).enumerate() {
+                        // One barrier per run where there was one per kernel;
+                        // every other counter as if nothing had changed.
+                        assert_eq!(t.barriers, p.barriers - saved, "{what}: PE {pe}");
+                        let rest = TrafficSnapshot { barriers: 0, ..*t };
+                        assert_eq!(rest, TrafficSnapshot { barriers: 0, ..*p }, "{what}");
+                    }
+                    ids.extend(tiled.ids);
+                    runs += t.tile_runs;
+                    if config.remap && checkpoint_every == 0 {
+                        exchanges_between_runs += t.remap_swaps;
+                    }
+                }
+            }
+        }
+        assert_eq!(ids.len(), 18, "every KernelId walked: {ids:?}");
+        assert!(runs > 1000, "{runs} tile runs");
+        assert!(exchanges_between_runs > 0, "exchange steps ended runs");
+    }
+
+    #[test]
+    fn walks_that_cannot_tile_take_the_kernel_major_path() {
+        let circuit = circuit_around_tiles(8, 3);
+        let tiled = walk(&circuit, &SimConfig::single_device(), 3);
+        assert!(tiled.summary.tile_runs > 0);
+        // Runtime parsing re-parses gate by gate; a launch that observes
+        // words has no slab; memory of one tile has nothing to reorder.
+        let parse = SimConfig {
+            dispatch: DispatchMode::RuntimeParse,
+            ..SimConfig::single_device()
+        };
+        let observed = SimConfig {
+            detect_races: true,
+            ..SimConfig::scale_out(2)
+        };
+        for (config, width) in [
+            (parse, 3),
+            (observed, 3),
+            (SimConfig::single_device(), 8),
+            (SimConfig::scale_out(2), 7),
+            (SimConfig::scale_up(4), 6),
+        ] {
+            let untiled = walk(&circuit, &config, width);
+            assert_eq!(untiled.summary.tile_runs, 0, "{config:?}");
+            assert_eq!(untiled.summary.tiled_kernels, 0, "{config:?}");
+            assert_eq!(untiled.state, tiled.state, "{config:?}");
+            assert_eq!(untiled.summary.cbits, tiled.summary.cbits, "{config:?}");
+        }
+    }
 }

@@ -1,11 +1,11 @@
 //! The unified `Simulator` facade over all backends.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::exec::{run_partitioned, run_solo, DispatchMode};
+use crate::exec::{run_partitioned, run_solo, DispatchMode, TilesRun};
 use crate::measure;
 use crate::plan::{build_segment, checkpoint_grid, CompiledPlan};
 use crate::state::StateVector;
-use crate::traffic::GateTraffic;
+use crate::traffic::{GateTraffic, TILE_QUBITS};
 use std::sync::Arc;
 use svsim_ir::{Circuit, Op, PauliString};
 use svsim_shmem::{FaultAction, FaultPlan, RaceReport, ShmemBackend, TrafficSnapshot};
@@ -196,15 +196,49 @@ pub struct RunSummary {
     /// there the kernels that are not in `slab_kernels` borrowed their runs
     /// from the owning partitions as plain memory.
     pub word_kernels: usize,
+    /// Tile runs executed tile-major: maximal runs of two or more
+    /// consecutive tile-local kernels swept tile by tile over the walker's
+    /// own memory, one pass (and on a partitioned backend one barrier) per
+    /// run instead of one per kernel. The single device's, or PE 0's (every
+    /// PE decides alike), summed over segments. 0 when that memory is no
+    /// wider than one tile, under [`DispatchMode::RuntimeParse`] and on a
+    /// launch that observes individual words.
+    pub tile_runs: usize,
+    /// Kernels that ran inside those tile runs.
+    pub tiled_kernels: usize,
 }
 
 impl RunSummary {
+    /// The summary of a run of `gates` gates that has executed nothing yet
+    /// and starts from the classical register `cbits`.
+    pub(crate) fn new(gates: usize, cbits: u64) -> Self {
+        Self {
+            gates,
+            cbits,
+            traffic: Vec::new(),
+            checkpoint_bytes: 0,
+            races: Vec::new(),
+            remap_swaps: 0,
+            respawns: 0,
+            slab_kernels: 0,
+            word_kernels: 0,
+            tile_runs: 0,
+            tiled_kernels: 0,
+        }
+    }
+
     /// Aggregate traffic over all workers.
     #[must_use]
     pub fn total_traffic(&self) -> TrafficSnapshot {
         self.traffic
             .iter()
             .fold(TrafficSnapshot::default(), |acc, t| acc.merged(t))
+    }
+
+    /// Add one segment's tile runs and the kernels in them.
+    pub(crate) fn absorb_tiles(&mut self, (runs, kernels): TilesRun) {
+        self.tile_runs += runs;
+        self.tiled_kernels += kernels;
     }
 
     /// Merge one segment's per-worker traffic into the run's (element-wise
@@ -392,11 +426,14 @@ impl Simulator {
         let state = &mut self.state;
         match config.backend {
             BackendKind::SingleDevice => {
-                summary.cbits = run_solo(state, seg, &config, &randoms, summary.cbits)?;
+                let (cbits, tiles) =
+                    run_solo(state, seg, &config, &randoms, summary.cbits, TILE_QUBITS)?;
+                summary.cbits = cbits;
+                summary.absorb_tiles(tiles);
             }
             BackendKind::ScaleUp { .. } | BackendKind::ScaleOut { .. } => {
                 let faults = self.fault_plan.clone();
-                run_partitioned(state, seg, &config, &randoms, faults, summary)?;
+                run_partitioned(state, seg, &config, &randoms, faults, summary, TILE_QUBITS)?;
             }
         }
         Ok(())
@@ -414,17 +451,7 @@ impl Simulator {
     ) -> SvResult<RunSummary> {
         let ops = circuit.ops();
         let k = self.config.checkpoint_every;
-        let mut summary = RunSummary {
-            gates: circuit.gates().count(),
-            cbits: initial_cbits,
-            traffic: Vec::new(),
-            checkpoint_bytes: 0,
-            races: Vec::new(),
-            remap_swaps: 0,
-            respawns: 0,
-            slab_kernels: 0,
-            word_kernels: 0,
-        };
+        let mut summary = RunSummary::new(circuit.gates().count(), initial_cbits);
         if k == 0 {
             self.checkpoint = None;
         } else {

@@ -139,6 +139,26 @@ pub fn partition_local(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> bool {
     cg.args.sorted().iter().all(|&q| q < boundary)
 }
 
+/// log2 of the amplitudes in one **tile** of tile-major execution
+/// ([`crate::exec`]): 2^15 amplitudes are 512 KiB, a quarter of this host's
+/// L2. A constant, not a probe or a setting: the measured optimum is flat
+/// from 14 to 16 and nothing reads differently at another value but speed
+/// (DESIGN.md, "Tile-major execution").
+pub const TILE_QUBITS: u32 = 15;
+
+/// True when `cg` is **tile-local** for tiles of `2^tile_qubits` amplitudes:
+/// [`partition_local`] with the state's `2^(n_qubits - tile_qubits)` aligned
+/// tiles as the partitions — every qubit position it involves lies below
+/// `tile_qubits`. The kernel's items `0..work >> (n_qubits - tile_qubits)`
+/// over a view of one tile are then exactly its accesses inside that tile,
+/// and tiles share no amplitude, so a run of tile-local kernels may finish
+/// one tile before touching the next: each amplitude still sees the same
+/// kernels in the same order with the same operands.
+#[must_use]
+pub fn tile_local(cg: &CompiledGate, n_qubits: u32, tile_qubits: u32) -> bool {
+    partition_local(cg, n_qubits, 1u64 << (n_qubits - tile_qubits))
+}
+
 /// Predict the traffic of one compiled gate over `n_qubits`, partitioned
 /// across `n_pes` PEs (must be a power of two).
 ///
@@ -343,7 +363,8 @@ mod tests {
     }
 
     /// Every kernel, its qubits placed below, across and above each
-    /// boundary of an 8-qubit state at 2/4/8 PEs (boundaries 7/6/5).
+    /// boundary of an 8-qubit state at 2/4/8 PEs (boundaries 7/6/5) and in
+    /// tiles of 2^4 and 2^3 amplitudes.
     fn every_kernel_straddling_the_boundary(n: u32) -> Vec<CompiledGate> {
         use GateKind::*;
         let kinds: [(GateKind, &[f64]); 16] = [
@@ -405,7 +426,9 @@ mod tests {
         let ids: std::collections::HashSet<KernelId> = cases.iter().map(|c| c.id).collect();
         assert_eq!(ids.len(), 18, "every KernelId is covered: {ids:?}");
         let (mut local, mut crossing) = (0, 0);
-        for n_pes in [2u64, 4, 8] {
+        // 2, 4 and 8 are PE counts; 16 and 32 are what a tile of 2^4 or 2^3
+        // amplitudes makes of the same rule.
+        for n_pes in [2u64, 4, 8, 16, 32] {
             let shift = n - n_pes.trailing_zeros();
             for cg in &cases {
                 let below = cg.args.sorted().iter().all(|&q| q < shift);
@@ -416,6 +439,7 @@ mod tests {
                     cg.id,
                     cg.args.sorted()
                 );
+                assert_eq!(tile_local(cg, n, shift), below);
                 if !below {
                     crossing += 1;
                     continue;

@@ -90,6 +90,18 @@ impl<'a> LocalView<'a> {
         assert_eq!(re.len(), im.len());
         Self { re, im }
     }
+
+    /// Tile `index` of this memory cut into tiles of `2^qubits` amplitudes,
+    /// as a view of its own: amplitude `i` of the tile is amplitude
+    /// `index << qubits | i` here.
+    #[must_use]
+    pub fn tile(&self, index: u64, qubits: u32) -> Self {
+        let at = (index as usize) << qubits..(index as usize + 1) << qubits;
+        Self {
+            re: &self.re[at.clone()],
+            im: &self.im[at],
+        }
+    }
 }
 
 impl StateView for LocalView<'_> {

@@ -69,6 +69,17 @@ echo "== kernel run path (release) =="
 # split. Tier-1 runs the same test unoptimized.
 cargo test --release -p svsim-core --lib run_path_is_bit_identical_to_the_per_item_path
 
+echo "== tile-major (release) =="
+# Tile-major walks against kernel-major ones, bit for bit, in the build that
+# ships: the crate-private identity matrix (tile widths 3-5, every KernelId
+# around the tile boundary, every backend, remap / checkpoint / fuse, all
+# counters but barriers) and, at the shipped tile width, the 17-qubit
+# single-device and thread-PE legs (square_root_n18 and dnn_layers, tiled vs
+# runtime-parsed). Tier-1 runs the same tests unoptimized; the process-PE leg
+# is in the proc_backend gate below.
+cargo test --release -p svsim-core --lib tile_major_walks_are_bit_identical_to_kernel_major_ones
+cargo test --release --test cross_backend tile_major
+
 echo "== gate fusion gate =="
 # Fused plans must stay bit-identical to unfused ones and collapse the
 # deep workloads' amplitude passes by >= 2x (mean source kernels per

@@ -278,6 +278,13 @@ fn cmd_run(flags: &Flags) -> CmdResult {
             plan.n_source_kernels() as f64 / plan.n_kernels().max(1) as f64,
         );
     }
+    if summary.tile_runs > 0 {
+        let (runs, kernels) = (summary.tile_runs, summary.tiled_kernels);
+        println!(
+            "tiles: {runs} runs, {kernels} kernels (mean {:.1})",
+            kernels as f64 / runs as f64
+        );
+    }
     if circuit.n_cbits() > 0 {
         println!(
             "classical register: {:0width$b}",

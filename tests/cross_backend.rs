@@ -343,3 +343,83 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
         assert!((&state, cbits) == (&plain.0, plain.1), "{config:?}");
     }
 }
+
+/// A 17-qubit `dnn_layers` with a measurement between its layers.
+fn dnn_n17_with_a_measure() -> Circuit {
+    use sv_sim::workloads::qnn::dnn_layers;
+    let mut dnn = Circuit::with_cbits(17, 1);
+    dnn.extend(&dnn_layers(17, 2, 7).unwrap()).unwrap();
+    dnn.measure(16, 0).unwrap();
+    dnn.extend(&dnn_layers(17, 1, 8).unwrap()).unwrap();
+    dnn
+}
+
+/// Checksum, classical bits and tile-run counts of one run.
+fn run_tiles(circuit: &Circuit, config: SimConfig) -> (u64, u64, (usize, usize)) {
+    let mut sim = Simulator::new(circuit.n_qubits(), config).unwrap();
+    let summary = sim.run(circuit).unwrap();
+    let checksum = sv_sim::core::state_checksum(sim.state());
+    let tiles = (summary.tile_runs, summary.tiled_kernels);
+    (checksum, summary.cbits, tiles)
+}
+
+/// Tile-major execution at the shipped tile width (2^15 amplitudes) on one
+/// device: a 17-qubit state is four tiles, so the preloaded walk sweeps its
+/// runs of tile-local kernels tile by tile, while the runtime-parse walk of
+/// the same circuit never tiles and is the reference. On `square_root_n18`
+/// (the `deep_incache` circuit) and a `dnn_layers` with a measure inside.
+#[test]
+fn tile_major_runs_agree_with_runtime_parsed_ones_at_the_shipped_tile_width() {
+    let square_root = sv_sim::workloads::large_suite()
+        .into_iter()
+        .find(|spec| spec.name == "square_root_n18")
+        .expect("a Table 4 routine");
+    for (name, circuit, most) in [
+        ("square_root_n18", square_root.circuit().unwrap(), true),
+        ("dnn_layers(17)", dnn_n17_with_a_measure(), false),
+    ] {
+        let parse = SimConfig {
+            dispatch: DispatchMode::RuntimeParse,
+            ..SimConfig::single_device()
+        };
+        let (untiled_sum, untiled_cbits, none) = run_tiles(&circuit, parse);
+        assert_eq!(none, (0, 0), "{name}: runtime parsing never tiles");
+        let (sum, cbits, (runs, kernels)) = run_tiles(&circuit, SimConfig::single_device());
+        assert!(
+            runs > 0 && kernels > 2 * runs,
+            "{name}: {runs} runs of {kernels}"
+        );
+        let compiled = sv_sim::core::CompiledPlan::compile(&circuit, 17, &parse).n_kernels();
+        assert!(
+            !most || 10 * kernels > 9 * compiled,
+            "{name}: {kernels} of {compiled}"
+        );
+        assert_eq!((sum, cbits), (untiled_sum, untiled_cbits), "{name}");
+    }
+}
+
+/// The same on thread PEs: at 2 PEs a 17-qubit slab is two tiles, so each PE
+/// sweeps its tile runs tile by tile and passes one barrier per run; scale-up
+/// and scale-out, remapped or not, agree with the single device. At 16
+/// qubits — the benchmark's `scaleout_fine` shape — each slab is one tile,
+/// there is nothing to reorder, and every barrier of `backend.out2.barriers`
+/// is still passed.
+#[test]
+fn tile_major_runs_agree_across_thread_pes_at_the_shipped_tile_width() {
+    let circuit = dnn_n17_with_a_measure();
+    let (single_sum, single_cbits, _) = run_tiles(&circuit, SimConfig::single_device());
+    let remapped = SimConfig {
+        remap: true,
+        ..SimConfig::scale_out(2)
+    };
+    for config in [SimConfig::scale_up(2), SimConfig::scale_out(2), remapped] {
+        let (sum, cbits, (runs, kernels)) = run_tiles(&circuit, config);
+        assert!(runs > 0 && kernels > 2 * runs, "{config:?}: {runs} runs");
+        assert_eq!((sum, cbits), (single_sum, single_cbits), "{config:?}");
+    }
+    let fine = sv_sim::workloads::qnn::dnn_layers(16, 12, 1).unwrap();
+    let mut sim = Simulator::new(16, SimConfig::scale_out(2)).unwrap();
+    let summary = sim.run(&fine).unwrap();
+    assert_eq!((summary.tile_runs, summary.tiled_kernels), (0, 0));
+    assert_eq!(summary.traffic[0].barriers, 612);
+}

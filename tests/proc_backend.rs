@@ -642,3 +642,80 @@ fn full_suite_bit_identity_thread_vs_process() {
         }
     }
 }
+
+/// Tile-major execution at the shipped tile width on thread and process PEs:
+/// `square_root_n18` and a 17-qubit `dnn_layers` with a measure inside, on
+/// `ScaleUp {2}` and on `ScaleOut {2}` over both substrates, remapped or
+/// not. Each 2^16-amplitude slab is two tiles, so every PE sweeps its tile
+/// runs tile by tile between fewer barriers — same state and classical bits
+/// as the single device, the same tile runs on either substrate. At 16
+/// qubits a slab is one tile and nothing changes. Release-mode CI leg
+/// (`scripts/ci.sh`); `tests/cross_backend.rs` runs the single-device and
+/// thread-PE legs unoptimized.
+#[test]
+#[ignore = "release-mode CI leg: runs via scripts/ci.sh (cargo test --release -- --ignored)"]
+fn tile_major_runs_agree_across_thread_and_process_pes() {
+    use sv_sim::workloads::qnn::dnn_layers;
+    let run = |circuit: &Circuit, config: SimConfig| {
+        let mut sim = Simulator::new(circuit.n_qubits(), config).unwrap();
+        let summary = sim.run(circuit).unwrap();
+        let tiles = (summary.tile_runs, summary.tiled_kernels);
+        let barriers = summary.traffic.first().map_or(0, |pe| pe.barriers);
+        (
+            (state_checksum(sim.state()), summary.cbits),
+            tiles,
+            barriers,
+        )
+    };
+    let square_root = sv_sim::workloads::large_suite()
+        .into_iter()
+        .find(|spec| spec.name == "square_root_n18")
+        .expect("a Table 4 routine");
+    let mut dnn = Circuit::with_cbits(17, 1);
+    dnn.extend(&dnn_layers(17, 2, 7).unwrap()).unwrap();
+    dnn.measure(16, 0).unwrap();
+    dnn.extend(&dnn_layers(17, 1, 8).unwrap()).unwrap();
+    for (name, circuit) in [
+        ("square_root_n18", square_root.circuit().unwrap()),
+        ("dnn_layers(17)", dnn),
+    ] {
+        let (single, (runs, _), _) = run(&circuit, SimConfig::single_device());
+        assert!(runs > 0, "{name}: four tiles on one device");
+        let (up, (runs, _), _) = run(&circuit, SimConfig::scale_up(2));
+        assert!(runs > 0 && up == single, "{name} on scale-up");
+        for remap in [false, true] {
+            let threads = SimConfig {
+                remap,
+                ..SimConfig::scale_out(2)
+            };
+            let processes = SimConfig {
+                shmem_backend: ShmemBackend::Process,
+                ..threads
+            };
+            let on_threads = run(&circuit, threads);
+            let (state, (runs, kernels), barriers) = on_threads;
+            assert!(runs > 0 && state == single, "{name}, remap {remap}");
+            // One barrier per kernel is no longer the floor.
+            let compiled = Simulator::new(17, threads)
+                .unwrap()
+                .compile_plan(&circuit)
+                .n_kernels();
+            assert!(
+                barriers < compiled as u64 && kernels > 2 * runs,
+                "{name}, remap {remap}: {barriers} barriers, {compiled} kernels, \
+                 {kernels} of them in {runs} runs"
+            );
+            assert!(
+                run(&circuit, processes) == on_threads,
+                "{name}, remap {remap}: substrates differ"
+            );
+        }
+    }
+    let fine = dnn_layers(16, 12, 1).unwrap();
+    let processes = SimConfig {
+        shmem_backend: ShmemBackend::Process,
+        ..SimConfig::scale_out(2)
+    };
+    let (_, tiles, barriers) = run(&fine, processes);
+    assert_eq!((tiles, barriers), ((0, 0), 612));
+}
