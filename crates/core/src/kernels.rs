@@ -13,10 +13,26 @@
 //! scale-up executor (one chunk per device thread) and the scale-out SPMD
 //! PEs (one chunk per PE), exactly like the grid-strided loops of
 //! Listings 3-5.
+//!
+//! One driver, `sweep`, walks a kernel's share three ways with the same
+//! gate closure: contiguous **runs** of memory lent by the view
+//! ([`StateView::run`]) where the lowest involved qubit is 3 or above; for a
+//! pair kernel on one qubit below that, whole **stretches** up to the next
+//! involved qubit walked in chunks of constant stride (`pair_chunks`); and
+//! item by item through `get` / `set` for everything else and for views that
+//! lend nothing.
+//!
+//! The paper's CPU kernels are written for the vector unit (Listing 2,
+//! AVX-512). Here each kernel's one body is *compiled* for it: `kernel!`
+//! stamps the public `k_*` out of the body at the build's baseline and, on
+//! x86-64, under AVX2 and AVX-512F beside it, and the `k_*` enters the widest
+//! one the CPU reports ([`isa`] names it). There is no build flag and no
+//! switch, and the levels agree bit for bit: wider registers, the same IEEE
+//! operations in the same order (no FMA contraction).
 
-use crate::compile::CompiledGate;
+use crate::compile::{CompiledGate, KernelId};
 use crate::dispatch::KernelFn;
-use crate::view::{LocalView, Plane, StateView};
+use crate::view::{LocalView, Plane, StateView, LEND_ALIGN};
 use std::ops::Range;
 use svsim_types::bits::insert_zero_bits;
 use svsim_types::Complex64;
@@ -50,7 +66,7 @@ pub struct GateArgs {
     /// Constituent micro-ops of a fused window kernel, rewritten to
     /// window-local coordinates (empty for every ordinary kernel). The
     /// fused kernels gather one `2^k` window, replay these through the
-    /// constituent kernels over a [`LocalView`] of the window, and scatter
+    /// constituent kernels over a view of the window, and scatter
     /// back — so the per-amplitude arithmetic is the exact expression the
     /// unfused gates would have evaluated, bit for bit.
     pub fused: Vec<CompiledGate>,
@@ -81,9 +97,107 @@ pub fn worker_range(work: u64, n_workers: u64, worker: u64) -> Range<u64> {
 /// One amplitude as `(re, im)`.
 type Amp = (f64, f64);
 
-/// Shortest run worth borrowing: below it (targets 0-2, and the ragged ends
-/// of a range) the per-item loop is as fast and asks the view nothing.
+/// Shortest run worth borrowing: below it (the ragged ends of a range) the
+/// per-item loop is as fast. Kernels whose lowest qubit is below
+/// `log2(MIN_RUN)` have no runs; the pair kernels among them borrow the
+/// whole stretch up to their next involved qubit instead ([`pair_chunks`]).
 const MIN_RUN: u64 = 8;
+
+// The longest chunk, `2S` for target `log2(MIN_RUN) - 1`, is never cut by a
+// lender ([`StateView::run`]).
+const _: () = assert!(LEND_ALIGN.is_multiple_of(MIN_RUN));
+
+/// The instruction-set levels the kernel bodies are compiled at, narrowest
+/// first: the build's baseline, then the arms of [`kernel!`] on x86-64.
+const LEVELS: [&str; 3] = ["baseline", "avx2", "avx512f"];
+
+#[cfg(test)]
+thread_local! {
+    /// The widest level of [`LEVELS`] kernels on this thread may enter: the
+    /// tests set the bodies against each other by lowering it.
+    static CAP: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+}
+
+/// The widest level of [`LEVELS`] kernels may enter: the widest there is,
+/// outside this crate's own tests.
+#[inline(always)]
+fn cap() -> usize {
+    #[cfg(test)]
+    return CAP.get();
+    #[cfg(not(test))]
+    usize::MAX
+}
+
+/// The level every kernel runs at on this CPU: `"baseline"`, or the widest
+/// instruction set the kernel bodies were also compiled for that the CPU
+/// reports (`"avx2"`, `"avx512f"`: the checks of `kernel!`, in its order).
+#[must_use]
+pub fn isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if cap() >= 2 && std::arch::is_x86_feature_detected!("avx512f") {
+            return LEVELS[2];
+        }
+        if cap() >= 1 && std::arch::is_x86_feature_detected!("avx2") {
+            return LEVELS[1];
+        }
+    }
+    LEVELS[0]
+}
+
+/// One wider level of [`kernel!`]: `$body` compiled once more as `$wide`
+/// under `#[target_feature(enable = $feature)]`, entered — and returned from
+/// — when the CPU reports the feature. The one place a CPU feature is checked
+/// and the one `unsafe` of the kernel layer.
+#[cfg(target_arch = "x86_64")]
+macro_rules! enter {
+    ($level:literal, $feature:tt, $wide:ident = $body:ident($v:ident, $a:ident, $r:ident)) => {
+        #[target_feature(enable = $feature)]
+        fn $wide<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+            $body(v, a, r);
+        }
+        if cap() >= $level && std::arch::is_x86_feature_detected!($feature) {
+            // SAFETY: the feature was detected on the line above.
+            return unsafe { $wide($v, $a, $r) };
+        }
+    };
+}
+#[cfg(not(target_arch = "x86_64"))]
+macro_rules! enter {
+    ($($level:tt)*) => {};
+}
+
+/// Stamp the public kernel `$name` out of its one body `$body` (an
+/// `#[inline(always)]` function of `(v, a, r)` that holds the gate's
+/// arithmetic): the body compiled at the build's baseline and, on x86-64,
+/// once more under each wider level of [`LEVELS`], entered widest first by
+/// what the CPU reports. Each compiled body — the baseline one too — is a
+/// function of its own whose direct parameters are `(v, a, r)`, and
+/// everything below it ([`sweep`], the gate closure, [`items`],
+/// [`pair_chunks`]) is forced inline, so a level's loops are compiled whole
+/// under that level's features and no body's code quality depends on what
+/// the inliner makes of another's. Both ways of putting the boundary lower
+/// were measured and lose: inside `sweep` with the closure passed by value
+/// the closure is outlined at the baseline (`k_oneq` 1.9 -> 5.4 ns/item);
+/// at this function but with the per-item step a closure called from two
+/// places, the
+/// wide bodies vectorized in one binary and not in another and the baseline
+/// bodies lost their packed multiplies under thin LTO.
+macro_rules! kernel {
+    ($(#[$doc:meta])* $name:ident = $body:ident) => {
+        $(#[$doc])*
+        #[allow(unsafe_code)]
+        pub fn $name<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+            #[inline(never)]
+            fn baseline<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+                $body(v, a, r);
+            }
+            enter!(2, "avx512f", avx512f = $body(v, a, r));
+            enter!(1, "avx2", avx2 = $body(v, a, r));
+            baseline(v, a, r);
+        }
+    };
+}
 
 /// Ask `v` for the `want` amplitudes starting at each index of `at` as plain
 /// memory, every plane cut to the length all of them could lend. `None` when
@@ -99,7 +213,132 @@ fn borrow<V: StateView, const N: usize>(v: &V, at: [u64; N], want: u64) -> Optio
         debug_assert!(j == 0 || planes[j].0.len() == n);
         n = n.min(planes[j].0.len()).min(planes[j].1.len());
     }
-    (n > 0).then(|| planes.map(|(re, im)| (&re[..n], &im[..n])))
+    if n == 0 {
+        return None;
+    }
+    for plane in &mut planes {
+        *plane = (&plane.0[..n], &plane.1[..n]);
+    }
+    Some(planes)
+}
+
+/// The items of `r` through `get` / `set`, one by one.
+#[inline(always)]
+fn items<V: StateView, const N: usize>(
+    v: &V,
+    sorted: &[u32],
+    r: Range<u64>,
+    offs: [u64; N],
+    f: &impl Fn([Amp; N]) -> [Amp; N],
+) {
+    // With the involved positions filled with ones, a carry out of the
+    // item bits below a position ripples through it into the item bits
+    // above: adding one steps to the next item's base index.
+    let mut holes = 0u64;
+    for &q in sorted {
+        holes |= 1 << q;
+    }
+    let mut base = insert_zero_bits(r.start, sorted);
+    for _ in r {
+        let mut amps = [(0.0, 0.0); N];
+        for j in 0..N {
+            amps[j] = v.get(base | offs[j]);
+        }
+        let out = f(amps);
+        for j in 0..N {
+            v.set(base | offs[j], out[j].0, out[j].1);
+        }
+        base = ((base | holes) + 1) & !holes;
+    }
+}
+
+/// One borrowed stretch of a pair kernel on target `log2(s)`: amplitude `k`
+/// of every `2s` paired with amplitude `k + s`.
+#[inline(always)]
+fn pairs<const N: usize>((re, im): Plane<'_>, s: usize, f: &impl Fn([Amp; N]) -> [Amp; N]) {
+    for (re, im) in re.chunks_exact(2 * s).zip(im.chunks_exact(2 * s)) {
+        // Every load of a chunk before its first store, and the stores one
+        // plane at a time: the planes are `Cell`s, which may alias as far
+        // as the compiler knows, and it will not reorder around that.
+        let mut out = [[(0.0, 0.0); N]; MIN_RUN as usize / 2];
+        for k in 0..s {
+            let mut amps = [(0.0, 0.0); N];
+            amps[0] = (re[k].get(), im[k].get());
+            amps[N - 1] = (re[k + s].get(), im[k + s].get());
+            out[k] = f(amps);
+        }
+        for k in 0..s {
+            re[k].set(out[k][0].0);
+        }
+        for k in 0..s {
+            re[k + s].set(out[k][N - 1].0);
+        }
+        for k in 0..s {
+            im[k].set(out[k][0].1);
+        }
+        for k in 0..s {
+            im[k + s].set(out[k][N - 1].1);
+        }
+    }
+}
+
+/// The chunk walk of the pair kernels whose one low bit has no runs to lend:
+/// `offs` are the target clear and set, the target `sorted[0]` is below
+/// `log2(MIN_RUN)` and the next involved qubit leaves at least `MIN_RUN`
+/// items below it (H / X / Y / RZ / dense 2×2 on targets 0-2, plain or under
+/// high controls). Up to that next qubit the items' pairs fill one contiguous
+/// **stretch** of memory, amplitude `k` of every `2S` (`S = 2^target`) paired
+/// with amplitude `k + S`: borrow each stretch whole and walk it in chunks of
+/// `2S` with `S` a literal, a constant interleave group for the loop
+/// vectorizer. Sweeps the leading items of `r` that way and returns the first
+/// item left over: `r.start` for any other pattern and for a view that lends
+/// nothing, otherwise the start of a tail shorter than `MIN_RUN`.
+///
+/// `r.start` must be a multiple of `S`, or `r` empty.
+#[inline(always)]
+fn pair_chunks<V: StateView, const N: usize>(
+    v: &V,
+    sorted: &[u32],
+    r: Range<u64>,
+    offs: [u64; N],
+    f: &impl Fn([Amp; N]) -> [Amp; N],
+) -> u64 {
+    let s = 1u64 << sorted[0];
+    // Items below the next involved qubit: a power of two.
+    let stretch = match sorted.get(1) {
+        Some(&q) => 1 << (q - 1),
+        None => u64::MAX,
+    };
+    if N != 2 || offs[0] & s != 0 || offs[N - 1] != offs[0] | s || stretch < MIN_RUN {
+        return r.start;
+    }
+    let mut i = r.start;
+    while i < r.end {
+        let want = (stretch - (i & stretch.wrapping_sub(1))).min(r.end - i) & !(s - 1);
+        if want < MIN_RUN {
+            break;
+        }
+        debug_assert_eq!(i & (s - 1), 0);
+        let Some((re, im)) = v.run(insert_zero_bits(i, sorted) | offs[0], 2 * want) else {
+            break;
+        };
+        // A lender clips where its memory ends, at a multiple of
+        // `LEND_ALIGN`: every amplitude it lent, and credited, is one of a
+        // whole chunk and is swept here.
+        let n = re.len().min(im.len());
+        assert!(
+            n > 0 && n as u64 & (2 * s - 1) == 0,
+            "stretch clipped inside a chunk"
+        );
+        let plane = (&re[..n], &im[..n]);
+        match s {
+            1 => pairs(plane, 1, f),
+            2 => pairs(plane, 2, f),
+            _ => pairs(plane, 4, f),
+        }
+        i += n as u64 / 2;
+    }
+    i
 }
 
 /// The sweep every gate kernel is an instance of: each work item of `r`
@@ -114,10 +353,12 @@ fn borrow<V: StateView, const N: usize>(v: &V, at: [u64; N], want: u64) -> Optio
 /// consecutive amplitudes at every offset. The range is walked as such
 /// **runs**: the view is asked for each run as plain memory
 /// ([`StateView::run`]) and `f` is applied down the borrowed planes — bounds
-/// checked once per run, no index arithmetic per amplitude. A view that
-/// lends nothing, a run shorter than `MIN_RUN` and every kernel with
-/// `qmin < 3` take the per-item `get`/`set` loop instead; both ways evaluate
-/// the same `f` on the same words, so they agree bit for bit.
+/// checked once per run, no index arithmetic per amplitude. With `qmin < 3`
+/// there are no runs: a pair kernel on that one low bit walks borrowed
+/// stretches in chunks ([`pair_chunks`]), everything else there, a view that
+/// lends nothing and a run shorter than `MIN_RUN` take the per-item
+/// `get`/`set` loop. All three evaluate the same `f` on the same words, so
+/// they agree bit for bit.
 #[inline(always)]
 fn sweep<V: StateView, const N: usize>(
     v: &V,
@@ -126,54 +367,51 @@ fn sweep<V: StateView, const N: usize>(
     offs: [u64; N],
     f: impl Fn([Amp; N]) -> [Amp; N],
 ) {
-    let item = |at: [u64; N]| {
-        let out = f(at.map(|i| v.get(i)));
-        for j in 0..N {
-            v.set(at[j], out[j].0, out[j].1);
-        }
-    };
     let run_len = 1u64 << sorted[0];
     if run_len < MIN_RUN {
-        // With the involved positions filled with ones, a carry out of the
-        // item bits below a position ripples through it into the item bits
-        // above: adding one steps to the next item's base index.
-        let holes = sorted.iter().fold(0u64, |m, &q| m | 1 << q);
-        let mut base = insert_zero_bits(r.start, sorted);
-        for _ in r {
-            item(offs.map(|o| base | o));
-            base = ((base | holes) + 1) & !holes;
+        let head = r.end.min((r.start + run_len - 1) & !(run_len - 1));
+        let tail = pair_chunks(v, sorted, head..r.end, offs, &f);
+        let mut rest = r;
+        if tail > head {
+            // Chunks were swept: the ragged head before them is left, and
+            // the ragged tail after them.
+            items(v, sorted, rest.start..head, offs, &f);
+            rest.start = tail;
         }
+        items(v, sorted, rest, offs, &f);
         return;
     }
     let mut i = r.start;
     while i < r.end {
         let want = (run_len - (i & (run_len - 1))).min(r.end - i);
-        let base = insert_zero_bits(i, sorted);
-        let at = offs.map(|o| base | o);
         let lent = if want < MIN_RUN {
             None
         } else {
+            let base = insert_zero_bits(i, sorted);
+            let mut at = offs;
+            for x in &mut at {
+                *x |= base;
+            }
             borrow(v, at, want)
         };
-        match lent {
-            Some(planes) => {
-                let n = planes[0].0.len();
-                for k in 0..n {
-                    let out = f(planes.map(|(re, im)| (re[k].get(), im[k].get())));
-                    for (&(re, im), (x, y)) in planes.iter().zip(out) {
-                        re[k].set(x);
-                        im[k].set(y);
-                    }
-                }
-                i += n as u64;
+        let Some(planes) = lent else {
+            items(v, sorted, i..i + want, offs, &f);
+            i += want;
+            continue;
+        };
+        let n = planes[0].0.len();
+        for k in 0..n {
+            let mut amps = [(0.0, 0.0); N];
+            for j in 0..N {
+                amps[j] = (planes[j].0[k].get(), planes[j].1[k].get());
             }
-            None => {
-                for k in 0..want {
-                    item(at.map(|x| x + k));
-                }
-                i += want;
+            let out = f(amps);
+            for j in 0..N {
+                planes[j].0[k].set(out[j].0);
+                planes[j].1[k].set(out[j].1);
             }
         }
+        i += n as u64;
     }
 }
 
@@ -197,123 +435,292 @@ fn phased(c: f64, s: f64, (re, im): Amp) -> Amp {
     (c * re - s * im, c * im + s * re)
 }
 
-/// Pauli-X and CNOT: swap the amplitude pair (CX permutes only the quarter
-/// with the control set).
-pub fn k_x<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    sweep(v, a.sorted(), r, target_pair(a), |[a0, a1]| [a1, a0]);
+#[inline(always)]
+fn x<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        target_pair(a),
+        #[inline(always)]
+        |[a0, a1]| [a1, a0],
+    );
+}
+kernel! {
+    /// Pauli-X and CNOT: swap the amplitude pair (CX permutes only the quarter
+    /// with the control set).
+    k_x = x
 }
 
-/// Pauli-Y: swap with `±i` phases.
-pub fn k_y<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+#[inline(always)]
+fn y<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     // |0> component <- -i * amp1 ; |1> component <- i * amp0
-    sweep(v, a.sorted(), r, target_pair(a), |[(r0, m0), (r1, m1)]| {
-        [(m1, -r1), (-m0, r0)]
-    });
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        target_pair(a),
+        #[inline(always)]
+        |[(r0, m0), (r1, m1)]| [(m1, -r1), (-m0, r0)],
+    );
+}
+kernel! {
+    /// Pauli-Y: swap with `±i` phases.
+    k_y = y
 }
 
-/// Pauli-Z: negate the `|1>` half only (half the traffic of a generic 1q
-/// gate — the paper's T-gate argument).
-pub fn k_z<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    sweep(v, a.sorted(), r, [1 << a.target], |[(re, im)]| [(-re, -im)]);
+#[inline(always)]
+fn z<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        [1 << a.target],
+        #[inline(always)]
+        |[(re, im)]| [(-re, -im)],
+    );
+}
+kernel! {
+    /// Pauli-Z: negate the `|1>` half only (half the traffic of a generic 1q
+    /// gate — the paper's T-gate argument).
+    k_z = z
 }
 
-/// Hadamard.
-pub fn k_h<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+#[inline(always)]
+fn h<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     const S2I: f64 = svsim_types::S2I;
-    sweep(v, a.sorted(), r, target_pair(a), |[(r0, m0), (r1, m1)]| {
-        [
-            (S2I * (r0 + r1), S2I * (m0 + m1)),
-            (S2I * (r0 - r1), S2I * (m0 - m1)),
-        ]
-    });
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        target_pair(a),
+        #[inline(always)]
+        |[(r0, m0), (r1, m1)]| {
+            [
+                (S2I * (r0 + r1), S2I * (m0 + m1)),
+                (S2I * (r0 - r1), S2I * (m0 - m1)),
+            ]
+        },
+    );
+}
+kernel! {
+    /// Hadamard.
+    k_h = h
 }
 
-/// Phase gate `diag(1, s0 + i s1)`: S, SDG, T, TDG, U1. Touches only the
-/// `|1>` half.
-pub fn k_phase<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    sweep(v, a.sorted(), r, [1 << a.target], |[x]| {
-        [phased(a.s0, a.s1, x)]
-    });
-}
-
-/// Diagonal controlled phase on the all-ones subspace of the involved
-/// qubits: CZ, CU1 (and exact multi-controlled phases). Touches
-/// `2^{n-k}` amplitudes only.
-pub fn k_cphase<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    sweep(v, a.sorted(), r, [a.ctrl_mask], |[x]| {
-        [phased(a.s0, a.s1, x)]
-    });
-}
-
-/// `RZ = diag(e^{-i th/2}, e^{i th/2})` with `s0 + i s1 = e^{i th/2}`, and
-/// controlled-RZ: both target halves rotate (under the control).
-pub fn k_rz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+#[inline(always)]
+fn phase<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     let (c, s) = (a.s0, a.s1);
-    sweep(v, a.sorted(), r, target_pair(a), |[(r0, m0), a1]| {
-        [(c * r0 + s * m0, c * m0 - s * r0), phased(c, s, a1)] // conj(ph) * amp0, ph * amp1
-    });
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        [1 << a.target],
+        #[inline(always)]
+        |[x]| [phased(c, s, x)],
+    );
+}
+kernel! {
+    /// Phase gate `diag(1, s0 + i s1)`: S, SDG, T, TDG, U1. Touches only the
+    /// `|1>` half.
+    k_phase = phase
 }
 
-/// Dense 2×2 gate, plain (`U3`, `U2`, `RX`, `RY`, and the non-specialized
-/// fallback) or (multi-)controlled (CY, CH, CRX, CRY, CU3, CCX, C3X, C4X,
-/// C3SQRTX).
-pub fn k_oneq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+#[inline(always)]
+fn cphase<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+    let (c, s) = (a.s0, a.s1);
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        [a.ctrl_mask],
+        #[inline(always)]
+        |[x]| [phased(c, s, x)],
+    );
+}
+kernel! {
+    /// Diagonal controlled phase on the all-ones subspace of the involved
+    /// qubits: CZ, CU1 (and exact multi-controlled phases). Touches
+    /// `2^{n-k}` amplitudes only.
+    k_cphase = cphase
+}
+
+#[inline(always)]
+fn rz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+    let (c, s) = (a.s0, a.s1);
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        target_pair(a),
+        #[inline(always)]
+        |[(r0, m0), a1]| {
+            [(c * r0 + s * m0, c * m0 - s * r0), phased(c, s, a1)] // conj(ph) * amp0, ph * amp1
+        },
+    );
+}
+kernel! {
+    /// `RZ = diag(e^{-i th/2}, e^{i th/2})` with `s0 + i s1 = e^{i th/2}`, and
+    /// controlled-RZ: both target halves rotate (under the control).
+    k_rz = rz
+}
+
+#[inline(always)]
+fn oneq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     let m = &a.m;
-    sweep(v, a.sorted(), r, target_pair(a), |[(r0, m0), (r1, m1)]| {
-        [
-            (
-                m[0].re * r0 - m[0].im * m0 + m[1].re * r1 - m[1].im * m1,
-                m[0].re * m0 + m[0].im * r0 + m[1].re * m1 + m[1].im * r1,
-            ),
-            (
-                m[2].re * r0 - m[2].im * m0 + m[3].re * r1 - m[3].im * m1,
-                m[2].re * m0 + m[2].im * r0 + m[3].re * m1 + m[3].im * r1,
-            ),
-        ]
-    });
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        target_pair(a),
+        #[inline(always)]
+        |[(r0, m0), (r1, m1)]| {
+            [
+                (
+                    m[0].re * r0 - m[0].im * m0 + m[1].re * r1 - m[1].im * m1,
+                    m[0].re * m0 + m[0].im * r0 + m[1].re * m1 + m[1].im * r1,
+                ),
+                (
+                    m[2].re * r0 - m[2].im * m0 + m[3].re * r1 - m[3].im * m1,
+                    m[2].re * m0 + m[2].im * r0 + m[3].re * m1 + m[3].im * r1,
+                ),
+            ]
+        },
+    );
+}
+kernel! {
+    /// Dense 2×2 gate, plain (`U3`, `U2`, `RX`, `RY`, and the non-specialized
+    /// fallback) or (multi-)controlled (CY, CH, CRX, CRY, CU3, CCX, C3X, C4X,
+    /// C3SQRTX).
+    k_oneq = oneq
 }
 
-/// SWAP and Fredkin: exchange the `|01>` and `|10>` amplitudes (a quarter of
-/// the vector; under the control, an eighth).
-pub fn k_swap<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let offs = [a.target, a.aux].map(|q| a.ctrl_mask | (1 << q));
-    sweep(v, a.sorted(), r, offs, |[a0, a1]| [a1, a0]);
+#[inline(always)]
+fn swap<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+    let offs = [a.ctrl_mask | (1 << a.target), a.ctrl_mask | (1 << a.aux)];
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        offs,
+        #[inline(always)]
+        |[a0, a1]| [a1, a0],
+    );
+}
+kernel! {
+    /// SWAP and Fredkin: exchange the `|01>` and `|10>` amplitudes (a quarter
+    /// of the vector; under the control, an eighth).
+    k_swap = swap
 }
 
-/// `RZZ`: pure diagonal two-qubit rotation — phases by bit parity, no
-/// mixing, no data exchange between amplitudes.
-pub fn k_rzz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+#[inline(always)]
+fn rzz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     let (c, s) = (a.s0, a.s1); // e^{i th/2} = c + i s
-    sweep(v, a.sorted(), r, operand_quad(a), |amps| {
-        // Even parity (00, 11): e^{-i th/2}; odd parity (01, 10): e^{+i th/2}.
-        let signs = [-1.0, 1.0, 1.0, -1.0];
-        std::array::from_fn(|k| phased(c, s * signs[k], amps[k]))
-    });
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        operand_quad(a),
+        #[inline(always)]
+        |amps| {
+            // Even parity (00, 11): e^{-i th/2}; odd parity (01, 10): e^{+i th/2}.
+            let signs = [-1.0, 1.0, 1.0, -1.0];
+            let mut out = amps;
+            for k in 0..4 {
+                out[k] = phased(c, s * signs[k], amps[k]);
+            }
+            out
+        },
+    );
+}
+kernel! {
+    /// `RZZ`: pure diagonal two-qubit rotation — phases by bit parity, no
+    /// mixing, no data exchange between amplitudes.
+    k_rzz = rzz
 }
 
-/// Generic dense 4×4 two-qubit gate (`RXX`, and the non-specialized CX
-/// fallback). Local bit 0 of the matrix is `target` (first operand), local
-/// bit 1 is `aux`.
-pub fn k_twoq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+#[inline(always)]
+fn twoq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     let m = &a.m;
-    sweep(v, a.sorted(), r, operand_quad(a), |amps| {
-        std::array::from_fn(|row| {
-            let (mut ar, mut ai) = (0.0, 0.0);
-            for (col, &(re, im)) in amps.iter().enumerate() {
-                let c = m[row * 4 + col];
-                ar += c.re * re - c.im * im;
-                ai += c.re * im + c.im * re;
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        operand_quad(a),
+        #[inline(always)]
+        |amps| {
+            let mut out = amps;
+            for (row, out) in out.iter_mut().enumerate() {
+                let (mut ar, mut ai) = (0.0, 0.0);
+                for (col, &(re, im)) in amps.iter().enumerate() {
+                    let c = m[row * 4 + col];
+                    ar += c.re * re - c.im * im;
+                    ai += c.re * im + c.im * re;
+                }
+                *out = (ar, ai);
             }
-            (ar, ai)
-        })
-    });
+            out
+        },
+    );
+}
+kernel! {
+    /// Generic dense 4×4 two-qubit gate (`RXX`, and the non-specialized CX
+    /// fallback). Local bit 0 of the matrix is `target` (first operand), local
+    /// bit 1 is `aux`.
+    k_twoq = twoq
+}
+
+/// The baseline body of kernel `id`, for the fused replay: a micro-op on a
+/// window of 2-8 amplitudes has no loop for a wider body to widen, and the
+/// per-call feature check of the public kernel measured 25 % of a fused
+/// sweep (`kernel.fused3.*` 7.1 -> 8.9 ns/amp).
+fn body<V: StateView>(id: KernelId) -> KernelFn<V> {
+    match id {
+        KernelId::X | KernelId::Cx => x::<V>,
+        KernelId::Y => y::<V>,
+        KernelId::Z => z::<V>,
+        KernelId::H => h::<V>,
+        KernelId::Phase => phase::<V>,
+        KernelId::CPhase => cphase::<V>,
+        KernelId::Rz | KernelId::Crz => rz::<V>,
+        KernelId::OneQ | KernelId::ControlledOneQ => oneq::<V>,
+        KernelId::Swap | KernelId::CSwap => swap::<V>,
+        KernelId::Rzz => rzz::<V>,
+        KernelId::TwoQ => twoq::<V>,
+        KernelId::Fused1 => k_fused1::<V>,
+        KernelId::Fused2 => k_fused2::<V>,
+        KernelId::Fused3 => k_fused3::<V>,
+    }
+}
+
+/// The scratch window of a fused kernel: a [`LocalView`] of 2-8 amplitudes
+/// that lends nothing, so that its micro-ops are compiled as the per-item
+/// loop alone (with the run and chunk walks compiled in beside it, unused,
+/// a fused sweep measured 7.1 -> 9.7 ns/amp).
+struct Window<'a>(LocalView<'a>);
+
+impl StateView for Window<'_> {
+    #[inline]
+    fn dim(&self) -> u64 {
+        self.0.dim()
+    }
+
+    #[inline]
+    fn get(&self, idx: u64) -> (f64, f64) {
+        self.0.get(idx)
+    }
+
+    #[inline]
+    fn set(&self, idx: u64, re: f64, im: f64) {
+        self.0.set(idx, re, im);
+    }
 }
 
 /// Shared body of the fused window kernels: one pass over the `2^{n-k}`
 /// windows of the `k` qubits in `sorted`. Each window's `2^k` amplitudes
 /// are gathered into stack buffers, the constituent micro-ops in
 /// `a.fused` (already rewritten to window-local coordinates) are replayed
-/// through their own kernels over a [`LocalView`] of the window, and the
+/// through their own kernels' baseline bodies over a [`Window`], and the
 /// result is scattered back. Because every constituent runs its exact
 /// per-amplitude arithmetic on the same values it would have seen running
 /// gate by gate (windows are disjoint, so there is no cross-window
@@ -334,18 +741,18 @@ fn k_fused_body<V: StateView, const DIM: usize>(v: &V, a: &GateArgs, r: Range<u6
         }
     }
     // One scratch window reused for every iteration, wrapped in a single
-    // `LocalView` whose `Cell` planes let the gather/replay/scatter all go
-    // through `&self` access. Resolving each micro-op's kernel once per
-    // sweep (not once per window) keeps the dispatch lookup off the
-    // 2^(n-k)-iteration hot loop.
+    // view whose `Cell` planes let the gather/replay/scatter all go through
+    // `&self` access. Resolving each micro-op's kernel once per sweep (not
+    // once per window) keeps the dispatch lookup off the 2^(n-k)-iteration
+    // hot loop.
     let mut re = [0.0f64; DIM];
     let mut im = [0.0f64; DIM];
-    let lv = LocalView::new(&mut re, &mut im);
-    type Micro<'q> = (KernelFn<LocalView<'q>>, &'q GateArgs);
+    let lv = Window(LocalView::new(&mut re, &mut im));
+    type Micro<'q> = (KernelFn<Window<'q>>, &'q GateArgs);
     let micros: Vec<Micro<'_>> = a
         .fused
         .iter()
-        .map(|cg| (crate::dispatch::resolve::<LocalView>(cg.id), &cg.args))
+        .map(|cg| (body::<Window>(cg.id), &cg.args))
         .collect();
     for i in r {
         let base = insert_zero_bits(i, sorted);
@@ -387,9 +794,14 @@ pub fn collapse_pairs<V: StateView>(v: &V, q: u32, outcome: u8, inv_sqrt_p: f64,
     } else {
         (0, 1 << q)
     };
-    sweep(v, &[q], r, [keep, kill], |[(re, im), _]| {
-        [(re * inv_sqrt_p, im * inv_sqrt_p), (0.0, 0.0)]
-    });
+    sweep(
+        v,
+        &[q],
+        r,
+        [keep, kill],
+        #[inline(always)]
+        |[(re, im), _]| [(re * inv_sqrt_p, im * inv_sqrt_p), (0.0, 0.0)],
+    );
 }
 
 #[cfg(test)]
@@ -676,13 +1088,31 @@ mod tests {
         queue
     }
 
-    /// The run path against the per-item path: any kernel over any share of
-    /// its work items leaves the same bits whether the view lends its memory
-    /// or not — and where runs exist, the lending view really was swept as
-    /// runs.
+    /// The levels of [`LEVELS`] this CPU has, with a line for each it lacks.
+    fn levels_here() -> Vec<usize> {
+        let here = |&level: &usize| {
+            CAP.set(level);
+            let have = isa() == LEVELS[level];
+            CAP.set(usize::MAX);
+            if !have {
+                eprintln!(
+                    "skip: this CPU lacks {}; its kernel bodies are not compared",
+                    LEVELS[level]
+                );
+            }
+            have
+        };
+        (0..LEVELS.len()).filter(here).collect()
+    }
+
+    /// The plain-memory paths against the per-item path, at every level the
+    /// kernels are compiled at: any kernel over any share of its work items
+    /// leaves the same bits whether the view lends its memory (runs above
+    /// `qmin` 3, chunks of a stretch for a pair kernel on one low bit) or
+    /// not, in the baseline body and in every wider one — and where there is
+    /// memory to lend, the lending view really was swept through it.
     #[test]
     fn run_path_is_bit_identical_to_the_per_item_path() {
-        use crate::compile::KernelId;
         let n = 9u32;
         let dim = 1usize << n;
         let mut rng = svsim_types::SvRng::seed_from_u64(21);
@@ -693,45 +1123,75 @@ mod tests {
         };
         let (re0, im0) = (amps(), amps());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let levels = levels_here();
+        assert_eq!(levels[0], 0, "the baseline body runs everywhere");
         let mut seen = std::collections::HashSet::new();
+        let mut chunked = 0;
         for qmin in [0, 1, 2, 3, 5, n - 2] {
             for cg in kernels_anchored_at(qmin, n) {
                 assert_eq!(cg.args.sorted()[0], qmin);
                 seen.insert(cg.id);
                 let work = cg.args.work;
+                let fused = !cg.args.fused.is_empty();
+                let touched = crate::traffic::kernel_access_patterns(&cg).0;
+                // A pair on the one low bit, with a stretch worth borrowing
+                // below the next involved qubit.
+                let low_pair = touched.len() == 2
+                    && touched[1] == touched[0] | 1 << qmin
+                    && touched[0] & 1 << qmin == 0
+                    && cg.args.sorted().get(1).is_none_or(|&q| q > 3);
                 let mut splits: Vec<Vec<Range<u64>>> = [1, 2, 3, 4, 8]
                     .iter()
                     .map(|&k| (0..k).map(|w| worker_range(work, k, w)).collect())
                     .collect();
                 if work > 12 {
-                    // Starts and ends off every run boundary.
+                    // Starts and ends off every run, chunk and stretch.
                     splits.push(vec![3..7, 7..work - 5]);
                     splits.push(vec![work / 2 - 1..work / 2 + 2, 0..1]);
+                    splits.push(vec![0..5, 5..7, 7..work - 1, work - 1..work]);
                 }
                 for split in splits {
-                    let (mut re_a, mut im_a) = (re0.clone(), im0.clone());
+                    let whole = split.len() == 1 && split[0] == (0..work);
                     let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
-                    let lending = Lending(LocalView::new(&mut re_a, &mut im_a), Cell::new(0));
                     let silent = NoLend(LocalView::new(&mut re_b, &mut im_b));
+                    CAP.set(0);
                     for r in &split {
-                        crate::dispatch::resolve::<Lending>(cg.id)(&lending, &cg.args, r.clone());
                         crate::dispatch::resolve::<NoLend>(cg.id)(&silent, &cg.args, r.clone());
                     }
-                    let fused = !cg.args.fused.is_empty();
-                    if qmin >= 3 && !fused && split.len() == 1 && split[0] == (0..work) {
-                        let touched = crate::traffic::kernel_access_patterns(&cg).0.len() as u64;
-                        assert_eq!(lending.1.get(), work * touched, "{:?} lent in runs", cg.id);
+                    for &level in &levels {
+                        let (mut re_a, mut im_a) = (re0.clone(), im0.clone());
+                        let lending = Lending(LocalView::new(&mut re_a, &mut im_a), Cell::new(0));
+                        CAP.set(level);
+                        for r in &split {
+                            crate::dispatch::resolve::<Lending>(cg.id)(
+                                &lending,
+                                &cg.args,
+                                r.clone(),
+                            );
+                        }
+                        CAP.set(usize::MAX);
+                        let what = format!(
+                            "{:?} at qmin {qmin} over {split:?}, {} body",
+                            cg.id, LEVELS[level]
+                        );
+                        let lent = lending.1.get();
+                        if fused || (qmin < 3 && !low_pair) {
+                            assert_eq!(lent, 0, "nothing to lend: {what}");
+                        } else if whole {
+                            assert_eq!(lent, work * touched.len() as u64, "all lent: {what}");
+                            chunked += usize::from(qmin < 3);
+                        }
+                        assert_eq!(bits(&re_a), bits(&re_b), "re: {what}");
+                        assert_eq!(bits(&im_a), bits(&im_b), "im: {what}");
                     }
-                    if qmin < 3 || fused {
-                        assert_eq!(lending.1.get(), 0, "{:?} has no runs to lend", cg.id);
-                    }
-                    let what = format!("{:?} at qmin {qmin} over {split:?}", cg.id);
-                    assert_eq!(bits(&re_a), bits(&re_b), "re: {what}");
-                    assert_eq!(bits(&im_a), bits(&im_b), "im: {what}");
                 }
             }
         }
-        for (qmin, outcome) in [(0, 1), (3, 0), (5, 1), (n - 1, 0)] {
+        assert!(
+            chunked >= 3 * 7 * levels.len(),
+            "low pairs walked as chunks"
+        );
+        for (qmin, outcome) in [(0, 1), (1, 0), (3, 0), (5, 1), (n - 1, 0)] {
             let (mut re_a, mut im_a) = (re0.clone(), im0.clone());
             let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
             let lending = LocalView::new(&mut re_a, &mut im_a);

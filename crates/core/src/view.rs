@@ -44,25 +44,41 @@ pub trait StateView {
     fn set(&self, idx: u64, re: f64, im: f64);
     /// Lend the amplitudes from `start` on as plain memory — real words,
     /// imaginary words, equally long: up to `max` of them, fewer where the
-    /// lender's contiguous memory ends first. The borrower loads and stores
-    /// every lent amplitude exactly once, which is what a lender that counts
-    /// accesses credits. `None`: this view lends nothing and every access
-    /// goes through [`get`](Self::get) / [`set`](Self::set).
+    /// lender's contiguous memory ends first. `max` may span many of a
+    /// kernel's runs (a pair kernel on targets 0-2 asks for the whole stretch
+    /// up to its next involved qubit at once), so a lender whose memory is
+    /// cut into partitions clips at the owning partition's end, and every
+    /// such end inside the state must be a multiple of [`LEND_ALIGN`]
+    /// amplitudes (views over shorter partitions lend nothing): a borrower
+    /// that walks aligned chunks of up to that many is then never cut inside
+    /// one. The borrower loads and stores every lent amplitude exactly once,
+    /// which is what a lender that counts accesses credits. `None`: this view
+    /// lends nothing and every access goes through [`get`](Self::get) /
+    /// [`set`](Self::set).
     #[inline]
     fn run(&self, _start: u64, _max: u64) -> Option<Plane<'_>> {
         None
     }
 }
 
+/// Every place a lender's contiguous memory may end is a multiple of this
+/// many amplitudes ([`StateView::run`]): the longest chunk a kernel walks a
+/// lent stretch in.
+pub const LEND_ALIGN: u64 = 8;
+
 /// The part of partition `start >> shift` of `parts` that begins at `start`
-/// and holds at most `max` amplitudes, and that partition's rank.
+/// and holds at most `max` amplitudes, and that partition's rank. Nothing
+/// when the partitions are shorter than [`LEND_ALIGN`].
 #[inline]
-fn lend<'a>(parts: &[Plane<'a>], shift: u32, start: u64, max: u64) -> (usize, Plane<'a>) {
+fn lend<'a>(parts: &[Plane<'a>], shift: u32, start: u64, max: u64) -> Option<(usize, Plane<'a>)> {
+    if 1 << shift < LEND_ALIGN {
+        return None;
+    }
     let owner = (start >> shift) as usize;
     let off = (start & ((1 << shift) - 1)) as usize;
     let (re, im) = parts[owner];
     let end = re.len().min(off + max as usize);
-    (owner, (&re[off..end], &im[off..end]))
+    Some((owner, (&re[off..end], &im[off..end])))
 }
 
 /// Single-device view over two local slices (SoA).
@@ -214,7 +230,7 @@ impl StateView for PeerView<'_> {
 
     #[inline]
     fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
-        let (dev, (re, im)) = lend(self.lent?, self.shift, start, max);
+        let (dev, (re, im)) = lend(self.lent?, self.shift, start, max)?;
         if let Some(c) = self.counters {
             c.credit(dev != self.my_dev, re.len() as u64, 16);
         }
@@ -374,7 +390,7 @@ impl StateView for ShmemView<'_, '_> {
 
     #[inline]
     fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
-        let (pe, (re, im)) = lend(self.lent?, self.shift, start, max);
+        let (pe, (re, im)) = lend(self.lent?, self.shift, start, max)?;
         let counters = self.ctx.counters();
         counters.credit(pe != self.ctx.my_pe(), 2 * re.len() as u64, 8);
         Some((re, im))

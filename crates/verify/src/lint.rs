@@ -6,11 +6,15 @@
 //! - **R1 `unsafe-confined`** — `unsafe` appears only in the shmem
 //!   substrate modules that own raw memory or process state
 //!   (`proc.rs`, `shared.rs`, `metrics.rs`), in the benchmark's
-//!   counting allocator (`benchmark/src/alloc.rs`), and in the one core
+//!   counting allocator (`benchmark/src/alloc.rs`), in the one core
 //!   file that borrows partition words as plain memory
 //!   (`crates/core/src/exec.rs`, the call sites of
-//!   `SharedF64Vec::as_cells`). Everything else is safe Rust by
-//!   construction.
+//!   `SharedF64Vec::as_cells`), and in the kernel layer
+//!   (`crates/core/src/kernels.rs`), whose stamping macro enters a
+//!   kernel body compiled under a wider `#[target_feature]` — a call
+//!   the language makes `unsafe` because only the `is_x86_feature_detected!`
+//!   on the line above it proves the CPU has the feature. Everything
+//!   else is safe Rust by construction.
 //! - **R2 `safety-comment`** — every `unsafe` site in the allowlisted
 //!   files carries a nearby `SAFETY:` justification (or a `# Safety`
 //!   doc section for `unsafe fn` contracts).
@@ -117,12 +121,17 @@ impl LintReport {
 /// `unsafe`; it only forwards to `System`), and the partitioned executor,
 /// which is where a launch is known not to observe words and so where
 /// `SharedF64Vec::as_cells` (the `shmem_ptr` analog, an `unsafe fn`) is
-/// called, each site under its SAFETY argument (R2). Nothing else.
+/// called, each site under its SAFETY argument (R2); and the kernel layer,
+/// whose one `unsafe` (in the `kernel!` macro) is the call from a function
+/// compiled at the build's baseline into the same body compiled under a
+/// wider `#[target_feature]`, sound because the feature was detected on the
+/// line above. Nothing else.
 const ALLOW_UNSAFE: &[&str] = &[
     "crates/shmem/src/proc.rs",
     "crates/shmem/src/shared.rs",
     "crates/shmem/src/metrics.rs",
     "crates/core/src/exec.rs",
+    "crates/core/src/kernels.rs",
     "benchmark/src/alloc.rs",
 ];
 

@@ -78,11 +78,24 @@ fn seeded_fixture_violations_are_caught() {
             .any(|f| f.file == "crates/core/src/exec.rs"),
         "the allowlisted call site must pass"
     );
+    // The kernel layer may hold its one `unsafe` call, but not without the
+    // SAFETY comment that names the detection above it.
+    let unjustified: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.file == "crates/core/src/kernels.rs")
+        .collect();
+    assert!(
+        unjustified.len() == 1
+            && unjustified[0].rule == "safety-comment"
+            && unjustified[0].severity == Severity::Warning,
+        "`unsafe` without SAFETY in kernels.rs not flagged (once, by R2): {unjustified:?}"
+    );
     assert!(
         report
             .findings
             .iter()
-            .all(|f| f.severity == Severity::Error),
-        "fixture violations must be errors"
+            .all(|f| f.severity == Severity::Error || f.rule == "safety-comment"),
+        "every other fixture violation must be an error"
     );
 }

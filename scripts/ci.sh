@@ -62,12 +62,29 @@ cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --remap
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --fuse 3
 
-echo "== kernel run path (release) =="
-# Every kernel's run path (contiguous runs of lent plain memory, the code
-# the optimizer vectorizes) against its per-item path, bit for bit, in the
-# build that ships: every KernelId and fused window x lowest qubit x range
-# split. Tier-1 runs the same test unoptimized.
-cargo test --release -p svsim-core --lib run_path_is_bit_identical_to_the_per_item_path
+echo "== CLI smoke: what ran =="
+# One small run end to end; it must say which kernel bodies this CPU entered
+# (`kernels: baseline`, `kernels: avx2`, ...), the level the vectorisation
+# leg below then checks.
+smoke="$(mktemp --suffix .qasm)"
+trap 'rm -f "$smoke"' EXIT
+printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[12];\ncreg c[1];\nh q[0];\ncx q[11],q[0];\nry(0.3) q[2];\nmeasure q[0] -> c[0];\n' >"$smoke"
+isa="$(cargo run --release --quiet -- run "$smoke" --shots 4 | sed -n 's/^kernels: \([a-z0-9]*\)$/\1/p')"
+[ -n "$isa" ] || { echo "sv-sim run printed no \`kernels: <level>\` line" >&2; exit 1; }
+echo "kernels: $isa"
+
+echo "== kernel paths (release) =="
+# Every kernel's plain-memory paths (contiguous runs of lent memory, and the
+# chunk walk of pair kernels on targets 0-2: the code the optimizer
+# vectorizes) against its per-item path, bit for bit, in the build that
+# ships and in every body it ships — baseline and each wider level this CPU
+# has (a level it lacks prints a `skip:` line): every KernelId and fused
+# window x lowest qubit x range split. Tier-1 runs the same test unoptimized.
+cargo test --release -p svsim-core --lib run_path_is_bit_identical_to_the_per_item_path -- --nocapture
+# The same walks through lending PeerView / ShmemView on thread PEs, counters
+# included, against the observed per-word launch (forked PEs: the
+# proc_backend gate below).
+cargo test --release --test cross_backend plain_memory_paths_are_indistinguishable
 
 echo "== tile-major (release) =="
 # Tile-major walks against kernel-major ones, bit for bit, in the build that
@@ -98,6 +115,35 @@ echo "== benchmark builds and gates against this API =="
 # come from the benchmark command, never from CI.
 cargo test --release --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- selftest
+
+echo "== kernel vectorisation (release) =="
+# The speed of the kernel layer rests on the compiler keeping each body's
+# loops whole and packed; nothing functional notices when it stops (a closure
+# left out of line, a body inlined across the feature boundary). Disassemble
+# the two binaries built above (the CLI and the benchmark: each is its own
+# LTO unit and has lost its packed loops independently of the other) and
+# require, for every view the dense and Hadamard-like bodies are instantiated
+# at, packed multiplies on the path this CPU takes, in wide registers above
+# the baseline.
+if [ "$(uname -m)" != x86_64 ] || ! command -v objdump >/dev/null; then
+  echo "skipped: needs objdump and an x86_64 host"
+else
+  for bin in target/release/sv-sim benchmark/target/release/svsim-benchmark; do
+    objdump -d -C --no-show-raw-insn "$bin" | awk -v level="$isa" -v bin="$bin" '
+      /^[0-9a-f]+ <.*>:$/ {
+        body = ($0 ~ "<svsim_core::kernels::k_(oneq|rzz|h|rz)::" level ">:$") ? $0 : ""
+        if (body != "") packed[body] += 0
+        next
+      }
+      body != "" && /mulpd/ && (level == "baseline" || /[yz]mm/) { packed[body]++ }
+      END {
+        for (b in packed) { bodies++; if (!packed[b]) { print bin ": not vectorised: " b; bad = 1 } }
+        if (bodies < 4) { print bin ": k_oneq / k_rzz / k_h / k_rz have no `" level "` bodies"; bad = 1 }
+        print bin ": " bodies + 0 " kernel bodies at level `" level "` checked for packed multiplies"
+        exit bad
+      }'
+  done
+fi
 
 echo "== fault-injection smoke matrix =="
 # Seeded end-to-end recovery: every job checksum under injected faults

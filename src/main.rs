@@ -278,6 +278,7 @@ fn cmd_run(flags: &Flags) -> CmdResult {
             plan.n_source_kernels() as f64 / plan.n_kernels().max(1) as f64,
         );
     }
+    println!("kernels: {}", sv_sim::core::kernels::isa());
     if summary.tile_runs > 0 {
         let (runs, kernels) = (summary.tile_runs, summary.tiled_kernels);
         println!(

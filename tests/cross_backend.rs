@@ -211,8 +211,10 @@ fn every_kernel_on(c: &mut Circuit, q: [u32; 5]) {
 /// The fast paths against the path they replace. A partitioned run reaches
 /// the state as plain memory: partition-local kernels on the PE's own slab,
 /// credited per kernel; boundary kernels as runs lent by whichever partition
-/// owns them, credited per run (or, where the lowest involved qubit leaves no
-/// run of 8, amplitude by amplitude out of the same lent memory). A launch
+/// owns them, credited per run (where the lowest involved qubit leaves no run
+/// of 8: a pair kernel on that one low bit as whole stretches, clipped where
+/// the owning partition ends and credited for what was lent; anything else
+/// amplitude by amplitude out of the same lent memory). A launch
 /// that observes individual words — a fault plan holding a `Get` spec (here
 /// one that never fires), or the race detector — lends nothing and issues
 /// every access through the view's instrumented accessors as before. Same
@@ -232,7 +234,10 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
     // boundary: one-qubit kernels on the top qubit, cx / cz / crz / ccx /
     // c4x / swap / cswap / rzz / rxx with operands on both sides), then
     // straddling with its lowest qubit at 0 (no runs: lent amplitude by
-    // amplitude); a measured partition-index qubit steering conditioned
+    // amplitude); pair kernels on targets 0, 1 and 2 under a control above
+    // every boundary (stretches of 16 to 512 amplitudes lent across it, cut
+    // at each partition's end) and under one at 7 (above the boundary at 8
+    // PEs only); a measured partition-index qubit steering conditioned
     // gates on either side; a reset (and its restoring X) on either side.
     let n = 10u32;
     let top = n - 1;
@@ -244,6 +249,19 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
     every_kernel_on(&mut circuit, [top, 5, top - 1, 3, top - 2]);
     every_kernel_on(&mut circuit, [top - 2, top, top - 3, top - 1, 4]);
     every_kernel_on(&mut circuit, [top, 0, top - 1, 1, 2]);
+    let low_pairs: [(GateKind, &[u32], &[f64]); 8] = [
+        (GateKind::CX, &[top, 0], &[]),
+        (GateKind::CRY, &[top, 1], &[0.9]),
+        (GateKind::CRZ, &[top, 2], &[0.7]),
+        (GateKind::CH, &[top - 1, 1], &[]),
+        (GateKind::CY, &[top - 2, 2], &[]),
+        (GateKind::CCX, &[top, 5, 0], &[]),
+        (GateKind::CRX, &[top - 2, 0], &[0.4]),
+        (GateKind::CCX, &[top - 1, 4, 2], &[]),
+    ];
+    for (kind, qubits, params) in low_pairs {
+        circuit.apply(kind, qubits, params).unwrap();
+    }
     circuit.measure(top, 0).unwrap();
     for value in [0, 1] {
         let low = Gate::new(GateKind::RY, &[1], &[0.7]).unwrap();

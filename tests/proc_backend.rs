@@ -114,11 +114,13 @@ fn measurement_streams_agree_across_backends() {
 fn plain_memory_paths_match_the_per_word_path_on_process_pes() {
     use sv_sim::ir::GateKind::*;
     // 8 qubits at 2 PEs: the boundary is qubit 7. A kernel of every driver
-    // across it with runs to lend (lowest qubit 3 to 7), and one without.
+    // across it with runs to lend (lowest qubit 3 to 7), and two without:
+    // pair kernels on targets 0 and 2 under the boundary qubit, walked as
+    // stretches of 128 amplitudes lent out of either PE's mapping.
     let n = 8u32;
     let mut circuit = Circuit::with_cbits(n, 2);
     circuit.extend(&random_circuit(n, 60, 5)).unwrap();
-    let across: [(sv_sim::ir::GateKind, &[u32], &[f64]); 9] = [
+    let across: [(sv_sim::ir::GateKind, &[u32], &[f64]); 10] = [
         (H, &[7], &[]),
         (T, &[7], &[]),
         (CX, &[4, 7], &[]),
@@ -128,6 +130,7 @@ fn plain_memory_paths_match_the_per_word_path_on_process_pes() {
         (CCX, &[3, 7, 5], &[]),
         (RZZ, &[7, 4], &[0.4]),
         (CX, &[7, 0], &[]),
+        (CRY, &[7, 2], &[0.9]),
     ];
     for (kind, qubits, params) in across {
         circuit.apply(kind, qubits, params).unwrap();
@@ -158,7 +161,7 @@ fn plain_memory_paths_match_the_per_word_path_on_process_pes() {
     assert!(on_slab > 0, "no kernel took the slab");
     assert_eq!(by_word, 0, "nobody observes, nothing goes by word");
     assert_eq!(none, 0, "a Get spec must see every get");
-    assert!(all >= on_slab + 9, "every kernel goes word by word");
+    assert!(all >= on_slab + 10, "every kernel goes word by word");
     assert!(plain == observed, "plain and per-word runs differ");
     assert!(
         (plain, (on_slab, 0)) == observe(threads, None),
