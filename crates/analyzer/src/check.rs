@@ -43,6 +43,7 @@ use std::fmt;
 use svsim_core::compile::{CompiledGate, KernelId};
 use svsim_core::kernels::worker_range;
 use svsim_core::traffic::kernel_access_patterns;
+use svsim_ir::GateKind;
 use svsim_types::bits::insert_zero_bits;
 use svsim_types::{SvError, SvResult};
 
@@ -77,9 +78,13 @@ pub struct Conflict {
     pub gate_a: usize,
     /// Second plan-gate index.
     pub gate_b: usize,
-    /// Kernel of the first gate.
+    /// Source gate of the first kernel ([`crate::plan::PlanGate::gate`]).
+    pub source_a: Option<GateKind>,
+    /// Source gate of the second kernel.
+    pub source_b: Option<GateKind>,
+    /// Kernel body of the first gate.
     pub kernel_a: KernelId,
-    /// Kernel of the second gate.
+    /// Kernel body of the second gate.
     pub kernel_b: KernelId,
     /// Involved qubits of the first gate.
     pub qubits_a: Vec<u32>,
@@ -99,17 +104,23 @@ pub struct Conflict {
 
 impl fmt::Display for Conflict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The source gate where there is one: a body alone does not tell a
+        // CNOT from a SWAP.
+        let named = |source: Option<GateKind>, kernel: KernelId| match source {
+            Some(gate) => format!("{gate} ({kernel:?} kernel)"),
+            None => format!("{kernel:?} kernel"),
+        };
         write!(
             f,
-            "write/write conflict in epoch {}: {:?} on q{:?} (gate #{}, op #{}) by PE {} and \
-             {:?} on q{:?} (gate #{}, op #{}) by PE {} both touch amplitude {:#x}",
+            "write/write conflict in epoch {}: {} on q{:?} (gate #{}, op #{}) by PE {} and \
+             {} on q{:?} (gate #{}, op #{}) by PE {} both touch amplitude {:#x}",
             self.epoch,
-            self.kernel_a,
+            named(self.source_a, self.kernel_a),
             self.qubits_a,
             self.gate_a,
             self.source_op_a,
             self.pe_a,
-            self.kernel_b,
+            named(self.source_b, self.kernel_b),
             self.qubits_b,
             self.gate_b,
             self.source_op_b,
@@ -270,7 +281,7 @@ fn check_gate_pair(
     let mut bb = Vec::new();
     let mut verdict = Verdict::ProvenSafe;
     for p in 0..n_pes {
-        blocks_for(&a.cg, &pats_a, plan.n_qubits, n_pes, p, &mut ba);
+        blocks_for(&a.cg, pats_a, plan.n_qubits, n_pes, p, &mut ba);
         if ba.is_empty() {
             continue;
         }
@@ -278,7 +289,7 @@ fn check_gate_pair(
             if q == p {
                 continue; // same-PE accesses are sequential, never a race
             }
-            blocks_for(&b.cg, &pats_b, plan.n_qubits, n_pes, q, &mut bb);
+            blocks_for(&b.cg, pats_b, plan.n_qubits, n_pes, q, &mut bb);
             for blk_a in &ba {
                 for blk_b in &bb {
                     *pairs += 1;
@@ -293,6 +304,8 @@ fn check_gate_pair(
                                 epoch,
                                 gate_a: ga,
                                 gate_b: gb,
+                                source_a: a.gate,
+                                source_b: b.gate,
                                 kernel_a: a.kernel,
                                 kernel_b: b.kernel,
                                 qubits_a: a.qubits.clone(),
@@ -538,8 +551,30 @@ mod tests {
         plan.merge_epochs(0).unwrap();
         let rep = check_plan(&plan, 2).unwrap();
         let msg = rep.conflicts[0].to_string();
-        for needle in ["epoch 0", "H", "q[0]", "q[3]", "PE", "write/write"] {
+        for needle in [
+            "epoch 0",
+            "h (H kernel)",
+            "q[0]",
+            "q[3]",
+            "PE",
+            "write/write",
+        ] {
             assert!(msg.contains(needle), "{msg:?} should contain {needle:?}");
         }
+        // Gates that share a body are told apart by name.
+        let mut plan = plan_of(
+            4,
+            &[(GateKind::SWAP, &[0, 3], &[]), (GateKind::CX, &[0, 1], &[])],
+        );
+        plan.merge_epochs(0).unwrap();
+        let msg = check_plan(&plan, 2).unwrap().conflicts[0].to_string();
+        assert!(
+            msg.contains("swap (X kernel) on q[0, 3] (gate #0, op #0)"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("cx (X kernel) on q[0, 1] (gate #1, op #1)"),
+            "{msg}"
+        );
     }
 }

@@ -22,6 +22,7 @@
 
 use svsim_core::compile::{CompiledGate, KernelId};
 use svsim_core::{CompiledPlan, Scheduled};
+use svsim_ir::GateKind;
 use svsim_types::{SvError, SvResult};
 
 /// Why an epoch exists — which kind of synchronized step it covers.
@@ -49,14 +50,18 @@ pub enum EpochKind {
 pub struct PlanGate {
     /// Index of the originating op in `Circuit::ops()`.
     pub source_op: usize,
-    /// Which specialized kernel runs.
+    /// The source gate (`None`: a fused run of several, or the X a reset
+    /// applies).
+    pub gate: Option<GateKind>,
+    /// Which kernel body runs: several gate families share one, told apart
+    /// by the footprint in `cg`.
     pub kernel: KernelId,
     /// Involved qubits, ascending.
     pub qubits: Vec<u32>,
     /// True when execution depends on classical bits (an `IfEq` gate, or
     /// the outcome-dependent X that restores `|0>` after a reset).
     pub conditional: bool,
-    /// The compiled argument block (work size, masks, sorted qubits).
+    /// The compiled argument block (work size, footprint, sorted qubits).
     pub cg: CompiledGate,
 }
 
@@ -108,11 +113,13 @@ impl CommPlan {
                 Scheduled::Kernel {
                     cg,
                     source_op,
+                    gate,
                     conditional,
                 } => {
                     epoch(EpochKind::Kernel, vec![gates.len()]);
                     gates.push(PlanGate {
                         source_op,
+                        gate,
                         kernel: cg.id,
                         qubits: cg.args.sorted().to_vec(),
                         conditional,

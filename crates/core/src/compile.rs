@@ -13,10 +13,14 @@ use svsim_ir::{decompose, matrices, Gate, GateKind, Mat};
 use svsim_types::bits::mask_of;
 use svsim_types::Complex64;
 
-/// Identifies one specialized kernel (the "device function symbol").
+/// Identifies one kernel **body** (the "device function symbol"): the
+/// arithmetic on one work item's amplitudes. Which amplitudes those are — a
+/// plain target, a target under controls, the two words of a swap — is the
+/// footprint in the argument block ([`GateArgs::offs`]), so a gate family and
+/// its controlled forms share a body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelId {
-    /// Pauli-X pair swap.
+    /// Exchange two amplitudes: Pauli-X, CNOT, SWAP, Fredkin.
     X,
     /// Pauli-Y.
     Y,
@@ -24,24 +28,13 @@ pub enum KernelId {
     Z,
     /// Hadamard.
     H,
-    /// `diag(1, e^{i l})` (half-touch): S/SDG/T/TDG/U1.
+    /// Multiply one amplitude by `e^{i l}`: S/SDG/T/TDG/U1 (half-touch) and,
+    /// on the all-ones subspace of its qubits, CZ/CU1.
     Phase,
-    /// RZ.
+    /// RZ, plain or controlled.
     Rz,
-    /// Generic dense 2×2.
+    /// Dense 2×2, plain or (multi-)controlled.
     OneQ,
-    /// CNOT.
-    Cx,
-    /// Diagonal phase on an all-ones subspace: CZ/CU1.
-    CPhase,
-    /// Controlled RZ.
-    Crz,
-    /// (Multi-)controlled dense 2×2.
-    ControlledOneQ,
-    /// SWAP.
-    Swap,
-    /// Fredkin.
-    CSwap,
     /// Diagonal ZZ rotation.
     Rzz,
     /// Generic dense 4×4.
@@ -68,9 +61,8 @@ fn base_args(dim: u64) -> GateArgs {
     GateArgs {
         sorted: [0; 5],
         n_sorted: 0,
-        target: 0,
-        aux: 0,
-        ctrl_mask: 0,
+        offs: [0; 8],
+        n_offs: 0,
         m: [Complex64::ZERO; 16],
         s0: 0.0,
         s1: 0.0,
@@ -86,6 +78,26 @@ fn set_sorted(args: &mut GateArgs, qubits: &[u32]) {
     args.n_sorted = s.len() as u8;
 }
 
+/// A footprint as the argument block stores it: [`GateArgs::offs`] and its
+/// count.
+type Footprint = ([u64; 8], u8);
+
+fn footprint<const N: usize>(offs: [u64; N]) -> Footprint {
+    let mut all = [0; 8];
+    all[..N].copy_from_slice(&offs);
+    (all, N as u8)
+}
+
+/// Target bit `t` clear and set, every control bit of `c` set.
+fn pair(c: u64, t: u64) -> Footprint {
+    footprint([c, c | t])
+}
+
+/// All four settings of operand bits `p` (local bit 0) and `q` (local bit 1).
+fn quad(p: u64, q: u64) -> Footprint {
+    footprint([0, p, q, p | q])
+}
+
 fn matrix_into(args: &mut GateArgs, m: &Mat) {
     args.m[..m.data().len()].copy_from_slice(m.data());
 }
@@ -96,7 +108,7 @@ fn matrix_into(args: &mut GateArgs, m: &Mat) {
 /// template patcher ([`crate::batch`]) calls it again per trial on those
 /// same blocks, so a patched template and a freshly compiled circuit hold
 /// bit-identical payloads. Everything else in a block (kernel, qubits,
-/// masks, work) is angle-independent.
+/// footprint, work) is angle-independent.
 pub(crate) fn write_payload(kind: GateKind, p: &[f64], args: &mut GateArgs) {
     use std::f64::consts::{FRAC_PI_4, PI};
     use GateKind::*;
@@ -144,27 +156,31 @@ pub fn compile_gate(g: &Gate, n_qubits: u32, specialized: bool, out: &mut Vec<Co
     }
     use GateKind::*;
     let q = g.qubits();
-    // The angle-independent part of the argument block.
-    let (id, target, aux, ctrl_mask) = match g.kind() {
+    let bit = |k: usize| 1u64 << q[k];
+    // A one-qubit gate's operands are its controls, if any, then its target.
+    let nc = q.len() - 1;
+    let (c, t) = (mask_of(&q[..nc]), bit(nc));
+    // The angle-independent part of the argument block: the body, and the
+    // footprint it sweeps. This table is the one place a gate's amplitudes
+    // are spelled.
+    let (id, (offs, n_offs)) = match g.kind() {
         ID => return, // identity: the specialized backend skips it entirely
-        X => (KernelId::X, q[0], 0, 0),
-        Y => (KernelId::Y, q[0], 0, 0),
-        Z => (KernelId::Z, q[0], 0, 0),
-        H => (KernelId::H, q[0], 0, 0),
-        S | SDG | T | TDG | U1 => (KernelId::Phase, q[0], 0, 0),
-        RZ => (KernelId::Rz, q[0], 0, 0),
-        RX | RY | U2 | U3 => (KernelId::OneQ, q[0], 0, 0),
-        CX => (KernelId::Cx, q[1], 0, 1 << q[0]),
-        CRZ => (KernelId::Crz, q[1], 0, 1 << q[0]),
-        CZ | CU1 => (KernelId::CPhase, 0, 0, mask_of(q)),
-        CY | CH | CRX | CRY | CU3 | CCX | C3X | C4X | C3SQRTX => {
-            let nc = q.len() - 1;
-            (KernelId::ControlledOneQ, q[nc], 0, mask_of(&q[..nc]))
+        X | CX => (KernelId::X, pair(c, t)),
+        Y => (KernelId::Y, pair(c, t)),
+        Z => (KernelId::Z, footprint([t])),
+        H => (KernelId::H, pair(c, t)),
+        S | SDG | T | TDG | U1 => (KernelId::Phase, footprint([t])),
+        CZ | CU1 => (KernelId::Phase, footprint([c | t])),
+        RZ | CRZ => (KernelId::Rz, pair(c, t)),
+        RX | RY | U2 | U3 | CY | CH | CRX | CRY | CU3 | CCX | C3X | C4X | C3SQRTX => {
+            (KernelId::OneQ, pair(c, t))
         }
-        SWAP => (KernelId::Swap, q[0], q[1], 0),
-        RZZ => (KernelId::Rzz, q[0], q[1], 0),
-        RXX => (KernelId::TwoQ, q[0], q[1], 0),
-        CSWAP => (KernelId::CSwap, q[1], q[2], 1 << q[0]),
+        // The two words a swap exchanges: `|01>` and `|10>` of its operands,
+        // under Fredkin's control.
+        SWAP => (KernelId::X, footprint([bit(0), bit(1)])),
+        CSWAP => (KernelId::X, footprint([bit(0) | bit(1), bit(0) | bit(2)])),
+        RZZ => (KernelId::Rzz, quad(bit(0), bit(1))),
+        RXX => (KernelId::TwoQ, quad(bit(0), bit(1))),
         // Relative-phase Toffolis: realized by composing basic/standard
         // gates (the paper's compound-gate strategy).
         RCCX | RC3X => {
@@ -176,7 +192,7 @@ pub fn compile_gate(g: &Gate, n_qubits: u32, specialized: bool, out: &mut Vec<Co
     };
     // One work item per setting of the uninvolved qubits.
     let mut args = base_args(dim >> q.len());
-    (args.target, args.aux, args.ctrl_mask) = (target, aux, ctrl_mask);
+    (args.offs, args.n_offs) = (offs, n_offs);
     set_sorted(&mut args, q);
     write_payload(g.kind(), g.params(), &mut args);
     out.push(CompiledGate { id, args });
@@ -190,7 +206,7 @@ fn compile_generic(g: &Gate, dim: u64, out: &mut Vec<CompiledGate>) {
         1 => {
             let mut a = base_args(dim / 2);
             set_sorted(&mut a, q);
-            a.target = q[0];
+            (a.offs, a.n_offs) = pair(0, 1 << q[0]);
             matrix_into(&mut a, &matrices::single_qubit(g.kind(), g.params()));
             out.push(CompiledGate {
                 id: KernelId::OneQ,
@@ -201,8 +217,7 @@ fn compile_generic(g: &Gate, dim: u64, out: &mut Vec<CompiledGate>) {
             debug_assert_eq!(g.kind(), GateKind::CX, "lowering emits only CX among 2q");
             let mut a = base_args(dim / 4);
             set_sorted(&mut a, q);
-            a.target = q[0];
-            a.aux = q[1];
+            (a.offs, a.n_offs) = quad(1 << q[0], 1 << q[1]);
             matrix_into(&mut a, &matrices::gate_matrix(g));
             out.push(CompiledGate {
                 id: KernelId::TwoQ,
@@ -235,29 +250,46 @@ mod tests {
         Gate::new(kind, q, p).unwrap()
     }
 
+    /// The body each gate selects and the footprint it sweeps: what was a
+    /// kernel of its own (CNOT, SWAP, Fredkin, controlled phase, controlled
+    /// RZ, controlled 2×2) is now only these offsets.
     #[test]
     fn specialized_kernel_selection() {
-        let cases = [
-            (g(GateKind::X, &[0], &[]), KernelId::X),
-            (g(GateKind::T, &[1], &[]), KernelId::Phase),
-            (g(GateKind::RZ, &[1], &[0.3]), KernelId::Rz),
-            (g(GateKind::U3, &[0], &[0.1, 0.2, 0.3]), KernelId::OneQ),
-            (g(GateKind::CX, &[0, 1], &[]), KernelId::Cx),
-            (g(GateKind::CZ, &[0, 1], &[]), KernelId::CPhase),
-            (g(GateKind::CCX, &[0, 1, 2], &[]), KernelId::ControlledOneQ),
+        use GateKind::*;
+        let cases: [(Gate, KernelId, &[u64]); 20] = [
+            (g(X, &[0], &[]), KernelId::X, &[0, 1]),
+            (g(Z, &[3], &[]), KernelId::Z, &[8]),
+            (g(T, &[1], &[]), KernelId::Phase, &[2]),
+            (g(RZ, &[1], &[0.3]), KernelId::Rz, &[0, 2]),
+            (g(U3, &[0], &[0.1, 0.2, 0.3]), KernelId::OneQ, &[0, 1]),
+            // Control below the target, and above it.
+            (g(CX, &[0, 4], &[]), KernelId::X, &[0b00001, 0b10001]),
+            (g(CX, &[4, 0], &[]), KernelId::X, &[0b10000, 0b10001]),
+            (g(CRZ, &[3, 1], &[0.3]), KernelId::Rz, &[0b1000, 0b1010]),
+            (g(CZ, &[0, 1], &[]), KernelId::Phase, &[0b11]),
+            (g(CU1, &[5, 2], &[0.4]), KernelId::Phase, &[0b100100]),
+            (g(CCX, &[0, 1, 2], &[]), KernelId::OneQ, &[0b011, 0b111]),
             (
-                g(GateKind::C4X, &[0, 1, 2, 3, 4], &[]),
-                KernelId::ControlledOneQ,
+                g(C4X, &[5, 0, 3, 1, 2], &[]),
+                KernelId::OneQ,
+                &[0b101011, 0b101111],
             ),
-            (g(GateKind::SWAP, &[0, 1], &[]), KernelId::Swap),
-            (g(GateKind::RZZ, &[0, 1], &[0.5]), KernelId::Rzz),
-            (g(GateKind::RXX, &[0, 1], &[0.5]), KernelId::TwoQ),
+            (g(SWAP, &[0, 1], &[]), KernelId::X, &[0b01, 0b10]),
+            (g(SWAP, &[4, 2], &[]), KernelId::X, &[0b10000, 0b00100]),
+            // The control between the operands, and the operands descending.
+            (g(CSWAP, &[2, 1, 4], &[]), KernelId::X, &[0b00110, 0b10100]),
+            (g(CSWAP, &[2, 4, 1], &[]), KernelId::X, &[0b10100, 0b00110]),
+            (g(RZZ, &[0, 1], &[0.5]), KernelId::Rzz, &[0, 1, 2, 3]),
+            (g(RZZ, &[3, 1], &[0.5]), KernelId::Rzz, &[0, 8, 2, 10]),
+            (g(RXX, &[0, 1], &[0.5]), KernelId::TwoQ, &[0, 1, 2, 3]),
+            (g(RXX, &[5, 2], &[0.5]), KernelId::TwoQ, &[0, 32, 4, 36]),
         ];
-        for (gate, id) in cases {
+        for (gate, id, offs) in cases {
             let mut out = Vec::new();
             compile_gate(&gate, 6, true, &mut out);
             assert_eq!(out.len(), 1, "{gate} should compile to one kernel");
             assert_eq!(out[0].id, id, "{gate}");
+            assert_eq!(out[0].args.offs(), offs, "{gate}");
         }
     }
 
@@ -293,7 +325,7 @@ mod tests {
         assert!(out.len() > 5, "rccx lowers to a sequence");
         assert!(out
             .iter()
-            .all(|c| matches!(c.id, KernelId::H | KernelId::Phase | KernelId::Cx)));
+            .all(|c| matches!(c.id, KernelId::H | KernelId::Phase | KernelId::X)));
     }
 
     #[test]
@@ -310,6 +342,14 @@ mod tests {
             .all(|c| matches!(c.id, KernelId::OneQ | KernelId::TwoQ)));
         // CCX lowers to many gates in generic mode.
         assert!(compiled.len() > 10);
+        // A generic CX is the dense 4×4 over all four settings of its
+        // operands, the control as local bit 0.
+        let cx = compile_gates([&g(GateKind::CX, &[3, 1], &[])], 4, false);
+        assert_eq!(cx[0].id, KernelId::TwoQ);
+        assert_eq!(cx[0].args.sorted(), &[1, 3]);
+        assert_eq!(cx[0].args.offs(), &[0, 8, 2, 10]);
+        let h = compile_gates([&g(GateKind::H, &[2], &[])], 4, false);
+        assert_eq!(h[0].args.offs(), &[0, 4]);
     }
 
     #[test]
@@ -318,7 +358,7 @@ mod tests {
         compile_gate(&g(GateKind::CCX, &[5, 2, 4], &[]), 8, true, &mut out);
         let a = &out[0].args;
         assert_eq!(a.sorted(), &[2, 4, 5]);
-        assert_eq!(a.target, 4);
-        assert_eq!(a.ctrl_mask, (1 << 5) | (1 << 2));
+        // Target 4 clear and set, controls 5 and 2 set.
+        assert_eq!(a.offs(), &[0b100100, 0b110100]);
     }
 }

@@ -28,15 +28,13 @@ pub type KernelFn<V> = fn(&V, &GateArgs, Range<u64>);
 #[must_use]
 pub fn resolve<V: StateView>(id: KernelId) -> KernelFn<V> {
     match id {
-        KernelId::X | KernelId::Cx => kernels::k_x::<V>,
+        KernelId::X => kernels::k_x::<V>,
         KernelId::Y => kernels::k_y::<V>,
         KernelId::Z => kernels::k_z::<V>,
         KernelId::H => kernels::k_h::<V>,
         KernelId::Phase => kernels::k_phase::<V>,
-        KernelId::CPhase => kernels::k_cphase::<V>,
-        KernelId::Rz | KernelId::Crz => kernels::k_rz::<V>,
-        KernelId::OneQ | KernelId::ControlledOneQ => kernels::k_oneq::<V>,
-        KernelId::Swap | KernelId::CSwap => kernels::k_swap::<V>,
+        KernelId::Rz => kernels::k_rz::<V>,
+        KernelId::OneQ => kernels::k_oneq::<V>,
         KernelId::Rzz => kernels::k_rzz::<V>,
         KernelId::TwoQ => kernels::k_twoq::<V>,
         KernelId::Fused1 => kernels::k_fused1::<V>,
@@ -113,20 +111,13 @@ mod tests {
             KernelId::Phase,
             KernelId::Rz,
             KernelId::OneQ,
-            KernelId::Cx,
-            KernelId::CPhase,
-            KernelId::Crz,
-            KernelId::ControlledOneQ,
-            KernelId::Swap,
-            KernelId::CSwap,
             KernelId::Rzz,
             KernelId::TwoQ,
             KernelId::Fused1,
             KernelId::Fused2,
             KernelId::Fused3,
         ] {
-            // A controlled kernel and its plain twin share one function
-            // (the control mask is 0); here just ensure resolution succeeds.
+            // One function per body; a gate's controls are in its footprint.
             let _f = resolve::<LocalView>(id);
         }
     }

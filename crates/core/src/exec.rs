@@ -54,7 +54,7 @@ use crate::plan::PlanSegment;
 use crate::remap::QubitLayout;
 use crate::sim::{BackendKind, RunSummary, SimConfig};
 use crate::state::StateVector;
-use crate::traffic::{kernel_access_patterns, partition_local, tile_local};
+use crate::traffic::{partition_local, tile_local};
 use crate::view::{LocalView, PeerView, Plane, ShmemView, StateView};
 use std::cell::Cell;
 use std::ops::Range;
@@ -172,7 +172,7 @@ struct OnSlab<'s> {
     /// The [`LocalView`] instance of the kernel.
     kernel: KernelFn<LocalView<'s>>,
     /// The amplitude accesses one walker's share of it makes (`items x
-    /// patterns`, each one load and one store) — what a slab that counts
+    /// footprint`, each one load and one store) — what a slab that counts
     /// credits in bulk; 0 on one that does not.
     accesses: u64,
     /// Whether it may wait in a tile run ([`tile_local`]); never, for a
@@ -242,9 +242,9 @@ impl<'a, V: StateView> Kernels<'a, V> {
             .filter(|slab| partition_local(cg, n_qubits, slab.n_pes))
             .map(|slab| OnSlab {
                 kernel: resolve::<LocalView>(cg.id),
-                accesses: slab.counters.map_or(0, |_| {
-                    cg.args.work / slab.n_pes * kernel_access_patterns(cg).0.len() as u64
-                }),
+                accesses: slab
+                    .counters
+                    .map_or(0, |_| cg.args.work / slab.n_pes * u64::from(cg.args.n_offs)),
                 tile_local: self
                     .tile_qubits
                     .is_some_and(|t| tile_local(cg, n_qubits, t)),
@@ -1064,7 +1064,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(ids.len(), 18, "every KernelId walked: {ids:?}");
+        assert_eq!(ids.len(), 12, "every KernelId walked: {ids:?}");
         assert!(runs > 1000, "{runs} tile runs");
         assert!(exchanges_between_runs > 0, "exchange steps ended runs");
     }

@@ -20,42 +20,23 @@
 //! Fusion is traffic-monotone by construction: a run is only fused when
 //! the amplitudes the fused sweep touches (`2^n`, always) do not exceed
 //! the sum its constituents would have touched — so runs of half-touch
-//! diagonal kernels (two `CPhase`s touching `2^{n-2}` each, say) are left
-//! alone rather than inflated into a full pass.
+//! diagonal kernels (two controlled phases touching `2^{n-2}` each, say) are
+//! left alone rather than inflated into a full pass.
 
 use crate::compile::{CompiledGate, KernelId};
 use crate::exec::Step;
 use crate::kernels::GateArgs;
 use std::ops::Range;
+use svsim_types::bits::mask_of;
 use svsim_types::Complex64;
 
 /// Maximum fusion window the kernels support (an 8-amplitude gather).
 pub const MAX_WINDOW: u8 = 3;
 
-/// Amplitudes one work item of `id` touches (reads or writes).
-fn amps_per_item(id: KernelId) -> u64 {
-    match id {
-        KernelId::Z | KernelId::Phase | KernelId::CPhase => 1,
-        KernelId::X
-        | KernelId::Y
-        | KernelId::H
-        | KernelId::OneQ
-        | KernelId::Rz
-        | KernelId::Cx
-        | KernelId::Crz
-        | KernelId::ControlledOneQ
-        | KernelId::Swap
-        | KernelId::CSwap => 2,
-        KernelId::Rzz | KernelId::TwoQ => 4,
-        KernelId::Fused1 => 2,
-        KernelId::Fused2 => 4,
-        KernelId::Fused3 => 8,
-    }
-}
-
-/// Total amplitudes the gate touches across the whole state.
+/// Total amplitudes the gate touches across the whole state: its footprint,
+/// once per work item.
 fn amps_touched(cg: &CompiledGate) -> u64 {
-    cg.args.work.saturating_mul(amps_per_item(cg.id))
+    cg.args.work.saturating_mul(u64::from(cg.args.n_offs))
 }
 
 /// The greedy window rule, in one place: a window is the ascending union
@@ -82,45 +63,37 @@ pub(crate) fn extend_window(window: &mut Vec<u32>, qubits: &[u32], cap: u8) -> O
     None
 }
 
-/// Rewrite a compiled gate into window-local coordinates: qubit `q`
-/// becomes its index in the ascending `window` list, `work` becomes the
-/// gate's work over the `2^k` window. Matrix and scalar payloads are
+/// Bits at the ascending `window` positions, gathered down to local
+/// positions `0..k` (`relabel(1 << window[i]) == 1 << i`).
+fn relabel(bits: u64, window: &[u32]) -> u64 {
+    debug_assert_eq!(bits & !mask_of(window), 0, "the window covers the bits");
+    (window.iter().enumerate()).fold(0, |local, (i, &q)| local | (bits >> q & 1) << i)
+}
+
+/// Rewrite a compiled gate into window-local coordinates: one relabeling of
+/// qubit positions — `q` becomes its index in the ascending `window` list —
+/// applied to `sorted` and to every offset of the footprint; `work` becomes
+/// the gate's work over the `2^k` window. Matrix and scalar payloads are
 /// copied untouched — they are what the template patcher rewrites between
 /// sweep members.
 fn to_local(cg: &CompiledGate, window: &[u32]) -> CompiledGate {
-    let k = window.len() as u32;
-    let pos = |q: u32| -> u32 {
-        window
-            .iter()
-            .position(|&w| w == q)
-            .expect("window covers every involved qubit") as u32
-    };
     let mut a = cg.args.clone();
-    let involved = cg.args.sorted().to_vec();
-    for (i, &q) in involved.iter().enumerate() {
-        a.sorted[i] = pos(q);
+    let n = usize::from(a.n_sorted);
+    debug_assert!(n <= window.len());
+    for q in &mut a.sorted[..n] {
+        *q = relabel(1 << *q, window).trailing_zeros();
     }
-    // `target`/`aux` are only meaningful when they name an involved qubit
-    // (diagonal kernels leave them at their default); map exactly those.
-    if involved.contains(&cg.args.target) {
-        a.target = pos(cg.args.target);
+    for o in &mut a.offs[..usize::from(cg.args.n_offs)] {
+        *o = relabel(*o, window);
     }
-    if involved.contains(&cg.args.aux) {
-        a.aux = pos(cg.args.aux);
-    }
-    let mut mask = 0u64;
-    for &q in &involved {
-        if cg.args.ctrl_mask & (1 << q) != 0 {
-            mask |= 1 << pos(q);
-        }
-    }
-    a.ctrl_mask = mask;
-    debug_assert!(cg.args.n_sorted as u32 <= k);
-    a.work = 1u64 << (k - u32::from(cg.args.n_sorted));
+    a.work = 1 << (window.len() - n);
     CompiledGate { id: cg.id, args: a }
 }
 
-/// Build the fused gate for `window` from its constituent kernels.
+/// Build the fused gate for `window` from its constituent kernels. Its
+/// footprint is the whole window — every setting of the window's qubits,
+/// local index `j` with bit `b` at position `window[b]` — and the one place
+/// that enumeration is written.
 fn fused_gate(window: &[u32], parts: &[CompiledGate], n_qubits: u32) -> CompiledGate {
     let k = window.len();
     let id = match k {
@@ -130,14 +103,19 @@ fn fused_gate(window: &[u32], parts: &[CompiledGate], n_qubits: u32) -> Compiled
     };
     let mut sorted = [0u32; 5];
     sorted[..k].copy_from_slice(window);
+    let mut offs = [0u64; 8];
+    for (j, o) in offs[..1 << k].iter_mut().enumerate() {
+        for (b, &q) in window.iter().enumerate() {
+            *o |= (j as u64 >> b & 1) << q;
+        }
+    }
     CompiledGate {
         id,
         args: GateArgs {
             sorted,
             n_sorted: k as u8,
-            target: 0,
-            aux: 0,
-            ctrl_mask: 0,
+            offs,
+            n_offs: 1 << k,
             m: [Complex64::ZERO; 16],
             s0: 0.0,
             s1: 0.0,
@@ -402,7 +380,7 @@ mod tests {
 
     #[test]
     fn half_touch_diagonal_runs_stay_unfused() {
-        // Two CPhase kernels touch 2^{n-2} amplitudes each; a fused
+        // Two controlled phases touch 2^{n-2} amplitudes each; a fused
         // 2-qubit sweep would touch all 2^n — fusing would *increase*
         // traffic, so the pass must leave them alone.
         let n = 8u32;
@@ -429,7 +407,8 @@ mod tests {
         // H;H fuse, C4X stays, H;H fuse.
         assert_eq!(fused.len(), 3);
         assert_eq!(fused[0].id, KernelId::Fused1);
-        assert_eq!(fused[1].id, KernelId::ControlledOneQ);
+        assert_eq!(fused[1].id, KernelId::OneQ);
+        assert_eq!(fused[1].args.n_sorted, 5, "the C4X, as it was");
         assert_eq!(fused[2].id, KernelId::Fused1);
         assert_eq!(source_kernels(&fused), queue.len());
     }
@@ -448,11 +427,20 @@ mod tests {
         assert_eq!(f.id, KernelId::Fused2);
         assert_eq!(f.args.sorted(), &[4, 7]);
         assert_eq!(f.args.work, (1 << n) / 4);
+        assert_eq!(f.args.offs(), &[0, 1 << 4, 1 << 7, 1 << 4 | 1 << 7]);
         let h = &f.args.fused[0];
-        assert_eq!((h.args.target, h.args.work), (0, 2));
+        assert_eq!(
+            (h.id, h.args.sorted(), h.args.work),
+            (KernelId::H, &[0][..], 2)
+        );
+        assert_eq!(h.args.offs(), &[0, 1]);
+        // Control 4 -> local 0, target 7 -> local 1.
         let cx = &f.args.fused[1];
-        assert_eq!(cx.args.sorted(), &[0, 1]);
-        assert_eq!((cx.args.target, cx.args.ctrl_mask, cx.args.work), (1, 1, 1));
+        assert_eq!(
+            (cx.id, cx.args.sorted(), cx.args.work),
+            (KernelId::X, &[0, 1][..], 1)
+        );
+        assert_eq!(cx.args.offs(), &[0b01, 0b11]);
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! dense-matrix application. The savings are real and measured — the
 //! baselines crate provides the generalized implementation for comparison.
 //!
+//! A kernel is a **body** — the arithmetic on the 1, 2 or 4 amplitudes of one
+//! work item — swept over a **footprint**: which amplitudes those are, the
+//! OR-offsets [`GateArgs::offs`] that [`crate::compile`] writes beside the
+//! kernel's id. Gates that differ only in where their amplitudes sit share a
+//! body: X, CNOT, SWAP and Fredkin all exchange two words (`k_x`); a phase
+//! gate and a controlled phase multiply one (`k_phase`); a control is bits
+//! set in every offset.
+//!
 //! Every kernel processes a caller-supplied sub-range of its *work-item
 //! space*, so the same code serves the single device (full range), the
 //! scale-up executor (one chunk per device thread) and the scale-out SPMD
@@ -39,7 +47,9 @@ use svsim_types::Complex64;
 
 /// Uniform argument block for every kernel (the analog of the paper's
 /// fixed-format `Gate` object that makes device function pointers possible:
-/// one parameter layout shared by all gate functions).
+/// one parameter layout shared by all gate functions): where the kernel works
+/// (`sorted`, `offs`, `work`) and what it applies there (`m`, `s0`, `s1`,
+/// `fused`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateArgs {
     /// Ascending positions of all involved qubits (for base-index
@@ -47,14 +57,18 @@ pub struct GateArgs {
     pub sorted: [u32; 5],
     /// Number of valid entries in `sorted`.
     pub n_sorted: u8,
-    /// Target qubit (payload bit for controlled/1q kernels; first operand
-    /// for 2q matrix kernels).
-    pub target: u32,
-    /// Second operand (swap partner / second matrix qubit).
-    pub aux: u32,
-    /// OR of the control-qubit bit masks (or, for pure-diagonal phase
-    /// kernels, of *all* involved qubits).
-    pub ctrl_mask: u64,
+    /// The **footprint**: work item `i` reads and writes exactly the
+    /// amplitudes `insert_zero_bits(i, sorted) | offs[j]`, in the order the
+    /// kernel's closure takes them (target clear then set under the controls;
+    /// the two words a swap exchanges; a two-qubit matrix's four with the
+    /// first operand as local bit 0; a fused window's `2^k` in local order).
+    /// Bits only at `sorted` positions, no two alike. Written where the block
+    /// is built ([`crate::compile`], [`crate::fuse`]) and read by everything
+    /// that asks which amplitudes the kernel touches: its body, the traffic
+    /// model, the analyzer, the fuser, the executor's counters.
+    pub offs: [u64; 8],
+    /// Number of valid entries in `offs`.
+    pub n_offs: u8,
     /// Payload matrix: 2×2 in `m[..4]` (row-major), 4×4 in `m[..16]`.
     pub m: [Complex64; 16],
     /// Scalar parameter (e.g. `cos`).
@@ -78,6 +92,22 @@ impl GateArgs {
     #[must_use]
     pub fn sorted(&self) -> &[u32] {
         &self.sorted[..self.n_sorted as usize]
+    }
+
+    /// The footprint: the OR-offsets one work item touches.
+    #[inline]
+    #[must_use]
+    pub fn offs(&self) -> &[u64] {
+        &self.offs[..self.n_offs as usize]
+    }
+
+    /// The footprint as the `N` offsets a body of that arity sweeps.
+    #[inline(always)]
+    fn footprint<const N: usize>(&self) -> [u64; N] {
+        debug_assert_eq!(self.n_offs as usize, N, "a body of another arity");
+        let mut offs = [0; N];
+        offs.copy_from_slice(&self.offs[..N]);
+        offs
     }
 }
 
@@ -415,20 +445,6 @@ fn sweep<V: StateView, const N: usize>(
     }
 }
 
-/// The two amplitudes of a (controlled) one-qubit kernel: target clear and
-/// set, controls set.
-#[inline(always)]
-fn target_pair(a: &GateArgs) -> [u64; 2] {
-    [a.ctrl_mask, a.ctrl_mask | (1 << a.target)]
-}
-
-/// The four amplitudes of a two-qubit kernel, `target` as local bit 0.
-#[inline(always)]
-fn operand_quad(a: &GateArgs) -> [u64; 4] {
-    let (p, q) = (1u64 << a.target, 1u64 << a.aux);
-    [0, p, q, p | q]
-}
-
 /// `(c + i s) * amp`.
 #[inline(always)]
 fn phased(c: f64, s: f64, (re, im): Amp) -> Amp {
@@ -441,14 +457,15 @@ fn x<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
         v,
         a.sorted(),
         r,
-        target_pair(a),
+        a.footprint(),
         #[inline(always)]
         |[a0, a1]| [a1, a0],
     );
 }
 kernel! {
-    /// Pauli-X and CNOT: swap the amplitude pair (CX permutes only the quarter
-    /// with the control set).
+    /// Exchange the footprint's two amplitudes. Pauli-X: target clear and set;
+    /// CNOT: the same under the control (a quarter of the vector); SWAP: `|01>`
+    /// and `|10>` of the operands (a quarter; Fredkin, an eighth).
     k_x = x
 }
 
@@ -459,7 +476,7 @@ fn y<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
         v,
         a.sorted(),
         r,
-        target_pair(a),
+        a.footprint(),
         #[inline(always)]
         |[(r0, m0), (r1, m1)]| [(m1, -r1), (-m0, r0)],
     );
@@ -475,14 +492,16 @@ fn z<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
         v,
         a.sorted(),
         r,
-        [1 << a.target],
+        a.footprint(),
         #[inline(always)]
         |[(re, im)]| [(-re, -im)],
     );
 }
 kernel! {
     /// Pauli-Z: negate the `|1>` half only (half the traffic of a generic 1q
-    /// gate — the paper's T-gate argument).
+    /// gate — the paper's T-gate argument). Not `k_phase` at `-1 + 0i`: that
+    /// multiplies through, and `-re - 0.0 * im` is not `-re` in the sign of a
+    /// zero.
     k_z = z
 }
 
@@ -493,7 +512,7 @@ fn h<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
         v,
         a.sorted(),
         r,
-        target_pair(a),
+        a.footprint(),
         #[inline(always)]
         |[(r0, m0), (r1, m1)]| {
             [
@@ -515,34 +534,17 @@ fn phase<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
         v,
         a.sorted(),
         r,
-        [1 << a.target],
+        a.footprint(),
         #[inline(always)]
         |[x]| [phased(c, s, x)],
     );
 }
 kernel! {
-    /// Phase gate `diag(1, s0 + i s1)`: S, SDG, T, TDG, U1. Touches only the
-    /// `|1>` half.
+    /// Multiply the footprint's one amplitude by `s0 + i s1`. Phase gate
+    /// `diag(1, s0 + i s1)` (S, SDG, T, TDG, U1): the `|1>` half only; diagonal
+    /// controlled phase (CZ, CU1): the all-ones subspace of the involved
+    /// qubits, `2^{n-k}` amplitudes.
     k_phase = phase
-}
-
-#[inline(always)]
-fn cphase<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let (c, s) = (a.s0, a.s1);
-    sweep(
-        v,
-        a.sorted(),
-        r,
-        [a.ctrl_mask],
-        #[inline(always)]
-        |[x]| [phased(c, s, x)],
-    );
-}
-kernel! {
-    /// Diagonal controlled phase on the all-ones subspace of the involved
-    /// qubits: CZ, CU1 (and exact multi-controlled phases). Touches
-    /// `2^{n-k}` amplitudes only.
-    k_cphase = cphase
 }
 
 #[inline(always)]
@@ -552,7 +554,7 @@ fn rz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
         v,
         a.sorted(),
         r,
-        target_pair(a),
+        a.footprint(),
         #[inline(always)]
         |[(r0, m0), a1]| {
             [(c * r0 + s * m0, c * m0 - s * r0), phased(c, s, a1)] // conj(ph) * amp0, ph * amp1
@@ -572,7 +574,7 @@ fn oneq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
         v,
         a.sorted(),
         r,
-        target_pair(a),
+        a.footprint(),
         #[inline(always)]
         |[(r0, m0), (r1, m1)]| {
             [
@@ -596,31 +598,13 @@ kernel! {
 }
 
 #[inline(always)]
-fn swap<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let offs = [a.ctrl_mask | (1 << a.target), a.ctrl_mask | (1 << a.aux)];
-    sweep(
-        v,
-        a.sorted(),
-        r,
-        offs,
-        #[inline(always)]
-        |[a0, a1]| [a1, a0],
-    );
-}
-kernel! {
-    /// SWAP and Fredkin: exchange the `|01>` and `|10>` amplitudes (a quarter
-    /// of the vector; under the control, an eighth).
-    k_swap = swap
-}
-
-#[inline(always)]
 fn rzz<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     let (c, s) = (a.s0, a.s1); // e^{i th/2} = c + i s
     sweep(
         v,
         a.sorted(),
         r,
-        operand_quad(a),
+        a.footprint::<4>(),
         #[inline(always)]
         |amps| {
             // Even parity (00, 11): e^{-i th/2}; odd parity (01, 10): e^{+i th/2}.
@@ -646,7 +630,7 @@ fn twoq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
         v,
         a.sorted(),
         r,
-        operand_quad(a),
+        a.footprint::<4>(),
         #[inline(always)]
         |amps| {
             let mut out = amps;
@@ -665,8 +649,8 @@ fn twoq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
 }
 kernel! {
     /// Generic dense 4×4 two-qubit gate (`RXX`, and the non-specialized CX
-    /// fallback). Local bit 0 of the matrix is `target` (first operand), local
-    /// bit 1 is `aux`.
+    /// fallback). Local bit 0 of the matrix is the gate's first operand, local
+    /// bit 1 its second: the order of the footprint.
     k_twoq = twoq
 }
 
@@ -676,15 +660,13 @@ kernel! {
 /// sweep (`kernel.fused3.*` 7.1 -> 8.9 ns/amp).
 fn body<V: StateView>(id: KernelId) -> KernelFn<V> {
     match id {
-        KernelId::X | KernelId::Cx => x::<V>,
+        KernelId::X => x::<V>,
         KernelId::Y => y::<V>,
         KernelId::Z => z::<V>,
         KernelId::H => h::<V>,
         KernelId::Phase => phase::<V>,
-        KernelId::CPhase => cphase::<V>,
-        KernelId::Rz | KernelId::Crz => rz::<V>,
-        KernelId::OneQ | KernelId::ControlledOneQ => oneq::<V>,
-        KernelId::Swap | KernelId::CSwap => swap::<V>,
+        KernelId::Rz => rz::<V>,
+        KernelId::OneQ => oneq::<V>,
         KernelId::Rzz => rzz::<V>,
         KernelId::TwoQ => twoq::<V>,
         KernelId::Fused1 => k_fused1::<V>,
@@ -718,10 +700,10 @@ impl StateView for Window<'_> {
 
 /// Shared body of the fused window kernels: one pass over the `2^{n-k}`
 /// windows of the `k` qubits in `sorted`. Each window's `2^k` amplitudes
-/// are gathered into stack buffers, the constituent micro-ops in
-/// `a.fused` (already rewritten to window-local coordinates) are replayed
-/// through their own kernels' baseline bodies over a [`Window`], and the
-/// result is scattered back. Because every constituent runs its exact
+/// (the footprint) are gathered into stack buffers, the constituent
+/// micro-ops in `a.fused` (already rewritten to window-local coordinates)
+/// are replayed through their own kernels' baseline bodies over a
+/// [`Window`], and the result is scattered back. Because every constituent runs its exact
 /// per-amplitude arithmetic on the same values it would have seen running
 /// gate by gate (windows are disjoint, so there is no cross-window
 /// dataflow), the fused sweep is **bit-identical** to unfused execution —
@@ -729,17 +711,8 @@ impl StateView for Window<'_> {
 #[inline]
 fn k_fused_body<V: StateView, const DIM: usize>(v: &V, a: &GateArgs, r: Range<u64>) {
     let sorted = a.sorted();
-    debug_assert_eq!(1usize << sorted.len(), DIM);
-    // Local index j maps to the window offset with bit b of j at global
-    // position sorted[b].
-    let mut offs = [0u64; DIM];
-    for (j, o) in offs.iter_mut().enumerate() {
-        for (b, &q) in sorted.iter().enumerate() {
-            if j & (1 << b) != 0 {
-                *o |= 1 << q;
-            }
-        }
-    }
+    // Local index j of the window is the amplitude at footprint offset j.
+    let offs: [u64; DIM] = a.footprint();
     // One scratch window reused for every iteration, wrapped in a single
     // view whose `Cell` planes let the gather/replay/scatter all go through
     // `&self` access. Resolving each micro-op's kernel once per sweep (not
@@ -807,7 +780,9 @@ pub fn collapse_pairs<V: StateView>(v: &V, q: u32, outcome: u8, inv_sqrt_p: f64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{accesses, compiled_one, kernels_anchored_at};
     use std::cell::Cell;
+    use svsim_ir::GateKind;
 
     fn zero_state(n: u32) -> (Vec<f64>, Vec<f64>) {
         let dim = 1usize << n;
@@ -815,21 +790,6 @@ mod tests {
         let im = vec![0.0; dim];
         re[0] = 1.0;
         (re, im)
-    }
-
-    fn args_1q(t: u32, dim: u64) -> GateArgs {
-        GateArgs {
-            sorted: [t, 0, 0, 0, 0],
-            n_sorted: 1,
-            target: t,
-            aux: 0,
-            ctrl_mask: 0,
-            m: [Complex64::ZERO; 16],
-            s0: 0.0,
-            s1: 0.0,
-            work: dim / 2,
-            fused: Vec::new(),
-        }
     }
 
     #[test]
@@ -880,7 +840,7 @@ mod tests {
     fn x_flips_basis_state() {
         let (mut re, mut im) = zero_state(3);
         let v = LocalView::new(&mut re, &mut im);
-        let a = args_1q(1, 8);
+        let a = compiled_one(GateKind::X, &[1], &[], 3).args;
         k_x(&v, &a, 0..4);
         assert_eq!(re[0b010], 1.0);
         assert_eq!(re[0], 0.0);
@@ -891,7 +851,7 @@ mod tests {
         let (mut re, mut im) = zero_state(2);
         {
             let v = LocalView::new(&mut re, &mut im);
-            let a = args_1q(0, 4);
+            let a = compiled_one(GateKind::H, &[0], &[], 2).args;
             k_h(&v, &a, 0..2);
             k_h(&v, &a, 0..2);
         }
@@ -906,7 +866,7 @@ mod tests {
         let mut im = vec![0.0; dim];
         {
             let v = LocalView::new(&mut re, &mut im);
-            let a = args_1q(2, 8);
+            let a = compiled_one(GateKind::Z, &[2], &[], 3).args;
             k_z(&v, &a, 0..4);
         }
         for (i, &r) in re.iter().enumerate() {
@@ -927,18 +887,7 @@ mod tests {
         re[0b01] = 1.0;
         {
             let v = LocalView::new(&mut re, &mut im);
-            let a = GateArgs {
-                sorted: [0, 1, 0, 0, 0],
-                n_sorted: 2,
-                target: 1,
-                aux: 0,
-                ctrl_mask: 0b1,
-                m: [Complex64::ZERO; 16],
-                s0: 0.0,
-                s1: 0.0,
-                work: 1,
-                fused: Vec::new(),
-            };
+            let a = compiled_one(GateKind::CX, &[0, 1], &[], 2).args;
             k_x(&v, &a, 0..1);
         }
         assert_eq!(re[0b11], 1.0);
@@ -952,19 +901,8 @@ mod tests {
         re[0b01] = 1.0;
         {
             let v = LocalView::new(&mut re, &mut im);
-            let a = GateArgs {
-                sorted: [0, 1, 0, 0, 0],
-                n_sorted: 2,
-                target: 0,
-                aux: 1,
-                ctrl_mask: 0,
-                m: [Complex64::ZERO; 16],
-                s0: 0.0,
-                s1: 0.0,
-                work: 1,
-                fused: Vec::new(),
-            };
-            k_swap(&v, &a, 0..1);
+            let a = compiled_one(GateKind::SWAP, &[0, 1], &[], 2).args;
+            k_x(&v, &a, 0..1);
         }
         assert_eq!(re[0b10], 1.0);
         assert_eq!(re[0b01], 0.0);
@@ -1019,75 +957,6 @@ mod tests {
         }
     }
 
-    /// Every kernel, its lowest qubit at `qmin` and the others above it in
-    /// both operand orders (control below the target and above it), plus a
-    /// fused window of each width anchored there. Gates that do not fit
-    /// below `n` are left out.
-    fn kernels_anchored_at(qmin: u32, n: u32) -> Vec<CompiledGate> {
-        use svsim_ir::{Gate, GateKind::*};
-        type Spec = (svsim_ir::GateKind, Vec<u32>, &'static [f64]);
-        let up = |k: u32| qmin + k;
-        let (a, b, c) = (qmin, up(1), up(2));
-        let far = n - 1;
-        let gates: Vec<Spec> = vec![
-            (X, vec![a], &[]),
-            (Y, vec![a], &[]),
-            (Z, vec![a], &[]),
-            (H, vec![a], &[]),
-            (T, vec![a], &[]),
-            (RZ, vec![a], &[0.3]),
-            (U3, vec![a], &[0.1, 0.2, 0.3]),
-            (CX, vec![a, far], &[]),
-            (CX, vec![far, a], &[]),
-            (CU1, vec![a, b], &[0.37]),
-            (CRZ, vec![a, far], &[0.7]),
-            (CRZ, vec![b, a], &[0.7]),
-            (CRY, vec![far, a], &[0.9]),
-            (CCX, vec![a, far, b], &[]),
-            (CCX, vec![c, b, a], &[]),
-            (C4X, vec![up(4), a, up(3), b, c], &[]),
-            (SWAP, vec![a, far], &[]),
-            (CSWAP, vec![b, a, c], &[]),
-            (CSWAP, vec![a, c, b], &[]),
-            (RZZ, vec![a, far], &[0.4]),
-            (RXX, vec![b, a], &[0.9]),
-        ];
-        let compile = |gates: &[Spec]| {
-            let mut queue = Vec::new();
-            for (kind, qubits, params) in gates {
-                let distinct = (1..qubits.len()).all(|i| !qubits[..i].contains(&qubits[i]));
-                if distinct && qubits.iter().all(|&q| q < n) {
-                    let gate = Gate::new(*kind, qubits, params).unwrap();
-                    crate::compile::compile_gate(&gate, n, true, &mut queue);
-                }
-            }
-            queue
-        };
-        let mut queue = compile(&gates);
-        let windows: [&[Spec]; 3] = [
-            &[(H, vec![a], &[]), (T, vec![a], &[]), (RY, vec![a], &[0.2])],
-            &[
-                (H, vec![b], &[]),
-                (CX, vec![b, a], &[]),
-                (RZ, vec![a], &[0.3]),
-            ],
-            &[
-                (H, vec![a], &[]),
-                (CX, vec![a, b], &[]),
-                (RZ, vec![b], &[0.37]),
-                (CX, vec![b, c], &[]),
-                (H, vec![c], &[]),
-            ],
-        ];
-        for window in windows {
-            let plain = compile(window);
-            if plain.len() == window.len() {
-                queue.extend(crate::fuse::fuse_compiled(&plain, n, 3).0);
-            }
-        }
-        queue
-    }
-
     /// The levels of [`LEVELS`] this CPU has, with a line for each it lacks.
     fn levels_here() -> Vec<usize> {
         let here = |&level: &usize| {
@@ -1133,7 +1002,7 @@ mod tests {
                 seen.insert(cg.id);
                 let work = cg.args.work;
                 let fused = !cg.args.fused.is_empty();
-                let touched = crate::traffic::kernel_access_patterns(&cg).0;
+                let touched = cg.args.offs();
                 // A pair on the one low bit, with a stretch worth borrowing
                 // below the next involved qubit.
                 let low_pair = touched.len() == 2
@@ -1203,7 +1072,71 @@ mod tests {
             assert_eq!(bits(&re_a), bits(&re_b), "collapse of {qmin} to {outcome}");
             assert_eq!(bits(&im_a), bits(&im_b), "collapse of {qmin} to {outcome}");
         }
-        assert_eq!(seen.len(), 18, "every KernelId swept: {seen:?}");
-        assert!(seen.contains(&KernelId::Fused3) && seen.contains(&KernelId::CSwap));
+        assert_eq!(seen.len(), 12, "every KernelId swept: {seen:?}");
+    }
+
+    /// Bodies against footprints: over any share of its work items a kernel
+    /// loads exactly the words `insert_zero_bits(i, sorted) | offs[j]`, once
+    /// each, and stores exactly those, once each — every compiled gate of
+    /// [`kernels_anchored_at`], and the window-local micro-ops of the fused
+    /// ones over their `2^k`-amplitude window. Over the whole range no word
+    /// comes up twice, so a footprint's offsets are distinct and sit on the
+    /// kernel's own qubits. This is what lets the traffic model, the analyzer,
+    /// the fuser and the counters read `offs` and never ask the body.
+    #[test]
+    fn every_body_sweeps_exactly_its_footprint() {
+        fn check(cg: &CompiledGate, n: u32, what: &str) {
+            let (a, dim) = (&cg.args, 1u64 << n);
+            let work = a.work;
+            assert_eq!(work, dim >> a.n_sorted, "{what}: one item per free setting");
+            let mut splits: Vec<Vec<Range<u64>>> = [1, 2, 3, 4, 8]
+                .iter()
+                .map(|&k| (0..k).map(|w| worker_range(work, k, w)).collect())
+                .collect();
+            if work > 12 {
+                splits.push(vec![3..7, work / 2 - 1..work / 2 + 2, work - 5..work]);
+            }
+            for range in splits.into_iter().flatten() {
+                let mut want: Vec<u64> = range
+                    .clone()
+                    .flat_map(|i| {
+                        let base = insert_zero_bits(i, a.sorted());
+                        a.offs().iter().map(move |o| base | o)
+                    })
+                    .collect();
+                want.sort_unstable();
+                if range == (0..work) {
+                    assert!(
+                        want.windows(2).all(|w| w[0] < w[1]),
+                        "{what}: two items, or two offsets, share a word"
+                    );
+                }
+                let log = accesses(cg, dim, range.clone());
+                for store in [false, true] {
+                    let mut got: Vec<u64> =
+                        (log.iter().filter(|x| x.0 == store)).map(|x| x.1).collect();
+                    got.sort_unstable();
+                    let verb = if store { "stored" } else { "loaded" };
+                    assert_eq!(got, want, "{what}: words {verb} over {range:?}");
+                }
+            }
+        }
+        let n = 9u32;
+        let mut seen = std::collections::HashSet::new();
+        let mut micros = 0;
+        for qmin in [0, 1, 2, 3, 5, n - 2] {
+            for cg in kernels_anchored_at(qmin, n) {
+                seen.insert(cg.id);
+                let what = format!("{:?} on {:?} of {n}", cg.id, cg.args.sorted());
+                check(&cg, n, &what);
+                for micro in &cg.args.fused {
+                    micros += 1;
+                    let what = format!("{:?} on {:?} inside {what}", micro.id, micro.args.sorted());
+                    check(micro, u32::from(cg.args.n_sorted), &what);
+                }
+            }
+        }
+        assert_eq!(seen.len(), 12, "every KernelId swept: {seen:?}");
+        assert!(micros > 60, "{micros} window-local micro-ops");
     }
 }

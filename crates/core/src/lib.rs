@@ -26,6 +26,8 @@ pub mod checkpoint;
 pub mod compile;
 pub mod dispatch;
 pub mod exec;
+#[cfg(test)]
+mod fixtures;
 pub mod fuse;
 pub mod kernels;
 pub mod measure;

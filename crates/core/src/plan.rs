@@ -205,6 +205,10 @@ pub enum Scheduled<'a> {
         /// Index in [`Circuit::ops`] of the op it was lowered from (the
         /// first one, for a fused kernel).
         source_op: usize,
+        /// The gate it was lowered from (`None`: a fused run of several, or
+        /// the X a reset applies). A [`crate::KernelId`] names only the body
+        /// several gate families share; this names the family.
+        gate: Option<GateKind>,
         /// True when it only runs if classical bits say so: an `IfEq`
         /// payload, or the X restoring `|0>` after a reset that read 1.
         conditional: bool,
@@ -298,12 +302,18 @@ impl CompiledPlan {
                     Step::Gate { .. } | Step::IfEq { .. } => None,
                 };
                 let conditional = matches!(step, Step::IfEq { .. } | Step::Reset { .. });
+                let gate = match step {
+                    Step::Gate { raw, .. } => raw.map(|g| g.kind()),
+                    Step::IfEq { raw, .. } => Some(raw.kind()),
+                    _ => None,
+                };
                 let (source_op, range) =
                     step.kernels().map_or((0, 0..0), |(op, r)| (op, r.clone()));
                 lead.into_iter()
                     .chain(range.map(move |k| Scheduled::Kernel {
                         cg: &seg.queue[k],
                         source_op,
+                        gate,
                         conditional,
                     }))
             })
@@ -491,30 +501,34 @@ mod tests {
                 Scheduled::Kernel {
                     cg,
                     source_op,
+                    gate,
                     conditional,
-                } => format!("{:?} op {source_op} cond {conditional}", cg.id),
+                } => {
+                    let gate = gate.map_or("-".into(), |g| g.to_string());
+                    format!("{:?} ({gate}) op {source_op} cond {conditional}", cg.id)
+                }
             })
             .collect();
         let want = [
-            "Fused3 op 0 cond false",
+            "Fused3 (-) op 0 cond false",
             "exchange 2 3",
-            "H op 3 cond false",
+            "H (h) op 3 cond false",
             "exchange 2 4",
-            "Fused3 op 4 cond false",
+            "Fused3 (-) op 4 cond false",
             "exchange 2 3",
             "collapse",
             "exchange 1 4",
-            "X op 8 cond true",
+            "X (x) op 8 cond true",
             "exchange 0 3",
-            "Fused3 op 9 cond false",
+            "Fused3 (-) op 9 cond false",
             "exchange 2 4",
-            "CPhase op 10 cond false",
-            "ControlledOneQ op 11 cond false",
+            "Phase (cz) op 10 cond false",
+            "OneQ (c4x) op 11 cond false",
             "exchange 2 4",
             "collapse",
-            "X op 12 cond true",
+            "X (-) op 12 cond true",
             "exchange 2 4",
-            "Fused2 op 13 cond false",
+            "Fused2 (-) op 13 cond false",
         ];
         assert_eq!(got, want);
     }

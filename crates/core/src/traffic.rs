@@ -65,59 +65,35 @@ impl GateTraffic {
 /// Offset patterns (relative to the zero-inserted base index) accessed per
 /// work item, and the per-item flop cost, for each kernel.
 ///
-/// This is the single source of truth for which amplitudes a kernel
-/// touches: the traffic model consumes it here, and `svsim-analyzer`'s
-/// static plan checker consumes it to derive per-PE index sets
-/// symbolically. A pattern places bits only at the kernel's sorted qubit
-/// positions; item bits land injectively at the remaining positions.
+/// The patterns are the kernel's footprint, [`crate::kernels::GateArgs::offs`]
+/// — the very words its body sweeps — so this is the single source of truth
+/// for which amplitudes a kernel touches: the traffic model consumes it
+/// here, and `svsim-analyzer`'s static plan checker consumes it to derive
+/// per-PE index sets symbolically. A pattern places bits only at the
+/// kernel's sorted qubit positions; item bits land injectively at the
+/// remaining positions. Only the flops are a table over the body.
 #[must_use]
-pub fn kernel_access_patterns(cg: &CompiledGate) -> (Vec<u64>, u64) {
-    let a = &cg.args;
-    let t = 1u64 << a.target;
-    let x = 1u64 << a.aux;
-    let cm = a.ctrl_mask;
-    match cg.id {
-        KernelId::X | KernelId::Y => (vec![0, t], 0),
-        KernelId::Z => (vec![t], 2),
-        KernelId::H => (vec![0, t], 8),
-        KernelId::Phase => (vec![t], 6),
-        KernelId::Rz => (vec![0, t], 12),
-        KernelId::OneQ => (vec![0, t], 28),
-        KernelId::Cx => (vec![cm, cm | t], 0),
-        KernelId::CPhase => (vec![cm], 6),
-        KernelId::Crz => (vec![cm, cm | t], 12),
-        KernelId::ControlledOneQ => (vec![cm, cm | t], 28),
-        KernelId::Swap => (vec![t, x], 0),
-        KernelId::CSwap => (vec![cm | t, cm | x], 0),
-        KernelId::Rzz => (vec![0, t, x, t | x], 24),
-        KernelId::TwoQ => (vec![0, t, x, t | x], 112),
-        KernelId::Fused1 | KernelId::Fused2 | KernelId::Fused3 => {
-            // One item gathers/scatters the full 2^k window: every bit
-            // combination over the window's sorted qubit positions. Flops
-            // per item replay every constituent micro-op over its local
-            // work range (micro ops are never themselves fused, so the
-            // recursion is one level deep).
-            let sorted = a.sorted();
-            let k = sorted.len();
-            let patterns = (0..1u64 << k)
-                .map(|j| {
-                    let mut o = 0u64;
-                    for (b, &q) in sorted.iter().enumerate() {
-                        if j & (1 << b) != 0 {
-                            o |= 1 << q;
-                        }
-                    }
-                    o
-                })
-                .collect();
-            let flops = a
-                .fused
-                .iter()
-                .map(|m| kernel_access_patterns(m).1.saturating_mul(m.args.work))
-                .fold(0u64, u64::saturating_add);
-            (patterns, flops)
-        }
-    }
+pub fn kernel_access_patterns(cg: &CompiledGate) -> (&[u64], u64) {
+    let flops = match cg.id {
+        KernelId::X | KernelId::Y => 0,
+        KernelId::Z => 2,
+        KernelId::H => 8,
+        KernelId::Phase => 6,
+        KernelId::Rz => 12,
+        KernelId::OneQ => 28,
+        KernelId::Rzz => 24,
+        KernelId::TwoQ => 112,
+        // One item replays every constituent micro-op over its local work
+        // range (micro ops are never themselves fused, so the recursion is
+        // one level deep).
+        KernelId::Fused1 | KernelId::Fused2 | KernelId::Fused3 => cg
+            .args
+            .fused
+            .iter()
+            .map(|m| kernel_access_patterns(m).1.saturating_mul(m.args.work))
+            .fold(0u64, u64::saturating_add),
+    };
+    (cg.args.offs(), flops)
 }
 
 /// True when `cg` is **partition-local** at `n_pes` PEs (a power of two):
@@ -191,7 +167,7 @@ pub fn gate_traffic(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> GateTraffic
             let per_pe = work / n_pes;
             for p in 0..n_pes {
                 let rep = p * per_pe;
-                for &pat in &patterns {
+                for &pat in patterns {
                     let idx = insert_zero_bits(rep, sorted) | pat;
                     if (idx >> shift_l) != p {
                         remote = remote.saturating_add(per_pe * 2);
@@ -203,7 +179,7 @@ pub fn gate_traffic(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> GateTraffic
             // directly — exact and tiny.
             for p in 0..n_pes {
                 for i in crate::kernels::worker_range(work, n_pes, p) {
-                    for &pat in &patterns {
+                    for &pat in patterns {
                         let idx = insert_zero_bits(i, sorted) | pat;
                         if (idx >> shift_l) != p {
                             remote += 2;
@@ -251,15 +227,8 @@ pub fn exchange_traffic(n_qubits: u32, n_pes: u64) -> GateTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svsim_ir::{Gate, GateKind};
-
-    fn compiled_one(kind: GateKind, q: &[u32], p: &[f64], n: u32) -> CompiledGate {
-        let g = Gate::new(kind, q, p).unwrap();
-        let mut out = Vec::new();
-        crate::compile::compile_gate(&g, n, true, &mut out);
-        assert_eq!(out.len(), 1);
-        out.pop().unwrap()
-    }
+    use crate::fixtures::{accesses, compiled_one};
+    use svsim_ir::GateKind;
 
     #[test]
     fn single_pe_is_all_local() {
@@ -295,7 +264,7 @@ mod tests {
         for p in 0..n_pes {
             let r = crate::kernels::worker_range(cg.args.work, n_pes, p);
             for i in r {
-                for &pat in &patterns {
+                for &pat in patterns {
                     let idx = insert_zero_bits(i, cg.args.sorted()) | pat;
                     if (idx >> shift_l) != p {
                         remote += 2;
@@ -332,99 +301,17 @@ mod tests {
         }
     }
 
-    /// Logs the index of every access a kernel makes, in order.
-    struct Recorder {
-        dim: u64,
-        log: std::cell::RefCell<Vec<u64>>,
-    }
-
-    impl crate::view::StateView for Recorder {
-        fn dim(&self) -> u64 {
-            self.dim
-        }
-        fn get(&self, idx: u64) -> (f64, f64) {
-            assert!(idx < self.dim);
-            self.log.borrow_mut().push(idx);
-            (0.0, 0.0)
-        }
-        fn set(&self, idx: u64, _: f64, _: f64) {
-            assert!(idx < self.dim);
-            self.log.borrow_mut().push(idx);
-        }
-    }
-
-    fn accesses(cg: &CompiledGate, dim: u64, items: std::ops::Range<u64>) -> Vec<u64> {
-        let rec = Recorder {
-            dim,
-            log: Vec::new().into(),
-        };
-        crate::dispatch::resolve::<Recorder>(cg.id)(&rec, &cg.args, items);
-        rec.log.into_inner()
-    }
-
-    /// Every kernel, its qubits placed below, across and above each
-    /// boundary of an 8-qubit state at 2/4/8 PEs (boundaries 7/6/5) and in
-    /// tiles of 2^4 and 2^3 amplitudes.
-    fn every_kernel_straddling_the_boundary(n: u32) -> Vec<CompiledGate> {
-        use GateKind::*;
-        let kinds: [(GateKind, &[f64]); 16] = [
-            (X, &[]),
-            (Y, &[]),
-            (Z, &[]),
-            (H, &[]),
-            (T, &[]),
-            (RZ, &[0.3]),
-            (U3, &[0.1, 0.2, 0.3]),
-            (CX, &[]),
-            (CZ, &[]),
-            (CRZ, &[0.3]),
-            (CCX, &[]),
-            (C4X, &[]),
-            (SWAP, &[]),
-            (CSWAP, &[]),
-            (RZZ, &[0.3]),
-            (RXX, &[0.3]),
-        ];
-        let positions = [0u32, 3, 4, 5, 6, 7];
-        let mut cases = Vec::new();
-        for (kind, params) in kinds {
-            let arity = kind.n_qubits();
-            for subset in 0u32..1 << positions.len() {
-                if subset.count_ones() as usize != arity {
-                    continue;
-                }
-                let up: Vec<u32> = (0..positions.len())
-                    .filter(|b| subset & (1 << b) != 0)
-                    .map(|b| positions[b])
-                    .collect();
-                let down: Vec<u32> = up.iter().rev().copied().collect();
-                for q in [up, down] {
-                    cases.push(compiled_one(kind, &q, params, n));
-                }
-            }
-        }
-        // Fused windows over 1, 2 and 3 of the same positions.
-        for w in positions.windows(3) {
-            let (a, b, c) = (w[0], w[1], w[2]);
-            let queue = [
-                compiled_one(H, &[a], &[], n),
-                compiled_one(T, &[a], &[], n),
-                compiled_one(CX, &[a, b], &[], n),
-                compiled_one(CX, &[b, c], &[], n),
-            ];
-            cases.extend(crate::fuse::fuse_compiled(&queue[..2], n, 1).0);
-            cases.extend(crate::fuse::fuse_compiled(&queue[..3], n, 2).0);
-            cases.extend(crate::fuse::fuse_compiled(&queue, n, 3).0);
-        }
-        cases
-    }
-
     #[test]
     fn partition_local_kernels_touch_only_their_pes_slab_at_local_indices() {
+        // Every kernel anchored at every qubit of an 8-qubit state: below,
+        // across and above each boundary at 2/4/8 PEs (7/6/5) and in tiles
+        // of 2^4 and 2^3 amplitudes.
         let n = 8u32;
-        let cases = every_kernel_straddling_the_boundary(n);
+        let cases: Vec<CompiledGate> = (0..n - 1)
+            .flat_map(|qmin| crate::fixtures::kernels_anchored_at(qmin, n))
+            .collect();
         let ids: std::collections::HashSet<KernelId> = cases.iter().map(|c| c.id).collect();
-        assert_eq!(ids.len(), 18, "every KernelId is covered: {ids:?}");
+        assert_eq!(ids.len(), 12, "every KernelId is covered: {ids:?}");
         let (mut local, mut crossing) = (0, 0);
         // 2, 4 and 8 are PE counts; 16 and 32 are what a tile of 2^4 or 2^3
         // amplitudes makes of the same rule.
@@ -451,17 +338,12 @@ mod tests {
                 // The slab run: the same arguments over the first
                 // `work / n_pes` items of a partition-sized view.
                 let on_slab = accesses(cg, 1 << shift, 0..work / n_pes);
-                let patterns = kernel_access_patterns(cg).0.len() as u64;
-                assert_eq!(
-                    on_slab.len() as u64,
-                    2 * (work / n_pes) * patterns,
-                    "{:?}: one load and one store per item and pattern",
-                    cg.id
-                );
                 for pe in 0..n_pes {
                     let share = crate::kernels::worker_range(work, n_pes, pe);
                     let global = accesses(cg, 1 << n, share);
-                    let lifted: Vec<u64> = on_slab.iter().map(|i| pe << shift | i).collect();
+                    let lifted: Vec<(bool, u64)> = (on_slab.iter())
+                        .map(|&(store, i)| (store, pe << shift | i))
+                        .collect();
                     assert_eq!(
                         global,
                         lifted,

@@ -6,7 +6,7 @@ use crate::job::{
     JobCell, JobError, JobHandle, JobId, JobOutput, JobRequest, JobSpec, SweepReturn,
 };
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
-use crate::pipeline::{AllocMode, JobPacket, Pipeline, QueuedJob, SchedMode, SubmitError};
+use crate::pipeline::{AllocMode, JobPacket, Pipeline, QueuedJob, SubmitError};
 use crate::pool::InstancePool;
 use crate::retry::{retryable, DegradePolicy};
 use crate::templates::{TemplateId, TemplateRegistry, WorkerTemplates};
@@ -38,9 +38,6 @@ pub struct EngineConfig {
     /// submissions of it are refused with [`SubmitError::Quarantined`]
     /// (0 disables quarantining).
     pub quarantine_threshold: u32,
-    /// Dequeue order within a priority lane of the admit and execute
-    /// stages.
-    pub sched: SchedMode,
     /// In-flight allocation budget enforced at admission.
     pub alloc: AllocMode,
 }
@@ -56,7 +53,6 @@ impl Default for EngineConfig {
             max_batch: 16,
             pool_max_per_key: workers,
             quarantine_threshold: 3,
-            sched: SchedMode::default(),
             alloc: AllocMode::default(),
         }
     }

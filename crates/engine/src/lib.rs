@@ -9,8 +9,8 @@
 //!
 //! - a **typed dataflow pipeline**: jobs flow as memory-accounted packets
 //!   through bounded admit → compile → execute → readback stages, each
-//!   with its own priority-aware queue, [`SchedMode`], and occupancy
-//!   metrics, with an [`AllocMode`] budget capping total in-flight
+//!   with its own priority-aware queue (first in, first out within a
+//!   priority lane) and occupancy metrics, with an [`AllocMode`] budget capping total in-flight
 //!   state-vector bytes at admission; admission is reject-on-full
 //!   (backpressure is explicit, never a silent stall) and the stage
 //!   threads persist, so simulator setup cost is paid once, not per
@@ -76,6 +76,6 @@ mod templates;
 pub use engine::{Engine, EngineConfig};
 pub use job::{JobError, JobHandle, JobId, JobOutput, JobRequest, JobSpec, Priority, SweepReturn};
 pub use metrics::{EngineMetrics, LatencyHistogram, LatencySnapshot, MetricsSnapshot};
-pub use pipeline::{AllocMode, SchedMode, StageSnapshot, SubmitError};
+pub use pipeline::{AllocMode, StageSnapshot, SubmitError};
 pub use retry::{retryable, DegradePolicy, RetryPolicy};
 pub use templates::{TemplateId, TemplateInfo, TemplateRegistry};

@@ -31,7 +31,7 @@ mod packet;
 mod stage;
 
 pub use packet::{AllocMode, SubmitError};
-pub use stage::{SchedMode, StageSnapshot};
+pub use stage::StageSnapshot;
 
 pub(crate) use packet::{packet_bytes, JobPacket, MemoryBudget, QueuedJob, Readback};
 pub(crate) use stage::StageQueue;
@@ -132,9 +132,9 @@ pub(crate) struct Pipeline {
 impl Pipeline {
     pub(crate) fn start(shared: &Arc<Shared>, config: &EngineConfig) -> Self {
         let cap = config.queue_capacity.max(1);
-        let admit_q = Arc::new(StageQueue::new("admit", cap, config.sched));
-        let exec_q = Arc::new(StageQueue::new("execute", cap, config.sched));
-        // Readback publishes in completion order — always FIFO — and its
+        let admit_q = Arc::new(StageQueue::new("admit", cap));
+        let exec_q = Arc::new(StageQueue::new("execute", cap));
+        // Readback publishes in completion order, and its
         // queue is deliberately *shallow* regardless of `queue_capacity`:
         // every parked item pins a checked-out simulator (and its budget
         // lease), so deep buffering here only starves the instance pool
@@ -142,7 +142,7 @@ impl Pipeline {
         // jitter; past that the executors block, which is exactly the
         // flow control we want.
         let read_cap = cap.min((2 * config.workers.max(1)).max(4));
-        let read_q = Arc::new(StageQueue::new("readback", read_cap, SchedMode::Fifo));
+        let read_q = Arc::new(StageQueue::new("readback", read_cap));
         let budget = Arc::new(MemoryBudget::new(config.alloc));
 
         let compiler = {

@@ -15,21 +15,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Dequeue order within one priority lane of a pipeline stage.
-///
-/// Lanes themselves always dequeue high-before-low; the scheduling mode
-/// only decides the order *inside* a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// First-in first-out: fair, oldest job first (the default).
-    #[default]
-    Fifo,
-    /// Last-in first-out: freshest job first. Favors latency of recent
-    /// submissions over fairness — useful when stale backlog has lost its
-    /// value (e.g. an optimizer that only cares about the newest points).
-    Lifo,
-}
-
 /// Behavior a packet type must expose to ride a [`StageQueue`].
 pub(crate) trait StageItem {
     /// Priority lane index: 0 high, 1 normal, 2 low.
@@ -95,12 +80,11 @@ pub(crate) struct StageQueue<T> {
     /// Signals blocked producers: a slot freed up or the queue closed.
     space: Condvar,
     capacity: usize,
-    lifo: bool,
     stats: StageStats,
 }
 
 impl<T: StageItem> StageQueue<T> {
-    pub(crate) fn new(name: &'static str, capacity: usize, sched: SchedMode) -> Self {
+    pub(crate) fn new(name: &'static str, capacity: usize) -> Self {
         Self {
             name,
             inner: Mutex::new(Lanes {
@@ -110,18 +94,12 @@ impl<T: StageItem> StageQueue<T> {
             work: Condvar::new(),
             space: Condvar::new(),
             capacity: capacity.max(1),
-            lifo: matches!(sched, SchedMode::Lifo),
             stats: StageStats::default(),
         }
     }
 
     fn insert(&self, lanes: &mut Lanes<T>, item: T) {
-        let lane = &mut lanes.lanes[item.lane().min(2)];
-        if self.lifo {
-            lane.push_front(item);
-        } else {
-            lane.push_back(item);
-        }
+        lanes.lanes[item.lane().min(2)].push_back(item);
         self.stats.pushed.fetch_add(1, Ordering::Relaxed);
         self.stats
             .high_water
@@ -328,21 +306,8 @@ mod tests {
     }
 
     #[test]
-    fn lifo_reverses_within_a_lane_but_lanes_still_rank() {
-        // LIFO must only reorder *inside* each priority lane: the high
-        // lane drains before normal before low regardless of push order.
-        let q = StageQueue::new("test", 16, SchedMode::Lifo);
-        q.try_push(Item::plain(1, 2)).unwrap();
-        q.try_push(Item::plain(2, 0)).unwrap();
-        q.try_push(Item::plain(3, 2)).unwrap();
-        q.try_push(Item::plain(4, 0)).unwrap();
-        q.try_push(Item::plain(5, 1)).unwrap();
-        assert_eq!(drain_ids(&q), [4, 2, 5, 3, 1]);
-    }
-
-    #[test]
     fn fifo_preserves_order_within_each_lane() {
-        let q = StageQueue::new("test", 16, SchedMode::Fifo);
+        let q = StageQueue::new("test", 16);
         q.try_push(Item::plain(1, 2)).unwrap();
         q.try_push(Item::plain(2, 0)).unwrap();
         q.try_push(Item::plain(3, 2)).unwrap();
@@ -355,7 +320,7 @@ mod tests {
         // Sweep points of template 7 sit in all three lanes, interleaved
         // with other traffic. One batch must collect exactly the
         // template-7 points (lane order preserved) and leave the rest.
-        let q = StageQueue::new("test", 16, SchedMode::Fifo);
+        let q = StageQueue::new("test", 16);
         q.try_push(Item::keyed(1, 0, 7)).unwrap();
         q.try_push(Item::plain(2, 0)).unwrap();
         q.try_push(Item::keyed(3, 1, 7)).unwrap();
@@ -376,7 +341,7 @@ mod tests {
         // coalescing must not assemble a batch from points submitted
         // after it (that inflates the one-shot's tail latency). Points of
         // a *different* template may be skipped over — they batch later.
-        let q = StageQueue::new("test", 16, SchedMode::Fifo);
+        let q = StageQueue::new("test", 16);
         q.try_push(Item::keyed(1, 1, 7)).unwrap();
         q.try_push(Item::keyed(2, 1, 9)).unwrap();
         q.try_push(Item::plain(3, 1)).unwrap();
@@ -390,7 +355,7 @@ mod tests {
 
     #[test]
     fn pop_batch_respects_max_batch_and_uncoalescable_heads() {
-        let q = StageQueue::new("test", 16, SchedMode::Fifo);
+        let q = StageQueue::new("test", 16);
         for id in 1..=4 {
             q.try_push(Item::keyed(id, 1, 3)).unwrap();
         }
@@ -406,7 +371,7 @@ mod tests {
 
     #[test]
     fn rejection_and_occupancy_stats_track_the_edge() {
-        let q = StageQueue::new("test", 2, SchedMode::Fifo);
+        let q = StageQueue::new("test", 2);
         q.try_push(Item::plain(1, 1)).unwrap();
         q.try_push(Item::plain(2, 1)).unwrap();
         let err = q.try_push(Item::plain(3, 1)).unwrap_err();

@@ -1,13 +1,12 @@
 //! Pipeline-model integration tests: topological drain, stage-boundary
-//! cancellation/deadline re-checks, bounded-stage backpressure, the
-//! in-flight memory budget, and LIFO scheduling.
+//! cancellation/deadline re-checks, bounded-stage backpressure, and the
+//! in-flight memory budget.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svsim_core::SimConfig;
 use svsim_engine::{
-    AllocMode, Engine, EngineConfig, JobError, JobRequest, JobSpec, MetricsSnapshot, SchedMode,
-    SubmitError,
+    AllocMode, Engine, EngineConfig, JobError, JobRequest, JobSpec, MetricsSnapshot, SubmitError,
 };
 use svsim_ir::{Circuit, GateKind};
 
@@ -318,35 +317,4 @@ fn limit_memory_caps_in_flight_bytes() {
     assert!(metrics.mem_high_water_bytes <= CAP);
     assert_eq!(metrics.mem_limit_bytes, Some(CAP));
     assert!(metrics.to_string().contains("memory: in_flight_bytes=0"));
-}
-
-/// Under `SchedMode::Lifo`, the freshest same-priority submission runs
-/// first once a worker frees up.
-#[test]
-fn lifo_runs_freshest_submission_first() {
-    let engine = Engine::start(EngineConfig {
-        workers: 1,
-        max_batch: 1,
-        sched: SchedMode::Lifo,
-        ..EngineConfig::default()
-    });
-    let slow = Arc::new(deep_blocker());
-    let fast = Arc::new(ghz_with_measure(4));
-    let config = SimConfig::single_device();
-    let blocker = engine.submit(one_shot(&slow, config)).unwrap();
-    std::thread::sleep(Duration::from_millis(10));
-    let first = engine.submit(one_shot(&fast, config)).unwrap();
-    // Let `first` clear the compile stage before the fresher job arrives,
-    // so both sit in the execute queue in submission order.
-    std::thread::sleep(Duration::from_millis(10));
-    let fresh = engine.submit(one_shot(&fast, config)).unwrap();
-    assert!(blocker.wait().is_ok());
-    // LIFO: `fresh` executes before `first`, so once `first` resolves the
-    // fresher job's result must already be published.
-    assert!(first.wait().is_ok());
-    assert!(
-        fresh.try_take().is_some(),
-        "LIFO must run the freshest submission first"
-    );
-    let _ = engine.shutdown();
 }

@@ -124,11 +124,23 @@ echo "== kernel vectorisation (release) =="
 # LTO unit and has lost its packed loops independently of the other) and
 # require, for every view the dense and Hadamard-like bodies are instantiated
 # at, packed multiplies on the path this CPU takes, in wide registers above
-# the baseline.
-if [ "$(uname -m)" != x86_64 ] || ! command -v objdump >/dev/null; then
-  echo "skipped: needs objdump and an x86_64 host"
+# the baseline. Every body is compiled once per view and level, so the kernel
+# layer is most of what ships: print its symbol count and bytes per binary, and
+# fail if a body that differs from another only in its footprint comes back
+# (`k_swap` was `k_x`, `k_cphase` was `k_phase`: 13 % of the kernel text).
+if [ "$(uname -m)" != x86_64 ] || ! command -v objdump >/dev/null || ! command -v nm >/dev/null; then
+  echo "skipped: needs objdump, nm and an x86_64 host"
 else
   for bin in target/release/sv-sim benchmark/target/release/svsim-benchmark; do
+    nm -C -S -t d "$bin" | awk -v bin="$bin" '
+      $4 ~ /^svsim_core::kernels::k_/ {
+        symbols++; bytes += $2
+        if ($4 ~ /::k_(swap|cphase)(::|$)/) { print bin ": twin body is back: " $4; bad = 1 }
+      }
+      END {
+        print bin ": " symbols + 0 " kernel symbols, " bytes + 0 " bytes of svsim_core::kernels::k_* text"
+        exit bad
+      }'
     objdump -d -C --no-show-raw-insn "$bin" | awk -v level="$isa" -v bin="$bin" '
       /^[0-9a-f]+ <.*>:$/ {
         body = ($0 ~ "<svsim_core::kernels::k_(oneq|rzz|h|rz)::" level ">:$") ? $0 : ""
