@@ -1,11 +1,12 @@
 //! Communication-model ablation: fine-grained one-sided SHMEM (the paper's
 //! contribution) vs CPU-managed coarse MPI (the prior art it replaces).
 //!
-//! Both pipelines are priced on identical per-gate traffic; the MPI model
+//! Both pipelines are priced on the same plan's per-kernel traffic; the MPI model
 //! adds the pack/stage/coarse-message/relaunch costs of §1-§2.
 
 use svsim_bench::print_table;
-use svsim_perfmodel::{compile_for_estimate, devices, interconnects, mpi_latency, scale_up};
+use svsim_core::{CompiledPlan, SimConfig};
+use svsim_perfmodel::{devices, interconnects, mpi_latency, scale_up};
 use svsim_workloads::medium_suite;
 
 fn main() {
@@ -24,10 +25,9 @@ fn main() {
         let mut rows = Vec::new();
         for spec in medium_suite() {
             let c = spec.circuit().expect("workload builds");
-            let compiled = compile_for_estimate(&c);
-            let n = c.n_qubits();
-            let shmem = scale_up(dev, ic, &compiled, n, 16);
-            let mpi = mpi_latency(dev, ic, &compiled, n, 16);
+            let plan = CompiledPlan::compile(&c, c.n_qubits(), &SimConfig::single_device());
+            let shmem = scale_up(dev, ic, &plan, 16);
+            let mpi = mpi_latency(dev, ic, &plan, 16);
             rows.push(vec![
                 spec.name.to_string(),
                 svsim_bench::fmt_time(shmem.total()),

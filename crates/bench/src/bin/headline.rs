@@ -3,6 +3,7 @@
 //!
 //! We price one UCCSD-VQE iteration at 24 qubits on the modeled DGX-2.
 
+use svsim_core::{CompiledPlan, SimConfig};
 use svsim_perfmodel::{devices, interconnects, scale_up};
 use svsim_workloads::{uccsd_gate_count, UccsdAnsatz};
 
@@ -40,25 +41,11 @@ fn main() {
         }
         a
     };
-    let compiled_s = svsim_perfmodel::compile_for_estimate(&probe_s);
-    let compiled_d = svsim_perfmodel::compile_for_estimate(&probe_d);
+    let plan_s = CompiledPlan::compile(&probe_s, n, &SimConfig::single_device());
+    let plan_d = CompiledPlan::compile(&probe_d, n, &SimConfig::single_device());
     for gpus in [1u64, 4, 16] {
-        let t_single = scale_up(
-            &devices::V100,
-            &interconnects::NVSWITCH,
-            &compiled_s,
-            n,
-            gpus,
-        )
-        .total();
-        let t_double = scale_up(
-            &devices::V100,
-            &interconnects::NVSWITCH,
-            &compiled_d,
-            n,
-            gpus,
-        )
-        .total();
+        let t_single = scale_up(&devices::V100, &interconnects::NVSWITCH, &plan_s, gpus).total();
+        let t_double = scale_up(&devices::V100, &interconnects::NVSWITCH, &plan_d, gpus).total();
         // 2 Pauli terms per single, 8 per double; probes hold 2 and 8 resp.
         let total = singles * t_single + doubles * t_double;
         println!(

@@ -1,6 +1,7 @@
 //! Shared helpers for the figure/table reproduction binaries and benches.
 
 use std::time::Instant;
+use svsim_core::{CompiledPlan, SimConfig};
 
 /// Print a fixed-width table with a title.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -89,11 +90,11 @@ pub fn scaleup_figure(
     let mut rows = Vec::new();
     for spec in svsim_workloads::medium_suite() {
         let c = spec.circuit().expect("workload builds");
-        let compiled = svsim_perfmodel::compile_for_estimate(&c);
-        let base = svsim_perfmodel::scale_up(dev, ic, &compiled, c.n_qubits(), workers[0]).total();
+        let plan = CompiledPlan::compile(&c, c.n_qubits(), &SimConfig::single_device());
+        let base = svsim_perfmodel::scale_up(dev, ic, &plan, workers[0]).total();
         let mut row = vec![spec.name.to_string()];
         for &w in workers {
-            let t = svsim_perfmodel::scale_up(dev, ic, &compiled, c.n_qubits(), w).total();
+            let t = svsim_perfmodel::scale_up(dev, ic, &plan, w).total();
             row.push(format!("{:.2}", t / base));
         }
         rows.push(row);
@@ -118,11 +119,10 @@ pub fn scaleout_figure(
     let mut rows = Vec::new();
     for spec in svsim_workloads::large_suite() {
         let c = spec.circuit().expect("workload builds");
-        let compiled = svsim_perfmodel::compile_for_estimate(&c);
+        let plan = CompiledPlan::compile(&c, c.n_qubits(), &SimConfig::single_device());
         let n = c.n_qubits();
         let base =
-            svsim_perfmodel::scale_out(dev, ic, &compiled, n, pes[0], pes_per_node, intra_bw_gbps)
-                .total();
+            svsim_perfmodel::scale_out(dev, ic, &plan, pes[0], pes_per_node, intra_bw_gbps).total();
         let mut row = vec![spec.name.to_string()];
         for &p in pes {
             if p > 1u64 << n {
@@ -130,8 +130,7 @@ pub fn scaleout_figure(
                 continue;
             }
             let t =
-                svsim_perfmodel::scale_out(dev, ic, &compiled, n, p, pes_per_node, intra_bw_gbps)
-                    .total();
+                svsim_perfmodel::scale_out(dev, ic, &plan, p, pes_per_node, intra_bw_gbps).total();
             row.push(format!("{:.2}", t / base));
         }
         rows.push(row);

@@ -228,23 +228,10 @@ fn compile_generic(g: &Gate, dim: u64, out: &mut Vec<CompiledGate>) {
     }
 }
 
-/// Compile a gate stream.
-#[must_use]
-pub fn compile_gates<'a>(
-    gates: impl IntoIterator<Item = &'a Gate>,
-    n_qubits: u32,
-    specialized: bool,
-) -> Vec<CompiledGate> {
-    let mut out = Vec::new();
-    for g in gates {
-        compile_gate(g, n_qubits, specialized, &mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::compile_all;
 
     fn g(kind: GateKind, q: &[u32], p: &[f64]) -> Gate {
         Gate::new(kind, q, p).unwrap()
@@ -336,7 +323,7 @@ mod tests {
             g(GateKind::SWAP, &[1, 2], &[]),
             g(GateKind::T, &[2], &[]),
         ];
-        let compiled = compile_gates(gates.iter(), 4, false);
+        let compiled = compile_all(gates.iter(), 4, false);
         assert!(compiled
             .iter()
             .all(|c| matches!(c.id, KernelId::OneQ | KernelId::TwoQ)));
@@ -344,11 +331,11 @@ mod tests {
         assert!(compiled.len() > 10);
         // A generic CX is the dense 4×4 over all four settings of its
         // operands, the control as local bit 0.
-        let cx = compile_gates([&g(GateKind::CX, &[3, 1], &[])], 4, false);
+        let cx = compile_all([&g(GateKind::CX, &[3, 1], &[])], 4, false);
         assert_eq!(cx[0].id, KernelId::TwoQ);
         assert_eq!(cx[0].args.sorted(), &[1, 3]);
         assert_eq!(cx[0].args.offs(), &[0, 8, 2, 10]);
-        let h = compile_gates([&g(GateKind::H, &[2], &[])], 4, false);
+        let h = compile_all([&g(GateKind::H, &[2], &[])], 4, false);
         assert_eq!(h[0].args.offs(), &[0, 4]);
     }
 

@@ -75,7 +75,7 @@ pub fn upload<V: StateView>(compiled: &[CompiledGate]) -> Vec<UploadedGate<V>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_gates;
+    use crate::fixtures::compile_all;
     use crate::view::LocalView;
     use svsim_ir::{Circuit, GateKind};
 
@@ -90,7 +90,7 @@ mod tests {
         re[0] = 1.0;
         {
             let v = LocalView::new(&mut re, &mut im);
-            let compiled = compile_gates(c.gates(), 3, true);
+            let compiled = compile_all(c.gates(), 3, true);
             for ug in upload::<LocalView>(&compiled) {
                 ug.exe_op(&v, 0..ug.args.work);
             }

@@ -18,6 +18,19 @@ pub(crate) fn compiled_one(kind: GateKind, qubits: &[u32], params: &[f64], n: u3
     out.pop().unwrap()
 }
 
+/// The kernels `gates` compile to over `n` qubits, in order.
+pub(crate) fn compile_all<'a>(
+    gates: impl IntoIterator<Item = &'a Gate>,
+    n: u32,
+    specialized: bool,
+) -> Vec<CompiledGate> {
+    let mut out = Vec::new();
+    for gate in gates {
+        compile_gate(gate, n, specialized, &mut out);
+    }
+    out
+}
+
 /// Every kernel, its lowest qubit at `qmin` and the others above it in
 /// both operand orders (control below the target and above it, a Fredkin's
 /// control below, between and above its operands), plain and

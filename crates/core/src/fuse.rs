@@ -297,8 +297,8 @@ pub(crate) fn fuse_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_gates;
     use crate::dispatch::resolve;
+    use crate::fixtures::compile_all;
     use crate::view::LocalView;
     use svsim_ir::{Circuit, Gate, GateKind};
 
@@ -332,7 +332,7 @@ mod tests {
         c.apply(GateKind::RZZ, &[1, 2], &[0.9]).unwrap();
         c.apply(GateKind::SWAP, &[3, 4], &[]).unwrap();
         c.apply(GateKind::H, &[3], &[]).unwrap();
-        let queue = compile_gates(c.gates(), n, true);
+        let queue = compile_all(c.gates(), n, true);
         for window in 1..=3u8 {
             let (fused, _) = fuse_compiled(&queue, n, window);
             assert!(fused.len() < queue.len(), "window {window} fused nothing");
@@ -366,7 +366,7 @@ mod tests {
                     _ => c.apply(GateKind::RZZ, &[q0, q1], &[th]).unwrap(),
                 };
             }
-            let queue = compile_gates(c.gates(), n, true);
+            let queue = compile_all(c.gates(), n, true);
             let window = 1 + (trial % 3) as u8;
             let (fused, _) = fuse_compiled(&queue, n, window);
             let (mut re_a, mut im_a) = random_state(n, 1000 + trial);
@@ -387,7 +387,7 @@ mod tests {
         let mut c = Circuit::new(n);
         c.apply(GateKind::CZ, &[0, 1], &[]).unwrap();
         c.apply(GateKind::CU1, &[0, 1], &[0.4]).unwrap();
-        let queue = compile_gates(c.gates(), n, true);
+        let queue = compile_all(c.gates(), n, true);
         let (fused, _) = fuse_compiled(&queue, n, 2);
         assert_eq!(fused.len(), 2, "diagonal pair must not fuse");
         assert!(fused.iter().all(|cg| cg.args.fused.is_empty()));
@@ -402,7 +402,7 @@ mod tests {
         c.apply(GateKind::C4X, &[0, 1, 2, 3, 4], &[]).unwrap();
         c.apply(GateKind::H, &[1], &[]).unwrap();
         c.apply(GateKind::H, &[1], &[]).unwrap();
-        let queue = compile_gates(c.gates(), n, true);
+        let queue = compile_all(c.gates(), n, true);
         let (fused, _) = fuse_compiled(&queue, n, 3);
         // H;H fuse, C4X stays, H;H fuse.
         assert_eq!(fused.len(), 3);
@@ -419,7 +419,7 @@ mod tests {
         let mut c = Circuit::new(n);
         c.apply(GateKind::H, &[4], &[]).unwrap();
         c.apply(GateKind::CX, &[4, 7], &[]).unwrap();
-        let queue = compile_gates(c.gates(), n, true);
+        let queue = compile_all(c.gates(), n, true);
         let (fused, origin) = fuse_compiled(&queue, n, 2);
         assert_eq!(fused.len(), 1);
         assert_eq!(origin, vec![0..2]);
@@ -448,7 +448,7 @@ mod tests {
         // A compound gate lowering to many kernels over 3 qubits collapses
         // into a single fused-3 sweep.
         let g = Gate::new(GateKind::RCCX, &[0, 1, 2], &[]).unwrap();
-        let queue = compile_gates([&g], 5, true);
+        let queue = compile_all([&g], 5, true);
         assert!(queue.len() > 5);
         let (fused, _) = fuse_compiled(&queue, 5, 3);
         assert_eq!(fused.len(), 1);

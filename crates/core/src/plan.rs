@@ -344,6 +344,13 @@ impl CompiledPlan {
         self.n_qubits
     }
 
+    /// The PE count a remapped plan's relabeling exchanges were planned for
+    /// (its scale-out width), 0 for a plan that does not relabel.
+    #[must_use]
+    pub fn remap_pes(&self) -> u64 {
+        self.remap_pes
+    }
+
     /// Segments in the plan (one when checkpointing is off and the circuit
     /// has any op).
     #[must_use]

@@ -452,9 +452,6 @@ pub(crate) fn execute_one_shot(
         carried: None,
         sim: None,
     };
-    if let DegradePolicy::Respawn { max_respawns } = request.degrade {
-        run.effective.respawn_max = run.effective.respawn_max.max(max_respawns);
-    }
     let attempt = |run: &mut OneShotRun, n: u32| {
         // The job's simulator lives in this frame while it runs, so an
         // attempt that panics or bails out drops it — it may be

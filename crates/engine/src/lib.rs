@@ -27,9 +27,10 @@
 //!   re-checked mid-sweep before each batched execution;
 //! - **retry and self-healing**: per-job [`RetryPolicy`] with exponential
 //!   backoff and deterministic jitter, checkpoint-resuming re-execution of
-//!   jobs killed by injected or real PE faults, a per-job [`DegradePolicy`]
-//!   choosing between in-place PE respawn and the halve-PEs degradation
-//!   ladder (resume-from-checkpoint at half the width), an optional
+//!   jobs killed by injected or real PE faults, in-place PE respawn where
+//!   the job's `SimConfig::respawn_max` budgets it, a per-job
+//!   [`DegradePolicy`] selecting the halve-PEs degradation ladder
+//!   (resume-from-checkpoint at half the width), an optional
 //!   crash-consistent on-disk checkpoint store per job, and a quarantine
 //!   list that refuses job shapes which keep failing;
 //! - **drain or hard shutdown**, and a [`MetricsSnapshot`] aggregating

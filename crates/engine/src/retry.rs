@@ -96,15 +96,6 @@ pub enum DegradePolicy {
     /// Retry-in-place only (the historical behavior).
     #[default]
     None,
-    /// Arm the process backend's in-place respawn: a dead or hung PE is
-    /// re-forked and the round re-runs on the surviving processes, up to
-    /// `max_respawns` recovery rounds per launch, without tearing the
-    /// world down. Only meaningful for scale-out jobs on the process
-    /// backend.
-    Respawn {
-        /// Recovery rounds the supervisor may perform per launch.
-        max_respawns: u32,
-    },
     /// Graceful degradation: after `failures_per_rung` transient failures
     /// at the current width, re-partition the job at half the PEs and
     /// resume from the last good checkpoint (8 → 4 → 2 → 1), stopping at

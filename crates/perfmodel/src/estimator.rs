@@ -1,9 +1,13 @@
 //! Circuit latency estimation on modeled platforms.
 //!
-//! The estimator prices a compiled gate stream on a [`DeviceSpec`] +
-//! [`InterconnectSpec`] pair using the *exact* per-gate traffic counts of
-//! `svsim-core::traffic` (bytes touched, flops, remote amplitude
-//! operations at a given partitioning). Per gate:
+//! The estimator prices a [`CompiledPlan`] — the lowering a run executes —
+//! on a [`DeviceSpec`] + [`InterconnectSpec`] pair. Every pricing function
+//! is one pass over [`CompiledPlan::schedule`] with one rule per entry: a
+//! kernel (conditional ones as executed) from the *exact* traffic counts of
+//! `svsim-core::traffic` (bytes touched, flops, remote amplitude operations
+//! at a given partitioning), a relabeling slab exchange of a remapped
+//! scale-out plan from `exchange_traffic`, and a measure/reset collapse at
+//! no cost. Per kernel:
 //!
 //! ```text
 //! t = overhead + dispatch_penalty
@@ -13,8 +17,8 @@
 //! ```
 
 use crate::platform::{DeviceSpec, InterconnectSpec};
-use svsim_core::compile::{compile_gates, CompiledGate};
-use svsim_core::traffic::gate_traffic;
+use svsim_core::compile::CompiledGate;
+use svsim_core::traffic::{exchange_traffic, gate_traffic, GateTraffic};
 use svsim_core::{CompiledPlan, Scheduled, SimConfig};
 use svsim_ir::Circuit;
 
@@ -37,35 +41,81 @@ impl LatencyBreakdown {
     }
 }
 
-/// Compile a circuit for estimation (specialized kernels).
-#[must_use]
-pub fn compile_for_estimate(circuit: &Circuit) -> Vec<CompiledGate> {
-    let gates: Vec<svsim_ir::Gate> = circuit.gates().copied().collect();
-    compile_gates(gates.iter(), circuit.n_qubits(), true)
+/// The one pass every pricing function makes over a plan: `kernel` prices
+/// each compiled kernel the plan runs, `exchange` each relabeling slab
+/// exchange `(lo, hi)`, and a measure/reset collapse costs nothing.
+pub(crate) fn fold(
+    plan: &CompiledPlan,
+    mut kernel: impl FnMut(&CompiledGate, &mut LatencyBreakdown),
+    mut exchange: impl FnMut(u32, u32, &mut LatencyBreakdown),
+) -> LatencyBreakdown {
+    let mut out = LatencyBreakdown::default();
+    for item in plan.schedule() {
+        match item {
+            Scheduled::Kernel { cg, .. } => kernel(cg, &mut out),
+            Scheduled::Exchange { lo, hi } => exchange(lo, hi, &mut out),
+            Scheduled::Collapse => {}
+        }
+    }
+    out
+}
+
+/// The exchange rule of every backend but [`scale_out`]: only a remapped
+/// scale-out plan carries exchanges, and only that backend prices one.
+pub(crate) fn no_exchange(_: u32, _: u32, _: &mut LatencyBreakdown) {
+    panic!("a remapped plan is priced by scale_out, at the PE count it was lowered for");
+}
+
+/// One worker's roofline on `dev`: its `1 / workers` share of the state
+/// streams at cache bandwidth when that share fits in the device's cache,
+/// at memory bandwidth otherwise.
+pub(crate) struct Roofline {
+    bw: f64,
+    flops_rate: f64,
+    w: f64,
+}
+
+impl Roofline {
+    pub(crate) fn new(dev: &DeviceSpec, n_qubits: u32, workers: u64) -> Self {
+        let state_bytes = 16.0 * (1u64 << n_qubits) as f64 / workers as f64;
+        let in_cache = state_bytes < dev.cache_mib * 1024.0 * 1024.0 && dev.cache_mib > 0.0;
+        let bw = if in_cache {
+            dev.cache_bw_gbps
+        } else {
+            dev.mem_bw_gbps
+        } * 1e9;
+        Self {
+            bw,
+            flops_rate: dev.flops_gflops * 1e9,
+            w: workers as f64,
+        }
+    }
+
+    /// One worker's share of `t`: its local bytes at the roofline's
+    /// bandwidth or its flops at the device rate, whichever takes longer
+    /// (remote bytes are the fabric's to move).
+    pub(crate) fn time(&self, t: &GateTraffic) -> f64 {
+        let local_bytes = (t.bytes_touched as f64 - t.remote_bytes as f64).max(0.0) / self.w;
+        (local_bytes / self.bw).max(t.flops as f64 / self.flops_rate / self.w)
+    }
 }
 
 /// Single-device latency (Fig. 6).
+///
+/// # Panics
+/// If `plan` is a remapped scale-out plan with relabeling exchanges.
 #[must_use]
-pub fn single_device(
-    dev: &DeviceSpec,
-    compiled: &[CompiledGate],
-    n_qubits: u32,
-) -> LatencyBreakdown {
-    let state_bytes = 16.0 * (1u64 << n_qubits) as f64;
-    let in_cache = state_bytes < dev.cache_mib * 1024.0 * 1024.0 && dev.cache_mib > 0.0;
-    let bw = if in_cache {
-        dev.cache_bw_gbps
-    } else {
-        dev.mem_bw_gbps
-    } * 1e9;
-    let flops_rate = dev.flops_gflops * 1e9;
-    let mut out = LatencyBreakdown::default();
-    for cg in compiled {
-        let t = gate_traffic(cg, n_qubits, 1);
-        out.compute_s += (t.bytes_touched as f64 / bw).max(t.flops as f64 / flops_rate);
-        out.sync_s += (dev.gate_overhead_us + dev.dispatch_penalty_us) * 1e-6;
-    }
-    out
+pub fn single_device(dev: &DeviceSpec, plan: &CompiledPlan) -> LatencyBreakdown {
+    let n_qubits = plan.n_qubits();
+    let roof = Roofline::new(dev, n_qubits, 1);
+    fold(
+        plan,
+        |cg, out| {
+            out.compute_s += roof.time(&gate_traffic(cg, n_qubits, 1));
+            out.sync_s += (dev.gate_overhead_us + dev.dispatch_penalty_us) * 1e-6;
+        },
+        no_exchange,
+    )
 }
 
 /// Scale-up latency over `n_workers` same-node partitions (Figs. 7-11).
@@ -73,181 +123,105 @@ pub fn single_device(
 /// All workers advance in lockstep (the cooperative-grid / OpenMP model),
 /// so per-gate time is the *slowest* worker; with even partitioning that is
 /// the per-worker average plus the shared fabric term.
+///
+/// # Panics
+/// If `plan` is a remapped scale-out plan with relabeling exchanges.
 #[must_use]
 pub fn scale_up(
     dev: &DeviceSpec,
     ic: &InterconnectSpec,
-    compiled: &[CompiledGate],
-    n_qubits: u32,
+    plan: &CompiledPlan,
     n_workers: u64,
 ) -> LatencyBreakdown {
-    let state_bytes = 16.0 * (1u64 << n_qubits) as f64 / n_workers as f64;
-    let in_cache = state_bytes < dev.cache_mib * 1024.0 * 1024.0 && dev.cache_mib > 0.0;
-    let bw = if in_cache {
-        dev.cache_bw_gbps
-    } else {
-        dev.mem_bw_gbps
-    } * 1e9;
-    let flops_rate = dev.flops_gflops * 1e9;
+    let n_qubits = plan.n_qubits();
+    let roof = Roofline::new(dev, n_qubits, n_workers);
     let fabric_bw = ic.aggregate_bw(n_workers) * 1e9;
     let w = n_workers as f64;
     let barrier_s =
         (ic.barrier_us_per_log * w.log2().max(0.0) + ic.barrier_us_per_worker * w) * 1e-6;
-    let mut out = LatencyBreakdown::default();
-    for cg in compiled {
-        let t = gate_traffic(cg, n_qubits, n_workers);
-        let local_bytes = (t.bytes_touched as f64 - t.remote_bytes as f64).max(0.0) / w;
-        let flops = t.flops as f64 / w;
-        out.compute_s += (local_bytes / bw).max(flops / flops_rate);
-        // Remote traffic shares the fabric; fine-grained messages pipeline
-        // with per-message gap paid by the issuing worker.
-        let msgs_per_worker = t.remote_amp_ops as f64 / w;
-        out.comm_s += t.remote_bytes as f64 / fabric_bw + msgs_per_worker * ic.msg_gap_us * 1e-6;
-        out.sync_s += (dev.gate_overhead_us + dev.dispatch_penalty_us) * 1e-6 + barrier_s;
-    }
-    out
-}
-
-/// Shared pricing environment for the scale-out paths (naive and
-/// remapped): the derived rates every per-gate/per-exchange term needs.
-struct ScaleOutEnv {
-    n_qubits: u32,
-    n_pes: u64,
-    pes_per_node: u64,
-    bw: f64,
-    flops_rate: f64,
-    w: f64,
-    barrier_s: f64,
-    inter_bw: f64,
-    intra_bw: f64,
-    overhead_s: f64,
-    msg_gap_s: f64,
-}
-
-impl ScaleOutEnv {
-    fn new(
-        dev: &DeviceSpec,
-        ic: &InterconnectSpec,
-        n_qubits: u32,
-        n_pes: u64,
-        pes_per_node: u64,
-        intra_bw_gbps: f64,
-    ) -> Self {
-        let nodes = n_pes.div_ceil(pes_per_node);
-        let state_bytes = 16.0 * (1u64 << n_qubits) as f64 / n_pes as f64;
-        let in_cache = state_bytes < dev.cache_mib * 1024.0 * 1024.0 && dev.cache_mib > 0.0;
-        let bw = if in_cache {
-            dev.cache_bw_gbps
-        } else {
-            dev.mem_bw_gbps
-        } * 1e9;
-        let w = n_pes as f64;
-        Self {
-            n_qubits,
-            n_pes,
-            pes_per_node,
-            bw,
-            flops_rate: dev.flops_gflops * 1e9,
-            w,
-            barrier_s: ic.barrier_us_per_log * w.log2().max(0.0) * 1e-6,
-            inter_bw: ic.aggregate_bw(nodes) * 1e9,
-            intra_bw: intra_bw_gbps * 1e9 * nodes as f64,
-            overhead_s: (dev.gate_overhead_us + dev.dispatch_penalty_us) * 1e-6,
-            msg_gap_s: ic.msg_gap_us * 1e-6,
-        }
-    }
-
-    /// Price one compiled gate kernel into `out`.
-    fn price_gate(&self, cg: &CompiledGate, out: &mut LatencyBreakdown) {
-        let (total, inter) = split_traffic(cg, self.n_qubits, self.n_pes, self.pes_per_node);
-        let local_bytes =
-            (total.bytes_touched as f64 - total.remote_bytes as f64).max(0.0) / self.w;
-        out.compute_s += (local_bytes / self.bw).max(total.flops as f64 / self.flops_rate / self.w);
-        let intra_bytes = total.remote_bytes.saturating_sub(inter) as f64;
-        let msgs_per_pe = total.remote_amp_ops as f64 / self.w;
-        out.comm_s += intra_bytes / self.intra_bw
-            + inter as f64 / self.inter_bw
-            + msgs_per_pe * self.msg_gap_s;
-        out.sync_s += self.overhead_s + self.barrier_s;
-    }
-
-    /// Price one relabeling slab exchange `(lo, hi)` into `out`. The
-    /// exchange ships each PE's half-partition to its unique partner in
-    /// runs of `2^lo` amplitudes — few long messages instead of per-word
-    /// traffic — then unpacks locally, with a barrier after each stage.
-    fn price_exchange(&self, lo: u32, hi: u32, out: &mut LatencyBreakdown) {
-        let t = svsim_core::traffic::exchange_traffic(self.n_qubits, self.n_pes);
-        let local_bytes = (t.bytes_touched as f64 - t.remote_bytes as f64).max(0.0) / self.w;
-        out.compute_s += local_bytes / self.bw;
-        // The partner differs in exactly one partition-index bit; when that
-        // bit lies at/above the node grouping the whole slab crosses nodes.
-        let boundary = self.n_qubits - self.n_pes.trailing_zeros();
-        let pe_bit = hi - boundary;
-        let inter_node = u64::from(pe_bit) >= u64::from(self.pes_per_node.trailing_zeros());
-        let fabric = if inter_node && self.n_pes > self.pes_per_node {
-            self.inter_bw
-        } else {
-            self.intra_bw
-        };
-        // One message per `2^lo`-amplitude run of re and im, per stage pair.
-        let dim = 1u64 << self.n_qubits;
-        let msgs_per_pe = (dim >> lo) as f64 / self.w;
-        out.comm_s += t.remote_bytes as f64 / fabric + msgs_per_pe * self.msg_gap_s;
-        out.sync_s += 2.0 * self.barrier_s;
-    }
+    fold(
+        plan,
+        |cg, out| {
+            let t = gate_traffic(cg, n_qubits, n_workers);
+            out.compute_s += roof.time(&t);
+            // Remote traffic shares the fabric; fine-grained messages
+            // pipeline with per-message gap paid by the issuing worker.
+            let msgs_per_worker = t.remote_amp_ops as f64 / w;
+            out.comm_s +=
+                t.remote_bytes as f64 / fabric_bw + msgs_per_worker * ic.msg_gap_us * 1e-6;
+            out.sync_s += (dev.gate_overhead_us + dev.dispatch_penalty_us) * 1e-6 + barrier_s;
+        },
+        no_exchange,
+    )
 }
 
 /// Scale-out latency over `n_pes` PEs grouped `pes_per_node` to a node
 /// (Figs. 12-13). Intra-node remote traffic moves at `intra_bw_gbps`;
-/// inter-node traffic shares the fat-tree injection links.
+/// inter-node traffic shares the fat-tree injection links. A remapped plan
+/// (`SimConfig::remap`) prices its bulk slab exchanges where the lowering
+/// relabels and its localized kernels everywhere else — compare it against
+/// the unremapped plan of the same circuit to see the communication
+/// avoidance payoff at Summit scale.
+///
+/// # Panics
+/// If `plan` was remapped for a PE count other than `n_pes`.
 #[must_use]
 pub fn scale_out(
     dev: &DeviceSpec,
     ic: &InterconnectSpec,
-    compiled: &[CompiledGate],
-    n_qubits: u32,
+    plan: &CompiledPlan,
     n_pes: u64,
     pes_per_node: u64,
     intra_bw_gbps: f64,
 ) -> LatencyBreakdown {
-    let env = ScaleOutEnv::new(dev, ic, n_qubits, n_pes, pes_per_node, intra_bw_gbps);
-    let mut out = LatencyBreakdown::default();
-    for cg in compiled {
-        env.price_gate(cg, &mut out);
-    }
-    out
-}
-
-/// Scale-out latency with communication-avoiding qubit relabeling: price
-/// the schedule of the plan a `remap = true` scale-out run at `n_pes`
-/// executes (`CompiledPlan::schedule`) — bulk slab exchanges where the
-/// lowering relabels, localized kernels everywhere else. Compare against
-/// [`scale_out`] on the same circuit to see the communication-avoidance
-/// payoff at Summit scale.
-#[must_use]
-pub fn scale_out_remapped(
-    dev: &DeviceSpec,
-    ic: &InterconnectSpec,
-    circuit: &Circuit,
-    n_pes: u64,
-    pes_per_node: u64,
-    intra_bw_gbps: f64,
-) -> LatencyBreakdown {
-    let n_qubits = circuit.n_qubits();
-    let env = ScaleOutEnv::new(dev, ic, n_qubits, n_pes, pes_per_node, intra_bw_gbps);
-    let config = SimConfig {
-        remap: true,
-        ..SimConfig::scale_out(n_pes as usize)
-    };
-    let mut out = LatencyBreakdown::default();
-    for item in CompiledPlan::compile(circuit, n_qubits, &config).schedule() {
-        match item {
-            Scheduled::Exchange { lo, hi } => env.price_exchange(lo, hi, &mut out),
-            Scheduled::Kernel { cg, .. } => env.price_gate(cg, &mut out),
-            Scheduled::Collapse => {}
-        }
-    }
-    out
+    assert!(
+        plan.remap_pes() == 0 || plan.remap_pes() == n_pes,
+        "a plan remapped for {} PEs priced at {n_pes}",
+        plan.remap_pes()
+    );
+    let n_qubits = plan.n_qubits();
+    let nodes = n_pes.div_ceil(pes_per_node);
+    let roof = Roofline::new(dev, n_qubits, n_pes);
+    let w = n_pes as f64;
+    let barrier_s = ic.barrier_us_per_log * w.log2().max(0.0) * 1e-6;
+    let inter_bw = ic.aggregate_bw(nodes) * 1e9;
+    let intra_bw = intra_bw_gbps * 1e9 * nodes as f64;
+    let msg_gap_s = ic.msg_gap_us * 1e-6;
+    fold(
+        plan,
+        |cg, out| {
+            let (total, inter) = split_traffic(cg, n_qubits, n_pes, pes_per_node);
+            out.compute_s += roof.time(&total);
+            let intra_bytes = total.remote_bytes.saturating_sub(inter) as f64;
+            let msgs_per_pe = total.remote_amp_ops as f64 / w;
+            out.comm_s +=
+                intra_bytes / intra_bw + inter as f64 / inter_bw + msgs_per_pe * msg_gap_s;
+            out.sync_s += (dev.gate_overhead_us + dev.dispatch_penalty_us) * 1e-6 + barrier_s;
+        },
+        // The exchange ships each PE's half-partition to its unique partner
+        // in runs of `2^lo` amplitudes — few long messages instead of
+        // per-word traffic — then unpacks locally, with a barrier after each
+        // stage.
+        |lo, hi, out| {
+            let t = exchange_traffic(n_qubits, n_pes);
+            out.compute_s += roof.time(&t);
+            // The partner differs in exactly one partition-index bit; when
+            // that bit lies at/above the node grouping the whole slab
+            // crosses nodes.
+            let pe_bit = hi - (n_qubits - n_pes.trailing_zeros());
+            let inter_node = u64::from(pe_bit) >= u64::from(pes_per_node.trailing_zeros());
+            let fabric = if inter_node && n_pes > pes_per_node {
+                inter_bw
+            } else {
+                intra_bw
+            };
+            // One message per `2^lo`-amplitude run of re and im, per stage
+            // pair.
+            let msgs_per_pe = ((1u64 << n_qubits) >> lo) as f64 / w;
+            out.comm_s += t.remote_bytes as f64 / fabric + msgs_per_pe * msg_gap_s;
+            out.sync_s += 2.0 * barrier_s;
+        },
+    )
 }
 
 /// Total traffic plus the inter-node share of remote bytes.
@@ -256,7 +230,7 @@ fn split_traffic(
     n_qubits: u32,
     n_pes: u64,
     pes_per_node: u64,
-) -> (svsim_core::traffic::GateTraffic, u64) {
+) -> (GateTraffic, u64) {
     let total = gate_traffic(cg, n_qubits, n_pes);
     if n_pes <= pes_per_node {
         return (total, 0);
@@ -273,10 +247,13 @@ fn split_traffic(
     (total, node_level.remote_bytes.min(total.remote_bytes))
 }
 
-/// Convenience: estimate a whole circuit end to end on a single device.
+/// Convenience: estimate a whole circuit end to end on a single device,
+/// pricing the plan a single-device run of it executes.
 #[must_use]
 pub fn estimate_single(dev: &DeviceSpec, circuit: &Circuit) -> LatencyBreakdown {
-    single_device(dev, &compile_for_estimate(circuit), circuit.n_qubits())
+    let n_qubits = circuit.n_qubits();
+    let plan = CompiledPlan::compile(circuit, n_qubits, &SimConfig::single_device());
+    single_device(dev, &plan)
 }
 
 #[cfg(test)]
@@ -284,6 +261,10 @@ mod tests {
     use super::*;
     use crate::platform::{devices, interconnects};
     use svsim_workloads::medium_suite;
+
+    fn single_plan(c: &Circuit) -> CompiledPlan {
+        CompiledPlan::compile(c, c.n_qubits(), &SimConfig::single_device())
+    }
 
     fn medium_latency(dev: &DeviceSpec) -> Vec<f64> {
         medium_suite()
@@ -373,21 +354,13 @@ mod tests {
     #[test]
     fn cpu_scaleup_sweet_spot() {
         let spec = &medium_suite()[7]; // multiplier_n15, the largest medium
-        let c = spec.circuit().unwrap();
-        let compiled = compile_for_estimate(&c);
+        let plan = single_plan(&spec.circuit().unwrap());
         let times: Vec<(u64, f64)> = [1u64, 2, 4, 8, 16, 32, 64, 128, 256]
             .iter()
             .map(|&w| {
                 (
                     w,
-                    scale_up(
-                        &devices::INTEL_P8276_AVX512,
-                        &interconnects::QPI,
-                        &compiled,
-                        c.n_qubits(),
-                        w,
-                    )
-                    .total(),
+                    scale_up(&devices::INTEL_P8276_AVX512, &interconnects::QPI, &plan, w).total(),
                 )
             })
             .collect();
@@ -410,8 +383,7 @@ mod tests {
     #[test]
     fn phi_scaleup_sweet_spot_is_low() {
         let spec = &medium_suite()[7];
-        let c = spec.circuit().unwrap();
-        let compiled = compile_for_estimate(&c);
+        let plan = single_plan(&spec.circuit().unwrap());
         let times: Vec<(u64, f64)> = [1u64, 2, 4, 8, 16, 32, 64]
             .iter()
             .map(|&w| {
@@ -420,8 +392,7 @@ mod tests {
                     scale_up(
                         &devices::PHI_7230_AVX512,
                         &interconnects::KNL_MESH,
-                        &compiled,
-                        c.n_qubits(),
+                        &plan,
                         w,
                     )
                     .total(),
@@ -440,18 +411,8 @@ mod tests {
     #[test]
     fn dgx2_strong_scaling_with_small_n_lag() {
         for spec in medium_suite() {
-            let c = spec.circuit().unwrap();
-            let compiled = compile_for_estimate(&c);
-            let t = |w: u64| {
-                scale_up(
-                    &devices::V100,
-                    &interconnects::NVSWITCH,
-                    &compiled,
-                    c.n_qubits(),
-                    w,
-                )
-                .total()
-            };
+            let plan = single_plan(&spec.circuit().unwrap());
+            let t = |w: u64| scale_up(&devices::V100, &interconnects::NVSWITCH, &plan, w).total();
             if spec.paper_qubits <= 12 {
                 // Paper: a slight slowdown from 1 to 2 GPUs at n=11-12; the
                 // model reproduces "no meaningful gain" (< 1.25x).
@@ -468,24 +429,9 @@ mod tests {
         // ballpark the paper reports (10.6x average; we accept >=3x).
         let mut speedups = Vec::new();
         for spec in medium_suite() {
-            let c = spec.circuit().unwrap();
-            let compiled = compile_for_estimate(&c);
-            let t1 = scale_up(
-                &devices::V100,
-                &interconnects::NVSWITCH,
-                &compiled,
-                c.n_qubits(),
-                1,
-            )
-            .total();
-            let t16 = scale_up(
-                &devices::V100,
-                &interconnects::NVSWITCH,
-                &compiled,
-                c.n_qubits(),
-                16,
-            )
-            .total();
+            let plan = single_plan(&spec.circuit().unwrap());
+            let t1 = scale_up(&devices::V100, &interconnects::NVSWITCH, &plan, 1).total();
+            let t16 = scale_up(&devices::V100, &interconnects::NVSWITCH, &plan, 16).total();
             speedups.push(t1 / t16);
         }
         let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
@@ -500,18 +446,9 @@ mod tests {
     #[test]
     fn mi100_scaling_linear_and_modest() {
         let spec = &medium_suite()[7];
-        let c = spec.circuit().unwrap();
-        let compiled = compile_for_estimate(&c);
-        let t = |w: u64| {
-            scale_up(
-                &devices::MI100,
-                &interconnects::INFINITY_FABRIC,
-                &compiled,
-                c.n_qubits(),
-                w,
-            )
-            .total()
-        };
+        let plan = single_plan(&spec.circuit().unwrap());
+        let t =
+            |w: u64| scale_up(&devices::MI100, &interconnects::INFINITY_FABRIC, &plan, w).total();
         assert!(t(2) < t(1), "no parallelization lag on MI100");
         assert!(t(4) < t(2));
         let speedup4 = t(1) / t(4);
@@ -524,14 +461,12 @@ mod tests {
     /// Fig. 12 shape: Summit CPU scale-out gains < 3x from 32 to 1024 PEs.
     #[test]
     fn summit_cpu_scaleout_is_comm_bound() {
-        let c = svsim_workloads::algos::qft(20).unwrap();
-        let compiled = compile_for_estimate(&c);
+        let plan = single_plan(&svsim_workloads::algos::qft(20).unwrap());
         let t = |p: u64| {
             scale_out(
                 &devices::POWER9,
                 &interconnects::SUMMIT_IB,
-                &compiled,
-                20,
+                &plan,
                 p,
                 32,
                 60.0,
@@ -565,20 +500,22 @@ mod tests {
                 c.apply(GateKind::H, &[q], &[]).unwrap();
             }
         }
-        let compiled = compile_for_estimate(&c);
         let naive = scale_out(
             &devices::V100,
             &interconnects::SUMMIT_IB,
-            &compiled,
-            n,
+            &single_plan(&c),
             1024,
             4,
             130.0,
         );
-        let remapped = scale_out_remapped(
+        let config = SimConfig {
+            remap: true,
+            ..SimConfig::scale_out(1024)
+        };
+        let remapped = scale_out(
             &devices::V100,
             &interconnects::SUMMIT_IB,
-            &c,
+            &CompiledPlan::compile(&c, n, &config),
             1024,
             4,
             130.0,
@@ -616,8 +553,8 @@ mod tests {
             c.apply(GateKind::CX, &[0, 1], &[]).unwrap();
             c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
         }
-        let plain = compile_for_estimate(&c);
-        let plan = CompiledPlan::compile(
+        let plain = single_plan(&c);
+        let fused = CompiledPlan::compile(
             &c,
             n,
             &SimConfig {
@@ -625,30 +562,25 @@ mod tests {
                 ..SimConfig::single_device()
             },
         );
-        let fused: Vec<CompiledGate> = plan
-            .schedule()
-            .filter_map(|item| match item {
-                Scheduled::Kernel { cg, .. } => Some(cg.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(fused.len() < plain.len() / 2, "the ladder must collapse");
-        assert_eq!(svsim_core::source_kernels(&fused), plain.len());
-        let t_plain = single_device(&devices::V100, &plain, n);
-        let t_fused = single_device(&devices::V100, &fused, n);
+        assert!(
+            fused.n_kernels() < plain.n_kernels() / 2,
+            "the ladder must collapse"
+        );
+        assert_eq!(fused.n_source_kernels(), plain.n_kernels());
+        let t_plain = single_device(&devices::V100, &plain);
+        let t_fused = single_device(&devices::V100, &fused);
         assert!(
             t_fused.total() * 2.0 < t_plain.total(),
             "fused plan must price ≥2x cheaper: {:.3e}s vs {:.3e}s",
             t_fused.total(),
             t_plain.total()
         );
-        // The fused stream prices on the scale-out path too, and its
-        // savings survive partitioning (the ladder is partition-local).
+        // The fused plan prices on the scale-out path too, and its savings
+        // survive partitioning (the ladder is partition-local).
         let so_plain = scale_out(
             &devices::V100,
             &interconnects::SUMMIT_IB,
             &plain,
-            n,
             64,
             4,
             130.0,
@@ -657,7 +589,6 @@ mod tests {
             &devices::V100,
             &interconnects::SUMMIT_IB,
             &fused,
-            n,
             64,
             4,
             130.0,
@@ -668,17 +599,109 @@ mod tests {
         );
     }
 
+    /// The model prices the plan that runs. A measured circuit's
+    /// conditional kernels — an `IfEq` payload, the X a reset applies —
+    /// cost what they cost when they fire: every kernel of the plan pays
+    /// one overhead, unfused or fused, and on a remapped scale-out plan
+    /// every kernel pays its barrier and every exchange its two.
+    #[test]
+    fn every_scheduled_kernel_and_exchange_is_priced() {
+        use svsim_ir::{Gate, GateKind};
+        let n = 12u32;
+        let mut c = Circuit::with_cbits(n, 1);
+        for q in 0..n {
+            c.apply(GateKind::H, &[q], &[]).unwrap();
+        }
+        for layer in 0..8 {
+            for q in n - 3..n {
+                c.apply(GateKind::RX, &[q], &[0.1 * f64::from(layer + 1)])
+                    .unwrap();
+            }
+        }
+        c.measure(0, 0).unwrap();
+        let unconditional = c.clone();
+        let payload = Gate::new(GateKind::RY, &[n - 1], &[0.3]).unwrap();
+        c.if_eq(0, 1, 1, payload).unwrap();
+        c.reset(n - 2).unwrap();
+
+        let dev = &devices::V100;
+        let overhead_s = (dev.gate_overhead_us + dev.dispatch_penalty_us) * 1e-6;
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want;
+        let count = |plan: &CompiledPlan, pick: fn(&Scheduled) -> bool| {
+            plan.schedule().filter(|s| pick(s)).count()
+        };
+        let plan = single_plan(&c);
+        assert_eq!(
+            count(&plan, |s| matches!(
+                s,
+                Scheduled::Kernel {
+                    conditional: true,
+                    ..
+                }
+            )),
+            2,
+            "the IfEq payload and the reset's X"
+        );
+        let t = estimate_single(dev, &c);
+        assert!(
+            close(t.sync_s, plan.n_kernels() as f64 * overhead_s),
+            "one overhead per kernel: {:.3e}s for {} kernels",
+            t.sync_s,
+            plan.n_kernels()
+        );
+        assert!(
+            t.compute_s > estimate_single(dev, &unconditional).compute_s,
+            "the conditional kernels sweep amplitudes too"
+        );
+        let fused = CompiledPlan::compile(
+            &c,
+            n,
+            &SimConfig {
+                fuse: 3,
+                ..SimConfig::single_device()
+            },
+        );
+        assert!(fused.n_kernels() < plan.n_kernels());
+        let t = single_device(dev, &fused);
+        assert!(close(t.sync_s, fused.n_kernels() as f64 * overhead_s));
+
+        let ic = &interconnects::SUMMIT_IB;
+        for n_pes in [2u64, 8] {
+            let config = SimConfig {
+                remap: true,
+                ..SimConfig::scale_out(n_pes as usize)
+            };
+            let remapped = CompiledPlan::compile(&c, n, &config);
+            let exchanges = count(&remapped, |s| matches!(s, Scheduled::Exchange { .. }));
+            assert!(exchanges > 0, "{n_pes} PEs: the top qubits relabel");
+            let t = scale_out(dev, ic, &remapped, n_pes, 4, 130.0);
+            let barrier_s = ic.barrier_us_per_log * (n_pes as f64).log2() * 1e-6;
+            let want = remapped.n_kernels() as f64 * (overhead_s + barrier_s)
+                + exchanges as f64 * 2.0 * barrier_s;
+            assert!(
+                close(t.sync_s, want),
+                "{n_pes} PEs: {:.3e}s of sync, want {want:.3e}s",
+                t.sync_s
+            );
+            let elsewhere = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scale_out(dev, ic, &remapped, 2 * n_pes, 4, 130.0)
+            }));
+            assert!(
+                elsewhere.is_err(),
+                "a remapped plan prices only at its own PE count"
+            );
+        }
+    }
+
     /// Fig. 13 shape: Summit GPU scale-out keeps scaling to 1024 GPUs.
     #[test]
     fn summit_gpu_scaleout_strong_scaling() {
-        let c = svsim_workloads::algos::qft(20).unwrap();
-        let compiled = compile_for_estimate(&c);
+        let plan = single_plan(&svsim_workloads::algos::qft(20).unwrap());
         let t = |p: u64| {
             scale_out(
                 &devices::V100,
                 &interconnects::SUMMIT_IB,
-                &compiled,
-                20,
+                &plan,
                 p,
                 4,
                 130.0,

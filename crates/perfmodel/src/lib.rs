@@ -2,8 +2,8 @@
 //!
 //! The paper's Figures 6-13 measure latency on six HPC systems (Table 3).
 //! This crate models those systems — roofline devices plus interconnect
-//! contention — and prices circuits using the exact per-gate traffic counts
-//! from `svsim-core`. The model is calibrated to reproduce the paper's
+//! contention — and prices a circuit's `CompiledPlan`, the lowering a run
+//! executes, from the exact per-kernel traffic counts of `svsim-core`. The model is calibrated to reproduce the paper's
 //! *relative* results (who wins, where crossovers and sweet spots fall);
 //! absolute times are indicative. Substitution rationale in DESIGN.md.
 
@@ -11,8 +11,6 @@ pub mod estimator;
 pub mod mpi_baseline;
 pub mod platform;
 
-pub use estimator::{
-    compile_for_estimate, estimate_single, scale_out, scale_up, single_device, LatencyBreakdown,
-};
+pub use estimator::{estimate_single, scale_out, scale_up, single_device, LatencyBreakdown};
 pub use mpi_baseline::{mpi_latency, MpiPipeline};
 pub use platform::{devices, interconnects, table3, DeviceSpec, InterconnectSpec, Topology};

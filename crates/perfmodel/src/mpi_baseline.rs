@@ -10,9 +10,10 @@
 //! the two communication models can be compared like-for-like (the
 //! `ablation_comm` binary).
 
+use crate::estimator::{fold, no_exchange, LatencyBreakdown, Roofline};
 use crate::platform::{DeviceSpec, InterconnectSpec};
-use svsim_core::compile::CompiledGate;
 use svsim_core::traffic::gate_traffic;
+use svsim_core::CompiledPlan;
 
 /// Parameters of the CPU-managed MPI pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,92 +55,80 @@ impl MpiPipeline {
     }
 }
 
-/// Latency of one circuit under MPI-style coarse communication.
+/// Latency of a plan under MPI-style coarse communication.
 ///
-/// Per gate: roofline compute (same as SHMEM) + pack/unpack copies +
+/// Per kernel: roofline compute (same as SHMEM) + pack/unpack copies +
 /// staging hops + `2 * (P-1)` coarse messages (exchange with every peer
 /// holding needed amplitudes; bounded by the actual communicating-peer
 /// count) + kernel relaunch. No computation/communication overlap.
+///
+/// # Panics
+/// If `plan` is a remapped scale-out plan with relabeling exchanges.
 #[must_use]
 pub fn mpi_latency(
     dev: &DeviceSpec,
     ic: &InterconnectSpec,
-    compiled: &[CompiledGate],
-    n_qubits: u32,
+    plan: &CompiledPlan,
     n_workers: u64,
-) -> crate::estimator::LatencyBreakdown {
+) -> LatencyBreakdown {
     let pipe = if dev.cache_mib > 0.0 {
         MpiPipeline::cpu_cluster()
     } else {
         MpiPipeline::gpu_cluster()
     };
-    let state_bytes = 16.0 * (1u64 << n_qubits) as f64 / n_workers as f64;
-    let in_cache = state_bytes < dev.cache_mib * 1024.0 * 1024.0 && dev.cache_mib > 0.0;
-    let bw = if in_cache {
-        dev.cache_bw_gbps
-    } else {
-        dev.mem_bw_gbps
-    } * 1e9;
-    let flops_rate = dev.flops_gflops * 1e9;
+    let n_qubits = plan.n_qubits();
+    let roof = Roofline::new(dev, n_qubits, n_workers);
     let fabric_bw = ic.aggregate_bw(n_workers) * 1e9;
     let w = n_workers as f64;
-    let mut out = crate::estimator::LatencyBreakdown::default();
-    for cg in compiled {
-        let t = gate_traffic(cg, n_qubits, n_workers);
-        let local_bytes = (t.bytes_touched as f64 - t.remote_bytes as f64).max(0.0) / w;
-        out.compute_s += (local_bytes / bw).max(t.flops as f64 / flops_rate / w);
-        if t.remote_amp_ops > 0 {
-            let remote_bytes = t.remote_bytes as f64;
-            // Pack on the sender, unpack on the receiver.
-            let mut comm = 2.0 * remote_bytes / (pipe.pack_bw_gbps * 1e9 * w);
-            // Stage through the host on accelerators (out and back).
-            if let Some(staging) = pipe.staging_bw_gbps {
-                comm += 2.0 * remote_bytes / (staging * 1e9 * w);
+    fold(
+        plan,
+        |cg, out| {
+            let t = gate_traffic(cg, n_qubits, n_workers);
+            out.compute_s += roof.time(&t);
+            if t.remote_amp_ops > 0 {
+                let remote_bytes = t.remote_bytes as f64;
+                // Pack on the sender, unpack on the receiver.
+                let mut comm = 2.0 * remote_bytes / (pipe.pack_bw_gbps * 1e9 * w);
+                // Stage through the host on accelerators (out and back).
+                if let Some(staging) = pipe.staging_bw_gbps {
+                    comm += 2.0 * remote_bytes / (staging * 1e9 * w);
+                }
+                // Coarse messages: each worker exchanges with each partner
+                // whose partition it touches — at most P-1, at least 1.
+                let partners = (w - 1.0).max(1.0);
+                comm += partners * pipe.msg_latency_us * 1e-6;
+                // Wire time on the same fabric as SHMEM.
+                comm += remote_bytes / fabric_bw;
+                out.comm_s += comm;
+                // CPU/device round trip to orchestrate the exchange.
+                out.sync_s += pipe.relaunch_us * 1e-6;
             }
-            // Coarse messages: each worker exchanges with each partner
-            // whose partition it touches — at most P-1, at least 1.
-            let partners = (w - 1.0).max(1.0);
-            comm += partners * pipe.msg_latency_us * 1e-6;
-            // Wire time on the same fabric as SHMEM.
-            comm += remote_bytes / fabric_bw;
-            out.comm_s += comm;
-            // CPU/device round trip to orchestrate the exchange.
-            out.sync_s += pipe.relaunch_us * 1e-6;
-        }
-        out.sync_s += dev.gate_overhead_us * 1e-6;
-    }
-    out
+            out.sync_s += dev.gate_overhead_us * 1e-6;
+        },
+        no_exchange,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{compile_for_estimate, scale_up};
+    use crate::estimator::scale_up;
     use crate::platform::{devices, interconnects};
+    use svsim_core::SimConfig;
+    use svsim_ir::Circuit;
+
+    fn plan(c: &Circuit) -> CompiledPlan {
+        CompiledPlan::compile(c, c.n_qubits(), &SimConfig::single_device())
+    }
 
     /// The paper's core claim: fine-grained one-sided SHMEM beats the
     /// CPU-managed MPI pipeline for partitioned state-vector simulation.
     #[test]
     fn shmem_beats_mpi_on_gpu_cluster() {
-        let c = svsim_workloads::algos::qft(15).unwrap();
-        let compiled = compile_for_estimate(&c);
+        let plan = plan(&svsim_workloads::algos::qft(15).unwrap());
         for workers in [2u64, 4, 8, 16] {
-            let shmem = scale_up(
-                &devices::V100,
-                &interconnects::NVSWITCH,
-                &compiled,
-                15,
-                workers,
-            )
-            .total();
-            let mpi = mpi_latency(
-                &devices::V100,
-                &interconnects::NVSWITCH,
-                &compiled,
-                15,
-                workers,
-            )
-            .total();
+            let shmem = scale_up(&devices::V100, &interconnects::NVSWITCH, &plan, workers).total();
+            let mpi = mpi_latency(&devices::V100, &interconnects::NVSWITCH, &plan, workers).total();
             assert!(
                 mpi > 2.0 * shmem,
                 "at {workers} workers MPI ({mpi:.2e}s) must clearly trail SHMEM ({shmem:.2e}s)"
@@ -151,12 +140,11 @@ mod tests {
     fn mpi_gap_grows_with_gate_count() {
         // The per-gate relaunch + packing overhead is linear in depth: the
         // deeper the circuit, the worse MPI gets relative to SHMEM.
-        let shallow = compile_for_estimate(&svsim_workloads::algos::ghz(14).unwrap());
-        let deep = compile_for_estimate(&svsim_workloads::algos::qft(14).unwrap());
-        let ratio = |compiled: &[CompiledGate]| {
-            let shmem = scale_up(&devices::V100, &interconnects::NVSWITCH, compiled, 14, 8).total();
-            let mpi =
-                mpi_latency(&devices::V100, &interconnects::NVSWITCH, compiled, 14, 8).total();
+        let shallow = plan(&svsim_workloads::algos::ghz(14).unwrap());
+        let deep = plan(&svsim_workloads::algos::qft(14).unwrap());
+        let ratio = |plan: &CompiledPlan| {
+            let shmem = scale_up(&devices::V100, &interconnects::NVSWITCH, plan, 8).total();
+            let mpi = mpi_latency(&devices::V100, &interconnects::NVSWITCH, plan, 8).total();
             mpi / shmem
         };
         assert!(ratio(&deep) > 1.0);
@@ -167,16 +155,9 @@ mod tests {
     fn cpu_pipeline_has_no_staging() {
         // CPU MPI (no PCIe hop, no relaunch) is penalized less than GPU MPI
         // relative to its SHMEM counterpart.
-        let c = svsim_workloads::algos::qft(14).unwrap();
-        let compiled = compile_for_estimate(&c);
-        let cpu_mpi = mpi_latency(
-            &devices::POWER9,
-            &interconnects::SUMMIT_IB,
-            &compiled,
-            14,
-            8,
-        );
-        let gpu_mpi = mpi_latency(&devices::V100, &interconnects::NVSWITCH, &compiled, 14, 8);
+        let plan = plan(&svsim_workloads::algos::qft(14).unwrap());
+        let cpu_mpi = mpi_latency(&devices::POWER9, &interconnects::SUMMIT_IB, &plan, 8);
+        let gpu_mpi = mpi_latency(&devices::V100, &interconnects::NVSWITCH, &plan, 8);
         // GPU pipeline pays relaunch costs in sync_s.
         assert!(gpu_mpi.sync_s > cpu_mpi.sync_s);
     }

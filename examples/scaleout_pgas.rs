@@ -6,8 +6,8 @@
 //! cargo run --release --example scaleout_pgas
 //! ```
 
-use sv_sim::core::{SimConfig, Simulator};
-use sv_sim::perfmodel::{compile_for_estimate, devices, interconnects, scale_out};
+use sv_sim::core::{CompiledPlan, SimConfig, Simulator};
+use sv_sim::perfmodel::{devices, interconnects, scale_out};
 use sv_sim::workloads::algos::qft;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,14 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Price a Summit-scale run of the same circuit shape at n=20.
     let big = qft(20)?;
-    let compiled = compile_for_estimate(&big);
+    let plan = CompiledPlan::compile(&big, 20, &SimConfig::single_device());
     println!("\nmodeled Summit latency for QFT-20:");
     for pes in [32u64, 128, 512, 1024] {
         let t = scale_out(
             &devices::POWER9,
             &interconnects::SUMMIT_IB,
-            &compiled,
-            20,
+            &plan,
             pes,
             32,
             60.0,

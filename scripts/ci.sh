@@ -21,6 +21,22 @@ echo "== rustdoc (warnings are errors) =="
 # deletion can never leave a dangling reference in the API docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "== analytic figures =="
+# The 11 model-only binaries (Tables, Figs. 6-13, the headline, the SHMEM vs
+# MPI ablation) print from the performance model alone: deterministic, and
+# well under a second together. Each must print exactly its committed
+# results/<bin>.txt, so a change to the model, to the plan it prices or to a
+# calibration constant fails here unless the results are regenerated with it
+# (scripts/regen_results.sh).
+cargo build --release --quiet -p svsim-bench --bins
+for bin in fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 tables headline ablation_comm; do
+  if ! "target/release/$bin" | diff -u "results/$bin.txt" -; then
+    echo "$bin no longer prints results/$bin.txt" >&2
+    exit 1
+  fi
+done
+echo "analytic figures: 11 outputs match results/"
+
 echo "== protocol model check (exhaustive, bounded) =="
 # Prove the control-plane protocols — sense-reversing barrier (with
 # kill + timeout injected before any step), respawn round handshake,

@@ -3,8 +3,10 @@
 //! from `benchmark/` (the one command in `BENCHMARK.json`), not from here.
 
 use std::process::ExitCode;
-use sv_sim::core::{measure, BackendKind, DispatchMode, ShmemBackend, SimConfig, Simulator};
-use sv_sim::perfmodel::{compile_for_estimate, devices, interconnects, scale_up, single_device};
+use sv_sim::core::{
+    measure, BackendKind, CompiledPlan, DispatchMode, ShmemBackend, SimConfig, Simulator,
+};
+use sv_sim::perfmodel::{devices, interconnects, scale_up, single_device};
 use sv_sim::qasm::parse_circuit;
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
@@ -269,7 +271,7 @@ fn cmd_run(flags: &Flags) -> CmdResult {
         config.backend,
     );
     if config.fuse > 0 {
-        let plan = sv_sim::core::CompiledPlan::compile(&circuit, circuit.n_qubits(), &config);
+        let plan = CompiledPlan::compile(&circuit, circuit.n_qubits(), &config);
         println!(
             "fusion: window {} collapsed {} kernels into {} amplitude passes ({:.2} gates/pass)",
             plan.fuse_window(),
@@ -383,10 +385,12 @@ fn cmd_estimate(flags: &Flags) -> CmdResult {
         .iter()
         .find(|(names, _)| names.iter().any(|n| n.eq_ignore_ascii_case(name)))
         .ok_or_else(|| format!("unknown platform `{name}`"))?;
-    let compiled = compile_for_estimate(&circuit);
-    let workers: u64 = flags.value("--workers").map_or(Ok(1), str::parse)?;
-    let breakdown = if workers <= 1 {
-        single_device(dev, &compiled, circuit.n_qubits())
+    let workers: usize = flags.value("--workers").map_or(Ok(1), str::parse)?;
+    // The count the model can partition by is the count a run could use.
+    SimConfig::scale_up(workers).check_width(circuit.n_qubits())?;
+    let plan = CompiledPlan::compile(&circuit, circuit.n_qubits(), &SimConfig::single_device());
+    let breakdown = if workers == 1 {
+        single_device(dev, &plan)
     } else {
         // Pick a plausible fabric for the device family.
         let ic = if dev.cache_mib > 0.0 {
@@ -394,7 +398,7 @@ fn cmd_estimate(flags: &Flags) -> CmdResult {
         } else {
             &interconnects::NVSWITCH
         };
-        scale_up(dev, ic, &compiled, circuit.n_qubits(), workers)
+        scale_up(dev, ic, &plan, workers as u64)
     };
     println!(
         "modeled latency on {} x{workers}: {:.3} ms (compute {:.3} ms, comm {:.3} ms, sync {:.3} ms)",
@@ -439,13 +443,18 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
     let chaos = flags.has("--chaos");
     let recovery = flags.value("--recovery").unwrap_or("retry");
     let hang_ms: u32 = flags.value("--hang-ms").map_or(Ok(1500), str::parse)?;
-    let degrade = match recovery {
-        "retry" => DegradePolicy::None,
-        "respawn" => DegradePolicy::Respawn { max_respawns: 2 },
-        "degrade" => DegradePolicy::HalvePes {
-            failures_per_rung: 1,
-            min_pes: 1,
-        },
+    // Respawn is the process world's own repair, budgeted per launch by
+    // `SimConfig::respawn_max`; the ladder is the engine's.
+    let (degrade, respawn_max) = match recovery {
+        "retry" => (DegradePolicy::None, 0),
+        "respawn" => (DegradePolicy::None, 2),
+        "degrade" => (
+            DegradePolicy::HalvePes {
+                failures_per_rung: 1,
+                min_pes: 1,
+            },
+            0,
+        ),
         other => return Err(format!("unknown recovery `{other}` (retry|respawn|degrade)").into()),
     };
 
@@ -517,6 +526,7 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
                 seed: seed ^ i as u64,
                 checkpoint_every: every,
                 hang_deadline_ms: hang_ms,
+                respawn_max,
                 detect_races: !process_pes,
                 shmem_backend: if process_pes {
                     ShmemBackend::Process
@@ -700,7 +710,6 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
 /// race, or disagreement.
 fn cmd_analyze(flags: &Flags) -> CmdResult {
     use sv_sim::analyzer::{analyze, check_plan, cross_validate, CommPlan, Verdict};
-    use sv_sim::core::CompiledPlan;
 
     let pes: usize = flags.value("--pes").map_or(Ok(8), str::parse)?;
     let detect = flags.has("--detect");

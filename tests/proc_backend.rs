@@ -448,9 +448,12 @@ fn respawn_heals_a_sigkill_without_an_engine_retry() {
         ..EngineConfig::default()
     });
     let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, 9, FaultAction::Kill));
+    let config = SimConfig {
+        respawn_max: 2,
+        ..config
+    };
     let handle = engine
         .submit(JobRequest {
-            degrade: DegradePolicy::Respawn { max_respawns: 2 },
             fault_plan: Some(Arc::clone(&plan)),
             ..JobRequest::new(JobSpec::OneShot {
                 circuit: Arc::clone(&circuit),

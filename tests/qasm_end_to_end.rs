@@ -224,6 +224,32 @@ fn cli_rejects_unknown_and_valueless_flags() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `estimate --workers` takes the worker counts a run could use: a count
+/// that is not a power of two, or exceeds the amplitudes, is an error that
+/// names it (exit 1), not a panic in the traffic model.
+#[test]
+fn cli_estimate_rejects_a_worker_count_no_run_could_use() {
+    let path = bell_qasm_file("workers");
+    let file = path.to_str().unwrap();
+    let estimate =
+        |workers: &str| sv_sim(&["estimate", file, "--platform", "v100", "--workers", workers]);
+
+    let (code, stdout, stderr) = estimate("2");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains("modeled latency on NVIDIA_V100 x2"),
+        "{stdout}"
+    );
+    // Two qubits: 3 is no power of two, 8 exceeds the 4 amplitudes.
+    for bad in ["3", "8"] {
+        let (code, _, stderr) = estimate(bad);
+        assert_eq!(code, Some(1), "--workers {bad}: {stderr}");
+        assert!(stderr.contains(&format!("worker count {bad} ")), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// `--fuse W` goes into `SimConfig::fuse` as typed; the window is clamped
 /// where the plan is lowered, and both commands report that plan's window.
 #[test]
