@@ -247,19 +247,20 @@ mod tests {
 
     /// Remove from `plan` the barriers a tiled PE no longer passes: merge the
     /// epochs of every tile run — consecutive unconditional kernels that are
-    /// tile-local, by the rule the executor binds with — and say how many
-    /// barriers went. Nothing merges when a PE's slab is one tile or less.
+    /// tile-local at the outer width, by the rule the executor binds with —
+    /// and say how many barriers went. Nothing merges when a PE's slab is one
+    /// tile or less. (Sub-runs at the inner width add and remove none.)
     fn merge_tile_runs(plan: &mut CommPlan, n_pes: u64) -> usize {
         use svsim_core::traffic::{tile_local, TILE_QUBITS};
-        let n = plan.n_qubits;
-        if n - n_pes.trailing_zeros() <= TILE_QUBITS {
+        let (n, outer) = (plan.n_qubits, TILE_QUBITS[0]);
+        if n - n_pes.trailing_zeros() <= outer {
             return 0;
         }
         let joins = |plan: &CommPlan, e: usize| {
             let epoch = &plan.epochs[e];
             let tile_local = |g: &usize| {
                 let gate = &plan.gates[*g];
-                !gate.conditional && tile_local(&gate.cg, n, TILE_QUBITS)
+                !gate.conditional && tile_local(&gate.cg, n, outer)
             };
             epoch.kind == EpochKind::Kernel && epoch.gates.iter().all(tile_local)
         };

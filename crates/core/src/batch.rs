@@ -256,7 +256,7 @@ impl CompiledTemplate {
             );
         }
         state.reset_zero();
-        run_solo(state, &self.seg, &TEMPLATE_CONFIG, &[], 0, TILE_QUBITS)?;
+        run_solo(state, &self.seg, &TEMPLATE_CONFIG, &[], 0, &TILE_QUBITS)?;
         Ok(())
     }
 }
@@ -319,8 +319,8 @@ mod tests {
             // The trial just patched in, walked tile-major in tiles of four
             // amplitudes (the shipped width tiles no 4-qubit state).
             let mut tiled = StateVector::zero_state(4).unwrap();
-            let (_, (tile_runs, _)) =
-                run_solo(&mut tiled, &compiled.seg, &TEMPLATE_CONFIG, &[], 0, 2).unwrap();
+            let (_, ((tile_runs, _), _)) =
+                run_solo(&mut tiled, &compiled.seg, &TEMPLATE_CONFIG, &[], 0, &[2]).unwrap();
             assert!(tile_runs > 0);
             let bits = |s: &StateVector| -> Vec<u64> {
                 s.re().iter().chain(s.im()).map(|x| x.to_bits()).collect()

@@ -30,21 +30,24 @@
 //! fault-checked word. A single device's slab is its whole state.
 //!
 //! **Tile-major execution** is the same argument one level down. A tile is
-//! `2^TILE_QUBITS` aligned amplitudes ([`crate::traffic::TILE_QUBITS`]: 512
-//! KiB, a quarter of L2) and a kernel all of whose qubits lie below the tile
-//! boundary is **tile-local** ([`crate::traffic::tile_local`]): it pairs
-//! amplitudes inside one tile only, as a partition-local kernel pairs them
-//! inside one partition. So a run of consecutive tile-local kernels need not
-//! sweep the slab once per kernel: `interpret` holds such kernels back and
-//! runs each maximal run of two or more tile by tile — every kernel of the
-//! run over tile 0 while it sits in cache, then over tile 1 — which gives
-//! every amplitude the same kernels in the same order with the same operands,
-//! so the bits cannot differ. A PE passes one barrier per run instead of one
-//! per kernel (no kernel of the run leaves its partition), and the counters
-//! are credited per kernel as before. A kernel that is not tile-local, a
-//! measure, reset, conditional gate or exchange, and the segment's end each
-//! close the run; runtime parsing, an observed launch and a slab no wider
-//! than one tile never open one.
+//! `2^15` aligned amplitudes (the outer width of
+//! [`crate::traffic::TILE_QUBITS`]: 512 KiB, a quarter of L2) and a kernel all
+//! of whose qubits lie below the tile boundary is **tile-local**
+//! ([`crate::traffic::tile_local`]): it pairs amplitudes inside one tile only,
+//! as a partition-local kernel pairs them inside one partition. So a run of
+//! consecutive tile-local kernels need not sweep the slab once per kernel:
+//! `interpret` holds such kernels back and runs each maximal run of two or
+//! more tile by tile — every kernel of the run over tile 0 while it sits in
+//! cache, then over tile 1 — which gives every amplitude the same kernels in
+//! the same order with the same operands, so the bits cannot differ. The
+//! argument nests: inside one tile, each maximal sub-run of two or more
+//! kernels that are tile-local at the inner width (2^11 amplitudes, 32 KiB,
+//! two-thirds of L1D) sweeps the tile one sub-tile at a time. A PE passes one
+//! barrier per run instead of one per kernel (no kernel of the run leaves its
+//! partition), and the counters are credited per kernel as before. A kernel
+//! that is not tile-local, a measure, reset, conditional gate or exchange, and
+//! the segment's end each close the run; runtime parsing, an observed launch
+//! and a slab no wider than one tile never open one.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -175,16 +178,21 @@ struct OnSlab<'s> {
     /// footprint`, each one load and one store) — what a slab that counts
     /// credits in bulk; 0 on one that does not.
     accesses: u64,
-    /// Whether it may wait in a tile run ([`tile_local`]); never, for a
-    /// walker that does not tile.
-    tile_local: bool,
+    /// How many levels of the walker's tile widths, outermost first, it is
+    /// [`tile_local`] at: 0 — it never waits in a tile run, and always for a
+    /// walker that does not tile — up to all of them.
+    depth: usize,
 }
+
+/// A kernel held back for a tile run, with its arguments.
+type Held<'a> = (OnSlab<'a>, &'a GateArgs);
 
 /// Kernels a walker ran on its slab, and through its fabric's view.
 type KernelsRun = (usize, usize);
 
-/// Tile runs a walker executed tile-major, and the kernels in them.
-pub(crate) type TilesRun = (usize, usize);
+/// Runs, and the kernels in them: tile runs a walker executed tile-major,
+/// then the sub-runs of them it swept sub-tile by sub-tile at the next width.
+pub(crate) type TilesRun = ((usize, usize), (usize, usize));
 
 /// One kernel bound for a walker: through the fabric's view and, if the
 /// fabric's workers own a slab each and the kernel is partition-local, on
@@ -205,8 +213,9 @@ struct Kernels<'a, V: StateView> {
     /// The walker's slab ([`Fabric::slab`]), if any: what decides which
     /// kernels are also bound for it.
     slab: Option<&'a Slab<'a>>,
-    /// The tile width, if the walker gathers tile runs ([`interpret`]).
-    tile_qubits: Option<u32>,
+    /// The tile widths, outermost first, if the walker gathers tile runs
+    /// ([`interpret`]); empty if it does not.
+    tiles: &'a [u32],
     scratch: Vec<CompiledGate>,
 }
 
@@ -216,7 +225,7 @@ impl<'a, V: StateView> Kernels<'a, V> {
         config: &'a SimConfig,
         n_qubits: u32,
         slab: Option<&'a Slab<'a>>,
-        tile_qubits: Option<u32>,
+        tiles: &'a [u32],
     ) -> Self {
         let mut kernels = Self {
             queue: &seg.queue,
@@ -224,7 +233,7 @@ impl<'a, V: StateView> Kernels<'a, V> {
             config,
             n_qubits,
             slab,
-            tile_qubits,
+            tiles,
             scratch: Vec::new(),
         };
         if config.dispatch == DispatchMode::PreloadedFnPointer {
@@ -234,7 +243,8 @@ impl<'a, V: StateView> Kernels<'a, V> {
     }
 
     /// Bind `cg` for this walker: on its slab too if it has one and `cg` is
-    /// partition-local, marked for tile runs if the walker gathers them.
+    /// partition-local, with the depth of tiles it fits if the walker gathers
+    /// tile runs.
     fn bind(&self, cg: &CompiledGate) -> Bound<'a, V> {
         let n_qubits = self.n_qubits;
         let on_slab = self
@@ -245,9 +255,9 @@ impl<'a, V: StateView> Kernels<'a, V> {
                 accesses: slab
                     .counters
                     .map_or(0, |_| cg.args.work / slab.n_pes * u64::from(cg.args.n_offs)),
-                tile_local: self
-                    .tile_qubits
-                    .is_some_and(|t| tile_local(cg, n_qubits, t)),
+                depth: (self.tiles.iter())
+                    .take_while(|&&t| tile_local(cg, n_qubits, t))
+                    .count(),
             });
         (resolve::<V>(cg.id), on_slab)
     }
@@ -375,23 +385,20 @@ impl<'a> Slab<'a> {
         self.credit(on);
     }
 
-    /// Run a **tile run** — kernels that are all [`tile_local`] — tile-major:
-    /// every kernel of the run over one tile of `2^tile_qubits` amplitudes
-    /// (items `0..work / n_tiles` at tile-local indices, [`Self::run`]'s
-    /// argument one level down), then over the next tile, so the slab is
-    /// swept once for the run instead of once per kernel. Every amplitude
-    /// meets the same kernels in the same order with the same operands as
-    /// kernel-major; the counters are credited per kernel exactly as there.
-    fn run_tiles(&self, run: &[(OnSlab<'a>, &GateArgs)], n_qubits: u32, tile_qubits: u32) {
-        for tile in 0..self.view.dim() >> tile_qubits {
-            let view = self.view.tile(tile, tile_qubits);
-            for (on, args) in run {
-                (on.kernel)(&view, args, 0..args.work >> (n_qubits - tile_qubits));
-            }
-        }
+    /// Run a **tile run** — kernels that are all [`tile_local`] at
+    /// `tiles[0]` — tile-major over the slab ([`tile_major`]), so the slab is
+    /// swept once for the run instead of once per kernel. The counters are
+    /// credited per kernel exactly as kernel-major. Returns the sub-runs swept
+    /// in sub-tiles of `2^tiles[1]` amplitudes, and the kernels in them.
+    fn run_tiles(&self, run: &[Held<'a>], n_qubits: u32, tiles: &[u32]) -> (usize, usize) {
+        tile_major(&self.view, run, n_qubits, tiles, 0);
         for &(on, _) in run {
             self.credit(on);
         }
+        (pieces(run, 1).filter(|&(_, sub_run)| sub_run))
+            .fold((0, 0), |(runs, kernels), (sub, _)| {
+                (runs + 1, kernels + sub.len())
+            })
     }
 
     fn credit(&self, on: OnSlab<'a>) {
@@ -401,15 +408,61 @@ impl<'a> Slab<'a> {
     }
 }
 
+/// `run` in pieces at tile level `level`: each maximal stretch of kernels
+/// that fit its tiles (depth above `level`) and every other kernel on its
+/// own, each with whether it is a **sub-run** — two or more kernels that fit
+/// — to sweep tile-major at that level.
+fn pieces<'r, 'a>(
+    run: &'r [Held<'a>],
+    level: usize,
+) -> impl Iterator<Item = (&'r [Held<'a>], bool)> {
+    let fits = move |(on, _): &Held<'a>| on.depth > level;
+    (run.chunk_by(move |a, b| fits(a) && fits(b)))
+        .map(move |piece| (piece, piece.len() >= 2 && fits(&piece[0])))
+}
+
+/// Sweep `run` — kernels all of depth above `level` — tile-major over `view`
+/// in tiles of `2^tiles[level]` amplitudes. Over one tile, each sub-run at
+/// the next level ([`pieces`]) sweeps that tile the same way one sub-tile at
+/// a time, and every other kernel sweeps the whole tile: items `0..work >>
+/// (n_qubits - width)` at tile-local indices, [`Slab::run`]'s argument one
+/// level down. Then the next tile. Tiles share no amplitude, so every
+/// amplitude meets the same kernels in the same order with the same operands
+/// as kernel-major.
+fn tile_major<'a>(
+    view: &LocalView<'a>,
+    run: &[Held<'a>],
+    n_qubits: u32,
+    tiles: &[u32],
+    level: usize,
+) {
+    let width = tiles[level];
+    for tile in 0..view.dim() >> width {
+        let view = view.tile(tile, width);
+        for (piece, sub_run) in pieces(run, level + 1) {
+            if sub_run {
+                tile_major(&view, piece, n_qubits, tiles, level + 1);
+                continue;
+            }
+            for (on, args) in piece {
+                (on.kernel)(&view, args, 0..args.work >> (n_qubits - width));
+            }
+        }
+    }
+}
+
 /// One PE of a partitioned backend: its SHMEM context (rank, world size,
 /// barrier, reduce), the symmetric arrays it owns a partition of, the
-/// staging buffers of a segment that relabels, and its slab — unless the
-/// launch observes individual words ([`run_partitioned`]).
+/// staging buffers of a segment that relabels, and — unless the launch
+/// observes individual words ([`run_partitioned`]) — every PE's partition
+/// and staging buffer as plain memory, and its slab.
 struct Pe<'a> {
     ctx: &'a ShmemCtx<'a>,
     re: &'a SymF64,
     im: &'a SymF64,
     xch: Option<&'a (SymF64, SymF64)>,
+    lent: Option<&'a [Plane<'a>]>,
+    lent_xch: Option<&'a [Plane<'a>]>,
     slab: Option<Slab<'a>>,
 }
 
@@ -485,10 +538,17 @@ impl<V: StateView> Fabric for Worker<'_, V> {
     }
     fn exchange(&self, lo: u32, hi: u32) {
         let Pe {
-            ctx, re, im, xch, ..
+            ctx,
+            re,
+            im,
+            xch,
+            lent,
+            lent_xch,
+            ..
         } = self.me;
         let (xr, xi) = xch.expect("a segment that relabels has staging buffers");
-        ShmemView::new(ctx, re, im).exchange_pair(lo, hi, xr, xi);
+        let view = ShmemView::new(ctx, re, im).lending(*lent);
+        view.staging(*lent_xch).exchange_pair(lo, hi, xr, xi);
     }
     fn slab(&self) -> Option<&Slab<'_>> {
         self.me.slab.as_ref()
@@ -501,40 +561,46 @@ impl<V: StateView> Fabric for Worker<'_, V> {
 /// step order so every backend consumes the RNG identically) and
 /// `initial_cbits` carries the classical register across checkpoint
 /// segments; returns the register afterwards, how many kernels ran where
-/// ([`KernelsRun`]) and how many of them in how many tile runs
+/// ([`KernelsRun`]) and how many of them in how many tile runs and sub-runs
 /// ([`TilesRun`]).
 ///
-/// **Tile-major execution.** A walker whose slab is wider than one tile of
-/// `2^tile_qubits` amplitudes (production passes
-/// [`crate::traffic::TILE_QUBITS`]) and whose kernels are preloaded holds
-/// back consecutive unconditional gate kernels
-/// that are [`tile_local`], and runs each maximal run of two or more of them
-/// tile by tile ([`Slab::run_tiles`]) followed by one sync — a PE's kernels
-/// of such a run touch its own partition only, so no other PE waits on the
-/// barriers left out. Anything else ends the run first: a kernel that is not
-/// tile-local, a measure, reset, conditional gate or exchange, the segment's
-/// end. Runtime parsing re-parses gate by gate and a launch that observes
-/// words has no slab, so neither tiles.
+/// **Tile-major execution.** `tiles` are the tile widths, outermost first,
+/// each narrower than the last (production passes
+/// [`crate::traffic::TILE_QUBITS`]). A walker whose slab is wider than one
+/// tile of `2^tiles[0]` amplitudes and whose kernels are preloaded holds back
+/// consecutive unconditional gate kernels that are [`tile_local`] at
+/// `tiles[0]`, and runs each maximal run of two or more of them tile by tile
+/// ([`Slab::run_tiles`]) followed by one sync — a PE's kernels of such a run
+/// touch its own partition only, so no other PE waits on the barriers left
+/// out. Inside each tile, the run's maximal sub-runs of two or more kernels
+/// that are tile-local at the next width sweep it sub-tile by sub-tile, and
+/// so on down the list ([`tile_major`]). Anything else ends the run first: a
+/// kernel that is not tile-local, a measure, reset, conditional gate or
+/// exchange, the segment's end. Runtime parsing re-parses gate by gate and a
+/// launch that observes words has no slab, so neither tiles.
 fn interpret<'a, F: Fabric>(
     fabric: &'a F,
     seg: &'a PlanSegment,
     config: &'a SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-    tile_qubits: u32,
+    tiles: &'a [u32],
 ) -> SvResult<(u64, KernelsRun, TilesRun)> {
+    debug_assert!(tiles.windows(2).all(|w| w[0] > w[1]), "{tiles:?}");
     let mut cbits = initial_cbits;
     let (on_slab_runs, view_runs) = (Cell::new(0usize), Cell::new(0usize));
     let (tile_runs, tiled_kernels) = (Cell::new(0usize), Cell::new(0usize));
+    let (inner_runs, inner_kernels) = (Cell::new(0usize), Cell::new(0usize));
     let add = |count: &Cell<usize>, n: usize| count.set(count.get() + n);
     let n_qubits = fabric.view().dim().trailing_zeros();
     let slab = fabric.slab();
     // The slab to sweep tile-major, if this walk tiles.
     let tiled = slab.filter(|slab| {
-        config.dispatch == DispatchMode::PreloadedFnPointer && slab.view.dim() > 1 << tile_qubits
+        config.dispatch == DispatchMode::PreloadedFnPointer
+            && tiles.first().is_some_and(|&t| slab.view.dim() > 1 << t)
     });
-    let mut kernels =
-        Kernels::<F::View>::new(seg, config, n_qubits, slab, tiled.map(|_| tile_qubits));
+    let tiles = if tiled.is_some() { tiles } else { &[] };
+    let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits, slab, tiles);
     let run = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| {
         match (slab, on_slab) {
             (Some(slab), Some(local)) => {
@@ -549,8 +615,8 @@ fn interpret<'a, F: Fabric>(
         fabric.sync();
     };
     // The tile run being gathered, and what ends it.
-    let mut held: Vec<(OnSlab<'a>, &'a GateArgs)> = Vec::new();
-    let flush = |held: &mut Vec<(OnSlab<'a>, &'a GateArgs)>| {
+    let mut held: Vec<Held<'a>> = Vec::new();
+    let flush = |held: &mut Vec<Held<'a>>| {
         let Some(slab) = tiled.filter(|_| !held.is_empty()) else {
             return;
         };
@@ -558,9 +624,11 @@ fn interpret<'a, F: Fabric>(
             // Nothing to interleave with: the kernel-major sweep.
             [(local, args)] => slab.run(local, args),
             _ => {
-                slab.run_tiles(held, n_qubits, tile_qubits);
+                let (runs, kernels) = slab.run_tiles(held, n_qubits, tiles);
                 add(&tile_runs, 1);
                 add(&tiled_kernels, held.len());
+                add(&inner_runs, runs);
+                add(&inner_kernels, kernels);
             }
         }
         add(&on_slab_runs, held.len());
@@ -592,7 +660,7 @@ fn interpret<'a, F: Fabric>(
             Step::Gate { compiled, .. } => {
                 for k in compiled.clone() {
                     let (bound, args) = kernels.queued(k);
-                    match bound.1.filter(|local| local.tile_local) {
+                    match bound.1.filter(|local| local.depth > 0) {
                         Some(local) => held.push((local, args)),
                         None => {
                             flush(&mut held);
@@ -642,7 +710,10 @@ fn interpret<'a, F: Fabric>(
     Ok((
         cbits,
         (on_slab_runs.get(), view_runs.get()),
-        (tile_runs.get(), tiled_kernels.get()),
+        (
+            (tile_runs.get(), tiled_kernels.get()),
+            (inner_runs.get(), inner_kernels.get()),
+        ),
     ))
 }
 
@@ -656,7 +727,7 @@ pub(crate) fn run_solo(
     config: &SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-    tile_qubits: u32,
+    tiles: &[u32],
 ) -> SvResult<(u64, TilesRun)> {
     let (re, im) = state.parts_mut();
     let solo = Solo(Slab {
@@ -664,8 +735,8 @@ pub(crate) fn run_solo(
         n_pes: 1,
         counters: None,
     });
-    let (cbits, _, tiles) = interpret(&solo, seg, config, randoms, initial_cbits, tile_qubits)?;
-    Ok((cbits, tiles))
+    let (cbits, _, tiled) = interpret(&solo, seg, config, randoms, initial_cbits, tiles)?;
+    Ok((cbits, tiled))
 }
 
 /// What a PE hands back from [`run_partitioned`]'s body: the classical
@@ -689,14 +760,16 @@ type PeResult = ((u64, KernelsRun, TilesRun), Vec<f64>, Vec<f64>);
 /// [`SharedF64Vec::as_cells`]): a partition-local kernel runs on the PE's own
 /// slab and the view's counts are credited per kernel, any other kernel
 /// borrows its runs from the owning partitions through the view, credited
-/// per run (module docs), and a slab wider than one tile of `2^tile_qubits`
+/// per run (module docs), a slab wider than one tile of `2^tiles[0]`
 /// amplitudes (production passes [`crate::traffic::TILE_QUBITS`]) is swept
 /// tile-major over each run of tile-local kernels, one barrier per run
-/// ([`interpret`]) — unless the launch *observes individual words*:
-/// under the race detector, or a fault plan holding a `Put` / `Get` spec
-/// ([`FaultPlan::observes_transfers`]), nothing is lent and every access of
-/// every kernel is issued through the view's instrumented accessors so it
-/// can be recorded, counted or dropped.
+/// ([`interpret`]), and a relabeling exchange copies through the lent
+/// partitions and lent staging buffers
+/// ([`ShmemView::exchange_pair`]) — unless the launch *observes individual
+/// words*: under the race detector, or a fault plan holding a `Put` / `Get`
+/// spec ([`FaultPlan::observes_transfers`]), nothing is lent and every access
+/// of every kernel and exchange is issued through the instrumented accessors
+/// so it can be recorded, counted or dropped.
 ///
 /// The segment's classical bits, per-worker traffic, race reports,
 /// exchange count, respawn count and PE 0's slab-kernel, word-kernel and
@@ -736,7 +809,7 @@ pub(crate) fn run_partitioned(
     randoms: &[f64],
     faults: Option<Arc<FaultPlan>>,
     summary: &mut RunSummary,
-    tile_qubits: u32,
+    tiles: &[u32],
 ) -> SvResult<()> {
     let scale_out = matches!(config.backend, BackendKind::ScaleOut { .. });
     let process = scale_out && config.shmem_backend == ShmemBackend::Process;
@@ -787,27 +860,40 @@ pub(crate) fn run_partitioned(
         // amplitudes no other PE's share does (`traffic::partition_local`
         // for the slab; for a boundary kernel the index sets the analyzer
         // proves disjoint, its `ProvenSafe` verdict), a collapse touches the
-        // PE's own partition, an exchange the PE's own words and staging
-        // words written for it alone, and `interpret` passes the world
-        // barrier after every kernel, collapse and exchange epoch. That
-        // barrier is an acquire-release arrival by every PE and then, by
-        // each, an acquire of the last arriver's release (`BarrierSm`,
-        // driven by `barrier::wait_epoch`), so each plain access of one
-        // epoch happens-before every access of the next, by whichever PE
-        // and through whichever accessor; the scatter above and the gather
-        // below are fenced by `try_barrier_all` the same way.
-        // SAFETY: `as_cells` asks that no word be accessed through the cells
-        // while another thread or process writes it without a happens-before
-        // edge in between. One owner per amplitude per epoch and the
-        // barrier's release/acquire edge between epochs (above) are that;
-        // the cells never leave this PE's walk.
+        // PE's own partition, and `interpret` passes the world barrier after
+        // every kernel, collapse and exchange epoch. An exchange's first
+        // epoch reads the PE's own words and writes the staging words of its
+        // partner, which no other PE writes (pairing is an involution) and
+        // none reads; its second epoch reads the PE's own staging words and
+        // writes its own partition. So every staging word too has one writer
+        // per epoch, and its one reader comes an epoch later. That barrier
+        // is an acquire-release arrival by every PE and then, by each, an
+        // acquire of the last arriver's release (`BarrierSm`, driven by
+        // `barrier::wait_epoch`), so each plain access of one epoch
+        // happens-before every access of the next, by whichever PE and
+        // through whichever accessor; the scatter above and the gather below
+        // are fenced by `try_barrier_all` the same way.
+        /// Every partition of `re` and `im`, by rank, as plain memory.
+        ///
+        /// # Safety
+        /// As [`SharedF64Vec::as_cells`], for every word of every partition.
         #[allow(unsafe_code)]
-        let lent: Option<Vec<Plane<'_>>> = (!per_word).then(|| {
+        unsafe fn cells<'s>(re: &'s SymF64, im: &'s SymF64) -> Vec<Plane<'s>> {
             let parts = re.partitions().iter().zip(im.partitions());
+            // SAFETY: the caller's.
             parts
                 .map(|(re, im)| unsafe { (re.as_cells(), im.as_cells()) })
                 .collect()
-        });
+        }
+        // SAFETY: `as_cells` asks that no word be accessed through the cells
+        // while another thread or process writes it without a happens-before
+        // edge in between. One owner per amplitude and per staging word per
+        // epoch and the barrier's release/acquire edge between epochs
+        // (above) are that; the cells never leave this PE's walk.
+        #[allow(unsafe_code)]
+        let lent = (!per_word).then(|| unsafe { cells(re, im) });
+        #[allow(unsafe_code)]
+        let lent_xch = (xch.filter(|_| !per_word)).map(|(xr, xi)| unsafe { cells(xr, xi) });
         let lent = lent.as_deref();
         let slab = lent.map(|lent| Slab {
             view: LocalView::over(lent[pe]),
@@ -819,22 +905,24 @@ pub(crate) fn run_partitioned(
             re,
             im,
             xch,
+            lent,
+            lent_xch: lent_xch.as_deref(),
             slab,
         };
-        let (cbits, (on_slab, through_view), tiles) = if scale_out {
+        let (cbits, (on_slab, through_view), tiled) = if scale_out {
             let view = &ShmemView::new(ctx, re, im).lending(lent);
             let worker = Worker { me, view };
-            interpret(&worker, seg, config, randoms, initial_cbits, tile_qubits)
+            interpret(&worker, seg, config, randoms, initial_cbits, tiles)
         } else {
             let counters = Some(ctx.counters());
             let view = &PeerView::new(re.partitions(), im.partitions(), pe, counters).lending(lent);
             let worker = Worker { me, view };
-            interpret(&worker, seg, config, randoms, initial_cbits, tile_qubits)
+            interpret(&worker, seg, config, randoms, initial_cbits, tiles)
         }?;
         ctx.try_barrier_all()?;
         let by_word = if per_word { through_view } else { 0 };
         Ok((
-            (cbits, (on_slab, by_word), tiles),
+            (cbits, (on_slab, by_word), tiled),
             sym_re.partition(pe).to_vec(),
             sym_im.partition(pe).to_vec(),
         ))
@@ -862,13 +950,13 @@ pub(crate) fn run_partitioned(
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
     let (re, im) = state.parts_mut();
-    for (pe, ((cbits, (on_slab, by_word), tiles), pre, pim)) in out.results.into_iter().enumerate()
+    for (pe, ((cbits, (on_slab, by_word), tiled), pre, pim)) in out.results.into_iter().enumerate()
     {
         if pe == 0 {
             summary.cbits = cbits;
             summary.slab_kernels += on_slab;
             summary.word_kernels += by_word;
-            summary.absorb_tiles(tiles);
+            summary.absorb_tiles(tiled);
         }
         re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
         im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);
@@ -898,14 +986,15 @@ mod tests {
     use svsim_shmem::TrafficSnapshot;
     use svsim_types::SvRng;
 
-    /// Every gate family at every lowest qubit of interest around a tile
-    /// boundary at `tile` — 0, 2, 3 (the run path starts there), `tile - 1`,
-    /// `tile`, `n - 1` — in both operand orders, between layers that leave
-    /// no amplitude zero or symmetric; then the steps that end a tile run
-    /// with tile-local gates either side of each: a measure, a conditional
-    /// gate that fires and one that does not, a reset.
-    fn circuit_around_tiles(n: u32, tile: u32) -> Circuit {
+    /// Every gate family at every lowest qubit of interest around the tile
+    /// boundaries at `tiles` — 0, 2, 3 (the run path starts there), `t - 1`
+    /// and `t` for each width `t`, `n - 1` — in both operand orders, between
+    /// layers that leave no amplitude zero or symmetric; then the steps that
+    /// end a tile run with tile-local gates either side of each: a measure, a
+    /// conditional gate that fires and one that does not, a reset.
+    fn circuit_around_tiles(n: u32, tiles: &[u32]) -> Circuit {
         use GateKind::*;
+        let tile = tiles[0];
         let mut c = Circuit::with_cbits(n, 2);
         let mut rng = SvRng::seed_from_u64(u64::from(n * 100 + tile));
         let mut angle = move || rng.next_f64() * 6.0 - 3.0;
@@ -915,8 +1004,12 @@ mod tests {
         let kinds = [
             X, Y, Z, H, T, RZ, U3, CX, CZ, CRZ, CCX, C4X, SWAP, CSWAP, RZZ, RXX,
         ];
+        let mut lowest_qubits = vec![0, 2, 3, n - 1];
+        lowest_qubits.extend(tiles.iter().flat_map(|&t| [t - 1, t]));
+        lowest_qubits.sort_unstable();
+        lowest_qubits.dedup();
         for kind in kinds {
-            for lowest in [0, 2, 3, tile - 1, tile, n - 1] {
+            for &lowest in &lowest_qubits {
                 let up: Vec<u32> = (lowest..n).take(kind.n_qubits()).collect();
                 if up.len() < kind.n_qubits() {
                     continue;
@@ -955,10 +1048,10 @@ mod tests {
         ids: HashSet<KernelId>,
     }
 
-    /// Walk `circuit` under `config` with tiles of `2^tile_qubits`
-    /// amplitudes, segment by segment along the checkpoint grid, as
+    /// Walk `circuit` under `config` with tiles of `2^t` amplitudes for each
+    /// width `t` of `tiles`, segment by segment along the checkpoint grid, as
     /// `Simulator::run` does at [`crate::traffic::TILE_QUBITS`].
-    fn walk(circuit: &Circuit, config: &SimConfig, tile_qubits: u32) -> Walked {
+    fn walk(circuit: &Circuit, config: &SimConfig, tiles: &[u32]) -> Walked {
         let n = circuit.n_qubits();
         let ops = circuit.ops();
         let mut state = StateVector::zero_state(n).unwrap();
@@ -971,21 +1064,12 @@ mod tests {
             let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
             let state = &mut state;
             if config.backend == BackendKind::SingleDevice {
-                let (cbits, tiles) =
-                    run_solo(state, &seg, config, &randoms, summary.cbits, tile_qubits).unwrap();
+                let (cbits, tiled) =
+                    run_solo(state, &seg, config, &randoms, summary.cbits, tiles).unwrap();
                 summary.cbits = cbits;
-                summary.absorb_tiles(tiles);
+                summary.absorb_tiles(tiled);
             } else {
-                run_partitioned(
-                    state,
-                    &seg,
-                    config,
-                    &randoms,
-                    None,
-                    &mut summary,
-                    tile_qubits,
-                )
-                .unwrap();
+                run_partitioned(state, &seg, config, &randoms, None, &mut summary, tiles).unwrap();
             }
         }
         let bits = |plane: &[f64]| plane.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1014,9 +1098,10 @@ mod tests {
     #[test]
     fn tile_major_walks_are_bit_identical_to_kernel_major_ones() {
         let mut ids = HashSet::new();
-        let (mut runs, mut exchanges_between_runs) = (0, 0);
-        for (n, tile) in [(8u32, 3u32), (9, 4), (10, 5)] {
-            let circuit = circuit_around_tiles(n, tile);
+        let (mut runs, mut inner_runs, mut exchanges_between_runs) = (0, 0, 0);
+        for (n, nested) in [(8u32, [3u32, 1]), (9, [4, 2]), (10, [5, 3])] {
+            let tile = nested[0];
+            let circuit = circuit_around_tiles(n, &nested);
             for backend in backends() {
                 for (checkpoint_every, fuse) in [(0, 0), (0, 3), (3, 0), (3, 3)] {
                     let config = SimConfig {
@@ -1024,40 +1109,65 @@ mod tests {
                         fuse,
                         ..backend
                     };
-                    let what = format!("{n} qubits, tiles of 2^{tile}, {config:?}");
+                    let what = format!("{n} qubits, tiles of 2^{nested:?}, {config:?}");
                     // Tiles as wide as the state: the kernel-major walk.
-                    let plain = walk(&circuit, &config, n);
-                    let tiled = walk(&circuit, &config, tile);
+                    let plain = walk(&circuit, &config, &[n]);
+                    let single = walk(&circuit, &config, &[tile]);
+                    let tiled = walk(&circuit, &config, &nested);
                     assert_eq!(plain.summary.tile_runs, 0, "{what}");
                     // The harness walks what the simulator walks (no state
-                    // this small tiles at the shipped width).
+                    // this small tiles at the shipped widths).
                     let mut sim = Simulator::new(n, config).unwrap();
                     let shipped = sim.run(&circuit).unwrap();
                     assert_eq!(shipped.cbits, plain.summary.cbits, "{what}");
                     assert_eq!(shipped.traffic, plain.summary.traffic, "{what}");
                     assert_eq!(shipped.tile_runs, 0, "{what}");
 
-                    assert_eq!(tiled.state, plain.state, "{what}: amplitudes");
-                    assert_eq!(tiled.summary.cbits, plain.summary.cbits, "{what}");
-                    let (t, p) = (&tiled.summary, &plain.summary);
-                    assert_eq!(t.remap_swaps, p.remap_swaps, "{what}");
-                    assert_eq!(t.slab_kernels, p.slab_kernels, "{what}");
-                    assert_eq!(t.word_kernels, 0, "{what}");
-                    // Whole-circuit segments hold long runs; three-op ones
-                    // still pair up their tile-local kernels.
-                    assert!(t.tile_runs > 0, "{what}");
-                    assert!(t.tiled_kernels >= 2 * t.tile_runs, "{what}");
-                    let saved = (t.tiled_kernels - t.tile_runs) as u64;
-                    assert_eq!(t.traffic.len(), p.traffic.len(), "{what}");
-                    for (pe, (t, p)) in t.traffic.iter().zip(&p.traffic).enumerate() {
-                        // One barrier per run where there was one per kernel;
-                        // every other counter as if nothing had changed.
-                        assert_eq!(t.barriers, p.barriers - saved, "{what}: PE {pe}");
-                        let rest = TrafficSnapshot { barriers: 0, ..*t };
-                        assert_eq!(rest, TrafficSnapshot { barriers: 0, ..*p }, "{what}");
+                    for walked in [&single, &tiled] {
+                        assert_eq!(walked.state, plain.state, "{what}: amplitudes");
+                        let (t, p) = (&walked.summary, &plain.summary);
+                        assert_eq!(t.cbits, p.cbits, "{what}");
+                        assert_eq!(t.remap_swaps, p.remap_swaps, "{what}");
+                        assert_eq!(t.slab_kernels, p.slab_kernels, "{what}");
+                        assert_eq!(t.word_kernels, 0, "{what}");
+                        // Whole-circuit segments hold long runs; three-op
+                        // ones still pair up their tile-local kernels.
+                        assert!(t.tile_runs > 0, "{what}");
+                        assert!(t.tiled_kernels >= 2 * t.tile_runs, "{what}");
+                        let saved = (t.tiled_kernels - t.tile_runs) as u64;
+                        assert_eq!(t.traffic.len(), p.traffic.len(), "{what}");
+                        for (pe, (t, p)) in t.traffic.iter().zip(&p.traffic).enumerate() {
+                            // One barrier per run where there was one per
+                            // kernel; every other counter as if nothing had
+                            // changed.
+                            assert_eq!(t.barriers, p.barriers - saved, "{what}: PE {pe}");
+                            let rest = TrafficSnapshot { barriers: 0, ..*t };
+                            assert_eq!(rest, TrafficSnapshot { barriers: 0, ..*p }, "{what}");
+                        }
+                    }
+                    // Nesting runs the same outer runs and adds or removes no
+                    // barrier; only the sub-runs inside them are new.
+                    let (t, s) = (&tiled.summary, &single.summary);
+                    assert_eq!(t.traffic, s.traffic, "{what}");
+                    assert_eq!(
+                        (t.tile_runs, t.tiled_kernels),
+                        (s.tile_runs, s.tiled_kernels),
+                        "{what}"
+                    );
+                    assert_eq!((s.inner_tile_runs, s.inner_tiled_kernels), (0, 0));
+                    assert!(
+                        t.inner_tiled_kernels >= 2 * t.inner_tile_runs
+                            && t.inner_tiled_kernels <= t.tiled_kernels,
+                        "{what}"
+                    );
+                    if fuse == 0 {
+                        // The layers below the tile boundary start with an H
+                        // and a T on qubit 0. (Fusion merges such a pair.)
+                        assert!(t.inner_tile_runs > 0, "{what}");
                     }
                     ids.extend(tiled.ids);
                     runs += t.tile_runs;
+                    inner_runs += t.inner_tile_runs;
                     if config.remap && checkpoint_every == 0 {
                         exchanges_between_runs += t.remap_swaps;
                     }
@@ -1066,13 +1176,61 @@ mod tests {
         }
         assert_eq!(ids.len(), 12, "every KernelId walked: {ids:?}");
         assert!(runs > 1000, "{runs} tile runs");
+        assert!(inner_runs > 500, "{inner_runs} inner sub-runs");
         assert!(exchanges_between_runs > 0, "exchange steps ended runs");
+    }
+
+    /// A relabeling exchange in a launch that observes no word copies through
+    /// the lent partitions and staging buffers; in one that observes words it
+    /// sends `get_slice` / `put_slice` messages. Both leave the same
+    /// partitions and count the same traffic on every PE, at every low
+    /// position: runs of 1 to 8 amplitudes, and longer ones.
+    #[test]
+    fn lent_exchanges_move_and_count_what_the_messages_do() {
+        use svsim_shmem::FaultAction;
+        use svsim_types::PeOp;
+        let n = 8;
+        let amplitudes: Vec<f64> = (0..1 << n).map(f64::from).collect();
+        let negated = amplitudes.iter().map(|x| -x).collect();
+        let start = StateVector::from_parts(n, amplitudes, negated).unwrap();
+        let observed =
+            Arc::new(FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0)));
+        let mut exchanges = 0;
+        for n_pes in [2usize, 4] {
+            let boundary = n - n_pes.trailing_zeros();
+            for (lo, hi) in (0..boundary).flat_map(|lo| (boundary..n).map(move |hi| (lo, hi))) {
+                let seg = PlanSegment {
+                    start: 0,
+                    end: 0,
+                    steps: vec![Step::Exchange { lo, hi }],
+                    queue: Vec::new(),
+                    n_rand: 0,
+                    n_swaps: 1,
+                    final_layout: None,
+                };
+                let exchange = |faults: Option<Arc<FaultPlan>>| {
+                    let mut state = start.clone();
+                    let mut summary = RunSummary::new(0, 0);
+                    let config = SimConfig::scale_out(n_pes);
+                    run_partitioned(&mut state, &seg, &config, &[], faults, &mut summary, &[5])
+                        .unwrap();
+                    (state, summary.traffic)
+                };
+                let (lent, by_message) = (exchange(None), exchange(Some(Arc::clone(&observed))));
+                let what = format!("{n_pes} PEs, positions ({lo}, {hi})");
+                assert_ne!(lent.0, start, "{what}: nothing moved");
+                assert_eq!(lent.0, by_message.0, "{what}");
+                assert_eq!(lent.1, by_message.1, "{what}");
+                exchanges += 1;
+            }
+        }
+        assert_eq!(exchanges, 7 + 2 * 6);
     }
 
     #[test]
     fn walks_that_cannot_tile_take_the_kernel_major_path() {
-        let circuit = circuit_around_tiles(8, 3);
-        let tiled = walk(&circuit, &SimConfig::single_device(), 3);
+        let circuit = circuit_around_tiles(8, &[3]);
+        let tiled = walk(&circuit, &SimConfig::single_device(), &[3]);
         assert!(tiled.summary.tile_runs > 0);
         // Runtime parsing re-parses gate by gate; a launch that observes
         // words has no slab; memory of one tile has nothing to reorder.
@@ -1091,7 +1249,7 @@ mod tests {
             (SimConfig::scale_out(2), 7),
             (SimConfig::scale_up(4), 6),
         ] {
-            let untiled = walk(&circuit, &config, width);
+            let untiled = walk(&circuit, &config, &[width]);
             assert_eq!(untiled.summary.tile_runs, 0, "{config:?}");
             assert_eq!(untiled.summary.tiled_kernels, 0, "{config:?}");
             assert_eq!(untiled.state, tiled.state, "{config:?}");

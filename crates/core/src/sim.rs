@@ -206,6 +206,13 @@ pub struct RunSummary {
     pub tile_runs: usize,
     /// Kernels that ran inside those tile runs.
     pub tiled_kernels: usize,
+    /// Sub-runs of those tile runs swept one level down: maximal stretches
+    /// of two or more kernels that fit the inner, L1-sized tile width of
+    /// [`crate::traffic::TILE_QUBITS`], each swept sub-tile by sub-tile over
+    /// every tile of its run. Counted once per tile run, like `tile_runs`.
+    pub inner_tile_runs: usize,
+    /// Kernels that ran inside those sub-runs.
+    pub inner_tiled_kernels: usize,
 }
 
 impl RunSummary {
@@ -224,6 +231,8 @@ impl RunSummary {
             word_kernels: 0,
             tile_runs: 0,
             tiled_kernels: 0,
+            inner_tile_runs: 0,
+            inner_tiled_kernels: 0,
         }
     }
 
@@ -235,10 +244,13 @@ impl RunSummary {
             .fold(TrafficSnapshot::default(), |acc, t| acc.merged(t))
     }
 
-    /// Add one segment's tile runs and the kernels in them.
-    pub(crate) fn absorb_tiles(&mut self, (runs, kernels): TilesRun) {
+    /// Add one segment's tile runs and inner sub-runs, and the kernels in
+    /// them.
+    pub(crate) fn absorb_tiles(&mut self, ((runs, kernels), (inner_runs, inner)): TilesRun) {
         self.tile_runs += runs;
         self.tiled_kernels += kernels;
+        self.inner_tile_runs += inner_runs;
+        self.inner_tiled_kernels += inner;
     }
 
     /// Merge one segment's per-worker traffic into the run's (element-wise
@@ -427,13 +439,13 @@ impl Simulator {
         match config.backend {
             BackendKind::SingleDevice => {
                 let (cbits, tiles) =
-                    run_solo(state, seg, &config, &randoms, summary.cbits, TILE_QUBITS)?;
+                    run_solo(state, seg, &config, &randoms, summary.cbits, &TILE_QUBITS)?;
                 summary.cbits = cbits;
                 summary.absorb_tiles(tiles);
             }
             BackendKind::ScaleUp { .. } | BackendKind::ScaleOut { .. } => {
                 let faults = self.fault_plan.clone();
-                run_partitioned(state, seg, &config, &randoms, faults, summary, TILE_QUBITS)?;
+                run_partitioned(state, seg, &config, &randoms, faults, summary, &TILE_QUBITS)?;
             }
         }
         Ok(())

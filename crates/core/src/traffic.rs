@@ -116,11 +116,22 @@ pub fn partition_local(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> bool {
 }
 
 /// log2 of the amplitudes in one **tile** of tile-major execution
-/// ([`crate::exec`]): 2^15 amplitudes are 512 KiB, a quarter of this host's
-/// L2. A constant, not a probe or a setting: the measured optimum is flat
-/// from 14 to 16 and nothing reads differently at another value but speed
-/// (DESIGN.md, "Tile-major execution").
-pub const TILE_QUBITS: u32 = 15;
+/// ([`crate::exec`]) at each cache level, outermost first; each width tiles
+/// the one before it.
+///
+/// - **15**: 2^15 amplitudes (two `f64` planes) are 512 KiB, a quarter of a
+///   2 MiB L2. A run of kernels below qubit 15 sweeps each such tile once, and
+///   only own memory wider than one of these tiles opens a run at all (a
+///   partitioned walker's barriers are counted per run).
+/// - **11**: 2^11 amplitudes are 32 KiB, two-thirds of a 48 KiB L1D. Inside
+///   one L2 tile, every maximal sub-run of two or more kernels below qubit 11
+///   sweeps each such sub-tile once.
+///
+/// Constants, not a probe or a setting: the measured optimum is flat from 14
+/// to 16 at the outer level, and 10 to 11 at the inner (12, 64 KiB, no longer
+/// fits L1D and loses), and nothing reads differently at another value but
+/// speed (DESIGN.md, "Tile-major execution").
+pub const TILE_QUBITS: [u32; 2] = [15, 11];
 
 /// True when `cg` is **tile-local** for tiles of `2^tile_qubits` amplitudes:
 /// [`partition_local`] with the state's `2^(n_qubits - tile_qubits)` aligned
@@ -129,7 +140,8 @@ pub const TILE_QUBITS: u32 = 15;
 /// over a view of one tile are then exactly its accesses inside that tile,
 /// and tiles share no amplitude, so a run of tile-local kernels may finish
 /// one tile before touching the next: each amplitude still sees the same
-/// kernels in the same order with the same operands.
+/// kernels in the same order with the same operands. The same holds inside
+/// one tile for its sub-tiles at the next, narrower width.
 #[must_use]
 pub fn tile_local(cg: &CompiledGate, n_qubits: u32, tile_qubits: u32) -> bool {
     partition_local(cg, n_qubits, 1u64 << (n_qubits - tile_qubits))

@@ -248,6 +248,9 @@ pub struct ShmemView<'a, 'w> {
     dim: u64,
     /// Every PE's partition as plain memory, when this view lends runs.
     lent: Option<&'a [Plane<'a>]>,
+    /// Every PE's exchange staging buffer as plain memory, when this view
+    /// lends and moves exchanges by plain copies.
+    staging: Option<&'a [Plane<'a>]>,
 }
 
 impl<'a, 'w> ShmemView<'a, 'w> {
@@ -266,6 +269,7 @@ impl<'a, 'w> ShmemView<'a, 'w> {
             mask: per_pe - 1,
             dim: per_pe * ctx.n_pes() as u64,
             lent: None,
+            staging: None,
         }
     }
 
@@ -280,6 +284,18 @@ impl<'a, 'w> ShmemView<'a, 'w> {
         Self { lent, ..self }
     }
 
+    /// Given `staging`, the exchange staging buffers
+    /// [`exchange_pair`](Self::exchange_pair) is handed, as plain memory,
+    /// move each exchange by plain copies through them and the lent
+    /// partitions. Only for a view that lends.
+    #[must_use]
+    pub(crate) fn staging(self, staging: Option<&'a [Plane<'a>]>) -> Self {
+        assert!(
+            staging.is_none_or(|staging| self.lent.is_some() && staging.len() == self.ctx.n_pes())
+        );
+        Self { staging, ..self }
+    }
+
     /// The partition holding `idx`, the offset in it, and whether it is
     /// another PE's.
     #[inline]
@@ -289,7 +305,7 @@ impl<'a, 'w> ShmemView<'a, 'w> {
     }
 }
 
-impl ShmemView<'_, '_> {
+impl<'a> ShmemView<'a, '_> {
     /// Bulk slab exchange realizing a relabeling SWAP of physical qubit
     /// positions `a` (below the partition boundary) and `b` (at/above it).
     ///
@@ -311,6 +327,14 @@ impl ShmemView<'_, '_> {
     /// partner) and every state word one reader (its owner); epoch 2 is
     /// PE-local.
     ///
+    /// A view the executor builds for a launch that observes no individual
+    /// word lends the partitions and the staging buffers as plain memory: it
+    /// moves each run by plain copies through them instead, in the same two
+    /// epochs with the same two barriers, and credits the PE's counters
+    /// in bulk with exactly what the messages count: per run and component,
+    /// one local get and one remote put of `8 * 2^a` bytes, then one local
+    /// get and one local put.
+    ///
     /// All PEs must call this collectively with identical arguments.
     ///
     /// # Panics
@@ -325,22 +349,45 @@ impl ShmemView<'_, '_> {
         let my_hi = (pe >> pe_bit) & 1 == 1;
         let run = 1usize << a;
         let n_runs = per_pe / (2 * run);
+        // This PE's run `r` of the half it sends away. Incoming data lands
+        // exactly where the outgoing data left: the partner's run `r` is
+        // this PE's with bit `a` flipped.
+        let sent = |r: usize| 2 * r * run + if my_hi { 0 } else { run };
+        if let Some((lent, staging)) = self.lent.zip(self.staging) {
+            let at = |(re, im): Plane<'a>, start: usize| {
+                (&re[start..start + run], &im[start..start + run])
+            };
+            let copy = |(to_re, to_im): Plane<'_>, (from_re, from_im): Plane<'_>| {
+                for (to, from) in to_re.iter().zip(from_re).chain(to_im.iter().zip(from_im)) {
+                    to.set(from.get());
+                }
+            };
+            for r in 0..n_runs {
+                copy(at(staging[partner], r * run), at(lent[pe], sent(r)));
+            }
+            self.ctx.barrier_all();
+            for r in 0..n_runs {
+                copy(at(lent[pe], sent(r)), at(staging[pe], r * run));
+            }
+            let (messages, counters) = (2 * n_runs as u64, self.ctx.counters());
+            counters.count_gets(false, 2 * messages, 0);
+            counters.count_puts(true, messages, 8 * run as u64);
+            counters.count_puts(false, messages, 0);
+            self.ctx.barrier_all();
+            return;
+        }
         let mut buf = vec![0.0f64; run];
         for r in 0..n_runs {
-            let src = 2 * r * run + if my_hi { 0 } else { run };
             for (sym, xch) in [(self.re, xch_re), (self.im, xch_im)] {
-                self.ctx.get_slice_f64(sym, pe, src, &mut buf);
+                self.ctx.get_slice_f64(sym, pe, sent(r), &mut buf);
                 self.ctx.put_slice_f64(xch, partner, r * run, &buf);
             }
         }
         self.ctx.barrier_all();
         for r in 0..n_runs {
-            // Incoming data lands exactly where the outgoing data left:
-            // the partner's run r is this PE's run r with bit `a` flipped.
-            let dst = 2 * r * run + if my_hi { 0 } else { run };
             for (sym, xch) in [(self.re, xch_re), (self.im, xch_im)] {
                 self.ctx.get_slice_f64(xch, pe, r * run, &mut buf);
-                self.ctx.put_slice_f64(sym, pe, dst, &buf);
+                self.ctx.put_slice_f64(sym, pe, sent(r), &buf);
             }
         }
         self.ctx.barrier_all();

@@ -78,22 +78,36 @@ impl PeCounters {
     /// Count one get; remote gets also accumulate transferred bytes.
     #[inline]
     pub fn count_get(&self, remote: bool, bytes: u64) {
-        if remote {
-            bump(&self.remote_gets, 1);
-            bump(&self.remote_get_bytes, bytes);
-        } else {
-            bump(&self.local_gets, 1);
-        }
+        self.count_gets(remote, 1, bytes);
     }
 
     /// Count one put; remote puts also accumulate transferred bytes.
     #[inline]
     pub fn count_put(&self, remote: bool, bytes: u64) {
+        self.count_puts(remote, 1, bytes);
+    }
+
+    /// Count `ops` gets of `bytes` each at once, as [`Self::count_get`]
+    /// would one by one.
+    #[inline]
+    pub fn count_gets(&self, remote: bool, ops: u64, bytes: u64) {
         if remote {
-            bump(&self.remote_puts, 1);
-            bump(&self.remote_put_bytes, bytes);
+            bump(&self.remote_gets, ops);
+            bump(&self.remote_get_bytes, ops * bytes);
         } else {
-            bump(&self.local_puts, 1);
+            bump(&self.local_gets, ops);
+        }
+    }
+
+    /// Count `ops` puts of `bytes` each at once, as [`Self::count_put`]
+    /// would one by one.
+    #[inline]
+    pub fn count_puts(&self, remote: bool, ops: u64, bytes: u64) {
+        if remote {
+            bump(&self.remote_puts, ops);
+            bump(&self.remote_put_bytes, ops * bytes);
+        } else {
+            bump(&self.local_puts, ops);
         }
     }
 
@@ -102,15 +116,8 @@ impl PeCounters {
     /// borrowed a run of — would have counted access by access.
     #[inline]
     pub fn credit(&self, remote: bool, ops: u64, bytes: u64) {
-        if remote {
-            bump(&self.remote_gets, ops);
-            bump(&self.remote_puts, ops);
-            bump(&self.remote_get_bytes, ops * bytes);
-            bump(&self.remote_put_bytes, ops * bytes);
-        } else {
-            bump(&self.local_gets, ops);
-            bump(&self.local_puts, ops);
-        }
+        self.count_gets(remote, ops, bytes);
+        self.count_puts(remote, ops, bytes);
     }
 
     /// Count one barrier crossing.

@@ -104,12 +104,14 @@ cargo test --release --test cross_backend plain_memory_paths_are_indistinguishab
 
 echo "== tile-major (release) =="
 # Tile-major walks against kernel-major ones, bit for bit, in the build that
-# ships: the crate-private identity matrix (tile widths 3-5, every KernelId
-# around the tile boundary, every backend, remap / checkpoint / fuse, all
-# counters but barriers) and, at the shipped tile width, the 17-qubit
-# single-device and thread-PE legs (square_root_n18 and dnn_layers, tiled vs
-# runtime-parsed). Tier-1 runs the same tests unoptimized; the process-PE leg
-# is in the proc_backend gate below.
+# ships: the crate-private identity matrix (nested widths [3, 1], [4, 2] and
+# [5, 3] against kernel-major and single-level walks, every KernelId around
+# both tile boundaries, every backend, remap / checkpoint / fuse, all counters
+# but barriers, and barriers equal to the single-level walk) and, at the
+# shipped widths [15, 11], the 17-qubit single-device and thread-PE legs
+# (square_root_n18 and dnn_layers, tiled vs runtime-parsed; at least 85 % of
+# square_root_n18's kernels in L1 sub-runs). Tier-1 runs the same tests
+# unoptimized; the process-PE leg is in the proc_backend gate below.
 cargo test --release -p svsim-core --lib tile_major_walks_are_bit_identical_to_kernel_major_ones
 cargo test --release --test cross_backend tile_major
 

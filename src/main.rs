@@ -3,6 +3,7 @@
 //! from `benchmark/` (the one command in `BENCHMARK.json`), not from here.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use sv_sim::core::{
     measure, BackendKind, CompiledPlan, DispatchMode, ShmemBackend, SimConfig, Simulator,
 };
@@ -136,9 +137,34 @@ impl<'a> Flags<'a> {
             .map(|(_, v)| *v)
     }
 
+    /// The value of `name` as a `T`, if it was given.
+    ///
+    /// # Errors
+    /// A value that is not a `T`, named with its flag.
+    fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name).map(|v| parse_value(name, v)).transpose()
+    }
+
+    /// The value of `name` as a `T`, or `default` if it was not given.
+    ///
+    /// # Errors
+    /// As [`Self::parsed`].
+    fn parsed_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.parsed(name)?.unwrap_or(default))
+    }
+
     fn has(&self, name: &str) -> bool {
         self.switches.contains(&name)
     }
+}
+
+/// `text`, given to flag `name`, as a `T`.
+///
+/// # Errors
+/// `--flag: invalid value 'text'` when it is not one.
+fn parse_value<T: FromStr>(name: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{name}: invalid value '{text}'"))
 }
 
 /// The modeled platforms, each with the names `--platform` accepts for it.
@@ -206,7 +232,7 @@ fn cmd_run(flags: &Flags) -> CmdResult {
             let (kind, count) = spec
                 .split_once(':')
                 .ok_or("backend must be single, up:N, or out:N")?;
-            let n: usize = count.parse()?;
+            let n: usize = parse_value("--backend", count)?;
             match kind {
                 "up" => BackendKind::ScaleUp { n_devices: n },
                 "out" => BackendKind::ScaleOut { n_pes: n },
@@ -240,13 +266,10 @@ fn cmd_run(flags: &Flags) -> CmdResult {
         }
         Some(other) => return Err(format!("unknown PE mode `{other}` (thread|process)").into()),
     }
-    if let Some(seed) = flags.value("--seed") {
-        config.seed = seed.parse()?;
-    }
-    if let Some(window) = flags.value("--fuse") {
-        config.fuse = window.parse()?;
-    }
-    let shots: usize = flags.value("--shots").map_or(Ok(1024), str::parse)?;
+    config.seed = flags.parsed_or("--seed", config.seed)?;
+    config.fuse = flags.parsed_or("--fuse", config.fuse)?;
+    let shots: usize = flags.parsed_or("--shots", 1024)?;
+    let top: Option<usize> = flags.parsed("--amplitudes")?;
 
     let circuit = if flags.has("--optimize") {
         let (optimized, stats) = sv_sim::ir::optimize(&circuit);
@@ -283,8 +306,10 @@ fn cmd_run(flags: &Flags) -> CmdResult {
     println!("kernels: {}", sv_sim::core::kernels::isa());
     if summary.tile_runs > 0 {
         let (runs, kernels) = (summary.tile_runs, summary.tiled_kernels);
+        let (inner_runs, inner) = (summary.inner_tile_runs, summary.inner_tiled_kernels);
         println!(
-            "tiles: {runs} runs, {kernels} kernels (mean {:.1})",
+            "tiles: {runs} runs, {kernels} kernels (mean {:.1}); \
+             inner: {inner_runs} sub-runs, {inner} kernels",
             kernels as f64 / runs as f64
         );
     }
@@ -322,8 +347,7 @@ fn cmd_run(flags: &Flags) -> CmdResult {
             println!("remap: {} relabeling slab exchanges", summary.remap_swaps);
         }
     }
-    if let Some(k) = flags.value("--amplitudes") {
-        let k: usize = k.parse()?;
+    if let Some(k) = top {
         let amps = sim.amplitudes();
         let mut indexed: Vec<(usize, f64)> = amps
             .iter()
@@ -385,7 +409,7 @@ fn cmd_estimate(flags: &Flags) -> CmdResult {
         .iter()
         .find(|(names, _)| names.iter().any(|n| n.eq_ignore_ascii_case(name)))
         .ok_or_else(|| format!("unknown platform `{name}`"))?;
-    let workers: usize = flags.value("--workers").map_or(Ok(1), str::parse)?;
+    let workers: usize = flags.parsed_or("--workers", 1)?;
     // The count the model can partition by is the count a run could use.
     SimConfig::scale_up(workers).check_width(circuit.n_qubits())?;
     let plan = CompiledPlan::compile(&circuit, circuit.n_qubits(), &SimConfig::single_device());
@@ -429,12 +453,12 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
     use sv_sim::workloads::{algos::cat_state, states::w_state};
 
     let fault_kind = flags.value("--fault").unwrap_or("kill-pe");
-    let pes: usize = flags.value("--pes").map_or(Ok(4), str::parse)?;
-    let every: u32 = flags.value("--every").map_or(Ok(2), str::parse)?;
-    let seed: u64 = flags.value("--seed").map_or(Ok(0xFA17), str::parse)?;
-    let one_shots: usize = flags.value("--one-shots").map_or(Ok(4), str::parse)?;
-    let sweeps: usize = flags.value("--sweeps").map_or(Ok(8), str::parse)?;
-    let attempts: u32 = flags.value("--attempts").map_or(Ok(4), str::parse)?;
+    let pes: usize = flags.parsed_or("--pes", 4)?;
+    let every: u32 = flags.parsed_or("--every", 2)?;
+    let seed: u64 = flags.parsed_or("--seed", 0xFA17)?;
+    let one_shots: usize = flags.parsed_or("--one-shots", 4)?;
+    let sweeps: usize = flags.parsed_or("--sweeps", 8)?;
+    let attempts: u32 = flags.parsed_or("--attempts", 4)?;
     let process_pes = match flags.value("--pe-mode") {
         None | Some("thread") => false,
         Some("process") => true,
@@ -442,7 +466,7 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
     };
     let chaos = flags.has("--chaos");
     let recovery = flags.value("--recovery").unwrap_or("retry");
-    let hang_ms: u32 = flags.value("--hang-ms").map_or(Ok(1500), str::parse)?;
+    let hang_ms: u32 = flags.parsed_or("--hang-ms", 1500)?;
     // Respawn is the process world's own repair, budgeted per launch by
     // `SimConfig::respawn_max`; the ladder is the engine's.
     let (degrade, respawn_max) = match recovery {
@@ -711,23 +735,21 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
 fn cmd_analyze(flags: &Flags) -> CmdResult {
     use sv_sim::analyzer::{analyze, check_plan, cross_validate, CommPlan, Verdict};
 
-    let pes: usize = flags.value("--pes").map_or(Ok(8), str::parse)?;
+    let pes: usize = flags.parsed_or("--pes", 8)?;
     let detect = flags.has("--detect");
     let config = SimConfig {
-        seed: flags.value("--seed").map_or(Ok(0xACE5), str::parse)?,
+        seed: flags.parsed_or("--seed", 0xACE5)?,
         remap: flags.has("--remap"),
-        fuse: flags.value("--fuse").map_or(Ok(0), str::parse)?,
+        fuse: flags.parsed_or("--fuse", 0)?,
         ..SimConfig::scale_out(pes)
     };
-    let merge: Option<usize> = flags.value("--merge-epochs").map(str::parse).transpose()?;
+    let merge: Option<usize> = flags.parsed("--merge-epochs")?;
     if merge.is_some() && (detect || config.remap) {
         return Err("--merge-epochs edits the plain schedule statically; \
                     combine it with neither --remap nor --detect"
             .into());
     }
-    let max_qubits: u32 = flags
-        .value("--max-qubits")
-        .map_or(Ok(u32::MAX), str::parse)?;
+    let max_qubits: u32 = flags.parsed_or("--max-qubits", u32::MAX)?;
 
     let mut targets: Vec<(String, sv_sim::ir::Circuit)> = Vec::new();
     if flags.has("--suite") {
@@ -792,9 +814,7 @@ fn cmd_analyze(flags: &Flags) -> CmdResult {
 }
 
 fn cmd_verify(flags: &Flags) -> CmdResult {
-    let max_states: usize = flags
-        .value("--max-states")
-        .map_or(Ok(2_000_000), str::parse)?;
+    let max_states: usize = flags.parsed_or("--max-states", 2_000_000)?;
 
     println!("exhaustive protocol check (state cap {max_states}):");
     match sv_sim::verify::check_all(max_states) {

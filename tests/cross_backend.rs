@@ -374,18 +374,25 @@ fn dnn_n17_with_a_measure() -> Circuit {
 
 /// Checksum, classical bits and tile-run counts of one run.
 fn run_tiles(circuit: &Circuit, config: SimConfig) -> (u64, u64, (usize, usize)) {
+    let (checksum, cbits, summary) = run_summary(circuit, config);
+    (checksum, cbits, (summary.tile_runs, summary.tiled_kernels))
+}
+
+/// Checksum, classical bits and summary of one run.
+fn run_summary(circuit: &Circuit, config: SimConfig) -> (u64, u64, sv_sim::core::RunSummary) {
     let mut sim = Simulator::new(circuit.n_qubits(), config).unwrap();
     let summary = sim.run(circuit).unwrap();
     let checksum = sv_sim::core::state_checksum(sim.state());
-    let tiles = (summary.tile_runs, summary.tiled_kernels);
-    (checksum, summary.cbits, tiles)
+    (checksum, summary.cbits, summary)
 }
 
-/// Tile-major execution at the shipped tile width (2^15 amplitudes) on one
-/// device: a 17-qubit state is four tiles, so the preloaded walk sweeps its
-/// runs of tile-local kernels tile by tile, while the runtime-parse walk of
-/// the same circuit never tiles and is the reference. On `square_root_n18`
-/// (the `deep_incache` circuit) and a `dnn_layers` with a measure inside.
+/// Tile-major execution at the shipped tile widths (2^15 amplitudes, then
+/// 2^11 inside them) on one device: a 17-qubit state is four tiles, so the
+/// preloaded walk sweeps its runs of tile-local kernels tile by tile, and
+/// their sub-runs below qubit 11 sub-tile by sub-tile, while the
+/// runtime-parse walk of the same circuit never tiles and is the reference.
+/// On `square_root_n18` (the `deep_incache` circuit) and a `dnn_layers` with
+/// a measure inside.
 #[test]
 fn tile_major_runs_agree_with_runtime_parsed_ones_at_the_shipped_tile_width() {
     let square_root = sv_sim::workloads::large_suite()
@@ -402,15 +409,23 @@ fn tile_major_runs_agree_with_runtime_parsed_ones_at_the_shipped_tile_width() {
         };
         let (untiled_sum, untiled_cbits, none) = run_tiles(&circuit, parse);
         assert_eq!(none, (0, 0), "{name}: runtime parsing never tiles");
-        let (sum, cbits, (runs, kernels)) = run_tiles(&circuit, SimConfig::single_device());
+        let (sum, cbits, summary) = run_summary(&circuit, SimConfig::single_device());
+        let (runs, kernels) = (summary.tile_runs, summary.tiled_kernels);
+        let (inner_runs, inner) = (summary.inner_tile_runs, summary.inner_tiled_kernels);
         assert!(
             runs > 0 && kernels > 2 * runs,
             "{name}: {runs} runs of {kernels}"
         );
-        let compiled = sv_sim::core::CompiledPlan::compile(&circuit, 17, &parse).n_kernels();
         assert!(
-            !most || 10 * kernels > 9 * compiled,
-            "{name}: {kernels} of {compiled}"
+            inner_runs > 0 && inner >= 2 * inner_runs && inner <= kernels,
+            "{name}: {inner_runs} sub-runs of {inner}"
+        );
+        let compiled = sv_sim::core::CompiledPlan::compile(&circuit, 17, &parse).n_kernels();
+        // Most of the deep circuit's kernels ran in L2 tiles, and most of
+        // those in L1 sub-tiles too.
+        assert!(
+            !most || (10 * kernels > 9 * compiled && 100 * inner >= 85 * compiled),
+            "{name}: {kernels} and {inner} of {compiled}"
         );
         assert_eq!((sum, cbits), (untiled_sum, untiled_cbits), "{name}");
     }

@@ -224,6 +224,47 @@ fn cli_rejects_unknown_and_valueless_flags() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A numeric flag whose value does not parse is an error that names the flag
+/// and the value (exit 1), raised before the command does any work: nothing
+/// reaches stdout, not even a run that would otherwise have finished.
+#[test]
+fn cli_rejects_a_malformed_numeric_flag_before_any_work() {
+    let path = bell_qasm_file("numeric");
+    let file = path.to_str().unwrap();
+    for (args, flag, value) in [
+        (
+            vec!["run", file, "--amplitudes", "-1"],
+            "--amplitudes",
+            "-1",
+        ),
+        (vec!["run", file, "--seed", "x"], "--seed", "x"),
+        (vec!["run", file, "--shots", "1e3"], "--shots", "1e3"),
+        (
+            vec!["run", file, "--backend", "out:two"],
+            "--backend",
+            "two",
+        ),
+        (vec!["fault-bench", "--hang-ms", "abc"], "--hang-ms", "abc"),
+        (vec!["analyze", file, "--seed", "abc"], "--seed", "abc"),
+        (
+            vec!["estimate", file, "--platform", "v100", "--workers", "x"],
+            "--workers",
+            "x",
+        ),
+        (vec!["verify", "--max-states", "x"], "--max-states", "x"),
+    ] {
+        let (code, stdout, stderr) = sv_sim(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: {flag}: invalid value '{value}'"),
+            "{args:?}"
+        );
+        assert!(stdout.is_empty(), "{args:?} printed first: {stdout}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// `estimate --workers` takes the worker counts a run could use: a count
 /// that is not a power of two, or exceeds the amplitudes, is an error that
 /// names it (exit 1), not a panic in the traffic model.
