@@ -37,6 +37,9 @@ pub struct CrossValidation {
     pub static_verdict: Verdict,
     /// Every race the dynamic detector observed.
     pub races: Vec<RaceReport>,
+    /// Barriers PE 0 passed in the detected run: as many as a run without
+    /// the detector, since both pass the plan's.
+    pub barriers: u64,
 }
 
 impl CrossValidation {
@@ -71,6 +74,7 @@ pub fn cross_validate(
         n_qubits: circuit.n_qubits(),
         n_pes: config.backend.n_workers(),
         static_verdict: report.verdict(),
+        barriers: summary.traffic.first().map_or(0, |pe| pe.barriers),
         races: summary.races,
     })
 }
@@ -266,6 +270,37 @@ mod tests {
                     spec.name
                 );
             }
+        }
+    }
+
+    /// The detector watches a plan with tile runs: at 2 PEs an 18-qubit
+    /// slab is four tiles, so its plan has fewer epochs than kernels, and the
+    /// detected launch — word by word, no slab — passes exactly the barriers
+    /// of a plain one. Release-mode CI leg (`scripts/ci.sh`): the
+    /// `analyze --suite --detect` legs stop at 14 qubits, where a slab is at
+    /// most one tile.
+    #[test]
+    #[ignore = "release-mode CI leg: runs via scripts/ci.sh (cargo test --release -- --ignored)"]
+    fn tile_runs_cross_validate_under_the_detector() {
+        use svsim_core::CompiledPlan;
+        let config = SimConfig::scale_out(2);
+        for name in ["bigadder_n18", "cc_n18"] {
+            let spec = large_suite().into_iter().find(|s| s.name == name).unwrap();
+            let circuit = spec.circuit().unwrap();
+            let n = circuit.n_qubits();
+            let cv = cross_validate(name, &circuit, config).unwrap();
+            assert_eq!(cv.static_verdict, Verdict::ProvenSafe, "{name}");
+            assert!(cv.races.is_empty() && cv.agrees(), "{name}: {:?}", cv.races);
+            let plan = CompiledPlan::compile(&circuit, n, &config);
+            let epochs = crate::CommPlan::from_plan(&plan).epochs.len();
+            assert!(epochs < plan.n_kernels(), "{name}: {epochs} epochs");
+            let plain = Simulator::new(n, config).unwrap().run(&circuit).unwrap();
+            assert_eq!(cv.barriers, plain.traffic[0].barriers, "{name}");
+            println!(
+                "{name}: {} kernels in {epochs} epochs, {} barriers on PE 0, detected and plain",
+                plan.n_kernels(),
+                cv.barriers
+            );
         }
     }
 

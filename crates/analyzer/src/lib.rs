@@ -6,9 +6,10 @@
 //! crate attacks that contract from both sides:
 //!
 //! - **Static** ([`plan`], [`check`]): derive the barrier-epoch schedule a
-//!   circuit compiles to ([`CommPlan`]) and *prove* each epoch's per-PE
-//!   remote index sets pairwise disjoint by symbolic pair-index arithmetic
-//!   over qubit masks — `O(PEs² · patterns²)` per epoch, independent of the
+//!   circuit compiles to ([`CommPlan`]: the plan's barrier windows, a whole
+//!   tile run in one) and *prove* each epoch's per-PE remote index sets
+//!   pairwise disjoint by symbolic pair-index arithmetic over qubit masks —
+//!   `O(PEs² · patterns²)` per kernel pair of an epoch, independent of the
 //!   `2^n` amplitude count.
 //! - **Dynamic** ([`dynamic`]): execute the same schedule under the
 //!   vector-clock [`svsim_shmem::RaceDetector`] and check the observed
@@ -18,8 +19,8 @@
 //! simulation on the proof, refusing to execute a plan the checker cannot
 //! certify. Both take the [`SimConfig`] the run would use and prove the
 //! [`CompiledPlan`] that config lowers to — fusion, remapping,
-//! specialization and checkpoint segmentation included — so the proof is
-//! always of the schedule that runs.
+//! specialization, checkpoint segmentation and tile runs included — so the
+//! proof is always of the schedule that runs, barrier for barrier.
 
 pub mod check;
 pub mod dynamic;
@@ -245,45 +246,14 @@ mod tests {
         );
     }
 
-    /// Remove from `plan` the barriers a tiled PE no longer passes: merge the
-    /// epochs of every tile run — consecutive unconditional kernels that are
-    /// tile-local at the outer width, by the rule the executor binds with —
-    /// and say how many barriers went. Nothing merges when a PE's slab is one
-    /// tile or less. (Sub-runs at the inner width add and remove none.)
-    fn merge_tile_runs(plan: &mut CommPlan, n_pes: u64) -> usize {
-        use svsim_core::traffic::{tile_local, TILE_QUBITS};
-        let (n, outer) = (plan.n_qubits, TILE_QUBITS[0]);
-        if n - n_pes.trailing_zeros() <= outer {
-            return 0;
-        }
-        let joins = |plan: &CommPlan, e: usize| {
-            let epoch = &plan.epochs[e];
-            let tile_local = |g: &usize| {
-                let gate = &plan.gates[*g];
-                !gate.conditional && tile_local(&gate.cg, n, outer)
-            };
-            epoch.kind == EpochKind::Kernel && epoch.gates.iter().all(tile_local)
-        };
-        let before = plan.epochs.len();
-        let mut e = 0;
-        while e + 1 < plan.epochs.len() {
-            if joins(plan, e) && joins(plan, e + 1) {
-                plan.merge_epochs(e).unwrap();
-            } else {
-                e += 1;
-            }
-        }
-        before - plan.epochs.len()
-    }
-
     #[test]
     fn the_epochs_a_tiled_pe_runs_are_still_proven_safe() {
-        // `CommPlan` images one epoch per kernel; a PE whose slab is wider
-        // than a tile passes one barrier per tile run instead. Every kernel
-        // of a run stays inside the PE's own partition, so the coarser
-        // schedule must prove as clean: the 20- to 23-qubit Table 4 plans at
-        // 8 PEs (slabs of 2^17 to 2^20), the 17- and 18-qubit ones at 2.
-        let mut merged = Vec::new();
+        // A PE whose slab is wider than a tile passes one barrier per tile
+        // run, and the plan's epochs are those windows. Every kernel of a run
+        // stays inside the PE's own partition, so they must prove clean: the
+        // 20- to 23-qubit Table 4 plans at 8 PEs (slabs of 2^17 to 2^20), the
+        // 17- and 18-qubit ones at 2.
+        let mut saved = Vec::new();
         for spec in svsim_workloads::large_suite() {
             let c = spec.circuit().unwrap();
             let n_pes = match c.n_qubits() {
@@ -296,29 +266,68 @@ mod tests {
                     remap,
                     ..SimConfig::scale_out(n_pes)
                 };
-                let compiled = CompiledPlan::compile(&c, c.n_qubits(), &config);
-                let mut plan = CommPlan::from_plan(&compiled);
-                let barriers = merge_tile_runs(&mut plan, n_pes as u64);
-                let rep = check_plan(&plan, n_pes as u64).unwrap();
-                assert!(
-                    rep.is_proven_safe(),
-                    "{} at {n_pes} PEs, remap {remap}, {barriers} barriers merged away: {rep}",
-                    spec.name
-                );
-                merged.push((spec.name, remap, barriers));
+                let plan = CompiledPlan::compile(&c, c.n_qubits(), &config);
+                let comm = CommPlan::from_plan(&plan);
+                let rep = check_plan(&comm, n_pes as u64).unwrap();
+                assert!(rep.is_proven_safe(), "{} at {n_pes} PEs: {rep}", spec.name);
+                let kernel_epochs = comm.epochs.iter().filter(|e| e.kind == EpochKind::Kernel);
+                saved.push((spec.name, remap, plan.n_kernels() - kernel_epochs.count()));
             }
         }
         let fewest = |name: &str| {
-            let of = merged.iter().filter(|m| m.0 == name);
+            let of = saved.iter().filter(|m| m.0 == name);
             of.map(|m| m.2).min().unwrap()
         };
-        assert!(fewest("square_root_n18") > 3000, "{merged:?}");
-        assert!(fewest("qft_n20") > 100, "{merged:?}");
-        assert_eq!(merged.len(), 2 * 6, "{merged:?}");
+        assert!(fewest("square_root_n18") > 3000, "{saved:?}");
+        assert!(fewest("qft_n20") > 100, "{saved:?}");
+        assert_eq!(saved.len(), 2 * 6, "{saved:?}");
+        let square_root = (svsim_workloads::large_suite().into_iter())
+            .find(|spec| spec.name == "square_root_n18")
+            .unwrap();
+        let rep = analyze(&square_root.circuit().unwrap(), &SimConfig::scale_out(2)).unwrap();
+        assert_eq!(rep.epochs.len(), 207);
 
-        // 16 qubits at 2 PEs: a slab is one tile and the plan is untouched.
+        // 16 qubits at 2 PEs: a slab is one tile, one epoch per kernel.
         let dnn = svsim_workloads::qnn::dnn_layers(16, 2, 1).unwrap();
-        let compiled = CompiledPlan::compile(&dnn, 16, &SimConfig::scale_out(2));
-        assert_eq!(merge_tile_runs(&mut CommPlan::from_plan(&compiled), 2), 0);
+        let plan = CompiledPlan::compile(&dnn, 16, &SimConfig::scale_out(2));
+        assert_eq!(CommPlan::from_plan(&plan).epochs.len(), plan.n_kernels());
+    }
+
+    #[test]
+    fn the_proof_covers_the_barriers_that_run() {
+        // On an unconditional circuit PE 0 passes one barrier per epoch the
+        // analyzer proves, plus four of the launch (the two collective
+        // allocations, the scatter and the gather) and two more where the
+        // plan relabels (the staging allocations): wherever tile runs share
+        // a barrier, and wherever a slab is one tile and none do.
+        use svsim_workloads::{algos::qft, qnn::dnn_layers};
+        let dnn17 = dnn_layers(17, 3, 5).unwrap();
+        let remapped = SimConfig {
+            remap: true,
+            ..SimConfig::scale_out(2)
+        };
+        let mut tiled = 0;
+        for (circuit, config) in [
+            (&dnn17, SimConfig::scale_out(2)),
+            (&dnn17, SimConfig::scale_up(2)),
+            (&dnn17, SimConfig::scale_out(4)),
+            (&dnn17, remapped),
+            (&qft(17).unwrap(), SimConfig::scale_out(2)),
+            (&dnn_layers(16, 12, 1).unwrap(), SimConfig::scale_out(2)),
+        ] {
+            let rep = analyze(circuit, &config).unwrap();
+            assert!(rep.is_proven_safe(), "{config:?}: {rep}");
+            let mut sim = Simulator::new(circuit.n_qubits(), config).unwrap();
+            let summary = sim.run(circuit).unwrap();
+            let launch = if summary.remap_swaps > 0 { 6 } else { 4 };
+            assert_eq!(
+                rep.epochs.len() as u64 + launch,
+                summary.traffic[0].barriers,
+                "{} qubits, {config:?}",
+                circuit.n_qubits()
+            );
+            tiled += usize::from(summary.tile_runs > 0);
+        }
+        assert_eq!(tiled, 4, "every 17-qubit config but 4 PEs runs tile runs");
     }
 }

@@ -1,24 +1,24 @@
 //! Communication plans: the barrier-epoch structure of a compiled circuit.
 //!
 //! The scale-out executor (`svsim_core::exec`'s step interpreter) interleaves
-//! compiled kernels with barriers in a fixed, data-independent order: every
-//! compiled kernel is followed by a `sync()`, measurement/reset collapse is
-//! likewise fenced before classical bits update, and a relabeling exchange
-//! is two barrier-fenced stages. A [`CommPlan`] is the static image of that
-//! schedule — one [`Epoch`] per barrier-to-barrier window, each holding the
-//! gate kernels that run inside it — and it is read, never re-derived:
-//! [`CommPlan::from_plan`] maps the schedule of the very
-//! [`CompiledPlan`] the executor runs
-//! ([`CompiledPlan::schedule`]) entry by entry, so whatever the lowering
-//! does with fusion, remapping, specialization or checkpoint segmentation
-//! is what gets proven.
+//! compiled kernels with barriers in a fixed, data-independent order, and the
+//! lowering fixes it: a `sync()` follows every compiled kernel the schedule
+//! marks with a barrier — every kernel but those of a tile run before its
+//! last, so a tile run's kernels share one epoch — measurement/reset
+//! collapse is likewise fenced before classical bits update, and a
+//! relabeling exchange is two barrier-fenced stages. A [`CommPlan`] is the
+//! static image of that schedule — one [`Epoch`] per barrier-to-barrier
+//! window, each holding the gate kernels that run inside it — and it is read,
+//! never re-derived: [`CommPlan::from_plan`] maps the schedule of the very
+//! [`CompiledPlan`] the executor runs ([`CompiledPlan::schedule`]) entry by
+//! entry, so whatever the lowering does with fusion, remapping,
+//! specialization, checkpoint segmentation or tile runs is what gets proven.
 //!
 //! The plan is what the static checker ([`crate::check`]) consumes: it never
-//! looks at amplitudes, only at which kernels share an epoch. Because the
-//! real executor emits exactly one kernel per epoch, a freshly built plan is
-//! conflict-free by construction; [`CommPlan::merge_epochs`] deliberately
-//! removes a barrier so tests (and the CLI's `--merge-epochs` flag) can
-//! exercise the checker against a mis-scheduled plan.
+//! looks at amplitudes, only at which kernels share an epoch.
+//! [`CommPlan::merge_epochs`] deliberately removes a barrier so tests (and
+//! the CLI's `--merge-epochs` flag) can exercise the checker against a
+//! mis-scheduled plan.
 
 use svsim_core::compile::{CompiledGate, KernelId};
 use svsim_core::{CompiledPlan, Scheduled};
@@ -28,8 +28,8 @@ use svsim_types::{SvError, SvResult};
 /// Why an epoch exists — which kind of synchronized step it covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochKind {
-    /// One gate kernel between barriers (or several, after a deliberate
-    /// [`CommPlan::merge_epochs`]).
+    /// The gate kernels between two barriers: one, or a whole tile run (or
+    /// more, after a deliberate [`CommPlan::merge_epochs`]).
     Kernel,
     /// Measurement/reset collapse: each PE rescales only its own partition,
     /// and the probability reduction is internally synchronized.
@@ -90,19 +90,22 @@ pub struct CommPlan {
 }
 
 impl CommPlan {
-    /// The epoch structure of `plan`, entry for entry: one kernel epoch
-    /// per compiled kernel (the executor syncs after every kernel — a fused
-    /// sweep is one kernel, claiming its full window through
-    /// `kernel_access_patterns`), one collapse epoch per measurement or
-    /// reset, and two [`EpochKind::Exchange`] epochs (pack, unpack — the
-    /// two barriers of `ShmemView::exchange_pair`) per relabeling swap.
-    /// Conditional kernels are planned as if they execute — the
-    /// conservative choice for safety analysis.
+    /// The epoch structure of `plan`, entry for entry: a kernel epoch closed
+    /// at every kernel the schedule marks with a barrier — one per kernel
+    /// outside tile runs (a fused sweep is one kernel, claiming its full
+    /// window through `kernel_access_patterns`), one per tile run — one
+    /// collapse epoch per measurement or reset, and two
+    /// [`EpochKind::Exchange`] epochs (pack, unpack — the two barriers of
+    /// `ShmemView::exchange_pair`) per relabeling swap. Conditional kernels
+    /// are planned as if they execute — the conservative choice for safety
+    /// analysis.
     #[must_use]
     pub fn from_plan(plan: &CompiledPlan) -> Self {
         let mut gates = Vec::new();
         let mut epochs = Vec::new();
         let mut epoch = |kind: EpochKind, gates: Vec<usize>| epochs.push(Epoch { kind, gates });
+        // The kernels since the last barrier.
+        let mut open = Vec::new();
         for item in plan.schedule() {
             match item {
                 Scheduled::Exchange { .. } => {
@@ -115,8 +118,12 @@ impl CommPlan {
                     source_op,
                     gate,
                     conditional,
+                    barrier,
                 } => {
-                    epoch(EpochKind::Kernel, vec![gates.len()]);
+                    open.push(gates.len());
+                    if barrier {
+                        epoch(EpochKind::Kernel, std::mem::take(&mut open));
+                    }
                     gates.push(PlanGate {
                         source_op,
                         gate,

@@ -21,7 +21,6 @@ use crate::exec::{run_solo, Step};
 use crate::plan::{build_segment, PlanSegment};
 use crate::sim::SimConfig;
 use crate::state::StateVector;
-use crate::traffic::TILE_QUBITS;
 use svsim_ir::{Circuit, Gate, GateKind};
 use svsim_types::{SvError, SvResult};
 
@@ -232,7 +231,8 @@ impl CompiledTemplate {
     /// allocating `2^n` doubles per trial.
     ///
     /// # Errors
-    /// Parameter-count or width mismatch.
+    /// Parameter-count or width mismatch, or a value that makes some gate's
+    /// angle non-finite (as [`Gate::new`] refuses one).
     pub fn run_into(&mut self, values: &[f64], state: &mut StateVector) -> SvResult<()> {
         if values.len() < self.n_vars {
             return Err(SvError::InvalidConfig(format!(
@@ -249,14 +249,12 @@ impl CompiledTemplate {
             )));
         }
         for (at, gate) in &self.patches {
-            write_payload(
-                gate.kind,
-                &gate.angles(values),
-                &mut self.seg.queue[*at].args,
-            );
+            let angles = gate.angles(values);
+            gate.kind.check_params(&angles)?;
+            write_payload(gate.kind, &angles, &mut self.seg.queue[*at].args);
         }
         state.reset_zero();
-        run_solo(state, &self.seg, &TEMPLATE_CONFIG, &[], 0, &TILE_QUBITS)?;
+        run_solo(state, &self.seg, &TEMPLATE_CONFIG, &[], 0)?;
         Ok(())
     }
 }
@@ -319,9 +317,10 @@ mod tests {
             // The trial just patched in, walked tile-major in tiles of four
             // amplitudes (the shipped width tiles no 4-qubit state).
             let mut tiled = StateVector::zero_state(4).unwrap();
-            let (_, ((tile_runs, _), _)) =
-                run_solo(&mut tiled, &compiled.seg, &TEMPLATE_CONFIG, &[], 0, &[2]).unwrap();
-            assert!(tile_runs > 0);
+            let mut seg = compiled.seg.clone();
+            seg.runs = crate::plan::tile_runs(&seg, 4, &TEMPLATE_CONFIG, &[2]);
+            assert!(!seg.runs.is_empty());
+            run_solo(&mut tiled, &seg, &TEMPLATE_CONFIG, &[], 0).unwrap();
             let bits = |s: &StateVector| -> Vec<u64> {
                 s.re().iter().chain(s.im()).map(|x| x.to_bits()).collect()
             };
@@ -393,6 +392,33 @@ mod tests {
         assert_eq!(buf.im(), fresh.im());
         let mut wrong_width = StateVector::zero_state(3).unwrap();
         assert!(compiled.run_into(&v, &mut wrong_width).is_err());
+    }
+
+    #[test]
+    fn non_finite_values_fail_typed_and_leave_the_template_usable() {
+        let t = template();
+        let mut compiled = t.compile().unwrap();
+        let good = vec![0.3; t.n_vars()];
+        let want = compiled.run(&good).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut values = good.clone();
+            values[2] = bad;
+            let err = compiled.run(&values).unwrap_err();
+            let what = format!("gate cry: parameter 0 is {bad}");
+            assert!(
+                matches!(&err, SvError::Numeric(msg) if msg.starts_with(&what)),
+                "{err:?}"
+            );
+            assert_eq!(
+                t.bind(&values).unwrap_err(),
+                err,
+                "the rebuild refuses it too"
+            );
+        }
+        let mut fixed = ParamCircuit::new(1);
+        fixed.push_fixed(GateKind::RX, &[0], &[f64::NAN]).unwrap();
+        assert!(matches!(fixed.compile(), Err(SvError::Numeric(_))));
+        assert_eq!(compiled.run(&good).unwrap().re(), want.re());
     }
 
     #[test]

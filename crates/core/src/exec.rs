@@ -29,35 +29,29 @@
 //! views lend nothing: every access of every kernel is one counted, traced,
 //! fault-checked word. A single device's slab is its whole state.
 //!
-//! **Tile-major execution** is the same argument one level down. A tile is
-//! `2^15` aligned amplitudes (the outer width of
-//! [`crate::traffic::TILE_QUBITS`]: 512 KiB, a quarter of L2) and a kernel all
-//! of whose qubits lie below the tile boundary is **tile-local**
-//! ([`crate::traffic::tile_local`]): it pairs amplitudes inside one tile only,
-//! as a partition-local kernel pairs them inside one partition. So a run of
-//! consecutive tile-local kernels need not sweep the slab once per kernel:
-//! `interpret` holds such kernels back and runs each maximal run of two or
-//! more tile by tile — every kernel of the run over tile 0 while it sits in
-//! cache, then over tile 1 — which gives every amplitude the same kernels in
-//! the same order with the same operands, so the bits cannot differ. The
-//! argument nests: inside one tile, each maximal sub-run of two or more
-//! kernels that are tile-local at the inner width (2^11 amplitudes, 32 KiB,
-//! two-thirds of L1D) sweeps the tile one sub-tile at a time. A PE passes one
-//! barrier per run instead of one per kernel (no kernel of the run leaves its
-//! partition), and the counters are credited per kernel as before. A kernel
-//! that is not tile-local, a measure, reset, conditional gate or exchange, and
-//! the segment's end each close the run; runtime parsing, an observed launch
-//! and a slab no wider than one tile never open one.
+//! **Tile-major execution** is the same argument one level down, and the
+//! lowering has already made it ([`crate::plan`]): a segment lists its tile
+//! runs — consecutive kernels that pair amplitudes inside one aligned tile
+//! only, as a partition-local kernel pairs them inside one partition — and
+//! the sub-runs inside them at the next, narrower width. The walker decides
+//! nothing about them. On its slab it sweeps a run tile by tile — every kernel
+//! of the run over tile 0 while it sits in cache, then over tile 1, each
+//! sub-run the same way over the sub-tiles of a tile — which gives every
+//! amplitude the same kernels in the same order with the same operands, so
+//! the bits cannot differ; the counters are credited per kernel as before. A
+//! launch that observes words has no slab and walks a run's kernels word by
+//! word. Either way the run is followed by one sync, where the plan puts its
+//! barrier: no kernel of the run leaves the PE's partition.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
 use crate::kernels::{worker_range, GateArgs};
 use crate::measure;
-use crate::plan::PlanSegment;
+use crate::plan::{PlanSegment, TileRun};
 use crate::remap::QubitLayout;
 use crate::sim::{BackendKind, RunSummary, SimConfig};
 use crate::state::StateVector;
-use crate::traffic::{partition_local, tile_local};
+use crate::traffic::partition_local;
 use crate::view::{LocalView, PeerView, Plane, ShmemView, StateView};
 use std::cell::Cell;
 use std::ops::Range;
@@ -178,21 +172,10 @@ struct OnSlab<'s> {
     /// footprint`, each one load and one store) — what a slab that counts
     /// credits in bulk; 0 on one that does not.
     accesses: u64,
-    /// How many levels of the walker's tile widths, outermost first, it is
-    /// [`tile_local`] at: 0 — it never waits in a tile run, and always for a
-    /// walker that does not tile — up to all of them.
-    depth: usize,
 }
-
-/// A kernel held back for a tile run, with its arguments.
-type Held<'a> = (OnSlab<'a>, &'a GateArgs);
 
 /// Kernels a walker ran on its slab, and through its fabric's view.
 type KernelsRun = (usize, usize);
-
-/// Runs, and the kernels in them: tile runs a walker executed tile-major,
-/// then the sub-runs of them it swept sub-tile by sub-tile at the next width.
-pub(crate) type TilesRun = ((usize, usize), (usize, usize));
 
 /// One kernel bound for a walker: through the fabric's view and, if the
 /// fabric's workers own a slab each and the kernel is partition-local, on
@@ -213,9 +196,6 @@ struct Kernels<'a, V: StateView> {
     /// The walker's slab ([`Fabric::slab`]), if any: what decides which
     /// kernels are also bound for it.
     slab: Option<&'a Slab<'a>>,
-    /// The tile widths, outermost first, if the walker gathers tile runs
-    /// ([`interpret`]); empty if it does not.
-    tiles: &'a [u32],
     scratch: Vec<CompiledGate>,
 }
 
@@ -225,7 +205,6 @@ impl<'a, V: StateView> Kernels<'a, V> {
         config: &'a SimConfig,
         n_qubits: u32,
         slab: Option<&'a Slab<'a>>,
-        tiles: &'a [u32],
     ) -> Self {
         let mut kernels = Self {
             queue: &seg.queue,
@@ -233,7 +212,6 @@ impl<'a, V: StateView> Kernels<'a, V> {
             config,
             n_qubits,
             slab,
-            tiles,
             scratch: Vec::new(),
         };
         if config.dispatch == DispatchMode::PreloadedFnPointer {
@@ -243,21 +221,16 @@ impl<'a, V: StateView> Kernels<'a, V> {
     }
 
     /// Bind `cg` for this walker: on its slab too if it has one and `cg` is
-    /// partition-local, with the depth of tiles it fits if the walker gathers
-    /// tile runs.
+    /// partition-local.
     fn bind(&self, cg: &CompiledGate) -> Bound<'a, V> {
-        let n_qubits = self.n_qubits;
         let on_slab = self
             .slab
-            .filter(|slab| partition_local(cg, n_qubits, slab.n_pes))
+            .filter(|slab| partition_local(cg, self.n_qubits, slab.n_pes))
             .map(|slab| OnSlab {
                 kernel: resolve::<LocalView>(cg.id),
                 accesses: slab
                     .counters
                     .map_or(0, |_| cg.args.work / slab.n_pes * u64::from(cg.args.n_offs)),
-                depth: (self.tiles.iter())
-                    .take_while(|&&t| tile_local(cg, n_qubits, t))
-                    .count(),
             });
         (resolve::<V>(cg.id), on_slab)
     }
@@ -266,13 +239,9 @@ impl<'a, V: StateView> Kernels<'a, V> {
     /// there is one — and its arguments, which outlive the walk.
     #[inline]
     fn queued(&self, k: usize) -> (Bound<'a, V>, &'a GateArgs) {
-        let queue = self.queue;
-        let cg = &queue[k];
-        let bound = match self.uploaded.get(k) {
-            Some(b) => *b,
-            None => self.bind(cg),
-        };
-        (bound, &cg.args)
+        let cg = &self.queue[k];
+        let bound = self.uploaded.get(k).copied();
+        (bound.unwrap_or_else(|| self.bind(cg)), &cg.args)
     }
 
     /// Hand `apply` each kernel of one step, in order: `queue[compiled]`
@@ -385,22 +354,6 @@ impl<'a> Slab<'a> {
         self.credit(on);
     }
 
-    /// Run a **tile run** — kernels that are all [`tile_local`] at
-    /// `tiles[0]` — tile-major over the slab ([`tile_major`]), so the slab is
-    /// swept once for the run instead of once per kernel. The counters are
-    /// credited per kernel exactly as kernel-major. Returns the sub-runs swept
-    /// in sub-tiles of `2^tiles[1]` amplitudes, and the kernels in them.
-    fn run_tiles(&self, run: &[Held<'a>], n_qubits: u32, tiles: &[u32]) -> (usize, usize) {
-        tile_major(&self.view, run, n_qubits, tiles, 0);
-        for &(on, _) in run {
-            self.credit(on);
-        }
-        (pieces(run, 1).filter(|&(_, sub_run)| sub_run))
-            .fold((0, 0), |(runs, kernels), (sub, _)| {
-                (runs + 1, kernels + sub.len())
-            })
-    }
-
     fn credit(&self, on: OnSlab<'a>) {
         if let Some((counters, ops_per_access)) = self.counters {
             counters.credit(false, on.accesses * ops_per_access, 0);
@@ -408,44 +361,32 @@ impl<'a> Slab<'a> {
     }
 }
 
-/// `run` in pieces at tile level `level`: each maximal stretch of kernels
-/// that fit its tiles (depth above `level`) and every other kernel on its
-/// own, each with whether it is a **sub-run** — two or more kernels that fit
-/// — to sweep tile-major at that level.
-fn pieces<'r, 'a>(
-    run: &'r [Held<'a>],
-    level: usize,
-) -> impl Iterator<Item = (&'r [Held<'a>], bool)> {
-    let fits = move |(on, _): &Held<'a>| on.depth > level;
-    (run.chunk_by(move |a, b| fits(a) && fits(b)))
-        .map(move |piece| (piece, piece.len() >= 2 && fits(&piece[0])))
-}
-
-/// Sweep `run` — kernels all of depth above `level` — tile-major over `view`
-/// in tiles of `2^tiles[level]` amplitudes. Over one tile, each sub-run at
-/// the next level ([`pieces`]) sweeps that tile the same way one sub-tile at
-/// a time, and every other kernel sweeps the whole tile: items `0..work >>
-/// (n_qubits - width)` at tile-local indices, [`Slab::run`]'s argument one
-/// level down. Then the next tile. Tiles share no amplitude, so every
-/// amplitude meets the same kernels in the same order with the same operands
-/// as kernel-major.
+/// Sweep `run` tile-major over `view` in tiles of `2^run.width` amplitudes.
+/// Over one tile, each of its sub-runs sweeps that tile the same way one
+/// sub-tile at a time, and every other kernel sweeps the whole tile: items
+/// `0..work >> (n_qubits - width)` at tile-local indices, [`Slab::run`]'s
+/// argument one level down. Then the next tile. Tiles share no amplitude, so
+/// every amplitude meets the same kernels in the same order with the same
+/// operands as kernel-major.
 fn tile_major<'a>(
     view: &LocalView<'a>,
-    run: &[Held<'a>],
+    run: &TileRun,
     n_qubits: u32,
-    tiles: &[u32],
-    level: usize,
+    kernel: &impl Fn(usize) -> (OnSlab<'a>, &'a GateArgs),
 ) {
-    let width = tiles[level];
+    let width = run.width;
     for tile in 0..view.dim() >> width {
         let view = view.tile(tile, width);
-        for (piece, sub_run) in pieces(run, level + 1) {
-            if sub_run {
-                tile_major(&view, piece, n_qubits, tiles, level + 1);
-                continue;
-            }
-            for (on, args) in piece {
+        let mut inner = run.inner.iter().peekable();
+        let mut k = run.kernels.start;
+        while k < run.kernels.end {
+            if let Some(sub) = inner.next_if(|sub| sub.kernels.start == k) {
+                tile_major(&view, sub, n_qubits, kernel);
+                k = sub.kernels.end;
+            } else {
+                let (on, args) = kernel(k);
                 (on.kernel)(&view, args, 0..args.work >> (n_qubits - width));
+                k += 1;
             }
         }
     }
@@ -491,10 +432,12 @@ impl<V: StateView> Fabric for Worker<'_, V> {
         let ctx = self.me.ctx;
         worker_range(work, ctx.n_pes() as u64, ctx.my_pe() as u64)
     }
-    /// One barrier per kernel — a fused kernel's whole run included. Safe:
-    /// windows are disjoint and each worker owns a disjoint window
-    /// sub-range, so no cross-worker dataflow exists inside the sweep (same
-    /// argument as any two-qubit kernel).
+    /// The world barrier, wherever the plan puts one: after each kernel
+    /// outside a tile run, after each tile run, and after each collapse. A
+    /// fused kernel is one kernel: its windows are disjoint and each worker
+    /// owns a disjoint window sub-range, so no cross-worker dataflow exists
+    /// inside the sweep (same argument as any two-qubit kernel); a tile run's
+    /// kernels never leave the PE's partition.
     fn sync(&self) {
         self.me.ctx.barrier_all();
     }
@@ -560,81 +503,44 @@ impl<V: StateView> Fabric for Worker<'_, V> {
 /// pre-drawn measurement draws (`seg.n_rand` of them, taken up front in
 /// step order so every backend consumes the RNG identically) and
 /// `initial_cbits` carries the classical register across checkpoint
-/// segments; returns the register afterwards, how many kernels ran where
-/// ([`KernelsRun`]) and how many of them in how many tile runs and sub-runs
-/// ([`TilesRun`]).
+/// segments; returns the register afterwards and how many kernels ran where
+/// ([`KernelsRun`]).
 ///
-/// **Tile-major execution.** `tiles` are the tile widths, outermost first,
-/// each narrower than the last (production passes
-/// [`crate::traffic::TILE_QUBITS`]). A walker whose slab is wider than one
-/// tile of `2^tiles[0]` amplitudes and whose kernels are preloaded holds back
-/// consecutive unconditional gate kernels that are [`tile_local`] at
-/// `tiles[0]`, and runs each maximal run of two or more of them tile by tile
-/// ([`Slab::run_tiles`]) followed by one sync — a PE's kernels of such a run
-/// touch its own partition only, so no other PE waits on the barriers left
-/// out. Inside each tile, the run's maximal sub-runs of two or more kernels
-/// that are tile-local at the next width sweep it sub-tile by sub-tile, and
-/// so on down the list ([`tile_major`]). Anything else ends the run first: a
-/// kernel that is not tile-local, a measure, reset, conditional gate or
-/// exchange, the segment's end. Runtime parsing re-parses gate by gate and a
-/// launch that observes words has no slab, so neither tiles.
+/// **Tile runs.** The segment's tile runs ([`TileRun`], decided by the
+/// lowering) run as they stand, each followed by one sync: on the slab,
+/// tile-major ([`tile_major`]); in a launch that observes words, kernel after
+/// kernel through the view. Only preloaded segments hold any.
 fn interpret<'a, F: Fabric>(
     fabric: &'a F,
     seg: &'a PlanSegment,
     config: &'a SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-    tiles: &'a [u32],
-) -> SvResult<(u64, KernelsRun, TilesRun)> {
-    debug_assert!(tiles.windows(2).all(|w| w[0] > w[1]), "{tiles:?}");
+) -> SvResult<(u64, KernelsRun)> {
     let mut cbits = initial_cbits;
     let (on_slab_runs, view_runs) = (Cell::new(0usize), Cell::new(0usize));
-    let (tile_runs, tiled_kernels) = (Cell::new(0usize), Cell::new(0usize));
-    let (inner_runs, inner_kernels) = (Cell::new(0usize), Cell::new(0usize));
     let add = |count: &Cell<usize>, n: usize| count.set(count.get() + n);
     let n_qubits = fabric.view().dim().trailing_zeros();
     let slab = fabric.slab();
-    // The slab to sweep tile-major, if this walk tiles.
-    let tiled = slab.filter(|slab| {
-        config.dispatch == DispatchMode::PreloadedFnPointer
-            && tiles.first().is_some_and(|&t| slab.view.dim() > 1 << t)
-    });
-    let tiles = if tiled.is_some() { tiles } else { &[] };
-    let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits, slab, tiles);
-    let run = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| {
-        match (slab, on_slab) {
-            (Some(slab), Some(local)) => {
-                slab.run(local, args);
-                add(&on_slab_runs, 1);
-            }
-            _ => {
-                kernel(fabric.view(), args, fabric.share(args.work));
-                add(&view_runs, 1);
-            }
+    let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits, slab);
+    // One kernel on the slab if it was bound there, else through the view.
+    let exec = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| match (slab, on_slab) {
+        (Some(slab), Some(local)) => {
+            slab.run(local, args);
+            add(&on_slab_runs, 1);
         }
+        _ => {
+            kernel(fabric.view(), args, fabric.share(args.work));
+            add(&view_runs, 1);
+        }
+    };
+    let run = |bound: Bound<'a, F::View>, args: &GateArgs| {
+        exec(bound, args);
         fabric.sync();
     };
-    // The tile run being gathered, and what ends it.
-    let mut held: Vec<Held<'a>> = Vec::new();
-    let flush = |held: &mut Vec<Held<'a>>| {
-        let Some(slab) = tiled.filter(|_| !held.is_empty()) else {
-            return;
-        };
-        match held[..] {
-            // Nothing to interleave with: the kernel-major sweep.
-            [(local, args)] => slab.run(local, args),
-            _ => {
-                let (runs, kernels) = slab.run_tiles(held, n_qubits, tiles);
-                add(&tile_runs, 1);
-                add(&tiled_kernels, held.len());
-                add(&inner_runs, runs);
-                add(&inner_kernels, kernels);
-            }
-        }
-        add(&on_slab_runs, held.len());
-        fabric.sync();
-        held.clear();
-    };
+    // The tile runs not yet reached, and the first queue entry not yet run.
+    let mut runs = seg.runs.iter().peekable();
+    let mut next = 0;
     let collapse = |qubit: u32, layout: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
         let p1 = fabric.prob_one(qubit, layout);
         let outcome = u8::from(r < p1);
@@ -649,24 +555,40 @@ fn interpret<'a, F: Fabric>(
         Ok(outcome)
     };
     for step in &seg.steps {
-        if !matches!(step, Step::Gate { .. }) {
-            flush(&mut held);
-        }
         match step {
             Step::Exchange { lo, hi } => fabric.exchange(*lo, *hi),
-            Step::Gate { raw, compiled, .. } if tiled.is_none() => {
+            Step::Gate { raw, compiled, .. } if seg.runs.is_empty() => {
                 kernels.each(raw.as_ref(), compiled, run);
             }
+            // A tile run may start and end inside any of the gate steps it
+            // spans.
             Step::Gate { compiled, .. } => {
                 for k in compiled.clone() {
-                    let (bound, args) = kernels.queued(k);
-                    match bound.1.filter(|local| local.depth > 0) {
-                        Some(local) => held.push((local, args)),
-                        None => {
-                            flush(&mut held);
+                    let Some(tile_run) = runs.next_if(|r| r.kernels.start == k) else {
+                        if k >= next {
+                            let (bound, args) = kernels.queued(k);
                             run(bound, args);
                         }
+                        continue;
+                    };
+                    next = tile_run.kernels.end;
+                    match slab {
+                        // Swept once for the run instead of once per kernel,
+                        // and credited per kernel exactly as kernel-major.
+                        Some(slab) => {
+                            let on_slab = |k| {
+                                let ((_, on_slab), args) = kernels.queued(k);
+                                (on_slab.expect("tile runs are partition-local"), args)
+                            };
+                            tile_major(&slab.view, tile_run, n_qubits, &on_slab);
+                            for k in tile_run.kernels.clone() {
+                                slab.credit(on_slab(k).0);
+                            }
+                            add(&on_slab_runs, tile_run.kernels.len());
+                        }
+                        None => kernels.each(None, &tile_run.kernels, exec),
                     }
+                    fabric.sync();
                 }
             }
             Step::IfEq {
@@ -706,43 +628,31 @@ fn interpret<'a, F: Fabric>(
             }
         }
     }
-    flush(&mut held);
-    Ok((
-        cbits,
-        (on_slab_runs.get(), view_runs.get()),
-        (
-            (tile_runs.get(), tiled_kernels.get()),
-            (inner_runs.get(), inner_kernels.get()),
-        ),
-    ))
+    Ok((cbits, (on_slab_runs.get(), view_runs.get())))
 }
 
 /// Run one lowered segment on a single device — also how a sweep template
-/// runs a trial ([`crate::batch`]). Returns the classical register and the
-/// tile runs executed ([`interpret`]; production passes
-/// [`crate::traffic::TILE_QUBITS`]).
+/// runs a trial ([`crate::batch`]). Returns the classical register.
 pub(crate) fn run_solo(
     state: &mut StateVector,
     seg: &PlanSegment,
     config: &SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-    tiles: &[u32],
-) -> SvResult<(u64, TilesRun)> {
+) -> SvResult<u64> {
     let (re, im) = state.parts_mut();
     let solo = Solo(Slab {
         view: LocalView::new(re, im),
         n_pes: 1,
         counters: None,
     });
-    let (cbits, _, tiled) = interpret(&solo, seg, config, randoms, initial_cbits, tiles)?;
-    Ok((cbits, tiled))
+    Ok(interpret(&solo, seg, config, randoms, initial_cbits)?.0)
 }
 
 /// What a PE hands back from [`run_partitioned`]'s body: the classical
-/// register with its kernel and tile-run counts, then its partition's real
-/// and imaginary planes.
-type PeResult = ((u64, KernelsRun, TilesRun), Vec<f64>, Vec<f64>);
+/// register with its kernel counts, then its partition's real and imaginary
+/// planes.
+type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
 
 /// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
 /// owning one partition of the symmetric-heap state vector. Both
@@ -760,20 +670,19 @@ type PeResult = ((u64, KernelsRun, TilesRun), Vec<f64>, Vec<f64>);
 /// [`SharedF64Vec::as_cells`]): a partition-local kernel runs on the PE's own
 /// slab and the view's counts are credited per kernel, any other kernel
 /// borrows its runs from the owning partitions through the view, credited
-/// per run (module docs), a slab wider than one tile of `2^tiles[0]`
-/// amplitudes (production passes [`crate::traffic::TILE_QUBITS`]) is swept
-/// tile-major over each run of tile-local kernels, one barrier per run
-/// ([`interpret`]), and a relabeling exchange copies through the lent
-/// partitions and lent staging buffers
+/// per run (module docs), the slab is swept tile-major over each of the
+/// segment's tile runs ([`interpret`]), and a relabeling exchange copies
+/// through the lent partitions and lent staging buffers
 /// ([`ShmemView::exchange_pair`]) — unless the launch *observes individual
 /// words*: under the race detector, or a fault plan holding a `Put` / `Get`
 /// spec ([`FaultPlan::observes_transfers`]), nothing is lent and every access
 /// of every kernel and exchange is issued through the instrumented accessors
-/// so it can be recorded, counted or dropped.
+/// so it can be recorded, counted or dropped. Both pass the barriers the plan
+/// puts: one per tile run, so the detector watches the epochs that run.
 ///
 /// The segment's classical bits, per-worker traffic, race reports,
-/// exchange count, respawn count and PE 0's slab-kernel, word-kernel and
-/// tile-run counts accumulate into `summary` (`summary.cbits` is also the segment's
+/// exchange count, respawn count and PE 0's slab-kernel and word-kernel
+/// counts accumulate into `summary` (`summary.cbits` is also the segment's
 /// initial classical register).
 ///
 /// `faults` is threaded into the SHMEM world on either backend; if any
@@ -809,7 +718,6 @@ pub(crate) fn run_partitioned(
     randoms: &[f64],
     faults: Option<Arc<FaultPlan>>,
     summary: &mut RunSummary,
-    tiles: &[u32],
 ) -> SvResult<()> {
     let scale_out = matches!(config.backend, BackendKind::ScaleOut { .. });
     let process = scale_out && config.shmem_backend == ShmemBackend::Process;
@@ -861,7 +769,9 @@ pub(crate) fn run_partitioned(
         // for the slab; for a boundary kernel the index sets the analyzer
         // proves disjoint, its `ProvenSafe` verdict), a collapse touches the
         // PE's own partition, and `interpret` passes the world barrier after
-        // every kernel, collapse and exchange epoch. An exchange's first
+        // every kernel outside a tile run (whose kernels touch the PE's own
+        // partition only), every tile run, collapse and exchange epoch — the
+        // epochs the analyzer proves. An exchange's first
         // epoch reads the PE's own words and writes the staging words of its
         // partner, which no other PE writes (pairing is an involution) and
         // none reads; its second epoch reads the PE's own staging words and
@@ -909,20 +819,20 @@ pub(crate) fn run_partitioned(
             lent_xch: lent_xch.as_deref(),
             slab,
         };
-        let (cbits, (on_slab, through_view), tiled) = if scale_out {
+        let (cbits, (on_slab, through_view)) = if scale_out {
             let view = &ShmemView::new(ctx, re, im).lending(lent);
             let worker = Worker { me, view };
-            interpret(&worker, seg, config, randoms, initial_cbits, tiles)
+            interpret(&worker, seg, config, randoms, initial_cbits)
         } else {
             let counters = Some(ctx.counters());
             let view = &PeerView::new(re.partitions(), im.partitions(), pe, counters).lending(lent);
             let worker = Worker { me, view };
-            interpret(&worker, seg, config, randoms, initial_cbits, tiles)
+            interpret(&worker, seg, config, randoms, initial_cbits)
         }?;
         ctx.try_barrier_all()?;
         let by_word = if per_word { through_view } else { 0 };
         Ok((
-            (cbits, (on_slab, by_word), tiled),
+            (cbits, (on_slab, by_word)),
             sym_re.partition(pe).to_vec(),
             sym_im.partition(pe).to_vec(),
         ))
@@ -950,13 +860,11 @@ pub(crate) fn run_partitioned(
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
     let (re, im) = state.parts_mut();
-    for (pe, ((cbits, (on_slab, by_word), tiled), pre, pim)) in out.results.into_iter().enumerate()
-    {
+    for (pe, ((cbits, (on_slab, by_word)), pre, pim)) in out.results.into_iter().enumerate() {
         if pe == 0 {
             summary.cbits = cbits;
             summary.slab_kernels += on_slab;
             summary.word_kernels += by_word;
-            summary.absorb_tiles(tiled);
         }
         re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
         im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);
@@ -979,7 +887,7 @@ pub(crate) fn run_partitioned(
 mod tests {
     use super::*;
     use crate::compile::KernelId;
-    use crate::plan::{build_segment, checkpoint_grid};
+    use crate::plan::{build_segment, checkpoint_grid, tile_runs};
     use crate::sim::Simulator;
     use std::collections::HashSet;
     use svsim_ir::{Circuit, GateKind};
@@ -1048,10 +956,17 @@ mod tests {
         ids: HashSet<KernelId>,
     }
 
-    /// Walk `circuit` under `config` with tiles of `2^t` amplitudes for each
-    /// width `t` of `tiles`, segment by segment along the checkpoint grid, as
-    /// `Simulator::run` does at [`crate::traffic::TILE_QUBITS`].
-    fn walk(circuit: &Circuit, config: &SimConfig, tiles: &[u32]) -> Walked {
+    /// Walk `circuit` under `config` (and `faults`, on a partitioned
+    /// backend), with tile runs lowered at the widths `tiles` — tiles of
+    /// `2^t` amplitudes for each width `t` — segment by segment along the
+    /// checkpoint grid, as `Simulator::run` does at
+    /// [`crate::traffic::TILE_QUBITS`].
+    fn walk(
+        circuit: &Circuit,
+        config: &SimConfig,
+        tiles: &[u32],
+        faults: Option<Arc<FaultPlan>>,
+    ) -> Walked {
         let n = circuit.n_qubits();
         let ops = circuit.ops();
         let mut state = StateVector::zero_state(n).unwrap();
@@ -1059,18 +974,18 @@ mod tests {
         let mut summary = RunSummary::new(0, 0);
         let mut ids = HashSet::new();
         for range in checkpoint_grid(0, ops.len(), config.checkpoint_every) {
-            let seg = build_segment(ops, range.start, range.end, n, config);
+            let mut seg = build_segment(ops, range.start, range.end, n, config);
+            seg.runs = tile_runs(&seg, n, config, tiles);
             ids.extend(seg.queue.iter().map(|cg| cg.id));
             let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
             let state = &mut state;
             if config.backend == BackendKind::SingleDevice {
-                let (cbits, tiled) =
-                    run_solo(state, &seg, config, &randoms, summary.cbits, tiles).unwrap();
-                summary.cbits = cbits;
-                summary.absorb_tiles(tiled);
+                summary.cbits = run_solo(state, &seg, config, &randoms, summary.cbits).unwrap();
             } else {
-                run_partitioned(state, &seg, config, &randoms, None, &mut summary, tiles).unwrap();
+                let faults = faults.clone();
+                run_partitioned(state, &seg, config, &randoms, faults, &mut summary).unwrap();
             }
+            summary.absorb_tiles(&seg.runs);
         }
         let bits = |plane: &[f64]| plane.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         Walked {
@@ -1111,9 +1026,9 @@ mod tests {
                     };
                     let what = format!("{n} qubits, tiles of 2^{nested:?}, {config:?}");
                     // Tiles as wide as the state: the kernel-major walk.
-                    let plain = walk(&circuit, &config, &[n]);
-                    let single = walk(&circuit, &config, &[tile]);
-                    let tiled = walk(&circuit, &config, &nested);
+                    let plain = walk(&circuit, &config, &[n], None);
+                    let single = walk(&circuit, &config, &[tile], None);
+                    let tiled = walk(&circuit, &config, &nested, None);
                     assert_eq!(plain.summary.tile_runs, 0, "{what}");
                     // The harness walks what the simulator walks (no state
                     // this small tiles at the shipped widths).
@@ -1207,13 +1122,13 @@ mod tests {
                     n_rand: 0,
                     n_swaps: 1,
                     final_layout: None,
+                    runs: Vec::new(),
                 };
                 let exchange = |faults: Option<Arc<FaultPlan>>| {
                     let mut state = start.clone();
                     let mut summary = RunSummary::new(0, 0);
                     let config = SimConfig::scale_out(n_pes);
-                    run_partitioned(&mut state, &seg, &config, &[], faults, &mut summary, &[5])
-                        .unwrap();
+                    run_partitioned(&mut state, &seg, &config, &[], faults, &mut summary).unwrap();
                     (state, summary.traffic)
                 };
                 let (lent, by_message) = (exchange(None), exchange(Some(Arc::clone(&observed))));
@@ -1230,30 +1145,97 @@ mod tests {
     #[test]
     fn walks_that_cannot_tile_take_the_kernel_major_path() {
         let circuit = circuit_around_tiles(8, &[3]);
-        let tiled = walk(&circuit, &SimConfig::single_device(), &[3]);
+        let tiled = walk(&circuit, &SimConfig::single_device(), &[3], None);
         assert!(tiled.summary.tile_runs > 0);
-        // Runtime parsing re-parses gate by gate; a launch that observes
-        // words has no slab; memory of one tile has nothing to reorder.
+        // Runtime parsing re-parses gate by gate; memory of one tile has
+        // nothing to reorder.
         let parse = SimConfig {
             dispatch: DispatchMode::RuntimeParse,
             ..SimConfig::single_device()
         };
-        let observed = SimConfig {
-            detect_races: true,
-            ..SimConfig::scale_out(2)
-        };
         for (config, width) in [
             (parse, 3),
-            (observed, 3),
             (SimConfig::single_device(), 8),
             (SimConfig::scale_out(2), 7),
             (SimConfig::scale_up(4), 6),
         ] {
-            let untiled = walk(&circuit, &config, &[width]);
+            let untiled = walk(&circuit, &config, &[width], None);
             assert_eq!(untiled.summary.tile_runs, 0, "{config:?}");
             assert_eq!(untiled.summary.tiled_kernels, 0, "{config:?}");
             assert_eq!(untiled.state, tiled.state, "{config:?}");
             assert_eq!(untiled.summary.cbits, tiled.summary.cbits, "{config:?}");
         }
+        // A launch that observes words has no slab, but keeps the plan's
+        // tile runs: it walks their kernels word by word.
+        let observed = SimConfig {
+            detect_races: true,
+            ..SimConfig::scale_out(2)
+        };
+        let word_by_word = walk(&circuit, &observed, &[3], None);
+        let (s, plain) = (
+            &word_by_word.summary,
+            walk(&circuit, &SimConfig::scale_out(2), &[3], None).summary,
+        );
+        assert!(s.tile_runs > 0);
+        assert_eq!(
+            (s.tile_runs, s.tiled_kernels),
+            (plain.tile_runs, plain.tiled_kernels)
+        );
+        assert_eq!(s.traffic, plain.traffic);
+        assert_eq!(s.slab_kernels, 0);
+        assert_eq!(word_by_word.state, tiled.state);
+        assert_eq!(s.cbits, tiled.summary.cbits);
+    }
+
+    /// A launch that observes individual words — a `Get` fault plan that never
+    /// fires, or the race detector — runs the plan's tile runs kernel after
+    /// kernel through the view instead of tile-major on a slab, and passes
+    /// the same barriers: one per run. Amplitudes, classical bits and every
+    /// per-PE counter, barriers included, equal the plain walk's, and the
+    /// detector finds no race in the coarser epochs.
+    #[test]
+    fn observed_walks_keep_the_plans_tile_runs_and_barriers() {
+        use svsim_shmem::FaultAction;
+        use svsim_types::PeOp;
+        let never = Arc::new(FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0)));
+        let mut runs = 0;
+        for (n, nested) in [(8u32, [3u32, 1]), (10, [5, 3])] {
+            let circuit = circuit_around_tiles(n, &nested);
+            for backend in backends().into_iter().skip(1) {
+                for checkpoint_every in [0, 3] {
+                    let config = SimConfig {
+                        checkpoint_every,
+                        ..backend
+                    };
+                    let what = format!("{n} qubits, tiles of 2^{nested:?}, {config:?}");
+                    let plain = walk(&circuit, &config, &nested, None);
+                    let mut observed = vec![walk(&circuit, &config, &nested, Some(never.clone()))];
+                    if matches!(config.backend, BackendKind::ScaleOut { .. }) {
+                        let detected = SimConfig {
+                            detect_races: true,
+                            ..config
+                        };
+                        observed.push(walk(&circuit, &detected, &nested, None));
+                    }
+                    let p = &plain.summary;
+                    assert!(p.tile_runs > 0 && p.word_kernels == 0, "{what}");
+                    for walked in &observed {
+                        let o = &walked.summary;
+                        assert_eq!(walked.state, plain.state, "{what}: amplitudes");
+                        assert_eq!(o.cbits, p.cbits, "{what}");
+                        assert_eq!(o.traffic, p.traffic, "{what}: every counter");
+                        assert!(o.races.is_empty(), "{what}: {:?}", o.races);
+                        assert_eq!(
+                            (o.tile_runs, o.tiled_kernels),
+                            (p.tile_runs, p.tiled_kernels)
+                        );
+                        assert_eq!(o.slab_kernels, 0, "{what}");
+                        assert!(o.word_kernels >= p.slab_kernels, "{what}");
+                    }
+                    runs += p.tile_runs;
+                }
+            }
+        }
+        assert!(runs > 100, "{runs} tile runs");
     }
 }

@@ -6,18 +6,20 @@
 //! Here that buffer is the `PlanSegment`: the ordered step stream — gate
 //! kernels, fused sweeps, measurements, and (for remapped scale-out) the
 //! relabeling slab exchanges, each at the position it runs — over one flat
-//! compiled-kernel queue, one segment per checkpoint-grid interval.
-//! `build_segment` is the only code that produces one (remap planning,
-//! then step/kernel lowering, then gate fusion, all driven by the
-//! [`SimConfig`]), and a segment is the only thing the executors
-//! ([`crate::exec`]) accept.
+//! compiled-kernel queue, one segment per checkpoint-grid interval, and the
+//! segment's **tile runs**: which consecutive kernels sweep memory together
+//! and share one barrier. `build_segment` is the only code that produces one
+//! (remap planning, then step/kernel lowering, then gate fusion, then the
+//! tile runs, all driven by the [`SimConfig`]), and a segment is the only
+//! thing the executors ([`crate::exec`]) accept; they decide nothing of it.
 //!
 //! Nothing else re-derives the schedule. [`CompiledPlan::schedule`] yields
-//! a plan's exchanges, kernels and collapses in execution order, and the
-//! traffic model ([`CompiledPlan::predict_traffic`]), the performance
-//! model (`svsim-perfmodel`) and the static race analyzer
-//! (`svsim-analyzer`) are folds over that one sequence — so what they
-//! price and prove is, by construction, what runs.
+//! a plan's exchanges, kernels and collapses in execution order, each kernel
+//! marked with whether a barrier follows it, and the traffic model
+//! ([`CompiledPlan::predict_traffic`]), the performance model
+//! (`svsim-perfmodel`) and the static race analyzer (`svsim-analyzer`) are
+//! folds over that one sequence — so what they price and prove is, by
+//! construction, what runs.
 //!
 //! A plan is a standalone value: [`crate::Simulator::run_from`] executes a
 //! precompiled one without recompiling (the serving layer caches them and
@@ -29,8 +31,26 @@ use crate::compile::{compile_gate, CompiledGate};
 use crate::exec::{DispatchMode, Step};
 use crate::remap::{plan_remap_fused, QubitLayout};
 use crate::sim::{BackendKind, SimConfig};
-use crate::traffic::{exchange_traffic, gate_traffic, GateTraffic};
+use crate::traffic::{exchange_traffic, gate_traffic, tile_local, GateTraffic, TILE_QUBITS};
+use std::ops::Range;
 use svsim_ir::{Circuit, Gate, GateKind, Op};
+
+/// A **tile run**: a maximal stretch of two or more consecutive
+/// unconditional gate kernels of a segment, all [`tile_local`] at `width`.
+/// A walker sweeps its own memory tile by tile for it — every kernel of the
+/// run over one tile of `2^width` amplitudes, then the next tile — and a PE
+/// passes one barrier after it instead of one per kernel: no kernel of the
+/// run leaves the PE's partition. Its sub-runs are the same thing one width
+/// down, swept inside each of its tiles; they add no barrier.
+#[derive(Debug, Clone)]
+pub(crate) struct TileRun {
+    /// log2 of the amplitudes in one tile.
+    pub(crate) width: u32,
+    /// The run's kernels: a range of the segment's queue.
+    pub(crate) kernels: Range<usize>,
+    /// Its sub-runs at the next, narrower width, in order.
+    pub(crate) inner: Vec<TileRun>,
+}
 
 /// One checkpoint-grid segment lowered to executable form.
 #[derive(Debug, Clone)]
@@ -50,16 +70,18 @@ pub(crate) struct PlanSegment {
     /// Physical layout the segment leaves the state in — the readback
     /// un-permutation (remapped scale-out only).
     pub(crate) final_layout: Option<QubitLayout>,
+    /// The segment's tile runs, in queue order.
+    pub(crate) runs: Vec<TileRun>,
 }
 
-/// The two settings the lowering derives from a [`SimConfig`]:
-/// `(remap_pes, fuse)`. Remapping applies to multi-PE scale-out only
-/// (`remap_pes` is 0 elsewhere). The fusion window is clamped here, once, so
-/// the remap cost scan, the fuser and [`CompiledPlan::matches`] all see the
-/// window that is built. Runtime parsing re-parses gate by gate, so it runs
-/// — and is lowered to — the unfused schedule whatever [`SimConfig::fuse`]
-/// says.
-fn lowering_shape(config: &SimConfig) -> (u64, u8) {
+/// The three settings the lowering derives from `config` for an `n_qubits`
+/// register: `(remap_pes, fuse, tiled)`. Remapping applies to multi-PE
+/// scale-out only (`remap_pes` is 0 elsewhere). The fusion window is clamped
+/// here, once, so the remap cost scan, the fuser and
+/// [`CompiledPlan::matches`] all see the window that is built. Runtime
+/// parsing re-parses gate by gate, so it runs — and is lowered to — the
+/// unfused schedule whatever [`SimConfig::fuse`] says, and without tile runs.
+fn lowering_shape(config: &SimConfig, n_qubits: u32) -> (u64, u8, bool) {
     let remap_pes = match config.backend {
         BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
         _ => 0,
@@ -68,15 +90,71 @@ fn lowering_shape(config: &SimConfig) -> (u64, u8) {
         DispatchMode::PreloadedFnPointer => config.fuse.min(crate::fuse::MAX_WINDOW),
         DispatchMode::RuntimeParse => 0,
     };
-    (remap_pes, fuse)
+    (remap_pes, fuse, tiles(config, n_qubits, TILE_QUBITS[0]))
+}
+
+/// Whether a walker of an `n_qubits` register under `config` runs tile runs
+/// `2^outer` amplitudes wide: only with preloaded kernels, and only when its
+/// own memory — `2^(n_qubits − log2 workers)` amplitudes — is wider than one
+/// tile.
+fn tiles(config: &SimConfig, n_qubits: u32, outer: u32) -> bool {
+    let own = n_qubits.saturating_sub(config.backend.n_workers().trailing_zeros());
+    config.dispatch == DispatchMode::PreloadedFnPointer && own > outer
+}
+
+/// The tile runs of `seg` for a walker of an `n_qubits` register under
+/// `config`, at the widths `widths`, outermost first, each narrower than the
+/// last ([`build_segment`] passes [`TILE_QUBITS`]; the crate's tests walk
+/// small registers in small tiles): none unless the walker [`tiles`] at
+/// `widths[0]`. A stretch of gate steps is cut by every other step — a
+/// measure, a reset, an `IfEq`, an exchange — and within it a run by every
+/// kernel that is not tile-local.
+pub(crate) fn tile_runs(
+    seg: &PlanSegment,
+    n_qubits: u32,
+    config: &SimConfig,
+    widths: &[u32],
+) -> Vec<TileRun> {
+    let tiled = matches!(widths.first(), Some(&outer) if tiles(config, n_qubits, outer));
+    let gates = |step: &Step| tiled && matches!(step, Step::Gate { .. });
+    let stretches = seg.steps.chunk_by(|a, b| gates(a) && gates(b));
+    (stretches.filter(|stretch| gates(&stretch[0])))
+        .flat_map(|stretch| {
+            let kernels = |step: &Step| step.kernels().map_or(0..0, |(_, r)| r.clone());
+            let (first, last) = (kernels(&stretch[0]), kernels(&stretch[stretch.len() - 1]));
+            runs_in(&seg.queue, first.start..last.end, n_qubits, widths)
+        })
+        .collect()
+}
+
+/// The maximal runs of two or more kernels of `queue[span]` of an `n`-qubit
+/// register that are tile-local at `widths[0]`, each with its sub-runs at the
+/// widths after it.
+fn runs_in(queue: &[CompiledGate], span: Range<usize>, n: u32, widths: &[u32]) -> Vec<TileRun> {
+    let Some((&width, narrower)) = widths.split_first() else {
+        return Vec::new();
+    };
+    let fits = |cg: &CompiledGate| tile_local(cg, n, width);
+    let mut start = span.start;
+    (queue[span].chunk_by(|a, b| fits(a) == fits(b)))
+        .filter_map(|piece| {
+            let kernels = start..start + piece.len();
+            start = kernels.end;
+            (piece.len() >= 2 && fits(&piece[0])).then(|| TileRun {
+                width,
+                inner: runs_in(queue, kernels.clone(), n, narrower),
+                kernels,
+            })
+        })
+        .collect()
 }
 
 /// Lower `ops[start..end]` into a segment: remap planning first (remapped
 /// scale-out only, fusion-aware), then step/kernel lowering over the
 /// stream the executor will actually walk, then the gate-fusion pass
-/// ([`crate::fuse::fuse_segment`]). This is the single compile entry point
-/// — [`CompiledPlan::compile`] ahead of time, [`crate::Simulator`] for a
-/// segment no plan supplies.
+/// ([`crate::fuse::fuse_segment`]), then the tile runs ([`tile_runs`]). This
+/// is the single compile entry point — [`CompiledPlan::compile`] ahead of
+/// time, [`crate::Simulator`] for a segment no plan supplies.
 pub(crate) fn build_segment(
     ops: &[Op],
     start: usize,
@@ -85,7 +163,7 @@ pub(crate) fn build_segment(
     config: &SimConfig,
 ) -> PlanSegment {
     let slice = &ops[start..end];
-    let (remap_pes, fuse) = lowering_shape(config);
+    let (remap_pes, fuse, _) = lowering_shape(config, n_qubits);
     let remap = (remap_pes > 1).then(|| plan_remap_fused(slice, n_qubits, remap_pes, fuse));
     let planned = remap.as_ref();
     // The stream to lower: the planner's rewritten ops (gates at physical
@@ -153,7 +231,7 @@ pub(crate) fn build_segment(
         }
     }
     crate::fuse::fuse_segment(&mut steps, &mut queue, n_qubits, fuse);
-    PlanSegment {
+    let mut seg = PlanSegment {
         start,
         end,
         steps,
@@ -161,7 +239,10 @@ pub(crate) fn build_segment(
         n_rand,
         n_swaps: planned.map_or(0, |p| p.n_swaps),
         final_layout: remap.map(|p| p.final_layout),
-    }
+        runs: Vec::new(),
+    };
+    seg.runs = tile_runs(&seg, n_qubits, config, &TILE_QUBITS);
+    seg
 }
 
 /// The checkpoint grid over `ops[from..n_ops]`: consecutive segments, each
@@ -197,8 +278,8 @@ pub enum Scheduled<'a> {
         /// The partition-index position.
         hi: u32,
     },
-    /// One compiled kernel followed by one barrier. A fused sweep is the
-    /// one kernel it is.
+    /// One compiled kernel. A fused sweep is the one kernel it is. On a
+    /// partitioned backend a barrier follows it when `barrier` says so.
     Kernel {
         /// The kernel and its arguments, at physical qubit positions.
         cg: &'a CompiledGate,
@@ -212,6 +293,9 @@ pub enum Scheduled<'a> {
         /// True when it only runs if classical bits say so: an `IfEq`
         /// payload, or the X restoring `|0>` after a reset that read 1.
         conditional: bool,
+        /// True when a barrier follows it: false for every kernel of a tile
+        /// run (consecutive kernels swept tile by tile) but its last.
+        barrier: bool,
     },
     /// One measure/reset collapse: each worker rescales its own partition
     /// around an internally synchronized probability reduction.
@@ -220,7 +304,7 @@ pub enum Scheduled<'a> {
 
 /// A circuit compiled ahead of execution for a specific simulator shape
 /// (width, specialization, checkpoint cadence, remap partitioning, fusion
-/// window).
+/// window, tile runs).
 ///
 /// Build one with [`CompiledPlan::compile`], hand it around freely
 /// (`Clone` is deep but execution never mutates it), and execute it with
@@ -233,10 +317,11 @@ pub struct CompiledPlan {
     n_qubits: u32,
     specialized: bool,
     checkpoint_every: u32,
-    remap_pes: u64,
     n_ops: usize,
-    /// Fusion window the plan was lowered with (0 = unfused).
-    fuse: u8,
+    /// What the lowering derived from the config ([`lowering_shape`]): the
+    /// remap PE count, the fusion window (0 = unfused), and whether the plan
+    /// holds tile runs.
+    shape: (u64, u8, bool),
     /// Source kernels before fusion, across all segments — the numerator
     /// of the gates-per-amplitude-pass metric (`n_kernels()` is the
     /// denominator).
@@ -259,14 +344,12 @@ impl CompiledPlan {
             .iter()
             .map(|s| crate::fuse::source_kernels(&s.queue))
             .sum();
-        let (remap_pes, fuse) = lowering_shape(config);
         Self {
             n_qubits,
             specialized: config.specialized,
             checkpoint_every: config.checkpoint_every,
-            remap_pes,
             n_ops: ops.len(),
-            fuse,
+            shape: lowering_shape(config, n_qubits),
             n_source_kernels,
             segments,
         }
@@ -276,25 +359,34 @@ impl CompiledPlan {
     /// an identically-shaped circuit. The op count is a cheap structural
     /// sanity check; supplying a *different* circuit with the same length
     /// is a caller contract violation, same as resuming
-    /// [`crate::Simulator::run_from`] with the wrong circuit.
+    /// [`crate::Simulator::run_from`] with the wrong circuit. Tile runs
+    /// count as shape: a plan lowered where a walker's memory is several
+    /// tiles wide does not match a walker whose memory is one tile or less
+    /// (its runs would hold kernels that cross that walker's partitions), nor
+    /// runtime parsing.
     #[must_use]
     pub fn matches(&self, circuit: &Circuit, n_qubits: u32, config: &SimConfig) -> bool {
         self.n_qubits == n_qubits
             && self.specialized == config.specialized
             && self.checkpoint_every == config.checkpoint_every
-            && (self.remap_pes, self.fuse) == lowering_shape(config)
+            && self.shape == lowering_shape(config, n_qubits)
             && self.n_ops == circuit.ops().len()
     }
 
     /// Everything the plan executes, in exactly the order the executor
     /// walks it: every relabeling exchange, every compiled kernel (the X
-    /// after a reset included, at its physical position) and every
-    /// measure/reset collapse, segment after segment. This is the one
-    /// description of the schedule — the traffic model, the performance
-    /// model and the static analyzer all read it instead of lowering the
-    /// circuit again.
+    /// after a reset included, at its physical position, and each marked
+    /// with whether a barrier follows it) and every measure/reset collapse,
+    /// segment after segment. This is the one description of the schedule —
+    /// the traffic model, the performance model and the static analyzer all
+    /// read it instead of lowering the circuit again.
     pub fn schedule(&self) -> impl Iterator<Item = Scheduled<'_>> + '_ {
         self.segments.iter().flat_map(|seg| {
+            // Whether a barrier follows kernel `k`: not inside a tile run.
+            let barrier = move |k: usize| {
+                let at = seg.runs.partition_point(|r| r.kernels.end <= k);
+                (seg.runs.get(at)).is_none_or(|r| k < r.kernels.start || k + 1 == r.kernels.end)
+            };
             seg.steps.iter().flat_map(move |step| {
                 let lead = match step {
                     Step::Exchange { lo, hi } => Some(Scheduled::Exchange { lo: *lo, hi: *hi }),
@@ -315,6 +407,7 @@ impl CompiledPlan {
                         source_op,
                         gate,
                         conditional,
+                        barrier: barrier(k),
                     }))
             })
         })
@@ -348,7 +441,7 @@ impl CompiledPlan {
     /// (its scale-out width), 0 for a plan that does not relabel.
     #[must_use]
     pub fn remap_pes(&self) -> u64 {
-        self.remap_pes
+        self.shape.0
     }
 
     /// Segments in the plan (one when checkpointing is off and the circuit
@@ -379,17 +472,14 @@ impl CompiledPlan {
     /// [`DispatchMode::RuntimeParse`].
     #[must_use]
     pub fn fuse_window(&self) -> u8 {
-        self.fuse
+        self.shape.1
     }
 
     /// The precompiled segment covering exactly `ops[start..end]`, if the
     /// plan holds one.
     pub(crate) fn segment(&self, start: usize, end: usize) -> Option<&PlanSegment> {
-        let idx = self
-            .segments
-            .binary_search_by_key(&start, |s| s.start)
-            .ok()?;
-        Some(&self.segments[idx]).filter(|s| s.end == end)
+        let idx = self.segments.binary_search_by_key(&start, |s| s.start);
+        self.segments.get(idx.ok()?).filter(|s| s.end == end)
     }
 }
 
@@ -510,10 +600,12 @@ mod tests {
                     source_op,
                     gate,
                     conditional,
+                    barrier: true,
                 } => {
                     let gate = gate.map_or("-".into(), |g| g.to_string());
                     format!("{:?} ({gate}) op {source_op} cond {conditional}", cg.id)
                 }
+                Scheduled::Kernel { .. } => unreachable!("5 qubits run no tile run"),
             })
             .collect();
         let want = [
@@ -538,6 +630,58 @@ mod tests {
             "Fused2 (-) op 13 cond false",
         ];
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn tile_runs_are_lowered_once_and_are_the_schedules_barrier_windows() {
+        // 17 qubits: a single device's memory is four tiles of 2^15
+        // amplitudes, a PE's at 2 PEs two of them, at 4 or 8 PEs one or less.
+        use GateKind::{CX, H, T};
+        let mut c = Circuit::with_cbits(17, 1);
+        for q in 0..17 {
+            c.apply(H, &[q], &[]).unwrap();
+        }
+        c.measure(0, 0).unwrap();
+        for (kind, qubits) in [(H, &[3][..]), (H, &[4]), (CX, &[3, 16]), (T, &[5])] {
+            c.apply(kind, qubits, &[]).unwrap();
+        }
+        let barriers = |config: &SimConfig| -> Vec<bool> {
+            let plan = CompiledPlan::compile(&c, 17, config);
+            (plan.schedule())
+                .filter_map(|s| match s {
+                    Scheduled::Kernel { barrier, .. } => Some(barrier),
+                    _ => None,
+                })
+                .collect()
+        };
+        let single = SimConfig::single_device();
+        let plan = CompiledPlan::compile(&c, 17, &single);
+        let span = |r: &TileRun| (r.width, r.kernels.start, r.kernels.end);
+        let runs: Vec<_> = (plan.segments[0].runs.iter())
+            .map(|r| (span(r), r.inner.iter().map(span).collect::<Vec<_>>()))
+            .collect();
+        // H on qubits 0-14 (under 11: 0-10), then the measure ends the
+        // stretch; H on 3 and 4 pair up, and the cx on qubit 16 ends them.
+        let want_runs = [
+            ((15, 0, 15), vec![(11, 0, 11)]),
+            ((15, 17, 19), vec![(11, 17, 19)]),
+        ];
+        assert_eq!(runs, want_runs);
+        let mut want = vec![true; 21];
+        want[..14].fill(false);
+        want[17] = false;
+        for config in [single, SimConfig::scale_up(2), SimConfig::scale_out(2)] {
+            assert_eq!(barriers(&config), want, "{config:?}");
+            assert!(plan.matches(&c, 17, &config), "{config:?}");
+        }
+        let parse = SimConfig {
+            dispatch: DispatchMode::RuntimeParse,
+            ..single
+        };
+        for config in [SimConfig::scale_out(4), SimConfig::scale_up(8), parse] {
+            assert_eq!(barriers(&config), [true; 21], "{config:?}");
+            assert!(!plan.matches(&c, 17, &config), "{config:?}");
+        }
     }
 
     #[test]

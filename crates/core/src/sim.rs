@@ -1,11 +1,11 @@
 //! The unified `Simulator` facade over all backends.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::exec::{run_partitioned, run_solo, DispatchMode, TilesRun};
+use crate::exec::{run_partitioned, run_solo, DispatchMode};
 use crate::measure;
-use crate::plan::{build_segment, checkpoint_grid, CompiledPlan};
+use crate::plan::{build_segment, checkpoint_grid, CompiledPlan, TileRun};
 use crate::state::StateVector;
-use crate::traffic::{GateTraffic, TILE_QUBITS};
+use crate::traffic::GateTraffic;
 use std::sync::Arc;
 use svsim_ir::{Circuit, Op, PauliString};
 use svsim_shmem::{FaultAction, FaultPlan, RaceReport, ShmemBackend, TrafficSnapshot};
@@ -130,13 +130,19 @@ impl SimConfig {
         }
     }
 
-    /// Whether an `n_qubits` register can run under this configuration: a
-    /// distributed backend's worker count must be a nonzero power of two
-    /// no larger than the amplitude count.
+    /// Whether an `n_qubits` register can run under this configuration: its
+    /// `2^n_qubits` amplitudes must be countable in a `u64` (at most 63
+    /// qubits), and a distributed backend's worker count must be a nonzero
+    /// power of two no larger than the amplitude count.
     ///
     /// # Errors
-    /// [`SvError::InvalidConfig`] naming the offending worker count.
+    /// [`SvError::InvalidConfig`] naming the offending width or worker count.
     pub fn check_width(&self, n_qubits: u32) -> SvResult<()> {
+        if n_qubits >= 64 {
+            return Err(SvError::InvalidConfig(format!(
+                "a {n_qubits}-qubit register has more than 2^63 amplitudes"
+            )));
+        }
         let w = self.backend.n_workers();
         if w == 0 || !w.is_power_of_two() {
             return Err(SvError::InvalidConfig(format!(
@@ -162,7 +168,7 @@ pub enum RunStart {
 }
 
 /// Outcome summary of one circuit execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunSummary {
     /// Gates executed (after compound composition).
     pub gates: usize,
@@ -196,18 +202,18 @@ pub struct RunSummary {
     /// there the kernels that are not in `slab_kernels` borrowed their runs
     /// from the owning partitions as plain memory.
     pub word_kernels: usize,
-    /// Tile runs executed tile-major: maximal runs of two or more
-    /// consecutive tile-local kernels swept tile by tile over the walker's
-    /// own memory, one pass (and on a partitioned backend one barrier) per
-    /// run instead of one per kernel. The single device's, or PE 0's (every
-    /// PE decides alike), summed over segments. 0 when that memory is no
-    /// wider than one tile, under [`DispatchMode::RuntimeParse`] and on a
-    /// launch that observes individual words.
+    /// Tile runs of the segments executed: maximal runs of two or more
+    /// consecutive tile-local kernels, which the lowering groups under one
+    /// barrier and a walker sweeps tile by tile over its own memory, one
+    /// pass per run instead of one per kernel (a launch that observes
+    /// individual words walks them word by word, and passes the same
+    /// barriers). Summed over segments; 0 when a walker's memory is no wider
+    /// than one tile and under [`DispatchMode::RuntimeParse`].
     pub tile_runs: usize,
-    /// Kernels that ran inside those tile runs.
+    /// Kernels inside those tile runs.
     pub tiled_kernels: usize,
-    /// Sub-runs of those tile runs swept one level down: maximal stretches
-    /// of two or more kernels that fit the inner, L1-sized tile width of
+    /// Sub-runs of those tile runs one level down: maximal stretches of two
+    /// or more kernels that fit the inner, L1-sized tile width of
     /// [`crate::traffic::TILE_QUBITS`], each swept sub-tile by sub-tile over
     /// every tile of its run. Counted once per tile run, like `tile_runs`.
     pub inner_tile_runs: usize,
@@ -222,17 +228,7 @@ impl RunSummary {
         Self {
             gates,
             cbits,
-            traffic: Vec::new(),
-            checkpoint_bytes: 0,
-            races: Vec::new(),
-            remap_swaps: 0,
-            respawns: 0,
-            slab_kernels: 0,
-            word_kernels: 0,
-            tile_runs: 0,
-            tiled_kernels: 0,
-            inner_tile_runs: 0,
-            inner_tiled_kernels: 0,
+            ..Self::default()
         }
     }
 
@@ -244,13 +240,15 @@ impl RunSummary {
             .fold(TrafficSnapshot::default(), |acc, t| acc.merged(t))
     }
 
-    /// Add one segment's tile runs and inner sub-runs, and the kernels in
+    /// Add one segment's tile runs and their sub-runs, and the kernels in
     /// them.
-    pub(crate) fn absorb_tiles(&mut self, ((runs, kernels), (inner_runs, inner)): TilesRun) {
-        self.tile_runs += runs;
-        self.tiled_kernels += kernels;
-        self.inner_tile_runs += inner_runs;
-        self.inner_tiled_kernels += inner;
+    pub(crate) fn absorb_tiles(&mut self, runs: &[TileRun]) {
+        for run in runs {
+            self.tile_runs += 1;
+            self.tiled_kernels += run.kernels.len();
+            self.inner_tile_runs += run.inner.len();
+            self.inner_tiled_kernels += run.inner.iter().map(|s| s.kernels.len()).sum::<usize>();
+        }
     }
 
     /// Merge one segment's per-worker traffic into the run's (element-wise
@@ -438,16 +436,14 @@ impl Simulator {
         let state = &mut self.state;
         match config.backend {
             BackendKind::SingleDevice => {
-                let (cbits, tiles) =
-                    run_solo(state, seg, &config, &randoms, summary.cbits, &TILE_QUBITS)?;
-                summary.cbits = cbits;
-                summary.absorb_tiles(tiles);
+                summary.cbits = run_solo(state, seg, &config, &randoms, summary.cbits)?;
             }
             BackendKind::ScaleUp { .. } | BackendKind::ScaleOut { .. } => {
                 let faults = self.fault_plan.clone();
-                run_partitioned(state, seg, &config, &randoms, faults, summary, &TILE_QUBITS)?;
+                run_partitioned(state, seg, &config, &randoms, faults, summary)?;
             }
         }
+        summary.absorb_tiles(&seg.runs);
         Ok(())
     }
 
@@ -797,6 +793,13 @@ mod tests {
         assert!(Simulator::new(4, SimConfig::scale_up(3)).is_err());
         assert!(Simulator::new(4, SimConfig::scale_out(0)).is_err());
         assert!(Simulator::new(2, SimConfig::scale_out(8)).is_err());
+        // 2^64 amplitudes and more are not countable: refused before any
+        // shift wraps (a 100-qubit register once priced below a 40-qubit one).
+        for n in [64, 100, u32::MAX] {
+            let err = SimConfig::scale_up(2).check_width(n).unwrap_err();
+            assert!(err.to_string().contains(&format!("a {n}-qubit register")));
+        }
+        assert!(SimConfig::single_device().check_width(63).is_ok());
     }
 
     #[test]
@@ -1610,6 +1613,41 @@ mod tests {
         sim.run_from(&c, Some(&stale), RunStart::Fresh).unwrap();
         assert_eq!(sim.state().re(), direct.state().re());
         assert_eq!(sim.state().im(), direct.state().im());
+    }
+
+    #[test]
+    fn a_plan_with_tile_runs_is_not_reused_where_a_slab_is_one_tile() {
+        // 17 qubits on one device: four tiles, so the plan holds tile runs.
+        // At 8 PEs a slab is 2^14 amplitudes and qubit 14 crosses PEs inside
+        // one of those runs; under runtime parsing nothing runs tile-major.
+        // Neither reuses the plan: each lowers its own, bit-identically, and
+        // passes the barriers a run without a plan passes.
+        let mut c = Circuit::new(17);
+        for q in 0..17 {
+            c.apply(GateKind::H, &[q], &[]).unwrap();
+            c.apply(GateKind::RZ, &[q], &[0.1 * f64::from(q + 1)])
+                .unwrap();
+        }
+        c.apply(GateKind::CX, &[14, 3], &[]).unwrap();
+        let plan = CompiledPlan::compile(&c, 17, &SimConfig::single_device());
+        let parse = SimConfig {
+            dispatch: DispatchMode::RuntimeParse,
+            ..SimConfig::single_device()
+        };
+        for config in [SimConfig::scale_out(8), parse] {
+            assert!(!plan.matches(&c, 17, &config), "{config:?}");
+            let mut direct = Simulator::new(17, config).unwrap();
+            let want = direct.run(&c).unwrap();
+            let mut planned = Simulator::new(17, config).unwrap();
+            let got = planned.run_from(&c, Some(&plan), RunStart::Fresh).unwrap();
+            assert_eq!(planned.state().re(), direct.state().re(), "{config:?}");
+            assert_eq!(planned.state().im(), direct.state().im(), "{config:?}");
+            assert_eq!(got.traffic, want.traffic, "{config:?}: barriers too");
+            assert_eq!(got.tile_runs, 0, "{config:?}");
+        }
+        let mut own = Simulator::new(17, SimConfig::single_device()).unwrap();
+        let tiled = own.run_from(&c, Some(&plan), RunStart::Fresh).unwrap();
+        assert!(tiled.tile_runs > 0, "the device the plan was lowered for");
     }
 
     #[test]

@@ -115,14 +115,16 @@ pub fn partition_local(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> bool {
     cg.args.sorted().iter().all(|&q| q < boundary)
 }
 
-/// log2 of the amplitudes in one **tile** of tile-major execution
-/// ([`crate::exec`]) at each cache level, outermost first; each width tiles
-/// the one before it.
+/// log2 of the amplitudes in one **tile** of tile-major execution at each
+/// cache level, outermost first; each width tiles the one before it. Read by
+/// the lowering alone ([`crate::plan`]), which records a segment's tile runs
+/// and their sub-runs at these widths; the walker ([`crate::exec`]) executes
+/// what it recorded.
 ///
 /// - **15**: 2^15 amplitudes (two `f64` planes) are 512 KiB, a quarter of a
 ///   2 MiB L2. A run of kernels below qubit 15 sweeps each such tile once, and
-///   only own memory wider than one of these tiles opens a run at all (a
-///   partitioned walker's barriers are counted per run).
+///   only own memory wider than one of these tiles opens a run at all: a run
+///   is also one barrier window of a partitioned walker.
 /// - **11**: 2^11 amplitudes are 32 KiB, two-thirds of a 48 KiB L1D. Inside
 ///   one L2 tile, every maximal sub-run of two or more kernels below qubit 11
 ///   sweeps each such sub-tile once.

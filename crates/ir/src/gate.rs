@@ -292,6 +292,21 @@ impl GateKind {
     pub const fn is_entangling(self) -> bool {
         self.n_qubits() >= 2
     }
+
+    /// Whether `params` can be angles of this gate: every one finite. An
+    /// infinite or NaN angle would turn every amplitude it touches into NaN.
+    ///
+    /// # Errors
+    /// [`SvError::Numeric`] naming the gate, the parameter and its value.
+    pub fn check_params(self, params: &[f64]) -> SvResult<()> {
+        match params.iter().position(|p| !p.is_finite()) {
+            Some(i) => Err(SvError::Numeric(format!(
+                "gate {self}: parameter {i} is {}, not a finite angle",
+                params[i]
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
 impl fmt::Display for GateKind {
@@ -314,11 +329,12 @@ pub struct Gate {
 }
 
 impl Gate {
-    /// Build a gate, validating arity and operand distinctness.
+    /// Build a gate, validating arity, operand distinctness and parameters.
     ///
     /// # Errors
     /// [`SvError::Arity`] on operand/parameter count mismatch,
-    /// [`SvError::DuplicateQubit`] if a qubit repeats.
+    /// [`SvError::DuplicateQubit`] if a qubit repeats, [`SvError::Numeric`]
+    /// on a parameter that is not finite ([`GateKind::check_params`]).
     pub fn new(kind: GateKind, qubits: &[u32], params: &[f64]) -> SvResult<Self> {
         if qubits.len() != kind.n_qubits() {
             return Err(SvError::Arity {
@@ -334,6 +350,7 @@ impl Gate {
                 got: params.len(),
             });
         }
+        kind.check_params(params)?;
         for (i, &q) in qubits.iter().enumerate() {
             if qubits[..i].contains(&q) {
                 return Err(SvError::DuplicateQubit {
@@ -473,6 +490,30 @@ mod tests {
             Gate::new(GateKind::CX, &[2, 2], &[]),
             Err(SvError::DuplicateQubit { qubit: 2 })
         ));
+    }
+
+    #[test]
+    fn non_finite_parameters_are_refused_naming_the_gate() {
+        for (kind, params, at) in [
+            (GateKind::RZ, vec![f64::NAN], 0),
+            (GateKind::RZ, vec![f64::INFINITY], 0),
+            (GateKind::U3, vec![0.1, 0.2, f64::NEG_INFINITY], 2),
+            (GateKind::CRX, vec![f64::NAN], 0),
+        ] {
+            let err = Gate::new(kind, &[0, 1][..kind.n_qubits()], &params).unwrap_err();
+            let SvError::Numeric(msg) = &err else {
+                panic!("{kind}: {err:?}")
+            };
+            assert!(
+                msg.starts_with(&format!("gate {kind}: parameter {at} is ")),
+                "{msg}"
+            );
+        }
+        // Large finite angles are angles.
+        assert!(Gate::new(GateKind::RZ, &[0], &[1e300]).is_ok());
+        let mut c = crate::Circuit::new(1);
+        assert!(c.apply(GateKind::RY, &[0], &[f64::NAN]).is_err());
+        assert!(c.ops().is_empty());
     }
 
     #[test]

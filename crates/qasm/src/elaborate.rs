@@ -225,8 +225,25 @@ impl Elaborator {
             Statement::QReg { .. } | Statement::CReg { .. } | Statement::Include(_) => {
                 unreachable!("handled in the first pass")
             }
+            // OpenQASM 2 lets a body call only built-ins and gates declared
+            // before it, so expansion always ends: no gate reaches itself.
             Statement::GateDef(def) => {
-                self.gate_defs.insert(def.name.clone(), def.clone());
+                let name = &def.name;
+                if self.gate_defs.contains_key(name) {
+                    return Err(SvError::InvalidConfig(format!("gate {name} redeclared")));
+                }
+                let known = |call: &str| {
+                    builtin_kind(call, self.qelib).is_some()
+                        || self.gate_defs.contains_key(call)
+                        || self.opaques.contains(call)
+                };
+                if let Some(call) = def.body.iter().find(|call| !known(&call.name)) {
+                    return Err(SvError::Undefined(format!(
+                        "gate {} called in the body of gate {name} before its declaration",
+                        call.name
+                    )));
+                }
+                self.gate_defs.insert(name.clone(), def.clone());
                 Ok(())
             }
             Statement::Opaque { name } => {
@@ -292,55 +309,38 @@ pub fn elaborate(program: &Program) -> SvResult<Circuit> {
     let mut el = Elaborator::new();
     // First pass: registers and includes (sizes must be known up front).
     for stmt in &program.statements {
-        match stmt {
+        let (regs, total, what, name, size) = match stmt {
             Statement::QReg { name, size } => {
-                let base = el.n_qubits;
-                el.n_qubits += *size as u32;
-                if el
-                    .qregs
-                    .insert(
-                        name.clone(),
-                        Reg {
-                            base,
-                            size: *size as u32,
-                        },
-                    )
-                    .is_some()
-                {
-                    return Err(SvError::InvalidConfig(format!(
-                        "quantum register {name} redeclared"
-                    )));
-                }
+                (&mut el.qregs, &mut el.n_qubits, "quantum", name, size)
             }
             Statement::CReg { name, size } => {
-                let base = el.n_cbits;
-                el.n_cbits += *size as u32;
-                if el
-                    .cregs
-                    .insert(
-                        name.clone(),
-                        Reg {
-                            base,
-                            size: *size as u32,
-                        },
-                    )
-                    .is_some()
-                {
-                    return Err(SvError::InvalidConfig(format!(
-                        "classical register {name} redeclared"
-                    )));
-                }
+                (&mut el.cregs, &mut el.n_cbits, "classical", name, size)
             }
             Statement::Include(path) => {
                 if path.contains("qelib1") {
                     el.qelib = true;
-                } else {
-                    return Err(SvError::Undefined(format!(
-                        "include \"{path}\" (only qelib1.inc is built in)"
-                    )));
+                    continue;
                 }
+                return Err(SvError::Undefined(format!(
+                    "include \"{path}\" (only qelib1.inc is built in)"
+                )));
             }
-            _ => {}
+            _ => continue,
+        };
+        // Every bit of every register has a `u32` index.
+        let base = *total;
+        let fits = |size: &u32| base.checked_add(*size).is_some();
+        let Some(size) = u32::try_from(*size).ok().filter(fits) else {
+            return Err(SvError::InvalidConfig(format!(
+                "{what} register {name}[{size}]: its bits would be numbered past {}",
+                u32::MAX
+            )));
+        };
+        *total = base + size;
+        if regs.insert(name.clone(), Reg { base, size }).is_some() {
+            return Err(SvError::InvalidConfig(format!(
+                "{what} register {name} redeclared"
+            )));
         }
     }
     let mut circuit = Circuit::with_cbits(el.n_qubits, el.n_cbits);
@@ -451,6 +451,75 @@ mod tests {
         );
         let c = parse_circuit(&src).unwrap();
         assert_eq!(c.stats().gates, 3);
+    }
+
+    #[test]
+    fn a_gate_body_calls_only_what_was_declared_before_it() {
+        for (defs, culprit, host) in [
+            ("gate g a { g a; }", "g", "g"),
+            ("gate a x { b x; }\ngate b x { a x; }", "b", "a"),
+            ("gate f a { h a; }\ngate g a { f a; late a; }", "late", "g"),
+        ] {
+            let src = format!("{HEADER}qreg q[1];\n{defs}\nh q[0];");
+            match parse_circuit(&src) {
+                Err(SvError::Undefined(msg)) => assert_eq!(
+                    msg,
+                    format!(
+                        "gate {culprit} called in the body of gate {host} before its declaration"
+                    )
+                ),
+                other => panic!("{defs}: {other:?}"),
+            }
+        }
+        // Redeclaring a gate would let an earlier body reach a later one.
+        let src = format!(
+            "{HEADER}qreg q[1];\ngate f a {{ h a; }}\ngate g a {{ f a; }}\ngate f a {{ g a; }}"
+        );
+        assert!(matches!(
+            parse_circuit(&src),
+            Err(SvError::InvalidConfig(msg)) if msg == "gate f redeclared"
+        ));
+        // Built-ins, opaque gates and earlier gates are fine.
+        let src = format!("{HEADER}qreg q[1];\nopaque o a;\ngate f a {{ h a; }}\ngate g a {{ f a; o a; U(0,0,0) a; }}");
+        assert!(parse_circuit(&src).is_ok());
+    }
+
+    #[test]
+    fn register_widths_never_wrap() {
+        for (regs, culprit) in [
+            ("qreg q[4294967297];", "quantum register q[4294967297]"),
+            ("qreg q[4294967296];", "quantum register q[4294967296]"),
+            (
+                "qreg a[2147483648];\nqreg b[2147483648];\nqreg c[3];",
+                "quantum register b[2147483648]",
+            ),
+            (
+                "qreg q[1];\ncreg c[18446744073709551615];",
+                "classical register c[",
+            ),
+        ] {
+            match parse_circuit(&format!("{HEADER}{regs}\nh q[0];")) {
+                Err(SvError::InvalidConfig(msg)) => {
+                    assert!(msg.starts_with(culprit), "{regs}: {msg}");
+                    assert!(msg.ends_with("numbered past 4294967295"), "{msg}");
+                }
+                other => panic!("{regs}: {other:?}"),
+            }
+        }
+        let c = parse_circuit(&format!("{HEADER}qreg a[4294967294];\nqreg b[1];")).unwrap();
+        assert_eq!(c.n_qubits(), u32::MAX);
+    }
+
+    #[test]
+    fn non_finite_angles_are_refused() {
+        for angle in ["1e400", "0/0", "-1e400", "ln(0)"] {
+            let src = format!("{HEADER}qreg q[1];\nrz({angle}) q[0];");
+            let err = parse_circuit(&src).unwrap_err();
+            assert!(
+                matches!(&err, SvError::Parse { line: 4, msg, .. } if msg.contains("gate rz: parameter 0 is")),
+                "{angle}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,17 @@ use crate::ast::{Argument, BinOp, Expr, GateCall, GateDef, Program, Statement, U
 use crate::lexer::{tokenize, Token, TokenKind};
 use svsim_types::{SvError, SvResult};
 
+/// How deep an expression may nest. A parenthesis, a function call, a sign,
+/// an exponent and each further operand of a `+ - * /` chain is one level.
+/// The bound keeps the parser's recursion, and the walks of the tree it
+/// builds (`Expr::eval`, its drop), off the end of the stack.
+const MAX_EXPR_DEPTH: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expression levels open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -75,45 +83,69 @@ impl Parser {
 
     // ---- expressions ------------------------------------------------
 
+    /// Open one more expression level ([`MAX_EXPR_DEPTH`]).
+    fn nest(&mut self) -> SvResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(self.error(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Parse with `f` one expression level down.
+    fn nested(&mut self, f: fn(&mut Self) -> SvResult<Expr>) -> SvResult<Expr> {
+        self.nest()?;
+        let e = f(self);
+        self.depth -= 1;
+        e
+    }
+
     fn expr(&mut self) -> SvResult<Expr> {
-        self.additive()
+        self.nested(Self::additive)
+    }
+
+    /// A left-associative chain of `next` operands joined by `op`'s
+    /// operators: each further operand nests the tree one level deeper.
+    fn chain(
+        &mut self,
+        next: fn(&mut Self) -> SvResult<Expr>,
+        op: fn(&TokenKind) -> Option<BinOp>,
+    ) -> SvResult<Expr> {
+        let depth = self.depth;
+        let mut lhs = next(self)?;
+        while let Some(op) = op(&self.peek().kind) {
+            self.next();
+            self.nest()?;
+            let rhs = next(self)?;
+            lhs = Expr::Bin(Box::new(lhs), op, Box::new(rhs));
+        }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn additive(&mut self) -> SvResult<Expr> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Bin(Box::new(lhs), op, Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::multiplicative, |kind| match kind {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative(&mut self) -> SvResult<Expr> {
-        let mut lhs = self.power()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.power()?;
-            lhs = Expr::Bin(Box::new(lhs), op, Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::power, |kind| match kind {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
     fn power(&mut self) -> SvResult<Expr> {
         let base = self.unary()?;
         if self.eat(&TokenKind::Caret) {
             // Right-associative.
-            let exp = self.power()?;
+            let exp = self.nested(Self::power)?;
             Ok(Expr::Bin(Box::new(base), BinOp::Pow, Box::new(exp)))
         } else {
             Ok(base)
@@ -122,10 +154,10 @@ impl Parser {
 
     fn unary(&mut self) -> SvResult<Expr> {
         if self.eat(&TokenKind::Minus) {
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            return Ok(Expr::Neg(Box::new(self.nested(Self::unary)?)));
         }
         if self.eat(&TokenKind::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.atom()
     }
@@ -371,7 +403,12 @@ impl Parser {
 /// [`SvError::Parse`] with source location on any syntax error.
 pub fn parse(src: &str) -> SvResult<Program> {
     let tokens = tokenize(src)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 #[cfg(test)]
@@ -487,6 +524,38 @@ mod tests {
                 assert_eq!(c.params[0].eval(&|_| None).unwrap(), 19.0);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn expression_nesting_is_bounded_with_a_location() {
+        let call = |expr: String| format!("qreg q[1];\nrz({expr}) q[0];");
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        // As deep as allowed: the call's expression and 255 parentheses.
+        let p = parse(&call(parens(MAX_EXPR_DEPTH - 1))).unwrap();
+        let Statement::Call(c) = &p.statements[1] else {
+            panic!("{:?}", p.statements[1])
+        };
+        assert_eq!(c.params[0].eval(&|_| None).unwrap(), 1.0);
+        assert!(parse(&call(format!("-{}", "-1+".repeat(100) + "1"))).is_ok());
+        for (what, expr) in [
+            ("parentheses", parens(MAX_EXPR_DEPTH)),
+            ("10 000 parentheses", parens(10_000)),
+            ("a sign chain", "-".repeat(100_000) + "1"),
+            ("an exponent chain", "1^".repeat(100_000) + "1"),
+            ("a sum", "1+".repeat(100_000) + "1"),
+            (
+                "a function chain",
+                "sin(".repeat(10_000) + "1" + &")".repeat(10_000),
+            ),
+        ] {
+            match parse(&call(expr)) {
+                Err(SvError::Parse { line: 2, col, msg }) => {
+                    assert!(col > 3, "{what}: column {col}");
+                    assert!(msg.contains("nested deeper than 256"), "{what}: {msg}");
+                }
+                other => panic!("{what}: {other:?}"),
+            }
         }
     }
 

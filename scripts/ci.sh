@@ -65,8 +65,9 @@ echo "== access-protocol analysis (static, full suite) =="
 cargo run --release --quiet -- analyze --suite --pes 8
 cargo run --release --quiet -- analyze --suite --pes 8 --remap
 # The fused kernel schedule must prove conflict-free too: same per-epoch
-# disjointness argument, one (now denser) kernel per epoch — on its own
-# and on top of the remapped schedule (one SimConfig, one compiled plan).
+# disjointness argument, with denser kernels in the plan's barrier windows —
+# on its own and on top of the remapped schedule (one SimConfig, one
+# compiled plan).
 cargo run --release --quiet -- analyze --suite --pes 8 --fuse 3
 cargo run --release --quiet -- analyze --suite --pes 8 --remap --fuse 3
 
@@ -77,6 +78,11 @@ cargo run --release --quiet -- analyze --suite --pes 2 --detect --max-qubits 14
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --remap
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --fuse 3
+# The legs above stop where a PE's slab is at most one tile, so no epoch of
+# theirs holds a tile run. bigadder_n18 and cc_n18 at 2 thread PEs do (3 runs
+# and 1): verdicts agree, the plan has fewer epochs than kernels, and the
+# detected run passes as many barriers as the plain one.
+cargo test --release -p svsim-analyzer --lib tile_runs_cross_validate_under_the_detector -- --ignored --nocapture
 
 echo "== CLI smoke: what ran =="
 # One small run end to end; it must say which kernel bodies this CPU entered
@@ -104,15 +110,18 @@ cargo test --release --test cross_backend plain_memory_paths_are_indistinguishab
 
 echo "== tile-major (release) =="
 # Tile-major walks against kernel-major ones, bit for bit, in the build that
-# ships: the crate-private identity matrix (nested widths [3, 1], [4, 2] and
-# [5, 3] against kernel-major and single-level walks, every KernelId around
-# both tile boundaries, every backend, remap / checkpoint / fuse, all counters
-# but barriers, and barriers equal to the single-level walk) and, at the
-# shipped widths [15, 11], the 17-qubit single-device and thread-PE legs
+# ships: the crate-private identity matrix (tile runs lowered at the nested
+# widths [3, 1], [4, 2] and [5, 3] against kernel-major and single-level
+# walks, every KernelId around both tile boundaries, every backend, remap /
+# checkpoint / fuse, all counters but barriers, one barrier per tile run where
+# the kernel-major walk passes one per kernel), observed and detected walks
+# of the same plans passing exactly the plain walk's barriers and counters,
+# and, at the shipped widths [15, 11], the 17-qubit single-device and thread-PE legs
 # (square_root_n18 and dnn_layers, tiled vs runtime-parsed; at least 85 % of
 # square_root_n18's kernels in L1 sub-runs). Tier-1 runs the same tests
 # unoptimized; the process-PE leg is in the proc_backend gate below.
 cargo test --release -p svsim-core --lib tile_major_walks_are_bit_identical_to_kernel_major_ones
+cargo test --release -p svsim-core --lib observed_walks_keep_the_plans_tile_runs_and_barriers
 cargo test --release --test cross_backend tile_major
 
 echo "== gate fusion gate =="

@@ -701,7 +701,7 @@ fn tile_major_runs_agree_across_thread_and_process_pes() {
             let on_threads = run(&circuit, threads);
             let (state, (runs, kernels), barriers) = on_threads;
             assert!(runs > 0 && state == single, "{name}, remap {remap}");
-            // One barrier per kernel is no longer the floor.
+            // One barrier per tile run, not one per kernel.
             let compiled = Simulator::new(17, threads)
                 .unwrap()
                 .compile_plan(&circuit)

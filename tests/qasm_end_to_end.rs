@@ -307,3 +307,112 @@ fn cli_reports_the_fusion_window_the_plan_was_lowered_with() {
     assert!(stdout.contains("fuse window 3,"), "{stdout}");
     let _ = std::fs::remove_file(&path);
 }
+
+/// Hostile input is a typed error naming its cause — exit 1 — never a panic
+/// (101) or a stack overflow (134): non-finite angles, expressions nested
+/// past the parser's bound, gates whose bodies reach themselves, register
+/// widths that would wrap, and registers too wide to price.
+#[test]
+fn cli_refuses_hostile_qasm_with_the_cause() {
+    let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+    let q1 = "qreg q[1];\n";
+    let deep = |expr: String| format!("{header}{q1}rz({expr}) q[0];\n");
+    let cases: Vec<(&str, String, &[&str], &str)> = vec![
+        (
+            "inf",
+            deep("1e400".into()),
+            &["run"],
+            "gate rz: parameter 0 is inf",
+        ),
+        (
+            "nan",
+            deep("0/0".into()),
+            &["run", "--shots", "0"],
+            "gate rz: parameter 0 is NaN",
+        ),
+        (
+            "parens",
+            deep(format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000))),
+            &["run"],
+            "nested deeper than 256 levels",
+        ),
+        (
+            "minus",
+            deep("-".repeat(100_000) + "1"),
+            &["run"],
+            "nested deeper than 256 levels",
+        ),
+        (
+            "pow",
+            deep("1^".repeat(100_000) + "1"),
+            &["run"],
+            "nested deeper than 256 levels",
+        ),
+        (
+            "self",
+            format!("{header}{q1}gate g a {{ g a; }}\ng q[0];\n"),
+            &["run"],
+            "gate g called in the body of gate g before its declaration",
+        ),
+        (
+            "mutual",
+            format!("{header}{q1}gate a x {{ b x; }}\ngate b x {{ a x; }}\na q[0];\n"),
+            &["run"],
+            "gate b called in the body of gate a before its declaration",
+        ),
+        (
+            "wide",
+            format!("{header}qreg q[4294967297];\nh q[0];\n"),
+            &["run"],
+            "quantum register q[4294967297]: its bits would be numbered past 4294967295",
+        ),
+        (
+            "wrap",
+            format!("{header}qreg a[2147483648];\nqreg b[2147483648];\nqreg c[3];\nh c[0];\n"),
+            &["run"],
+            "quantum register b[2147483648]: its bits",
+        ),
+        (
+            "price100",
+            format!("{header}qreg q[100];\nh q[99];\n"),
+            &["estimate", "--platform", "v100"],
+            "a 100-qubit register has more than 2^63 amplitudes",
+        ),
+        (
+            "price64",
+            format!("{header}qreg q[64];\nh q[63];\n"),
+            &["estimate", "--platform", "v100"],
+            "a 64-qubit register has more than 2^63 amplitudes",
+        ),
+    ];
+    for (tag, src, command, cause) in cases {
+        let path =
+            std::env::temp_dir().join(format!("svsim-hostile-{tag}-{}.qasm", std::process::id()));
+        std::fs::write(&path, src).unwrap();
+        let file = path.to_str().unwrap();
+        let mut args = vec![command[0], file];
+        args.extend(&command[1..]);
+        let (code, _, stderr) = sv_sim(&args);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(code, Some(1), "{tag}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{tag}: {stderr}");
+        assert!(stderr.contains(cause), "{tag}: {stderr}");
+    }
+    // Forty qubits still price, and above what one qubit fewer costs.
+    let price = |n: u32| {
+        let path =
+            std::env::temp_dir().join(format!("svsim-price-{n}-{}.qasm", std::process::id()));
+        std::fs::write(&path, format!("{header}qreg q[{n}];\nh q[{}];\n", n - 1)).unwrap();
+        let (code, stdout, stderr) =
+            sv_sim(&["estimate", path.to_str().unwrap(), "--platform", "v100"]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(code, Some(0), "{n} qubits: {stderr}");
+        let ms = stdout
+            .split("x1: ")
+            .nth(1)
+            .and_then(|s| s.split(' ').next())
+            .unwrap();
+        ms.parse::<f64>().unwrap()
+    };
+    assert!(price(40) > price(39));
+}
