@@ -109,6 +109,39 @@ pub(crate) fn kernels_anchored_at(qmin: u32, n: u32) -> Vec<CompiledGate> {
     queue
 }
 
+/// Every gate with two operands on qubits 0-2, in both orders: a control and
+/// a target (specialized, and as the dense matrix the generic mode runs,
+/// which unlike `RXX` tells its operands apart), a controlled phase, a
+/// two-qubit matrix, and Toffoli and Fredkin gates whose third operand is
+/// the top qubit (a control, a target, a swapped qubit) — the kernels with
+/// two involved qubits inside one chunk of a lent stretch.
+pub(crate) fn low_pairs(n: u32) -> Vec<CompiledGate> {
+    use GateKind::*;
+    let far = n - 1;
+    let mut queue = Vec::new();
+    for p in 0..3 {
+        for q in (0..3).filter(|&q| q != p) {
+            let gates: [(GateKind, [u32; 3], &[f64]); 7] = [
+                (CX, [p, q, 0], &[]),
+                (CU1, [p, q, 0], &[0.37]),
+                (RXX, [p, q, 0], &[0.9]),
+                (CCX, [p, q, far], &[]),
+                (CCX, [p, far, q], &[]),
+                (CSWAP, [p, q, far], &[]),
+                (CSWAP, [far, p, q], &[]),
+            ];
+            for (kind, qubits, params) in gates {
+                let gate = Gate::new(kind, &qubits[..kind.n_qubits()], params).unwrap();
+                compile_gate(&gate, n, true, &mut queue);
+                if kind == CX {
+                    compile_gate(&gate, n, false, &mut queue);
+                }
+            }
+        }
+    }
+    queue
+}
+
 /// Logs every access a kernel makes, in order: `(is a store, index)`.
 pub(crate) struct Recorder {
     dim: u64,

@@ -22,13 +22,20 @@
 //! PEs (one chunk per PE), exactly like the grid-strided loops of
 //! Listings 3-5.
 //!
-//! One driver, `sweep`, walks a kernel's share three ways with the same
-//! gate closure: contiguous **runs** of memory lent by the view
-//! ([`StateView::run`]) where the lowest involved qubit is 3 or above; for a
-//! pair kernel on one qubit below that, whole **stretches** up to the next
-//! involved qubit walked in chunks of constant stride (`pair_chunks`); and
-//! item by item through `get` / `set` for everything else and for views that
-//! lend nothing.
+//! One sweep, `sweep`, walks a kernel's share with the same gate closure
+//! over memory the view lends ([`StateView::run`]), a **stretch** at a time:
+//! the items below the next involved qubit at or above 5, whose amplitudes
+//! fill one contiguous span of each plane, borrowed once. A kernel whose
+//! involved qubits all sit at 3 or above walks a stretch as its **runs** of
+//! `2^qmin` items; one with involved qubits below 5 walks it in **chunks**
+//! of 32 amplitudes that hold those qubits in one pattern, each chunk in a
+//! constant shape at the vector width: lanes down the planes, pairs at a
+//! literal distance of 1 to 16, the quads of qubits 0 and 1. A chunk's
+//! amplitudes outside the footprint (under a control that is off, in the
+//! half a phase leaves alone) are selected back unchanged, and borrowed only
+//! from a view that counts nothing ([`Lends`]). Ragged ends, footprints no
+//! shape fits and views that lend nothing go item by item through `get` /
+//! `set`.
 //!
 //! The paper's CPU kernels are written for the vector unit (Listing 2,
 //! AVX-512). Here each kernel's one body is *compiled* for it: `kernel!`
@@ -40,7 +47,7 @@
 
 use crate::compile::{CompiledGate, KernelId};
 use crate::dispatch::KernelFn;
-use crate::view::{LocalView, Plane, StateView, LEND_ALIGN};
+use crate::view::{Lends, LocalView, Plane, StateView, LEND_ALIGN};
 use std::ops::Range;
 use svsim_types::bits::insert_zero_bits;
 use svsim_types::Complex64;
@@ -127,15 +134,18 @@ pub fn worker_range(work: u64, n_workers: u64, worker: u64) -> Range<u64> {
 /// One amplitude as `(re, im)`.
 type Amp = (f64, f64);
 
-/// Shortest run worth borrowing: below it (the ragged ends of a range) the
-/// per-item loop is as fast. Kernels whose lowest qubit is below
-/// `log2(MIN_RUN)` have no runs; the pair kernels among them borrow the
-/// whole stretch up to their next involved qubit instead ([`pair_chunks`]).
+/// Shortest run of items worth borrowing for a kernel walked in runs: below
+/// it (lowest qubits 0-2, the ragged ends of a range) the per-item loop is
+/// as fast.
 const MIN_RUN: u64 = 8;
 
-// The longest chunk, `2S` for target `log2(MIN_RUN) - 1`, is never cut by a
-// lender ([`StateView::run`]).
-const _: () = assert!(LEND_ALIGN.is_multiple_of(MIN_RUN));
+/// Involved qubits below this one sit inside the **chunks** of `CHUNK`
+/// amplitudes a stretch is walked in ([`sweep`]).
+const CHUNK_QUBITS: u32 = 5;
+const CHUNK: u64 = 1 << CHUNK_QUBITS;
+
+// No lender cuts a chunk ([`StateView::run`]).
+const _: () = assert!(LEND_ALIGN.is_multiple_of(CHUNK));
 
 /// The instruction-set levels the kernel bodies are compiled at, narrowest
 /// first: the build's baseline, then the arms of [`kernel!`] on x86-64.
@@ -203,8 +213,8 @@ macro_rules! enter {
 /// once more under each wider level of [`LEVELS`], entered widest first by
 /// what the CPU reports. Each compiled body — the baseline one too — is a
 /// function of its own whose direct parameters are `(v, a, r)`, and
-/// everything below it ([`sweep`], the gate closure, [`items`],
-/// [`pair_chunks`]) is forced inline, so a level's loops are compiled whole
+/// everything below it ([`sweep`], the gate closure, [`items`], the walk
+/// and its shapes) is forced inline, so a level's loops are compiled whole
 /// under that level's features and no body's code quality depends on what
 /// the inliner makes of another's. Both ways of putting the boundary lower
 /// were measured and lose: inside `sweep` with the closure passed by value
@@ -282,93 +292,238 @@ fn items<V: StateView, const N: usize>(
     }
 }
 
-/// One borrowed stretch of a pair kernel on target `log2(s)`: amplitude `k`
-/// of every `2s` paired with amplitude `k + s`.
+/// `new` where `keep`, else `old`: a select, never arithmetic (`1·x − 0·y`
+/// can flip the sign of a zero).
 #[inline(always)]
-fn pairs<const N: usize>((re, im): Plane<'_>, s: usize, f: &impl Fn([Amp; N]) -> [Amp; N]) {
-    for (re, im) in re.chunks_exact(2 * s).zip(im.chunks_exact(2 * s)) {
-        // Every load of a chunk before its first store, and the stores one
-        // plane at a time: the planes are `Cell`s, which may alias as far
-        // as the compiler knows, and it will not reorder around that.
-        let mut out = [[(0.0, 0.0); N]; MIN_RUN as usize / 2];
-        for k in 0..s {
-            let mut amps = [(0.0, 0.0); N];
-            amps[0] = (re[k].get(), im[k].get());
-            amps[N - 1] = (re[k + s].get(), im[k + s].get());
-            out[k] = f(amps);
+fn sel(keep: bool, new: f64, old: f64) -> f64 {
+    if keep {
+        new
+    } else {
+        old
+    }
+}
+
+/// How [`sweep`] walks a kernel over lent memory. `low` are its involved
+/// qubits below `CHUNK_QUBITS`, as index bits; every whole chunk of a stretch
+/// holds them in the same pattern. `pair` are those its offsets differ in —
+/// one, for a pair kernel ([`pairs`]), or 3 for qubits 0 and 1 ([`quads`]) —
+/// and `mask` the others with the value every offset gives them: a chunk's
+/// amplitudes that do not match it are not the kernel's and keep their
+/// bits. `low == 0`: runs.
+#[derive(Clone, Copy)]
+struct Chunks {
+    low: u64,
+    pair: u64,
+    mask: (u64, u64),
+}
+
+impl Chunks {
+    /// No involved qubit inside a chunk: runs of `2^qmin` items.
+    const RUNS: Self = Self {
+        low: 0,
+        pair: 0,
+        mask: (0, 0),
+    };
+
+    /// The chunks a view of type `V` lends a kernel on `sorted` with
+    /// footprint `offs` in, or [`RUNS`](Self::RUNS). A chunk holding
+    /// amplitudes outside the footprint is lent only by a view that counts
+    /// nothing ([`Lends::Free`]) and holds at most three of them for each
+    /// of the footprint's. A kernel with runs of 8 or more that no pair
+    /// shape fits walks its runs where they cost less than what its chunks
+    /// waste: with two masked qubits, and with one over two or four planes
+    /// of runs of 16 (`cx 4,5`: 0.15 ns/amp in runs, 0.23 in chunks). A
+    /// swap of qubits 0 and 1 under a control below 5 measured slower in
+    /// chunks than item by item.
+    #[inline(always)]
+    fn of<V: StateView, const N: usize>(sorted: &[u32], offs: [u64; N]) -> Self {
+        if sorted[0] >= CHUNK_QUBITS {
+            return Self::RUNS;
         }
-        for k in 0..s {
-            re[k].set(out[k][0].0);
+        let low = (sorted.iter())
+            .take_while(|&&q| q < CHUNK_QUBITS)
+            .fold(0, |m, &q| m | 1u64 << q);
+        // One low qubit the two offsets of a pair differ in; or qubits 0 and
+        // 1, which a two-qubit matrix on them or a swap of them differs in.
+        let pair = offs[0] ^ offs[N - 1];
+        let pair = if N == 2 && pair & low == pair && pair.is_power_of_two() && offs[0] & pair == 0
+        {
+            pair
+        } else if pair == 3
+            && low & 3 == 3
+            && match N {
+                2 => offs[0] & 3 != 0,
+                4 => low == 3 && offs[0] == 0 && offs[1 % N] ^ offs[2 % N] == 3,
+                _ => false,
+            }
+        {
+            3
+        } else {
+            0
+        };
+        let mask = low & !pair;
+        // The words borrowed per footprint word: a chunk holds `2^a`
+        // amplitudes of each of its items, one plane or one per offset.
+        let a = low.count_ones();
+        let planes = if pair == 0 { N } else { 1 };
+        let waste = (1 << a) * planes / N;
+        let fits = offs.iter().all(|&o| o & mask == offs[0] & mask)
+            && waste <= 4
+            && (waste == 1 || V::LENDS == Lends::Free)
+            && match (pair, sorted[0]) {
+                // Lanes: below qubit 3 there are no runs of 8 to walk
+                // instead; a run of 16 of one plane, measured, is not
+                // vectorized whole.
+                (0, 0..=2) => true,
+                (0, q) => waste == 2 && (q == 3 || N == 1),
+                (3, _) => mask == 0,
+                _ => true,
+            };
+        if low == 0 || !fits {
+            return Self::RUNS;
         }
-        for k in 0..s {
-            re[k + s].set(out[k][N - 1].0);
-        }
-        for k in 0..s {
-            im[k].set(out[k][0].1);
-        }
-        for k in 0..s {
-            im[k + s].set(out[k][N - 1].1);
+        Self {
+            low,
+            pair,
+            mask: (mask, offs[0] & mask),
         }
     }
 }
 
-/// The chunk walk of the pair kernels whose one low bit has no runs to lend:
-/// `offs` are the target clear and set, the target `sorted[0]` is below
-/// `log2(MIN_RUN)` and the next involved qubit leaves at least `MIN_RUN`
-/// items below it (H / X / Y / RZ / dense 2×2 on targets 0-2, plain or under
-/// high controls). Up to that next qubit the items' pairs fill one contiguous
-/// **stretch** of memory, amplitude `k` of every `2S` (`S = 2^target`) paired
-/// with amplitude `k + S`: borrow each stretch whole and walk it in chunks of
-/// `2S` with `S` a literal, a constant interleave group for the loop
-/// vectorizer. Sweeps the leading items of `r` that way and returns the first
-/// item left over: `r.start` for any other pattern and for a view that lends
-/// nothing, otherwise the start of a tail shorter than `MIN_RUN`.
-///
-/// `r.start` must be a multiple of `S`, or `r` empty.
+/// Amplitude `k` of every one of `planes` together as one work item, `k`
+/// down the planes, for the loop vectorizer; `MASKED`, only where plane
+/// position `at + k` matches `want` on the bits of `mask`, the other words
+/// kept as they are.
 #[inline(always)]
-fn pair_chunks<V: StateView, const N: usize>(
-    v: &V,
-    sorted: &[u32],
-    r: Range<u64>,
-    offs: [u64; N],
+fn lanes<const N: usize, const MASKED: bool>(
+    planes: [Plane<'_>; N],
+    at: u64,
+    (mask, want): (u64, u64),
     f: &impl Fn([Amp; N]) -> [Amp; N],
-) -> u64 {
-    let s = 1u64 << sorted[0];
-    // Items below the next involved qubit: a power of two.
-    let stretch = match sorted.get(1) {
-        Some(&q) => 1 << (q - 1),
-        None => u64::MAX,
+) {
+    let n = planes[0].0.len();
+    for k in 0..n {
+        let keep = !MASKED || (at + k as u64) & mask == want;
+        let mut amps = [(0.0, 0.0); N];
+        for j in 0..N {
+            amps[j] = (planes[j].0[k].get(), planes[j].1[k].get());
+        }
+        let out = f(amps);
+        for j in 0..N {
+            planes[j].0[k].set(sel(keep, out[j].0, amps[j].0));
+            planes[j].1[k].set(sel(keep, out[j].1, amps[j].1));
+        }
+    }
+}
+
+/// One lent stretch of a pair kernel on target `log2(s)`: amplitude `k` of
+/// every chunk of `2s` paired with amplitude `k + s`, `s` a literal;
+/// `MASKED`, only where the position of the first matches `want` on the bits
+/// of `mask`.
+#[inline(always)]
+fn pairs<const N: usize, const MASKED: bool>(
+    (re, im): Plane<'_>,
+    s: usize,
+    (mask, want): (u64, u64),
+    f: &impl Fn([Amp; N]) -> [Amp; N],
+) {
+    if s == 16 {
+        // Halves of 16 are lanes long enough for the loop vectorizer.
+        for c in 0..re.len() / 32 {
+            let mut halves = [(&re[..0], &im[..0]); N];
+            halves[0] = (&re[32 * c..][..16], &im[32 * c..][..16]);
+            halves[N - 1] = (&re[32 * c + 16..][..16], &im[32 * c + 16..][..16]);
+            lanes::<N, MASKED>(halves, 32 * c as u64, (mask, want), f);
+        }
+        return;
+    }
+    if s == 1 {
+        // Vectorized across the chunks of 2, by strided loads.
+        for (c, (re, im)) in re.chunks_exact(2).zip(im.chunks_exact(2)).enumerate() {
+            let keep = !MASKED || (2 * c) as u64 & mask == want;
+            let mut amps = [(0.0, 0.0); N];
+            amps[0] = (re[0].get(), im[0].get());
+            amps[N - 1] = (re[1].get(), im[1].get());
+            let out = f(amps);
+            re[0].set(sel(keep, out[0].0, amps[0].0));
+            re[1].set(sel(keep, out[N - 1].0, amps[N - 1].0));
+            im[0].set(sel(keep, out[0].1, amps[0].1));
+            im[1].set(sel(keep, out[N - 1].1, amps[N - 1].1));
+        }
+        return;
+    }
+    // Targets 1-3 within blocks of 16 amplitudes, 8 pairs, as wide loads
+    // and shuffles of the block; a stride the compiler cannot see keeps it
+    // from vectorizing across blocks with gathers.
+    const W: usize = 16;
+    let step = std::hint::black_box(W);
+    let pos = |l: usize| l / s * 2 * s + l % s;
+    for c in 0..re.len() / W {
+        let (re, im) = (&re[c * step..][..W], &im[c * step..][..W]);
+        // Every load of a block before its first store, and the stores one
+        // plane at a time: the planes are `Cell`s, which may alias as far as
+        // the compiler knows, and it will not reorder around that.
+        let mut amps = [[(0.0, 0.0); N]; W / 2];
+        let mut out = amps;
+        for l in 0..W / 2 {
+            amps[l][0] = (re[pos(l)].get(), im[pos(l)].get());
+            amps[l][N - 1] = (re[pos(l) + s].get(), im[pos(l) + s].get());
+            out[l] = f(amps[l]);
+        }
+        // Whether the word at `p` is the kernel's, asked word by word in
+        // memory order: the order the stores are vectorized in.
+        let keep = |p: usize| !MASKED || (W * c + p) as u64 & mask == want;
+        for l in 0..W / 2 {
+            let (p, q) = (pos(l), pos(l) + s);
+            re[p].set(sel(keep(p), out[l][0].0, amps[l][0].0));
+            re[q].set(sel(keep(q), out[l][N - 1].0, amps[l][N - 1].0));
+        }
+        for l in 0..W / 2 {
+            let (p, q) = (pos(l), pos(l) + s);
+            im[p].set(sel(keep(p), out[l][0].1, amps[l][0].1));
+            im[q].set(sel(keep(q), out[l][N - 1].1, amps[l][N - 1].1));
+        }
+    }
+}
+
+/// One lent stretch of a kernel whose offsets differ in qubits 0 and 1: the
+/// amplitudes of every chunk of 4 in footprint order — all four for a
+/// two-qubit matrix (`flip`: qubit 1 is its first operand), the middle two
+/// for a swap (`flip`: swapped from the high one) — and the others kept;
+/// `MASKED`, only where the chunk matches `want` on the bits of `mask`.
+#[inline(always)]
+fn quads<const N: usize, const MASKED: bool>(
+    (re, im): Plane<'_>,
+    flip: bool,
+    (mask, want): (u64, u64),
+    f: &impl Fn([Amp; N]) -> [Amp; N],
+) {
+    // Where amplitude `j` of the footprint sits in the chunk.
+    let at = |j: usize| match (N, flip) {
+        (4, false) => j,
+        (4, true) => [0, 2, 1, 3][j],
+        (_, false) => 1 + j,
+        (_, true) => 2 - j,
     };
-    if N != 2 || offs[0] & s != 0 || offs[N - 1] != offs[0] | s || stretch < MIN_RUN {
-        return r.start;
-    }
-    let mut i = r.start;
-    while i < r.end {
-        let want = (stretch - (i & stretch.wrapping_sub(1))).min(r.end - i) & !(s - 1);
-        if want < MIN_RUN {
-            break;
+    for (c, (re, im)) in re.chunks_exact(4).zip(im.chunks_exact(4)).enumerate() {
+        let keep = !MASKED || (4 * c) as u64 & mask == want;
+        let old: [Amp; 4] = std::array::from_fn(|k| (re[k].get(), im[k].get()));
+        let mut amps = [(0.0, 0.0); N];
+        for j in 0..N {
+            amps[j] = old[at(j)];
         }
-        debug_assert_eq!(i & (s - 1), 0);
-        let Some((re, im)) = v.run(insert_zero_bits(i, sorted) | offs[0], 2 * want) else {
-            break;
-        };
-        // A lender clips where its memory ends, at a multiple of
-        // `LEND_ALIGN`: every amplitude it lent, and credited, is one of a
-        // whole chunk and is swept here.
-        let n = re.len().min(im.len());
-        assert!(
-            n > 0 && n as u64 & (2 * s - 1) == 0,
-            "stretch clipped inside a chunk"
-        );
-        let plane = (&re[..n], &im[..n]);
-        match s {
-            1 => pairs(plane, 1, f),
-            2 => pairs(plane, 2, f),
-            _ => pairs(plane, 4, f),
+        let out = f(amps);
+        let mut new = old;
+        for j in 0..N {
+            new[at(j)] = out[j];
         }
-        i += n as u64 / 2;
+        for k in 0..4 {
+            re[k].set(sel(keep, new[k].0, old[k].0));
+        }
+        for k in 0..4 {
+            im[k].set(sel(keep, new[k].1, old[k].1));
+        }
     }
-    i
 }
 
 /// The sweep every gate kernel is an instance of: each work item of `r`
@@ -378,17 +533,12 @@ fn pair_chunks<V: StateView, const N: usize>(
 /// for the two-qubit ones; `f` is the gate's arithmetic and appears nowhere
 /// else.
 ///
-/// Item bits below the lowest involved qubit `qmin = sorted[0]` stay where
-/// they are, so consecutive items up to the next multiple of `2^qmin` reach
-/// consecutive amplitudes at every offset. The range is walked as such
-/// **runs**: the view is asked for each run as plain memory
-/// ([`StateView::run`]) and `f` is applied down the borrowed planes — bounds
-/// checked once per run, no index arithmetic per amplitude. With `qmin < 3`
-/// there are no runs: a pair kernel on that one low bit walks borrowed
-/// stretches in chunks ([`pair_chunks`]), everything else there, a view that
-/// lends nothing and a run shorter than `MIN_RUN` take the per-item
-/// `get`/`set` loop. All three evaluate the same `f` on the same words, so
-/// they agree bit for bit.
+/// A view that lends nothing takes the per-item loop alone. Otherwise the
+/// share is walked in lent stretches ([`walk`]), in runs or in chunks
+/// ([`Chunks`]); what it leaves, the per-item loop takes. Every way
+/// evaluates the same `f` on the same words with the same IEEE operations,
+/// and a word outside the footprint is only ever selected back, so all
+/// agree bit for bit.
 #[inline(always)]
 fn sweep<V: StateView, const N: usize>(
     v: &V,
@@ -397,52 +547,96 @@ fn sweep<V: StateView, const N: usize>(
     offs: [u64; N],
     f: impl Fn([Amp; N]) -> [Amp; N],
 ) {
-    let run_len = 1u64 << sorted[0];
-    if run_len < MIN_RUN {
-        let head = r.end.min((r.start + run_len - 1) & !(run_len - 1));
-        let tail = pair_chunks(v, sorted, head..r.end, offs, &f);
-        let mut rest = r;
-        if tail > head {
-            // Chunks were swept: the ragged head before them is left, and
-            // the ragged tail after them.
-            items(v, sorted, rest.start..head, offs, &f);
-            rest.start = tail;
-        }
-        items(v, sorted, rest, offs, &f);
+    if V::LENDS == Lends::Nothing {
+        items(v, sorted, r, offs, &f);
         return;
     }
-    let mut i = r.start;
+    let chunks = Chunks::of::<V, N>(sorted, offs);
+    let left = if chunks.low == 0 {
+        walk::<V, N, false, false>(v, sorted, r, offs, &f, Chunks::RUNS)
+    } else if chunks.mask.0 == 0 || V::LENDS != Lends::Free {
+        walk::<V, N, true, false>(v, sorted, r, offs, &f, chunks)
+    } else {
+        walk::<V, N, true, true>(v, sorted, r, offs, &f, chunks)
+    };
+    for r in left {
+        items(v, sorted, r, offs, &f);
+    }
+}
+
+/// [`sweep`] in lent stretches, in their runs or (`CHUNKED`) their `chunks`,
+/// each a constant shape. Returns the items it left to the per-item loop: a
+/// ragged head, and a ragged tail or everything from where the view stopped
+/// lending.
+#[inline(always)]
+fn walk<V: StateView, const N: usize, const CHUNKED: bool, const MASKED: bool>(
+    v: &V,
+    sorted: &[u32],
+    r: Range<u64>,
+    offs: [u64; N],
+    f: &impl Fn([Amp; N]) -> [Amp; N],
+    chunks: Chunks,
+) -> [Range<u64>; 2] {
+    let chunks = if CHUNKED { chunks } else { Chunks::RUNS };
+    let a = chunks.low.count_ones();
+    // The items of a chunk, the fewest worth borrowing, and the items of a
+    // stretch: those below the next involved qubit outside the chunks.
+    let (unit, min) = if CHUNKED {
+        (CHUNK >> a, CHUNK >> a)
+    } else {
+        (1, MIN_RUN)
+    };
+    let stretch = sorted.get(a as usize).map_or(u64::MAX, |&q| 1 << (q - a));
+    let stretch_end = |i: u64| r.end.min((i | (stretch - 1)).saturating_add(1));
+    // Item by item up to the first whole chunk, or past a first stretch too
+    // short to lend.
+    let mut i = r.start.next_multiple_of(unit).min(r.end);
+    if stretch < min || stretch_end(i) - i < min {
+        i = if stretch < min { r.end } else { stretch_end(i) };
+    }
+    let head = r.start..i;
+    // `base` is item `i`'s first amplitude, stepped along with `i`: with the
+    // involved positions filled with ones, adding the amplitudes passed over
+    // carries through them.
+    let holes = sorted.iter().fold(0u64, |m, &q| m | 1 << q);
+    let mut base = insert_zero_bits(i, sorted);
     while i < r.end {
-        let want = (run_len - (i & (run_len - 1))).min(r.end - i);
-        let lent = if want < MIN_RUN {
-            None
+        let end = stretch_end(i);
+        let stop = i + ((end - i) & !(unit - 1));
+        if stop - i < min {
+            break;
+        }
+        let words = (stop - i) << a;
+        let at = offs.map(|o| o & !chunks.low | base);
+        let lent = if CHUNKED && chunks.pair != 0 {
+            v.run(at[0], words).map(|(re, im)| {
+                let n = re.len().min(im.len());
+                [(&re[..n], &im[..n]); N]
+            })
         } else {
-            let base = insert_zero_bits(i, sorted);
-            let mut at = offs;
-            for x in &mut at {
-                *x |= base;
-            }
-            borrow(v, at, want)
+            borrow(v, at, words)
         };
         let Some(planes) = lent else {
-            items(v, sorted, i..i + want, offs, &f);
-            i += want;
-            continue;
+            break;
         };
-        let n = planes[0].0.len();
-        for k in 0..n {
-            let mut amps = [(0.0, 0.0); N];
-            for j in 0..N {
-                amps[j] = (planes[j].0[k].get(), planes[j].1[k].get());
-            }
-            let out = f(amps);
-            for j in 0..N {
-                planes[j].0[k].set(out[j].0);
-                planes[j].1[k].set(out[j].1);
-            }
+        match if CHUNKED { chunks.pair } else { 0 } {
+            3 if N > 1 => quads::<N, MASKED>(planes[0], offs[N / 4] & 3 == 2, chunks.mask, f),
+            1 if N == 2 => pairs::<N, MASKED>(planes[0], 1, chunks.mask, f),
+            2 if N == 2 => pairs::<N, MASKED>(planes[0], 2, chunks.mask, f),
+            4 if N == 2 => pairs::<N, MASKED>(planes[0], 4, chunks.mask, f),
+            8 if N == 2 => pairs::<N, MASKED>(planes[0], 8, chunks.mask, f),
+            16 if N == 2 => pairs::<N, MASKED>(planes[0], 16, chunks.mask, f),
+            _ => lanes::<N, MASKED>(planes, 0, chunks.mask, f),
         }
-        i += n as u64;
+        let n = planes[0].0.len() as u64;
+        // A lender clips where its memory ends, at a multiple of
+        // `LEND_ALIGN`: every amplitude it lent, and credited, is one of a
+        // whole chunk and is swept here.
+        assert!(n & ((unit << a) - 1) == 0, "stretch clipped inside a chunk");
+        base = ((base | holes) + n) & !holes;
+        i += n >> a;
     }
+    [head, i..r.end]
 }
 
 /// `(c + i s) * amp`.
@@ -676,9 +870,9 @@ fn body<V: StateView>(id: KernelId) -> KernelFn<V> {
 }
 
 /// The scratch window of a fused kernel: a [`LocalView`] of 2-8 amplitudes
-/// that lends nothing, so that its micro-ops are compiled as the per-item
-/// loop alone (with the run and chunk walks compiled in beside it, unused,
-/// a fused sweep measured 7.1 -> 9.7 ns/amp).
+/// that lends nothing ([`Lends::Nothing`]), so that its micro-ops are
+/// compiled as the per-item loop alone (with the walks compiled in beside
+/// it, unused, a fused sweep measured 7.1 -> 9.7 ns/amp).
 struct Window<'a>(LocalView<'a>);
 
 impl StateView for Window<'_> {
@@ -780,7 +974,7 @@ pub fn collapse_pairs<V: StateView>(v: &V, q: u32, outcome: u8, inv_sqrt_p: f64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{accesses, compiled_one, kernels_anchored_at};
+    use crate::fixtures::{accesses, compiled_one, kernels_anchored_at, low_pairs};
     use std::cell::Cell;
     use svsim_ir::GateKind;
 
@@ -937,10 +1131,12 @@ mod tests {
         }
     }
 
-    /// A [`LocalView`] that adds up how many amplitudes it lent.
-    struct Lending<'a>(LocalView<'a>, Cell<u64>);
+    /// A [`LocalView`] that adds up how many amplitudes it lent, and lends
+    /// them as a view that counts them (`FREE == false`, like a partitioned
+    /// view) or as one that counts nothing (like a PE's own slab).
+    struct Lending<'a, const FREE: bool>(LocalView<'a>, Cell<u64>);
 
-    impl StateView for Lending<'_> {
+    impl<const FREE: bool> StateView for Lending<'_, FREE> {
         fn dim(&self) -> u64 {
             self.0.dim()
         }
@@ -955,6 +1151,31 @@ mod tests {
             self.1.set(self.1.get() + lent.0.len() as u64);
             Some(lent)
         }
+        const LENDS: Lends = if FREE { Lends::Free } else { Lends::Counted };
+    }
+
+    /// The kernels the walks are held to: every body anchored at each lowest
+    /// qubit 0-6 and `n - 2`, and every gate with two operands on qubits 0-2.
+    fn walked_kernels(n: u32) -> Vec<CompiledGate> {
+        let anchored = (0..=6)
+            .chain([n - 2])
+            .flat_map(|qmin| kernels_anchored_at(qmin, n));
+        anchored.chain(low_pairs(n)).collect()
+    }
+
+    /// Ranges of `work` items: worker splits, and ragged ones that start and
+    /// end off every run, chunk and stretch.
+    fn splits(work: u64) -> Vec<Vec<Range<u64>>> {
+        let mut splits: Vec<Vec<Range<u64>>> = [1, 2, 3, 4, 8]
+            .iter()
+            .map(|&k| (0..k).map(|w| worker_range(work, k, w)).collect())
+            .collect();
+        if work > 12 {
+            splits.push(vec![3..7, 7..work - 5]);
+            splits.push(vec![work / 2 - 1..work / 2 + 2, 0..1]);
+            splits.push(vec![0..5, 5..7, 7..work - 1, work - 1..work]);
+        }
+        splits
     }
 
     /// The levels of [`LEVELS`] this CPU has, with a line for each it lacks.
@@ -974,12 +1195,21 @@ mod tests {
         (0..LEVELS.len()).filter(here).collect()
     }
 
-    /// The plain-memory paths against the per-item path, at every level the
+    /// The plain-memory walks against the per-item path, at every level the
     /// kernels are compiled at: any kernel over any share of its work items
-    /// leaves the same bits whether the view lends its memory (runs above
-    /// `qmin` 3, chunks of a stretch for a pair kernel on one low bit) or
-    /// not, in the baseline body and in every wider one — and where there is
-    /// memory to lend, the lending view really was swept through it.
+    /// leaves the same bits whether the view lends its memory or not, and
+    /// whether it counts what it lends or not, in the baseline body and in
+    /// every wider one. A word outside the footprint that a walk borrows
+    /// keeps its bits: the per-item path never touches it.
+    ///
+    /// What is borrowed, and from which view, over a whole range: a view
+    /// that counts is lent exactly the footprint — every amplitude of it when
+    /// the kernel's runs are 8 items or longer, it is a pair on a lone qubit
+    /// below 5 or a two-qubit matrix on qubits 0 and 1, none otherwise — and
+    /// a view that counts nothing is lent
+    /// at least that, plus at most whole chunks of 32 amplitudes holding
+    /// three words outside the footprint for each one in it. A fused window
+    /// borrows nothing.
     #[test]
     fn run_path_is_bit_identical_to_the_per_item_path() {
         let n = 9u32;
@@ -995,82 +1225,97 @@ mod tests {
         let levels = levels_here();
         assert_eq!(levels[0], 0, "the baseline body runs everywhere");
         let mut seen = std::collections::HashSet::new();
-        let mut chunked = 0;
-        for qmin in [0, 1, 2, 3, 5, n - 2] {
-            for cg in kernels_anchored_at(qmin, n) {
-                assert_eq!(cg.args.sorted()[0], qmin);
-                seen.insert(cg.id);
-                let work = cg.args.work;
-                let fused = !cg.args.fused.is_empty();
-                let touched = cg.args.offs();
-                // A pair on the one low bit, with a stretch worth borrowing
-                // below the next involved qubit.
-                let low_pair = touched.len() == 2
-                    && touched[1] == touched[0] | 1 << qmin
-                    && touched[0] & 1 << qmin == 0
-                    && cg.args.sorted().get(1).is_none_or(|&q| q > 3);
-                let mut splits: Vec<Vec<Range<u64>>> = [1, 2, 3, 4, 8]
-                    .iter()
-                    .map(|&k| (0..k).map(|w| worker_range(work, k, w)).collect())
-                    .collect();
-                if work > 12 {
-                    // Starts and ends off every run, chunk and stretch.
-                    splits.push(vec![3..7, 7..work - 5]);
-                    splits.push(vec![work / 2 - 1..work / 2 + 2, 0..1]);
-                    splits.push(vec![0..5, 5..7, 7..work - 1, work - 1..work]);
+        // Kernels below qubit 5 lent their footprint exactly, and lent whole
+        // chunks with words outside it.
+        let (mut exact, mut wider) = (0, 0);
+        for cg in walked_kernels(n) {
+            seen.insert(cg.id);
+            let (sorted, offs) = (cg.args.sorted(), cg.args.offs());
+            let (qmin, work) = (sorted[0], cg.args.work);
+            let fused = !cg.args.fused.is_empty();
+            let footprint = work * offs.len() as u64;
+            // A pair on one qubit below 5 that no other involved qubit below
+            // 5 shares its chunks with.
+            let lone_pair = offs.len() == 2
+                && (offs[0] ^ offs[1]).is_power_of_two()
+                && (offs[0] ^ offs[1]) < CHUNK
+                && sorted.iter().filter(|&&q| q < CHUNK_QUBITS).count() == 1;
+            // A two-qubit matrix on qubits 0 and 1 fills its chunks.
+            let low_quad = offs.len() == 4 && sorted == [0, 1];
+            let lent_exactly = !fused && (qmin >= 3 || lone_pair || low_quad);
+            for split in splits(work) {
+                let whole = split.len() == 1 && split[0] == (0..work);
+                let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
+                let silent = NoLend(LocalView::new(&mut re_b, &mut im_b));
+                CAP.set(0);
+                for r in &split {
+                    crate::dispatch::resolve::<NoLend>(cg.id)(&silent, &cg.args, r.clone());
                 }
-                for split in splits {
-                    let whole = split.len() == 1 && split[0] == (0..work);
-                    let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
-                    let silent = NoLend(LocalView::new(&mut re_b, &mut im_b));
-                    CAP.set(0);
+                for &level in &levels {
+                    let what = format!(
+                        "{:?} on {sorted:?} over {split:?}, {} body",
+                        cg.id, LEVELS[level]
+                    );
+                    let (mut re_c, mut im_c) = (re0.clone(), im0.clone());
+                    let (mut re_f, mut im_f) = (re0.clone(), im0.clone());
+                    let counting =
+                        Lending::<false>(LocalView::new(&mut re_c, &mut im_c), Cell::new(0));
+                    let free = Lending::<true>(LocalView::new(&mut re_f, &mut im_f), Cell::new(0));
+                    CAP.set(level);
                     for r in &split {
-                        crate::dispatch::resolve::<NoLend>(cg.id)(&silent, &cg.args, r.clone());
-                    }
-                    for &level in &levels {
-                        let (mut re_a, mut im_a) = (re0.clone(), im0.clone());
-                        let lending = Lending(LocalView::new(&mut re_a, &mut im_a), Cell::new(0));
-                        CAP.set(level);
-                        for r in &split {
-                            crate::dispatch::resolve::<Lending>(cg.id)(
-                                &lending,
-                                &cg.args,
-                                r.clone(),
-                            );
-                        }
-                        CAP.set(usize::MAX);
-                        let what = format!(
-                            "{:?} at qmin {qmin} over {split:?}, {} body",
-                            cg.id, LEVELS[level]
+                        crate::dispatch::resolve::<Lending<false>>(cg.id)(
+                            &counting,
+                            &cg.args,
+                            r.clone(),
                         );
-                        let lent = lending.1.get();
-                        if fused || (qmin < 3 && !low_pair) {
-                            assert_eq!(lent, 0, "nothing to lend: {what}");
-                        } else if whole {
-                            assert_eq!(lent, work * touched.len() as u64, "all lent: {what}");
-                            chunked += usize::from(qmin < 3);
+                        crate::dispatch::resolve::<Lending<true>>(cg.id)(
+                            &free,
+                            &cg.args,
+                            r.clone(),
+                        );
+                    }
+                    CAP.set(usize::MAX);
+                    let (counted, lent) = (counting.1.get(), free.1.get());
+                    if whole {
+                        let want = if lent_exactly { footprint } else { 0 };
+                        assert_eq!(counted, want, "lent by a counting view: {what}");
+                        if fused {
+                            assert_eq!(lent, 0, "nothing lent: {what}");
                         }
-                        assert_eq!(bits(&re_a), bits(&re_b), "re: {what}");
-                        assert_eq!(bits(&im_a), bits(&im_b), "im: {what}");
+                        assert!(lent >= counted, "lent less freely: {what}");
+                        assert!(
+                            lent == counted || lent % CHUNK == 0 && lent <= 4 * footprint,
+                            "{lent} lent for a footprint of {footprint}: {what}"
+                        );
+                        exact += usize::from(qmin < CHUNK_QUBITS && counted > 0);
+                        wider += usize::from(lent > footprint);
+                    }
+                    for (re_a, im_a, view) in [(&re_c, &im_c, "counting"), (&re_f, &im_f, "free")] {
+                        assert_eq!(bits(re_a), bits(&re_b), "re, {view} view: {what}");
+                        assert_eq!(bits(im_a), bits(&im_b), "im, {view} view: {what}");
                     }
                 }
             }
         }
+        assert!(exact >= 60 * levels.len(), "{exact} exact low walks");
         assert!(
-            chunked >= 3 * 7 * levels.len(),
-            "low pairs walked as chunks"
+            wider >= 60 * levels.len(),
+            "{wider} walks in chunks wider than the footprint"
         );
-        for (qmin, outcome) in [(0, 1), (1, 0), (3, 0), (5, 1), (n - 1, 0)] {
-            let (mut re_a, mut im_a) = (re0.clone(), im0.clone());
-            let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
-            let lending = LocalView::new(&mut re_a, &mut im_a);
-            let silent = NoLend(LocalView::new(&mut re_b, &mut im_b));
-            for r in [0..77, 77..dim as u64 / 2] {
-                collapse_pairs(&lending, qmin, outcome, 1.25, r.clone());
-                collapse_pairs(&silent, qmin, outcome, 1.25, r);
+        for qmin in (0..=6).chain([n - 1]) {
+            for outcome in [0, 1] {
+                let (mut re_a, mut im_a) = (re0.clone(), im0.clone());
+                let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
+                let lending = LocalView::new(&mut re_a, &mut im_a);
+                let silent = NoLend(LocalView::new(&mut re_b, &mut im_b));
+                for r in [0..77, 77..dim as u64 / 2] {
+                    collapse_pairs(&lending, qmin, outcome, 1.25, r.clone());
+                    collapse_pairs(&silent, qmin, outcome, 1.25, r);
+                }
+                let what = format!("collapse of {qmin} to {outcome}");
+                assert_eq!(bits(&re_a), bits(&re_b), "{what}");
+                assert_eq!(bits(&im_a), bits(&im_b), "{what}");
             }
-            assert_eq!(bits(&re_a), bits(&re_b), "collapse of {qmin} to {outcome}");
-            assert_eq!(bits(&im_a), bits(&im_b), "collapse of {qmin} to {outcome}");
         }
         assert_eq!(seen.len(), 12, "every KernelId swept: {seen:?}");
     }
@@ -1089,14 +1334,7 @@ mod tests {
             let (a, dim) = (&cg.args, 1u64 << n);
             let work = a.work;
             assert_eq!(work, dim >> a.n_sorted, "{what}: one item per free setting");
-            let mut splits: Vec<Vec<Range<u64>>> = [1, 2, 3, 4, 8]
-                .iter()
-                .map(|&k| (0..k).map(|w| worker_range(work, k, w)).collect())
-                .collect();
-            if work > 12 {
-                splits.push(vec![3..7, work / 2 - 1..work / 2 + 2, work - 5..work]);
-            }
-            for range in splits.into_iter().flatten() {
+            for range in splits(work).into_iter().flatten() {
                 let mut want: Vec<u64> = range
                     .clone()
                     .flat_map(|i| {
@@ -1124,16 +1362,14 @@ mod tests {
         let n = 9u32;
         let mut seen = std::collections::HashSet::new();
         let mut micros = 0;
-        for qmin in [0, 1, 2, 3, 5, n - 2] {
-            for cg in kernels_anchored_at(qmin, n) {
-                seen.insert(cg.id);
-                let what = format!("{:?} on {:?} of {n}", cg.id, cg.args.sorted());
-                check(&cg, n, &what);
-                for micro in &cg.args.fused {
-                    micros += 1;
-                    let what = format!("{:?} on {:?} inside {what}", micro.id, micro.args.sorted());
-                    check(micro, u32::from(cg.args.n_sorted), &what);
-                }
+        for cg in walked_kernels(n) {
+            seen.insert(cg.id);
+            let what = format!("{:?} on {:?} of {n}", cg.id, cg.args.sorted());
+            check(&cg, n, &what);
+            for micro in &cg.args.fused {
+                micros += 1;
+                let what = format!("{:?} on {:?} inside {what}", micro.id, micro.args.sorted());
+                check(micro, u32::from(cg.args.n_sorted), &what);
             }
         }
         assert_eq!(seen.len(), 12, "every KernelId swept: {seen:?}");

@@ -138,9 +138,10 @@ impl SimConfig {
     /// # Errors
     /// [`SvError::InvalidConfig`] naming the offending width or worker count.
     pub fn check_width(&self, n_qubits: u32) -> SvResult<()> {
-        if n_qubits >= 64 {
+        if n_qubits > svsim_types::MAX_QUBITS {
             return Err(SvError::InvalidConfig(format!(
-                "a {n_qubits}-qubit register has more than 2^63 amplitudes"
+                "a {n_qubits}-qubit register has more than 2^{} amplitudes",
+                svsim_types::MAX_QUBITS
             )));
         }
         let w = self.backend.n_workers();

@@ -45,26 +45,43 @@ pub trait StateView {
     /// Lend the amplitudes from `start` on as plain memory — real words,
     /// imaginary words, equally long: up to `max` of them, fewer where the
     /// lender's contiguous memory ends first. `max` may span many of a
-    /// kernel's runs (a pair kernel on targets 0-2 asks for the whole stretch
-    /// up to its next involved qubit at once), so a lender whose memory is
-    /// cut into partitions clips at the owning partition's end, and every
-    /// such end inside the state must be a multiple of [`LEND_ALIGN`]
-    /// amplitudes (views over shorter partitions lend nothing): a borrower
-    /// that walks aligned chunks of up to that many is then never cut inside
-    /// one. The borrower loads and stores every lent amplitude exactly once,
-    /// which is what a lender that counts accesses credits. `None`: this view
-    /// lends nothing and every access goes through [`get`](Self::get) /
-    /// [`set`](Self::set).
+    /// kernel's runs (a kernel whose lowest qubit is below 5 asks for the
+    /// whole stretch up to its next involved qubit at once), so a lender
+    /// whose memory is cut into partitions clips at the owning partition's
+    /// end, and every such end inside the state must be a multiple of
+    /// [`LEND_ALIGN`] amplitudes (views over shorter partitions lend
+    /// nothing): a borrower that walks aligned chunks of up to that many is
+    /// then never cut inside one. What the borrower may do with the memory
+    /// is [`LENDS`](Self::LENDS). `None`: this view lends nothing here and
+    /// every access goes through [`get`](Self::get) / [`set`](Self::set).
     #[inline]
     fn run(&self, _start: u64, _max: u64) -> Option<Plane<'_>> {
         None
     }
+
+    /// What [`run`](Self::run) may lend; a view that overrides `run` sets
+    /// it.
+    const LENDS: Lends = Lends::Nothing;
+}
+
+/// What a [`StateView`] lends through [`StateView::run`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lends {
+    /// Nothing: `run` is never asked, every access is a `get` or `set`.
+    Nothing,
+    /// Memory whose every lent amplitude the view credits to counters as
+    /// one load and one store: a borrower loads and stores each exactly
+    /// once, so it borrows only amplitudes it touches.
+    Counted,
+    /// Plain memory that counts nothing: a borrower may also borrow
+    /// amplitudes it does not touch, and store them back unchanged.
+    Free,
 }
 
 /// Every place a lender's contiguous memory may end is a multiple of this
 /// many amplitudes ([`StateView::run`]): the longest chunk a kernel walks a
 /// lent stretch in.
-pub const LEND_ALIGN: u64 = 8;
+pub const LEND_ALIGN: u64 = 32;
 
 /// The part of partition `start >> shift` of `parts` that begins at `start`
 /// and holds at most `max` amplitudes, and that partition's rank. Nothing
@@ -143,6 +160,8 @@ impl StateView for LocalView<'_> {
         let end = self.re.len().min(start + max as usize);
         Some((&self.re[start..end], &self.im[start..end]))
     }
+
+    const LENDS: Lends = Lends::Free;
 }
 
 /// Scale-up view: the state vector partitioned evenly across `n_dev`
@@ -236,6 +255,8 @@ impl StateView for PeerView<'_> {
         }
         Some((re, im))
     }
+
+    const LENDS: Lends = Lends::Counted;
 }
 
 /// Scale-out view: one-sided SHMEM access to a symmetric-heap state vector.
@@ -442,6 +463,8 @@ impl StateView for ShmemView<'_, '_> {
         counters.credit(pe != self.ctx.my_pe(), 2 * re.len() as u64, 8);
         Some((re, im))
     }
+
+    const LENDS: Lends = Lends::Counted;
 }
 
 #[cfg(test)]
@@ -497,10 +520,10 @@ mod tests {
 
     #[test]
     fn a_lent_run_clips_where_the_owning_partition_ends() {
-        // 5 qubits over 4 partitions of 8. A Hadamard on the top qubit pairs
-        // index i with i + 16; one worker walking all 16 items asks for runs
-        // of 16 and is lent 8 at a time, from partitions (0, 2) then (1, 3).
-        let [mut re, mut im] = numbered(4, 8);
+        // 7 qubits over 4 partitions of 32. A Hadamard on the top qubit pairs
+        // index i with i + 64; one worker walking all 64 items asks for runs
+        // of 64 and is lent 32 at a time, from partitions (0, 2) then (1, 3).
+        let [mut re, mut im] = numbered(4, 32);
         let (parts_re, parts_im) = (shared(&re), shared(&im));
         fn cells(part: &mut [f64]) -> &[Cell<f64>] {
             Cell::from_mut(part).as_slice_of_cells()
@@ -512,51 +535,65 @@ mod tests {
             .collect();
         let counters = PeCounters::default();
         let v = PeerView::new(&parts_re, &parts_im, 1, Some(&counters)).lending(Some(&lent));
-        let (r, i) = v.run(4, 16).unwrap();
-        assert_eq!((r.len(), i.len()), (4, 4), "partition 0 ends at 8");
+        let (r, i) = v.run(4, 64).unwrap();
+        assert_eq!((r.len(), i.len()), (28, 28), "partition 0 ends at 32");
         assert_eq!((r[0].get(), i[3].get()), (4.0, -7.0));
-        let (r, _) = v.run(8, 16).unwrap();
-        assert_eq!(r.len(), 8, "all of partition 1, not into partition 2");
-        // Credited as the per-word path would have counted: 4 remote and 8
+        let (r, _) = v.run(32, 64).unwrap();
+        assert_eq!(r.len(), 32, "all of partition 1, not into partition 2");
+        // Credited as the per-word path would have counted: 28 remote and 32
         // local amplitudes, one get and one put of 16 bytes each.
         let t = counters.snapshot();
-        assert_eq!((t.remote_gets, t.remote_puts), (4, 4));
-        assert_eq!((t.remote_get_bytes, t.remote_put_bytes), (64, 64));
-        assert_eq!((t.local_gets, t.local_puts), (8, 8));
+        assert_eq!((t.remote_gets, t.remote_puts), (28, 28));
+        assert_eq!((t.remote_get_bytes, t.remote_put_bytes), (448, 448));
+        assert_eq!((t.local_gets, t.local_puts), (32, 32));
 
-        // The kernel on top of it: the amplitudes and the counts of the
-        // view that lends nothing.
-        let gate = svsim_ir::Gate::new(svsim_ir::GateKind::H, &[4], &[]).unwrap();
-        let mut queue = Vec::new();
-        crate::compile::compile_gate(&gate, 5, true, &mut queue);
-        let (kernel, args) = (
-            crate::dispatch::resolve::<PeerView>(queue[0].id),
-            &queue[0].args,
-        );
-        let (by_word, bulk) = (PeCounters::default(), PeCounters::default());
-        kernel(
-            &PeerView::new(&parts_re, &parts_im, 1, Some(&by_word)),
-            args,
-            0..args.work,
-        );
-        kernel(
-            &PeerView::new(&parts_re, &parts_im, 1, Some(&bulk)).lending(Some(&lent)),
-            args,
-            0..args.work,
-        );
-        assert_eq!(bulk.snapshot(), by_word.snapshot());
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        for p in 0..4 {
-            let (lent_re, lent_im) = lent[p];
-            assert_eq!(
-                bits(lent_re.iter().map(Cell::get).collect()),
-                bits(parts_re[p].to_vec())
+        // The kernels on top of it, on the top qubit (runs) and on qubit 0
+        // (chunks of a stretch): the amplitudes and the counts of the view
+        // that lends nothing.
+        for target in [6, 0] {
+            let gate = svsim_ir::Gate::new(svsim_ir::GateKind::H, &[target], &[]).unwrap();
+            let mut queue = Vec::new();
+            crate::compile::compile_gate(&gate, 7, true, &mut queue);
+            let (kernel, args) = (
+                crate::dispatch::resolve::<PeerView>(queue[0].id),
+                &queue[0].args,
             );
-            assert_eq!(
-                bits(lent_im.iter().map(Cell::get).collect()),
-                bits(parts_im[p].to_vec())
+            let (by_word, bulk) = (PeCounters::default(), PeCounters::default());
+            kernel(
+                &PeerView::new(&parts_re, &parts_im, 1, Some(&by_word)),
+                args,
+                0..args.work,
             );
+            kernel(
+                &PeerView::new(&parts_re, &parts_im, 1, Some(&bulk)).lending(Some(&lent)),
+                args,
+                0..args.work,
+            );
+            assert_eq!(bulk.snapshot(), by_word.snapshot(), "H on {target}");
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            for p in 0..4 {
+                let (lent_re, lent_im) = lent[p];
+                assert_eq!(
+                    bits(lent_re.iter().map(Cell::get).collect()),
+                    bits(parts_re[p].to_vec())
+                );
+                assert_eq!(
+                    bits(lent_im.iter().map(Cell::get).collect()),
+                    bits(parts_im[p].to_vec())
+                );
+            }
         }
+
+        // Partitions shorter than a chunk lend nothing.
+        let [mut re, mut im] = numbered(4, LEND_ALIGN as usize / 2);
+        let (parts_re, parts_im) = (shared(&re), shared(&im));
+        let lent: Vec<Plane<'_>> = re
+            .iter_mut()
+            .zip(&mut im)
+            .map(|(re, im)| (cells(re), cells(im)))
+            .collect();
+        let v = PeerView::new(&parts_re, &parts_im, 1, None).lending(Some(&lent));
+        assert!(v.run(0, 4).is_none());
     }
 
     #[test]

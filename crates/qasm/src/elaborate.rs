@@ -10,7 +10,7 @@ use crate::ast::{Argument, Expr, GateCall, GateDef, Program, Statement};
 use crate::parser::parse;
 use std::collections::{HashMap, HashSet};
 use svsim_ir::{Circuit, Gate, GateKind};
-use svsim_types::{SvError, SvResult};
+use svsim_types::{SvError, SvResult, MAX_QUBITS};
 
 /// A register: base offset + width in the flat index space.
 #[derive(Debug, Clone, Copy)]
@@ -327,7 +327,9 @@ pub fn elaborate(program: &Program) -> SvResult<Circuit> {
             }
             _ => continue,
         };
-        // Every bit of every register has a `u32` index.
+        // Every bit of every register has a `u32` index, and the quantum
+        // ones fit one state vector: refused at the register that crosses
+        // either bound, before any statement can act on it.
         let base = *total;
         let fits = |size: &u32| base.checked_add(*size).is_some();
         let Some(size) = u32::try_from(*size).ok().filter(fits) else {
@@ -336,6 +338,12 @@ pub fn elaborate(program: &Program) -> SvResult<Circuit> {
                 u32::MAX
             )));
         };
+        if what == "quantum" && base + size > MAX_QUBITS {
+            return Err(SvError::InvalidConfig(format!(
+                "quantum register {name}[{size}]: {} qubits in all; a state vector holds at most {MAX_QUBITS} (2^{MAX_QUBITS} amplitudes)",
+                base + size
+            )));
+        }
         *total = base + size;
         if regs.insert(name.clone(), Reg { base, size }).is_some() {
             return Err(SvError::InvalidConfig(format!(
@@ -490,8 +498,8 @@ mod tests {
             ("qreg q[4294967297];", "quantum register q[4294967297]"),
             ("qreg q[4294967296];", "quantum register q[4294967296]"),
             (
-                "qreg a[2147483648];\nqreg b[2147483648];\nqreg c[3];",
-                "quantum register b[2147483648]",
+                "qreg q[1];\ncreg a[2147483648];\ncreg b[2147483648];",
+                "classical register b[2147483648]",
             ),
             (
                 "qreg q[1];\ncreg c[18446744073709551615];",
@@ -506,8 +514,39 @@ mod tests {
                 other => panic!("{regs}: {other:?}"),
             }
         }
-        let c = parse_circuit(&format!("{HEADER}qreg a[4294967294];\nqreg b[1];")).unwrap();
-        assert_eq!(c.n_qubits(), u32::MAX);
+        // The quantum registers fit one state vector: refused at the
+        // declaration that crosses 63 qubits, before a broadcast or a
+        // barrier could list every qubit of it.
+        for (regs, culprit) in [
+            ("qreg q[64];", "quantum register q[64]: 64 qubits"),
+            (
+                "qreg a[60];\nqreg b[4];",
+                "quantum register b[4]: 64 qubits",
+            ),
+            (
+                "qreg a[2147483648];\nqreg b[2147483648];",
+                "quantum register a[2147483648]: 2147483648 qubits",
+            ),
+            (
+                "qreg a[4294967294];\nqreg b[1];",
+                "quantum register a[4294967294]: 4294967294 qubits",
+            ),
+        ] {
+            for body in ["h a;", "barrier a;", "h q;"] {
+                match parse_circuit(&format!("{HEADER}{regs}\n{body}")) {
+                    Err(SvError::InvalidConfig(msg)) => {
+                        assert!(msg.starts_with(culprit), "{regs}: {msg}");
+                        assert!(msg.ends_with("holds at most 63 (2^63 amplitudes)"), "{msg}");
+                    }
+                    other => panic!("{regs} {body}: {other:?}"),
+                }
+            }
+        }
+        let c = parse_circuit(&format!(
+            "{HEADER}qreg a[62];\nqreg b[1];\nh a;\nbarrier b;"
+        ))
+        .unwrap();
+        assert_eq!((c.n_qubits(), c.gates().count()), (63, 62));
     }
 
     #[test]

@@ -19,6 +19,10 @@ pub use rng::SvRng;
 /// Index type for amplitudes and qubits, matching the paper's `IdxType`.
 pub type IdxType = u64;
 
+/// The most qubits a state vector holds: its `2^63` amplitudes are numbered
+/// by an [`IdxType`] with a bit to spare.
+pub const MAX_QUBITS: u32 = IdxType::BITS - 1;
+
 /// Scalar type for amplitudes, matching the paper's `ValType`
 /// (double-precision floating point).
 pub type ValType = f64;

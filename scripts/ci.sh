@@ -96,12 +96,15 @@ isa="$(cargo run --release --quiet -- run "$smoke" --shots 4 | sed -n 's/^kernel
 echo "kernels: $isa"
 
 echo "== kernel paths (release) =="
-# Every kernel's plain-memory paths (contiguous runs of lent memory, and the
-# chunk walk of pair kernels on targets 0-2: the code the optimizer
-# vectorizes) against its per-item path, bit for bit, in the build that
-# ships and in every body it ships — baseline and each wider level this CPU
-# has (a level it lacks prints a `skip:` line): every KernelId and fused
-# window x lowest qubit x range split. Tier-1 runs the same test unoptimized.
+# Every kernel's plain-memory walks (lent stretches in runs of 8 or more,
+# or in chunks of 32 amplitudes of a constant shape when a qubit below 5 is
+# involved: the code the optimizer vectorizes), through a view that counts
+# what it lends and one that counts nothing, against its per-item path, bit
+# for bit, in the build that ships and in every body it ships — baseline and
+# each wider level this CPU has (a level it lacks prints a `skip:` line):
+# every KernelId and fused window at lowest qubit 0-6 and n-2, every gate
+# with two operands on qubits 0-2, x range split. Tier-1 runs the same test
+# unoptimized.
 cargo test --release -p svsim-core --lib run_path_is_bit_identical_to_the_per_item_path -- --nocapture
 # The same walks through lending PeerView / ShmemView on thread PEs, counters
 # included, against the observed per-word launch (forked PEs: the

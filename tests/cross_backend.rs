@@ -212,9 +212,9 @@ fn every_kernel_on(c: &mut Circuit, q: [u32; 5]) {
 /// the state as plain memory: partition-local kernels on the PE's own slab,
 /// credited per kernel; boundary kernels as runs lent by whichever partition
 /// owns them, credited per run (where the lowest involved qubit leaves no run
-/// of 8: a pair kernel on that one low bit as whole stretches, clipped where
-/// the owning partition ends and credited for what was lent; anything else
-/// amplitude by amplitude out of the same lent memory). A launch
+/// of 8: a pair kernel on its one qubit below 5 as whole stretches, clipped
+/// where the owning partition ends and credited for what was lent; anything
+/// else amplitude by amplitude out of the same lent memory). A launch
 /// that observes individual words — a fault plan holding a `Get` spec (here
 /// one that never fires), or the race detector — lends nothing and issues
 /// every access through the view's instrumented accessors as before. Same
@@ -234,10 +234,13 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
     // boundary: one-qubit kernels on the top qubit, cx / cz / crz / ccx /
     // c4x / swap / cswap / rzz / rxx with operands on both sides), then
     // straddling with its lowest qubit at 0 (no runs: lent amplitude by
-    // amplitude); pair kernels on targets 0, 1 and 2 under a control above
-    // every boundary (stretches of 16 to 512 amplitudes lent across it, cut
+    // amplitude); pair kernels on targets 0 to 4 under a control above
+    // every boundary (stretches of 32 to 512 amplitudes lent across it, cut
     // at each partition's end) and under one at 7 (above the boundary at 8
-    // PEs only); a measured partition-index qubit steering conditioned
+    // PEs only); two low controls over the top target, and a controlled
+    // phase on 0 and 1 and under the top qubit (the masked chunk patterns:
+    // whole chunks of a PE's own slab, amplitude by amplitude out of a lent
+    // partition); a measured partition-index qubit steering conditioned
     // gates on either side; a reset (and its restoring X) on either side.
     let n = 10u32;
     let top = n - 1;
@@ -249,15 +252,22 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
     every_kernel_on(&mut circuit, [top, 5, top - 1, 3, top - 2]);
     every_kernel_on(&mut circuit, [top - 2, top, top - 3, top - 1, 4]);
     every_kernel_on(&mut circuit, [top, 0, top - 1, 1, 2]);
-    let low_pairs: [(GateKind, &[u32], &[f64]); 8] = [
+    let low_pairs: [(GateKind, &[u32], &[f64]); 15] = [
         (GateKind::CX, &[top, 0], &[]),
         (GateKind::CRY, &[top, 1], &[0.9]),
         (GateKind::CRZ, &[top, 2], &[0.7]),
+        (GateKind::CX, &[top, 3], &[]),
+        (GateKind::CRY, &[top, 4], &[0.9]),
         (GateKind::CH, &[top - 1, 1], &[]),
         (GateKind::CY, &[top - 2, 2], &[]),
         (GateKind::CCX, &[top, 5, 0], &[]),
         (GateKind::CRX, &[top - 2, 0], &[0.4]),
         (GateKind::CCX, &[top - 1, 4, 2], &[]),
+        (GateKind::CCX, &[0, 1, top], &[]),
+        (GateKind::CU1, &[0, 1], &[0.37]),
+        (GateKind::CU1, &[1, 0], &[0.37]),
+        (GateKind::CU1, &[top, 0], &[0.37]),
+        (GateKind::CX, &[1, 0], &[]),
     ];
     for (kind, qubits, params) in low_pairs {
         circuit.apply(kind, qubits, params).unwrap();

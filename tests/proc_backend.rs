@@ -114,13 +114,15 @@ fn measurement_streams_agree_across_backends() {
 fn plain_memory_paths_match_the_per_word_path_on_process_pes() {
     use sv_sim::ir::GateKind::*;
     // 8 qubits at 2 PEs: the boundary is qubit 7. A kernel of every driver
-    // across it with runs to lend (lowest qubit 3 to 7), and two without:
-    // pair kernels on targets 0 and 2 under the boundary qubit, walked as
-    // stretches of 128 amplitudes lent out of either PE's mapping.
+    // across it with runs to lend (lowest qubit 3 to 7), and four without:
+    // pair kernels on targets 0, 2 and 4 under the boundary qubit, walked as
+    // stretches of 128 amplitudes lent out of either PE's mapping, and two
+    // low controls over it. Then a controlled phase on 0 and 1, in whole
+    // chunks of each PE's own slab.
     let n = 8u32;
     let mut circuit = Circuit::with_cbits(n, 2);
     circuit.extend(&random_circuit(n, 60, 5)).unwrap();
-    let across: [(sv_sim::ir::GateKind, &[u32], &[f64]); 10] = [
+    let across: [(sv_sim::ir::GateKind, &[u32], &[f64]); 13] = [
         (H, &[7], &[]),
         (T, &[7], &[]),
         (CX, &[4, 7], &[]),
@@ -131,10 +133,14 @@ fn plain_memory_paths_match_the_per_word_path_on_process_pes() {
         (RZZ, &[7, 4], &[0.4]),
         (CX, &[7, 0], &[]),
         (CRY, &[7, 2], &[0.9]),
+        (CX, &[7, 3], &[]),
+        (CRY, &[7, 4], &[0.9]),
+        (CCX, &[0, 1, 7], &[]),
     ];
     for (kind, qubits, params) in across {
         circuit.apply(kind, qubits, params).unwrap();
     }
+    circuit.apply(CU1, &[1, 0], &[0.37]).unwrap();
     circuit.extend(&ghz_with_measure(n)).unwrap();
     let observe = |config: SimConfig, plan: Option<FaultPlan>| {
         let mut sim = Simulator::new(n, config).unwrap();
@@ -161,7 +167,7 @@ fn plain_memory_paths_match_the_per_word_path_on_process_pes() {
     assert!(on_slab > 0, "no kernel took the slab");
     assert_eq!(by_word, 0, "nobody observes, nothing goes by word");
     assert_eq!(none, 0, "a Get spec must see every get");
-    assert!(all >= on_slab + 10, "every kernel goes word by word");
+    assert!(all >= on_slab + 13, "every kernel goes word by word");
     assert!(plain == observed, "plain and per-word runs differ");
     assert!(
         (plain, (on_slab, 0)) == observe(threads, None),

@@ -311,7 +311,8 @@ fn cli_reports_the_fusion_window_the_plan_was_lowered_with() {
 /// Hostile input is a typed error naming its cause — exit 1 — never a panic
 /// (101) or a stack overflow (134): non-finite angles, expressions nested
 /// past the parser's bound, gates whose bodies reach themselves, register
-/// widths that would wrap, and registers too wide to price.
+/// widths that would wrap, and quantum registers wider than a state vector
+/// (to run, to broadcast a gate or a barrier over, or to price).
 #[test]
 fn cli_refuses_hostile_qasm_with_the_cause() {
     let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
@@ -370,19 +371,31 @@ fn cli_refuses_hostile_qasm_with_the_cause() {
             "wrap",
             format!("{header}qreg a[2147483648];\nqreg b[2147483648];\nqreg c[3];\nh c[0];\n"),
             &["run"],
-            "quantum register b[2147483648]: its bits",
+            "quantum register a[2147483648]: 2147483648 qubits in all",
+        ),
+        (
+            "broadcast",
+            format!("{header}qreg a[4294967294];\nqreg b[1];\nh a;\n"),
+            &["run"],
+            "quantum register a[4294967294]: 4294967294 qubits in all; a state vector holds at most 63",
+        ),
+        (
+            "barrier",
+            format!("{header}qreg b[1];\nqreg a[4294967293];\nbarrier a;\n"),
+            &["run"],
+            "quantum register a[4294967293]: 4294967294 qubits in all",
         ),
         (
             "price100",
             format!("{header}qreg q[100];\nh q[99];\n"),
             &["estimate", "--platform", "v100"],
-            "a 100-qubit register has more than 2^63 amplitudes",
+            "quantum register q[100]: 100 qubits in all; a state vector holds at most 63 (2^63 amplitudes)",
         ),
         (
             "price64",
             format!("{header}qreg q[64];\nh q[63];\n"),
             &["estimate", "--platform", "v100"],
-            "a 64-qubit register has more than 2^63 amplitudes",
+            "quantum register q[64]: 64 qubits in all",
         ),
     ];
     for (tag, src, command, cause) in cases {
