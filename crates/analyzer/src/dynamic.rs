@@ -274,11 +274,11 @@ mod tests {
     }
 
     /// The detector watches a plan with tile runs: at 2 PEs an 18-qubit
-    /// slab is four tiles, so its plan has fewer epochs than kernels, and the
-    /// detected launch — word by word, no slab — passes exactly the barriers
-    /// of a plain one. Release-mode CI leg (`scripts/ci.sh`): the
+    /// slab is four L2 tiles, so its plan has fewer epochs than kernels, and
+    /// the detected launch — word by word, no slab — passes exactly the
+    /// barriers of a plain one. Release-mode CI leg (`scripts/ci.sh`): the
     /// `analyze --suite --detect` legs stop at 14 qubits, where a slab is at
-    /// most one tile.
+    /// most one L2 tile and its runs, if any, are at 2^11.
     #[test]
     #[ignore = "release-mode CI leg: runs via scripts/ci.sh (cargo test --release -- --ignored)"]
     fn tile_runs_cross_validate_under_the_detector() {

@@ -287,10 +287,15 @@ mod tests {
         let rep = analyze(&square_root.circuit().unwrap(), &SimConfig::scale_out(2)).unwrap();
         assert_eq!(rep.epochs.len(), 207);
 
-        // 16 qubits at 2 PEs: a slab is one tile, one epoch per kernel.
+        // 16 qubits at 2 PEs: a slab is one L2 tile, and its runs at 2^11
+        // are epochs too; at 32 PEs a slab is 2^11, one epoch per kernel.
         let dnn = svsim_workloads::qnn::dnn_layers(16, 2, 1).unwrap();
-        let plan = CompiledPlan::compile(&dnn, 16, &SimConfig::scale_out(2));
-        assert_eq!(CommPlan::from_plan(&plan).epochs.len(), plan.n_kernels());
+        for (n_pes, tiled) in [(2, true), (32, false)] {
+            let plan = CompiledPlan::compile(&dnn, 16, &SimConfig::scale_out(n_pes));
+            let comm = CommPlan::from_plan(&plan);
+            assert!(check_plan(&comm, n_pes as u64).unwrap().is_proven_safe());
+            assert_eq!(comm.epochs.len() < plan.n_kernels(), tiled, "{n_pes} PEs");
+        }
     }
 
     #[test]
@@ -299,7 +304,7 @@ mod tests {
         // analyzer proves, plus four of the launch (the two collective
         // allocations, the scatter and the gather) and two more where the
         // plan relabels (the staging allocations): wherever tile runs share
-        // a barrier, and wherever a slab is one tile and none do.
+        // a barrier, at 2^15 or, on a slab of one L2 tile or less, at 2^11.
         use svsim_workloads::{algos::qft, qnn::dnn_layers};
         let dnn17 = dnn_layers(17, 3, 5).unwrap();
         let remapped = SimConfig {
@@ -328,6 +333,6 @@ mod tests {
             );
             tiled += usize::from(summary.tile_runs > 0);
         }
-        assert_eq!(tiled, 4, "every 17-qubit config but 4 PEs runs tile runs");
+        assert_eq!(tiled, 6, "every slab here is wider than 2^11");
     }
 }

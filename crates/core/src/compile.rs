@@ -20,19 +20,24 @@ use svsim_types::Complex64;
 /// its controlled forms share a body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelId {
-    /// Exchange two amplitudes: Pauli-X, CNOT, SWAP, Fredkin.
+    /// Exchange two amplitudes: Pauli-X, CNOT and the multi-controlled X
+    /// (CCX, C3X, C4X), SWAP, Fredkin.
     X,
-    /// Pauli-Y.
+    /// Pauli-Y, plain or controlled.
     Y,
     /// Pauli-Z (half-touch).
     Z,
-    /// Hadamard.
+    /// Hadamard, plain or controlled.
     H,
     /// Multiply one amplitude by `e^{i l}`: S/SDG/T/TDG/U1 (half-touch) and,
     /// on the all-ones subspace of its qubits, CZ/CU1.
     Phase,
     /// RZ, plain or controlled.
     Rz,
+    /// RY, plain or controlled: a real rotation.
+    Ry,
+    /// RX, plain or controlled.
+    Rx,
     /// Dense 2×2, plain or (multi-)controlled.
     OneQ,
     /// Diagonal ZZ rotation.
@@ -113,7 +118,8 @@ pub(crate) fn write_payload(kind: GateKind, p: &[f64], args: &mut GateArgs) {
     use std::f64::consts::{FRAC_PI_4, PI};
     use GateKind::*;
     // The phase kernels carry `e^{i angle}` (the RZ family rotates by half
-    // its parameter), the dense kernels the (controlled) matrix.
+    // its parameter), the RY and RX bodies `cos` and `sin` of half their
+    // angle, the dense kernels the (controlled) matrix.
     let phase = |args: &mut GateArgs, angle: f64| {
         args.s0 = angle.cos();
         args.s1 = angle.sin();
@@ -125,16 +131,11 @@ pub(crate) fn write_payload(kind: GateKind, p: &[f64], args: &mut GateArgs) {
         TDG => phase(args, -FRAC_PI_4),
         CZ => phase(args, PI),
         U1 | CU1 => phase(args, p[0]),
-        RZ | CRZ | RZZ => phase(args, p[0] / 2.0),
-        RX | RY | U2 | U3 => matrix_into(args, &matrices::single_qubit(kind, p)),
-        CRX => matrix_into(args, &matrices::rx(p[0])),
-        CRY => matrix_into(args, &matrices::ry(p[0])),
+        RZ | CRZ | RZZ | RY | CRY | RX | CRX => phase(args, p[0] / 2.0),
+        U2 | U3 => matrix_into(args, &matrices::single_qubit(kind, p)),
         CU3 => matrix_into(args, &matrices::u3(p[0], p[1], p[2])),
         RXX => matrix_into(args, &matrices::rxx(p[0])),
-        CY => matrix_into(args, &matrices::single_qubit(Y, &[])),
-        CH => matrix_into(args, &matrices::single_qubit(H, &[])),
         C3SQRTX => matrix_into(args, &matrices::sqrt_x()),
-        CCX | C3X | C4X => matrix_into(args, &matrices::single_qubit(X, &[])),
         _ => {}
     }
 }
@@ -162,19 +163,21 @@ pub fn compile_gate(g: &Gate, n_qubits: u32, specialized: bool, out: &mut Vec<Co
     let (c, t) = (mask_of(&q[..nc]), bit(nc));
     // The angle-independent part of the argument block: the body, and the
     // footprint it sweeps. This table is the one place a gate's amplitudes
-    // are spelled.
+    // are spelled. Each gate takes the cheapest body that computes it: a
+    // controlled X, Y or H is that gate's body under its controls, never a
+    // dense matrix.
     let (id, (offs, n_offs)) = match g.kind() {
         ID => return, // identity: the specialized backend skips it entirely
-        X | CX => (KernelId::X, pair(c, t)),
-        Y => (KernelId::Y, pair(c, t)),
+        X | CX | CCX | C3X | C4X => (KernelId::X, pair(c, t)),
+        Y | CY => (KernelId::Y, pair(c, t)),
         Z => (KernelId::Z, footprint([t])),
-        H => (KernelId::H, pair(c, t)),
+        H | CH => (KernelId::H, pair(c, t)),
         S | SDG | T | TDG | U1 => (KernelId::Phase, footprint([t])),
         CZ | CU1 => (KernelId::Phase, footprint([c | t])),
         RZ | CRZ => (KernelId::Rz, pair(c, t)),
-        RX | RY | U2 | U3 | CY | CH | CRX | CRY | CU3 | CCX | C3X | C4X | C3SQRTX => {
-            (KernelId::OneQ, pair(c, t))
-        }
+        RY | CRY => (KernelId::Ry, pair(c, t)),
+        RX | CRX => (KernelId::Rx, pair(c, t)),
+        U2 | U3 | CU3 | C3SQRTX => (KernelId::OneQ, pair(c, t)),
         // The two words a swap exchanges: `|01>` and `|10>` of its operands,
         // under Fredkin's control.
         SWAP => (KernelId::X, footprint([bit(0), bit(1)])),
@@ -243,7 +246,7 @@ mod tests {
     #[test]
     fn specialized_kernel_selection() {
         use GateKind::*;
-        let cases: [(Gate, KernelId, &[u64]); 20] = [
+        let cases: Vec<(Gate, KernelId, &[u64])> = vec![
             (g(X, &[0], &[]), KernelId::X, &[0, 1]),
             (g(Z, &[3], &[]), KernelId::Z, &[8]),
             (g(T, &[1], &[]), KernelId::Phase, &[2]),
@@ -255,11 +258,33 @@ mod tests {
             (g(CRZ, &[3, 1], &[0.3]), KernelId::Rz, &[0b1000, 0b1010]),
             (g(CZ, &[0, 1], &[]), KernelId::Phase, &[0b11]),
             (g(CU1, &[5, 2], &[0.4]), KernelId::Phase, &[0b100100]),
-            (g(CCX, &[0, 1, 2], &[]), KernelId::OneQ, &[0b011, 0b111]),
+            // The cheapest body that computes the gate, its controls below
+            // the target and above it: never the dense 2×2.
+            (g(CCX, &[0, 1, 2], &[]), KernelId::X, &[0b011, 0b111]),
+            (g(CCX, &[5, 3, 1], &[]), KernelId::X, &[0b101000, 0b101010]),
+            (
+                g(C3X, &[0, 4, 5, 2], &[]),
+                KernelId::X,
+                &[0b110001, 0b110101],
+            ),
             (
                 g(C4X, &[5, 0, 3, 1, 2], &[]),
-                KernelId::OneQ,
+                KernelId::X,
                 &[0b101011, 0b101111],
+            ),
+            (g(CH, &[0, 3], &[]), KernelId::H, &[0b0001, 0b1001]),
+            (g(CH, &[3, 0], &[]), KernelId::H, &[0b1000, 0b1001]),
+            (g(CY, &[1, 2], &[]), KernelId::Y, &[0b010, 0b110]),
+            (g(CY, &[4, 1], &[]), KernelId::Y, &[0b10000, 0b10010]),
+            (g(RY, &[2], &[0.3]), KernelId::Ry, &[0, 0b100]),
+            (g(CRY, &[0, 3], &[0.3]), KernelId::Ry, &[0b0001, 0b1001]),
+            (g(CRY, &[5, 1], &[0.3]), KernelId::Ry, &[0b100000, 0b100010]),
+            (g(RX, &[1], &[0.3]), KernelId::Rx, &[0, 0b10]),
+            (g(CRX, &[2, 0], &[0.3]), KernelId::Rx, &[0b100, 0b101]),
+            (
+                g(CU3, &[0, 2], &[0.1, 0.2, 0.3]),
+                KernelId::OneQ,
+                &[0b001, 0b101],
             ),
             (g(SWAP, &[0, 1], &[]), KernelId::X, &[0b01, 0b10]),
             (g(SWAP, &[4, 2], &[]), KernelId::X, &[0b10000, 0b00100]),

@@ -34,6 +34,8 @@ pub fn resolve<V: StateView>(id: KernelId) -> KernelFn<V> {
         KernelId::H => kernels::k_h::<V>,
         KernelId::Phase => kernels::k_phase::<V>,
         KernelId::Rz => kernels::k_rz::<V>,
+        KernelId::Ry => kernels::k_ry::<V>,
+        KernelId::Rx => kernels::k_rx::<V>,
         KernelId::OneQ => kernels::k_oneq::<V>,
         KernelId::Rzz => kernels::k_rzz::<V>,
         KernelId::TwoQ => kernels::k_twoq::<V>,
@@ -110,6 +112,8 @@ mod tests {
             KernelId::H,
             KernelId::Phase,
             KernelId::Rz,
+            KernelId::Ry,
+            KernelId::Rx,
             KernelId::OneQ,
             KernelId::Rzz,
             KernelId::TwoQ,

@@ -49,6 +49,8 @@ pub(crate) fn kernels_anchored_at(qmin: u32, n: u32) -> Vec<CompiledGate> {
         (H, vec![a], &[]),
         (T, vec![a], &[]),
         (RZ, vec![a], &[0.3]),
+        (RY, vec![a], &[0.3]),
+        (RX, vec![a], &[0.8]),
         (U3, vec![a], &[0.1, 0.2, 0.3]),
         (CX, vec![a, far], &[]),
         (CX, vec![far, a], &[]),
@@ -57,6 +59,8 @@ pub(crate) fn kernels_anchored_at(qmin: u32, n: u32) -> Vec<CompiledGate> {
         (CRZ, vec![a, far], &[0.7]),
         (CRZ, vec![b, a], &[0.7]),
         (CRY, vec![far, a], &[0.9]),
+        (CRY, vec![a, b], &[0.9]),
+        (CRX, vec![b, a], &[-1.3]),
         (CCX, vec![a, far, b], &[]),
         (CCX, vec![c, b, a], &[]),
         (C4X, vec![up(4), a, up(3), b, c], &[]),

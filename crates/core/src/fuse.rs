@@ -407,7 +407,7 @@ mod tests {
         // H;H fuse, C4X stays, H;H fuse.
         assert_eq!(fused.len(), 3);
         assert_eq!(fused[0].id, KernelId::Fused1);
-        assert_eq!(fused[1].id, KernelId::OneQ);
+        assert_eq!(fused[1].id, KernelId::X);
         assert_eq!(fused[1].args.n_sorted, 5, "the C4X, as it was");
         assert_eq!(fused[2].id, KernelId::Fused1);
         assert_eq!(source_kernels(&fused), queue.len());

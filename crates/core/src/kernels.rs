@@ -12,9 +12,11 @@
 //! work item — swept over a **footprint**: which amplitudes those are, the
 //! OR-offsets [`GateArgs::offs`] that [`crate::compile`] writes beside the
 //! kernel's id. Gates that differ only in where their amplitudes sit share a
-//! body: X, CNOT, SWAP and Fredkin all exchange two words (`k_x`); a phase
-//! gate and a controlled phase multiply one (`k_phase`); a control is bits
-//! set in every offset.
+//! body: X, CNOT, Toffoli, SWAP and Fredkin all exchange two words (`k_x`);
+//! a phase gate and a controlled phase multiply one (`k_phase`); a control is
+//! bits set in every offset. Each gate takes the cheapest body that computes
+//! it: RY and RX are real-coefficient rotations (`k_ry`, `k_rx`), and only
+//! gates with no cheaper form run the dense 2×2 `k_oneq`.
 //!
 //! Every kernel processes a caller-supplied sub-range of its *work-item
 //! space*, so the same code serves the single device (full range), the
@@ -658,8 +660,9 @@ fn x<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
 }
 kernel! {
     /// Exchange the footprint's two amplitudes. Pauli-X: target clear and set;
-    /// CNOT: the same under the control (a quarter of the vector); SWAP: `|01>`
-    /// and `|10>` of the operands (a quarter; Fredkin, an eighth).
+    /// CNOT: the same under the control (a quarter of the vector; CCX, C3X,
+    /// C4X: under every control); SWAP: `|01>` and `|10>` of the operands (a
+    /// quarter; Fredkin, an eighth).
     k_x = x
 }
 
@@ -676,7 +679,7 @@ fn y<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     );
 }
 kernel! {
-    /// Pauli-Y: swap with `±i` phases.
+    /// Pauli-Y, and controlled-Y: swap with `±i` phases.
     k_y = y
 }
 
@@ -717,7 +720,7 @@ fn h<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     );
 }
 kernel! {
-    /// Hadamard.
+    /// Hadamard, and controlled-H.
     k_h = h
 }
 
@@ -762,6 +765,54 @@ kernel! {
 }
 
 #[inline(always)]
+fn ry<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+    let (c, s) = (a.s0, a.s1);
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        a.footprint(),
+        #[inline(always)]
+        |[(r0, m0), (r1, m1)]| {
+            [
+                (c * r0 - s * r1, c * m0 - s * m1),
+                (s * r0 + c * r1, s * m0 + c * m1),
+            ]
+        },
+    );
+}
+kernel! {
+    /// `RY = [[c, -s], [s, c]]` with `s0 + i s1 = e^{i th/2}`, and
+    /// controlled-RY: one real rotation of the pair (under the control), the
+    /// same on both planes — 12 flops where the dense 2×2 spends 28.
+    k_ry = ry
+}
+
+#[inline(always)]
+fn rx<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
+    let (c, s) = (a.s0, a.s1);
+    sweep(
+        v,
+        a.sorted(),
+        r,
+        a.footprint(),
+        #[inline(always)]
+        |[(r0, m0), (r1, m1)]| {
+            [
+                (c * r0 + s * m1, c * m0 - s * r1),
+                (s * m0 + c * r1, c * m1 - s * r0),
+            ]
+        },
+    );
+}
+kernel! {
+    /// `RX = [[c, -i s], [-i s, c]]` with `s0 + i s1 = e^{i th/2}`, and
+    /// controlled-RX: each amplitude keeps `c` of itself and takes `-i s` of
+    /// the other — 12 flops where the dense 2×2 spends 28.
+    k_rx = rx
+}
+
+#[inline(always)]
 fn oneq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     let m = &a.m;
     sweep(
@@ -785,9 +836,8 @@ fn oneq<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     );
 }
 kernel! {
-    /// Dense 2×2 gate, plain (`U3`, `U2`, `RX`, `RY`, and the non-specialized
-    /// fallback) or (multi-)controlled (CY, CH, CRX, CRY, CU3, CCX, C3X, C4X,
-    /// C3SQRTX).
+    /// Dense 2×2 gate, plain (`U3`, `U2`, and the non-specialized fallback)
+    /// or controlled (CU3, C3SQRTX).
     k_oneq = oneq
 }
 
@@ -860,6 +910,8 @@ fn body<V: StateView>(id: KernelId) -> KernelFn<V> {
         KernelId::H => h::<V>,
         KernelId::Phase => phase::<V>,
         KernelId::Rz => rz::<V>,
+        KernelId::Ry => ry::<V>,
+        KernelId::Rx => rx::<V>,
         KernelId::OneQ => oneq::<V>,
         KernelId::Rzz => rzz::<V>,
         KernelId::TwoQ => twoq::<V>,
@@ -1317,7 +1369,7 @@ mod tests {
                 assert_eq!(bits(&im_a), bits(&im_b), "{what}");
             }
         }
-        assert_eq!(seen.len(), 12, "every KernelId swept: {seen:?}");
+        assert_eq!(seen.len(), 14, "every KernelId swept: {seen:?}");
     }
 
     /// Bodies against footprints: over any share of its work items a kernel
@@ -1372,7 +1424,7 @@ mod tests {
                 check(micro, u32::from(cg.args.n_sorted), &what);
             }
         }
-        assert_eq!(seen.len(), 12, "every KernelId swept: {seen:?}");
+        assert_eq!(seen.len(), 14, "every KernelId swept: {seen:?}");
         assert!(micros > 60, "{micros} window-local micro-ops");
     }
 }

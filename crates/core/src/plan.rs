@@ -36,7 +36,8 @@ use std::ops::Range;
 use svsim_ir::{Circuit, Gate, GateKind, Op};
 
 /// A **tile run**: a maximal stretch of two or more consecutive
-/// unconditional gate kernels of a segment, all [`tile_local`] at `width`.
+/// unconditional gate kernels of a segment, all [`tile_local`] at `width`
+/// (the widest of [`TILE_QUBITS`] narrower than the walker's own memory).
 /// A walker sweeps its own memory tile by tile for it — every kernel of the
 /// run over one tile of `2^width` amplitudes, then the next tile — and a PE
 /// passes one barrier after it instead of one per kernel: no kernel of the
@@ -75,13 +76,13 @@ pub(crate) struct PlanSegment {
 }
 
 /// The three settings the lowering derives from `config` for an `n_qubits`
-/// register: `(remap_pes, fuse, tiled)`. Remapping applies to multi-PE
+/// register: `(remap_pes, fuse, tile widths)`. Remapping applies to multi-PE
 /// scale-out only (`remap_pes` is 0 elsewhere). The fusion window is clamped
 /// here, once, so the remap cost scan, the fuser and
 /// [`CompiledPlan::matches`] all see the window that is built. Runtime
 /// parsing re-parses gate by gate, so it runs — and is lowered to — the
 /// unfused schedule whatever [`SimConfig::fuse`] says, and without tile runs.
-fn lowering_shape(config: &SimConfig, n_qubits: u32) -> (u64, u8, bool) {
+fn lowering_shape(config: &SimConfig, n_qubits: u32) -> (u64, u8, Vec<u32>) {
     let remap_pes = match config.backend {
         BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
         _ => 0,
@@ -90,39 +91,44 @@ fn lowering_shape(config: &SimConfig, n_qubits: u32) -> (u64, u8, bool) {
         DispatchMode::PreloadedFnPointer => config.fuse.min(crate::fuse::MAX_WINDOW),
         DispatchMode::RuntimeParse => 0,
     };
-    (remap_pes, fuse, tiles(config, n_qubits, TILE_QUBITS[0]))
+    (remap_pes, fuse, tiles(config, n_qubits, &TILE_QUBITS))
 }
 
-/// Whether a walker of an `n_qubits` register under `config` runs tile runs
-/// `2^outer` amplitudes wide: only with preloaded kernels, and only when its
-/// own memory — `2^(n_qubits − log2 workers)` amplitudes — is wider than one
-/// tile.
-fn tiles(config: &SimConfig, n_qubits: u32, outer: u32) -> bool {
+/// The entries of `widths` a walker of an `n_qubits` register under `config`
+/// tiles at, in their order: only with preloaded kernels, and only those
+/// narrower than its own memory — `2^(n_qubits − log2 workers)` amplitudes.
+/// A 2^15-amplitude slab tiles at 11 alone; a 2^11 one not at all.
+fn tiles(config: &SimConfig, n_qubits: u32, widths: &[u32]) -> Vec<u32> {
     let own = n_qubits.saturating_sub(config.backend.n_workers().trailing_zeros());
-    config.dispatch == DispatchMode::PreloadedFnPointer && own > outer
+    let preloaded = config.dispatch == DispatchMode::PreloadedFnPointer;
+    widths
+        .iter()
+        .copied()
+        .filter(|&w| preloaded && w < own)
+        .collect()
 }
 
 /// The tile runs of `seg` for a walker of an `n_qubits` register under
-/// `config`, at the widths `widths`, outermost first, each narrower than the
-/// last ([`build_segment`] passes [`TILE_QUBITS`]; the crate's tests walk
-/// small registers in small tiles): none unless the walker [`tiles`] at
-/// `widths[0]`. A stretch of gate steps is cut by every other step — a
-/// measure, a reset, an `IfEq`, an exchange — and within it a run by every
-/// kernel that is not tile-local.
+/// `config`, at those of the widths `widths` (outermost first, each narrower
+/// than the last) it [`tiles`] at ([`build_segment`] passes [`TILE_QUBITS`];
+/// the crate's tests walk small registers in small tiles): runs at the
+/// widest of them, each with its sub-runs at the next. A stretch of gate
+/// steps is cut by every other step — a measure, a reset, an `IfEq`, an
+/// exchange — and within it a run by every kernel that is not tile-local.
 pub(crate) fn tile_runs(
     seg: &PlanSegment,
     n_qubits: u32,
     config: &SimConfig,
     widths: &[u32],
 ) -> Vec<TileRun> {
-    let tiled = matches!(widths.first(), Some(&outer) if tiles(config, n_qubits, outer));
-    let gates = |step: &Step| tiled && matches!(step, Step::Gate { .. });
+    let widths = tiles(config, n_qubits, widths);
+    let gates = |step: &Step| !widths.is_empty() && matches!(step, Step::Gate { .. });
     let stretches = seg.steps.chunk_by(|a, b| gates(a) && gates(b));
     (stretches.filter(|stretch| gates(&stretch[0])))
         .flat_map(|stretch| {
             let kernels = |step: &Step| step.kernels().map_or(0..0, |(_, r)| r.clone());
             let (first, last) = (kernels(&stretch[0]), kernels(&stretch[stretch.len() - 1]));
-            runs_in(&seg.queue, first.start..last.end, n_qubits, widths)
+            runs_in(&seg.queue, first.start..last.end, n_qubits, &widths)
         })
         .collect()
 }
@@ -319,9 +325,9 @@ pub struct CompiledPlan {
     checkpoint_every: u32,
     n_ops: usize,
     /// What the lowering derived from the config ([`lowering_shape`]): the
-    /// remap PE count, the fusion window (0 = unfused), and whether the plan
-    /// holds tile runs.
-    shape: (u64, u8, bool),
+    /// remap PE count, the fusion window (0 = unfused), and the widths its
+    /// tile runs are lowered at (none: it holds no tile run).
+    shape: (u64, u8, Vec<u32>),
     /// Source kernels before fusion, across all segments — the numerator
     /// of the gates-per-amplitude-pass metric (`n_kernels()` is the
     /// denominator).
@@ -359,10 +365,10 @@ impl CompiledPlan {
     /// an identically-shaped circuit. The op count is a cheap structural
     /// sanity check; supplying a *different* circuit with the same length
     /// is a caller contract violation, same as resuming
-    /// [`crate::Simulator::run_from`] with the wrong circuit. Tile runs
-    /// count as shape: a plan lowered where a walker's memory is several
-    /// tiles wide does not match a walker whose memory is one tile or less
-    /// (its runs would hold kernels that cross that walker's partitions), nor
+    /// [`crate::Simulator::run_from`] with the wrong circuit. The tile
+    /// widths count as shape: a plan lowered for a walker that tiles at
+    /// other widths does not match (its runs could hold kernels that cross
+    /// this walker's partitions, or miss runs this walker opens), nor does
     /// runtime parsing.
     #[must_use]
     pub fn matches(&self, circuit: &Circuit, n_qubits: u32, config: &SimConfig) -> bool {
@@ -622,7 +628,7 @@ mod tests {
             "Fused3 (-) op 9 cond false",
             "exchange 2 4",
             "Phase (cz) op 10 cond false",
-            "OneQ (c4x) op 11 cond false",
+            "X (c4x) op 11 cond false",
             "exchange 2 4",
             "collapse",
             "X (-) op 12 cond true",
@@ -674,14 +680,43 @@ mod tests {
             assert_eq!(barriers(&config), want, "{config:?}");
             assert!(plan.matches(&c, 17, &config), "{config:?}");
         }
+        // A slab of at most one L2 tile (4 or 8 PEs) tiles at 11 alone: H on
+        // qubits 0-10, then H on 3 and 4. The single device's plan, whose
+        // runs hold kernels on qubits 11-14, is not theirs.
+        let mut at_11 = vec![true; 21];
+        at_11[..10].fill(false);
+        at_11[17] = false;
+        for config in [SimConfig::scale_out(4), SimConfig::scale_up(8)] {
+            assert_eq!(barriers(&config), at_11, "{config:?}");
+            assert!(!plan.matches(&c, 17, &config), "{config:?}");
+        }
         let parse = SimConfig {
             dispatch: DispatchMode::RuntimeParse,
             ..single
         };
-        for config in [SimConfig::scale_out(4), SimConfig::scale_up(8), parse] {
-            assert_eq!(barriers(&config), [true; 21], "{config:?}");
-            assert!(!plan.matches(&c, 17, &config), "{config:?}");
+        assert_eq!(barriers(&parse), [true; 21]);
+        assert!(!plan.matches(&c, 17, &parse));
+    }
+
+    #[test]
+    fn matches_rejects_a_plan_lowered_for_other_tile_widths() {
+        // 16 qubits: one device tiles at [15, 11]; a slab of 2^15 (2 PEs) or
+        // 2^13 (8 PEs) at 11 alone, so those two lower the same plan; a slab
+        // of 2^11 (32 PEs) not at all.
+        let mut c = Circuit::new(16);
+        for q in 0..16 {
+            c.apply(GateKind::H, &[q], &[]).unwrap();
         }
+        let plan = |config: &SimConfig| CompiledPlan::compile(&c, 16, config);
+        let two = plan(&SimConfig::scale_out(2));
+        assert_eq!(two.shape.2, [11]);
+        assert!(two.matches(&c, 16, &SimConfig::scale_out(8)));
+        for config in [SimConfig::single_device(), SimConfig::scale_out(32)] {
+            assert!(!two.matches(&c, 16, &config), "{config:?}");
+            assert!(!plan(&config).matches(&c, 16, &SimConfig::scale_out(2)));
+        }
+        assert_eq!(plan(&SimConfig::single_device()).shape.2, TILE_QUBITS);
+        assert!(plan(&SimConfig::scale_out(32)).shape.2.is_empty());
     }
 
     #[test]

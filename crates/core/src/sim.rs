@@ -208,15 +208,19 @@ pub struct RunSummary {
     /// barrier and a walker sweeps tile by tile over its own memory, one
     /// pass per run instead of one per kernel (a launch that observes
     /// individual words walks them word by word, and passes the same
-    /// barriers). Summed over segments; 0 when a walker's memory is no wider
-    /// than one tile and under [`DispatchMode::RuntimeParse`].
+    /// barriers). Runs are lowered at the widest of
+    /// [`crate::traffic::TILE_QUBITS`] narrower than a walker's own memory:
+    /// 2^15 amplitudes where that memory is wider, else 2^11 (a 2-PE slab of
+    /// 16 qubits). Summed over segments; 0 when a walker's memory is no wider
+    /// than 2^11 amplitudes and under [`DispatchMode::RuntimeParse`].
     pub tile_runs: usize,
     /// Kernels inside those tile runs.
     pub tiled_kernels: usize,
     /// Sub-runs of those tile runs one level down: maximal stretches of two
     /// or more kernels that fit the inner, L1-sized tile width of
     /// [`crate::traffic::TILE_QUBITS`], each swept sub-tile by sub-tile over
-    /// every tile of its run. Counted once per tile run, like `tile_runs`.
+    /// every tile of its run. Counted once per tile run, like `tile_runs`;
+    /// 0 where the runs themselves are at the inner width.
     pub inner_tile_runs: usize,
     /// Kernels that ran inside those sub-runs.
     pub inner_tiled_kernels: usize,
@@ -1618,11 +1622,12 @@ mod tests {
 
     #[test]
     fn a_plan_with_tile_runs_is_not_reused_where_a_slab_is_one_tile() {
-        // 17 qubits on one device: four tiles, so the plan holds tile runs.
-        // At 8 PEs a slab is 2^14 amplitudes and qubit 14 crosses PEs inside
-        // one of those runs; under runtime parsing nothing runs tile-major.
-        // Neither reuses the plan: each lowers its own, bit-identically, and
-        // passes the barriers a run without a plan passes.
+        // 17 qubits on one device: four tiles, so the plan holds tile runs
+        // at 2^15 and 2^11. At 8 PEs a slab is 2^14 amplitudes, tiled at 2^11
+        // alone, and qubit 14 crosses PEs inside one of the plan's runs;
+        // under runtime parsing nothing runs tile-major. Neither reuses the
+        // plan: each lowers its own, bit-identically, and passes the barriers
+        // and tile runs a run without a plan passes.
         let mut c = Circuit::new(17);
         for q in 0..17 {
             c.apply(GateKind::H, &[q], &[]).unwrap();
@@ -1644,7 +1649,11 @@ mod tests {
             assert_eq!(planned.state().re(), direct.state().re(), "{config:?}");
             assert_eq!(planned.state().im(), direct.state().im(), "{config:?}");
             assert_eq!(got.traffic, want.traffic, "{config:?}: barriers too");
-            assert_eq!(got.tile_runs, 0, "{config:?}");
+            assert_eq!(
+                (got.tile_runs, got.tiled_kernels),
+                (want.tile_runs, want.tiled_kernels),
+                "{config:?}"
+            );
         }
         let mut own = Simulator::new(17, SimConfig::single_device()).unwrap();
         let tiled = own.run_from(&c, Some(&plan), RunStart::Fresh).unwrap();

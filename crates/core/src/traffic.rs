@@ -79,7 +79,7 @@ pub fn kernel_access_patterns(cg: &CompiledGate) -> (&[u64], u64) {
         KernelId::Z => 2,
         KernelId::H => 8,
         KernelId::Phase => 6,
-        KernelId::Rz => 12,
+        KernelId::Rz | KernelId::Ry | KernelId::Rx => 12,
         KernelId::OneQ => 28,
         KernelId::Rzz => 24,
         KernelId::TwoQ => 112,
@@ -118,16 +118,18 @@ pub fn partition_local(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> bool {
 /// log2 of the amplitudes in one **tile** of tile-major execution at each
 /// cache level, outermost first; each width tiles the one before it. Read by
 /// the lowering alone ([`crate::plan`]), which records a segment's tile runs
-/// and their sub-runs at these widths; the walker ([`crate::exec`]) executes
-/// what it recorded.
+/// and their sub-runs at those of these widths narrower than the walker's own
+/// memory; the walker ([`crate::exec`]) executes what it recorded. A run at
+/// the widest of them is also one barrier window of a partitioned walker.
 ///
 /// - **15**: 2^15 amplitudes (two `f64` planes) are 512 KiB, a quarter of a
-///   2 MiB L2. A run of kernels below qubit 15 sweeps each such tile once, and
-///   only own memory wider than one of these tiles opens a run at all: a run
-///   is also one barrier window of a partitioned walker.
+///   2 MiB L2. On own memory wider than that, a run of kernels below qubit
+///   15 sweeps each such tile once.
 /// - **11**: 2^11 amplitudes are 32 KiB, two-thirds of a 48 KiB L1D. Inside
 ///   one L2 tile, every maximal sub-run of two or more kernels below qubit 11
-///   sweeps each such sub-tile once.
+///   sweeps each such sub-tile once; on own memory of one L2 tile or less
+///   (a 2-PE slab of 16 qubits, a 12- to 15-qubit device) such a run sweeps
+///   that memory sub-tile by sub-tile, and is the barrier window.
 ///
 /// Constants, not a probe or a setting: the measured optimum is flat from 14
 /// to 16 at the outer level, and 10 to 11 at the inner (12, 64 KiB, no longer
@@ -325,7 +327,7 @@ mod tests {
             .flat_map(|qmin| crate::fixtures::kernels_anchored_at(qmin, n))
             .collect();
         let ids: std::collections::HashSet<KernelId> = cases.iter().map(|c| c.id).collect();
-        assert_eq!(ids.len(), 12, "every KernelId is covered: {ids:?}");
+        assert_eq!(ids.len(), 14, "every KernelId is covered: {ids:?}");
         let (mut local, mut crossing) = (0, 0);
         // 2, 4 and 8 are PE counts; 16 and 32 are what a tile of 2^4 or 2^3
         // amplitudes makes of the same rule.

@@ -78,10 +78,12 @@ cargo run --release --quiet -- analyze --suite --pes 2 --detect --max-qubits 14
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --remap
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --fuse 3
-# The legs above stop where a PE's slab is at most one tile, so no epoch of
-# theirs holds a tile run. bigadder_n18 and cc_n18 at 2 thread PEs do (3 runs
-# and 1): verdicts agree, the plan has fewer epochs than kernels, and the
-# detected run passes as many barriers as the plain one.
+# The legs above stop where a PE's slab is at most one L2 tile (2^15), so the
+# only tile runs in their epochs are the 2^11-wide runs of slabs wider than
+# 2^11 (13- and 14-qubit circuits at 2 PEs). bigadder_n18 and cc_n18 at 2
+# thread PEs hold runs at 2^15 with sub-runs at 2^11 (3 runs and 1): verdicts
+# agree, the plan has fewer epochs than kernels, and the detected run passes
+# as many barriers as the plain one.
 cargo test --release -p svsim-analyzer --lib tile_runs_cross_validate_under_the_detector -- --ignored --nocapture
 
 echo "== CLI smoke: what ran =="
@@ -152,8 +154,8 @@ echo "== kernel vectorisation (release) =="
 # left out of line, a body inlined across the feature boundary). Disassemble
 # the two binaries built above (the CLI and the benchmark: each is its own
 # LTO unit and has lost its packed loops independently of the other) and
-# require, for every view the dense and Hadamard-like bodies are instantiated
-# at, packed multiplies on the path this CPU takes, in wide registers above
+# require, for every view the dense, rotation and Hadamard-like bodies are
+# instantiated at, packed multiplies on the path this CPU takes, in wide registers above
 # the baseline. Every body is compiled once per view and level, so the kernel
 # layer is most of what ships: print its symbol count and bytes per binary, and
 # fail if a body that differs from another only in its footprint comes back
@@ -173,14 +175,14 @@ else
       }'
     objdump -d -C --no-show-raw-insn "$bin" | awk -v level="$isa" -v bin="$bin" '
       /^[0-9a-f]+ <.*>:$/ {
-        body = ($0 ~ "<svsim_core::kernels::k_(oneq|rzz|h|rz)::" level ">:$") ? $0 : ""
+        body = ($0 ~ "<svsim_core::kernels::k_(oneq|rzz|h|rz|ry|rx)::" level ">:$") ? $0 : ""
         if (body != "") packed[body] += 0
         next
       }
       body != "" && /mulpd/ && (level == "baseline" || /[yz]mm/) { packed[body]++ }
       END {
         for (b in packed) { bodies++; if (!packed[b]) { print bin ": not vectorised: " b; bad = 1 } }
-        if (bodies < 4) { print bin ": k_oneq / k_rzz / k_h / k_rz have no `" level "` bodies"; bad = 1 }
+        if (bodies < 6) { print bin ": k_oneq / k_rzz / k_h / k_rz / k_ry / k_rx have no `" level "` bodies"; bad = 1 }
         print bin ": " bodies + 0 " kernel bodies at level `" level "` checked for packed multiplies"
         exit bad
       }'

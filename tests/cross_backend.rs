@@ -93,6 +93,58 @@ fn baselines_agree() {
     }
 }
 
+/// Every gate that runs on a cheaper body than the dense 2×2 — CCX, C3X and
+/// C4X on `k_x`, CH on `k_h`, CY on `k_y`, RY and CRY on the real rotation
+/// `k_ry`, RX and CRX on `k_rx` — against its dense matrix applied by
+/// `baselines::dense`, with its controls below the target and above it, on a
+/// state with no zero amplitude.
+#[test]
+fn rerouted_gates_agree_with_the_dense_baseline() {
+    use sv_sim::baselines::dense::apply_kq;
+    use sv_sim::ir::{matrices::gate_matrix, Gate, GateKind::*};
+    let n = 6u32;
+    let mut prep = Circuit::new(n);
+    for q in 0..n {
+        let q_f = f64::from(q);
+        prep.apply(U3, &[q], &[0.3 + q_f, 0.7 * q_f, -0.2]).unwrap();
+    }
+    let state_after = |circuit: &Circuit| {
+        let mut sim = Simulator::new(n, SimConfig::single_device()).unwrap();
+        sim.run(circuit).unwrap();
+        sim.amplitudes()
+    };
+    let before = state_after(&prep);
+    let gates: [(_, &[u32], &[f64]); 15] = [
+        (CCX, &[0, 1, 2], &[]),
+        (CCX, &[5, 3, 1], &[]),
+        (C3X, &[0, 4, 5, 2], &[]),
+        (C4X, &[1, 5, 0, 4, 3], &[]),
+        (CH, &[0, 3], &[]),
+        (CH, &[4, 1], &[]),
+        (CY, &[2, 5], &[]),
+        (CY, &[5, 0], &[]),
+        (RY, &[0], &[0.7]),
+        (RY, &[4], &[-2.1]),
+        (CRY, &[1, 3], &[0.9]),
+        (CRY, &[3, 0], &[2.6]),
+        (RX, &[2], &[1.3]),
+        (CRX, &[0, 5], &[-0.4]),
+        (CRX, &[4, 2], &[2.2]),
+    ];
+    for (kind, qubits, params) in gates {
+        let gate = Gate::new(kind, qubits, params).unwrap();
+        let mut circuit = prep.clone();
+        circuit.push_gate(gate).unwrap();
+        let mut want = before.clone();
+        apply_kq(&mut want, &gate_matrix(&gate), qubits);
+        let got = state_after(&circuit);
+        let d = (got.iter().zip(&want))
+            .map(|(x, y)| (*x - *y).norm())
+            .fold(0.0, f64::max);
+        assert!(d < 1e-12, "{gate} diverged from its dense matrix by {d}");
+    }
+}
+
 /// Unitarity: running a circuit then its inverse returns |0...0>.
 #[test]
 fn circuit_inverse_roundtrip() {
@@ -444,9 +496,9 @@ fn tile_major_runs_agree_with_runtime_parsed_ones_at_the_shipped_tile_width() {
 /// The same on thread PEs: at 2 PEs a 17-qubit slab is two tiles, so each PE
 /// sweeps its tile runs tile by tile and passes one barrier per run; scale-up
 /// and scale-out, remapped or not, agree with the single device. At 16
-/// qubits — the benchmark's `scaleout_fine` shape — each slab is one tile,
-/// there is nothing to reorder, and every barrier of `backend.out2.barriers`
-/// is still passed.
+/// qubits — the benchmark's `scaleout_fine` shape — each slab is one L2
+/// tile, so its runs are at the inner width, 2^11 amplitudes, one barrier
+/// each (`backend.out2.barriers`), and the state is the untiled walk's.
 #[test]
 fn tile_major_runs_agree_across_thread_pes_at_the_shipped_tile_width() {
     let circuit = dnn_n17_with_a_measure();
@@ -461,8 +513,63 @@ fn tile_major_runs_agree_across_thread_pes_at_the_shipped_tile_width() {
         assert_eq!((sum, cbits), (single_sum, single_cbits), "{config:?}");
     }
     let fine = sv_sim::workloads::qnn::dnn_layers(16, 12, 1).unwrap();
-    let mut sim = Simulator::new(16, SimConfig::scale_out(2)).unwrap();
-    let summary = sim.run(&fine).unwrap();
-    assert_eq!((summary.tile_runs, summary.tiled_kernels), (0, 0));
-    assert_eq!(summary.traffic[0].barriers, 612);
+    let (sum, cbits, summary) = run_summary(&fine, SimConfig::scale_out(2));
+    let tiles = (summary.tile_runs, summary.tiled_kernels);
+    let inner = (summary.inner_tile_runs, summary.inner_tiled_kernels);
+    assert_eq!((tiles, inner), ((26, 406), (0, 0)));
+    assert_eq!(summary.traffic[0].barriers, 612 - (406 - 26));
+    let parse = SimConfig {
+        dispatch: DispatchMode::RuntimeParse,
+        ..SimConfig::scale_out(2)
+    };
+    let (untiled_sum, untiled_cbits, untiled) = run_summary(&fine, parse);
+    assert_eq!((untiled.tile_runs, untiled.traffic[0].barriers), (0, 612));
+    assert_eq!((sum, cbits), (untiled_sum, untiled_cbits));
+}
+
+/// One device below one L2 tile and a sweep template: a 13-qubit state and a
+/// QAOA n12 trial tile at 2^11 alone, bit-identically to the untiled walk.
+#[test]
+fn memory_of_at_most_one_l2_tile_runs_in_l1_tiles() {
+    use sv_sim::workloads::qnn::dnn_layers;
+    let dnn = dnn_layers(13, 3, 4).unwrap();
+    let parse = SimConfig {
+        dispatch: DispatchMode::RuntimeParse,
+        ..SimConfig::single_device()
+    };
+    let (sum, cbits, summary) = run_summary(&dnn, SimConfig::single_device());
+    assert!(summary.tile_runs > 0 && summary.tiled_kernels > 2 * summary.tile_runs);
+    assert_eq!(summary.inner_tile_runs, 0, "one level: 2^11");
+    let (untiled_sum, untiled_cbits, none) = run_tiles(&dnn, parse);
+    assert_eq!(none, (0, 0));
+    assert_eq!((sum, cbits), (untiled_sum, untiled_cbits));
+
+    use sv_sim::vqa::templates::{qaoa_params, qaoa_template};
+    let graph = sv_sim::workloads::qaoa::Graph::random(12, 0.5, 9);
+    let template = qaoa_template(&graph, 2).unwrap();
+    let mut compiled = template.compile().unwrap();
+    for trial in 0..3 {
+        let t = f64::from(trial);
+        let values = qaoa_params(&[0.3 + t, -0.8 * t], &[0.45 - t, 1.1 + t]);
+        let swept = compiled.run(&values).unwrap();
+        let circuit = template.bind(&values).unwrap();
+        let (_, _, summary) = run_summary(&circuit, SimConfig::single_device());
+        assert!(
+            summary.tile_runs > 0,
+            "trial {trial}: a 12-qubit trial tiles"
+        );
+        let mut untiled = Simulator::new(12, parse).unwrap();
+        untiled.run(&circuit).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(swept.re()),
+            bits(untiled.state().re()),
+            "trial {trial}"
+        );
+        assert_eq!(
+            bits(swept.im()),
+            bits(untiled.state().im()),
+            "trial {trial}"
+        );
+    }
 }

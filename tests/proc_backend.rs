@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use sv_sim::core::{state_checksum, CheckpointStore, RunStart, ShmemBackend, SimConfig, Simulator};
+use sv_sim::core::{
+    state_checksum, CheckpointStore, DispatchMode, RunStart, ShmemBackend, SimConfig, Simulator,
+};
 use sv_sim::engine::{
     DegradePolicy, Engine, EngineConfig, JobError, JobOutput, JobRequest, JobSpec, RetryPolicy,
     SubmitError,
@@ -661,7 +663,9 @@ fn full_suite_bit_identity_thread_vs_process() {
 /// not. Each 2^16-amplitude slab is two tiles, so every PE sweeps its tile
 /// runs tile by tile between fewer barriers — same state and classical bits
 /// as the single device, the same tile runs on either substrate. At 16
-/// qubits a slab is one tile and nothing changes. Release-mode CI leg
+/// qubits a slab is one L2 tile, tiled at 2^11 alone: 26 runs of 406
+/// kernels, 232 barriers on PE 0 instead of 612, on thread and process PEs
+/// alike and bit-identical to the untiled walk. Release-mode CI leg
 /// (`scripts/ci.sh`); `tests/cross_backend.rs` runs the single-device and
 /// thread-PE legs unoptimized.
 #[test]
@@ -728,6 +732,12 @@ fn tile_major_runs_agree_across_thread_and_process_pes() {
         shmem_backend: ShmemBackend::Process,
         ..SimConfig::scale_out(2)
     };
-    let (_, tiles, barriers) = run(&fine, processes);
-    assert_eq!((tiles, barriers), ((0, 0), 612));
+    let untiled = SimConfig {
+        dispatch: DispatchMode::RuntimeParse,
+        ..processes
+    };
+    let (state, tiles, barriers) = run(&fine, processes);
+    assert_eq!((tiles, barriers), ((26, 406), 232));
+    assert!(run(&fine, SimConfig::scale_out(2)) == (state, tiles, barriers));
+    assert!(run(&fine, untiled) == (state, (0, 0), 612));
 }
