@@ -1,4 +1,4 @@
-//! Shared helpers for the figure/table reproduction binaries and benches.
+//! Shared helpers for the figure/table reproduction binaries.
 
 use std::time::Instant;
 use svsim_core::{CompiledPlan, SimConfig};
@@ -53,26 +53,6 @@ pub fn fmt_time(s: f64) -> String {
         format!("{:.2} ms", s * 1e3)
     } else {
         format!("{:.2} us", s * 1e6)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fmt_units() {
-        assert_eq!(fmt_time(2.0), "2.00 s");
-        assert_eq!(fmt_time(0.0025), "2.50 ms");
-        assert_eq!(fmt_time(2.5e-6), "2.50 us");
-    }
-
-    #[test]
-    fn time_median_is_positive() {
-        let t = time_median(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(t >= 0.0);
     }
 }
 
@@ -138,127 +118,22 @@ pub fn scaleout_figure(
     print_table(title, &header_refs, &rows);
 }
 
-// ---------------------------------------------------------------------------
-// Minimal criterion-compatible bench harness.
-//
-// The `[[bench]]` targets in this crate were written against criterion's
-// `criterion_group!`/`criterion_main!` surface. This in-tree harness keeps
-// that surface (groups, `bench_function`, `Bencher::iter`, `sample_size`)
-// so the benches build and run in fully offline environments, reporting
-// min/median/mean wall-clock per iteration.
-// ---------------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Drop-in stand-in for `criterion::Criterion`.
-#[derive(Debug, Default)]
-pub struct Criterion {
-    _private: (),
-}
-
-impl Criterion {
-    /// Open a named benchmark group.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
-        println!("\n== {name}");
-        BenchmarkGroup { sample_size: 20 }
+    #[test]
+    fn fmt_units() {
+        assert_eq!(fmt_time(2.0), "2.00 s");
+        assert_eq!(fmt_time(0.0025), "2.50 ms");
+        assert_eq!(fmt_time(2.5e-6), "2.50 us");
     }
 
-    /// Bench a standalone function (no group).
-    pub fn bench_function(&mut self, id: &str, f: impl FnMut(&mut Bencher)) {
-        BenchmarkGroup { sample_size: 20 }.bench_function(id, f);
+    #[test]
+    fn time_median_is_positive() {
+        let t = time_median(3, || {
+            std::hint::black_box((0..1000).sum::<u64>());
+        });
+        assert!(t >= 0.0);
     }
-}
-
-/// A named group of related benchmarks sharing a sample size.
-#[derive(Debug)]
-pub struct BenchmarkGroup {
-    sample_size: usize,
-}
-
-impl BenchmarkGroup {
-    /// Set the number of timed samples per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Run one benchmark: `f` receives a [`Bencher`] and calls `iter`.
-    pub fn bench_function(&mut self, id: &str, mut f: impl FnMut(&mut Bencher)) {
-        let mut b = Bencher {
-            sample_size: self.sample_size,
-            samples: Vec::new(),
-        };
-        f(&mut b);
-        let mut per_iter = b.samples;
-        if per_iter.is_empty() {
-            println!("  {id:<28} (no samples)");
-            return;
-        }
-        per_iter.sort_by(f64::total_cmp);
-        let min = per_iter[0];
-        let median = per_iter[per_iter.len() / 2];
-        let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
-        println!(
-            "  {id:<28} min {:>10}  median {:>10}  mean {:>10}  ({} samples)",
-            fmt_time(min),
-            fmt_time(median),
-            fmt_time(mean),
-            per_iter.len(),
-        );
-    }
-
-    /// Close the group (parity with criterion's API; prints nothing).
-    pub fn finish(self) {}
-}
-
-/// Times closures passed to [`Bencher::iter`].
-#[derive(Debug)]
-pub struct Bencher {
-    sample_size: usize,
-    samples: Vec<f64>,
-}
-
-impl Bencher {
-    /// Measure `f`, recording per-iteration seconds over the configured
-    /// sample count. Short closures are batched so every sample spans at
-    /// least ~1 ms of wall clock.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        // Warmup + batch-size calibration.
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        let once = t0.elapsed().as_secs_f64();
-        let batch = if once > 0.0 {
-            ((1e-3 / once).ceil() as usize).clamp(1, 1_000_000)
-        } else {
-            1_000_000
-        };
-        self.samples.clear();
-        for _ in 0..self.sample_size {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(f());
-            }
-            self.samples.push(t0.elapsed().as_secs_f64() / batch as f64);
-        }
-    }
-}
-
-/// Expands to a function running each bench fn against a shared
-/// [`Criterion`] (criterion-macro parity).
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name(c: &mut $crate::Criterion) {
-            $($target(c);)+
-        }
-    };
-}
-
-/// Expands to `main` for a `harness = false` bench target.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::Criterion::default();
-            $($group(&mut c);)+
-        }
-    };
 }

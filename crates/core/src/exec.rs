@@ -5,10 +5,11 @@
 //! every trial of a sweep template ([`crate::batch`]), walks the same
 //! `PlanSegment` step stream through it with the same kernels. What the
 //! backends differ in sits behind the private `Fabric` trait — a worker's
-//! share of a kernel's work items, the sync after a kernel, the
-//! measure/reset collapse and the relabeling exchange — with two
-//! instances: `Solo` (a single device: full ranges over a
-//! [`crate::view::LocalView`], no sync) and `Worker` (one PE of the SHMEM
+//! share of a kernel's work items, the sync after a kernel, the memory a
+//! collapse sums and rescales and the reduction that combines its partial,
+//! and the relabeling exchange — with two instances: `Solo` (a single
+//! device: full ranges over a [`crate::view::LocalView`], no sync) and
+//! `Worker` (one PE of the SHMEM
 //! world, for scale-up and scale-out alike: its slice of every kernel, then
 //! the world barrier — the cooperative multi-grid sync of Listing 4 and the
 //! `shmem_barrier_all` of Listing 5 are the same call here).
@@ -58,7 +59,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use svsim_ir::Gate;
 use svsim_shmem::{
-    FaultPlan, PeCounters, ProcOptions, RaceDetector, SharedF64Vec, ShmemBackend, ShmemCtx, SymF64,
+    FaultPlan, PeCounters, ProcOptions, RaceDetector, ShmemBackend, ShmemCtx, SymF64,
 };
 use svsim_types::{SvError, SvResult};
 
@@ -288,12 +289,13 @@ trait Fabric {
     fn share(&self, work: u64) -> Range<u64>;
     /// The sync after a kernel or a collapse.
     fn sync(&self);
-    /// Probability that `qubit` reads 1, summed on the canonical tree of
-    /// [`svsim_types::numeric`] so every fabric agrees bit-for-bit.
-    /// `layout` is the step's snapshot, if it has one (`Step::Measure`).
-    fn prob_one(&self, qubit: u32, layout: Option<&QubitLayout>) -> f64;
-    /// Project `qubit` onto `outcome` and rescale by `inv_sqrt_p`.
-    fn rescale(&self, qubit: u32, layout: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64);
+    /// This walker's own memory, plain in every launch, and the global
+    /// index of its first amplitude: what a collapse sums and rescales.
+    fn own(&self) -> (&LocalView<'_>, u64);
+    /// The sum of every walker's `partial` of one collapse, combined on the
+    /// canonical tree of [`svsim_types::numeric`], where this walker's sits
+    /// at leaf `slot`.
+    fn reduce(&self, slot: usize, partial: f64) -> f64;
     /// One relabeling slab exchange of physical positions `(lo, hi)`.
     fn exchange(&self, lo: u32, hi: u32);
     /// This walker's own plain memory, where it runs partition-local
@@ -315,12 +317,11 @@ impl<'a> Fabric for Solo<'a> {
         0..work
     }
     fn sync(&self) {}
-    fn prob_one(&self, qubit: u32, _: Option<&QubitLayout>) -> f64 {
-        measure::prob_one_view(self.view(), qubit, self.view().dim())
+    fn own(&self) -> (&LocalView<'_>, u64) {
+        (&self.0.view, 0)
     }
-    fn rescale(&self, qubit: u32, _: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64) {
-        let view = self.view();
-        crate::kernels::collapse_pairs(view, qubit, outcome, inv_sqrt_p, 0..view.dim() / 2);
+    fn reduce(&self, _: usize, partial: f64) -> f64 {
+        partial
     }
     fn exchange(&self, _: u32, _: u32) {
         unreachable!("no relabeling on a single device")
@@ -394,26 +395,19 @@ fn tile_major<'a>(
 
 /// One PE of a partitioned backend: its SHMEM context (rank, world size,
 /// barrier, reduce), the symmetric arrays it owns a partition of, the
-/// staging buffers of a segment that relabels, and — unless the launch
-/// observes individual words ([`run_partitioned`]) — every PE's partition
-/// and staging buffer as plain memory, and its slab.
+/// staging buffers of a segment that relabels, its own partition as plain
+/// memory with the global index of its first amplitude, and — unless the
+/// launch observes individual words ([`run_partitioned`]) — every PE's
+/// partition and staging buffer as plain memory, and its slab.
 struct Pe<'a> {
     ctx: &'a ShmemCtx<'a>,
     re: &'a SymF64,
     im: &'a SymF64,
     xch: Option<&'a (SymF64, SymF64)>,
+    own: (LocalView<'a>, u64),
     lent: Option<&'a [Plane<'a>]>,
     lent_xch: Option<&'a [Plane<'a>]>,
     slab: Option<Slab<'a>>,
-}
-
-impl Pe<'_> {
-    /// This PE's partition and the global index of its first amplitude.
-    fn partition(&self) -> (&SharedF64Vec, &SharedF64Vec, u64) {
-        let pe = self.ctx.my_pe();
-        let (re, im) = (self.re.partition(pe), self.im.partition(pe));
-        (re, im, (pe * re.len()) as u64)
-    }
 }
 
 /// A PE walking a segment, its kernels reaching the state through `view` —
@@ -441,43 +435,15 @@ impl<V: StateView> Fabric for Worker<'_, V> {
     fn sync(&self) {
         self.me.ctx.barrier_all();
     }
-    /// The partition's partial, combined pairwise across workers: each
-    /// partial is a subtree node of the canonical probability tree, so the
-    /// sum matches the single-device one bit-for-bit. Under a
-    /// block-preserving snapshot layout the partition holds the logical
-    /// subcube whose top value indexes the reduce slot, and the partial
-    /// walks it in logical order so the tree is the single-device logical
-    /// tree; without a snapshot the layout is identity and the slot is the
-    /// worker rank.
-    fn prob_one(&self, qubit: u32, layout: Option<&QubitLayout>) -> f64 {
-        let ctx = self.me.ctx;
-        let (re, im, base) = self.me.partition();
-        let rank = ctx.my_pe();
-        let (partial, slot) = match layout {
-            Some(lay) => {
-                let n_qubits = self.view.dim().trailing_zeros();
-                let boundary = n_qubits - ctx.n_pes().trailing_zeros();
-                let mut slot = 0usize;
-                for j in 0..(n_qubits - boundary) {
-                    slot |= ((rank >> (lay.phys(boundary + j) - boundary)) & 1) << j;
-                }
-                let logical_base = (slot as u64) << boundary;
-                let low_pos: Vec<u32> = (0..boundary).map(|k| lay.phys(k)).collect();
-                let partial =
-                    measure::partial_prob_one_mapped(re, im, logical_base, &low_pos, qubit);
-                (partial, slot)
-            }
-            None => (
-                measure::partial_prob_one_partition(re, im, base, qubit),
-                rank,
-            ),
-        };
-        ctx.sum_reduce_f64_at(slot, partial)
+    fn own(&self) -> (&LocalView<'_>, u64) {
+        let (view, base) = &self.me.own;
+        (view, *base)
     }
-    fn rescale(&self, qubit: u32, layout: Option<&QubitLayout>, outcome: u8, inv_sqrt_p: f64) {
-        let (re, im, base) = self.me.partition();
-        let phys = layout.map_or(qubit, |lay| lay.phys(qubit));
-        measure::collapse_partition(re, im, base, phys, outcome, inv_sqrt_p);
+    /// Each partial is a subtree node of the canonical probability tree, so
+    /// the pairwise sum across workers matches the single-device one
+    /// bit-for-bit.
+    fn reduce(&self, slot: usize, partial: f64) -> f64 {
+        self.me.ctx.sum_reduce_f64_at(slot, partial)
     }
     fn exchange(&self, lo: u32, hi: u32) {
         let Pe {
@@ -541,8 +507,29 @@ fn interpret<'a, F: Fabric>(
     // The tile runs not yet reached, and the first queue entry not yet run.
     let mut runs = seg.runs.iter().peekable();
     let mut next = 0;
+    // A collapse sums and rescales the walker's own memory, the aligned
+    // block `rank` of `2^boundary` amplitudes, and meets the other walkers
+    // in one scalar reduction. Under a block-preserving snapshot layout
+    // (`Step::Measure`) `qubit` is logical and the block holds the logical
+    // one whose index, read off the partition-index positions, is its slot
+    // on the tree; without one the layout is the identity and the slot is
+    // the rank.
+    let (own, base) = fabric.own();
+    let boundary = own.dim().trailing_zeros();
+    let rank = base >> boundary;
     let collapse = |qubit: u32, layout: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
-        let p1 = fabric.prob_one(qubit, layout);
+        let (slot, low_pos, phys) = match layout {
+            Some(lay) => {
+                let slot = (0..n_qubits - boundary).fold(0, |slot, j| {
+                    slot | ((rank >> (lay.phys(boundary + j) - boundary)) & 1) << j
+                });
+                let low_pos: Vec<u32> = (0..boundary).map(|k| lay.phys(k)).collect();
+                (slot, Some(low_pos), lay.phys(qubit))
+            }
+            None => (rank, None, qubit),
+        };
+        let partial = measure::partial_prob_one(own, slot << boundary, low_pos.as_deref(), qubit);
+        let p1 = fabric.reduce(slot as usize, partial);
         let outcome = u8::from(r < p1);
         let p = if outcome == 1 { p1 } else { 1.0 - p1 };
         if p < 1e-300 {
@@ -550,7 +537,7 @@ fn interpret<'a, F: Fabric>(
                 "collapse of qubit {qubit} with probability ~0"
             )));
         }
-        fabric.rescale(qubit, layout, outcome, 1.0 / p.sqrt());
+        measure::collapse(own, base, phys, outcome, 1.0 / p.sqrt());
         fabric.sync();
         Ok(outcome)
     };
@@ -667,8 +654,9 @@ type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
 ///   so only it allocates the exchange staging buffers.
 ///
 /// On both, every partition is plain memory for the walk (`shmem_ptr`,
-/// [`SharedF64Vec::as_cells`]): a partition-local kernel runs on the PE's own
-/// slab and the view's counts are credited per kernel, any other kernel
+/// [`svsim_shmem::SharedF64Vec::as_cells`]): a partition-local kernel runs
+/// on the PE's own slab and the view's counts are credited per kernel, any
+/// other kernel
 /// borrows its runs from the owning partitions through the view, credited
 /// per run (module docs), the slab is swept tile-major over each of the
 /// segment's tile runs ([`interpret`]), and a relabeling exchange copies
@@ -786,7 +774,8 @@ pub(crate) fn run_partitioned(
         /// Every partition of `re` and `im`, by rank, as plain memory.
         ///
         /// # Safety
-        /// As [`SharedF64Vec::as_cells`], for every word of every partition.
+        /// As [`svsim_shmem::SharedF64Vec::as_cells`], for every word of
+        /// every partition.
         #[allow(unsafe_code)]
         unsafe fn cells<'s>(re: &'s SymF64, im: &'s SymF64) -> Vec<Plane<'s>> {
             let parts = re.partitions().iter().zip(im.partitions());
@@ -804,9 +793,16 @@ pub(crate) fn run_partitioned(
         let lent = (!per_word).then(|| unsafe { cells(re, im) });
         #[allow(unsafe_code)]
         let lent_xch = (xch.filter(|_| !per_word)).map(|(xr, xi)| unsafe { cells(xr, xi) });
+        // SAFETY: as above. In a launch that observes words, where the
+        // other PEs reach this partition through the instrumented accessors
+        // instead, only a collapse touches these cells: it touches this
+        // PE's own partition only, between world barriers, as the atomic
+        // accessors it replaces did — uncounted and untraced alike.
+        #[allow(unsafe_code)]
+        let own = unsafe { (re.partition(pe).as_cells(), im.partition(pe).as_cells()) };
         let lent = lent.as_deref();
-        let slab = lent.map(|lent| Slab {
-            view: LocalView::over(lent[pe]),
+        let slab = lent.map(|_| Slab {
+            view: LocalView::over(own),
             n_pes: n_pes as u64,
             counters: Some((ctx.counters(), if scale_out { 2 } else { 1 })),
         });
@@ -815,6 +811,7 @@ pub(crate) fn run_partitioned(
             re,
             im,
             xch,
+            own: (LocalView::over(own), (pe * per_pe) as u64),
             lent,
             lent_xch: lent_xch.as_deref(),
             slab,

@@ -2,33 +2,32 @@
 //!
 //! Projective measurement is the only non-unitary operation the simulator
 //! needs. Probability accumulation and collapse are *embarrassingly local*
-//! under the natural-order partitioning (they are diagonal), so the
-//! distributed backends run them on their own partitions with a single
-//! scalar reduction — no amplitude exchange.
+//! under the natural-order partitioning (they are diagonal), so every
+//! walker — the single device, or one PE — sums and collapses its own
+//! memory ([`partial_prob_one`], [`collapse`]), and the walkers meet in a
+//! single scalar reduction — no amplitude exchange.
 //!
 //! Probability mass is summed with the canonical pairwise-tree association
 //! of [`svsim_types::numeric`]: every backend evaluates nodes of the same
-//! perfect binary tree over the amplitude index space, so a partition's
+//! perfect binary tree over the amplitude index space, so a walker's
 //! partial is exactly one subtree value and the cross-PE combine
 //! ([`svsim_types::numeric::pairwise_sum`]) reproduces the single-device
 //! sum bit-for-bit at any PE count. A sequential accumulation here would
 //! differ in the last ULPs, and the `1/sqrt(p)` collapse rescale would leak
 //! that ULP into every amplitude, breaking cross-backend bit-identity.
 
+use crate::kernels::collapse_pairs;
 use crate::state::StateVector;
+use crate::view::{LocalView, StateView};
 use std::ops::Range;
 use svsim_ir::{Pauli, PauliString};
-use svsim_shmem::SharedF64Vec;
 use svsim_types::bits::{bit, masked_parity};
 use svsim_types::SvRng;
 
-/// States at or above this size sum their diagonal expectation in
-/// [`SUM_CHUNKS`] chunks, smaller ones front to back.
-const CHUNKED_FROM: usize = 1 << 16;
-
-/// Chunks of [`chunked_sum`]. Fixed (never derived from the machine), so the
-/// floating-point association — and with it every bit of the sum — is the
-/// same everywhere.
+/// Chunks of [`chunked_sum`], the one association of a diagonal
+/// expectation at every state size. Fixed (never derived from the machine),
+/// so the floating-point association — and with it every bit of the sum —
+/// is the same everywhere.
 const SUM_CHUNKS: usize = 32;
 
 /// Sum `f` over `0..len` as [`SUM_CHUNKS`] equal subranges: `f` returns a
@@ -75,23 +74,10 @@ fn prob_tree<F: Fn(usize) -> f64>(term: &F, base: u64, start: usize, len: usize,
     prob_tree(term, base, start, half, q) + prob_tree(term, base, start + half, half, q)
 }
 
-/// Canonical-tree probability that qubit `q` measures 1, over a full
-/// [`crate::view::StateView`] of dimension `dim` — the single-device
-/// executor's measurement path. Same association as [`prob_one`] and as
-/// the partitioned partials, so every backend agrees bit-for-bit.
-#[must_use]
-pub(crate) fn prob_one_view<V: crate::view::StateView>(v: &V, q: u32, dim: u64) -> f64 {
-    let term = |i: usize| {
-        let (re, im) = v.get(i as u64);
-        re * re + im * im
-    };
-    prob_tree(&term, 0, 0, dim as usize, q)
-}
-
 /// Probability that qubit `q` measures 1 (full local state).
 ///
 /// Uses the canonical tree association (see module docs), so the result is
-/// bit-identical to a partitioned evaluation combined with
+/// bit-identical to the walkers' [`partial_prob_one`]s combined with
 /// [`svsim_types::numeric::pairwise_sum`].
 #[must_use]
 pub fn prob_one(state: &StateVector, q: u32) -> f64 {
@@ -100,64 +86,63 @@ pub fn prob_one(state: &StateVector, q: u32) -> f64 {
     prob_tree(&term, 0, 0, re.len(), q)
 }
 
-/// Partition-local partial probability of qubit `q` being 1, for a
-/// partition whose first global amplitude index is `base`.
+/// One walker's partial of the probability that LOGICAL qubit `q` measures
+/// 1: the canonical tree node of the aligned logical block
+/// `[logical_base, logical_base + own.dim())` that the walker's memory
+/// `own` holds — a PE's partition, or all of a single device's state.
 ///
-/// The partial is the canonical tree node for this partition's aligned
-/// block, so combining the per-PE partials with
-/// [`svsim_types::numeric::pairwise_sum`] equals [`prob_one`] on the whole
-/// state bit-for-bit.
+/// The walk enumerates the block in logical order. Logical offset `o` is
+/// local offset `o` in natural order (`low_pos: None`); under a
+/// block-preserving layout it is the offset whose bit `low_pos[k]` is bit
+/// `k` of `o` (`low_pos[k]`: the physical position of logical qubit `k`,
+/// all inside `own`). The partial is therefore the same node of the
+/// single-device tree whatever the scramble inside the block, and the
+/// walkers' partials combined with [`svsim_types::numeric::pairwise_sum`]
+/// equal [`prob_one`] bit for bit.
 #[must_use]
-pub fn partial_prob_one_partition(re: &SharedF64Vec, im: &SharedF64Vec, base: u64, q: u32) -> f64 {
-    let term = |off: usize| {
-        let (r, i) = (re.load(off), im.load(off));
-        r * r + i * i
-    };
-    prob_tree(&term, base, 0, re.len(), q)
-}
-
-/// Partition partial of P(q=1) under a block-preserving qubit layout.
-///
-/// The partition holds one logical subcube starting at `logical_base`; the
-/// walk enumerates it in logical order, translating each logical offset `o`
-/// to the local physical offset through `low_pos` (`low_pos[k]` = physical
-/// position of logical qubit `k`, all below the boundary). The tree shape is
-/// therefore the single-device logical tree, bit-identical regardless of the
-/// within-partition scramble. `q` is the LOGICAL measured qubit.
-pub fn partial_prob_one_mapped(
-    re: &SharedF64Vec,
-    im: &SharedF64Vec,
+pub fn partial_prob_one(
+    own: &LocalView<'_>,
     logical_base: u64,
-    low_pos: &[u32],
+    low_pos: Option<&[u32]>,
     q: u32,
 ) -> f64 {
-    let term = |o: usize| {
-        let mut off = 0usize;
-        for (k, &pos) in low_pos.iter().enumerate() {
-            off |= ((o >> k) & 1) << (pos as usize);
-        }
-        let (r, i) = (re.load(off), im.load(off));
-        r * r + i * i
+    let amp = |off: usize| {
+        let (re, im) = own.get(off as u64);
+        re * re + im * im
     };
-    prob_tree(&term, logical_base, 0, re.len(), q)
+    let len = own.dim() as usize;
+    match low_pos {
+        None => prob_tree(&amp, logical_base, 0, len, q),
+        Some(low_pos) => {
+            let term = |o: usize| {
+                let mut off = 0;
+                for (k, &pos) in low_pos.iter().enumerate() {
+                    off |= ((o >> k) & 1) << pos;
+                }
+                amp(off)
+            };
+            prob_tree(&term, logical_base, 0, len, q)
+        }
+    }
 }
 
-/// Partition-local collapse (diagonal, no communication).
-pub fn collapse_partition(
-    re: &SharedF64Vec,
-    im: &SharedF64Vec,
-    base: u64,
-    q: u32,
-    outcome: u8,
-    inv_sqrt_p: f64,
-) {
-    for off in 0..re.len() {
-        if bit(base + off as u64, q) == u64::from(outcome) {
-            re.store(off, re.load(off) * inv_sqrt_p);
-            im.store(off, im.load(off) * inv_sqrt_p);
-        } else {
-            re.store(off, 0.0);
-            im.store(off, 0.0);
+/// Project PHYSICAL qubit `q` of the walker memory `own`, whose first
+/// amplitude has global index `base`, onto `outcome` and rescale what
+/// survives by `inv_sqrt_p`. A qubit inside `own` pairs its amplitudes
+/// ([`collapse_pairs`]); one above it is constant over `own`, which is
+/// kept or cleared whole. Either way no other walker's memory is touched.
+pub fn collapse(own: &LocalView<'_>, base: u64, q: u32, outcome: u8, inv_sqrt_p: f64) {
+    let dim = own.dim();
+    if q < dim.trailing_zeros() {
+        collapse_pairs(own, q, outcome, inv_sqrt_p, 0..dim / 2);
+    } else if bit(base, q) == u64::from(outcome) {
+        for i in 0..dim {
+            let (re, im) = own.get(i);
+            own.set(i, re * inv_sqrt_p, im * inv_sqrt_p);
+        }
+    } else {
+        for i in 0..dim {
+            own.set(i, 0.0, 0.0);
         }
     }
 }
@@ -206,20 +191,13 @@ pub fn expval_z_mask(state: &StateVector, mask: u64) -> f64 {
             p
         }
     };
-    if re.len() >= CHUNKED_FROM {
-        return chunked_sum(re.len(), |range| {
-            let mut e = 0.0;
-            for i in range {
-                e += term(i, re[i], im[i]);
-            }
-            e
-        });
-    }
-    let mut e = 0.0;
-    for i in 0..re.len() {
-        e += term(i, re[i], im[i]);
-    }
-    e
+    chunked_sum(re.len(), |range| {
+        let mut e = 0.0;
+        for i in range {
+            e += term(i, re[i], im[i]);
+        }
+        e
+    })
 }
 
 /// `<P>` for an arbitrary Pauli string: basis-change a *copy* of the state
@@ -366,37 +344,54 @@ mod tests {
         assert!((expval_pauli(&s, &id) - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn partition_partials_match_prob_one_bitwise() {
-        // Irrational amplitudes (the qf21 kickback regime) where sequential
-        // and chunked summation differ in ULPs: the canonical tree must make
-        // per-partition partials combine to exactly the single-device value
-        // for every power-of-two partitioning.
+    /// A 10-qubit state of irrational amplitudes (the qf21 kickback regime)
+    /// where sequential and chunked summation differ in ULPs.
+    fn irrational_state() -> StateVector {
         let n = 10u32;
-        let dim = 1usize << n;
         let mut s = StateVector::zero_state(n).unwrap();
-        let amps: Vec<Complex64> = (0..dim)
+        let amps: Vec<Complex64> = (0..1u32 << n)
             .map(|i| {
-                let t = f64::from(i as u32) * 0.737_123;
+                let t = f64::from(i) * 0.737_123;
                 Complex64::new(t.sin(), t.cos() * 0.5)
             })
             .collect();
         s.set_complex(&amps).unwrap();
-        for q in [0, 3, n - 1] {
+        s
+    }
+
+    /// `f` over each of `n_pes` equal partitions of `planes` as a walker's
+    /// own memory, with the global index of its first amplitude.
+    fn per_partition<T>(
+        (re, im): (&mut [f64], &mut [f64]),
+        n_pes: usize,
+        mut f: impl FnMut(&LocalView<'_>, u64) -> T,
+    ) -> Vec<T> {
+        let per = re.len() / n_pes;
+        re.chunks_mut(per)
+            .zip(im.chunks_mut(per))
+            .enumerate()
+            .map(|(pe, (re, im))| f(&LocalView::new(re, im), (pe * per) as u64))
+            .collect()
+    }
+
+    #[test]
+    fn partition_partials_match_prob_one_bitwise() {
+        // The canonical tree makes the walkers' partials combine to exactly
+        // the single-device value for every power-of-two partitioning, and
+        // the identity layout walks the tree the natural order walks.
+        let mut s = irrational_state();
+        let n = s.n_qubits();
+        for q in [0, 3, 7, n - 1] {
             let whole = prob_one(&s, q);
-            for n_pes in [2usize, 4, 8] {
-                let per = dim / n_pes;
-                let partials: Vec<f64> = (0..n_pes)
-                    .map(|pe| {
-                        let re = SharedF64Vec::new(per, 0.0);
-                        let im = SharedF64Vec::new(per, 0.0);
-                        for off in 0..per {
-                            re.store(off, s.re()[pe * per + off]);
-                            im.store(off, s.im()[pe * per + off]);
-                        }
-                        partial_prob_one_partition(&re, &im, (pe * per) as u64, q)
-                    })
-                    .collect();
+            for n_pes in [1usize, 2, 4, 8] {
+                let boundary = n - n_pes.trailing_zeros();
+                let identity: Vec<u32> = (0..boundary).collect();
+                let partials = per_partition(s.parts_mut(), n_pes, |own, base| {
+                    let natural = partial_prob_one(own, base, None, q);
+                    let mapped = partial_prob_one(own, base, Some(&identity), q);
+                    assert_eq!(natural.to_bits(), mapped.to_bits(), "q={q} n_pes={n_pes}");
+                    natural
+                });
                 let combined = svsim_types::numeric::pairwise_sum(&partials);
                 assert_eq!(
                     whole.to_bits(),
@@ -408,23 +403,80 @@ mod tests {
     }
 
     #[test]
-    fn partition_prob_and_collapse() {
-        // 2 partitions of a 2-qubit |+> x |0> state: amps (s2i, s2i, 0, 0).
-        let s2i = svsim_types::S2I;
-        let re0 = SharedF64Vec::new(2, 0.0);
-        let im0 = SharedF64Vec::new(2, 0.0);
-        let re1 = SharedF64Vec::new(2, 0.0);
-        let im1 = SharedF64Vec::new(2, 0.0);
-        re0.store(0, s2i);
-        re0.store(1, s2i);
-        let p = partial_prob_one_partition(&re0, &im0, 0, 0)
-            + partial_prob_one_partition(&re1, &im1, 2, 0);
-        assert!((p - 0.5).abs() < 1e-15);
-        // Collapse to outcome 0.
-        let inv = (1.0f64 / 0.5).sqrt();
-        collapse_partition(&re0, &im0, 0, 0, 0, inv);
-        collapse_partition(&re1, &im1, 2, 0, 0, inv);
-        assert!((re0.load(0) - 1.0).abs() < 1e-12);
-        assert_eq!(re0.load(1), 0.0);
+    fn mapped_partials_walk_the_logical_tree() {
+        // Scramble each partition's low positions (reversed): the mapped
+        // partial over the scrambled words equals the natural partial over
+        // the logical ones, bit for bit.
+        let mut s = irrational_state();
+        let n = s.n_qubits();
+        let n_pes = 4usize;
+        let boundary = n - 2;
+        let low_pos: Vec<u32> = (0..boundary).rev().collect();
+        let mut scrambled = s.clone();
+        {
+            let (re, im) = scrambled.parts_mut();
+            for i in 0..s.dim() {
+                let low =
+                    (0..boundary).fold(0, |off, k| off | bit(i as u64, k) << low_pos[k as usize]);
+                let at = (i >> boundary << boundary) | low as usize;
+                re[at] = s.re()[i];
+                im[at] = s.im()[i];
+            }
+        }
+        for q in 0..n {
+            let natural = per_partition(s.parts_mut(), n_pes, |own, base| {
+                partial_prob_one(own, base, None, q)
+            });
+            let mapped = per_partition(scrambled.parts_mut(), n_pes, |own, base| {
+                partial_prob_one(own, base, Some(&low_pos), q)
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&natural), bits(&mapped), "q={q}");
+        }
+    }
+
+    #[test]
+    fn partition_collapse_is_the_whole_states_collapse() {
+        // Collapsing every partition in place equals collapsing the whole
+        // state, bit for bit; a partition-index qubit keeps (rescaled) or
+        // clears each partition whole.
+        let s = irrational_state();
+        let n = s.n_qubits();
+        let inv = 1.3;
+        let bits = |s: &StateVector| {
+            let words = s.re().iter().chain(s.im());
+            words.map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        for (q, outcome) in [(0, 0u8), (4, 1), (n - 2, 0), (n - 1, 1)] {
+            let mut whole = s.clone();
+            per_partition(whole.parts_mut(), 1, |own, base| {
+                collapse(own, base, q, outcome, inv);
+            });
+            for n_pes in [2usize, 4, 8] {
+                let boundary = n - n_pes.trailing_zeros();
+                let mut parted = s.clone();
+                let kept = per_partition(parted.parts_mut(), n_pes, |own, base| {
+                    collapse(own, base, q, outcome, inv);
+                    bit(base, q) == u64::from(outcome)
+                });
+                let what = format!("q={q} outcome={outcome} n_pes={n_pes}");
+                assert_eq!(bits(&parted), bits(&whole), "{what}");
+                if q < boundary {
+                    continue;
+                }
+                let per = s.dim() / n_pes;
+                for (pe, kept) in kept.into_iter().enumerate() {
+                    for i in pe * per..(pe + 1) * per {
+                        let want = |x: f64| if kept { x * inv } else { 0.0 };
+                        let got = (parted.re()[i].to_bits(), parted.im()[i].to_bits());
+                        assert_eq!(
+                            got,
+                            (want(s.re()[i]).to_bits(), want(s.im()[i]).to_bits()),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

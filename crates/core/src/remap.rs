@@ -290,7 +290,7 @@ fn localize(
 /// indices, and under a block-preserving layout each PE's partition is one
 /// logical-top-value subcube — the PE walks it in logical order locally
 /// and the cross-PE combine reproduces the single-device sum bit-for-bit
-/// (see [`crate::measure::partial_prob_one_mapped`]). Same-side scrambles
+/// (see [`crate::measure::partial_prob_one`]). Same-side scrambles
 /// are absorbed by that walk for free; only straddlers cost an exchange,
 /// and each exchange homes one stranded qubit from each side.
 ///

@@ -10,7 +10,7 @@ use crate::pipeline::{AllocMode, JobPacket, Pipeline, QueuedJob, SubmitError};
 use crate::pool::InstancePool;
 use crate::retry::{retryable, DegradePolicy};
 use crate::templates::{TemplateId, TemplateRegistry, WorkerTemplates};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -592,13 +592,7 @@ pub(crate) fn readback_one_shot(
     else {
         unreachable!("dispatched as one-shot");
     };
-    let samples = (shots > 0).then(|| {
-        let mut hist = BTreeMap::new();
-        for outcome in sim.sample(shots) {
-            *hist.entry(outcome).or_insert(0) += 1;
-        }
-        hist
-    });
+    let samples = (shots > 0).then(|| measure::histogram(&sim.sample(shots)));
     let state = return_state.then(|| sim.state().clone());
     shared.pool.checkin(sim.into_state());
     JobOutput::OneShot {

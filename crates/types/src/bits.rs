@@ -9,16 +9,6 @@
 
 use crate::IdxType;
 
-/// Base index `s_i` for the `i`-th amplitude pair of a 1-qubit gate on
-/// qubit `q` (Eq. 1): `s_i = floor(i / 2^q) * 2^(q+1) + (i mod 2^q)`.
-///
-/// Equivalently: insert a `0` bit at bit-position `q` of `i`.
-#[inline]
-#[must_use]
-pub fn pair_base_1q(i: IdxType, q: u32) -> IdxType {
-    ((i >> q) << (q + 1)) | (i & ((1 << q) - 1))
-}
-
 /// Base index `s_i` for the `i`-th amplitude quadruple of a 2-qubit gate on
 /// qubits `p < q` (Eq. 2).
 ///
@@ -40,7 +30,10 @@ pub fn quad_base_2q(i: IdxType, p: u32, q: u32) -> IdxType {
     (outer << (q + 1)) | (mid << (p + 1)) | low
 }
 
-/// Insert a `0` bit into `x` at bit position `pos`, shifting higher bits up.
+/// Insert a `0` bit into `x` at bit position `pos`, shifting higher bits up:
+/// the base index `s_i` of the `i`-th amplitude pair of a 1-qubit gate on
+/// qubit `pos` (Eq. 1) for `x = i`: `floor(x / 2^pos) * 2^(pos+1) + (x mod
+/// 2^pos)`.
 #[inline]
 #[must_use]
 pub fn insert_zero_bit(x: IdxType, pos: u32) -> IdxType {
@@ -66,27 +59,6 @@ pub fn bit(idx: IdxType, q: u32) -> IdxType {
     (idx >> q) & 1
 }
 
-/// Set bit `q` of `idx`.
-#[inline]
-#[must_use]
-pub fn set_bit(idx: IdxType, q: u32) -> IdxType {
-    idx | (1 << q)
-}
-
-/// Clear bit `q` of `idx`.
-#[inline]
-#[must_use]
-pub fn clear_bit(idx: IdxType, q: u32) -> IdxType {
-    idx & !(1 << q)
-}
-
-/// Flip bit `q` of `idx`.
-#[inline]
-#[must_use]
-pub fn flip_bit(idx: IdxType, q: u32) -> IdxType {
-    idx ^ (1 << q)
-}
-
 /// Bit mask with bits set at all `positions`.
 #[inline]
 #[must_use]
@@ -100,17 +72,6 @@ pub fn mask_of(positions: &[u32]) -> IdxType {
 #[must_use]
 pub fn masked_parity(idx: IdxType, mask: IdxType) -> u32 {
     (idx & mask).count_ones() & 1
-}
-
-/// Ceil-log2 of `x` (0 for `x <= 1`).
-#[inline]
-#[must_use]
-pub fn ceil_log2(x: u64) -> u32 {
-    if x <= 1 {
-        0
-    } else {
-        64 - (x - 1).leading_zeros()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +94,7 @@ mod tests {
     #[test]
     fn pair_base_matches_paper_small() {
         // n = 3 qubits, gate on q = 1: pairs are (0,2),(1,3),(4,6),(5,7).
-        let bases: Vec<u64> = (0..4).map(|i| pair_base_1q(i, 1)).collect();
+        let bases: Vec<u64> = (0..4).map(|i| insert_zero_bit(i, 1)).collect();
         assert_eq!(bases, vec![0, 1, 4, 5]);
     }
 
@@ -145,7 +106,7 @@ mod tests {
         for q in 0..n {
             let mut seen = vec![false; 1 << n];
             for i in 0..(1u64 << (n - 1)) {
-                let s = pair_base_1q(i, q);
+                let s = insert_zero_bit(i, q);
                 let t = s + (1 << q);
                 assert!(!seen[s as usize] && !seen[t as usize]);
                 seen[s as usize] = true;
@@ -182,22 +143,9 @@ mod tests {
     fn bit_ops() {
         assert_eq!(bit(0b1010, 1), 1);
         assert_eq!(bit(0b1010, 0), 0);
-        assert_eq!(set_bit(0b1010, 0), 0b1011);
-        assert_eq!(clear_bit(0b1010, 1), 0b1000);
-        assert_eq!(flip_bit(0b1010, 3), 0b0010);
         assert_eq!(mask_of(&[0, 2, 5]), 0b100101);
         assert_eq!(masked_parity(0b111, 0b101), 0);
         assert_eq!(masked_parity(0b110, 0b101), 1);
-    }
-
-    #[test]
-    fn ceil_log2_values() {
-        assert_eq!(ceil_log2(0), 0);
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(3), 2);
-        assert_eq!(ceil_log2(1024), 10);
-        assert_eq!(ceil_log2(1025), 11);
     }
 
     #[test]
@@ -219,7 +167,11 @@ mod tests {
         for _ in 0..2000 {
             let i = rng.next_below(1 << 20);
             let q = rng.range_usize(0, 40) as u32;
-            assert_eq!(pair_base_1q(i, q), pair_base_reference(i, q), "i={i} q={q}");
+            assert_eq!(
+                insert_zero_bit(i, q),
+                pair_base_reference(i, q),
+                "i={i} q={q}"
+            );
         }
     }
 
@@ -254,16 +206,6 @@ mod tests {
                 insert_zero_bit(lo, pos) < insert_zero_bit(hi, pos),
                 "a={lo} b={hi} pos={pos}"
             );
-        }
-    }
-
-    #[test]
-    fn flip_is_involution() {
-        let mut rng = SvRng::seed_from_u64(0xB175_0004);
-        for _ in 0..2000 {
-            let x = rng.next_u64();
-            let q = rng.range_usize(0, 63) as u32;
-            assert_eq!(flip_bit(flip_bit(x, q), q), x, "x={x} q={q}");
         }
     }
 }

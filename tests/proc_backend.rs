@@ -178,11 +178,18 @@ fn plain_memory_paths_match_the_per_word_path_on_process_pes() {
 }
 
 /// The communication-avoiding remap planner runs unchanged on forked PEs —
-/// the relabeling slab exchanges go through the shared arena.
+/// the relabeling slab exchanges go through the shared arena, and a
+/// partition-index qubit measured after relabelings is summed over the
+/// arena words of each PE's partition in logical order.
 #[test]
 fn remap_is_bit_identical_on_process_pes() {
     for seed in [3u64, 17] {
-        let circuit = random_circuit(6, 48, seed);
+        let mut circuit = Circuit::with_cbits(6, 3);
+        circuit.extend(&random_circuit(6, 48, seed)).unwrap();
+        circuit.measure(5, 0).unwrap();
+        circuit.extend(&random_circuit(6, 24, seed + 1)).unwrap();
+        circuit.measure(4, 1).unwrap();
+        circuit.measure(1, 2).unwrap();
         let reference = run_state(
             &circuit,
             SimConfig {
@@ -197,10 +204,15 @@ fn remap_is_bit_identical_on_process_pes() {
                 shmem_backend: ShmemBackend::Process,
                 ..SimConfig::scale_out(n_pes)
             };
+            let mut sim = Simulator::new(6, config).unwrap();
+            let summary = sim.run(&circuit).unwrap();
+            let what = format!("seed {seed}, {n_pes} PEs");
+            assert!(summary.remap_swaps > 0, "{what}: nothing relabeled");
+            let state = (sim.state().re().to_vec(), sim.state().im().to_vec());
             assert_eq!(
-                run_state(&circuit, config),
+                (summary.cbits, state.0, state.1),
                 reference,
-                "remap on process PEs diverged (seed {seed}, {n_pes} PEs)"
+                "remap on process PEs diverged ({what})"
             );
         }
     }
