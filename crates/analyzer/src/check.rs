@@ -161,8 +161,6 @@ pub struct AnalysisReport {
     pub n_qubits: u32,
     /// Partition count analyzed.
     pub n_pes: u64,
-    /// Fusion window of the schedule analyzed ([`CommPlan::fuse`]).
-    pub fuse: u8,
     /// Per-epoch outcomes, in schedule order.
     pub epochs: Vec<EpochSummary>,
     /// Every recorded conflict (capped per epoch; the verdict is exact).
@@ -197,10 +195,9 @@ impl fmt::Display for AnalysisReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "plan: {} qubits at {} PEs, fuse window {}, {} epochs ({} proven-safe, {} unknown, {} conflicting) => {}",
+            "plan: {} qubits at {} PEs, {} epochs ({} proven-safe, {} unknown, {} conflicting) => {}",
             self.n_qubits,
             self.n_pes,
-            self.fuse,
             self.epochs.len(),
             self.count(Verdict::ProvenSafe),
             self.count(Verdict::Unknown),
@@ -461,7 +458,6 @@ pub fn check_plan_with_budget(
     Ok(AnalysisReport {
         n_qubits: plan.n_qubits,
         n_pes,
-        fuse: plan.fuse,
         epochs,
         conflicts,
     })

@@ -171,8 +171,8 @@ mod tests {
     #[test]
     fn every_small_workload_agrees_with_the_static_verdict() {
         // Debug-build budget: the ≤13-qubit Table 4 workloads at 2/4/8
-        // PEs, plus the fused (window 3) schedule with and without
-        // remapping. Release-mode CI covers the larger ones.
+        // PEs, plus the remapped schedule at 4. Release-mode CI covers the
+        // larger ones.
         let base = |pes: usize| SimConfig {
             seed: 0xC0FFEE,
             ..SimConfig::scale_out(pes)
@@ -181,9 +181,7 @@ mod tests {
             base(2),
             base(4),
             base(8),
-            SimConfig { fuse: 3, ..base(4) },
             SimConfig {
-                fuse: 3,
                 remap: true,
                 ..base(4)
             },

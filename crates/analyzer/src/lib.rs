@@ -40,9 +40,7 @@ use svsim_types::{SvError, SvResult};
 /// configured partitioning (one PE on a single device — trivially safe).
 ///
 /// The plan proven is `CompiledPlan::compile(circuit, _, config)`, the one
-/// a simulator with this config executes. Under runtime-parse dispatch that
-/// is the unfused schedule whatever `config.fuse` says; the report's
-/// [`AnalysisReport::fuse`] names the window actually proven.
+/// a simulator with this config executes.
 ///
 /// # Errors
 /// [`SvError::InvalidConfig`] on a worker count that cannot partition the
@@ -150,49 +148,45 @@ mod tests {
                 .unwrap();
             let collapses = 2;
             let mut relabeled = false;
-            for fuse in [0u8, 2, 3] {
-                for remap in [false, true] {
-                    for specialized in [true, false] {
-                        for pes in [2usize, 4] {
-                            let config = SimConfig {
-                                specialized,
-                                seed: 3,
-                                remap,
-                                fuse,
-                                ..SimConfig::scale_out(pes)
-                            };
-                            let what = format!("{kind:?} {config:?}");
+            for remap in [false, true] {
+                for specialized in [true, false] {
+                    for pes in [2usize, 4] {
+                        let config = SimConfig {
+                            specialized,
+                            seed: 3,
+                            remap,
+                            ..SimConfig::scale_out(pes)
+                        };
+                        let what = format!("{kind:?} {config:?}");
 
-                            let plan = CompiledPlan::compile(&c, 6, &config);
-                            let comm = CommPlan::from_plan(&plan);
-                            assert_eq!(comm.gates.len(), plan.n_kernels(), "{what}");
-                            let count =
-                                |k: EpochKind| comm.epochs.iter().filter(|e| e.kind == k).count();
-                            assert_eq!(count(EpochKind::Kernel), plan.n_kernels(), "{what}");
-                            assert_eq!(count(EpochKind::Collapse), collapses, "{what}");
-                            for g in &comm.gates {
-                                let from = &c.ops()[g.source_op];
-                                assert_eq!(
-                                    g.conditional,
-                                    matches!(from, Op::IfEq { .. } | Op::Reset { .. }),
-                                    "{what}: kernel attributed to op #{} = {from:?}",
-                                    g.source_op
-                                );
-                                assert!(!matches!(from, Op::Barrier(_) | Op::Measure { .. }));
-                            }
-
-                            // The run executes the plan that was proven.
-                            let (report, summary) = checked_run(&c, config).unwrap();
-                            assert!(report.is_proven_safe(), "{what}: {report}");
-                            assert_eq!(report.epochs.len(), comm.epochs.len(), "{what}");
-                            assert_eq!(report.fuse, fuse, "{what}");
+                        let plan = CompiledPlan::compile(&c, 6, &config);
+                        let comm = CommPlan::from_plan(&plan);
+                        assert_eq!(comm.gates.len(), plan.n_kernels(), "{what}");
+                        let count =
+                            |k: EpochKind| comm.epochs.iter().filter(|e| e.kind == k).count();
+                        assert_eq!(count(EpochKind::Kernel), plan.n_kernels(), "{what}");
+                        assert_eq!(count(EpochKind::Collapse), collapses, "{what}");
+                        for g in &comm.gates {
+                            let from = &c.ops()[g.source_op];
                             assert_eq!(
-                                count(EpochKind::Exchange),
-                                2 * summary.remap_swaps,
-                                "{what}"
+                                g.conditional,
+                                matches!(from, Op::IfEq { .. } | Op::Reset { .. }),
+                                "{what}: kernel attributed to op #{} = {from:?}",
+                                g.source_op
                             );
-                            relabeled |= summary.remap_swaps > 0;
+                            assert!(!matches!(from, Op::Barrier(_) | Op::Measure { .. }));
                         }
+
+                        // The run executes the plan that was proven.
+                        let (report, summary) = checked_run(&c, config).unwrap();
+                        assert!(report.is_proven_safe(), "{what}: {report}");
+                        assert_eq!(report.epochs.len(), comm.epochs.len(), "{what}");
+                        assert_eq!(
+                            count(EpochKind::Exchange),
+                            2 * summary.remap_swaps,
+                            "{what}"
+                        );
+                        relabeled |= summary.remap_swaps > 0;
                     }
                 }
             }
@@ -202,25 +196,18 @@ mod tests {
 
     #[test]
     fn runtime_parse_is_proven_unfused() {
-        // Runtime parsing re-parses gate by gate: it runs the unfused
-        // schedule, so that is the one analyzed — and the report says so.
+        // Runtime parsing re-parses gate by gate: the schedule analyzed is
+        // one kernel per epoch.
         let mut c = Circuit::new(4);
         for _ in 0..4 {
             c.apply(GateKind::H, &[0], &[]).unwrap();
             c.apply(GateKind::T, &[0], &[]).unwrap();
         }
-        let fused = SimConfig {
-            fuse: 3,
-            ..SimConfig::scale_out(2)
-        };
         let parsed = SimConfig {
             dispatch: svsim_core::DispatchMode::RuntimeParse,
-            ..fused
+            ..SimConfig::scale_out(2)
         };
-        let (fused, parsed) = (analyze(&c, &fused).unwrap(), analyze(&c, &parsed).unwrap());
-        assert_eq!((fused.fuse, fused.epochs.len()), (3, 1));
-        assert_eq!((parsed.fuse, parsed.epochs.len()), (0, 8));
-        assert!(parsed.to_string().contains("fuse window 0"));
+        assert_eq!(analyze(&c, &parsed).unwrap().epochs.len(), 8);
     }
 
     #[test]

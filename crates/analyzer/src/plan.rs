@@ -50,8 +50,7 @@ pub enum EpochKind {
 pub struct PlanGate {
     /// Index of the originating op in `Circuit::ops()`.
     pub source_op: usize,
-    /// The source gate (`None`: a fused run of several, or the X a reset
-    /// applies).
+    /// The source gate (`None`: the X a reset applies).
     pub gate: Option<GateKind>,
     /// Which kernel body runs: several gate families share one, told apart
     /// by the footprint in `cg`.
@@ -79,10 +78,6 @@ pub struct Epoch {
 pub struct CommPlan {
     /// Circuit width.
     pub n_qubits: u32,
-    /// Fusion window of the lowering this plan images (0 = the unfused
-    /// schedule, which is also what runtime-parse dispatch executes
-    /// whatever `SimConfig::fuse` says).
-    pub fuse: u8,
     /// Every scheduled gate kernel, in execution order.
     pub gates: Vec<PlanGate>,
     /// The epochs, in execution order.
@@ -92,8 +87,7 @@ pub struct CommPlan {
 impl CommPlan {
     /// The epoch structure of `plan`, entry for entry: a kernel epoch closed
     /// at every kernel the schedule marks with a barrier — one per kernel
-    /// outside tile runs (a fused sweep is one kernel, claiming its full
-    /// window through `kernel_access_patterns`), one per tile run — one
+    /// outside tile runs, one per tile run — one
     /// collapse epoch per measurement or reset, and two
     /// [`EpochKind::Exchange`] epochs (pack, unpack — the two barriers of
     /// `ShmemView::exchange_pair`) per relabeling swap. Conditional kernels
@@ -137,7 +131,6 @@ impl CommPlan {
         }
         Self {
             n_qubits: plan.n_qubits(),
-            fuse: plan.fuse_window(),
             gates,
             epochs,
         }
@@ -258,82 +251,6 @@ mod tests {
             },
         );
         assert!(plan.merge_epochs(0).is_err(), "exchange epochs never merge");
-    }
-
-    #[test]
-    fn fused_plans_collapse_epochs_and_stay_proven_safe() {
-        // A deep rotation ladder on 3 qubits: every gate shares the same
-        // ≤3-qubit window, so the fused plan collapses the whole run into
-        // a handful of dense sweeps — and every epoch must still prove
-        // conflict-free (one kernel per epoch, injective item bits).
-        let mut c = Circuit::new(4);
-        for layer in 0..6 {
-            for q in 0..3 {
-                c.apply(GateKind::H, &[q], &[]).unwrap();
-                c.apply(GateKind::RZ, &[q], &[0.1 * f64::from(layer + 1)])
-                    .unwrap();
-            }
-            c.apply(GateKind::CX, &[0, 1], &[]).unwrap();
-            c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
-        }
-        let plain = plan_of(&c, SimConfig::single_device());
-        let fused = plan_of(
-            &c,
-            SimConfig {
-                fuse: 3,
-                ..SimConfig::single_device()
-            },
-        );
-        assert!(
-            fused.epochs.len() < plain.epochs.len() / 2,
-            "fusion must collapse the ladder: {} vs {}",
-            fused.epochs.len(),
-            plain.epochs.len()
-        );
-        // No source kernel lost or invented by the rewrite.
-        let queue: Vec<CompiledGate> = fused.gates.iter().map(|g| g.cg.clone()).collect();
-        assert_eq!(svsim_core::source_kernels(&queue), plain.gates.len());
-        let report = crate::check::check_plan(&fused, 8).unwrap();
-        assert!(report.is_proven_safe(), "fused epochs must prove clean");
-    }
-
-    #[test]
-    fn fused_runs_break_at_collapse_and_conditional_steps() {
-        // The measure collapses the pending run: gates before and after it
-        // may fuse among themselves but never across it, and the reset's
-        // outcome-dependent X stays an unfused conditional kernel.
-        let mut c = Circuit::with_cbits(3, 1);
-        for _ in 0..4 {
-            c.apply(GateKind::H, &[0], &[]).unwrap();
-            c.apply(GateKind::H, &[1], &[]).unwrap();
-        }
-        c.measure(0, 0).unwrap();
-        for _ in 0..4 {
-            c.apply(GateKind::H, &[0], &[]).unwrap();
-            c.apply(GateKind::H, &[1], &[]).unwrap();
-        }
-        c.reset(2).unwrap();
-        let fused = plan_of(
-            &c,
-            SimConfig {
-                fuse: 2,
-                ..SimConfig::single_device()
-            },
-        );
-        let kinds: Vec<EpochKind> = fused.epochs.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EpochKind::Kernel,   // fused pre-measure run
-                EpochKind::Collapse, // measure
-                EpochKind::Kernel,   // fused post-measure run
-                EpochKind::Collapse, // reset
-                EpochKind::Kernel,   // conditional X
-            ]
-        );
-        let last = fused.gates.last().unwrap();
-        assert!(last.conditional, "reset X is outcome-dependent");
-        assert!(last.cg.args.fused.is_empty(), "conditionals never fuse");
     }
 
     #[test]

@@ -156,9 +156,9 @@ impl ParamCircuit {
     }
 
     /// Lower the structure once for batched execution: bind placeholder
-    /// angles, lower under the plain single-device config (templates run
-    /// unfused — a fused sweep's members would be copies the patcher cannot
-    /// reach), and record where each parameterized gate's kernel landed.
+    /// angles, lower under the plain single-device config
+    /// (`TEMPLATE_CONFIG`), and record where each parameterized gate's
+    /// kernel landed.
     ///
     /// # Errors
     /// Propagates compilation errors.
@@ -186,7 +186,9 @@ impl ParamCircuit {
     }
 }
 
-/// What a template is lowered and run under: the plain single-device path.
+/// What a template is lowered and run under: the plain single-device path,
+/// where every gate step holds its own kernels in the segment's queue, so a
+/// patch site is one kernel's argument block.
 const TEMPLATE_CONFIG: SimConfig = SimConfig::single_device();
 
 /// A structure-compiled template — a lowered segment plus its patch sites:

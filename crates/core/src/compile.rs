@@ -44,13 +44,6 @@ pub enum KernelId {
     Rzz,
     /// Generic dense 4×4.
     TwoQ,
-    /// Fused 1-qubit window: a run of gates replayed over one 2-amplitude
-    /// window per work item (see [`crate::fuse`]).
-    Fused1,
-    /// Fused 2-qubit window (4 amplitudes per work item).
-    Fused2,
-    /// Fused 3-qubit window (8 amplitudes per work item).
-    Fused3,
 }
 
 /// A gate resolved to a kernel plus its argument block.
@@ -72,7 +65,6 @@ fn base_args(dim: u64) -> GateArgs {
         s0: 0.0,
         s1: 0.0,
         work: dim,
-        fused: Vec::new(),
     }
 }
 

@@ -39,9 +39,6 @@ pub fn resolve<V: StateView>(id: KernelId) -> KernelFn<V> {
         KernelId::OneQ => kernels::k_oneq::<V>,
         KernelId::Rzz => kernels::k_rzz::<V>,
         KernelId::TwoQ => kernels::k_twoq::<V>,
-        KernelId::Fused1 => kernels::k_fused1::<V>,
-        KernelId::Fused2 => kernels::k_fused2::<V>,
-        KernelId::Fused3 => kernels::k_fused3::<V>,
     }
 }
 
@@ -69,7 +66,7 @@ pub fn upload<V: StateView>(compiled: &[CompiledGate]) -> Vec<UploadedGate<V>> {
         .iter()
         .map(|c| UploadedGate {
             op: resolve::<V>(c.id),
-            args: c.args.clone(),
+            args: c.args,
         })
         .collect()
 }
@@ -117,9 +114,6 @@ mod tests {
             KernelId::OneQ,
             KernelId::Rzz,
             KernelId::TwoQ,
-            KernelId::Fused1,
-            KernelId::Fused2,
-            KernelId::Fused3,
         ] {
             // One function per body; a gate's controls are in its footprint.
             let _f = resolve::<LocalView>(id);

@@ -71,8 +71,7 @@ pub enum DispatchMode {
     #[default]
     PreloadedFnPointer,
     /// Parse and branch per gate at every execution (the HIP/MI100
-    /// fallback, §3.2.1). Re-parsing is gate by gate, so the lowering never
-    /// fuses under this mode ([`crate::plan`]).
+    /// fallback, §3.2.1).
     RuntimeParse,
 }
 
@@ -83,13 +82,10 @@ pub enum DispatchMode {
 #[derive(Debug, Clone)]
 pub(crate) enum Step {
     /// Unitary kernels run unconditionally: one source gate (`raw` kept
-    /// for the runtime-parse mode), or — `raw: None` — a fused run of
-    /// adjacent gates ([`crate::fuse`]) whose `compiled` is one
-    /// window-sweep kernel and whose `op` is the first constituent's
-    /// source op.
+    /// for the runtime-parse mode).
     Gate {
         op: usize,
-        raw: Option<Gate>,
+        raw: Gate,
         compiled: Range<usize>,
     },
     /// Projective measurement using pre-drawn random `r_idx`. Under a
@@ -138,17 +134,6 @@ impl Step {
             | Self::Reset {
                 op, x: compiled, ..
             } => Some((*op, compiled)),
-            Self::Measure { .. } | Self::Exchange { .. } => None,
-        }
-    }
-
-    /// The queue range of [`Self::kernels`], for rebasing onto a rewritten
-    /// queue.
-    pub(crate) fn kernels_mut(&mut self) -> Option<&mut Range<usize>> {
-        match self {
-            Self::Gate { compiled, .. }
-            | Self::IfEq { compiled, .. }
-            | Self::Reset { x: compiled, .. } => Some(compiled),
             Self::Measure { .. } | Self::Exchange { .. } => None,
         }
     }
@@ -428,10 +413,7 @@ impl<V: StateView> Fabric for Worker<'_, V> {
     }
     /// The world barrier, wherever the plan puts one: after each kernel
     /// outside a tile run, after each tile run, and after each collapse. A
-    /// fused kernel is one kernel: its windows are disjoint and each worker
-    /// owns a disjoint window sub-range, so no cross-worker dataflow exists
-    /// inside the sweep (same argument as any two-qubit kernel); a tile run's
-    /// kernels never leave the PE's partition.
+    /// tile run's kernels never leave the PE's partition.
     fn sync(&self) {
         self.me.ctx.barrier_all();
     }
@@ -545,7 +527,7 @@ fn interpret<'a, F: Fabric>(
         match step {
             Step::Exchange { lo, hi } => fabric.exchange(*lo, *hi),
             Step::Gate { raw, compiled, .. } if seg.runs.is_empty() => {
-                kernels.each(raw.as_ref(), compiled, run);
+                kernels.each(Some(raw), compiled, run);
             }
             // A tile run may start and end inside any of the gate steps it
             // spans.
@@ -1021,10 +1003,9 @@ mod tests {
             let circuit = circuit_around_tiles(n, &nested);
             for backend in backends() {
                 let outer_fits = n - backend.backend.n_workers().trailing_zeros() > tile;
-                for (checkpoint_every, fuse) in [(0, 0), (0, 3), (3, 0), (3, 3)] {
+                for checkpoint_every in [0, 3] {
                     let config = SimConfig {
                         checkpoint_every,
-                        fuse,
                         ..backend
                     };
                     let what = format!("{n} qubits, tiles of 2^{nested:?}, {config:?}");
@@ -1062,9 +1043,8 @@ mod tests {
                         assert_eq!(t.slab_kernels, p.slab_kernels, "{what}");
                         assert_eq!(t.word_kernels, 0, "{what}");
                         // Whole-circuit segments hold long runs; three-op
-                        // ones still pair up their tile-local kernels (not
-                        // always at the inner width, once fused).
-                        assert!(t.tile_runs > 0 || !outer_fits && fuse > 0, "{what}");
+                        // ones still pair up their tile-local kernels.
+                        assert!(t.tile_runs > 0, "{what}");
                         assert!(t.tiled_kernels >= 2 * t.tile_runs, "{what}");
                         let saved = (t.tiled_kernels - t.tile_runs) as u64;
                         assert_eq!(t.traffic.len(), p.traffic.len(), "{what}");
@@ -1095,12 +1075,9 @@ mod tests {
                                 && t.inner_tiled_kernels <= t.tiled_kernels,
                             "{what}"
                         );
-                        if fuse == 0 {
-                            // The layers below the tile boundary start with
-                            // an H and a T on qubit 0. (Fusion merges such a
-                            // pair.)
-                            assert!(t.inner_tile_runs > 0, "{what}");
-                        }
+                        // The layers below the tile boundary start with an H
+                        // and a T on qubit 0.
+                        assert!(t.inner_tile_runs > 0, "{what}");
                     }
                     ids.extend(tiled.ids);
                     runs += t.tile_runs;
@@ -1111,7 +1088,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(ids.len(), 14, "every KernelId walked: {ids:?}");
+        assert_eq!(ids.len(), 11, "every KernelId walked: {ids:?}");
         assert!(runs > 1000, "{runs} tile runs");
         assert!(inner_runs > 500, "{inner_runs} inner sub-runs");
         assert!(exchanges_between_runs > 0, "exchange steps ended runs");

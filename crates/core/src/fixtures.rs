@@ -34,8 +34,7 @@ pub(crate) fn compile_all<'a>(
 /// Every kernel, its lowest qubit at `qmin` and the others above it in
 /// both operand orders (control below the target and above it, a Fredkin's
 /// control below, between and above its operands), plain and
-/// multi-controlled, plus a fused window of each width anchored there. Gates
-/// that do not fit below `n` are left out.
+/// multi-controlled. Gates that do not fit below `n` are left out.
 pub(crate) fn kernels_anchored_at(qmin: u32, n: u32) -> Vec<CompiledGate> {
     use GateKind::*;
     type Spec = (GateKind, Vec<u32>, &'static [f64]);
@@ -72,42 +71,12 @@ pub(crate) fn kernels_anchored_at(qmin: u32, n: u32) -> Vec<CompiledGate> {
         (RZZ, vec![a, far], &[0.4]),
         (RXX, vec![b, a], &[0.9]),
     ];
-    let compile = |gates: &[Spec]| {
-        let mut queue = Vec::new();
-        for (kind, qubits, params) in gates {
-            let distinct = (1..qubits.len()).all(|i| !qubits[..i].contains(&qubits[i]));
-            if distinct && qubits.iter().all(|&q| q < n) {
-                let gate = Gate::new(*kind, qubits, params).unwrap();
-                compile_gate(&gate, n, true, &mut queue);
-            }
-        }
-        queue
-    };
-    let mut queue = compile(&gates);
-    let windows: [&[Spec]; 3] = [
-        &[(H, vec![a], &[]), (T, vec![a], &[]), (RY, vec![a], &[0.2])],
-        &[
-            (H, vec![b], &[]),
-            (CX, vec![b, a], &[]),
-            (RZ, vec![a], &[0.3]),
-            (SWAP, vec![b, a], &[]),
-        ],
-        &[
-            (H, vec![a], &[]),
-            (CX, vec![a, b], &[]),
-            (RZ, vec![b], &[0.37]),
-            (CX, vec![c, a], &[]),
-            (CSWAP, vec![b, c, a], &[]),
-            (CU1, vec![c, a], &[0.2]),
-            (CCX, vec![a, c, b], &[]),
-            (RZZ, vec![c, b], &[0.4]),
-            (H, vec![c], &[]),
-        ],
-    ];
-    for window in windows {
-        let plain = compile(window);
-        if plain.len() == window.len() {
-            queue.extend(crate::fuse::fuse_compiled(&plain, n, 3).0);
+    let mut queue = Vec::new();
+    for (kind, qubits, params) in gates {
+        let distinct = (1..qubits.len()).all(|i| !qubits[..i].contains(&qubits[i]));
+        if distinct && qubits.iter().all(|&q| q < n) {
+            let gate = Gate::new(kind, &qubits, params).unwrap();
+            compile_gate(&gate, n, true, &mut queue);
         }
     }
     queue

@@ -47,9 +47,7 @@
 //! switch, and the levels agree bit for bit: wider registers, the same IEEE
 //! operations in the same order (no FMA contraction).
 
-use crate::compile::{CompiledGate, KernelId};
-use crate::dispatch::KernelFn;
-use crate::view::{Lends, LocalView, Plane, StateView, LEND_ALIGN};
+use crate::view::{Lends, Plane, StateView, LEND_ALIGN};
 use std::ops::Range;
 use svsim_types::bits::insert_zero_bits;
 use svsim_types::Complex64;
@@ -57,9 +55,8 @@ use svsim_types::Complex64;
 /// Uniform argument block for every kernel (the analog of the paper's
 /// fixed-format `Gate` object that makes device function pointers possible:
 /// one parameter layout shared by all gate functions): where the kernel works
-/// (`sorted`, `offs`, `work`) and what it applies there (`m`, `s0`, `s1`,
-/// `fused`).
-#[derive(Debug, Clone, PartialEq)]
+/// (`sorted`, `offs`, `work`) and what it applies there (`m`, `s0`, `s1`).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateArgs {
     /// Ascending positions of all involved qubits (for base-index
     /// enumeration via zero-bit insertion).
@@ -70,11 +67,10 @@ pub struct GateArgs {
     /// amplitudes `insert_zero_bits(i, sorted) | offs[j]`, in the order the
     /// kernel's closure takes them (target clear then set under the controls;
     /// the two words a swap exchanges; a two-qubit matrix's four with the
-    /// first operand as local bit 0; a fused window's `2^k` in local order).
-    /// Bits only at `sorted` positions, no two alike. Written where the block
-    /// is built ([`crate::compile`], [`crate::fuse`]) and read by everything
-    /// that asks which amplitudes the kernel touches: its body, the traffic
-    /// model, the analyzer, the fuser, the executor's counters.
+    /// first operand as local bit 0). Bits only at `sorted` positions, no two
+    /// alike. Written where the block is built ([`crate::compile`]) and read
+    /// by everything that asks which amplitudes the kernel touches: its body,
+    /// the traffic model, the analyzer, the executor's counters.
     pub offs: [u64; 8],
     /// Number of valid entries in `offs`.
     pub n_offs: u8,
@@ -86,13 +82,6 @@ pub struct GateArgs {
     pub s1: f64,
     /// Number of work items for this kernel over the full state.
     pub work: u64,
-    /// Constituent micro-ops of a fused window kernel, rewritten to
-    /// window-local coordinates (empty for every ordinary kernel). The
-    /// fused kernels gather one `2^k` window, replay these through the
-    /// constituent kernels over a view of the window, and scatter
-    /// back — so the per-amplitude arithmetic is the exact expression the
-    /// unfused gates would have evaluated, bit for bit.
-    pub fused: Vec<CompiledGate>,
 }
 
 impl GateArgs {
@@ -898,112 +887,6 @@ kernel! {
     k_twoq = twoq
 }
 
-/// The baseline body of kernel `id`, for the fused replay: a micro-op on a
-/// window of 2-8 amplitudes has no loop for a wider body to widen, and the
-/// per-call feature check of the public kernel measured 25 % of a fused
-/// sweep (`kernel.fused3.*` 7.1 -> 8.9 ns/amp).
-fn body<V: StateView>(id: KernelId) -> KernelFn<V> {
-    match id {
-        KernelId::X => x::<V>,
-        KernelId::Y => y::<V>,
-        KernelId::Z => z::<V>,
-        KernelId::H => h::<V>,
-        KernelId::Phase => phase::<V>,
-        KernelId::Rz => rz::<V>,
-        KernelId::Ry => ry::<V>,
-        KernelId::Rx => rx::<V>,
-        KernelId::OneQ => oneq::<V>,
-        KernelId::Rzz => rzz::<V>,
-        KernelId::TwoQ => twoq::<V>,
-        KernelId::Fused1 => k_fused1::<V>,
-        KernelId::Fused2 => k_fused2::<V>,
-        KernelId::Fused3 => k_fused3::<V>,
-    }
-}
-
-/// The scratch window of a fused kernel: a [`LocalView`] of 2-8 amplitudes
-/// that lends nothing ([`Lends::Nothing`]), so that its micro-ops are
-/// compiled as the per-item loop alone (with the walks compiled in beside
-/// it, unused, a fused sweep measured 7.1 -> 9.7 ns/amp).
-struct Window<'a>(LocalView<'a>);
-
-impl StateView for Window<'_> {
-    #[inline]
-    fn dim(&self) -> u64 {
-        self.0.dim()
-    }
-
-    #[inline]
-    fn get(&self, idx: u64) -> (f64, f64) {
-        self.0.get(idx)
-    }
-
-    #[inline]
-    fn set(&self, idx: u64, re: f64, im: f64) {
-        self.0.set(idx, re, im);
-    }
-}
-
-/// Shared body of the fused window kernels: one pass over the `2^{n-k}`
-/// windows of the `k` qubits in `sorted`. Each window's `2^k` amplitudes
-/// (the footprint) are gathered into stack buffers, the constituent
-/// micro-ops in `a.fused` (already rewritten to window-local coordinates)
-/// are replayed through their own kernels' baseline bodies over a
-/// [`Window`], and the result is scattered back. Because every constituent runs its exact
-/// per-amplitude arithmetic on the same values it would have seen running
-/// gate by gate (windows are disjoint, so there is no cross-window
-/// dataflow), the fused sweep is **bit-identical** to unfused execution —
-/// while touching each amplitude once instead of once per gate.
-#[inline]
-fn k_fused_body<V: StateView, const DIM: usize>(v: &V, a: &GateArgs, r: Range<u64>) {
-    let sorted = a.sorted();
-    // Local index j of the window is the amplitude at footprint offset j.
-    let offs: [u64; DIM] = a.footprint();
-    // One scratch window reused for every iteration, wrapped in a single
-    // view whose `Cell` planes let the gather/replay/scatter all go through
-    // `&self` access. Resolving each micro-op's kernel once per sweep (not
-    // once per window) keeps the dispatch lookup off the 2^(n-k)-iteration
-    // hot loop.
-    let mut re = [0.0f64; DIM];
-    let mut im = [0.0f64; DIM];
-    let lv = Window(LocalView::new(&mut re, &mut im));
-    type Micro<'q> = (KernelFn<Window<'q>>, &'q GateArgs);
-    let micros: Vec<Micro<'_>> = a
-        .fused
-        .iter()
-        .map(|cg| (body::<Window>(cg.id), &cg.args))
-        .collect();
-    for i in r {
-        let base = insert_zero_bits(i, sorted);
-        for (j, &o) in offs.iter().enumerate() {
-            let (r_, i_) = v.get(base | o);
-            lv.set(j as u64, r_, i_);
-        }
-        for (kernel, args) in &micros {
-            kernel(&lv, args, 0..args.work);
-        }
-        for (j, &o) in offs.iter().enumerate() {
-            let (r_, i_) = lv.get(j as u64);
-            v.set(base | o, r_, i_);
-        }
-    }
-}
-
-/// Fused 1-qubit window: a run of gates sharing one qubit, one sweep.
-pub fn k_fused1<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    k_fused_body::<V, 2>(v, a, r);
-}
-
-/// Fused 2-qubit window: a run of gates inside one 2-qubit window.
-pub fn k_fused2<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    k_fused_body::<V, 4>(v, a, r);
-}
-
-/// Fused 3-qubit window: a run of gates inside one 3-qubit window.
-pub fn k_fused3<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
-    k_fused_body::<V, 8>(v, a, r);
-}
-
 /// Collapse after measuring qubit `q` as `outcome`: zero the losing half,
 /// scale the surviving half by `1/sqrt(p)`. Work-item space: `dim/2`
 /// (each item handles one pair — all accesses are pair-local).
@@ -1026,7 +909,9 @@ pub fn collapse_pairs<V: StateView>(v: &V, q: u32, outcome: u8, inv_sqrt_p: f64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::CompiledGate;
     use crate::fixtures::{accesses, compiled_one, kernels_anchored_at, low_pairs};
+    use crate::view::LocalView;
     use std::cell::Cell;
     use svsim_ir::GateKind;
 
@@ -1260,8 +1145,7 @@ mod tests {
     /// below 5 or a two-qubit matrix on qubits 0 and 1, none otherwise — and
     /// a view that counts nothing is lent
     /// at least that, plus at most whole chunks of 32 amplitudes holding
-    /// three words outside the footprint for each one in it. A fused window
-    /// borrows nothing.
+    /// three words outside the footprint for each one in it.
     #[test]
     fn run_path_is_bit_identical_to_the_per_item_path() {
         let n = 9u32;
@@ -1284,7 +1168,6 @@ mod tests {
             seen.insert(cg.id);
             let (sorted, offs) = (cg.args.sorted(), cg.args.offs());
             let (qmin, work) = (sorted[0], cg.args.work);
-            let fused = !cg.args.fused.is_empty();
             let footprint = work * offs.len() as u64;
             // A pair on one qubit below 5 that no other involved qubit below
             // 5 shares its chunks with.
@@ -1294,7 +1177,7 @@ mod tests {
                 && sorted.iter().filter(|&&q| q < CHUNK_QUBITS).count() == 1;
             // A two-qubit matrix on qubits 0 and 1 fills its chunks.
             let low_quad = offs.len() == 4 && sorted == [0, 1];
-            let lent_exactly = !fused && (qmin >= 3 || lone_pair || low_quad);
+            let lent_exactly = qmin >= 3 || lone_pair || low_quad;
             for split in splits(work) {
                 let whole = split.len() == 1 && split[0] == (0..work);
                 let (mut re_b, mut im_b) = (re0.clone(), im0.clone());
@@ -1331,9 +1214,6 @@ mod tests {
                     if whole {
                         let want = if lent_exactly { footprint } else { 0 };
                         assert_eq!(counted, want, "lent by a counting view: {what}");
-                        if fused {
-                            assert_eq!(lent, 0, "nothing lent: {what}");
-                        }
                         assert!(lent >= counted, "lent less freely: {what}");
                         assert!(
                             lent == counted || lent % CHUNK == 0 && lent <= 4 * footprint,
@@ -1369,17 +1249,16 @@ mod tests {
                 assert_eq!(bits(&im_a), bits(&im_b), "{what}");
             }
         }
-        assert_eq!(seen.len(), 14, "every KernelId swept: {seen:?}");
+        assert_eq!(seen.len(), 11, "every KernelId swept: {seen:?}");
     }
 
     /// Bodies against footprints: over any share of its work items a kernel
     /// loads exactly the words `insert_zero_bits(i, sorted) | offs[j]`, once
     /// each, and stores exactly those, once each — every compiled gate of
-    /// [`kernels_anchored_at`], and the window-local micro-ops of the fused
-    /// ones over their `2^k`-amplitude window. Over the whole range no word
-    /// comes up twice, so a footprint's offsets are distinct and sit on the
-    /// kernel's own qubits. This is what lets the traffic model, the analyzer,
-    /// the fuser and the counters read `offs` and never ask the body.
+    /// [`kernels_anchored_at`]. Over the whole range no word comes up twice,
+    /// so a footprint's offsets are distinct and sit on the kernel's own
+    /// qubits. This is what lets the traffic model, the analyzer and the
+    /// counters read `offs` and never ask the body.
     #[test]
     fn every_body_sweeps_exactly_its_footprint() {
         fn check(cg: &CompiledGate, n: u32, what: &str) {
@@ -1413,18 +1292,11 @@ mod tests {
         }
         let n = 9u32;
         let mut seen = std::collections::HashSet::new();
-        let mut micros = 0;
         for cg in walked_kernels(n) {
             seen.insert(cg.id);
             let what = format!("{:?} on {:?} of {n}", cg.id, cg.args.sorted());
             check(&cg, n, &what);
-            for micro in &cg.args.fused {
-                micros += 1;
-                let what = format!("{:?} on {:?} inside {what}", micro.id, micro.args.sorted());
-                check(micro, u32::from(cg.args.n_sorted), &what);
-            }
         }
-        assert_eq!(seen.len(), 14, "every KernelId swept: {seen:?}");
-        assert!(micros > 60, "{micros} window-local micro-ops");
+        assert_eq!(seen.len(), 11, "every KernelId swept: {seen:?}");
     }
 }

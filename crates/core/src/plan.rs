@@ -4,14 +4,14 @@
 //! The paper lowers a circuit once into a device-resident buffer of gate
 //! objects and walks that one buffer on every backend (PAPER.md §3.2).
 //! Here that buffer is the `PlanSegment`: the ordered step stream — gate
-//! kernels, fused sweeps, measurements, and (for remapped scale-out) the
-//! relabeling slab exchanges, each at the position it runs — over one flat
-//! compiled-kernel queue, one segment per checkpoint-grid interval, and the
-//! segment's **tile runs**: which consecutive kernels sweep memory together
-//! and share one barrier. `build_segment` is the only code that produces one
-//! (remap planning, then step/kernel lowering, then gate fusion, then the
-//! tile runs, all driven by the [`SimConfig`]), and a segment is the only
-//! thing the executors ([`crate::exec`]) accept; they decide nothing of it.
+//! kernels, measurements, and (for remapped scale-out) the relabeling slab
+//! exchanges, each at the position it runs — over one flat compiled-kernel
+//! queue, one segment per checkpoint-grid interval, and the segment's **tile
+//! runs**: which consecutive kernels sweep memory together and share one
+//! barrier. `build_segment` is the only code that produces one (remap
+//! planning, then step/kernel lowering, then the tile runs, all driven by
+//! the [`SimConfig`]), and a segment is the only thing the executors
+//! ([`crate::exec`]) accept; they decide nothing of it.
 //!
 //! Nothing else re-derives the schedule. [`CompiledPlan::schedule`] yields
 //! a plan's exchanges, kernels and collapses in execution order, each kernel
@@ -29,7 +29,7 @@
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::exec::{DispatchMode, Step};
-use crate::remap::{plan_remap_fused, QubitLayout};
+use crate::remap::{plan_remap, QubitLayout};
 use crate::sim::{BackendKind, SimConfig};
 use crate::traffic::{exchange_traffic, gate_traffic, tile_local, GateTraffic, TILE_QUBITS};
 use std::ops::Range;
@@ -75,23 +75,16 @@ pub(crate) struct PlanSegment {
     pub(crate) runs: Vec<TileRun>,
 }
 
-/// The three settings the lowering derives from `config` for an `n_qubits`
-/// register: `(remap_pes, fuse, tile widths)`. Remapping applies to multi-PE
-/// scale-out only (`remap_pes` is 0 elsewhere). The fusion window is clamped
-/// here, once, so the remap cost scan, the fuser and
-/// [`CompiledPlan::matches`] all see the window that is built. Runtime
-/// parsing re-parses gate by gate, so it runs — and is lowered to — the
-/// unfused schedule whatever [`SimConfig::fuse`] says, and without tile runs.
-fn lowering_shape(config: &SimConfig, n_qubits: u32) -> (u64, u8, Vec<u32>) {
+/// The two settings the lowering derives from `config` for an `n_qubits`
+/// register: `(remap_pes, tile widths)`. Remapping applies to multi-PE
+/// scale-out only (`remap_pes` is 0 elsewhere). Runtime parsing re-parses
+/// gate by gate, so it is lowered without tile runs.
+fn lowering_shape(config: &SimConfig, n_qubits: u32) -> (u64, Vec<u32>) {
     let remap_pes = match config.backend {
         BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
         _ => 0,
     };
-    let fuse = match config.dispatch {
-        DispatchMode::PreloadedFnPointer => config.fuse.min(crate::fuse::MAX_WINDOW),
-        DispatchMode::RuntimeParse => 0,
-    };
-    (remap_pes, fuse, tiles(config, n_qubits, &TILE_QUBITS))
+    (remap_pes, tiles(config, n_qubits, &TILE_QUBITS))
 }
 
 /// The entries of `widths` a walker of an `n_qubits` register under `config`
@@ -156,10 +149,9 @@ fn runs_in(queue: &[CompiledGate], span: Range<usize>, n: u32, widths: &[u32]) -
 }
 
 /// Lower `ops[start..end]` into a segment: remap planning first (remapped
-/// scale-out only, fusion-aware), then step/kernel lowering over the
-/// stream the executor will actually walk, then the gate-fusion pass
-/// ([`crate::fuse::fuse_segment`]), then the tile runs ([`tile_runs`]). This
-/// is the single compile entry point — [`CompiledPlan::compile`] ahead of
+/// scale-out only), then step/kernel lowering over the stream the executor
+/// will actually walk, then the tile runs ([`tile_runs`]). This is the
+/// single compile entry point — [`CompiledPlan::compile`] ahead of
 /// time, [`crate::Simulator`] for a segment no plan supplies.
 pub(crate) fn build_segment(
     ops: &[Op],
@@ -169,8 +161,8 @@ pub(crate) fn build_segment(
     config: &SimConfig,
 ) -> PlanSegment {
     let slice = &ops[start..end];
-    let (remap_pes, fuse, _) = lowering_shape(config, n_qubits);
-    let remap = (remap_pes > 1).then(|| plan_remap_fused(slice, n_qubits, remap_pes, fuse));
+    let (remap_pes, _) = lowering_shape(config, n_qubits);
+    let remap = (remap_pes > 1).then(|| plan_remap(slice, n_qubits, remap_pes));
     let planned = remap.as_ref();
     // The stream to lower: the planner's rewritten ops (gates at physical
     // positions, barriers and absorbed SWAPs gone) or the slice itself.
@@ -196,7 +188,7 @@ pub(crate) fn build_segment(
         match lowered_op {
             Op::Gate(g) => steps.push(Step::Gate {
                 op,
-                raw: Some(*g),
+                raw: *g,
                 compiled: compile(g, config.specialized),
             }),
             Op::IfEq {
@@ -236,7 +228,6 @@ pub(crate) fn build_segment(
             Op::Barrier(_) => {} // scheduling hint only
         }
     }
-    crate::fuse::fuse_segment(&mut steps, &mut queue, n_qubits, fuse);
     let mut seg = PlanSegment {
         start,
         end,
@@ -284,17 +275,16 @@ pub enum Scheduled<'a> {
         /// The partition-index position.
         hi: u32,
     },
-    /// One compiled kernel. A fused sweep is the one kernel it is. On a
-    /// partitioned backend a barrier follows it when `barrier` says so.
+    /// One compiled kernel. On a partitioned backend a barrier follows it
+    /// when `barrier` says so.
     Kernel {
         /// The kernel and its arguments, at physical qubit positions.
         cg: &'a CompiledGate,
-        /// Index in [`Circuit::ops`] of the op it was lowered from (the
-        /// first one, for a fused kernel).
+        /// Index in [`Circuit::ops`] of the op it was lowered from.
         source_op: usize,
-        /// The gate it was lowered from (`None`: a fused run of several, or
-        /// the X a reset applies). A [`crate::KernelId`] names only the body
-        /// several gate families share; this names the family.
+        /// The gate it was lowered from (`None`: the X a reset applies). A
+        /// [`crate::KernelId`] names only the body several gate families
+        /// share; this names the family.
         gate: Option<GateKind>,
         /// True when it only runs if classical bits say so: an `IfEq`
         /// payload, or the X restoring `|0>` after a reset that read 1.
@@ -309,8 +299,8 @@ pub enum Scheduled<'a> {
 }
 
 /// A circuit compiled ahead of execution for a specific simulator shape
-/// (width, specialization, checkpoint cadence, remap partitioning, fusion
-/// window, tile runs).
+/// (width, specialization, checkpoint cadence, remap partitioning, tile
+/// runs).
 ///
 /// Build one with [`CompiledPlan::compile`], hand it around freely
 /// (`Clone` is deep but execution never mutates it), and execute it with
@@ -325,13 +315,9 @@ pub struct CompiledPlan {
     checkpoint_every: u32,
     n_ops: usize,
     /// What the lowering derived from the config ([`lowering_shape`]): the
-    /// remap PE count, the fusion window (0 = unfused), and the widths its
-    /// tile runs are lowered at (none: it holds no tile run).
-    shape: (u64, u8, Vec<u32>),
-    /// Source kernels before fusion, across all segments — the numerator
-    /// of the gates-per-amplitude-pass metric (`n_kernels()` is the
-    /// denominator).
-    n_source_kernels: usize,
+    /// remap PE count and the widths its tile runs are lowered at (none: it
+    /// holds no tile run).
+    shape: (u64, Vec<u32>),
     segments: Vec<PlanSegment>,
 }
 
@@ -346,17 +332,12 @@ impl CompiledPlan {
         let segments: Vec<PlanSegment> = checkpoint_grid(0, ops.len(), config.checkpoint_every)
             .map(|r| build_segment(ops, r.start, r.end, n_qubits, config))
             .collect();
-        let n_source_kernels = segments
-            .iter()
-            .map(|s| crate::fuse::source_kernels(&s.queue))
-            .sum();
         Self {
             n_qubits,
             specialized: config.specialized,
             checkpoint_every: config.checkpoint_every,
             n_ops: ops.len(),
             shape: lowering_shape(config, n_qubits),
-            n_source_kernels,
             segments,
         }
     }
@@ -401,7 +382,7 @@ impl CompiledPlan {
                 };
                 let conditional = matches!(step, Step::IfEq { .. } | Step::Reset { .. });
                 let gate = match step {
-                    Step::Gate { raw, .. } => raw.map(|g| g.kind()),
+                    Step::Gate { raw, .. } => Some(raw.kind()),
                     Step::IfEq { raw, .. } => Some(raw.kind()),
                     _ => None,
                 };
@@ -421,8 +402,8 @@ impl CompiledPlan {
 
     /// Predict the communication traffic of executing this plan on
     /// `n_workers` devices / PEs without running it: a fold over
-    /// [`Self::schedule`] — every kernel at its physical position, fused
-    /// sweeps as the one kernel they are, every relabeling exchange.
+    /// [`Self::schedule`] — every kernel at its physical position, every
+    /// relabeling exchange.
     /// Conditional kernels are priced as executed, so prediction and
     /// measured counters agree exactly on any run whose conditions all
     /// fire.
@@ -463,22 +444,6 @@ impl CompiledPlan {
     #[must_use]
     pub fn n_kernels(&self) -> usize {
         self.segments.iter().map(|s| s.queue.len()).sum()
-    }
-
-    /// Source kernels before fusion (equals [`Self::n_kernels`] for an
-    /// unfused plan). `n_source_kernels() / n_kernels()` is the plan's
-    /// gates-per-amplitude-pass.
-    #[must_use]
-    pub fn n_source_kernels(&self) -> usize {
-        self.n_source_kernels
-    }
-
-    /// The fusion window the plan was lowered with: [`SimConfig::fuse`]
-    /// clamped to [`crate::fuse::MAX_WINDOW`], or 0 (unfused) under
-    /// [`DispatchMode::RuntimeParse`].
-    #[must_use]
-    pub fn fuse_window(&self) -> u8 {
-        self.shape.1
     }
 
     /// The precompiled segment covering exactly `ops[start..end]`, if the
@@ -571,11 +536,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_of_a_fused_remapped_measured_plan_is_pinned() {
+    fn schedule_of_a_remapped_measured_plan_is_pinned() {
         // What the analyzer, the traffic model and the perfmodel read,
-        // recorded from the lowering as it stood when a fused run was a
-        // step variant of its own: folding it into the gate step must not
-        // move, drop or relabel an entry.
+        // recorded from the lowering as it stood when the remap planner
+        // still had a fusion-aware twin: folding the two into one planner
+        // must not move, drop or relabel an entry.
         use GateKind::{C4X, CX, CZ, H, RCCX, T, X};
         let mut c = circuit(); // H on 0..5, CX(0,1), T(4), measure 0 -> c0
         c.if_eq(0, 1, 1, Gate::new(X, &[3], &[]).unwrap()).unwrap();
@@ -592,7 +557,6 @@ mod tests {
         }
         let cfg = SimConfig {
             remap: true,
-            fuse: 3,
             checkpoint_every: 10,
             ..SimConfig::scale_out(4)
         };
@@ -615,17 +579,29 @@ mod tests {
             })
             .collect();
         let want = [
-            "Fused3 (-) op 0 cond false",
+            "H (h) op 0 cond false",
+            "H (h) op 1 cond false",
+            "H (h) op 2 cond false",
             "exchange 2 3",
             "H (h) op 3 cond false",
             "exchange 2 4",
-            "Fused3 (-) op 4 cond false",
+            "H (h) op 4 cond false",
+            "X (cx) op 5 cond false",
+            "Phase (t) op 6 cond false",
             "exchange 2 3",
             "collapse",
             "exchange 1 4",
             "X (x) op 8 cond true",
             "exchange 0 3",
-            "Fused3 (-) op 9 cond false",
+            "H (rccx) op 9 cond false",
+            "Phase (rccx) op 9 cond false",
+            "X (rccx) op 9 cond false",
+            "Phase (rccx) op 9 cond false",
+            "X (rccx) op 9 cond false",
+            "Phase (rccx) op 9 cond false",
+            "X (rccx) op 9 cond false",
+            "Phase (rccx) op 9 cond false",
+            "H (rccx) op 9 cond false",
             "exchange 2 4",
             "Phase (cz) op 10 cond false",
             "X (c4x) op 11 cond false",
@@ -633,7 +609,9 @@ mod tests {
             "collapse",
             "X (-) op 12 cond true",
             "exchange 2 4",
-            "Fused2 (-) op 13 cond false",
+            "H (h) op 13 cond false",
+            "Phase (t) op 14 cond false",
+            "X (cx) op 15 cond false",
         ];
         assert_eq!(got, want);
     }
@@ -709,48 +687,13 @@ mod tests {
         }
         let plan = |config: &SimConfig| CompiledPlan::compile(&c, 16, config);
         let two = plan(&SimConfig::scale_out(2));
-        assert_eq!(two.shape.2, [11]);
+        assert_eq!(two.shape.1, [11]);
         assert!(two.matches(&c, 16, &SimConfig::scale_out(8)));
         for config in [SimConfig::single_device(), SimConfig::scale_out(32)] {
             assert!(!two.matches(&c, 16, &config), "{config:?}");
             assert!(!plan(&config).matches(&c, 16, &SimConfig::scale_out(2)));
         }
-        assert_eq!(plan(&SimConfig::single_device()).shape.2, TILE_QUBITS);
-        assert!(plan(&SimConfig::scale_out(32)).shape.2.is_empty());
-    }
-
-    #[test]
-    fn fusion_window_is_clamped_in_the_lowering() {
-        // `fuse` set through the public field, past what the kernels
-        // support: the lowering — remap cost scan included — must be the
-        // window-3 one, and the two configs must share a cached plan.
-        let mut c = Circuit::new(8);
-        for layer in 0..6 {
-            for q in 4..8 {
-                c.apply(GateKind::RX, &[q], &[0.3 + 0.1 * f64::from(layer)])
-                    .unwrap();
-                c.apply(GateKind::CX, &[q, q - 1], &[]).unwrap();
-            }
-        }
-        let at = |fuse: u8| SimConfig {
-            fuse,
-            remap: true,
-            ..SimConfig::scale_out(4)
-        };
-        let exchanges = |p: &CompiledPlan| {
-            p.schedule()
-                .filter(|s| matches!(s, Scheduled::Exchange { .. }))
-                .count()
-        };
-        let three = CompiledPlan::compile(&c, 8, &at(3));
-        let huge = CompiledPlan::compile(&c, 8, &at(200));
-        assert!(
-            exchanges(&three) > 0,
-            "a deep cross-partition circuit relabels"
-        );
-        assert_eq!(huge.n_kernels(), three.n_kernels());
-        assert_eq!(exchanges(&huge), exchanges(&three));
-        assert_eq!(huge.fuse_window(), 3);
-        assert!(huge.matches(&c, 8, &at(3)) && three.matches(&c, 8, &at(200)));
+        assert_eq!(plan(&SimConfig::single_device()).shape.1, TILE_QUBITS);
+        assert!(plan(&SimConfig::scale_out(32)).shape.1.is_empty());
     }
 }

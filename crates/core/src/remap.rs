@@ -49,7 +49,6 @@
 //!   partial into the logically-indexed reduction slot.
 
 use crate::compile::CompiledGate;
-use crate::fuse::extend_window;
 use svsim_ir::{Gate, GateKind, Op};
 
 /// A logical→physical qubit permutation.
@@ -178,12 +177,7 @@ fn mapped_remote_bytes(
 }
 
 /// Localize `g`'s partition-index qubits when amortization favors it;
-/// returns the exchanges emitted (and applied to `layout`). With `fuse`
-/// set, the forward benefit scan is fusion-aware: a scanned gate that
-/// rides the current fused window contributes no *additional* remote
-/// bytes (the fused sweep touches each amplitude once for the whole run),
-/// so the planner stops over-crediting relabelings that fusion already
-/// pays for.
+/// returns the exchanges emitted (and applied to `layout`).
 #[allow(clippy::too_many_arguments)]
 fn localize(
     g: &Gate,
@@ -196,7 +190,6 @@ fn localize(
     swap_cost: u64,
     uses: &[Vec<usize>],
     use_ptr: &[usize],
-    fuse: u8,
     scratch: &mut Vec<CompiledGate>,
 ) -> Vec<(u32, u32)> {
     let mut swaps = Vec::new();
@@ -219,10 +212,6 @@ fn localize(
         let mut benefit = mapped_remote_bytes(g, layout, n_qubits, n_pes, scratch);
         if benefit < swap_cost {
             let mut gap = 0usize;
-            // Current fused window of the scanned stream (logical
-            // qubits); starts at the gate being localized.
-            let mut fwin = Vec::new();
-            extend_window(&mut fwin, g.qubits(), fuse);
             for op in ops.iter().skip(at + 1).take(SCAN_WINDOW) {
                 let fg = match op {
                     Op::Gate(fg) if fg.kind() != GateKind::SWAP => Some(fg),
@@ -230,25 +219,14 @@ fn localize(
                     Op::Measure { .. } | Op::Reset { .. } => None,
                     _ => continue, // barriers and absorbed swaps touch no data
                 };
-                match fg {
+                match fg.filter(|fg| fg.qubits().contains(&q)) {
                     Some(fg) => {
-                        let rides =
-                            fuse > 0 && extend_window(&mut fwin, fg.qubits(), fuse).is_none();
-                        if fg.qubits().contains(&q) {
-                            gap = 0;
-                            if !rides {
-                                benefit = benefit.saturating_add(mapped_remote_bytes(
-                                    fg, layout, n_qubits, n_pes, scratch,
-                                ));
-                                if benefit >= swap_cost {
-                                    break;
-                                }
-                            }
-                        } else {
-                            gap += 1;
-                            if gap > GAP_WINDOW {
-                                break;
-                            }
+                        gap = 0;
+                        benefit = benefit.saturating_add(mapped_remote_bytes(
+                            fg, layout, n_qubits, n_pes, scratch,
+                        ));
+                        if benefit >= swap_cost {
+                            break;
                         }
                     }
                     None => {
@@ -323,15 +301,6 @@ fn restore_home(layout: &mut QubitLayout, boundary: u32) -> Vec<(u32, u32)> {
 /// If `n_pes` is not a power of two or exceeds the state dimension.
 #[must_use]
 pub fn plan_remap(ops: &[Op], n_qubits: u32, n_pes: u64) -> RemapPlan {
-    plan_remap_fused(ops, n_qubits, n_pes, 0)
-}
-
-/// [`plan_remap`] with a fusion-aware cost model: `fuse` is the gate-fusion
-/// window the lowering will apply next ([`crate::fuse`]), so the
-/// amortization scan prices post-fusion traffic — gates riding an already
-/// fused window add no remote bytes of their own. Planning only; the
-/// emitted schedule is valid for fused and unfused execution alike.
-pub(crate) fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) -> RemapPlan {
     assert!(n_pes.is_power_of_two(), "PE count must be a power of two");
     let k = n_pes.trailing_zeros();
     assert!(k <= n_qubits);
@@ -398,7 +367,6 @@ pub(crate) fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) 
                     swap_cost,
                     &uses,
                     &use_ptr,
-                    fuse,
                     &mut scratch,
                 );
                 source_ops.push(i);
@@ -426,7 +394,6 @@ pub(crate) fn plan_remap_fused(ops: &[Op], n_qubits: u32, n_pes: u64, fuse: u8) 
                     swap_cost,
                     &uses,
                     &use_ptr,
-                    fuse,
                     &mut scratch,
                 );
                 source_ops.push(i);

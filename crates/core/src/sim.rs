@@ -83,13 +83,11 @@ pub struct SimConfig {
     /// heartbeat words stall this long is killed and reported as
     /// `SvError::PeHung`. No effect on the thread backend.
     pub hang_deadline_ms: u32,
-    /// Gate-fusion window in qubits (0 disables, the default; lowering
-    /// clamps it to [`crate::fuse::MAX_WINDOW`]). Runs of adjacent gates
-    /// whose combined footprint fits the window execute as one sweep over
-    /// the amplitudes ([`crate::fuse`]); results stay bit-identical to the
-    /// unfused schedule on every backend and dispatch mode
-    /// ([`DispatchMode::RuntimeParse`] re-parses gate by gate, so under it
-    /// the lowering is the unfused one).
+    /// Accepted and ignored: every value lowers the one plan 0 lowers. The
+    /// simulator has no gate fusion (tile runs give gates their shared pass
+    /// over cache-resident memory); the field is kept only because the
+    /// frozen benchmark (`benchmark/src/api.rs`) sets it, and it goes in the
+    /// next change allowed to edit `benchmark/`.
     pub fuse: u8,
 }
 
@@ -1227,25 +1225,19 @@ mod tests {
     #[test]
     fn traffic_reported_for_distributed_backends() {
         let c = ghz(4);
-        for fuse in [0u8, 3] {
-            let config = SimConfig {
-                fuse,
-                ..SimConfig::scale_out(4)
-            };
-            let mut sim = Simulator::new(4, config).unwrap();
-            let summary = sim.run(&c).unwrap();
-            assert_eq!(summary.traffic.len(), 4);
-            let total = summary.total_traffic();
-            assert!(total.remote_ops() > 0, "GHZ chain crosses partitions");
-            // Prediction matches measurement: ShmemView does one get+put of
-            // re and im per amplitude access (2 f64 ops per amplitude op).
-            let predicted = sim.predict_traffic(&c);
-            assert_eq!(
-                total.remote_gets + total.remote_puts,
-                2 * predicted.remote_amp_ops,
-                "fuse {fuse}: analytic model must match measured traffic"
-            );
-        }
+        let mut sim = Simulator::new(4, SimConfig::scale_out(4)).unwrap();
+        let summary = sim.run(&c).unwrap();
+        assert_eq!(summary.traffic.len(), 4);
+        let total = summary.total_traffic();
+        assert!(total.remote_ops() > 0, "GHZ chain crosses partitions");
+        // Prediction matches measurement: ShmemView does one get+put of re
+        // and im per amplitude access (2 f64 ops per amplitude op).
+        let predicted = sim.predict_traffic(&c);
+        assert_eq!(
+            total.remote_gets + total.remote_puts,
+            2 * predicted.remote_amp_ops,
+            "analytic model must match measured traffic"
+        );
     }
 
     #[test]
@@ -1381,7 +1373,7 @@ mod tests {
     fn remapped_traffic_matches_prediction_in_bytes() {
         // The measured remote byte counters must equal the analytic model's
         // `remote_bytes` exactly, whatever the lowering did: remapped or
-        // not, fused or not. The conditional fires on every run (the
+        // not. The conditional fires on every run (the
         // register is never written), so "priced as executed" is exact too.
         let mut c = Circuit::with_cbits(5, 1);
         c.extend(&deep_cross_circuit(5)).unwrap();
@@ -1395,23 +1387,19 @@ mod tests {
         c.extend(&deep_cross_circuit(5)).unwrap();
         for n_pes in [2usize, 4, 8] {
             for remap in [false, true] {
-                for fuse in [0u8, 3] {
-                    let mut config = SimConfig {
-                        fuse,
-                        ..SimConfig::scale_out(n_pes)
-                    };
-                    config.remap = remap;
-                    let mut sim = Simulator::new(5, config).unwrap();
-                    let summary = sim.run(&c).unwrap();
-                    let total = summary.total_traffic();
-                    let predicted = sim.predict_traffic(&c);
-                    assert_eq!(
-                        total.remote_get_bytes + total.remote_put_bytes,
-                        predicted.remote_bytes,
-                        "{n_pes} PEs, remap {remap}, fuse {fuse}: analytic model must match \
-                         measured traffic"
-                    );
-                }
+                let config = SimConfig {
+                    remap,
+                    ..SimConfig::scale_out(n_pes)
+                };
+                let mut sim = Simulator::new(5, config).unwrap();
+                let summary = sim.run(&c).unwrap();
+                let total = summary.total_traffic();
+                let predicted = sim.predict_traffic(&c);
+                assert_eq!(
+                    total.remote_get_bytes + total.remote_put_bytes,
+                    predicted.remote_bytes,
+                    "{n_pes} PEs, remap {remap}: analytic model must match measured traffic"
+                );
             }
         }
     }

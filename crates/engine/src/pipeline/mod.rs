@@ -444,30 +444,20 @@ mod tests {
         let mut cache = PlanCache::default();
         let metrics = EngineMetrics::default();
         let a = Arc::new(sample_circuit());
+        let gridded = SimConfig {
+            checkpoint_every: 2,
+            ..SimConfig::single_device()
+        };
         let plain = cache.plan_for(&a, &SimConfig::single_device(), &metrics);
-        let fused = cache.plan_for(
-            &a,
-            &SimConfig {
-                fuse: 2,
-                ..SimConfig::single_device()
-            },
-            &metrics,
-        );
+        let segmented = cache.plan_for(&a, &gridded, &metrics);
         assert!(
-            !Arc::ptr_eq(&plain, &fused),
-            "a fusion-window change must recompile"
+            !Arc::ptr_eq(&plain, &segmented),
+            "a checkpoint-grid change must recompile"
         );
         assert_eq!(counts(&metrics), (0, 2));
-        // And the fused plan is itself cached for the fused config.
-        let again = cache.plan_for(
-            &a,
-            &SimConfig {
-                fuse: 2,
-                ..SimConfig::single_device()
-            },
-            &metrics,
-        );
-        assert!(Arc::ptr_eq(&fused, &again));
+        // And the segmented plan is itself cached for its config.
+        let again = cache.plan_for(&a, &gridded, &metrics);
+        assert!(Arc::ptr_eq(&segmented, &again));
         assert_eq!(counts(&metrics), (1, 2));
     }
 

@@ -168,9 +168,10 @@ mod tests {
     fn pooled_instance_adopts_every_field_of_the_next_jobs_config() {
         // One shelved buffer, checked out under configs that differ in
         // every non-width field: nothing of the previous tenant may
-        // survive, or a `fuse` job silently runs unfused (its cached plan
-        // fails `CompiledPlan::matches`) and a `detect_races` job reports
-        // zero races because the detector never ran.
+        // survive, or a `remap` job silently runs unremapped (its cached
+        // plan fails `CompiledPlan::matches`) and a `detect_races` job
+        // reports zero races because the detector never ran. (`fuse: 3` is
+        // here only because the field exists: the literal names every one.)
         use std::sync::Arc;
         use svsim_core::{BackendKind, CheckpointStore, DispatchMode, ShmemBackend};
         use svsim_shmem::{FaultAction, FaultPlan};
@@ -231,7 +232,6 @@ mod tests {
             seed: 99,
             checkpoint_every: 2,
             detect_races: true,
-            fuse: 3,
             ..SimConfig::scale_out(2)
         };
         let mut a = pool.simulator(3, config_a).unwrap();

@@ -534,75 +534,10 @@ mod tests {
         );
     }
 
-    /// Gate fusion's modeled payoff: a deep rotation ladder confined to a
-    /// 3-qubit window prices far cheaper fused — the memory-bound roofline
-    /// term scales with amplitude passes, and fusion collapses the pass
-    /// count — while the fused queue still accounts for every source
-    /// kernel (nothing priced away by the rewrite).
-    #[test]
-    fn fused_plans_price_cheaper_on_deep_ladders() {
-        use svsim_ir::GateKind;
-        let n = 22u32;
-        let mut c = Circuit::new(n);
-        for layer in 0..24 {
-            for q in 0..3 {
-                c.apply(GateKind::H, &[q], &[]).unwrap();
-                c.apply(GateKind::RZ, &[q], &[0.05 * f64::from(layer + 1)])
-                    .unwrap();
-            }
-            c.apply(GateKind::CX, &[0, 1], &[]).unwrap();
-            c.apply(GateKind::CX, &[1, 2], &[]).unwrap();
-        }
-        let plain = single_plan(&c);
-        let fused = CompiledPlan::compile(
-            &c,
-            n,
-            &SimConfig {
-                fuse: 3,
-                ..SimConfig::single_device()
-            },
-        );
-        assert!(
-            fused.n_kernels() < plain.n_kernels() / 2,
-            "the ladder must collapse"
-        );
-        assert_eq!(fused.n_source_kernels(), plain.n_kernels());
-        let t_plain = single_device(&devices::V100, &plain);
-        let t_fused = single_device(&devices::V100, &fused);
-        assert!(
-            t_fused.total() * 2.0 < t_plain.total(),
-            "fused plan must price ≥2x cheaper: {:.3e}s vs {:.3e}s",
-            t_fused.total(),
-            t_plain.total()
-        );
-        // The fused plan prices on the scale-out path too, and its savings
-        // survive partitioning (the ladder is partition-local).
-        let so_plain = scale_out(
-            &devices::V100,
-            &interconnects::SUMMIT_IB,
-            &plain,
-            64,
-            4,
-            130.0,
-        );
-        let so_fused = scale_out(
-            &devices::V100,
-            &interconnects::SUMMIT_IB,
-            &fused,
-            64,
-            4,
-            130.0,
-        );
-        assert!(
-            so_fused.total() < so_plain.total(),
-            "fusion must also win on the modeled scale-out path"
-        );
-    }
-
     /// The model prices the plan that runs. A measured circuit's
     /// conditional kernels — an `IfEq` payload, the X a reset applies —
     /// cost what they cost when they fire: every kernel of the plan pays
-    /// one overhead, unfused or fused, and on a remapped scale-out plan
+    /// one overhead, and on a remapped scale-out plan
     /// every kernel pays its barrier and every exchange its two.
     #[test]
     fn every_scheduled_kernel_and_exchange_is_priced() {
@@ -653,17 +588,6 @@ mod tests {
             t.compute_s > estimate_single(dev, &unconditional).compute_s,
             "the conditional kernels sweep amplitudes too"
         );
-        let fused = CompiledPlan::compile(
-            &c,
-            n,
-            &SimConfig {
-                fuse: 3,
-                ..SimConfig::single_device()
-            },
-        );
-        assert!(fused.n_kernels() < plan.n_kernels());
-        let t = single_device(dev, &fused);
-        assert!(close(t.sync_s, fused.n_kernels() as f64 * overhead_s));
 
         let ic = &interconnects::SUMMIT_IB;
         for n_pes in [2u64, 8] {

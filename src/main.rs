@@ -26,7 +26,7 @@ const COMMANDS: &[Command] = &[
         name: "run",
         usage: "<file.qasm> [--backend single|up:N|out:N] [--pe-mode thread|process] \
                 [--shots N] [--seed S] [--generic] [--runtime-parse] [--optimize] [--remap] \
-                [--fuse W] [--amplitudes K] [--traffic]",
+                [--amplitudes K] [--traffic]",
         run: cmd_run,
     },
     Command {
@@ -54,8 +54,8 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "analyze",
-        usage: "[<file.qasm>] [--suite] [--pes N] [--detect] [--remap] [--fuse W] \
-                [--merge-epochs I] [--max-qubits M] [--seed S]",
+        usage: "[<file.qasm>] [--suite] [--pes N] [--detect] [--remap] [--merge-epochs I] \
+                [--max-qubits M] [--seed S]",
         run: cmd_analyze,
     },
     Command {
@@ -267,7 +267,6 @@ fn cmd_run(flags: &Flags) -> CmdResult {
         Some(other) => return Err(format!("unknown PE mode `{other}` (thread|process)").into()),
     }
     config.seed = flags.parsed_or("--seed", config.seed)?;
-    config.fuse = flags.parsed_or("--fuse", config.fuse)?;
     let shots: usize = flags.parsed_or("--shots", 1024)?;
     let top: Option<usize> = flags.parsed("--amplitudes")?;
 
@@ -293,16 +292,6 @@ fn cmd_run(flags: &Flags) -> CmdResult {
         elapsed.as_secs_f64() * 1e3,
         config.backend,
     );
-    if config.fuse > 0 {
-        let plan = CompiledPlan::compile(&circuit, circuit.n_qubits(), &config);
-        println!(
-            "fusion: window {} collapsed {} kernels into {} amplitude passes ({:.2} gates/pass)",
-            plan.fuse_window(),
-            plan.n_source_kernels(),
-            plan.n_kernels(),
-            plan.n_source_kernels() as f64 / plan.n_kernels().max(1) as f64,
-        );
-    }
     println!("kernels: {}", sv_sim::core::kernels::isa());
     if summary.tile_runs > 0 {
         let (runs, kernels) = (summary.tile_runs, summary.tiled_kernels);
@@ -724,7 +713,7 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
 }
 
 /// Static (and optionally dynamic) race analysis of the one-sided SHMEM
-/// access protocol. `--pes`, `--remap` and `--fuse` make up the scale-out
+/// access protocol. `--pes` and `--remap` make up the scale-out
 /// configuration whose compiled plan is analyzed — the schedule a `run`
 /// with the same flags executes. `--suite` analyzes every Table 4 workload
 /// instead of a QASM file; `--detect` additionally executes each plan under
@@ -740,7 +729,6 @@ fn cmd_analyze(flags: &Flags) -> CmdResult {
     let config = SimConfig {
         seed: flags.parsed_or("--seed", 0xACE5)?,
         remap: flags.has("--remap"),
-        fuse: flags.parsed_or("--fuse", 0)?,
         ..SimConfig::scale_out(pes)
     };
     let merge: Option<usize> = flags.parsed("--merge-epochs")?;

@@ -200,16 +200,13 @@ fn measurement_streams_are_identical() {
 
     let mut configs = vec![SimConfig::scale_out(2)];
     for n_devices in [2, 4, 8] {
-        for fuse in [0, 3] {
-            for checkpoint_every in [0, 3] {
-                for dispatch in [DispatchMode::PreloadedFnPointer, DispatchMode::RuntimeParse] {
-                    configs.push(SimConfig {
-                        fuse,
-                        checkpoint_every,
-                        dispatch,
-                        ..SimConfig::scale_up(n_devices)
-                    });
-                }
+        for checkpoint_every in [0, 3] {
+            for dispatch in [DispatchMode::PreloadedFnPointer, DispatchMode::RuntimeParse] {
+                configs.push(SimConfig {
+                    checkpoint_every,
+                    dispatch,
+                    ..SimConfig::scale_up(n_devices)
+                });
             }
         }
     }
@@ -352,23 +349,20 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
     let never = |op| FaultPlan::new().with(0, op, u64::MAX, FaultAction::Delay(0));
 
     let mut configs = Vec::new();
-    for fuse in [0, 3] {
-        for dispatch in [DispatchMode::PreloadedFnPointer, DispatchMode::RuntimeParse] {
-            for seed in [1, 2] {
-                let with = |base: SimConfig| SimConfig {
-                    fuse,
-                    dispatch,
-                    seed,
-                    ..base
-                };
-                configs.push(with(SimConfig::scale_up(2)));
-                for n_pes in [2, 4, 8] {
-                    configs.push(with(SimConfig::scale_out(n_pes)));
-                    configs.push(with(SimConfig {
-                        remap: true,
-                        ..SimConfig::scale_out(n_pes)
-                    }));
-                }
+    for dispatch in [DispatchMode::PreloadedFnPointer, DispatchMode::RuntimeParse] {
+        for seed in [1, 2] {
+            let with = |base: SimConfig| SimConfig {
+                dispatch,
+                seed,
+                ..base
+            };
+            configs.push(with(SimConfig::scale_up(2)));
+            for n_pes in [2, 4, 8] {
+                configs.push(with(SimConfig::scale_out(n_pes)));
+                configs.push(with(SimConfig {
+                    remap: true,
+                    ..SimConfig::scale_out(n_pes)
+                }));
             }
         }
     }

@@ -193,8 +193,9 @@ fn bell_qasm_file(tag: &str) -> std::path::PathBuf {
 }
 
 /// The built binary refuses what it cannot act on instead of ignoring it: a
-/// misspelt flag, a value flag with nothing after it, and the removed bench
-/// commands are all usage errors (exit 2) that name the offender.
+/// misspelt flag, a value flag with nothing after it, the removed fusion
+/// window flag and the removed bench commands are all usage errors (exit 2)
+/// that name the offender.
 #[test]
 fn cli_rejects_unknown_and_valueless_flags() {
     let path = bell_qasm_file("flags");
@@ -215,6 +216,13 @@ fn cli_rejects_unknown_and_valueless_flags() {
     let (code, _, stderr) = sv_sim(&["fault-bench", "--pes"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--pes needs a value"), "{stderr}");
+
+    let fusion = "--fuse";
+    for cmd in ["run", "analyze"] {
+        let (code, stdout, stderr) = sv_sim(&[cmd, file, fusion, "3"]);
+        assert_eq!(code, Some(2), "{cmd} {fusion} must not run: {stdout}");
+        assert!(stderr.contains(fusion), "{cmd}: names the flag: {stderr}");
+    }
 
     for removed in ["serve-bench", "remap-bench", "fuse-bench"] {
         let (code, _, stderr) = sv_sim(&[removed]);
@@ -288,23 +296,6 @@ fn cli_estimate_rejects_a_worker_count_no_run_could_use() {
         assert!(stderr.contains(&format!("worker count {bad} ")), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
-    let _ = std::fs::remove_file(&path);
-}
-
-/// `--fuse W` goes into `SimConfig::fuse` as typed; the window is clamped
-/// where the plan is lowered, and both commands report that plan's window.
-#[test]
-fn cli_reports_the_fusion_window_the_plan_was_lowered_with() {
-    let path = bell_qasm_file("fuse");
-    let file = path.to_str().unwrap();
-
-    let (code, stdout, stderr) = sv_sim(&["run", file, "--shots", "0", "--fuse", "9"]);
-    assert_eq!(code, Some(0), "{stderr}");
-    assert!(stdout.contains("fusion: window 3 collapsed"), "{stdout}");
-
-    let (code, stdout, stderr) = sv_sim(&["analyze", file, "--pes", "2", "--fuse", "9"]);
-    assert_eq!(code, Some(0), "{stderr}");
-    assert!(stdout.contains("fuse window 3,"), "{stdout}");
     let _ = std::fs::remove_file(&path);
 }
 

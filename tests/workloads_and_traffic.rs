@@ -2,9 +2,9 @@
 //! distributed backends, and the analytic traffic model matches the
 //! measured SHMEM counters exactly.
 
-use sv_sim::core::{SimConfig, Simulator};
+use sv_sim::core::{state_checksum, CompiledPlan, DispatchMode, Scheduled, SimConfig, Simulator};
 use sv_sim::ir::Circuit;
-use sv_sim::workloads::{medium_suite, Category};
+use sv_sim::workloads::{large_suite, medium_suite, Category};
 
 fn unitary_part(c: &Circuit) -> Circuit {
     let mut out = Circuit::new(c.n_qubits());
@@ -16,22 +16,87 @@ fn unitary_part(c: &Circuit) -> Circuit {
     out
 }
 
+/// Every medium workload, measurements included, on single-device runtime
+/// parsing, scale-up and thread scale-out with remap off and on: amplitudes
+/// (by `state_checksum`, over the exact f64 bit patterns) and classical bits
+/// identical to the single-device reference at the same seed.
 #[test]
 fn medium_suite_agrees_between_single_and_scaleout() {
+    let run = |circuit: &Circuit, config: SimConfig| {
+        let mut sim = Simulator::new(circuit.n_qubits(), SimConfig { seed: 7, ..config }).unwrap();
+        let cbits = sim.run(circuit).unwrap().cbits;
+        (state_checksum(sim.state()), cbits)
+    };
     for spec in medium_suite() {
         assert_eq!(spec.category, Category::Medium);
-        let circuit = unitary_part(&spec.circuit().unwrap());
+        let circuit = spec.circuit().unwrap();
+        let reference = run(&circuit, SimConfig::single_device());
+        for config in [
+            SimConfig {
+                dispatch: DispatchMode::RuntimeParse,
+                ..SimConfig::single_device()
+            },
+            SimConfig::scale_up(4),
+            SimConfig::scale_out(4),
+            SimConfig {
+                remap: true,
+                ..SimConfig::scale_out(4)
+            },
+        ] {
+            assert_eq!(
+                run(&circuit, config),
+                reference,
+                "{} diverged from single-device: {config:?}",
+                spec.name
+            );
+        }
+    }
+}
+
+/// Tile runs give consecutive gates one shared pass over cache-resident
+/// memory: a barrier follows only the last kernel of a run. On the
+/// single-device plan of every Table 4 workload no kernel costs more than
+/// one pass, every workload wider than the inner tile (2^11 amplitudes)
+/// saves passes, and the deep ones (>= 300 gates) average at least two
+/// kernels per pass. Compile-only, so the whole suite fits a debug build.
+#[test]
+fn tile_runs_share_amplitude_passes_on_deep_workloads() {
+    let mut deep_kernels_per_pass = Vec::new();
+    for spec in medium_suite().into_iter().chain(large_suite()) {
+        let circuit = spec.circuit().unwrap();
         let n = circuit.n_qubits();
-        let mut single = Simulator::new(n, SimConfig::single_device()).unwrap();
-        single.run(&circuit).unwrap();
-        let mut shmem = Simulator::new(n, SimConfig::scale_out(4)).unwrap();
-        shmem.run(&circuit).unwrap();
+        let plan = CompiledPlan::compile(&circuit, n, &SimConfig::single_device());
+        let kernels = plan.n_kernels();
+        let passes = plan
+            .schedule()
+            .filter(|s| matches!(s, Scheduled::Kernel { barrier: true, .. }))
+            .count();
         assert!(
-            shmem.state().max_diff(single.state()) < 1e-9,
-            "{} diverged between backends",
+            passes <= kernels,
+            "{}: {passes} passes for {kernels} kernels",
             spec.name
         );
+        if n > 11 {
+            assert!(
+                passes < kernels,
+                "{}: no tile run shares a pass ({kernels} kernels)",
+                spec.name
+            );
+            if circuit.stats().gates >= 300 {
+                deep_kernels_per_pass.push(kernels as f64 / passes.max(1) as f64);
+            }
+        }
     }
+    assert!(
+        !deep_kernels_per_pass.is_empty(),
+        "the suite has deep workloads wider than a tile"
+    );
+    let mean = deep_kernels_per_pass.iter().sum::<f64>() / deep_kernels_per_pass.len() as f64;
+    assert!(
+        mean >= 2.0,
+        "mean kernels per pass {mean:.2} < 2.0 over {} deep workloads",
+        deep_kernels_per_pass.len()
+    );
 }
 
 #[test]
