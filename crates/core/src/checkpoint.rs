@@ -7,7 +7,7 @@
 //! a *clone of the RNG* (measurement randomness is part of the state — a
 //! resumed run must draw the same stream it would have drawn uninterrupted).
 //!
-//! Integrity is guarded by an FNV-1a checksum over the amplitude bits and
+//! Integrity is guarded by a [`Digest`] over the amplitude bits and
 //! metadata, verified on [`Checkpoint::verify`] before a restore — a
 //! checkpoint corrupted in flight fails loudly instead of resuming into a
 //! silently wrong state.
@@ -29,79 +29,70 @@ use svsim_types::{SvError, SvResult, SvRng};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a-64 hasher over 64-bit words.
+/// The workspace's one digest: state checksums, checkpoint payloads,
+/// generation-file trailers and the engine's job and circuit keys all
+/// hash through it.
+///
+/// Four independent FNV-style lanes absorb 64-bit words; every
+/// [`absorb`](Self::absorb) call starts at lane 0 and deals its words
+/// round-robin, a whole word per step: xor, multiply by the FNV prime, fold
+/// the high half into the low. Each step is a bijection of the lane for any
+/// word, so one differing word always changes its lane; the fold carries a
+/// difference in a word's top bits (a flipped sign, `-0.0` for `0.0`) down
+/// where the next multiply spreads it, so two of them cannot cancel. The
+/// multiplies of different lanes overlap, so a sweep runs at memory speed
+/// rather than at the latency of one serial multiply chain.
+/// [`finish`](Self::finish) folds the four lanes byte-wise into one word.
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
+pub struct Digest([u64; 4]);
 
-impl Default for Fnv1a {
+impl Default for Digest {
     fn default() -> Self {
-        Self(FNV_OFFSET)
+        Self([0u64, 1, 2, 3].map(|lane| FNV_OFFSET ^ lane))
     }
 }
 
-impl Fnv1a {
-    /// Fresh hasher at the FNV offset basis.
+impl Digest {
+    /// Absorb `items`, each as the word `bits` makes of it, the first into
+    /// lane 0.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb one 64-bit word (byte-at-a-time, little-endian).
-    pub fn write_u64(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+    pub fn absorb<T: Copy>(mut self, items: &[T], bits: impl Fn(T) -> u64) -> Self {
+        let step = |lane: &mut u64, item: &T| {
+            let x = (*lane ^ bits(*item)).wrapping_mul(FNV_PRIME);
+            *lane = x ^ (x >> 32);
+        };
+        let mut quads = items.chunks_exact(4);
+        for quad in &mut quads {
+            self.0.iter_mut().zip(quad).for_each(|(l, v)| step(l, v));
         }
-    }
-
-    /// Absorb an `f64` by its raw bit pattern (bit-identity, not numeric
-    /// equality: `-0.0` and `0.0` hash differently, NaNs hash stably).
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Final digest.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
         self.0
+            .iter_mut()
+            .zip(quads.remainder())
+            .for_each(|(l, v)| step(l, v));
+        self
+    }
+
+    /// The digest of everything absorbed: FNV-1a over the lanes' bytes.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+            .iter()
+            .flat_map(|lane| lane.to_le_bytes())
+            .fold(FNV_OFFSET, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+            })
     }
 }
 
 /// Digest of a state vector's amplitude bits — the "final state checksum"
 /// that fault-bench compares between faulted and fault-free runs.
 /// Bit-identical states ⇔ equal checksums.
-///
-/// Four independent FNV-style lanes each absorb every fourth amplitude a
-/// whole 64-bit word per step: xor, multiply by the FNV prime, fold the high
-/// half into the low. Each step is a bijection of the lane for any word, so
-/// one differing word always changes its lane; the fold carries a difference
-/// in a word's top bits (a flipped sign, `-0.0` for `0.0`) down where the
-/// next multiply spreads it, so two of them cannot cancel. An [`Fnv1a`] over
-/// the four lanes combines them. The multiplies of different lanes overlap,
-/// where byte-wise FNV-1a is one serial multiply chain eight steps per word
-/// long.
 #[must_use]
 pub fn state_checksum(state: &StateVector) -> u64 {
-    let mut lanes = [0u64, 1, 2, 3].map(|lane| FNV_OFFSET ^ lane);
-    let absorb = |lane: &mut u64, v: &f64| {
-        let x = (*lane ^ v.to_bits()).wrapping_mul(FNV_PRIME);
-        *lane = x ^ (x >> 32);
-    };
-    for plane in [state.re(), state.im()] {
-        let mut quads = plane.chunks_exact(4);
-        for quad in &mut quads {
-            lanes.iter_mut().zip(quad).for_each(|(l, v)| absorb(l, v));
-        }
-        lanes
-            .iter_mut()
-            .zip(quads.remainder())
-            .for_each(|(l, v)| absorb(l, v));
-    }
-    let mut h = Fnv1a::new();
-    for lane in lanes {
-        h.write_u64(lane);
-    }
-    h.finish()
+    Digest::default()
+        .absorb(state.re(), f64::to_bits)
+        .absorb(state.im(), f64::to_bits)
+        .finish()
 }
 
 /// A resumable snapshot of a simulation at an op boundary.
@@ -119,30 +110,26 @@ impl Checkpoint {
     /// Capture the simulation state after `op_index` circuit ops.
     #[must_use]
     pub fn capture(op_index: usize, cbits: u64, rng: &SvRng, state: &StateVector) -> Self {
-        let re = state.re().to_vec();
-        let im = state.im().to_vec();
-        let checksum = Self::digest(op_index, cbits, &re, &im);
-        Self {
+        let mut cp = Self {
             op_index,
             cbits,
             rng: rng.clone(),
-            re,
-            im,
-            checksum,
-        }
+            re: state.re().to_vec(),
+            im: state.im().to_vec(),
+            checksum: 0,
+        };
+        cp.checksum = cp.payload_checksum();
+        cp
     }
 
-    fn digest(op_index: usize, cbits: u64, re: &[f64], im: &[f64]) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(op_index as u64);
-        h.write_u64(cbits);
-        for &v in re {
-            h.write_f64(v);
-        }
-        for &v in im {
-            h.write_f64(v);
-        }
-        h.finish()
+    /// The checksum the payload should carry: the [`Digest`] of the
+    /// amplitude planes, then the op index and classical register.
+    fn payload_checksum(&self) -> u64 {
+        Digest::default()
+            .absorb(&self.re, f64::to_bits)
+            .absorb(&self.im, f64::to_bits)
+            .absorb(&[self.op_index as u64, self.cbits], u64::from)
+            .finish()
     }
 
     /// Ops of the circuit already executed when this checkpoint was taken.
@@ -157,7 +144,7 @@ impl Checkpoint {
         self.cbits
     }
 
-    /// Stored FNV-1a checksum.
+    /// Stored payload checksum.
     #[must_use]
     pub fn checksum(&self) -> u64 {
         self.checksum
@@ -185,7 +172,7 @@ impl Checkpoint {
     /// [`SvError::Numeric`] on mismatch (the checkpoint is corrupt and
     /// must not be restored).
     pub fn verify(&self) -> SvResult<()> {
-        let got = Self::digest(self.op_index, self.cbits, &self.re, &self.im);
+        let got = self.payload_checksum();
         if got != self.checksum {
             return Err(SvError::Numeric(format!(
                 "checkpoint checksum mismatch at op {}: stored {:#018x}, computed {got:#018x}",
@@ -231,8 +218,8 @@ impl Checkpoint {
     }
 
     /// Serialize into the on-disk generation format: little-endian 64-bit
-    /// words, self-describing, with a whole-file FNV-1a trailer appended
-    /// last so any torn prefix fails verification.
+    /// words, self-describing, with the [`Digest`] of every word before it
+    /// appended last so any torn prefix fails verification.
     fn to_bytes(&self, generation: u64) -> Vec<u8> {
         let (s, spare) = self.rng.state();
         let mut buf = Vec::with_capacity((self.re.len() + self.im.len()) * 8 + 13 * 8);
@@ -254,18 +241,17 @@ impl Checkpoint {
             push(&mut buf, v.to_bits());
         }
         push(&mut buf, self.checksum);
-        let mut h = Fnv1a::new();
-        for chunk in buf.chunks_exact(8) {
-            h.write_u64(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let trailer = h.finish();
-        buf.extend_from_slice(&trailer.to_le_bytes());
+        let trailer = Digest::default()
+            .absorb(buf.as_chunks::<8>().0, u64::from_le_bytes)
+            .finish();
+        push(&mut buf, trailer);
         buf
     }
 
     /// Parse and fully verify a serialized generation: length, magic,
-    /// whole-file trailer, embedded generation number, and the in-memory
-    /// checkpoint digest must all hold.
+    /// whole-file trailer, embedded generation number, and the payload
+    /// checksum must all hold. The magic is checked first, so a file of a
+    /// retired format reads as such rather than as corrupt.
     fn from_bytes(bytes: &[u8], expect_generation: u64) -> SvResult<Self> {
         let corrupt =
             |what: &str| SvError::Checkpoint(format!("generation {expect_generation}: {what}"));
@@ -276,15 +262,12 @@ impl Checkpoint {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
             .collect();
-        let mut h = Fnv1a::new();
-        for &w in &words[..words.len() - 1] {
-            h.write_u64(w);
-        }
-        if h.finish() != words[words.len() - 1] {
-            return Err(corrupt("file checksum mismatch (bit flip or torn write)"));
-        }
         if words[0] != STORE_MAGIC {
             return Err(corrupt("bad magic (not a checkpoint generation)"));
+        }
+        let (&trailer, head) = words.split_last().expect("at least 14 words");
+        if Digest::default().absorb(head, u64::from).finish() != trailer {
+            return Err(corrupt("file checksum mismatch (bit flip or torn write)"));
         }
         if words[1] != expect_generation {
             return Err(corrupt(&format!(
@@ -299,17 +282,18 @@ impl Checkpoint {
         let spare = (words[8] != 0).then(|| f64::from_bits(words[9]));
         let n = usize::try_from(words[10]).map_err(|_| corrupt("amplitude count overflow"))?;
         let body = &words[11..words.len() - 2];
-        if body.len() != 2 * n {
+        // `2 * n` could wrap for a hostile count; halving the length cannot.
+        if !body.len().is_multiple_of(2) || body.len() / 2 != n {
             return Err(corrupt("truncated amplitude payload"));
         }
-        let re: Vec<f64> = body[..n].iter().map(|&w| f64::from_bits(w)).collect();
-        let im: Vec<f64> = body[n..].iter().map(|&w| f64::from_bits(w)).collect();
+        let (re, im) = body.split_at(n);
+        let planes = |ws: &[u64]| ws.iter().map(|&w| f64::from_bits(w)).collect();
         let cp = Self {
             op_index,
             cbits,
             rng: SvRng::from_state(s, spare),
-            re,
-            im,
+            re: planes(re),
+            im: planes(im),
             checksum: words[words.len() - 2],
         };
         cp.verify()
@@ -318,8 +302,10 @@ impl Checkpoint {
     }
 }
 
-/// First word of every on-disk generation (`b"SVCKPT01"` little-endian).
-const STORE_MAGIC: u64 = u64::from_le_bytes(*b"SVCKPT01");
+/// First word of every on-disk generation (`b"SVCKPT02"` little-endian).
+/// Bumped whenever the word layout or the digest changes, so a generation
+/// of an older format reads as bad magic.
+const STORE_MAGIC: u64 = u64::from_le_bytes(*b"SVCKPT02");
 
 /// Generations retained after a save: the newest plus its predecessor, so
 /// a corrupt newest generation always has a fallback.
@@ -533,23 +519,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_vector() {
-        // FNV-1a("a") = 0xaf63dc4c8601ec8c; one byte 0x61 then 7 zero
-        // bytes via write_u64 would differ, so check the primitive
-        // directly against a hand-rolled loop.
-        let mut h = Fnv1a::new();
-        h.write_u64(0x61);
-        let mut expect = FNV_OFFSET;
-        for b in 0x61u64.to_le_bytes() {
-            expect ^= u64::from(b);
-            expect = expect.wrapping_mul(FNV_PRIME);
+    fn state_checksum_values_are_pinned() {
+        let one = StateVector::zero_state(1).unwrap();
+        let mut two = StateVector::zero_state(2).unwrap();
+        {
+            let (re, im) = two.parts_mut();
+            re[0] = std::f64::consts::FRAC_1_SQRT_2;
+            im[3] = -std::f64::consts::FRAC_1_SQRT_2;
         }
-        assert_eq!(h.finish(), expect);
-        // First byte alone matches the classic "a" vector prefix step.
-        let mut one = FNV_OFFSET;
-        one ^= 0x61;
-        one = one.wrapping_mul(FNV_PRIME);
-        assert_eq!(one, 0xaf63_dc4c_8601_ec8c);
+        let mut five = StateVector::zero_state(5).unwrap();
+        {
+            let (re, im) = five.parts_mut();
+            re[0] = 0.5;
+            re[7] = -0.25;
+            re[30] = 1e-300;
+            im[13] = 0.125;
+            im[31] = -0.0;
+        }
+        assert_eq!(state_checksum(&one), 0xe9c4_2d07_2fa0_2874);
+        assert_eq!(state_checksum(&two), 0x8ffa_abbd_2d43_c7b0);
+        assert_eq!(state_checksum(&five), 0xc340_429a_74ba_f518);
     }
 
     #[test]
@@ -714,6 +703,37 @@ mod tests {
         let (g, cp) = store.load_latest().unwrap().expect("fallback");
         assert_eq!(g, 0, "must fall back to the previous generation");
         assert_same(&good, &cp);
+    }
+
+    #[test]
+    fn retired_format_reads_as_bad_magic() {
+        let dir = tmp_store("magic");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        store.save(&sample_checkpoint(2, 1)).unwrap();
+        let path = store.gen_path(0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"SVCKPT01");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = store.load_generation(0).unwrap_err();
+        assert!(
+            matches!(&err, SvError::Checkpoint(m) if m.contains("bad magic")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn hostile_amplitude_count_fails_typed() {
+        // A count whose double wraps to the two body words present, under a
+        // trailer that verifies.
+        let mut words = vec![STORE_MAGIC, 0, 0, 0, 1, 2, 3, 4, 0, 0, (1 << 63) + 1];
+        words.extend([0, 0, 0]);
+        words.push(Digest::default().absorb(&words, u64::from).finish());
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let err = Checkpoint::from_bytes(&bytes, 0).unwrap_err();
+        assert!(
+            matches!(&err, SvError::Checkpoint(m) if m.contains("truncated amplitude payload")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -659,7 +659,8 @@ impl Simulator {
         }
     }
 
-    /// FNV-1a digest of the current amplitudes (bit-identity fingerprint).
+    /// [`Digest`](crate::checkpoint::Digest) of the current amplitudes
+    /// (bit-identity fingerprint).
     #[must_use]
     pub fn state_checksum(&self) -> u64 {
         crate::checkpoint::state_checksum(&self.state)

@@ -6,18 +6,19 @@ use crate::job::{
     JobCell, JobError, JobHandle, JobId, JobOutput, JobRequest, JobSpec, SweepReturn,
 };
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
-use crate::pipeline::{AllocMode, JobPacket, Pipeline, QueuedJob, SubmitError};
+use crate::pipeline::{circuit_digest, AllocMode, JobPacket, Pipeline, QueuedJob, SubmitError};
 use crate::pool::InstancePool;
 use crate::retry::{retryable, DegradePolicy};
 use crate::templates::{TemplateId, TemplateRegistry, WorkerTemplates};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use svsim_core::{
-    measure, BackendKind, Checkpoint, CheckpointStore, CompiledPlan, Fnv1a, ParamCircuit, RunStart,
-    RunSummary, SimConfig, Simulator,
+    measure, BackendKind, Checkpoint, CheckpointStore, CompiledPlan, Digest, ParamCircuit,
+    RunStart, RunSummary, SimConfig, Simulator,
 };
 use svsim_shmem::FaultAction;
 use svsim_types::{PeOp, SvError, SvResult};
@@ -104,14 +105,9 @@ impl Shared {
 
 /// Structural digest of a job's work, used as the quarantine key: two
 /// submissions of the same circuit/config (or template/params) collide,
-/// while any difference in the work separates them.
-pub(crate) fn fingerprint(spec: &JobSpec) -> u64 {
-    fn absorb(h: &mut Fnv1a, text: &str) {
-        for b in text.bytes() {
-            h.write_u64(u64::from(b));
-        }
-    }
-    let mut h = Fnv1a::new();
+/// while any difference in the work separates them. A one-shot's circuit
+/// is rendered only when `circuit_fp` does not hold its digest yet.
+pub(crate) fn fingerprint(spec: &JobSpec, circuit_fp: &OnceCell<u64>) -> u64 {
     match spec {
         JobSpec::OneShot {
             circuit,
@@ -119,26 +115,22 @@ pub(crate) fn fingerprint(spec: &JobSpec) -> u64 {
             shots,
             return_state,
         } => {
-            absorb(&mut h, "oneshot");
-            absorb(&mut h, &format!("{circuit:?}"));
-            absorb(&mut h, &format!("{config:?}"));
-            h.write_u64(*shots as u64);
-            h.write_u64(u64::from(*return_state));
+            let circuit_fp = *circuit_fp.get_or_init(|| circuit_digest(circuit));
+            let job = [0, circuit_fp, *shots as u64, u64::from(*return_state)];
+            Digest::default()
+                .absorb(&job, u64::from)
+                .absorb(format!("{config:?}").as_bytes(), u64::from)
         }
         JobSpec::Sweep {
             template,
             params,
             returning,
-        } => {
-            absorb(&mut h, "sweep");
-            h.write_u64(template.0);
-            for p in params {
-                h.write_u64(p.to_bits());
-            }
-            absorb(&mut h, &format!("{returning:?}"));
-        }
+        } => Digest::default()
+            .absorb(&[1, template.0], u64::from)
+            .absorb(params, f64::to_bits)
+            .absorb(format!("{returning:?}").as_bytes(), u64::from),
     }
-    h.finish()
+    .finish()
 }
 
 /// A running engine. Submit jobs with [`Engine::submit`]; stop it with
@@ -185,7 +177,9 @@ impl Engine {
     /// # Errors
     /// [`SubmitError`] describing why admission failed.
     pub fn submit(&self, request: JobRequest) -> Result<JobHandle, SubmitError> {
-        let fp = (self.shared.quarantine_threshold > 0).then(|| fingerprint(&request.spec));
+        let circuit_fp = OnceCell::new();
+        let fp =
+            (self.shared.quarantine_threshold > 0).then(|| fingerprint(&request.spec, &circuit_fp));
         if let Some(fp) = fp {
             if let Some(failures) = self.shared.quarantine_failures(fp) {
                 if failures >= self.shared.quarantine_threshold {
@@ -220,7 +214,7 @@ impl Engine {
             cell: Arc::clone(&cell),
             enqueued_at: Instant::now(),
         };
-        match self.pipeline.admit(&self.shared, queued, fp) {
+        match self.pipeline.admit(&self.shared, queued, fp, circuit_fp) {
             Ok(()) => {
                 self.shared
                     .metrics
@@ -530,12 +524,15 @@ pub(crate) fn execute_one_shot(
             // failed run). When the ladder was descended the degraded
             // shape takes the strike as well as the submitted one.
             if run.effective.backend != config.backend {
-                shared.quarantine_mark_failure(fingerprint(&JobSpec::OneShot {
-                    circuit: Arc::clone(circuit),
-                    config: run.effective,
-                    shots,
-                    return_state,
-                }));
+                shared.quarantine_mark_failure(fingerprint(
+                    &JobSpec::OneShot {
+                        circuit: Arc::clone(circuit),
+                        config: run.effective,
+                        shots,
+                        return_state,
+                    },
+                    &pkt.circuit_fp,
+                ));
             }
             return Err(err);
         }

@@ -41,11 +41,12 @@ use crate::engine::{
 };
 use crate::job::{JobError, JobSpec};
 use crate::templates::WorkerTemplates;
+use std::cell::OnceCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use svsim_core::{CompiledPlan, SimConfig};
+use svsim_core::{CompiledPlan, Digest, SimConfig};
 use svsim_ir::Circuit;
 
 /// Compiled plans cached by the compile stage, keyed by a structural
@@ -54,15 +55,15 @@ use svsim_ir::Circuit;
 /// The cache originally keyed on `Arc` pointer identity, which silently
 /// defeated it for the common service shape: a caller that re-parses the
 /// same QASM per request submits equal-but-distinct `Arc<Circuit>`s, so
-/// every job missed and recompiled. The key is now an FNV-1a hash over the
-/// circuit's full structural rendering; `Arc::ptr_eq` survives only as a
-/// cheap fast path that skips hashing when the caller *does* resubmit the
-/// same allocation. Every fingerprint hit is confirmed by full structural
-/// equality (`Circuit: PartialEq`) plus [`CompiledPlan::matches`] on the
-/// config shape, so a hash collision degrades to a recompile, never to a
-/// wrong plan. Holding the `Arc` in the entry keeps the
-/// allocation alive, so the pointer fast path can never alias a recycled
-/// allocation.
+/// every job missed and recompiled. The key is now [`circuit_digest`], which
+/// the packet carries so the circuit is rendered at most once per job;
+/// `Arc::ptr_eq` survives only as a cheap fast path that skips hashing when
+/// the caller *does* resubmit the same allocation. Every fingerprint hit is
+/// confirmed by full structural equality (`Circuit: PartialEq`) plus
+/// [`CompiledPlan::matches`] on the config shape, so a hash collision
+/// degrades to a recompile, never to a wrong plan. Holding the `Arc` in the
+/// entry keeps the allocation alive, so the pointer fast path can never
+/// alias a recycled allocation.
 #[derive(Debug, Default)]
 struct PlanCache {
     entries: std::collections::VecDeque<(u64, Arc<Circuit>, Arc<CompiledPlan>)>,
@@ -71,21 +72,23 @@ struct PlanCache {
 /// Distinct circuits the compile stage remembers plans for.
 const PLAN_CACHE_CAP: usize = 32;
 
-/// Structural identity of a circuit: an FNV-1a hash of its complete debug
+/// Structural identity of a circuit: the [`Digest`] of its complete debug
 /// rendering (ops, qubit/cbit counts, every gate argument). Two
 /// independent parses of the same source agree; any one-gate edit differs.
-fn circuit_fingerprint(circuit: &Circuit) -> u64 {
-    let mut h = svsim_core::Fnv1a::new();
-    for b in format!("{circuit:?}").bytes() {
-        h.write_u64(u64::from(b));
-    }
-    h.finish()
+pub(crate) fn circuit_digest(circuit: &Circuit) -> u64 {
+    Digest::default()
+        .absorb(format!("{circuit:?}").as_bytes(), u64::from)
+        .finish()
 }
 
 impl PlanCache {
-    fn plan_for(
+    /// The cached plan for `circuit` under `config`, compiling on a miss.
+    /// `circuit_fp` holds the circuit's digest, or is filled with it on a
+    /// pointer miss.
+    fn plan_keyed(
         &mut self,
         circuit: &Arc<Circuit>,
+        circuit_fp: &OnceCell<u64>,
         config: &SimConfig,
         metrics: &crate::metrics::EngineMetrics,
     ) -> Arc<CompiledPlan> {
@@ -100,7 +103,7 @@ impl PlanCache {
         if let Some((_, _, plan)) = entries.find(|(_, c, p)| Arc::ptr_eq(c, circuit) && fits(p)) {
             return hit(plan);
         }
-        let fp = circuit_fingerprint(circuit);
+        let fp = *circuit_fp.get_or_init(|| circuit_digest(circuit));
         let mut entries = self.entries.iter();
         let same = |c: &Circuit| c == circuit.as_ref();
         if let Some((_, _, plan)) = entries.find(|(efp, c, p)| *efp == fp && same(c) && fits(p)) {
@@ -192,12 +195,14 @@ impl Pipeline {
         shared: &Shared,
         job: QueuedJob,
         fp: Option<u64>,
+        circuit_fp: OnceCell<u64>,
     ) -> Result<(), SubmitError> {
         let needed = packet_bytes(&job.request.spec, &shared.registry);
         let lease = self.budget.try_admit(needed)?;
         let pkt = JobPacket {
             job,
             fp,
+            circuit_fp,
             plan: None,
             lease,
         };
@@ -274,7 +279,7 @@ fn compile_loop(shared: &Shared, admit_q: &StageQueue<JobPacket>, exec_q: &Stage
             ..
         } = pkt.job.request.spec
         {
-            pkt.plan = Some(cache.plan_for(circuit, config, &shared.metrics));
+            pkt.plan = Some(cache.plan_keyed(circuit, &pkt.circuit_fp, config, &shared.metrics));
         }
         if let Err(pkt) = exec_q.push_wait(pkt) {
             // Hard shutdown closed the downstream queue under us.
@@ -402,6 +407,18 @@ mod tests {
         c
     }
 
+    impl PlanCache {
+        /// A plan for a circuit whose digest is not known yet.
+        fn plan_for(
+            &mut self,
+            circuit: &Arc<Circuit>,
+            config: &SimConfig,
+            metrics: &EngineMetrics,
+        ) -> Arc<CompiledPlan> {
+            self.plan_keyed(circuit, &OnceCell::new(), config, metrics)
+        }
+    }
+
     fn counts(m: &EngineMetrics) -> (u64, u64) {
         let s = m.snapshot();
         (s.plan_cache_hits, s.plan_cache_misses)
@@ -422,6 +439,29 @@ mod tests {
             "re-parsed circuit must reuse the cached plan"
         );
         assert_eq!(counts(&metrics), (1, 1));
+    }
+
+    #[test]
+    fn pointer_miss_fills_the_carried_digest_and_pointer_hit_renders_nothing() {
+        let mut cache = PlanCache::default();
+        let metrics = EngineMetrics::default();
+        let config = SimConfig::single_device();
+        let a = Arc::new(sample_circuit());
+        let missed = OnceCell::new();
+        cache.plan_keyed(&a, &missed, &config, &metrics);
+        assert_eq!(missed.get(), Some(&circuit_digest(&a)));
+        let hit = OnceCell::new();
+        cache.plan_keyed(&a, &hit, &config, &metrics);
+        assert_eq!(hit.get(), None, "a pointer hit must not render the circuit");
+        // A digest carried in from admission is the key as-is: a wrong one
+        // misses an equal circuit, the right one hits it.
+        let b = Arc::new(sample_circuit());
+        let wrong = OnceCell::from(circuit_digest(&b) ^ 1);
+        cache.plan_keyed(&b, &wrong, &config, &metrics);
+        assert_eq!(counts(&metrics), (1, 2));
+        let right = OnceCell::from(circuit_digest(&b));
+        cache.plan_keyed(&Arc::new(sample_circuit()), &right, &config, &metrics);
+        assert_eq!(counts(&metrics), (2, 2));
     }
 
     #[test]

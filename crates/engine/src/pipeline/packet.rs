@@ -10,6 +10,7 @@
 use crate::engine::Shared;
 use crate::job::{JobCell, JobError, JobOutput, JobRequest, JobSpec, Priority};
 use crate::templates::{TemplateId, TemplateRegistry};
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -231,6 +232,9 @@ pub(crate) struct JobPacket {
     /// Fingerprint computed once at admission (quarantine key); `None`
     /// when quarantining is off.
     pub(crate) fp: Option<u64>,
+    /// Digest of a one-shot's circuit, filled by the first stage that needs
+    /// it, so the circuit is rendered at most once.
+    pub(crate) circuit_fp: OnceCell<u64>,
     /// The compile stage's artifact for one-shot jobs; execution falls
     /// back to on-the-fly lowering when absent (bit-identical either way).
     pub(crate) plan: Option<Arc<CompiledPlan>>,

@@ -9,7 +9,7 @@
 //! machine — the same code the `svsim-verify` model checker drives over a
 //! model memory. Production drives it from exactly one wait loop,
 //! `wait_epoch`, over whichever words the substrate owns:
-//! [`SenseBarrier`] supplies the thread backend's storage (three
+//! [`SenseBarrier`] supplies the thread backend's storage (two
 //! process-local atomic words) and asks for no timeout and no heartbeat;
 //! the process backend passes arena words, its bounded-wait timeout and
 //! the PE's heartbeat word.
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct SenseBarrier {
     sm: BarrierSm,
-    words: AtomicWords<3>,
+    words: AtomicWords<2>,
 }
 
 /// Per-participant barrier state (each PE keeps its own flipping sense).

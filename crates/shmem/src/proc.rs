@@ -368,7 +368,6 @@ struct ArenaLayout {
     w_bump: usize,
     w_bar_count: usize,
     w_bar_sense: usize,
-    w_bar_poison: usize,
     w_alloc_table: usize,
     w_epochs: usize,
     w_status: usize,
@@ -401,7 +400,6 @@ impl ArenaLayout {
         w = round_up(w, BLOCK_WORDS);
         let w_bar_count = take(&mut w, 1);
         let w_bar_sense = take(&mut w, 1);
-        let w_bar_poison = take(&mut w, 1);
         w = round_up(w, BLOCK_WORDS);
         let w_alloc_table = take(&mut w, MAX_ALLOCS * 3);
         let w_epochs = take(&mut w, n_pes);
@@ -425,7 +423,6 @@ impl ArenaLayout {
             w_bump,
             w_bar_count,
             w_bar_sense,
-            w_bar_poison,
             w_alloc_table,
             w_epochs,
             w_status,
@@ -542,16 +539,12 @@ impl ProcWorld {
         Arc::clone(&self.arena) as Arc<dyn Any + Send + Sync>
     }
 
-    /// The [`ProtoMem`] window of the barrier triple, in the slot order
+    /// The [`ProtoMem`] window of the barrier pair, in the slot order
     /// [`proto::bar`] expects.
-    fn bar_mem(&self) -> ArenaWords<'_, 3> {
+    fn bar_mem(&self) -> ArenaWords<'_, 2> {
         ArenaWords {
             arena: &self.arena,
-            map: [
-                self.layout.w_bar_count,
-                self.layout.w_bar_sense,
-                self.layout.w_bar_poison,
-            ],
+            map: [self.layout.w_bar_count, self.layout.w_bar_sense],
         }
     }
 
@@ -651,8 +644,10 @@ impl ProcWorld {
     }
 
     /// The [`ProtoMem`] window of the respawn round handshake: round and
-    /// abort words, the barrier triple the supervisor resets, then one
-    /// ack slot per PE — the slot order [`proto::round`] expects.
+    /// abort words, the barrier words the supervisor resets (count,
+    /// sense, and the sense word again as the poison slot: poison is a bit
+    /// of it), then one ack slot per PE — the slot order [`proto::round`]
+    /// expects.
     fn round_mem(&self) -> ArenaVecWords<'_> {
         let l = &self.layout;
         let mut map = vec![
@@ -660,7 +655,7 @@ impl ProcWorld {
             l.w_abort,
             l.w_bar_count,
             l.w_bar_sense,
-            l.w_bar_poison,
+            l.w_bar_sense,
         ];
         map.extend((0..l.n_pes).map(|pe| l.w_round_ack + pe));
         ArenaVecWords {
@@ -1756,7 +1751,7 @@ mod tests {
         let l = ArenaLayout::new(8, &o);
         let heap_end = (l.w_heap + 8 * 100) * 8;
         assert!(l.w_bar_count > l.w_bump);
-        assert!(l.w_alloc_table > l.w_bar_poison);
+        assert!(l.w_alloc_table > l.w_bar_sense);
         // Supervision words: heartbeats, round/abort/ack sit strictly
         // between the status slots and the fault mirror.
         assert!(l.w_heartbeats >= l.w_status + 8 * 2);

@@ -7,7 +7,7 @@
 //! different hosts:
 //!
 //! - **Production**: over real atomics (struct fields for the thread
-//!   backend — the barrier's three words and every fault spec's word pair
+//!   backend — the barrier's two words and every fault spec's word pair
 //!   are [`AtomicWords`] banks — and `memfd` arena words for the process
 //!   backend), driven by one spin/yield/timeout loop per protocol that
 //!   both backends share.
@@ -152,7 +152,7 @@ impl<const K: usize> ProtoMem for AtomicWords<K> {
 // ---------------------------------------------------------------------------
 
 /// The barrier protocol's state machine. Slot layout: [`bar::BAR_COUNT`],
-/// [`bar::BAR_SENSE`], [`bar::BAR_POISON`].
+/// [`bar::BAR_SENSE`].
 ///
 /// The sense word carries *both* the epoch sense ([`bar::SENSE_BIT`]) and
 /// the poison flag ([`bar::POISON_BIT`]). Keeping them in one atomic word
@@ -171,12 +171,8 @@ pub mod bar {
     pub const BAR_COUNT: usize = 0;
     /// Combined sense + poison slot; see [`SENSE_BIT`] and [`POISON_BIT`].
     pub const BAR_SENSE: usize = 1;
-    /// Legacy poison slot. The machine no longer touches it (poison lives
-    /// in [`BAR_SENSE`]'s [`POISON_BIT`]); the slot is kept so arena
-    /// layouts and reset paths stay stable.
-    pub const BAR_POISON: usize = 2;
     /// Number of slots the barrier protocol uses.
-    pub const BAR_WORDS: usize = 3;
+    pub const BAR_WORDS: usize = 2;
 
     /// Epoch sense bit of the [`BAR_SENSE`] word (flips each epoch).
     pub const SENSE_BIT: u64 = 1;
@@ -426,7 +422,9 @@ pub mod round {
     pub const RB_COUNT: usize = 2;
     /// Barrier sense slot as seen by the supervisor's reset.
     pub const RB_SENSE: usize = 3;
-    /// Barrier poison slot as seen by the supervisor's reset.
+    /// Barrier poison slot as seen by the supervisor's reset. Poison lives
+    /// in the sense word's [`super::bar::POISON_BIT`], so a host may map
+    /// this slot onto the sense word: its reset then clears it again.
     pub const RB_POISON: usize = 4;
     /// First ack slot; survivor `pe` acks at `ACK_BASE + pe`.
     pub const ACK_BASE: usize = 5;
@@ -981,7 +979,7 @@ mod tests {
 
     /// Drive `n` actors round-robin to completion over one memory.
     fn run_barrier(n: usize, epochs: usize) {
-        let mem = AtomicWords::<3>::default();
+        let mem = AtomicWords::<2>::default();
         let sm = BarrierSm {
             n: n as u64,
             timeout_recheck: true,
@@ -1013,7 +1011,7 @@ mod tests {
 
     #[test]
     fn barrier_poison_observed_at_entry() {
-        let mem = AtomicWords::<3>::default();
+        let mem = AtomicWords::<2>::default();
         let sm = BarrierSm {
             n: 2,
             timeout_recheck: true,
@@ -1027,7 +1025,7 @@ mod tests {
     fn timeout_recheck_sees_late_release() {
         // A waiter whose clock expired just as the epoch released must
         // report the release, not a timeout.
-        let mem = AtomicWords::<3>::default();
+        let mem = AtomicWords::<2>::default();
         let sm = BarrierSm {
             n: 2,
             timeout_recheck: true,
@@ -1047,7 +1045,7 @@ mod tests {
 
     #[test]
     fn timeout_without_release_poisons() {
-        let mem = AtomicWords::<3>::default();
+        let mem = AtomicWords::<2>::default();
         let sm = BarrierSm {
             n: 2,
             timeout_recheck: true,

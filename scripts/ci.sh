@@ -179,7 +179,7 @@ echo "== fault-injection smoke matrix =="
 # Seeded end-to-end recovery: every job checksum under injected faults
 # must match the fault-free reference bit for bit (nonzero exit if not).
 for seed in 7 23 101; do
-  for fault in kill-pe drop-put poison-barrier; do
+  for fault in kill-pe drop-put poison-barrier torn-checkpoint; do
     echo "-- fault-bench --fault $fault --seed $seed"
     cargo run --release --quiet -- fault-bench \
       --fault "$fault" --pes 4 --every 2 --seed "$seed" \
