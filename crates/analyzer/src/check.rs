@@ -409,10 +409,10 @@ pub fn check_plan_with_budget(
             // Collapse epochs only write each PE's own partition; the
             // probability reduction synchronizes internally.
             EpochKind::Collapse => Verdict::ProvenSafe,
-            // Exchange epochs are safe by the pairing construction: in the
-            // pack stage every exchange word has exactly one writer (its
-            // owner's unique partner under `pe ^ (1 << pe_bit)`), and the
-            // unpack stage is purely PE-local. See `EpochKind::Exchange`.
+            // Exchange epochs are safe by the pairing construction: every
+            // word of a pair has exactly one accessor per epoch (the PE of
+            // the pair `pe ^ (1 << pe_bit)` whose half of the swap holds
+            // it). See `EpochKind::Exchange`.
             EpochKind::Exchange => Verdict::ProvenSafe,
             EpochKind::Kernel if ep.gates.len() <= 1 => {
                 // Safe by injectivity of (item, pattern) -> index.

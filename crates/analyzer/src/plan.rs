@@ -6,8 +6,8 @@
 //! marks with a barrier — every kernel but those of a tile run before its
 //! last, so a tile run's kernels share one epoch — measurement/reset
 //! collapse is likewise fenced before classical bits update, and a
-//! relabeling exchange is two barrier-fenced stages. A [`CommPlan`] is the
-//! static image of that schedule — one [`Epoch`] per barrier-to-barrier
+//! relabeling exchange is one barrier-fenced in-place swap. A [`CommPlan`]
+//! is the static image of that schedule — one [`Epoch`] per barrier-to-barrier
 //! window, each holding the gate kernels that run inside it — and it is read,
 //! never re-derived: [`CommPlan::from_plan`] maps the schedule of the very
 //! [`CompiledPlan`] the executor runs ([`CompiledPlan::schedule`]) entry by
@@ -34,13 +34,13 @@ pub enum EpochKind {
     /// Measurement/reset collapse: each PE rescales only its own partition,
     /// and the probability reduction is internally synchronized.
     Collapse,
-    /// One barrier-fenced stage of a relabeling slab exchange
-    /// (`ShmemView::exchange_pair`). Each swap contributes two of these:
-    /// the pack stage (each PE reads its own partition and puts into its
-    /// unique partner's exchange buffer — one writer per exchange word by
-    /// the pairing `partner = pe ^ (1 << (b - shift))`), then the unpack
-    /// stage (purely PE-local moves from own exchange buffer into own
-    /// partition). Conflict-free by construction in both stages.
+    /// A relabeling slab exchange (`ShmemView::exchange_pair`): one
+    /// barrier-fenced epoch per swap, in which each PE and its unique
+    /// partner `pe ^ (1 << (b - shift))` swap their halves of the pair's
+    /// runs in place, each reading and writing both partitions.
+    /// Conflict-free by construction: every word of the pair has exactly
+    /// one accessor per epoch, and pairing is an involution, so no other
+    /// PE touches the pair's words.
     Exchange,
 }
 
@@ -88,8 +88,8 @@ impl CommPlan {
     /// The epoch structure of `plan`, entry for entry: a kernel epoch closed
     /// at every kernel the schedule marks with a barrier — one per kernel
     /// outside tile runs, one per tile run — one
-    /// collapse epoch per measurement or reset, and two
-    /// [`EpochKind::Exchange`] epochs (pack, unpack — the two barriers of
+    /// collapse epoch per measurement or reset, and one
+    /// [`EpochKind::Exchange`] epoch (the one barrier of
     /// `ShmemView::exchange_pair`) per relabeling swap. Conditional kernels
     /// are planned as if they execute — the conservative choice for safety
     /// analysis.
@@ -102,10 +102,7 @@ impl CommPlan {
         let mut open = Vec::new();
         for item in plan.schedule() {
             match item {
-                Scheduled::Exchange { .. } => {
-                    epoch(EpochKind::Exchange, vec![]);
-                    epoch(EpochKind::Exchange, vec![]);
-                }
+                Scheduled::Exchange { .. } => epoch(EpochKind::Exchange, vec![]),
                 Scheduled::Collapse => epoch(EpochKind::Collapse, vec![]),
                 Scheduled::Kernel {
                     cg,
@@ -220,7 +217,7 @@ mod tests {
     #[test]
     fn remapped_plans_mirror_the_executor_schedule() {
         // n=4 at 4 PEs: boundary = 2, so H(3) triggers one relabeling swap
-        // = two Exchange epochs before its kernel epoch, and the kernel is
+        // = one Exchange epoch before its kernel epoch, and the kernel is
         // planned at the swapped-in LOW physical position.
         let mut c = Circuit::new(4);
         c.apply(GateKind::H, &[3], &[]).unwrap();
@@ -232,10 +229,7 @@ mod tests {
             },
         );
         let kinds: Vec<EpochKind> = plan.epochs.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![EpochKind::Exchange, EpochKind::Exchange, EpochKind::Kernel]
-        );
+        assert_eq!(kinds, vec![EpochKind::Exchange, EpochKind::Kernel]);
         assert!(plan.gates[0].qubits[0] < 2, "gate localized below boundary");
     }
 

@@ -120,7 +120,7 @@ pub(crate) enum Step {
     /// One relabeling slab exchange of physical positions `(lo, hi)`
     /// (remapped scale-out only). Unconditional even next to conditional
     /// steps — it is pure data movement, and all workers must reach the
-    /// exchange barriers together.
+    /// exchange barrier together.
     Exchange { lo: u32, hi: u32 },
 }
 
@@ -379,19 +379,16 @@ fn tile_major<'a>(
 }
 
 /// One PE of a partitioned backend: its SHMEM context (rank, world size,
-/// barrier, reduce), the symmetric arrays it owns a partition of, the
-/// staging buffers of a segment that relabels, its own partition as plain
-/// memory with the global index of its first amplitude, and — unless the
-/// launch observes individual words ([`run_partitioned`]) — every PE's
-/// partition and staging buffer as plain memory, and its slab.
+/// barrier, reduce), the symmetric arrays it owns a partition of, its own
+/// partition as plain memory with the global index of its first amplitude,
+/// and — unless the launch observes individual words ([`run_partitioned`])
+/// — every PE's partition as plain memory, and its slab.
 struct Pe<'a> {
     ctx: &'a ShmemCtx<'a>,
     re: &'a SymF64,
     im: &'a SymF64,
-    xch: Option<&'a (SymF64, SymF64)>,
     own: (LocalView<'a>, u64),
     lent: Option<&'a [Plane<'a>]>,
-    lent_xch: Option<&'a [Plane<'a>]>,
     slab: Option<Slab<'a>>,
 }
 
@@ -427,19 +424,15 @@ impl<V: StateView> Fabric for Worker<'_, V> {
     fn reduce(&self, slot: usize, partial: f64) -> f64 {
         self.me.ctx.sum_reduce_f64_at(slot, partial)
     }
+    /// One epoch that swaps in place; `exchange_pair`'s last two
+    /// arguments are unused, so the state's own arrays fill them.
     fn exchange(&self, lo: u32, hi: u32) {
         let Pe {
-            ctx,
-            re,
-            im,
-            xch,
-            lent,
-            lent_xch,
-            ..
+            ctx, re, im, lent, ..
         } = self.me;
-        let (xr, xi) = xch.expect("a segment that relabels has staging buffers");
-        let view = ShmemView::new(ctx, re, im).lending(*lent);
-        view.staging(*lent_xch).exchange_pair(lo, hi, xr, xi);
+        ShmemView::new(ctx, re, im)
+            .lending(*lent)
+            .exchange_pair(lo, hi, re, im);
     }
     fn slab(&self) -> Option<&Slab<'_>> {
         self.me.slab.as_ref()
@@ -632,8 +625,7 @@ type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
 ///   partitions — the peer pointer table, plain loads and stores. Always
 ///   thread PEs (devices of one process).
 /// - **scale-out** (§3.2.3): a [`ShmemView`] — one-sided `get`/`put`
-///   through the ctx. Only a scale-out segment relabels (`Step::Exchange`),
-///   so only it allocates the exchange staging buffers.
+///   through the ctx. Only a scale-out segment relabels (`Step::Exchange`).
 ///
 /// On both, every partition is plain memory for the walk (`shmem_ptr`,
 /// [`svsim_shmem::SharedF64Vec::as_cells`]): a partition-local kernel runs
@@ -641,10 +633,9 @@ type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
 /// other kernel
 /// borrows its runs from the owning partitions through the view, credited
 /// per run (module docs), the slab is swept tile-major over each of the
-/// segment's tile runs ([`interpret`]), and a relabeling exchange copies
-/// through the lent partitions and lent staging buffers
-/// ([`ShmemView::exchange_pair`]) — unless the launch *observes individual
-/// words*: under the race detector, or a fault plan holding a `Put` / `Get`
+/// segment's tile runs ([`interpret`]), and a relabeling exchange swaps
+/// in place through the lent partitions ([`ShmemView::exchange_pair`]) —
+/// unless the launch *observes individual words*: under the race detector, or a fault plan holding a `Put` / `Get`
 /// spec ([`FaultPlan::observes_transfers`]), nothing is lent and every access
 /// of every kernel and exchange is issued through the instrumented accessors
 /// so it can be recorded, counted or dropped. Both pass the barriers the plan
@@ -713,14 +704,6 @@ pub(crate) fn run_partitioned(
         let pe = ctx.my_pe();
         let sym_re = ctx.malloc_f64(per_pe)?;
         let sym_im = ctx.malloc_f64(per_pe)?;
-        // Exchange staging buffers, only if the segment has relabeling
-        // swaps (collective allocation: the segment is identical on every
-        // PE).
-        let xch = if seg.n_swaps > 0 {
-            Some((ctx.malloc_f64(per_pe / 2)?, ctx.malloc_f64(per_pe / 2)?))
-        } else {
-            None
-        };
         // Local initialization of this PE's slice (host scatter).
         sym_re
             .partition(pe)
@@ -730,7 +713,7 @@ pub(crate) fn run_partitioned(
             .store_slice(0, &init_im[pe * per_pe..(pe + 1) * per_pe]);
         ctx.try_barrier_all()?;
 
-        let (re, im, xch) = (&sym_re, &sym_im, xch.as_ref());
+        let (re, im) = (&sym_re, &sym_im);
         // `shmem_ptr`: unless the launch observes words, every partition is
         // plain memory for the length of the walk, and the state vector is
         // reached no other way. The walk keeps one owner per amplitude per
@@ -741,40 +724,25 @@ pub(crate) fn run_partitioned(
         // PE's own partition, and `interpret` passes the world barrier after
         // every kernel outside a tile run (whose kernels touch the PE's own
         // partition only), every tile run, collapse and exchange epoch — the
-        // epochs the analyzer proves. An exchange's first
-        // epoch reads the PE's own words and writes the staging words of its
-        // partner, which no other PE writes (pairing is an involution) and
-        // none reads; its second epoch reads the PE's own staging words and
-        // writes its own partition. So every staging word too has one writer
-        // per epoch, and its one reader comes an epoch later. That barrier
-        // is an acquire-release arrival by every PE and then, by each, an
-        // acquire of the last arriver's release (`BarrierSm`, driven by
-        // `barrier::wait_epoch`), so each plain access of one epoch
+        // epochs the analyzer proves. An exchange's one epoch reads and
+        // writes the words of the PE's share of its pair's swap, in its own
+        // partition and its partner's, and no other PE touches them (the
+        // pair splits its words in two, and pairing is an involution). That
+        // barrier is an acquire-release arrival by every PE and then, by
+        // each, an acquire of the last arriver's release (`BarrierSm`,
+        // driven by `barrier::wait_epoch`), so each plain access of one epoch
         // happens-before every access of the next, by whichever PE and
         // through whichever accessor; the scatter above and the gather below
         // are fenced by `try_barrier_all` the same way.
-        /// Every partition of `re` and `im`, by rank, as plain memory.
-        ///
-        /// # Safety
-        /// As [`svsim_shmem::SharedF64Vec::as_cells`], for every word of
-        /// every partition.
-        #[allow(unsafe_code)]
-        unsafe fn cells<'s>(re: &'s SymF64, im: &'s SymF64) -> Vec<Plane<'s>> {
-            let parts = re.partitions().iter().zip(im.partitions());
-            // SAFETY: the caller's.
-            parts
-                .map(|(re, im)| unsafe { (re.as_cells(), im.as_cells()) })
-                .collect()
-        }
+        let parts = re.partitions().iter().zip(im.partitions());
         // SAFETY: `as_cells` asks that no word be accessed through the cells
         // while another thread or process writes it without a happens-before
-        // edge in between. One owner per amplitude and per staging word per
-        // epoch and the barrier's release/acquire edge between epochs
-        // (above) are that; the cells never leave this PE's walk.
+        // edge in between. One owner per amplitude per epoch and the
+        // barrier's release/acquire edge between epochs (above) are that;
+        // the cells never leave this PE's walk.
         #[allow(unsafe_code)]
-        let lent = (!per_word).then(|| unsafe { cells(re, im) });
-        #[allow(unsafe_code)]
-        let lent_xch = (xch.filter(|_| !per_word)).map(|(xr, xi)| unsafe { cells(xr, xi) });
+        let lent: Option<Vec<Plane<'_>>> = (!per_word)
+            .then(|| (parts.map(|(re, im)| unsafe { (re.as_cells(), im.as_cells()) })).collect());
         // SAFETY: as above. In a launch that observes words, where the
         // other PEs reach this partition through the instrumented accessors
         // instead, only a collapse touches these cells: it touches this
@@ -792,10 +760,8 @@ pub(crate) fn run_partitioned(
             ctx,
             re,
             im,
-            xch,
             own: (LocalView::over(own), (pe * per_pe) as u64),
             lent,
-            lent_xch: lent_xch.as_deref(),
             slab,
         };
         let (cbits, (on_slab, through_view)) = if scale_out {
@@ -817,13 +783,12 @@ pub(crate) fn run_partitioned(
         ))
     };
     let out = if process {
-        // Symmetric heap: re + im (per_pe each) plus the optional pair of
-        // half-partition exchange staging buffers; result slot: the two
+        // Symmetric heap: re + im (per_pe each); result slot: the two
         // returned partition vectors plus cbits/tag overhead.
         let opts = ProcOptions {
             respawn_max: config.respawn_max,
             hang_deadline_ms: u64::from(config.hang_deadline_ms),
-            ..ProcOptions::sized_for(3 * per_pe + 64, 2 * per_pe + 64)
+            ..ProcOptions::sized_for(2 * per_pe + 64, 2 * per_pe + 64)
         };
         svsim_shmem::launch_process(n_pes, &opts, faults, body)?
     } else if let Some(det) = &detector {
@@ -838,21 +803,19 @@ pub(crate) fn run_partitioned(
     // barrier" reports, whether the PE died or its body returned the error.
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
+    let ((cbits, (on_slab, by_word)), ..) = out.results[0];
+    summary.cbits = cbits;
+    summary.slab_kernels += on_slab;
+    summary.word_kernels += by_word;
+    // A remapped run left the state in its final physical layout: gather
+    // it into logical order host-side, straight from the PEs' partitions
+    // (no fabric traffic).
     let (re, im) = state.parts_mut();
-    for (pe, ((cbits, (on_slab, by_word)), pre, pim)) in out.results.into_iter().enumerate() {
-        if pe == 0 {
-            summary.cbits = cbits;
-            summary.slab_kernels += on_slab;
-            summary.word_kernels += by_word;
-        }
-        re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
-        im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);
-    }
-    // The remapped run left the state in the final physical layout;
-    // restore logical order host-side (no fabric traffic).
-    if let Some(layout) = &seg.final_layout {
-        crate::remap::unpermute_state(layout, re, im);
-    }
+    let layout = seg.final_layout.as_ref();
+    let pe_re: Vec<&[f64]> = out.results.iter().map(|r| &r.1[..]).collect();
+    let pe_im: Vec<&[f64]> = out.results.iter().map(|r| &r.2[..]).collect();
+    crate::remap::unpermute_into(layout, &pe_re, re);
+    crate::remap::unpermute_into(layout, &pe_im, im);
     summary.absorb_traffic(out.traffic);
     if let Some(det) = detector {
         summary.races.extend(det.take_reports());
@@ -1094,8 +1057,8 @@ mod tests {
         assert!(exchanges_between_runs > 0, "exchange steps ended runs");
     }
 
-    /// A relabeling exchange in a launch that observes no word copies through
-    /// the lent partitions and staging buffers; in one that observes words it
+    /// A relabeling exchange in a launch that observes no word swaps through
+    /// the lent partitions; in one that observes words it
     /// sends `get_slice` / `put_slice` messages. Both leave the same
     /// partitions and count the same traffic on every PE, at every low
     /// position: runs of 1 to 8 amplitudes, and longer ones.
@@ -1139,6 +1102,84 @@ mod tests {
             }
         }
         assert_eq!(exchanges, 7 + 2 * 6);
+    }
+
+    /// A relabeling exchange of positions `(lo, hi)` is the gate SWAP(lo,
+    /// hi): on thread PEs and forked ones, lent and observed, it leaves
+    /// exactly the amplitudes a single device's SWAP leaves, and moves the
+    /// remote bytes `exchange_traffic` predicts. Also where a partition is
+    /// two amplitudes and one PE of each pair swaps its one pair alone.
+    #[test]
+    fn an_exchange_is_a_swap() {
+        use crate::traffic::exchange_traffic;
+        use svsim_shmem::FaultAction;
+        use svsim_types::PeOp;
+        let observed =
+            Arc::new(FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0)));
+        let process = SimConfig {
+            shmem_backend: ShmemBackend::Process,
+            ..SimConfig::scale_out(2)
+        };
+        let out = SimConfig::scale_out;
+        let cases = [
+            (8, out(2)),
+            (8, out(4)),
+            (8, out(8)),
+            (8, process),
+            (2, out(2)),
+            (3, out(4)),
+        ];
+        let mut exchanges = 0;
+        for (n, config) in cases {
+            let amplitudes: Vec<f64> = (0..1 << n).map(f64::from).collect();
+            let negated = amplitudes.iter().map(|x| -x).collect();
+            let start = StateVector::from_parts(n, amplitudes, negated).unwrap();
+            let n_pes = config.backend.n_workers();
+            let boundary = n - n_pes.trailing_zeros();
+            for (lo, hi) in (0..boundary).flat_map(|lo| (boundary..n).map(move |hi| (lo, hi))) {
+                let mut swap = Circuit::new(n);
+                swap.apply(GateKind::SWAP, &[lo, hi], &[]).unwrap();
+                let solo = SimConfig::single_device();
+                let gate = build_segment(swap.ops(), 0, 1, n, &solo);
+                let mut want = start.clone();
+                run_solo(&mut want, &gate, &solo, &[], 0).unwrap();
+                let seg = PlanSegment {
+                    start: 0,
+                    end: 0,
+                    steps: vec![Step::Exchange { lo, hi }],
+                    queue: Vec::new(),
+                    n_rand: 0,
+                    n_swaps: 1,
+                    final_layout: None,
+                    runs: Vec::new(),
+                };
+                for faults in [None, Some(Arc::clone(&observed))] {
+                    let what = format!(
+                        "{n} qubits, {config:?}, ({lo}, {hi}), observed: {}",
+                        faults.is_some()
+                    );
+                    let mut state = start.clone();
+                    let mut summary = RunSummary::new(0, 0);
+                    run_partitioned(&mut state, &seg, &config, &[], faults, &mut summary).unwrap();
+                    let bits = |s: &StateVector| {
+                        let words = s.re().iter().chain(s.im());
+                        words.map(|x| x.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&state), bits(&want), "{what}");
+                    assert_eq!(
+                        summary
+                            .traffic
+                            .iter()
+                            .map(|t| t.remote_bytes())
+                            .sum::<u64>(),
+                        exchange_traffic(n, n_pes as u64).remote_bytes,
+                        "{what}"
+                    );
+                }
+                exchanges += 1;
+            }
+        }
+        assert_eq!(exchanges, 7 + 2 * 6 + 3 * 5 + 7 + 1 + 2);
     }
 
     #[test]

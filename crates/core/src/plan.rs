@@ -268,7 +268,8 @@ pub(crate) fn checkpoint_grid(
 pub enum Scheduled<'a> {
     /// One relabeling slab exchange of physical qubit positions `lo`
     /// (below the partition boundary) and `hi` (at or above it):
-    /// [`crate::view::ShmemView::exchange_pair`], two barriers.
+    /// [`crate::view::ShmemView::exchange_pair`], one in-place epoch and
+    /// its barrier.
     Exchange {
         /// The PE-local position.
         lo: u32,

@@ -9,10 +9,10 @@
 //! position, the executor can *relabel*: maintain a logical→physical qubit
 //! permutation, and before such a gate, swap the high physical position
 //! with a cold low one. The relabeling swap is itself a SWAP on the state,
-//! but it moves amplitudes in long contiguous runs — the qHiPSTER-style
-//! bulk slab exchange ([`crate::view::ShmemView::exchange_pair`]) — so a
-//! deep circuit pays a handful of bulk epochs instead of per-word traffic
-//! on every gate.
+//! but it moves amplitudes in long contiguous runs — a pairwise in-place
+//! slab swap between partner PEs, one barrier epoch each
+//! ([`crate::view::ShmemView::exchange_pair`]) — so a deep circuit pays a
+//! handful of bulk epochs instead of per-word traffic on every gate.
 //!
 //! This module is the *planner*: it is pure (no SHMEM), deterministic, and
 //! run exactly once per segment, by the lowering
@@ -442,21 +442,33 @@ fn map_gate(g: &Gate, layout: &QubitLayout) -> Gate {
     Gate::new(g.kind(), &mapped, g.params()).expect("remap preserves gate validity")
 }
 
-/// Un-permute a physical-layout state back to logical order, in place.
-///
-/// `re`/`im` hold the amplitudes in `layout`'s physical order; afterwards
-/// index `b` holds the amplitude of logical basis state `b`.
+/// Gather one plane of a state held in `layout`'s physical order, cut into
+/// equal power-of-two partitions `parts` (by rank), into `logical` in
+/// logical order: afterwards index `b` holds the amplitude of logical basis
+/// state `b`. Without a layout, or with the identity, the partitions are
+/// copied as they stand.
 ///
 /// [`QubitLayout::physical_index`] moves every bit of `b` on its own, so it
 /// is the OR of its values on the low and the high half of `b`'s bits: two
 /// tables of `2^(n/2)` entries replace a loop over all `n` qubits per
-/// amplitude, and each plane is permuted through one scratch plane.
-pub fn unpermute_state(layout: &QubitLayout, re: &mut [f64], im: &mut [f64]) {
-    if layout.is_identity() {
+/// amplitude, and each amplitude is read once, from the partition holding
+/// it.
+///
+/// # Panics
+/// If the partitions are not equally long powers of two that together
+/// hold exactly `logical.len()` amplitudes.
+pub fn unpermute_into(layout: Option<&QubitLayout>, parts: &[&[f64]], logical: &mut [f64]) {
+    let per = parts[0].len();
+    assert!(per.is_power_of_two() && parts.iter().all(|p| p.len() == per));
+    assert_eq!(per * parts.len(), logical.len());
+    let Some(layout) = layout.filter(|l| !l.is_identity()) else {
+        for (dst, src) in logical.chunks_exact_mut(per).zip(parts) {
+            dst.copy_from_slice(src);
+        }
         return;
-    }
+    };
     let n = layout.n_qubits();
-    debug_assert_eq!(re.len() as u64, 1 << n);
+    debug_assert_eq!(logical.len() as u64, 1 << n);
     let half = n / 2;
     let table = |bits: u32, shift: u32| -> Vec<usize> {
         (0..1u64 << bits)
@@ -464,14 +476,12 @@ pub fn unpermute_state(layout: &QubitLayout, re: &mut [f64], im: &mut [f64]) {
             .collect()
     };
     let (lo, hi) = (table(half, 0), table(n - half, half));
-    let mut logical = vec![0.0f64; re.len()];
-    for plane in [re, im] {
-        for (block, &h) in logical.chunks_exact_mut(lo.len()).zip(&hi) {
-            for (dst, &l) in block.iter_mut().zip(&lo) {
-                *dst = plane[h | l];
-            }
+    let (shift, mask) = (per.trailing_zeros(), per - 1);
+    for (block, &h) in logical.chunks_exact_mut(lo.len()).zip(&hi) {
+        for (dst, &l) in block.iter_mut().zip(&lo) {
+            let p = h | l;
+            *dst = parts[p >> shift][p & mask];
         }
-        plane.copy_from_slice(&logical);
     }
 }
 
@@ -682,7 +692,9 @@ mod tests {
         let mut im = vec![0.0; 8];
         re[0b100] = 0.25; // logical |001>
         im[0b001] = 0.5; // logical |100>
-        unpermute_state(&l, &mut re, &mut im);
+        let (phys_re, phys_im) = (re.clone(), im.clone());
+        unpermute_into(Some(&l), &[&phys_re], &mut re);
+        unpermute_into(Some(&l), &[&phys_im], &mut im);
         assert_eq!(re[0b001], 0.25);
         assert_eq!(im[0b100], 0.5);
     }
@@ -697,8 +709,13 @@ mod tests {
         }
         let phys_re: Vec<f64> = (0..1u32 << n).map(f64::from).collect();
         let phys_im: Vec<f64> = phys_re.iter().map(|x| -x).collect();
-        let (mut re, mut im) = (phys_re.clone(), phys_im.clone());
-        unpermute_state(&l, &mut re, &mut im);
+        // Read from four partitions, as a readback from four PEs does.
+        let (pe_re, pe_im): (Vec<_>, Vec<_>) = (phys_re.chunks(1 << (n - 2)))
+            .zip(phys_im.chunks(1 << (n - 2)))
+            .unzip();
+        let (mut re, mut im) = (vec![0.0; 1 << n], vec![0.0; 1 << n]);
+        unpermute_into(Some(&l), &pe_re, &mut re);
+        unpermute_into(Some(&l), &pe_im, &mut im);
         for b in 0..1u64 << n {
             let p = l.physical_index(b) as usize;
             assert_eq!((re[b as usize], im[b as usize]), (phys_re[p], phys_im[p]));

@@ -1464,7 +1464,7 @@ mod tests {
     #[test]
     fn reset_clears_remap_state_between_naive_and_remapped_runs() {
         // Alternate remapped and naive runs on ONE state buffer: no stale
-        // permutation, exchange buffer, or counter may leak across runs.
+        // permutation or counter may leak across runs.
         let c = deep_cross_circuit(4);
         let mut reference = Simulator::new(4, SimConfig::single_device()).unwrap();
         reference.run(&c).unwrap();

@@ -207,14 +207,15 @@ pub fn gate_traffic(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> GateTraffic
 }
 
 /// Predicted traffic of one relabeling slab exchange
-/// ([`crate::view::ShmemView::exchange_pair`]): half the state moves
-/// across the fabric once (each PE ships `per_pe / 2` amplitudes to its
-/// partner as bulk slabs), plus three local touches per moved amplitude
-/// (state read, staging read, state write).
+/// ([`crate::view::ShmemView::exchange_pair`]): half the state trades
+/// places with its partner PE's, in place. Each PE of a pair swaps half of
+/// the pair's amplitude pairs, reading and writing one side in its own
+/// partition and one in its partner's, so every moved amplitude is one
+/// local and one remote access, and crosses the fabric once.
 ///
-/// `remote_amp_ops` counts word-level amplitude stores as everywhere else
-/// in this model (so `remote_bytes == 16 * remote_amp_ops` holds); the
-/// *message* count is far lower — that is the whole point of the bulk
+/// `remote_amp_ops` counts word-level amplitude accesses as everywhere
+/// else in this model (so `remote_bytes == 16 * remote_amp_ops` holds);
+/// the *message* count is far lower — that is the whole point of the bulk
 /// path — and is deliberately not modeled here.
 #[must_use]
 pub fn exchange_traffic(n_qubits: u32, n_pes: u64) -> GateTraffic {
@@ -223,10 +224,10 @@ pub fn exchange_traffic(n_qubits: u32, n_pes: u64) -> GateTraffic {
     let moved = dim / 2;
     GateTraffic {
         items: moved,
-        local_amp_ops: moved.saturating_mul(3),
+        local_amp_ops: moved,
         remote_amp_ops: moved,
         remote_bytes: moved.saturating_mul(16),
-        bytes_touched: moved.saturating_mul(64),
+        bytes_touched: moved.saturating_mul(32),
         flops: 0,
     }
 }

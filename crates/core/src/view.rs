@@ -269,9 +269,6 @@ pub struct ShmemView<'a, 'w> {
     dim: u64,
     /// Every PE's partition as plain memory, when this view lends runs.
     lent: Option<&'a [Plane<'a>]>,
-    /// Every PE's exchange staging buffer as plain memory, when this view
-    /// lends and moves exchanges by plain copies.
-    staging: Option<&'a [Plane<'a>]>,
 }
 
 impl<'a, 'w> ShmemView<'a, 'w> {
@@ -290,7 +287,6 @@ impl<'a, 'w> ShmemView<'a, 'w> {
             mask: per_pe - 1,
             dim: per_pe * ctx.n_pes() as u64,
             lent: None,
-            staging: None,
         }
     }
 
@@ -305,18 +301,6 @@ impl<'a, 'w> ShmemView<'a, 'w> {
         Self { lent, ..self }
     }
 
-    /// Given `staging`, the exchange staging buffers
-    /// [`exchange_pair`](Self::exchange_pair) is handed, as plain memory,
-    /// move each exchange by plain copies through them and the lent
-    /// partitions. Only for a view that lends.
-    #[must_use]
-    pub(crate) fn staging(self, staging: Option<&'a [Plane<'a>]>) -> Self {
-        assert!(
-            staging.is_none_or(|staging| self.lent.is_some() && staging.len() == self.ctx.n_pes())
-        );
-        Self { staging, ..self }
-    }
-
     /// The partition holding `idx`, the offset in it, and whether it is
     /// another PE's.
     #[inline]
@@ -328,40 +312,39 @@ impl<'a, 'w> ShmemView<'a, 'w> {
 
 impl<'a> ShmemView<'a, '_> {
     /// Bulk slab exchange realizing a relabeling SWAP of physical qubit
-    /// positions `a` (below the partition boundary) and `b` (at/above it).
+    /// positions `a` (below the partition boundary) and `b` (at/above it),
+    /// in place, in one barrier epoch.
     ///
     /// Every PE is paired with `partner = pe ^ (1 << (b - shift))`; the
-    /// amplitude pairs to exchange sit in runs of `2^a` contiguous words
-    /// (bit `a` of the local offset selects the outgoing half: hi-side PEs
-    /// send their `bit_a = 0` runs, lo-side PEs their `bit_a = 1` runs).
-    /// Two barrier epochs stage the move through the symmetric exchange
-    /// buffers `xch_re`/`xch_im` (each `per_pe / 2` words):
+    /// amplitude pairs to exchange sit in runs of `2^a` contiguous words:
+    /// the `bit_a = 1` runs of the pair's lo-side PE trade places with the
+    /// `bit_a = 0` runs of its hi-side PE, run `r` with run `r`. The pair
+    /// splits that work in two shares — the lo-side PE takes the first
+    /// `per_pe / 4` of the `per_pe / 2` amplitude pairs, the hi-side PE the
+    /// rest (all of them on partitions of two amplitudes), in pieces that
+    /// never cross a run — and each PE swaps its pieces directly between
+    /// its own partition and its partner's: per piece and component it
+    /// reads both sides (one local, one remote `get_slice`) and writes both
+    /// (one local, one remote `put_slice`). One barrier closes the epoch.
     ///
-    /// 1. each PE packs its outgoing runs into its *partner's* exchange
-    ///    buffer — one `put_slice` message per run per component (the only
-    ///    remote traffic of the whole swap); barrier;
-    /// 2. each PE unpacks its own exchange buffer into the slots it just
-    ///    sent away — purely local; barrier.
-    ///
-    /// Both epochs are race-free by construction: in epoch 1 every
-    /// exchange-buffer word has exactly one writer (the owner's unique
-    /// partner) and every state word one reader (its owner); epoch 2 is
-    /// PE-local.
+    /// The epoch is race-free by construction: every word of the pair has
+    /// exactly one accessor, the PE whose share holds it, and pairing is an
+    /// involution, so no third PE comes near the pair's words.
     ///
     /// A view the executor builds for a launch that observes no individual
-    /// word lends the partitions and the staging buffers as plain memory: it
-    /// moves each run by plain copies through them instead, in the same two
-    /// epochs with the same two barriers, and credits the PE's counters
-    /// in bulk with exactly what the messages count: per run and component,
-    /// one local get and one remote put of `8 * 2^a` bytes, then one local
-    /// get and one local put.
+    /// word lends the partitions as plain memory: it swaps each piece by
+    /// plain loads and stores through them instead, in the same epoch with
+    /// the same barrier, and credits the PE's counters in bulk with exactly
+    /// what the messages count.
+    ///
+    /// `_xch_re` / `_xch_im` are unused: the swap needs no staging buffer.
+    /// They are kept so existing callers that still allocate one compile.
     ///
     /// All PEs must call this collectively with identical arguments.
     ///
     /// # Panics
     /// If `a` is not below the per-PE boundary or `b` not at/above it.
-    pub fn exchange_pair(&self, a: u32, b: u32, xch_re: &SymF64, xch_im: &SymF64) {
-        let per_pe = (self.mask + 1) as usize;
+    pub fn exchange_pair(&self, a: u32, b: u32, _xch_re: &SymF64, _xch_im: &SymF64) {
         assert!(a < self.shift, "low position must be intra-partition");
         assert!(b >= self.shift, "high position must be partition-indexing");
         let pe = self.ctx.my_pe();
@@ -369,46 +352,40 @@ impl<'a> ShmemView<'a, '_> {
         let partner = pe ^ (1usize << pe_bit);
         let my_hi = (pe >> pe_bit) & 1 == 1;
         let run = 1usize << a;
-        let n_runs = per_pe / (2 * run);
-        // This PE's run `r` of the half it sends away. Incoming data lands
-        // exactly where the outgoing data left: the partner's run `r` is
-        // this PE's with bit `a` flipped.
-        let sent = |r: usize| 2 * r * run + if my_hi { 0 } else { run };
-        if let Some((lent, staging)) = self.lent.zip(self.staging) {
-            let at = |(re, im): Plane<'a>, start: usize| {
-                (&re[start..start + run], &im[start..start + run])
-            };
-            let copy = |(to_re, to_im): Plane<'_>, (from_re, from_im): Plane<'_>| {
-                for (to, from) in to_re.iter().zip(from_re).chain(to_im.iter().zip(from_im)) {
-                    to.set(from.get());
+        // Amplitude `w` of either PE's half of the pair sits in run
+        // `w >> a`, one run further on the lo-side PE than on the hi-side.
+        let at = |w: usize, lo_side: bool| w + (((w >> a) + usize::from(lo_side)) << a);
+        let half = (self.mask + 1) as usize / 2;
+        let share = if my_hi { half / 2..half } else { 0..half / 2 };
+        let piece = run.min(share.len().max(1));
+        let pieces = (share.step_by(piece)).map(|w| (at(w, !my_hi), at(w, my_hi)));
+        if let Some(lent) = self.lent {
+            let side = |(re, im): Plane<'a>, at: usize| re[at..at + piece].iter().zip(&im[at..]);
+            let mut n_pieces = 0;
+            for (m, t) in pieces {
+                for ((xr, xi), (yr, yi)) in side(lent[pe], m).zip(side(lent[partner], t)) {
+                    let (r, i) = (xr.get(), xi.get());
+                    xr.set(yr.get());
+                    xi.set(yi.get());
+                    yr.set(r);
+                    yi.set(i);
                 }
-            };
-            for r in 0..n_runs {
-                copy(at(staging[partner], r * run), at(lent[pe], sent(r)));
+                n_pieces += 1;
             }
-            self.ctx.barrier_all();
-            for r in 0..n_runs {
-                copy(at(lent[pe], sent(r)), at(staging[pe], r * run));
+            let (messages, counters) = (2 * n_pieces, self.ctx.counters());
+            for remote in [false, true] {
+                counters.count_gets(remote, messages, 8 * piece as u64);
+                counters.count_puts(remote, messages, 8 * piece as u64);
             }
-            let (messages, counters) = (2 * n_runs as u64, self.ctx.counters());
-            counters.count_gets(false, 2 * messages, 0);
-            counters.count_puts(true, messages, 8 * run as u64);
-            counters.count_puts(false, messages, 0);
-            self.ctx.barrier_all();
-            return;
-        }
-        let mut buf = vec![0.0f64; run];
-        for r in 0..n_runs {
-            for (sym, xch) in [(self.re, xch_re), (self.im, xch_im)] {
-                self.ctx.get_slice_f64(sym, pe, sent(r), &mut buf);
-                self.ctx.put_slice_f64(xch, partner, r * run, &buf);
-            }
-        }
-        self.ctx.barrier_all();
-        for r in 0..n_runs {
-            for (sym, xch) in [(self.re, xch_re), (self.im, xch_im)] {
-                self.ctx.get_slice_f64(xch, pe, r * run, &mut buf);
-                self.ctx.put_slice_f64(sym, pe, sent(r), &buf);
+        } else {
+            let (mut x, mut y) = (vec![0.0f64; piece], vec![0.0f64; piece]);
+            for (m, t) in pieces {
+                for sym in [self.re, self.im] {
+                    self.ctx.get_slice_f64(sym, pe, m, &mut x);
+                    self.ctx.get_slice_f64(sym, partner, t, &mut y);
+                    self.ctx.put_slice_f64(sym, pe, m, &y);
+                    self.ctx.put_slice_f64(sym, partner, t, &x);
+                }
             }
         }
         self.ctx.barrier_all();
@@ -656,12 +633,14 @@ mod tests {
             assert_eq!(out.results[pe].0[off], j as f64, "re at {i}");
             assert_eq!(out.results[pe].1[off], -(j as f64), "im at {i}");
         }
-        // Remote traffic is the phase-1 puts only: 2 runs x 2 components
-        // per PE, 8 bytes each (run length 2^0 = 1 word).
+        // Each PE swaps one of its pair's two amplitude pairs: per
+        // component one remote get and one remote put of 8 bytes (run
+        // length 2^0 = 1 word), as many bytes as the half it gives away.
         for t in &out.traffic {
-            assert_eq!(t.remote_puts, 4);
-            assert_eq!(t.remote_put_bytes, 32);
-            assert_eq!(t.remote_gets, 0);
+            assert_eq!(t.remote_puts, 2);
+            assert_eq!(t.remote_put_bytes, 16);
+            assert_eq!(t.remote_gets, 2);
+            assert_eq!(t.remote_get_bytes, 16);
         }
     }
 

@@ -118,8 +118,8 @@ mod tests {
     #[test]
     fn pooled_instance_alternates_remapped_and_naive_jobs_cleanly() {
         // ONE shelved buffer must serve remapped and naive jobs in strict
-        // alternation with no stale permutation, exchange buffer, or
-        // counter leaking across jobs.
+        // alternation with no stale permutation or counter leaking across
+        // jobs.
         let mut c = Circuit::new(4);
         for q in 0..4 {
             c.apply(GateKind::H, &[q], &[]).unwrap();

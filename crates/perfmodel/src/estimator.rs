@@ -198,10 +198,9 @@ pub fn scale_out(
                 intra_bytes / intra_bw + inter as f64 / inter_bw + msgs_per_pe * msg_gap_s;
             out.sync_s += (dev.gate_overhead_us + dev.dispatch_penalty_us) * 1e-6 + barrier_s;
         },
-        // The exchange ships each PE's half-partition to its unique partner
-        // in runs of `2^lo` amplitudes — few long messages instead of
-        // per-word traffic — then unpacks locally, with a barrier after each
-        // stage.
+        // The exchange swaps half of each PE's partition with its unique
+        // partner's, in place, in runs of `2^lo` amplitudes — few long
+        // messages instead of per-word traffic — in one barrier epoch.
         |lo, hi, out| {
             let t = exchange_traffic(n_qubits, n_pes);
             out.compute_s += roof.time(&t);
@@ -215,11 +214,13 @@ pub fn scale_out(
             } else {
                 intra_bw
             };
-            // One message per `2^lo`-amplitude run of re and im, per stage
-            // pair.
-            let msgs_per_pe = ((1u64 << n_qubits) >> lo) as f64 / w;
-            out.comm_s += t.remote_bytes as f64 / fabric + msgs_per_pe * msg_gap_s;
-            out.sync_s += 2.0 * barrier_s;
+            // Each PE swaps half of its pair's `2^lo`-amplitude runs (half
+            // of one run when the pair has only one): per run and component,
+            // one remote get and one remote put.
+            let per_pe = (1u64 << n_qubits) / n_pes;
+            let msgs_per_pe = 4 * ((per_pe >> lo) / 4).max(1);
+            out.comm_s += t.remote_bytes as f64 / fabric + msgs_per_pe as f64 * msg_gap_s;
+            out.sync_s += barrier_s;
         },
     )
 }
@@ -538,7 +539,7 @@ mod tests {
     /// conditional kernels — an `IfEq` payload, the X a reset applies —
     /// cost what they cost when they fire: every kernel of the plan pays
     /// one overhead, and on a remapped scale-out plan
-    /// every kernel pays its barrier and every exchange its two.
+    /// every kernel pays its barrier and every exchange its one.
     #[test]
     fn every_scheduled_kernel_and_exchange_is_priced() {
         use svsim_ir::{Gate, GateKind};
@@ -601,7 +602,7 @@ mod tests {
             let t = scale_out(dev, ic, &remapped, n_pes, 4, 130.0);
             let barrier_s = ic.barrier_us_per_log * (n_pes as f64).log2() * 1e-6;
             let want = remapped.n_kernels() as f64 * (overhead_s + barrier_s)
-                + exchanges as f64 * 2.0 * barrier_s;
+                + exchanges as f64 * barrier_s;
             assert!(
                 close(t.sync_s, want),
                 "{n_pes} PEs: {:.3e}s of sync, want {want:.3e}s",

@@ -644,19 +644,12 @@ impl ProcWorld {
     }
 
     /// The [`ProtoMem`] window of the respawn round handshake: round and
-    /// abort words, the barrier words the supervisor resets (count,
-    /// sense, and the sense word again as the poison slot: poison is a bit
-    /// of it), then one ack slot per PE — the slot order [`proto::round`]
-    /// expects.
+    /// abort words, the barrier words the supervisor resets (count, and
+    /// sense with its poison bit), then one ack slot per PE — the slot
+    /// order [`proto::round`] expects.
     fn round_mem(&self) -> ArenaVecWords<'_> {
         let l = &self.layout;
-        let mut map = vec![
-            l.w_round,
-            l.w_abort,
-            l.w_bar_count,
-            l.w_bar_sense,
-            l.w_bar_sense,
-        ];
+        let mut map = vec![l.w_round, l.w_abort, l.w_bar_count, l.w_bar_sense];
         map.extend((0..l.n_pes).map(|pe| l.w_round_ack + pe));
         ArenaVecWords {
             arena: &self.arena,

@@ -410,7 +410,9 @@ pub mod bar {
 /// (re-run) or abort (publish as-is). Slot layout: [`round::ROUND`],
 /// [`round::ABORT`], then one ack slot per PE at [`round::ACK_BASE`]` + pe`;
 /// the barrier words the supervisor resets live at [`round::RB_COUNT`] /
-/// [`round::RB_SENSE`] / [`round::RB_POISON`].
+/// [`round::RB_SENSE`] (poison is the sense word's
+/// [`crate::proto::bar::POISON_BIT`], so resetting the sense clears it
+/// too).
 pub mod round {
     use super::{MemOrder, ProtoMem};
 
@@ -420,14 +422,11 @@ pub mod round {
     pub const ABORT: usize = 1;
     /// Barrier count slot as seen by the supervisor's reset.
     pub const RB_COUNT: usize = 2;
-    /// Barrier sense slot as seen by the supervisor's reset.
+    /// Barrier sense slot as seen by the supervisor's reset: the sense
+    /// word, which also holds the poison ([`super::bar::POISON_BIT`]).
     pub const RB_SENSE: usize = 3;
-    /// Barrier poison slot as seen by the supervisor's reset. Poison lives
-    /// in the sense word's [`super::bar::POISON_BIT`], so a host may map
-    /// this slot onto the sense word: its reset then clears it again.
-    pub const RB_POISON: usize = 4;
     /// First ack slot; survivor `pe` acks at `ACK_BASE + pe`.
-    pub const ACK_BASE: usize = 5;
+    pub const ACK_BASE: usize = 4;
 
     /// Phases of a parked survivor (the child-side park loop).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -562,10 +561,8 @@ pub mod round {
         CheckAck(usize),
         /// All survivors parked: about to reset the barrier count.
         ResetCount,
-        /// About to reset the barrier sense.
+        /// About to reset the barrier sense word, poison included.
         ResetSense,
-        /// About to clear the barrier poison.
-        ResetPoison,
         /// About to bump the round counter (the release itself).
         Bump,
     }
@@ -639,11 +636,6 @@ pub mod round {
                 }
                 ReleasePhase::ResetSense => {
                     mem.store(RB_SENSE, 0, MemOrder::Relaxed);
-                    self.phase = ReleasePhase::ResetPoison;
-                    ReleaseStep::Pending
-                }
-                ReleasePhase::ResetPoison => {
-                    mem.store(RB_POISON, 0, MemOrder::Relaxed);
                     self.phase = ReleasePhase::Bump;
                     ReleaseStep::Pending
                 }

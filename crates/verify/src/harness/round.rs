@@ -16,6 +16,7 @@
 
 use crate::mem::ModelMem;
 use crate::Model;
+use svsim_shmem::proto::bar::POISON_BIT;
 use svsim_shmem::proto::round::{
     self, Release, ReleasePhase, ReleaseStep, Survivor, SurvivorPhase, SurvivorStep,
 };
@@ -77,7 +78,7 @@ fn wrecked_mem(survivors: usize) -> Vec<u64> {
     let mut mem = vec![0; round::ACK_BASE + survivors];
     // A wrecked epoch: one arrival absorbed, barrier poisoned.
     mem[round::RB_COUNT] = 1;
-    mem[round::RB_POISON] = 1;
+    mem[round::RB_SENSE] = POISON_BIT;
     mem
 }
 
@@ -95,16 +96,12 @@ impl RoundModel {
         t.svs[i] = match step {
             SurvivorStep::Pending => Sv::Parked(m),
             SurvivorStep::Released(r) => {
-                if t.mem[round::RB_COUNT] != 0
-                    || t.mem[round::RB_SENSE] != 0
-                    || t.mem[round::RB_POISON] != 0
-                {
+                if t.mem[round::RB_COUNT] != 0 || t.mem[round::RB_SENSE] != 0 {
                     t.broke = Some(format!(
                         "pe{i} released into round {r} with barrier words not reset \
-                         (count={} sense={} poison={})",
+                         (count={} sense={})",
                         t.mem[round::RB_COUNT],
-                        t.mem[round::RB_SENSE],
-                        t.mem[round::RB_POISON]
+                        t.mem[round::RB_SENSE]
                     ));
                 }
                 if t.tables_reset_for != Some(r) {
@@ -247,7 +244,7 @@ impl Model for RoundModel {
         {
             let mut t = s.clone();
             t.regens_left -= 1;
-            t.mem[round::RB_POISON] = 1;
+            t.mem[round::RB_SENSE] |= POISON_BIT;
             t.mem[round::RB_COUNT] = 1;
             for (i, sv) in s.svs.iter().enumerate() {
                 if let Sv::Rejoined(r) = sv {

@@ -69,6 +69,9 @@ echo "== access-protocol analysis (dynamic cross-validation) =="
 # Execute the smaller workloads under the runtime race detector and check
 # the observed behaviour agrees with the static proof (nonzero exit if not).
 cargo run --release --quiet -- analyze --suite --pes 2 --detect --max-qubits 14
+# The benchmarked 2-PE remapped shape: its one-epoch in-place exchanges run
+# under the detector too.
+cargo run --release --quiet -- analyze --suite --pes 2 --detect --max-qubits 14 --remap
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12
 cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 --remap
 # The legs above stop where a PE's slab is at most one L2 tile (2^15), so the
