@@ -21,6 +21,7 @@ use crate::exec::{run_solo, Step};
 use crate::plan::{build_segment, PlanSegment};
 use crate::sim::SimConfig;
 use crate::state::StateVector;
+use std::ops::Range;
 use svsim_ir::{Circuit, Gate, GateKind};
 use svsim_types::{SvError, SvResult};
 
@@ -255,6 +256,19 @@ impl CompiledTemplate {
             gate.kind.check_params(&angles)?;
             write_payload(gate.kind, &angles, &mut self.seg.queue[*at].args);
         }
+        // A patched kernel may now write `-0.0` where its placeholder did
+        // not, or the other way round: its run decides again.
+        let patched = |kernels: &Range<usize>| {
+            let first = self.patches.partition_point(|(at, _)| *at < kernels.start);
+            self.patches
+                .get(first)
+                .is_some_and(|(at, _)| *at < kernels.end)
+        };
+        for run in &mut self.seg.runs {
+            if patched(&run.kernels) {
+                run.decide_zero(&self.seg.queue);
+            }
+        }
         state.reset_zero();
         run_solo(state, &self.seg, &TEMPLATE_CONFIG, &[], 0)?;
         Ok(())
@@ -367,6 +381,33 @@ mod tests {
                 assert_eq!(buf.im(), sim.state().im(), "{kind} at {values:?}");
             }
         }
+    }
+
+    #[test]
+    fn patched_runs_decide_zero_again() {
+        // Two RYs on qubits 0 and 1 form a run in tiles of four amplitudes,
+        // lowered with placeholder angles of 0, which keep zero. RY at 4.0
+        // writes `-0.0` into the three tiles `|0000>` leaves all `+0.0`, so
+        // a trial at 4.0 must walk them and one at 0.3 may skip them again:
+        // both bit-identical to the rebuild, which does not tile.
+        let mut t = ParamCircuit::new(4);
+        t.push(GateKind::RY, &[0], &[ParamValue::Var(0)]).unwrap();
+        t.push(GateKind::RY, &[1], &[ParamValue::Var(1)]).unwrap();
+        let mut compiled = t.compile().unwrap();
+        compiled.seg.runs = crate::plan::tile_runs(&compiled.seg, 4, &TEMPLATE_CONFIG, &[2]);
+        assert!(compiled.seg.runs[0].keeps_zero, "lowered at angle 0");
+        let bits = |plane: &[f64]| plane.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut negative_zeros = false;
+        for (values, keeps) in [([0.3, 0.3], true), ([4.0, 0.3], false), ([0.3, 0.3], true)] {
+            let trial = compiled.run(&values).unwrap();
+            assert_eq!(compiled.seg.runs[0].keeps_zero, keeps, "{values:?}");
+            let mut sim = Simulator::new(4, SimConfig::single_device()).unwrap();
+            sim.run(&t.bind(&values).unwrap()).unwrap();
+            assert_eq!(bits(trial.re()), bits(sim.state().re()), "{values:?}");
+            assert_eq!(bits(trial.im()), bits(sim.state().im()), "{values:?}");
+            negative_zeros |= trial.re().iter().any(|x| *x == 0.0 && x.is_sign_negative());
+        }
+        assert!(negative_zeros, "the trial at 4.0 wrote -0.0");
     }
 
     #[test]

@@ -43,6 +43,15 @@
 //! launch that observes words has no slab and walks a run's kernels word by
 //! word. Either way the run is followed by one sync, where the plan puts its
 //! barrier: no kernel of the run leaves the PE's partition.
+//!
+//! **Zero tiles.** Nothing outside a tile reaches it during a run, so a tile
+//! whose words are all `+0.0` when the run reaches it leaves the run as it
+//! entered if every kernel of the run maps `+0.0` words to `+0.0` words —
+//! which the lowering decides per run from the kernels' own bodies
+//! (`TileRun::keeps_zero`). The slab walk skips such a tile, and such a
+//! sub-tile of a sub-run, and still credits the counters per kernel: they
+//! count the footprint the traffic model predicts. A tile holding a `-0.0`
+//! is not a zero tile. A walk with no slab never skips.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -160,8 +169,10 @@ struct OnSlab<'s> {
     accesses: u64,
 }
 
-/// Kernels a walker ran on its slab, and through its fabric's view.
-type KernelsRun = (usize, usize);
+/// What a walker counts of one segment: the kernels it ran on its slab, the
+/// kernels it ran through its fabric's view, and the tile and sub-tile
+/// sweeps it skipped as all `+0.0` ([`tile_major`]).
+type WalkCounts = (usize, usize, usize);
 
 /// One kernel bound for a walker: through the fabric's view and, if the
 /// fabric's workers own a slab each and the kernel is partition-local, on
@@ -354,20 +365,29 @@ impl<'a> Slab<'a> {
 /// argument one level down. Then the next tile. Tiles share no amplitude, so
 /// every amplitude meets the same kernels in the same order with the same
 /// operands as kernel-major.
+///
+/// A tile (or sub-tile) whose words are all `+0.0` when a run that
+/// [keeps zero](TileRun::keeps_zero) reaches it is skipped: every kernel of
+/// the run would leave it so, bit for bit. Returns how many were skipped.
 fn tile_major<'a>(
     view: &LocalView<'a>,
     run: &TileRun,
     n_qubits: u32,
     kernel: &impl Fn(usize) -> (OnSlab<'a>, &'a GateArgs),
-) {
+) -> usize {
     let width = run.width;
+    let mut skipped = 0;
     for tile in 0..view.dim() >> width {
         let view = view.tile(tile, width);
+        if run.keeps_zero && view.is_zero() {
+            skipped += 1;
+            continue;
+        }
         let mut inner = run.inner.iter().peekable();
         let mut k = run.kernels.start;
         while k < run.kernels.end {
             if let Some(sub) = inner.next_if(|sub| sub.kernels.start == k) {
-                tile_major(&view, sub, n_qubits, kernel);
+                skipped += tile_major(&view, sub, n_qubits, kernel);
                 k = sub.kernels.end;
             } else {
                 let (on, args) = kernel(k);
@@ -376,6 +396,7 @@ fn tile_major<'a>(
             }
         }
     }
+    skipped
 }
 
 /// One PE of a partitioned backend: its SHMEM context (rank, world size,
@@ -444,22 +465,24 @@ impl<V: StateView> Fabric for Worker<'_, V> {
 /// pre-drawn measurement draws (`seg.n_rand` of them, taken up front in
 /// step order so every backend consumes the RNG identically) and
 /// `initial_cbits` carries the classical register across checkpoint
-/// segments; returns the register afterwards and how many kernels ran where
-/// ([`KernelsRun`]).
+/// segments; returns the register afterwards and what the walker counted
+/// ([`WalkCounts`]).
 ///
 /// **Tile runs.** The segment's tile runs ([`TileRun`], decided by the
 /// lowering) run as they stand, each followed by one sync: on the slab,
-/// tile-major ([`tile_major`]); in a launch that observes words, kernel after
-/// kernel through the view. Only preloaded segments hold any.
+/// tile-major ([`tile_major`]), skipping the tiles a run keeps all `+0.0`; in
+/// a launch that observes words, kernel after kernel through the view. Only
+/// preloaded segments hold any.
 fn interpret<'a, F: Fabric>(
     fabric: &'a F,
     seg: &'a PlanSegment,
     config: &'a SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-) -> SvResult<(u64, KernelsRun)> {
+) -> SvResult<(u64, WalkCounts)> {
     let mut cbits = initial_cbits;
     let (on_slab_runs, view_runs) = (Cell::new(0usize), Cell::new(0usize));
+    let mut zero_tiles = 0;
     let add = |count: &Cell<usize>, n: usize| count.set(count.get() + n);
     let n_qubits = fabric.view().dim().trailing_zeros();
     let slab = fabric.slab();
@@ -542,7 +565,9 @@ fn interpret<'a, F: Fabric>(
                                 let ((_, on_slab), args) = kernels.queued(k);
                                 (on_slab.expect("tile runs are partition-local"), args)
                             };
-                            tile_major(&slab.view, tile_run, n_qubits, &on_slab);
+                            zero_tiles += tile_major(&slab.view, tile_run, n_qubits, &on_slab);
+                            // Skipped tiles too: the counters stand for the
+                            // footprint the traffic model predicts.
                             for k in tile_run.kernels.clone() {
                                 slab.credit(on_slab(k).0);
                             }
@@ -590,31 +615,32 @@ fn interpret<'a, F: Fabric>(
             }
         }
     }
-    Ok((cbits, (on_slab_runs.get(), view_runs.get())))
+    Ok((cbits, (on_slab_runs.get(), view_runs.get(), zero_tiles)))
 }
 
 /// Run one lowered segment on a single device — also how a sweep template
-/// runs a trial ([`crate::batch`]). Returns the classical register.
+/// runs a trial ([`crate::batch`]). Returns the classical register and the
+/// tile sweeps skipped as all `+0.0`.
 pub(crate) fn run_solo(
     state: &mut StateVector,
     seg: &PlanSegment,
     config: &SimConfig,
     randoms: &[f64],
     initial_cbits: u64,
-) -> SvResult<u64> {
+) -> SvResult<(u64, usize)> {
     let (re, im) = state.parts_mut();
     let solo = Solo(Slab {
         view: LocalView::new(re, im),
         n_pes: 1,
         counters: None,
     });
-    Ok(interpret(&solo, seg, config, randoms, initial_cbits)?.0)
+    let (cbits, (.., zero_tiles)) = interpret(&solo, seg, config, randoms, initial_cbits)?;
+    Ok((cbits, zero_tiles))
 }
 
 /// What a PE hands back from [`run_partitioned`]'s body: the classical
-/// register with its kernel counts, then its partition's real and imaginary
-/// planes.
-type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
+/// register with its counts, then its partition's real and imaginary planes.
+type PeResult = ((u64, WalkCounts), Vec<f64>, Vec<f64>);
 
 /// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
 /// owning one partition of the symmetric-heap state vector. Both
@@ -642,8 +668,8 @@ type PeResult = ((u64, KernelsRun), Vec<f64>, Vec<f64>);
 /// puts: one per tile run, so the detector watches the epochs that run.
 ///
 /// The segment's classical bits, per-worker traffic, race reports,
-/// exchange count, respawn count and PE 0's slab-kernel and word-kernel
-/// counts accumulate into `summary` (`summary.cbits` is also the segment's
+/// exchange count, respawn count, PE 0's slab-kernel and word-kernel
+/// counts and every PE's skipped zero tiles accumulate into `summary` (`summary.cbits` is also the segment's
 /// initial classical register).
 ///
 /// `faults` is threaded into the SHMEM world on either backend; if any
@@ -764,7 +790,7 @@ pub(crate) fn run_partitioned(
             lent,
             slab,
         };
-        let (cbits, (on_slab, through_view)) = if scale_out {
+        let (cbits, (on_slab, through_view, zero_tiles)) = if scale_out {
             let view = &ShmemView::new(ctx, re, im).lending(lent);
             let worker = Worker { me, view };
             interpret(&worker, seg, config, randoms, initial_cbits)
@@ -777,7 +803,7 @@ pub(crate) fn run_partitioned(
         ctx.try_barrier_all()?;
         let by_word = if per_word { through_view } else { 0 };
         Ok((
-            (cbits, (on_slab, by_word)),
+            (cbits, (on_slab, by_word, zero_tiles)),
             sym_re.partition(pe).to_vec(),
             sym_im.partition(pe).to_vec(),
         ))
@@ -803,10 +829,12 @@ pub(crate) fn run_partitioned(
     // barrier" reports, whether the PE died or its body returned the error.
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
-    let ((cbits, (on_slab, by_word)), ..) = out.results[0];
+    let ((cbits, (on_slab, by_word, _)), ..) = out.results[0];
     summary.cbits = cbits;
     summary.slab_kernels += on_slab;
     summary.word_kernels += by_word;
+    // PEs skip different tiles: each walks its own partition's zeros.
+    summary.zero_tiles += out.results.iter().map(|((_, w), ..)| w.2).sum::<usize>();
     // A remapped run left the state in its final physical layout: gather
     // it into logical order host-side, straight from the PEs' partitions
     // (no fabric traffic).
@@ -843,13 +871,36 @@ mod tests {
     /// end a tile run with tile-local gates either side of each: a measure, a
     /// conditional gate that fires and one that does not, a reset.
     fn circuit_around_tiles(n: u32, tiles: &[u32]) -> Circuit {
+        gates_around_tiles(n, tiles, true)
+    }
+
+    /// [`circuit_around_tiles`], or (`dense` false) the same gates from
+    /// `|0...0>`, without its first layer of U3s: most tiles stay all `+0.0`
+    /// for most of the walk. A phase and a rotation of negative cosine on
+    /// each qubit below the tile width take the first layer's place, so runs
+    /// that do not keep zero meet zero tiles too. They come again after the
+    /// last measure has cleared half the state, and then, past a
+    /// conditional gate that ends the run, a layer that turns some of the
+    /// `-0.0` they wrote back into `+0.0`: the final state still shows a
+    /// zero tile skipped that should not have been.
+    fn gates_around_tiles(n: u32, tiles: &[u32], dense: bool) -> Circuit {
         use GateKind::*;
         let tile = tiles[0];
         let mut c = Circuit::with_cbits(n, 2);
         let mut rng = SvRng::seed_from_u64(u64::from(n * 100 + tile));
         let mut angle = move || rng.next_f64() * 6.0 - 3.0;
-        for q in 0..n {
-            c.apply(U3, &[q], &[angle(), angle(), angle()]).unwrap();
+        let negative_layer = |c: &mut Circuit| {
+            for q in 0..tile {
+                c.apply(U1, &[q], &[3.0]).unwrap();
+                c.apply(RZ, &[q], &[7.0]).unwrap();
+            }
+        };
+        if dense {
+            for q in 0..n {
+                c.apply(U3, &[q], &[angle(), angle(), angle()]).unwrap();
+            }
+        } else {
+            negative_layer(&mut c);
         }
         let kinds = [
             X, Y, Z, H, T, RZ, RY, RX, U3, CX, CH, CZ, CRZ, CCX, C4X, SWAP, CSWAP, RZZ, RXX,
@@ -887,6 +938,12 @@ mod tests {
         c.reset(2).unwrap();
         low_layer(&mut c);
         c.measure(n - 1, 1).unwrap();
+        if !dense {
+            negative_layer(&mut c);
+            let x = Gate::new(X, &[0], &[]).unwrap();
+            c.if_eq(0, 2, 3, x).unwrap();
+            low_layer(&mut c);
+        }
         c
     }
 
@@ -898,6 +955,9 @@ mod tests {
         ids: HashSet<KernelId>,
         /// Widths of the segments' tile runs (not of their sub-runs).
         widths: HashSet<u32>,
+        /// Tile runs and sub-runs that do not keep an all-`+0.0` tile so,
+        /// and walk it.
+        unkept: usize,
     }
 
     /// Walk `circuit` under `config` (and `faults`, on a partitioned
@@ -916,16 +976,24 @@ mod tests {
         let mut state = StateVector::zero_state(n).unwrap();
         let mut rng = SvRng::seed_from_u64(config.seed);
         let mut summary = RunSummary::new(0, 0);
-        let (mut ids, mut widths) = (HashSet::new(), HashSet::new());
+        let (mut ids, mut widths, mut unkept) = (HashSet::new(), HashSet::new(), 0);
         for range in checkpoint_grid(0, ops.len(), config.checkpoint_every) {
             let mut seg = build_segment(ops, range.start, range.end, n, config);
             seg.runs = tile_runs(&seg, n, config, tiles);
             ids.extend(seg.queue.iter().map(|cg| cg.id));
             widths.extend(seg.runs.iter().map(|r| r.width));
+            let runs = seg
+                .runs
+                .iter()
+                .flat_map(|r| std::iter::once(r).chain(&r.inner));
+            unkept += runs.filter(|r| !r.keeps_zero).count();
             let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
             let state = &mut state;
             if config.backend == BackendKind::SingleDevice {
-                summary.cbits = run_solo(state, &seg, config, &randoms, summary.cbits).unwrap();
+                let (cbits, zero_tiles) =
+                    run_solo(state, &seg, config, &randoms, summary.cbits).unwrap();
+                summary.cbits = cbits;
+                summary.zero_tiles += zero_tiles;
             } else {
                 let faults = faults.clone();
                 run_partitioned(state, &seg, config, &randoms, faults, &mut summary).unwrap();
@@ -938,6 +1006,7 @@ mod tests {
             summary,
             ids,
             widths,
+            unkept,
         }
     }
 
@@ -1055,6 +1124,65 @@ mod tests {
         assert!(runs > 1000, "{runs} tile runs");
         assert!(inner_runs > 500, "{inner_runs} inner sub-runs");
         assert!(exchanges_between_runs > 0, "exchange steps ended runs");
+    }
+
+    /// The sparse twin of the identity matrix above: from `|0...0>`, most
+    /// tiles are all `+0.0` when a run reaches them, and the runs that keep
+    /// zero skip them. At the nested widths, on every backend, the walk is
+    /// bit-identical to the kernel-major one and to the walks that observe
+    /// words (which never skip), every counter included; some tiles were
+    /// skipped, and some runs walked theirs because a kernel of theirs
+    /// writes `-0.0` (Y, Z, a phase or rotation of negative cosine).
+    #[test]
+    fn zero_tiles_are_skipped_bit_identically() {
+        use svsim_shmem::FaultAction;
+        use svsim_types::PeOp;
+        let never = Arc::new(FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0)));
+        for (n, nested) in [(8u32, [3u32, 1]), (9, [4, 2]), (10, [5, 3])] {
+            let circuit = gates_around_tiles(n, &nested, false);
+            for backend in backends() {
+                for checkpoint_every in [0, 3] {
+                    let config = SimConfig {
+                        checkpoint_every,
+                        ..backend
+                    };
+                    let what = format!("{n} qubits, tiles of 2^{nested:?}, {config:?}");
+                    let plain = walk(&circuit, &config, &[n], None);
+                    let tiled = walk(&circuit, &config, &nested, None);
+                    let mut observed = Vec::new();
+                    if config.backend != BackendKind::SingleDevice {
+                        observed.push(walk(&circuit, &config, &nested, Some(never.clone())));
+                    }
+                    if matches!(config.backend, BackendKind::ScaleOut { .. }) {
+                        let detected = SimConfig {
+                            detect_races: true,
+                            ..config
+                        };
+                        observed.push(walk(&circuit, &detected, &nested, None));
+                    }
+                    let t = &tiled.summary;
+                    assert!(t.zero_tiles > 0, "{what}: nothing skipped");
+                    assert!(tiled.unkept > 0, "{what}: every run keeps zero");
+                    assert_eq!(plain.summary.zero_tiles, 0, "{what}");
+                    assert_eq!(tiled.state, plain.state, "{what}: amplitudes");
+                    assert_eq!(t.cbits, plain.summary.cbits, "{what}");
+                    let saved = (t.tiled_kernels - t.tile_runs) as u64;
+                    for (pe, (t, p)) in t.traffic.iter().zip(&plain.summary.traffic).enumerate() {
+                        assert_eq!(t.barriers, p.barriers - saved, "{what}: PE {pe}");
+                        let rest = TrafficSnapshot { barriers: 0, ..*t };
+                        assert_eq!(rest, TrafficSnapshot { barriers: 0, ..*p }, "{what}");
+                    }
+                    for walked in &observed {
+                        let o = &walked.summary;
+                        assert_eq!(walked.state, tiled.state, "{what}: amplitudes");
+                        assert_eq!(o.cbits, t.cbits, "{what}");
+                        assert_eq!(o.traffic, t.traffic, "{what}: every counter");
+                        assert!(o.races.is_empty(), "{what}: {:?}", o.races);
+                        assert_eq!(o.zero_tiles, 0, "{what}: a walk with no slab skips");
+                    }
+                }
+            }
+        }
     }
 
     /// A relabeling exchange in a launch that observes no word swaps through

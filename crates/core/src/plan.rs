@@ -28,10 +28,12 @@
 //! `build_segment`, so the two are bit-identical.
 
 use crate::compile::{compile_gate, CompiledGate};
+use crate::dispatch::resolve;
 use crate::exec::{DispatchMode, Step};
 use crate::remap::{plan_remap, QubitLayout};
 use crate::sim::{BackendKind, SimConfig};
 use crate::traffic::{exchange_traffic, gate_traffic, tile_local, GateTraffic, TILE_QUBITS};
+use crate::view::LocalView;
 use std::ops::Range;
 use svsim_ir::{Circuit, Gate, GateKind, Op};
 
@@ -49,8 +51,60 @@ pub(crate) struct TileRun {
     pub(crate) width: u32,
     /// The run's kernels: a range of the segment's queue.
     pub(crate) kernels: Range<usize>,
+    /// Whether every kernel of the run [`preserves_zero`]: then a tile whose
+    /// words are all `+0.0` when the run reaches it leaves the run exactly as
+    /// it entered, and the walker skips it.
+    pub(crate) keeps_zero: bool,
     /// Its sub-runs at the next, narrower width, in order.
     pub(crate) inner: Vec<TileRun>,
+}
+
+impl TileRun {
+    /// Decide [`Self::keeps_zero`] again, for this run and its sub-runs, from
+    /// the kernels `queue` holds now: after their payloads were rewritten.
+    pub(crate) fn decide_zero(&mut self, queue: &[CompiledGate]) {
+        for sub in &mut self.inner {
+            sub.decide_zero(queue);
+        }
+        self.keeps_zero = keeps_zero(queue, &self.kernels, &self.inner);
+    }
+}
+
+/// Whether every kernel of `queue[kernels]` [`preserves_zero`], taking the
+/// verdicts of its sub-runs `inner` as decided: each kernel is probed once.
+fn keeps_zero(queue: &[CompiledGate], kernels: &Range<usize>, inner: &[TileRun]) -> bool {
+    let mut k = kernels.start;
+    for sub in inner {
+        if !(sub.keeps_zero && queue[k..sub.kernels.start].iter().all(preserves_zero)) {
+            return false;
+        }
+        k = sub.kernels.end;
+    }
+    queue[k..kernels.end].iter().all(preserves_zero)
+}
+
+/// Whether kernel `cg` maps one work item of `+0.0` words to `+0.0` words,
+/// bit for bit. Asked of the kernel's own [`LocalView`] body, not of a table:
+/// it runs once on one item of zeros with its qubits packed to the bottom
+/// (at most 2^5 amplitudes, on the stack), and the bits it leaves are
+/// tested. Every item of a kernel is the same arithmetic on the same
+/// payload, and the words outside its footprint are left as they are, so
+/// the one item speaks for all. Y, Z, and a phase or rotation whose cosine
+/// is negative write `-0.0`.
+pub(crate) fn preserves_zero(cg: &CompiledGate) -> bool {
+    let args = &cg.args;
+    let pack = |off: u64| {
+        (args.sorted().iter().enumerate()).fold(0, |packed, (j, &q)| packed | (off >> q & 1) << j)
+    };
+    let mut probe = *args;
+    probe.sorted = [0, 1, 2, 3, 4];
+    probe.offs = args.offs.map(pack);
+    probe.work = 1;
+    let (mut re, mut im) = ([0.0; 32], [0.0; 32]);
+    let amplitudes = 1 << args.n_sorted;
+    let view = LocalView::new(&mut re[..amplitudes], &mut im[..amplitudes]);
+    resolve::<LocalView>(cg.id)(&view, &probe, 0..1);
+    re.iter().chain(&im).all(|x| x.to_bits() == 0)
 }
 
 /// One checkpoint-grid segment lowered to executable form.
@@ -139,10 +193,14 @@ fn runs_in(queue: &[CompiledGate], span: Range<usize>, n: u32, widths: &[u32]) -
         .filter_map(|piece| {
             let kernels = start..start + piece.len();
             start = kernels.end;
-            (piece.len() >= 2 && fits(&piece[0])).then(|| TileRun {
-                width,
-                inner: runs_in(queue, kernels.clone(), n, narrower),
-                kernels,
+            (piece.len() >= 2 && fits(&piece[0])).then(|| {
+                let inner = runs_in(queue, kernels.clone(), n, narrower);
+                TileRun {
+                    width,
+                    keeps_zero: keeps_zero(queue, &kernels, &inner),
+                    kernels,
+                    inner,
+                }
             })
         })
         .collect()
@@ -675,6 +733,50 @@ mod tests {
         };
         assert_eq!(barriers(&parse), [true; 21]);
         assert!(!plan.matches(&c, 17, &parse));
+    }
+
+    #[test]
+    fn zero_verdicts_are_pinned_per_family_and_payload_sign() {
+        // Whether a kernel maps `+0.0` words to `+0.0` is asked of its body;
+        // these answers are what that body gives. A negative cosine (U1 at
+        // 3.0; RY at 4.0 and RZ at 7.0, whose half angles are past pi / 2)
+        // multiplies a zero into `-0.0`, and so do Y and Z.
+        use GateKind::{CCX, CX, H, RY, RZ, SWAP, T, U1, X, Y, Z};
+        let cases: [(GateKind, &[f64], bool); 13] = [
+            (X, &[], true),
+            (CX, &[], true),
+            (CCX, &[], true),
+            (SWAP, &[], true),
+            (H, &[], true),
+            (T, &[], true),
+            (U1, &[0.3], true),
+            (RY, &[0.3], true),
+            (Y, &[], false),
+            (Z, &[], false),
+            (U1, &[3.0], false),
+            (RY, &[4.0], false),
+            (RZ, &[7.0], false),
+        ];
+        let n = 9;
+        for (kind, params, keeps) in cases {
+            // Anchored low and high, in both operand orders: the verdict is
+            // the payload's, not the position's.
+            for lowest in [0, 3, 6] {
+                let up: Vec<u32> = (lowest..n).take(kind.n_qubits()).collect();
+                for qubits in [up.clone(), up.into_iter().rev().collect()] {
+                    let mut queue = Vec::new();
+                    compile_gate(
+                        &Gate::new(kind, &qubits, params).unwrap(),
+                        n,
+                        true,
+                        &mut queue,
+                    );
+                    assert_eq!(queue.len(), 1, "{kind}");
+                    let verdict = preserves_zero(&queue[0]);
+                    assert_eq!(verdict, keeps, "{kind}{params:?} on {qubits:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -222,6 +222,13 @@ pub struct RunSummary {
     pub inner_tile_runs: usize,
     /// Kernels that ran inside those sub-runs.
     pub inner_tiled_kernels: usize,
+    /// Tile and sub-tile sweeps the walkers skipped: a tile whose words were
+    /// all `+0.0` when a run reached it, where every kernel of the run maps
+    /// `+0.0` to `+0.0` bit for bit, leaves the run as it entered. Summed
+    /// over segments and walkers (PEs skip different tiles). The traffic
+    /// counters still credit every kernel of a skipped tile. 0 when
+    /// `tile_runs` is, and on a launch that observes individual words.
+    pub zero_tiles: usize,
 }
 
 impl RunSummary {
@@ -439,7 +446,9 @@ impl Simulator {
         let state = &mut self.state;
         match config.backend {
             BackendKind::SingleDevice => {
-                summary.cbits = run_solo(state, seg, &config, &randoms, summary.cbits)?;
+                let (cbits, zero_tiles) = run_solo(state, seg, &config, &randoms, summary.cbits)?;
+                summary.cbits = cbits;
+                summary.zero_tiles += zero_tiles;
             }
             BackendKind::ScaleUp { .. } | BackendKind::ScaleOut { .. } => {
                 let faults = self.fault_plan.clone();

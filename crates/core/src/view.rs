@@ -135,6 +135,14 @@ impl<'a> LocalView<'a> {
             im: &self.im[at],
         }
     }
+
+    /// Whether every word of both planes is `+0.0`; a `-0.0` is not. Reads
+    /// 32 amplitudes at a time and stops at the first block that is not.
+    #[must_use]
+    pub(crate) fn is_zero(&self) -> bool {
+        let bits = |plane: &[Cell<f64>]| plane.iter().fold(0, |or, x| or | x.get().to_bits());
+        (self.re.chunks(32).zip(self.im.chunks(32))).all(|(re, im)| bits(re) | bits(im) == 0)
+    }
 }
 
 impl StateView for LocalView<'_> {

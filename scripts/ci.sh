@@ -119,11 +119,18 @@ echo "== tile-major (release) =="
 # of the same plans passing exactly the plain walk's barriers and counters,
 # and, at the shipped widths [15, 11], the 17-qubit single-device and thread-PE legs
 # (square_root_n18 and dnn_layers, tiled vs runtime-parsed; at least 85 % of
-# square_root_n18's kernels in L1 sub-runs). Tier-1 runs the same tests
-# unoptimized; the process-PE leg is in the proc_backend gate below.
+# square_root_n18's kernels in L1 sub-runs). Zero tiles: the sparse twin of
+# the identity matrix (from |0...0>, every backend, against kernel-major and
+# observed walks, counters included; some tiles skipped, and some runs
+# walking theirs because a kernel writes -0.0), and every Table 4 circuit of
+# at most 20 qubits skipping on one device against runtime parsing. Tier-1
+# runs the same tests unoptimized; the process-PE leg is in the proc_backend
+# gate below.
 cargo test --release -p svsim-core --lib tile_major_walks_are_bit_identical_to_kernel_major_ones
 cargo test --release -p svsim-core --lib observed_walks_keep_the_plans_tile_runs_and_barriers
+cargo test --release -p svsim-core --lib zero_tiles_are_skipped_bit_identically
 cargo test --release --test cross_backend tile_major
+cargo test --release --test cross_backend zero_tile_skips_leave_the_suite_as_runtime_parsing_does
 
 echo "== benchmark builds and gates against this API =="
 # The benchmark (benchmark/, the one command in BENCHMARK.json) is a

@@ -298,8 +298,10 @@ fn cmd_run(flags: &Flags) -> CmdResult {
         let (inner_runs, inner) = (summary.inner_tile_runs, summary.inner_tiled_kernels);
         println!(
             "tiles: {runs} runs, {kernels} kernels (mean {:.1}); \
-             inner: {inner_runs} sub-runs, {inner} kernels",
-            kernels as f64 / runs as f64
+             inner: {inner_runs} sub-runs, {inner} kernels; \
+             zero tiles skipped: {}",
+            kernels as f64 / runs as f64,
+            summary.zero_tiles
         );
     }
     if circuit.n_cbits() > 0 {

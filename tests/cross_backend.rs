@@ -487,6 +487,46 @@ fn tile_major_runs_agree_with_runtime_parsed_ones_at_the_shipped_tile_width() {
     }
 }
 
+/// Zero tiles at the shipped tile widths: every Table 4 circuit of at most
+/// 20 qubits leaves the same state and classical bits on one device, which
+/// skips the tiles its runs keep all `+0.0`, as under runtime parsing, which
+/// never tiles and so never skips. The arithmetic circuits and the QFT, whose
+/// states stay sparse for most of the run, do skip.
+#[test]
+fn zero_tile_skips_leave_the_suite_as_runtime_parsing_does() {
+    use sv_sim::workloads::{large_suite, medium_suite};
+    let sparse = [
+        "square_root_n18",
+        "bigadder_n18",
+        "multiplier_n15",
+        "qft_n20",
+    ];
+    let parse = SimConfig {
+        dispatch: DispatchMode::RuntimeParse,
+        ..SimConfig::single_device()
+    };
+    let mut skipped = 0;
+    for spec in medium_suite().into_iter().chain(large_suite()) {
+        let circuit = spec.circuit().unwrap();
+        if circuit.n_qubits() > 20 {
+            continue;
+        }
+        let name = spec.name;
+        let (sum, cbits, summary) = run_summary(&circuit, SimConfig::single_device());
+        let (want_sum, want_cbits, untiled) = run_summary(&circuit, parse);
+        assert_eq!(
+            untiled.zero_tiles, 0,
+            "{name}: runtime parsing skips nothing"
+        );
+        assert_eq!((sum, cbits), (want_sum, want_cbits), "{name}");
+        if sparse.contains(&name) {
+            assert!(summary.zero_tiles > 0, "{name}: nothing skipped");
+            skipped += 1;
+        }
+    }
+    assert_eq!(skipped, sparse.len(), "every sparse circuit was walked");
+}
+
 /// The same on thread PEs: at 2 PEs a 17-qubit slab is two tiles, so each PE
 /// sweeps its tile runs tile by tile and passes one barrier per run; scale-up
 /// and scale-out, remapped or not, agree with the single device. At 16
