@@ -638,10 +638,6 @@ pub(crate) fn run_solo(
     Ok((cbits, zero_tiles))
 }
 
-/// What a PE hands back from [`run_partitioned`]'s body: the classical
-/// register with its counts, then its partition's real and imaginary planes.
-type PeResult = ((u64, WalkCounts), Vec<f64>, Vec<f64>);
-
 /// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
 /// owning one partition of the symmetric-heap state vector. Both
 /// distributed backends run this one body and differ only in how a kernel
@@ -667,15 +663,20 @@ type PeResult = ((u64, WalkCounts), Vec<f64>, Vec<f64>);
 /// so it can be recorded, counted or dropped. Both pass the barriers the plan
 /// puts: one per tile run, so the detector watches the epochs that run.
 ///
-/// The segment's classical bits, per-worker traffic, race reports,
+/// A PE hands back only its classical register and its walk's counts. The
+/// state stays on the symmetric heap: once the launch has joined and every
+/// PE has succeeded, the host reads both planes straight from the PEs'
+/// final partitions ([`svsim_shmem::SpmdOutput::heap`]) into `state`. The
+/// segment's classical bits, per-worker traffic, race reports,
 /// exchange count, respawn count, PE 0's slab-kernel and word-kernel
 /// counts and every PE's skipped zero tiles accumulate into `summary` (`summary.cbits` is also the segment's
 /// initial classical register).
 ///
 /// `faults` is threaded into the SHMEM world on either backend; if any
 /// worker dies (injected or real), the barrier is poisoned, the whole
-/// segment fails with a typed error and `state` is left untouched at its
-/// pre-segment contents — exactly what checkpoint/restart needs.
+/// segment fails with a typed error before the heap is read, and `state` is
+/// left untouched at its pre-segment contents — exactly what
+/// checkpoint/restart needs.
 ///
 /// The remaining knobs are scale-out only. With
 /// [`SimConfig::detect_races`] the launch runs under a fresh
@@ -726,7 +727,7 @@ pub(crate) fn run_partitioned(
         None
     };
     let per_word = detector.is_some() || faults.as_ref().is_some_and(|p| p.observes_transfers());
-    let body = |ctx: &ShmemCtx<'_>| -> SvResult<PeResult> {
+    let body = |ctx: &ShmemCtx<'_>| -> SvResult<(u64, WalkCounts)> {
         let pe = ctx.my_pe();
         let sym_re = ctx.malloc_f64(per_pe)?;
         let sym_im = ctx.malloc_f64(per_pe)?;
@@ -758,8 +759,9 @@ pub(crate) fn run_partitioned(
         // each, an acquire of the last arriver's release (`BarrierSm`,
         // driven by `barrier::wait_epoch`), so each plain access of one epoch
         // happens-before every access of the next, by whichever PE and
-        // through whichever accessor; the scatter above and the gather below
-        // are fenced by `try_barrier_all` the same way.
+        // through whichever accessor; the scatter above is fenced by
+        // `try_barrier_all` the same way, and the host reads the partitions
+        // only after the join (a thread join, or the reap of every process).
         let parts = re.partitions().iter().zip(im.partitions());
         // SAFETY: `as_cells` asks that no word be accessed through the cells
         // while another thread or process writes it without a happens-before
@@ -802,19 +804,15 @@ pub(crate) fn run_partitioned(
         }?;
         ctx.try_barrier_all()?;
         let by_word = if per_word { through_view } else { 0 };
-        Ok((
-            (cbits, (on_slab, by_word, zero_tiles)),
-            sym_re.partition(pe).to_vec(),
-            sym_im.partition(pe).to_vec(),
-        ))
+        Ok((cbits, (on_slab, by_word, zero_tiles)))
     };
     let out = if process {
-        // Symmetric heap: re + im (per_pe each); result slot: the two
-        // returned partition vectors plus cbits/tag overhead.
+        // Symmetric heap: re + im (per_pe each); result slot: the classical
+        // register and three counts, whatever the width.
         let opts = ProcOptions {
             respawn_max: config.respawn_max,
             hang_deadline_ms: u64::from(config.hang_deadline_ms),
-            ..ProcOptions::sized_for(2 * per_pe + 64, 2 * per_pe + 64)
+            ..ProcOptions::sized_for(2 * per_pe + 64, 4)
         };
         svsim_shmem::launch_process(n_pes, &opts, faults, body)?
     } else if let Some(det) = &detector {
@@ -829,21 +827,23 @@ pub(crate) fn run_partitioned(
     // barrier" reports, whether the PE died or its body returned the error.
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
-    let ((cbits, (on_slab, by_word, _)), ..) = out.results[0];
+    let (cbits, (on_slab, by_word, _)) = out.results[0];
     summary.cbits = cbits;
     summary.slab_kernels += on_slab;
     summary.word_kernels += by_word;
     // PEs skip different tiles: each walks its own partition's zeros.
-    summary.zero_tiles += out.results.iter().map(|((_, w), ..)| w.2).sum::<usize>();
-    // A remapped run left the state in its final physical layout: gather
-    // it into logical order host-side, straight from the PEs' partitions
-    // (no fabric traffic).
+    summary.zero_tiles += out.results.iter().map(|(_, w)| w.2).sum::<usize>();
+    // Every PE succeeded: read the state straight from the symmetric
+    // partitions they left (the body's two allocations), host-side and
+    // with no fabric traffic. A remapped run left it in its final
+    // physical layout, which the readback un-permutes into logical order.
+    let [sym_re, sym_im] = &out.heap[..] else {
+        unreachable!("every PE ran the body, which allocates two arrays")
+    };
     let (re, im) = state.parts_mut();
     let layout = seg.final_layout.as_ref();
-    let pe_re: Vec<&[f64]> = out.results.iter().map(|r| &r.1[..]).collect();
-    let pe_im: Vec<&[f64]> = out.results.iter().map(|r| &r.2[..]).collect();
-    crate::remap::unpermute_into(layout, &pe_re, re);
-    crate::remap::unpermute_into(layout, &pe_im, im);
+    crate::remap::unpermute_into(layout, sym_re.partitions(), re);
+    crate::remap::unpermute_into(layout, sym_im.partitions(), im);
     summary.absorb_traffic(out.traffic);
     if let Some(det) = detector {
         summary.races.extend(det.take_reports());

@@ -19,7 +19,9 @@
 //! ([`crate::plan`]): the executor, the traffic model, the performance
 //! model and the static analyzer all read the relabeling exchanges out of
 //! the lowered [`crate::CompiledPlan`], never from a planner run of their
-//! own.
+//! own. Its one other item, [`unpermute_into`], is the readback's half: the
+//! host reads a segment's final layout back into logical order straight
+//! from the partitions the PEs left on the symmetric heap.
 //!
 //! The policy is communication-cost-driven rather than purely positional:
 //!
@@ -50,6 +52,7 @@
 
 use crate::compile::CompiledGate;
 use svsim_ir::{Gate, GateKind, Op};
+use svsim_shmem::SharedF64Vec;
 
 /// A logical→physical qubit permutation.
 ///
@@ -443,10 +446,10 @@ fn map_gate(g: &Gate, layout: &QubitLayout) -> Gate {
 }
 
 /// Gather one plane of a state held in `layout`'s physical order, cut into
-/// equal power-of-two partitions `parts` (by rank), into `logical` in
-/// logical order: afterwards index `b` holds the amplitude of logical basis
-/// state `b`. Without a layout, or with the identity, the partitions are
-/// copied as they stand.
+/// equal power-of-two symmetric partitions `parts` (by rank), into
+/// `logical` in logical order: afterwards index `b` holds the amplitude of
+/// logical basis state `b`. Without a layout, or with the identity, the
+/// partitions are copied as they stand.
 ///
 /// [`QubitLayout::physical_index`] moves every bit of `b` on its own, so it
 /// is the OR of its values on the low and the high half of `b`'s bits: two
@@ -457,13 +460,13 @@ fn map_gate(g: &Gate, layout: &QubitLayout) -> Gate {
 /// # Panics
 /// If the partitions are not equally long powers of two that together
 /// hold exactly `logical.len()` amplitudes.
-pub fn unpermute_into(layout: Option<&QubitLayout>, parts: &[&[f64]], logical: &mut [f64]) {
+pub fn unpermute_into(layout: Option<&QubitLayout>, parts: &[SharedF64Vec], logical: &mut [f64]) {
     let per = parts[0].len();
     assert!(per.is_power_of_two() && parts.iter().all(|p| p.len() == per));
     assert_eq!(per * parts.len(), logical.len());
     let Some(layout) = layout.filter(|l| !l.is_identity()) else {
         for (dst, src) in logical.chunks_exact_mut(per).zip(parts) {
-            dst.copy_from_slice(src);
+            src.load_slice(0, dst);
         }
         return;
     };
@@ -480,7 +483,7 @@ pub fn unpermute_into(layout: Option<&QubitLayout>, parts: &[&[f64]], logical: &
     for (block, &h) in logical.chunks_exact_mut(lo.len()).zip(&hi) {
         for (dst, &l) in block.iter_mut().zip(&lo) {
             let p = h | l;
-            *dst = parts[p >> shift][p & mask];
+            *dst = parts[p >> shift].load(p & mask);
         }
     }
 }
@@ -682,6 +685,13 @@ mod tests {
         assert_eq!(plan.pre_swaps.len(), 2);
     }
 
+    /// A symmetric partition holding `words`.
+    fn shared(words: &[f64]) -> SharedF64Vec {
+        let part = SharedF64Vec::new(words.len(), 0.0);
+        part.store_slice(0, words);
+        part
+    }
+
     #[test]
     fn unpermute_restores_logical_order() {
         // Physical layout with logical 0 <-> 2 swapped on 3 qubits: the
@@ -692,9 +702,9 @@ mod tests {
         let mut im = vec![0.0; 8];
         re[0b100] = 0.25; // logical |001>
         im[0b001] = 0.5; // logical |100>
-        let (phys_re, phys_im) = (re.clone(), im.clone());
-        unpermute_into(Some(&l), &[&phys_re], &mut re);
-        unpermute_into(Some(&l), &[&phys_im], &mut im);
+        let (phys_re, phys_im) = (shared(&re), shared(&im));
+        unpermute_into(Some(&l), &[phys_re], &mut re);
+        unpermute_into(Some(&l), &[phys_im], &mut im);
         assert_eq!(re[0b001], 0.25);
         assert_eq!(im[0b100], 0.5);
     }
@@ -712,6 +722,7 @@ mod tests {
         // Read from four partitions, as a readback from four PEs does.
         let (pe_re, pe_im): (Vec<_>, Vec<_>) = (phys_re.chunks(1 << (n - 2)))
             .zip(phys_im.chunks(1 << (n - 2)))
+            .map(|(re, im)| (shared(re), shared(im)))
             .unzip();
         let (mut re, mut im) = (vec![0.0; 1 << n], vec![0.0; 1 << n]);
         unpermute_into(Some(&l), &pe_re, &mut re);

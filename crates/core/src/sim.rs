@@ -1184,7 +1184,8 @@ mod tests {
         let ref_summary = reference.run(&c).unwrap();
 
         // Device 1's 9th barrier falls inside the second segment (the first
-        // passes 6: two allocations, the scatter, two kernels, the gather).
+        // passes 6: two allocations, the scatter, two kernels, and the last
+        // one before the host reads the heap).
         let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, 9, FaultAction::Kill));
         let mut sim = Simulator::new(4, config).unwrap();
         sim.set_fault_plan(Some(plan.clone()));
@@ -1210,6 +1211,75 @@ mod tests {
         assert_eq!(summary.cbits, ref_summary.cbits);
         assert_eq!(sim.state().re(), reference.state().re());
         assert_eq!(sim.state().im(), reference.state().im());
+    }
+
+    /// A scale-out segment whose PE dies fails typed on either substrate and
+    /// leaves the host state at the committed checkpoint — also when the PE
+    /// dies at the segment's last barrier, after every kernel ran, when the
+    /// symmetric heap already holds the finished segment: the host reads
+    /// the heap only once every PE has succeeded.
+    #[test]
+    fn scale_out_pe_failure_is_typed_and_resumes_bit_identically() {
+        use svsim_shmem::{FaultAction, FaultPlan, ShmemBackend};
+        use svsim_types::PeOp;
+
+        let mut c = Circuit::with_cbits(4, 4);
+        c.extend(&ghz(4)).unwrap();
+        for q in 0..4 {
+            c.measure(q, q).unwrap();
+        }
+        for shmem_backend in [ShmemBackend::Thread, ShmemBackend::Process] {
+            let config = SimConfig {
+                seed: 11,
+                checkpoint_every: 2,
+                shmem_backend,
+                ..SimConfig::scale_out(2)
+            };
+            let mut reference = Simulator::new(4, config).unwrap();
+            let ref_summary = reference.run(&c).unwrap();
+
+            // Each segment passes 6 barriers per PE: two allocations, the
+            // scatter, two kernels, and the last one before the readback.
+            // PE 1's 12th is the second segment's last; its 10th follows
+            // the segment's first kernel.
+            for at in [12, 10] {
+                let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, at, FaultAction::Kill));
+                let mut sim = Simulator::new(4, config).unwrap();
+                sim.set_fault_plan(Some(plan.clone()));
+                let err = sim.run(&c).unwrap_err();
+                let op = match shmem_backend {
+                    ShmemBackend::Thread => PeOp::Barrier,
+                    // A real SIGKILL, after the barriers of the segment's
+                    // launch that the PE completed.
+                    ShmemBackend::Process => PeOp::Term {
+                        signal: 9,
+                        code: 0,
+                        epoch: at - 7,
+                    },
+                };
+                assert_eq!(
+                    err,
+                    SvError::PeFailed { pe: 1, op },
+                    "{shmem_backend:?} at {at}"
+                );
+                assert_eq!(plan.armed_remaining(), 0, "fault fired exactly once");
+                let cp = sim.checkpoint().expect("the first segment committed");
+                assert_eq!(cp.op_index(), 2);
+                let now = Checkpoint::capture(2, cp.cbits(), &SvRng::seed_from_u64(0), sim.state());
+                assert_eq!(
+                    now.checksum(),
+                    cp.checksum(),
+                    "{shmem_backend:?} at {at}: a failed segment leaves the state at its \
+                     pre-segment contents"
+                );
+
+                let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
+                assert_eq!(summary.cbits, ref_summary.cbits);
+                assert_eq!(sim.state_checksum(), reference.state_checksum());
+                assert_eq!(sim.state().re(), reference.state().re());
+                assert_eq!(sim.state().im(), reference.state().im());
+            }
+        }
     }
 
     #[test]

@@ -556,15 +556,20 @@ mod tests {
             );
             assert_eq!(bulk.snapshot(), by_word.snapshot(), "H on {target}");
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let words = |part: &SharedF64Vec| {
+                let mut words = vec![0.0; part.len()];
+                part.load_slice(0, &mut words);
+                bits(words)
+            };
             for p in 0..4 {
                 let (lent_re, lent_im) = lent[p];
                 assert_eq!(
                     bits(lent_re.iter().map(Cell::get).collect()),
-                    bits(parts_re[p].to_vec())
+                    words(&parts_re[p])
                 );
                 assert_eq!(
                     bits(lent_im.iter().map(Cell::get).collect()),
-                    bits(parts_im[p].to_vec())
+                    words(&parts_im[p])
                 );
             }
         }
@@ -628,9 +633,10 @@ mod tests {
             ctx.barrier_all();
             let v = ShmemView::new(ctx, &re, &im);
             v.exchange_pair(0, 3, &xr, &xi);
-            (re.partition(pe).to_vec(), im.partition(pe).to_vec())
         })
         .unwrap();
+        // Read after the join, from the heap the PEs left behind.
+        let (re, im) = (&out.heap[0], &out.heap[1]);
         for i in 0u64..16 {
             let j = if (i & 1) != ((i >> 3) & 1) {
                 i ^ 0b1001
@@ -638,8 +644,8 @@ mod tests {
                 i
             };
             let (pe, off) = ((i >> 2) as usize, (i & 3) as usize);
-            assert_eq!(out.results[pe].0[off], j as f64, "re at {i}");
-            assert_eq!(out.results[pe].1[off], -(j as f64), "im at {i}");
+            assert_eq!(re.partition(pe).load(off), j as f64, "re at {i}");
+            assert_eq!(im.partition(pe).load(off), -(j as f64), "im at {i}");
         }
         // Each PE swaps one of its pair's two amplitude pairs: per
         // component one remote get and one remote put of 8 bytes (run

@@ -24,7 +24,10 @@
 //!   arena slot and `_exit`s. The parent reaps with `waitpid` and maps an
 //!   abnormal exit (signal, nonzero code) to a typed
 //!   [`SvError::PeFailed`] carrying the signal number and the barrier
-//!   epoch the child had reached when it died.
+//!   epoch the child had reached when it died. After the reap the parent
+//!   reads the symmetric heap the children left in the still-mapped arena
+//!   ([`SpmdOutput::heap`]); the arena is unmapped when the last of those
+//!   windows drops.
 //! - **Barrier** — the same wait loop as the thread world
 //!   ([`crate::barrier`]'s `wait_epoch`) over arena words, given a
 //!   bounded-wait timeout and the PE's heartbeat word, so surviving PEs of
@@ -781,6 +784,23 @@ impl ProcWorld {
                 }
             }
         }
+    }
+
+    /// Every allocation published in the table, in call order: its length
+    /// per PE and its partition windows, which keep the arena mapped for as
+    /// long as they live. The parent reads them after reaping every PE, so
+    /// the table holds the last round's allocations and nothing writes it.
+    pub(crate) fn published_allocs(&self) -> Vec<(usize, Vec<SharedF64Vec>)> {
+        (0..MAX_ALLOCS)
+            .map(|seq| self.alloc_mem(seq))
+            .take_while(|mem| mem.load(proto::alloc::READY, MemOrder::Acquire) != 0)
+            .map(|mem| {
+                #[allow(clippy::cast_possible_truncation)]
+                let [len, off] = [proto::alloc::LEN, proto::alloc::OFF]
+                    .map(|slot| mem.load(slot, MemOrder::Relaxed) as usize);
+                (len, self.f64_partitions(off, len))
+            })
+            .collect()
     }
 
     /// Per-PE partition windows of an allocation resolved by
@@ -1548,6 +1568,7 @@ where
         traffic,
         pids: pid_of,
         respawns,
+        heap: world.into_heap(),
     })
 }
 
@@ -1714,10 +1735,9 @@ mod tests {
             waited_ms: 250,
         }));
         rt(Err::<u64, SvError>(SvError::Checkpoint("torn".into())));
-        rt(Ok::<SvResult<(u64, Vec<f64>, Vec<f64>)>, SvError>(Ok((
+        rt(Ok::<SvResult<(u64, (usize, usize, usize))>, SvError>(Ok((
             5,
-            vec![0.25; 3],
-            vec![-1.0; 2],
+            (3, 0, 2),
         ))));
     }
 
@@ -2026,6 +2046,11 @@ mod tests {
             // reproduced, not resumed mid-wreck.
             assert_eq!(val, ((pe + 3) % 4) as f64, "PE {pe} ring value");
             assert_eq!(pid, out.pids[pe] as u64, "PE {pe} pid stability");
+        }
+        // The parent reads the re-run round's one allocation off the arena.
+        assert_eq!(out.heap.len(), 1);
+        for pe in 0..4 {
+            assert_eq!(out.heap[0].partition(pe).load(0), ((pe + 3) % 4) as f64);
         }
         assert_eq!(
             out.results[1].as_ref().unwrap().as_ref().unwrap().0,

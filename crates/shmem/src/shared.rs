@@ -179,12 +179,6 @@ impl SharedF64Vec {
             w.store(v.to_bits(), Ordering::Relaxed);
         }
     }
-
-    /// Snapshot the whole buffer into a `Vec`.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<f64> {
-        (0..self.len()).map(|i| self.load(i)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +203,9 @@ mod tests {
         let mut out = [0.0; 3];
         v.load_slice(2, &mut out);
         assert_eq!(out, [1.0, 2.0, 3.0]);
-        assert_eq!(v.to_vec()[..2], [0.0, 0.0]);
+        let mut head = [1.0; 2];
+        v.load_slice(0, &mut head);
+        assert_eq!(head, [0.0, 0.0]);
     }
 
     #[test]
@@ -241,7 +237,9 @@ mod tests {
         v.store(3, 2.5);
         assert_eq!(v.load(3), 2.5);
         v.store_slice(0, &[1.0, 2.0]);
-        assert_eq!(v.to_vec()[..2], [1.0, 2.0]);
+        let mut head = [0.0; 2];
+        v.load_slice(0, &mut head);
+        assert_eq!(head, [1.0, 2.0]);
         // SAFETY: this thread is the only one touching `v`.
         #[allow(unsafe_code)]
         let cells = unsafe { v.as_cells() };

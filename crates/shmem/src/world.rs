@@ -275,6 +275,27 @@ impl World {
         self.metrics.snapshot_all()
     }
 
+    /// The world's collective allocations, in call order, for the launch's
+    /// caller once every PE has joined ([`SpmdOutput::heap`]).
+    pub(crate) fn into_heap(self) -> Vec<SymF64> {
+        match self.substrate {
+            // A PE that panicked mid-publish poisoned the lock, but a push
+            // either happened or did not: the log is whole either way.
+            Substrate::Thread { heap, .. } => heap
+                .into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+            Substrate::Process(pw) => pw
+                .published_allocs()
+                .into_iter()
+                .map(|(len_per_pe, bufs)| SymF64 {
+                    bufs: Arc::new(bufs),
+                    len_per_pe,
+                    shadow: None,
+                })
+                .collect(),
+        }
+    }
+
     /// Build the per-PE execution context handed to the SPMD body.
     pub(crate) fn make_ctx(&self, pe: usize) -> ShmemCtx<'_> {
         ShmemCtx {
@@ -612,13 +633,17 @@ impl<'w> ShmemCtx<'w> {
     }
 }
 
-/// Result of an SPMD job: per-PE return values plus the traffic profile.
+/// Result of an SPMD job: per-PE return values, the traffic profile and
+/// the symmetric heap the PEs left behind.
 #[derive(Debug)]
 pub struct JobOutput<T> {
     /// Per-PE results, indexed by rank.
     pub results: Vec<T>,
     /// Per-PE traffic, indexed by rank.
     pub traffic: Vec<TrafficSnapshot>,
+    /// Every collective allocation of the job, in call order, holding what
+    /// the PEs left in it (see [`SpmdOutput::heap`]).
+    pub heap: Vec<SymF64>,
 }
 
 impl<T> JobOutput<T> {
@@ -648,6 +673,15 @@ pub struct SpmdOutput<T> {
     /// In-place respawns the supervisor performed, in order. Empty on the
     /// thread backend or when respawn is disabled.
     pub respawns: Vec<RespawnEvent>,
+    /// The world's collective allocations, in call order (the last run of
+    /// the body's, after a respawn), as the PEs left them: how the launch's
+    /// caller reads the symmetric heap once every PE has joined. Thread PEs'
+    /// buffers simply outlive the world; process PEs' are windows into the
+    /// still-mapped arena, which is unmapped when the last of them drops.
+    /// What a failed PE left there is whatever it had written when it
+    /// stopped: read it only after [`into_result`](Self::into_result) is
+    /// `Ok`.
+    pub heap: Vec<SymF64>,
 }
 
 /// How informative an error is when picking the root cause of a job
@@ -692,6 +726,7 @@ impl<T> SpmdOutput<T> {
                 .map(|r| r.expect("checked above"))
                 .collect(),
             traffic: self.traffic,
+            heap: self.heap,
         })
     }
 
@@ -722,6 +757,7 @@ impl<T> SpmdOutput<SvResult<T>> {
             traffic: self.traffic,
             pids: self.pids,
             respawns: self.respawns,
+            heap: self.heap,
         }
     }
 }
@@ -868,6 +904,7 @@ where
         traffic,
         pids: Vec::new(),
         respawns: Vec::new(),
+        heap: world.into_heap(),
     })
 }
 
@@ -948,8 +985,13 @@ mod tests {
                 .into_result()
                 .unwrap();
             assert_eq!(out.results, vec![3.0, 0.0, 1.0, 2.0], "{on:?}");
-            // The counters outlive the PEs on either substrate.
+            // The counters outlive the PEs on either substrate, and so does
+            // the heap: every allocation, read after the join.
             assert_eq!(out.total_traffic().remote_puts, 4, "{on:?}");
+            assert_eq!(out.heap.len(), 1, "{on:?}");
+            for (pe, &v) in out.results.iter().enumerate() {
+                assert_eq!(out.heap[0].partition(pe).load(0), v, "{on:?}");
+            }
         }
     }
 

@@ -205,8 +205,14 @@ echo "== process-backed PEs (memfd world) =="
 # remapped runs bit-identical too at 4 PEs on both substrates and at 8 on
 # thread PEs, and, on the 8-PE thread leg, the communication-avoiding remap
 # gate: measured remote bytes <= 0.5x naive on every deep circuit (>= 100
-# gates).
+# gates). The memfd guard also checks /proc/self/maps: the arena stays
+# mapped past the reap until the host has read the state off the heap,
+# and no longer. Then the failed-segment contract on both substrates: a
+# scale-out PE killed mid-walk, or at the last barrier before the host
+# reads the heap, is a typed error that leaves the host state at the
+# committed checkpoint, and the resume is bit-identical.
 cargo test --release --test proc_backend -- --include-ignored
+cargo test --release -p svsim-core --lib scale_out_pe_failure_is_typed_and_resumes_bit_identically
 
 echo "== process-backend kill-fault smoke =="
 # One real-SIGKILL recovery per seed: the injected kill-pe fault on forked

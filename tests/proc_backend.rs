@@ -1,7 +1,8 @@
 //! Process-backed SHMEM world, end to end: forked PEs over a `memfd`
 //! symmetric heap must be a drop-in substrate for the scale-out backend —
 //! bit-identical states, typed real-SIGKILL failures, engine-level
-//! checkpoint recovery and quarantine, and no leaked file descriptors.
+//! checkpoint recovery and quarantine, and no leaked file descriptors or
+//! arena mappings.
 //!
 //! The quick tests here are debug-sized; the full Table 4 gate
 //! (`full_suite_bit_identity_thread_vs_process`) is `#[ignore]`d and runs
@@ -53,6 +54,15 @@ fn open_memfds() -> usize {
                     .unwrap_or(false)
             })
         })
+        .count()
+}
+
+/// Count the mappings of a memfd in this process's address space.
+fn memfd_mappings() -> usize {
+    std::fs::read_to_string("/proc/self/maps")
+        .expect("/proc/self/maps")
+        .lines()
+        .filter(|line| line.contains("memfd:"))
         .count()
 }
 
@@ -239,7 +249,9 @@ fn race_detection_on_process_pes_is_a_typed_config_error() {
 }
 
 /// Launching forked PEs must not leak the arena's memfd: the fd is closed
-/// right after `mmap`, so repeated launches leave `/proc/self/fd` clean.
+/// right after `mmap`, so repeated launches leave `/proc/self/fd` clean;
+/// and the mapping, which outlives the reap until the host has read the
+/// state off the heap, is gone once that readback ends.
 #[test]
 fn repeated_launches_leak_no_memfds() {
     let circuit = random_circuit(5, 12, 7);
@@ -263,6 +275,17 @@ fn repeated_launches_leak_no_memfds() {
         count = open_memfds();
     }
     assert_eq!(count, 0, "memfd descriptors leaked across launches");
+    // Other tests in this binary keep an arena mapped for the whole of a
+    // launch; wait for a moment when none is. A leaked mapping never goes.
+    let mut mapped = memfd_mappings();
+    for _ in 0..3000 {
+        if mapped == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        mapped = memfd_mappings();
+    }
+    assert_eq!(mapped, 0, "arena mappings leaked across launches");
 }
 
 /// An injected Kill on the process backend is a *real* `SIGKILL(2)` of the
