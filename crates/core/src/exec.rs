@@ -14,21 +14,21 @@
 //! the world barrier — the cooperative multi-grid sync of Listing 4 and the
 //! `shmem_barrier_all` of Listing 5 are the same call here).
 //!
-//! A `Worker` reaches `sv[i]` as plain memory unless the launch observes
-//! individual words (`run_partitioned`). A **partition-local** kernel
-//! ([`crate::traffic::partition_local`]) — the large majority on any circuit
-//! wider than the PE count — runs on the PE's own slab, a [`LocalView`] of
-//! its partition, and the PE's counters are credited once for the whole
-//! kernel with exactly what the backend's view would have counted. A kernel
-//! that touches a qubit at or above the partition boundary goes through that
-//! view — the peer table ([`PeerView`], scale-up) or the symmetric arrays
-//! ([`ShmemView`], scale-out) — which lends each contiguous run of the
-//! kernel's share from whichever partition owns it and credits the counters
-//! per run. The barrier after either is the same barrier, and which of the
-//! two a kernel takes is decided by index arithmetic when the walker binds
-//! the segment, never by an option. An observed launch has no slab and its
-//! views lend nothing: every access of every kernel is one counted, traced,
-//! fault-checked word. A single device's slab is its whole state.
+//! A `Worker` reaches `sv[i]` as plain memory (`run_partitioned`). A
+//! **partition-local** kernel ([`crate::traffic::partition_local`]) — the
+//! large majority on any circuit wider than the PE count — runs on the PE's
+//! own slab, a [`LocalView`] of its partition, accounted for once for the
+//! whole kernel with exactly what the backend's view would have counted. A
+//! kernel that touches a qubit at or above the partition boundary goes
+//! through that view — the peer table ([`PeerView`], scale-up) or the
+//! symmetric arrays ([`ShmemView`], scale-out) — which lends each contiguous
+//! run of the kernel's share from whichever partition owns it, accounted for
+//! per run. On scale-out every such account is one [`ShmemCtx::borrow`]: a
+//! fault point, the race detector's trace over the range and the counters,
+//! so a launch under a fault plan or the detector walks exactly this walk.
+//! The barrier after either is the same barrier, and which of the two a
+//! kernel takes is decided by index arithmetic when the walker binds the
+//! segment, never by an option. A single device's slab is its whole state.
 //!
 //! **Tile-major execution** is the same argument one level down, and the
 //! lowering has already made it ([`crate::plan`]): a segment lists its tile
@@ -39,19 +39,19 @@
 //! of the run over tile 0 while it sits in cache, then over tile 1, each
 //! sub-run the same way over the sub-tiles of a tile — which gives every
 //! amplitude the same kernels in the same order with the same operands, so
-//! the bits cannot differ; the counters are credited per kernel as before. A
-//! launch that observes words has no slab and walks a run's kernels word by
-//! word. Either way the run is followed by one sync, where the plan puts its
-//! barrier: no kernel of the run leaves the PE's partition.
+//! the bits cannot differ; the whole run is accounted for once, with what
+//! its kernels would have counted one by one. The run is followed by one
+//! sync, where the plan puts its barrier: no kernel of the run leaves the
+//! PE's partition.
 //!
 //! **Zero tiles.** Nothing outside a tile reaches it during a run, so a tile
 //! whose words are all `+0.0` when the run reaches it leaves the run as it
 //! entered if every kernel of the run maps `+0.0` words to `+0.0` words —
 //! which the lowering decides per run from the kernels' own bodies
 //! (`TileRun::keeps_zero`). The slab walk skips such a tile, and such a
-//! sub-tile of a sub-run, and still credits the counters per kernel: they
-//! count the footprint the traffic model predicts. A tile holding a `-0.0`
-//! is not a zero tile. A walk with no slab never skips.
+//! sub-tile of a sub-run, and still accounts for every kernel of the run:
+//! the counters count the footprint the traffic model predicts. A tile
+//! holding a `-0.0` is not a zero tile.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -67,10 +67,8 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 use svsim_ir::Gate;
-use svsim_shmem::{
-    FaultPlan, PeCounters, ProcOptions, RaceDetector, ShmemBackend, ShmemCtx, SymF64,
-};
-use svsim_types::{SvError, SvResult};
+use svsim_shmem::{FaultPlan, ProcOptions, RaceDetector, ShmemBackend, ShmemCtx, SymF64};
+use svsim_types::{PeOp, SvError, SvResult};
 
 /// How gates are bound to kernels at execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -164,19 +162,16 @@ struct OnSlab<'s> {
     /// The [`LocalView`] instance of the kernel.
     kernel: KernelFn<LocalView<'s>>,
     /// The amplitude accesses one walker's share of it makes (`items x
-    /// footprint`, each one load and one store) — what a slab that counts
-    /// credits in bulk; 0 on one that does not.
+    /// footprint`, each one load and one store): what the slab accounts for.
     accesses: u64,
 }
 
-/// What a walker counts of one segment: the kernels it ran on its slab, the
-/// kernels it ran through its fabric's view, and the tile and sub-tile
-/// sweeps it skipped as all `+0.0` ([`tile_major`]).
-type WalkCounts = (usize, usize, usize);
+/// What a walker counts of one segment: the kernels it ran on its slab, and
+/// the tile and sub-tile sweeps it skipped as all `+0.0` ([`tile_major`]).
+type WalkCounts = (usize, usize);
 
 /// One kernel bound for a walker: through the fabric's view and, if the
-/// fabric's workers own a slab each and the kernel is partition-local, on
-/// the slab.
+/// kernel is partition-local, on the walker's slab.
 type Bound<'s, V> = (KernelFn<V>, Option<OnSlab<'s>>);
 
 /// A segment's kernels bound for one walker: the preloaded pointer table,
@@ -190,19 +185,13 @@ struct Kernels<'a, V: StateView> {
     uploaded: Vec<Bound<'a, V>>,
     config: &'a SimConfig,
     n_qubits: u32,
-    /// The walker's slab ([`Fabric::slab`]), if any: what decides which
-    /// kernels are also bound for it.
-    slab: Option<&'a Slab<'a>>,
+    /// The walker's slab ([`Fabric::slab`]).
+    slab: &'a Slab<'a>,
     scratch: Vec<CompiledGate>,
 }
 
 impl<'a, V: StateView> Kernels<'a, V> {
-    fn new(
-        seg: &'a PlanSegment,
-        config: &'a SimConfig,
-        n_qubits: u32,
-        slab: Option<&'a Slab<'a>>,
-    ) -> Self {
+    fn new(seg: &'a PlanSegment, config: &'a SimConfig, n_qubits: u32, slab: &'a Slab<'a>) -> Self {
         let mut kernels = Self {
             queue: &seg.queue,
             uploaded: Vec::new(),
@@ -217,18 +206,14 @@ impl<'a, V: StateView> Kernels<'a, V> {
         kernels
     }
 
-    /// Bind `cg` for this walker: on its slab too if it has one and `cg` is
+    /// Bind `cg` for this walker: on its slab too if `cg` is
     /// partition-local.
     fn bind(&self, cg: &CompiledGate) -> Bound<'a, V> {
-        let on_slab = self
-            .slab
-            .filter(|slab| partition_local(cg, self.n_qubits, slab.n_pes))
-            .map(|slab| OnSlab {
-                kernel: resolve::<LocalView>(cg.id),
-                accesses: slab
-                    .counters
-                    .map_or(0, |_| cg.args.work / slab.n_pes * u64::from(cg.args.n_offs)),
-            });
+        let n_pes = self.slab.n_pes;
+        let on_slab = partition_local(cg, self.n_qubits, n_pes).then(|| OnSlab {
+            kernel: resolve::<LocalView>(cg.id),
+            accesses: cg.args.work / n_pes * u64::from(cg.args.n_offs),
+        });
         (resolve::<V>(cg.id), on_slab)
     }
 
@@ -285,23 +270,20 @@ trait Fabric {
     fn share(&self, work: u64) -> Range<u64>;
     /// The sync after a kernel or a collapse.
     fn sync(&self);
-    /// This walker's own memory, plain in every launch, and the global
-    /// index of its first amplitude: what a collapse sums and rescales.
-    fn own(&self) -> (&LocalView<'_>, u64);
     /// The sum of every walker's `partial` of one collapse, combined on the
     /// canonical tree of [`svsim_types::numeric`], where this walker's sits
     /// at leaf `slot`.
     fn reduce(&self, slot: usize, partial: f64) -> f64;
     /// One relabeling slab exchange of physical positions `(lo, hi)`.
     fn exchange(&self, lo: u32, hi: u32);
-    /// This walker's own plain memory, where it runs partition-local
-    /// kernels instead of through [`Self::view`] — unless the launch
-    /// observes individual words ([`run_partitioned`]).
-    fn slab(&self) -> Option<&Slab<'_>>;
+    /// This walker's own memory as plain memory: where it runs
+    /// partition-local kernels instead of through [`Self::view`], and what
+    /// a collapse sums and rescales.
+    fn slab(&self) -> &Slab<'_>;
 }
 
 /// A single device: full ranges, nothing to synchronize or relabel. The
-/// whole state is its slab — the one partition of one, nothing counted.
+/// whole state is its slab — the one partition of one, nothing accounted.
 struct Solo<'a>(Slab<'a>);
 
 impl<'a> Fabric for Solo<'a> {
@@ -313,17 +295,14 @@ impl<'a> Fabric for Solo<'a> {
         0..work
     }
     fn sync(&self) {}
-    fn own(&self) -> (&LocalView<'_>, u64) {
-        (&self.0.view, 0)
-    }
     fn reduce(&self, _: usize, partial: f64) -> f64 {
         partial
     }
     fn exchange(&self, _: u32, _: u32) {
         unreachable!("no relabeling on a single device")
     }
-    fn slab(&self) -> Option<&Slab<'_>> {
-        Some(&self.0)
+    fn slab(&self) -> &Slab<'_> {
+        &self.0
     }
 }
 
@@ -332,29 +311,24 @@ impl<'a> Fabric for Solo<'a> {
 /// indistinguishable from one issued access by access.
 struct Slab<'a> {
     view: LocalView<'a>,
+    /// The global index of its first amplitude.
+    base: u64,
     /// How many such slabs make up the state.
     n_pes: u64,
-    /// The PE's counters and the counter ops the issuing view spends on one
-    /// amplitude access: a [`ShmemView`] moves two 8-byte words (re, im), a
-    /// counted [`PeerView`] counts the amplitude once. `None` on a single
-    /// device, whose view counts nothing.
-    counters: Option<(&'a PeCounters, u64)>,
+    /// Account for `n` amplitude accesses about to be made here as the
+    /// backend's view would: on scale-out one [`ShmemCtx::borrow`] of the
+    /// PE's whole partition, on scale-up its counters, on one device nothing.
+    lend: &'a dyn Fn(u64),
 }
 
 impl<'a> Slab<'a> {
     /// Run this walker's share of a partition-local kernel: items
     /// `0..work / n_pes` at slab-local indices are the words
     /// `worker_range(work, n_pes, pe)` reaches through the global view
-    /// ([`partition_local`]). Then credit what that view would have counted.
+    /// ([`partition_local`]).
     fn run(&self, on: OnSlab<'a>, args: &GateArgs) {
+        (self.lend)(on.accesses);
         (on.kernel)(&self.view, args, 0..args.work / self.n_pes);
-        self.credit(on);
-    }
-
-    fn credit(&self, on: OnSlab<'a>) {
-        if let Some((counters, ops_per_access)) = self.counters {
-            counters.credit(false, on.accesses * ops_per_access, 0);
-        }
     }
 }
 
@@ -400,17 +374,14 @@ fn tile_major<'a>(
 }
 
 /// One PE of a partitioned backend: its SHMEM context (rank, world size,
-/// barrier, reduce), the symmetric arrays it owns a partition of, its own
-/// partition as plain memory with the global index of its first amplitude,
-/// and — unless the launch observes individual words ([`run_partitioned`])
-/// — every PE's partition as plain memory, and its slab.
+/// barrier, reduce), the symmetric arrays it owns a partition of, every
+/// PE's partition as plain memory, and its slab.
 struct Pe<'a> {
     ctx: &'a ShmemCtx<'a>,
     re: &'a SymF64,
     im: &'a SymF64,
-    own: (LocalView<'a>, u64),
-    lent: Option<&'a [Plane<'a>]>,
-    slab: Option<Slab<'a>>,
+    lent: &'a [Plane<'a>],
+    slab: Slab<'a>,
 }
 
 /// A PE walking a segment, its kernels reaching the state through `view` —
@@ -435,10 +406,6 @@ impl<V: StateView> Fabric for Worker<'_, V> {
     fn sync(&self) {
         self.me.ctx.barrier_all();
     }
-    fn own(&self) -> (&LocalView<'_>, u64) {
-        let (view, base) = &self.me.own;
-        (view, *base)
-    }
     /// Each partial is a subtree node of the canonical probability tree, so
     /// the pairwise sum across workers matches the single-device one
     /// bit-for-bit.
@@ -452,11 +419,11 @@ impl<V: StateView> Fabric for Worker<'_, V> {
             ctx, re, im, lent, ..
         } = self.me;
         ShmemView::new(ctx, re, im)
-            .lending(*lent)
+            .lending(lent)
             .exchange_pair(lo, hi, re, im);
     }
-    fn slab(&self) -> Option<&Slab<'_>> {
-        self.me.slab.as_ref()
+    fn slab(&self) -> &Slab<'_> {
+        &self.me.slab
     }
 }
 
@@ -470,9 +437,8 @@ impl<V: StateView> Fabric for Worker<'_, V> {
 ///
 /// **Tile runs.** The segment's tile runs ([`TileRun`], decided by the
 /// lowering) run as they stand, each followed by one sync: on the slab,
-/// tile-major ([`tile_major`]), skipping the tiles a run keeps all `+0.0`; in
-/// a launch that observes words, kernel after kernel through the view. Only
-/// preloaded segments hold any.
+/// tile-major ([`tile_major`]), skipping the tiles a run keeps all `+0.0`.
+/// Only preloaded segments hold any.
 fn interpret<'a, F: Fabric>(
     fabric: &'a F,
     seg: &'a PlanSegment,
@@ -481,22 +447,19 @@ fn interpret<'a, F: Fabric>(
     initial_cbits: u64,
 ) -> SvResult<(u64, WalkCounts)> {
     let mut cbits = initial_cbits;
-    let (on_slab_runs, view_runs) = (Cell::new(0usize), Cell::new(0usize));
+    let on_slab_runs = Cell::new(0usize);
     let mut zero_tiles = 0;
-    let add = |count: &Cell<usize>, n: usize| count.set(count.get() + n);
+    let add = |n: usize| on_slab_runs.set(on_slab_runs.get() + n);
     let n_qubits = fabric.view().dim().trailing_zeros();
     let slab = fabric.slab();
     let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits, slab);
     // One kernel on the slab if it was bound there, else through the view.
-    let exec = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| match (slab, on_slab) {
-        (Some(slab), Some(local)) => {
+    let exec = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| match on_slab {
+        Some(local) => {
             slab.run(local, args);
-            add(&on_slab_runs, 1);
+            add(1);
         }
-        _ => {
-            kernel(fabric.view(), args, fabric.share(args.work));
-            add(&view_runs, 1);
-        }
+        None => kernel(fabric.view(), args, fabric.share(args.work)),
     };
     let run = |bound: Bound<'a, F::View>, args: &GateArgs| {
         exec(bound, args);
@@ -512,7 +475,7 @@ fn interpret<'a, F: Fabric>(
     // one whose index, read off the partition-index positions, is its slot
     // on the tree; without one the layout is the identity and the slot is
     // the rank.
-    let (own, base) = fabric.own();
+    let (own, base) = (&slab.view, slab.base);
     let boundary = own.dim().trailing_zeros();
     let rank = base >> boundary;
     let collapse = |qubit: u32, layout: Option<&QubitLayout>, r: f64| -> SvResult<u8> {
@@ -557,24 +520,18 @@ fn interpret<'a, F: Fabric>(
                         continue;
                     };
                     next = tile_run.kernels.end;
-                    match slab {
-                        // Swept once for the run instead of once per kernel,
-                        // and credited per kernel exactly as kernel-major.
-                        Some(slab) => {
-                            let on_slab = |k| {
-                                let ((_, on_slab), args) = kernels.queued(k);
-                                (on_slab.expect("tile runs are partition-local"), args)
-                            };
-                            zero_tiles += tile_major(&slab.view, tile_run, n_qubits, &on_slab);
-                            // Skipped tiles too: the counters stand for the
-                            // footprint the traffic model predicts.
-                            for k in tile_run.kernels.clone() {
-                                slab.credit(on_slab(k).0);
-                            }
-                            add(&on_slab_runs, tile_run.kernels.len());
-                        }
-                        None => kernels.each(None, &tile_run.kernels, exec),
-                    }
+                    // Swept once for the run instead of once per kernel, and
+                    // accounted for with what its kernels count one by one —
+                    // skipped tiles too: the counters stand for the footprint
+                    // the traffic model predicts.
+                    let on_slab = |k| {
+                        let ((_, on_slab), args) = kernels.queued(k);
+                        (on_slab.expect("tile runs are partition-local"), args)
+                    };
+                    let accesses = tile_run.kernels.clone().map(|k| on_slab(k).0.accesses);
+                    (slab.lend)(accesses.sum());
+                    zero_tiles += tile_major(&slab.view, tile_run, n_qubits, &on_slab);
+                    add(tile_run.kernels.len());
                     fabric.sync();
                 }
             }
@@ -615,7 +572,7 @@ fn interpret<'a, F: Fabric>(
             }
         }
     }
-    Ok((cbits, (on_slab_runs.get(), view_runs.get(), zero_tiles)))
+    Ok((cbits, (on_slab_runs.get(), zero_tiles)))
 }
 
 /// Run one lowered segment on a single device — also how a sweep template
@@ -631,10 +588,11 @@ pub(crate) fn run_solo(
     let (re, im) = state.parts_mut();
     let solo = Solo(Slab {
         view: LocalView::new(re, im),
+        base: 0,
         n_pes: 1,
-        counters: None,
+        lend: &|_| (),
     });
-    let (cbits, (.., zero_tiles)) = interpret(&solo, seg, config, randoms, initial_cbits)?;
+    let (cbits, (_, zero_tiles)) = interpret(&solo, seg, config, randoms, initial_cbits)?;
     Ok((cbits, zero_tiles))
 }
 
@@ -651,26 +609,25 @@ pub(crate) fn run_solo(
 ///
 /// On both, every partition is plain memory for the walk (`shmem_ptr`,
 /// [`svsim_shmem::SharedF64Vec::as_cells`]): a partition-local kernel runs
-/// on the PE's own slab and the view's counts are credited per kernel, any
-/// other kernel
-/// borrows its runs from the owning partitions through the view, credited
-/// per run (module docs), the slab is swept tile-major over each of the
-/// segment's tile runs ([`interpret`]), and a relabeling exchange swaps
-/// in place through the lent partitions ([`ShmemView::exchange_pair`]) —
-/// unless the launch *observes individual words*: under the race detector, or a fault plan holding a `Put` / `Get`
-/// spec ([`FaultPlan::observes_transfers`]), nothing is lent and every access
-/// of every kernel and exchange is issued through the instrumented accessors
-/// so it can be recorded, counted or dropped. Both pass the barriers the plan
-/// puts: one per tile run, so the detector watches the epochs that run.
+/// on the PE's own slab, accounted for per kernel, any other kernel borrows
+/// its runs from the owning partitions through the view, accounted for per
+/// run (module docs), the slab is swept tile-major over each of the
+/// segment's tile runs, accounted for per run ([`interpret`]), and a
+/// relabeling exchange swaps in place through the lent partitions, each
+/// piece accounted for ([`ShmemView::exchange_pair`]). On scale-out each
+/// account is a [`ShmemCtx::borrow`], where the race detector traces the
+/// range and a fault plan's `Put` / `Get` specs count and fire: a launch
+/// under either walks this same walk, through the barriers the plan puts,
+/// and the detector watches the epochs that run.
 ///
 /// A PE hands back only its classical register and its walk's counts. The
 /// state stays on the symmetric heap: once the launch has joined and every
 /// PE has succeeded, the host reads both planes straight from the PEs'
 /// final partitions ([`svsim_shmem::SpmdOutput::heap`]) into `state`. The
-/// segment's classical bits, per-worker traffic, race reports,
-/// exchange count, respawn count, PE 0's slab-kernel and word-kernel
-/// counts and every PE's skipped zero tiles accumulate into `summary` (`summary.cbits` is also the segment's
-/// initial classical register).
+/// segment's classical bits, per-worker traffic, race reports, exchange
+/// count, respawn count, PE 0's slab-kernel count and every PE's skipped
+/// zero tiles accumulate into `summary` (`summary.cbits` is also the
+/// segment's initial classical register).
 ///
 /// `faults` is threaded into the SHMEM world on either backend; if any
 /// worker dies (injected or real), the barrier is poisoned, the whole
@@ -680,9 +637,9 @@ pub(crate) fn run_solo(
 ///
 /// The remaining knobs are scale-out only. With
 /// [`SimConfig::detect_races`] the launch runs under a fresh
-/// [`RaceDetector`]: every one-sided access is recorded against
-/// epoch-scoped shadow state, and any access-protocol violations come back
-/// in the summary without failing the run. The detector records accesses
+/// [`RaceDetector`]: every borrow is recorded against epoch-scoped shadow
+/// state, and any access-protocol violations come back in the summary
+/// without failing the run. The detector records accesses
 /// through in-process `Arc` shadow state, so it requires the thread
 /// backend.
 ///
@@ -726,7 +683,6 @@ pub(crate) fn run_partitioned(
     } else {
         None
     };
-    let per_word = detector.is_some() || faults.as_ref().is_some_and(|p| p.observes_transfers());
     let body = |ctx: &ShmemCtx<'_>| -> SvResult<(u64, WalkCounts)> {
         let pe = ctx.my_pe();
         let sym_re = ctx.malloc_f64(per_pe)?;
@@ -741,27 +697,26 @@ pub(crate) fn run_partitioned(
         ctx.try_barrier_all()?;
 
         let (re, im) = (&sym_re, &sym_im);
-        // `shmem_ptr`: unless the launch observes words, every partition is
-        // plain memory for the length of the walk, and the state vector is
-        // reached no other way. The walk keeps one owner per amplitude per
-        // barrier epoch: a kernel's share under `worker_range` touches
-        // amplitudes no other PE's share does (`traffic::partition_local`
-        // for the slab; for a boundary kernel the index sets the analyzer
-        // proves disjoint, its `ProvenSafe` verdict), a collapse touches the
-        // PE's own partition, and `interpret` passes the world barrier after
-        // every kernel outside a tile run (whose kernels touch the PE's own
-        // partition only), every tile run, collapse and exchange epoch — the
-        // epochs the analyzer proves. An exchange's one epoch reads and
-        // writes the words of the PE's share of its pair's swap, in its own
+        // `shmem_ptr`: every partition is plain memory for the length of the
+        // walk, and the state vector is reached no other way. The walk keeps
+        // one owner per amplitude per barrier epoch: a kernel's share under
+        // `worker_range` touches amplitudes no other PE's share does
+        // (`traffic::partition_local` for the slab; for a boundary kernel the
+        // index sets the analyzer proves disjoint, its `ProvenSafe` verdict),
+        // a collapse touches the PE's own partition, and `interpret` passes
+        // the world barrier after every kernel outside a tile run (whose
+        // kernels touch the PE's own partition only), every tile run,
+        // collapse and exchange epoch — the epochs the analyzer proves and
+        // the race detector checks. An exchange's one epoch reads and writes
+        // the words of the PE's share of its pair's swap, in its own
         // partition and its partner's, and no other PE touches them (the
         // pair splits its words in two, and pairing is an involution). That
         // barrier is an acquire-release arrival by every PE and then, by
-        // each, an acquire of the last arriver's release (`BarrierSm`,
-        // driven by `barrier::wait_epoch`), so each plain access of one epoch
-        // happens-before every access of the next, by whichever PE and
-        // through whichever accessor; the scatter above is fenced by
-        // `try_barrier_all` the same way, and the host reads the partitions
-        // only after the join (a thread join, or the reap of every process).
+        // each, an acquire of the last arriver's release (`BarrierSm`, driven
+        // by `barrier::wait_epoch`), so each plain access of one epoch
+        // happens-before every access of the next, by whichever PE; the
+        // scatter above is fenced by `try_barrier_all` the same way, and the
+        // host reads the partitions only after the join.
         let parts = re.partitions().iter().zip(im.partitions());
         // SAFETY: `as_cells` asks that no word be accessed through the cells
         // while another thread or process writes it without a happens-before
@@ -769,50 +724,45 @@ pub(crate) fn run_partitioned(
         // barrier's release/acquire edge between epochs (above) are that;
         // the cells never leave this PE's walk.
         #[allow(unsafe_code)]
-        let lent: Option<Vec<Plane<'_>>> = (!per_word)
-            .then(|| (parts.map(|(re, im)| unsafe { (re.as_cells(), im.as_cells()) })).collect());
-        // SAFETY: as above. In a launch that observes words, where the
-        // other PEs reach this partition through the instrumented accessors
-        // instead, only a collapse touches these cells: it touches this
-        // PE's own partition only, between world barriers, as the atomic
-        // accessors it replaces did — uncounted and untraced alike.
-        #[allow(unsafe_code)]
-        let own = unsafe { (re.partition(pe).as_cells(), im.partition(pe).as_cells()) };
-        let lent = lent.as_deref();
-        let slab = lent.map(|_| Slab {
-            view: LocalView::over(own),
+        let lent: Vec<Plane<'_>> = parts
+            .map(|(re, im)| unsafe { (re.as_cells(), im.as_cells()) })
+            .collect();
+        // A `ShmemView` moves two 8-byte words per amplitude access, a
+        // counted `PeerView` counts the amplitude once.
+        let borrowed = |n| ctx.borrow(&[re, im], pe, 0..per_pe, &[PeOp::Get, PeOp::Put], 2 * n, 8);
+        let counted = |n| ctx.counters().credit(false, n, 0);
+        let slab = Slab {
+            view: LocalView::over(lent[pe]),
+            base: (pe * per_pe) as u64,
             n_pes: n_pes as u64,
-            counters: Some((ctx.counters(), if scale_out { 2 } else { 1 })),
-        });
+            lend: if scale_out { &borrowed } else { &counted },
+        };
         let me = &Pe {
             ctx,
             re,
             im,
-            own: (LocalView::over(own), (pe * per_pe) as u64),
-            lent,
+            lent: &lent,
             slab,
         };
-        let (cbits, (on_slab, through_view, zero_tiles)) = if scale_out {
-            let view = &ShmemView::new(ctx, re, im).lending(lent);
-            let worker = Worker { me, view };
-            interpret(&worker, seg, config, randoms, initial_cbits)
+        let walked = if scale_out {
+            let view = &ShmemView::new(ctx, re, im).lending(&lent);
+            interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
         } else {
             let counters = Some(ctx.counters());
-            let view = &PeerView::new(re.partitions(), im.partitions(), pe, counters).lending(lent);
-            let worker = Worker { me, view };
-            interpret(&worker, seg, config, randoms, initial_cbits)
+            let view =
+                &PeerView::new(re.partitions(), im.partitions(), pe, counters).lending(&lent);
+            interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
         }?;
         ctx.try_barrier_all()?;
-        let by_word = if per_word { through_view } else { 0 };
-        Ok((cbits, (on_slab, by_word, zero_tiles)))
+        Ok(walked)
     };
     let out = if process {
         // Symmetric heap: re + im (per_pe each); result slot: the classical
-        // register and three counts, whatever the width.
+        // register and two counts, whatever the width.
         let opts = ProcOptions {
             respawn_max: config.respawn_max,
             hang_deadline_ms: u64::from(config.hang_deadline_ms),
-            ..ProcOptions::sized_for(2 * per_pe + 64, 4)
+            ..ProcOptions::sized_for(2 * per_pe + 64, 3)
         };
         svsim_shmem::launch_process(n_pes, &opts, faults, body)?
     } else if let Some(det) = &detector {
@@ -827,12 +777,11 @@ pub(crate) fn run_partitioned(
     // barrier" reports, whether the PE died or its body returned the error.
     let respawns = out.respawns.len();
     let out = out.flatten().into_result()?;
-    let (cbits, (on_slab, by_word, _)) = out.results[0];
+    let (cbits, (on_slab, _)) = out.results[0];
     summary.cbits = cbits;
     summary.slab_kernels += on_slab;
-    summary.word_kernels += by_word;
     // PEs skip different tiles: each walks its own partition's zeros.
-    summary.zero_tiles += out.results.iter().map(|(_, w)| w.2).sum::<usize>();
+    summary.zero_tiles += out.results.iter().map(|(_, w)| w.1).sum::<usize>();
     // Every PE succeeded: read the state straight from the symmetric
     // partitions they left (the body's two allocations), host-side and
     // with no fabric traffic. A remapped run left it in its final
@@ -1073,7 +1022,6 @@ mod tests {
                         assert_eq!(t.cbits, p.cbits, "{what}");
                         assert_eq!(t.remap_swaps, p.remap_swaps, "{what}");
                         assert_eq!(t.slab_kernels, p.slab_kernels, "{what}");
-                        assert_eq!(t.word_kernels, 0, "{what}");
                         // Whole-circuit segments hold long runs; three-op
                         // ones still pair up their tile-local kernels.
                         assert!(t.tile_runs > 0, "{what}");
@@ -1129,15 +1077,11 @@ mod tests {
     /// The sparse twin of the identity matrix above: from `|0...0>`, most
     /// tiles are all `+0.0` when a run reaches them, and the runs that keep
     /// zero skip them. At the nested widths, on every backend, the walk is
-    /// bit-identical to the kernel-major one and to the walks that observe
-    /// words (which never skip), every counter included; some tiles were
-    /// skipped, and some runs walked theirs because a kernel of theirs
-    /// writes `-0.0` (Y, Z, a phase or rotation of negative cosine).
+    /// bit-identical to the kernel-major one, every counter included; some
+    /// tiles were skipped, and some runs walked theirs because a kernel of
+    /// theirs writes `-0.0` (Y, Z, a phase or rotation of negative cosine).
     #[test]
     fn zero_tiles_are_skipped_bit_identically() {
-        use svsim_shmem::FaultAction;
-        use svsim_types::PeOp;
-        let never = Arc::new(FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0)));
         for (n, nested) in [(8u32, [3u32, 1]), (9, [4, 2]), (10, [5, 3])] {
             let circuit = gates_around_tiles(n, &nested, false);
             for backend in backends() {
@@ -1149,17 +1093,6 @@ mod tests {
                     let what = format!("{n} qubits, tiles of 2^{nested:?}, {config:?}");
                     let plain = walk(&circuit, &config, &[n], None);
                     let tiled = walk(&circuit, &config, &nested, None);
-                    let mut observed = Vec::new();
-                    if config.backend != BackendKind::SingleDevice {
-                        observed.push(walk(&circuit, &config, &nested, Some(never.clone())));
-                    }
-                    if matches!(config.backend, BackendKind::ScaleOut { .. }) {
-                        let detected = SimConfig {
-                            detect_races: true,
-                            ..config
-                        };
-                        observed.push(walk(&circuit, &detected, &nested, None));
-                    }
                     let t = &tiled.summary;
                     assert!(t.zero_tiles > 0, "{what}: nothing skipped");
                     assert!(tiled.unkept > 0, "{what}: every run keeps zero");
@@ -1172,58 +1105,193 @@ mod tests {
                         let rest = TrafficSnapshot { barriers: 0, ..*t };
                         assert_eq!(rest, TrafficSnapshot { barriers: 0, ..*p }, "{what}");
                     }
-                    for walked in &observed {
-                        let o = &walked.summary;
-                        assert_eq!(walked.state, tiled.state, "{what}: amplitudes");
-                        assert_eq!(o.cbits, t.cbits, "{what}");
-                        assert_eq!(o.traffic, t.traffic, "{what}: every counter");
-                        assert!(o.races.is_empty(), "{what}: {:?}", o.races);
-                        assert_eq!(o.zero_tiles, 0, "{what}: a walk with no slab skips");
-                    }
                 }
             }
         }
     }
 
-    /// A relabeling exchange in a launch that observes no word swaps through
-    /// the lent partitions; in one that observes words it
-    /// sends `get_slice` / `put_slice` messages. Both leave the same
-    /// partitions and count the same traffic on every PE, at every low
-    /// position: runs of 1 to 8 amplitudes, and longer ones.
+    /// Every partition of `re` and `im` as plain memory.
+    fn lend_all<'a>(re: &'a SymF64, im: &'a SymF64) -> Vec<Plane<'a>> {
+        let parts = re.partitions().iter().zip(im.partitions());
+        // SAFETY: as in `run_partitioned`: the walks below keep one owner
+        // per word per barrier epoch and pass a world barrier between epochs.
+        #[allow(unsafe_code)]
+        parts
+            .map(|(re, im)| unsafe { (re.as_cells(), im.as_cells()) })
+            .collect()
+    }
+
+    /// Launch a thread world of `n_pes` PEs over `start`, partitioned as
+    /// `run_partitioned` partitions it (two allocations, the scatter, one
+    /// barrier), and let every PE run `body` over the arrays and their lent
+    /// partitions; then one more barrier. Returns the state the PEs left,
+    /// as bits, and what each PE's `body` returned.
+    fn over_partitions<T: Send>(
+        start: &StateVector,
+        n_pes: usize,
+        body: impl Fn(&ShmemCtx<'_>, [&SymF64; 2], &[Plane<'_>]) -> T + Sync,
+    ) -> (Vec<u64>, Vec<T>) {
+        let per_pe = start.dim() / n_pes;
+        let out = svsim_shmem::launch(n_pes, |ctx| {
+            let pe = ctx.my_pe();
+            let at = pe * per_pe..(pe + 1) * per_pe;
+            let re = ctx.malloc_f64(per_pe).unwrap();
+            let im = ctx.malloc_f64(per_pe).unwrap();
+            re.partition(pe).store_slice(0, &start.re()[at.clone()]);
+            im.partition(pe).store_slice(0, &start.im()[at]);
+            ctx.barrier_all();
+            let walked = body(ctx, [&re, &im], &lend_all(&re, &im));
+            ctx.barrier_all();
+            walked
+        })
+        .unwrap();
+        let mut state = StateVector::zero_state(start.n_qubits()).unwrap();
+        let (re, im) = state.parts_mut();
+        crate::remap::unpermute_into(None, out.heap[0].partitions(), re);
+        crate::remap::unpermute_into(None, out.heap[1].partitions(), im);
+        let bits = state.re().iter().chain(state.im()).map(|x| x.to_bits());
+        (bits.collect(), out.results)
+    }
+
+    /// `2^n` amplitudes of assorted magnitudes and both signs.
+    fn assorted(n: u32) -> StateVector {
+        let mut rng = SvRng::seed_from_u64(u64::from(n));
+        let mut plane = || (0..1 << n).map(|_| rng.next_f64() - 0.5).collect();
+        StateVector::from_parts(n, plane(), plane()).unwrap()
+    }
+
+    /// The counters the instrumented word accessors keep are the reference
+    /// for what a lent walk accounts: every kernel of every `KernelId`, at
+    /// lowest qubits 0 to 5 and on the top three qubits of 10, with
+    /// operands on one side of the partition boundary and straddling it,
+    /// walked over 2, 4 and 8 partitions through a view that lends nothing
+    /// (`ShmemView::new`, `PeerView::new`: one counted word per access) and
+    /// through the lending view over the same partitions (runs borrowed, and
+    /// single amplitudes where no run is lent). Then the same kernels
+    /// through `run_partitioned`, which runs the partition-local ones on
+    /// each PE's slab. Amplitudes bit for bit, and on every PE every
+    /// counter, field by field: after each kernel for the views, and at the
+    /// end (barriers included) for the slab.
+    #[test]
+    fn lending_views_and_the_slab_count_what_the_word_accessors_count() {
+        use GateKind::*;
+        let n = 10u32;
+        let top = n - 1;
+        let kinds = [
+            X, Y, Z, H, T, RZ, RY, RX, U3, CX, CY, CH, CZ, CRZ, CRY, CRX, CU1, CCX, C4X, SWAP,
+            CSWAP, RZZ, RXX,
+        ];
+        let mut circuit = Circuit::new(n);
+        let mut rng = SvRng::seed_from_u64(10);
+        for kind in kinds {
+            for lowest in [0, 1, 2, 3, 4, 5, top - 2, top - 1, top] {
+                let k = kind.n_qubits();
+                let side: Vec<u32> = (lowest..n).take(k).collect();
+                let across: Vec<u32> = std::iter::once(lowest)
+                    .chain((lowest + 1..n).rev().take(k - 1))
+                    .collect();
+                for qubits in [side, across] {
+                    if qubits.len() < k {
+                        continue;
+                    }
+                    let params: Vec<f64> = (0..kind.n_params()).map(|_| rng.next_f64()).collect();
+                    let down: Vec<u32> = qubits.iter().rev().copied().collect();
+                    circuit.apply(kind, &qubits, &params).unwrap();
+                    circuit.apply(kind, &down, &params).unwrap();
+                }
+            }
+        }
+        let start = assorted(n);
+        let ops = circuit.ops();
+        for n_pes in [2usize, 4, 8] {
+            for config in [SimConfig::scale_out(n_pes), SimConfig::scale_up(n_pes)] {
+                let scale_out = matches!(config.backend, BackendKind::ScaleOut { .. });
+                let seg = build_segment(ops, 0, ops.len(), n, &config);
+                let ids: HashSet<KernelId> = seg.queue.iter().map(|cg| cg.id).collect();
+                assert_eq!(ids.len(), 11, "every KernelId: {ids:?}");
+                let walk_views = |lend: bool| {
+                    over_partitions(&start, n_pes, |ctx, [re, im], lent| {
+                        let pe = ctx.my_pe();
+                        let mut counted = Vec::new();
+                        for cg in &seg.queue {
+                            let share = worker_range(cg.args.work, n_pes as u64, pe as u64);
+                            if scale_out {
+                                let view = ShmemView::new(ctx, re, im);
+                                let view = if lend { view.lending(lent) } else { view };
+                                resolve::<ShmemView>(cg.id)(&view, &cg.args, share);
+                            } else {
+                                let parts = (re.partitions(), im.partitions());
+                                let view =
+                                    PeerView::new(parts.0, parts.1, pe, Some(ctx.counters()));
+                                let view = if lend { view.lending(lent) } else { view };
+                                resolve::<PeerView>(cg.id)(&view, &cg.args, share);
+                            }
+                            ctx.barrier_all();
+                            counted.push(ctx.counters().snapshot());
+                        }
+                        counted
+                    })
+                };
+                let (by_word, lent) = (walk_views(false), walk_views(true));
+                let what = format!("{config:?}");
+                assert_eq!(lent.0, by_word.0, "{what}: amplitudes");
+                for (pe, (l, w)) in lent.1.iter().zip(&by_word.1).enumerate() {
+                    for (k, (l, w)) in l.iter().zip(w).enumerate() {
+                        let cg = &seg.queue[k];
+                        assert_eq!(l, w, "{what}: PE {pe} after kernel {k}: {cg:?}");
+                    }
+                }
+
+                let mut state = start.clone();
+                let mut summary = RunSummary::new(0, 0);
+                run_partitioned(&mut state, &seg, &config, &[], None, &mut summary).unwrap();
+                let on_slab = seg
+                    .queue
+                    .iter()
+                    .filter(|cg| partition_local(cg, n, n_pes as u64));
+                assert!(summary.slab_kernels > 0, "{what}");
+                assert_eq!(summary.slab_kernels, on_slab.count(), "{what}");
+                let bits = state.re().iter().chain(state.im()).map(|x| x.to_bits());
+                assert_eq!(bits.collect::<Vec<_>>(), by_word.0, "{what}: amplitudes");
+                for (pe, (s, w)) in summary.traffic.iter().zip(&by_word.1).enumerate() {
+                    // The walk's last barrier comes after the last kernel's.
+                    let last = *w.last().unwrap();
+                    let barriers = last.barriers + 1;
+                    assert_eq!(*s, TrafficSnapshot { barriers, ..last }, "{what}: PE {pe}");
+                }
+            }
+        }
+    }
+
+    /// A relabeling exchange through the lending view swaps what the
+    /// per-word view's `get_slice` / `put_slice` messages swap and counts
+    /// what they count, on every PE, at every low position: runs of 1 to 8
+    /// amplitudes, and longer ones.
     #[test]
     fn lent_exchanges_move_and_count_what_the_messages_do() {
-        use svsim_shmem::FaultAction;
-        use svsim_types::PeOp;
         let n = 8;
-        let amplitudes: Vec<f64> = (0..1 << n).map(f64::from).collect();
-        let negated = amplitudes.iter().map(|x| -x).collect();
-        let start = StateVector::from_parts(n, amplitudes, negated).unwrap();
-        let observed =
-            Arc::new(FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0)));
+        let start = assorted(n);
+        let unmoved: Vec<u64> = start
+            .re()
+            .iter()
+            .chain(start.im())
+            .map(|x| x.to_bits())
+            .collect();
         let mut exchanges = 0;
         for n_pes in [2usize, 4] {
             let boundary = n - n_pes.trailing_zeros();
             for (lo, hi) in (0..boundary).flat_map(|lo| (boundary..n).map(move |hi| (lo, hi))) {
-                let seg = PlanSegment {
-                    start: 0,
-                    end: 0,
-                    steps: vec![Step::Exchange { lo, hi }],
-                    queue: Vec::new(),
-                    n_rand: 0,
-                    n_swaps: 1,
-                    final_layout: None,
-                    runs: Vec::new(),
+                let exchange = |lend: bool| {
+                    over_partitions(&start, n_pes, |ctx, [re, im], lent| {
+                        let view = ShmemView::new(ctx, re, im);
+                        let view = if lend { view.lending(lent) } else { view };
+                        view.exchange_pair(lo, hi, re, im);
+                        ctx.counters().snapshot()
+                    })
                 };
-                let exchange = |faults: Option<Arc<FaultPlan>>| {
-                    let mut state = start.clone();
-                    let mut summary = RunSummary::new(0, 0);
-                    let config = SimConfig::scale_out(n_pes);
-                    run_partitioned(&mut state, &seg, &config, &[], faults, &mut summary).unwrap();
-                    (state, summary.traffic)
-                };
-                let (lent, by_message) = (exchange(None), exchange(Some(Arc::clone(&observed))));
+                let (lent, by_message) = (exchange(true), exchange(false));
                 let what = format!("{n_pes} PEs, positions ({lo}, {hi})");
-                assert_ne!(lent.0, start, "{what}: nothing moved");
+                assert_ne!(lent.0, unmoved, "{what}: nothing moved");
                 assert_eq!(lent.0, by_message.0, "{what}");
                 assert_eq!(lent.1, by_message.1, "{what}");
                 exchanges += 1;
@@ -1232,8 +1300,47 @@ mod tests {
         assert_eq!(exchanges, 7 + 2 * 6);
     }
 
+    /// The race detector watches the lent walk: two PEs whose lending views
+    /// borrow the same run in one epoch are reported — the pair, the epoch,
+    /// and every word they share, from the first on. The planes are borrowed
+    /// and never touched.
+    #[test]
+    fn the_detector_names_two_pes_borrowing_one_run_in_one_epoch() {
+        use svsim_shmem::RaceAccess;
+        let det = RaceDetector::new(2).unwrap();
+        let out = svsim_shmem::launch_detected(2, None, Arc::clone(&det), |ctx| {
+            let re = ctx.malloc_f64(64).unwrap();
+            let im = ctx.malloc_f64(64).unwrap();
+            let lent = lend_all(&re, &im);
+            let view = ShmemView::new(ctx, &re, &im).lending(&lent);
+            let epoch = ctx.barrier_epoch();
+            // Words 40..48 of PE 1's partition, from either PE.
+            let (run, _) = view.run(64 + 40, 8).unwrap();
+            assert_eq!(run.len(), 8);
+            ctx.barrier_all();
+            epoch
+        })
+        .unwrap()
+        .into_result()
+        .unwrap();
+        let epoch = out.results[0];
+        assert_eq!(out.results[1], epoch);
+        let reports = det.take_reports();
+        assert!(!reports.is_empty(), "the shared run went unseen");
+        for r in &reports {
+            let pair = |a: RaceAccess, b: RaceAccess| [a.pe.min(b.pe), a.pe.max(b.pe)];
+            assert_eq!(pair(r.first, r.second), [0, 1], "{r}");
+            assert_eq!((r.owner_pe, r.epoch), (1, epoch), "{r}");
+            assert!((40..48).contains(&r.index), "{r}");
+        }
+        let words: HashSet<usize> = reports.iter().map(|r| r.index).collect();
+        assert_eq!(words, (40..48).collect(), "every shared word");
+        assert_eq!(reports.iter().map(|r| r.index).min(), Some(40));
+    }
+
     /// A relabeling exchange of positions `(lo, hi)` is the gate SWAP(lo,
-    /// hi): on thread PEs and forked ones, lent and observed, it leaves
+    /// hi): on thread PEs and forked ones, with a fault plan attached (its
+    /// `Get` spec counting every borrow and never firing) or not, it leaves
     /// exactly the amplitudes a single device's SWAP leaves, and moves the
     /// remote bytes `exchange_traffic` predicts. Also where a partition is
     /// two amplitudes and one PE of each pair swaps its one pair alone.
@@ -1241,7 +1348,6 @@ mod tests {
     fn an_exchange_is_a_swap() {
         use crate::traffic::exchange_traffic;
         use svsim_shmem::FaultAction;
-        use svsim_types::PeOp;
         let observed =
             Arc::new(FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0)));
         let process = SimConfig {
@@ -1333,77 +1439,30 @@ mod tests {
             assert_eq!(untiled.state, tiled.state, "{config:?}");
             assert_eq!(untiled.summary.cbits, tiled.summary.cbits, "{config:?}");
         }
-        // A launch that observes words has no slab, but keeps the plan's
-        // tile runs: it walks their kernels word by word.
+        // The race detector watches the walk a plain launch takes: the same
+        // tile runs on the same slab, the same counters, no race.
         let observed = SimConfig {
             detect_races: true,
             ..SimConfig::scale_out(2)
         };
-        let word_by_word = walk(&circuit, &observed, &[3], None);
+        let detected = walk(&circuit, &observed, &[3], None);
         let (s, plain) = (
-            &word_by_word.summary,
+            &detected.summary,
             walk(&circuit, &SimConfig::scale_out(2), &[3], None).summary,
         );
-        assert!(s.tile_runs > 0);
+        assert!(s.tile_runs > 0 && s.slab_kernels > 0);
+        assert!(s.races.is_empty(), "{:?}", s.races);
         assert_eq!(
-            (s.tile_runs, s.tiled_kernels),
-            (plain.tile_runs, plain.tiled_kernels)
+            (s.tile_runs, s.tiled_kernels, s.slab_kernels, s.zero_tiles),
+            (
+                plain.tile_runs,
+                plain.tiled_kernels,
+                plain.slab_kernels,
+                plain.zero_tiles
+            )
         );
         assert_eq!(s.traffic, plain.traffic);
-        assert_eq!(s.slab_kernels, 0);
-        assert_eq!(word_by_word.state, tiled.state);
+        assert_eq!(detected.state, tiled.state);
         assert_eq!(s.cbits, tiled.summary.cbits);
-    }
-
-    /// A launch that observes individual words — a `Get` fault plan that never
-    /// fires, or the race detector — runs the plan's tile runs kernel after
-    /// kernel through the view instead of tile-major on a slab, and passes
-    /// the same barriers: one per run. Amplitudes, classical bits and every
-    /// per-PE counter, barriers included, equal the plain walk's, and the
-    /// detector finds no race in the coarser epochs.
-    #[test]
-    fn observed_walks_keep_the_plans_tile_runs_and_barriers() {
-        use svsim_shmem::FaultAction;
-        use svsim_types::PeOp;
-        let never = Arc::new(FaultPlan::new().with(0, PeOp::Get, u64::MAX, FaultAction::Delay(0)));
-        let mut runs = 0;
-        for (n, nested) in [(6u32, [5u32, 3]), (8, [3, 1]), (10, [5, 3])] {
-            let circuit = circuit_around_tiles(n, &nested);
-            for backend in backends().into_iter().skip(1) {
-                for checkpoint_every in [0, 3] {
-                    let config = SimConfig {
-                        checkpoint_every,
-                        ..backend
-                    };
-                    let what = format!("{n} qubits, tiles of 2^{nested:?}, {config:?}");
-                    let plain = walk(&circuit, &config, &nested, None);
-                    let mut observed = vec![walk(&circuit, &config, &nested, Some(never.clone()))];
-                    if matches!(config.backend, BackendKind::ScaleOut { .. }) {
-                        let detected = SimConfig {
-                            detect_races: true,
-                            ..config
-                        };
-                        observed.push(walk(&circuit, &detected, &nested, None));
-                    }
-                    let p = &plain.summary;
-                    assert!(p.tile_runs > 0 && p.word_kernels == 0, "{what}");
-                    for walked in &observed {
-                        let o = &walked.summary;
-                        assert_eq!(walked.state, plain.state, "{what}: amplitudes");
-                        assert_eq!(o.cbits, p.cbits, "{what}");
-                        assert_eq!(o.traffic, p.traffic, "{what}: every counter");
-                        assert!(o.races.is_empty(), "{what}: {:?}", o.races);
-                        assert_eq!(
-                            (o.tile_runs, o.tiled_kernels),
-                            (p.tile_runs, p.tiled_kernels)
-                        );
-                        assert_eq!(o.slab_kernels, 0, "{what}");
-                        assert!(o.word_kernels >= p.slab_kernels, "{what}");
-                    }
-                    runs += p.tile_runs;
-                }
-            }
-        }
-        assert!(runs > 100, "{runs} tile runs");
     }
 }

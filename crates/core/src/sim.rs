@@ -191,26 +191,19 @@ pub struct RunSummary {
     pub respawns: usize,
     /// Kernels PE 0 ran on its own slab as plain memory rather than through
     /// the backend's view (every PE decides alike, so PE 0 speaks for all),
-    /// summed over segments. 0 on a single device, and on a launch that
-    /// observes individual words — the race detector, or a fault plan
-    /// holding a `Put` / `Get` spec.
+    /// summed over segments; the others borrowed their runs from the owning
+    /// partitions. 0 on a single device. The race detector and fault plans
+    /// change nothing here: they observe the same walk.
     pub slab_kernels: usize,
-    /// Kernels PE 0 issued word by word through the backend's view, each
-    /// access counted, traced and fault-checked on its own: every kernel of
-    /// a launch that observes individual words, none of any other launch —
-    /// there the kernels that are not in `slab_kernels` borrowed their runs
-    /// from the owning partitions as plain memory.
-    pub word_kernels: usize,
     /// Tile runs of the segments executed: maximal runs of two or more
     /// consecutive tile-local kernels, which the lowering groups under one
     /// barrier and a walker sweeps tile by tile over its own memory, one
-    /// pass per run instead of one per kernel (a launch that observes
-    /// individual words walks them word by word, and passes the same
-    /// barriers). Runs are lowered at the widest of
-    /// [`crate::traffic::TILE_QUBITS`] narrower than a walker's own memory:
-    /// 2^15 amplitudes where that memory is wider, else 2^11 (a 2-PE slab of
-    /// 16 qubits). Summed over segments; 0 when a walker's memory is no wider
-    /// than 2^11 amplitudes and under [`DispatchMode::RuntimeParse`].
+    /// pass per run instead of one per kernel. Runs are lowered at the
+    /// widest of [`crate::traffic::TILE_QUBITS`] narrower than a walker's
+    /// own memory: 2^15 amplitudes where that memory is wider, else 2^11 (a
+    /// 2-PE slab of 16 qubits). Summed over segments; 0 when a walker's
+    /// memory is no wider than 2^11 amplitudes and under
+    /// [`DispatchMode::RuntimeParse`].
     pub tile_runs: usize,
     /// Kernels inside those tile runs.
     pub tiled_kernels: usize,
@@ -227,7 +220,7 @@ pub struct RunSummary {
     /// `+0.0` to `+0.0` bit for bit, leaves the run as it entered. Summed
     /// over segments and walkers (PEs skip different tiles). The traffic
     /// counters still credit every kernel of a skipped tile. 0 when
-    /// `tile_runs` is, and on a launch that observes individual words.
+    /// `tile_runs` is.
     pub zero_tiles: usize,
 }
 
@@ -1278,6 +1271,68 @@ mod tests {
                 assert_eq!(sim.state_checksum(), reference.state_checksum());
                 assert_eq!(sim.state().re(), reference.state().re());
                 assert_eq!(sim.state().im(), reference.state().im());
+            }
+        }
+    }
+
+    /// `Put` faults strike the walk every run takes: `dnn_layers(10, 2)` at
+    /// 2 PEs runs most of its kernels on the PEs' slabs and the rest on runs
+    /// lent across the boundary, each a borrow that a `Put` spec counts. On
+    /// thread and process PEs, a kill at PE 1's 40th `Put` (in the third of
+    /// five segments) is a typed `PeFailed` — `Put` on a thread, the real
+    /// `SIGKILL` on a process — and a dropped one moves its words but fails
+    /// the PE at its next barrier, `PeFailed { op: Put }` on both. Either
+    /// way the host state is the last checkpoint's bit for bit, and the
+    /// resume is bit-identical to the fault-free run.
+    #[test]
+    fn put_faults_strike_the_lent_walk_and_resume_bit_identically() {
+        use svsim_shmem::{FaultAction, FaultPlan, ShmemBackend};
+        use svsim_types::PeOp;
+
+        let c = svsim_workloads::qnn::dnn_layers(10, 2, 3).unwrap();
+        for shmem_backend in [ShmemBackend::Thread, ShmemBackend::Process] {
+            let config = SimConfig {
+                seed: 5,
+                checkpoint_every: 16,
+                shmem_backend,
+                ..SimConfig::scale_out(2)
+            };
+            let mut reference = Simulator::new(10, config).unwrap();
+            let ref_summary = reference.run(&c).unwrap();
+            assert!(ref_summary.slab_kernels > 0);
+            for action in [FaultAction::Kill, FaultAction::Drop] {
+                let what = format!("{shmem_backend:?} {action:?}");
+                let plan = Arc::new(FaultPlan::new().with(1, PeOp::Put, 40, action));
+                let mut sim = Simulator::new(10, config).unwrap();
+                sim.set_fault_plan(Some(plan.clone()));
+                let op = match sim.run(&c).unwrap_err() {
+                    SvError::PeFailed { pe: 1, op } => op,
+                    other => panic!("{what}: {other:?}"),
+                };
+                // A forked PE's kill is a real SIGKILL, which the parent reaps.
+                let sigkill = action == FaultAction::Kill && shmem_backend == ShmemBackend::Process;
+                assert!(
+                    if sigkill {
+                        matches!(op, PeOp::Term { signal: 9, .. })
+                    } else {
+                        op == PeOp::Put
+                    },
+                    "{what}: {op:?}"
+                );
+                assert_eq!(plan.armed_remaining(), 0, "{what}");
+                let cp = sim.checkpoint().expect("two segments committed");
+                assert_eq!(cp.op_index(), 32, "{what}");
+                let now =
+                    Checkpoint::capture(32, cp.cbits(), &SvRng::seed_from_u64(0), sim.state());
+                assert_eq!(
+                    now.checksum(),
+                    cp.checksum(),
+                    "{what}: the failed segment leaked"
+                );
+                let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
+                assert_eq!(summary.cbits, ref_summary.cbits, "{what}");
+                assert_eq!(sim.state().re(), reference.state().re(), "{what}");
+                assert_eq!(sim.state().im(), reference.state().im(), "{what}");
             }
         }
     }

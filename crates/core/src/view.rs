@@ -17,13 +17,15 @@
 //! each run as plain memory ([`StateView::run`]): a `LocalView` lends
 //! sub-slices of itself. The partitioned views built by `new` lend nothing —
 //! every access is one `get` or `set`, counted (and on scale-out traced and
-//! fault-checked) word by word — while the ones the executor builds for a
-//! launch that observes no individual word lend each run from the partition
-//! that owns it (`shmem_ptr`; [`Plane`]) and credit the counters in bulk. A
-//! PE's own partition is then simply a `LocalView` over its lent planes.
+//! fault-checked) word by word — while the ones the executor builds lend
+//! each run from the partition that owns it (`shmem_ptr`; [`Plane`]), each
+//! accounted for once: on scale-out by a [`ShmemCtx::borrow`]. A PE's own
+//! partition is then simply a `LocalView` over its lent planes.
 
 use std::cell::Cell;
+use std::ops::Range;
 use svsim_shmem::{PeCounters, SharedF64Vec, ShmemCtx, SymF64};
+use svsim_types::PeOp;
 
 /// One partition's real and imaginary words lent as plain memory
 /// ([`SharedF64Vec::as_cells`]).
@@ -222,8 +224,9 @@ impl<'a> PeerView<'a> {
     /// Given `lent`, the same partitions as plain memory, also lend runs out
     /// of them, crediting one get and one put of 16 bytes per lent amplitude.
     #[must_use]
-    pub(crate) fn lending(self, lent: Option<&'a [Plane<'a>]>) -> Self {
-        assert!(lent.is_none_or(|lent| lent.len() == self.re_parts.len()));
+    pub(crate) fn lending(self, lent: &'a [Plane<'a>]) -> Self {
+        assert_eq!(lent.len(), self.re_parts.len());
+        let lent = Some(lent);
         Self { lent, ..self }
     }
 }
@@ -299,22 +302,28 @@ impl<'a, 'w> ShmemView<'a, 'w> {
     }
 
     /// Given `lent`, the same partitions as plain memory, reach every
-    /// amplitude through them instead of the ctx's instrumented accessors —
-    /// runs lent whole, single amplitudes dereferenced — crediting the PE's
-    /// counters with the two 8-byte words per amplitude and direction the
-    /// ctx would have counted. For a launch that observes no individual word.
+    /// amplitude through them instead of the ctx's word accessors — runs
+    /// lent whole, single amplitudes dereferenced — each run or amplitude
+    /// one [`ShmemCtx::borrow`] that counts the two 8-byte words per
+    /// amplitude and direction the accessors would have counted.
     #[must_use]
-    pub(crate) fn lending(self, lent: Option<&'a [Plane<'a>]>) -> Self {
-        assert!(lent.is_none_or(|lent| lent.len() == self.ctx.n_pes()));
+    pub(crate) fn lending(self, lent: &'a [Plane<'a>]) -> Self {
+        assert_eq!(lent.len(), self.ctx.n_pes());
+        let lent = Some(lent);
         Self { lent, ..self }
     }
 
-    /// The partition holding `idx`, the offset in it, and whether it is
-    /// another PE's.
+    /// The partition holding `idx` and the offset in it.
     #[inline]
-    fn locate(&self, idx: u64) -> (usize, usize, bool) {
-        let pe = (idx >> self.shift) as usize;
-        (pe, (idx & self.mask) as usize, pe != self.ctx.my_pe())
+    fn locate(&self, idx: u64) -> (usize, usize) {
+        ((idx >> self.shift) as usize, (idx & self.mask) as usize)
+    }
+
+    /// [`ShmemCtx::borrow`] of words `words` of `pe`'s partition of both
+    /// planes, as `n` messages of `bytes` each way.
+    #[inline]
+    fn borrow(&self, pe: usize, words: Range<usize>, ops: &[PeOp], n: u64, bytes: u64) {
+        ShmemCtx::borrow(self.ctx, &[self.re, self.im], pe, words, ops, n, bytes);
     }
 }
 
@@ -339,11 +348,11 @@ impl<'a> ShmemView<'a, '_> {
     /// exactly one accessor, the PE whose share holds it, and pairing is an
     /// involution, so no third PE comes near the pair's words.
     ///
-    /// A view the executor builds for a launch that observes no individual
-    /// word lends the partitions as plain memory: it swaps each piece by
-    /// plain loads and stores through them instead, in the same epoch with
-    /// the same barrier, and credits the PE's counters in bulk with exactly
-    /// what the messages count.
+    /// A view the executor builds lends the partitions as plain memory: it
+    /// swaps each piece by plain loads and stores through them instead, in
+    /// the same epoch with the same barrier, after borrowing both sides of
+    /// the piece ([`ShmemCtx::borrow`]: fault point, race trace, and exactly
+    /// what the side's two messages count).
     ///
     /// `_xch_re` / `_xch_im` are unused: the swap needs no staging buffer.
     /// They are kept so existing callers that still allocate one compile.
@@ -369,8 +378,11 @@ impl<'a> ShmemView<'a, '_> {
         let pieces = (share.step_by(piece)).map(|w| (at(w, !my_hi), at(w, my_hi)));
         if let Some(lent) = self.lent {
             let side = |(re, im): Plane<'a>, at: usize| re[at..at + piece].iter().zip(&im[at..]);
-            let mut n_pieces = 0;
             for (m, t) in pieces {
+                for (owner, at) in [(pe, m), (partner, t)] {
+                    let words = at..at + piece;
+                    self.borrow(owner, words, &[PeOp::Get, PeOp::Put], 2, 8 * piece as u64);
+                }
                 for ((xr, xi), (yr, yi)) in side(lent[pe], m).zip(side(lent[partner], t)) {
                     let (r, i) = (xr.get(), xi.get());
                     xr.set(yr.get());
@@ -378,12 +390,6 @@ impl<'a> ShmemView<'a, '_> {
                     yr.set(r);
                     yi.set(i);
                 }
-                n_pieces += 1;
-            }
-            let (messages, counters) = (2 * n_pieces, self.ctx.counters());
-            for remote in [false, true] {
-                counters.count_gets(remote, messages, 8 * piece as u64);
-                counters.count_puts(remote, messages, 8 * piece as u64);
             }
         } else {
             let (mut x, mut y) = (vec![0.0f64; piece], vec![0.0f64; piece]);
@@ -408,12 +414,10 @@ impl StateView for ShmemView<'_, '_> {
 
     #[inline]
     fn get(&self, idx: u64) -> (f64, f64) {
-        let (pe, off, remote) = self.locate(idx);
+        let (pe, off) = self.locate(idx);
         match self.lent {
             Some(lent) => {
-                let counters = self.ctx.counters();
-                counters.count_get(remote, 8);
-                counters.count_get(remote, 8);
+                self.borrow(pe, off..off + 1, &[PeOp::Get], 2, 8);
                 (lent[pe].0[off].get(), lent[pe].1[off].get())
             }
             None => (
@@ -425,12 +429,10 @@ impl StateView for ShmemView<'_, '_> {
 
     #[inline]
     fn set(&self, idx: u64, re: f64, im: f64) {
-        let (pe, off, remote) = self.locate(idx);
+        let (pe, off) = self.locate(idx);
         match self.lent {
             Some(lent) => {
-                let counters = self.ctx.counters();
-                counters.count_put(remote, 8);
-                counters.count_put(remote, 8);
+                self.borrow(pe, off..off + 1, &[PeOp::Put], 2, 8);
                 lent[pe].0[off].set(re);
                 lent[pe].1[off].set(im);
             }
@@ -444,8 +446,9 @@ impl StateView for ShmemView<'_, '_> {
     #[inline]
     fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
         let (pe, (re, im)) = lend(self.lent?, self.shift, start, max)?;
-        let counters = self.ctx.counters();
-        counters.credit(pe != self.ctx.my_pe(), 2 * re.len() as u64, 8);
+        let (off, len) = ((start & self.mask) as usize, re.len());
+        let read_write = [PeOp::Get, PeOp::Put];
+        self.borrow(pe, off..off + len, &read_write, 2 * len as u64, 8);
         Some((re, im))
     }
 
@@ -519,7 +522,7 @@ mod tests {
             .map(|(re, im)| (cells(re), cells(im)))
             .collect();
         let counters = PeCounters::default();
-        let v = PeerView::new(&parts_re, &parts_im, 1, Some(&counters)).lending(Some(&lent));
+        let v = PeerView::new(&parts_re, &parts_im, 1, Some(&counters)).lending(&lent);
         let (r, i) = v.run(4, 64).unwrap();
         assert_eq!((r.len(), i.len()), (28, 28), "partition 0 ends at 32");
         assert_eq!((r[0].get(), i[3].get()), (4.0, -7.0));
@@ -550,7 +553,7 @@ mod tests {
                 0..args.work,
             );
             kernel(
-                &PeerView::new(&parts_re, &parts_im, 1, Some(&bulk)).lending(Some(&lent)),
+                &PeerView::new(&parts_re, &parts_im, 1, Some(&bulk)).lending(&lent),
                 args,
                 0..args.work,
             );
@@ -582,7 +585,7 @@ mod tests {
             .zip(&mut im)
             .map(|(re, im)| (cells(re), cells(im)))
             .collect();
-        let v = PeerView::new(&parts_re, &parts_im, 1, None).lending(Some(&lent));
+        let v = PeerView::new(&parts_re, &parts_im, 1, None).lending(&lent);
         assert!(v.run(0, 4).is_none());
     }
 

@@ -13,6 +13,12 @@
 //! a checkpointed run executed segment by segment still hits "the Nth put
 //! of the whole run", even when that put happens in a later segment.
 //!
+//! A `Put` / `Get` spec counts **messages**, not words: one per accessor
+//! call and one per op of each [`crate::world::ShmemCtx::borrow`] — per lent
+//! run, lone amplitude, exchange piece side, and kernel or tile run on a
+//! PE's slab. A dropped borrow still moves its words; the PE fails at its
+//! next barrier all the same.
+//!
 //! Faults are **one-shot**: a spec disarms after it fires, so a retried job
 //! (same plan, new launch) does not deterministically re-hit the same fault
 //! and can make progress — modeling "the node crashed once", not "the node
@@ -214,17 +220,6 @@ impl FaultPlan {
         self.specs.iter().filter(|s| s.is_armed()).count()
     }
 
-    /// True when some spec triggers on a one-sided transfer ([`PeOp::Put`]
-    /// or [`PeOp::Get`]), fired or not. Such a plan counts individual
-    /// transfers in a PE's program order, so a launch under it has to issue
-    /// every one of them through the instrumented accessors.
-    #[must_use]
-    pub fn observes_transfers(&self) -> bool {
-        self.specs
-            .iter()
-            .any(|s| matches!(s.op, PeOp::Put | PeOp::Get))
-    }
-
     /// Re-arm every spec and rewind its operation count (e.g. to replay
     /// the same schedule in a new run).
     pub fn rearm(&self) {
@@ -312,10 +307,6 @@ mod tests {
         let plan = FaultPlan::new()
             .with(0, PeOp::Put, 2, FaultAction::Hang)
             .with(None, PeOp::Checkpoint, 1, FaultAction::TornCheckpoint);
-        assert!(plan.observes_transfers());
-        assert!(!FaultPlan::new()
-            .with(0, PeOp::Barrier, 1, FaultAction::Kill)
-            .observes_transfers());
         assert_eq!(plan.check(0, PeOp::Put), None);
         assert_eq!(plan.check(0, PeOp::Put), Some(FaultAction::Hang));
         assert_eq!(

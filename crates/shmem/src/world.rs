@@ -234,6 +234,8 @@ pub struct World {
     coll: SharedF64Vec,
     /// Injected-fault schedule, if this world runs under fault injection.
     faults: Option<Arc<FaultPlan>>,
+    /// A fault plan or a race detector is attached ([`ShmemCtx::borrow`]).
+    observed: bool,
 }
 
 impl World {
@@ -244,6 +246,7 @@ impl World {
     ) -> Self {
         Self {
             n_pes,
+            observed: faults.is_some() || detector.is_some(),
             substrate: Substrate::Thread {
                 barrier: SenseBarrier::new(n_pes),
                 heap: Mutex::new(Vec::new()),
@@ -266,6 +269,7 @@ impl World {
             metrics: pw.metrics_table(),
             coll: pw.coll_f64(),
             substrate: Substrate::Process(pw),
+            observed: faults.is_some(),
             faults,
         }
     }
@@ -608,6 +612,47 @@ impl<'w> ShmemCtx<'w> {
         self.counters()
             .count_put(dst_pe != self.pe, 8 * src.len() as u64);
         sym.bufs[dst_pe].store_slice(start, src);
+    }
+
+    /// One instrumented borrow: the caller is about to reach words `words`
+    /// of PE `pe`'s partition of each of `syms` as plain memory
+    /// ([`SharedF64Vec::as_cells`]) instead of through the accessors above.
+    /// Each op of `ops` ([`PeOp::Get`] to read them, else [`PeOp::Put`]) is
+    /// what one accessor call is: a fault point, the race trace over the
+    /// range, and `messages` transfers of `bytes` bytes on the counters. A
+    /// dropped borrow still moves its words; the PE fails at its next
+    /// barrier. With no fault plan and no detector attached, the fault point
+    /// and the trace cost one branch.
+    #[inline]
+    pub fn borrow(
+        &self,
+        syms: &[&SymF64],
+        pe: usize,
+        words: std::ops::Range<usize>,
+        ops: &[PeOp],
+        messages: u64,
+        bytes: u64,
+    ) {
+        if self.world.observed {
+            for &op in ops {
+                self.transfer_fault(op);
+                for sh in syms.iter().filter_map(|sym| sym.shadow.as_deref()) {
+                    if op == PeOp::Get {
+                        self.trace_read_slow(sh, pe, words.start, words.len());
+                    } else {
+                        self.trace_write_slow(sh, pe, words.start, words.len());
+                    }
+                }
+            }
+        }
+        let (counters, remote) = (self.counters(), pe != self.pe);
+        for &op in ops {
+            if op == PeOp::Get {
+                counters.count_gets(remote, messages, bytes);
+            } else {
+                counters.count_puts(remote, messages, bytes);
+            }
+        }
     }
 
     /// All-reduce sum over one f64 contribution per PE
@@ -1330,6 +1375,47 @@ mod tests {
                 let again = on.launch(N, Some(Arc::clone(&plan)), hammer).flatten();
                 assert!(again.first_failure().is_none(), "{on:?} at {at}: {again:?}");
             }
+        }
+    }
+
+    /// A borrow is an accessor call without the data movement: it counts
+    /// what it is told to (a read-modify-write of 4 words of the right
+    /// neighbour's partition, as two messages each way), and under a
+    /// dropped `Put` the words the caller then writes through the partition
+    /// still land, while the PE fails at its next barrier and poisons it
+    /// for its peer — on both substrates.
+    #[test]
+    fn a_borrow_counts_and_a_dropped_one_still_moves_its_words() {
+        let rmw = [PeOp::Get, PeOp::Put];
+        for on in BOTH {
+            let plan = Arc::new(FaultPlan::new().with(1, PeOp::Put, 1, FaultAction::Drop));
+            let out = on.launch(2, Some(plan), |ctx| {
+                let sym = ctx.malloc_f64(8)?;
+                let right = 1 - ctx.my_pe();
+                ctx.borrow(&[&sym], right, 2..6, &rmw, 2, 16);
+                sym.partition(right)
+                    .store_slice(2, &[1.0 + ctx.my_pe() as f64; 4]);
+                ctx.try_barrier_all()
+            });
+            let t = &out.traffic[0];
+            assert_eq!((t.remote_gets, t.remote_puts), (2, 2), "{on:?}");
+            assert_eq!((t.remote_get_bytes, t.remote_put_bytes), (32, 32), "{on:?}");
+            match &out.results[0] {
+                Ok(Err(SvError::Shmem(msg))) => assert!(msg.contains("poisoned"), "{msg}"),
+                other => panic!("{on:?}: PE 0: {other:?}"),
+            }
+            let failed = SvError::PeFailed {
+                pe: 1,
+                op: PeOp::Put,
+            };
+            assert!(
+                matches!(&out.results[1], Ok(Err(e)) if *e == failed),
+                "{on:?}: {:?}",
+                out.results
+            );
+            let mut moved = [0.0; 4];
+            out.heap[0].partition(0).load_slice(2, &mut moved);
+            assert_eq!(moved, [2.0; 4], "{on:?}: the dropped borrow's words");
         }
     }
 

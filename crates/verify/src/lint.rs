@@ -23,9 +23,9 @@
 //!   directly (the workspace links no libc crate; `proc.rs` declares
 //!   the handful of syscalls it needs itself).
 //! - **R4 `accessor-manifest`** — every one-sided `ShmemCtx` data-plane
-//!   accessor is instrumented: a fault injection point
-//!   (`transfer_fault`), the race-detector hook (`trace_*`), and the
-//!   traffic counter (`count_*`), checked
+//!   accessor, and the borrow a partitioned walk accounts through, is
+//!   instrumented: a fault injection point (`transfer_fault`), the race
+//!   hook (`trace_*`), and the traffic counter (`count_*`), checked
 //!   against the manifest below. Any function touching partition
 //!   buffers (`.bufs`) that is *not* in the manifest is flagged, so an
 //!   uninstrumented accessor cannot be added silently.
@@ -119,9 +119,9 @@ impl LintReport {
 /// raw-process substrate of the shmem crate, the benchmark binary's
 /// counting `GlobalAlloc` (a trait that cannot be implemented without
 /// `unsafe`; it only forwards to `System`), and the partitioned executor,
-/// which is where a launch is known not to observe words and so where
+/// whose one walk lends every partition as plain memory, and so is where
 /// `SharedF64Vec::as_cells` (the `shmem_ptr` analog, an `unsafe fn`) is
-/// called, each site under its SAFETY argument (R2); and the kernel layer,
+/// called, under its SAFETY argument (R2); and the kernel layer,
 /// whose one `unsafe` (in the `kernel!` macro) is the call from a function
 /// compiled at the build's baseline into the same body compiled under a
 /// wider `#[target_feature]`, sound because the feature was detected on the
@@ -139,9 +139,9 @@ const ALLOW_UNSAFE: &[&str] = &[
 const ALLOW_FFI: &[&str] = &["crates/shmem/src/proc.rs"];
 
 /// The `ShmemCtx` accessor instrumentation manifest (R4): every
-/// one-sided data-plane accessor and the instrumentation calls its body
-/// must contain: the fault point (a transfer can be dropped), the race
-/// trace and the traffic counter.
+/// one-sided data-plane accessor (and the walk's `borrow`) with the calls
+/// its body must contain: the fault point (a transfer can be dropped), the
+/// race trace and the traffic counter.
 const ACCESSOR_MANIFEST: &[(&str, &[&str])] = &[
     ("get_f64", &["transfer_fault", "trace_read", "count_get"]),
     ("put_f64", &["transfer_fault", "trace_write", "count_put"]),
@@ -153,6 +153,15 @@ const ACCESSOR_MANIFEST: &[(&str, &[&str])] = &[
         "put_slice_f64",
         &["transfer_fault", "trace_write_slow", "count_put"],
     ),
+    (
+        "borrow",
+        &[
+            "transfer_fault",
+            "trace_read_slow",
+            "trace_write_slow",
+            "count_",
+        ],
+    ),
 ];
 
 /// Functions allowed to reach partition words *without* instrumentation
@@ -160,15 +169,14 @@ const ACCESSOR_MANIFEST: &[(&str, &[&str])] = &[
 /// one PE's partition or the whole peer pointer table; `as_cells` (an
 /// `unsafe fn` of `SharedF64Vec`, so R1 and R2 confine and justify its call
 /// sites) turns a partition's words into plain memory. What is true of
-/// them: in a launch that does not observe individual words, a kernel's
-/// share may borrow any partition's words as plain memory for one barrier
-/// epoch — its own partition whole (the slab), or a contiguous run out of
-/// whichever partition owns it — and the PE's counters are credited in
-/// bulk, per kernel or per run, with exactly what the instrumented
-/// accessors would have counted; scale-up's `PeerView` is plain memory by
-/// design (§3.2.2) and counts for itself. A launch that observes words
-/// (race detector, put/get fault specs) borrows nothing: every access of
-/// every kernel goes through the manifested accessors above.
+/// them: the partitioned walk — the one walk, plain or under a fault plan
+/// or the race detector — lets a kernel's share reach any partition's
+/// words as plain memory for one barrier epoch: its own partition whole
+/// (the slab), or a contiguous run out of whichever partition owns it. On
+/// scale-out each such reach, each kernel or tile run on the slab and each
+/// side of an exchange piece is one call of the manifested `borrow`, which
+/// fault-checks, traces and counts it as the accessors would; scale-up's
+/// `PeerView` is plain memory by design (§3.2.2) and counts for itself.
 const LOCAL_ACCESS_ALLOW: &[&str] = &["partition", "partitions", "as_cells"];
 
 /// Run every applicable rule over the `.rs` files under `root`.

@@ -78,8 +78,9 @@ cargo run --release --quiet -- analyze --suite --pes 8 --detect --max-qubits 12 
 # only tile runs in their epochs are the 2^11-wide runs of slabs wider than
 # 2^11 (13- and 14-qubit circuits at 2 PEs). bigadder_n18 and cc_n18 at 2
 # thread PEs hold runs at 2^15 with sub-runs at 2^11 (3 runs and 1): verdicts
-# agree, the plan has fewer epochs than kernels, and the detected run passes
-# as many barriers as the plain one.
+# agree, the plan has fewer epochs than kernels, and the detected run walks
+# what the plain one walks: the same tile runs, slab kernels and zero tiles
+# skipped, and every counter, barriers included.
 cargo test --release -p svsim-analyzer --lib tile_runs_cross_validate_under_the_detector -- --ignored --nocapture
 
 echo "== CLI smoke: what ran =="
@@ -104,10 +105,16 @@ echo "== kernel paths (release) =="
 # with two operands on qubits 0-2, x range split. Tier-1 runs the same test
 # unoptimized.
 cargo test --release -p svsim-core --lib run_path_is_bit_identical_to_the_per_item_path -- --nocapture
-# The same walks through lending PeerView / ShmemView on thread PEs, counters
-# included, against the observed per-word launch (forked PEs: the
-# proc_backend gate below).
-cargo test --release --test cross_backend plain_memory_paths_are_indistinguishable
+# Every KernelId through the lending PeerView / ShmemView and the PE's slab
+# over 2, 4 and 8 partitions against the word accessors of the views that
+# lend nothing, amplitudes bit for bit and every PE's counters field by
+# field after every kernel; the relabeling exchange likewise against its
+# get_slice / put_slice messages. Then the partitioned walk on thread PEs
+# against the single device, with and without a never-firing fault plan or
+# the race detector attached (forked PEs: the proc_backend gate below).
+cargo test --release -p svsim-core --lib lending_views_and_the_slab_count_what_the_word_accessors_count
+cargo test --release -p svsim-core --lib lent_exchanges_move_and_count_what_the_messages_do
+cargo test --release --test cross_backend plain_memory_paths_agree_with_the_single_device
 
 echo "== tile-major (release) =="
 # Tile-major walks against kernel-major ones, bit for bit, in the build that
@@ -115,19 +122,20 @@ echo "== tile-major (release) =="
 # widths [3, 1], [4, 2] and [5, 3] against kernel-major and single-level
 # walks, every KernelId around both tile boundaries, every backend, remap /
 # checkpoint, all counters but barriers, one barrier per tile run where
-# the kernel-major walk passes one per kernel), observed and detected walks
-# of the same plans passing exactly the plain walk's barriers and counters,
+# the kernel-major walk passes one per kernel); the race detector watching
+# square_root_n18's tiled slab walk at 2 PEs, detected against plain (tile
+# runs, slab kernels, zero tiles skipped and every counter equal, no race);
 # and, at the shipped widths [15, 11], the 17-qubit single-device and thread-PE legs
 # (square_root_n18 and dnn_layers, tiled vs runtime-parsed; at least 85 % of
 # square_root_n18's kernels in L1 sub-runs). Zero tiles: the sparse twin of
-# the identity matrix (from |0...0>, every backend, against kernel-major and
-# observed walks, counters included; some tiles skipped, and some runs
+# the identity matrix (from |0...0>, every backend, against kernel-major
+# walks, counters included; some tiles skipped, and some runs
 # walking theirs because a kernel writes -0.0), and every Table 4 circuit of
 # at most 20 qubits skipping on one device against runtime parsing. Tier-1
 # runs the same tests unoptimized; the process-PE leg is in the proc_backend
 # gate below.
 cargo test --release -p svsim-core --lib tile_major_walks_are_bit_identical_to_kernel_major_ones
-cargo test --release -p svsim-core --lib observed_walks_keep_the_plans_tile_runs_and_barriers
+cargo test --release --test cross_backend the_detector_watches_the_tiled_slab_walk_of_square_root_n18
 cargo test --release -p svsim-core --lib zero_tiles_are_skipped_bit_identically
 cargo test --release --test cross_backend tile_major
 cargo test --release --test cross_backend zero_tile_skips_leave_the_suite_as_runtime_parsing_does

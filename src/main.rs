@@ -324,10 +324,10 @@ fn cmd_run(flags: &Flags) -> CmdResult {
             // Compiled kernels: a conditioned kernel that did not fire is
             // in the second number.
             let compiled = sim.compile_plan(&circuit).n_kernels();
-            let (slab, by_word) = (summary.slab_kernels, summary.word_kernels);
+            let slab = summary.slab_kernels;
             println!(
-                "kernels: {slab} on the local slab, {} on partitions lent {}, {by_word} word by word",
-                compiled.saturating_sub(slab + by_word),
+                "kernels: {slab} on the local slab, {} on partitions lent {}",
+                compiled.saturating_sub(slab),
                 match backend {
                     BackendKind::ScaleOut { .. } => "by the owning PEs",
                     _ => "through the peer table",

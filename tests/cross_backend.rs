@@ -257,21 +257,21 @@ fn every_kernel_on(c: &mut Circuit, q: [u32; 5]) {
     }
 }
 
-/// The fast paths against the path they replace. A partitioned run reaches
-/// the state as plain memory: partition-local kernels on the PE's own slab,
-/// credited per kernel; boundary kernels as runs lent by whichever partition
-/// owns them, credited per run (where the lowest involved qubit leaves no run
-/// of 8: a pair kernel on its one qubit below 5 as whole stretches, clipped
-/// where the owning partition ends and credited for what was lent; anything
-/// else amplitude by amplitude out of the same lent memory). A launch
-/// that observes individual words — a fault plan holding a `Get` spec (here
-/// one that never fires), or the race detector — lends nothing and issues
-/// every access through the view's instrumented accessors as before. Same
-/// amplitudes bit for bit, same classical bits, the same counters on every PE
-/// field by field: an off-by-one-word credit on any kernel class, driver or
-/// partition count shows as a traffic mismatch.
+/// The partitioned walk against the single device. A partitioned run
+/// reaches the state as plain memory: partition-local kernels on the PE's
+/// own slab, accounted for per kernel; boundary kernels as runs lent by
+/// whichever partition owns them, accounted for per run (where the lowest
+/// involved qubit leaves no run of 8: a pair kernel on its one qubit below 5
+/// as whole stretches, clipped where the owning partition ends; anything
+/// else amplitude by amplitude out of the same lent memory). Same amplitudes
+/// bit for bit and the same classical bits as one device. A fault plan
+/// whose specs never fire, or the race detector, changes nothing: the same
+/// kernels on the slab, the same counters on every PE field by field, no
+/// race. (What each kernel counts against the word accessors that lend
+/// nothing: `exec::tests::lending_views_and_the_slab_count_what_the_word_accessors_count`
+/// in `svsim-core`.)
 #[test]
-fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
+fn plain_memory_paths_agree_with_the_single_device_and_under_observation() {
     use std::sync::Arc;
     use sv_sim::ir::{Gate, GateKind};
     use sv_sim::shmem::{FaultAction, FaultPlan};
@@ -343,7 +343,7 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
         let state = (bits(sim.state().re()), bits(sim.state().im()));
         (
             (state, summary.cbits, summary.traffic),
-            (summary.slab_kernels, summary.word_kernels),
+            summary.slab_kernels,
         )
     };
     let never = |op| FaultPlan::new().with(0, op, u64::MAX, FaultAction::Delay(0));
@@ -367,40 +367,22 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
         }
     }
     for config in configs {
-        let (plain, (on_slab, by_word)) = observe(config, None);
+        let (plain, on_slab) = observe(config, None);
         assert!(on_slab > 0, "{config:?}: no kernel took the slab");
-        assert_eq!(by_word, 0, "{config:?}: nobody observes, nothing by word");
 
-        let (observed, (none, all)) = observe(config, Some(never(PeOp::Get)));
-        assert_eq!(none, 0, "{config:?}: a Get spec must see every get");
-        // Every kernel goes word by word: the slab's and the boundary ones
-        // (which a remapped schedule may have none of).
-        assert!(
-            all >= on_slab && (config.remap || all > on_slab),
-            "{config:?}: {all} kernels by word, {on_slab} on the slab"
-        );
-        assert!(
-            plain == observed,
-            "{config:?}: plain and per-word runs differ"
-        );
-
-        // A plan that only watches barriers observes no words: the plain
-        // paths stay, and every barrier it counts is still there.
-        let (at_barriers, kept) = observe(config, Some(never(PeOp::Barrier)));
-        assert_eq!(kept, (on_slab, 0), "{config:?}");
-        assert!(plain == at_barriers, "{config:?}");
-
+        // Plans that never fire, on the borrows and on the barriers.
+        for op in [PeOp::Get, PeOp::Put, PeOp::Barrier] {
+            let (observed, kept) = observe(config, Some(never(op)));
+            assert_eq!(kept, on_slab, "{config:?} {op:?}");
+            assert!(plain == observed, "{config:?} {op:?}: the walks differ");
+        }
         if matches!(config.backend, sv_sim::core::BackendKind::ScaleOut { .. }) {
-            // Each recorded access is also one counted op, so equal counters
-            // say the detector still saw every word of every kernel.
-            let (detected, counts) = observe(
-                SimConfig {
-                    detect_races: true,
-                    ..config
-                },
-                None,
-            );
-            assert_eq!(counts, (0, all), "{config:?}: the detector sees every word");
+            let detected = SimConfig {
+                detect_races: true,
+                ..config
+            };
+            let (detected, kept) = observe(detected, None);
+            assert_eq!(kept, on_slab, "{config:?}");
             assert!(
                 plain == detected,
                 "{config:?}: plain and detected runs differ"
@@ -413,9 +395,42 @@ fn plain_memory_paths_are_indistinguishable_from_the_observed_per_word_path() {
             ..config
         };
         let ((state, cbits, _), none) = observe(single, None);
-        assert_eq!(none, (0, 0), "a single device has no partition to speak of");
+        assert_eq!(none, 0, "a single device has no partition to speak of");
         assert!((&state, cbits) == (&plain.0, plain.1), "{config:?}");
     }
+}
+
+/// The race detector watches the walk production runs. `square_root_n18`
+/// (the `deep_incache` circuit) at 2 thread PEs: each PE's slab is two L2
+/// tiles, its tile runs skip the tiles they keep all `+0.0`, and a detected
+/// run walks exactly that — the same tile runs and slab kernels, the same
+/// zero tiles skipped, every PE's counters equal field by field — and finds
+/// no race.
+#[test]
+fn the_detector_watches_the_tiled_slab_walk_of_square_root_n18() {
+    let square_root = sv_sim::workloads::large_suite()
+        .into_iter()
+        .find(|spec| spec.name == "square_root_n18")
+        .expect("a Table 4 routine");
+    let circuit = square_root.circuit().unwrap();
+    let plain = SimConfig::scale_out(2);
+    let detected = SimConfig {
+        detect_races: true,
+        ..plain
+    };
+    let (sum, cbits, p) = run_summary(&circuit, plain);
+    let (detected_sum, detected_cbits, d) = run_summary(&circuit, detected);
+    let walked =
+        |s: &sv_sim::core::RunSummary| (s.tile_runs, s.tiled_kernels, s.slab_kernels, s.zero_tiles);
+    assert!(
+        p.tile_runs > 0 && p.slab_kernels > 0 && p.zero_tiles > 0,
+        "{:?}",
+        walked(&p)
+    );
+    assert_eq!(walked(&d), walked(&p));
+    assert_eq!(d.traffic, p.traffic);
+    assert!(d.races.is_empty(), "{:?}", d.races);
+    assert_eq!((detected_sum, detected_cbits), (sum, cbits));
 }
 
 /// A 17-qubit `dnn_layers` with a measurement between its layers.
