@@ -18,15 +18,16 @@
 //! **partition-local** kernel ([`crate::traffic::partition_local`]) — the
 //! large majority on any circuit wider than the PE count — runs on the PE's
 //! own slab, a [`LocalView`] of its partition, accounted for once for the
-//! whole kernel with exactly what the backend's view would have counted. A
-//! kernel that touches a qubit at or above the partition boundary goes
-//! through that view — the peer table ([`PeerView`], scale-up) or the
-//! symmetric arrays ([`ShmemView`], scale-out) — which lends each contiguous
-//! run of the kernel's share from whichever partition owns it, accounted for
-//! per run. On scale-out every such account is one [`ShmemCtx::borrow`]: a
-//! fault point, the race detector's trace over the range and the counters,
-//! so a launch under a fault plan or the detector walks exactly this walk.
-//! The barrier after either is the same barrier, and which of the two a
+//! whole kernel. A kernel that touches a qubit at or above the partition
+//! boundary goes through a lending [`ShmemView`] over the symmetric arrays,
+//! which lends each contiguous run of the kernel's share from whichever
+//! partition owns it, accounted for per run. On both backends every account
+//! is one [`ShmemCtx::borrow`]: a fault point, the race detector's trace
+//! over the range and the counters, so a launch under a fault plan or the
+//! detector walks exactly this walk. The backends differ only in how a
+//! borrow counts an amplitude: scale-up one 16-byte access (a peer load or
+//! store of the complex amplitude), scale-out two 8-byte words. The barrier
+//! after either kind of kernel is the same barrier, and which of the two a
 //! kernel takes is decided by index arithmetic when the walker binds the
 //! segment, never by an option. A single device's slab is its whole state.
 //!
@@ -62,7 +63,7 @@ use crate::remap::QubitLayout;
 use crate::sim::{BackendKind, RunSummary, SimConfig};
 use crate::state::StateVector;
 use crate::traffic::partition_local;
-use crate::view::{LocalView, PeerView, Plane, ShmemView, StateView};
+use crate::view::{LocalView, Plane, Shape, ShmemView, StateView};
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -316,8 +317,8 @@ struct Slab<'a> {
     /// How many such slabs make up the state.
     n_pes: u64,
     /// Account for `n` amplitude accesses about to be made here as the
-    /// backend's view would: on scale-out one [`ShmemCtx::borrow`] of the
-    /// PE's whole partition, on scale-up its counters, on one device nothing.
+    /// backend's view would: on a PE one [`ShmemCtx::borrow`] of its whole
+    /// partition, on one device nothing.
     lend: &'a dyn Fn(u64),
 }
 
@@ -373,57 +374,45 @@ fn tile_major<'a>(
     skipped
 }
 
-/// One PE of a partitioned backend: its SHMEM context (rank, world size,
-/// barrier, reduce), the symmetric arrays it owns a partition of, every
-/// PE's partition as plain memory, and its slab.
-struct Pe<'a> {
+/// One PE of a partitioned backend walking a segment: its SHMEM context
+/// (rank, world size, barrier, reduce), the symmetric arrays it owns a
+/// partition of, the lending view its kernels reach the state through, and
+/// its slab.
+struct Worker<'a> {
     ctx: &'a ShmemCtx<'a>,
     re: &'a SymF64,
     im: &'a SymF64,
-    lent: &'a [Plane<'a>],
+    view: &'a ShmemView<'a, 'a>,
     slab: Slab<'a>,
 }
 
-/// A PE walking a segment, its kernels reaching the state through `view` —
-/// all that scale-up and scale-out differ in.
-struct Worker<'a, V> {
-    me: &'a Pe<'a>,
-    view: &'a V,
-}
-
-impl<V: StateView> Fabric for Worker<'_, V> {
-    type View = V;
-    fn view(&self) -> &V {
+impl<'a> Fabric for Worker<'a> {
+    type View = ShmemView<'a, 'a>;
+    fn view(&self) -> &Self::View {
         self.view
     }
     fn share(&self, work: u64) -> Range<u64> {
-        let ctx = self.me.ctx;
-        worker_range(work, ctx.n_pes() as u64, ctx.my_pe() as u64)
+        worker_range(work, self.ctx.n_pes() as u64, self.ctx.my_pe() as u64)
     }
     /// The world barrier, wherever the plan puts one: after each kernel
     /// outside a tile run, after each tile run, and after each collapse. A
     /// tile run's kernels never leave the PE's partition.
     fn sync(&self) {
-        self.me.ctx.barrier_all();
+        self.ctx.barrier_all();
     }
     /// Each partial is a subtree node of the canonical probability tree, so
     /// the pairwise sum across workers matches the single-device one
     /// bit-for-bit.
     fn reduce(&self, slot: usize, partial: f64) -> f64 {
-        self.me.ctx.sum_reduce_f64_at(slot, partial)
+        self.ctx.sum_reduce_f64_at(slot, partial)
     }
     /// One epoch that swaps in place; `exchange_pair`'s last two
     /// arguments are unused, so the state's own arrays fill them.
     fn exchange(&self, lo: u32, hi: u32) {
-        let Pe {
-            ctx, re, im, lent, ..
-        } = self.me;
-        ShmemView::new(ctx, re, im)
-            .lending(lent)
-            .exchange_pair(lo, hi, re, im);
+        self.view.exchange_pair(lo, hi, self.re, self.im);
     }
     fn slab(&self) -> &Slab<'_> {
-        &self.me.slab
+        &self.slab
     }
 }
 
@@ -598,27 +587,26 @@ pub(crate) fn run_solo(
 
 /// Partitioned execution of one lowered segment: SPMD over SHMEM PEs, each
 /// owning one partition of the symmetric-heap state vector. Both
-/// distributed backends run this one body and differ only in how a kernel
-/// reaches `sv[i]`:
+/// distributed backends — **scale-up** (§3.2.2, the peer pointer table of
+/// devices in one process) and **scale-out** (§3.2.3, one-sided `get` /
+/// `put`) — run this one body over one lending [`ShmemView`], and differ
+/// only in how an amplitude access counts: one 16-byte access on scale-up,
+/// two 8-byte words on scale-out (`Shape`), picked here once from the
+/// backend. Only a scale-out segment relabels (`Step::Exchange`), and only
+/// scale-out runs on process PEs.
 ///
-/// - **scale-up** (§3.2.2): a [`PeerView`] over the symmetric arrays'
-///   partitions — the peer pointer table, plain loads and stores. Always
-///   thread PEs (devices of one process).
-/// - **scale-out** (§3.2.3): a [`ShmemView`] — one-sided `get`/`put`
-///   through the ctx. Only a scale-out segment relabels (`Step::Exchange`).
-///
-/// On both, every partition is plain memory for the walk (`shmem_ptr`,
+/// Every partition is plain memory for the walk (`shmem_ptr`,
 /// [`svsim_shmem::SharedF64Vec::as_cells`]): a partition-local kernel runs
 /// on the PE's own slab, accounted for per kernel, any other kernel borrows
 /// its runs from the owning partitions through the view, accounted for per
 /// run (module docs), the slab is swept tile-major over each of the
 /// segment's tile runs, accounted for per run ([`interpret`]), and a
 /// relabeling exchange swaps in place through the lent partitions, each
-/// piece accounted for ([`ShmemView::exchange_pair`]). On scale-out each
-/// account is a [`ShmemCtx::borrow`], where the race detector traces the
-/// range and a fault plan's `Put` / `Get` specs count and fire: a launch
-/// under either walks this same walk, through the barriers the plan puts,
-/// and the detector watches the epochs that run.
+/// piece accounted for ([`ShmemView::exchange_pair`]). Each account is a
+/// [`ShmemCtx::borrow`], where the race detector traces the range and a
+/// fault plan's `Put` / `Get` specs count and fire: a launch under either
+/// walks this same walk, through the barriers the plan puts, and the
+/// detector watches the epochs that run.
 ///
 /// A PE hands back only its classical register and its walk's counts. The
 /// state stays on the symmetric heap: once the launch has joined and every
@@ -635,14 +623,13 @@ pub(crate) fn run_solo(
 /// left untouched at its pre-segment contents — exactly what
 /// checkpoint/restart needs.
 ///
-/// The remaining knobs are scale-out only. With
-/// [`SimConfig::detect_races`] the launch runs under a fresh
-/// [`RaceDetector`]: every borrow is recorded against epoch-scoped shadow
-/// state, and any access-protocol violations come back in the summary
-/// without failing the run. The detector records accesses
-/// through in-process `Arc` shadow state, so it requires the thread
-/// backend.
+/// With [`SimConfig::detect_races`] the launch, on either backend, runs
+/// under a fresh [`RaceDetector`]: every borrow is recorded against
+/// epoch-scoped shadow state, and any access-protocol violations come back
+/// in the summary without failing the run. The detector records accesses
+/// through in-process `Arc` shadow state, so it requires thread PEs.
 ///
+/// The remaining knobs, relabeling and the substrate, are scale-out only.
 /// A segment lowered with [`SimConfig::remap`] carries
 /// [`Step::Exchange`] steps — bulk slab exchanges that relabel
 /// partition-index qubit positions below the boundary so the gates
@@ -666,6 +653,11 @@ pub(crate) fn run_partitioned(
 ) -> SvResult<()> {
     let scale_out = matches!(config.backend, BackendKind::ScaleOut { .. });
     let process = scale_out && config.shmem_backend == ShmemBackend::Process;
+    let shape = if scale_out {
+        Shape::WORDS
+    } else {
+        Shape::AMPLITUDE
+    };
     if config.detect_races && process {
         return Err(SvError::InvalidConfig(
             "race detection requires the thread backend: the detector's shadow \
@@ -678,7 +670,7 @@ pub(crate) fn run_partitioned(
     let initial_cbits = summary.cbits;
     let (init_re, init_im) = (state.re(), state.im());
 
-    let detector = if scale_out && config.detect_races {
+    let detector = if config.detect_races {
         Some(RaceDetector::new(n_pes)?)
     } else {
         None
@@ -727,32 +719,23 @@ pub(crate) fn run_partitioned(
         let lent: Vec<Plane<'_>> = parts
             .map(|(re, im)| unsafe { (re.as_cells(), im.as_cells()) })
             .collect();
-        // A `ShmemView` moves two 8-byte words per amplitude access, a
-        // counted `PeerView` counts the amplitude once.
-        let borrowed = |n| ctx.borrow(&[re, im], pe, 0..per_pe, &[PeOp::Get, PeOp::Put], 2 * n, 8);
-        let counted = |n| ctx.counters().credit(false, n, 0);
-        let slab = Slab {
-            view: LocalView::over(lent[pe]),
-            base: (pe * per_pe) as u64,
-            n_pes: n_pes as u64,
-            lend: if scale_out { &borrowed } else { &counted },
-        };
-        let me = &Pe {
+        let view = &ShmemView::new(ctx, re, im).lending(&lent, shape);
+        // The slab's account: the PE's whole partition, read and written,
+        // as `n` accesses of one amplitude.
+        let borrowed = |n| view.borrow(pe, 0..per_pe, &[PeOp::Get, PeOp::Put], n, 1);
+        let worker = Worker {
             ctx,
             re,
             im,
-            lent: &lent,
-            slab,
+            view,
+            slab: Slab {
+                view: LocalView::over(lent[pe]),
+                base: (pe * per_pe) as u64,
+                n_pes: n_pes as u64,
+                lend: &borrowed,
+            },
         };
-        let walked = if scale_out {
-            let view = &ShmemView::new(ctx, re, im).lending(&lent);
-            interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
-        } else {
-            let counters = Some(ctx.counters());
-            let view =
-                &PeerView::new(re.partitions(), im.partitions(), pe, counters).lending(&lent);
-            interpret(&Worker { me, view }, seg, config, randoms, initial_cbits)
-        }?;
+        let walked = interpret(&worker, seg, config, randoms, initial_cbits)?;
         ctx.try_barrier_all()?;
         Ok(walked)
     };
@@ -808,6 +791,7 @@ mod tests {
     use crate::compile::KernelId;
     use crate::plan::{build_segment, checkpoint_grid, tile_runs};
     use crate::sim::Simulator;
+    use crate::view::PeerView;
     use std::collections::HashSet;
     use svsim_ir::{Circuit, GateKind};
     use svsim_shmem::TrafficSnapshot;
@@ -1165,8 +1149,9 @@ mod tests {
     /// lowest qubits 0 to 5 and on the top three qubits of 10, with
     /// operands on one side of the partition boundary and straddling it,
     /// walked over 2, 4 and 8 partitions through a view that lends nothing
-    /// (`ShmemView::new`, `PeerView::new`: one counted word per access) and
-    /// through the lending view over the same partitions (runs borrowed, and
+    /// (scale-out `ShmemView::new`, scale-up `PeerView::new`: one counted
+    /// word or amplitude per access) and through the lending `ShmemView`
+    /// over the same partitions, in the backend's shape (runs borrowed, and
     /// single amplitudes where no run is lent). Then the same kernels
     /// through `run_partitioned`, which runs the partition-local ones on
     /// each PE's slab. Amplitudes bit for bit, and on every PE every
@@ -1205,7 +1190,10 @@ mod tests {
         let ops = circuit.ops();
         for n_pes in [2usize, 4, 8] {
             for config in [SimConfig::scale_out(n_pes), SimConfig::scale_up(n_pes)] {
-                let scale_out = matches!(config.backend, BackendKind::ScaleOut { .. });
+                let shape = match config.backend {
+                    BackendKind::ScaleOut { .. } => Shape::WORDS,
+                    _ => Shape::AMPLITUDE,
+                };
                 let seg = build_segment(ops, 0, ops.len(), n, &config);
                 let ids: HashSet<KernelId> = seg.queue.iter().map(|cg| cg.id).collect();
                 assert_eq!(ids.len(), 11, "every KernelId: {ids:?}");
@@ -1215,15 +1203,16 @@ mod tests {
                         let mut counted = Vec::new();
                         for cg in &seg.queue {
                             let share = worker_range(cg.args.work, n_pes as u64, pe as u64);
-                            if scale_out {
+                            if lend {
+                                let view = ShmemView::new(ctx, re, im).lending(lent, shape);
+                                resolve::<ShmemView>(cg.id)(&view, &cg.args, share);
+                            } else if shape == Shape::WORDS {
                                 let view = ShmemView::new(ctx, re, im);
-                                let view = if lend { view.lending(lent) } else { view };
                                 resolve::<ShmemView>(cg.id)(&view, &cg.args, share);
                             } else {
                                 let parts = (re.partitions(), im.partitions());
                                 let view =
                                     PeerView::new(parts.0, parts.1, pe, Some(ctx.counters()));
-                                let view = if lend { view.lending(lent) } else { view };
                                 resolve::<PeerView>(cg.id)(&view, &cg.args, share);
                             }
                             ctx.barrier_all();
@@ -1284,7 +1273,11 @@ mod tests {
                 let exchange = |lend: bool| {
                     over_partitions(&start, n_pes, |ctx, [re, im], lent| {
                         let view = ShmemView::new(ctx, re, im);
-                        let view = if lend { view.lending(lent) } else { view };
+                        let view = if lend {
+                            view.lending(lent, Shape::WORDS)
+                        } else {
+                            view
+                        };
                         view.exchange_pair(lo, hi, re, im);
                         ctx.counters().snapshot()
                     })
@@ -1300,42 +1293,45 @@ mod tests {
         assert_eq!(exchanges, 7 + 2 * 6);
     }
 
-    /// The race detector watches the lent walk: two PEs whose lending views
-    /// borrow the same run in one epoch are reported — the pair, the epoch,
-    /// and every word they share, from the first on. The planes are borrowed
-    /// and never touched.
+    /// The race detector watches the lent walk of either backend: two PEs
+    /// whose lending views, in the scale-out or the scale-up shape, borrow
+    /// the same run in one epoch are reported — the pair, the epoch, and
+    /// every word they share, from the first on. The planes are borrowed and
+    /// never touched.
     #[test]
     fn the_detector_names_two_pes_borrowing_one_run_in_one_epoch() {
         use svsim_shmem::RaceAccess;
-        let det = RaceDetector::new(2).unwrap();
-        let out = svsim_shmem::launch_detected(2, None, Arc::clone(&det), |ctx| {
-            let re = ctx.malloc_f64(64).unwrap();
-            let im = ctx.malloc_f64(64).unwrap();
-            let lent = lend_all(&re, &im);
-            let view = ShmemView::new(ctx, &re, &im).lending(&lent);
-            let epoch = ctx.barrier_epoch();
-            // Words 40..48 of PE 1's partition, from either PE.
-            let (run, _) = view.run(64 + 40, 8).unwrap();
-            assert_eq!(run.len(), 8);
-            ctx.barrier_all();
-            epoch
-        })
-        .unwrap()
-        .into_result()
-        .unwrap();
-        let epoch = out.results[0];
-        assert_eq!(out.results[1], epoch);
-        let reports = det.take_reports();
-        assert!(!reports.is_empty(), "the shared run went unseen");
-        for r in &reports {
-            let pair = |a: RaceAccess, b: RaceAccess| [a.pe.min(b.pe), a.pe.max(b.pe)];
-            assert_eq!(pair(r.first, r.second), [0, 1], "{r}");
-            assert_eq!((r.owner_pe, r.epoch), (1, epoch), "{r}");
-            assert!((40..48).contains(&r.index), "{r}");
+        for shape in [Shape::WORDS, Shape::AMPLITUDE] {
+            let det = RaceDetector::new(2).unwrap();
+            let out = svsim_shmem::launch_detected(2, None, Arc::clone(&det), |ctx| {
+                let re = ctx.malloc_f64(64).unwrap();
+                let im = ctx.malloc_f64(64).unwrap();
+                let lent = lend_all(&re, &im);
+                let view = ShmemView::new(ctx, &re, &im).lending(&lent, shape);
+                let epoch = ctx.barrier_epoch();
+                // Words 40..48 of PE 1's partition, from either PE.
+                let (run, _) = view.run(64 + 40, 8).unwrap();
+                assert_eq!(run.len(), 8);
+                ctx.barrier_all();
+                epoch
+            })
+            .unwrap()
+            .into_result()
+            .unwrap();
+            let epoch = out.results[0];
+            assert_eq!(out.results[1], epoch, "{shape:?}");
+            let reports = det.take_reports();
+            assert!(!reports.is_empty(), "{shape:?}: the shared run went unseen");
+            for r in &reports {
+                let pair = |a: RaceAccess, b: RaceAccess| [a.pe.min(b.pe), a.pe.max(b.pe)];
+                assert_eq!(pair(r.first, r.second), [0, 1], "{shape:?}: {r}");
+                assert_eq!((r.owner_pe, r.epoch), (1, epoch), "{shape:?}: {r}");
+                assert!((40..48).contains(&r.index), "{shape:?}: {r}");
+            }
+            let words: HashSet<usize> = reports.iter().map(|r| r.index).collect();
+            assert_eq!(words, (40..48).collect(), "{shape:?}: every shared word");
+            assert_eq!(reports.iter().map(|r| r.index).min(), Some(40));
         }
-        let words: HashSet<usize> = reports.iter().map(|r| r.index).collect();
-        assert_eq!(words, (40..48).collect(), "every shared word");
-        assert_eq!(reports.iter().map(|r| r.index).min(), Some(40));
     }
 
     /// A relabeling exchange of positions `(lo, hi)` is the gate SWAP(lo,
@@ -1439,30 +1435,34 @@ mod tests {
             assert_eq!(untiled.state, tiled.state, "{config:?}");
             assert_eq!(untiled.summary.cbits, tiled.summary.cbits, "{config:?}");
         }
-        // The race detector watches the walk a plain launch takes: the same
-        // tile runs on the same slab, the same counters, no race.
-        let observed = SimConfig {
-            detect_races: true,
-            ..SimConfig::scale_out(2)
-        };
-        let detected = walk(&circuit, &observed, &[3], None);
-        let (s, plain) = (
-            &detected.summary,
-            walk(&circuit, &SimConfig::scale_out(2), &[3], None).summary,
-        );
-        assert!(s.tile_runs > 0 && s.slab_kernels > 0);
-        assert!(s.races.is_empty(), "{:?}", s.races);
-        assert_eq!(
-            (s.tile_runs, s.tiled_kernels, s.slab_kernels, s.zero_tiles),
-            (
-                plain.tile_runs,
-                plain.tiled_kernels,
-                plain.slab_kernels,
-                plain.zero_tiles
-            )
-        );
-        assert_eq!(s.traffic, plain.traffic);
-        assert_eq!(detected.state, tiled.state);
-        assert_eq!(s.cbits, tiled.summary.cbits);
+        // The race detector watches the walk a plain launch takes, on either
+        // backend: the same tile runs on the same slab, the same counters, no
+        // race.
+        for config in [SimConfig::scale_out(2), SimConfig::scale_up(2)] {
+            let observed = SimConfig {
+                detect_races: true,
+                ..config
+            };
+            let detected = walk(&circuit, &observed, &[3], None);
+            let (s, plain) = (
+                &detected.summary,
+                walk(&circuit, &config, &[3], None).summary,
+            );
+            assert!(s.tile_runs > 0 && s.slab_kernels > 0, "{config:?}");
+            assert!(s.races.is_empty(), "{config:?}: {:?}", s.races);
+            assert_eq!(
+                (s.tile_runs, s.tiled_kernels, s.slab_kernels, s.zero_tiles),
+                (
+                    plain.tile_runs,
+                    plain.tiled_kernels,
+                    plain.slab_kernels,
+                    plain.zero_tiles
+                ),
+                "{config:?}"
+            );
+            assert_eq!(s.traffic, plain.traffic, "{config:?}");
+            assert_eq!(detected.state, tiled.state, "{config:?}");
+            assert_eq!(s.cbits, tiled.summary.cbits, "{config:?}");
+        }
     }
 }

@@ -55,10 +55,11 @@ pub struct SimConfig {
     /// checkpointing). A checkpointed run executes in segments and keeps
     /// the last good [`Checkpoint`] for [`Simulator::restore`].
     pub checkpoint_every: u32,
-    /// Run scale-out launches under the dynamic race detector: every
-    /// one-sided access is recorded against epoch-scoped shadow state and
-    /// protocol violations surface as [`RunSummary::races`] instead of
-    /// silent corruption. No effect on the other backends.
+    /// Run partitioned launches (scale-up and scale-out) under the dynamic
+    /// race detector: every access to the state is recorded against
+    /// epoch-scoped shadow state and protocol violations surface as
+    /// [`RunSummary::races`] instead of silent corruption. Requires thread
+    /// PEs. No effect on a single device.
     pub detect_races: bool,
     /// Communication-avoiding qubit relabeling for scale-out: maintain a
     /// logical→physical qubit permutation, hoist gates on partition-index
@@ -1334,6 +1335,53 @@ mod tests {
                 assert_eq!(sim.state().re(), reference.state().re(), "{what}");
                 assert_eq!(sim.state().im(), reference.state().im(), "{what}");
             }
+        }
+    }
+
+    /// Scale-up walks the same lent walk, so the same `Put` faults strike
+    /// it: `dnn_layers(10, 2)` on 2 devices, device 1's 40th `Put` (in the
+    /// third of five segments) killed is a typed `PeFailed { op: Put }`,
+    /// and dropped it moves its words but fails the device at its next
+    /// barrier, the same error. Either way the host state is the last
+    /// checkpoint's bit for bit, and the resume is bit-identical to the
+    /// fault-free run.
+    #[test]
+    fn put_faults_strike_scale_up_and_resume_bit_identically() {
+        use svsim_shmem::{FaultAction, FaultPlan};
+        use svsim_types::PeOp;
+
+        let c = svsim_workloads::qnn::dnn_layers(10, 2, 3).unwrap();
+        let config = SimConfig {
+            seed: 5,
+            checkpoint_every: 16,
+            ..SimConfig::scale_up(2)
+        };
+        let mut reference = Simulator::new(10, config).unwrap();
+        let ref_summary = reference.run(&c).unwrap();
+        assert!(ref_summary.slab_kernels > 0);
+        for action in [FaultAction::Kill, FaultAction::Drop] {
+            let plan = Arc::new(FaultPlan::new().with(1, PeOp::Put, 40, action));
+            let mut sim = Simulator::new(10, config).unwrap();
+            sim.set_fault_plan(Some(plan.clone()));
+            let err = sim.run(&c).unwrap_err();
+            let failed = SvError::PeFailed {
+                pe: 1,
+                op: PeOp::Put,
+            };
+            assert_eq!(err, failed, "{action:?}");
+            assert_eq!(plan.armed_remaining(), 0, "{action:?}");
+            let cp = sim.checkpoint().expect("two segments committed");
+            assert_eq!(cp.op_index(), 32, "{action:?}");
+            let now = Checkpoint::capture(32, cp.cbits(), &SvRng::seed_from_u64(0), sim.state());
+            assert_eq!(
+                now.checksum(),
+                cp.checksum(),
+                "{action:?}: the failed segment leaked"
+            );
+            let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
+            assert_eq!(summary.cbits, ref_summary.cbits, "{action:?}");
+            assert_eq!(sim.state().re(), reference.state().re(), "{action:?}");
+            assert_eq!(sim.state().im(), reference.state().im(), "{action:?}");
         }
     }
 

@@ -15,12 +15,14 @@
 //!
 //! A kernel walks its work items as contiguous runs and asks the view for
 //! each run as plain memory ([`StateView::run`]): a `LocalView` lends
-//! sub-slices of itself. The partitioned views built by `new` lend nothing —
-//! every access is one `get` or `set`, counted (and on scale-out traced and
-//! fault-checked) word by word — while the ones the executor builds lend
-//! each run from the partition that owns it (`shmem_ptr`; [`Plane`]), each
-//! accounted for once: on scale-out by a [`ShmemCtx::borrow`]. A PE's own
-//! partition is then simply a `LocalView` over its lent planes.
+//! sub-slices of itself. `PeerView` and the `ShmemView` built by `new` lend
+//! nothing — every access is one `get` or `set`, counted (and on a
+//! `ShmemView` traced and fault-checked) word by word. The view the
+//! executor walks both partitioned backends through is a lending
+//! `ShmemView`: it lends each run from the partition that owns it
+//! (`shmem_ptr`; [`Plane`]), each one [`ShmemCtx::borrow`] counted in the
+//! backend's `Shape`. A PE's own partition is then simply a `LocalView`
+//! over its lent planes.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -190,13 +192,12 @@ pub struct PeerView<'a> {
     /// classification); access to any other partition is "remote".
     my_dev: usize,
     counters: Option<&'a PeCounters>,
-    /// Every partition as plain memory, when this view lends runs.
-    lent: Option<&'a [Plane<'a>]>,
 }
 
 impl<'a> PeerView<'a> {
     /// Build over per-device partitions (all equal power-of-two length).
-    /// Every access is one counted `get` or `set`; nothing is lent.
+    /// Every access is one `get` or `set` of 16 bytes, counted if
+    /// `counters` is given; nothing is lent.
     #[must_use]
     pub fn new(
         re_parts: &'a [SharedF64Vec],
@@ -217,17 +218,7 @@ impl<'a> PeerView<'a> {
             dim: per_dev * re_parts.len() as u64,
             my_dev,
             counters,
-            lent: None,
         }
-    }
-
-    /// Given `lent`, the same partitions as plain memory, also lend runs out
-    /// of them, crediting one get and one put of 16 bytes per lent amplitude.
-    #[must_use]
-    pub(crate) fn lending(self, lent: &'a [Plane<'a>]) -> Self {
-        assert_eq!(lent.len(), self.re_parts.len());
-        let lent = Some(lent);
-        Self { lent, ..self }
     }
 }
 
@@ -257,17 +248,21 @@ impl StateView for PeerView<'_> {
         self.re_parts[dev].store(off, re);
         self.im_parts[dev].store(off, im);
     }
+}
 
-    #[inline]
-    fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
-        let (dev, (re, im)) = lend(self.lent?, self.shift, start, max)?;
-        if let Some(c) = self.counters {
-            c.credit(dev != self.my_dev, re.len() as u64, 16);
-        }
-        Some((re, im))
-    }
+/// How a lending [`ShmemView`] counts one amplitude access each way:
+/// `Shape(messages, bytes)` is that many messages of that many bytes each —
+/// all a partitioned walk still knows of its backend.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Shape(u64, u64);
 
-    const LENDS: Lends = Lends::Counted;
+impl Shape {
+    /// Scale-up: one 16-byte access per amplitude, what a peer load or
+    /// store of the complex counts ([`PeerView`]).
+    pub(crate) const AMPLITUDE: Self = Self(1, 16);
+    /// Scale-out: two 8-byte words per amplitude, the real and the
+    /// imaginary one-sided word ([`ShmemView::new`]).
+    pub(crate) const WORDS: Self = Self(2, 8);
 }
 
 /// Scale-out view: one-sided SHMEM access to a symmetric-heap state vector.
@@ -280,6 +275,8 @@ pub struct ShmemView<'a, 'w> {
     dim: u64,
     /// Every PE's partition as plain memory, when this view lends runs.
     lent: Option<&'a [Plane<'a>]>,
+    /// How a lent access counts.
+    shape: Shape,
 }
 
 impl<'a, 'w> ShmemView<'a, 'w> {
@@ -298,19 +295,22 @@ impl<'a, 'w> ShmemView<'a, 'w> {
             mask: per_pe - 1,
             dim: per_pe * ctx.n_pes() as u64,
             lent: None,
+            shape: Shape::WORDS,
         }
     }
 
     /// Given `lent`, the same partitions as plain memory, reach every
     /// amplitude through them instead of the ctx's word accessors — runs
     /// lent whole, single amplitudes dereferenced — each run or amplitude
-    /// one [`ShmemCtx::borrow`] that counts the two 8-byte words per
-    /// amplitude and direction the accessors would have counted.
+    /// one [`ShmemCtx::borrow`] that counts each amplitude in each
+    /// direction as `shape` says: on scale-out the two 8-byte words the
+    /// accessors would have counted, on scale-up the one 16-byte access a
+    /// [`PeerView`] would have.
     #[must_use]
-    pub(crate) fn lending(self, lent: &'a [Plane<'a>]) -> Self {
+    pub(crate) fn lending(mut self, lent: &'a [Plane<'a>], shape: Shape) -> Self {
         assert_eq!(lent.len(), self.ctx.n_pes());
-        let lent = Some(lent);
-        Self { lent, ..self }
+        (self.lent, self.shape) = (Some(lent), shape);
+        self
     }
 
     /// The partition holding `idx` and the offset in it.
@@ -320,10 +320,12 @@ impl<'a, 'w> ShmemView<'a, 'w> {
     }
 
     /// [`ShmemCtx::borrow`] of words `words` of `pe`'s partition of both
-    /// planes, as `n` messages of `bytes` each way.
+    /// planes, as `n` accesses each way of `amps` amplitudes each: in the
+    /// view's shape, `messages` messages of `amps * bytes` per access.
     #[inline]
-    fn borrow(&self, pe: usize, words: Range<usize>, ops: &[PeOp], n: u64, bytes: u64) {
-        ShmemCtx::borrow(self.ctx, &[self.re, self.im], pe, words, ops, n, bytes);
+    pub(crate) fn borrow(&self, pe: usize, words: Range<usize>, ops: &[PeOp], n: u64, amps: u64) {
+        let (Shape(messages, bytes), syms) = (self.shape, [self.re, self.im]);
+        ShmemCtx::borrow(self.ctx, &syms, pe, words, ops, messages * n, bytes * amps);
     }
 }
 
@@ -351,8 +353,9 @@ impl<'a> ShmemView<'a, '_> {
     /// A view the executor builds lends the partitions as plain memory: it
     /// swaps each piece by plain loads and stores through them instead, in
     /// the same epoch with the same barrier, after borrowing both sides of
-    /// the piece ([`ShmemCtx::borrow`]: fault point, race trace, and exactly
-    /// what the side's two messages count).
+    /// the piece ([`ShmemCtx::borrow`]: fault point, race trace, and the
+    /// side's piece as one access in the view's `Shape` — on scale-out
+    /// exactly what its two messages count).
     ///
     /// `_xch_re` / `_xch_im` are unused: the swap needs no staging buffer.
     /// They are kept so existing callers that still allocate one compile.
@@ -381,7 +384,7 @@ impl<'a> ShmemView<'a, '_> {
             for (m, t) in pieces {
                 for (owner, at) in [(pe, m), (partner, t)] {
                     let words = at..at + piece;
-                    self.borrow(owner, words, &[PeOp::Get, PeOp::Put], 2, 8 * piece as u64);
+                    self.borrow(owner, words, &[PeOp::Get, PeOp::Put], 1, piece as u64);
                 }
                 for ((xr, xi), (yr, yi)) in side(lent[pe], m).zip(side(lent[partner], t)) {
                     let (r, i) = (xr.get(), xi.get());
@@ -417,7 +420,7 @@ impl StateView for ShmemView<'_, '_> {
         let (pe, off) = self.locate(idx);
         match self.lent {
             Some(lent) => {
-                self.borrow(pe, off..off + 1, &[PeOp::Get], 2, 8);
+                self.borrow(pe, off..off + 1, &[PeOp::Get], 1, 1);
                 (lent[pe].0[off].get(), lent[pe].1[off].get())
             }
             None => (
@@ -432,7 +435,7 @@ impl StateView for ShmemView<'_, '_> {
         let (pe, off) = self.locate(idx);
         match self.lent {
             Some(lent) => {
-                self.borrow(pe, off..off + 1, &[PeOp::Put], 2, 8);
+                self.borrow(pe, off..off + 1, &[PeOp::Put], 1, 1);
                 lent[pe].0[off].set(re);
                 lent[pe].1[off].set(im);
             }
@@ -447,8 +450,7 @@ impl StateView for ShmemView<'_, '_> {
     fn run(&self, start: u64, max: u64) -> Option<Plane<'_>> {
         let (pe, (re, im)) = lend(self.lent?, self.shift, start, max)?;
         let (off, len) = ((start & self.mask) as usize, re.len());
-        let read_write = [PeOp::Get, PeOp::Put];
-        self.borrow(pe, off..off + len, &read_write, 2 * len as u64, 8);
+        self.borrow(pe, off..off + len, &[PeOp::Get, PeOp::Put], len as u64, 1);
         Some((re, im))
     }
 
@@ -506,87 +508,106 @@ mod tests {
         parts.iter().map(part).collect()
     }
 
+    /// Both planes of `parts` as plain memory, partition by partition.
+    fn planes<'a>([re, im]: &'a mut [Vec<Vec<f64>>; 2]) -> Vec<Plane<'a>> {
+        let cells = |part: &'a mut Vec<f64>| Cell::from_mut(&mut part[..]).as_slice_of_cells();
+        re.iter_mut()
+            .map(cells)
+            .zip(im.iter_mut().map(cells))
+            .collect()
+    }
+
+    /// Run `walk` on PE 1 of a world of 4 thread PEs over symmetric arrays of
+    /// `per` words per PE, and return what it returned.
+    fn on_pe_1<T: Send>(
+        per: usize,
+        walk: impl Fn(&ShmemCtx<'_>, &SymF64, &SymF64) -> T + Sync,
+    ) -> T {
+        let out = svsim_shmem::launch(4, |ctx| {
+            let re = ctx.malloc_f64(per).expect("alloc");
+            let im = ctx.malloc_f64(per).expect("alloc");
+            (ctx.my_pe() == 1).then(|| walk(ctx, &re, &im))
+        })
+        .unwrap();
+        out.results.into_iter().nth(1).flatten().unwrap()
+    }
+
     #[test]
     fn a_lent_run_clips_where_the_owning_partition_ends() {
-        // 7 qubits over 4 partitions of 32. A Hadamard on the top qubit pairs
-        // index i with i + 64; one worker walking all 64 items asks for runs
-        // of 64 and is lent 32 at a time, from partitions (0, 2) then (1, 3).
-        let [mut re, mut im] = numbered(4, 32);
-        let (parts_re, parts_im) = (shared(&re), shared(&im));
-        fn cells(part: &mut [f64]) -> &[Cell<f64>] {
-            Cell::from_mut(part).as_slice_of_cells()
-        }
-        let lent: Vec<Plane<'_>> = re
-            .iter_mut()
-            .zip(&mut im)
-            .map(|(re, im)| (cells(re), cells(im)))
-            .collect();
-        let counters = PeCounters::default();
-        let v = PeerView::new(&parts_re, &parts_im, 1, Some(&counters)).lending(&lent);
-        let (r, i) = v.run(4, 64).unwrap();
-        assert_eq!((r.len(), i.len()), (28, 28), "partition 0 ends at 32");
-        assert_eq!((r[0].get(), i[3].get()), (4.0, -7.0));
-        let (r, _) = v.run(32, 64).unwrap();
-        assert_eq!(r.len(), 32, "all of partition 1, not into partition 2");
+        // 7 qubits over 4 partitions of 32, lent as plain memory to PE 1's
+        // lending `ShmemView` in the scale-up shape. A Hadamard on the top
+        // qubit pairs index i with i + 64; one worker walking all 64 items
+        // asks for runs of 64 and is lent 32 at a time, from partitions
+        // (0, 2) then (1, 3).
+        let t = on_pe_1(32, |ctx, re, im| {
+            let mut parts = numbered(4, 32);
+            let lent = planes(&mut parts);
+            let v = ShmemView::new(ctx, re, im).lending(&lent, Shape::AMPLITUDE);
+            let (r, i) = v.run(4, 64).unwrap();
+            assert_eq!((r.len(), i.len()), (28, 28), "partition 0 ends at 32");
+            assert_eq!((r[0].get(), i[3].get()), (4.0, -7.0));
+            let (r, _) = v.run(32, 64).unwrap();
+            assert_eq!(r.len(), 32, "all of partition 1, not into partition 2");
+            ctx.counters().snapshot()
+        });
         // Credited as the per-word path would have counted: 28 remote and 32
         // local amplitudes, one get and one put of 16 bytes each.
-        let t = counters.snapshot();
         assert_eq!((t.remote_gets, t.remote_puts), (28, 28));
         assert_eq!((t.remote_get_bytes, t.remote_put_bytes), (448, 448));
         assert_eq!((t.local_gets, t.local_puts), (32, 32));
 
         // The kernels on top of it, on the top qubit (runs) and on qubit 0
-        // (chunks of a stretch): the amplitudes and the counts of the view
-        // that lends nothing.
+        // (chunks of a stretch): the amplitudes and the counts of the
+        // scale-up view that lends nothing.
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         for target in [6, 0] {
             let gate = svsim_ir::Gate::new(svsim_ir::GateKind::H, &[target], &[]).unwrap();
             let mut queue = Vec::new();
             crate::compile::compile_gate(&gate, 7, true, &mut queue);
-            let (kernel, args) = (
-                crate::dispatch::resolve::<PeerView>(queue[0].id),
-                &queue[0].args,
-            );
-            let (by_word, bulk) = (PeCounters::default(), PeCounters::default());
-            kernel(
+            let (id, args) = (queue[0].id, &queue[0].args);
+            let [re, im] = numbered(4, 32);
+            let (parts_re, parts_im) = (shared(&re), shared(&im));
+            let by_word = PeCounters::default();
+            crate::dispatch::resolve::<PeerView>(id)(
                 &PeerView::new(&parts_re, &parts_im, 1, Some(&by_word)),
                 args,
                 0..args.work,
             );
-            kernel(
-                &PeerView::new(&parts_re, &parts_im, 1, Some(&bulk)).lending(&lent),
-                args,
-                0..args.work,
+            let (bulk, lent) = on_pe_1(32, |ctx, re, im| {
+                let mut parts = numbered(4, 32);
+                let lent = planes(&mut parts);
+                let v = ShmemView::new(ctx, re, im).lending(&lent, Shape::AMPLITUDE);
+                crate::dispatch::resolve::<ShmemView>(id)(&v, args, 0..args.work);
+                let snapshot = ctx.counters().snapshot();
+                (snapshot, parts)
+            });
+            let barriers = 0;
+            assert_eq!(
+                svsim_shmem::TrafficSnapshot { barriers, ..bulk },
+                by_word.snapshot(),
+                "H on {target}"
             );
-            assert_eq!(bulk.snapshot(), by_word.snapshot(), "H on {target}");
-            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             let words = |part: &SharedF64Vec| {
                 let mut words = vec![0.0; part.len()];
                 part.load_slice(0, &mut words);
                 bits(words)
             };
+            let [lent_re, lent_im] = lent;
             for p in 0..4 {
-                let (lent_re, lent_im) = lent[p];
-                assert_eq!(
-                    bits(lent_re.iter().map(Cell::get).collect()),
-                    words(&parts_re[p])
-                );
-                assert_eq!(
-                    bits(lent_im.iter().map(Cell::get).collect()),
-                    words(&parts_im[p])
-                );
+                assert_eq!(bits(lent_re[p].clone()), words(&parts_re[p]));
+                assert_eq!(bits(lent_im[p].clone()), words(&parts_im[p]));
             }
         }
 
         // Partitions shorter than a chunk lend nothing.
-        let [mut re, mut im] = numbered(4, LEND_ALIGN as usize / 2);
-        let (parts_re, parts_im) = (shared(&re), shared(&im));
-        let lent: Vec<Plane<'_>> = re
-            .iter_mut()
-            .zip(&mut im)
-            .map(|(re, im)| (cells(re), cells(im)))
-            .collect();
-        let v = PeerView::new(&parts_re, &parts_im, 1, None).lending(&lent);
-        assert!(v.run(0, 4).is_none());
+        let half = LEND_ALIGN as usize / 2;
+        let lends = on_pe_1(half, |ctx, re, im| {
+            let mut parts = numbered(4, half);
+            let lent = planes(&mut parts);
+            let v = ShmemView::new(ctx, re, im).lending(&lent, Shape::AMPLITUDE);
+            v.run(0, 4).is_some()
+        });
+        assert!(!lends);
     }
 
     #[test]

@@ -348,9 +348,8 @@ impl<'w> ShmemCtx<'w> {
         self.world.n_pes
     }
 
-    /// This PE's traffic counters: what every one-sided accessor credits,
-    /// and what a view that dereferences partitions directly (scale-up's
-    /// `PeerView`) credits itself.
+    /// This PE's traffic counters: what every one-sided accessor and every
+    /// [`borrow`](Self::borrow) credits.
     #[must_use]
     pub fn counters(&self) -> &PeCounters {
         self.world.metrics.pe(self.pe)

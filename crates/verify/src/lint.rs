@@ -173,10 +173,10 @@ const ACCESSOR_MANIFEST: &[(&str, &[&str])] = &[
 /// or the race detector — lets a kernel's share reach any partition's
 /// words as plain memory for one barrier epoch: its own partition whole
 /// (the slab), or a contiguous run out of whichever partition owns it. On
-/// scale-out each such reach, each kernel or tile run on the slab and each
-/// side of an exchange piece is one call of the manifested `borrow`, which
-/// fault-checks, traces and counts it as the accessors would; scale-up's
-/// `PeerView` is plain memory by design (§3.2.2) and counts for itself.
+/// either partitioned backend each such reach, each kernel or tile run on
+/// the slab and each side of an exchange piece is one call of the
+/// manifested `borrow`, which fault-checks, traces and counts it as the
+/// accessors (scale-out) or a peer load and store (scale-up) would.
 const LOCAL_ACCESS_ALLOW: &[&str] = &["partition", "partitions", "as_cells"];
 
 /// Run every applicable rule over the `.rs` files under `root`.

@@ -376,18 +376,16 @@ fn plain_memory_paths_agree_with_the_single_device_and_under_observation() {
             assert_eq!(kept, on_slab, "{config:?} {op:?}");
             assert!(plain == observed, "{config:?} {op:?}: the walks differ");
         }
-        if matches!(config.backend, sv_sim::core::BackendKind::ScaleOut { .. }) {
-            let detected = SimConfig {
-                detect_races: true,
-                ..config
-            };
-            let (detected, kept) = observe(detected, None);
-            assert_eq!(kept, on_slab, "{config:?}");
-            assert!(
-                plain == detected,
-                "{config:?}: plain and detected runs differ"
-            );
-        }
+        let detected = SimConfig {
+            detect_races: true,
+            ..config
+        };
+        let (detected, kept) = observe(detected, None);
+        assert_eq!(kept, on_slab, "{config:?}");
+        assert!(
+            plain == detected,
+            "{config:?}: plain and detected runs differ"
+        );
 
         let single = SimConfig {
             backend: sv_sim::core::BackendKind::SingleDevice,
@@ -408,12 +406,22 @@ fn plain_memory_paths_agree_with_the_single_device_and_under_observation() {
 /// no race.
 #[test]
 fn the_detector_watches_the_tiled_slab_walk_of_square_root_n18() {
+    detector_watches_square_root_n18(SimConfig::scale_out(2));
+}
+
+/// [`the_detector_watches_the_tiled_slab_walk_of_square_root_n18`] on 2
+/// scale-up devices, which walk the same lent walk.
+#[test]
+fn the_detector_watches_scale_up_on_square_root_n18() {
+    detector_watches_square_root_n18(SimConfig::scale_up(2));
+}
+
+fn detector_watches_square_root_n18(plain: SimConfig) {
     let square_root = sv_sim::workloads::large_suite()
         .into_iter()
         .find(|spec| spec.name == "square_root_n18")
         .expect("a Table 4 routine");
     let circuit = square_root.circuit().unwrap();
-    let plain = SimConfig::scale_out(2);
     let detected = SimConfig {
         detect_races: true,
         ..plain
