@@ -18,7 +18,7 @@
 
 use crate::compile::write_payload;
 use crate::exec::{run_solo, Step};
-use crate::plan::{build_segment, PlanSegment};
+use crate::plan::{build_segment, preserves_zero, PlanSegment};
 use crate::sim::SimConfig;
 use crate::state::StateVector;
 use std::ops::Range;
@@ -251,13 +251,18 @@ impl CompiledTemplate {
                 state.n_qubits()
             )));
         }
+        // A patched kernel may now write `-0.0` where its placeholder did
+        // not, or the other way round: its verdict is decided again, and so
+        // is its run's.
         for (at, gate) in &self.patches {
             let angles = gate.angles(values);
             gate.kind.check_params(&angles)?;
-            write_payload(gate.kind, &angles, &mut self.seg.queue[*at].args);
+            let cg = &mut self.seg.queue[*at];
+            write_payload(gate.kind, &angles, &mut cg.args);
+            if let Some(keeps) = self.seg.keeps_zero.get_mut(*at) {
+                *keeps = preserves_zero(cg);
+            }
         }
-        // A patched kernel may now write `-0.0` where its placeholder did
-        // not, or the other way round: its run decides again.
         let patched = |kernels: &Range<usize>| {
             let first = self.patches.partition_point(|(at, _)| *at < kernels.start);
             self.patches
@@ -266,7 +271,7 @@ impl CompiledTemplate {
         };
         for run in &mut self.seg.runs {
             if patched(&run.kernels) {
-                run.decide_zero(&self.seg.queue);
+                run.decide_zero(&self.seg.keeps_zero);
             }
         }
         state.reset_zero();
@@ -334,7 +339,7 @@ mod tests {
             // amplitudes (the shipped width tiles no 4-qubit state).
             let mut tiled = StateVector::zero_state(4).unwrap();
             let mut seg = compiled.seg.clone();
-            seg.runs = crate::plan::tile_runs(&seg, 4, &TEMPLATE_CONFIG, &[2]);
+            seg.tile(4, &TEMPLATE_CONFIG, &[2]);
             assert!(!seg.runs.is_empty());
             run_solo(&mut tiled, &seg, &TEMPLATE_CONFIG, &[], 0).unwrap();
             let bits = |s: &StateVector| -> Vec<u64> {
@@ -394,7 +399,7 @@ mod tests {
         t.push(GateKind::RY, &[0], &[ParamValue::Var(0)]).unwrap();
         t.push(GateKind::RY, &[1], &[ParamValue::Var(1)]).unwrap();
         let mut compiled = t.compile().unwrap();
-        compiled.seg.runs = crate::plan::tile_runs(&compiled.seg, 4, &TEMPLATE_CONFIG, &[2]);
+        compiled.seg.tile(4, &TEMPLATE_CONFIG, &[2]);
         assert!(compiled.seg.runs[0].keeps_zero, "lowered at angle 0");
         let bits = |plane: &[f64]| plane.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut negative_zeros = false;

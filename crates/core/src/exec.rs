@@ -45,14 +45,23 @@
 //! sync, where the plan puts its barrier: no kernel of the run leaves the
 //! PE's partition.
 //!
-//! **Zero tiles.** Nothing outside a tile reaches it during a run, so a tile
-//! whose words are all `+0.0` when the run reaches it leaves the run as it
-//! entered if every kernel of the run maps `+0.0` words to `+0.0` words —
-//! which the lowering decides per run from the kernels' own bodies
-//! (`TileRun::keeps_zero`). The slab walk skips such a tile, and such a
-//! sub-tile of a sub-run, and still accounts for every kernel of the run:
-//! the counters count the footprint the traffic model predicts. A tile
-//! holding a `-0.0` is not a zero tile.
+//! **Zero tiles.** Each walker keeps one **zero map** of its own memory: a
+//! bit per finest tile — the innermost width its segment is tiled at
+//! (`PlanSegment::finest`) — set while the tile is known to be all `+0.0`.
+//! A run that keeps zero (`TileRun::keeps_zero`: every kernel of it maps
+//! `+0.0` words to `+0.0` words, which the lowering decides once per kernel
+//! from its own body, `PlanSegment::keeps_zero`) scans, on entering a tile,
+//! only the finest tiles whose bit is unknown, and skips the tile if all of
+//! them are known: nothing outside a tile reaches it during the run. Every
+//! kernel sweep on the slab — inside a run, inside a sub-run, outside any
+//! run — works in **groups**, the finest tiles the kernel's footprint pairs
+//! (`Groups`): a kernel that keeps zero leaves alone a group whose tiles
+//! are all known, and every group that runs is forgotten. A sweep whose span
+//! holds no known tile is one call, as a dense state always walks. A
+//! collapse, an `IfEq` payload, an exchange and a kernel through the view
+//! forget the whole map. Every kernel is still accounted for in full: the
+//! counters count the footprint the traffic model predicts. A tile holding a
+//! `-0.0` is not a zero tile.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -69,6 +78,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use svsim_ir::Gate;
 use svsim_shmem::{FaultPlan, ProcOptions, RaceDetector, ShmemBackend, ShmemCtx, SymF64};
+use svsim_types::bits::insert_zero_bits;
 use svsim_types::{PeOp, SvError, SvResult};
 
 /// How gates are bound to kernels at execution time.
@@ -165,10 +175,15 @@ struct OnSlab<'s> {
     /// The amplitude accesses one walker's share of it makes (`items x
     /// footprint`, each one load and one store): what the slab accounts for.
     accesses: u64,
+    /// Whether the kernel maps `+0.0` words to `+0.0` words
+    /// (`PlanSegment::keeps_zero`): then it may leave known-zero tiles alone.
+    keeps_zero: bool,
 }
 
 /// What a walker counts of one segment: the kernels it ran on its slab, and
-/// the tile and sub-tile sweeps it skipped as all `+0.0` ([`tile_major`]).
+/// the zero tiles it skipped — the tile and sub-tile sweeps of runs
+/// ([`tile_major`]) and the finest tiles kernels left alone
+/// ([`ZeroMap::sweep`]).
 type WalkCounts = (usize, usize);
 
 /// One kernel bound for a walker: through the fabric's view and, if the
@@ -184,6 +199,8 @@ struct Kernels<'a, V: StateView> {
     /// table parallel to the flat compiled queue, nothing copied per gate.
     /// Empty under [`DispatchMode::RuntimeParse`].
     uploaded: Vec<Bound<'a, V>>,
+    /// The queue's zero verdicts (`PlanSegment::keeps_zero`).
+    keeps_zero: &'a [bool],
     config: &'a SimConfig,
     n_qubits: u32,
     /// The walker's slab ([`Fabric::slab`]).
@@ -196,35 +213,46 @@ impl<'a, V: StateView> Kernels<'a, V> {
         let mut kernels = Self {
             queue: &seg.queue,
             uploaded: Vec::new(),
+            keeps_zero: &seg.keeps_zero,
             config,
             n_qubits,
             slab,
             scratch: Vec::new(),
         };
         if config.dispatch == DispatchMode::PreloadedFnPointer {
-            kernels.uploaded = seg.queue.iter().map(|cg| kernels.bind(cg)).collect();
+            kernels.uploaded = (0..seg.queue.len())
+                .map(|k| kernels.bind_queued(k))
+                .collect();
         }
         kernels
     }
 
     /// Bind `cg` for this walker: on its slab too if `cg` is
     /// partition-local.
-    fn bind(&self, cg: &CompiledGate) -> Bound<'a, V> {
+    fn bind(&self, cg: &CompiledGate, keeps_zero: bool) -> Bound<'a, V> {
         let n_pes = self.slab.n_pes;
         let on_slab = partition_local(cg, self.n_qubits, n_pes).then(|| OnSlab {
             kernel: resolve::<LocalView>(cg.id),
             accesses: cg.args.work / n_pes * u64::from(cg.args.n_offs),
+            keeps_zero,
         });
         (resolve::<V>(cg.id), on_slab)
+    }
+
+    /// [`Self::bind`] kernel `k` of the segment's queue, with its verdict.
+    fn bind_queued(&self, k: usize) -> Bound<'a, V> {
+        self.bind(&self.queue[k], self.keeps_zero.get(k) == Some(&true))
     }
 
     /// Kernel `k` of the segment's queue — through the preloaded table, if
     /// there is one — and its arguments, which outlive the walk.
     #[inline]
     fn queued(&self, k: usize) -> (Bound<'a, V>, &'a GateArgs) {
-        let cg = &self.queue[k];
         let bound = self.uploaded.get(k).copied();
-        (bound.unwrap_or_else(|| self.bind(cg)), &cg.args)
+        (
+            bound.unwrap_or_else(|| self.bind_queued(k)),
+            &self.queue[k].args,
+        )
     }
 
     /// Hand `apply` each kernel of one step, in order: `queue[compiled]`
@@ -247,7 +275,7 @@ impl<'a, V: StateView> Kernels<'a, V> {
                     &mut self.scratch,
                 );
                 for cg in &self.scratch {
-                    apply(self.bind(cg), &cg.args);
+                    apply(self.bind(cg, false), &cg.args);
                 }
             }
             None => {
@@ -326,35 +354,185 @@ impl<'a> Slab<'a> {
     /// Run this walker's share of a partition-local kernel: items
     /// `0..work / n_pes` at slab-local indices are the words
     /// `worker_range(work, n_pes, pe)` reaches through the global view
-    /// ([`partition_local`]).
-    fn run(&self, on: OnSlab<'a>, args: &GateArgs) {
+    /// ([`partition_local`]). Swept in groups over `zeros`; returns the
+    /// finest tiles it left alone.
+    fn run(&self, on: OnSlab<'a>, args: &GateArgs, zeros: &ZeroMap) -> usize {
         (self.lend)(on.accesses);
-        (on.kernel)(&self.view, args, 0..args.work / self.n_pes);
+        zeros.sweep(&self.view, on, args, 0)
     }
 }
 
-/// Sweep `run` tile-major over `view` in tiles of `2^run.width` amplitudes.
-/// Over one tile, each of its sub-runs sweeps that tile the same way one
-/// sub-tile at a time, and every other kernel sweeps the whole tile: items
-/// `0..work >> (n_qubits - width)` at tile-local indices, [`Slab::run`]'s
-/// argument one level down. Then the next tile. Tiles share no amplitude, so
-/// every amplitude meets the same kernels in the same order with the same
-/// operands as kernel-major.
+/// A walker's **zero map** (module docs): one bit per finest tile of its own
+/// memory, set while that tile is known to be all `+0.0`. Only a scan sets a
+/// bit; every write that may reach a tile clears it first.
+struct ZeroMap {
+    /// log2 of the amplitudes in one finest tile.
+    width: u32,
+    /// Bit `t % 64` of word `t / 64`: finest tile `t` is known all `+0.0`.
+    known: Vec<Cell<u64>>,
+}
+
+impl ZeroMap {
+    /// Nothing known of `dim` amplitudes in finest tiles of `2^finest`. Memory
+    /// its segment does not tile is one tile, which no run scans.
+    fn new(dim: u64, finest: Option<u32>) -> Self {
+        let width = finest.unwrap_or(dim.trailing_zeros());
+        let tiles = (dim >> width) as usize;
+        Self {
+            width,
+            known: vec![Cell::new(0); tiles.div_ceil(64)],
+        }
+    }
+
+    fn is_known(&self, tile: usize) -> bool {
+        self.known[tile / 64].get() >> (tile % 64) & 1 == 1
+    }
+
+    fn set(&self, tile: usize, known: bool) {
+        let (word, bit) = (&self.known[tile / 64], 1 << (tile % 64));
+        word.set(if known {
+            word.get() | bit
+        } else {
+            word.get() & !bit
+        });
+    }
+
+    fn forget_all(&self) {
+        self.known.iter().for_each(|word| word.set(0));
+    }
+
+    /// Scan each finest tile of `view`, the tiles from `first` on, whose bit
+    /// is unknown, and learn those that are all `+0.0`. Whether all of
+    /// `view`'s tiles are known now.
+    fn scan(&self, view: &LocalView<'_>, first: usize) -> bool {
+        let mut all = true;
+        for tile in 0..view.dim() >> self.width {
+            let at = first + tile as usize;
+            if !self.is_known(at) {
+                let zero = view.tile(tile, self.width).is_zero();
+                self.set(at, zero);
+                all &= zero;
+            }
+        }
+        all
+    }
+
+    /// Sweep kernel `on` over all of `view`, whose finest tiles are the tiles
+    /// from `first` on: items `0..dim >> n_sorted` at view-local indices, in
+    /// [`Groups`]. A kernel that keeps zero leaves alone each group whose
+    /// tiles are all known; every other group runs, and its tiles are
+    /// forgotten. Consecutive groups that run are one call, and a view with
+    /// no known tile one call for all. Returns the tiles left alone.
+    fn sweep<'s>(
+        &self,
+        view: &LocalView<'s>,
+        on: OnSlab<'s>,
+        args: &GateArgs,
+        first: usize,
+    ) -> usize {
+        let items = view.dim() >> args.n_sorted;
+        let mut span = first..first + (view.dim() >> self.width) as usize;
+        if !span.any(|t| self.is_known(t)) {
+            (on.kernel)(view, args, 0..items);
+            return 0;
+        }
+        let groups = Groups::new(args, self.width);
+        let (mut left_alone, mut from) = (0, 0);
+        for group in 0..items >> groups.items {
+            let tiles = groups.tiles(group).map(|t| first + t as usize);
+            if on.keeps_zero && tiles.clone().all(|t| self.is_known(t)) {
+                let at = group << groups.items;
+                if from < at {
+                    (on.kernel)(view, args, from..at);
+                }
+                from = at + (1 << groups.items);
+                left_alone += groups.n_offs;
+            } else {
+                tiles.for_each(|t| self.set(t, false));
+            }
+        }
+        if from < items {
+            (on.kernel)(view, args, from..items);
+        }
+        left_alone
+    }
+}
+
+/// How a kernel's work items fall into **groups** over finest tiles of
+/// `2^width` amplitudes. Item `i` touches `insert_zero_bits(i, sorted) |
+/// off` for each footprint offset `off`; its low `width − b` bits fill the
+/// uninvolved positions below `width` (`b` involved qubits lie there), and
+/// the rest, `group = i >> (width − b)`, fill those at and above it. So one
+/// contiguous range of `2^(width − b)` items touches exactly the finest tiles
+/// `insert_zero_bits(group, high) | off >> width`, `high` the involved qubits
+/// at or above `width` less `width`, and no other group touches them.
+struct Groups {
+    /// log2 of the items in one group: `width − b`.
+    items: u32,
+    /// The involved qubits at or above the width, less the width, ascending.
+    high: [u32; 5],
+    n_high: usize,
+    /// The footprint's distinct tile offsets `off >> width`.
+    offs: [u64; 8],
+    n_offs: usize,
+}
+
+impl Groups {
+    fn new(args: &GateArgs, width: u32) -> Self {
+        let below = args.sorted().iter().filter(|&&q| q < width).count() as u32;
+        let mut groups = Self {
+            items: width - below,
+            high: [0; 5],
+            n_high: 0,
+            offs: [0; 8],
+            n_offs: 0,
+        };
+        for &q in args.sorted().iter().filter(|&&q| q >= width) {
+            groups.high[groups.n_high] = q - width;
+            groups.n_high += 1;
+        }
+        for off in args.offs().iter().map(|off| off >> width) {
+            if !groups.offs[..groups.n_offs].contains(&off) {
+                groups.offs[groups.n_offs] = off;
+                groups.n_offs += 1;
+            }
+        }
+        groups
+    }
+
+    /// The finest tiles group `group` touches, from the view's first.
+    fn tiles(&self, group: u64) -> impl Iterator<Item = u64> + Clone + '_ {
+        let base = insert_zero_bits(group, &self.high[..self.n_high]);
+        self.offs[..self.n_offs].iter().map(move |off| base | off)
+    }
+}
+
+/// Sweep `run` tile-major over `view` — whose finest tiles are the walker's
+/// from `first` on — in tiles of `2^run.width` amplitudes. Over one tile,
+/// each of its sub-runs sweeps that tile the same way one sub-tile at a
+/// time, and every other kernel sweeps the whole tile ([`ZeroMap::sweep`]),
+/// [`Slab::run`]'s argument one level down. Then the next tile. Tiles share
+/// no amplitude, so every amplitude meets the same kernels in the same order
+/// with the same operands as kernel-major.
 ///
-/// A tile (or sub-tile) whose words are all `+0.0` when a run that
-/// [keeps zero](TileRun::keeps_zero) reaches it is skipped: every kernel of
-/// the run would leave it so, bit for bit. Returns how many were skipped.
+/// A run that [keeps zero](TileRun::keeps_zero) scans a tile's unknown
+/// finest tiles when it reaches it, and skips the tile (or sub-tile) if all
+/// of them are known all `+0.0`: every kernel of the run would leave it so,
+/// bit for bit. Returns how many tiles were skipped and how many finest
+/// tiles kernels left alone.
 fn tile_major<'a>(
     view: &LocalView<'a>,
+    first: usize,
     run: &TileRun,
-    n_qubits: u32,
+    zeros: &ZeroMap,
     kernel: &impl Fn(usize) -> (OnSlab<'a>, &'a GateArgs),
 ) -> usize {
     let width = run.width;
     let mut skipped = 0;
     for tile in 0..view.dim() >> width {
         let view = view.tile(tile, width);
-        if run.keeps_zero && view.is_zero() {
+        let first = first + ((tile as usize) << (width - zeros.width));
+        if run.keeps_zero && zeros.scan(&view, first) {
             skipped += 1;
             continue;
         }
@@ -362,11 +540,11 @@ fn tile_major<'a>(
         let mut k = run.kernels.start;
         while k < run.kernels.end {
             if let Some(sub) = inner.next_if(|sub| sub.kernels.start == k) {
-                skipped += tile_major(&view, sub, n_qubits, kernel);
+                skipped += tile_major(&view, first, sub, zeros, kernel);
                 k = sub.kernels.end;
             } else {
                 let (on, args) = kernel(k);
-                (on.kernel)(&view, args, 0..args.work >> (n_qubits - width));
+                skipped += zeros.sweep(&view, on, args, first);
                 k += 1;
             }
         }
@@ -426,8 +604,10 @@ impl<'a> Fabric for Worker<'a> {
 ///
 /// **Tile runs.** The segment's tile runs ([`TileRun`], decided by the
 /// lowering) run as they stand, each followed by one sync: on the slab,
-/// tile-major ([`tile_major`]), skipping the tiles a run keeps all `+0.0`.
-/// Only preloaded segments hold any.
+/// tile-major ([`tile_major`]). Only preloaded segments hold any. Every
+/// kernel on the slab sweeps over the walker's [`ZeroMap`], which a
+/// collapse, an `IfEq` payload, an exchange and a kernel through the view
+/// clear.
 fn interpret<'a, F: Fabric>(
     fabric: &'a F,
     seg: &'a PlanSegment,
@@ -436,19 +616,24 @@ fn interpret<'a, F: Fabric>(
     initial_cbits: u64,
 ) -> SvResult<(u64, WalkCounts)> {
     let mut cbits = initial_cbits;
-    let on_slab_runs = Cell::new(0usize);
-    let mut zero_tiles = 0;
+    let (on_slab_runs, zero_tiles) = (Cell::new(0usize), Cell::new(0usize));
     let add = |n: usize| on_slab_runs.set(on_slab_runs.get() + n);
+    let skip = |n: usize| zero_tiles.set(zero_tiles.get() + n);
     let n_qubits = fabric.view().dim().trailing_zeros();
     let slab = fabric.slab();
+    let zeros = &ZeroMap::new(slab.view.dim(), seg.finest);
     let mut kernels = Kernels::<F::View>::new(seg, config, n_qubits, slab);
-    // One kernel on the slab if it was bound there, else through the view.
+    // One kernel on the slab if it was bound there, else through the view,
+    // which may write anywhere.
     let exec = |(kernel, on_slab): Bound<'a, F::View>, args: &GateArgs| match on_slab {
         Some(local) => {
-            slab.run(local, args);
+            skip(slab.run(local, args, zeros));
             add(1);
         }
-        None => kernel(fabric.view(), args, fabric.share(args.work)),
+        None => {
+            kernel(fabric.view(), args, fabric.share(args.work));
+            zeros.forget_all();
+        }
     };
     let run = |bound: Bound<'a, F::View>, args: &GateArgs| {
         exec(bound, args);
@@ -488,12 +673,16 @@ fn interpret<'a, F: Fabric>(
             )));
         }
         measure::collapse(own, base, phys, outcome, 1.0 / p.sqrt());
+        zeros.forget_all();
         fabric.sync();
         Ok(outcome)
     };
     for step in &seg.steps {
         match step {
-            Step::Exchange { lo, hi } => fabric.exchange(*lo, *hi),
+            Step::Exchange { lo, hi } => {
+                fabric.exchange(*lo, *hi);
+                zeros.forget_all();
+            }
             Step::Gate { raw, compiled, .. } if seg.runs.is_empty() => {
                 kernels.each(Some(raw), compiled, run);
             }
@@ -519,7 +708,7 @@ fn interpret<'a, F: Fabric>(
                     };
                     let accesses = tile_run.kernels.clone().map(|k| on_slab(k).0.accesses);
                     (slab.lend)(accesses.sum());
-                    zero_tiles += tile_major(&slab.view, tile_run, n_qubits, &on_slab);
+                    skip(tile_major(&slab.view, 0, tile_run, zeros, &on_slab));
                     add(tile_run.kernels.len());
                     fabric.sync();
                 }
@@ -535,6 +724,7 @@ fn interpret<'a, F: Fabric>(
                 // All workers hold identical cbits, so they branch
                 // identically — no divergence across the barrier.
                 if cond_holds(cbits, *creg_lo, *creg_len, *value) {
+                    zeros.forget_all();
                     kernels.each(Some(raw), compiled, run);
                 }
             }
@@ -554,19 +744,19 @@ fn interpret<'a, F: Fabric>(
                 x,
                 ..
             } => {
-                // The X restoring |0>.
+                // The X restoring |0>, after the collapse forgot every tile.
                 if collapse(*qubit, layout.as_ref(), randoms[*r_idx])? == 1 {
                     kernels.each(None, x, run);
                 }
             }
         }
     }
-    Ok((cbits, (on_slab_runs.get(), zero_tiles)))
+    Ok((cbits, (on_slab_runs.get(), zero_tiles.get())))
 }
 
 /// Run one lowered segment on a single device — also how a sweep template
 /// runs a trial ([`crate::batch`]). Returns the classical register and the
-/// tile sweeps skipped as all `+0.0`.
+/// zero tiles skipped ([`WalkCounts`]).
 pub(crate) fn run_solo(
     state: &mut StateVector,
     seg: &PlanSegment,
@@ -789,7 +979,7 @@ pub(crate) fn run_partitioned(
 mod tests {
     use super::*;
     use crate::compile::KernelId;
-    use crate::plan::{build_segment, checkpoint_grid, tile_runs};
+    use crate::plan::{build_segment, checkpoint_grid};
     use crate::sim::Simulator;
     use crate::view::PeerView;
     use std::collections::HashSet;
@@ -912,7 +1102,7 @@ mod tests {
         let (mut ids, mut widths, mut unkept) = (HashSet::new(), HashSet::new(), 0);
         for range in checkpoint_grid(0, ops.len(), config.checkpoint_every) {
             let mut seg = build_segment(ops, range.start, range.end, n, config);
-            seg.runs = tile_runs(&seg, n, config, tiles);
+            seg.tile(n, config, tiles);
             ids.extend(seg.queue.iter().map(|cg| cg.id));
             widths.extend(seg.runs.iter().map(|r| r.width));
             let runs = seg
@@ -1088,6 +1278,158 @@ mod tests {
                         assert_eq!(t.barriers, p.barriers - saved, "{what}: PE {pe}");
                         let rest = TrafficSnapshot { barriers: 0, ..*t };
                         assert_eq!(rest, TrafficSnapshot { barriers: 0, ..*p }, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A walk tiled at `nested` leaves what the kernel-major walk `plain`
+    /// leaves: amplitudes and cbits bit for bit, one barrier per tile run
+    /// where `plain` passes one per kernel, and every other counter of every
+    /// PE equal.
+    fn assert_walks_agree(tiled: &Walked, plain: &Walked, what: &str) {
+        let (t, p) = (&tiled.summary, &plain.summary);
+        assert_eq!(tiled.state, plain.state, "{what}: amplitudes");
+        assert_eq!(t.cbits, p.cbits, "{what}");
+        assert_eq!(t.slab_kernels, p.slab_kernels, "{what}");
+        let saved = (t.tiled_kernels - t.tile_runs) as u64;
+        assert_eq!(t.traffic.len(), p.traffic.len(), "{what}");
+        for (pe, (t, p)) in t.traffic.iter().zip(&p.traffic).enumerate() {
+            assert_eq!(t.barriers, p.barriers - saved, "{what}: PE {pe}");
+            let rest = TrafficSnapshot { barriers: 0, ..*t };
+            assert_eq!(
+                rest,
+                TrafficSnapshot { barriers: 0, ..*p },
+                "{what}: PE {pe}"
+            );
+        }
+    }
+
+    /// The group arithmetic of a sweep ([`Groups`]): over memory of `2^m`
+    /// amplitudes in finest tiles of `2^f`, at the crate's small widths, for
+    /// every kernel anchored at every qubit (involved qubits below, at and
+    /// above `f`; controls on either side of the target), each range of
+    /// `2^(f − involved qubits below f)` items touches exactly the finest
+    /// tiles its group names, each once, and no tile belongs to two groups.
+    #[test]
+    fn groups_are_the_finest_tiles_a_kernel_pairs() {
+        use std::collections::{BTreeSet, HashMap};
+        let (mut below, mut at, mut above, mut controlled) = (0, 0, 0, 0);
+        for [outer, f] in [[3u32, 1], [4, 2], [5, 3]] {
+            for m in [outer, 8] {
+                for cg in (0..m - 1).flat_map(|q| crate::fixtures::kernels_anchored_at(q, m)) {
+                    let args = &cg.args;
+                    let what = format!("2^{m} in tiles of 2^{f}: {cg:?}");
+                    let groups = Groups::new(args, f);
+                    let items = 1u64 << (m - u32::from(args.n_sorted));
+                    let mut owner = HashMap::new();
+                    for group in 0..items >> groups.items {
+                        let range = group << groups.items..(group + 1) << groups.items;
+                        let touched: BTreeSet<u64> = range
+                            .flat_map(|i| {
+                                let base = insert_zero_bits(i, args.sorted());
+                                args.offs().iter().map(move |off| (base | off) >> f)
+                            })
+                            .collect();
+                        let named: Vec<u64> = groups.tiles(group).collect();
+                        assert_eq!(named.len(), touched.len(), "{what}: group {group}");
+                        assert_eq!(BTreeSet::from_iter(named), touched, "{what}: group {group}");
+                        for tile in touched {
+                            let other = owner.insert(tile, group);
+                            assert_eq!(other, None, "{what}: tile {tile} in two groups");
+                        }
+                    }
+                    let sorted = args.sorted();
+                    below += usize::from(sorted.iter().any(|&q| q < f));
+                    at += usize::from(sorted.contains(&f));
+                    above += usize::from(sorted.iter().any(|&q| q > f));
+                    controlled += usize::from(args.offs().len() < 1 << sorted.len());
+                }
+            }
+        }
+        assert!(below > 0 && at > 0 && above > 0 && controlled > 0);
+    }
+
+    /// Every step that may write into a tile the zero map knows all `+0.0`
+    /// makes the map forget it, on every backend: an X on a high qubit that
+    /// moves the amplitude into a known-zero tile; a Z and rotations of
+    /// negative cosine outside any run, which write `-0.0` there; a measure,
+    /// a reset and an `IfEq`; a kernel on the top qubit, which on PEs is a
+    /// remapped exchange or a boundary kernel through the lending view, also
+    /// once the amplitude is spread over every low position. Each case
+    /// starts from `|0...0>` and puts a run that keeps zero before and after
+    /// each step: the first learns the zero tiles, the second skips what the
+    /// map still knows. Amplitudes and every counter equal the kernel-major
+    /// walk's.
+    #[test]
+    fn zero_maps_forget_what_a_step_may_write() {
+        use GateKind::*;
+        let n = 8u32;
+        // H on qubits 0 and 1: a run that keeps zero at every nested width.
+        let learn = |c: &mut Circuit| {
+            c.apply(H, &[0], &[]).unwrap();
+            c.apply(H, &[1], &[]).unwrap();
+        };
+        let case = |steps: &dyn Fn(&mut Circuit)| {
+            let mut c = Circuit::with_cbits(n, 1);
+            learn(&mut c);
+            steps(&mut c);
+            learn(&mut c);
+            c
+        };
+        let one = |kind: GateKind, qubit: u32, params: &'static [f64]| {
+            move |c: &mut Circuit| c.apply(kind, &[qubit], params).unwrap()
+        };
+        let x5 = one(X, 5, &[]);
+        let cases: [(&str, Circuit); 9] = [
+            ("X into a known-zero tile", case(&x5)),
+            ("Z", case(&one(Z, 5, &[]))),
+            ("RZ(7.0)", case(&one(RZ, 5, &[7.0]))),
+            ("RY(4.0)", case(&one(RY, 5, &[4.0]))),
+            ("measure", case(&|c| c.measure(0, 0).unwrap())),
+            (
+                "reset",
+                case(&|c| {
+                    x5(c);
+                    learn(c);
+                    c.reset(5).unwrap();
+                }),
+            ),
+            (
+                "IfEq",
+                case(&|c| {
+                    x5(c);
+                    learn(c);
+                    c.measure(5, 0).unwrap();
+                    learn(c);
+                    c.if_eq(0, 1, 1, Gate::new(X, &[5], &[]).unwrap()).unwrap();
+                }),
+            ),
+            ("H on the top qubit", case(&one(H, n - 1, &[]))),
+            (
+                "H on the top qubit of a spread partition",
+                case(&|c| {
+                    // Whichever low position an exchange picks, it moves
+                    // amplitude into the other PEs' known-zero tiles.
+                    for q in 2..n - 1 {
+                        c.apply(H, &[q], &[]).unwrap();
+                    }
+                    learn(c);
+                    c.apply(H, &[n - 1], &[]).unwrap();
+                }),
+            ),
+        ];
+        for (name, circuit) in &cases {
+            for config in backends() {
+                for nested in [[3u32, 1], [4, 2]] {
+                    let what = format!("{name}, tiles of 2^{nested:?}, {config:?}");
+                    let plain = walk(circuit, &config, &[n], None);
+                    let tiled = walk(circuit, &config, &nested, None);
+                    assert_walks_agree(&tiled, &plain, &what);
+                    assert!(tiled.summary.zero_tiles > 0, "{what}: nothing skipped");
+                    if config.remap && name.contains("top qubit") {
+                        assert!(tiled.summary.remap_swaps > 0, "{what}: no exchange");
                     }
                 }
             }
@@ -1381,7 +1723,9 @@ mod tests {
                     n_rand: 0,
                     n_swaps: 1,
                     final_layout: None,
+                    keeps_zero: Vec::new(),
                     runs: Vec::new(),
+                    finest: None,
                 };
                 for faults in [None, Some(Arc::clone(&observed))] {
                     let what = format!(

@@ -51,36 +51,25 @@ pub(crate) struct TileRun {
     pub(crate) width: u32,
     /// The run's kernels: a range of the segment's queue.
     pub(crate) kernels: Range<usize>,
-    /// Whether every kernel of the run [`preserves_zero`]: then a tile whose
-    /// words are all `+0.0` when the run reaches it leaves the run exactly as
-    /// it entered, and the walker skips it.
+    /// Whether every kernel of the run [`preserves_zero`] (their verdicts in
+    /// [`PlanSegment::keeps_zero`]): then a tile whose words are all `+0.0`
+    /// when the run reaches it leaves the run exactly as it entered, and the
+    /// walker skips it.
     pub(crate) keeps_zero: bool,
     /// Its sub-runs at the next, narrower width, in order.
     pub(crate) inner: Vec<TileRun>,
 }
 
 impl TileRun {
-    /// Decide [`Self::keeps_zero`] again, for this run and its sub-runs, from
-    /// the kernels `queue` holds now: after their payloads were rewritten.
-    pub(crate) fn decide_zero(&mut self, queue: &[CompiledGate]) {
+    /// Derive [`Self::keeps_zero`] again, for this run and its sub-runs, from
+    /// the segment's per-kernel verdicts `keeps`: after some were decided
+    /// again.
+    pub(crate) fn decide_zero(&mut self, keeps: &[bool]) {
         for sub in &mut self.inner {
-            sub.decide_zero(queue);
+            sub.decide_zero(keeps);
         }
-        self.keeps_zero = keeps_zero(queue, &self.kernels, &self.inner);
+        self.keeps_zero = keeps[self.kernels.clone()].iter().all(|&k| k);
     }
-}
-
-/// Whether every kernel of `queue[kernels]` [`preserves_zero`], taking the
-/// verdicts of its sub-runs `inner` as decided: each kernel is probed once.
-fn keeps_zero(queue: &[CompiledGate], kernels: &Range<usize>, inner: &[TileRun]) -> bool {
-    let mut k = kernels.start;
-    for sub in inner {
-        if !(sub.keeps_zero && queue[k..sub.kernels.start].iter().all(preserves_zero)) {
-            return false;
-        }
-        k = sub.kernels.end;
-    }
-    queue[k..kernels.end].iter().all(preserves_zero)
 }
 
 /// Whether kernel `cg` maps one work item of `+0.0` words to `+0.0` words,
@@ -118,6 +107,10 @@ pub(crate) struct PlanSegment {
     pub(crate) steps: Vec<Step>,
     /// Flat compiled-kernel queue the steps index into.
     pub(crate) queue: Vec<CompiledGate>,
+    /// Each queue entry's [`preserves_zero`] verdict, decided once where the
+    /// segment is tiled ([`Self::tile`]); empty when it tiles at no width,
+    /// where nothing skips.
+    pub(crate) keeps_zero: Vec<bool>,
     /// Random draws the segment's measurements/resets will consume.
     pub(crate) n_rand: usize,
     /// Relabeling exchanges among the steps.
@@ -127,6 +120,40 @@ pub(crate) struct PlanSegment {
     pub(crate) final_layout: Option<QubitLayout>,
     /// The segment's tile runs, in queue order.
     pub(crate) runs: Vec<TileRun>,
+    /// log2 of the amplitudes in one **finest tile**: the innermost width
+    /// the segment is tiled at, and the grain of a walker's zero map
+    /// ([`crate::exec`]). `None` when it tiles at no width.
+    pub(crate) finest: Option<u32>,
+}
+
+impl PlanSegment {
+    /// Tile the segment for a walker of an `n_qubits` register under
+    /// `config`, at those of the widths `widths` (outermost first, each
+    /// narrower than the last) it [`tiles`] at ([`build_segment`] passes
+    /// [`TILE_QUBITS`]; the crate's tests walk small registers in small
+    /// tiles): the finest of them, every kernel's [`preserves_zero`] verdict,
+    /// and the tile runs at the widest of them, each with its sub-runs at the
+    /// next. A stretch of gate steps is cut by every other step — a measure,
+    /// a reset, an `IfEq`, an exchange — and within it a run by every kernel
+    /// that is not tile-local.
+    pub(crate) fn tile(&mut self, n_qubits: u32, config: &SimConfig, widths: &[u32]) {
+        let widths = tiles(config, n_qubits, widths);
+        self.finest = widths.last().copied();
+        self.keeps_zero = match self.finest {
+            Some(_) => self.queue.iter().map(preserves_zero).collect(),
+            None => Vec::new(),
+        };
+        let gates = |step: &Step| !widths.is_empty() && matches!(step, Step::Gate { .. });
+        let stretches = self.steps.chunk_by(|a, b| gates(a) && gates(b));
+        self.runs = (stretches.filter(|stretch| gates(&stretch[0])))
+            .flat_map(|stretch| {
+                let kernels = |step: &Step| step.kernels().map_or(0..0, |(_, r)| r.clone());
+                let (first, last) = (kernels(&stretch[0]), kernels(&stretch[stretch.len() - 1]));
+                let span = first.start..last.end;
+                runs_in(&self.queue, &self.keeps_zero, span, n_qubits, &widths)
+            })
+            .collect();
+    }
 }
 
 /// The two settings the lowering derives from `config` for an `n_qubits`
@@ -155,35 +182,17 @@ fn tiles(config: &SimConfig, n_qubits: u32, widths: &[u32]) -> Vec<u32> {
         .collect()
 }
 
-/// The tile runs of `seg` for a walker of an `n_qubits` register under
-/// `config`, at those of the widths `widths` (outermost first, each narrower
-/// than the last) it [`tiles`] at ([`build_segment`] passes [`TILE_QUBITS`];
-/// the crate's tests walk small registers in small tiles): runs at the
-/// widest of them, each with its sub-runs at the next. A stretch of gate
-/// steps is cut by every other step — a measure, a reset, an `IfEq`, an
-/// exchange — and within it a run by every kernel that is not tile-local.
-pub(crate) fn tile_runs(
-    seg: &PlanSegment,
-    n_qubits: u32,
-    config: &SimConfig,
-    widths: &[u32],
-) -> Vec<TileRun> {
-    let widths = tiles(config, n_qubits, widths);
-    let gates = |step: &Step| !widths.is_empty() && matches!(step, Step::Gate { .. });
-    let stretches = seg.steps.chunk_by(|a, b| gates(a) && gates(b));
-    (stretches.filter(|stretch| gates(&stretch[0])))
-        .flat_map(|stretch| {
-            let kernels = |step: &Step| step.kernels().map_or(0..0, |(_, r)| r.clone());
-            let (first, last) = (kernels(&stretch[0]), kernels(&stretch[stretch.len() - 1]));
-            runs_in(&seg.queue, first.start..last.end, n_qubits, &widths)
-        })
-        .collect()
-}
-
 /// The maximal runs of two or more kernels of `queue[span]` of an `n`-qubit
 /// register that are tile-local at `widths[0]`, each with its sub-runs at the
-/// widths after it.
-fn runs_in(queue: &[CompiledGate], span: Range<usize>, n: u32, widths: &[u32]) -> Vec<TileRun> {
+/// widths after it, and whether each keeps zero by the kernels' verdicts
+/// `keeps`.
+fn runs_in(
+    queue: &[CompiledGate],
+    keeps: &[bool],
+    span: Range<usize>,
+    n: u32,
+    widths: &[u32],
+) -> Vec<TileRun> {
     let Some((&width, narrower)) = widths.split_first() else {
         return Vec::new();
     };
@@ -193,14 +202,11 @@ fn runs_in(queue: &[CompiledGate], span: Range<usize>, n: u32, widths: &[u32]) -
         .filter_map(|piece| {
             let kernels = start..start + piece.len();
             start = kernels.end;
-            (piece.len() >= 2 && fits(&piece[0])).then(|| {
-                let inner = runs_in(queue, kernels.clone(), n, narrower);
-                TileRun {
-                    width,
-                    keeps_zero: keeps_zero(queue, &kernels, &inner),
-                    kernels,
-                    inner,
-                }
+            (piece.len() >= 2 && fits(&piece[0])).then(|| TileRun {
+                width,
+                keeps_zero: keeps[kernels.clone()].iter().all(|&k| k),
+                inner: runs_in(queue, keeps, kernels.clone(), n, narrower),
+                kernels,
             })
         })
         .collect()
@@ -208,7 +214,7 @@ fn runs_in(queue: &[CompiledGate], span: Range<usize>, n: u32, widths: &[u32]) -
 
 /// Lower `ops[start..end]` into a segment: remap planning first (remapped
 /// scale-out only), then step/kernel lowering over the stream the executor
-/// will actually walk, then the tile runs ([`tile_runs`]). This is the
+/// will actually walk, then the tile runs ([`PlanSegment::tile`]). This is the
 /// single compile entry point — [`CompiledPlan::compile`] ahead of
 /// time, [`crate::Simulator`] for a segment no plan supplies.
 pub(crate) fn build_segment(
@@ -294,9 +300,11 @@ pub(crate) fn build_segment(
         n_rand,
         n_swaps: planned.map_or(0, |p| p.n_swaps),
         final_layout: remap.map(|p| p.final_layout),
+        keeps_zero: Vec::new(),
         runs: Vec::new(),
+        finest: None,
     };
-    seg.runs = tile_runs(&seg, n_qubits, config, &TILE_QUBITS);
+    seg.tile(n_qubits, config, &TILE_QUBITS);
     seg
 }
 

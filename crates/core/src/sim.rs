@@ -216,12 +216,16 @@ pub struct RunSummary {
     pub inner_tile_runs: usize,
     /// Kernels that ran inside those sub-runs.
     pub inner_tiled_kernels: usize,
-    /// Tile and sub-tile sweeps the walkers skipped: a tile whose words were
+    /// Zero tiles the walkers skipped, of two kinds. Each tile and sub-tile
+    /// sweep of a run that was skipped counts one: a tile whose words were
     /// all `+0.0` when a run reached it, where every kernel of the run maps
-    /// `+0.0` to `+0.0` bit for bit, leaves the run as it entered. Summed
-    /// over segments and walkers (PEs skip different tiles). The traffic
-    /// counters still credit every kernel of a skipped tile. 0 when
-    /// `tile_runs` is.
+    /// `+0.0` to `+0.0` bit for bit, leaves the run as it entered. And each
+    /// finest tile (2^11 amplitudes, the innermost tile width) that a kernel
+    /// left alone counts one: a kernel that maps
+    /// `+0.0` to `+0.0` skips each group of tiles its footprint pairs that
+    /// the walker knows all `+0.0`, inside a run or outside any. Summed over
+    /// segments and walkers (PEs skip different tiles). The traffic counters
+    /// still credit every kernel in full. 0 when `tile_runs` is.
     pub zero_tiles: usize,
 }
 

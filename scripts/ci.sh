@@ -121,6 +121,14 @@ cargo test --release -p svsim-core --lib lent_exchanges_move_and_count_what_the_
 cargo test --release --test cross_backend plain_memory_paths_agree_with_the_single_device
 cargo test --release -p svsim-core --lib put_faults_strike_scale_up_and_resume_bit_identically
 cargo test --release --test cross_backend the_detector_watches_scale_up_on_square_root_n18
+# The zero map's groups: for every kernel at the small widths [3, 1], [4, 2]
+# and [5, 3], each group's item range touches exactly the finest tiles the
+# group names, and no tile is in two groups. Then every step that must make
+# the map forget (an X or a -0.0 writer on a high qubit, a measure, a reset,
+# an IfEq, an exchange, a boundary kernel) on every backend, against the
+# kernel-major walk, amplitudes and counters.
+cargo test --release -p svsim-core --lib groups_are_the_finest_tiles_a_kernel_pairs
+cargo test --release -p svsim-core --lib zero_maps_forget_what_a_step_may_write
 
 echo "== tile-major (release) =="
 # Tile-major walks against kernel-major ones, bit for bit, in the build that
@@ -170,7 +178,13 @@ echo "== kernel vectorisation (release) =="
 # instantiates one, the per-word `PeerView` its `view.peer*` rows price, so
 # there, and only there, one body per kernel may be unpacked and a second
 # fails. Every body is compiled once per view and level, so the kernel
-# layer is most of what ships: print its symbol count and bytes per binary, and
+# layer is most of what ships. The benchmark holds every `LocalView` and
+# `ShmemView` body twice: its own `upload::<LocalView>` and
+# `upload::<ShmemView>` calls (benchmark/src/api.rs) instantiate each kernel
+# again in the benchmark crate, since a release build shares no generic
+# instantiation across crates (with those two calls taken out of a copy, `nm`
+# counts 88 `k_*` symbols / 971 238 B there, what `sv-sim` holds, against 198
+# / 1 643 357 B). Print the symbol count and bytes per binary, and
 # fail if a body that differs from another only in its footprint comes back
 # (`k_swap` was `k_x`, `k_cphase` was `k_phase`: 13 % of the kernel text), or
 # a fused window body (removed with gate fusion).

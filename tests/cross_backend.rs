@@ -512,9 +512,12 @@ fn tile_major_runs_agree_with_runtime_parsed_ones_at_the_shipped_tile_width() {
 
 /// Zero tiles at the shipped tile widths: every Table 4 circuit of at most
 /// 20 qubits leaves the same state and classical bits on one device, which
-/// skips the tiles its runs keep all `+0.0`, as under runtime parsing, which
-/// never tiles and so never skips. The arithmetic circuits and the QFT, whose
-/// states stay sparse for most of the run, do skip.
+/// skips the tiles its runs keep all `+0.0` and the finest tiles its kernels
+/// leave alone, as under runtime parsing, which never tiles and so never
+/// skips. The arithmetic circuits and the QFT, whose states stay sparse for
+/// most of the run, do skip; `square_root_n18` more than the 978 tile and
+/// sub-tile sweeps its tile runs alone skip, since kernels skip groups of
+/// known-zero tiles too.
 #[test]
 fn zero_tile_skips_leave_the_suite_as_runtime_parsing_does() {
     use sv_sim::workloads::{large_suite, medium_suite};
@@ -545,6 +548,14 @@ fn zero_tile_skips_leave_the_suite_as_runtime_parsing_does() {
         if sparse.contains(&name) {
             assert!(summary.zero_tiles > 0, "{name}: nothing skipped");
             skipped += 1;
+        }
+        if name == "square_root_n18" {
+            let runs_alone = 978;
+            assert!(
+                summary.zero_tiles > runs_alone,
+                "{name}: {}",
+                summary.zero_tiles
+            );
         }
     }
     assert_eq!(skipped, sparse.len(), "every sparse circuit was walked");

@@ -160,8 +160,8 @@ fn scaleup_peer_traffic_is_also_counted() {
         total.remote_ops() > 0,
         "the CX chain must cross partition boundaries"
     );
-    // PeerView counts complex accesses (16 bytes), one op per amplitude:
-    // measured ops equal the model's amplitude ops exactly.
+    // Scale-up's lent walk counts each amplitude as one 16-byte access, one
+    // op per amplitude: measured ops equal the model's amplitude ops exactly.
     let predicted = sim.predict_traffic(&circuit);
     assert_eq!(total.remote_ops(), predicted.remote_amp_ops);
 }
