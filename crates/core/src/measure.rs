@@ -148,15 +148,17 @@ pub fn collapse(own: &LocalView<'_>, base: u64, q: u32, outcome: u8, inv_sqrt_p:
 }
 
 /// Sample `shots` basis states from the final distribution (inverse-CDF per
-/// shot; the repeated sampling of VQA workloads, §1 of the paper).
+/// shot; the repeated sampling of VQA workloads, §1 of the paper). The
+/// probabilities are consumed: they become the cumulative distribution in
+/// place, so a sampling pass holds one `2^n` vector, not two.
 #[must_use]
-pub fn sample_shots(probabilities: &[f64], rng: &mut SvRng, shots: usize) -> Vec<u64> {
+pub fn sample_shots(probabilities: Vec<f64>, rng: &mut SvRng, shots: usize) -> Vec<u64> {
     // Cumulative distribution once, binary search per shot.
-    let mut cdf = Vec::with_capacity(probabilities.len());
+    let mut cdf = probabilities;
     let mut acc = 0.0;
-    for &p in probabilities {
-        acc += p;
-        cdf.push(acc);
+    for p in &mut cdf {
+        acc += *p;
+        *p = acc;
     }
     let total = acc.max(f64::MIN_POSITIVE);
     (0..shots)
@@ -296,7 +298,7 @@ mod tests {
         let mut rng = SvRng::seed_from_u64(17);
         // 25/75 distribution.
         let probs = vec![0.25, 0.75];
-        let samples = sample_shots(&probs, &mut rng, 20_000);
+        let samples = sample_shots(probs, &mut rng, 20_000);
         let h = histogram(&samples);
         let f1 = h[&1] as f64 / 20_000.0;
         assert!((f1 - 0.75).abs() < 0.02, "frequency was {f1}");
@@ -306,9 +308,51 @@ mod tests {
     fn sampling_never_out_of_range() {
         let mut rng = SvRng::seed_from_u64(3);
         let probs = vec![0.0, 0.0, 1.0, 0.0];
-        for s in sample_shots(&probs, &mut rng, 1000) {
+        for s in sample_shots(probs, &mut rng, 1000) {
             assert_eq!(s, 2);
         }
+    }
+
+    #[test]
+    fn the_in_place_cdf_samples_what_a_separate_cdf_does() {
+        // The formulation with a second vector for the CDF, kept here as
+        // the reference: same additions in the same order, so the same
+        // bits and the same outcome for every draw.
+        fn two_vectors(probabilities: &[f64], rng: &mut SvRng, shots: usize) -> Vec<u64> {
+            let mut cdf = Vec::with_capacity(probabilities.len());
+            let mut acc = 0.0;
+            for &p in probabilities {
+                acc += p;
+                cdf.push(acc);
+            }
+            let total = acc.max(f64::MIN_POSITIVE);
+            (0..shots)
+                .map(|_| {
+                    let r = rng.next_f64() * total;
+                    match cdf.binary_search_by(|c| c.partial_cmp(&r).expect("no NaN")) {
+                        Ok(i) | Err(i) => (i.min(cdf.len() - 1)) as u64,
+                    }
+                })
+                .collect()
+        }
+        // A 10-qubit distribution with uneven weights and exact zeros,
+        // deliberately unnormalised so `total` is not 1.
+        let probs: Vec<f64> = (0..1024u32)
+            .map(|i| {
+                if i % 7 == 3 {
+                    0.0
+                } else {
+                    f64::from(i % 13 + 1) * 1e-3
+                }
+            })
+            .collect();
+        let reference = two_vectors(&probs, &mut SvRng::seed_from_u64(0x5eed), 4096);
+        let in_place = sample_shots(probs, &mut SvRng::seed_from_u64(0x5eed), 4096);
+        assert_eq!(in_place, reference);
+        // And the first draws at this seed, as literals: a change to the
+        // RNG stream or the search shows here even if both sides move.
+        assert_eq!(&in_place[..8], [958, 904, 868, 998, 701, 541, 316, 434]);
+        assert!(in_place.iter().all(|&s| s < 1024 && s % 7 != 3));
     }
 
     #[test]

@@ -700,8 +700,7 @@ impl Simulator {
     /// Sample `shots` basis outcomes from the current state.
     #[must_use]
     pub fn sample(&mut self, shots: usize) -> Vec<u64> {
-        let probs = self.state.probabilities();
-        measure::sample_shots(&probs, &mut self.rng, shots)
+        measure::sample_shots(self.state.probabilities(), &mut self.rng, shots)
     }
 
     /// Execute a circuit `shots` times from `|0...0>`, histogramming the

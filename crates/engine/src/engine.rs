@@ -1,6 +1,6 @@
-//! The engine facade: job admission, the staged pipeline behind it, and
-//! the execution machinery its execute and readback stages run — retry,
-//! degradation ladders, checkpoint recovery, quarantine.
+//! The engine facade: job admission, the serving stage behind it, and
+//! the execution machinery its workers run — retry, degradation ladders,
+//! checkpoint recovery, quarantine — and the readback that follows.
 
 use crate::job::{
     JobCell, JobError, JobHandle, JobId, JobOutput, JobRequest, JobSpec, SweepReturn,
@@ -26,10 +26,11 @@ use svsim_types::{PeOp, SvError, SvResult};
 /// Engine sizing knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads of the pipeline's execute stage.
+    /// Worker threads; each plans, runs and reads back the jobs it pops.
+    /// They are the only threads the engine starts.
     pub workers: usize,
-    /// Capacity of each pipeline stage queue; submissions beyond the admit
-    /// queue's are rejected, not blocked.
+    /// Capacity of the engine's one job queue; submissions beyond it are
+    /// rejected, not blocked.
     pub queue_capacity: usize,
     /// Most sweep jobs coalesced into one batched execution.
     pub max_batch: usize,
@@ -59,7 +60,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// State shared between the engine handle and its stage threads.
+/// State shared between the engine handle and its workers.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) metrics: EngineMetrics,
@@ -144,7 +145,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Start the pipeline's stage threads.
+    /// Start the worker threads.
     #[must_use]
     pub fn start(config: EngineConfig) -> Self {
         let shared = Arc::new(Shared {
@@ -170,9 +171,9 @@ impl Engine {
         self.shared.registry.register(name, circuit)
     }
 
-    /// Submit a job. Never blocks: a full admit queue, an exhausted
-    /// in-flight budget, or a malformed sweep is refused immediately —
-    /// this *is* the pipeline's admit stage.
+    /// Submit a job. Never blocks: a full queue, an exhausted in-flight
+    /// budget, or a malformed sweep is refused immediately — this *is*
+    /// the pipeline's admission.
     ///
     /// # Errors
     /// [`SubmitError`] describing why admission failed.
@@ -229,7 +230,8 @@ impl Engine {
         }
     }
 
-    /// Jobs waiting at stage boundaries right now (not executing).
+    /// Jobs waiting in the queue right now (not yet picked up by a
+    /// worker).
     #[must_use]
     pub fn queued(&self) -> usize {
         self.pipeline.depth()
@@ -264,9 +266,8 @@ impl Engine {
         s
     }
 
-    /// Stop accepting work, flush every stage in topological order so all
-    /// queued jobs run to completion, join the threads, and return the
-    /// final metrics.
+    /// Stop accepting work, let the workers run every queued job to
+    /// completion, join them, and return the final metrics.
     #[must_use = "final metrics summarize the engine's whole life"]
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.pipeline.stop(&self.shared, true);
@@ -418,9 +419,9 @@ struct OneShotRun {
 /// re-partition the job at half the PEs and transplant the checkpoint
 /// into the narrower world.
 ///
-/// A compiled plan carried by the packet drives execution when its shape
-/// still matches; degradation or remapping that invalidates it falls back
-/// to on-the-fly lowering, bit-identically.
+/// `plan` drives execution when its shape still matches; degradation or
+/// remapping that invalidates it falls back to on-the-fly lowering,
+/// bit-identically.
 ///
 /// On success the simulator comes back holding the final state: readback
 /// still owes sampling, the optional state clone, and returning the state
@@ -428,8 +429,9 @@ struct OneShotRun {
 pub(crate) fn execute_one_shot(
     shared: &Shared,
     pkt: &JobPacket,
+    plan: &CompiledPlan,
     worker: usize,
-) -> Result<(Box<Simulator>, RunSummary), JobError> {
+) -> Result<(Simulator, RunSummary), JobError> {
     let request = &pkt.job.request;
     let JobSpec::OneShot {
         ref circuit,
@@ -483,7 +485,7 @@ pub(crate) fn execute_one_shot(
         } else {
             RunStart::Fresh
         };
-        let ran = s.run_from(circuit, pkt.plan.as_deref(), start);
+        let ran = s.run_from(circuit, Some(plan), start);
         run.sim = Some(s);
         ran
     };
@@ -568,17 +570,17 @@ pub(crate) fn execute_one_shot(
         );
     }
     let sim = run.sim.expect("the successful attempt put it back");
-    Ok((Box::new(sim), summary))
+    Ok((sim, summary))
 }
 
-/// The readback stage body for a successful one-shot: sample, clone the
-/// requested state, and return the state buffer to the pool — *before*
-/// the caller publishes, so a submit-wait-submit client always finds it
-/// available. Everything else the job attached dies with its simulator.
+/// Readback of a successful one-shot: sample, clone the requested state,
+/// and return the state buffer to the pool — *before* the caller
+/// publishes, so a submit-wait-submit client always finds it available.
+/// Everything else the job attached dies with its simulator.
 pub(crate) fn readback_one_shot(
     shared: &Shared,
     job: &QueuedJob,
-    mut sim: Box<Simulator>,
+    mut sim: Simulator,
     summary: RunSummary,
 ) -> JobOutput {
     let JobSpec::OneShot {
@@ -601,8 +603,7 @@ pub(crate) fn readback_one_shot(
 
 /// Execute a coalesced group of sweep jobs — all for the same template —
 /// against one worker-local template clone and one pooled state buffer,
-/// handing each finished member to `sink` (which forwards it to the
-/// readback stage).
+/// publishing each member as it finishes.
 ///
 /// Deadlines and cancellation are re-checked *per member* right before its
 /// execution, so a long batch cannot carry an already-dead job to a result
@@ -613,7 +614,6 @@ pub(crate) fn run_sweep_batch(
     templates: &mut WorkerTemplates,
     jobs: Vec<JobPacket>,
     worker: usize,
-    sink: &mut dyn FnMut(JobPacket, Instant, Result<JobOutput, JobError>),
 ) {
     shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
     shared
@@ -624,10 +624,10 @@ pub(crate) fn run_sweep_batch(
         unreachable!("dispatched as sweep");
     };
 
-    let mut fail_all = |jobs: Vec<JobPacket>, e: SvError| {
+    let fail_all = |jobs: Vec<JobPacket>, e: SvError| {
         let started = Instant::now();
         for pkt in jobs {
-            sink(pkt, started, Err(JobError::Failed(e.clone())));
+            publish(shared, &pkt.job, started, Err(JobError::Failed(e.clone())));
         }
     };
     let Some(tpl) = templates.get_mut(template, &shared.registry) else {
@@ -675,7 +675,7 @@ pub(crate) fn run_sweep_batch(
             })
         };
         let result = run_with_retries(shared, &pkt, worker, &mut (), trial, |()| {});
-        sink(pkt, started, result);
+        publish(shared, &pkt.job, started, result);
     }
     shared.pool.checkin(buf);
 }

@@ -7,14 +7,14 @@
 //! optimizer, plus interactive one-shot requests. This crate adds the
 //! serving layer that makes those streams cheap:
 //!
-//! - a **typed dataflow pipeline**: jobs flow as memory-accounted packets
-//!   through bounded admit → compile → execute → readback stages, each
-//!   with its own priority-aware queue (first in, first out within a
-//!   priority lane) and occupancy metrics, with an [`AllocMode`] budget capping total in-flight
-//!   state-vector bytes at admission; admission is reject-on-full
-//!   (backpressure is explicit, never a silent stall) and the stage
-//!   threads persist, so simulator setup cost is paid once, not per
-//!   request;
+//! - **one serving stage**: admitted jobs wait as memory-accounted packets
+//!   in one bounded, priority-aware queue (first in, first out within a
+//!   priority lane, with occupancy metrics), and each of
+//!   [`EngineConfig::workers`] threads plans, runs and reads back the jobs
+//!   it pops; an [`AllocMode`] budget caps total in-flight state-vector
+//!   bytes at admission, admission is reject-on-full (backpressure is
+//!   explicit, never a silent stall), and the workers persist, so
+//!   simulator setup cost is paid once, not per request;
 //! - an **instance pool** reusing `2^n`-amplitude state vectors across
 //!   jobs, keyed by register width: a shelf holds allocations, never
 //!   tenants — each job's simulator is built around a checked-out buffer

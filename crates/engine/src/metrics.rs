@@ -164,15 +164,15 @@ pub struct EngineMetrics {
     /// remapped scale-out jobs: the analytic naive-plan cost minus the
     /// measured remapped traffic, saturating at zero per job.
     pub(crate) remote_bytes_saved: AtomicU64,
-    /// One-shot jobs whose compiled plan was served from the compile
-    /// stage's structural plan cache (op→kernel lowering skipped).
+    /// One-shot jobs whose compiled plan was served from the workers'
+    /// shared structural plan cache (op→kernel lowering skipped).
     pub(crate) plan_cache_hits: AtomicU64,
     /// One-shot jobs that compiled a fresh plan (cold circuit, evicted
     /// entry, or a config/shape mismatch).
     pub(crate) plan_cache_misses: AtomicU64,
-    /// Time from submit to dequeue.
+    /// Time from submit to a worker's pop of the job.
     pub(crate) queue_wait: LatencyHistogram,
-    /// Time from dequeue to result publication.
+    /// Time from that pop to result publication.
     pub(crate) execution: LatencyHistogram,
     /// Time from first failure of a job to its successful retried
     /// completion — the end-to-end recovery latency.
@@ -266,19 +266,26 @@ pub struct MetricsSnapshot {
     /// Remote bytes avoided by qubit remapping across all remapped jobs
     /// (analytic naive cost minus measured remapped traffic).
     pub remote_bytes_saved: u64,
-    /// One-shot plans served from the compile stage's structural cache.
+    /// One-shot plans served from the structural plan cache the workers
+    /// share.
     pub plan_cache_hits: u64,
     /// One-shot plans compiled fresh (cold, evicted, or shape mismatch).
     pub plan_cache_misses: u64,
-    /// Submit-to-dequeue latency distribution.
+    /// Queue-wait distribution: from the job's admission to the moment a
+    /// worker pops it off the engine's one queue. That pop is the only
+    /// wait a job has before it runs, so this is all of it.
     pub queue_wait: LatencySnapshot,
-    /// Dequeue-to-result latency distribution.
+    /// Service distribution: from that same pop to the job's result being
+    /// published, so it includes the plan lookup (and a compile on a
+    /// cache miss), execution with its retries, and readback. A sweep
+    /// point coalesced into a batch is timed from the start of its own
+    /// trial.
     pub execution: LatencySnapshot,
     /// First-failure-to-recovered-completion latency distribution.
     pub recovery: LatencySnapshot,
     /// Aggregated SHMEM traffic over all distributed jobs.
     pub traffic: TrafficSnapshot,
-    /// Per-stage occupancy of the pipeline, in pipeline order.
+    /// Occupancy of the engine's queue: one entry, named "admit".
     pub stages: Vec<StageSnapshot>,
     /// State-vector bytes pinned by in-flight packets right now.
     pub mem_in_flight_bytes: u64,
@@ -369,8 +376,8 @@ impl std::fmt::Display for MetricsSnapshot {
         for s in &self.stages {
             writeln!(
                 f,
-                "stage {}: depth={} high_water={} pushed={} popped={} rejected={} blocked={}",
-                s.name, s.depth, s.high_water, s.pushed, s.popped, s.rejected, s.blocked
+                "stage {}: depth={} high_water={} pushed={} popped={} rejected={}",
+                s.name, s.depth, s.high_water, s.pushed, s.popped, s.rejected
             )?;
         }
         if !self.stages.is_empty() {

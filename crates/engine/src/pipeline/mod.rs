@@ -1,31 +1,25 @@
-//! The typed dataflow pipeline behind [`crate::Engine`].
+//! The serving stage behind [`crate::Engine`].
 //!
-//! Jobs flow as pooled, memory-accounted packets through four stages:
+//! Jobs wait as memory-accounted packets in one bounded queue and are
+//! served start to finish by `EngineConfig::workers` threads:
 //!
 //! ```text
-//! admit/parse ──▶ compile/plan ──▶ execute ──▶ readback/measure
-//!   (caller)        (1 thread)    (N threads)     (1 thread)
+//! submit ──admit──▶ [queue "admit"] ──▶ worker (×N): plan ▸ execute ▸ readback ▸ publish
 //! ```
 //!
 //! - **admit** runs on the submitting thread: quarantine and sweep
 //!   validation, the job fingerprint, and a [`MemoryBudget`] lease; then a
-//!   reject-on-full push into the admit queue (typed backpressure at the
-//!   edge).
-//! - **compile** pops admitted packets, re-checks cancellation/deadline at
-//!   the hop, and attaches a cached [`svsim_core::CompiledPlan`] to
-//!   one-shot jobs so repeated circuits skip op→kernel lowering entirely.
-//! - **execute** is the worker pool: template-coalesced batching, retry,
-//!   degradation ladders, and quarantine marking, fed from a bounded
-//!   stage queue with one more cancel/deadline re-check at the hop.
-//! - **readback** samples, clones requested state, checks the simulator
-//!   back into the instance pool, and publishes — off the execute workers,
-//!   so a large job's measurement readout no longer blocks the next job's
-//!   execution.
+//!   reject-on-full push into the queue (typed backpressure at the edge).
+//! - each **worker** pops a batch (sweep points of one template coalesce),
+//!   records each job's queue wait, drops the cancelled and the expired,
+//!   then for a one-shot takes the plan from the shared `PlanCache`
+//!   (compiling under its lock on a miss), runs the retry and degradation
+//!   ladder, samples, clones the requested state, checks the state buffer
+//!   back into the instance pool, and publishes.
 //!
-//! Interior hops use blocking pushes, so a slow stage fills its queue and
-//! stalls upstream stages until, at the edge, `submit` itself starts
-//! refusing work: backpressure propagates topologically rather than
-//! queueing without bound.
+//! There are no interior queues, so nothing blocks but the workers'
+//! wait for work: when they fall behind the queue fills and `submit`
+//! refuses.
 
 mod packet;
 mod stage;
@@ -33,24 +27,24 @@ mod stage;
 pub use packet::{AllocMode, SubmitError};
 pub use stage::StageSnapshot;
 
-pub(crate) use packet::{packet_bytes, JobPacket, MemoryBudget, QueuedJob, Readback};
+pub(crate) use packet::{packet_bytes, JobPacket, MemoryBudget, QueuedJob};
 pub(crate) use stage::StageQueue;
 
 use crate::engine::{
     execute_one_shot, publish, readback_one_shot, run_sweep_batch, EngineConfig, Shared,
 };
-use crate::job::{JobError, JobSpec};
+use crate::job::{JobError, JobOutput, JobSpec};
 use crate::templates::WorkerTemplates;
 use std::cell::OnceCell;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use svsim_core::{CompiledPlan, Digest, SimConfig};
 use svsim_ir::Circuit;
 
-/// Compiled plans cached by the compile stage, keyed by a structural
-/// circuit fingerprint.
+/// Compiled plans the workers share, keyed by a structural circuit
+/// fingerprint.
 ///
 /// The cache originally keyed on `Arc` pointer identity, which silently
 /// defeated it for the common service shape: a caller that re-parses the
@@ -69,7 +63,7 @@ struct PlanCache {
     entries: std::collections::VecDeque<(u64, Arc<Circuit>, Arc<CompiledPlan>)>,
 }
 
-/// Distinct circuits the compile stage remembers plans for.
+/// Distinct circuits the plan cache remembers plans for.
 const PLAN_CACHE_CAP: usize = 32;
 
 /// Structural identity of a circuit: the [`Digest`] of its complete debug
@@ -120,76 +114,39 @@ impl PlanCache {
     }
 }
 
-/// The running pipeline: stage queues, their threads, and the budget.
+/// The running pipeline: the one queue, its workers, and the budget.
 #[derive(Debug)]
 pub(crate) struct Pipeline {
-    admit_q: Arc<StageQueue<JobPacket>>,
-    exec_q: Arc<StageQueue<JobPacket>>,
-    read_q: Arc<StageQueue<Readback>>,
+    queue: Arc<StageQueue<JobPacket>>,
     pub(crate) budget: Arc<MemoryBudget>,
-    compiler: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
-    reader: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Pipeline {
     pub(crate) fn start(shared: &Arc<Shared>, config: &EngineConfig) -> Self {
-        let cap = config.queue_capacity.max(1);
-        let admit_q = Arc::new(StageQueue::new("admit", cap));
-        let exec_q = Arc::new(StageQueue::new("execute", cap));
-        // Readback publishes in completion order, and its
-        // queue is deliberately *shallow* regardless of `queue_capacity`:
-        // every parked item pins a checked-out simulator (and its budget
-        // lease), so deep buffering here only starves the instance pool
-        // and bloats in-flight memory. A few slots per worker absorb
-        // jitter; past that the executors block, which is exactly the
-        // flow control we want.
-        let read_cap = cap.min((2 * config.workers.max(1)).max(4));
-        let read_q = Arc::new(StageQueue::new("readback", read_cap));
-        let budget = Arc::new(MemoryBudget::new(config.alloc));
-
-        let compiler = {
-            let shared = Arc::clone(shared);
-            let admit_q = Arc::clone(&admit_q);
-            let exec_q = Arc::clone(&exec_q);
-            std::thread::Builder::new()
-                .name("svsim-compile".into())
-                .spawn(move || compile_loop(&shared, &admit_q, &exec_q))
-                .expect("spawn compile stage")
-        };
-        let executors = (0..config.workers.max(1))
+        let queue = Arc::new(StageQueue::new("admit", config.queue_capacity));
+        let plans = Arc::new(Mutex::new(PlanCache::default()));
+        let max_batch = config.max_batch.max(1);
+        let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(shared);
-                let exec_q = Arc::clone(&exec_q);
-                let read_q = Arc::clone(&read_q);
-                let max_batch = config.max_batch.max(1);
+                let queue = Arc::clone(&queue);
+                let plans = Arc::clone(&plans);
                 std::thread::Builder::new()
-                    .name(format!("svsim-exec-{i}"))
-                    .spawn(move || execute_loop(&shared, &exec_q, &read_q, max_batch, i))
-                    .expect("spawn execute stage")
+                    .name(format!("svsim-worker-{i}"))
+                    .spawn(move || worker_loop(&shared, &queue, &plans, max_batch, i))
+                    .expect("spawn engine worker")
             })
             .collect();
-        let reader = {
-            let shared = Arc::clone(shared);
-            let read_q = Arc::clone(&read_q);
-            std::thread::Builder::new()
-                .name("svsim-readback".into())
-                .spawn(move || readback_loop(&shared, &read_q))
-                .expect("spawn readback stage")
-        };
         Self {
-            admit_q,
-            exec_q,
-            read_q,
-            budget,
-            compiler: Some(compiler),
-            executors,
-            reader: Some(reader),
+            queue,
+            budget: Arc::new(MemoryBudget::new(config.alloc)),
+            workers,
         }
     }
 
-    /// The admit stage: reserve budget, wrap the job into a packet, and
-    /// push it into the bounded admit queue (reject-on-full).
+    /// Admission: reserve budget, wrap the job into a packet, and push it
+    /// into the bounded queue (reject-on-full).
     pub(crate) fn admit(
         &self,
         shared: &Shared,
@@ -203,194 +160,100 @@ impl Pipeline {
             job,
             fp,
             circuit_fp,
-            plan: None,
             lease,
         };
-        self.admit_q.try_push(pkt).map_err(|(e, _pkt)| e)
+        self.queue.try_push(pkt).map_err(|(e, _pkt)| e)
     }
 
-    /// Packets waiting at stage boundaries (not currently inside a stage).
+    /// Packets waiting in the queue (not yet picked up by a worker).
     pub(crate) fn depth(&self) -> usize {
-        self.admit_q.len() + self.exec_q.len() + self.read_q.len()
+        self.queue.len()
     }
 
-    /// Per-stage occupancy snapshots, pipeline order.
+    /// The queue's occupancy snapshot, the only entry.
     pub(crate) fn stage_snapshots(&self) -> Vec<StageSnapshot> {
-        vec![
-            self.admit_q.snapshot(),
-            self.exec_q.snapshot(),
-            self.read_q.snapshot(),
-        ]
+        vec![self.queue.snapshot()]
     }
 
-    /// Stop the pipeline, flushing stages in topological order so no
-    /// packet is stranded at a boundary. With `drain`, every queued packet
-    /// flows through its remaining stages to a published result; without,
-    /// queued packets fail with [`JobError::Shutdown`] while packets
-    /// already executing still run to completion and publish.
+    /// Stop the pipeline: close the queue and join the workers. With
+    /// `drain`, the workers run every queued packet to a published result
+    /// first; without, queued packets fail with [`JobError::Shutdown`]
+    /// while the ones already in a worker's hands run to completion and
+    /// publish. Idempotent.
     pub(crate) fn stop(&mut self, shared: &Shared, drain: bool) {
-        let fail = |pkt: JobPacket| {
-            shared
-                .metrics
-                .shutdown_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            pkt.job.cell.finish(Err(JobError::Shutdown));
-        };
-        // 1. Close admission; the compile stage drains what was admitted.
-        for pkt in self.admit_q.close(drain) {
-            fail(pkt);
-        }
-        if let Some(h) = self.compiler.take() {
-            let _ = h.join();
-        }
-        // 2. With the compiler gone nothing feeds the execute queue; close
-        //    it and let the workers drain (or fail) what remains.
-        for pkt in self.exec_q.close(drain) {
-            fail(pkt);
-        }
-        for h in self.executors.drain(..) {
-            let _ = h.join();
-        }
-        // 3. Readback always drains: whatever finished executing must
-        //    still be published, even on a hard stop.
-        let _ = self.read_q.close(true);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Compile stage: pop admitted packets, drop dead ones at the hop, attach
-/// a (cached) compiled plan to one-shots, and forward with backpressure.
-fn compile_loop(shared: &Shared, admit_q: &StageQueue<JobPacket>, exec_q: &StageQueue<JobPacket>) {
-    let mut cache = PlanCache::default();
-    while let Some(pkt) = admit_q.pop() {
-        let now = Instant::now();
-        shared
-            .metrics
-            .queue_wait
-            .record(now.saturating_duration_since(pkt.job.enqueued_at));
-        let Some(mut pkt) = pkt.still_wanted(shared, now) else {
-            continue;
-        };
-        if let JobSpec::OneShot {
-            ref circuit,
-            ref config,
-            ..
-        } = pkt.job.request.spec
-        {
-            pkt.plan = Some(cache.plan_keyed(circuit, &pkt.circuit_fp, config, &shared.metrics));
-        }
-        if let Err(pkt) = exec_q.push_wait(pkt) {
-            // Hard shutdown closed the downstream queue under us.
+        for pkt in self.queue.close(drain) {
             shared
                 .metrics
                 .shutdown_dropped
                 .fetch_add(1, Ordering::Relaxed);
             pkt.job.cell.finish(Err(JobError::Shutdown));
         }
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
     }
 }
 
-/// Execute stage: the worker pool, fed from the bounded execute queue with
-/// a cancel/deadline re-check at the hop, forwarding finished work to
-/// readback instead of publishing inline.
-fn execute_loop(
+/// One worker: pop a (coalesced) batch, time its wait, drop dead jobs,
+/// then plan, run, read back and publish each live one. The packet, and
+/// with it the budget lease, drops only after publication.
+fn worker_loop(
     shared: &Shared,
-    exec_q: &StageQueue<JobPacket>,
-    read_q: &StageQueue<Readback>,
+    queue: &StageQueue<JobPacket>,
+    plans: &Mutex<PlanCache>,
     max_batch: usize,
     worker: usize,
 ) {
     let mut templates = WorkerTemplates::default();
-    while let Some(batch) = exec_q.pop_batch(max_batch) {
-        let dequeued = Instant::now();
+    while let Some(batch) = queue.pop_batch(max_batch) {
+        let picked = Instant::now();
         let live: Vec<JobPacket> = batch
             .into_iter()
-            .filter_map(|pkt| pkt.still_wanted(shared, dequeued))
+            .filter_map(|pkt| {
+                let waited = picked.saturating_duration_since(pkt.job.enqueued_at);
+                shared.metrics.queue_wait.record(waited);
+                pkt.still_wanted(shared, picked)
+            })
             .collect();
         let Some(head) = live.first() else { continue };
         match head.job.request.spec {
             // One-shots never coalesce, so `live` holds at most one.
             JobSpec::OneShot { .. } => {
                 for pkt in live {
-                    let started = Instant::now();
-                    let item = match execute_one_shot(shared, &pkt, worker) {
-                        Ok((sim, summary)) => Readback::OneShot {
-                            pkt,
-                            started,
-                            sim,
-                            summary,
-                        },
-                        Err(e) => Readback::Ready {
-                            pkt,
-                            started,
-                            result: Err(e),
-                        },
-                    };
-                    forward(shared, read_q, item);
+                    let result = run_one_shot(shared, plans, &pkt, worker);
+                    publish(shared, &pkt.job, picked, result);
                 }
             }
-            JobSpec::Sweep { .. } => {
-                run_sweep_batch(
-                    shared,
-                    &mut templates,
-                    live,
-                    worker,
-                    &mut |pkt, started, result| {
-                        forward(
-                            shared,
-                            read_q,
-                            Readback::Ready {
-                                pkt,
-                                started,
-                                result,
-                            },
-                        );
-                    },
-                );
-            }
+            JobSpec::Sweep { .. } => run_sweep_batch(shared, &mut templates, live, worker),
         }
     }
 }
 
-/// Hand finished work to the readback stage; if a hard shutdown already
-/// closed it, publish inline — executed results are never dropped.
-fn forward(shared: &Shared, read_q: &StageQueue<Readback>, item: Readback) {
-    if let Err(item) = read_q.push_wait(item) {
-        complete(shared, item);
-    }
-}
-
-/// Readback stage body: sample, clone requested state, check the
-/// simulator's buffer back into the pool, then publish.
-fn complete(shared: &Shared, item: Readback) {
-    match item {
-        Readback::OneShot {
-            pkt,
-            started,
-            sim,
-            summary,
-        } => {
-            let output = readback_one_shot(shared, &pkt.job, sim, summary);
-            publish(shared, &pkt.job, started, Ok(output));
-        }
-        Readback::Ready {
-            pkt,
-            started,
-            result,
-        } => {
-            publish(shared, &pkt.job, started, result);
-        }
-    }
-    // The packet (and its budget lease) drops here: in-flight accounting
-    // releases only after publication.
-}
-
-fn readback_loop(shared: &Shared, read_q: &StageQueue<Readback>) {
-    while let Some(item) = read_q.pop() {
-        complete(shared, item);
-    }
+/// A one-shot from plan to output: the cached plan (compiled under the
+/// cache's lock on a miss, so compiles never run two at a time), the
+/// execution ladder, then readback.
+fn run_one_shot(
+    shared: &Shared,
+    plans: &Mutex<PlanCache>,
+    pkt: &JobPacket,
+    worker: usize,
+) -> Result<JobOutput, JobError> {
+    let JobSpec::OneShot {
+        ref circuit,
+        ref config,
+        ..
+    } = pkt.job.request.spec
+    else {
+        unreachable!("dispatched as one-shot");
+    };
+    let plan = plans.lock().expect("plan cache lock").plan_keyed(
+        circuit,
+        &pkt.circuit_fp,
+        config,
+        &shared.metrics,
+    );
+    let (sim, summary) = execute_one_shot(shared, pkt, &plan, worker)?;
+    Ok(readback_one_shot(shared, &pkt.job, sim, summary))
 }
 
 #[cfg(test)]

@@ -1,20 +1,19 @@
-//! Pipeline packets and the in-flight memory budget.
+//! Job packets and the in-flight memory budget.
 //!
-//! A job travels the pipeline as a [`JobPacket`]: the queued job plus
-//! everything earlier stages computed for it (fingerprint, compiled plan)
-//! and the [`BudgetLease`] pinning its share of the engine's in-flight
-//! allocation budget. The lease is RAII — whatever path a packet takes
-//! (published, cancelled, expired, dropped at shutdown), dropping the
-//! packet releases its budget, so the accounting cannot leak.
+//! A job waits in the queue as a [`JobPacket`]: the queued job plus what
+//! admission computed for it (its fingerprints) and the [`BudgetLease`]
+//! pinning its share of the engine's in-flight allocation budget. The
+//! lease is RAII — whatever path a packet takes (published, cancelled,
+//! expired, dropped at shutdown), dropping the packet releases its
+//! budget, so the accounting cannot leak.
 
 use crate::engine::Shared;
-use crate::job::{JobCell, JobError, JobOutput, JobRequest, JobSpec, Priority};
+use crate::job::{JobCell, JobError, JobRequest, JobSpec, Priority};
 use crate::templates::{TemplateId, TemplateRegistry};
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use svsim_core::{CompiledPlan, RunSummary, Simulator};
 
 use super::stage::StageItem;
 
@@ -101,7 +100,7 @@ impl QueuedJob {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocMode {
     /// At most this many packets in flight; the default is effectively
-    /// unbounded (`usize::MAX`), leaving the stage queues as the only
+    /// unbounded (`usize::MAX`), leaving the queue's capacity as the only
     /// limit. Exhaustion refuses admission with
     /// [`SubmitError::QueueFull`].
     Fixed(usize),
@@ -223,8 +222,7 @@ impl std::fmt::Debug for BudgetLease {
     }
 }
 
-/// A job in flight through the pipeline, with everything earlier stages
-/// computed for it.
+/// A job in flight, with what admission computed for it.
 #[derive(Debug)]
 pub(crate) struct JobPacket {
     /// The job itself (request, result cell, enqueue instant).
@@ -232,12 +230,10 @@ pub(crate) struct JobPacket {
     /// Fingerprint computed once at admission (quarantine key); `None`
     /// when quarantining is off.
     pub(crate) fp: Option<u64>,
-    /// Digest of a one-shot's circuit, filled by the first stage that needs
-    /// it, so the circuit is rendered at most once.
+    /// Digest of a one-shot's circuit, filled by the first step that needs
+    /// it (the quarantine key or the plan cache), so the circuit is
+    /// rendered at most once.
     pub(crate) circuit_fp: OnceCell<u64>,
-    /// The compile stage's artifact for one-shot jobs; execution falls
-    /// back to on-the-fly lowering when absent (bit-identical either way).
-    pub(crate) plan: Option<Arc<CompiledPlan>>,
     /// In-flight budget reservation; never read, held only so dropping
     /// the packet releases it.
     #[allow(dead_code)]
@@ -245,9 +241,10 @@ pub(crate) struct JobPacket {
 }
 
 impl JobPacket {
-    /// The cancel/deadline re-check every stage hop makes: a job cancelled,
-    /// or past its deadline at `now`, is finished here with the typed error
-    /// (and counted) instead of travelling on; a live one is handed back.
+    /// The cancel/deadline re-check at pickup (and before each member of a
+    /// sweep batch): a job cancelled, or past its deadline at `now`, is
+    /// finished here with the typed error (and counted) instead of
+    /// running; a live one is handed back.
     pub(crate) fn still_wanted(self, shared: &Shared, now: Instant) -> Option<Self> {
         let (counter, err) = if self.job.cell.cancelled.load(Ordering::Acquire) {
             (&shared.metrics.cancelled, JobError::Cancelled)
@@ -273,61 +270,6 @@ impl StageItem for JobPacket {
 
     fn coalesce_key(&self) -> Option<TemplateId> {
         self.job.template()
-    }
-}
-
-/// A finished execution on its way to the readback stage.
-#[derive(Debug)]
-pub(crate) enum Readback {
-    /// A successful one-shot: readback still owes sampling, the optional
-    /// state clone, and checking the simulator's buffer back into the pool.
-    OneShot {
-        /// The packet (carries the result cell and budget lease).
-        pkt: JobPacket,
-        /// When the execute stage picked the job up (execution latency
-        /// runs from here to publication).
-        started: Instant,
-        /// The simulator that ran the job, holding its final state.
-        sim: Box<Simulator>,
-        /// The run summary execution produced.
-        summary: RunSummary,
-    },
-    /// A result that needs no further work — sweep outputs and failures —
-    /// just publication in readback order.
-    Ready {
-        /// The packet (carries the result cell and budget lease).
-        pkt: JobPacket,
-        /// When the execute stage picked the job up.
-        started: Instant,
-        /// The finished result.
-        result: Result<JobOutput, JobError>,
-    },
-}
-
-impl StageItem for Readback {
-    /// Readback is shortest-expected-work-first across its lanes: results
-    /// owing nothing but publication go first, one-shots still owing a
-    /// sampling pass or a state clone last — so a stream of cheap results
-    /// is never head-of-line blocked behind one fat histogram build.
-    ///
-    /// An *unsampled* one-shot (no shots, no state clone) owes only a pool
-    /// check-in and a publish — as cheap as a `Ready` — so it shares the
-    /// fast lane. It previously sat in a middle lane, where a burst of
-    /// sweep values in the fast lane could overtake an earlier-finished
-    /// small one-shot and stretch its p99. Order *within* each lane stays
-    /// completion order (the readback queue is always FIFO).
-    fn lane(&self) -> usize {
-        match self {
-            Readback::OneShot { pkt, .. } => match &pkt.job.request.spec {
-                JobSpec::OneShot {
-                    shots,
-                    return_state,
-                    ..
-                } if *shots > 0 || *return_state => 1,
-                _ => 0,
-            },
-            Readback::Ready { .. } => 0,
-        }
     }
 }
 

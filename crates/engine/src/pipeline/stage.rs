@@ -1,13 +1,11 @@
-//! Bounded inter-stage queues for the dataflow pipeline.
+//! The engine's bounded job queue.
 //!
-//! Every stage boundary is a [`StageQueue`]: three priority lanes,
-//! a hard capacity, and two admission disciplines — `try_push` for the
-//! pipeline's edge (reject-on-full, the engine's explicit-backpressure
-//! stance) and `push_wait` for interior hops (an upstream stage blocks
-//! until the downstream stage has drained a slot, which is what actually
-//! *propagates* backpressure from a slow stage toward admission). Each
-//! queue keeps its own occupancy statistics so operators can see where
-//! packets pile up.
+//! A [`StageQueue`] has three priority lanes (first in, first out within
+//! each), a hard capacity enforced by a reject-on-full `try_push` (the
+//! engine's explicit-backpressure stance: `submit` never blocks), and a
+//! `pop_batch` that blocks the workers until there is work and coalesces
+//! sweep points of one template. It keeps its own occupancy statistics so
+//! operators can see how deep jobs pile up.
 
 use super::packet::SubmitError;
 use crate::templates::TemplateId;
@@ -18,43 +16,38 @@ use std::sync::{Condvar, Mutex};
 /// Behavior a packet type must expose to ride a [`StageQueue`].
 pub(crate) trait StageItem {
     /// Priority lane index: 0 high, 1 normal, 2 low.
-    fn lane(&self) -> usize {
-        1
-    }
+    fn lane(&self) -> usize;
     /// Coalescing key: queued items sharing the head's key may be popped
     /// together by [`StageQueue::pop_batch`].
-    fn coalesce_key(&self) -> Option<TemplateId> {
-        None
-    }
+    fn coalesce_key(&self) -> Option<TemplateId>;
 }
 
-/// Occupancy and backpressure counters for one stage queue.
+/// Occupancy counters for one queue.
 #[derive(Debug, Default)]
 pub(crate) struct StageStats {
     pushed: AtomicU64,
     popped: AtomicU64,
     rejected: AtomicU64,
-    blocked: AtomicU64,
     high_water: AtomicU64,
 }
 
-/// Point-in-time view of one stage queue, for [`crate::MetricsSnapshot`].
+/// Point-in-time view of the engine's queue, for [`crate::MetricsSnapshot`].
 #[derive(Debug, Clone, Copy)]
 pub struct StageSnapshot {
-    /// Stage name ("admit", "execute", "readback").
+    /// Queue name: "admit".
     pub name: &'static str,
-    /// Packets queued at this boundary right now.
+    /// Packets queued right now.
     pub depth: usize,
     /// Highest queue depth ever observed.
     pub high_water: u64,
     /// Packets accepted into the queue over the engine's life.
     pub pushed: u64,
-    /// Packets dequeued by the downstream stage.
+    /// Packets dequeued by the workers.
     pub popped: u64,
-    /// Packets refused at the boundary because the queue was full.
+    /// Packets refused because the queue was full.
     pub rejected: u64,
-    /// Backpressure events: an upstream stage had to block because this
-    /// queue was full.
+    /// Always 0: no producer ever blocks on the one queue. Kept only
+    /// because the benchmark still reads it.
     pub blocked: u64,
 }
 
@@ -70,15 +63,13 @@ impl<T> Lanes<T> {
     }
 }
 
-/// One bounded, priority-aware stage boundary.
+/// One bounded, priority-aware queue.
 #[derive(Debug)]
 pub(crate) struct StageQueue<T> {
     name: &'static str,
     inner: Mutex<Lanes<T>>,
     /// Signals consumers: work available or queue closed.
     work: Condvar,
-    /// Signals blocked producers: a slot freed up or the queue closed.
-    space: Condvar,
     capacity: usize,
     stats: StageStats,
 }
@@ -92,21 +83,12 @@ impl<T: StageItem> StageQueue<T> {
                 closed: false,
             }),
             work: Condvar::new(),
-            space: Condvar::new(),
             capacity: capacity.max(1),
             stats: StageStats::default(),
         }
     }
 
-    fn insert(&self, lanes: &mut Lanes<T>, item: T) {
-        lanes.lanes[item.lane().min(2)].push_back(item);
-        self.stats.pushed.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .high_water
-            .fetch_max(lanes.len() as u64, Ordering::Relaxed);
-    }
-
-    /// Admit an item or refuse immediately — the pipeline's outer edge.
+    /// Admit an item or refuse immediately.
     // Rejection hands the item back by value so the caller can fail its
     // handle without an allocation on the admission path.
     #[allow(clippy::result_large_err)]
@@ -119,34 +101,14 @@ impl<T: StageItem> StageQueue<T> {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return Err((SubmitError::QueueFull, item));
         }
-        self.insert(&mut inner, item);
+        inner.lanes[item.lane().min(2)].push_back(item);
+        self.stats.pushed.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .high_water
+            .fetch_max(inner.len() as u64, Ordering::Relaxed);
         drop(inner);
         self.work.notify_one();
         Ok(())
-    }
-
-    /// Block until a slot frees, then enqueue — interior stage hops, where
-    /// blocking the producer is exactly how backpressure propagates
-    /// upstream. Hands the item back if the queue closed first.
-    pub(crate) fn push_wait(&self, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock().expect("stage queue lock");
-        let mut counted = false;
-        loop {
-            if inner.closed {
-                return Err(item);
-            }
-            if inner.len() < self.capacity {
-                self.insert(&mut inner, item);
-                drop(inner);
-                self.work.notify_one();
-                return Ok(());
-            }
-            if !counted {
-                self.stats.blocked.fetch_add(1, Ordering::Relaxed);
-                counted = true;
-            }
-            inner = self.space.wait(inner).expect("stage queue lock");
-        }
     }
 
     /// Items queued right now.
@@ -154,32 +116,11 @@ impl<T: StageItem> StageQueue<T> {
         self.inner.lock().expect("stage queue lock").len()
     }
 
-    /// Block until an item is available, then pop the highest-priority one.
-    /// Returns `None` when the queue is closed and empty (stage shutdown).
-    pub(crate) fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("stage queue lock");
-        loop {
-            if let Some(item) = inner
-                .lanes
-                .iter_mut()
-                .find_map(|l| (!l.is_empty()).then(|| l.pop_front().expect("non-empty lane")))
-            {
-                self.stats.popped.fetch_add(1, Ordering::Relaxed);
-                drop(inner);
-                self.space.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.work.wait(inner).expect("stage queue lock");
-        }
-    }
-
-    /// Like [`Self::pop`], but when the head item carries a coalescing key,
-    /// also pop up to `max_batch - 1` more items with the same key for one
-    /// batched execution, scanning the head's lane and lower-priority
-    /// lanes in order.
+    /// Block until an item is available, then pop the highest-priority
+    /// one; when it carries a coalescing key, also pop up to
+    /// `max_batch - 1` more items with the same key for one batched
+    /// execution, scanning the head's lane and lower-priority lanes in
+    /// order. Returns `None` once the queue is closed and empty.
     ///
     /// Coalescing may skip over *other* keyed items (sweep points of a
     /// different template — they are batch workloads and will coalesce on
@@ -217,8 +158,6 @@ impl<T: StageItem> StageQueue<T> {
                 self.stats
                     .popped
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                drop(inner);
-                self.space.notify_all();
                 return Some(batch);
             }
             if inner.closed {
@@ -228,8 +167,8 @@ impl<T: StageItem> StageQueue<T> {
         }
     }
 
-    /// Close the boundary. With `drain`, queued items stay and keep
-    /// flowing to the consumer; without, they are removed and returned so
+    /// Close the queue. With `drain`, queued items stay and keep flowing
+    /// to the consumers; without, they are removed and returned so
     /// the caller can fail their handles.
     pub(crate) fn close(&self, drain: bool) -> Vec<T> {
         let mut inner = self.inner.lock().expect("stage queue lock");
@@ -241,7 +180,6 @@ impl<T: StageItem> StageQueue<T> {
         };
         drop(inner);
         self.work.notify_all();
-        self.space.notify_all();
         orphans
     }
 
@@ -254,7 +192,7 @@ impl<T: StageItem> StageQueue<T> {
             pushed: self.stats.pushed.load(Ordering::Relaxed),
             popped: self.stats.popped.load(Ordering::Relaxed),
             rejected: self.stats.rejected.load(Ordering::Relaxed),
-            blocked: self.stats.blocked.load(Ordering::Relaxed),
+            blocked: 0,
         }
     }
 }
@@ -300,7 +238,7 @@ mod tests {
     fn drain_ids(q: &StageQueue<Item>) -> Vec<u32> {
         let mut out = Vec::new();
         while q.len() > 0 {
-            out.push(q.pop().expect("non-empty").id);
+            out.push(q.pop_batch(1).expect("non-empty")[0].id);
         }
         out
     }

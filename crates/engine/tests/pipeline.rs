@@ -1,12 +1,13 @@
-//! Pipeline-model integration tests: topological drain, stage-boundary
-//! cancellation/deadline re-checks, bounded-stage backpressure, and the
-//! in-flight memory budget.
+//! Serving-stage integration tests: drain and hard shutdown, the
+//! cancellation/deadline re-check at pickup, the bounded queue's
+//! backpressure, and the in-flight memory budget.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svsim_core::SimConfig;
 use svsim_engine::{
-    AllocMode, Engine, EngineConfig, JobError, JobRequest, JobSpec, MetricsSnapshot, SubmitError,
+    AllocMode, Engine, EngineConfig, JobError, JobRequest, JobSpec, MetricsSnapshot, Priority,
+    StageSnapshot, SubmitError,
 };
 use svsim_ir::{Circuit, GateKind};
 
@@ -21,17 +22,22 @@ fn ghz_with_measure(n: u32) -> Circuit {
     c
 }
 
-/// A wide, deep circuit whose execution parks the single executor for
+/// A wide, deep circuit whose execution parks the single worker for
 /// hundreds of milliseconds (22 qubits x ~280 gates, ~1.2e9 amplitude
 /// updates) — orders of magnitude longer than the microsecond-scale
 /// submissions and metric polls the tests perform while it runs.
 fn deep_blocker() -> Circuit {
-    let mut c = Circuit::with_cbits(22, 1);
-    for q in 0..22 {
+    ry_layers(22)
+}
+
+/// `n` qubits: a layer of H, twelve layers of RY, one measurement.
+fn ry_layers(n: u32) -> Circuit {
+    let mut c = Circuit::with_cbits(n, 1);
+    for q in 0..n {
         c.apply(GateKind::H, &[q], &[]).unwrap();
     }
     for layer in 0..12 {
-        for q in 0..22 {
+        for q in 0..n {
             c.apply(GateKind::RY, &[q], &[0.05 + 0.01 * f64::from(layer)])
                 .unwrap();
         }
@@ -40,28 +46,17 @@ fn deep_blocker() -> Circuit {
     c
 }
 
-/// Current depth of the named stage queue.
-fn depth(m: &MetricsSnapshot, name: &str) -> usize {
-    m.stages
-        .iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("no stage named {name}"))
-        .depth
+/// The engine's one queue.
+fn admit(m: &MetricsSnapshot) -> StageSnapshot {
+    assert_eq!(m.stages.len(), 1, "the engine has exactly one queue");
+    assert_eq!(m.stages[0].name, "admit");
+    m.stages[0]
 }
 
-/// Lifetime pop count of the named stage queue.
-fn popped(m: &MetricsSnapshot, name: &str) -> u64 {
-    m.stages
-        .iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("no stage named {name}"))
-        .popped
-}
-
-/// Spin (bounded) until the live metrics satisfy `pred`. The pipeline's
-/// movers are separate threads, so on a loaded machine a packet takes a
-/// few scheduler quanta to reach its boundary; polling the snapshot is
-/// the only race-free way to observe "job X is parked at stage Y".
+/// Spin (bounded) until the live metrics satisfy `pred`. The workers are
+/// separate threads, so on a loaded machine a packet takes a few scheduler
+/// quanta to be picked up; polling the snapshot is the only race-free way
+/// to observe "the worker holds job X".
 fn wait_for(engine: &Engine, what: &str, pred: impl Fn(&MetricsSnapshot) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !pred(&engine.metrics()) {
@@ -79,13 +74,12 @@ fn one_shot(circuit: &Arc<Circuit>, config: SimConfig) -> JobRequest {
     })
 }
 
-/// Draining shutdown must flush every stage in topological order: jobs
-/// parked in the admit queue (behind a blocked compile stage) and in the
-/// execute queue all run to completion — nothing is dropped.
+/// Draining shutdown runs everything accepted: the job in the worker's
+/// hands and every job parked in the queue behind it complete, nothing is
+/// dropped, and each parked job's queue wait covers the whole time it sat
+/// there.
 #[test]
 fn drain_flushes_jobs_parked_at_every_stage() {
-    // Tiny stages + one worker on a slow blocker: accepted jobs pile up
-    // across admit (2) + compile-in-hand (1) + execute (2) + executor (1).
     let engine = Engine::start(EngineConfig {
         workers: 1,
         max_batch: 1,
@@ -96,99 +90,86 @@ fn drain_flushes_jobs_parked_at_every_stage() {
     let fast = Arc::new(ghz_with_measure(4));
     let config = SimConfig::single_device();
     let mut accepted = vec![engine.submit(one_shot(&slow, config)).unwrap()];
-    // Only once the executor holds the blocker do later submissions pile
-    // up behind it instead of draining straight through.
-    wait_for(&engine, "the executor to pick up the blocker", |m| {
-        popped(m, "execute") == 1
+    // Only once the worker holds the blocker do later submissions park
+    // behind it instead of running straight through.
+    wait_for(&engine, "the worker to pick up the blocker", |m| {
+        admit(m).popped == 1
     });
-    // Fill until truly saturated: QueueFull is only final once both
-    // bounded queues sit at capacity — earlier rejections just mean the
-    // admit->execute mover hasn't been scheduled yet to make room.
-    let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         match engine.submit(one_shot(&fast, config)) {
             Ok(h) => accepted.push(h),
-            Err(SubmitError::QueueFull) => {
-                let m = engine.metrics();
-                if depth(&m, "admit") == 2 && depth(&m, "execute") == 2 {
-                    break;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "pipeline never saturated: the blocker drained too early"
-                );
-                std::thread::yield_now();
-            }
+            Err(SubmitError::QueueFull) => break,
             Err(e) => panic!("unexpected admission error: {e}"),
         }
-        assert!(accepted.len() < 64, "capacity-2 stages must backpressure");
+        assert!(accepted.len() < 64, "a capacity-2 queue must fill");
     }
-    assert!(
-        accepted.len() >= 3,
-        "the pipeline should hold several jobs in flight"
+    let parked_at = Instant::now();
+    assert_eq!(accepted.len(), 3, "one job in hand, two in the queue");
+    std::thread::sleep(Duration::from_millis(10));
+    // Read the time first: if the queue still holds both jobs after it,
+    // they were parked for at least this long.
+    let parked = parked_at.elapsed();
+    let m = engine.metrics();
+    assert_eq!(
+        (admit(&m).depth, m.completed),
+        (2, 0),
+        "the blocker must still be running with both jobs parked"
     );
-    // Shut down while jobs sit mid-pipeline: all of them must complete.
+    // Shut down while jobs sit in the queue: all of them must complete.
     let metrics = engine.shutdown();
     assert_eq!(metrics.completed, accepted.len() as u64);
     assert_eq!(metrics.shutdown_dropped, 0);
     for h in accepted {
         assert!(h.wait().is_ok(), "drained jobs must publish results");
     }
-    let admit = metrics
-        .stages
-        .iter()
-        .find(|s| s.name == "admit")
-        .expect("admit stage snapshot");
+    let admit = admit(&metrics);
     assert_eq!(admit.pushed, metrics.completed, "every job passed admit");
-    assert_eq!(admit.popped, admit.pushed, "drain leaves admit empty");
+    assert_eq!(admit.popped, admit.pushed, "drain leaves the queue empty");
     assert_eq!(admit.depth, 0);
+    // The wait is timed to the worker's pop, not to some earlier hop:
+    // the longest one recorded covers the parked time.
+    assert_eq!(metrics.queue_wait.count(), 3);
+    let longest = u128::from(metrics.queue_wait.quantile_us(1.0));
+    assert!(
+        longest >= parked.as_micros(),
+        "a job parked {parked:?} reports a queue wait under {longest} us"
+    );
 }
 
-/// Cancellation and deadlines are re-checked at each stage boundary: a job
-/// cancelled while parked in the admit or execute queue is dropped at its
-/// next hop, and a deadline that lapses between compile and execute fails
-/// the job with `Expired` at the execute hop.
+/// Cancellation and deadlines are re-checked when a worker picks a job
+/// up: a job cancelled while parked in the queue ends `Cancelled`, one
+/// whose deadline lapses there ends `Expired`, and neither runs.
 #[test]
 fn cancellation_and_deadline_are_rechecked_at_stage_hops() {
-    // Capacity-1 stages pin each victim to a known boundary: v1 in the
-    // execute queue, v2 in the compile stage's blocked push, v3 in admit.
     let engine = Engine::start(EngineConfig {
         workers: 1,
         max_batch: 1,
-        queue_capacity: 1,
+        queue_capacity: 3,
         ..EngineConfig::default()
     });
     let slow = Arc::new(deep_blocker());
     let fast = Arc::new(ghz_with_measure(4));
     let config = SimConfig::single_device();
     let blocker = engine.submit(one_shot(&slow, config)).unwrap();
-    // The blocker must reach the executor before the victims arrive.
-    wait_for(&engine, "the executor to pick up the blocker", |m| {
-        popped(m, "execute") == 1
+    // The blocker must be in the worker's hands before the victims arrive.
+    wait_for(&engine, "the worker to pick up the blocker", |m| {
+        admit(m).popped == 1
     });
-    // Park each victim at its boundary before the next arrives: v1 in
-    // the execute queue, v2 in the mover's blocked push (popped from
-    // admit, refused by the full execute queue), v3 in the admit queue.
     let v1 = engine.submit(one_shot(&fast, config)).unwrap();
-    wait_for(&engine, "v1 to park in the execute queue", |m| {
-        depth(m, "execute") == 1
-    });
     let v2 = engine
         .submit(JobRequest {
             deadline: Some(Instant::now() + Duration::from_millis(1)),
             ..one_shot(&fast, config)
         })
         .unwrap();
-    wait_for(&engine, "the mover to take v2 in hand", |m| {
-        popped(m, "admit") == 3
-    });
     let v3 = engine.submit(one_shot(&fast, config)).unwrap();
     v1.cancel();
     v3.cancel();
+    let m = engine.metrics();
     assert_eq!(
-        engine.metrics().completed,
-        0,
-        "the blocker must still be executing when the victims are cancelled"
+        (admit(&m).depth, m.completed),
+        (3, 0),
+        "the blocker must still be running with every victim parked"
     );
     assert!(blocker.wait().is_ok());
     assert!(matches!(v1.wait(), Err(JobError::Cancelled)));
@@ -201,9 +182,9 @@ fn cancellation_and_deadline_are_rechecked_at_stage_hops() {
     assert_eq!(metrics.failed, 0, "dead jobs never reach execution");
 }
 
-/// A slow execute stage saturates its bounded queue; the backpressure
-/// propagates upstream until admission rejects with a typed error, and the
-/// per-stage metrics reflect both the rejection and the occupancy.
+/// A worker slower than the arrivals fills the bounded queue, and
+/// admission then rejects with a typed error; the queue's snapshot shows
+/// both the rejection and the occupancy.
 #[test]
 fn saturated_execute_stage_rejects_at_admission() {
     let engine = Engine::start(EngineConfig {
@@ -224,26 +205,20 @@ fn saturated_execute_stage_rejects_at_admission() {
         }
         assert!(
             accepted.len() < 64,
-            "stage capacity 2 must reject under sustained load"
+            "queue capacity 2 must reject under sustained load"
         );
     }
     let mid = engine.metrics();
-    let admit = mid
-        .stages
-        .iter()
-        .find(|s| s.name == "admit")
-        .expect("admit stage snapshot");
-    assert!(
-        admit.rejected >= 1,
-        "the admit queue recorded the rejection"
+    let queue = admit(&mid);
+    assert!(queue.rejected >= 1, "the queue recorded the rejection");
+    assert_eq!(
+        queue.high_water, 2,
+        "a rejection means the queue reached its capacity"
     );
-    assert!(
-        admit.high_water >= 1,
-        "queued depth must register in the high-water mark"
-    );
+    assert_eq!(queue.blocked, 0, "nothing ever blocks on the one queue");
     assert!(
         mid.to_string().contains("stage admit:"),
-        "pipeline metrics must render per-stage lines"
+        "the metrics must render the queue's line"
     );
     for h in accepted {
         assert!(h.wait().is_ok(), "accepted jobs still complete");
@@ -251,12 +226,81 @@ fn saturated_execute_stage_rejects_at_admission() {
     let metrics = engine.shutdown();
     assert_eq!(metrics.rejected, rejected);
     assert_eq!(metrics.failed, 0);
-    let exec = metrics
-        .stages
-        .iter()
-        .find(|s| s.name == "execute")
-        .expect("execute stage snapshot");
-    assert!(exec.high_water >= 1, "the execute queue actually filled");
+}
+
+/// A hard shutdown accounts for every accepted job: the one in the
+/// worker's hands completes, the queued ones are dropped, and those the
+/// worker already discarded stay cancelled or expired —
+/// `completed + shutdown_dropped + cancelled + expired == submitted`.
+#[test]
+fn shutdown_now_accounts_for_every_submitted_job() {
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 1,
+        queue_capacity: 6,
+        ..EngineConfig::default()
+    });
+    // A quarter of the width of `deep_blocker`, a sixteenth of its work:
+    // still far longer than the few calls each one has to outlast.
+    let slow = Arc::new(ry_layers(20));
+    let fast = Arc::new(ghz_with_measure(4));
+    let config = SimConfig::single_device();
+    let urgent = |request: JobRequest| JobRequest {
+        priority: Priority::High,
+        ..request
+    };
+    let first = engine.submit(one_shot(&slow, config)).unwrap();
+    wait_for(&engine, "the worker to pick up the first blocker", |m| {
+        admit(m).popped == 1
+    });
+    // Parked behind it, in the order the worker will pop them: one job to
+    // cancel, one already past its deadline, the blocker the hard
+    // shutdown will find in the worker's hands, and two low-priority
+    // jobs it will find still queued.
+    let cancelled = engine.submit(urgent(one_shot(&fast, config))).unwrap();
+    cancelled.cancel();
+    let expired = engine
+        .submit(urgent(JobRequest {
+            deadline: Some(Instant::now()),
+            ..one_shot(&fast, config)
+        }))
+        .unwrap();
+    let in_hand = engine.submit(urgent(one_shot(&slow, config))).unwrap();
+    let queued: Vec<_> = (0..2)
+        .map(|_| {
+            let request = JobRequest {
+                priority: Priority::Low,
+                ..one_shot(&fast, config)
+            };
+            engine.submit(request).unwrap()
+        })
+        .collect();
+    assert!(first.wait().is_ok());
+    wait_for(&engine, "the worker to pick up the second blocker", |m| {
+        admit(m).popped == 4
+    });
+    let metrics = engine.shutdown_now();
+    assert!(matches!(cancelled.wait(), Err(JobError::Cancelled)));
+    assert!(matches!(expired.wait(), Err(JobError::Expired)));
+    assert!(in_hand.wait().is_ok(), "the job in hand runs to completion");
+    for h in queued {
+        assert!(matches!(h.wait(), Err(JobError::Shutdown)));
+    }
+    assert_eq!(metrics.submitted, 6);
+    assert_eq!(
+        (
+            metrics.completed,
+            metrics.shutdown_dropped,
+            metrics.cancelled,
+            metrics.expired
+        ),
+        (2, 2, 1, 1)
+    );
+    assert_eq!(
+        metrics.completed + metrics.shutdown_dropped + metrics.cancelled + metrics.expired,
+        metrics.submitted
+    );
+    assert_eq!(metrics.failed, 0);
 }
 
 /// Under `AllocMode::LimitMemory`, total in-flight state-vector bytes never

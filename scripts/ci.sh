@@ -220,6 +220,15 @@ else
   done
 fi
 
+echo "== engine serving stage (release) =="
+# The one queue and its workers in the build that ships: drain and hard
+# shutdown account for every job, a job parked behind a blocker reports its
+# whole wait, cancellation and deadlines are re-checked at pickup, and a full
+# queue rejects at admission. The drain and cancellation tests park jobs
+# behind a blocker whose length depends on the build; tier-1 runs them only
+# unoptimized.
+cargo test --release -p svsim-engine --test pipeline
+
 echo "== fault-injection smoke matrix =="
 # Seeded end-to-end recovery: every job checksum under injected faults
 # must match the fault-free reference bit for bit (nonzero exit if not).
