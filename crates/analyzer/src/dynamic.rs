@@ -2,9 +2,9 @@
 //!
 //! The static side *proves* a plan conflict-free symbolically; the dynamic
 //! side *observes* an actual SPMD execution under the vector-clock race
-//! detector (`svsim_shmem::RaceDetector`) and checks the two agree: a
-//! proven-safe plan must produce zero dynamic race reports, at every PE
-//! count, on every workload. One direction only — the detector sees just
+//! detector the SHMEM world owns (`svsim_shmem::WorldOptions::detect_races`)
+//! and checks the two agree: a proven-safe plan must produce zero dynamic
+//! race reports, at every PE count, on every workload. One direction only — the detector sees just
 //! the remote accesses of one seeded run, so a clean dynamic run does not
 //! prove a plan safe; a dynamic race under a proven-safe verdict, however,
 //! falsifies the checker (or the executor) and fails loudly.

@@ -12,7 +12,8 @@
 //!   `O(PEs² · patterns²)` per kernel pair of an epoch, independent of the
 //!   `2^n` amplitude count.
 //! - **Dynamic** ([`dynamic`]): execute the same schedule under the
-//!   vector-clock [`svsim_shmem::RaceDetector`] and check the observed
+//!   vector-clock race detector of the SHMEM world
+//!   ([`svsim_shmem::WorldOptions::detect_races`]) and check the observed
 //!   behaviour agrees with the proof (proven-safe ⇒ zero races).
 //!
 //! [`analyze`] is the one-call static entry point; [`checked_run`] gates a

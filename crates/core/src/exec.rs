@@ -57,11 +57,13 @@
 //! run — works in **groups**, the finest tiles the kernel's footprint pairs
 //! (`Groups`): a kernel that keeps zero leaves alone a group whose tiles
 //! are all known, and every group that runs is forgotten. A sweep whose span
-//! holds no known tile is one call, as a dense state always walks. A
-//! collapse, an `IfEq` payload, an exchange and a kernel through the view
-//! forget the whole map. Every kernel is still accounted for in full: the
-//! counters count the footprint the traffic model predicts. A tile holding a
-//! `-0.0` is not a zero tile.
+//! holds no known tile is one call, as a dense state always walks. An
+//! exchange and a kernel through the view forget the whole map. A collapse
+//! keeps it: it rescales by a positive finite factor or writes `0.0`, so a
+//! known tile stays `+0.0`; an `IfEq` payload's kernels sweep like any
+//! other. Every kernel is still accounted for in full: the counters count
+//! the footprint the traffic model predicts. A tile holding a `-0.0` is not
+//! a zero tile.
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
@@ -77,7 +79,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 use svsim_ir::Gate;
-use svsim_shmem::{FaultPlan, ProcOptions, RaceDetector, ShmemBackend, ShmemCtx, SymF64};
+use svsim_shmem::{FaultPlan, ProcOptions, ShmemBackend, ShmemCtx, SymF64, WorldOptions};
 use svsim_types::bits::insert_zero_bits;
 use svsim_types::{PeOp, SvError, SvResult};
 
@@ -605,9 +607,8 @@ impl<'a> Fabric for Worker<'a> {
 /// **Tile runs.** The segment's tile runs ([`TileRun`], decided by the
 /// lowering) run as they stand, each followed by one sync: on the slab,
 /// tile-major ([`tile_major`]). Only preloaded segments hold any. Every
-/// kernel on the slab sweeps over the walker's [`ZeroMap`], which a
-/// collapse, an `IfEq` payload, an exchange and a kernel through the view
-/// clear.
+/// kernel on the slab sweeps over the walker's [`ZeroMap`], which an
+/// exchange and a kernel through the view clear.
 fn interpret<'a, F: Fabric>(
     fabric: &'a F,
     seg: &'a PlanSegment,
@@ -672,8 +673,9 @@ fn interpret<'a, F: Fabric>(
                 "collapse of qubit {qubit} with probability ~0"
             )));
         }
+        // Rescaled by a positive finite factor or written 0.0: a `+0.0`
+        // word stays `+0.0`, so the map stays true.
         measure::collapse(own, base, phys, outcome, 1.0 / p.sqrt());
-        zeros.forget_all();
         fabric.sync();
         Ok(outcome)
     };
@@ -724,7 +726,6 @@ fn interpret<'a, F: Fabric>(
                 // All workers hold identical cbits, so they branch
                 // identically — no divergence across the barrier.
                 if cond_holds(cbits, *creg_lo, *creg_len, *value) {
-                    zeros.forget_all();
                     kernels.each(Some(raw), compiled, run);
                 }
             }
@@ -744,7 +745,7 @@ fn interpret<'a, F: Fabric>(
                 x,
                 ..
             } => {
-                // The X restoring |0>, after the collapse forgot every tile.
+                // The X restoring |0>.
                 if collapse(*qubit, layout.as_ref(), randoms[*r_idx])? == 1 {
                     kernels.each(None, x, run);
                 }
@@ -813,11 +814,12 @@ pub(crate) fn run_solo(
 /// left untouched at its pre-segment contents — exactly what
 /// checkpoint/restart needs.
 ///
-/// With [`SimConfig::detect_races`] the launch, on either backend, runs
-/// under a fresh [`RaceDetector`]: every borrow is recorded against
-/// epoch-scoped shadow state, and any access-protocol violations come back
-/// in the summary without failing the run. The detector records accesses
-/// through in-process `Arc` shadow state, so it requires thread PEs.
+/// With [`SimConfig::detect_races`] the world, on either backend, runs its
+/// own race detector ([`WorldOptions::detect_races`]): every borrow is
+/// recorded against epoch-scoped shadow state, and any access-protocol
+/// violations come back in the summary without failing the run. The
+/// detector's shadow state is in-process, so the world refuses it on
+/// process PEs with a typed error.
 ///
 /// The remaining knobs, relabeling and the substrate, are scale-out only.
 /// A segment lowered with [`SimConfig::remap`] carries
@@ -842,28 +844,31 @@ pub(crate) fn run_partitioned(
     summary: &mut RunSummary,
 ) -> SvResult<()> {
     let scale_out = matches!(config.backend, BackendKind::ScaleOut { .. });
-    let process = scale_out && config.shmem_backend == ShmemBackend::Process;
     let shape = if scale_out {
         Shape::WORDS
     } else {
         Shape::AMPLITUDE
     };
-    if config.detect_races && process {
-        return Err(SvError::InvalidConfig(
-            "race detection requires the thread backend: the detector's shadow \
-             state is in-process and cannot observe forked PEs"
-                .into(),
-        ));
-    }
     let n_pes = config.backend.n_workers();
     let per_pe = state.dim() / n_pes;
     let initial_cbits = summary.cbits;
     let (init_re, init_im) = (state.re(), state.im());
-
-    let detector = if config.detect_races {
-        Some(RaceDetector::new(n_pes)?)
-    } else {
-        None
+    let world = WorldOptions {
+        // Scale-up's devices are threads of this process.
+        backend: if scale_out {
+            config.shmem_backend
+        } else {
+            ShmemBackend::Thread
+        },
+        // Symmetric heap: re + im (per_pe each); result slot: the classical
+        // register and two counts, whatever the width.
+        process: ProcOptions {
+            respawn_max: config.respawn_max,
+            hang_deadline_ms: u64::from(config.hang_deadline_ms),
+            ..ProcOptions::sized_for(2 * per_pe + 64, 3)
+        },
+        faults,
+        detect_races: config.detect_races,
     };
     let body = |ctx: &ShmemCtx<'_>| -> SvResult<(u64, WalkCounts)> {
         let pe = ctx.my_pe();
@@ -929,26 +934,13 @@ pub(crate) fn run_partitioned(
         ctx.try_barrier_all()?;
         Ok(walked)
     };
-    let out = if process {
-        // Symmetric heap: re + im (per_pe each); result slot: the classical
-        // register and two counts, whatever the width.
-        let opts = ProcOptions {
-            respawn_max: config.respawn_max,
-            hang_deadline_ms: u64::from(config.hang_deadline_ms),
-            ..ProcOptions::sized_for(2 * per_pe + 64, 3)
-        };
-        svsim_shmem::launch_process(n_pes, &opts, faults, body)?
-    } else if let Some(det) = &detector {
-        svsim_shmem::launch_detected(n_pes, faults, Arc::clone(det), body)?
-    } else {
-        svsim_shmem::launch_with_faults(n_pes, faults, body)?
-    };
+    let mut out = svsim_shmem::launch_world(n_pes, &world, body)?;
 
     // A PE death aborts the segment before any readback: the caller's
     // state vector still holds the pre-segment amplitudes. `into_result`
     // picks the typed root cause over secondary "peer poisoned the
     // barrier" reports, whether the PE died or its body returned the error.
-    let respawns = out.respawns.len();
+    let (respawns, races) = (out.respawns.len(), std::mem::take(&mut out.races));
     let out = out.flatten().into_result()?;
     let (cbits, (on_slab, _)) = out.results[0];
     summary.cbits = cbits;
@@ -967,9 +959,7 @@ pub(crate) fn run_partitioned(
     crate::remap::unpermute_into(layout, sym_re.partitions(), re);
     crate::remap::unpermute_into(layout, sym_im.partitions(), im);
     summary.absorb_traffic(out.traffic);
-    if let Some(det) = detector {
-        summary.races.extend(det.take_reports());
-    }
+    summary.races.extend(races);
     summary.remap_swaps += seg.n_swaps;
     summary.respawns += respawns;
     Ok(())
@@ -1354,14 +1344,15 @@ mod tests {
     /// Every step that may write into a tile the zero map knows all `+0.0`
     /// makes the map forget it, on every backend: an X on a high qubit that
     /// moves the amplitude into a known-zero tile; a Z and rotations of
-    /// negative cosine outside any run, which write `-0.0` there; a measure,
-    /// a reset and an `IfEq`; a kernel on the top qubit, which on PEs is a
-    /// remapped exchange or a boundary kernel through the lending view, also
-    /// once the amplitude is spread over every low position. Each case
-    /// starts from `|0...0>` and puts a run that keeps zero before and after
-    /// each step: the first learns the zero tiles, the second skips what the
-    /// map still knows. Amplitudes and every counter equal the kernel-major
-    /// walk's.
+    /// negative cosine outside any run, which write `-0.0` there; a reset
+    /// and an `IfEq`; a kernel on the top qubit, which on PEs is a remapped
+    /// exchange or a boundary kernel through the lending view, also once the
+    /// amplitude is spread over every low position. A collapse writes none:
+    /// a measure keeps the map, and a lone kernel that keeps zero right
+    /// after it leaves the known tiles alone. Each case starts from
+    /// `|0...0>` and puts a run that keeps zero before and after each step:
+    /// the first learns the zero tiles, the second skips what the map still
+    /// knows. Amplitudes and every counter equal the kernel-major walk's.
     #[test]
     fn zero_maps_forget_what_a_step_may_write() {
         use GateKind::*;
@@ -1382,12 +1373,18 @@ mod tests {
             move |c: &mut Circuit| c.apply(kind, &[qubit], params).unwrap()
         };
         let x5 = one(X, 5, &[]);
-        let cases: [(&str, Circuit); 9] = [
+        let measured = |c: &mut Circuit| c.measure(0, 0).unwrap();
+        let lone_after_measure = |c: &mut Circuit| {
+            measured(c);
+            c.apply(H, &[5], &[]).unwrap();
+        };
+        let cases: [(&str, Circuit); 10] = [
             ("X into a known-zero tile", case(&x5)),
             ("Z", case(&one(Z, 5, &[]))),
             ("RZ(7.0)", case(&one(RZ, 5, &[7.0]))),
             ("RY(4.0)", case(&one(RY, 5, &[4.0]))),
-            ("measure", case(&|c| c.measure(0, 0).unwrap())),
+            ("measure", case(&measured)),
+            ("a lone kernel after a measure", case(&lone_after_measure)),
             (
                 "reset",
                 case(&|c| {
@@ -1432,6 +1429,26 @@ mod tests {
                         assert!(tiled.summary.remap_swaps > 0, "{what}: no exchange");
                     }
                 }
+            }
+        }
+        // The lone H on qubit 5, a kernel outside any run, finds the tiles
+        // the run before the measure learned still known, and leaves them
+        // alone: more zero tiles than the walk without it.
+        let until = |step: &dyn Fn(&mut Circuit)| {
+            let mut c = Circuit::with_cbits(n, 1);
+            learn(&mut c);
+            step(&mut c);
+            c
+        };
+        for config in backends() {
+            for nested in [[3u32, 1], [4, 2]] {
+                let what = format!("tiles of 2^{nested:?}, {config:?}");
+                let lone = walk(&until(&lone_after_measure), &config, &nested, None);
+                let without = walk(&until(&measured), &config, &nested, None);
+                assert!(
+                    lone.summary.zero_tiles > without.summary.zero_tiles,
+                    "{what}: the lone kernel skipped nothing"
+                );
             }
         }
     }
@@ -1643,9 +1660,12 @@ mod tests {
     #[test]
     fn the_detector_names_two_pes_borrowing_one_run_in_one_epoch() {
         use svsim_shmem::RaceAccess;
+        let detected = WorldOptions {
+            detect_races: true,
+            ..WorldOptions::default()
+        };
         for shape in [Shape::WORDS, Shape::AMPLITUDE] {
-            let det = RaceDetector::new(2).unwrap();
-            let out = svsim_shmem::launch_detected(2, None, Arc::clone(&det), |ctx| {
+            let mut out = svsim_shmem::launch_world(2, &detected, |ctx| {
                 let re = ctx.malloc_f64(64).unwrap();
                 let im = ctx.malloc_f64(64).unwrap();
                 let lent = lend_all(&re, &im);
@@ -1657,12 +1677,11 @@ mod tests {
                 ctx.barrier_all();
                 epoch
             })
-            .unwrap()
-            .into_result()
             .unwrap();
+            let reports = std::mem::take(&mut out.races);
+            let out = out.into_result().unwrap();
             let epoch = out.results[0];
             assert_eq!(out.results[1], epoch, "{shape:?}");
-            let reports = det.take_reports();
             assert!(!reports.is_empty(), "{shape:?}: the shared run went unseen");
             for r in &reports {
                 let pair = |a: RaceAccess, b: RaceAccess| [a.pe.min(b.pe), a.pe.max(b.pe)];

@@ -3,7 +3,7 @@
 //! HPC state-vector runs (the paper targets Summit/Theta/DGX scale) live
 //! with PE failures and flaky transports; this module makes those failure
 //! paths *testable*. A [`FaultPlan`] is a seeded, replayable schedule of
-//! faults that [`crate::world::launch_with_faults`] threads through every
+//! faults that [`crate::world::launch_world`] threads through every
 //! PE's [`crate::world::ShmemCtx`]. Each spec counts the matching
 //! `put`/`get`/`barrier` operations it observes in the target PE's program
 //! order, so "kill PE 2 at its 7th put" is exactly reproducible run over
@@ -134,7 +134,7 @@ impl FaultSpec {
         &self.words
     }
 
-    /// (Re)arm with a rewound count.
+    /// Arm with a zero count.
     fn arm(&self) {
         self.words.store(SEEN, 0, MemOrder::Relaxed);
         self.words.store(ARMED, 1, MemOrder::Release);
@@ -220,14 +220,6 @@ impl FaultPlan {
         self.specs.iter().filter(|s| s.is_armed()).count()
     }
 
-    /// Re-arm every spec and rewind its operation count (e.g. to replay
-    /// the same schedule in a new run).
-    pub fn rearm(&self) {
-        for s in &self.specs {
-            s.arm();
-        }
-    }
-
     /// The scheduled specs, in insertion order (stable indices — the
     /// process backend mirrors spec `i` into arena slot `i`).
     pub(crate) fn specs(&self) -> &[FaultSpec] {
@@ -273,10 +265,6 @@ mod tests {
         assert_eq!(plan.armed_remaining(), 0);
         // One-shot: further matching operations no longer fire or count.
         assert_eq!(plan.check(1, PeOp::Put), None);
-        plan.rearm();
-        assert_eq!(plan.check(1, PeOp::Put), None);
-        assert_eq!(plan.check(1, PeOp::Put), None);
-        assert_eq!(plan.check(1, PeOp::Put), Some(FaultAction::Kill));
     }
 
     #[test]

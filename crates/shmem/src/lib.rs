@@ -8,8 +8,9 @@
 //! available in this environment, so this crate rebuilds the model in
 //! process — exactly the surface Listing 5 uses, and no more:
 //!
-//! - [`world::launch`] starts an SPMD job; each PE receives a
-//!   [`world::ShmemCtx`].
+//! - [`world::launch_world`] starts an SPMD job; each PE receives a
+//!   [`world::ShmemCtx`]. [`world::WorldOptions`] are all its choices:
+//!   the substrate, a fault plan, and the race detector.
 //! - [`world::ShmemCtx::malloc_f64`] is the collective symmetric allocation
 //!   (`nvshmem_malloc`).
 //! - `get_f64`/`put_f64` are `nvshmem_double_g`/`nvshmem_double_p`;
@@ -22,7 +23,7 @@
 //!   `svsim-perfmodel`.
 //! - Failure is a first-class code path: [`fault::FaultPlan`] injects
 //!   deterministic PE kills, dropped/delayed transfers and poisoned
-//!   barriers; [`world::launch_with_faults`] reports per-PE `Result`s (no
+//!   barriers; [`world::launch_world`] reports per-PE `Result`s (no
 //!   resume-unwinding), and every PE death surfaces as a typed
 //!   `SvError::PeFailed` while peers observe the poisoned barrier and shut
 //!   down cleanly.
@@ -34,10 +35,11 @@
 //! loop ([`barrier`]), one fault-check routine ([`fault`]) — over their
 //! own words:
 //!
-//! - **Thread-backed** (the default, [`world::launch`] family): PEs are
-//!   threads of this process. Supports the dynamic race detector
-//!   ([`world::launch_detected`]).
-//! - **Process-backed** ([`proc::launch_process`]): PEs are forked OS
+//! - **Thread-backed** (the default): PEs are threads of this process.
+//!   Supports the dynamic race detector
+//!   ([`world::WorldOptions::detect_races`]), whose reports come back in
+//!   [`world::SpmdOutput::races`].
+//! - **Process-backed** ([`proc::ShmemBackend::Process`]): PEs are forked OS
 //!   processes over a `memfd_create` + `mmap(MAP_SHARED)` symmetric heap.
 //!   True crash isolation — a PE can be `kill -9`-ed mid-epoch and the
 //!   launcher reaps it into a typed `SvError::PeFailed` with a
@@ -63,8 +65,6 @@ pub use fault::{FaultAction, FaultPlan, FaultSpec, PeFailure};
 pub use metrics::{MetricsTable, PeCounters, TrafficSnapshot};
 pub use proc::{launch_process, ProcOptions, RespawnEvent, ShmemBackend, Wire};
 pub use proto::{AtomicWords, MemOrder, ProtoMem};
-pub use race::{ConflictKind, RaceAccess, RaceDetector, RaceReport, MAX_TRACKED_PES};
+pub use race::{ConflictKind, RaceAccess, RaceReport, MAX_TRACKED_PES};
 pub use shared::SharedF64Vec;
-pub use world::{
-    launch, launch_detected, launch_with_faults, JobOutput, ShmemCtx, SpmdOutput, SymF64,
-};
+pub use world::{launch, launch_world, JobOutput, ShmemCtx, SpmdOutput, SymF64, WorldOptions};

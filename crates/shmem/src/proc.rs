@@ -19,9 +19,10 @@
 //!   at the same address (inherited across `fork`), so the one-sided
 //!   accessors are the *same code* as the thread backend — only the words
 //!   live in OS-shared memory instead of a process-private `Box`.
-//! - **PE launch** — [`launch_process`] forks one child per PE; each child
-//!   runs the same closure-driven SPMD body, encodes its result into its
-//!   arena slot and `_exit`s. The parent reaps with `waitpid` and maps an
+//! - **PE launch** — [`launch_world`] on [`ShmemBackend::Process`] forks
+//!   one child per PE; each child runs the same closure-driven SPMD body in
+//!   the same PE harness as a thread PE, encodes its result into its arena
+//!   slot and `_exit`s. The parent reaps with `waitpid` and maps an
 //!   abnormal exit (signal, nonzero code) to a typed
 //!   [`SvError::PeFailed`] carrying the signal number and the barrier
 //!   epoch the child had reached when it died. After the reap the parent
@@ -70,7 +71,7 @@ use crate::fault::{copy_words, FaultAction, FaultPlan};
 use crate::metrics::MetricsTable;
 use crate::proto::{self, MemOrder, ProtoMem};
 use crate::shared::SharedF64Vec;
-use crate::world::{call_order_violated, ShmemCtx, SpmdOutput, World};
+use crate::world::{call_order_violated, launch_world, ShmemCtx, SpmdOutput, World, WorldOptions};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -524,7 +525,7 @@ pub(crate) struct ProcWorld {
 }
 
 impl ProcWorld {
-    fn new(n_pes: usize, opts: &ProcOptions) -> SvResult<Self> {
+    pub(crate) fn new(n_pes: usize, opts: &ProcOptions) -> SvResult<Self> {
         let layout = ArenaLayout::new(n_pes, opts);
         let arena = Arc::new(ShmArena::create(layout.total_bytes)?);
         arena
@@ -929,7 +930,7 @@ pub(crate) fn die_by_sigkill() -> ! {
 // ---------------------------------------------------------------------------
 
 /// Self-describing little-endian encoding for values that cross the
-/// child→parent result channel of [`launch_process`]: what the SPMD bodies
+/// child→parent result channel of a process world: what the SPMD bodies
 /// in this codebase return. The partitioned executor's returns
 /// `SvResult<(u64, (usize, usize))>` (the classical register and its walk's
 /// counts; the state itself stays on the symmetric heap), a benchmark's
@@ -1269,23 +1270,10 @@ pub struct RespawnEvent {
     pub cause: SvError,
 }
 
-/// [`crate::launch_with_faults`] with OS processes as PEs over a shared
-/// `memfd` arena: forks one child per PE, runs the same closure-driven
-/// SPMD body in each, and reaps them with `waitpid`. An abnormal child
-/// exit (a real `SIGKILL`, a panic-turned-abort, a nonzero exit) surfaces
-/// as [`SvError::PeFailed`] with [`PeOp::Term`] carrying the signal/exit
-/// code and the barrier epoch the PE had reached when it died; surviving
-/// peers observe the poisoned arena barrier and shut down typed, exactly
-/// as in the thread-backed world.
-///
-/// The body's return type crosses a process boundary, so it must implement
-/// [`Wire`] (every production body returns word/vector data). Race
-/// detection is not available on this backend.
+/// [`launch_world`] on process PEs with `opts` and `faults`.
 ///
 /// # Errors
-/// [`SvError::InvalidConfig`] when `n_pes == 0`; [`SvError::Shmem`] when
-/// the arena cannot be created or a fork fails. Per-PE failures are
-/// reported in [`SpmdOutput::results`], not as a top-level error.
+/// As [`launch_world`].
 pub fn launch_process<T, F>(
     n_pes: usize,
     opts: &ProcOptions,
@@ -1296,15 +1284,37 @@ where
     T: Wire + Send,
     F: Fn(&ShmemCtx<'_>) -> T + Sync,
 {
-    if n_pes == 0 {
-        return Err(SvError::InvalidConfig("n_pes must be >= 1".into()));
-    }
+    let world = WorldOptions {
+        backend: ShmemBackend::Process,
+        process: opts.clone(),
+        faults,
+        detect_races: false,
+    };
+    launch_world(n_pes, &world, body)
+}
+
+/// Run `body` on one forked OS process per PE of `world`, whose arena is
+/// `pw`, and reap them with `waitpid`. An abnormal child exit (a real
+/// `SIGKILL`, a panic-turned-abort, a nonzero exit) surfaces as
+/// [`SvError::PeFailed`] with [`PeOp::Term`] carrying the signal/exit code
+/// and the barrier epoch the PE had reached when it died; surviving peers
+/// observe the poisoned arena barrier and shut down typed, exactly as in
+/// the thread-backed world.
+pub(crate) fn run_processes<T, F>(
+    world: World,
+    pw: &ProcWorld,
+    world_opts: &WorldOptions,
+    body: F,
+) -> SvResult<SpmdOutput<T>>
+where
+    T: Wire + Send,
+    F: Fn(&ShmemCtx<'_>) -> T + Sync,
+{
+    let (n_pes, opts, faults) = (pw.layout.n_pes, &world_opts.process, &world_opts.faults);
     silence_child_panics();
-    let pw = &ProcWorld::new(n_pes, opts)?;
-    if let Some(plan) = &faults {
+    if let Some(plan) = faults {
         pw.seed_faults(plan)?;
     }
-    let world = World::new_process(n_pes, pw.clone(), faults.clone());
     let respawn_enabled = opts.respawn_max > 0;
 
     // Fork one child for rank `pe`; the child never returns from this call.
@@ -1312,7 +1322,7 @@ where
         match sys::spawn() {
             Ok(0) => {
                 // CHILD: run the SPMD body, publish, _exit.
-                child_run::<T, F>(&world, pw, pe, &body, respawn_enabled);
+                child_run(&world, pw, pe, &body, respawn_enabled);
             }
             Ok(pid) => Ok(pid),
             Err(e) => Err(e),
@@ -1548,17 +1558,10 @@ where
         })
         .collect();
 
-    if let Some(plan) = &faults {
+    if let Some(plan) = faults {
         pw.absorb_faults(plan);
     }
-    let traffic = world.snapshot_traffic();
-    Ok(SpmdOutput {
-        results,
-        traffic,
-        pids: pid_of,
-        respawns,
-        heap: world.into_heap(),
-    })
+    Ok(world.output(results, pid_of, respawns))
 }
 
 /// Typed record of an abnormal child death, stamped with the barrier epoch
@@ -1600,9 +1603,9 @@ fn silence_child_panics() {
     });
 }
 
-/// The child side of a fork: run the body, convert panics into the same
-/// typed errors the thread backend produces, publish the encoded result,
-/// and `_exit` without unwinding into the inherited parent state.
+/// The child side of a fork: run the body in the PE harness thread PEs run
+/// in ([`World::run_pe`]), publish the encoded result, and `_exit` without
+/// unwinding into the inherited parent state.
 ///
 /// With `respawn` enabled the body runs in *rounds*: when a round is
 /// wrecked (the barrier got poisoned), the child parks — acknowledging the
@@ -1618,18 +1621,8 @@ where
     FORKED_CHILD.store(true, Ordering::Relaxed);
     pw.heartbeat(pe);
     let mut parked_round = pw.round();
-    let res: SvResult<T> = loop {
-        let ctx = world.make_ctx(pe);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
-        let round_res: SvResult<T> = match r {
-            Ok(v) => Ok(v),
-            Err(payload) => {
-                // Poison first so peers spinning in the barrier fail fast.
-                pw.poison_barrier();
-                Err(crate::world::classify_panic(pe, payload.as_ref()))
-            }
-        };
-        pw.set_epoch(pe, ctx.barrier_epoch());
+    let res = loop {
+        let round_res = world.run_pe(pe, body);
         if !(respawn && pw.barrier_poisoned() && !pw.abort()) {
             break round_res;
         }
@@ -1671,6 +1664,16 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use svsim_types::SvRng;
+
+    /// A process world tuned by `process`, under `faults`.
+    fn world(process: &ProcOptions, faults: Option<Arc<FaultPlan>>) -> WorldOptions {
+        WorldOptions {
+            backend: ShmemBackend::Process,
+            process: process.clone(),
+            faults,
+            detect_races: false,
+        }
+    }
 
     fn opts() -> ProcOptions {
         ProcOptions {
@@ -1768,7 +1771,7 @@ mod tests {
 
     #[test]
     fn process_panic_becomes_typed_error_without_poisoning_host() {
-        let out = launch_process(3, &opts(), None, |ctx| {
+        let out = launch_world(3, &world(&opts(), None), |ctx| {
             if ctx.my_pe() == 1 {
                 panic!("PE 1 exploded");
             }
@@ -1779,7 +1782,7 @@ mod tests {
         let root = out.first_failure().expect("PE 1 failed");
         assert!(root.to_string().contains("PE 1"), "got: {root}");
         // The launcher process is fine: a fresh world works.
-        let again = launch_process(2, &opts(), None, |ctx| ctx.my_pe())
+        let again = launch_world(2, &world(&opts(), None), |ctx| ctx.my_pe())
             .unwrap()
             .into_result()
             .unwrap();
@@ -1792,7 +1795,7 @@ mod tests {
         // parent synthesizes PeFailed{Term{signal: 9}} with the barrier
         // epoch the child had completed (1: the malloc barrier).
         let plan = Arc::new(FaultPlan::new().with(2, PeOp::Put, 3, FaultAction::Kill));
-        let out = launch_process(4, &opts(), Some(Arc::clone(&plan)), |ctx| {
+        let out = launch_world(4, &world(&opts(), Some(Arc::clone(&plan))), |ctx| {
             let sym = ctx.malloc_f64(4)?;
             for i in 0..4 {
                 ctx.put_f64(&sym, (ctx.my_pe() + 1) % ctx.n_pes(), i, 1.0);
@@ -1832,7 +1835,7 @@ mod tests {
         // over the slots must be exact).
         for n_pes in [2usize, 4, 8] {
             const ROUNDS: u64 = 1000;
-            let out = launch_process(n_pes, &opts(), None, move |ctx| {
+            let out = launch_world(n_pes, &world(&opts(), None), move |ctx| {
                 let acc = ctx.malloc_f64(ctx.n_pes()).expect("alloc");
                 let mut rng = SvRng::seed_from_u64(0xba44 ^ ctx.my_pe() as u64);
                 let mut clean = 0u64;
@@ -1875,7 +1878,7 @@ mod tests {
         // cause must name the dead PE with a Term record.
         let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, 5, FaultAction::Kill));
         let start = Instant::now();
-        let out = launch_process(4, &opts(), Some(plan), |ctx| {
+        let out = launch_world(4, &world(&opts(), Some(plan)), |ctx| {
             for _ in 0..16 {
                 if let Err(e) = ctx.try_barrier_all() {
                     let timed_out = matches!(e, SvError::BarrierTimeout { .. });
@@ -1918,7 +1921,7 @@ mod tests {
             barrier_timeout_ms: 200,
             ..opts()
         };
-        let out = launch_process(2, &o, None, |ctx| {
+        let out = launch_world(2, &world(&o, None), |ctx| {
             if ctx.my_pe() == 0 {
                 std::thread::sleep(Duration::from_millis(1200));
             }
@@ -1955,7 +1958,7 @@ mod tests {
             ..opts()
         };
         let start = Instant::now();
-        let out = launch_process(3, &o, Some(plan), |ctx| {
+        let out = launch_world(3, &world(&o, Some(plan)), |ctx| {
             let sym = ctx.malloc_f64(2)?;
             for i in 0..2 {
                 ctx.put_f64(&sym, (ctx.my_pe() + 1) % ctx.n_pes(), i, 1.0);
@@ -1999,7 +2002,7 @@ mod tests {
             barrier_timeout_ms: 15_000,
             ..opts()
         };
-        let out = launch_process(4, &o, Some(Arc::clone(&plan)), |ctx| {
+        let out = launch_world(4, &world(&o, Some(Arc::clone(&plan))), |ctx| {
             let sym = ctx.malloc_f64(1)?;
             ctx.put_f64(&sym, (ctx.my_pe() + 1) % ctx.n_pes(), 0, ctx.my_pe() as f64);
             ctx.try_barrier_all()?;
@@ -2066,7 +2069,7 @@ mod tests {
             barrier_timeout_ms: 15_000,
             ..opts()
         };
-        let out = launch_process(4, &o, Some(plan), |ctx| {
+        let out = launch_world(4, &world(&o, Some(plan)), |ctx| {
             for _ in 0..3 {
                 ctx.try_barrier_all()?;
             }
@@ -2090,7 +2093,7 @@ mod tests {
             barrier_timeout_ms: 15_000,
             ..opts()
         };
-        let out = launch_process(2, &o, Some(plan), |ctx| {
+        let out = launch_world(2, &world(&o, Some(plan)), |ctx| {
             for _ in 0..3 {
                 ctx.try_barrier_all()?;
             }
@@ -2115,7 +2118,7 @@ mod tests {
             heap_words_per_pe: 8,
             ..opts()
         };
-        let out = launch_process(2, &small, None, |ctx| match ctx.malloc_f64(64) {
+        let out = launch_world(2, &world(&small, None), |ctx| match ctx.malloc_f64(64) {
             Err(SvError::Shmem(msg)) => msg.contains("exhausted") || msg.contains("published"),
             other => panic!("expected typed exhaustion, got {other:?}"),
         })
@@ -2127,6 +2130,6 @@ mod tests {
 
     #[test]
     fn zero_pes_rejected() {
-        assert!(launch_process::<(), _>(0, &opts(), None, |_| ()).is_err());
+        assert!(launch_world::<(), _>(0, &world(&opts(), None), |_| ()).is_err());
     }
 }

@@ -302,10 +302,10 @@ impl ShadowArray {
 }
 
 /// The dynamic race detector: a factory for per-allocation shadow state
-/// plus the shared report sink. One detector instruments one SPMD world
-/// (see `launch_detected`).
+/// plus the shared report sink. A world launched with
+/// [`crate::world::WorldOptions::detect_races`] creates one and owns it.
 #[derive(Debug)]
-pub struct RaceDetector {
+pub(crate) struct RaceDetector {
     n_pes: usize,
     next_array: AtomicU32,
     sink: Arc<ReportSink>,
@@ -331,12 +331,6 @@ impl RaceDetector {
         }))
     }
 
-    /// World size this detector was created for.
-    #[must_use]
-    pub fn n_pes(&self) -> usize {
-        self.n_pes
-    }
-
     /// Create shadow state for one symmetric allocation of `len_per_pe`
     /// words per PE. Called once per allocation (by PE 0 at publication).
     #[must_use]
@@ -352,13 +346,13 @@ impl RaceDetector {
     }
 
     /// Total conflicts recorded (including any beyond the report cap).
-    #[must_use]
+    #[cfg(test)]
     pub fn race_count(&self) -> u64 {
         self.sink.total.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the accumulated reports (first `MAX_REPORTS` kept).
-    #[must_use]
+    #[cfg(test)]
     pub fn reports(&self) -> Vec<RaceReport> {
         self.sink
             .reports

@@ -14,8 +14,8 @@
 use crate::barrier::{BarrierToken, BarrierWaitError, SenseBarrier};
 use crate::fault::{FaultAction, FaultPlan, PeFailure};
 use crate::metrics::{MetricsTable, PeCounters, TrafficSnapshot};
-use crate::proc::{ProcWorld, RespawnEvent};
-use crate::race::{RaceDetector, ShadowArray};
+use crate::proc::{ProcOptions, ProcWorld, RespawnEvent, ShmemBackend, Wire};
+use crate::race::{RaceDetector, RaceReport, ShadowArray};
 use crate::shared::SharedF64Vec;
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
@@ -28,8 +28,9 @@ pub struct SymF64 {
     bufs: Arc<Vec<SharedF64Vec>>,
     len_per_pe: usize,
     /// Shadow state when this array was allocated in a race-detected world
-    /// ([`launch_detected`]); `None` otherwise, keeping every accessor's
-    /// fast path a single branch on an option the allocator decided once.
+    /// ([`WorldOptions::detect_races`]); `None` otherwise, keeping every
+    /// accessor's fast path a single branch on an option the allocator
+    /// decided once.
     shadow: Option<Arc<ShadowArray>>,
 }
 
@@ -239,76 +240,107 @@ pub struct World {
 }
 
 impl World {
-    fn new(
-        n_pes: usize,
-        faults: Option<Arc<FaultPlan>>,
-        detector: Option<Arc<RaceDetector>>,
-    ) -> Self {
-        Self {
-            n_pes,
-            observed: faults.is_some() || detector.is_some(),
-            substrate: Substrate::Thread {
+    /// The one world constructor: checks `opts` against `n_pes` and builds
+    /// the substrate they ask for. A process world's barrier, metrics,
+    /// collective scratch, allocation table and fault counters all live in
+    /// its `MAP_SHARED` arena, built here *before* forking, so every child
+    /// inherits the same world at the same addresses.
+    fn new(n_pes: usize, opts: &WorldOptions) -> SvResult<Self> {
+        if n_pes == 0 {
+            return Err(SvError::InvalidConfig("n_pes must be >= 1".into()));
+        }
+        let substrate = match opts.backend {
+            ShmemBackend::Thread => Substrate::Thread {
                 barrier: SenseBarrier::new(n_pes),
                 heap: Mutex::new(Vec::new()),
-                detector,
+                detector: opts
+                    .detect_races
+                    .then(|| RaceDetector::new(n_pes))
+                    .transpose()?,
             },
-            metrics: MetricsTable::new(n_pes),
-            coll: SharedF64Vec::new(n_pes, 0.0),
-            faults,
-        }
-    }
-
-    /// World over a `MAP_SHARED` arena for the process backend: barrier,
-    /// metrics, collective scratch, allocation table and fault counters
-    /// all live in the arena. Built by [`crate::proc::launch_process`]
-    /// *before* forking, so every child inherits the same world at the
-    /// same addresses.
-    pub(crate) fn new_process(n_pes: usize, pw: ProcWorld, faults: Option<Arc<FaultPlan>>) -> Self {
-        Self {
+            ShmemBackend::Process if opts.detect_races => {
+                return Err(SvError::InvalidConfig(
+                    "race detection requires the thread backend: the detector's shadow \
+                     state is in-process and cannot observe forked PEs"
+                        .into(),
+                ))
+            }
+            ShmemBackend::Process => Substrate::Process(ProcWorld::new(n_pes, &opts.process)?),
+        };
+        let (metrics, coll) = match &substrate {
+            Substrate::Thread { .. } => (MetricsTable::new(n_pes), SharedF64Vec::new(n_pes, 0.0)),
+            Substrate::Process(pw) => (pw.metrics_table(), pw.coll_f64()),
+        };
+        Ok(Self {
             n_pes,
-            metrics: pw.metrics_table(),
-            coll: pw.coll_f64(),
-            substrate: Substrate::Process(pw),
-            observed: faults.is_some(),
-            faults,
-        }
+            substrate,
+            metrics,
+            coll,
+            faults: opts.faults.clone(),
+            observed: opts.faults.is_some() || opts.detect_races,
+        })
     }
 
-    /// Per-PE traffic snapshots.
-    pub(crate) fn snapshot_traffic(&self) -> Vec<TrafficSnapshot> {
-        self.metrics.snapshot_all()
-    }
-
-    /// The world's collective allocations, in call order, for the launch's
-    /// caller once every PE has joined ([`SpmdOutput::heap`]).
-    pub(crate) fn into_heap(self) -> Vec<SymF64> {
-        match self.substrate {
-            // A PE that panicked mid-publish poisoned the lock, but a push
-            // either happened or did not: the log is whole either way.
-            Substrate::Thread { heap, .. } => heap
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            Substrate::Process(pw) => pw
-                .published_allocs()
-                .into_iter()
-                .map(|(len_per_pe, bufs)| SymF64 {
-                    bufs: Arc::new(bufs),
-                    len_per_pe,
-                    shadow: None,
-                })
-                .collect(),
-        }
-    }
-
-    /// Build the per-PE execution context handed to the SPMD body.
-    pub(crate) fn make_ctx(&self, pe: usize) -> ShmemCtx<'_> {
-        ShmemCtx {
+    /// One PE's run of `body`, the harness thread and forked PEs share: its
+    /// context, the body with every panic caught — the barrier poisoned
+    /// first, so peers in it fail fast instead of deadlocking, and the
+    /// payload turned into a typed error — and the epoch it reached
+    /// published for a reaper.
+    pub(crate) fn run_pe<T>(&self, pe: usize, body: &impl Fn(&ShmemCtx<'_>) -> T) -> SvResult<T> {
+        let ctx = ShmemCtx {
             pe,
             world: self,
             token: Cell::new(BarrierToken::default()),
             epoch: Cell::new(0),
             alloc_seq: Cell::new(0),
             pending_drop: Cell::new(false),
+        };
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
+        let r = r.map_err(|payload| {
+            self.substrate.poison_barrier();
+            classify_panic(pe, payload.as_ref())
+        });
+        self.substrate.set_epoch(pe, ctx.barrier_epoch());
+        r
+    }
+
+    /// The launch's output once every PE has joined: the PEs' `results`
+    /// with what the world kept — per-PE traffic, the race reports, and the
+    /// collective allocations in call order ([`SpmdOutput::heap`]).
+    pub(crate) fn output<T>(
+        self,
+        results: Vec<SvResult<T>>,
+        pids: Vec<i32>,
+        respawns: Vec<RespawnEvent>,
+    ) -> SpmdOutput<T> {
+        let traffic = self.metrics.snapshot_all();
+        let (heap, races) = match self.substrate {
+            // A PE that panicked mid-publish poisoned the lock, but a push
+            // either happened or did not: the log is whole either way.
+            Substrate::Thread { heap, detector, .. } => (
+                heap.into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                detector.map(|d| d.take_reports()).unwrap_or_default(),
+            ),
+            Substrate::Process(pw) => (
+                pw.published_allocs()
+                    .into_iter()
+                    .map(|(len_per_pe, bufs)| SymF64 {
+                        bufs: Arc::new(bufs),
+                        len_per_pe,
+                        shadow: None,
+                    })
+                    .collect(),
+                Vec::new(),
+            ),
+        };
+        SpmdOutput {
+            results,
+            traffic,
+            pids,
+            respawns,
+            races,
+            heap,
         }
     }
 }
@@ -359,9 +391,10 @@ impl<'w> ShmemCtx<'w> {
     ///
     /// # Panics
     /// When the barrier is poisoned by a failed peer, or an injected fault
-    /// kills this PE at the barrier. [`launch`] converts the panic into a
-    /// typed per-PE error; use [`try_barrier_all`](Self::try_barrier_all)
-    /// for in-band error handling instead.
+    /// kills this PE at the barrier. [`launch_world`] converts the panic
+    /// into a typed per-PE error; use
+    /// [`try_barrier_all`](Self::try_barrier_all) for in-band error
+    /// handling instead.
     pub fn barrier_all(&self) {
         if let Err(e) = self.try_barrier_all() {
             match e {
@@ -717,6 +750,10 @@ pub struct SpmdOutput<T> {
     /// In-place respawns the supervisor performed, in order. Empty on the
     /// thread backend or when respawn is disabled.
     pub respawns: Vec<RespawnEvent>,
+    /// What the race detector saw ([`WorldOptions::detect_races`]): every
+    /// pair of one-sided accesses from different PEs to one word in one
+    /// barrier epoch, at least one a write. Empty when detection is off.
+    pub races: Vec<RaceReport>,
     /// The world's collective allocations, in call order (the last run of
     /// the body's, after a respawn), as the PEs left them: how the launch's
     /// caller reads the symmetric heap once every PE has joined. Thread PEs'
@@ -801,14 +838,14 @@ impl<T> SpmdOutput<SvResult<T>> {
             traffic: self.traffic,
             pids: self.pids,
             respawns: self.respawns,
+            races: self.races,
             heap: self.heap,
         }
     }
 }
 
-/// Convert a caught PE panic payload into a typed error (shared with the
-/// process backend's child-side harness).
-pub(crate) fn classify_panic(pe: usize, payload: &(dyn std::any::Any + Send)) -> SvError {
+/// Convert a caught PE panic payload into a typed error.
+fn classify_panic(pe: usize, payload: &(dyn std::any::Any + Send)) -> SvError {
     fn from_msg(pe: usize, msg: &str) -> SvError {
         if msg.contains("barrier poisoned") {
             SvError::Shmem(format!("PE {pe}: barrier poisoned by a failed peer"))
@@ -827,12 +864,63 @@ pub(crate) fn classify_panic(pe: usize, payload: &(dyn std::any::Any + Send)) ->
     }
 }
 
-/// Launch an SPMD job over `n_pes` PEs (the `shmem_init` + fork analog).
+/// How [`launch_world`] sets a world up: what its PEs run on, the faults
+/// injected into it, and whether the race detector watches it.
+#[derive(Debug, Clone, Default)]
+pub struct WorldOptions {
+    /// Threads of this process (the default) or forked OS processes
+    /// ([`crate::proc`]).
+    pub backend: ShmemBackend,
+    /// Arena, result-slot, barrier-wait and supervisor tuning of process
+    /// PEs; unread on threads.
+    pub process: ProcOptions,
+    /// Injected-fault schedule, consulted at every PE's fault points. Its
+    /// counts outlive the launch, so a plan shared by successive launches
+    /// (a checkpointed run's segments) keeps counting across them.
+    pub faults: Option<Arc<FaultPlan>>,
+    /// Arm the dynamic race detector: every symmetric allocation gets
+    /// shadow state, every one-sided access and borrow is recorded, and
+    /// protocol violations come back in [`SpmdOutput::races`] instead of
+    /// failing the job. Composes with fault injection, which is the point:
+    /// an injected fault surfaces as a typed per-PE error while a genuine
+    /// protocol bug surfaces as a race report. Thread PEs only: the shadow
+    /// state is in-process and cannot cross a `fork`.
+    pub detect_races: bool,
+}
+
+/// Launch an SPMD job over `n_pes` PEs (the `shmem_init` + fork analog) on
+/// the world `opts` describe, reporting per-PE outcomes.
 ///
-/// Every PE runs `body` with its own [`ShmemCtx`]. If any PE panics, the
-/// barrier is poisoned so peers fail fast, every PE's panic is caught and
-/// converted into a typed error, and the root cause is returned as `Err` —
-/// callers never see a resumed unwind.
+/// Every PE runs `body` with its own [`ShmemCtx`]. A PE that panics or is
+/// killed poisons the barrier so its peers fail fast, and its failure comes
+/// back as a typed error in [`SpmdOutput::results`]: healthy PEs still
+/// return `Ok`, and nobody deadlocks. The body's return type crosses a
+/// process boundary on forked PEs, so it must implement [`Wire`].
+///
+/// # Errors
+/// [`SvError::InvalidConfig`] when `n_pes == 0`, when the race detector is
+/// asked for on process PEs, or for more PEs than it tracks
+/// ([`crate::race::MAX_TRACKED_PES`]); [`SvError::Shmem`] when a process
+/// world's arena cannot be created or a fork fails. Per-PE failures are
+/// reported in [`SpmdOutput::results`], not as a top-level error.
+pub fn launch_world<T, F>(n_pes: usize, opts: &WorldOptions, body: F) -> SvResult<SpmdOutput<T>>
+where
+    T: Wire + Send,
+    F: Fn(&ShmemCtx<'_>) -> T + Sync,
+{
+    let world = World::new(n_pes, opts)?;
+    match &world.substrate {
+        Substrate::Thread { .. } => Ok(run_threads(world, body)),
+        Substrate::Process(pw) => {
+            let pw = pw.clone();
+            crate::proc::run_processes(world, &pw, opts, body)
+        }
+    }
+}
+
+/// [`launch_world`] on thread PEs with no faults and no detector, collapsed
+/// to all-or-nothing: the root-cause failure is returned as `Err`, and the
+/// body's return type needs no [`Wire`] encoding.
 ///
 /// # Errors
 /// [`SvError::InvalidConfig`] when `n_pes == 0`; [`SvError::PeFailed`] or
@@ -842,164 +930,75 @@ where
     T: Send,
     F: Fn(&ShmemCtx<'_>) -> T + Sync,
 {
-    launch_with_faults(n_pes, None, body)?.into_result()
+    run_threads(World::new(n_pes, &WorldOptions::default())?, body).into_result()
 }
 
-/// [`launch`] under a deterministic [`FaultPlan`], reporting per-PE
-/// outcomes instead of collapsing to the first failure. This is the entry
-/// point for fault-tolerance tests and the engine's recovery path: healthy
-/// PEs still return `Ok`, failed PEs return the typed fault that killed
-/// them, and nobody deadlocks (every injected death poisons the barrier).
-///
-/// # Errors
-/// [`SvError::InvalidConfig`] when `n_pes == 0`. Per-PE failures are
-/// reported in [`SpmdOutput::results`], not as a top-level error.
-pub fn launch_with_faults<T, F>(
-    n_pes: usize,
-    faults: Option<Arc<FaultPlan>>,
-    body: F,
-) -> SvResult<SpmdOutput<T>>
+/// Run `body` on one thread of this process per PE of `world`.
+fn run_threads<T, F>(world: World, body: F) -> SpmdOutput<T>
 where
     T: Send,
     F: Fn(&ShmemCtx<'_>) -> T + Sync,
 {
-    launch_inner(n_pes, faults, None, body)
-}
-
-/// [`launch_with_faults`] with the dynamic race detector armed: every
-/// symmetric allocation in this world gets shadow state, every one-sided
-/// access (scalar and slice put/get) is recorded, and protocol violations
-/// accumulate in `detector` as [`crate::race::RaceReport`]s instead of
-/// failing the job — read them with [`RaceDetector::take_reports`] after
-/// the launch returns. Composes with fault injection, which is the point:
-/// an injected fault surfaces as a typed per-PE error while a genuine
-/// protocol bug surfaces as a race report.
-///
-/// # Errors
-/// [`SvError::InvalidConfig`] when `n_pes == 0` or the detector was
-/// created for a different world size.
-pub fn launch_detected<T, F>(
-    n_pes: usize,
-    faults: Option<Arc<FaultPlan>>,
-    detector: Arc<RaceDetector>,
-    body: F,
-) -> SvResult<SpmdOutput<T>>
-where
-    T: Send,
-    F: Fn(&ShmemCtx<'_>) -> T + Sync,
-{
-    if detector.n_pes() != n_pes {
-        return Err(SvError::InvalidConfig(format!(
-            "race detector was created for {} PEs, world has {n_pes}",
-            detector.n_pes()
-        )));
-    }
-    launch_inner(n_pes, faults, Some(detector), body)
-}
-
-fn launch_inner<T, F>(
-    n_pes: usize,
-    faults: Option<Arc<FaultPlan>>,
-    detector: Option<Arc<RaceDetector>>,
-    body: F,
-) -> SvResult<SpmdOutput<T>>
-where
-    T: Send,
-    F: Fn(&ShmemCtx<'_>) -> T + Sync,
-{
-    if n_pes == 0 {
-        return Err(SvError::InvalidConfig("n_pes must be >= 1".into()));
-    }
-    let world = World::new(n_pes, faults, detector);
-    let mut slots: Vec<Option<SvResult<T>>> = (0..n_pes).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let world = &world;
-        let body = &body;
-        let handles: Vec<_> = slots
-            .iter_mut()
-            .enumerate()
-            .map(|(pe, slot)| {
-                scope.spawn(move || {
-                    let ctx = world.make_ctx(pe);
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
-                    *slot = Some(match r {
-                        Ok(v) => Ok(v),
-                        Err(payload) => {
-                            // Poison first so peers spinning in a barrier
-                            // fail fast instead of deadlocking.
-                            world.substrate.poison_barrier();
-                            Err(classify_panic(pe, payload.as_ref()))
-                        }
-                    });
-                })
-            })
+    let results = std::thread::scope(|scope| {
+        let (world, body) = (&world, &body);
+        let handles: Vec<_> = (0..world.n_pes)
+            .map(|pe| scope.spawn(move || world.run_pe(pe, body)))
             .collect();
-        for h in handles {
-            // Threads no longer unwind: every panic is caught in the body.
-            h.join().expect("PE thread cannot unwind");
-        }
-    });
-    let traffic = world.metrics.snapshot_all();
-    Ok(SpmdOutput {
-        results: slots
+        // Threads never unwind: the harness catches every panic.
+        handles
             .into_iter()
-            .map(|s| s.expect("PE completed without result"))
-            .collect(),
-        traffic,
-        pids: Vec::new(),
-        respawns: Vec::new(),
-        heap: world.into_heap(),
-    })
+            .map(|h| h.join().expect("PE thread cannot unwind"))
+            .collect()
+    });
+    world.output(results, Vec::new(), Vec::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use crate::proc::{launch_process, ProcOptions, Wire};
-
     /// The substrates a shared scenario runs on: the same SPMD body, the
     /// same fault plan, the same assertions.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum On {
-        Threads,
-        Processes,
+    const BOTH: [ShmemBackend; 2] = [ShmemBackend::Thread, ShmemBackend::Process];
+
+    /// A scenario's world on `backend`, with `faults`.
+    fn launch_on<T, F>(
+        backend: ShmemBackend,
+        n_pes: usize,
+        faults: Option<Arc<FaultPlan>>,
+        body: F,
+    ) -> SpmdOutput<T>
+    where
+        T: Wire + Send,
+        F: Fn(&ShmemCtx<'_>) -> T + Sync,
+    {
+        let process = ProcOptions {
+            heap_words_per_pe: 1 << 12,
+            result_bytes_per_pe: 1 << 12,
+            barrier_timeout_ms: 20_000,
+            ..ProcOptions::default()
+        };
+        let opts = WorldOptions {
+            backend,
+            process,
+            faults,
+            detect_races: false,
+        };
+        launch_world(n_pes, &opts, body).expect("launch")
     }
 
-    const BOTH: [On; 2] = [On::Threads, On::Processes];
-
-    impl On {
-        fn launch<T, F>(
-            self,
-            n_pes: usize,
-            faults: Option<Arc<FaultPlan>>,
-            body: F,
-        ) -> SpmdOutput<T>
-        where
-            T: Wire + Send,
-            F: Fn(&ShmemCtx<'_>) -> T + Sync,
-        {
-            match self {
-                On::Threads => launch_with_faults(n_pes, faults, body),
-                On::Processes => {
-                    let opts = ProcOptions {
-                        heap_words_per_pe: 1 << 12,
-                        result_bytes_per_pe: 1 << 12,
-                        barrier_timeout_ms: 20_000,
-                        ..ProcOptions::default()
-                    };
-                    launch_process(n_pes, &opts, faults, body)
-                }
-            }
-            .expect("launch")
+    /// A thread world under the race detector.
+    fn detected() -> WorldOptions {
+        WorldOptions {
+            detect_races: true,
+            ..WorldOptions::default()
         }
     }
 
     #[test]
     fn ranks_and_world_size() {
         for on in BOTH {
-            let out = on
-                .launch(4, None, |ctx| (ctx.my_pe(), ctx.n_pes()))
+            let out = launch_on(on, 4, None, |ctx| (ctx.my_pe(), ctx.n_pes()))
                 .into_result()
                 .unwrap();
             for (pe, &(rank, n)) in out.results.iter().enumerate() {
@@ -1018,16 +1017,15 @@ mod tests {
         // Each PE writes its rank into its right neighbor's partition, then
         // reads its own slot.
         for on in BOTH {
-            let out = on
-                .launch(4, None, |ctx| {
-                    let sym = ctx.malloc_f64(1).expect("alloc");
-                    let right = (ctx.my_pe() + 1) % ctx.n_pes();
-                    ctx.put_f64(&sym, right, 0, ctx.my_pe() as f64);
-                    ctx.barrier_all();
-                    ctx.get_f64(&sym, ctx.my_pe(), 0)
-                })
-                .into_result()
-                .unwrap();
+            let out = launch_on(on, 4, None, |ctx| {
+                let sym = ctx.malloc_f64(1).expect("alloc");
+                let right = (ctx.my_pe() + 1) % ctx.n_pes();
+                ctx.put_f64(&sym, right, 0, ctx.my_pe() as f64);
+                ctx.barrier_all();
+                ctx.get_f64(&sym, ctx.my_pe(), 0)
+            })
+            .into_result()
+            .unwrap();
             assert_eq!(out.results, vec![3.0, 0.0, 1.0, 2.0], "{on:?}");
             // The counters outlive the PEs on either substrate, and so does
             // the heap: every allocation, read after the join.
@@ -1061,28 +1059,27 @@ mod tests {
     #[test]
     fn multiple_allocations_slices_and_order() {
         for on in BOTH {
-            let out = on
-                .launch(2, None, |ctx| {
-                    let a = ctx.malloc_f64(2).expect("alloc");
-                    let b = ctx.malloc_f64(8).expect("alloc");
-                    if ctx.my_pe() == 0 {
-                        ctx.put_slice_f64(&b, 1, 2, &[5.0, 6.0, 7.0]);
-                    }
-                    ctx.put_f64(&a, ctx.my_pe(), 0, 1.0 + ctx.my_pe() as f64);
-                    ctx.barrier_all();
-                    let mut buf = vec![0.0; 3];
-                    ctx.get_slice_f64(&b, 1, 2, &mut buf);
-                    // `a` and `b` are distinct storage: b's slice did not
-                    // land in a, and a's word did not land in b.
-                    let a0 = ctx.get_f64(&a, ctx.my_pe(), 0);
-                    (
-                        buf,
-                        (a.len_per_pe(), b.len_per_pe()),
-                        (a0, ctx.get_f64(&b, 1, 0)),
-                    )
-                })
-                .into_result()
-                .unwrap();
+            let out = launch_on(on, 2, None, |ctx| {
+                let a = ctx.malloc_f64(2).expect("alloc");
+                let b = ctx.malloc_f64(8).expect("alloc");
+                if ctx.my_pe() == 0 {
+                    ctx.put_slice_f64(&b, 1, 2, &[5.0, 6.0, 7.0]);
+                }
+                ctx.put_f64(&a, ctx.my_pe(), 0, 1.0 + ctx.my_pe() as f64);
+                ctx.barrier_all();
+                let mut buf = vec![0.0; 3];
+                ctx.get_slice_f64(&b, 1, 2, &mut buf);
+                // `a` and `b` are distinct storage: b's slice did not
+                // land in a, and a's word did not land in b.
+                let a0 = ctx.get_f64(&a, ctx.my_pe(), 0);
+                (
+                    buf,
+                    (a.len_per_pe(), b.len_per_pe()),
+                    (a0, ctx.get_f64(&b, 1, 0)),
+                )
+            })
+            .into_result()
+            .unwrap();
             for (pe, (buf, lens, (a0, b0))) in out.results.iter().enumerate() {
                 assert_eq!(buf, &[5.0, 6.0, 7.0], "{on:?}");
                 assert_eq!(*lens, (2, 8), "{on:?}");
@@ -1096,18 +1093,17 @@ mod tests {
     #[test]
     fn back_to_back_reductions_do_not_interfere() {
         for on in BOTH {
-            let out = on
-                .launch(4, None, |ctx| {
-                    let pe = ctx.my_pe();
-                    let a = ctx.sum_reduce_f64_at(pe, pe as f64 + 1.0);
-                    let b = ctx.sum_reduce_f64_at(pe, 2.0);
-                    // Any permutation of the slots reduces to the same set
-                    // of partials.
-                    let c = ctx.sum_reduce_f64_at((pe + 1) % ctx.n_pes(), pe as f64);
-                    (a, b, c)
-                })
-                .into_result()
-                .unwrap();
+            let out = launch_on(on, 4, None, |ctx| {
+                let pe = ctx.my_pe();
+                let a = ctx.sum_reduce_f64_at(pe, pe as f64 + 1.0);
+                let b = ctx.sum_reduce_f64_at(pe, 2.0);
+                // Any permutation of the slots reduces to the same set
+                // of partials.
+                let c = ctx.sum_reduce_f64_at((pe + 1) % ctx.n_pes(), pe as f64);
+                (a, b, c)
+            })
+            .into_result()
+            .unwrap();
             for &sums in &out.results {
                 assert_eq!(sums, (10.0, 8.0, 6.0), "{on:?}");
             }
@@ -1120,25 +1116,24 @@ mod tests {
     #[test]
     fn allocation_protocol_violations_are_typed_errors() {
         for on in BOTH {
-            let out = on
-                .launch(3, None, |ctx| {
-                    let root = ctx.my_pe() == 0;
-                    let first = ctx.malloc_f64(if root { 4 } else { 8 });
-                    // PE 0 only synchronizes; its peers' second allocation
-                    // pairs with that barrier and finds nothing published.
-                    let second = if root {
-                        ctx.try_barrier_all().map(|()| 0)
-                    } else {
-                        ctx.malloc_f64(4).map(|sym| sym.len_per_pe())
-                    };
-                    let msg = |e: SvError| e.to_string();
-                    (
-                        first.map(|sym| sym.len_per_pe()).map_err(msg),
-                        second.map_err(msg),
-                    )
-                })
-                .into_result()
-                .unwrap();
+            let out = launch_on(on, 3, None, |ctx| {
+                let root = ctx.my_pe() == 0;
+                let first = ctx.malloc_f64(if root { 4 } else { 8 });
+                // PE 0 only synchronizes; its peers' second allocation
+                // pairs with that barrier and finds nothing published.
+                let second = if root {
+                    ctx.try_barrier_all().map(|()| 0)
+                } else {
+                    ctx.malloc_f64(4).map(|sym| sym.len_per_pe())
+                };
+                let msg = |e: SvError| e.to_string();
+                (
+                    first.map(|sym| sym.len_per_pe()).map_err(msg),
+                    second.map_err(msg),
+                )
+            })
+            .into_result()
+            .unwrap();
             assert_eq!(out.results[0], (Ok(4), Ok(0)), "{on:?}");
             for (first, second) in &out.results[1..] {
                 let first = first.as_ref().unwrap_err();
@@ -1173,15 +1168,14 @@ mod tests {
         // Kill PE 2 at its 3rd put; every other PE must report the
         // poisoned barrier as an error, not hang or panic.
         let plan = Arc::new(FaultPlan::new().with(2, PeOp::Put, 3, FaultAction::Kill));
-        let out = launch_with_faults(4, Some(plan), |ctx| {
+        let out = launch_on(ShmemBackend::Thread, 4, Some(plan), |ctx| {
             let sym = ctx.malloc_f64(4)?;
             for i in 0..4 {
                 ctx.put_f64(&sym, (ctx.my_pe() + 1) % ctx.n_pes(), i, 1.0);
             }
             ctx.try_barrier_all()?;
             Ok::<_, SvError>(ctx.my_pe())
-        })
-        .unwrap();
+        });
         // The victim carries the typed fault (possibly nested in its own
         // Ok(Err(..)) body result — here the kill panics, so outer Err).
         assert_eq!(
@@ -1210,7 +1204,7 @@ mod tests {
         for on in BOTH {
             for action in [FaultAction::Kill, FaultAction::Poison] {
                 let plan = Arc::new(FaultPlan::new().with(2, PeOp::Barrier, AT, action));
-                let out = on.launch(N, Some(plan), |ctx| {
+                let out = launch_on(on, N, Some(plan), |ctx| {
                     for _ in 0..32 {
                         if ctx.try_barrier_all().is_err() {
                             return ctx.barrier_epoch();
@@ -1220,7 +1214,7 @@ mod tests {
                 });
                 // A killed process PE is really dead and reports nothing; on
                 // every other path `try_barrier_all` keeps the PE alive.
-                let victim_dies = on == On::Processes && action == FaultAction::Kill;
+                let victim_dies = on == ShmemBackend::Process && action == FaultAction::Kill;
                 for (pe, r) in out.results.iter().enumerate() {
                     match r {
                         Ok(epoch) => assert_eq!(
@@ -1246,7 +1240,7 @@ mod tests {
     fn killed_pe_and_survivors_agree_on_the_poisoned_epoch() {
         const AT: u64 = 5;
         let plan = Arc::new(FaultPlan::new().with(1, PeOp::Barrier, AT, FaultAction::Kill));
-        let out = launch_with_faults(3, Some(plan), |ctx| {
+        let out = launch_on(ShmemBackend::Thread, 3, Some(plan), |ctx| {
             for _ in 0..16 {
                 if ctx.my_pe() == 1 {
                     ctx.barrier_all(); // panics at the injected fault
@@ -1255,8 +1249,7 @@ mod tests {
                 }
             }
             u64::MAX
-        })
-        .unwrap();
+        });
         assert_eq!(
             out.results[1].as_ref().unwrap_err(),
             &SvError::PeFailed {
@@ -1285,15 +1278,14 @@ mod tests {
                 1 + round % 4,
                 FaultAction::Poison,
             ));
-            let out = launch_with_faults(3, Some(plan), |ctx| {
+            let out = launch_on(ShmemBackend::Thread, 3, Some(plan), |ctx| {
                 for _ in 0..8 {
                     if ctx.try_barrier_all().is_err() {
                         return Err(ctx.barrier_epoch());
                     }
                 }
                 Ok(ctx.barrier_epoch())
-            })
-            .unwrap();
+            });
             // Exactly one consistent observation epoch across survivors.
             let epochs: Vec<u64> = out
                 .results
@@ -1331,10 +1323,10 @@ mod tests {
                     ctx.barrier_all();
                 }
             };
-            let first = on.launch(2, Some(Arc::clone(&plan)), three_barriers);
+            let first = launch_on(on, 2, Some(Arc::clone(&plan)), three_barriers);
             assert!(first.first_failure().is_none(), "{on:?}: {first:?}");
             assert_eq!(plan.armed_remaining(), 1, "{on:?}");
-            let second = on.launch(2, Some(Arc::clone(&plan)), three_barriers);
+            let second = launch_on(on, 2, Some(Arc::clone(&plan)), three_barriers);
             match second.first_failure() {
                 Some(SvError::PeFailed { pe: 0, .. }) => {}
                 other => panic!("{on:?}: expected PE 0 barrier fault in launch 2, got {other:?}"),
@@ -1363,7 +1355,7 @@ mod tests {
         for on in BOTH {
             for at in [1, 100, (N * PUTS) as u64] {
                 let plan = Arc::new(FaultPlan::new().with(None, PeOp::Put, at, FaultAction::Drop));
-                let out = on.launch(N, Some(Arc::clone(&plan)), hammer);
+                let out = launch_on(on, N, Some(Arc::clone(&plan)), hammer);
                 let fired = out
                     .results
                     .iter()
@@ -1371,7 +1363,7 @@ mod tests {
                     .count();
                 assert_eq!(fired, 1, "{on:?} at {at}: {:?}", out.results);
                 assert_eq!(plan.armed_remaining(), 0, "{on:?} at {at}");
-                let again = on.launch(N, Some(Arc::clone(&plan)), hammer).flatten();
+                let again = launch_on(on, N, Some(Arc::clone(&plan)), hammer).flatten();
                 assert!(again.first_failure().is_none(), "{on:?} at {at}: {again:?}");
             }
         }
@@ -1388,7 +1380,7 @@ mod tests {
         let rmw = [PeOp::Get, PeOp::Put];
         for on in BOTH {
             let plan = Arc::new(FaultPlan::new().with(1, PeOp::Put, 1, FaultAction::Drop));
-            let out = on.launch(2, Some(plan), |ctx| {
+            let out = launch_on(on, 2, Some(plan), |ctx| {
                 let sym = ctx.malloc_f64(8)?;
                 let right = 1 - ctx.my_pe();
                 ctx.borrow(&[&sym], right, 2..6, &rmw, 2, 16);
@@ -1420,29 +1412,24 @@ mod tests {
 
     #[test]
     fn detected_launch_clean_protocol_reports_nothing() {
-        use crate::race::RaceDetector;
-        let det = RaceDetector::new(4).unwrap();
         // The ring exchange from `symmetric_heap_put_get` is disciplined:
         // disjoint writes, then a barrier, then reads.
-        let out = launch_detected(4, None, Arc::clone(&det), |ctx| {
+        let out = launch_world(4, &detected(), |ctx| {
             let sym = ctx.malloc_f64(1).expect("alloc");
             let right = (ctx.my_pe() + 1) % ctx.n_pes();
             ctx.put_f64(&sym, right, 0, ctx.my_pe() as f64);
             ctx.barrier_all();
             ctx.get_f64(&sym, ctx.my_pe(), 0)
         })
-        .unwrap()
-        .into_result()
         .unwrap();
-        assert_eq!(out.results, vec![3.0, 0.0, 1.0, 2.0]);
-        assert_eq!(det.race_count(), 0, "{:?}", det.reports());
+        assert!(out.races.is_empty(), "{:?}", out.races);
+        assert_eq!(out.into_result().unwrap().results, vec![3.0, 0.0, 1.0, 2.0]);
     }
 
     #[test]
     fn detected_launch_flags_unsynchronized_slice_overlap() {
-        use crate::race::{ConflictKind, RaceDetector};
-        let det = RaceDetector::new(2).unwrap();
-        launch_detected(2, None, Arc::clone(&det), |ctx| {
+        use crate::race::ConflictKind;
+        let out = launch_world(2, &detected(), |ctx| {
             let sym = ctx.malloc_f64(8).expect("alloc");
             // Both PEs store an overlapping slice into PE 0 with no barrier
             // in between: words 0..3 and 2..5 collide on word 2.
@@ -1450,12 +1437,10 @@ mod tests {
             ctx.put_slice_f64(&sym, 0, start, &[1.0; 3]);
             ctx.barrier_all();
         })
-        .unwrap()
-        .into_result()
         .unwrap();
-        let reports = det.take_reports();
-        assert!(!reports.is_empty(), "overlap must be detected");
-        for r in &reports {
+        assert!(out.first_failure().is_none(), "{:?}", out.results);
+        assert!(!out.races.is_empty(), "overlap must be detected");
+        for r in &out.races {
             assert_eq!(r.kind, ConflictKind::WriteWrite);
             assert_eq!(r.owner_pe, 0);
             assert_eq!(r.index, 2, "the overlap is exactly word 2");
@@ -1464,9 +1449,7 @@ mod tests {
 
     #[test]
     fn detected_launch_is_epoch_aware_across_allocations() {
-        use crate::race::RaceDetector;
-        let det = RaceDetector::new(2).unwrap();
-        launch_detected(2, None, Arc::clone(&det), |ctx| {
+        let out = launch_world(2, &detected(), |ctx| {
             let a = ctx.malloc_f64(2).expect("alloc");
             let b = ctx.malloc_f64(2).expect("alloc");
             // Same word of *different* arrays in the same epoch: no race.
@@ -1477,20 +1460,28 @@ mod tests {
             ctx.put_f64(&a, 0, 0, f64::from(ctx.my_pe() as u32));
             ctx.barrier_all();
         })
-        .unwrap()
-        .into_result()
         .unwrap();
+        assert!(out.first_failure().is_none(), "{:?}", out.results);
         // The second phase writes word 0@PE0 from both PEs in the same
         // epoch — that IS a race; everything else is clean.
-        let reports = det.take_reports();
-        assert_eq!(reports.len(), 1, "{reports:?}");
-        assert_eq!(reports[0].index, 0);
+        assert_eq!(out.races.len(), 1, "{:?}", out.races);
+        assert_eq!(out.races[0].index, 0);
     }
 
+    /// The detector's shadow state is in-process: asked for on process PEs,
+    /// the world refuses typed before it forks, naming the backend that
+    /// supports it.
     #[test]
-    fn detector_world_size_mismatch_is_rejected() {
-        use crate::race::RaceDetector;
-        let det = RaceDetector::new(2).unwrap();
-        assert!(launch_detected(4, None, det, |_| ()).is_err());
+    fn race_detection_on_process_pes_is_a_typed_config_error() {
+        let opts = WorldOptions {
+            backend: ShmemBackend::Process,
+            ..detected()
+        };
+        match launch_world(2, &opts, |ctx| ctx.my_pe()) {
+            Err(SvError::InvalidConfig(msg)) => {
+                assert!(msg.contains("thread backend"), "actionable message: {msg}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 }

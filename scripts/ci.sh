@@ -124,9 +124,11 @@ cargo test --release --test cross_backend the_detector_watches_scale_up_on_squar
 # The zero map's groups: for every kernel at the small widths [3, 1], [4, 2]
 # and [5, 3], each group's item range touches exactly the finest tiles the
 # group names, and no tile is in two groups. Then every step that must make
-# the map forget (an X or a -0.0 writer on a high qubit, a measure, a reset,
-# an IfEq, an exchange, a boundary kernel) on every backend, against the
-# kernel-major walk, amplitudes and counters.
+# the map forget (an X or a -0.0 writer on a high qubit, a reset, an IfEq,
+# an exchange, a boundary kernel) and one that must not (a collapse: a lone
+# kernel that keeps zero right after a measure leaves the known tiles
+# alone) on every backend, against the kernel-major walk, amplitudes and
+# counters.
 cargo test --release -p svsim-core --lib groups_are_the_finest_tiles_a_kernel_pairs
 cargo test --release -p svsim-core --lib zero_maps_forget_what_a_step_may_write
 
@@ -257,6 +259,11 @@ echo "== process-backed PEs (memfd world) =="
 # committed checkpoint, and the resume is bit-identical.
 cargo test --release --test proc_backend -- --include-ignored
 cargo test --release -p svsim-core --lib scale_out_pe_failure_is_typed_and_resumes_bit_identically
+# The world scenarios through the one constructor, launch_world, in the
+# build that ships: ranks, heap, slices, reductions, allocation violations,
+# fault epochs and one-shots and borrows on thread and process PEs alike,
+# and the race detector the world owns (refused typed on process PEs).
+cargo test --release -p svsim-shmem --lib world::
 
 echo "== process-backend kill-fault smoke =="
 # One real-SIGKILL recovery per seed: the injected kill-pe fault on forked
