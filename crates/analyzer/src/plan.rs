@@ -34,7 +34,7 @@ pub enum EpochKind {
     /// Measurement/reset collapse: each PE rescales only its own partition,
     /// and the probability reduction is internally synchronized.
     Collapse,
-    /// A relabeling slab exchange (`ShmemView::exchange_pair`): one
+    /// A relabeling slab exchange (`ShmemView::exchange`): one
     /// barrier-fenced epoch per swap, in which each PE and its unique
     /// partner `pe ^ (1 << (b - shift))` swap their halves of the pair's
     /// runs in place, each reading and writing both partitions.
@@ -90,7 +90,7 @@ impl CommPlan {
     /// outside tile runs, one per tile run — one
     /// collapse epoch per measurement or reset, and one
     /// [`EpochKind::Exchange`] epoch (the one barrier of
-    /// `ShmemView::exchange_pair`) per relabeling swap. Conditional kernels
+    /// `ShmemView::exchange`) per relabeling swap. Conditional kernels
     /// are planned as if they execute — the conservative choice for safety
     /// analysis.
     #[must_use]

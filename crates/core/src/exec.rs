@@ -79,7 +79,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 use svsim_ir::Gate;
-use svsim_shmem::{FaultPlan, ProcOptions, ShmemBackend, ShmemCtx, SymF64, WorldOptions};
+use svsim_shmem::{FaultPlan, ProcOptions, ShmemBackend, ShmemCtx, WorldOptions};
 use svsim_types::bits::insert_zero_bits;
 use svsim_types::{PeOp, SvError, SvResult};
 
@@ -259,14 +259,15 @@ impl<'a, V: StateView> Kernels<'a, V> {
 
     /// Hand `apply` each kernel of one step, in order: `queue[compiled]`
     /// ([`Self::queued`]), or — under runtime parsing, for a step that kept
-    /// its `raw` gate — whatever re-parsing `raw` yields now.
+    /// its `raw` gate — whatever re-parsing `raw` yields now. Stops at the
+    /// first error `apply` returns.
     #[inline]
     fn each(
         &mut self,
         raw: Option<&Gate>,
         compiled: &Range<usize>,
-        mut apply: impl FnMut(Bound<'a, V>, &GateArgs),
-    ) {
+        mut apply: impl FnMut(Bound<'a, V>, &GateArgs) -> SvResult<()>,
+    ) -> SvResult<()> {
         match raw.filter(|_| self.config.dispatch == DispatchMode::RuntimeParse) {
             Some(raw) => {
                 self.scratch.clear();
@@ -277,16 +278,17 @@ impl<'a, V: StateView> Kernels<'a, V> {
                     &mut self.scratch,
                 );
                 for cg in &self.scratch {
-                    apply(self.bind(cg, false), &cg.args);
+                    apply(self.bind(cg, false), &cg.args)?;
                 }
             }
             None => {
                 for k in compiled.clone() {
                     let (bound, args) = self.queued(k);
-                    apply(bound, args);
+                    apply(bound, args)?;
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -300,13 +302,13 @@ trait Fabric {
     /// This worker's share of a kernel's `work` items.
     fn share(&self, work: u64) -> Range<u64>;
     /// The sync after a kernel or a collapse.
-    fn sync(&self);
+    fn sync(&self) -> SvResult<()>;
     /// The sum of every walker's `partial` of one collapse, combined on the
     /// canonical tree of [`svsim_types::numeric`], where this walker's sits
     /// at leaf `slot`.
-    fn reduce(&self, slot: usize, partial: f64) -> f64;
+    fn reduce(&self, slot: usize, partial: f64) -> SvResult<f64>;
     /// One relabeling slab exchange of physical positions `(lo, hi)`.
-    fn exchange(&self, lo: u32, hi: u32);
+    fn exchange(&self, lo: u32, hi: u32) -> SvResult<()>;
     /// This walker's own memory as plain memory: where it runs
     /// partition-local kernels instead of through [`Self::view`], and what
     /// a collapse sums and rescales.
@@ -325,11 +327,13 @@ impl<'a> Fabric for Solo<'a> {
     fn share(&self, work: u64) -> Range<u64> {
         0..work
     }
-    fn sync(&self) {}
-    fn reduce(&self, _: usize, partial: f64) -> f64 {
-        partial
+    fn sync(&self) -> SvResult<()> {
+        Ok(())
     }
-    fn exchange(&self, _: u32, _: u32) {
+    fn reduce(&self, _: usize, partial: f64) -> SvResult<f64> {
+        Ok(partial)
+    }
+    fn exchange(&self, _: u32, _: u32) -> SvResult<()> {
         unreachable!("no relabeling on a single device")
     }
     fn slab(&self) -> &Slab<'_> {
@@ -555,13 +559,11 @@ fn tile_major<'a>(
 }
 
 /// One PE of a partitioned backend walking a segment: its SHMEM context
-/// (rank, world size, barrier, reduce), the symmetric arrays it owns a
-/// partition of, the lending view its kernels reach the state through, and
-/// its slab.
+/// (rank, world size, barrier, reduce), the lending view its kernels reach
+/// the state through, and its slab. A failed barrier, reduce or exchange
+/// (a PE failure, its own or a peer's) ends the walk with that error.
 struct Worker<'a> {
     ctx: &'a ShmemCtx<'a>,
-    re: &'a SymF64,
-    im: &'a SymF64,
     view: &'a ShmemView<'a, 'a>,
     slab: Slab<'a>,
 }
@@ -577,19 +579,18 @@ impl<'a> Fabric for Worker<'a> {
     /// The world barrier, wherever the plan puts one: after each kernel
     /// outside a tile run, after each tile run, and after each collapse. A
     /// tile run's kernels never leave the PE's partition.
-    fn sync(&self) {
-        self.ctx.barrier_all();
+    fn sync(&self) -> SvResult<()> {
+        self.ctx.try_barrier_all()
     }
     /// Each partial is a subtree node of the canonical probability tree, so
     /// the pairwise sum across workers matches the single-device one
     /// bit-for-bit.
-    fn reduce(&self, slot: usize, partial: f64) -> f64 {
+    fn reduce(&self, slot: usize, partial: f64) -> SvResult<f64> {
         self.ctx.sum_reduce_f64_at(slot, partial)
     }
-    /// One epoch that swaps in place; `exchange_pair`'s last two
-    /// arguments are unused, so the state's own arrays fill them.
-    fn exchange(&self, lo: u32, hi: u32) {
-        self.view.exchange_pair(lo, hi, self.re, self.im);
+    /// One epoch that swaps in place.
+    fn exchange(&self, lo: u32, hi: u32) -> SvResult<()> {
+        self.view.exchange(lo, hi)
     }
     fn slab(&self) -> &Slab<'_> {
         &self.slab
@@ -638,7 +639,7 @@ fn interpret<'a, F: Fabric>(
     };
     let run = |bound: Bound<'a, F::View>, args: &GateArgs| {
         exec(bound, args);
-        fabric.sync();
+        fabric.sync()
     };
     // The tile runs not yet reached, and the first queue entry not yet run.
     let mut runs = seg.runs.iter().peekable();
@@ -665,7 +666,7 @@ fn interpret<'a, F: Fabric>(
             None => (rank, None, qubit),
         };
         let partial = measure::partial_prob_one(own, slot << boundary, low_pos.as_deref(), qubit);
-        let p1 = fabric.reduce(slot as usize, partial);
+        let p1 = fabric.reduce(slot as usize, partial)?;
         let outcome = u8::from(r < p1);
         let p = if outcome == 1 { p1 } else { 1.0 - p1 };
         if p < 1e-300 {
@@ -676,17 +677,17 @@ fn interpret<'a, F: Fabric>(
         // Rescaled by a positive finite factor or written 0.0: a `+0.0`
         // word stays `+0.0`, so the map stays true.
         measure::collapse(own, base, phys, outcome, 1.0 / p.sqrt());
-        fabric.sync();
+        fabric.sync()?;
         Ok(outcome)
     };
     for step in &seg.steps {
         match step {
             Step::Exchange { lo, hi } => {
-                fabric.exchange(*lo, *hi);
+                fabric.exchange(*lo, *hi)?;
                 zeros.forget_all();
             }
             Step::Gate { raw, compiled, .. } if seg.runs.is_empty() => {
-                kernels.each(Some(raw), compiled, run);
+                kernels.each(Some(raw), compiled, run)?;
             }
             // A tile run may start and end inside any of the gate steps it
             // spans.
@@ -695,7 +696,7 @@ fn interpret<'a, F: Fabric>(
                     let Some(tile_run) = runs.next_if(|r| r.kernels.start == k) else {
                         if k >= next {
                             let (bound, args) = kernels.queued(k);
-                            run(bound, args);
+                            run(bound, args)?;
                         }
                         continue;
                     };
@@ -712,7 +713,7 @@ fn interpret<'a, F: Fabric>(
                     (slab.lend)(accesses.sum());
                     skip(tile_major(&slab.view, 0, tile_run, zeros, &on_slab));
                     add(tile_run.kernels.len());
-                    fabric.sync();
+                    fabric.sync()?;
                 }
             }
             Step::IfEq {
@@ -726,7 +727,7 @@ fn interpret<'a, F: Fabric>(
                 // All workers hold identical cbits, so they branch
                 // identically — no divergence across the barrier.
                 if cond_holds(cbits, *creg_lo, *creg_len, *value) {
-                    kernels.each(Some(raw), compiled, run);
+                    kernels.each(Some(raw), compiled, run)?;
                 }
             }
             Step::Measure {
@@ -747,7 +748,7 @@ fn interpret<'a, F: Fabric>(
             } => {
                 // The X restoring |0>.
                 if collapse(*qubit, layout.as_ref(), randoms[*r_idx])? == 1 {
-                    kernels.each(None, x, run);
+                    kernels.each(None, x, run)?;
                 }
             }
         }
@@ -793,7 +794,7 @@ pub(crate) fn run_solo(
 /// run (module docs), the slab is swept tile-major over each of the
 /// segment's tile runs, accounted for per run ([`interpret`]), and a
 /// relabeling exchange swaps in place through the lent partitions, each
-/// piece accounted for ([`ShmemView::exchange_pair`]). Each account is a
+/// piece accounted for ([`ShmemView::exchange`]). Each account is a
 /// [`ShmemCtx::borrow`], where the race detector traces the range and a
 /// fault plan's `Put` / `Get` specs count and fire: a launch under either
 /// walks this same walk, through the barriers the plan puts, and the
@@ -920,8 +921,6 @@ pub(crate) fn run_partitioned(
         let borrowed = |n| view.borrow(pe, 0..per_pe, &[PeOp::Get, PeOp::Put], n, 1);
         let worker = Worker {
             ctx,
-            re,
-            im,
             view,
             slab: Slab {
                 view: LocalView::over(lent[pe]),
@@ -974,7 +973,7 @@ mod tests {
     use crate::view::PeerView;
     use std::collections::HashSet;
     use svsim_ir::{Circuit, GateKind};
-    use svsim_shmem::TrafficSnapshot;
+    use svsim_shmem::{SymF64, TrafficSnapshot};
     use svsim_types::SvRng;
 
     /// Every gate family at every lowest qubit of interest around the tile
@@ -1482,9 +1481,9 @@ mod tests {
             let im = ctx.malloc_f64(per_pe).unwrap();
             re.partition(pe).store_slice(0, &start.re()[at.clone()]);
             im.partition(pe).store_slice(0, &start.im()[at]);
-            ctx.barrier_all();
+            ctx.try_barrier_all().unwrap();
             let walked = body(ctx, [&re, &im], &lend_all(&re, &im));
-            ctx.barrier_all();
+            ctx.try_barrier_all().unwrap();
             walked
         })
         .unwrap();
@@ -1574,7 +1573,7 @@ mod tests {
                                     PeerView::new(parts.0, parts.1, pe, Some(ctx.counters()));
                                 resolve::<PeerView>(cg.id)(&view, &cg.args, share);
                             }
-                            ctx.barrier_all();
+                            ctx.try_barrier_all().unwrap();
                             counted.push(ctx.counters().snapshot());
                         }
                         counted
@@ -1637,7 +1636,7 @@ mod tests {
                         } else {
                             view
                         };
-                        view.exchange_pair(lo, hi, re, im);
+                        view.exchange(lo, hi).unwrap();
                         ctx.counters().snapshot()
                     })
                 };
@@ -1674,7 +1673,7 @@ mod tests {
                 // Words 40..48 of PE 1's partition, from either PE.
                 let (run, _) = view.run(64 + 40, 8).unwrap();
                 assert_eq!(run.len(), 8);
-                ctx.barrier_all();
+                ctx.try_barrier_all().unwrap();
                 epoch
             })
             .unwrap();

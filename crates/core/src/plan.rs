@@ -334,7 +334,7 @@ pub(crate) fn checkpoint_grid(
 pub enum Scheduled<'a> {
     /// One relabeling slab exchange of physical qubit positions `lo`
     /// (below the partition boundary) and `hi` (at or above it):
-    /// [`crate::view::ShmemView::exchange_pair`], one in-place epoch and
+    /// [`crate::view::ShmemView::exchange`], one in-place epoch and
     /// its barrier.
     Exchange {
         /// The PE-local position.

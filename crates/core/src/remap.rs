@@ -11,7 +11,7 @@
 //! with a cold low one. The relabeling swap is itself a SWAP on the state,
 //! but it moves amplitudes in long contiguous runs — a pairwise in-place
 //! slab swap between partner PEs, one barrier epoch each
-//! ([`crate::view::ShmemView::exchange_pair`]) — so a deep circuit pays a
+//! ([`crate::view::ShmemView::exchange`]) — so a deep circuit pays a
 //! handful of bulk epochs instead of per-word traffic on every gate.
 //!
 //! This module is the *planner*: it is pure (no SHMEM), deterministic, and

@@ -207,7 +207,7 @@ pub fn gate_traffic(cg: &CompiledGate, n_qubits: u32, n_pes: u64) -> GateTraffic
 }
 
 /// Predicted traffic of one relabeling slab exchange
-/// ([`crate::view::ShmemView::exchange_pair`]): half the state trades
+/// ([`crate::view::ShmemView::exchange`]): half the state trades
 /// places with its partner PE's, in place. Each PE of a pair swaps half of
 /// the pair's amplitude pairs, reading and writing one side in its own
 /// partition and one in its partner's, so every moved amplitude is one

@@ -27,7 +27,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use svsim_shmem::{PeCounters, SharedF64Vec, ShmemCtx, SymF64};
-use svsim_types::PeOp;
+use svsim_types::{PeOp, SvResult};
 
 /// One partition's real and imaginary words lent as plain memory
 /// ([`SharedF64Vec::as_cells`]).
@@ -357,14 +357,15 @@ impl<'a> ShmemView<'a, '_> {
     /// side's piece as one access in the view's `Shape` — on scale-out
     /// exactly what its two messages count).
     ///
-    /// `_xch_re` / `_xch_im` are unused: the swap needs no staging buffer.
-    /// They are kept so existing callers that still allocate one compile.
-    ///
     /// All PEs must call this collectively with identical arguments.
+    ///
+    /// # Errors
+    /// What the closing barrier returns ([`ShmemCtx::try_barrier_all`]): a
+    /// PE failure, this PE's or a peer's.
     ///
     /// # Panics
     /// If `a` is not below the per-PE boundary or `b` not at/above it.
-    pub fn exchange_pair(&self, a: u32, b: u32, _xch_re: &SymF64, _xch_im: &SymF64) {
+    pub fn exchange(&self, a: u32, b: u32) -> SvResult<()> {
         assert!(a < self.shift, "low position must be intra-partition");
         assert!(b >= self.shift, "high position must be partition-indexing");
         let pe = self.ctx.my_pe();
@@ -405,7 +406,14 @@ impl<'a> ShmemView<'a, '_> {
                 }
             }
         }
-        self.ctx.barrier_all();
+        self.ctx.try_barrier_all()
+    }
+
+    /// [`exchange`](Self::exchange) for callers that still pass two staging
+    /// arrays, which it does not use. A failure poisons the barrier, so the
+    /// caller's next barrier reports it.
+    pub fn exchange_pair(&self, a: u32, b: u32, _xch_re: &SymF64, _xch_im: &SymF64) {
+        let _ = self.exchange(a, b);
     }
 }
 
@@ -639,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn exchange_pair_realizes_a_physical_swap() {
+    fn an_exchange_realizes_a_physical_swap() {
         // 4 qubits over 4 PEs (per_pe = 4, boundary at position 2):
         // exchanging positions (0, 3) must permute amplitudes exactly like
         // a SWAP(0, 3) gate, using only bulk slab messages.
@@ -647,16 +655,14 @@ mod tests {
             let pe = ctx.my_pe();
             let re = ctx.malloc_f64(4).expect("alloc");
             let im = ctx.malloc_f64(4).expect("alloc");
-            let xr = ctx.malloc_f64(2).expect("alloc");
-            let xi = ctx.malloc_f64(2).expect("alloc");
             for off in 0..4 {
                 let g = (pe * 4 + off) as f64;
                 re.partition(pe).store(off, g);
                 im.partition(pe).store(off, -g);
             }
-            ctx.barrier_all();
+            ctx.try_barrier_all().unwrap();
             let v = ShmemView::new(ctx, &re, &im);
-            v.exchange_pair(0, 3, &xr, &xi);
+            v.exchange(0, 3).unwrap();
         })
         .unwrap();
         // Read after the join, from the heap the PEs left behind.
@@ -692,7 +698,7 @@ mod tests {
             if ctx.my_pe() == 0 {
                 v.set(6, 3.0, 4.0); // lands on PE 1, offset 2
             }
-            ctx.barrier_all();
+            ctx.try_barrier_all().unwrap();
             v.get(6)
         })
         .unwrap();

@@ -627,7 +627,9 @@ pub(crate) fn run_sweep_batch(
     let fail_all = |jobs: Vec<JobPacket>, e: SvError| {
         let started = Instant::now();
         for pkt in jobs {
-            publish(shared, &pkt.job, started, Err(JobError::Failed(e.clone())));
+            if let Some(pkt) = pkt.still_wanted(shared, started) {
+                publish(shared, &pkt.job, started, Err(JobError::Failed(e.clone())));
+            }
         }
     };
     let Some(tpl) = templates.get_mut(template, &shared.registry) else {
@@ -647,9 +649,9 @@ pub(crate) fn run_sweep_batch(
 
     for pkt in jobs {
         let started = Instant::now();
-        // Mid-sweep admission re-check: earlier members of this batch may
-        // have run for a while — a job cancelled or expired since dequeue
-        // must not execute.
+        // The member's queue wait ends here, behind the members before it,
+        // and the admission re-check runs: a job cancelled or expired since
+        // it was enqueued must not execute.
         let Some(pkt) = pkt.still_wanted(shared, started) else {
             continue;
         };

@@ -170,9 +170,10 @@ pub struct EngineMetrics {
     /// One-shot jobs that compiled a fresh plan (cold circuit, evicted
     /// entry, or a config/shape mismatch).
     pub(crate) plan_cache_misses: AtomicU64,
-    /// Time from submit to a worker's pop of the job.
+    /// Time from submit to where the job's own execution starts, or where
+    /// it is dropped.
     pub(crate) queue_wait: LatencyHistogram,
-    /// Time from that pop to result publication.
+    /// Time from that start to result publication.
     pub(crate) execution: LatencyHistogram,
     /// Time from first failure of a job to its successful retried
     /// completion — the end-to-end recovery latency.
@@ -271,15 +272,16 @@ pub struct MetricsSnapshot {
     pub plan_cache_hits: u64,
     /// One-shot plans compiled fresh (cold, evicted, or shape mismatch).
     pub plan_cache_misses: u64,
-    /// Queue-wait distribution: from the job's admission to the moment a
-    /// worker pops it off the engine's one queue. That pop is the only
-    /// wait a job has before it runs, so this is all of it.
+    /// Queue-wait distribution: from the job's admission to where its own
+    /// execution starts — for a one-shot, the moment a worker pops it off
+    /// the engine's one queue; for a sweep point coalesced into a batch,
+    /// the start of its own trial, after the members before it. A
+    /// cancelled or expired job's wait ends where it is dropped. Every
+    /// wait a job has before it runs is in here.
     pub queue_wait: LatencySnapshot,
-    /// Service distribution: from that same pop to the job's result being
-    /// published, so it includes the plan lookup (and a compile on a
-    /// cache miss), execution with its retries, and readback. A sweep
-    /// point coalesced into a batch is timed from the start of its own
-    /// trial.
+    /// Service distribution: from that same start to the job's result
+    /// being published, so it includes the plan lookup (and a compile on a
+    /// cache miss), execution with its retries, and readback.
     pub execution: LatencySnapshot,
     /// First-failure-to-recovered-completion latency distribution.
     pub recovery: LatencySnapshot,

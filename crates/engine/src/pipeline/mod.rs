@@ -10,9 +10,11 @@
 //! - **admit** runs on the submitting thread: quarantine and sweep
 //!   validation, the job fingerprint, and a [`MemoryBudget`] lease; then a
 //!   reject-on-full push into the queue (typed backpressure at the edge).
-//! - each **worker** pops a batch (sweep points of one template coalesce),
-//!   records each job's queue wait, drops the cancelled and the expired,
-//!   then for a one-shot takes the plan from the shared `PlanCache`
+//! - each **worker** pops a batch (sweep points of one template coalesce).
+//!   Where each job's own execution would start (a sweep point's behind
+//!   the members before it), it records the job's queue wait and drops it
+//!   if cancelled or expired; then for a one-shot takes the plan from the
+//!   shared `PlanCache`
 //!   (compiling under its lock on a miss), runs the retry and degradation
 //!   ladder, samples, clones the requested state, checks the state buffer
 //!   back into the instance pool, and publishes.
@@ -194,9 +196,12 @@ impl Pipeline {
     }
 }
 
-/// One worker: pop a (coalesced) batch, time its wait, drop dead jobs,
-/// then plan, run, read back and publish each live one. The packet, and
-/// with it the budget lease, drops only after publication.
+/// One worker: pop a (coalesced) batch, then for each job in it drop it if
+/// dead, else plan, run, read back and publish it. A job's queue wait ends
+/// where it is dropped or its own execution starts
+/// ([`JobPacket::still_wanted`]): for a one-shot the pop, for a sweep point
+/// the start of its own trial, behind the batch members before it. The
+/// packet, and with it the budget lease, drops only after publication.
 fn worker_loop(
     shared: &Shared,
     queue: &StageQueue<JobPacket>,
@@ -206,25 +211,20 @@ fn worker_loop(
 ) {
     let mut templates = WorkerTemplates::default();
     while let Some(batch) = queue.pop_batch(max_batch) {
-        let picked = Instant::now();
-        let live: Vec<JobPacket> = batch
-            .into_iter()
-            .filter_map(|pkt| {
-                let waited = picked.saturating_duration_since(pkt.job.enqueued_at);
-                shared.metrics.queue_wait.record(waited);
-                pkt.still_wanted(shared, picked)
-            })
-            .collect();
-        let Some(head) = live.first() else { continue };
+        let Some(head) = batch.first() else { continue };
         match head.job.request.spec {
-            // One-shots never coalesce, so `live` holds at most one.
+            // One-shots never coalesce, so the batch holds one.
             JobSpec::OneShot { .. } => {
-                for pkt in live {
+                for pkt in batch {
+                    let picked = Instant::now();
+                    let Some(pkt) = pkt.still_wanted(shared, picked) else {
+                        continue;
+                    };
                     let result = run_one_shot(shared, plans, &pkt, worker);
                     publish(shared, &pkt.job, picked, result);
                 }
             }
-            JobSpec::Sweep { .. } => run_sweep_batch(shared, &mut templates, live, worker),
+            JobSpec::Sweep { .. } => run_sweep_batch(shared, &mut templates, batch, worker),
         }
     }
 }

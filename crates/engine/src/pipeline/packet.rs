@@ -241,11 +241,14 @@ pub(crate) struct JobPacket {
 }
 
 impl JobPacket {
-    /// The cancel/deadline re-check at pickup (and before each member of a
-    /// sweep batch): a job cancelled, or past its deadline at `now`, is
-    /// finished here with the typed error (and counted) instead of
-    /// running; a live one is handed back.
+    /// The end of the job's queue wait, recorded, and the cancel/deadline
+    /// re-check, right where the job would start executing (at pickup, or
+    /// before its own trial in a sweep batch): a job cancelled, or past its
+    /// deadline at `now`, is finished here with the typed error (and
+    /// counted) instead of running; a live one is handed back.
     pub(crate) fn still_wanted(self, shared: &Shared, now: Instant) -> Option<Self> {
+        let waited = now.saturating_duration_since(self.job.enqueued_at);
+        shared.metrics.queue_wait.record(waited);
         let (counter, err) = if self.job.cell.cancelled.load(Ordering::Acquire) {
             (&shared.metrics.cancelled, JobError::Cancelled)
         } else if self.job.request.deadline.is_some_and(|d| now > d) {

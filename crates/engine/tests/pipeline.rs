@@ -4,12 +4,14 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use svsim_core::SimConfig;
+use svsim_core::{ParamCircuit, ParamValue, SimConfig};
 use svsim_engine::{
     AllocMode, Engine, EngineConfig, JobError, JobRequest, JobSpec, MetricsSnapshot, Priority,
-    StageSnapshot, SubmitError,
+    RetryPolicy, StageSnapshot, SubmitError, SweepReturn,
 };
 use svsim_ir::{Circuit, GateKind};
+use svsim_shmem::{FaultAction, FaultPlan};
+use svsim_types::PeOp;
 
 fn ghz_with_measure(n: u32) -> Circuit {
     let mut c = Circuit::with_cbits(n, 2);
@@ -22,28 +24,34 @@ fn ghz_with_measure(n: u32) -> Circuit {
     c
 }
 
-/// A wide, deep circuit whose execution parks the single worker for
-/// hundreds of milliseconds (22 qubits x ~280 gates, ~1.2e9 amplitude
-/// updates) — orders of magnitude longer than the microsecond-scale
-/// submissions and metric polls the tests perform while it runs.
-fn deep_blocker() -> Circuit {
-    ry_layers(22)
+/// The longest a [`blocker`] holds its worker.
+const HOLD: Duration = Duration::from_millis(400);
+
+/// `request`, made to hold its worker for `hold` times a deterministic
+/// jitter in [0.5, 1] (the retry's [`RetryPolicy::backoff`]) in any build:
+/// its first attempt fails at an injected executor fault, and its retry
+/// sleeps that long before running — a sleep, so the hold does not depend
+/// on the build profile.
+fn held(request: JobRequest, hold: Duration) -> JobRequest {
+    let fault = FaultPlan::new().with(None, PeOp::Exec, 1, FaultAction::Kill);
+    JobRequest {
+        retry: RetryPolicy {
+            max_attempts: 2,
+            base_backoff: hold,
+            max_backoff: hold,
+            ..RetryPolicy::default()
+        },
+        fault_plan: Some(Arc::new(fault)),
+        ..request
+    }
 }
 
-/// `n` qubits: a layer of H, twelve layers of RY, one measurement.
-fn ry_layers(n: u32) -> Circuit {
-    let mut c = Circuit::with_cbits(n, 1);
-    for q in 0..n {
-        c.apply(GateKind::H, &[q], &[]).unwrap();
-    }
-    for layer in 0..12 {
-        for q in 0..n {
-            c.apply(GateKind::RY, &[q], &[0.05 + 0.01 * f64::from(layer)])
-                .unwrap();
-        }
-    }
-    c.measure(0, 0).unwrap();
-    c
+/// A one-shot of `circuit` that parks the single worker for 200-400 ms
+/// ([`held`] for `HOLD`): orders of magnitude longer than the
+/// microsecond-scale submissions and metric polls the tests perform while
+/// it holds.
+fn blocker(circuit: &Arc<Circuit>, config: SimConfig) -> JobRequest {
+    held(one_shot(circuit, config), HOLD)
 }
 
 /// The engine's one queue.
@@ -86,10 +94,9 @@ fn drain_flushes_jobs_parked_at_every_stage() {
         queue_capacity: 2,
         ..EngineConfig::default()
     });
-    let slow = Arc::new(deep_blocker());
     let fast = Arc::new(ghz_with_measure(4));
     let config = SimConfig::single_device();
-    let mut accepted = vec![engine.submit(one_shot(&slow, config)).unwrap()];
+    let mut accepted = vec![engine.submit(blocker(&fast, config)).unwrap()];
     // Only once the worker holds the blocker do later submissions park
     // behind it instead of running straight through.
     wait_for(&engine, "the worker to pick up the blocker", |m| {
@@ -136,6 +143,66 @@ fn drain_flushes_jobs_parked_at_every_stage() {
     );
 }
 
+/// A sweep point coalesced into a batch waits behind the members before
+/// it, and that wait is queue wait: each member's ends where its own trial
+/// starts. Four points of one template, parked behind a short blocker so
+/// they coalesce, each hold the worker for at least `b` (the backoff of
+/// [`held`]); member `i` then waits at least `i * b` behind its
+/// predecessors, so the summed queue wait is at least `(0 + 1 + 2 + 3) * b`
+/// — more than the whole time the four spent in the queue before the pop.
+#[test]
+fn a_coalesced_sweep_point_waits_behind_its_batch() {
+    const POINTS: u32 = 4;
+    let sweep_hold = Duration::from_millis(100);
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 8,
+        ..EngineConfig::default()
+    });
+    let mut template = ParamCircuit::new(3);
+    template
+        .push(GateKind::RY, &[0], &[ParamValue::Var(0)])
+        .unwrap();
+    template.push_fixed(GateKind::CX, &[0, 1], &[]).unwrap();
+    let id = engine.register_template("ry_cx", &template).unwrap();
+    let fast = Arc::new(ghz_with_measure(4));
+    let short = held(one_shot(&fast, SimConfig::single_device()), HOLD / 10);
+    let first = engine.submit(short).unwrap();
+    wait_for(&engine, "the worker to pick up the blocker", |m| {
+        admit(m).popped == 1
+    });
+    let points: Vec<_> = (0..POINTS)
+        .map(|i| {
+            let sweep = JobRequest::new(JobSpec::Sweep {
+                template: id,
+                params: vec![0.1 * f64::from(i)],
+                returning: SweepReturn::ExpZ(1),
+            });
+            engine.submit(held(sweep, sweep_hold)).unwrap()
+        })
+        .collect();
+    assert!(first.wait().is_ok());
+    for h in points {
+        assert!(h.wait().is_ok());
+    }
+    let metrics = engine.shutdown();
+    assert_eq!(
+        (metrics.batches, metrics.batched_jobs),
+        (1, u64::from(POINTS))
+    );
+    let b = held(one_shot(&fast, SimConfig::single_device()), sweep_hold)
+        .retry
+        .backoff(1)
+        .as_micros();
+    let predecessors = b * u128::from(POINTS * (POINTS - 1) / 2);
+    let waited = metrics.queue_wait.mean_us() * metrics.queue_wait.count() as f64;
+    assert!(
+        waited.round() as u128 >= predecessors,
+        "{POINTS} coalesced points waited {waited} us in all, under their \
+         predecessors' {predecessors} us of execution"
+    );
+}
+
 /// Cancellation and deadlines are re-checked when a worker picks a job
 /// up: a job cancelled while parked in the queue ends `Cancelled`, one
 /// whose deadline lapses there ends `Expired`, and neither runs.
@@ -147,10 +214,9 @@ fn cancellation_and_deadline_are_rechecked_at_stage_hops() {
         queue_capacity: 3,
         ..EngineConfig::default()
     });
-    let slow = Arc::new(deep_blocker());
     let fast = Arc::new(ghz_with_measure(4));
     let config = SimConfig::single_device();
-    let blocker = engine.submit(one_shot(&slow, config)).unwrap();
+    let blocker = engine.submit(blocker(&fast, config)).unwrap();
     // The blocker must be in the worker's hands before the victims arrive.
     wait_for(&engine, "the worker to pick up the blocker", |m| {
         admit(m).popped == 1
@@ -240,16 +306,13 @@ fn shutdown_now_accounts_for_every_submitted_job() {
         queue_capacity: 6,
         ..EngineConfig::default()
     });
-    // A quarter of the width of `deep_blocker`, a sixteenth of its work:
-    // still far longer than the few calls each one has to outlast.
-    let slow = Arc::new(ry_layers(20));
     let fast = Arc::new(ghz_with_measure(4));
     let config = SimConfig::single_device();
     let urgent = |request: JobRequest| JobRequest {
         priority: Priority::High,
         ..request
     };
-    let first = engine.submit(one_shot(&slow, config)).unwrap();
+    let first = engine.submit(blocker(&fast, config)).unwrap();
     wait_for(&engine, "the worker to pick up the first blocker", |m| {
         admit(m).popped == 1
     });
@@ -265,7 +328,7 @@ fn shutdown_now_accounts_for_every_submitted_job() {
             ..one_shot(&fast, config)
         }))
         .unwrap();
-    let in_hand = engine.submit(urgent(one_shot(&slow, config))).unwrap();
+    let in_hand = engine.submit(urgent(blocker(&fast, config))).unwrap();
     let queued: Vec<_> = (0..2)
         .map(|_| {
             let request = JobRequest {

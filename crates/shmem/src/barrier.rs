@@ -3,7 +3,7 @@
 //! `shmem_barrier_all` is the only collective the hot gate loop touches
 //! (one per gate, exactly as in the paper's Listing 5), so it is built
 //! directly on atomics rather than a mutex/condvar pair. A poison flag lets
-//! a panicking PE release the others instead of deadlocking the barrier.
+//! a failed PE release the others instead of deadlocking the barrier.
 //!
 //! The protocol itself lives in [`crate::proto::bar`] as a pure state
 //! machine — the same code the `svsim-verify` model checker drives over a
@@ -145,25 +145,8 @@ impl SenseBarrier {
         }
     }
 
-    /// Number of participants.
-    #[must_use]
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn participants(&self) -> usize {
-        self.sm.n as usize
-    }
-
-    /// Block until all `n` participants arrive.
-    ///
-    /// # Panics
-    /// If the barrier was [`poison`](Self::poison)ed (a peer PE panicked).
-    pub fn wait(&self, token: &mut BarrierToken) {
-        if self.try_wait(token).is_err() {
-            panic!("shmem barrier poisoned: a peer PE panicked");
-        }
-    }
-
     /// Block until all `n` participants arrive, or until the barrier is
-    /// poisoned — the graceful-shutdown variant of [`wait`](Self::wait).
+    /// [`poison`](Self::poison)ed.
     ///
     /// # Errors
     /// [`BarrierPoisoned`] once a peer poisons the barrier. The caller's
@@ -178,7 +161,7 @@ impl SenseBarrier {
         wait_epoch(&self.sm, &self.words, token, None, None).map_err(|_| BarrierPoisoned)
     }
 
-    /// Mark the barrier poisoned, releasing spinning waiters into a panic.
+    /// Mark the barrier poisoned, releasing spinning waiters into an error.
     pub fn poison(&self) {
         crate::proto::bar::post_poison(&self.words);
     }
@@ -201,7 +184,7 @@ mod tests {
         let b = SenseBarrier::new(1);
         let mut t = BarrierToken::default();
         for _ in 0..10 {
-            b.wait(&mut t);
+            b.try_wait(&mut t).unwrap();
         }
     }
 
@@ -220,13 +203,13 @@ mod tests {
                     let mut tok = BarrierToken::default();
                     for round in 1..=ROUNDS {
                         counter.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait(&mut tok);
+                        barrier.try_wait(&mut tok).unwrap();
                         assert_eq!(
                             counter.load(Ordering::Relaxed),
                             (round * N) as u64,
                             "phase leak at round {round}"
                         );
-                        barrier.wait(&mut tok);
+                        barrier.try_wait(&mut tok).unwrap();
                     }
                 });
             }
@@ -239,14 +222,11 @@ mod tests {
         let b2 = Arc::clone(&barrier);
         let waiter = std::thread::spawn(move || {
             let mut tok = BarrierToken::default();
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                b2.wait(&mut tok);
-            }));
-            r.is_err()
+            b2.try_wait(&mut tok).is_err()
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         barrier.poison();
-        assert!(waiter.join().unwrap(), "waiter should panic on poison");
+        assert!(waiter.join().unwrap(), "waiter should fail on poison");
         assert!(barrier.is_poisoned());
     }
 

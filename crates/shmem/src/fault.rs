@@ -24,14 +24,22 @@
 //! and can make progress — modeling "the node crashed once", not "the node
 //! is cursed".
 //!
+//! Every failure is a value, never an unwind. A fault at a barrier is what
+//! that barrier returns; a one-sided access has no result to carry one, so
+//! the PE holds it and its next barrier returns it, as
+//! [`SvError::PeFailed`](svsim_types::SvError::PeFailed) naming the access's
+//! op — and so does the PE's run if no barrier comes first.
+//!
 //! Fault semantics:
-//! - [`FaultAction::Kill`] — the PE dies at the operation (panics with a
-//!   typed payload that `launch` converts into
-//!   [`SvError::PeFailed`](svsim_types::SvError::PeFailed)).
+//! - [`FaultAction::Kill`] — the PE dies at the operation. A forked PE
+//!   raises a real `SIGKILL`. A thread PE poisons the barrier: at a barrier,
+//!   that barrier returns `PeFailed`; at an access, the PE is failed for the
+//!   rest of its run — its transfers and fault points stop, and every
+//!   barrier it reaches, then its run, return `PeFailed`.
 //! - [`FaultAction::Drop`] — a one-sided transfer is silently lost at the
 //!   fabric. Loss is *detected at the PE's next barrier* (modeling
 //!   transport-level delivery acknowledgment at the synchronization point),
-//!   where the PE fails with `PeFailed{op: Put}` so the corrupted epoch is
+//!   where the PE fails with `PeFailed` so the corrupted epoch is
 //!   discarded rather than committed.
 //! - [`FaultAction::Delay`] — the operation is stalled (bounded spin); the
 //!   run stays correct, only slower. Used to exercise timing robustness.
@@ -237,16 +245,6 @@ impl FaultPlan {
             .filter_map(|s| s.observe(pe, op, &s.words))
             .reduce(|first, _| first)
     }
-}
-
-/// Typed panic payload for an injected (or detected) PE death. `launch`
-/// downcasts it back into [`SvError::PeFailed`](svsim_types::SvError).
-#[derive(Debug, Clone, Copy)]
-pub struct PeFailure {
-    /// Rank of the PE that died.
-    pub pe: usize,
-    /// Operation during which it died.
-    pub op: PeOp,
 }
 
 #[cfg(test)]

@@ -16,17 +16,19 @@
 //! - `get_f64`/`put_f64` are `nvshmem_double_g`/`nvshmem_double_p`;
 //!   slice variants model `shmem_getmem`/`putmem`; `sum_reduce_f64_at` is
 //!   the one collective the simulator's measurements need.
-//! - [`world::ShmemCtx::barrier_all`] is `shmem_barrier_all`, built on a
-//!   sense-reversing atomic barrier ([`barrier`]).
+//! - [`world::ShmemCtx::try_barrier_all`] is `shmem_barrier_all`, built on
+//!   a sense-reversing atomic barrier ([`barrier`]); like every collective
+//!   that can fail, it returns a typed `SvResult`.
 //! - Every access is classified local/remote and counted ([`metrics`]);
 //!   the traffic profile drives the interconnect performance model in
 //!   `svsim-perfmodel`.
-//! - Failure is a first-class code path: [`fault::FaultPlan`] injects
-//!   deterministic PE kills, dropped/delayed transfers and poisoned
-//!   barriers; [`world::launch_world`] reports per-PE `Result`s (no
-//!   resume-unwinding), and every PE death surfaces as a typed
-//!   `SvError::PeFailed` while peers observe the poisoned barrier and shut
-//!   down cleanly.
+//! - Failure is a first-class code path, and a value: [`fault::FaultPlan`]
+//!   injects deterministic PE kills, dropped/delayed transfers and poisoned
+//!   barriers; a fault on a PE is a typed `SvError::PeFailed` at that PE's
+//!   next barrier (and in its run's result), its peers' barriers return
+//!   the poisoned report so they shut down cleanly, and
+//!   [`world::launch_world`] reports per-PE `Result`s. Nothing unwinds: a
+//!   panic in a PE is a bug (caught and reported typed all the same).
 //!
 //! Two interchangeable substrates run the same SPMD body. The choice is
 //! one value the world owns, made at launch; [`world::ShmemCtx`] is one
@@ -61,7 +63,7 @@ pub mod shared;
 pub mod world;
 
 pub use barrier::{BarrierPoisoned, BarrierToken, SenseBarrier};
-pub use fault::{FaultAction, FaultPlan, FaultSpec, PeFailure};
+pub use fault::{FaultAction, FaultPlan, FaultSpec};
 pub use metrics::{MetricsTable, PeCounters, TrafficSnapshot};
 pub use proc::{launch_process, ProcOptions, RespawnEvent, ShmemBackend, Wire};
 pub use proto::{AtomicWords, MemOrder, ProtoMem};

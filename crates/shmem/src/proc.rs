@@ -3,12 +3,14 @@
 //!
 //! The thread-backed world of [`crate::world`] models OpenSHMEM faithfully
 //! for traffic and synchronization, but its PEs share one address space —
-//! a "killed" PE is a panicked thread, not a dead process. This module
-//! promotes the symmetric heap to a real OS-shared mapping and the PEs to
-//! real processes, which buys the failure mode the paper's scale
-//! (Summit/Theta/DGX pods) actually exhibits: a rank can be `kill -9`-ed
-//! mid-epoch and the launcher, barrier, and engine recovery path all keep
-//! working.
+//! a "killed" PE is a thread that reports a typed failure and stops, not a
+//! dead process. This module promotes the symmetric heap to a real
+//! OS-shared mapping and the PEs to real processes, which buys the failure
+//! mode the paper's scale (Summit/Theta/DGX pods) actually exhibits: a rank
+//! can be `kill -9`-ed mid-epoch and the launcher, barrier, and engine
+//! recovery path all keep working. Every other failure of a forked PE is a
+//! typed value its run returns, exactly as on threads: no PE panics by
+//! design, so children need no panic hook of their own.
 //!
 //! The substitution, piece by piece:
 //!
@@ -73,7 +75,7 @@ use crate::proto::{self, MemOrder, ProtoMem};
 use crate::shared::SharedF64Vec;
 use crate::world::{call_order_violated, launch_world, ShmemCtx, SpmdOutput, World, WorldOptions};
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svsim_types::{PeOp, SvError, SvResult};
@@ -1311,7 +1313,6 @@ where
     F: Fn(&ShmemCtx<'_>) -> T + Sync,
 {
     let (n_pes, opts, faults) = (pw.layout.n_pes, &world_opts.process, &world_opts.faults);
-    silence_child_panics();
     if let Some(plan) = faults {
         pw.seed_faults(plan)?;
     }
@@ -1577,32 +1578,6 @@ fn pe_death(pw: &ProcWorld, pe: usize, signal: i32, code: i32) -> SvError {
     }
 }
 
-/// True only in a forked PE (the store happens after the fork, in the
-/// child's copy of the flag).
-static FORKED_CHILD: AtomicBool = AtomicBool::new(false);
-
-/// Keep panics in forked PEs silent and cheap: children share the parent's
-/// stderr, expected failures (injected faults, poisoned barriers) are
-/// panics by design, and a backtrace would stall the PE's heartbeat past a
-/// short watchdog deadline. Installed once, by the *parent*, as a wrapper
-/// that defers to the hook it found unless [`FORKED_CHILD`] is set. The
-/// child itself must not call `panic::set_hook`: that takes std's
-/// process-global hook lock for writing, and a fork taken while another
-/// parent thread is mid-panic inherits the lock read-held by a thread that
-/// does not exist in the child — it would deadlock before its first
-/// heartbeat. Reading the flag takes no lock at all.
-fn silence_child_panics() {
-    static INSTALL: std::sync::Once = std::sync::Once::new();
-    INSTALL.call_once(|| {
-        let parent_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !FORKED_CHILD.load(Ordering::Relaxed) {
-                parent_hook(info);
-            }
-        }));
-    });
-}
-
 /// The child side of a fork: run the body in the PE harness thread PEs run
 /// in ([`World::run_pe`]), publish the encoded result, and `_exit` without
 /// unwinding into the inherited parent state.
@@ -1618,7 +1593,6 @@ where
     T: Wire + Send,
     F: Fn(&ShmemCtx<'_>) -> T + Sync,
 {
-    FORKED_CHILD.store(true, Ordering::Relaxed);
     pw.heartbeat(pe);
     let mut parked_round = pw.round();
     let res = loop {
@@ -1775,7 +1749,7 @@ mod tests {
             if ctx.my_pe() == 1 {
                 panic!("PE 1 exploded");
             }
-            ctx.barrier_all();
+            let _ = ctx.try_barrier_all();
             ctx.my_pe()
         })
         .unwrap();
@@ -1849,13 +1823,13 @@ mod tests {
                         ctx.my_pe(),
                         (round * (ctx.my_pe() as u64 + 1)) as f64,
                     );
-                    ctx.barrier_all();
+                    ctx.try_barrier_all().expect("barrier");
                     let expect = (round * (ctx.n_pes() * (ctx.n_pes() + 1) / 2) as u64) as f64;
                     let total: f64 = (0..ctx.n_pes()).map(|p| ctx.get_f64(&acc, 0, p)).sum();
                     if total == expect {
                         clean += 1;
                     }
-                    ctx.barrier_all();
+                    ctx.try_barrier_all().expect("barrier");
                 }
                 clean
             })

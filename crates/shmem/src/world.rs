@@ -12,7 +12,7 @@
 //! which one it is on.
 
 use crate::barrier::{BarrierToken, BarrierWaitError, SenseBarrier};
-use crate::fault::{FaultAction, FaultPlan, PeFailure};
+use crate::fault::{FaultAction, FaultPlan};
 use crate::metrics::{MetricsTable, PeCounters, TrafficSnapshot};
 use crate::proc::{ProcOptions, ProcWorld, RespawnEvent, ShmemBackend, Wire};
 use crate::race::{RaceDetector, RaceReport, ShadowArray};
@@ -151,10 +151,10 @@ impl Substrate {
         }
     }
 
-    /// One barrier epoch. Threads cannot vanish without unwinding (which
-    /// poisons), so their wait is unbounded and poison is its only
-    /// failure; a process wait is bounded and keeps `pe`'s heartbeat
-    /// alive while it blocks.
+    /// One barrier epoch. A thread PE cannot vanish: its run ends in the
+    /// harness, which poisons on any failure, so its wait is unbounded and
+    /// poison is its only failure; a process wait is bounded and keeps
+    /// `pe`'s heartbeat alive while it blocks.
     fn barrier_wait(&self, token: &mut BarrierToken, pe: usize) -> Result<(), BarrierWaitError> {
         match self {
             Self::Thread { barrier, .. } => barrier
@@ -204,7 +204,7 @@ impl Substrate {
     /// On processes "killed" is literal: the PE raises `SIGKILL` on itself
     /// and the launcher reaps a signal death ([`PeOp::Term`]). A thread
     /// cannot be killed from outside; this returns and the caller fails
-    /// the PE with a typed error or panic payload.
+    /// the PE with a typed error.
     fn kill_self(&self) {
         if let Self::Process(_) = self {
             crate::proc::die_by_sigkill();
@@ -282,10 +282,11 @@ impl World {
     }
 
     /// One PE's run of `body`, the harness thread and forked PEs share: its
-    /// context, the body with every panic caught — the barrier poisoned
-    /// first, so peers in it fail fast instead of deadlocking, and the
-    /// payload turned into a typed error — and the epoch it reached
-    /// published for a reaper.
+    /// context, the body, and the epoch it reached published for a reaper.
+    /// A PE that ends holding a failure ([`Struck`]) fails with it, typed.
+    /// A panic is a bug, not a failure mode: it is caught all the same and
+    /// its message kept. Either way the barrier is poisoned first, so peers
+    /// in it fail fast instead of deadlocking.
     pub(crate) fn run_pe<T>(&self, pe: usize, body: &impl Fn(&ShmemCtx<'_>) -> T) -> SvResult<T> {
         let ctx = ShmemCtx {
             pe,
@@ -293,13 +294,18 @@ impl World {
             token: Cell::new(BarrierToken::default()),
             epoch: Cell::new(0),
             alloc_seq: Cell::new(0),
-            pending_drop: Cell::new(false),
+            struck: Cell::new(None),
         };
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
-        let r = r.map_err(|payload| {
+        let r = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx))) {
+            Ok(value) => match ctx.struck.get() {
+                None => Ok(value),
+                Some(Struck::Dropped(op) | Struck::Dead(op)) => Err(SvError::PeFailed { pe, op }),
+            },
+            Err(payload) => Err(classify_panic(pe, payload.as_ref())),
+        };
+        if r.is_err() {
             self.substrate.poison_barrier();
-            classify_panic(pe, payload.as_ref())
-        });
+        }
         self.substrate.set_epoch(pe, ctx.barrier_epoch());
         r
     }
@@ -345,6 +351,21 @@ impl World {
     }
 }
 
+/// A failure an injected fault left a PE holding at a one-sided access,
+/// which has no return value to report it in.
+#[derive(Debug, Clone, Copy)]
+enum Struck {
+    /// A [`FaultAction::Drop`] lost a transfer of this op. The PE's next
+    /// barrier reports it (the synchronization point where a real fabric's
+    /// delivery acknowledgment would surface it), and the PE goes on.
+    Dropped(PeOp),
+    /// A [`FaultAction::Kill`], `Poison` or (on threads) `Hang` struck at
+    /// this op: the barrier is poisoned and the PE is failed for the rest
+    /// of its run. Its transfers and fault points stop, every barrier it
+    /// reaches reports the failure, and so does its run.
+    Dead(PeOp),
+}
+
 /// Bounded deterministic stall used by [`FaultAction::Delay`].
 fn stall(iters: u32) {
     for _ in 0..iters {
@@ -361,10 +382,9 @@ pub struct ShmemCtx<'w> {
     /// Count of symmetric allocations this PE has participated in; used to
     /// pair each PE's `malloc` call with the published handle.
     alloc_seq: Cell<usize>,
-    /// An injected [`FaultAction::Drop`] lost a transfer; detection is
-    /// deferred to this PE's next barrier (the synchronization point where
-    /// a real fabric's delivery acknowledgment would surface it).
-    pending_drop: Cell<bool>,
+    /// The failure an injected fault at a one-sided access left this PE
+    /// holding, until a barrier or the end of its run reports it.
+    struck: Cell<Option<Struck>>,
 }
 
 impl<'w> ShmemCtx<'w> {
@@ -387,34 +407,17 @@ impl<'w> ShmemCtx<'w> {
         self.world.metrics.pe(self.pe)
     }
 
-    /// Global barrier (`shmem_barrier_all`).
-    ///
-    /// # Panics
-    /// When the barrier is poisoned by a failed peer, or an injected fault
-    /// kills this PE at the barrier. [`launch_world`] converts the panic
-    /// into a typed per-PE error; use
-    /// [`try_barrier_all`](Self::try_barrier_all) for in-band error
-    /// handling instead.
-    pub fn barrier_all(&self) {
-        if let Err(e) = self.try_barrier_all() {
-            match e {
-                SvError::PeFailed { pe, op } => std::panic::panic_any(PeFailure { pe, op }),
-                _ => panic!("shmem barrier poisoned: a peer PE panicked"),
-            }
-        }
-    }
-
-    /// Poison-aware barrier: like [`barrier_all`](Self::barrier_all) but a
-    /// failed peer (or an injected fault on this PE) surfaces as an error
-    /// instead of a panic, so SPMD bodies can shut down gracefully.
+    /// Global barrier (`shmem_barrier_all`). A failed peer, or a fault on
+    /// this PE, is an error, so SPMD bodies shut down gracefully.
     ///
     /// On error the barrier is guaranteed poisoned and this PE's epoch is
     /// **not** advanced — every peer stuck in the same barrier reports the
     /// same [`barrier_epoch`](Self::barrier_epoch).
     ///
     /// # Errors
-    /// [`SvError::PeFailed`] when an injected fault fires on this PE here
-    /// (the barrier is poisoned first so peers cannot deadlock);
+    /// [`SvError::PeFailed`] when an injected fault fires on this PE here,
+    /// or struck one of its one-sided accesses since its last barrier (the
+    /// barrier is poisoned first so peers cannot deadlock);
     /// [`SvError::Shmem`] when a peer poisoned the barrier;
     /// [`SvError::BarrierTimeout`] when the process backend's bounded wait
     /// expired with no poison observed (the barrier simply never released).
@@ -447,19 +450,24 @@ impl<'w> ShmemCtx<'w> {
         }
     }
 
-    /// Injection hooks that run at barrier entry: surface a previously
-    /// dropped transfer, then consult the plan for barrier-triggered faults.
+    /// Injection hooks that run at barrier entry: report what an access
+    /// fault left this PE holding, else consult the plan for
+    /// barrier-triggered faults.
     #[cold]
     fn barrier_fault_points(&self, plan: &FaultPlan) -> SvResult<()> {
         let substrate = &self.world.substrate;
         let failed = |op| Err(SvError::PeFailed { pe: self.pe, op });
-        if self.pending_drop.get() {
+        match self.struck.get() {
             // A lost transfer is detected when delivery is acknowledged at
             // the synchronization point: fail the PE so the epoch whose
             // data is incomplete is discarded, never committed.
-            self.pending_drop.set(false);
-            substrate.poison_barrier();
-            return failed(PeOp::Put);
+            Some(Struck::Dropped(op)) => {
+                self.struck.set(None);
+                substrate.poison_barrier();
+                return failed(op);
+            }
+            Some(Struck::Dead(op)) => return failed(op),
+            None => {}
         }
         match substrate.check_fault(plan, self.pe, PeOp::Barrier) {
             None | Some(FaultAction::Drop) | Some(FaultAction::TornCheckpoint) => Ok(()),
@@ -487,7 +495,8 @@ impl<'w> ShmemCtx<'w> {
     }
 
     /// Injection hook for one-sided transfers. Returns `true` when the
-    /// transfer must be skipped (dropped by the fault plan).
+    /// transfer must be skipped: the fault plan dropped it, or this PE is
+    /// failed ([`Struck`]).
     #[inline]
     fn transfer_fault(&self, op: PeOp) -> bool {
         match &self.world.faults {
@@ -498,34 +507,37 @@ impl<'w> ShmemCtx<'w> {
 
     #[cold]
     fn transfer_fault_slow(&self, plan: &FaultPlan, op: PeOp) -> bool {
+        if let Some(Struck::Dead(_)) = self.struck.get() {
+            return true;
+        }
         let substrate = &self.world.substrate;
-        match substrate.check_fault(plan, self.pe, op) {
-            None | Some(FaultAction::TornCheckpoint) => false,
+        let struck = match substrate.check_fault(plan, self.pe, op) {
+            None | Some(FaultAction::TornCheckpoint) => return false,
             Some(FaultAction::Delay(iters)) => {
                 stall(iters);
-                false
+                return false;
             }
+            Some(FaultAction::Drop) => Struck::Dropped(op),
+            // A wedged process PE never returns from `hang`.
             Some(FaultAction::Hang) => {
                 substrate.hang();
                 substrate.poison_barrier();
-                std::panic::panic_any(PeFailure { pe: self.pe, op });
-            }
-            Some(FaultAction::Drop) => {
-                self.pending_drop.set(true);
-                true
+                Struck::Dead(op)
             }
             // Poison first so peers release promptly rather than waiting
-            // out a reaper (or the launcher's catch of this unwind).
+            // out a reaper.
             Some(FaultAction::Kill) => {
                 substrate.poison_barrier();
                 substrate.kill_self();
-                std::panic::panic_any(PeFailure { pe: self.pe, op });
+                Struck::Dead(op)
             }
             Some(FaultAction::Poison) => {
                 substrate.poison_barrier();
-                std::panic::panic_any(PeFailure { pe: self.pe, op });
+                Struck::Dead(op)
             }
-        }
+        };
+        self.struck.set(Some(struck));
+        true
     }
 
     /// Race-detection hook for a one-sided read that landed. The fast path
@@ -595,7 +607,7 @@ impl<'w> ShmemCtx<'w> {
 
     /// One-sided load of one word from `src_pe`'s partition
     /// (`nvshmem_double_g`). A dropped (injected) load returns `0.0`; the
-    /// loss is detected at this PE's next barrier.
+    /// loss is reported at this PE's next barrier.
     #[inline]
     #[must_use]
     pub fn get_f64(&self, sym: &SymF64, src_pe: usize, idx: usize) -> f64 {
@@ -609,7 +621,7 @@ impl<'w> ShmemCtx<'w> {
 
     /// One-sided store of one word into `dst_pe`'s partition
     /// (`nvshmem_double_p`). A dropped (injected) store is lost at the
-    /// fabric; the loss is detected at this PE's next barrier.
+    /// fabric; the loss is reported at this PE's next barrier.
     #[inline]
     pub fn put_f64(&self, sym: &SymF64, dst_pe: usize, idx: usize, v: f64) {
         if self.transfer_fault(PeOp::Put) {
@@ -652,9 +664,9 @@ impl<'w> ShmemCtx<'w> {
     /// Each op of `ops` ([`PeOp::Get`] to read them, else [`PeOp::Put`]) is
     /// what one accessor call is: a fault point, the race trace over the
     /// range, and `messages` transfers of `bytes` bytes on the counters. A
-    /// dropped borrow still moves its words; the PE fails at its next
-    /// barrier. With no fault plan and no detector attached, the fault point
-    /// and the trace cost one branch.
+    /// borrow cannot stop the caller: under a fault it still moves its
+    /// words, and the PE fails at its next barrier. With no fault plan and
+    /// no detector attached, the fault point and the trace cost one branch.
     #[inline]
     pub fn borrow(
         &self,
@@ -698,15 +710,19 @@ impl<'w> ShmemCtx<'w> {
     /// logical subcube it holds, not at its own rank; callers must supply a
     /// permutation of `0..n_pes` (one distinct slot per PE) so the pairwise
     /// combine runs over logically ordered partials.
-    pub fn sum_reduce_f64_at(&self, slot: usize, x: f64) -> f64 {
+    ///
+    /// # Errors
+    /// What either of its two barriers returns
+    /// ([`try_barrier_all`](Self::try_barrier_all)).
+    pub fn sum_reduce_f64_at(&self, slot: usize, x: f64) -> SvResult<f64> {
         self.world.coll.store(slot, x);
-        self.barrier_all();
+        self.try_barrier_all()?;
         let partials: Vec<f64> = (0..self.world.n_pes)
             .map(|p| self.world.coll.load(p))
             .collect();
         let total = svsim_types::numeric::pairwise_sum(&partials);
-        self.barrier_all(); // protect the scratch slots from the next collective
-        total
+        self.try_barrier_all()?; // protect the scratch slots from the next collective
+        Ok(total)
     }
 }
 
@@ -822,7 +838,7 @@ impl<T> SpmdOutput<T> {
 
 impl<T> SpmdOutput<SvResult<T>> {
     /// Fold each PE's body-returned error into its outcome, so a fallible
-    /// SPMD body's failures — outer (the PE panicked or was killed) and
+    /// SPMD body's failures — outer (the PE failed, or panicked) and
     /// inner (the body returned `Err`, e.g. a poisoned barrier observed
     /// through [`ShmemCtx::try_barrier_all`]) — rank together in
     /// [`first_failure`](Self::first_failure) /
@@ -844,24 +860,15 @@ impl<T> SpmdOutput<SvResult<T>> {
     }
 }
 
-/// Convert a caught PE panic payload into a typed error.
+/// Convert a caught PE panic payload — a bug, never an expected failure —
+/// into a typed error that keeps its message.
 fn classify_panic(pe: usize, payload: &(dyn std::any::Any + Send)) -> SvError {
-    fn from_msg(pe: usize, msg: &str) -> SvError {
-        if msg.contains("barrier poisoned") {
-            SvError::Shmem(format!("PE {pe}: barrier poisoned by a failed peer"))
-        } else {
-            SvError::Shmem(format!("PE {pe} panicked: {msg}"))
-        }
-    }
-    if let Some(f) = payload.downcast_ref::<PeFailure>() {
-        SvError::PeFailed { pe: f.pe, op: f.op }
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        from_msg(pe, s)
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        from_msg(pe, s)
-    } else {
-        SvError::Shmem(format!("PE {pe} panicked"))
-    }
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)");
+    SvError::Shmem(format!("PE {pe} panicked: {msg}"))
 }
 
 /// How [`launch_world`] sets a world up: what its PEs run on, the faults
@@ -891,10 +898,11 @@ pub struct WorldOptions {
 /// Launch an SPMD job over `n_pes` PEs (the `shmem_init` + fork analog) on
 /// the world `opts` describe, reporting per-PE outcomes.
 ///
-/// Every PE runs `body` with its own [`ShmemCtx`]. A PE that panics or is
-/// killed poisons the barrier so its peers fail fast, and its failure comes
-/// back as a typed error in [`SpmdOutput::results`]: healthy PEs still
-/// return `Ok`, and nobody deadlocks. The body's return type crosses a
+/// Every PE runs `body` with its own [`ShmemCtx`]. A PE that fails (an
+/// injected fault, a real death) or panics poisons the barrier so its peers
+/// fail fast, and its failure comes back as a typed error in
+/// [`SpmdOutput::results`]: healthy PEs still return `Ok`, and nobody
+/// deadlocks. The body's return type crosses a
 /// process boundary on forked PEs, so it must implement [`Wire`].
 ///
 /// # Errors
@@ -1021,7 +1029,7 @@ mod tests {
                 let sym = ctx.malloc_f64(1).expect("alloc");
                 let right = (ctx.my_pe() + 1) % ctx.n_pes();
                 ctx.put_f64(&sym, right, 0, ctx.my_pe() as f64);
-                ctx.barrier_all();
+                ctx.try_barrier_all().expect("barrier");
                 ctx.get_f64(&sym, ctx.my_pe(), 0)
             })
             .into_result()
@@ -1044,7 +1052,7 @@ mod tests {
             // one local put, one remote put, one remote get
             ctx.put_f64(&sym, ctx.my_pe(), 0, 1.0);
             ctx.put_f64(&sym, 1 - ctx.my_pe(), 1, 2.0);
-            ctx.barrier_all();
+            ctx.try_barrier_all().expect("barrier");
             ctx.get_f64(&sym, 1 - ctx.my_pe(), 0)
         })
         .unwrap();
@@ -1066,7 +1074,7 @@ mod tests {
                     ctx.put_slice_f64(&b, 1, 2, &[5.0, 6.0, 7.0]);
                 }
                 ctx.put_f64(&a, ctx.my_pe(), 0, 1.0 + ctx.my_pe() as f64);
-                ctx.barrier_all();
+                ctx.try_barrier_all().expect("barrier");
                 let mut buf = vec![0.0; 3];
                 ctx.get_slice_f64(&b, 1, 2, &mut buf);
                 // `a` and `b` are distinct storage: b's slice did not
@@ -1095,11 +1103,13 @@ mod tests {
         for on in BOTH {
             let out = launch_on(on, 4, None, |ctx| {
                 let pe = ctx.my_pe();
-                let a = ctx.sum_reduce_f64_at(pe, pe as f64 + 1.0);
-                let b = ctx.sum_reduce_f64_at(pe, 2.0);
+                let a = ctx.sum_reduce_f64_at(pe, pe as f64 + 1.0).expect("reduce");
+                let b = ctx.sum_reduce_f64_at(pe, 2.0).expect("reduce");
                 // Any permutation of the slots reduces to the same set
                 // of partials.
-                let c = ctx.sum_reduce_f64_at((pe + 1) % ctx.n_pes(), pe as f64);
+                let c = ctx
+                    .sum_reduce_f64_at((pe + 1) % ctx.n_pes(), pe as f64)
+                    .expect("reduce");
                 (a, b, c)
             })
             .into_result()
@@ -1154,7 +1164,7 @@ mod tests {
                 panic!("PE 1 exploded");
             }
             // Peers head into a barrier that PE 1 never reaches.
-            ctx.barrier_all();
+            ctx.try_barrier_all()
         })
         .unwrap_err();
         assert!(
@@ -1176,8 +1186,9 @@ mod tests {
             ctx.try_barrier_all()?;
             Ok::<_, SvError>(ctx.my_pe())
         });
-        // The victim carries the typed fault (possibly nested in its own
-        // Ok(Err(..)) body result — here the kill panics, so outer Err).
+        // The victim carries the typed fault as its run's outer Err: a PE
+        // killed at an access is failed for the rest of its run, whatever
+        // its body returns.
         assert_eq!(
             out.results[2].as_ref().unwrap_err(),
             &SvError::PeFailed {
@@ -1232,10 +1243,10 @@ mod tests {
         }
     }
 
-    /// Same epoch agreement when the victim uses the panicking
-    /// `barrier_all`: the victim dies with a typed error while peers on the
-    /// poison-aware path shut down cleanly — all in the same epoch, with no
-    /// deadlock even though the victim never reaches its own poison report.
+    /// Same epoch agreement when the victim propagates the barrier's
+    /// error out of its body: the victim fails with a typed error while
+    /// peers shut down cleanly — all in the same epoch, with no deadlock
+    /// even though the victim never reaches its own poison report.
     #[test]
     fn killed_pe_and_survivors_agree_on_the_poisoned_epoch() {
         const AT: u64 = 5;
@@ -1243,13 +1254,14 @@ mod tests {
         let out = launch_on(ShmemBackend::Thread, 3, Some(plan), |ctx| {
             for _ in 0..16 {
                 if ctx.my_pe() == 1 {
-                    ctx.barrier_all(); // panics at the injected fault
+                    ctx.try_barrier_all()?; // fails at the injected fault
                 } else if ctx.try_barrier_all().is_err() {
-                    return ctx.barrier_epoch();
+                    return Ok(ctx.barrier_epoch());
                 }
             }
-            u64::MAX
-        });
+            Ok::<_, SvError>(u64::MAX)
+        })
+        .flatten();
         assert_eq!(
             out.results[1].as_ref().unwrap_err(),
             &SvError::PeFailed {
@@ -1303,7 +1315,7 @@ mod tests {
             // A clean follow-up launch must work: no poison leaks across
             // worlds.
             let clean = launch(3, |ctx| {
-                ctx.barrier_all();
+                ctx.try_barrier_all().expect("barrier");
                 ctx.my_pe()
             })
             .unwrap();
@@ -1320,13 +1332,14 @@ mod tests {
             let plan = Arc::new(FaultPlan::new().with(0, PeOp::Barrier, 5, FaultAction::Poison));
             let three_barriers = |ctx: &ShmemCtx<'_>| {
                 for _ in 0..3 {
-                    ctx.barrier_all();
+                    ctx.try_barrier_all()?;
                 }
+                Ok::<_, SvError>(())
             };
-            let first = launch_on(on, 2, Some(Arc::clone(&plan)), three_barriers);
+            let first = launch_on(on, 2, Some(Arc::clone(&plan)), three_barriers).flatten();
             assert!(first.first_failure().is_none(), "{on:?}: {first:?}");
             assert_eq!(plan.armed_remaining(), 1, "{on:?}");
-            let second = launch_on(on, 2, Some(Arc::clone(&plan)), three_barriers);
+            let second = launch_on(on, 2, Some(Arc::clone(&plan)), three_barriers).flatten();
             match second.first_failure() {
                 Some(SvError::PeFailed { pe: 0, .. }) => {}
                 other => panic!("{on:?}: expected PE 0 barrier fault in launch 2, got {other:?}"),
@@ -1410,6 +1423,97 @@ mod tests {
         }
     }
 
+    /// A fault at a one-sided access on thread PEs is a value, not an
+    /// unwind. For `Kill`, `Poison`, `Hang` and `Drop` at PE 1's first
+    /// `Put`, through `put_f64` and through `borrow`: the accessor returns
+    /// and the body's next statement runs; the next barrier is
+    /// `PeFailed { pe: 1, op: Put }` on PE 1 and the poisoned report on its
+    /// peer; `into_result` names the `PeFailed`. A killed (poisoned, hung)
+    /// PE is failed for the rest of its run, so its run's own result is
+    /// the failure and its later puts count toward no spec; a dropped
+    /// transfer fails the next barrier only. With no barrier after the
+    /// fault, the PE's run fails all the same.
+    #[test]
+    fn access_faults_are_values_at_the_next_barrier() {
+        let failed = SvError::PeFailed {
+            pe: 1,
+            op: PeOp::Put,
+        };
+        let actions = [
+            FaultAction::Kill,
+            FaultAction::Poison,
+            FaultAction::Hang,
+            FaultAction::Drop,
+        ];
+        for (action, through_borrow) in actions.into_iter().flat_map(|a| [(a, false), (a, true)]) {
+            let what = format!("{action:?}, borrow: {through_borrow}");
+            let dead = action != FaultAction::Drop;
+            // The fault at PE 1's first put; a spec at its second that only
+            // fires if that put still counts.
+            let plan = || {
+                let plan = FaultPlan::new().with(1, PeOp::Put, 1, action);
+                Arc::new(plan.with(1, PeOp::Put, 2, FaultAction::Delay(0)))
+            };
+            let put = |ctx: &ShmemCtx<'_>, sym: &SymF64| {
+                let pe = ctx.my_pe();
+                if through_borrow {
+                    ctx.borrow(&[sym], pe, 0..1, &[PeOp::Put], 1, 8);
+                } else {
+                    ctx.put_f64(sym, pe, 0, 1.0);
+                }
+            };
+            let reached = Mutex::new(Vec::new());
+            let barriers = Mutex::new(vec![None, None]);
+            let with_barrier = plan();
+            let out = launch_on(
+                ShmemBackend::Thread,
+                2,
+                Some(Arc::clone(&with_barrier)),
+                |ctx| {
+                    let sym = ctx.malloc_f64(4)?;
+                    put(ctx, &sym);
+                    reached.lock().unwrap().push(ctx.my_pe());
+                    put(ctx, &sym);
+                    let barrier = ctx.try_barrier_all();
+                    barriers.lock().unwrap()[ctx.my_pe()] = Some(barrier.clone());
+                    barrier.map(|()| ctx.my_pe())
+                },
+            );
+            let mut reached = reached.into_inner().unwrap();
+            reached.sort_unstable();
+            assert_eq!(reached, [0, 1], "{what}: every body went on past its put");
+            let barriers = barriers.into_inner().unwrap();
+            match &barriers[0] {
+                Some(Err(SvError::Shmem(msg))) => {
+                    assert!(msg.contains("poisoned"), "{what}: {msg}")
+                }
+                other => panic!("{what}: PE 0's barrier: {other:?}"),
+            }
+            assert_eq!(
+                barriers[1],
+                Some(Err(failed.clone())),
+                "{what}: PE 1's barrier"
+            );
+            assert_eq!(out.results[1].is_err(), dead, "{what}: {:?}", out.results);
+            let armed = usize::from(dead);
+            assert_eq!(with_barrier.armed_remaining(), armed, "{what}");
+            let root = out.flatten().into_result().map(|_| ()).unwrap_err();
+            assert_eq!(root, failed, "{what}");
+
+            let out = launch_on(ShmemBackend::Thread, 2, Some(plan()), |ctx| {
+                let sym = ctx.malloc_f64(4)?;
+                put(ctx, &sym);
+                Ok::<_, SvError>(7u64)
+            });
+            assert_eq!(out.results[0], Ok(Ok(7)), "{what}: no barrier after it");
+            assert_eq!(
+                out.results[1],
+                Err(failed.clone()),
+                "{what}: no barrier after it"
+            );
+        }
+    }
+
     #[test]
     fn detected_launch_clean_protocol_reports_nothing() {
         // The ring exchange from `symmetric_heap_put_get` is disciplined:
@@ -1418,7 +1522,7 @@ mod tests {
             let sym = ctx.malloc_f64(1).expect("alloc");
             let right = (ctx.my_pe() + 1) % ctx.n_pes();
             ctx.put_f64(&sym, right, 0, ctx.my_pe() as f64);
-            ctx.barrier_all();
+            ctx.try_barrier_all().expect("barrier");
             ctx.get_f64(&sym, ctx.my_pe(), 0)
         })
         .unwrap();
@@ -1435,7 +1539,7 @@ mod tests {
             // in between: words 0..3 and 2..5 collide on word 2.
             let start = 2 * ctx.my_pe();
             ctx.put_slice_f64(&sym, 0, start, &[1.0; 3]);
-            ctx.barrier_all();
+            ctx.try_barrier_all().expect("barrier");
         })
         .unwrap();
         assert!(out.first_failure().is_none(), "{:?}", out.results);
@@ -1455,10 +1559,10 @@ mod tests {
             // Same word of *different* arrays in the same epoch: no race.
             ctx.put_f64(&a, 0, ctx.my_pe(), 1.0);
             ctx.put_f64(&b, 0, 1 - ctx.my_pe(), 1.0);
-            ctx.barrier_all();
+            ctx.try_barrier_all().expect("barrier");
             // Same word of the same array in *different* epochs: no race.
             ctx.put_f64(&a, 0, 0, f64::from(ctx.my_pe() as u32));
-            ctx.barrier_all();
+            ctx.try_barrier_all().expect("barrier");
         })
         .unwrap();
         assert!(out.first_failure().is_none(), "{:?}", out.results);

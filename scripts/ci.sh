@@ -225,20 +225,37 @@ fi
 echo "== engine serving stage (release) =="
 # The one queue and its workers in the build that ships: drain and hard
 # shutdown account for every job, a job parked behind a blocker reports its
-# whole wait, cancellation and deadlines are re-checked at pickup, and a full
-# queue rejects at admission. The drain and cancellation tests park jobs
-# behind a blocker whose length depends on the build; tier-1 runs them only
+# whole wait, so does a sweep point behind the members of its batch before
+# it, cancellation and deadlines are re-checked at pickup, and a full queue
+# rejects at admission. The blockers hold the worker by sleeping in a retry
+# backoff, so the file takes about a second in either build; tier-1 runs it
 # unoptimized.
 cargo test --release -p svsim-engine --test pipeline
 
+# One fault-bench leg: it must exit 0, and since every PE failure is a typed
+# value and a panic in a PE is a bug, it must print no `panicked at` to
+# stderr under RUST_BACKTRACE=1.
+fault_bench() {
+  local err status=0
+  err="$(mktemp)"
+  RUST_BACKTRACE=1 cargo run --release --quiet -- fault-bench "$@" 2>"$err" || status=$?
+  cat "$err" >&2
+  if grep -q "panicked at" "$err"; then
+    echo "fault-bench $*: a panic reached stderr" >&2
+    status=1
+  fi
+  rm -f "$err"
+  [ "$status" -eq 0 ] || exit "$status"
+}
+
 echo "== fault-injection smoke matrix =="
 # Seeded end-to-end recovery: every job checksum under injected faults
-# must match the fault-free reference bit for bit (nonzero exit if not).
+# must match the fault-free reference bit for bit (nonzero exit if not),
+# with no panic on stderr (fault_bench above).
 for seed in 7 23 101; do
   for fault in kill-pe drop-put poison-barrier torn-checkpoint; do
     echo "-- fault-bench --fault $fault --seed $seed"
-    cargo run --release --quiet -- fault-bench \
-      --fault "$fault" --pes 4 --every 2 --seed "$seed" \
+    fault_bench --fault "$fault" --pes 4 --every 2 --seed "$seed" \
       --one-shots 2 --sweeps 2 --attempts 3
   done
 done
@@ -271,8 +288,7 @@ echo "== process-backend kill-fault smoke =="
 # the last checkpoint and match the fault-free checksums bit for bit.
 for seed in 7 23 101; do
   echo "-- fault-bench --fault kill-pe --pe-mode process --seed $seed"
-  cargo run --release --quiet -- fault-bench \
-    --fault kill-pe --pes 4 --pe-mode process --every 2 --seed "$seed" \
+  fault_bench --fault kill-pe --pes 4 --pe-mode process --every 2 --seed "$seed" \
     --one-shots 2 --sweeps 2 --attempts 3
 done
 
@@ -286,15 +302,13 @@ for seed in 7 23 101; do
   for fault in hang-pe kill-pe torn-checkpoint; do
     for recovery in respawn degrade; do
       echo "-- fault-bench --fault $fault --recovery $recovery --seed $seed"
-      cargo run --release --quiet -- fault-bench \
-        --fault "$fault" --pes 4 --pe-mode process --every 2 --seed "$seed" \
+      fault_bench --fault "$fault" --pes 4 --pe-mode process --every 2 --seed "$seed" \
         --hang-ms 1000 --one-shots 2 --sweeps 2 --attempts 3 \
         --recovery "$recovery"
     done
   done
   echo "-- fault-bench --chaos --recovery degrade --seed $seed"
-  cargo run --release --quiet -- fault-bench \
-    --chaos --pes 4 --pe-mode process --every 2 --seed "$seed" \
+  fault_bench --chaos --pes 4 --pe-mode process --every 2 --seed "$seed" \
     --hang-ms 1000 --one-shots 2 --sweeps 2 --attempts 3 \
     --recovery degrade
 done

@@ -583,19 +583,6 @@ fn cmd_fault_bench(flags: &Flags) -> CmdResult {
         .collect::<Result<_, _>>()?;
 
     // --- Faulted run --------------------------------------------------------
-    // Injected PE deaths are panics by design (the launcher converts them
-    // into typed per-PE errors); silence their default backtrace spew so
-    // the bench output stays readable. Real panics still print.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if info
-            .payload()
-            .downcast_ref::<sv_sim::shmem::PeFailure>()
-            .is_none()
-        {
-            default_hook(info);
-        }
-    }));
     // One worker: execution order (and the Exec fault's PE rank) is fixed.
     let engine = Engine::start(EngineConfig {
         workers: 1,
