@@ -625,12 +625,24 @@ mod tests {
         assert!(cp.restore_into(&mut small, &mut cbits, &mut r).is_err());
     }
 
-    /// Fresh scratch directory under the OS temp root; removed up front so
-    /// reruns start clean.
-    fn tmp_store(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("svsim-ckpt-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    /// A scratch directory under the OS temp root, removed when the guard
+    /// drops (also when its test fails).
+    struct TmpStore {
+        path: PathBuf,
+    }
+
+    impl Drop for TmpStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.path);
+        }
+    }
+
+    /// Fresh scratch directory for one test; removed up front so reruns
+    /// start clean, and again when the returned guard drops.
+    fn tmp_store(tag: &str) -> TmpStore {
+        let path = std::env::temp_dir().join(format!("svsim-ckpt-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        TmpStore { path }
     }
 
     fn sample_checkpoint(op: usize, salt: u64) -> Checkpoint {
@@ -657,7 +669,7 @@ mod tests {
     #[test]
     fn store_save_load_roundtrip_including_rng_spare() {
         let dir = tmp_store("roundtrip");
-        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
         let cp = sample_checkpoint(4, 7);
         let g = store.save(&cp).unwrap();
         assert_eq!(g, 0);
@@ -667,14 +679,14 @@ mod tests {
         assert_eq!(g2, 0);
         assert_same(&cp, &latest);
         // Reopening resumes the counter after the newest file.
-        let mut reopened = CheckpointStore::open(&dir).unwrap();
+        let mut reopened = CheckpointStore::open(&dir.path).unwrap();
         assert_eq!(reopened.save(&sample_checkpoint(8, 9)).unwrap(), 1);
     }
 
     #[test]
     fn store_prunes_to_two_generations() {
         let dir = tmp_store("prune");
-        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
         for op in 0..5 {
             store.save(&sample_checkpoint(op, op as u64)).unwrap();
         }
@@ -685,7 +697,7 @@ mod tests {
     #[test]
     fn bit_flip_is_rejected_and_previous_generation_recovers() {
         let dir = tmp_store("bitflip");
-        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
         let good = sample_checkpoint(2, 1);
         store.save(&good).unwrap();
         store.save(&sample_checkpoint(6, 2)).unwrap();
@@ -708,7 +720,7 @@ mod tests {
     #[test]
     fn retired_format_reads_as_bad_magic() {
         let dir = tmp_store("magic");
-        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
         store.save(&sample_checkpoint(2, 1)).unwrap();
         let path = store.gen_path(0);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -739,7 +751,7 @@ mod tests {
     #[test]
     fn truncation_is_rejected_and_previous_generation_recovers() {
         let dir = tmp_store("trunc");
-        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
         let good = sample_checkpoint(2, 3);
         store.save(&good).unwrap();
         store.save(&sample_checkpoint(6, 4)).unwrap();
@@ -757,7 +769,7 @@ mod tests {
     #[test]
     fn stale_generation_under_a_renamed_path_is_rejected() {
         let dir = tmp_store("stale");
-        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
         let good = sample_checkpoint(2, 5);
         store.save(&good).unwrap();
         store.save(&sample_checkpoint(6, 6)).unwrap();
@@ -777,7 +789,7 @@ mod tests {
     #[test]
     fn torn_save_is_rejected_and_previous_generation_recovers() {
         let dir = tmp_store("torn");
-        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
         let good = sample_checkpoint(2, 8);
         store.save(&good).unwrap();
         store.save_torn(&sample_checkpoint(6, 9)).unwrap();
@@ -790,7 +802,7 @@ mod tests {
     #[test]
     fn empty_store_and_all_corrupt_store_are_distinguished() {
         let dir = tmp_store("empty");
-        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
         assert!(
             store.load_latest().unwrap().is_none(),
             "empty store is Ok(None)"

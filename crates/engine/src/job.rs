@@ -94,8 +94,9 @@ pub struct JobRequest {
     /// launches and consulted for `Exec`-level faults. `None` in
     /// production; set by fault-injection tests and `sv-sim fault-bench`.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Recovery path beyond retry-in-place: in-place PE respawn or the
-    /// halve-PEs degradation ladder.
+    /// Recovery path beyond retry-in-place: none, or the halve-PEs
+    /// degradation ladder. In-place PE respawn is budgeted separately, by
+    /// the job's `SimConfig::respawn_max`.
     pub degrade: DegradePolicy,
     /// Directory for a crash-consistent on-disk checkpoint store. When
     /// set, every checkpoint the job captures is persisted as an atomic

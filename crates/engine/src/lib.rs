@@ -11,10 +11,11 @@
 //!   in one bounded, priority-aware queue (first in, first out within a
 //!   priority lane, with occupancy metrics), and each of
 //!   [`EngineConfig::workers`] threads plans, runs and reads back the jobs
-//!   it pops; an [`AllocMode`] budget caps total in-flight state-vector
-//!   bytes at admission, admission is reject-on-full (backpressure is
-//!   explicit, never a silent stall), and the workers persist, so
-//!   simulator setup cost is paid once, not per request;
+//!   it pops; an optional [`EngineConfig::memory_limit`] caps total
+//!   in-flight state-vector bytes at admission, admission is
+//!   reject-on-full (backpressure is explicit, never a silent stall), and
+//!   the workers persist, so simulator setup cost is paid once, not per
+//!   request;
 //! - an **instance pool** reusing `2^n`-amplitude state vectors across
 //!   jobs, keyed by register width: a shelf holds allocations, never
 //!   tenants — each job's simulator is built around a checked-out buffer
@@ -69,14 +70,17 @@
 mod engine;
 mod job;
 mod metrics;
-mod pipeline;
+mod packet;
 mod pool;
+mod queue;
 mod retry;
 mod templates;
+mod worker;
 
 pub use engine::{Engine, EngineConfig};
 pub use job::{JobError, JobHandle, JobId, JobOutput, JobRequest, JobSpec, Priority, SweepReturn};
 pub use metrics::{EngineMetrics, LatencyHistogram, LatencySnapshot, MetricsSnapshot};
-pub use pipeline::{AllocMode, StageSnapshot, SubmitError};
+pub use packet::SubmitError;
+pub use queue::StageSnapshot;
 pub use retry::{retryable, DegradePolicy, RetryPolicy};
 pub use templates::{TemplateId, TemplateInfo, TemplateRegistry};

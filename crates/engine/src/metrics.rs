@@ -1,7 +1,7 @@
 //! Engine observability: lock-free counters, log2-bucketed latency
 //! histograms, and aggregated SHMEM traffic from every job the engine ran.
 
-use crate::pipeline::StageSnapshot;
+use crate::queue::StageSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -293,8 +293,7 @@ pub struct MetricsSnapshot {
     pub mem_in_flight_bytes: u64,
     /// Highest in-flight byte total ever reached.
     pub mem_high_water_bytes: u64,
-    /// The in-flight byte cap, when running under
-    /// [`crate::AllocMode::LimitMemory`].
+    /// The in-flight byte cap, [`crate::EngineConfig::memory_limit`].
     pub mem_limit_bytes: Option<u64>,
 }
 

@@ -1,21 +1,20 @@
 //! Job packets and the in-flight memory budget.
 //!
-//! A job waits in the queue as a [`JobPacket`]: the queued job plus what
-//! admission computed for it (its fingerprints) and the [`BudgetLease`]
-//! pinning its share of the engine's in-flight allocation budget. The
-//! lease is RAII — whatever path a packet takes (published, cancelled,
-//! expired, dropped at shutdown), dropping the packet releases its
-//! budget, so the accounting cannot leak.
+//! A job waits in the queue as a [`JobPacket`]: the request, its result
+//! cell, what admission computed for it (its fingerprints) and the
+//! [`BudgetLease`] pinning its share of the engine's in-flight allocation
+//! budget. The lease is RAII — whatever path a packet takes (published,
+//! cancelled, expired, dropped at shutdown), dropping the packet releases
+//! its budget, so the accounting cannot leak.
 
 use crate::engine::Shared;
 use crate::job::{JobCell, JobError, JobRequest, JobSpec, Priority};
+use crate::queue::StageItem;
 use crate::templates::{TemplateId, TemplateRegistry};
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-use super::stage::StageItem;
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +40,7 @@ pub enum SubmitError {
         failures: u32,
     },
     /// Admitting this job would push the engine's in-flight state-vector
-    /// bytes over the [`crate::AllocMode::LimitMemory`] cap; try again
+    /// bytes over [`crate::EngineConfig::memory_limit`]; try again
     /// once in-flight work drains.
     MemoryExceeded {
         /// Bytes this job would pin while in flight.
@@ -78,44 +77,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A submitted job: the request, its result cell, and when it was admitted.
-#[derive(Debug)]
-pub(crate) struct QueuedJob {
-    pub(crate) request: JobRequest,
-    pub(crate) cell: Arc<JobCell>,
-    pub(crate) enqueued_at: Instant,
-}
-
-impl QueuedJob {
-    /// The template id if this is a sweep job (the coalescing key).
-    pub(crate) fn template(&self) -> Option<TemplateId> {
-        match &self.request.spec {
-            JobSpec::Sweep { template, .. } => Some(*template),
-            JobSpec::OneShot { .. } => None,
-        }
-    }
-}
-
-/// How the engine bounds in-flight work (admitted but not yet published).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocMode {
-    /// At most this many packets in flight; the default is effectively
-    /// unbounded (`usize::MAX`), leaving the queue's capacity as the only
-    /// limit. Exhaustion refuses admission with
-    /// [`SubmitError::QueueFull`].
-    Fixed(usize),
-    /// Cap the total state-vector bytes pinned by in-flight packets
-    /// (16 bytes per amplitude: an f64 real and imaginary plane).
-    /// Exhaustion refuses admission with [`SubmitError::MemoryExceeded`].
-    LimitMemory(u64),
-}
-
-impl Default for AllocMode {
-    fn default() -> Self {
-        Self::Fixed(usize::MAX)
-    }
-}
-
 /// State-vector bytes a job pins while in flight: `16 * 2^n` for the
 /// register it executes on (one-shot width, or the sweep template's).
 pub(crate) fn packet_bytes(spec: &JobSpec, registry: &TemplateRegistry) -> u64 {
@@ -129,52 +90,33 @@ pub(crate) fn packet_bytes(spec: &JobSpec, registry: &TemplateRegistry) -> u64 {
 /// The engine-wide in-flight allocation budget.
 #[derive(Debug)]
 pub(crate) struct MemoryBudget {
-    mode: AllocMode,
-    packets: AtomicU64,
+    limit: Option<u64>,
     bytes: AtomicU64,
     high_water_bytes: AtomicU64,
 }
 
 impl MemoryBudget {
-    pub(crate) fn new(mode: AllocMode) -> Self {
+    pub(crate) fn new(limit: Option<u64>) -> Self {
         Self {
-            mode,
-            packets: AtomicU64::new(0),
+            limit,
             bytes: AtomicU64::new(0),
             high_water_bytes: AtomicU64::new(0),
         }
     }
 
-    /// Reserve `needed` bytes (and one packet slot) for a job about to be
-    /// admitted, or refuse with the mode's typed error. The returned lease
-    /// releases the reservation when dropped.
+    /// Reserve `needed` bytes for a job about to be admitted, or refuse
+    /// with [`SubmitError::MemoryExceeded`] if they would cross the limit.
+    /// The returned lease releases the reservation when dropped.
     pub(crate) fn try_admit(self: &Arc<Self>, needed: u64) -> Result<BudgetLease, SubmitError> {
-        match self.mode {
-            AllocMode::Fixed(max_packets) => {
-                let admitted =
-                    self.packets
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| {
-                            (p < max_packets as u64).then_some(p + 1)
-                        });
-                if admitted.is_err() {
-                    return Err(SubmitError::QueueFull);
-                }
-                self.bytes.fetch_add(needed, Ordering::Relaxed);
-            }
-            AllocMode::LimitMemory(limit) => {
-                let admitted = self
-                    .bytes
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
-                        b.checked_add(needed).filter(|&total| total <= limit)
-                    });
-                if admitted.is_err() {
-                    return Err(SubmitError::MemoryExceeded { needed, limit });
-                }
-                self.packets.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let limit = self.limit.unwrap_or(u64::MAX);
+        let before = self
+            .bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+                b.checked_add(needed).filter(|&total| total <= limit)
+            })
+            .map_err(|_| SubmitError::MemoryExceeded { needed, limit })?;
         self.high_water_bytes
-            .fetch_max(self.bytes.load(Ordering::Relaxed), Ordering::Relaxed);
+            .fetch_max(before + needed, Ordering::Relaxed);
         Ok(BudgetLease {
             budget: Arc::clone(self),
             bytes: needed,
@@ -191,17 +133,14 @@ impl MemoryBudget {
         self.high_water_bytes.load(Ordering::Relaxed)
     }
 
-    /// The byte cap, when running under [`AllocMode::LimitMemory`].
+    /// The byte cap, if there is one.
     pub(crate) fn limit_bytes(&self) -> Option<u64> {
-        match self.mode {
-            AllocMode::Fixed(_) => None,
-            AllocMode::LimitMemory(limit) => Some(limit),
-        }
+        self.limit
     }
 }
 
 /// RAII reservation against the [`MemoryBudget`]; dropping it releases the
-/// packet's bytes and slot, whichever exit path the packet took.
+/// packet's bytes, whichever exit path the packet took.
 pub(crate) struct BudgetLease {
     budget: Arc<MemoryBudget>,
     bytes: u64,
@@ -209,7 +148,6 @@ pub(crate) struct BudgetLease {
 
 impl Drop for BudgetLease {
     fn drop(&mut self) {
-        self.budget.packets.fetch_sub(1, Ordering::Relaxed);
         self.budget.bytes.fetch_sub(self.bytes, Ordering::Relaxed);
     }
 }
@@ -222,11 +160,14 @@ impl std::fmt::Debug for BudgetLease {
     }
 }
 
-/// A job in flight, with what admission computed for it.
+/// A job in flight: the submitted request, its result cell, and what
+/// admission computed for it.
 #[derive(Debug)]
 pub(crate) struct JobPacket {
-    /// The job itself (request, result cell, enqueue instant).
-    pub(crate) job: QueuedJob,
+    pub(crate) request: JobRequest,
+    pub(crate) cell: Arc<JobCell>,
+    /// When admission queued it: the start of its queue wait.
+    pub(crate) enqueued_at: Instant,
     /// Fingerprint computed once at admission (quarantine key); `None`
     /// when quarantining is off.
     pub(crate) fp: Option<u64>,
@@ -247,24 +188,24 @@ impl JobPacket {
     /// deadline at `now`, is finished here with the typed error (and
     /// counted) instead of running; a live one is handed back.
     pub(crate) fn still_wanted(self, shared: &Shared, now: Instant) -> Option<Self> {
-        let waited = now.saturating_duration_since(self.job.enqueued_at);
+        let waited = now.saturating_duration_since(self.enqueued_at);
         shared.metrics.queue_wait.record(waited);
-        let (counter, err) = if self.job.cell.cancelled.load(Ordering::Acquire) {
+        let (counter, err) = if self.cell.cancelled.load(Ordering::Acquire) {
             (&shared.metrics.cancelled, JobError::Cancelled)
-        } else if self.job.request.deadline.is_some_and(|d| now > d) {
+        } else if self.request.deadline.is_some_and(|d| now > d) {
             (&shared.metrics.expired, JobError::Expired)
         } else {
             return Some(self);
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        self.job.cell.finish(Err(err));
+        self.cell.finish(Err(err));
         None
     }
 }
 
 impl StageItem for JobPacket {
     fn lane(&self) -> usize {
-        match self.job.request.priority {
+        match self.request.priority {
             Priority::High => 0,
             Priority::Normal => 1,
             Priority::Low => 2,
@@ -272,7 +213,10 @@ impl StageItem for JobPacket {
     }
 
     fn coalesce_key(&self) -> Option<TemplateId> {
-        self.job.template()
+        match &self.request.spec {
+            JobSpec::Sweep { template, .. } => Some(*template),
+            JobSpec::OneShot { .. } => None,
+        }
     }
 }
 
@@ -282,24 +226,27 @@ mod tests {
 
     #[test]
     fn budget_lease_releases_on_panic_unwind() {
-        // A stage thread that panics mid-packet unwinds the packet — and
-        // with it the lease. The in-flight accounting must return to
-        // zero, or the engine slowly loses admission capacity to every
-        // quarantined job.
-        let budget = Arc::new(MemoryBudget::new(AllocMode::LimitMemory(1 << 20)));
-        let b2 = Arc::clone(&budget);
-        let unwound = std::panic::catch_unwind(move || {
-            let _lease = b2.try_admit(4096).expect("well under the limit");
-            panic!("stage thread dies holding a lease");
-        });
-        assert!(unwound.is_err());
-        assert_eq!(budget.in_flight_bytes(), 0, "lease leaked on unwind");
-        assert_eq!(budget.high_water_bytes(), 4096, "reservation was real");
+        // A worker that panics mid-packet unwinds the packet — and with it
+        // the lease. The in-flight accounting must return to zero, or the
+        // engine slowly loses admission capacity to every quarantined job;
+        // with a limit and without (the default budget, whose high-water
+        // mark the metrics report all the same).
+        for limit in [Some(1 << 20), None] {
+            let budget = Arc::new(MemoryBudget::new(limit));
+            let b2 = Arc::clone(&budget);
+            let unwound = std::panic::catch_unwind(move || {
+                let _lease = b2.try_admit(4096).expect("well under the limit");
+                panic!("worker dies holding a lease");
+            });
+            assert!(unwound.is_err());
+            assert_eq!(budget.in_flight_bytes(), 0, "lease leaked on unwind");
+            assert_eq!(budget.high_water_bytes(), 4096, "reservation was real");
+        }
     }
 
     #[test]
     fn memory_budget_refuses_and_rolls_back_cleanly() {
-        let budget = Arc::new(MemoryBudget::new(AllocMode::LimitMemory(1000)));
+        let budget = Arc::new(MemoryBudget::new(Some(1000)));
         let held = budget.try_admit(800).expect("fits");
         let err = budget.try_admit(300).expect_err("would exceed the cap");
         assert!(matches!(

@@ -7,7 +7,7 @@
 //! sweep points of one template. It keeps its own occupancy statistics so
 //! operators can see how deep jobs pile up.
 
-use super::packet::SubmitError;
+use crate::packet::SubmitError;
 use crate::templates::TemplateId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +34,7 @@ pub(crate) struct StageStats {
 /// Point-in-time view of the engine's queue, for [`crate::MetricsSnapshot`].
 #[derive(Debug, Clone, Copy)]
 pub struct StageSnapshot {
-    /// Queue name: "admit".
+    /// Queue name: always "admit", the name metric readers look up.
     pub name: &'static str,
     /// Packets queued right now.
     pub depth: usize,
@@ -66,7 +66,6 @@ impl<T> Lanes<T> {
 /// One bounded, priority-aware queue.
 #[derive(Debug)]
 pub(crate) struct StageQueue<T> {
-    name: &'static str,
     inner: Mutex<Lanes<T>>,
     /// Signals consumers: work available or queue closed.
     work: Condvar,
@@ -75,9 +74,8 @@ pub(crate) struct StageQueue<T> {
 }
 
 impl<T: StageItem> StageQueue<T> {
-    pub(crate) fn new(name: &'static str, capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
-            name,
             inner: Mutex::new(Lanes {
                 lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
                 closed: false,
@@ -186,7 +184,7 @@ impl<T: StageItem> StageQueue<T> {
     /// Point-in-time occupancy view.
     pub(crate) fn snapshot(&self) -> StageSnapshot {
         StageSnapshot {
-            name: self.name,
+            name: "admit",
             depth: self.len(),
             high_water: self.stats.high_water.load(Ordering::Relaxed),
             pushed: self.stats.pushed.load(Ordering::Relaxed),
@@ -245,7 +243,7 @@ mod tests {
 
     #[test]
     fn fifo_preserves_order_within_each_lane() {
-        let q = StageQueue::new("test", 16);
+        let q = StageQueue::new(16);
         q.try_push(Item::plain(1, 2)).unwrap();
         q.try_push(Item::plain(2, 0)).unwrap();
         q.try_push(Item::plain(3, 2)).unwrap();
@@ -258,7 +256,7 @@ mod tests {
         // Sweep points of template 7 sit in all three lanes, interleaved
         // with other traffic. One batch must collect exactly the
         // template-7 points (lane order preserved) and leave the rest.
-        let q = StageQueue::new("test", 16);
+        let q = StageQueue::new(16);
         q.try_push(Item::keyed(1, 0, 7)).unwrap();
         q.try_push(Item::plain(2, 0)).unwrap();
         q.try_push(Item::keyed(3, 1, 7)).unwrap();
@@ -279,7 +277,7 @@ mod tests {
         // coalescing must not assemble a batch from points submitted
         // after it (that inflates the one-shot's tail latency). Points of
         // a *different* template may be skipped over — they batch later.
-        let q = StageQueue::new("test", 16);
+        let q = StageQueue::new(16);
         q.try_push(Item::keyed(1, 1, 7)).unwrap();
         q.try_push(Item::keyed(2, 1, 9)).unwrap();
         q.try_push(Item::plain(3, 1)).unwrap();
@@ -293,7 +291,7 @@ mod tests {
 
     #[test]
     fn pop_batch_respects_max_batch_and_uncoalescable_heads() {
-        let q = StageQueue::new("test", 16);
+        let q = StageQueue::new(16);
         for id in 1..=4 {
             q.try_push(Item::keyed(id, 1, 3)).unwrap();
         }
@@ -309,7 +307,7 @@ mod tests {
 
     #[test]
     fn rejection_and_occupancy_stats_track_the_edge() {
-        let q = StageQueue::new("test", 2);
+        let q = StageQueue::new(2);
         q.try_push(Item::plain(1, 1)).unwrap();
         q.try_push(Item::plain(2, 1)).unwrap();
         let err = q.try_push(Item::plain(3, 1)).unwrap_err();

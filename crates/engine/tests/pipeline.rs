@@ -1,4 +1,4 @@
-//! Serving-stage integration tests: drain and hard shutdown, the
+//! Serving-stage integration tests: drain, hard shutdown and drop, the
 //! cancellation/deadline re-check at pickup, the bounded queue's
 //! backpressure, and the in-flight memory budget.
 
@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svsim_core::{ParamCircuit, ParamValue, SimConfig};
 use svsim_engine::{
-    AllocMode, Engine, EngineConfig, JobError, JobRequest, JobSpec, MetricsSnapshot, Priority,
-    RetryPolicy, StageSnapshot, SubmitError, SweepReturn,
+    Engine, EngineConfig, JobError, JobRequest, JobSpec, MetricsSnapshot, Priority, RetryPolicy,
+    StageSnapshot, SubmitError, SweepReturn,
 };
 use svsim_ir::{Circuit, GateKind};
 use svsim_shmem::{FaultAction, FaultPlan};
@@ -366,7 +366,45 @@ fn shutdown_now_accounts_for_every_submitted_job() {
     assert_eq!(metrics.failed, 0);
 }
 
-/// Under `AllocMode::LimitMemory`, total in-flight state-vector bytes never
+/// Dropping a running engine without a shutdown call stops it as
+/// `shutdown_now` does: the jobs parked in the queue fail with `Shutdown`,
+/// the job in the worker's hands runs to completion and publishes, and
+/// `drop` returns only once the worker has joined, so every handle is
+/// already resolved when it does.
+#[test]
+fn dropping_the_engine_resolves_every_handle_before_it_returns() {
+    let engine = Engine::start(EngineConfig {
+        workers: 1,
+        max_batch: 1,
+        queue_capacity: 3,
+        ..EngineConfig::default()
+    });
+    let fast = Arc::new(ghz_with_measure(4));
+    let config = SimConfig::single_device();
+    let in_hand = engine.submit(blocker(&fast, config)).unwrap();
+    wait_for(&engine, "the worker to pick up the blocker", |m| {
+        admit(m).popped == 1
+    });
+    let parked: Vec<_> = (0..3)
+        .map(|_| engine.submit(one_shot(&fast, config)).unwrap())
+        .collect();
+    let m = engine.metrics();
+    assert_eq!(
+        (admit(&m).depth, m.completed),
+        (3, 0),
+        "the blocker must still be running with every job parked"
+    );
+    drop(engine);
+    assert!(
+        matches!(in_hand.try_take(), Some(Ok(_))),
+        "the job in hand published before drop returned"
+    );
+    for h in parked {
+        assert!(matches!(h.try_take(), Some(Err(JobError::Shutdown))));
+    }
+}
+
+/// Under `EngineConfig::memory_limit`, total in-flight state-vector bytes never
 /// exceed the cap across 100 mixed-size jobs, and a job too large for the
 /// cap on its own is refused outright with the typed error.
 #[test]
@@ -374,7 +412,7 @@ fn limit_memory_caps_in_flight_bytes() {
     const CAP: u64 = 64 * 1024; // exactly one 12-qubit register
     let engine = Engine::start(EngineConfig {
         workers: 2,
-        alloc: AllocMode::LimitMemory(CAP),
+        memory_limit: Some(CAP),
         ..EngineConfig::default()
     });
     let config = SimConfig::single_device();

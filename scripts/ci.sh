@@ -10,6 +10,21 @@ cargo build --release
 echo "== tier-1: test suite (workspace) =="
 cargo test --workspace -q
 
+echo "== checkpoint tests leave no temp files =="
+# The checkpoint store's unit tests write real generations to disk. Each
+# test's scratch directory must be gone when the test ends, or every run
+# leaves eight more in the OS temp dir: run them with TMPDIR pointed at an
+# empty directory, and require it empty afterwards.
+ckpt_tmp="$(mktemp -d)"
+TMPDIR="$ckpt_tmp" cargo test -q -p svsim-core --lib checkpoint
+left="$(ls -A "$ckpt_tmp")"
+rm -rf "$ckpt_tmp"
+if [ -n "$left" ]; then
+  echo "the checkpoint tests left in TMPDIR:" >&2
+  echo "$left" >&2
+  exit 1
+fi
+
 echo "== rustfmt =="
 cargo fmt --all --check
 
