@@ -158,14 +158,6 @@ impl Checkpoint {
         (self.re.len() + self.im.len()) as u64 * 8 + 3 * 8
     }
 
-    /// Number of amplitudes in the captured state (the state-vector
-    /// dimension `2^n`); dimension check before adopting a checkpoint into
-    /// a differently-partitioned simulator.
-    #[must_use]
-    pub fn n_amplitudes(&self) -> usize {
-        self.re.len()
-    }
-
     /// Recompute the checksum and compare with the stored one.
     ///
     /// # Errors
@@ -485,7 +477,7 @@ impl CheckpointStore {
     /// the whole-file checksum, carries the wrong embedded generation
     /// number (stale file under a renamed path), or fails the payload
     /// digest.
-    pub fn load_generation(&self, generation: u64) -> SvResult<Checkpoint> {
+    fn load_generation(&self, generation: u64) -> SvResult<Checkpoint> {
         let bytes = std::fs::read(self.gen_path(generation)).map_err(|e| {
             SvError::Checkpoint(format!("generation {generation}: cannot read: {e}"))
         })?;

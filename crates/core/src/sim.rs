@@ -53,7 +53,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Checkpoint the amplitudes every this many circuit ops (0 disables
     /// checkpointing). A checkpointed run executes in segments and keeps
-    /// the last good [`Checkpoint`] for [`Simulator::restore`].
+    /// the last good [`Checkpoint`], where [`RunStart::LastCheckpoint`]
+    /// resumes.
     pub checkpoint_every: u32,
     /// Run partitioned launches (scale-up and scale-out) under the dynamic
     /// race detector: every access to the state is recorded against
@@ -163,7 +164,13 @@ impl SimConfig {
 pub enum RunStart {
     /// Op 0, against the state as it stands.
     Fresh,
-    /// The last good checkpoint, restored (and verified) first.
+    /// The resume point of a retried run, the first of these that exists:
+    /// the in-memory checkpoint, if it verifies; else the attached
+    /// [`CheckpointStore`]'s newest loadable generation
+    /// ([`CheckpointStore::load_latest`], which falls back over corrupt
+    /// ones); else op 0 of a fresh simulator (`|0...0>`, classical register
+    /// 0, RNG rewound to [`SimConfig::seed`], store and fault plan still
+    /// attached).
     LastCheckpoint,
 }
 
@@ -286,7 +293,7 @@ pub struct Simulator {
     checkpoint: Option<Checkpoint>,
     /// Crash-consistent on-disk store: when attached, every captured
     /// checkpoint is also persisted as a new generation, and
-    /// [`Simulator::recover_checkpoint_from_store`] can reload after the
+    /// [`RunStart::LastCheckpoint`] reloads the newest one when the
     /// in-memory copy is lost.
     store: Option<CheckpointStore>,
 }
@@ -383,14 +390,16 @@ impl Simulator {
     /// the same fixed checkpoint grid as execution, so a resumed run
     /// resolves its remaining segments directly from the plan.
     ///
-    /// From [`RunStart::LastCheckpoint`] the caller must pass the same
-    /// circuit the interrupted run was given; the completed run is
-    /// bit-identical to an uninterrupted one.
+    /// From [`RunStart::LastCheckpoint`] the run starts at the first of: the
+    /// in-memory checkpoint, if it verifies; the attached store's newest
+    /// loadable generation; op 0 of a fresh simulator. This is the one
+    /// resume rule — a retry passes it whatever the failure lost. The
+    /// caller must pass the same circuit the interrupted run was given; the
+    /// completed run is bit-identical to an uninterrupted one.
     ///
     /// # Errors
-    /// As [`Self::run`]; from a checkpoint also as [`Self::restore`], and
-    /// when the checkpoint lies beyond the circuit's end (it belongs to a
-    /// different circuit).
+    /// As [`Self::run`], and when the checkpoint resumed from lies beyond
+    /// the circuit's end (it belongs to a different circuit).
     pub fn run_from(
         &mut self,
         circuit: &Circuit,
@@ -401,7 +410,7 @@ impl Simulator {
         let (start_op, cbits) = match start {
             RunStart::Fresh => (0, 0),
             RunStart::LastCheckpoint => {
-                let start_op = self.restore()?;
+                let start_op = self.resume();
                 if start_op > circuit.ops().len() {
                     return Err(SvError::InvalidConfig(format!(
                         "checkpoint at op {} lies beyond the {}-op circuit",
@@ -501,8 +510,9 @@ impl Simulator {
     /// [`FaultAction::TornCheckpoint`] spec in the fault plan makes the
     /// write crash mid-rename — half the bytes land at the final path, the
     /// in-memory checkpoint is dropped (the "process" died before it was
-    /// adopted), and the run surfaces a typed [`SvError::Checkpoint`] so
-    /// the engine exercises the store's previous-generation fallback.
+    /// adopted), and the run surfaces a typed [`SvError::Checkpoint`], so a
+    /// retry at [`RunStart::LastCheckpoint`] resumes from the store's
+    /// previous generation.
     fn persist_checkpoint(&mut self, cp: &Checkpoint) -> SvResult<()> {
         let Some(store) = self.store.as_mut() else {
             return Ok(());
@@ -525,13 +535,34 @@ impl Simulator {
         Ok(())
     }
 
+    /// Rewind to the resume point of [`RunStart::LastCheckpoint`] and
+    /// return the op index it lies at.
+    fn resume(&mut self) -> usize {
+        if let Ok(op_index) = self.restore() {
+            return op_index;
+        }
+        let stored = self
+            .store
+            .as_ref()
+            .and_then(|s| s.load_latest().ok().flatten());
+        if let Some((_generation, cp)) = stored {
+            self.checkpoint = Some(cp);
+            if let Ok(op_index) = self.restore() {
+                return op_index;
+            }
+        }
+        self.reset_state();
+        self.rng = SvRng::seed_from_u64(self.config.seed);
+        0
+    }
+
     /// Rewind state, classical bits and RNG to the last good checkpoint
     /// after verifying its checksum; returns the op index to resume from.
     ///
     /// # Errors
     /// No checkpoint exists, the checksum does not match (corruption), or
     /// the dimensions disagree.
-    pub fn restore(&mut self) -> SvResult<usize> {
+    fn restore(&mut self) -> SvResult<usize> {
         let cp = self.checkpoint.take().ok_or_else(|| {
             SvError::InvalidConfig(
                 "no checkpoint to restore from (run with checkpoint_every > 0 first)".into(),
@@ -566,7 +597,7 @@ impl Simulator {
     /// Reset to `|0...0>` and clear classical bits. Reinitializes the
     /// existing state vector in place — no reallocation. Drops any
     /// checkpoint (it no longer describes the state).
-    pub fn reset_state(&mut self) {
+    fn reset_state(&mut self) {
         self.state.reset_zero();
         self.cbits = 0;
         self.checkpoint = None;
@@ -577,10 +608,8 @@ impl Simulator {
     /// indistinguishable from `Simulator::new` with the same config but
     /// keeps its state-vector allocation.
     pub fn reset(&mut self) {
-        self.state.reset_zero();
-        self.cbits = 0;
+        self.reset_state();
         self.rng = SvRng::seed_from_u64(self.config.seed);
-        self.checkpoint = None;
         self.fault_plan = None;
         self.store = None;
     }
@@ -610,60 +639,24 @@ impl Simulator {
         self.store.as_ref()
     }
 
-    /// Detach and return the in-memory checkpoint (e.g. to transplant it
-    /// into a differently-partitioned simulator — checkpoints are full
-    /// global state and PE-count independent).
-    pub fn take_checkpoint(&mut self) -> Option<Checkpoint> {
-        self.checkpoint.take()
-    }
-
-    /// Adopt an externally produced checkpoint (verified first) as this
-    /// simulator's resume point. Used by the degradation path: a
-    /// checkpoint taken at `n` PEs resumes on a simulator partitioned at
-    /// `n/2`.
+    /// Re-partition the simulator across `backend`'s workers in place
+    /// (the degradation ladder's step to half the PEs). The state buffer,
+    /// checkpoint, store, fault plan, RNG and classical register stay:
+    /// checkpoints are full global state, PE-count independent, so
+    /// [`RunStart::LastCheckpoint`] resumes on the new partitioning
+    /// bit-identically.
     ///
     /// # Errors
-    /// The checkpoint's payload digest does not verify, or its dimensions
-    /// disagree with this simulator's state vector.
-    pub fn adopt_checkpoint(&mut self, cp: Checkpoint) -> SvResult<()> {
-        cp.verify()?;
-        if cp.n_amplitudes() != self.state.dim() {
-            return Err(SvError::InvalidConfig(format!(
-                "checkpoint holds {} amplitudes but the simulator holds {}",
-                cp.n_amplitudes(),
-                self.state.dim()
-            )));
-        }
-        self.checkpoint = Some(cp);
-        Ok(())
-    }
-
-    /// Reload the newest loadable generation from the attached store into
-    /// the in-memory checkpoint slot, falling back over corrupt
-    /// generations. Returns `Ok(true)` when a checkpoint was recovered,
-    /// `Ok(false)` when no store is attached or the store is empty.
-    ///
-    /// # Errors
-    /// Generations exist but none loads cleanly, or the recovered
-    /// checkpoint's dimensions disagree with this simulator.
-    pub fn recover_checkpoint_from_store(&mut self) -> SvResult<bool> {
-        let Some(store) = self.store.as_ref() else {
-            return Ok(false);
+    /// The register width cannot be partitioned across `backend`
+    /// ([`SimConfig::check_width`]); the simulator is left as it was.
+    pub fn repartition(&mut self, backend: BackendKind) -> SvResult<()> {
+        let config = SimConfig {
+            backend,
+            ..self.config
         };
-        match store.load_latest()? {
-            None => Ok(false),
-            Some((_generation, cp)) => {
-                if cp.n_amplitudes() != self.state.dim() {
-                    return Err(SvError::Checkpoint(format!(
-                        "recovered checkpoint holds {} amplitudes but the simulator holds {}",
-                        cp.n_amplitudes(),
-                        self.state.dim()
-                    )));
-                }
-                self.checkpoint = Some(cp);
-                Ok(true)
-            }
-        }
+        config.check_width(self.state.n_qubits())?;
+        self.config = config;
+        Ok(())
     }
 
     /// [`Digest`](crate::checkpoint::Digest) of the current amplitudes
@@ -729,14 +722,6 @@ impl Simulator {
     #[must_use]
     pub fn expval_pauli(&self, string: &PauliString) -> f64 {
         measure::expval_pauli(&self.state, string)
-    }
-
-    /// Overwrite the state (for workloads that prepare ansätze externally).
-    ///
-    /// # Errors
-    /// Length mismatch.
-    pub fn set_state(&mut self, amps: &[Complex64]) -> SvResult<()> {
-        self.state.set_complex(amps)
     }
 }
 
@@ -1031,7 +1016,7 @@ mod tests {
                 }
             })
             .collect();
-        sim.set_state(&garbage).unwrap();
+        sim.state.set_complex(&garbage).unwrap();
         assert_ne!(sim.state_checksum(), checksum);
         let op_index = sim.restore().unwrap();
         assert_eq!(op_index, c.ops().len());
@@ -1050,6 +1035,43 @@ mod tests {
         assert!(sim.restore().is_err());
         sim.run(&ghz(2)).unwrap(); // checkpointing disabled
         assert!(sim.restore().is_err());
+    }
+
+    #[test]
+    fn resume_without_a_checkpoint_reruns_from_op_0() {
+        // Measurement and sampling draw from the RNG (the state stays spread
+        // over 8 outcomes), so a resume that did not rewind it to the seed
+        // would collapse or sample differently from a fresh run.
+        let mut c = Circuit::with_cbits(4, 1);
+        for q in 0..4 {
+            c.apply(GateKind::H, &[q], &[]).unwrap();
+        }
+        c.measure(0, 0).unwrap();
+        let config = SimConfig {
+            seed: 11,
+            ..SimConfig::scale_out(2)
+        };
+        let mut fresh = Simulator::new(4, config).unwrap();
+        let want = fresh.run(&c).unwrap();
+        let want_samples = fresh.sample(32);
+        let plan = Arc::new(FaultPlan::new());
+        let mut sim = Simulator::new(4, config).unwrap();
+        sim.set_fault_plan(Some(Arc::clone(&plan)));
+        // Each round's sampling advances the RNG the next resume rewinds.
+        for round in 0..3 {
+            let got = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
+            assert_eq!(got.cbits, want.cbits, "round {round}");
+            assert_eq!(sim.state().re(), fresh.state().re(), "round {round}");
+            assert_eq!(sim.state().im(), fresh.state().im(), "round {round}");
+            assert_eq!(sim.sample(32), want_samples, "round {round}");
+        }
+        assert!(sim.checkpoint().is_none());
+        assert!(
+            sim.fault_plan
+                .as_ref()
+                .is_some_and(|p| Arc::ptr_eq(p, &plan)),
+            "the fault plan stays attached"
+        );
     }
 
     #[test]
@@ -1143,9 +1165,11 @@ mod tests {
         ))));
         faulted.run(&c).unwrap_err();
         let cp = faulted
-            .take_checkpoint()
+            .checkpoint
+            .take()
             .expect("the first segment committed");
         assert_eq!(cp.op_index(), 3);
+        cp.verify().unwrap();
 
         let mut sim = Simulator::new(
             4,
@@ -1155,7 +1179,7 @@ mod tests {
             },
         )
         .unwrap();
-        sim.adopt_checkpoint(cp).unwrap();
+        sim.checkpoint = Some(cp);
         let summary = sim.run_from(&c, None, RunStart::LastCheckpoint).unwrap();
         assert_eq!(summary.cbits, ref_summary.cbits);
         assert_eq!(sim.state_checksum(), reference.state_checksum());

@@ -242,7 +242,7 @@ impl Engine {
                 circuit_fp,
                 lease,
             };
-            self.shared.queue.try_push(pkt).map_err(|(e, _pkt)| e)
+            self.shared.queue.try_push(pkt)
         });
         match admitted {
             Ok(()) => {

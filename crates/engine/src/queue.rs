@@ -86,18 +86,15 @@ impl<T: StageItem> StageQueue<T> {
         }
     }
 
-    /// Admit an item or refuse immediately.
-    // Rejection hands the item back by value so the caller can fail its
-    // handle without an allocation on the admission path.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn try_push(&self, item: T) -> Result<(), (SubmitError, T)> {
+    /// Admit an item or refuse immediately; a refused item is dropped.
+    pub(crate) fn try_push(&self, item: T) -> Result<(), SubmitError> {
         let mut inner = self.inner.lock().expect("stage queue lock");
         if inner.closed {
-            return Err((SubmitError::ShuttingDown, item));
+            return Err(SubmitError::ShuttingDown);
         }
         if inner.len() >= self.capacity {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err((SubmitError::QueueFull, item));
+            return Err(SubmitError::QueueFull);
         }
         inner.lanes[item.lane().min(2)].push_back(item);
         self.stats.pushed.fetch_add(1, Ordering::Relaxed);
@@ -311,7 +308,7 @@ mod tests {
         q.try_push(Item::plain(1, 1)).unwrap();
         q.try_push(Item::plain(2, 1)).unwrap();
         let err = q.try_push(Item::plain(3, 1)).unwrap_err();
-        assert!(matches!(err.0, SubmitError::QueueFull));
+        assert!(matches!(err, SubmitError::QueueFull));
         let s = q.snapshot();
         assert_eq!((s.pushed, s.rejected, s.depth, s.high_water), (2, 1, 2, 2));
     }

@@ -21,8 +21,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use svsim_core::{
-    measure, BackendKind, Checkpoint, CheckpointStore, CompiledPlan, Digest, RunStart, SimConfig,
-    Simulator,
+    measure, BackendKind, CheckpointStore, CompiledPlan, Digest, RunStart, SimConfig, Simulator,
 };
 use svsim_ir::Circuit;
 use svsim_shmem::FaultAction;
@@ -133,12 +132,11 @@ pub(crate) fn worker_loop(shared: &Shared, max_batch: usize, worker: usize) {
 /// lowering, bit-identically. Then retry-in-place and the self-healing
 /// ladder: a transient failure (PE death or hang, barrier expiry, SHMEM
 /// breakdown, torn checkpoint write, worker panic) backs off
-/// deterministically and re-attempts — resuming from the last good
-/// checkpoint when one exists (in memory or recovered from the job's
-/// on-disk store), rerunning from scratch otherwise. Under
-/// [`DegradePolicy::HalvePes`], repeated failures at one width
-/// re-partition the job at half the PEs and transplant the checkpoint
-/// into the narrower world.
+/// deterministically and re-attempts at [`RunStart::LastCheckpoint`],
+/// which decides where the retry starts (the in-memory checkpoint, the
+/// job's on-disk store, or op 0). Under [`DegradePolicy::HalvePes`],
+/// repeated failures at one width re-partition the job's simulator at half
+/// the PEs in place ([`Simulator::repartition`]), keeping its checkpoint.
 ///
 /// On success it reads back: samples, clones the requested state, and
 /// returns the state buffer to the pool — *before* the caller publishes,
@@ -164,53 +162,36 @@ fn run_one_shot(shared: &Shared, pkt: &JobPacket, worker: usize) -> Result<JobOu
     let mut run = OneShotRun {
         effective: *config,
         rung_failures: 0,
-        carried: None,
         sim: None,
     };
     let attempt = |run: &mut OneShotRun, n: u32| {
         // The job's simulator lives in this frame while it runs, so an
         // attempt that panics or bails out drops it — it may be
-        // mid-mutation and is never reused — and the next builds afresh.
+        // mid-mutation and is never reused — and the next builds afresh,
+        // resuming from the job's on-disk store when it has one.
         let mut s = match run.sim.take() {
             Some(s) => s,
-            None => shared.pool.simulator(circuit.n_qubits(), run.effective)?,
-        };
-        // Rewind a retry that has nothing to resume from; a verified
-        // checkpoint instead resumes mid-circuit.
-        let mut resumable = n > 1 && s.checkpoint().is_some_and(|cp| cp.verify().is_ok());
-        if let Some(cp) = run.carried.take() {
-            // Checkpoints are full global state (PE-count independent), so
-            // the degraded world adopts the wider world's progress as-is.
-            s.adopt_checkpoint(cp)?;
-            resumable = true;
-        }
-        if n > 1 && !resumable {
-            s.reset();
-        }
-        if let Some(dir) = &request.checkpoint_dir {
-            // (Re)open the store every attempt: `reset` detaches it, and
-            // `open` resumes the generation counter from the directory.
-            s.set_checkpoint_store(Some(CheckpointStore::open(dir.clone())?));
-            if n > 1 && !resumable {
-                // The in-memory checkpoint is gone (torn write, panic,
-                // degradation): fall back to the newest loadable on-disk
-                // generation. An unrecoverable store reruns from scratch.
-                resumable = s.recover_checkpoint_from_store().unwrap_or(false);
+            None => {
+                let mut s = shared.pool.simulator(circuit.n_qubits(), run.effective)?;
+                if let Some(dir) = &request.checkpoint_dir {
+                    s.set_checkpoint_store(Some(CheckpointStore::open(dir.clone())?));
+                }
+                s.set_fault_plan(request.fault_plan.clone());
+                s
             }
-        }
-        s.set_fault_plan(request.fault_plan.clone());
-        let start = if resumable {
-            RunStart::LastCheckpoint
-        } else {
+        };
+        let start = if n == 1 {
             RunStart::Fresh
+        } else {
+            RunStart::LastCheckpoint
         };
         let ran = s.run_from(circuit, Some(&plan), start);
         run.sim = Some(s);
         ran
     };
     // The degradation ladder: enough failures at this width step the job
-    // down to half the PEs, carrying its last good checkpoint into the
-    // narrower world (8 → 4 → 2 → 1, floored at `min_pes`).
+    // down to half the PEs, re-partitioning its simulator in place with
+    // its last good checkpoint (8 → 4 → 2 → 1, floored at `min_pes`).
     let step_down = |run: &mut OneShotRun| {
         let DegradePolicy::HalvePes {
             failures_per_rung,
@@ -229,12 +210,13 @@ fn run_one_shot(shared: &Shared, pkt: &JobPacket, worker: usize) -> Result<JobOu
         if n_pes / 2 < min_pes.max(1) {
             return;
         }
-        run.carried = run
-            .sim
-            .take()
-            .and_then(|mut sim| sim.take_checkpoint())
-            .filter(|cp| cp.verify().is_ok());
-        run.effective.backend = BackendKind::ScaleOut { n_pes: n_pes / 2 };
+        let half = BackendKind::ScaleOut { n_pes: n_pes / 2 };
+        if let Some(sim) = &mut run.sim {
+            if sim.repartition(half).is_err() {
+                return;
+            }
+        }
+        run.effective.backend = half;
         run.rung_failures = 0;
         shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
     };
@@ -307,11 +289,8 @@ struct OneShotRun {
     /// degradation ladder narrows it without touching the submitted spec.
     effective: SimConfig,
     rung_failures: u32,
-    /// Checkpoint carried across a degradation step into the next
-    /// (half-width) simulator.
-    carried: Option<Checkpoint>,
-    /// `None` before the first attempt, after a degradation step, and
-    /// after an attempt that did not return normally.
+    /// `None` before the first attempt and after an attempt that did not
+    /// return normally.
     sim: Option<Simulator>,
 }
 

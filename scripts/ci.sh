@@ -328,4 +328,17 @@ for seed in 7 23 101; do
     --recovery degrade
 done
 
+echo "== thread-PE degradation smoke =="
+# The halve-PEs ladder on thread PEs, which run under the race detector:
+# the degraded simulator keeps its checkpoint (and, for a torn write,
+# resumes from the store's previous generation) and must still match the
+# fault-free checksums with no race recorded.
+for seed in 7 23 101; do
+  for fault in kill-pe torn-checkpoint; do
+    echo "-- fault-bench --fault $fault --recovery degrade --seed $seed"
+    fault_bench --fault "$fault" --recovery degrade --pes 4 --every 2 --seed "$seed" \
+      --one-shots 2 --sweeps 2 --attempts 3
+  done
+done
+
 echo "ci: all gates passed"

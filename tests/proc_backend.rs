@@ -452,10 +452,6 @@ fn torn_checkpoint_recovers_from_previous_generation_on_both_backends() {
             sim.checkpoint().is_none(),
             "the in-memory checkpoint must be lost with the crash"
         );
-        assert!(
-            sim.recover_checkpoint_from_store().unwrap(),
-            "the previous good generation must load ({backend:?})"
-        );
         let summary = sim
             .run_from(&circuit, None, RunStart::LastCheckpoint)
             .unwrap();
@@ -465,6 +461,14 @@ fn torn_checkpoint_recovers_from_previous_generation_on_both_backends() {
             "recovered state diverged ({backend:?})"
         );
         assert_eq!(summary.cbits, ref_summary.cbits, "{backend:?}");
+        // Resumed mid-circuit from the store's previous good generation: it
+        // captured fewer checkpoints than a run from op 0.
+        assert!(
+            summary.checkpoint_bytes < ref_summary.checkpoint_bytes,
+            "the previous good generation must load ({backend:?}): {} >= {}",
+            summary.checkpoint_bytes,
+            ref_summary.checkpoint_bytes
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -584,14 +588,16 @@ fn degradation_ladder_halves_pes_and_stays_bit_identical() {
         ..SimConfig::scale_out(4)
     };
     let mut reference = Simulator::new(6, config).unwrap();
-    reference.run(&circuit).unwrap();
+    let ref_summary = reference.run(&circuit).unwrap();
     let ref_checksum = state_checksum(reference.state());
 
     let engine = Engine::start(EngineConfig {
         workers: 1,
         ..EngineConfig::default()
     });
-    let plan = Arc::new(FaultPlan::new().with(None, PeOp::Put, 3, FaultAction::Kill));
+    // The first segment passes 8 borrows (two kernels on each of 4 PEs), so
+    // the 9th kills a PE in the second, after the checkpoint at op 2.
+    let plan = Arc::new(FaultPlan::new().with(None, PeOp::Put, 9, FaultAction::Kill));
     let handle = engine
         .submit(JobRequest {
             retry: RetryPolicy {
@@ -611,7 +617,8 @@ fn degradation_ladder_halves_pes_and_stays_bit_identical() {
             })
         })
         .unwrap();
-    let JobOutput::OneShot { state, .. } = handle.wait().expect("degraded job must complete")
+    let JobOutput::OneShot { summary, state, .. } =
+        handle.wait().expect("degraded job must complete")
     else {
         panic!("one-shot output expected");
     };
@@ -619,6 +626,14 @@ fn degradation_ladder_halves_pes_and_stays_bit_identical() {
     assert_eq!(
         state_checksum(&state.expect("state requested")),
         ref_checksum
+    );
+    // The narrower world resumed from the checkpoint the wider one took,
+    // not from op 0: it captured fewer checkpoints than a whole run.
+    assert!(
+        summary.checkpoint_bytes < ref_summary.checkpoint_bytes,
+        "degradation must keep the in-memory checkpoint: {} >= {}",
+        summary.checkpoint_bytes,
+        ref_summary.checkpoint_bytes
     );
     let metrics = engine.shutdown();
     assert!(
