@@ -19,19 +19,20 @@
 //! a half-written file under a valid name. Loads verify a whole-file
 //! checksum trailer plus the embedded generation number and fall back to
 //! the previous generation when the newest is corrupt (bit flip,
-//! truncation, torn write).
+//! truncation, torn write) or was written by another circuit.
 
 use crate::state::StateVector;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use svsim_ir::Circuit;
 use svsim_types::{SvError, SvResult, SvRng};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The workspace's one digest: state checksums, checkpoint payloads,
-/// generation-file trailers and the engine's job and circuit keys all
-/// hash through it.
+/// generation-file trailers, [`circuit_digest`] and the engine's job keys
+/// all hash through it.
 ///
 /// Four independent FNV-style lanes absorb 64-bit words; every
 /// [`absorb`](Self::absorb) call starts at lane 0 and deals its words
@@ -95,9 +96,22 @@ pub fn state_checksum(state: &StateVector) -> u64 {
         .finish()
 }
 
+/// Structural identity of a circuit: the [`Digest`] of its complete debug
+/// rendering (ops, qubit/cbit counts, every gate argument). Two
+/// independent parses of the same source agree; any one-gate edit differs.
+/// It names the circuit a [`Checkpoint`] belongs to, and keys the engine's
+/// plan cache and quarantine.
+#[must_use]
+pub fn circuit_digest(circuit: &Circuit) -> u64 {
+    Digest::default()
+        .absorb(format!("{circuit:?}").as_bytes(), u64::from)
+        .finish()
+}
+
 /// A resumable snapshot of a simulation at an op boundary.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
+    circuit: u64,
     op_index: usize,
     cbits: u64,
     rng: SvRng,
@@ -107,10 +121,18 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Capture the simulation state after `op_index` circuit ops.
+    /// Capture the simulation state after `op_index` ops of the circuit
+    /// whose [`circuit_digest`] is `circuit`.
     #[must_use]
-    pub fn capture(op_index: usize, cbits: u64, rng: &SvRng, state: &StateVector) -> Self {
+    pub fn capture(
+        circuit: u64,
+        op_index: usize,
+        cbits: u64,
+        rng: &SvRng,
+        state: &StateVector,
+    ) -> Self {
         let mut cp = Self {
+            circuit,
             op_index,
             cbits,
             rng: rng.clone(),
@@ -132,6 +154,12 @@ impl Checkpoint {
             .finish()
     }
 
+    /// The [`circuit_digest`] of the circuit this checkpoint belongs to.
+    #[must_use]
+    pub(crate) fn circuit(&self) -> u64 {
+        self.circuit
+    }
+
     /// Ops of the circuit already executed when this checkpoint was taken.
     #[must_use]
     pub fn op_index(&self) -> usize {
@@ -150,9 +178,10 @@ impl Checkpoint {
         self.checksum
     }
 
-    /// Serialized footprint in bytes (amplitudes + metadata) — what a real
-    /// deployment would write to stable storage; reported to the engine's
-    /// `checkpoint_bytes` metric.
+    /// Payload size in bytes: the amplitudes plus the op index, classical
+    /// register and checksum, reported as `RunSummary::checkpoint_bytes`. A
+    /// store generation holds this and 12 more words (magic, generation,
+    /// circuit, RNG state, amplitude count, trailer).
     #[must_use]
     pub fn bytes(&self) -> u64 {
         (self.re.len() + self.im.len()) as u64 * 8 + 3 * 8
@@ -214,10 +243,11 @@ impl Checkpoint {
     /// appended last so any torn prefix fails verification.
     fn to_bytes(&self, generation: u64) -> Vec<u8> {
         let (s, spare) = self.rng.state();
-        let mut buf = Vec::with_capacity((self.re.len() + self.im.len()) * 8 + 13 * 8);
+        let mut buf = Vec::with_capacity((self.re.len() + self.im.len()) * 8 + 15 * 8);
         let push = |buf: &mut Vec<u8>, w: u64| buf.extend_from_slice(&w.to_le_bytes());
         push(&mut buf, STORE_MAGIC);
         push(&mut buf, generation);
+        push(&mut buf, self.circuit);
         push(&mut buf, self.op_index as u64);
         push(&mut buf, self.cbits);
         for w in s {
@@ -247,7 +277,7 @@ impl Checkpoint {
     fn from_bytes(bytes: &[u8], expect_generation: u64) -> SvResult<Self> {
         let corrupt =
             |what: &str| SvError::Checkpoint(format!("generation {expect_generation}: {what}"));
-        if !bytes.len().is_multiple_of(8) || bytes.len() < 14 * 8 {
+        if !bytes.len().is_multiple_of(8) || bytes.len() < 15 * 8 {
             return Err(corrupt("truncated (not a whole number of records)"));
         }
         let words: Vec<u64> = bytes
@@ -257,7 +287,7 @@ impl Checkpoint {
         if words[0] != STORE_MAGIC {
             return Err(corrupt("bad magic (not a checkpoint generation)"));
         }
-        let (&trailer, head) = words.split_last().expect("at least 14 words");
+        let (&trailer, head) = words.split_last().expect("at least 15 words");
         if Digest::default().absorb(head, u64::from).finish() != trailer {
             return Err(corrupt("file checksum mismatch (bit flip or torn write)"));
         }
@@ -267,13 +297,13 @@ impl Checkpoint {
                 words[1]
             )));
         }
-        let op_index = usize::try_from(words[2])
+        let op_index = usize::try_from(words[3])
             .map_err(|_| corrupt("op index does not fit this platform"))?;
-        let cbits = words[3];
-        let s = [words[4], words[5], words[6], words[7]];
-        let spare = (words[8] != 0).then(|| f64::from_bits(words[9]));
-        let n = usize::try_from(words[10]).map_err(|_| corrupt("amplitude count overflow"))?;
-        let body = &words[11..words.len() - 2];
+        let cbits = words[4];
+        let s = [words[5], words[6], words[7], words[8]];
+        let spare = (words[9] != 0).then(|| f64::from_bits(words[10]));
+        let n = usize::try_from(words[11]).map_err(|_| corrupt("amplitude count overflow"))?;
+        let body = &words[12..words.len() - 2];
         // `2 * n` could wrap for a hostile count; halving the length cannot.
         if !body.len().is_multiple_of(2) || body.len() / 2 != n {
             return Err(corrupt("truncated amplitude payload"));
@@ -281,6 +311,7 @@ impl Checkpoint {
         let (re, im) = body.split_at(n);
         let planes = |ws: &[u64]| ws.iter().map(|&w| f64::from_bits(w)).collect();
         let cp = Self {
+            circuit: words[2],
             op_index,
             cbits,
             rng: SvRng::from_state(s, spare),
@@ -294,10 +325,10 @@ impl Checkpoint {
     }
 }
 
-/// First word of every on-disk generation (`b"SVCKPT02"` little-endian).
+/// First word of every on-disk generation (`b"SVCKPT03"` little-endian).
 /// Bumped whenever the word layout or the digest changes, so a generation
 /// of an older format reads as bad magic.
-const STORE_MAGIC: u64 = u64::from_le_bytes(*b"SVCKPT02");
+const STORE_MAGIC: u64 = u64::from_le_bytes(*b"SVCKPT03");
 
 /// Generations retained after a save: the newest plus its predecessor, so
 /// a corrupt newest generation always has a fallback.
@@ -322,7 +353,7 @@ pub enum CommitCrash {
 /// Each [`save`](Self::save) writes a new numbered generation with the
 /// write-temp → `fsync` → atomic-rename protocol; loads are fully verified
 /// and [`load_latest`](Self::load_latest) falls back to the previous
-/// generation when the newest is corrupt.
+/// generation when the newest is corrupt or another circuit's.
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -484,13 +515,16 @@ impl CheckpointStore {
         Checkpoint::from_bytes(&bytes, generation)
     }
 
-    /// Load the newest generation that verifies, falling back through older
-    /// ones — the crash-recovery entry point. Returns `Ok(None)` when the
-    /// store holds no generations at all.
+    /// Load the newest generation that verifies and belongs to the circuit
+    /// whose [`circuit_digest`] is `circuit`, falling back through older
+    /// ones — the crash-recovery entry point. Another circuit's generation
+    /// is passed over like a corrupt one. Returns `Ok(None)` when the store
+    /// holds no generations at all.
     ///
     /// # Errors
-    /// [`SvError::Checkpoint`] when generations exist but none verifies.
-    pub fn load_latest(&self) -> SvResult<Option<(u64, Checkpoint)>> {
+    /// [`SvError::Checkpoint`] when generations exist but none of them
+    /// verifies and belongs to `circuit`.
+    pub fn load_latest(&self, circuit: u64) -> SvResult<Option<(u64, Checkpoint)>> {
         let gens = self.generations()?;
         if gens.is_empty() {
             return Ok(None);
@@ -498,7 +532,12 @@ impl CheckpointStore {
         let mut last_err = None;
         for &g in gens.iter().rev() {
             match self.load_generation(g) {
-                Ok(cp) => return Ok(Some((g, cp))),
+                Ok(cp) if cp.circuit == circuit => return Ok(Some((g, cp))),
+                Ok(_) => {
+                    last_err = Some(SvError::Checkpoint(format!(
+                        "generation {g}: written by another circuit"
+                    )))
+                }
                 Err(e) => last_err = Some(e),
             }
         }
@@ -509,6 +548,9 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The circuit digest the sample checkpoints claim.
+    const CIRCUIT: u64 = 0x5eed;
 
     #[test]
     fn state_checksum_values_are_pinned() {
@@ -580,7 +622,7 @@ mod tests {
             im[5] = -0.5;
         }
         let rng = SvRng::seed_from_u64(7);
-        let cp = Checkpoint::capture(4, 0b101, &rng, &state);
+        let cp = Checkpoint::capture(CIRCUIT, 4, 0b101, &rng, &state);
         cp.verify().unwrap();
         assert_eq!(cp.op_index(), 4);
         assert_eq!(cp.cbits(), 0b101);
@@ -600,7 +642,7 @@ mod tests {
     fn corruption_is_detected() {
         let state = StateVector::zero_state(2).unwrap();
         let rng = SvRng::seed_from_u64(1);
-        let mut cp = Checkpoint::capture(0, 0, &rng, &state);
+        let mut cp = Checkpoint::capture(CIRCUIT, 0, 0, &rng, &state);
         cp.corrupt_for_test();
         let err = cp.verify().unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"));
@@ -610,7 +652,7 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let state = StateVector::zero_state(2).unwrap();
         let rng = SvRng::seed_from_u64(1);
-        let cp = Checkpoint::capture(0, 0, &rng, &state);
+        let cp = Checkpoint::capture(CIRCUIT, 0, 0, &rng, &state);
         let mut small = StateVector::zero_state(1).unwrap();
         let mut cbits = 0;
         let mut r = SvRng::seed_from_u64(2);
@@ -646,10 +688,11 @@ mod tests {
         }
         let mut rng = SvRng::seed_from_u64(salt);
         let _ = rng.next_gaussian(); // cache a Box-Muller spare
-        Checkpoint::capture(op, salt, &rng, &state)
+        Checkpoint::capture(CIRCUIT, op, salt, &rng, &state)
     }
 
     fn assert_same(a: &Checkpoint, b: &Checkpoint) {
+        assert_eq!(a.circuit, b.circuit);
         assert_eq!(a.op_index, b.op_index);
         assert_eq!(a.cbits, b.cbits);
         assert_eq!(a.rng.state(), b.rng.state());
@@ -667,7 +710,7 @@ mod tests {
         assert_eq!(g, 0);
         let loaded = store.load_generation(0).unwrap();
         assert_same(&cp, &loaded);
-        let (g2, latest) = store.load_latest().unwrap().expect("one generation");
+        let (g2, latest) = store.load_latest(CIRCUIT).unwrap().expect("one generation");
         assert_eq!(g2, 0);
         assert_same(&cp, &latest);
         // Reopening resumes the counter after the newest file.
@@ -683,7 +726,7 @@ mod tests {
             store.save(&sample_checkpoint(op, op as u64)).unwrap();
         }
         assert_eq!(store.generations().unwrap(), vec![3, 4]);
-        assert_eq!(store.load_latest().unwrap().unwrap().0, 4);
+        assert_eq!(store.load_latest(CIRCUIT).unwrap().unwrap().0, 4);
     }
 
     #[test]
@@ -704,7 +747,7 @@ mod tests {
             matches!(&err, SvError::Checkpoint(m) if m.contains("checksum mismatch")),
             "{err}"
         );
-        let (g, cp) = store.load_latest().unwrap().expect("fallback");
+        let (g, cp) = store.load_latest(CIRCUIT).unwrap().expect("fallback");
         assert_eq!(g, 0, "must fall back to the previous generation");
         assert_same(&good, &cp);
     }
@@ -729,7 +772,20 @@ mod tests {
     fn hostile_amplitude_count_fails_typed() {
         // A count whose double wraps to the two body words present, under a
         // trailer that verifies.
-        let mut words = vec![STORE_MAGIC, 0, 0, 0, 1, 2, 3, 4, 0, 0, (1 << 63) + 1];
+        let mut words = vec![
+            STORE_MAGIC,
+            0,
+            CIRCUIT,
+            0,
+            0,
+            1,
+            2,
+            3,
+            4,
+            0,
+            0,
+            (1 << 63) + 1,
+        ];
         words.extend([0, 0, 0]);
         words.push(Digest::default().absorb(&words, u64::from).finish());
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
@@ -754,7 +810,7 @@ mod tests {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             let err = store.load_generation(1).unwrap_err();
             assert!(matches!(err, SvError::Checkpoint(_)), "{err}");
-            assert_eq!(store.load_latest().unwrap().unwrap().0, 0);
+            assert_eq!(store.load_latest(CIRCUIT).unwrap().unwrap().0, 0);
         }
     }
 
@@ -773,7 +829,7 @@ mod tests {
             matches!(&err, SvError::Checkpoint(m) if m.contains("stale generation")),
             "{err}"
         );
-        let (g, cp) = store.load_latest().unwrap().expect("fallback");
+        let (g, cp) = store.load_latest(CIRCUIT).unwrap().expect("fallback");
         assert_eq!(g, 0);
         assert_same(&good, &cp);
     }
@@ -786,9 +842,29 @@ mod tests {
         store.save(&good).unwrap();
         store.save_torn(&sample_checkpoint(6, 9)).unwrap();
         assert!(store.load_generation(1).is_err());
-        let (g, cp) = store.load_latest().unwrap().expect("fallback");
+        let (g, cp) = store.load_latest(CIRCUIT).unwrap().expect("fallback");
         assert_eq!(g, 0);
         assert_same(&good, &cp);
+    }
+
+    #[test]
+    fn another_circuits_generation_is_passed_over() {
+        let dir = tmp_store("circuit");
+        let mut store = CheckpointStore::open(&dir.path).unwrap();
+        let mine = sample_checkpoint(2, 11);
+        store.save(&mine).unwrap();
+        let state = StateVector::zero_state(3).unwrap();
+        let theirs = Checkpoint::capture(CIRCUIT + 1, 4, 12, &SvRng::seed_from_u64(0), &state);
+        store.save(&theirs).unwrap();
+        let (g, cp) = store.load_latest(CIRCUIT).unwrap().expect("fallback");
+        assert_eq!(g, 0, "must pass over the other circuit's generation");
+        assert_same(&mine, &cp);
+        assert_eq!(store.load_latest(CIRCUIT + 1).unwrap().unwrap().0, 1);
+        let err = store.load_latest(CIRCUIT + 2).unwrap_err();
+        assert!(
+            matches!(&err, SvError::Checkpoint(m) if m.contains("another circuit")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -796,12 +872,12 @@ mod tests {
         let dir = tmp_store("empty");
         let mut store = CheckpointStore::open(&dir.path).unwrap();
         assert!(
-            store.load_latest().unwrap().is_none(),
+            store.load_latest(CIRCUIT).unwrap().is_none(),
             "empty store is Ok(None)"
         );
         store.save_torn(&sample_checkpoint(1, 10)).unwrap();
         assert!(
-            store.load_latest().is_err(),
+            store.load_latest(CIRCUIT).is_err(),
             "only-corrupt store is an error"
         );
     }

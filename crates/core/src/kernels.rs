@@ -183,6 +183,9 @@ pub fn isa() -> &'static str {
 #[cfg(target_arch = "x86_64")]
 macro_rules! enter {
     ($level:literal, $feature:tt, $wide:ident = $body:ident($v:ident, $a:ident, $r:ident)) => {
+        /// # Safety
+        /// Call only where the CPU reports the feature this body is
+        /// compiled for.
         #[target_feature(enable = $feature)]
         fn $wide<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
             $body(v, a, r);

@@ -38,7 +38,9 @@ pub mod traffic;
 pub mod view;
 
 pub use batch::{CompiledTemplate, ParamCircuit, ParamValue};
-pub use checkpoint::{state_checksum, Checkpoint, CheckpointStore, CommitCrash, Digest};
+pub use checkpoint::{
+    circuit_digest, state_checksum, Checkpoint, CheckpointStore, CommitCrash, Digest,
+};
 pub use compile::{CompiledGate, KernelId};
 pub use exec::DispatchMode;
 pub use noise::{sample_noisy_circuit, trajectory_average, NoiseModel};

@@ -1,6 +1,6 @@
 //! The unified `Simulator` facade over all backends.
 
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint::{circuit_digest, Checkpoint, CheckpointStore};
 use crate::exec::{run_partitioned, run_solo, DispatchMode};
 use crate::measure;
 use crate::plan::{build_segment, checkpoint_grid, CompiledPlan, TileRun};
@@ -170,7 +170,8 @@ pub enum RunStart {
     /// ([`CheckpointStore::load_latest`], which falls back over corrupt
     /// ones); else op 0 of a fresh simulator (`|0...0>`, classical register
     /// 0, RNG rewound to [`SimConfig::seed`], store and fault plan still
-    /// attached).
+    /// attached). A checkpoint or generation of another circuit is passed
+    /// over like a corrupt one.
     LastCheckpoint,
 }
 
@@ -393,13 +394,12 @@ impl Simulator {
     /// From [`RunStart::LastCheckpoint`] the run starts at the first of: the
     /// in-memory checkpoint, if it verifies; the attached store's newest
     /// loadable generation; op 0 of a fresh simulator. This is the one
-    /// resume rule — a retry passes it whatever the failure lost. The
-    /// caller must pass the same circuit the interrupted run was given; the
-    /// completed run is bit-identical to an uninterrupted one.
+    /// resume rule — a retry passes it whatever the failure lost. Only a
+    /// checkpoint of `circuit` (by [`circuit_digest`]) is a resume point, so
+    /// the completed run is bit-identical to an uninterrupted one.
     ///
     /// # Errors
-    /// As [`Self::run`], and when the checkpoint resumed from lies beyond
-    /// the circuit's end (it belongs to a different circuit).
+    /// As [`Self::run`].
     pub fn run_from(
         &mut self,
         circuit: &Circuit,
@@ -409,17 +409,7 @@ impl Simulator {
         self.validate(circuit)?;
         let (start_op, cbits) = match start {
             RunStart::Fresh => (0, 0),
-            RunStart::LastCheckpoint => {
-                let start_op = self.resume();
-                if start_op > circuit.ops().len() {
-                    return Err(SvError::InvalidConfig(format!(
-                        "checkpoint at op {} lies beyond the {}-op circuit",
-                        start_op,
-                        circuit.ops().len()
-                    )));
-                }
-                (start_op, self.cbits)
-            }
+            RunStart::LastCheckpoint => (self.resume(circuit_digest(circuit)), self.cbits),
         };
         let plan = plan.filter(|p| p.matches(circuit, self.state.n_qubits(), &self.config));
         self.run_segments(circuit, start_op, cbits, plan)
@@ -479,26 +469,33 @@ impl Simulator {
         let ops = circuit.ops();
         let k = self.config.checkpoint_every;
         let mut summary = RunSummary::new(circuit.gates().count(), initial_cbits);
-        if k == 0 {
-            self.checkpoint = None;
-        } else {
-            self.capture_checkpoint(start_op, &mut summary)?;
+        // Every checkpoint names the circuit it belongs to.
+        let digest = (k > 0).then(|| circuit_digest(circuit));
+        match digest {
+            None => self.checkpoint = None,
+            Some(digest) => self.capture_checkpoint(digest, start_op, &mut summary)?,
         }
         for segment in checkpoint_grid(start_op, ops.len(), k) {
             let end = segment.end;
             self.exec_segment(ops, segment, plan, &mut summary)?;
-            if k > 0 {
-                self.capture_checkpoint(end, &mut summary)?;
+            if let Some(digest) = digest {
+                self.capture_checkpoint(digest, end, &mut summary)?;
             }
         }
         self.cbits = summary.cbits;
         Ok(summary)
     }
 
-    /// Capture the state at `op_index` as the last good checkpoint,
-    /// persisting it first when a store is attached.
-    fn capture_checkpoint(&mut self, op_index: usize, summary: &mut RunSummary) -> SvResult<()> {
-        let cp = Checkpoint::capture(op_index, summary.cbits, &self.rng, &self.state);
+    /// Capture the state at `op_index` of the circuit whose digest is
+    /// `circuit` as the last good checkpoint, persisting it first when a
+    /// store is attached.
+    fn capture_checkpoint(
+        &mut self,
+        circuit: u64,
+        op_index: usize,
+        summary: &mut RunSummary,
+    ) -> SvResult<()> {
+        let cp = Checkpoint::capture(circuit, op_index, summary.cbits, &self.rng, &self.state);
         summary.checkpoint_bytes += cp.bytes();
         self.persist_checkpoint(&cp)?;
         self.checkpoint = Some(cp);
@@ -535,16 +532,17 @@ impl Simulator {
         Ok(())
     }
 
-    /// Rewind to the resume point of [`RunStart::LastCheckpoint`] and
-    /// return the op index it lies at.
-    fn resume(&mut self) -> usize {
+    /// Rewind to the resume point of [`RunStart::LastCheckpoint`] for the
+    /// circuit whose digest is `circuit` and return the op index it lies at.
+    fn resume(&mut self, circuit: u64) -> usize {
+        self.checkpoint = self.checkpoint.take().filter(|cp| cp.circuit() == circuit);
         if let Ok(op_index) = self.restore() {
             return op_index;
         }
         let stored = self
             .store
             .as_ref()
-            .and_then(|s| s.load_latest().ok().flatten());
+            .and_then(|s| s.load_latest(circuit).ok().flatten());
         if let Some((_generation, cp)) = stored {
             self.checkpoint = Some(cp);
             if let Ok(op_index) = self.restore() {
@@ -1074,6 +1072,41 @@ mod tests {
         );
     }
 
+    /// A store that still holds another circuit's generations of the same
+    /// width is no resume point: circuit B resumed on circuit A's store
+    /// starts over at op 0 and ends where B's own run ends.
+    #[test]
+    fn resume_passes_over_another_circuits_generations() {
+        struct Dir(std::path::PathBuf);
+        impl Drop for Dir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir = Dir(std::env::temp_dir().join(format!("svsim-foreign-{}", std::process::id())));
+        let config = SimConfig {
+            checkpoint_every: 2,
+            ..SimConfig::single_device()
+        };
+        let a = ghz(3);
+        let mut b = Circuit::new(3);
+        b.apply(GateKind::X, &[0], &[]).unwrap();
+        b.apply(GateKind::H, &[1], &[]).unwrap();
+        b.apply(GateKind::CX, &[1, 2], &[]).unwrap();
+        b.apply(GateKind::RY, &[0], &[0.3]).unwrap();
+        b.apply(GateKind::H, &[2], &[]).unwrap();
+        let mut want = Simulator::new(3, config).unwrap();
+        want.run(&b).unwrap();
+
+        let mut sim_a = Simulator::new(3, config).unwrap();
+        sim_a.set_checkpoint_store(Some(CheckpointStore::open(&dir.0).unwrap()));
+        sim_a.run(&a).unwrap();
+        let mut sim_b = Simulator::new(3, config).unwrap();
+        sim_b.set_checkpoint_store(Some(CheckpointStore::open(&dir.0).unwrap()));
+        sim_b.run_from(&b, None, RunStart::LastCheckpoint).unwrap();
+        assert_eq!(sim_b.state_checksum(), want.state_checksum());
+    }
+
     #[test]
     fn scaleout_fault_recovery_is_bit_identical() {
         use svsim_shmem::{FaultAction, FaultPlan};
@@ -1221,7 +1254,13 @@ mod tests {
         assert_eq!(plan.armed_remaining(), 0, "fault fired exactly once");
         let cp = sim.checkpoint().expect("the first segment committed");
         assert_eq!(cp.op_index(), 2);
-        let now = Checkpoint::capture(2, cp.cbits(), &SvRng::seed_from_u64(0), sim.state());
+        let now = Checkpoint::capture(
+            cp.circuit(),
+            2,
+            cp.cbits(),
+            &SvRng::seed_from_u64(0),
+            sim.state(),
+        );
         assert_eq!(
             now.checksum(),
             cp.checksum(),
@@ -1286,7 +1325,13 @@ mod tests {
                 assert_eq!(plan.armed_remaining(), 0, "fault fired exactly once");
                 let cp = sim.checkpoint().expect("the first segment committed");
                 assert_eq!(cp.op_index(), 2);
-                let now = Checkpoint::capture(2, cp.cbits(), &SvRng::seed_from_u64(0), sim.state());
+                let now = Checkpoint::capture(
+                    cp.circuit(),
+                    2,
+                    cp.cbits(),
+                    &SvRng::seed_from_u64(0),
+                    sim.state(),
+                );
                 assert_eq!(
                     now.checksum(),
                     cp.checksum(),
@@ -1350,8 +1395,13 @@ mod tests {
                 assert_eq!(plan.armed_remaining(), 0, "{what}");
                 let cp = sim.checkpoint().expect("two segments committed");
                 assert_eq!(cp.op_index(), 32, "{what}");
-                let now =
-                    Checkpoint::capture(32, cp.cbits(), &SvRng::seed_from_u64(0), sim.state());
+                let now = Checkpoint::capture(
+                    cp.circuit(),
+                    32,
+                    cp.cbits(),
+                    &SvRng::seed_from_u64(0),
+                    sim.state(),
+                );
                 assert_eq!(
                     now.checksum(),
                     cp.checksum(),
@@ -1399,7 +1449,13 @@ mod tests {
             assert_eq!(plan.armed_remaining(), 0, "{action:?}");
             let cp = sim.checkpoint().expect("two segments committed");
             assert_eq!(cp.op_index(), 32, "{action:?}");
-            let now = Checkpoint::capture(32, cp.cbits(), &SvRng::seed_from_u64(0), sim.state());
+            let now = Checkpoint::capture(
+                cp.circuit(),
+                32,
+                cp.cbits(),
+                &SvRng::seed_from_u64(0),
+                sim.state(),
+            );
             assert_eq!(
                 now.checksum(),
                 cp.checksum(),

@@ -15,14 +15,14 @@ use crate::packet::{packet_bytes, JobPacket, MemoryBudget, SubmitError};
 use crate::pool::InstancePool;
 use crate::queue::StageQueue;
 use crate::templates::{TemplateId, TemplateRegistry};
-use crate::worker::{circuit_digest, worker_loop, PlanCache};
+use crate::worker::{worker_loop, PlanCache};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use svsim_core::{Digest, ParamCircuit};
+use svsim_core::{circuit_digest, Digest, ParamCircuit};
 use svsim_types::SvResult;
 
 /// Engine sizing knobs.

@@ -68,11 +68,15 @@ impl RetryPolicy {
 /// numeric collapse failures — is deterministic and would fail identically
 /// again.
 #[must_use]
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn retryable(e: &SvError) -> bool {
-    // Deliberately exhaustive — no wildcard arm. Adding an `SvError`
-    // variant must force a retry-classification decision here (compile
-    // error otherwise), instead of silently defaulting a new failure
-    // class to non-retryable. `svsim-lint` cross-checks this.
+    // Deliberately exhaustive: adding an `SvError` variant must force a
+    // retry-classification decision here (a compile error), instead of
+    // silently defaulting a new failure class to non-retryable. Clippy
+    // fails a wildcard arm.
     match e {
         SvError::PeFailed { .. }
         | SvError::PeHung { .. }

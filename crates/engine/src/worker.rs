@@ -21,7 +21,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use svsim_core::{
-    measure, BackendKind, CheckpointStore, CompiledPlan, Digest, RunStart, SimConfig, Simulator,
+    circuit_digest, measure, BackendKind, CheckpointStore, CompiledPlan, RunStart, SimConfig,
+    Simulator,
 };
 use svsim_ir::Circuit;
 use svsim_shmem::FaultAction;
@@ -49,15 +50,6 @@ pub(crate) struct PlanCache {
 
 /// Distinct circuits the plan cache remembers plans for.
 const PLAN_CACHE_CAP: usize = 32;
-
-/// Structural identity of a circuit: the [`Digest`] of its complete debug
-/// rendering (ops, qubit/cbit counts, every gate argument). Two
-/// independent parses of the same source agree; any one-gate edit differs.
-pub(crate) fn circuit_digest(circuit: &Circuit) -> u64 {
-    Digest::default()
-        .absorb(format!("{circuit:?}").as_bytes(), u64::from)
-        .finish()
-}
 
 impl PlanCache {
     /// The cached plan for `circuit` under `config`, compiling on a miss.

@@ -222,6 +222,8 @@ enum TableStore {
 // the owning `World` keeps alive, and every access is atomic.
 #[allow(unsafe_code)]
 unsafe impl Send for TableStore {}
+// SAFETY: shared references only ever read `Mapped`'s fields and reach the
+// arena through atomics, as above.
 #[allow(unsafe_code)]
 unsafe impl Sync for TableStore {}
 

@@ -324,6 +324,8 @@ pub(crate) struct ShmArena {
 // SAFETY: the mapping is valid for the arena's lifetime and all word
 // access goes through atomics (or happens-before-ordered byte copies).
 unsafe impl Send for ShmArena {}
+// SAFETY: as for `Send`: a shared handle reaches the mapping only through
+// atomics and ordered byte copies.
 unsafe impl Sync for ShmArena {}
 
 impl ShmArena {
@@ -1131,6 +1133,12 @@ impl Wire for PeOp {
 }
 
 impl Wire for SvError {
+    // Every variant is named, so a new one fails to compile until it has a
+    // tag; clippy fails a wildcard arm.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Self::QubitOutOfRange { qubit, n_qubits } => {

@@ -42,6 +42,8 @@ enum Storage {
 // access goes through atomics, so sharing across threads is sound.
 #[allow(unsafe_code)]
 unsafe impl Send for Storage {}
+// SAFETY: as for `Send`: every access through a shared reference is atomic,
+// and `_keep` pins the mapping.
 #[allow(unsafe_code)]
 unsafe impl Sync for Storage {}
 

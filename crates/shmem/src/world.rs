@@ -1514,6 +1514,110 @@ mod tests {
         }
     }
 
+    /// One data-plane accessor in [`every_accessor_faults_traces_and_counts`]:
+    /// a read (`Get`) or a write (`Put`) of 16 bytes (8 for the one-word
+    /// calls) at word 0 of a PE's partition.
+    type Accessor = (&'static str, PeOp, u64, fn(&ShmemCtx<'_>, &SymF64, usize));
+
+    /// Every one-sided accessor, and the borrow a partitioned walk accounts
+    /// through, is instrumented: PE 1's first call under a `Drop` spec on
+    /// its op fails PE 1's next barrier as `PeFailed`; under the detector, a
+    /// conflicting access of the same word by PE 0 in the same epoch is
+    /// reported; and one remote and one local call count one op each of
+    /// their kind, and their bytes.
+    #[test]
+    fn every_accessor_faults_traces_and_counts() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let accessors: [Accessor; 6] = [
+            ("get_f64", PeOp::Get, 8, |ctx, sym, pe| {
+                let _ = ctx.get_f64(sym, pe, 0);
+            }),
+            ("put_f64", PeOp::Put, 8, |ctx, sym, pe| {
+                ctx.put_f64(sym, pe, 0, 1.0);
+            }),
+            ("get_slice_f64", PeOp::Get, 16, |ctx, sym, pe| {
+                ctx.get_slice_f64(sym, pe, 0, &mut [0.0; 2]);
+            }),
+            ("put_slice_f64", PeOp::Put, 16, |ctx, sym, pe| {
+                ctx.put_slice_f64(sym, pe, 0, &[1.0; 2]);
+            }),
+            ("borrow to read", PeOp::Get, 16, |ctx, sym, pe| {
+                ctx.borrow(&[sym], pe, 0..2, &[PeOp::Get], 1, 16);
+            }),
+            ("borrow to write", PeOp::Put, 16, |ctx, sym, pe| {
+                ctx.borrow(&[sym], pe, 0..2, &[PeOp::Put], 1, 16);
+            }),
+        ];
+        for (name, op, bytes, access) in accessors {
+            let plan = FaultPlan::new().with(1, op, 1, FaultAction::Drop);
+            let faulted = WorldOptions {
+                faults: Some(Arc::new(plan)),
+                ..WorldOptions::default()
+            };
+            let out = launch_world(2, &faulted, |ctx| {
+                let sym = ctx.malloc_f64(4)?;
+                if ctx.my_pe() == 1 {
+                    access(ctx, &sym, 0);
+                }
+                ctx.try_barrier_all()
+            })
+            .expect("launch");
+            let failed = SvError::PeFailed { pe: 1, op };
+            assert_eq!(out.results[1], Ok(Err(failed)), "{name}: fault point");
+
+            // PE 0 goes first, so PE 1's access is the one that sees the
+            // conflict, and only if it is traced.
+            let peer_done = AtomicBool::new(false);
+            let out = launch_world(2, &detected(), |ctx| {
+                let sym = ctx.malloc_f64(4)?;
+                if ctx.my_pe() == 0 {
+                    if op == PeOp::Get {
+                        ctx.put_f64(&sym, 0, 0, 2.0);
+                    } else {
+                        let _ = ctx.get_f64(&sym, 0, 0);
+                    }
+                    peer_done.store(true, Ordering::Release);
+                } else {
+                    while !peer_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    access(ctx, &sym, 0);
+                }
+                ctx.try_barrier_all()
+            })
+            .expect("launch");
+            assert!(out.first_failure().is_none(), "{name}: {:?}", out.results);
+            assert!(
+                out.races
+                    .iter()
+                    .any(|r| (r.owner_pe, r.index, r.second.pe) == (0, 0, 1)),
+                "{name}: race trace: {:?}",
+                out.races
+            );
+
+            let out = launch(2, |ctx| {
+                let sym = ctx.malloc_f64(4).expect("alloc");
+                if ctx.my_pe() == 1 {
+                    access(ctx, &sym, 0);
+                    access(ctx, &sym, 1);
+                }
+            })
+            .expect("launch");
+            let t = &out.traffic[1];
+            let (gets, puts) = if op == PeOp::Get { (1, 0) } else { (0, 1) };
+            assert_eq!(
+                (t.local_gets, t.remote_gets, t.local_puts, t.remote_puts),
+                (gets, gets, puts, puts),
+                "{name}: counter"
+            );
+            assert_eq!(
+                (t.remote_get_bytes, t.remote_put_bytes),
+                (gets * bytes, puts * bytes),
+                "{name}: counted bytes"
+            );
+        }
+    }
+
     #[test]
     fn detected_launch_clean_protocol_reports_nothing() {
         // The ring exchange from `symmetric_heap_put_get` is disciplined:

@@ -21,10 +21,12 @@
 //! stronger than the release/acquire orderings production requests; the
 //! per-transition ordering arguments live next to the machines in
 //! [`svsim_shmem::proto`].
+//!
+//! The crate's tests also crash the real checkpoint commit protocol at
+//! every write (`tests/checkpoint_crash.rs`).
 
 pub mod explore;
 pub mod harness;
-pub mod lint;
 pub mod mem;
 
 pub use explore::{explore, Model, Report, Violation};

@@ -16,17 +16,20 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The circuit digest every checkpoint here claims.
+const CIRCUIT: u64 = 0x5eed;
+
 fn checkpoint(op_index: usize, cbits: u64, seed: u64) -> Checkpoint {
     let rng = SvRng::seed_from_u64(seed);
     let state = StateVector::zero_state(3).unwrap();
-    Checkpoint::capture(op_index, cbits, &rng, &state)
+    Checkpoint::capture(CIRCUIT, op_index, cbits, &rng, &state)
 }
 
 fn assert_recovers_committed(dir: &PathBuf, committed: &Checkpoint) {
     // A real crash killed the process: recovery reopens the directory.
     let store = CheckpointStore::open(dir).unwrap();
     let (generation, loaded) = store
-        .load_latest()
+        .load_latest(CIRCUIT)
         .expect("a committed generation must verify")
         .expect("the committed generation must still be listed");
     assert_eq!(generation, 0, "recovery must fall back to generation 0");
@@ -66,7 +69,7 @@ fn crash_at_every_commit_step_never_surfaces_uncommitted() {
         let mut store = CheckpointStore::open(&dir).unwrap();
         let g = store.save(&doomed).unwrap();
         assert!(g >= 1, "post-recovery save must not reuse generation 0");
-        let (latest, cp) = store.load_latest().unwrap().unwrap();
+        let (latest, cp) = store.load_latest(CIRCUIT).unwrap().unwrap();
         assert_eq!(latest, g);
         assert_eq!(cp.checksum(), doomed.checksum());
         let _ = std::fs::remove_dir_all(&dir);
@@ -101,7 +104,7 @@ fn crash_with_nothing_committed_recovers_empty() {
         drop(store);
         let store = CheckpointStore::open(&dir).unwrap();
         assert!(
-            store.load_latest().unwrap().is_none(),
+            store.load_latest(CIRCUIT).unwrap().is_none(),
             "an uncommitted generation must never load ({crash:?})"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -63,11 +63,6 @@ const COMMANDS: &[Command] = &[
         usage: "[--max-states N]",
         run: cmd_verify,
     },
-    Command {
-        name: "lint",
-        usage: "[--root DIR] [--deny-warnings]",
-        run: cmd_lint,
-    },
 ];
 
 impl Command {
@@ -804,24 +799,4 @@ fn cmd_verify(flags: &Flags) -> CmdResult {
         }
         Err(violation) => Err(format!("protocol property violated\n{violation}").into()),
     }
-}
-
-fn cmd_lint(flags: &Flags) -> CmdResult {
-    let deny_warnings = flags.has("--deny-warnings");
-    let root = flags.value("--root").unwrap_or(".");
-    let report = sv_sim::verify::lint::run(std::path::Path::new(root))?;
-    for f in &report.findings {
-        println!("{f}");
-    }
-    println!(
-        "lint: {} files scanned, rules [{}], {} error(s), {} warning(s)",
-        report.files_scanned,
-        report.rules_run.join(", "),
-        report.errors(),
-        report.warnings(),
-    );
-    if report.errors() > 0 || (deny_warnings && report.warnings() > 0) {
-        return Err("lint failed".into());
-    }
-    Ok(())
 }
