@@ -15,6 +15,12 @@
 //! sum bit-for-bit at any PE count. A sequential accumulation here would
 //! differ in the last ULPs, and the `1/sqrt(p)` collapse rescale would leak
 //! that ULP into every amplitude, breaking cross-backend bit-identity.
+//!
+//! An expectation `<psi|P|psi>` of a Pauli string `P` is one read-only
+//! sweep: with `x` the mask of P's X and Y factors, `s` that of its Y and Z
+//! factors and `n_y` its number of Y factors, `<P> = sum_j Re(i^n_y
+//! conj(psi_j) psi_{j^x}) (-1)^{parity((j^x) & s)}`, summed as 32 fixed
+//! chunks in order. A qubit at or above the register width is `|0>`.
 
 use crate::kernels::collapse_pairs;
 use crate::state::StateVector;
@@ -181,69 +187,67 @@ pub fn histogram(samples: &[u64]) -> std::collections::BTreeMap<u64, usize> {
     h
 }
 
-/// `<Z-mask>` expectation from probabilities: `sum_i (-1)^{parity(i & mask)} p_i`.
+/// `<Z-mask>` expectation, `sum_j (-1)^{parity(j & mask)} |psi_j|^2`, each
+/// term `re*re + im*im`: the module's one sweep with no flip. A mask bit at
+/// or above the register width matches no index (a `|0>` qubit, Z = `+1`).
 #[must_use]
 pub fn expval_z_mask(state: &StateVector, mask: u64) -> f64 {
-    let (re, im) = (state.re(), state.im());
-    let term = |i: usize, r: f64, m: f64| {
-        let p = r * r + m * m;
-        if masked_parity(i as u64, mask) == 1 {
-            -p
-        } else {
-            p
+    pauli_sweep(state, mask, 0, |j| j, |ar, ai, br, bi| ar * br + ai * bi)
+}
+
+/// `<P>` for an arbitrary Pauli string in the module's one read-only sweep,
+/// which neither copies nor changes the state. A factor on a qubit at or
+/// above the register width acts on `|0>`: a Z there is a factor of `+1`,
+/// an X or Y there makes the value `0.0`.
+#[must_use]
+pub fn expval_pauli(state: &StateVector, string: &PauliString) -> f64 {
+    let (n, len) = (state.n_qubits(), state.dim());
+    let (mut x, mut s, mut n_y) = (0u64, 0u64, 0u32);
+    // A string holds no identity factor: X and Y flip, Y and Z sign.
+    for &(p, q) in string.factors() {
+        if q >= n && p != Pauli::Z {
+            return 0.0;
         }
-    };
+        let bit = if q < n { 1 << q } else { 0 };
+        x |= bit * u64::from(p != Pauli::Z);
+        s |= bit * u64::from(p != Pauli::X);
+        n_y += u32::from(p == Pauli::Y);
+    }
+    // `Re(i^n_y c)` for `c = conj(psi_j) psi_{j^x}` is `Re(c)`, `-Im(c)`,
+    // `-Re(c)` or `Im(c)`; `& (len - 1)` moves no index but bounds it.
+    let negate = u32::from(matches!(n_y % 4, 1 | 2));
+    let flip = |j: usize| (j ^ x as usize) & (len - 1);
+    match (x, n_y % 2) {
+        (0, _) => expval_z_mask(state, s),
+        (_, 0) => pauli_sweep(state, s, negate, flip, |ar, ai, br, bi| ar * br + ai * bi),
+        _ => pauli_sweep(state, s, negate, flip, |ar, ai, br, bi| ar * bi - ai * br),
+    }
+}
+
+/// The one expectation loop (module docs): the sum of `term(psi_j,
+/// psi_k)` with `k = partner(j)`, negated where `parity(k & s) ^ negate` is
+/// odd, in the [`chunked_sum`] association. Generic, so each partner and
+/// term is compiled into the loop (with `partner(j) = j` the two loads of
+/// an amplitude are one).
+fn pauli_sweep(
+    state: &StateVector,
+    s: u64,
+    negate: u32,
+    partner: impl Fn(usize) -> usize,
+    term: impl Fn(f64, f64, f64, f64) -> f64,
+) -> f64 {
+    let (re, im) = (state.re(), state.im());
+    let im = &im[..re.len()];
     chunked_sum(re.len(), |range| {
         let mut e = 0.0;
-        for i in range {
-            e += term(i, re[i], im[i]);
+        for j in range {
+            let k = partner(j);
+            let t = term(re[j], im[j], re[k], im[k]);
+            let odd = masked_parity(k as u64, s) ^ negate == 1;
+            e += if odd { -t } else { t };
         }
         e
     })
-}
-
-/// `<P>` for an arbitrary Pauli string: basis-change a *copy* of the state
-/// into the Z frame, then take the Z-mask expectation.
-#[must_use]
-pub fn expval_pauli(state: &StateVector, string: &PauliString) -> f64 {
-    if string.is_identity() {
-        return state.norm_sqr();
-    }
-    let needs_rotation = string.factors().iter().any(|&(p, _)| p != Pauli::Z);
-    if !needs_rotation {
-        return expval_z_mask(state, string.qubit_mask());
-    }
-    let mut rotated = state.clone();
-    {
-        use crate::compile::compile_gate;
-        use crate::dispatch::resolve;
-        use crate::kernels::worker_range;
-        use crate::view::LocalView;
-        let n = rotated.n_qubits();
-        let (re, im) = rotated.parts_mut();
-        let view = LocalView::new(re, im);
-        let mut compiled = Vec::new();
-        for &(p, q) in string.factors() {
-            match p {
-                Pauli::X => {
-                    let g = svsim_ir::Gate::new(svsim_ir::GateKind::H, &[q], &[]).expect("h");
-                    compile_gate(&g, n, true, &mut compiled);
-                }
-                Pauli::Y => {
-                    // Rotate Y into Z: apply B† = H * S† (circuit: sdg, h).
-                    for kind in [svsim_ir::GateKind::SDG, svsim_ir::GateKind::H] {
-                        let g = svsim_ir::Gate::new(kind, &[q], &[]).expect("1q");
-                        compile_gate(&g, n, true, &mut compiled);
-                    }
-                }
-                _ => {}
-            }
-        }
-        for cg in &compiled {
-            resolve::<LocalView>(cg.id)(&view, &cg.args, worker_range(cg.args.work, 1, 0));
-        }
-    }
-    expval_z_mask(&rotated, string.qubit_mask())
 }
 
 #[cfg(test)]
@@ -377,7 +381,7 @@ mod tests {
             .unwrap();
         let y = PauliString::parse("Y").unwrap();
         assert!((expval_pauli(&s, &y) - 1.0).abs() < 1e-12);
-        // And the original state is untouched (expval works on a copy).
+        // And the original state is untouched (expval only reads it).
         assert!((s.amplitude(1).im - s2i).abs() < 1e-15);
     }
 
@@ -401,6 +405,92 @@ mod tests {
             .collect();
         s.set_complex(&amps).unwrap();
         s
+    }
+
+    /// `to_bits` of `z_expectation_bits_are_pinned`'s four values.
+    const PINNED_Z_BITS: [u64; 4] = [
+        13808628215291606896,
+        13813148364578234744,
+        4573336414256126400,
+        13812734691303123280,
+    ];
+
+    #[test]
+    fn z_expectation_bits_are_pinned() {
+        // Z-only values as literal bits: the one sweep computes each term
+        // as `re*re + im*im` and sums in the fixed chunked association, so
+        // none of these may move in its last bit.
+        let s = irrational_state();
+        let zs = PauliString::parse("ZIIZZIIIIZ").unwrap();
+        let got = [
+            expval_z_mask(&s, 0b1),
+            expval_z_mask(&s, 0b10_0110_0100),
+            expval_z_mask(&s, 0x3ff),
+            expval_pauli(&s, &zs),
+        ];
+        assert_eq!(got.map(f64::to_bits), PINNED_Z_BITS);
+    }
+
+    #[test]
+    fn expectations_match_the_dense_matrix() {
+        // Random 6-qubit states and random strings over IXYZ, with the
+        // identity and the all-Y string among them: the sweep against
+        // <psi|P|psi> taken with the dense matrix of P.
+        let n = 6u32;
+        let mut rng = SvRng::seed_from_u64(0x5ca1e);
+        let mut labels = vec!["IIIIII".to_string(), "YYYYYY".to_string()];
+        for _ in 0..64 {
+            let label = (0..n).map(|_| ['I', 'X', 'Y', 'Z'][rng.next_below(4) as usize]);
+            labels.push(label.collect());
+        }
+        for _ in 0..4 {
+            let amps: Vec<Complex64> = (0..1 << n)
+                .map(|_| Complex64::new(rng.next_gaussian(), rng.next_gaussian()))
+                .collect();
+            let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+            let amps: Vec<Complex64> = amps.iter().map(|a| a.scale(1.0 / norm)).collect();
+            let mut s = StateVector::zero_state(n).unwrap();
+            s.set_complex(&amps).unwrap();
+            for label in &labels {
+                let string = PauliString::parse(label).unwrap();
+                let m = string.matrix(n);
+                let dim = m.dim();
+                let mut want = Complex64::ZERO;
+                for (r, &ar) in amps.iter().enumerate() {
+                    for (c, &ac) in amps.iter().enumerate() {
+                        want += ar.conj() * m.data()[r * dim + c] * ac;
+                    }
+                }
+                let got = expval_pauli(&s, &string);
+                assert!(want.im.abs() < 1e-12, "{label}: <P> = {want}");
+                assert!((got - want.re).abs() < 1e-12, "{label}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn factors_beyond_the_register_act_on_zero() {
+        // A qubit at or above the width is |0>: Z there is +1, X or Y there
+        // makes the value 0, and no mask bit is taken for it (qubit 70 is
+        // past any u64 mask).
+        let s = irrational_state();
+        let value = |label: &str| {
+            let factors: Vec<(Pauli, u32)> = label
+                .split_whitespace()
+                .map(|f| {
+                    let (p, q) = f.split_at(1);
+                    let p = Pauli::from_char(p.chars().next().unwrap()).unwrap();
+                    (p, q.parse().unwrap())
+                })
+                .collect();
+            expval_pauli(&s, &PauliString::new(&factors).unwrap())
+        };
+        for zero in ["X12", "Y12", "X0 X12", "Z3 Y70", "X70"] {
+            assert_eq!(value(zero).to_bits(), 0.0f64.to_bits(), "{zero}");
+        }
+        assert_eq!(value("Z12").to_bits(), value("").to_bits());
+        assert_eq!(value("Z0 Z12 Z70").to_bits(), value("Z0").to_bits());
+        assert_eq!(value("X1 Y4 Z70").to_bits(), value("X1 Y4").to_bits());
     }
 
     /// `f` over each of `n_pes` equal partitions of `planes` as a walker's

@@ -407,12 +407,23 @@ impl Simulator {
         start: RunStart,
     ) -> SvResult<RunSummary> {
         self.validate(circuit)?;
-        let (start_op, cbits) = match start {
-            RunStart::Fresh => (0, 0),
-            RunStart::LastCheckpoint => (self.resume(circuit_digest(circuit)), self.cbits),
+        // Digested at most once: a resume looks the circuit's checkpoint up
+        // by it, and every checkpoint the run captures is named by it.
+        let resuming = matches!(start, RunStart::LastCheckpoint);
+        let checkpointing = self.config.checkpoint_every > 0;
+        let digest = (resuming || checkpointing).then(|| circuit_digest(circuit));
+        let (start_op, cbits) = match digest.filter(|_| resuming) {
+            Some(digest) => (self.resume(digest), self.cbits),
+            None => (0, 0),
         };
         let plan = plan.filter(|p| p.matches(circuit, self.state.n_qubits(), &self.config));
-        self.run_segments(circuit, start_op, cbits, plan)
+        self.run_segments(
+            circuit,
+            start_op,
+            cbits,
+            plan,
+            digest.filter(|_| checkpointing),
+        )
     }
 
     /// Execute `ops[range]` as one backend dispatch, accumulating into
@@ -458,19 +469,20 @@ impl Simulator {
 
     /// Execute `circuit.ops()[start_op..]` segment by segment along the
     /// [`checkpoint_grid`] (one segment when checkpointing is off),
-    /// capturing a checkpoint after each.
+    /// capturing a checkpoint after each, named by `digest` (the
+    /// circuit's [`circuit_digest`]; `Some` exactly when checkpointing is
+    /// on).
     fn run_segments(
         &mut self,
         circuit: &Circuit,
         start_op: usize,
         initial_cbits: u64,
         plan: Option<&CompiledPlan>,
+        digest: Option<u64>,
     ) -> SvResult<RunSummary> {
         let ops = circuit.ops();
         let k = self.config.checkpoint_every;
         let mut summary = RunSummary::new(circuit.gates().count(), initial_cbits);
-        // Every checkpoint names the circuit it belongs to.
-        let digest = (k > 0).then(|| circuit_digest(circuit));
         match digest {
             None => self.checkpoint = None,
             Some(digest) => self.capture_checkpoint(digest, start_op, &mut summary)?,
@@ -716,7 +728,10 @@ impl Simulator {
         Ok(hist)
     }
 
-    /// `<P>` expectation of a Pauli string on the current state.
+    /// `<P>` expectation of a Pauli string on the current state, in one
+    /// read-only pass ([`measure::expval_pauli`]). A factor on a qubit at
+    /// or above the register width acts on `|0>`: a Z there is a factor of
+    /// `+1`, and an X or Y there makes the value `0.0`.
     #[must_use]
     pub fn expval_pauli(&self, string: &PauliString) -> f64 {
         measure::expval_pauli(&self.state, string)

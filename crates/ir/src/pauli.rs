@@ -109,13 +109,6 @@ impl PauliString {
         self.factors.len()
     }
 
-    /// Mask of qubits carrying `Z` or `Y` factors (the ones whose bit parity
-    /// enters a Z-basis expectation after basis change).
-    #[must_use]
-    pub fn qubit_mask(&self) -> u64 {
-        self.factors.iter().fold(0u64, |m, &(_, q)| m | (1 << q))
-    }
-
     /// Dense matrix over `n` qubits (tests only; exponential in `n`).
     #[must_use]
     pub fn matrix(&self, n_qubits: u32) -> Mat {

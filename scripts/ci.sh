@@ -197,6 +197,11 @@ echo "== benchmark builds and gates against this API =="
 cargo test --release --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- selftest
 
+echo "== pairs driver parses =="
+# scripts/pairs.sh times the benchmark for minutes, alternating a parent
+# revision with the working tree; CI checks only that it parses.
+bash -n scripts/pairs.sh
+
 echo "== kernel vectorisation (release) =="
 # The speed of the kernel layer rests on the compiler keeping each body's
 # loops whole and packed; nothing functional notices when it stops (a closure
